@@ -142,18 +142,14 @@ fn pipeline_point(k: u32) -> Option<(PipelinePoint, PipelineState)> {
     };
     let project_s = t.elapsed().as_secs_f64();
 
-    // The verify stage times the production proof path — memoized walks at
-    // the auto-sized worker count — exactly what admission and the epoch
-    // scheduler pay, not the unmemoized single-thread baseline (which
-    // dominated the k=16 row and misstated the pipeline's bottleneck).
+    // The verify stage times the production proof path — collapsed walks
+    // at the auto-sized worker count — exactly what admission and the epoch
+    // scheduler pay.
     let t = Instant::now();
-    let mut cache = sdt::verify::WalkCache::new();
-    let v = Verifier::check_cached(
+    let v = Verifier::check(
         &cluster,
         TableView::of_synthesis(&projection.synthesis),
         Intent::of_projection(&projection, &topo, topo.name()),
-        sdt::verify::verify_threads(),
-        &mut cache,
     );
     let verify_s = t.elapsed().as_secs_f64();
     assert!(v.holds(), "fat-tree k={k} failed static verification: {}", v.report().summary());

@@ -10,7 +10,8 @@ use sdt::sim::{run_trace, SimConfig};
 use sdt::topology::fattree::fat_tree;
 use sdt::topology::SwitchId;
 use sdt::workloads::select_nodes;
-use sdt_bench::{bench_threads, par_map_threads, table4_workloads, SDT_EXTRA_NS};
+use sdt_bench::{bench_threads, table4_workloads, SDT_EXTRA_NS};
+use sdt_par::par_map_threads;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::time::Instant;

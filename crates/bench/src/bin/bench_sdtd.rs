@@ -3,7 +3,7 @@
 //! real Unix-domain sockets, batched admission (`batch-max 64`) against
 //! the honest one-at-a-time baseline (`batch-max 1`, which pays a static
 //! proof *and* a snapshot write per operation). Records per-request
-//! latency (p50/p99/p999 via `sdt_bench::stats`) and closed-loop
+//! latency (p50/p99/p999 via `sdt_par::stats`) and closed-loop
 //! throughput for both modes. Writes `results/BENCH_sdtd.json`.
 //!
 //! Run with: `cargo run --release -p sdt-bench --bin bench_sdtd`
@@ -12,7 +12,8 @@
 //! reply — rejections are terminal, lost requests are not.
 
 use sdt::controller::Json;
-use sdt_bench::stats::{latency_json, LatencySummary};
+use sdt_bench::stats::latency_json;
+use sdt_par::stats::LatencySummary;
 use sdt_sdtd::{run, DaemonMetrics, DaemonOptions, DaemonState};
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write as _};

@@ -1,13 +1,13 @@
-//! Static-verification benchmark artifact: cold full verify, memoized
-//! cold/warm verify, warm incremental re-verify (empty-delta
-//! `check_delta_cached`), the symmetry-collapse ratio (full walks vs
-//! replayed walks), and per-thread-count wall times, at fat-tree k=4/8/16.
+//! Static-verification benchmark artifact: cold full verify, warm
+//! incremental re-verify (empty-delta `check_delta_threads` against the
+//! previous proof), the symmetry-collapse ratio (full walks vs replayed
+//! walks), and per-thread-count wall times, at fat-tree k=4/8/16.
 //! Writes `results/BENCH_verify.json`.
 //!
 //! Run with: `cargo run --release -p sdt-bench --bin bench_verify`
 //! (`--quick` skips k=16 and shrinks repetitions; used by CI as a smoke
-//! test). Exits non-zero if the warm memoized re-verify is not at least as
-//! fast as the cold verify at the largest preset measured.
+//! test). Exits non-zero if the warm re-verify is not at least as fast as
+//! the cold verify at the largest preset measured.
 //!
 //! Honesty rules (shared with `bench_ctrl`): every thread-count row records
 //! both the requested and the available worker count, and on a single-core
@@ -17,7 +17,7 @@
 
 use sdt::routing::{default_strategy, RouteTable};
 use sdt::topology::fattree::fat_tree;
-use sdt::verify::{Intent, TableView, Verifier, VerifyStats, WalkCache};
+use sdt::verify::{Intent, TableView, Verifier, VerifyStats};
 use sdt_bench::experiments::carrier_cluster;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -38,20 +38,12 @@ struct VerifyPoint {
     model: &'static str,
     header_classes: usize,
     pairs_checked: usize,
-    /// Cold full fast-path verify, no cache, 1 worker (best of `reps`).
+    /// Cold full fast-path verify, 1 worker (best of `reps`).
     cold_s: f64,
     /// Fast-path stats of the cold verify (symmetry collapse counters).
     cold_stats: VerifyStats,
-    /// Cold verify that also fills a fresh [`WalkCache`].
-    memo_cold_s: f64,
-    /// Full re-verify with the hot cache (every class replays from memo).
-    memo_warm_s: f64,
-    /// Stats of the memoized warm pass (hit/miss counters).
-    memo_warm_stats: VerifyStats,
-    /// Walk-cache entries retained after the passes.
-    cache_entries: usize,
-    /// Warm incremental re-verify: empty-delta `check_delta_cached` against
-    /// the previous proof (best of `reps`).
+    /// Warm incremental re-verify: empty-delta `check_delta_threads`
+    /// against the previous proof (best of `reps`).
     warm_delta_s: f64,
     /// Fast-path findings byte-identical to the unoptimized reference walk
     /// (`None` when the reference was skipped for runtime at this preset).
@@ -95,14 +87,14 @@ fn verify_point(
     let view = || TableView::of_synthesis(&projection.synthesis);
     let intent = || Intent::of_projection(&projection, &topo, topo.name());
 
-    // Cold fast-path verify, no cache.
+    // Cold fast-path verify.
     let (cold_s, cold_v) =
         best_of(reps, || Verifier::check_threads(&cluster, view(), intent(), 1));
     assert!(cold_v.holds(), "fat-tree k={k} failed verification: {}", cold_v.report().summary());
 
     // Findings byte-identical to the unoptimized reference walk. The
     // reference is O(pairs x path length) with no symmetry collapse, so at
-    // k=16 (1M pairs) it is skipped here — `memo_differential.rs` proves
+    // k=16 (1M pairs) it is skipped here — `fast_differential.rs` proves
     // the same identity on every preset in the test suite.
     let identical_to_reference = check_reference.then(|| {
         let plain = Verifier::check_plain_threads(&cluster, view(), intent(), 1);
@@ -112,23 +104,10 @@ fn verify_point(
         assert!(ok, "fat-tree k={k}: fast findings differ from the reference walk");
     }
 
-    // Memoized: cold fill, then a full warm re-verify, then the warm
-    // incremental path (empty-delta check against the previous proof).
-    let mut cache = WalkCache::new();
-    let t0 = Instant::now();
-    let memo_v = Verifier::check_cached(&cluster, view(), intent(), 1, &mut cache);
-    let memo_cold_s = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let warm_v = Verifier::check_cached(&cluster, view(), intent(), 1, &mut cache);
-    let memo_warm_s = t0.elapsed().as_secs_f64();
-    assert_eq!(
-        format!("{:?}", warm_v.report()),
-        format!("{:?}", cold_v.report()),
-        "fat-tree k={k}: memoized findings differ from the uncached verify"
-    );
-    let (warm_delta_s, delta_v) = best_of(reps, || {
-        Verifier::check_delta_cached(&memo_v, &[], intent(), 1, &mut cache)
-    });
+    // The warm incremental path: empty-delta check against the previous
+    // proof.
+    let (warm_delta_s, delta_v) =
+        best_of(reps, || Verifier::check_delta_threads(&cold_v, &[], intent(), 1));
     assert!(delta_v.holds(), "fat-tree k={k}: warm delta re-verify failed");
 
     // Per-thread-count wall times. With one core available only the
@@ -155,10 +134,6 @@ fn verify_point(
         pairs_checked: cold_v.report().pairs_checked,
         cold_s,
         cold_stats: cold_v.stats().clone(),
-        memo_cold_s,
-        memo_warm_s,
-        memo_warm_stats: warm_v.stats().clone(),
-        cache_entries: cache.entries(),
         warm_delta_s,
         identical_to_reference,
         thread_walls,
@@ -168,8 +143,8 @@ fn verify_point(
 fn jstats(s: &VerifyStats) -> String {
     format!(
         "{{\"symmetric\": {}, \"pairs_walked_full\": {}, \"pairs_replayed\": {}, \
-         \"cache_hits\": {}, \"cache_misses\": {}}}",
-        s.symmetric, s.pairs_walked_full, s.pairs_replayed, s.cache_hits, s.cache_misses
+         \"states_resolved\": {}}}",
+        s.symmetric, s.pairs_walked_full, s.pairs_replayed, s.cache_misses
     )
 }
 
@@ -187,16 +162,14 @@ fn main() -> std::io::Result<()> {
         match verify_point(k, reps, k <= 8, threads_available) {
             Some(p) => {
                 eprintln!(
-                    "verify k={k} [{}]: cold {:.1} ms, memo warm {:.1} ms, warm delta {:.2} ms \
-                     ({} classes, {} full walks, {} replayed, {} cache entries)",
+                    "verify k={k} [{}]: cold {:.1} ms, warm delta {:.2} ms \
+                     ({} classes, {} full walks, {} replayed)",
                     p.model,
                     p.cold_s * 1e3,
-                    p.memo_warm_s * 1e3,
                     p.warm_delta_s * 1e3,
                     p.header_classes,
                     p.cold_stats.pairs_walked_full,
-                    p.cold_stats.pairs_replayed,
-                    p.cache_entries
+                    p.cold_stats.pairs_replayed
                 );
                 points.push(p);
             }
@@ -247,15 +220,6 @@ fn main() -> std::io::Result<()> {
         jline!(json, "     \"cold_s\": {:.6}, \"cold_stats\": {},", p.cold_s, jstats(&p.cold_stats));
         jline!(
             json,
-            "     \"memo_cold_s\": {:.6}, \"memo_warm_s\": {:.6}, \"memo_warm_stats\": {}, \
-             \"cache_entries\": {},",
-            p.memo_cold_s,
-            p.memo_warm_s,
-            jstats(&p.memo_warm_stats),
-            p.cache_entries
-        );
-        jline!(
-            json,
             "     \"warm_delta_s\": {:.6}, \"identical_to_reference\": {identical},",
             p.warm_delta_s
         );
@@ -268,8 +232,8 @@ fn main() -> std::io::Result<()> {
     std::fs::write("results/BENCH_verify.json", &json)?;
     print!("{json}");
 
-    // CI gate: at the largest preset measured, the warm memoized re-verify
-    // must not be slower than the cold verify.
+    // CI gate: at the largest preset measured, the warm re-verify must not
+    // be slower than the cold verify.
     match points.last() {
         Some(p) if p.warm_delta_s <= p.cold_s => Ok(()),
         Some(p) => {

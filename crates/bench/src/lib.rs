@@ -11,4 +11,4 @@ pub mod par;
 pub mod stats;
 
 pub use experiments::*;
-pub use par::{bench_threads, par_map, par_map_threads};
+pub use par::{bench_threads, par_map};

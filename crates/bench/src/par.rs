@@ -10,10 +10,9 @@
 //!
 //! The machinery lives in the `sdt-par` crate so the static verifier and
 //! tenancy audit can share it without depending on the umbrella crate;
-//! this module re-exports it under the historical `sdt_bench::par_map`
-//! names and adds the sweep-specific `SDT_BENCH_THREADS` default.
+//! this module adds the sweep-specific `SDT_BENCH_THREADS` default.
 
-pub use sdt_par::{par_map_threads, parse_threads, threads_from_env, SEQ_FALLBACK_NS};
+use sdt_par::{par_map_threads, threads_from_env};
 
 /// Worker count for experiment sweeps: `SDT_BENCH_THREADS` when set to a
 /// positive integer, else the machine's available parallelism.

@@ -4,10 +4,9 @@
 //! dependency stack — so the simulator's FCT telemetry
 //! (`sdt_sim::telemetry::FctSummary`) and the benchmark writers here use
 //! the *same* nearest-rank arithmetic instead of three hand-rolled copies.
-//! This module re-exports it under the `sdt_bench::stats` name the
-//! artifact binaries (`bench_sdtd` and friends) import.
+//! This module adds the JSON rendering the artifact binaries share.
 
-pub use sdt_par::stats::{percentile_sorted, LatencySummary};
+use sdt_par::stats::LatencySummary;
 
 /// Render a [`LatencySummary`] as the JSON object every `BENCH_*.json`
 /// artifact embeds for a latency distribution (integer ns fields, mean as

@@ -10,7 +10,8 @@ use sdt::sim::{run_trace, MpiRunResult, SimConfig};
 use sdt::topology::fattree::fat_tree;
 use sdt::topology::meshtorus::torus;
 use sdt::workloads::{apps, select_nodes, MachineModel};
-use sdt_bench::{fig11_sweep, par_map_threads, table4_cell, table4_grid, SDT_EXTRA_NS};
+use sdt_bench::{fig11_sweep, table4_cell, table4_grid, SDT_EXTRA_NS};
+use sdt_par::par_map_threads;
 
 /// One Table IV-style cell at test scale: the fixed-seed HPCG workload on
 /// fat-tree k=4 under the SDT fabric config.

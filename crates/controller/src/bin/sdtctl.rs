@@ -53,7 +53,7 @@ use sdt_controller::output::{
 use sdt_controller::{plan_wiring, Deployment, Json, SdtController, SliceController, TestbedConfig};
 use sdt_core::walk::IsolationReport;
 use sdt_openflow::{Action, FlowEntry, FlowMod};
-use sdt_verify::{Intent, TableView, Verifier, WalkCache};
+use sdt_verify::{Intent, TableView, Verifier};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -577,34 +577,22 @@ fn cmd_verify(args: &[String], json: bool) -> Result<(), String> {
             }
             let intent =
                 || Intent::of_projection(&d.projection, &d.topology, d.topology.name());
-            let mut cache = WalkCache::new();
             let t0 = std::time::Instant::now();
-            let v = Verifier::check_cached(
-                ctl.cluster(),
-                TableView::of_switches(&d.switches),
-                intent(),
-                sdt_verify::verify_threads(),
-                &mut cache,
-            );
+            let v =
+                Verifier::check(ctl.cluster(), TableView::of_switches(&d.switches), intent());
             let wall_s = t0.elapsed().as_secs_f64();
             let block = if stats {
-                // A warm memoized re-verify of the unchanged tables: shows
-                // what an incremental recheck costs once the cache is hot.
+                // An empty-delta re-verify of the unchanged tables: what an
+                // incremental recheck costs when the previous proof is kept.
                 let t0 = std::time::Instant::now();
-                let _ = Verifier::check_delta_cached(
+                let _ = Verifier::check_delta_threads(
                     &v,
                     &[],
                     intent(),
                     sdt_verify::verify_threads(),
-                    &mut cache,
                 );
                 let warm_s = t0.elapsed().as_secs_f64();
-                Some(StatsBlock {
-                    wall_s,
-                    warm_s: Some(warm_s),
-                    stats: v.stats().clone(),
-                    cache_entries: cache.entries(),
-                })
+                Some(StatsBlock { wall_s, warm_s: Some(warm_s), stats: v.stats().clone() })
             } else {
                 None
             };
@@ -633,14 +621,11 @@ fn cmd_verify(args: &[String], json: bool) -> Result<(), String> {
                     .map_err(|e| format!("{path}: admission failed: {e}"))?;
             }
             let (r, block) = if stats {
-                // A full memoized pass over the live tables: the manager's
-                // walk cache is already warm from the admission-time proofs,
-                // so the hit counters show how much of the proof replayed.
                 let mgr = ctl.manager_mut();
                 let t0 = std::time::Instant::now();
-                let (r, vstats, cache_entries) = mgr.verify_report_with_stats();
+                let (r, stats) = mgr.verify_report_with_stats();
                 let wall_s = t0.elapsed().as_secs_f64();
-                (r, Some(StatsBlock { wall_s, warm_s: None, stats: vstats, cache_entries }))
+                (r, Some(StatsBlock { wall_s, warm_s: None, stats }))
             } else {
                 (ctl.manager_mut().verify_report(), None)
             };

@@ -15,7 +15,7 @@ use sdt_openflow::{ControlChannel, InstallTiming, OpenFlowSwitch};
 use sdt_routing::cdg::{analyze, DeadlockAnalysis};
 use sdt_routing::{default_strategy, RouteTable, RoutingStrategy};
 use sdt_topology::{HostId, SwitchId, Topology, TopologyKind};
-use sdt_verify::{Intent, SharedWalkCache, TableView, Verifier, WalkCache};
+use sdt_verify::{Intent, TableView, Verifier};
 use std::collections::HashMap;
 
 /// Outcome of the checking function (§V-1): what the wiring supports and
@@ -120,14 +120,6 @@ pub struct SdtController {
     timing: InstallTiming,
     require_deadlock_free: bool,
     static_verify: bool,
-    /// Memoized walk cache shared by every static verification this
-    /// controller runs (deploy gates, recovery gates, explicit
-    /// [`SdtController::verify_projection`] calls). Entries are
-    /// fingerprint-validated per class and switch, so repeated verifies of
-    /// similar table states only pay for what actually changed. Held as a
-    /// [`SharedWalkCache`]: each pass leases the cache, and a concurrent
-    /// invalidation discards the pass's harvest instead of racing it.
-    verify_cache: SharedWalkCache,
     /// Count of reconfigurations performed (reporting).
     pub reconfigurations: u32,
 }
@@ -143,7 +135,6 @@ impl SdtController {
             timing: InstallTiming::default(),
             require_deadlock_free: true,
             static_verify: true,
-            verify_cache: SharedWalkCache::new(),
             reconfigurations: 0,
         }
     }
@@ -191,27 +182,13 @@ impl SdtController {
 
     /// Statically verify a projection's synthesized tables against the
     /// topology's delivery intent — no packets injected, no counters
-    /// touched. Pure read of the would-be pipeline. Walk results are
-    /// memoized in the controller's [`WalkCache`], so re-verifying after a
-    /// recovery or reconfiguration only pays for the classes whose table
-    /// fingerprints changed.
+    /// touched. Pure read of the would-be pipeline.
     pub fn verify_projection(&self, topo: &Topology, projection: &SdtProjection) -> Verifier {
-        let mut cache = self.verify_cache.lease();
-        Verifier::check_cached(
+        Verifier::check(
             &self.cluster,
             TableView::of_synthesis(&projection.synthesis),
             Intent::of_projection(projection, topo, topo.name()),
-            sdt_verify::verify_threads(),
-            &mut cache,
         )
-        // The lease drop restores the warmed cache (unless an invalidation
-        // raced this pass, in which case the harvest is discarded).
-    }
-
-    /// Number of memoized walk-cache entries held by this controller's
-    /// verifier (observability: `sdtctl verify --stats` and benches).
-    pub fn verify_cache_entries(&self) -> usize {
-        self.verify_cache.with(WalkCache::entries)
     }
 
     /// The deploy/recovery gate: error out with the report summary when the
@@ -543,9 +520,7 @@ impl SdtController {
         let rounds = sdt_tenancy::compile_rounds(&epoch, &before);
         let intent = Intent::of_projection(projection, topology, topology.name());
         let threads = sdt_verify::verify_threads();
-        let mut cache = self.verify_cache.lease();
-        let base =
-            Verifier::check_cached(&self.cluster, before, intent.clone(), threads, &mut cache);
+        let base = Verifier::check_threads(&self.cluster, before, intent.clone(), threads);
         let policy = sdt_tenancy::RetryPolicy {
             max_retries: cfg.max_retries,
             backoff_base_ns: cfg.backoff_base_ns,
@@ -561,7 +536,6 @@ impl SdtController {
             &intent,
             &self.timing,
             threads,
-            &mut cache,
             &policy,
         )
         .ok()?;

@@ -172,16 +172,14 @@ pub fn slices_human(rows: &[AdmitRow], status: &ManagerStatus, audit: &SliceAudi
 }
 
 /// The `--stats` sidecar of one verification: wall clocks plus the fast
-/// path's collapse/memoization counters.
+/// path's collapse counters.
 pub struct StatsBlock {
-    /// Wall-clock of the (cold or memoized) full pass, seconds.
+    /// Wall-clock of the full pass, seconds.
     pub wall_s: f64,
     /// Wall-clock of a warm empty-delta re-verify, when one was run.
     pub warm_s: Option<f64>,
     /// Fast-path statistics of the full pass.
     pub stats: sdt_verify::VerifyStats,
-    /// Walk-cache entries retained after the pass.
-    pub cache_entries: usize,
 }
 
 /// Verification report, JSON form. `block` adds the `"stats"` member.
@@ -196,15 +194,13 @@ pub fn verify_json(scope: &str, r: &VerifyReport, block: Option<&StatsBlock>) ->
             format!(
                 ",\"stats\":{{\"header_classes\":{},\"pairs_walked\":{},\
                  \"pairs_walked_full\":{},\"pairs_replayed\":{},\
-                 \"cache_hits\":{},\"cache_misses\":{},\"cache_entries\":{},\
+                 \"states_resolved\":{},\
                  \"symmetric\":{},\"wall_s\":{:.6}{warm},\"threads\":{threads}}}",
                 r.header_classes,
                 r.pairs_walked,
                 b.stats.pairs_walked_full,
                 b.stats.pairs_replayed,
-                b.stats.cache_hits,
                 b.stats.cache_misses,
-                b.cache_entries,
                 b.stats.symmetric,
                 b.wall_s,
             )
@@ -244,19 +240,12 @@ pub fn verify_human(scope: &str, r: &VerifyReport, block: Option<&StatsBlock>) -
     if let Some(b) = block {
         let _ = writeln!(
             out,
-            "  stats: {} header classes, {} symbolic walks ({} full, {} replayed), {threads} worker(s), {:.1} ms wall",
+            "  stats: {} header classes, {} symbolic walks ({} full, {} replayed), {threads} worker(s), {:.1} ms wall{}",
             r.header_classes,
             r.pairs_walked,
             b.stats.pairs_walked_full,
             b.stats.pairs_replayed,
-            b.wall_s * 1e3
-        );
-        let _ = writeln!(
-            out,
-            "  memo: {} cache hits, {} misses, {} entries retained{}",
-            b.stats.cache_hits,
-            b.stats.cache_misses,
-            b.cache_entries,
+            b.wall_s * 1e3,
             match b.warm_s {
                 Some(w) => format!(", warm re-verify {:.2} ms", w * 1e3),
                 None => String::new(),

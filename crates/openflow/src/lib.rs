@@ -21,7 +21,6 @@
 //! (§VII-B), and this crate is that abstract switch.
 
 pub mod control;
-pub mod fp;
 pub mod index;
 pub mod overlap;
 pub mod snap;
@@ -29,7 +28,6 @@ pub mod switch;
 pub mod table;
 
 pub use control::{table_divergence, BarrierReport, ControlChannel, ControlConfig, RoundBatch};
-pub use fp::{entry_fp, table_fp, TableFp};
 pub use index::EntryIndex;
 pub use overlap::{table_warnings_indexed, OverlapHit, OverlapIndex};
 pub use switch::{OpenFlowSwitch, PortStats, SwitchConfig};

@@ -19,10 +19,10 @@
 //! which is what makes the daemon's "snapshot → restore → re-snapshot is
 //! byte-identical" property hold.
 //!
-//! Sequence numbers and table fingerprints are deliberately *not* encoded:
-//! they are positional state. A restore re-applies the entries in their
-//! live first-match order and the table re-derives fresh sequences and
-//! re-fingerprints itself ([`crate::switch::OpenFlowSwitch::restore_tables`]).
+//! Sequence numbers are deliberately *not* encoded: they are positional
+//! state. A restore re-applies the entries in their live first-match order
+//! and the table re-derives fresh sequences
+//! ([`crate::switch::OpenFlowSwitch::restore_tables`]).
 
 use crate::table::{Action, FlowEntry, FlowMatch};
 use crate::{HostAddr, PortNo};

@@ -1,6 +1,5 @@
 //! Priority-matched flow tables with capacity accounting.
 
-use crate::fp::{entry_fp, TableFp};
 use crate::index::{entry_key, query_key, tier_of, TierKey, TIER_COUNT, TIER_METADATA};
 use crate::{HostAddr, PortNo};
 use serde::{Deserialize, Serialize};
@@ -223,8 +222,7 @@ impl TierIndex {
         TierIndex { tiers: std::array::from_fn(|_| HashMap::new()) }
     }
 
-    /// `seq` is the table's install counter for this entry ([`FlowTable`]
-    /// owns the counter so the content fingerprint sees the same values).
+    /// `seq` is the table's install counter for this entry.
     fn add(&mut self, e: FlowEntry, seq: u64) {
         let tier = tier_of(&e.m);
         let bucket = self.tiers[tier].entry(entry_key(tier, &e.m)).or_default();
@@ -299,14 +297,9 @@ pub struct FlowTable {
     /// Entries sorted by descending priority (stable insertion order within
     /// a priority level — first match wins, as in OpenFlow).
     entries: Vec<FlowEntry>,
-    /// Install sequence number of each entry, parallel to `entries`.
-    seqs: Vec<u64>,
     /// Monotonic install counter; within one priority level, lower seq ==
     /// installed earlier == wins first (the OpenFlow first-match rule).
     next_seq: u64,
-    /// Incremental content fingerprint over (entry, seq) pairs — the
-    /// verifier's walk-memoization key (see [`crate::fp`]).
-    fp: TableFp,
     capacity: usize,
     /// Tier index over `entries`, patched in lock-step by `apply`.
     index: TierIndex,
@@ -330,9 +323,7 @@ impl Clone for FlowTable {
     fn clone(&self) -> Self {
         FlowTable {
             entries: self.entries.clone(),
-            seqs: self.seqs.clone(),
             next_seq: self.next_seq,
-            fp: self.fp,
             capacity: self.capacity,
             index: self.index.clone(),
             // Relaxed: a clone takes a point-in-time sample of each
@@ -351,9 +342,7 @@ impl FlowTable {
     pub fn new(capacity: usize) -> Self {
         FlowTable {
             entries: Vec::new(),
-            seqs: Vec::new(),
             next_seq: 0,
-            fp: TableFp::default(),
             capacity,
             index: TierIndex::new(),
             lookups: AtomicU64::new(0),
@@ -397,31 +386,17 @@ impl FlowTable {
                     .entries
                     .partition_point(|x| x.priority >= e.priority);
                 self.entries.insert(pos, e);
-                self.seqs.insert(pos, seq);
-                self.fp.absorb(entry_fp(seq, &e));
                 self.index.add(e, seq);
                 Ok(())
             }
             FlowMod::Clear => {
                 self.entries.clear();
-                self.seqs.clear();
                 self.next_seq = 0;
-                self.fp = TableFp::default();
                 self.index.clear();
                 Ok(())
             }
             FlowMod::Delete(fm, priority) => {
-                let (entries, seqs, fp) = (&mut self.entries, &mut self.seqs, &mut self.fp);
-                let mut i = 0;
-                while i < entries.len() {
-                    if entries[i].m == fm && entries[i].priority == priority {
-                        fp.release(entry_fp(seqs[i], &entries[i]));
-                        entries.remove(i);
-                        seqs.remove(i);
-                    } else {
-                        i += 1;
-                    }
-                }
+                self.entries.retain(|e| !(e.m == fm && e.priority == priority));
                 self.index.delete(&fm, priority);
                 Ok(())
             }
@@ -509,28 +484,6 @@ impl FlowTable {
     /// Installed entries, highest priority first.
     pub fn entries(&self) -> &[FlowEntry] {
         &self.entries
-    }
-
-    /// Install sequence number of each entry, parallel to
-    /// [`FlowTable::entries`]. Lower seq within a priority level means
-    /// installed earlier (wins first-match ties).
-    pub fn entry_seqs(&self) -> &[u64] {
-        &self.seqs
-    }
-
-    /// The next install sequence number `apply` would assign — snapshot it
-    /// together with [`FlowTable::entry_seqs`] to replay mods off-line with
-    /// identical fingerprints.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Incremental content fingerprint of the installed (entry, seq) set.
-    /// Equal fingerprints mean identical entries in identical install
-    /// order (modulo a ~2⁻¹²⁸ accumulator collision), so any analysis that
-    /// reads only this table may reuse its cached result.
-    pub fn fingerprint(&self) -> TableFp {
-        self.fp
     }
 }
 

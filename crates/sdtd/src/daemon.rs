@@ -41,7 +41,7 @@ use sdt_sync::sync::{Arc, Mutex};
 use sdt_sync::thread;
 use sdt_tenancy::{OpOutcome, SliceId, SliceOp};
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write as _};
+use std::io::{BufRead, BufReader, Read as _, Write as _};
 use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -440,26 +440,41 @@ fn conn_loop(stream: UnixStream, tx: Sender<WorkItem>, registry: Arc<ConnRegistr
     }
 }
 
+/// Longest request line accepted, in bytes. The largest legitimate request
+/// is an `admit` carrying a config text, far below this.
+const MAX_LINE_BYTES: usize = 1 << 20;
+
 fn serve_conn(stream: UnixStream, tx: Sender<WorkItem>) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
     let writer = Arc::new(ConnWriter { stream: Mutex::new(stream) });
     let mut reader = BufReader::new(read_half);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
+        // One byte past the cap tells an over-long line from a full one.
+        match (&mut reader).take(MAX_LINE_BYTES as u64 + 1).read_until(b'\n', &mut line) {
             Ok(0) | Err(_) => return,
             Ok(_) => {}
         }
-        let trimmed = line.trim_end_matches('\n');
-        if trimmed.is_empty() {
-            continue;
-        }
-        let (id, req) = parse_request(trimmed);
-        if tx.send(WorkItem { writer: Arc::clone(&writer), id, req }).is_err() {
-            return; // engine is gone; shutdown in progress
+        // What follows an over-long line's first bytes is not a request:
+        // answer (in queue order, like any bad line) and close.
+        let too_long = line.len() > MAX_LINE_BYTES && line.last() != Some(&b'\n');
+        let (id, req) = if too_long {
+            (0, Request::Bad(format!("request line exceeds {MAX_LINE_BYTES} bytes")))
+        } else {
+            let Ok(text) = std::str::from_utf8(&line) else {
+                return;
+            };
+            let trimmed = text.trim_end_matches('\n');
+            if trimmed.is_empty() {
+                continue;
+            }
+            parse_request(trimmed)
+        };
+        if tx.send(WorkItem { writer: Arc::clone(&writer), id, req }).is_err() || too_long {
+            return; // engine is gone (shutdown in progress), or the line was too long
         }
     }
 }
@@ -716,9 +731,9 @@ impl Engine {
         let mgr = self.state.ctl.manager_mut();
         let (report, block) = if stats {
             let t0 = std::time::Instant::now();
-            let (r, vstats, cache_entries) = mgr.verify_report_with_stats();
+            let (r, stats) = mgr.verify_report_with_stats();
             let wall_s = t0.elapsed().as_secs_f64();
-            (r, Some(StatsBlock { wall_s, warm_s: None, stats: vstats, cache_entries }))
+            (r, Some(StatsBlock { wall_s, warm_s: None, stats }))
         } else {
             (mgr.verify_report(), None)
         };

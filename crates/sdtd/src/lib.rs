@@ -22,8 +22,8 @@
 //!   pipeline) and the live per-switch flow tables, written atomically
 //!   (tmp + rename) after every mutating batch *before* the responses go
 //!   out. A daemon killed mid-scenario restarts from the file: tables are
-//!   re-applied and re-fingerprinted, the proof is re-established through
-//!   the walk cache, and service continues where it stopped.
+//!   re-applied, the proof is re-established by one full pass, and service
+//!   continues where it stopped.
 //!
 //! `sdtctl --daemon <socket>` drives the same `slices` / `verify` /
 //! `reconfigure` commands through the wire; the daemon renders reports

@@ -23,9 +23,7 @@
 //!   alone. Same for the namespaced `installed` pipeline.
 //! * **live table dumps, verbatim** — the flow tables are the ground
 //!   truth the verifier proves things about. They are re-applied entry by
-//!   entry on restore and the switches re-fingerprint themselves; walk
-//!   caches start cold, which is safe (fingerprint-validated: a miss,
-//!   never a lie).
+//!   entry on restore and re-proven once.
 //!
 //! Encoding uses [`Json`]'s deterministic emitter and the flow-entry text
 //! codec from [`sdt_openflow::snap`]; map-typed projection fields are

@@ -1,9 +1,10 @@
 //! Integration tests for the daemon engine over a live Unix socket:
 //! batched admission must be outcome-equivalent to sequential admission
 //! (same accept/reject multiset, same *named* rejection reasons), replies
-//! on one connection must come back in request order (FCFS), and
+//! on one connection must come back in request order (FCFS),
 //! daemon-rendered reports must be byte-identical to local `sdtctl`
-//! rendering of the same state.
+//! rendering of the same state, and an over-long request line must cost
+//! only its own connection.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -12,6 +13,8 @@ mod util;
 use sdt_controller::output::{self, AdmitInfo, AdmitRow};
 use sdt_controller::{Json, SliceController, TestbedConfig};
 use sdt_sdtd::{run, DaemonOptions, DaemonState};
+use std::io::{BufRead as _, BufReader, Write as _};
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use util::{cfg, outcome, output as reply_output, wait_for_socket, Client};
 
@@ -204,4 +207,32 @@ fn daemon_reports_are_byte_identical_to_local_rendering() {
         stop(&socket);
         handle.join().unwrap().unwrap();
     }
+}
+
+#[test]
+fn over_long_request_line_is_refused_and_only_that_connection_closes() {
+    let (socket, handle) = start("long-line", 64);
+    let mut other = Client::connect(&socket);
+    assert!(outcome(&other.call("ping", vec![])).0);
+
+    // 2 MiB without a newline. The daemon stops reading at its cap, so the
+    // tail of the write may fail once it hangs up; the reply is what counts.
+    let mut hostile = UnixStream::connect(&socket).unwrap();
+    let _ = hostile.write_all(&vec![b'x'; 2 << 20]);
+    let mut reader = BufReader::new(hostile);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    let reply = Json::parse(line.trim_end_matches('\n')).unwrap();
+    let (ok, err) = outcome(&reply);
+    assert!(!ok, "an over-long line must be refused: {line}");
+    assert!(err.contains("exceeds"), "the refusal names the cap: {err}");
+    // Nothing but the end of the connection follows the refusal.
+    line.clear();
+    assert!(!matches!(reader.read_line(&mut line), Ok(n) if n > 0), "got {line}");
+
+    let text = cfg("kind = \"chain\"\nn = 3");
+    let admit = other.call("admit", vec![("config".into(), Json::str(text.as_str()))]);
+    assert!(outcome(&admit).0, "the daemon must keep serving other connections");
+    stop(&socket);
+    handle.join().unwrap().unwrap();
 }

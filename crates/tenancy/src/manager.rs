@@ -44,7 +44,7 @@ use sdt_openflow::{
 };
 use sdt_routing::{default_strategy, RouteTable};
 use sdt_topology::{HostId, SwitchId, Topology};
-use sdt_verify::{Intent, SharedWalkCache, TableView, Verifier, VerifyStats, WalkCache};
+use sdt_verify::{Intent, TableView, Verifier, VerifyStats};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
@@ -387,14 +387,6 @@ pub struct SliceManager {
     /// admission only pays for the delta ([`Verifier::check_delta`]).
     /// `None` until first use, or after the escape hatch bypassed a proof.
     verifier: Option<Verifier>,
-    /// Memoized per-class walk results, retained across every proof this
-    /// manager runs (admissions, reconfigurations, teardowns, full
-    /// re-verifies). Entries are fingerprint-validated, so they survive the
-    /// escape hatch and direct table edits: a stale entry simply misses.
-    /// Held as a [`SharedWalkCache`]: each proof leases the cache and the
-    /// generation guard discards a pass's harvest if an invalidation
-    /// (e.g. [`SliceManager::switches_mut`]) raced it.
-    cache: SharedWalkCache,
     /// Per-round reconciliation budget for scheduled installs. The default
     /// suits epochs of a few hundred flow-mods; the expected number of
     /// stragglers after `r` retries is `mods * drop_prob^(r+1)`, so large
@@ -428,7 +420,6 @@ impl SliceManager {
             next_addr: 0,
             static_verify: true,
             verifier: None,
-            cache: SharedWalkCache::new(),
             retry: crate::schedule::RetryPolicy::default(),
         }
     }
@@ -465,14 +456,9 @@ impl SliceManager {
     /// Mutable access to the live switches (the audit needs to forward
     /// probe packets, which bumps port counters). Drops the cached static
     /// proof: a caller may rewrite tables behind the manager's back, and a
-    /// stale proof would let the next delta check miss that damage. The
-    /// walk cache is invalidated too — its entries would merely miss on
-    /// fingerprints, but the generation bump also cancels any in-flight
-    /// lease, so a verify pass racing this edit can never restore results
-    /// computed from the pre-edit tables.
+    /// stale proof would let the next delta check miss that damage.
     pub fn switches_mut(&mut self) -> &mut [OpenFlowSwitch] {
         self.verifier = None;
-        self.cache.invalidate();
         &mut self.switches
     }
 
@@ -594,16 +580,11 @@ impl SliceManager {
     fn current_verifier(&mut self) -> Verifier {
         match self.verifier.take() {
             Some(v) => v,
-            None => {
-                let mut cache = self.cache.lease();
-                Verifier::check_cached(
-                    &self.cluster,
-                    TableView::of_switches(&self.switches),
-                    self.intent(),
-                    sdt_verify::verify_threads(),
-                    &mut cache,
-                )
-            }
+            None => Verifier::check(
+                &self.cluster,
+                TableView::of_switches(&self.switches),
+                self.intent(),
+            ),
         }
     }
 
@@ -616,34 +597,20 @@ impl SliceManager {
         report
     }
 
-    /// Run a full memoized proof over the live tables — even when a cached
-    /// proof exists — and return it with the fast-path statistics (collapsed
-    /// walks, memo hits/misses) and the walk-cache size: the numbers behind
+    /// Run a full proof over the live tables — even when a cached proof
+    /// exists — and return it with the fast-path statistics (collapsed
+    /// walks, destiny states resolved): the numbers behind
     /// `sdtctl verify --stats`.
-    pub fn verify_report_with_stats(
-        &mut self,
-    ) -> (sdt_verify::VerifyReport, VerifyStats, usize) {
-        let v = {
-            let mut cache = self.cache.lease();
-            Verifier::check_cached(
-                &self.cluster,
-                TableView::of_switches(&self.switches),
-                self.intent(),
-                sdt_verify::verify_threads(),
-                &mut cache,
-            )
-            // Lease drops here, restoring the warmed cache before the
-            // entry count below reads it.
-        };
+    pub fn verify_report_with_stats(&mut self) -> (sdt_verify::VerifyReport, VerifyStats) {
+        let v = Verifier::check(
+            &self.cluster,
+            TableView::of_switches(&self.switches),
+            self.intent(),
+        );
         let report = v.report().clone();
         let stats = v.stats().clone();
         self.verifier = Some(v);
-        (report, stats, self.walk_cache_entries())
-    }
-
-    /// Number of memoized walk-cache entries retained by this manager.
-    pub fn walk_cache_entries(&self) -> usize {
-        self.cache.with(WalkCache::entries)
+        (report, stats)
     }
 
     /// Statically verify a pending epoch against the live tables plus its
@@ -652,15 +619,7 @@ impl SliceManager {
     /// are untouched either way.
     pub fn precheck_epoch(&mut self, epoch: &Epoch) -> Result<(), AdmissionError> {
         let current = self.current_verifier();
-        let mut cache = self.cache.lease();
-        let pending = Verifier::check_delta_cached(
-            &current,
-            &epoch.ordered_mods(),
-            self.intent(),
-            sdt_verify::verify_threads(),
-            &mut cache,
-        );
-        drop(cache);
+        let pending = Verifier::check_delta(&current, &epoch.ordered_mods(), self.intent());
         self.verifier = Some(current);
         if pending.holds() {
             Ok(())
@@ -683,15 +642,7 @@ impl SliceManager {
             return Ok(None);
         }
         let current = self.current_verifier();
-        let mut cache = self.cache.lease();
-        let pending = Verifier::check_delta_cached(
-            &current,
-            &epoch.ordered_mods(),
-            intent,
-            sdt_verify::verify_threads(),
-            &mut cache,
-        );
-        drop(cache);
+        let pending = Verifier::check_delta(&current, &epoch.ordered_mods(), intent);
         if pending.holds() {
             Ok(Some(pending))
         } else {
@@ -952,16 +903,11 @@ impl SliceManager {
         // this is what guarantees the scheduler's merge-on-failure
         // fallback terminates: the fully-merged round *is* this epoch.
         let current = self.current_verifier();
-        // One lease spans the whole-epoch gate and the per-round proofs:
-        // the rounds re-walk overlapping table states, so they feed on
-        // each other's harvest.
-        let mut cache = self.cache.lease();
-        let pending = Verifier::check_delta_cached(
+        let pending = Verifier::check_delta_threads(
             &current,
             &epoch.ordered_mods(),
             post_intent.clone(),
             threads,
-            &mut cache,
         );
         if !pending.holds() {
             let summary = pending.report().summary();
@@ -979,7 +925,6 @@ impl SliceManager {
             &post_intent,
             &self.timing,
             threads,
-            &mut cache,
             &retry,
         ) {
             Ok((proof, sreport)) => {
@@ -1047,9 +992,8 @@ impl SliceManager {
     /// still run per operation, in order, against the evolving state — they
     /// are cheap and their rejections are position-dependent either way.
     /// The static proof, the expensive part, is deferred: epochs apply
-    /// unproven, then a single memoized full pass
-    /// ([`Verifier::check_cached`]) proves the batch's end state. That is
-    /// sound because distinct slices occupy disjoint match-spaces (disjoint
+    /// unproven, then a single full pass ([`Verifier::check`]) proves the
+    /// batch's end state. That is sound because distinct slices occupy disjoint match-spaces (disjoint
     /// ingress ports in table 0, disjoint metadata in table 1 — enforced by
     /// [`Epoch::verify`] before anything installs), so one operation's
     /// violation cannot be masked or repaired by another slice's entries:
@@ -1059,9 +1003,8 @@ impl SliceManager {
     /// separately.
     ///
     /// If the combined proof fails, the segment is rolled back exactly
-    /// (switch banks are cloned up front — sequence numbers and
-    /// fingerprints included) and re-run sequentially with per-operation
-    /// proofs, which attributes the named [`AdmissionError`] to the
+    /// (switch banks are cloned up front — sequence numbers included) and
+    /// re-run sequentially with per-operation proofs, which attributes the named [`AdmissionError`] to the
     /// culprit(s) and admits the innocent. The slow path costs more than
     /// plain sequential submission, but only fires when a batch actually
     /// contains a statically invalid operation.
@@ -1116,24 +1059,18 @@ impl SliceManager {
             self.verifier = Some(current);
             return fast;
         }
-        let pending = {
-            let mut cache = self.cache.lease();
-            Verifier::check_cached(
-                &self.cluster,
-                TableView::of_switches(&self.switches),
-                self.intent(),
-                sdt_verify::verify_threads(),
-                &mut cache,
-            )
-        };
+        let pending = Verifier::check(
+            &self.cluster,
+            TableView::of_switches(&self.switches),
+            self.intent(),
+        );
         if pending.holds() {
             self.verifier = Some(pending);
             return fast;
         }
 
-        // Slow path: exact rollback (clones preserve sequence numbers and
-        // fingerprints, so the restored bank is bit-identical), then
-        // sequential re-run with per-operation proofs to name the
+        // Slow path: exact rollback (clones preserve sequence numbers, so
+        // the restored bank is bit-identical), then sequential re-run with per-operation proofs to name the
         // culprit(s).
         self.switches = saved_switches;
         self.slices = saved_slices;
@@ -1165,11 +1102,9 @@ impl SliceManager {
 
     /// Rebuild a manager from an [`ManagerExport`] over a freshly wired
     /// cluster. The live tables are re-installed entry by entry in dump
-    /// order (reproducing equal-priority tie-breaks exactly), which
-    /// re-derives fresh sequence numbers and table fingerprints; the walk
-    /// cache starts cold and the first proof after a restore is a full
-    /// memoized [`Verifier::check_cached`] pass. The restored manager's
-    /// verifiable behavior — admission decisions, verify findings, audit
+    /// order (reproducing equal-priority tie-breaks exactly); the first
+    /// proof after a restore is a full [`Verifier::check`] pass. The
+    /// restored manager's verifiable behavior — admission decisions, verify findings, audit
     /// results — is byte-identical to the exporter's.
     pub fn restore(
         cluster: PhysicalCluster,

@@ -18,7 +18,7 @@
 //!    priority) key is an in-place MODIFY and is never split across
 //!    rounds.
 //! 2. **Per-round proofs** — [`install_scheduled`] chains a
-//!    [`Verifier::check_delta_cached`] proof across the round boundaries:
+//!    [`Verifier::check_delta_threads`] proof across the round boundaries:
 //!    each boundary state is accepted only if it introduces *no finding
 //!    that the pre-migration tables did not already have* (for a healthy
 //!    starting state this is exactly [`sdt_verify::VerifyReport::holds`]).
@@ -46,7 +46,7 @@
 use crate::epoch::Epoch;
 use sdt_core::cluster::PhysicalCluster;
 use sdt_openflow::{diff_tables, Action, ControlChannel, FlowMod, InstallTiming, OpenFlowSwitch};
-use sdt_verify::{Intent, TableView, Verifier, VerifyReport, WalkCache};
+use sdt_verify::{Intent, TableView, Verifier, VerifyReport};
 use std::collections::{HashSet, VecDeque};
 use std::fmt;
 use std::time::Instant;
@@ -380,7 +380,6 @@ fn prove_with_merge(
     pre_intent: &Intent,
     post_intent: &Intent,
     threads: usize,
-    cache: &mut WalkCache,
     merges: &mut usize,
     round_index: usize,
 ) -> Result<Proven, ScheduleError> {
@@ -396,7 +395,7 @@ fn prove_with_merge(
         let post = work.is_empty() || round.phase >= RoundPhase::Cutover;
         let intent = if post { post_intent } else { pre_intent };
         let t0 = Instant::now();
-        let v = Verifier::check_delta_cached(base, &round.mods, intent.clone(), threads, cache);
+        let v = Verifier::check_delta_threads(base, &round.mods, intent.clone(), threads);
         wall += t0.elapsed().as_nanos() as u64;
         if no_new_findings(v.report(), base_report) {
             let pairs_walked = v.report().pairs_walked;
@@ -450,7 +449,6 @@ pub fn install_scheduled(
     post_intent: &Intent,
     timing: &InstallTiming,
     threads: usize,
-    cache: &mut WalkCache,
     retry: &RetryPolicy,
 ) -> Result<(Verifier, ScheduleReport), ScheduleError> {
     let base_report = base.report().clone();
@@ -471,7 +469,6 @@ pub fn install_scheduled(
             pre_intent,
             post_intent,
             threads,
-            cache,
             &mut report.merges,
             0,
         )?)
@@ -503,7 +500,6 @@ pub fn install_scheduled(
                 pre_intent,
                 post_intent,
                 threads,
-                cache,
                 &mut report.merges,
                 index + 1,
             )?);
@@ -560,12 +556,11 @@ pub fn install_scheduled(
             reverified = true;
             report.reverifications += 1;
             let intent = if post { post_intent } else { pre_intent };
-            let live = Verifier::check_cached(
+            let live = Verifier::check_threads(
                 cluster,
                 TableView::of_switches(switches),
                 intent.clone(),
                 threads,
-                cache,
             );
             if !no_new_findings(live.report(), &base_report) {
                 report.violations += 1;

@@ -23,7 +23,7 @@ use sdt_tenancy::{install_scheduled, MigrationPlan, RetryPolicy, SliceManager};
 use sdt_topology::chain::{chain, ring};
 use sdt_topology::meshtorus::mesh;
 use sdt_topology::Topology;
-use sdt_verify::{TableView, Verifier, WalkCache};
+use sdt_verify::{TableView, Verifier};
 
 fn cluster2() -> PhysicalCluster {
     ClusterBuilder::new(SwitchModel::openflow_128x100g(), 2)
@@ -184,7 +184,6 @@ fn run_install(
         seed,
         ..ControlConfig::reliable()
     });
-    let mut cache = WalkCache::new();
     let base = Verifier::check_threads(
         mgr.cluster(),
         TableView::of_switches(&switches),
@@ -201,7 +200,6 @@ fn run_install(
         plan.post_intent(),
         mgr.timing(),
         threads,
-        &mut cache,
         &RetryPolicy::default(),
     )
     .unwrap();

@@ -1,14 +1,14 @@
 //! Transient-state differential suite: every intermediate table state a
 //! scheduled migration produces is proven clean by the *reference*
-//! (unmemoized, uncollapsed) verifier — and the naive one-shot order is
+//! (uncollapsed) verifier — and the naive one-shot order is
 //! shown to produce a transient violation the scheduler provably avoids.
 //!
-//! The scheduler's own proofs run through the memoized incremental walker
-//! (`check_delta_cached`); trusting it to certify its own rounds would be
+//! The scheduler's own proofs run through the collapsed incremental walker
+//! (`check_delta_threads`); trusting it to certify its own rounds would be
 //! circular. Here each round boundary is re-derived independently: the
 //! rounds are applied to a [`TableView`] snapshot one by one and each
 //! resulting state is handed to `Verifier::check_plain_threads`, which
-//! shares no caching or collapse machinery with the fast path.
+//! shares no collapse machinery with the fast path.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use sdt_core::cluster::{ClusterBuilder, PhysicalCluster};
@@ -138,14 +138,7 @@ fn memoized_round_proofs_match_the_reference_walker() {
     let plan = mgr.plan_scheduled(id, &torus(&[4, 4])).unwrap();
 
     let before = TableView::of_switches(mgr.switches());
-    let mut cache = sdt_verify::WalkCache::new();
-    let mut fast = Verifier::check_cached(
-        mgr.cluster(),
-        before.clone(),
-        plan.pre_intent().clone(),
-        sdt_verify::verify_threads(),
-        &mut cache,
-    );
+    let mut fast = Verifier::check(mgr.cluster(), before.clone(), plan.pre_intent().clone());
     let mut plain = Verifier::check_plain_threads(
         mgr.cluster(),
         before,
@@ -154,13 +147,7 @@ fn memoized_round_proofs_match_the_reference_walker() {
     );
     for (i, round) in plan.rounds().iter().enumerate() {
         let intent = boundary_intent(&plan, i);
-        fast = Verifier::check_delta_cached(
-            &fast,
-            &round.mods,
-            intent.clone(),
-            sdt_verify::verify_threads(),
-            &mut cache,
-        );
+        fast = Verifier::check_delta(&fast, &round.mods, intent.clone());
         plain = Verifier::check_delta_plain_threads(&plain, &round.mods, intent.clone(), 1);
         let (f, p) = (fast.report(), plain.report());
         assert_eq!(format!("{:?}", f.loops), format!("{:?}", p.loops), "round {i} loops");

@@ -18,13 +18,12 @@ use std::sync::Arc;
 use sdt_core::cluster::{PhysPort, PhysicalCluster};
 use sdt_openflow::{
     shadowed_entries_in, table_warnings_indexed, Action, EntryIndex, FlowEntry, FlowMod,
-    HostAddr, MatchUniverse, PortNo, ShadowedEntry, TableFp,
+    HostAddr, MatchUniverse, PortNo, ShadowedEntry,
 };
 use sdt_topology::HostId;
 
 use crate::fast::{
-    cluster_fingerprint, mask_of, no_switches, DestinyMemo, FateOut, FateTable, VerifyStats,
-    WalkCache,
+    mask_of, no_switches, DestinyMemo, FateOut, FateTable, VerifyStats, WalkCache,
 };
 use crate::model::{entry_matches, HeaderClass, HeaderValues, Intent, TableView};
 
@@ -451,9 +450,9 @@ pub(crate) enum PairOutcome {
 /// Per-switch rule-level warnings, cached so a delta check only rescans the
 /// switches the delta touches.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct SwitchWarnings {
-    pub(crate) shadowed: Vec<ShadowFinding>,
-    pub(crate) nondet: Vec<NondetFinding>,
+struct SwitchWarnings {
+    shadowed: Vec<ShadowFinding>,
+    nondet: Vec<NondetFinding>,
 }
 
 /// The static verifier: proves loop-freedom, blackhole-freedom and
@@ -488,27 +487,19 @@ impl Verifier {
         intent: Intent,
         threads: usize,
     ) -> Verifier {
-        Self::check_impl(cluster, view, intent, threads, &mut None, false)
+        Self::check_impl(cluster, view, intent, threads, false)
     }
 
-    /// [`Verifier::check_threads`] with a persistent [`WalkCache`]: walk
-    /// destinies and warning scans proven in earlier passes are replayed
-    /// when their table fingerprints still match, and fresh results are
-    /// merged back for the next pass. The report is byte-identical to an
-    /// uncached check — the cache changes wall-clock only.
+    /// [`Verifier::check_threads`]. Kept only because `benchmark/` calls
+    /// it; a later `benchmark` issue retires it.
     pub fn check_cached(
         cluster: &PhysicalCluster,
         view: TableView,
         intent: Intent,
         threads: usize,
-        cache: &mut WalkCache,
+        _cache: &mut WalkCache,
     ) -> Verifier {
-        let mut slot = Some(std::mem::take(cache));
-        let v = Self::check_impl(cluster, view, intent, threads, &mut slot, false);
-        if let Some(c) = slot {
-            *cache = c;
-        }
-        v
+        Self::check_threads(cluster, view, intent, threads)
     }
 
     /// The reference (unoptimized) verifier: no symmetry collapse, no
@@ -521,7 +512,7 @@ impl Verifier {
         intent: Intent,
         threads: usize,
     ) -> Verifier {
-        Self::check_impl(cluster, view, intent, threads, &mut None, true)
+        Self::check_impl(cluster, view, intent, threads, true)
     }
 
     fn check_impl(
@@ -529,7 +520,6 @@ impl Verifier {
         view: TableView,
         intent: Intent,
         threads: usize,
-        cache: &mut Option<WalkCache>,
         plain: bool,
     ) -> Verifier {
         let values = HeaderValues::collect(&view);
@@ -546,21 +536,18 @@ impl Verifier {
             report: VerifyReport::default(),
             stats: VerifyStats::default(),
         };
-        if let Some(c) = cache.as_mut() {
-            c.ensure_cluster(cluster_fingerprint(cluster));
-        }
         if plain {
-            v.scan_warnings(None, threads);
+            v.scan_warnings(None, threads, switch_warnings);
             v.scan_loops(None, threads);
             let walked = v.walk_pairs(None, None, threads);
             v.finalize(v.view.num_switches(), walked);
             return v;
         }
-        v.scan_warnings_fast(None, threads, cache);
+        v.scan_warnings(None, threads, switch_warnings_fast);
         let fates = FateTable::build(&v.cluster, &v.view, &v.indexes);
         v.stats.symmetric = fates.ok;
         if fates.ok {
-            let walked = v.walk_pairs_fast(&fates, None, None, threads, cache);
+            let walked = v.walk_pairs_fast(&fates, None, None, threads);
             v.finalize(v.view.num_switches(), walked);
         } else {
             v.scan_loops(None, threads);
@@ -603,24 +590,19 @@ impl Verifier {
         intent: Intent,
         threads: usize,
     ) -> Verifier {
-        Self::check_delta_impl(prev, batch, intent, threads, &mut None, false)
+        Self::check_delta_impl(prev, batch, intent, threads, false)
     }
 
-    /// [`Verifier::check_delta_threads`] with a persistent [`WalkCache`]
-    /// (see [`Verifier::check_cached`]).
+    /// [`Verifier::check_delta_threads`]. Kept only because `benchmark/`
+    /// calls it; a later `benchmark` issue retires it.
     pub fn check_delta_cached(
         prev: &Verifier,
         batch: &[(u32, u8, FlowMod)],
         intent: Intent,
         threads: usize,
-        cache: &mut WalkCache,
+        _cache: &mut WalkCache,
     ) -> Verifier {
-        let mut slot = Some(std::mem::take(cache));
-        let v = Self::check_delta_impl(prev, batch, intent, threads, &mut slot, false);
-        if let Some(c) = slot {
-            *cache = c;
-        }
-        v
+        Self::check_delta_threads(prev, batch, intent, threads)
     }
 
     /// The reference incremental check — see [`Verifier::check_plain_threads`].
@@ -630,7 +612,7 @@ impl Verifier {
         intent: Intent,
         threads: usize,
     ) -> Verifier {
-        Self::check_delta_impl(prev, batch, intent, threads, &mut None, true)
+        Self::check_delta_impl(prev, batch, intent, threads, true)
     }
 
     fn check_delta_impl(
@@ -638,7 +620,6 @@ impl Verifier {
         batch: &[(u32, u8, FlowMod)],
         intent: Intent,
         threads: usize,
-        cache: &mut Option<WalkCache>,
         plain: bool,
     ) -> Verifier {
         let mut view = prev.view.clone();
@@ -668,9 +649,6 @@ impl Verifier {
             report: VerifyReport::default(),
             stats: VerifyStats::default(),
         };
-        if let Some(c) = cache.as_mut() {
-            c.ensure_cluster(cluster_fingerprint(&v.cluster));
-        }
         // Carry over loops that avoid every touched switch; rediscover the
         // rest from the touched frontier.
         v.loops = prev
@@ -680,13 +658,13 @@ impl Verifier {
             .cloned()
             .collect();
         if plain {
-            v.scan_warnings(Some((&touched, &prev.warnings)), threads);
+            v.scan_warnings(Some((&touched, &prev.warnings)), threads, switch_warnings);
             v.scan_loops(Some(&touched), threads);
             let walked = v.walk_pairs(Some(&touched), Some(prev), threads);
             v.finalize(touched.len(), walked);
             return v;
         }
-        v.scan_warnings_fast(Some((&touched, &prev.warnings)), threads, cache);
+        v.scan_warnings(Some((&touched, &prev.warnings)), threads, switch_warnings_fast);
         // Empty batch against an unchanged intent: the view, values,
         // warnings, carried loops and every previous trace are replayed
         // verbatim, so the report is `prev`'s with the delta counters
@@ -711,7 +689,7 @@ impl Verifier {
         let fates = FateTable::build(&v.cluster, &v.view, &v.indexes);
         v.stats.symmetric = fates.ok;
         if fates.ok {
-            let walked = v.walk_pairs_fast(&fates, Some(&touched), Some(prev), threads, cache);
+            let walked = v.walk_pairs_fast(&fates, Some(&touched), Some(prev), threads);
             v.finalize(touched.len(), walked);
         } else {
             v.scan_loops(Some(&touched), threads);
@@ -736,8 +714,8 @@ impl Verifier {
         &self.intent
     }
 
-    /// Operational counters of this pass: symmetry-collapse savings, cache
-    /// hits, fallbacks. Not part of the report (reports stay byte-identical
+    /// Operational counters of this pass: symmetry-collapse savings and
+    /// fallbacks. Not part of the report (reports stay byte-identical
     /// across optimization levels; stats are allowed to differ).
     pub fn stats(&self) -> &VerifyStats {
         &self.stats
@@ -745,8 +723,15 @@ impl Verifier {
 
     /// Per-switch dead-rule and nondeterminism warnings, one independent
     /// job per switch, merged back in switch-id order. For untouched
-    /// switches in a delta check, the cached findings are reused.
-    fn scan_warnings(&mut self, delta: Option<(&BTreeSet<u32>, &[SwitchWarnings])>, threads: usize) {
+    /// switches in a delta check, the cached findings are reused. `scan`
+    /// is the reference [`switch_warnings`] or the overlap-indexed
+    /// [`switch_warnings_fast`] (byte-identical findings, sub-quadratic).
+    fn scan_warnings(
+        &mut self,
+        delta: Option<(&BTreeSet<u32>, &[SwitchWarnings])>,
+        threads: usize,
+        scan: fn(&TableView, u16, u32) -> SwitchWarnings,
+    ) {
         let num_ports = self.cluster.model().ports as u16;
         let view = &self.view;
         let ids: Vec<u32> = (0..view.num_switches() as u32).collect();
@@ -756,51 +741,8 @@ impl Verifier {
                     return prev[sw as usize].clone();
                 }
             }
-            switch_warnings(view, num_ports, sw)
+            scan(view, num_ports, sw)
         });
-    }
-
-    /// [`Verifier::scan_warnings`] with the overlap-indexed scanner and the
-    /// persistent warning cache: a switch whose table fingerprints match a
-    /// cached scan replays it; everything else is scanned with
-    /// [`table_warnings_indexed`] (byte-identical findings, sub-quadratic).
-    fn scan_warnings_fast(
-        &mut self,
-        delta: Option<(&BTreeSet<u32>, &[SwitchWarnings])>,
-        threads: usize,
-        cache: &mut Option<WalkCache>,
-    ) {
-        let num_ports = self.cluster.model().ports as u16;
-        let view = &self.view;
-        let ids: Vec<u32> = (0..view.num_switches() as u32).collect();
-        let ro = cache.as_ref();
-        type Out = (SwitchWarnings, Option<((u32, TableFp, TableFp), SwitchWarnings)>, Option<bool>);
-        let results: Vec<Out> = sdt_par::par_map_threads(threads, &ids, |&sw| {
-            if let Some((touched, prev)) = delta {
-                if !touched.contains(&sw) {
-                    return (prev[sw as usize].clone(), None, None);
-                }
-            }
-            let key = (sw, view.fp(sw, 0), view.fp(sw, 1));
-            if let Some(w) = ro.and_then(|c| c.warnings.get(&key)) {
-                return (w.clone(), None, Some(true));
-            }
-            let w = switch_warnings_fast(view, num_ports, sw);
-            (w.clone(), Some((key, w)), Some(false))
-        });
-        let mut warnings = Vec::with_capacity(results.len());
-        for (w, fresh, hit) in results {
-            warnings.push(w);
-            match hit {
-                Some(true) => self.stats.warn_cache_hits += 1,
-                Some(false) => self.stats.warn_cache_misses += 1,
-                None => {}
-            }
-            if let (Some(c), Some((key, w))) = (cache.as_mut(), fresh) {
-                c.warnings.insert(key, w);
-            }
-        }
-        self.warnings = warnings;
     }
 
     /// Cycle scan over the forwarding port-graph. Nodes are cable ingress
@@ -966,8 +908,7 @@ impl Verifier {
 
     /// [`Verifier::walk_pairs`] and [`Verifier::scan_loops`] fused, with
     /// the symmetry collapse: one job per header class resolves one destiny
-    /// per pipeline state through a shared [`DestinyMemo`] (probing the
-    /// persistent [`WalkCache`] when one is attached) and uses it twice —
+    /// per pipeline state through a shared [`DestinyMemo`] and uses it twice —
     /// to prove the class loop-free (or fall back to the reference port
     /// walk, keeping `LoopFinding`s byte-identical) and to replay one
     /// representative verdict per source to every same-class pair. Jobs
@@ -983,7 +924,6 @@ impl Verifier {
         touched: Option<&BTreeSet<u32>>,
         prev: Option<&Verifier>,
         threads: usize,
-        cache: &mut Option<WalkCache>,
     ) -> usize {
         let hosts = &self.intent.hosts;
         let n = hosts.len();
@@ -1085,22 +1025,15 @@ impl Verifier {
                 (class, a, b, walk)
             })
             .collect();
-        let empty_cache = WalkCache::new();
-        let collect_fresh = cache.is_some();
-        let ro: &WalkCache = match cache.as_ref() {
-            Some(c) => c,
-            None => &empty_cache,
-        };
         struct JobOut {
             out: Vec<(usize, Arc<PairTrace>)>,
             walked: usize,
             full: usize,
             hits: usize,
-            misses: usize,
-            fresh: Vec<((HeaderClass, u32, u32), crate::fast::CachedDestiny)>,
+            resolved: usize,
             loops: Option<(Vec<LoopFinding>, bool)>,
         }
-        let (cluster, view, indexes) = (&self.cluster, &self.view, &self.indexes);
+        let (cluster, indexes) = (&self.cluster, &self.indexes);
         let (hosts_ref, srcs_ref, dsts_ref, slots_ref) = (hosts, &srcs_by, &dsts_by, &slots);
         let (starts_ref, states_ref, carried_ref) = (&starts, &start_states, &carried);
         // Jobs emit only the pairs they actually walk (reused positions are
@@ -1114,8 +1047,7 @@ impl Verifier {
                     as u64
             },
             |&(class, a, b, walk)| {
-                let mut memo =
-                    DestinyMemo::new(view, cluster, indexes, fates, ro, class, collect_fresh);
+                let mut memo = DestinyMemo::new(cluster, indexes, fates, class);
                 // Loop scan first: a class from whose start ports no
                 // `Looped` destiny is reachable provably has no cycle —
                 // skip it; one that does falls back to the reference port
@@ -1211,9 +1143,7 @@ impl Verifier {
                         }
                     }
                 }
-                let (hits, misses) = (memo.hits, memo.misses);
-                let fresh = memo.fresh_entries();
-                JobOut { out, walked, full, hits, misses, fresh, loops }
+                JobOut { out, walked, full, hits: memo.hits, resolved: memo.resolved, loops }
             },
         );
         let mut walked_total = 0usize;
@@ -1223,7 +1153,7 @@ impl Verifier {
             self.stats.pairs_walked_full += job.full;
             self.stats.pairs_replayed += job.walked - job.full;
             self.stats.cache_hits += job.hits;
-            self.stats.cache_misses += job.misses;
+            self.stats.cache_misses += job.resolved;
             if let Some((found, fast)) = job.loops {
                 if fast {
                     self.stats.loop_classes_fast += 1;
@@ -1238,11 +1168,6 @@ impl Verifier {
             }
             for (pos, t) in job.out {
                 slots[pos] = Some(t);
-            }
-            if let Some(c) = cache.as_mut() {
-                for (k, v) in job.fresh {
-                    c.destinies.insert(k, v);
-                }
             }
         }
         self.traces = Arc::new(

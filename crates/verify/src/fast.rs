@@ -24,7 +24,7 @@
 //! revisited port is a revisited `(switch, metadata)` state — so cycle
 //! detection on the state chain reports `Looped` for exactly the pairs the
 //! budgeted reference walk reports `Looped`. Findings are byte-identical by
-//! construction, and `tests/memo_differential.rs` re-proves it
+//! construction, and `tests/fast_differential.rs` re-proves it
 //! differentially on every preset and under random slice churn.
 //!
 //! When any precondition fails — a header-matching live classify rule, a
@@ -32,24 +32,21 @@
 //! **falls back** to the reference walker (`FateTable::build` reports
 //! `ok = false`). Correct-but-slow beats fast-but-wrong.
 //!
-//! [`WalkCache`] carries destinies *across* verification passes, keyed on
-//! the content fingerprints ([`sdt_openflow::TableFp`]) of every table the
-//! walk read; a cached destiny is replayed only after every dependency
-//! fingerprint matches the current view, so stale entries are structurally
-//! unreachable — they just miss.
+//! Nothing here outlives a pass: what carries over between proofs is the
+//! previous [`crate::Verifier`] that `check_delta*` takes.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::sync::OnceLock;
 
 use sdt_core::cluster::{PhysPort, PhysicalCluster};
-use sdt_openflow::{Action, EntryIndex, PortNo, TableFp};
+use sdt_openflow::{Action, EntryIndex, PortNo};
 
-use crate::analysis::{DropReason, PairOutcome, RuleRef, SwitchWarnings};
+use crate::analysis::{DropReason, PairOutcome, RuleRef};
 use crate::model::{entry_matches, HeaderClass, TableView};
 
 /// Operational counters of one verification pass: how much work the
-/// symmetry collapse, the destiny memo and the walk cache saved. Kept
+/// symmetry collapse and the in-pass destiny memo saved. Kept
 /// *outside* [`crate::VerifyReport`] so the report stays byte-identical
 /// between the fast and reference paths (the differential tests compare
 /// reports; stats are allowed to differ).
@@ -67,83 +64,37 @@ pub struct VerifyStats {
     /// Header classes re-scanned by the reference loop walker (a cycle was
     /// reachable, and findings must be byte-identical).
     pub loop_classes_fallback: usize,
-    /// Destiny resolutions served by the persistent [`WalkCache`].
+    /// Destiny lookups answered by a state the same class job had already
+    /// resolved (the in-pass `DestinyMemo`; nothing crosses passes). The
+    /// name is kept only because `benchmark/` reads it and its own test
+    /// requires a non-zero reading; a later `benchmark` issue retires it.
     pub cache_hits: usize,
-    /// Destiny resolutions computed fresh (then offered to the cache).
+    /// Destiny states the pass resolved. The name is kept only because
+    /// `benchmark/` reads it; a later `benchmark` issue retires it.
     pub cache_misses: usize,
-    /// Per-switch warning scans served by the cache (fingerprints matched).
-    pub warn_cache_hits: usize,
-    /// Per-switch warning scans recomputed.
-    pub warn_cache_misses: usize,
 }
 
-/// A memoized walk verdict, persisted across verification passes.
+/// One pipeline state's walk verdict, for one header class.
 #[derive(Clone, Debug)]
-pub(crate) struct CachedDestiny {
+pub(crate) struct Destiny {
     /// How the walk ends from this state.
     pub(crate) out: PairOutcome,
     /// Switches the walk crosses strictly after entering this state.
     pub(crate) post: Arc<BTreeSet<u32>>,
     /// Bloom mask of `post` (see [`mask_of`]).
     pub(crate) mask: u64,
-    /// Every table this verdict read, with its content fingerprint at
-    /// computation time. The verdict is replayable iff all still match.
-    pub(crate) deps: Arc<Vec<(u32, TableFp, TableFp)>>,
 }
 
-/// Cross-pass memo store: per-class walk destinies and per-switch warning
-/// scans, each keyed on the content fingerprints of the tables that
-/// produced them. Safe to keep across arbitrary reconfiguration — slice
-/// churn, chaos recovery, direct `switches_mut` edits — because an entry
-/// whose tables changed simply fails fingerprint validation and misses.
+/// Holds nothing. Kept only because `benchmark/` names it and may not be
+/// edited with `crates/`; a later `benchmark` issue retires it.
 #[derive(Clone, Debug, Default)]
-pub struct WalkCache {
-    /// Wiring fingerprint the entries were computed under; a different
-    /// cluster invalidates everything (destinies read the cabling too).
-    cluster_fp: Option<u64>,
-    pub(crate) warnings: HashMap<(u32, TableFp, TableFp), SwitchWarnings>,
-    pub(crate) destinies: HashMap<(HeaderClass, u32, u32), CachedDestiny>,
-}
+pub struct WalkCache;
 
 impl WalkCache {
-    /// An empty cache.
+    /// The only value.
     pub fn new() -> Self {
-        WalkCache::default()
+        WalkCache
     }
-
-    /// Number of memoized entries (destinies + warning scans) — for
-    /// operator-facing stats output.
-    pub fn entries(&self) -> usize {
-        self.warnings.len() + self.destinies.len()
-    }
-
-    /// Bind the cache to a cluster, dropping everything if the wiring
-    /// changed since the last pass.
-    pub(crate) fn ensure_cluster(&mut self, fp: u64) {
-        if self.cluster_fp != Some(fp) {
-            self.warnings.clear();
-            self.destinies.clear();
-            self.cluster_fp = Some(fp);
-        }
-    }
-}
-
-/// Digest of everything a walk reads besides table content: switch count,
-/// port count, cabling, host-port set.
-pub(crate) fn cluster_fingerprint(cluster: &PhysicalCluster) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mix = |h: u64, v: u64| (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
-    h = mix(h, u64::from(cluster.num_switches()));
-    h = mix(h, u64::from(cluster.model().ports));
-    for l in cluster.links() {
-        for p in [l.a, l.b] {
-            h = mix(h, u64::from(p.switch) << 16 | u64::from(p.port.0));
-        }
-    }
-    for p in cluster.host_ports() {
-        h = mix(h, u64::from(p.switch) << 16 | u64::from(p.port.0) | 1 << 63);
-    }
-    h
 }
 
 /// Do the installed tables have the SDT pipeline shape the fast path
@@ -345,58 +296,40 @@ fn classify_step(
 }
 
 /// Per-class destiny resolver: maps pipeline states `(switch, metadata)` to
-/// their walk verdicts, memoized in-run (arena) and across runs
-/// ([`WalkCache`], fingerprint-validated, read-only here — fresh entries
-/// are merged back single-threaded after the parallel section).
+/// their walk verdicts, each resolved once per pass.
 pub(crate) struct DestinyMemo<'a> {
-    view: &'a TableView,
     cluster: &'a PhysicalCluster,
     indexes: &'a [Arc<[EntryIndex; 2]>],
     fates: &'a FateTable,
     class: HeaderClass,
-    cache: &'a WalkCache,
-    /// Whether fresh entries will be merged into a persistent cache.
-    /// When not, [`commit`](Self::commit) skips the dependency-fingerprint
-    /// bookkeeping entirely — it exists only to validate future cache hits.
-    collect: bool,
     map: HashMap<(u32, u32), usize>,
-    arena: Vec<CachedDestiny>,
-    empty_deps: Arc<Vec<(u32, TableFp, TableFp)>>,
-    /// Arena entries computed this run (cache candidates), as
-    /// `(state, arena index)` in computation order.
-    pub(crate) fresh: Vec<((u32, u32), usize)>,
+    arena: Vec<Destiny>,
+    /// Lookups answered from `map` so far ([`VerifyStats::cache_hits`]).
     pub(crate) hits: usize,
-    pub(crate) misses: usize,
+    /// States resolved so far ([`VerifyStats::cache_misses`]).
+    pub(crate) resolved: usize,
 }
 
 impl<'a> DestinyMemo<'a> {
     pub(crate) fn new(
-        view: &'a TableView,
         cluster: &'a PhysicalCluster,
         indexes: &'a [Arc<[EntryIndex; 2]>],
         fates: &'a FateTable,
-        cache: &'a WalkCache,
         class: HeaderClass,
-        collect: bool,
     ) -> Self {
         DestinyMemo {
-            view,
             cluster,
             indexes,
             fates,
             class,
-            cache,
-            collect,
             map: HashMap::new(),
             arena: Vec::new(),
-            empty_deps: Arc::new(Vec::new()),
-            fresh: Vec::new(),
             hits: 0,
-            misses: 0,
+            resolved: 0,
         }
     }
 
-    pub(crate) fn destiny(&self, idx: usize) -> &CachedDestiny {
+    pub(crate) fn destiny(&self, idx: usize) -> &Destiny {
         &self.arena[idx]
     }
 
@@ -406,6 +339,7 @@ impl<'a> DestinyMemo<'a> {
     /// every state on the cycle is `Looped`.
     pub(crate) fn resolve(&mut self, sw: u32, md: u32) -> usize {
         if let Some(&i) = self.map.get(&(sw, md)) {
+            self.hits += 1;
             return i;
         }
         let mut chain: Vec<ChainLink> = Vec::new();
@@ -413,19 +347,10 @@ impl<'a> DestinyMemo<'a> {
         let mut cur = (sw, md);
         let base: usize = loop {
             if let Some(&i) = self.map.get(&cur) {
+                self.hits += 1;
                 break i;
             }
-            if let Some(cd) = self.cache.destinies.get(&(self.class, cur.0, cur.1)) {
-                let valid = cd
-                    .deps
-                    .iter()
-                    .all(|&(s, f0, f1)| self.view.fp(s, 0) == f0 && self.view.fp(s, 1) == f1);
-                if valid {
-                    self.hits += 1;
-                    break self.install(cur, cd.clone(), false);
-                }
-            }
-            self.misses += 1;
+            self.resolved += 1;
             if let Some(&pos) = onchain.get(&cur) {
                 break self.close_cycle(&chain, pos);
             }
@@ -541,7 +466,7 @@ impl<'a> DestinyMemo<'a> {
         }
     }
 
-    /// Build the destiny record for a freshly computed verdict and index it.
+    /// Record a computed verdict and index it.
     fn commit(
         &mut self,
         state: (u32, u32),
@@ -549,38 +474,10 @@ impl<'a> DestinyMemo<'a> {
         post: Arc<BTreeSet<u32>>,
         mask: u64,
     ) -> usize {
-        if !self.collect {
-            let cd = CachedDestiny { out, post, mask, deps: self.empty_deps.clone() };
-            return self.install(state, cd, false);
-        }
-        let mut deps: Vec<(u32, TableFp, TableFp)> = post
-            .iter()
-            .map(|&s| (s, self.view.fp(s, 0), self.view.fp(s, 1)))
-            .collect();
-        if !post.contains(&state.0) {
-            deps.push((state.0, self.view.fp(state.0, 0), self.view.fp(state.0, 1)));
-        }
-        let cd = CachedDestiny { out, post, mask, deps: Arc::new(deps) };
-        self.install(state, cd, true)
-    }
-
-    fn install(&mut self, state: (u32, u32), cd: CachedDestiny, fresh: bool) -> usize {
         let idx = self.arena.len();
-        self.arena.push(cd);
+        self.arena.push(Destiny { out, post, mask });
         self.map.insert(state, idx);
-        if fresh {
-            self.fresh.push((state, idx));
-        }
         idx
-    }
-
-    /// Drain the fresh entries as `(key, destiny)` pairs for the
-    /// single-threaded post-merge into the persistent cache.
-    pub(crate) fn fresh_entries(&self) -> Vec<((HeaderClass, u32, u32), CachedDestiny)> {
-        self.fresh
-            .iter()
-            .map(|&((sw, md), idx)| ((self.class, sw, md), self.arena[idx].clone()))
-            .collect()
     }
 }
 

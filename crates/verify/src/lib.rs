@@ -35,21 +35,18 @@
 //!
 //! # Verification at scale
 //!
-//! The exhaustive walk is collapsed, memoized and sharded (see
-//! [`mod@fast`]): structurally equivalent `(ingress, header-class)` walks
-//! share one representative, per-class verdicts persist across passes in a
-//! [`WalkCache`] keyed on table content fingerprints
-//! ([`sdt_openflow::TableFp`]), and class jobs spread over cores
-//! weighted-heaviest-first. All of it is *transparent*: whenever a
-//! precondition fails the pass falls back to the reference walker, and
-//! findings are byte-identical either way ([`Verifier::stats`] reports what
-//! was saved). Callers that verify repeatedly pass a long-lived cache to
-//! [`Verifier::check_cached`] / [`Verifier::check_delta_cached`].
+//! The exhaustive walk is collapsed and sharded (see [`mod@fast`]):
+//! structurally equivalent `(ingress, header-class)` walks share one
+//! representative, and class jobs spread over cores weighted-heaviest-first.
+//! All of it is *transparent*: whenever a precondition fails the pass falls
+//! back to the reference walker, and findings are byte-identical either way
+//! ([`Verifier::stats`] reports what was saved). Callers that verify
+//! repeatedly keep the previous [`Verifier`] and pass it to
+//! [`Verifier::check_delta`].
 
 pub mod analysis;
 pub mod fast;
 pub mod model;
-pub mod shared;
 
 pub use analysis::{
     BlackholeFinding, DropReason, LeakFinding, LoopFinding, NondetFinding, RuleRef,
@@ -57,14 +54,6 @@ pub use analysis::{
 };
 pub use fast::{VerifyStats, WalkCache};
 pub use model::{HeaderClass, HeaderValues, Intent, IntentHost, TableView};
-pub use shared::{CacheLease, SharedCache};
-
-/// The walk cache in its shareable form: leased for each verify pass,
-/// generation-guarded against concurrent invalidation. This is what
-/// long-lived owners (`SliceManager`, the daemon) hold; one-shot callers
-/// can keep passing a plain [`WalkCache`].
-pub type SharedWalkCache = SharedCache<WalkCache>;
-
 /// Worker count for the parallel analyses ([`Verifier::check`],
 /// [`Verifier::check_delta`], and the tenancy audit matrices):
 /// `SDT_VERIFY_THREADS` when set to a positive integer, else the machine's

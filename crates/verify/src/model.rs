@@ -9,22 +9,12 @@ use std::sync::Arc;
 use sdt_core::cluster::PhysPort;
 use sdt_core::synthesis::{addr_of, SynthesisOutput};
 use sdt_core::SdtProjection;
-use sdt_openflow::{entry_fp, table_fp, FlowEntry, FlowMod, HostAddr, OpenFlowSwitch, TableFp};
+use sdt_openflow::{FlowEntry, FlowMod, HostAddr, OpenFlowSwitch};
 use sdt_topology::{HostId, Topology};
 
 /// One switch's slice of a [`TableView`]: its two tables in `FlowTable`
-/// order (descending priority, stable insertion order within a level),
-/// the parallel install sequence numbers and next-install counters (same
-/// values the live [`sdt_openflow::FlowTable`] assigns, so content
-/// fingerprints agree between a snapshot and the tables it was taken
-/// from), and the incremental per-table fingerprints.
-#[derive(Clone, Debug, Default)]
-struct SwitchView {
-    tables: [Vec<FlowEntry>; 2],
-    seqs: [Vec<u64>; 2],
-    next_seqs: [u64; 2],
-    fps: [TableFp; 2],
-}
+/// order (descending priority, stable insertion order within a level).
+type SwitchView = [Vec<FlowEntry>; 2];
 
 /// A side-effect-free snapshot of every flow table in the cluster, mutable
 /// under [`FlowMod`] semantics.
@@ -54,21 +44,11 @@ impl TableView {
 
     /// Snapshot the live tables of a switch bank. Reads
     /// [`sdt_openflow::FlowTable::entries`] only — no lookups, no counters.
-    /// Sequence numbers and fingerprints are copied, not recomputed, so a
-    /// snapshot's fingerprints equal the live tables' and walk proofs cached
-    /// against one validate against the other.
     pub fn of_switches(switches: &[OpenFlowSwitch]) -> Self {
         TableView {
             switches: switches
                 .iter()
-                .map(|s| {
-                    Arc::new(SwitchView {
-                        tables: [s.table(0).entries().to_vec(), s.table(1).entries().to_vec()],
-                        seqs: [s.table(0).entry_seqs().to_vec(), s.table(1).entry_seqs().to_vec()],
-                        next_seqs: [s.table(0).next_seq(), s.table(1).next_seq()],
-                        fps: [s.table(0).fingerprint(), s.table(1).fingerprint()],
-                    })
-                })
+                .map(|s| Arc::new([s.table(0).entries().to_vec(), s.table(1).entries().to_vec()]))
                 .collect(),
         }
     }
@@ -76,31 +56,21 @@ impl TableView {
     /// View of a synthesized (not yet installed) pipeline — the shape the
     /// tables *would* have after installation. Entries are ordered exactly
     /// as `FlowTable::apply` would order them: stable sort by descending
-    /// priority. Sequence numbers are the pre-sort arrival positions — the
-    /// install counter values `FlowTable::apply` would assign when the
-    /// synthesis list is installed in order — so the synthesized
-    /// fingerprint equals the freshly-installed live fingerprint.
+    /// priority.
     pub fn of_synthesis(s: &SynthesisOutput) -> Self {
         let order = |entries: &[FlowEntry]| {
-            let mut v: Vec<(u64, FlowEntry)> =
-                entries.iter().enumerate().map(|(i, &e)| (i as u64, e)).collect();
-            v.sort_by_key(|(_, e)| std::cmp::Reverse(e.priority));
-            let seqs: Vec<u64> = v.iter().map(|&(s, _)| s).collect();
-            let ents: Vec<FlowEntry> = v.into_iter().map(|(_, e)| e).collect();
-            (ents, seqs)
+            let mut v = entries.to_vec();
+            v.sort_by_key(|e| std::cmp::Reverse(e.priority));
+            v
         };
-        let mut view = TableView::default();
-        for (t0, t1) in s.table0.iter().zip(&s.table1) {
-            let (e0, s0) = order(t0);
-            let (e1, s1) = order(t1);
-            view.switches.push(Arc::new(SwitchView {
-                fps: [table_fp(&e0, &s0), table_fp(&e1, &s1)],
-                next_seqs: [s0.len() as u64, s1.len() as u64],
-                tables: [e0, e1],
-                seqs: [s0, s1],
-            }));
+        TableView {
+            switches: s
+                .table0
+                .iter()
+                .zip(&s.table1)
+                .map(|(t0, t1)| Arc::new([order(t0), order(t1)]))
+                .collect(),
         }
-        view
     }
 
     /// Number of switches in the view.
@@ -110,51 +80,23 @@ impl TableView {
 
     /// Entries of one table, descending priority.
     pub fn entries(&self, switch: u32, table: u8) -> &[FlowEntry] {
-        &self.switches[switch as usize].tables[usize::from(table)]
-    }
-
-    /// Content fingerprint of one table — the verifier's memoization key.
-    pub fn fp(&self, switch: u32, table: u8) -> TableFp {
-        self.switches[switch as usize].fps[usize::from(table)]
+        &self.switches[switch as usize][usize::from(table)]
     }
 
     /// Apply one flow-mod with the same semantics as `FlowTable::apply`
-    /// (minus capacity, which admission checks separately), keeping seqs
-    /// and fingerprints in lock-step with what the live table would hold.
-    /// Copy-on-write: only this switch's state is cloned (and only when
-    /// shared with another view).
+    /// (minus capacity, which admission checks separately). Copy-on-write:
+    /// only this switch's state is cloned (and only when shared with
+    /// another view).
     pub fn apply(&mut self, switch: u32, table: u8, m: &FlowMod) {
-        let tb = usize::from(table);
-        let s = Arc::make_mut(&mut self.switches[switch as usize]);
-        let t = &mut s.tables[tb];
-        let seqs = &mut s.seqs[tb];
-        let fp = &mut s.fps[tb];
+        let t = &mut Arc::make_mut(&mut self.switches[switch as usize])[usize::from(table)];
         match m {
             FlowMod::Add(e) => {
-                let seq = s.next_seqs[tb];
-                s.next_seqs[tb] += 1;
                 let pos = t.partition_point(|x| x.priority >= e.priority);
                 t.insert(pos, *e);
-                seqs.insert(pos, seq);
-                fp.absorb(entry_fp(seq, e));
             }
-            FlowMod::Clear => {
-                t.clear();
-                seqs.clear();
-                s.next_seqs[tb] = 0;
-                *fp = TableFp::default();
-            }
+            FlowMod::Clear => t.clear(),
             FlowMod::Delete(fm, priority) => {
-                let mut i = 0;
-                while i < t.len() {
-                    if t[i].m == *fm && t[i].priority == *priority {
-                        fp.release(entry_fp(seqs[i], &t[i]));
-                        t.remove(i);
-                        seqs.remove(i);
-                    } else {
-                        i += 1;
-                    }
-                }
+                t.retain(|x| !(x.m == *fm && x.priority == *priority));
             }
         }
     }
@@ -412,39 +354,6 @@ mod tests {
         assert_eq!(v.entries(0, 0)[1].m.in_port, Some(PortNo(0)));
         v.apply(0, 0, &FlowMod::Delete(FlowMatch::on_port(PortNo(1)), 9));
         assert_eq!(v.entries(0, 0).len(), 2);
-    }
-
-    #[test]
-    fn view_fingerprints_track_flow_table_fingerprints() {
-        use sdt_openflow::{FlowTable, TableFp};
-        let e = |p: u16, dst: u32| FlowEntry {
-            m: FlowMatch::to_dst(HostAddr(dst)),
-            priority: p,
-            action: Action::Drop,
-        };
-        let mods = [
-            FlowMod::Add(e(5, 1)),
-            FlowMod::Add(e(9, 2)),
-            FlowMod::Add(e(5, 3)),
-            FlowMod::Delete(FlowMatch::to_dst(HostAddr(2)), 9),
-            FlowMod::Add(e(7, 4)),
-        ];
-        let mut live = FlowTable::new(64);
-        let mut view = TableView::empty(1);
-        for m in &mods {
-            live.apply(m.clone()).unwrap();
-            view.apply(0, 0, m);
-            assert_eq!(view.fp(0, 0), live.fingerprint(), "after {m:?}");
-        }
-        assert_ne!(view.fp(0, 0), TableFp::default());
-        view.apply(0, 0, &FlowMod::Clear);
-        live.apply(FlowMod::Clear).unwrap();
-        assert_eq!(view.fp(0, 0), live.fingerprint());
-        assert_eq!(view.fp(0, 0), TableFp::default());
-        // Post-clear installs restart the seq counter identically.
-        view.apply(0, 0, &FlowMod::Add(e(5, 1)));
-        live.apply(FlowMod::Add(e(5, 1))).unwrap();
-        assert_eq!(view.fp(0, 0), live.fingerprint());
     }
 
     #[test]

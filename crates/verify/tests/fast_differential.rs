@@ -1,11 +1,10 @@
 //! Differential proof that the fast verifier is invisible: the
-//! symmetry-collapsed, memoized, weight-sharded walk must produce reports
+//! symmetry-collapsed, weight-sharded walk must produce reports
 //! **byte-identical** to the reference (plain) walker — on the paper's
 //! preset topologies, on incremental delta checks, on a seeded random
 //! multi-tenant slice mix, on the live tables left behind by a
 //! chaos-style `recover()`, and on arbitrary interleavings of flow-mod
-//! batches with verification passes (property test). The persistent
-//! [`WalkCache`] must never change a report either — only wall-clock.
+//! batches with verification passes (property test).
 //!
 //! These tests compare the full `Debug` rendering of [`VerifyReport`], so
 //! any drift in a finding, a counter, or even ordering fails loudly.
@@ -27,7 +26,7 @@ use sdt_topology::dragonfly::dragonfly;
 use sdt_topology::fattree::fat_tree;
 use sdt_topology::meshtorus::{mesh, torus};
 use sdt_topology::Topology;
-use sdt_verify::{Intent, TableView, Verifier, WalkCache};
+use sdt_verify::{Intent, TableView, Verifier};
 
 /// Fast and plain must have derived the same proof, bit for bit.
 fn assert_identical(fast: &Verifier, plain: &Verifier, label: &str) {
@@ -61,7 +60,7 @@ fn project(topo: &Topology) -> (sdt_core::cluster::PhysicalCluster, sdt_core::sd
 }
 
 #[test]
-fn paper_presets_fast_equals_plain_and_cache_is_invisible() {
+fn paper_presets_fast_equals_plain() {
     let presets: Vec<Topology> =
         vec![fat_tree(4), torus(&[4, 4]), dragonfly(4, 9, 2, 2), ring(8)];
     for topo in &presets {
@@ -76,49 +75,32 @@ fn paper_presets_fast_equals_plain_and_cache_is_invisible() {
             "{}: SDT synthesis should admit the fast path",
             topo.name()
         );
-        // Cold cached pass fills the cache; warm pass must replay from it
-        // and still render the exact same report.
-        let mut cache = WalkCache::new();
-        let cold = Verifier::check_cached(&cluster, view(), intent(), 2, &mut cache);
-        assert_identical(&cold, &plain, &format!("{} cold cached", topo.name()));
-        assert!(cache.entries() > 0, "{}: cold pass must fill the cache", topo.name());
-        let warm = Verifier::check_cached(&cluster, view(), intent(), 2, &mut cache);
-        assert_identical(&warm, &plain, &format!("{} warm cached", topo.name()));
-        assert!(
-            warm.stats().cache_hits > 0 || warm.stats().warn_cache_hits > 0,
-            "{}: warm pass should hit the cache",
-            topo.name()
-        );
     }
 }
 
 #[test]
 fn delta_checks_fast_equals_plain_across_modes() {
     // Corrupt a verified fat-tree with a batch clearing one routing table:
-    // plain delta, fast delta and cached delta must all report the same
-    // blackholes, and a follow-up repair batch must agree too.
+    // plain delta and fast delta must report the same blackholes, and an
+    // empty delta must agree too.
     let topo = fat_tree(4);
     let (cluster, proj) = project(&topo);
     let view = || TableView::of_synthesis(&proj.synthesis);
     let intent = || Intent::of_projection(&proj, &topo, topo.name());
     let plain0 = Verifier::check_plain_threads(&cluster, view(), intent(), 2);
     let fast0 = Verifier::check_threads(&cluster, view(), intent(), 2);
-    let mut cache = WalkCache::new();
-    let cached0 = Verifier::check_cached(&cluster, view(), intent(), 2, &mut cache);
 
     let batch: Vec<(u32, u8, FlowMod)> = vec![(0, 1, FlowMod::Clear)];
     let dp = Verifier::check_delta_plain_threads(&plain0, &batch, intent(), 2);
     let df = Verifier::check_delta_threads(&fast0, &batch, intent(), 2);
-    let dc = Verifier::check_delta_cached(&cached0, &batch, intent(), 2, &mut cache);
     assert_identical(&df, &dp, "clear delta fast");
-    assert_identical(&dc, &dp, "clear delta cached");
     assert!(!dp.holds(), "clearing a routing table must break the proof");
 
-    // Re-verify the unmodified tables through the warm cache: an empty
-    // batch delta must agree with the plain empty delta (both report zero
+    // Re-verify the unmodified tables: the fast empty delta (whole-proof
+    // replay) must agree with the plain empty delta (both report zero
     // re-walked pairs — everything reused) and keep every clean finding.
     let empty: Vec<(u32, u8, FlowMod)> = Vec::new();
-    let warm = Verifier::check_delta_cached(&cached0, &empty, intent(), 2, &mut cache);
+    let warm = Verifier::check_delta_threads(&fast0, &empty, intent(), 2);
     let warm_plain = Verifier::check_delta_plain_threads(&plain0, &empty, intent(), 2);
     assert_identical(&warm, &warm_plain, "warm empty delta");
     assert!(warm.holds(), "empty delta over clean tables stays clean");
@@ -128,7 +110,7 @@ fn delta_checks_fast_equals_plain_across_modes() {
 fn random_slice_mix_fast_equals_plain() {
     // Seeded random multi-tenant churn leaves live tables richer than any
     // single synthesis (orphaned shadows, uneven metadata tiers). Both
-    // walkers must agree on the full proof, cache or no cache.
+    // walkers must agree on the full proof.
     let mut rng = StdRng::seed_from_u64(0x5d7_2026);
     let cluster = ClusterBuilder::new(SwitchModel::openflow_128x100g(), 3)
         .hosts_per_switch(16)
@@ -155,33 +137,24 @@ fn random_slice_mix_fast_equals_plain() {
     let plain = Verifier::check_plain_threads(mgr.cluster(), view(), mgr.intent(), 2);
     let fast = Verifier::check_threads(mgr.cluster(), view(), mgr.intent(), 2);
     assert_identical(&fast, &plain, "random slice mix");
-    let mut cache = WalkCache::new();
-    let c1 = Verifier::check_cached(mgr.cluster(), view(), mgr.intent(), 2, &mut cache);
-    let c2 = Verifier::check_cached(mgr.cluster(), view(), mgr.intent(), 2, &mut cache);
-    assert_identical(&c1, &plain, "slice mix cold cached");
-    assert_identical(&c2, &plain, "slice mix warm cached");
 }
 
 #[test]
 fn post_recovery_live_tables_fast_equals_plain() {
     // Chaos-style fault + recover(): kill a cable under a deployed torus,
     // reconcile the live switches, then prove fast == plain on the exact
-    // tables the recovery left behind — including a warm pass through a
-    // cache that watched the *pre-fault* deployment (every invalidation
-    // must be caught by the table fingerprints).
+    // tables the recovery left behind.
     let cluster = ClusterBuilder::new(SwitchModel::openflow_128x100g(), 2)
         .hosts_per_switch(16)
         .inter_links_per_pair(10)
         .build();
     let mut c = SdtController::new(cluster);
     let d = c.deploy(&torus(&[4, 4])).unwrap();
-    let mut cache = WalkCache::new();
-    let pre = Verifier::check_cached(
+    let pre = Verifier::check_threads(
         c.cluster(),
         TableView::of_switches(&d.switches),
         Intent::of_projection(&d.projection, &d.topology, d.topology.name()),
         2,
-        &mut cache,
     );
     assert!(pre.holds(), "intact deployment must verify clean");
 
@@ -197,8 +170,6 @@ fn post_recovery_live_tables_fast_equals_plain() {
     let plain = Verifier::check_plain_threads(c.cluster(), view(), intent(), 2);
     let fast = Verifier::check_threads(c.cluster(), view(), intent(), 2);
     assert_identical(&fast, &plain, "post-recovery live tables");
-    let warm = Verifier::check_cached(c.cluster(), view(), intent(), 2, &mut cache);
-    assert_identical(&warm, &plain, "post-recovery warm through stale cache");
 }
 
 /// Decode a random match over tiny field domains so entries collide and
@@ -245,10 +216,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Interleave random flow-mod batches with verification passes: after
-    /// every batch, the plain delta chain, the fast delta chain and the
-    /// cached delta chain must render byte-identical reports. Random
-    /// batches routinely violate the pipeline shape, so this exercises
-    /// collapsed walks, fallbacks, and cache invalidation in one run.
+    /// every batch, the plain delta chain and the fast delta chain must
+    /// render byte-identical reports. Random batches routinely violate the
+    /// pipeline shape, so this exercises collapsed walks and fallbacks in
+    /// one run.
     #[test]
     fn interleaved_flow_mods_and_verifies_agree(
         batches in proptest::collection::vec(
@@ -267,10 +238,7 @@ proptest! {
         let num_switches = cluster.num_switches();
         let mut plain = Verifier::check_plain_threads(&cluster, view(), intent(), 2);
         let mut fast = Verifier::check_threads(&cluster, view(), intent(), 2);
-        let mut cache = WalkCache::new();
-        let mut cached = Verifier::check_cached(&cluster, view(), intent(), 2, &mut cache);
         assert_identical(&fast, &plain, "proptest initial");
-        assert_identical(&cached, &plain, "proptest initial cached");
         for (bi, raw) in batches.iter().enumerate() {
             let batch: Vec<(u32, u8, FlowMod)> = raw
                 .iter()
@@ -283,9 +251,7 @@ proptest! {
                 .collect();
             plain = Verifier::check_delta_plain_threads(&plain, &batch, intent(), 2);
             fast = Verifier::check_delta_threads(&fast, &batch, intent(), 2);
-            cached = Verifier::check_delta_cached(&cached, &batch, intent(), 2, &mut cache);
             assert_identical(&fast, &plain, &format!("proptest batch {bi}"));
-            assert_identical(&cached, &plain, &format!("proptest batch {bi} cached"));
         }
     }
 }
