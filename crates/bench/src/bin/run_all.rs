@@ -23,7 +23,6 @@ const BINS: &[&str] = &[
     "fig13",
     "active_routing",
     "ablations",
-    "bench_engine",
 ];
 
 enum Run {

@@ -1,10 +1,8 @@
 //! Experiment drivers, one per paper artifact.
 
 use sdt::controller::SdtController;
-use sdt::core::cluster::PhysicalCluster;
 use sdt::core::feasibility::{max_link_gbps, projectable_count};
 use sdt::core::methods::{Method, SwitchModel};
-use sdt::core::sdt::SdtProjector;
 use sdt::routing::dragonfly::{DragonflyMinimal, DragonflyUgal};
 use sdt::routing::{default_strategy, generic::Bfs, RouteTable};
 use sdt::sim::mpi::run_trace_adaptive;
@@ -402,37 +400,6 @@ pub fn speed_cell(v: Option<u32>) -> String {
         Some(g) => format!("<={g}G"),
         None => "x".into(),
     }
-}
-
-/// Smallest cluster that carries `topo`, per the Table IV sizing idiom.
-/// The paper's 128-port model is tried first; topologies too big for any
-/// such cluster (fat-tree k=16 needs more cable ends than 128-port hardware
-/// can offer at this scale) fall back to a synthetic wide model — the
-/// control-plane benchmarks measure controller cost, not hardware
-/// feasibility. Returns the cluster and the model name used.
-pub fn carrier_cluster(topo: &Topology) -> Option<(PhysicalCluster, &'static str)> {
-    let wide = SwitchModel {
-        name: "synthetic 512x100G",
-        ports: 512,
-        gbps: 100,
-        price_usd: 0,
-        table_capacity: 262_144,
-        p4: false,
-    };
-    let projector = SdtProjector { merge_entries_on_overflow: true, ..Default::default() };
-    for model in [SwitchModel::openflow_128x100g(), wide] {
-        let start = (topo.num_hosts() / model.ports).max(1);
-        for n in start..start + 40 {
-            let Ok(ctl) = SdtController::for_campaign(std::slice::from_ref(topo), model, n)
-            else {
-                continue;
-            };
-            if projector.project_default(topo, ctl.cluster()).is_ok() {
-                return Some((ctl.cluster().clone(), model.name));
-            }
-        }
-    }
-    None
 }
 
 /// Format nanoseconds human-readably.

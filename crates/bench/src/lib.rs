@@ -8,7 +8,6 @@
 
 pub mod experiments;
 pub mod par;
-pub mod stats;
 
 pub use experiments::*;
 pub use par::{bench_threads, par_map};

@@ -119,7 +119,6 @@ pub struct SdtController {
     projector: SdtProjector,
     timing: InstallTiming,
     require_deadlock_free: bool,
-    static_verify: bool,
     /// Count of reconfigurations performed (reporting).
     pub reconfigurations: u32,
 }
@@ -134,7 +133,6 @@ impl SdtController {
             projector: SdtProjector { merge_entries_on_overflow: true, ..Default::default() },
             timing: InstallTiming::default(),
             require_deadlock_free: true,
-            static_verify: true,
             reconfigurations: 0,
         }
     }
@@ -173,13 +171,6 @@ impl SdtController {
         self.require_deadlock_free = false;
     }
 
-    /// Escape hatch: skip the static data-plane verifier at deploy and
-    /// recovery time (e.g. to install deliberately broken tables for a
-    /// fault-injection study).
-    pub fn skip_static_verify(&mut self) {
-        self.static_verify = false;
-    }
-
     /// Statically verify a projection's synthesized tables against the
     /// topology's delivery intent — no packets injected, no counters
     /// touched. Pure read of the would-be pipeline.
@@ -192,11 +183,8 @@ impl SdtController {
     }
 
     /// The deploy/recovery gate: error out with the report summary when the
-    /// verifier does not hold. No-op when `skip_static_verify` was called.
+    /// verifier does not hold.
     fn static_gate(&self, topo: &Topology, projection: &SdtProjection) -> Result<(), DeployError> {
-        if !self.static_verify {
-            return Ok(());
-        }
         let v = self.verify_projection(topo, projection);
         if v.holds() {
             Ok(())
@@ -468,7 +456,6 @@ impl SdtController {
             retry,
             schedule,
             recovery_time_ns,
-            statically_verified: self.static_verify,
         })
     }
 
@@ -544,7 +531,7 @@ impl SdtController {
             retries: rep.rounds.iter().map(|r| r.retries).sum(),
             flow_mods_sent: rep.rounds.iter().map(|r| r.sends).sum(),
             backoff_ns_total: rep.rounds.iter().map(|r| r.backoff_ns).sum(),
-            elapsed_ns: rep.pipelined_ns,
+            elapsed_ns: rep.install_ns_total,
             converged: rep.converged,
         };
         Some((retry, rep))
@@ -570,9 +557,6 @@ pub struct RecoveryOutcome {
     pub recovery_time_ns: u64,
     /// True when any logical link was actually lost.
     pub degraded: bool,
-    /// True when the repaired synthesis passed the static verifier before
-    /// installation (false only via [`SdtController::skip_static_verify`]).
-    pub statically_verified: bool,
 }
 
 #[cfg(test)]
@@ -689,7 +673,6 @@ mod tests {
         let out = c.recover(d, &report, &mut ch, &RecoveryConfig::default()).unwrap();
         // A spare cable absorbs the fault: FULL recovery, nothing lost.
         assert!(out.retry.converged);
-        assert!(out.statically_verified, "repair synthesis must pass the static gate");
         assert!(!out.degraded, "spare cable means no degradation");
         assert!(out.unreachable_pairs.is_empty());
         assert_eq!(c.reconfigurations, 1);

@@ -1,12 +1,11 @@
 //! A minimal JSON document model: parse, build, emit.
 //!
-//! The workspace is registry-offline and the serde stand-in under
-//! `compat/` is a no-op (derives expand to nothing, there is no
-//! serializer), so anything that needs real JSON — the daemon's wire
-//! protocol and snapshot format, `sdtctl --daemon`'s responses — hand-rolls
-//! it on this module. It lives in the controller crate because both ends
-//! of the wire need it: `sdtctl` builds requests and picks fields out of
-//! responses, `sdt-sdtd` parses requests and renders responses/snapshots.
+//! The workspace is registry-offline and has no serializer crate, so
+//! anything that needs JSON — the daemon's wire protocol and snapshot
+//! format, `sdtctl --daemon`'s responses — hand-rolls it on this module.
+//! It lives in the controller crate because both ends of the wire need
+//! it: `sdtctl` builds requests and picks fields out of responses,
+//! `sdt-sdtd` parses requests and renders responses/snapshots.
 //!
 //! Properties the daemon relies on:
 //!

@@ -315,8 +315,7 @@ pub fn reconfigure_json(
             format!(
                 ",\"schedule\":{{\"rounds\":{rounds},\"total_mods\":{},\"merges\":{},\
                  \"reverifications\":{},\"violations\":{},\"converged\":{},\
-                 \"proof_wall_ms_total\":{:.3},\"install_ms_total\":{:.3},\
-                 \"pipelined_ms\":{:.3}}}",
+                 \"proof_wall_ms_total\":{:.3},\"install_ms_total\":{:.3}}}",
                 s.total_mods,
                 s.merges,
                 s.reverifications,
@@ -324,7 +323,6 @@ pub fn reconfigure_json(
                 s.converged,
                 s.proof_wall_ns_total as f64 / 1e6,
                 s.install_ns_total as f64 / 1e6,
-                s.pipelined_ns as f64 / 1e6,
             )
         }
         None => String::new(),
@@ -362,13 +360,11 @@ pub fn reconfigure_human(
     if let Some(s) = sched {
         let _ = writeln!(
             out,
-            "schedule: {} rounds, {} merges, {} re-verifications, {} violations, \
-             pipelined {:.1} ms{}",
+            "schedule: {} rounds, {} merges, {} re-verifications, {} violations{}",
             s.rounds.len(),
             s.merges,
             s.reverifications,
             s.violations,
-            s.pipelined_ns as f64 / 1e6,
             if s.converged { "" } else { " (NOT converged)" },
         );
         for r in &s.rounds {

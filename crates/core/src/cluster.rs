@@ -12,10 +12,9 @@
 
 use crate::methods::SwitchModel;
 use sdt_openflow::PortNo;
-use serde::{Deserialize, Serialize};
 
 /// A specific port of a specific physical switch.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct PhysPort {
     /// Physical switch index in the cluster.
     pub switch: u32,
@@ -24,7 +23,7 @@ pub struct PhysPort {
 }
 
 /// Kind of a physical cable.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum PhysLinkKind {
     /// Both ends on the same switch.
     SelfLink,
@@ -33,7 +32,7 @@ pub enum PhysLinkKind {
 }
 
 /// A physical cable between two ports.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct PhysLink {
     /// Cable kind (derived from endpoints, stored for convenience).
     pub kind: PhysLinkKind,

@@ -14,14 +14,12 @@
 //! link transits a loopback port — De Sensi et al. \[35\]); they differ in
 //! money and in what a reconfiguration costs.
 
-use serde::{Deserialize, Serialize};
-
 /// Price of one MEMS optical-switch port, USD (a 320-port MEMS chassis
 /// runs > $100k — §III-C).
 pub const OPTICAL_PORT_USD: u32 = 320;
 
 /// The four Topology Projection methods.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Method {
     /// Switch Projection: sub-switches + manual cabling.
     Sp,
@@ -93,7 +91,7 @@ impl HardwareKind {
 }
 
 /// A purchasable switch model: the unit of Table II's columns.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct SwitchModel {
     /// Marketing name.
     pub name: &'static str,

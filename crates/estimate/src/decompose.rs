@@ -106,8 +106,7 @@ pub struct Decomposition {
     /// Directed channels carrying at least one flow, in first-use order
     /// (flow order, then hop order — deterministic).
     pub channels: Vec<(u32, u32)>,
-    /// Per channel: its canonical workload (see
-    /// [`CanonicalWorkload`]); quantization already applied.
+    /// Per channel: its canonical workload (see [`CanonicalWorkload`]).
     pub workloads: Vec<CanonicalWorkload>,
     /// CSR offsets into `path_ch` / `path_pos`, one slice per flow
     /// (same-host flows have empty slices).
@@ -134,11 +133,7 @@ pub fn hop_step_ns(cfg: &SimConfig) -> u64 {
 }
 
 impl Decomposition {
-    /// Decompose `flows` over `topo` + `routes`. `quantum_ns > 0` rounds
-    /// each link-relative arrival down to a multiple of the quantum —
-    /// applied uniformly to *every* channel, whether or not clustering is
-    /// enabled, so it changes the (documented) error model but never the
-    /// cluster-on/cluster-off identity.
+    /// Decompose `flows` over `topo` + `routes`.
     ///
     /// # Panics
     /// When `routes` lacks a pair some flow needs (build it from the same
@@ -148,7 +143,6 @@ impl Decomposition {
         routes: &SparseRoutes,
         flows: &[FlowSpec],
         cfg: &SimConfig,
-        quantum_ns: u64,
     ) -> Self {
         let num_hosts = topo.num_hosts();
         let sn = |s: SwitchId| num_hosts + s.0;
@@ -214,8 +208,8 @@ impl Decomposition {
         }
 
         // Pass 3: canonicalize each channel — shift to the first arrival,
-        // quantize, sort by (relative start, bytes); write each entry's
-        // canonical position back into the path CSR.
+        // sort by (relative start, bytes); write each entry's canonical
+        // position back into the path CSR.
         let mut workloads = Vec::with_capacity(nch);
         let mut path_pos = vec![0u32; path_ch.len()];
         for ci in 0..nch {
@@ -225,13 +219,7 @@ impl Decomposition {
                 None => unreachable!("every interned channel has at least one entry"),
             };
             let mut order: Vec<usize> = (lo..hi).collect();
-            let rel = |e: usize| {
-                let r = ent_arr[e] - min_arr;
-                match r.checked_div(quantum_ns) {
-                    Some(q) => q * quantum_ns, // snap down to the grid
-                    None => r,                 // quantum 0 = quantization off
-                }
-            };
+            let rel = |e: usize| ent_arr[e] - min_arr;
             order.sort_unstable_by_key(|&e| (rel(e), flows[ent_flow[e] as usize].bytes, e));
             let entries: Vec<(u64, u64)> =
                 order.iter().map(|&e| (rel(e), flows[ent_flow[e] as usize].bytes)).collect();
@@ -289,7 +277,7 @@ mod tests {
         let strategy = default_strategy(&topo);
         let flows = flows_k4();
         let routes = SparseRoutes::build(&topo, strategy.as_ref(), &flows);
-        let d = Decomposition::build(&topo, &routes, &flows, &SimConfig::default(), 0);
+        let d = Decomposition::build(&topo, &routes, &flows, &SimConfig::default());
         // Same-edge pair: host->edge, edge->host.
         assert_eq!(d.path_len(0), 2);
         // Cross-pod in a fat-tree: host + edge-agg-core-agg-edge + host = 6.
@@ -324,7 +312,7 @@ mod tests {
         let strategy = default_strategy(&topo);
         let flows = flows_k4();
         let routes = SparseRoutes::build(&topo, strategy.as_ref(), &flows);
-        let d = Decomposition::build(&topo, &routes, &flows, &SimConfig::default(), 0);
+        let d = Decomposition::build(&topo, &routes, &flows, &SimConfig::default());
         // Each (channel, position) a flow claims must hold that flow's
         // bytes in the canonical workload.
         for (fi, f) in flows.iter().enumerate() {
@@ -332,22 +320,6 @@ mod tests {
                 let (_, bytes) = d.workloads[ch as usize].entries[pos as usize];
                 assert_eq!(bytes, f.bytes, "flow {fi} channel {ch}");
             }
-        }
-    }
-
-    #[test]
-    fn quantization_coarsens_starts_uniformly() {
-        let topo = fat_tree(4);
-        let strategy = default_strategy(&topo);
-        let flows = vec![
-            FlowSpec { src: HostId(0), dst: HostId(15), bytes: 1_000, start_ns: 3 },
-            FlowSpec { src: HostId(1), dst: HostId(14), bytes: 1_000, start_ns: 997 },
-        ];
-        let routes = SparseRoutes::build(&topo, strategy.as_ref(), &flows);
-        let q = Decomposition::build(&topo, &routes, &flows, &SimConfig::default(), 10_000);
-        // Every relative start collapses onto the quantum grid — here 0.
-        for w in &q.workloads {
-            assert!(w.entries.iter().all(|&(t, _)| t == 0), "{:?}", w.entries);
         }
     }
 }

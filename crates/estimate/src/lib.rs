@@ -39,8 +39,7 @@
 //! direction but
 //! stay bounded at datacenter loads; the differential suite pins the
 //! observed envelope against the exact engine at k=4/8 as
-//! [`MEAN_ERROR_ENVELOPE`] / [`P99_ERROR_ENVELOPE`], and
-//! `bench_estimate` re-checks it on every run. DESIGN §3.12 discusses
+//! [`MEAN_ERROR_ENVELOPE`] / [`P99_ERROR_ENVELOPE`]. DESIGN §3.12 discusses
 //! when *not* to trust the estimate (incast at extreme load, lossless
 //! PFC back-pressure chains, DCQCN dynamics).
 //!
@@ -84,8 +83,7 @@ use sdt_workloads::FlowSpec;
 /// fat-tree k=4/8, websearch and hadoop mixes, loads up to 0.3: relative
 /// error of the **mean** FCT. The calibration sweep's worst case was
 /// 0.238 (websearch, k=4, load 0.3); this constant adds modest margin.
-/// Pinned by `tests/differential.rs` and the `bench_estimate` CI gate;
-/// widen only with a DESIGN §3.12 update.
+/// Pinned by `tests/differential.rs`; widen only with a DESIGN §3.12 update.
 pub const MEAN_ERROR_ENVELOPE: f64 = 0.25;
 
 /// Same envelope for the **p99** FCT. The tail calibrates *tighter* than
@@ -103,17 +101,11 @@ pub struct EstimateConfig {
     /// Deduplicate identical link workloads. Exact, so this changes wall
     /// time only — outputs are byte-identical either way.
     pub cluster: bool,
-    /// Round link-relative arrival times down to this grid before
-    /// clustering (0 = off). A coarser grid makes near-identical channels
-    /// *actually* identical, buying collapse at the cost of arrival-time
-    /// precision. Applied uniformly whether or not `cluster` is on, so it
-    /// never breaks the cluster-on/off identity.
-    pub quantum_ns: u64,
 }
 
 impl Default for EstimateConfig {
     fn default() -> Self {
-        EstimateConfig { threads: 0, cluster: true, quantum_ns: 0 }
+        EstimateConfig { threads: 0, cluster: true }
     }
 }
 
@@ -167,7 +159,7 @@ pub fn estimate(
     };
 
     let t0 = std::time::Instant::now();
-    let d = Decomposition::build(topo, routes, flows, sim_cfg, cfg.quantum_ns);
+    let d = Decomposition::build(topo, routes, flows, sim_cfg);
     let t1 = std::time::Instant::now();
     let clustering = Clustering::build(&d.workloads, cfg.cluster);
     let t2 = std::time::Instant::now();

@@ -43,9 +43,9 @@
 
 /// One directed channel's workload in canonical (shift-invariant) form:
 /// `(relative start ns, bytes)` sorted ascending, first entry at relative
-/// time 0 after quantization. Two channels with equal canonical workloads
-/// are *exactly* interchangeable for delay purposes — that equality is the
-/// clustering relation.
+/// time 0. Two channels with equal canonical workloads are *exactly*
+/// interchangeable for delay purposes — that equality is the clustering
+/// relation.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct CanonicalWorkload {
     /// `(relative start ns, bytes)`, sorted by `(start, bytes)`.

@@ -37,10 +37,8 @@ pub use table::{
     TableStats,
 };
 
-use serde::{Deserialize, Serialize};
-
 /// A physical port number on an OpenFlow switch (0-based).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct PortNo(pub u16);
 
 impl PortNo {
@@ -52,7 +50,7 @@ impl PortNo {
 }
 
 /// An IPv4-style endpoint address. SDT assigns one per host NIC.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct HostAddr(pub u32);
 
 /// Flow-mod installation latency model, used to estimate reconfiguration

@@ -2,14 +2,13 @@
 
 use crate::index::{entry_key, query_key, tier_of, TierKey, TIER_COUNT, TIER_METADATA};
 use crate::{HostAddr, PortNo};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use sdt_sync::atomic::{AtomicU64, Ordering};
 
 /// Wildcard-able match over the fields SDT programs: ingress port, pipeline
 /// metadata (OpenFlow 1.3 multi-table), plus an IPv4-style 5-tuple subset.
 /// `None` matches anything.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub struct FlowMatch {
     /// Ingress port.
     pub in_port: Option<PortNo>,
@@ -130,7 +129,7 @@ pub struct PacketMeta {
 }
 
 /// Forwarding action of a flow entry.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Action {
     /// Emit on a port.
     Output(PortNo),
@@ -142,7 +141,7 @@ pub enum Action {
 }
 
 /// One flow rule: match + priority + action.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct FlowEntry {
     /// Match fields.
     pub m: FlowMatch,
@@ -446,7 +445,7 @@ impl FlowTable {
     }
 
     /// The pre-index O(entries) linear scan, kept as the reference
-    /// implementation: differential tests and `bench_ctrl` compare
+    /// implementation: differential tests compare
     /// [`FlowTable::lookup_with`] against it entry-for-entry and
     /// counter-for-counter (same single lookup bump, same miss bump).
     pub fn linear_lookup_with(&self, meta: &PacketMeta, metadata: Option<u32>) -> Option<Action> {

@@ -15,7 +15,7 @@ use sdt_controller::Json;
 use sdt_sdtd::{run, DaemonMetrics, DaemonOptions, DaemonState, Snapshot};
 use std::collections::BTreeSet;
 use std::os::unix::net::UnixStream;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use util::{cfg, outcome, wait_for_socket, Client};
 
 fn start(
@@ -44,8 +44,7 @@ struct Observed {
 
 /// Pipeline a burst of admits on one connection, then read replies until
 /// they are all in or the daemon hangs up mid-burst.
-fn pipelined_admits(socket: &Path, burst: u64) -> Observed {
-    let mut c = Client::connect(socket);
+fn pipelined_admits(mut c: Client, burst: u64) -> Observed {
     let admit = cfg("kind = \"chain\"\nn = 3");
     let mut sent = 0;
     for _ in 0..burst {
@@ -91,8 +90,10 @@ fn shutdown_racing_pipelined_connections_leaves_no_client_hanging() {
 
     let workers: Vec<_> = (0..4)
         .map(|_| {
-            let socket = socket.clone();
-            std::thread::spawn(move || pipelined_admits(&socket, 6))
+            // Connected here, not in the thread: the shutdown below may
+            // close the listener before a spawned thread first runs.
+            let c = Client::connect(&socket);
+            std::thread::spawn(move || pipelined_admits(c, 6))
         })
         .collect();
 

@@ -199,8 +199,8 @@ impl MultiSliceSim {
     /// One slice's packet-loss accounting: `(unfinished, delivered)` flow
     /// counts over everything the slice ever started. Combined with
     /// [`Simulator::stats`]'s `drops` counter (cells dropped engine-wide),
-    /// `unfinished == 0 && drops == 0` is the zero-packet-loss claim the
-    /// transient bench gates on.
+    /// `unfinished == 0 && drops == 0` is the zero-packet-loss claim
+    /// `tests/multi_tenant.rs` asserts across a mid-run cutover.
     pub fn slice_loss(&self, slice: usize) -> (usize, usize) {
         let mut unfinished = 0;
         let mut delivered = 0;

@@ -380,12 +380,12 @@ pub struct SliceManager {
     next_metadata: u32,
     next_addr: u32,
     /// Gate every epoch on a static proof before any flow-mod is applied.
-    /// On by default; [`SliceManager::set_static_verify`] is the escape
-    /// hatch for experiments that install intentionally broken tables.
+    /// Always on, except inside `apply_segment`, which defers the per-op
+    /// proofs of a batch to one combined proof.
     static_verify: bool,
     /// Proof of the *current* live tables, carried between epochs so each
     /// admission only pays for the delta ([`Verifier::check_delta`]).
-    /// `None` until first use, or after the escape hatch bypassed a proof.
+    /// `None` until first use.
     verifier: Option<Verifier>,
     /// Per-round reconciliation budget for scheduled installs. The default
     /// suits epochs of a few hundred flow-mods; the expected number of
@@ -421,16 +421,6 @@ impl SliceManager {
             static_verify: true,
             verifier: None,
             retry: crate::schedule::RetryPolicy::default(),
-        }
-    }
-
-    /// Escape hatch: enable/disable the static pre-install proof. Disabling
-    /// also drops the cached proof — it no longer describes what is
-    /// installed once unverified epochs go through.
-    pub fn set_static_verify(&mut self, on: bool) {
-        self.static_verify = on;
-        if !on {
-            self.verifier = None;
         }
     }
 
@@ -886,10 +876,7 @@ impl SliceManager {
     }
 
     /// Execute a [`MigrationPlan`]: gate the epoch's end state, then prove
-    /// and install the rounds pipelined over `channel`. The scheduled path
-    /// always proves its boundaries — the
-    /// [`SliceManager::set_static_verify`] escape hatch only governs the
-    /// one-shot path.
+    /// and install the rounds over `channel`, every boundary proven.
     pub fn commit_scheduled(
         &mut self,
         plan: MigrationPlan,
@@ -1012,7 +999,7 @@ impl SliceManager {
         &mut self,
         ops: Vec<SliceOp>,
     ) -> Vec<Result<OpOutcome, AdmissionError>> {
-        if !self.static_verify || ops.len() <= 1 {
+        if ops.len() <= 1 {
             return ops.into_iter().map(|op| self.apply_one(op)).collect();
         }
         let mut results = Vec::with_capacity(ops.len());

@@ -30,11 +30,12 @@
 //!    with its successor and re-proven; in the limit the whole epoch
 //!    collapses back into the one-shot install, whose end state the caller
 //!    gated before scheduling. Progress is therefore guaranteed.
-//! 4. **Pipelining** — round N+1's proof is computed while round N's
-//!    flow-mods are in flight on the (possibly lossy) [`ControlChannel`],
-//!    between the sends and the barrier. Per-round install time is
-//!    modeled (the channel is simulated), so the report carries both the
-//!    sequential total and the overlapped `pipelined_ns`.
+//! 4. **Proof between send and barrier** — round N+1's proof is computed
+//!    while round N's flow-mods are in flight on the (possibly lossy)
+//!    [`ControlChannel`], between the sends and the barrier. Proof time
+//!    is measured wall clock and install time is modeled (the channel is
+//!    simulated), so the report carries the two totals in separate fields
+//!    and never combines them.
 //! 5. **Retry and divergence fallback** — after each barrier the live
 //!    tables are read back and diffed against the intended boundary state;
 //!    stragglers are re-sent with exponential backoff. If a round's retry
@@ -150,7 +151,8 @@ pub struct ScheduleReport {
     /// Divergence re-verifications performed.
     pub reverifications: usize,
     /// Boundary states that failed their proof *and* could not be merged
-    /// away — always 0 on success (kept explicit for the bench gate).
+    /// away — always 0 on success (kept explicit so tests and `sdtctl`
+    /// can gate on it).
     pub violations: usize,
     /// Live tables byte-identical to the epoch's end state at the end.
     pub converged: bool,
@@ -158,8 +160,6 @@ pub struct ScheduleReport {
     pub proof_wall_ns_total: u64,
     /// Sum of modeled per-round install times, ns.
     pub install_ns_total: u64,
-    /// Modeled wall with verify(N+1) overlapped onto install(N), ns.
-    pub pipelined_ns: u64,
 }
 
 /// Why a scheduled install stopped. Flow-mods up to the failing round may
@@ -430,9 +430,9 @@ fn prove_with_merge(
 }
 
 /// Install dependency-ordered `rounds` over `channel`, proving every
-/// boundary before its round goes out and pipelining proof N+1 with
-/// install N. See the module docs for the full contract. Returns the
-/// verifier of the final proven boundary and the round report.
+/// boundary before its round goes out and computing proof N+1 while
+/// round N is in flight. See the module docs for the full contract.
+/// Returns the verifier of the final proven boundary and the round report.
 ///
 /// `base` must be a proof of the *current* live tables (its intent is the
 /// pre-migration intent); `pre_intent`/`post_intent` bracket the cutover.
@@ -482,8 +482,7 @@ pub fn install_scheduled(
         }
 
         // Send the round tagged, then prove the *next* boundary while the
-        // mods are in flight — that proof is what the pipelining overlaps
-        // onto this round's install window.
+        // mods are in flight.
         channel.begin_round(index as u32 + 1);
         let mut per_switch = vec![0usize; switches.len()];
         let mut sends = 0u64;
@@ -600,19 +599,6 @@ pub fn install_scheduled(
     });
     report.proof_wall_ns_total = report.rounds.iter().map(|r| r.proof_wall_ns).sum();
     report.install_ns_total = report.rounds.iter().map(|r| r.install_ns).sum();
-    // Pipelined model: proof 0 up front, then each round's install window
-    // overlaps the next round's proof.
-    report.pipelined_ns = report.rounds.first().map_or(0, |r| r.proof_wall_ns)
-        + report
-            .rounds
-            .iter()
-            .enumerate()
-            .map(|(i, r)| {
-                let next_proof =
-                    report.rounds.get(i + 1).map_or(0, |n| n.proof_wall_ns);
-                r.install_ns.max(next_proof)
-            })
-            .sum::<u64>();
     Ok((current, report))
 }
 

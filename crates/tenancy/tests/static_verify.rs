@@ -155,12 +155,11 @@ fn precheck_rejects_cross_slice_leak_epoch() {
 }
 
 /// Damage applied behind the manager's back blocks the next admission
-/// (the gate re-proves the whole post-state), and the escape hatch lets an
-/// operator override the gate deliberately.
+/// (the gate re-proves the whole post-state).
 #[test]
-fn corrupted_fabric_blocks_admission_until_escape_hatch() {
+fn corrupted_fabric_blocks_admission() {
     let mut mgr = manager();
-    let a = mgr.create("a", &ring(4)).unwrap();
+    mgr.create("a", &ring(4)).unwrap();
     // Gut one of slice A's route entries directly on the live switch.
     let (sw, victim) = mgr
         .switches()
@@ -175,12 +174,6 @@ fn corrupted_fabric_blocks_admission_until_escape_hatch() {
     let err = mgr.create("b", &chain(2)).unwrap_err();
     assert!(matches!(err, AdmissionError::StaticViolation(_)), "{err}");
     assert_eq!(mgr.num_slices(), 1, "rejected admission leaves no trace");
-
-    // Escape hatch: an operator who knows better can force it through.
-    mgr.set_static_verify(false);
-    mgr.create("b", &chain(2)).expect("gate disabled");
-    assert_eq!(mgr.num_slices(), 2);
-    // The full report still tells the truth about the wounded fabric.
+    // The full report tells the truth about the wounded fabric.
     assert!(!mgr.verify_report().holds());
-    let _ = a;
 }

@@ -5,19 +5,18 @@
 //! sub-switches) and *hosts* (compute nodes attached to the fabric). Links
 //! connect switch↔switch or host↔switch; host↔host links are rejected.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a logical switch (dense, `0..num_switches`).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SwitchId(pub u32);
 
 /// Identifier of a host / compute node (dense, `0..num_hosts`).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct HostId(pub u32);
 
 /// Identifier of a logical link (dense, `0..links.len()`).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LinkId(pub u32);
 
 impl fmt::Debug for SwitchId {
@@ -59,7 +58,7 @@ impl LinkId {
 }
 
 /// One endpoint of a logical link.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Endpoint {
     /// A logical switch.
     Switch(SwitchId),
@@ -85,7 +84,7 @@ impl Endpoint {
 }
 
 /// An undirected logical link.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Link {
     /// Dense link identifier.
     pub id: LinkId,
@@ -130,7 +129,7 @@ impl Link {
 
 /// Which generator produced a topology (with its parameters), so routing
 /// strategies can exploit structure (Table III of the paper).
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum TopologyKind {
     /// k-ary Fat-Tree.
     FatTree {
@@ -291,7 +290,7 @@ pub(crate) fn built(r: Result<Topology, TopologyError>, generator: &str) -> Topo
 }
 
 /// An immutable, validated logical topology.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Topology {
     name: String,
     kind: TopologyKind,

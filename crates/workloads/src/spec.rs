@@ -25,7 +25,7 @@
 //! Everything is a pure function of its arguments (one `StdRng` seeded
 //! from `seed`; sample order fixed and documented on [`poisson_flows`]),
 //! so a workload is reproducible across hosts, thread counts and runs —
-//! the estimator's differential tests and `bench_estimate` depend on it.
+//! the estimator's differential tests depend on it.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};

@@ -1,13 +1,12 @@
 //! Trace representation and machine model.
 
 use sdt_topology::{HostId, Topology};
-use serde::{Deserialize, Serialize};
 
 /// MPI rank index within a job.
 pub type Rank = u32;
 
 /// One blocking-MPI operation in a rank's program.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum MpiOp {
     /// Local computation for a fixed duration.
     Compute {
@@ -48,7 +47,7 @@ pub enum MpiOp {
 }
 
 /// One rank's program.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct RankTrace {
     /// Operations in program order.
     pub ops: Vec<MpiOp>,
@@ -79,7 +78,7 @@ impl RankTrace {
 }
 
 /// A complete job trace.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Trace {
     /// Application name + parameters, for reports.
     pub name: String,

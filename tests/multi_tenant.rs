@@ -165,6 +165,12 @@ fn mid_run_reconfigure_of_b_keeps_a_and_c_telemetry_byte_identical() {
         format!("{:?}", cutover.slice_flow_stats(1)),
         "B's telemetry should reflect the cutover"
     );
+    // The cutover loses nothing: every flow of every slice finishes,
+    // in-flight ones included, and the engine drops no cell.
+    for slice in 0..3 {
+        assert_eq!(cutover.slice_loss(slice).0, 0, "slice {slice} left flows unfinished");
+    }
+    assert_eq!(cutover.sim().stats().drops, 0, "cells dropped across the cutover");
 }
 
 #[test]
