@@ -1,10 +1,9 @@
-//! Shared experiment drivers behind the per-table/per-figure binaries and
-//! the Criterion benches.
+//! Shared experiment drivers behind the per-table/per-figure binaries.
 //!
 //! Every function here regenerates one artifact of the paper's evaluation
 //! at a configurable scale; the `src/bin/*` entry points run them at
-//! reporting scale and print paper-style rows, the `benches/*` targets run
-//! them at reduced scale under Criterion.
+//! reporting scale and print paper-style rows. Nothing here times the
+//! repository's own code — that is `benchmark/`'s job.
 
 pub mod experiments;
 pub mod par;

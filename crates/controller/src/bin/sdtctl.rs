@@ -6,13 +6,14 @@
 //!
 //! ```text
 //! sdtctl check  <config.toml>...   validate configs against their clusters
-//! sdtctl deploy <config.toml>      project + synthesize + audit, print report
+//! sdtctl deploy <config.toml>      project + synthesize + prove, print report
 //! sdtctl plan   <switches> <config.toml>...
 //!                                  wiring plan covering a topology campaign
 //! sdtctl tables <config.toml>      dump the synthesized flow tables
 //! sdtctl slices <config.toml>...   admit every config as a slice of ONE
 //!                                  shared cluster (first config wires it),
-//!                                  print occupancy + cross-slice audit
+//!                                  print occupancy + the static proof of
+//!                                  the shared tables (no packets injected)
 //! sdtctl reconfigure [--scheduled] [--drop <p>] [--reorder <p>] [--seed <n>]
 //!                    <from.toml> <to.toml>
 //!                                  admit the first config as a slice, then
@@ -44,14 +45,16 @@
 //! renders through the same `sdt_controller::output` functions.
 //!
 //! Every command accepts `--json` for machine-readable output on stdout;
-//! any failure (non-deployable config, admission rejection, audit
+//! any failure (non-deployable config, admission rejection, proof
 //! violation) exits non-zero either way, so scripts and CI can gate on it.
 
 use sdt_controller::output::{
     self, jlist, jstr, AdmitInfo, AdmitRow, StatsBlock,
 };
-use sdt_controller::{plan_wiring, Deployment, Json, SdtController, SliceController, TestbedConfig};
-use sdt_core::walk::IsolationReport;
+use sdt_controller::{
+    plan_wiring, Deployment, Json, SdtController, SliceController, SliceOpError, TestbedConfig,
+};
+use sdt_tenancy::SliceId;
 use sdt_openflow::{Action, FlowEntry, FlowMod};
 use sdt_verify::{Intent, TableView, Verifier};
 use std::process::ExitCode;
@@ -287,7 +290,11 @@ fn cmd_deploy(paths: &[String], json: bool) -> Result<(), String> {
     let cfg = load(path)?;
     let mut ctl = SdtController::from_config(&cfg);
     let d = ctl.deploy_with(&cfg.topology, &cfg.strategy).map_err(|e| e.to_string())?;
-    let audit = IsolationReport::audit(ctl.cluster(), &d.projection, &d.topology);
+    // The proof `deploy_with` gated on, rendered under the keys the probe
+    // audit used to fill: proof totals equal probe totals.
+    let v = ctl.verify_projection(&d.topology, &d.projection);
+    let proof = v.report();
+    let violations = proof.loops.len() + proof.blackholes.len() + proof.leaks.len();
     if json {
         println!(
             "{{\"topology\":{},\"strategy\":{},\"inter_switch_links\":{},\
@@ -298,10 +305,10 @@ fn cmd_deploy(paths: &[String], json: bool) -> Result<(), String> {
             d.projection.inter_switch_links_used,
             jlist(&d.projection.synthesis.entries_per_switch, |n| n.to_string()),
             d.deploy_time_ns as f64 / 1e6,
-            audit.delivered,
-            audit.isolated,
-            audit.violations.len(),
-            audit.clean(),
+            proof.delivered_pairs,
+            proof.isolated_pairs,
+            violations,
+            proof.holds(),
         );
     } else {
         println!("deployed {} on {} x {}", cfg.topology.name(), cfg.switches, cfg.model.name);
@@ -313,12 +320,10 @@ fn cmd_deploy(paths: &[String], json: bool) -> Result<(), String> {
         println!("  deploy time (model) : {:.0} ms", d.deploy_time_ns as f64 / 1e6);
         println!(
             "  dataplane audit     : {} delivered, {} isolated, {} violations",
-            audit.delivered,
-            audit.isolated,
-            audit.violations.len()
+            proof.delivered_pairs, proof.isolated_pairs, violations
         );
     }
-    if !audit.clean() {
+    if !proof.holds() {
         return Err("audit found violations".into());
     }
     Ok(())
@@ -376,55 +381,63 @@ fn cmd_tables(paths: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Admit every config file as one slice of a shared cluster. The first
-/// config's `[cluster]` section wires the fabric; each config contributes
-/// its topology + strategy as a tenant. Prints admissions, occupancy, and
-/// the cross-slice isolation audit; exits non-zero if any slice is
-/// rejected or the audit is unclean.
+/// One config's slice name and admission verdict.
+type Admitted = (String, Result<SliceId, SliceOpError>);
+
+/// Wire the shared cluster from the first config's `[cluster]` section and
+/// admit every config's topology + strategy as one batch of tenants, named
+/// after their topologies. One entry per path, in order.
+fn admit_all(paths: &[String]) -> Result<(SliceController, Vec<Admitted>), String> {
+    let cfgs = paths.iter().map(|p| load(p)).collect::<Result<Vec<_>, _>>()?;
+    let mut ctl = SliceController::from_config(&cfgs[0]);
+    let items: Vec<_> =
+        cfgs.iter().map(|c| (c.topology.name(), &c.topology, c.strategy.as_str())).collect();
+    let verdicts = ctl.create_batch(&items);
+    Ok((ctl, items.iter().map(|i| i.0.to_string()).zip(verdicts).collect()))
+}
+
+/// Admit every config file as one slice of a shared cluster. Prints
+/// admissions, occupancy, and the static proof the last admission gate
+/// installed (cached — nothing is walked or injected); exits non-zero if
+/// any slice is rejected, the proof does not hold, or the tables hold
+/// entries no slice owns.
 fn cmd_slices(paths: &[String], json: bool) -> Result<(), String> {
     if paths.is_empty() {
         return Err("slices: need at least one config file".into());
     }
-    let first = load(&paths[0])?;
-    let mut ctl = SliceController::from_config(&first);
-    let mut rejected = 0usize;
-    let mut rows = Vec::new();
-    for path in paths {
-        let cfg = load(path)?;
-        let name = cfg.topology.name().to_string();
-        let result = match ctl.create(&name, &cfg.topology, &cfg.strategy) {
-            Ok(id) => {
-                let s = match ctl.manager().slice(id) {
-                    Some(s) => s,
-                    None => unreachable!("create returned a live slice id"),
-                };
-                Ok(AdmitInfo {
-                    id: id.0,
-                    host_ports: s.projection.host_port.len(),
-                    cables: s.projection.link_real.len(),
-                    entries: s.entries(),
-                })
-            }
-            Err(e) => {
-                rejected += 1;
-                Err(e.to_string())
-            }
-        };
-        rows.push(AdmitRow { path: path.clone(), slice: name, result });
-    }
+    let (mut ctl, admitted) = admit_all(paths)?;
+    let rows: Vec<AdmitRow> = paths
+        .iter()
+        .zip(admitted)
+        .map(|(path, (slice, result))| AdmitRow {
+            path: path.clone(),
+            slice,
+            result: match result {
+                Ok(id) => match ctl.manager().slice(id) {
+                    Some(s) => Ok(AdmitInfo::of(s)),
+                    None => unreachable!("create_batch returned a live slice id"),
+                },
+                Err(e) => Err(e.to_string()),
+            },
+        })
+        .collect();
+    let rejected = rows.iter().filter(|r| r.result.is_err()).count();
 
     let status = ctl.status();
-    let audit = ctl.audit();
+    let verify = ctl.manager_mut().verify_report();
     if json {
-        println!("{}", output::slices_json(&rows, &status, &audit));
+        println!("{}", output::slices_json(&rows, &status, &verify));
     } else {
-        println!("{}", output::slices_human(&rows, &status, &audit));
+        println!("{}", output::slices_human(&rows, &status, &verify));
     }
     if rejected > 0 {
         return Err(format!("{rejected} slice(s) rejected"));
     }
-    if !audit.clean() {
-        return Err("cross-slice audit found violations".into());
+    if !verify.holds() {
+        return Err("static verification failed".into());
+    }
+    if status.orphan_entries > 0 {
+        return Err(format!("{} orphan table entries", status.orphan_entries));
     }
     Ok(())
 }
@@ -507,7 +520,7 @@ fn cmd_reconfigure(args: &[String], json: bool) -> Result<(), String> {
     } else {
         (ctl.reconfigure(id, &to.topology, &to.strategy).map_err(|e| e.to_string())?, None)
     };
-    let audit = ctl.audit();
+    let holds = ctl.manager_mut().verify_report().holds();
     if json {
         println!(
             "{}",
@@ -517,7 +530,7 @@ fn cmd_reconfigure(args: &[String], json: bool) -> Result<(), String> {
                 f.scheduled,
                 &report,
                 sched.as_ref(),
-                audit.clean(),
+                holds,
             )
         );
     } else {
@@ -528,12 +541,12 @@ fn cmd_reconfigure(args: &[String], json: bool) -> Result<(), String> {
                 to.topology.name(),
                 &report,
                 sched.as_ref(),
-                audit.clean(),
+                holds,
             )
         );
     }
     let diverged = sched.as_ref().is_some_and(|s| !s.converged);
-    if !audit.clean() {
+    if !holds {
         return Err("post-reconfiguration audit found violations".into());
     }
     if diverged {
@@ -612,13 +625,9 @@ fn cmd_verify(args: &[String], json: bool) -> Result<(), String> {
             if corrupt_kind.is_some() {
                 return Err("verify: --corrupt works with exactly one config".into());
             }
-            let first = load(&many[0])?;
-            let mut ctl = SliceController::from_config(&first);
-            for path in many {
-                let cfg = load(path)?;
-                let name = cfg.topology.name().to_string();
-                ctl.create(&name, &cfg.topology, &cfg.strategy)
-                    .map_err(|e| format!("{path}: admission failed: {e}"))?;
+            let (mut ctl, admitted) = admit_all(many)?;
+            for (path, (_, verdict)) in many.iter().zip(admitted) {
+                verdict.map_err(|e| format!("{path}: admission failed: {e}"))?;
             }
             let (r, block) = if stats {
                 let mgr = ctl.manager_mut();

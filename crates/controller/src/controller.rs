@@ -193,15 +193,6 @@ impl SdtController {
         }
     }
 
-    /// Resolve a routing strategy by config name.
-    pub fn strategy_by_name(
-        &self,
-        name: &str,
-        topo: &Topology,
-    ) -> Result<Box<dyn RoutingStrategy>, DeployError> {
-        resolve_strategy(name, topo)
-    }
-
     /// §V-1 checking function: can each topology be projected on this
     /// wiring? Failed verdicts say which resource is short and by how much.
     pub fn check(&self, topologies: &[Topology]) -> CheckReport {
@@ -227,7 +218,7 @@ impl SdtController {
         topo: &Topology,
         strategy_name: &str,
     ) -> Result<Deployment, DeployError> {
-        let strategy = self.strategy_by_name(strategy_name, topo)?;
+        let strategy = resolve_strategy(strategy_name, topo)?;
         let routes = RouteTable::build_for_hosts(topo, strategy.as_ref());
         // Deadlock Avoidance gate (§V-3).
         if self.require_deadlock_free {

@@ -9,7 +9,7 @@
 //! *without* a trailing newline; the caller adds the final `\n`.
 
 use sdt_tenancy::epoch::EpochReport;
-use sdt_tenancy::{ManagerStatus, ScheduleReport, SliceAudit};
+use sdt_tenancy::{ManagerStatus, ScheduleReport, Slice};
 use sdt_verify::VerifyReport;
 use std::fmt::Write as _;
 
@@ -62,6 +62,18 @@ pub struct AdmitInfo {
     pub entries: usize,
 }
 
+impl AdmitInfo {
+    /// The bill of an admitted slice.
+    pub fn of(s: &Slice) -> AdmitInfo {
+        AdmitInfo {
+            id: s.id.0,
+            host_ports: s.projection.host_port.len(),
+            cables: s.projection.link_real.len(),
+            entries: s.entries(),
+        }
+    }
+}
+
 /// One admission row, JSON form.
 pub fn admit_row_json(row: &AdmitRow) -> String {
     match &row.result {
@@ -95,8 +107,9 @@ pub fn admit_row_human(row: &AdmitRow) -> String {
     }
 }
 
-/// The `slices` report: admissions + occupancy + cross-slice audit, JSON.
-pub fn slices_json(rows: &[AdmitRow], status: &ManagerStatus, audit: &SliceAudit) -> String {
+/// The `slices` report, JSON: admissions, occupancy, and the static proof
+/// of the shared tables as the object `sdtctl verify --json` prints.
+pub fn slices_json(rows: &[AdmitRow], status: &ManagerStatus, verify: &VerifyReport) -> String {
     let admissions: Vec<String> = rows.iter().map(admit_row_json).collect();
     let switches = jlist(&status.switches, |s| {
         format!(
@@ -104,70 +117,42 @@ pub fn slices_json(rows: &[AdmitRow], status: &ManagerStatus, audit: &SliceAudit
             s.switch, s.capacity, s.used, s.free
         )
     });
-    let per_slice = jlist(&audit.per_slice, |s| {
-        format!(
-            "{{\"slice\":{},\"delivered\":{},\"isolated\":{},\"violations\":{},\"shadowed\":{}}}",
-            jstr(&s.name),
-            s.delivered,
-            s.isolated,
-            s.violations.len(),
-            s.shadowed
-        )
-    });
     format!(
         "{{\"admissions\":[{}],\"status\":{{\"switches\":{},\
          \"host_ports_used\":{},\"host_ports_total\":{},\
-         \"cables_used\":{},\"cables_total\":{}}},\
-         \"audit\":{{\"clean\":{},\"cross_isolated\":{},\"cross_leaks\":{},\
-         \"orphan_entries\":{},\"per_slice\":{}}}}}",
+         \"cables_used\":{},\"cables_total\":{},\"orphan_entries\":{}}},\
+         \"verify\":{}}}",
         admissions.join(","),
         switches,
         status.host_ports_used,
         status.host_ports_total,
         status.cables_used,
         status.cables_total,
-        audit.clean(),
-        audit.cross_isolated,
-        audit.cross_leaks.len(),
-        audit.orphan_entries,
-        per_slice,
+        status.orphan_entries,
+        verify_json("slices", verify, None),
     )
 }
 
-/// The `slices` report, human form (admission lines, occupancy, audit).
-pub fn slices_human(rows: &[AdmitRow], status: &ManagerStatus, audit: &SliceAudit) -> String {
+/// The `slices` report, human form: admission lines, occupancy, and the
+/// `sdtctl verify` lines for the shared tables.
+pub fn slices_human(rows: &[AdmitRow], status: &ManagerStatus, verify: &VerifyReport) -> String {
     let mut out = String::new();
     for row in rows {
         let _ = writeln!(out, "{}", admit_row_human(row));
     }
     let _ = writeln!(
         out,
-        "cluster: {}/{} host ports, {}/{} cables in use",
-        status.host_ports_used, status.host_ports_total, status.cables_used, status.cables_total
+        "cluster: {}/{} host ports, {}/{} cables in use, {} orphan entries",
+        status.host_ports_used,
+        status.host_ports_total,
+        status.cables_used,
+        status.cables_total,
+        status.orphan_entries,
     );
     for s in &status.switches {
         let _ = writeln!(out, "  switch {}: {}/{} table entries", s.switch, s.used, s.capacity);
     }
-    let _ = writeln!(
-        out,
-        "audit: {} — {} cross-slice probes isolated, {} leaks, {} orphan entries",
-        if audit.clean() { "CLEAN" } else { "VIOLATIONS" },
-        audit.cross_isolated,
-        audit.cross_leaks.len(),
-        audit.orphan_entries,
-    );
-    for s in &audit.per_slice {
-        let _ = writeln!(
-            out,
-            "  {}: {} delivered, {} isolated, {} violations, {} shadowed entries",
-            s.name,
-            s.delivered,
-            s.isolated,
-            s.violations.len(),
-            s.shadowed
-        );
-    }
-    out.truncate(out.trim_end_matches('\n').len());
+    out.push_str(&verify_human("slices", verify, None));
     out
 }
 
@@ -434,11 +419,15 @@ mod tests {
             host_ports_total: 4,
             cables_used: 0,
             cables_total: 2,
+            orphan_entries: 0,
             slices: vec![],
         };
-        let audit = SliceAudit::default();
-        let text = slices_human(&[row], &status, &audit);
+        let verify = VerifyReport::default();
+        let text = slices_human(&[row], &status, &verify);
         assert!(!text.ends_with('\n'));
         assert!(text.contains("cluster: 0/4 host ports"));
+        assert!(text.ends_with(&verify_human("slices", &verify, None)));
+        let json = slices_json(&[], &status, &verify);
+        assert!(json.ends_with(&format!(",\"verify\":{}}}", verify_json("slices", &verify, None))));
     }
 }

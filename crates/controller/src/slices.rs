@@ -15,7 +15,9 @@ use sdt_core::cluster::{ClusterBuilder, PhysicalCluster};
 use sdt_routing::cdg::{analyze, DeadlockAnalysis};
 use sdt_routing::RouteTable;
 use sdt_tenancy::epoch::EpochReport;
-use sdt_tenancy::{AdmissionError, ManagerStatus, ReclaimedResources, SliceAudit, SliceId, SliceManager};
+use sdt_tenancy::{
+    AdmissionError, ManagerStatus, OpOutcome, ReclaimedResources, SliceId, SliceManager, SliceOp,
+};
 use sdt_topology::Topology;
 use std::fmt;
 
@@ -91,14 +93,6 @@ impl SliceController {
         topo: &Topology,
         strategy: &str,
     ) -> Result<RouteTable, SliceOpError> {
-        self.routes_for(topo, strategy)
-    }
-
-    fn routes_for(
-        &self,
-        topo: &Topology,
-        strategy: &str,
-    ) -> Result<RouteTable, SliceOpError> {
         let s = resolve_strategy(strategy, topo).map_err(|e| match e {
             crate::controller::DeployError::UnknownStrategy(s) => {
                 SliceOpError::UnknownStrategy(s)
@@ -122,8 +116,41 @@ impl SliceController {
         topo: &Topology,
         strategy: &str,
     ) -> Result<SliceId, SliceOpError> {
-        let routes = self.routes_for(topo, strategy)?;
+        let routes = self.resolve_routes(topo, strategy)?;
         self.mgr.create_with_routes(name, topo, routes).map_err(SliceOpError::Admission)
+    }
+
+    /// Admit several slices as one batch — the `slices` command, local and
+    /// daemon alike, so both leave the same cached proof behind: strategy
+    /// resolution and the deadlock gate per item, then one
+    /// [`SliceManager::apply_batch`] (one static proof for the lot, each
+    /// refusal still named). Items are [`SliceController::create`]'s
+    /// `(name, topology, strategy)`; one result per item, in order.
+    pub fn create_batch(
+        &mut self,
+        items: &[(&str, &Topology, &str)],
+    ) -> Vec<Result<SliceId, SliceOpError>> {
+        let mut ops = Vec::new();
+        let resolved: Vec<Result<(), SliceOpError>> = items
+            .iter()
+            .map(|&(name, topo, strategy)| {
+                let routes = self.resolve_routes(topo, strategy)?;
+                ops.push(SliceOp::Create { name: name.to_string(), topo: topo.clone(), routes });
+                Ok(())
+            })
+            .collect();
+        let mut admitted = self.mgr.apply_batch(ops).into_iter();
+        resolved
+            .into_iter()
+            .map(|r| {
+                r?;
+                match admitted.next() {
+                    Some(Ok(OpOutcome::Created(id))) => Ok(id),
+                    Some(Err(e)) => Err(SliceOpError::Admission(e)),
+                    _ => unreachable!("apply_batch answers each Create with Created or a refusal"),
+                }
+            })
+            .collect()
     }
 
     /// Make-before-break reconfiguration of an admitted slice to a new
@@ -135,7 +162,7 @@ impl SliceController {
         topo: &Topology,
         strategy: &str,
     ) -> Result<EpochReport, SliceOpError> {
-        let routes = self.routes_for(topo, strategy)?;
+        let routes = self.resolve_routes(topo, strategy)?;
         self.mgr
             .reconfigure_with_routes(id, topo, routes)
             .map_err(SliceOpError::Admission)
@@ -153,7 +180,7 @@ impl SliceController {
         strategy: &str,
         channel: &mut sdt_openflow::ControlChannel,
     ) -> Result<(EpochReport, sdt_tenancy::ScheduleReport), SliceOpError> {
-        let routes = self.routes_for(topo, strategy)?;
+        let routes = self.resolve_routes(topo, strategy)?;
         self.mgr
             .reconfigure_scheduled_with_routes(id, topo, routes, channel)
             .map_err(SliceOpError::Admission)
@@ -167,11 +194,6 @@ impl SliceController {
     /// Cluster-wide resource accounting snapshot.
     pub fn status(&self) -> ManagerStatus {
         self.mgr.status()
-    }
-
-    /// Full cross-slice isolation audit against the live switches.
-    pub fn audit(&mut self) -> SliceAudit {
-        SliceAudit::run(&mut self.mgr)
     }
 
     /// The underlying slice manager.
@@ -189,6 +211,7 @@ impl SliceController {
 mod tests {
     use super::*;
     use sdt_core::methods::SwitchModel;
+    use sdt_tenancy::SliceAudit;
     use sdt_topology::chain::{chain, ring};
     use sdt_topology::fattree::fat_tree;
 
@@ -209,12 +232,12 @@ mod tests {
 
         let report = c.reconfigure(b, &ring(4), "updown").unwrap();
         assert!(report.flow_mods() > 0);
-        assert!(c.audit().clean());
+        assert!(SliceAudit::run(c.manager_mut()).clean());
 
         let reclaimed = c.destroy(a).unwrap();
         assert_eq!(reclaimed.host_ports, 16);
         assert_eq!(c.status().slices.len(), 1);
-        assert!(c.audit().clean());
+        assert!(SliceAudit::run(c.manager_mut()).clean());
     }
 
     #[test]
@@ -233,7 +256,7 @@ mod tests {
         assert!(sched.rounds.len() > 1, "migration must span multiple rounds");
         assert_eq!(sched.violations, 0);
         assert!(sched.converged, "lossy channel must still converge: {sched:?}");
-        assert!(c.audit().clean());
+        assert!(SliceAudit::run(c.manager_mut()).clean());
     }
 
     #[test]

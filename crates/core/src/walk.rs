@@ -7,11 +7,17 @@
 //! the same switch sequence the logical route prescribes, and every packet
 //! toward a host of a different (co-deployed) topology is dropped before it
 //! can reach any foreign port.
+//!
+//! [`walk_addrs`] is the workspace's only hop loop; [`walk_packet`],
+//! [`IsolationReport`] and `sdt_tenancy::SliceAudit` are all built on it.
+//! The two reports are probe-injection *oracles* for tests and examples:
+//! production deploys are gated on, and report, the `sdt-verify` static
+//! proof, which moves no counter.
 
-use crate::cluster::PhysicalCluster;
+use crate::cluster::{PhysPort, PhysicalCluster};
 use crate::sdt::SdtProjection;
 use crate::synthesis::addr_of;
-use sdt_openflow::{FlowMod, OpenFlowSwitch, PacketMeta, PortNo, SwitchConfig};
+use sdt_openflow::{FlowMod, HostAddr, OpenFlowSwitch, PacketMeta, PortNo, SwitchConfig};
 use sdt_topology::{HostId, Topology};
 
 /// One traversal record: (physical switch, ingress port, egress port).
@@ -62,6 +68,59 @@ pub fn instantiate(cluster: &PhysicalCluster, proj: &SdtProjection) -> Vec<OpenF
     switches
 }
 
+/// Where an address-level walk left the fabric (or failed to).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum WalkEnd {
+    /// Egressed on a host port; whose port it is, is the caller's to say.
+    Egress(PhysPort),
+    /// Died at this switch: table miss, Drop rule, or an unwired port.
+    Dropped(u32),
+    /// Exceeded the hop budget — a forwarding loop.
+    Looped,
+}
+
+/// The one hop-by-hop walker: inject a packet carrying fabric-wide
+/// addresses `src` → `dst` at `start` and follow cables and flow tables
+/// until it leaves on a host port, dies, or runs out of hop budget. Every
+/// hop goes through [`OpenFlowSwitch::forward`], so table and port counters
+/// move exactly as for real traffic. Returns the end and the traversals
+/// that forwarded (a dropping hop is not recorded).
+pub fn walk_addrs(
+    cluster: &PhysicalCluster,
+    switches: &mut [OpenFlowSwitch],
+    start: PhysPort,
+    src: HostAddr,
+    dst: HostAddr,
+) -> (WalkEnd, Vec<HopRecord>) {
+    let mut at = start;
+    let mut path = Vec::new();
+    // Hop budget: generous multiple of the cluster size.
+    let budget = 4 * cluster.links().len() + 8;
+    for _ in 0..budget {
+        let meta = PacketMeta {
+            in_port: at.port,
+            src,
+            dst,
+            l4_src: 4791, // RoCEv2 UDP port, for flavor
+            l4_dst: 4791,
+        };
+        let Some(out) = switches[at.switch as usize].forward(&meta, 1500) else {
+            return (WalkEnd::Dropped(at.switch), path);
+        };
+        path.push((at.switch, at.port, out));
+        let out_pp = PhysPort { switch: at.switch, port: out };
+        if cluster.is_host_port(out_pp) {
+            return (WalkEnd::Egress(out_pp), path);
+        }
+        match cluster.link_at(out_pp) {
+            Some(cable) => at = cable.other(out_pp),
+            // Unwired port: packet falls on the floor.
+            None => return (WalkEnd::Dropped(at.switch), path),
+        }
+    }
+    (WalkEnd::Looped, path)
+}
+
 /// Inject a packet from `src` to `dst` and follow it through the cluster.
 pub fn walk_packet(
     cluster: &PhysicalCluster,
@@ -72,54 +131,24 @@ pub fn walk_packet(
     dst: HostId,
 ) -> WalkOutcome {
     let start = proj.primary_host_port(topo, src);
-    let mut at_switch = start.switch;
-    let mut in_port = start.port;
-    let mut path = Vec::new();
-    // Hop budget: generous multiple of the cluster size.
-    let budget = 4 * cluster.links().len() + 8;
-
-    // Reverse map: host port -> host.
-    for _ in 0..budget {
-        let meta = PacketMeta {
-            in_port,
-            src: addr_of(src),
-            dst: addr_of(dst),
-            l4_src: 4791, // RoCEv2 UDP port, for flavor
-            l4_dst: 4791,
-        };
-        let out = match switches[at_switch as usize].forward(&meta, 1500) {
-            Some(p) => p,
-            None => return WalkOutcome::Dropped { at: at_switch, path },
-        };
-        path.push((at_switch, in_port, out));
-        let out_pp = crate::cluster::PhysPort { switch: at_switch, port: out };
-        if cluster.is_host_port(out_pp) {
-            // Which host owns this port?
-            let owner = proj
+    match walk_addrs(cluster, switches, start, addr_of(src), addr_of(dst)) {
+        (WalkEnd::Egress(pp), path) => {
+            let to = proj
                 .host_port
                 .iter()
-                .find(|&(_, &pp)| pp == out_pp)
+                .find(|&(_, &owned)| owned == pp)
                 .map(|(&(h, _), _)| h)
                 .unwrap_or_else(|| unreachable!("egress host port is assigned to a host"));
-            return WalkOutcome::Delivered { to: owner, path };
+            WalkOutcome::Delivered { to, path }
         }
-        match cluster.link_at(out_pp) {
-            Some(cable) => {
-                let far = cable.other(out_pp);
-                at_switch = far.switch;
-                in_port = far.port;
-            }
-            None => {
-                // Unwired port: packet falls on the floor.
-                return WalkOutcome::Dropped { at: at_switch, path };
-            }
-        }
+        (WalkEnd::Dropped(at), path) => WalkOutcome::Dropped { at, path },
+        (WalkEnd::Looped, _) => WalkOutcome::Looped,
     }
-    WalkOutcome::Looped
 }
 
 /// Aggregate isolation audit: walk every ordered host pair and check that
-/// packets are delivered exactly within connected components.
+/// packets are delivered exactly within connected components. The
+/// single-tenant probe oracle the static proof is tested against.
 #[derive(Clone, Debug, Default)]
 pub struct IsolationReport {
     /// Pairs delivered to the correct destination.

@@ -166,41 +166,24 @@ impl OpenFlowSwitch {
     /// or a miss in either table — SDT treats misses as drops to guarantee
     /// domain isolation).
     pub fn forward(&mut self, meta: &PacketMeta, bytes: u64) -> Option<PortNo> {
-        let out = self.pipeline_egress(meta);
-        self.record_traffic(meta.in_port, out, bytes);
-        out
-    }
-
-    /// The pipeline decision alone: table 0 → (metadata) → table 1, no
-    /// port-counter movement. Takes `&self`, so parallel probe workers can
-    /// walk a shared switch bank concurrently (table lookup/miss counters
-    /// are atomic and their totals commute); the callers replay the
-    /// port-stat effects afterwards in canonical order via
-    /// [`OpenFlowSwitch::record_traffic`].
-    pub fn pipeline_egress(&self, meta: &PacketMeta) -> Option<PortNo> {
         let action = match self.t0.lookup(meta) {
             Some(Action::WriteMetadataGoto(md)) => self.t1.lookup_with(meta, Some(md)),
             other => other,
         };
-        match action {
+        let out = match action {
             Some(Action::Output(p)) => Some(p),
             // A goto out of table 1 is a programming error; treat as drop.
             Some(Action::Drop) | Some(Action::WriteMetadataGoto(_)) | None => None,
-        }
-    }
-
-    /// Account one packet into the port counters: received on `in_port`,
-    /// transmitted on `out` unless it was dropped. `forward` ==
-    /// `pipeline_egress` + `record_traffic`.
-    pub fn record_traffic(&mut self, in_port: PortNo, out: Option<PortNo>, bytes: u64) {
-        let stats = &mut self.port_stats[in_port.idx()];
-        stats.rx_bytes += bytes;
-        stats.rx_packets += 1;
+        };
+        let rx = &mut self.port_stats[meta.in_port.idx()];
+        rx.rx_bytes += bytes;
+        rx.rx_packets += 1;
         if let Some(p) = out {
             let tx = &mut self.port_stats[p.idx()];
             tx.tx_bytes += bytes;
             tx.tx_packets += 1;
         }
+        out
     }
 
     /// Read one port's counters.

@@ -116,6 +116,11 @@ impl DaemonState {
         })
     }
 
+    /// The live controller: slices, switches and their counters, read-only.
+    pub fn controller(&self) -> &SliceController {
+        &self.ctl
+    }
+
     /// Admitted slice count (startup reporting).
     pub fn slice_count(&self) -> usize {
         self.ctl.status().slices.len()
@@ -363,10 +368,16 @@ impl ConnRegistry {
     }
 }
 
+/// [`serve`], consuming the state: the daemon binary's entry point.
+pub fn run(mut state: DaemonState, opts: DaemonOptions) -> Result<DaemonMetrics, String> {
+    serve(&mut state, opts)
+}
+
 /// Serve until a `shutdown` request arrives. Binds the socket (replacing
 /// a stale file), spawns the acceptor, and runs the engine loop on the
-/// calling thread. Returns the final metrics.
-pub fn run(state: DaemonState, opts: DaemonOptions) -> Result<DaemonMetrics, String> {
+/// calling thread. Returns the final metrics; `state` is left as the last
+/// request left it, for a caller that wants to inspect it afterwards.
+pub fn serve(state: &mut DaemonState, opts: DaemonOptions) -> Result<DaemonMetrics, String> {
     if opts.batch_max == 0 {
         return Err("batch_max must be at least 1".into());
     }
@@ -486,8 +497,8 @@ fn serve_conn(stream: UnixStream, tx: Sender<WorkItem>) {
 /// (it is far above any sensible `batch_max`).
 const DRAIN_CAP: usize = 1024;
 
-struct Engine {
-    state: DaemonState,
+struct Engine<'a> {
+    state: &'a mut DaemonState,
     opts: DaemonOptions,
     metrics: DaemonMetrics,
     /// State changed since the last snapshot write.
@@ -500,7 +511,7 @@ struct Engine {
 /// writers. The loop itself (drain, batch coalescing, persist-then-reply,
 /// shutdown drain) lives in [`crate::engine`] where the model tests can
 /// explore it under every schedule.
-impl EngineHost for Engine {
+impl EngineHost for Engine<'_> {
     type Item = WorkItem;
     type Reply = Reply;
 
@@ -543,7 +554,7 @@ impl EngineHost for Engine {
     }
 }
 
-impl Engine {
+impl Engine<'_> {
     fn persist(&mut self) {
         let Some(path) = self.opts.snapshot.clone() else {
             self.dirty = false;
@@ -753,95 +764,70 @@ impl Engine {
 
     /// `sdtctl slices --daemon`: admit every config of the request as a
     /// slice of the daemon's persistent cluster (one internal
-    /// `apply_batch`), then render admissions + occupancy + cross-slice
-    /// audit exactly as local mode does.
+    /// `apply_batch`), then render admissions + occupancy + the cached
+    /// static proof exactly as local mode does — a pure read: no walk, no
+    /// probe, no counter moves.
     fn slices_reply(&mut self, id: u64, json: bool, items: &[(String, String)]) -> Reply {
-        let mut rows: Vec<Option<AdmitRow>> = Vec::with_capacity(items.len());
-        let mut ops = Vec::new();
-        let mut op_source = Vec::new();
-        let mut texts = Vec::new();
-        let mut rejected = 0usize;
-        for (i, (path, text)) in items.iter().enumerate() {
-            let prepared = TestbedConfig::parse(text).map_err(|e| e.to_string()).and_then(
-                |cfg| {
-                    let routes = self
-                        .state
-                        .ctl
-                        .resolve_routes(&cfg.topology, &cfg.strategy)
-                        .map_err(|e| e.to_string())?;
-                    Ok((cfg.topology.name().to_string(), cfg.topology, routes))
-                },
-            );
-            match prepared {
-                Ok((name, topo, routes)) => {
-                    ops.push(SliceOp::Create { name: name.clone(), topo, routes });
-                    op_source.push(i);
-                    texts.push(text.clone());
-                    rows.push(None);
-                }
-                Err(e) => {
-                    rejected += 1;
-                    rows.push(Some(AdmitRow {
-                        path: path.clone(),
-                        slice: slice_label(text),
-                        result: Err(e),
-                    }));
-                }
-            }
-        }
-        if ops.len() >= 2 {
+        // Configs that parse go to the controller as one batch; the rest
+        // keep their row, rejected with the parse error.
+        let parsed: Vec<Result<TestbedConfig, String>> = items
+            .iter()
+            .map(|(_, text)| TestbedConfig::parse(text).map_err(|e| e.to_string()))
+            .collect();
+        let batch: Vec<_> = parsed
+            .iter()
+            .flatten()
+            .map(|c| (c.topology.name(), &c.topology, c.strategy.as_str()))
+            .collect();
+        let verdicts = self.state.ctl.create_batch(&batch);
+        // What reached `apply_batch`: everything not refused up front by
+        // strategy resolution or the deadlock gate.
+        let ops = verdicts
+            .iter()
+            .filter(|v| matches!(v, Ok(_) | Err(SliceOpError::Admission(_))))
+            .count() as u64;
+        if ops >= 2 {
             self.metrics.batches += 1;
-            self.metrics.batched_ops += ops.len() as u64;
-            self.metrics.largest_batch = self.metrics.largest_batch.max(ops.len() as u64);
+            self.metrics.batched_ops += ops;
+            self.metrics.largest_batch = self.metrics.largest_batch.max(ops);
         }
-        let results = self.state.ctl.manager_mut().apply_batch(ops);
-        for ((slot, result), text) in op_source.into_iter().zip(results).zip(texts) {
-            let (path, _) = &items[slot];
-            let row = match result {
-                Ok(OpOutcome::Created(sid)) => {
-                    self.dirty = true;
-                    self.state.configs.insert(sid.0, text);
-                    let info = self.state.ctl.manager().slice(sid).map(|s| AdmitInfo {
-                        id: sid.0,
-                        host_ports: s.projection.host_port.len(),
-                        cables: s.projection.link_real.len(),
-                        entries: s.entries(),
-                    });
-                    match info {
-                        Some(info) => Ok(info),
-                        None => unreachable!("apply_batch returned a live slice id"),
-                    }
-                }
-                Ok(_) => unreachable!("a Create op only yields Created"),
-                Err(e) => {
-                    rejected += 1;
-                    Err(SliceOpError::Admission(e).to_string())
+        let mut verdicts = verdicts.into_iter();
+        let mut rows = Vec::with_capacity(items.len());
+        for ((path, text), cfg) in items.iter().zip(parsed) {
+            let (slice, result) = match cfg {
+                Err(e) => ("<invalid>".to_string(), Err(e)),
+                Ok(cfg) => {
+                    let result = match verdicts.next() {
+                        Some(Ok(sid)) => {
+                            self.dirty = true;
+                            self.state.configs.insert(sid.0, text.clone());
+                            match self.state.ctl.manager().slice(sid) {
+                                Some(s) => Ok(AdmitInfo::of(s)),
+                                None => unreachable!("create_batch returned a live slice id"),
+                            }
+                        }
+                        Some(Err(e)) => Err(e.to_string()),
+                        None => unreachable!("create_batch answers every parsed config"),
+                    };
+                    (cfg.topology.name().to_string(), result)
                 }
             };
-            rows[slot] = Some(AdmitRow {
-                path: path.clone(),
-                slice: slice_label(&items[slot].1),
-                result: row,
-            });
+            rows.push(AdmitRow { path: path.clone(), slice, result });
         }
-        let rows: Vec<AdmitRow> = rows
-            .into_iter()
-            .map(|r| match r {
-                Some(r) => r,
-                None => unreachable!("every row is filled by prepare or apply"),
-            })
-            .collect();
+        let rejected = rows.iter().filter(|r| r.result.is_err()).count();
         let status = self.state.ctl.status();
-        let audit = self.state.ctl.audit();
+        let verify = self.state.ctl.manager_mut().verify_report();
         let text = if json {
-            output::slices_json(&rows, &status, &audit)
+            output::slices_json(&rows, &status, &verify)
         } else {
-            output::slices_human(&rows, &status, &audit)
+            output::slices_human(&rows, &status, &verify)
         };
         let mut r = if rejected > 0 {
             Reply::err(id, format!("{rejected} slice(s) rejected"))
-        } else if !audit.clean() {
-            Reply::err(id, "cross-slice audit found violations")
+        } else if !verify.holds() {
+            Reply::err(id, "static verification failed")
+        } else if status.orphan_entries > 0 {
+            Reply::err(id, format!("{} orphan table entries", status.orphan_entries))
         } else {
             Reply::ok(id)
         };
@@ -911,7 +897,7 @@ impl Engine {
         };
         self.dirty = true;
         self.state.configs.insert(sid.0, req.to_text.clone());
-        let audit = self.state.ctl.audit();
+        let holds = self.state.ctl.manager_mut().verify_report().holds();
         let text = if req.json {
             output::reconfigure_json(
                 from.topology.name(),
@@ -919,7 +905,7 @@ impl Engine {
                 req.scheduled,
                 &report,
                 sched.as_ref(),
-                audit.clean(),
+                holds,
             )
         } else {
             output::reconfigure_human(
@@ -927,11 +913,11 @@ impl Engine {
                 to.topology.name(),
                 &report,
                 sched.as_ref(),
-                audit.clean(),
+                holds,
             )
         };
         let diverged = sched.as_ref().is_some_and(|s| !s.converged);
-        let mut r = if !audit.clean() {
+        let mut r = if !holds {
             Reply::err(id, "post-reconfiguration audit found violations")
         } else if diverged {
             Reply::err(id, "scheduled migration did not converge")
@@ -942,14 +928,6 @@ impl Engine {
         r.output = text;
         r
     }
-}
-
-/// The display name a config would admit under — best effort for rows
-/// whose config failed before producing a topology.
-fn slice_label(text: &str) -> String {
-    TestbedConfig::parse(text)
-        .map(|c| c.topology.name().to_string())
-        .unwrap_or_else(|_| "<invalid>".to_string())
 }
 
 fn outcome_fields(outcome: &OpOutcome) -> Vec<(String, Json)> {

@@ -34,5 +34,5 @@ pub mod daemon;
 pub mod engine;
 pub mod snapshot;
 
-pub use daemon::{run, DaemonMetrics, DaemonOptions, DaemonState};
+pub use daemon::{run, serve, DaemonMetrics, DaemonOptions, DaemonState};
 pub use snapshot::{ClusterSpec, SliceSnap, Snapshot, SnapshotError, SNAPSHOT_VERSION};

@@ -3,8 +3,8 @@
 //! (same accept/reject multiset, same *named* rejection reasons), replies
 //! on one connection must come back in request order (FCFS),
 //! daemon-rendered reports must be byte-identical to local `sdtctl`
-//! rendering of the same state, and an over-long request line must cost
-//! only its own connection.
+//! rendering of the same state and must not move a dataplane counter, and
+//! an over-long request line must cost only its own connection.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -12,7 +12,7 @@ mod util;
 
 use sdt_controller::output::{self, AdmitInfo, AdmitRow};
 use sdt_controller::{Json, SliceController, TestbedConfig};
-use sdt_sdtd::{run, DaemonOptions, DaemonState};
+use sdt_sdtd::{run, serve, DaemonOptions, DaemonState};
 use std::io::{BufRead as _, BufReader, Write as _};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -149,35 +149,41 @@ fn replies_on_one_connection_are_fcfs() {
 
 #[test]
 fn daemon_reports_are_byte_identical_to_local_rendering() {
-    let configs =
-        [("a.toml", cfg("kind = \"fat-tree\"\nk = 4")), ("b.toml", cfg("kind = \"chain\"\nn = 4"))];
+    // Three tenants, the last touching only part of the fabric, plus one
+    // the deadlock gate refuses: the cached proof both sides render carries
+    // the work counters of the admission path that produced it, so the two
+    // paths have to be the same path.
+    let configs = [
+        ("a.toml", cfg("kind = \"fat-tree\"\nk = 4")),
+        ("b.toml", cfg("kind = \"ring\"\nn = 4")),
+        ("c.toml", util::cfg_routed("kind = \"ring\"\nn = 5", "bfs")),
+        ("d.toml", cfg("kind = \"chain\"\nn = 3")),
+    ];
 
-    // Local mode: what `sdtctl slices a.toml b.toml` renders.
-    let first = TestbedConfig::parse(&configs[0].1).unwrap();
-    let mut ctl = SliceController::from_config(&first);
-    let mut rows = Vec::new();
-    for (path, text) in &configs {
-        let c = TestbedConfig::parse(text).unwrap();
-        let name = c.topology.name().to_string();
-        let result = match ctl.create(&name, &c.topology, &c.strategy) {
-            Ok(id) => {
-                let s = ctl.manager().slice(id).unwrap();
-                Ok(AdmitInfo {
-                    id: id.0,
-                    host_ports: s.projection.host_port.len(),
-                    cables: s.projection.link_real.len(),
-                    entries: s.entries(),
-                })
-            }
-            Err(e) => Err(e.to_string()),
-        };
-        rows.push(AdmitRow { path: path.to_string(), slice: name, result });
-    }
+    // Local mode: what `sdtctl slices a.toml b.toml c.toml d.toml` renders.
+    let parsed: Vec<TestbedConfig> =
+        configs.iter().map(|(_, text)| TestbedConfig::parse(text).unwrap()).collect();
+    let mut ctl = SliceController::from_config(&parsed[0]);
+    let items: Vec<_> =
+        parsed.iter().map(|c| (c.topology.name(), &c.topology, c.strategy.as_str())).collect();
+    let rows: Vec<AdmitRow> = ctl
+        .create_batch(&items)
+        .into_iter()
+        .zip(configs.iter().zip(&parsed))
+        .map(|(verdict, ((path, _), c))| AdmitRow {
+            path: path.to_string(),
+            slice: c.topology.name().to_string(),
+            result: verdict
+                .map(|id| AdmitInfo::of(ctl.manager().slice(id).unwrap()))
+                .map_err(|e| e.to_string()),
+        })
+        .collect();
+    assert_eq!(rows.iter().filter(|r| r.result.is_err()).count(), 1);
     let status = ctl.status();
-    let audit = ctl.audit();
-    let local_human = output::slices_human(&rows, &status, &audit);
-    let local_json = output::slices_json(&rows, &status, &audit);
-    let local_verify = output::verify_json("slices", &ctl.manager_mut().verify_report(), None);
+    let verify = ctl.manager_mut().verify_report();
+    let local_human = output::slices_human(&rows, &status, &verify);
+    let local_json = output::slices_json(&rows, &status, &verify);
+    let local_verify = output::verify_json("slices", &verify, None);
 
     // Daemon mode: same configs through the wire, fresh daemon.
     for (json, want) in [(false, &local_human), (true, &local_json)] {
@@ -197,7 +203,7 @@ fn daemon_reports_are_byte_identical_to_local_rendering() {
             vec![("json".into(), Json::Bool(json)), ("configs".into(), Json::Arr(items))],
         );
         let (ok, err) = outcome(&reply);
-        assert!(ok, "slices failed: {err}");
+        assert!(!ok && err == "1 slice(s) rejected", "the vetoed ring fails the command: {err}");
         assert_eq!(&reply_output(&reply), want, "json={json}");
 
         if json {
@@ -207,6 +213,90 @@ fn daemon_reports_are_byte_identical_to_local_rendering() {
         stop(&socket);
         handle.join().unwrap().unwrap();
     }
+}
+
+/// Serve `state` on a fresh socket for as long as `drive` runs, then shut
+/// the daemon down — so the caller can look at the state between sessions.
+fn session(state: &mut DaemonState, tag: &str, drive: impl FnOnce(&mut Client)) {
+    let socket = util::scratch(tag).join("sdtd.sock");
+    let opts = DaemonOptions { socket: socket.clone(), snapshot: None, batch_max: 64 };
+    std::thread::scope(|scope| {
+        let daemon = scope.spawn(|| serve(state, opts));
+        wait_for_socket(&socket);
+        drive(&mut Client::connect(&socket));
+        stop(&socket);
+        daemon.join().unwrap().unwrap();
+    });
+}
+
+/// Every counter the Network Monitor and the failure detector read: per
+/// port rx/tx bytes and packets, per table lookups and misses.
+fn counters(state: &DaemonState) -> Vec<String> {
+    state
+        .controller()
+        .manager()
+        .switches()
+        .iter()
+        .map(|sw| {
+            let (t0, t1) = (sw.table(0).stats(), sw.table(1).stats());
+            format!(
+                "{:?} t0 {}/{} t1 {}/{}",
+                sw.all_port_stats(),
+                t0.lookups,
+                t0.misses,
+                t1.lookups,
+                t1.misses
+            )
+        })
+        .collect()
+}
+
+/// `slices` and `reconfigure` over the wire are pure reads of the
+/// dataplane: with three slices resident, a listing (which admits a fourth)
+/// and a migration report leave every port and table counter of the
+/// daemon's switches bit-identical.
+#[test]
+fn slices_and_reconfigure_over_the_wire_move_no_counter() {
+    let mut state = DaemonState::fresh(&cfg("kind = \"chain\"\nn = 3")).unwrap();
+    let ring4 = cfg("kind = \"ring\"\nn = 4");
+    session(&mut state, "counters-admit", |c| {
+        for text in [cfg("kind = \"fat-tree\"\nk = 4"), cfg("kind = \"chain\"\nn = 3"), ring4.clone()]
+        {
+            let admit = c.call("admit", vec![("config".into(), Json::str(text.as_str()))]);
+            assert!(outcome(&admit).0, "admit failed: {}", outcome(&admit).1);
+        }
+    });
+    assert_eq!(state.slice_count(), 3);
+    let before = counters(&state);
+
+    session(&mut state, "counters-report", |c| {
+        for json in [false, true] {
+            let item = Json::Obj(vec![
+                ("path".into(), Json::str("m.toml")),
+                ("text".into(), Json::str(cfg("kind = \"mesh\"\ndims = [2, 2]").as_str())),
+            ]);
+            let listing = c.call(
+                "slices",
+                vec![("json".into(), Json::Bool(json)), ("configs".into(), Json::Arr(vec![item]))],
+            );
+            assert!(outcome(&listing).0, "slices failed: {}", outcome(&listing).1);
+            assert!(reply_output(&listing).contains("orphan"), "status block lists orphans");
+        }
+        let migrate = c.call(
+            "reconfigure",
+            vec![
+                ("json".into(), Json::Bool(true)),
+                ("from_path".into(), Json::str("ring.toml")),
+                ("from_text".into(), Json::str(ring4.as_str())),
+                ("to_path".into(), Json::str("chain.toml")),
+                ("to_text".into(), Json::str(cfg("kind = \"chain\"\nn = 4").as_str())),
+            ],
+        );
+        assert!(outcome(&migrate).0, "reconfigure failed: {}", outcome(&migrate).1);
+        assert!(reply_output(&migrate).ends_with("\"audit_clean\":true}"));
+    });
+    assert_eq!(state.slice_count(), 5);
+    assert_eq!(before, counters(&state), "a report over the wire moved a counter");
 }
 
 #[test]

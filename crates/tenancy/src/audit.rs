@@ -1,14 +1,16 @@
-//! Cross-slice isolation audit: prove that co-tenant slices cannot see
-//! each other.
+//! Cross-slice isolation audit by probe injection — the **test oracle**
+//! the static proof is checked against.
 //!
-//! The single-tenant audit ([`sdt_core::walk::IsolationReport`]) checks one
-//! projection against its own topology. Multi-tenancy adds two failure
-//! classes it cannot express: a structural overlap (two slices matching the
-//! same (switch, ingress-port) or metadata space) and a behavioral leak (a
-//! packet injected inside slice A addressed to a host of slice B actually
-//! arriving somewhere). [`SliceAudit::run`] checks all of it against the
-//! *live* shared tables — not a re-synthesized ideal — so any flow-mod the
-//! manager got wrong shows up here:
+//! Production code never runs this: every install is gated by the
+//! `sdt-verify` proof and every operator report renders that proof
+//! ([`SliceManager::verify_report`]). The audit stays, like
+//! `Verifier::check_plain_threads` and `FlowTable::linear_lookup_with`, as
+//! an independent second opinion for `tests/verify_differential.rs`: it
+//! shares no code with the verifier, walks real packets through the *live*
+//! shared tables with the one walker in [`sdt_core::walk`], and must reach
+//! the same totals and the same verdict. Probes move table and port
+//! counters like any traffic, hence `&mut` — which is exactly why it is not
+//! a production step. [`SliceAudit::run`] checks:
 //!
 //! 1. **structural**: pairwise-disjoint (switch, in-port) sets from the
 //!    installed table-0 entries; pairwise-disjoint metadata ranges;
@@ -21,9 +23,10 @@
 //!    that owns them, and entries owned by nobody are counted as orphans.
 //!    These are capacity-hygiene warnings, not isolation failures.
 
-use crate::manager::{SliceId, SliceManager};
-use sdt_core::cluster::{PhysPort, PhysicalCluster};
-use sdt_openflow::{shadowed_entries, HostAddr, OpenFlowSwitch, PacketMeta, PortNo};
+use crate::manager::{Slice, SliceId, SliceManager};
+use sdt_core::cluster::PhysPort;
+use sdt_core::walk::{walk_addrs, WalkEnd};
+use sdt_openflow::{shadowed_entries, FlowEntry, HostAddr, PortNo};
 use sdt_topology::HostId;
 use std::collections::HashMap;
 use std::fmt;
@@ -103,24 +106,12 @@ impl SliceAudit {
             && self.per_slice.iter().all(|s| s.violations.is_empty())
     }
 
-    /// Run the audit over the manager's live switches. Probe packets bump
-    /// port counters (they walk the real dataplane), hence `&mut`. Worker
-    /// count comes from [`sdt_verify::verify_threads`] (`SDT_VERIFY_THREADS`).
+    /// Run the audit over the manager's live switches, one probe at a
+    /// time: per slice, its intra-slice pairs source-major, then its row of
+    /// every cross-slice matrix target-slice-major.
     pub fn run(mgr: &mut SliceManager) -> SliceAudit {
-        Self::run_threads(mgr, sdt_verify::verify_threads())
-    }
-
-    /// [`SliceAudit::run`] with an explicit worker count. The probe matrices
-    /// fan out one job per (slice, source host) over the *shared* switch
-    /// bank — [`OpenFlowSwitch::pipeline_egress`] takes `&self` and its
-    /// table counters are atomic, so no bank clones are needed — then merge
-    /// outcomes and replay port-stat effects in canonical (slice, src,
-    /// target-slice, dst) order. Any thread count produces an identical
-    /// audit and identical final counters: the walks only read the tables,
-    /// and counter increments commute.
-    pub fn run_threads(mgr: &mut SliceManager, threads: usize) -> SliceAudit {
         // Snapshot the slices; the walks below need the switches mutably.
-        let slices: Vec<crate::manager::Slice> = mgr.slices().cloned().collect();
+        let slices: Vec<Slice> = mgr.slices().cloned().collect();
         let cluster = mgr.cluster().clone();
         let mut audit = SliceAudit::default();
 
@@ -148,35 +139,28 @@ impl SliceAudit {
             }
         }
 
-        // ---- 4a. ownership / orphans / shadowing ----------------------
+        // ---- 4. ownership / orphans / shadowing -----------------------
         // Attribute every live entry: table 0 by ingress port, table 1 by
         // metadata range. Anything unattributable is an orphan.
-        let in_range =
-            |md: u32, s: &crate::manager::Slice| -> bool {
-                md >= s.metadata_base && md < s.metadata_base + s.metadata_reserved
-            };
+        let owner_of = |sw: u32, table: u8, e: &FlowEntry| -> Option<SliceId> {
+            if table == 0 {
+                e.m.in_port.and_then(|p| port_owner.get(&(sw, p)).copied())
+            } else {
+                let md = e.m.metadata?;
+                slices
+                    .iter()
+                    .find(|s| md >= s.metadata_base && md < s.metadata_base + s.metadata_reserved)
+                    .map(|s| s.id)
+            }
+        };
         let mut shadowed_of: HashMap<SliceId, usize> = HashMap::new();
         for sw in mgr.switches() {
             for table in [0u8, 1u8] {
-                for e in sw.table(table).entries() {
-                    let owner = if table == 0 {
-                        e.m.in_port.and_then(|p| port_owner.get(&(sw.id(), p)).copied())
-                    } else {
-                        e.m.metadata
-                            .and_then(|md| slices.iter().find(|s| in_range(md, s)).map(|s| s.id))
-                    };
-                    if owner.is_none() {
-                        audit.orphan_entries += 1;
-                    }
-                }
-                for e in shadowed_entries(sw.table(table).entries()) {
-                    let owner = if table == 0 {
-                        e.m.in_port.and_then(|p| port_owner.get(&(sw.id(), p)).copied())
-                    } else {
-                        e.m.metadata
-                            .and_then(|md| slices.iter().find(|s| in_range(md, s)).map(|s| s.id))
-                    };
-                    if let Some(id) = owner {
+                let entries = sw.table(table).entries();
+                audit.orphan_entries +=
+                    entries.iter().filter(|e| owner_of(sw.id(), table, e).is_none()).count();
+                for e in shadowed_entries(entries) {
+                    if let Some(id) = owner_of(sw.id(), table, &e) {
                         *shadowed_of.entry(id).or_insert(0) += 1;
                     }
                 }
@@ -192,74 +176,19 @@ impl SliceAudit {
                 host_owner.insert(pp, (s.id, h));
             }
         }
-
-        // One job per (slice, source host): every probe that host originates
-        // — the intra-slice row plus its row of every cross-slice matrix —
-        // walked against the shared read-only bank. Hop effects are recorded
-        // and replayed below so the port counters end up exactly as if the
-        // probes had run sequentially.
-        let jobs: Vec<(usize, u32)> = slices
-            .iter()
-            .enumerate()
-            .flat_map(|(si, s)| (0..s.topology.num_hosts()).map(move |a| (si, a)))
-            .collect();
-        let mut offsets = Vec::with_capacity(slices.len());
-        {
-            let mut acc = 0;
-            for s in &slices {
-                offsets.push(acc);
-                acc += s.topology.num_hosts() as usize;
-            }
-        }
-        let bank: &[OpenFlowSwitch] = mgr.switches();
-        let (cluster_ref, owner_ref, slices_ref) = (&cluster, &host_owner, &slices);
-        let probes: Vec<SrcProbes> = sdt_par::par_map_threads(threads, &jobs, |&(si, a)| {
-            let s = &slices_ref[si];
-            let src = HostId(a);
-            let start = s.projection.primary_host_port(&s.topology, src);
-            let mut hops = Vec::new();
-            let mut intra = Vec::new();
-            for b in 0..s.topology.num_hosts() {
-                if a == b {
-                    continue;
+        let switches = mgr.switches_mut();
+        let mut probe = |from: &Slice, src: HostId, dst: HostAddr| {
+            let start = from.projection.primary_host_port(&from.topology, src);
+            match walk_addrs(&cluster, switches, start, from.host_addr(src), dst).0 {
+                // Egress on an unassigned host port: the packet left the
+                // fabric but reached nobody.
+                WalkEnd::Egress(pp) if !host_owner.contains_key(&pp) => {
+                    WalkEnd::Dropped(pp.switch)
                 }
-                let dst = HostId(b);
-                let w = walk(
-                    cluster_ref,
-                    bank,
-                    owner_ref,
-                    start,
-                    s.host_addr(src),
-                    s.host_addr(dst),
-                    &mut hops,
-                );
-                intra.push((src, dst, w));
+                end => end,
             }
-            let mut cross = vec![Vec::new(); slices_ref.len()];
-            for (ti, t) in slices_ref.iter().enumerate() {
-                if t.id == s.id {
-                    continue;
-                }
-                for b in 0..t.topology.num_hosts() {
-                    let dst = HostId(b);
-                    let w = walk(
-                        cluster_ref,
-                        bank,
-                        owner_ref,
-                        start,
-                        s.host_addr(src),
-                        t.host_addr(dst),
-                        &mut hops,
-                    );
-                    cross[ti].push((src, dst, w));
-                }
-            }
-            SrcProbes { intra, cross, hops }
-        });
-
-        // Merge in the canonical order the sequential audit used: per slice,
-        // intra pairs src-major, then cross matrices target-slice-major.
-        for (si, s) in slices.iter().enumerate() {
+        };
+        for s in &slices {
             let mut entry = SliceAuditEntry {
                 id: s.id,
                 name: s.name.clone(),
@@ -269,132 +198,57 @@ impl SliceAudit {
                 shadowed: shadowed_of.get(&s.id).copied().unwrap_or(0),
             };
             let comp = s.topology.component_of();
-            for a in 0..s.topology.num_hosts() {
-                for &(src, dst, outcome) in &probes[offsets[si] + a as usize].intra {
-                    let same = comp[s.topology.host_switch(src).idx()]
-                        == comp[s.topology.host_switch(dst).idx()];
-                    match outcome {
-                        Walk::Delivered(owner) if same && owner == (s.id, dst) => {
-                            entry.delivered += 1
-                        }
-                        Walk::Delivered((sid, h)) => entry.violations.push((
-                            src,
-                            dst,
-                            format!("delivered to {sid} host {} (same-component = {same})", h.0),
-                        )),
-                        Walk::Dropped(_) if !same => entry.isolated += 1,
-                        Walk::Dropped(at) => entry
-                            .violations
-                            .push((src, dst, format!("dropped at switch {at}"))),
-                        Walk::Looped => {
-                            entry.violations.push((src, dst, "forwarding loop".into()))
-                        }
-                    }
-                }
-            }
-            for (ti, t) in slices.iter().enumerate() {
-                if t.id == s.id {
+            let hosts = |t: &Slice| (0..t.topology.num_hosts()).map(HostId);
+            for (src, dst) in hosts(s).flat_map(|a| hosts(s).map(move |b| (a, b))) {
+                if src == dst {
                     continue;
                 }
-                for a in 0..s.topology.num_hosts() {
-                    for &(src, dst, outcome) in &probes[offsets[si] + a as usize].cross[ti] {
-                        match outcome {
-                            Walk::Dropped(_) => audit.cross_isolated += 1,
-                            Walk::Delivered((sid, h)) => audit.cross_leaks.push(CrossLeak {
-                                from_slice: s.id,
-                                src,
-                                to_slice: t.id,
-                                dst,
-                                outcome: format!("delivered to {sid} host {}", h.0),
-                            }),
-                            Walk::Looped => audit.cross_leaks.push(CrossLeak {
-                                from_slice: s.id,
-                                src,
-                                to_slice: t.id,
-                                dst,
-                                outcome: "forwarding loop".into(),
-                            }),
-                        }
+                let same = comp[s.topology.host_switch(src).idx()]
+                    == comp[s.topology.host_switch(dst).idx()];
+                let why = match probe(s, src, s.host_addr(dst)) {
+                    WalkEnd::Egress(pp) if same && host_owner[&pp] == (s.id, dst) => {
+                        entry.delivered += 1;
+                        continue;
                     }
+                    WalkEnd::Dropped(_) if !same => {
+                        entry.isolated += 1;
+                        continue;
+                    }
+                    WalkEnd::Egress(pp) => {
+                        let (sid, h) = host_owner[&pp];
+                        format!("delivered to {sid} host {} (same-component = {same})", h.0)
+                    }
+                    WalkEnd::Dropped(at) => format!("dropped at switch {at}"),
+                    WalkEnd::Looped => "forwarding loop".into(),
+                };
+                entry.violations.push((src, dst, why));
+            }
+            for t in slices.iter().filter(|t| t.id != s.id) {
+                for (src, dst) in hosts(s).flat_map(|a| hosts(t).map(move |b| (a, b))) {
+                    let outcome = match probe(s, src, t.host_addr(dst)) {
+                        WalkEnd::Dropped(_) => {
+                            audit.cross_isolated += 1;
+                            continue;
+                        }
+                        WalkEnd::Egress(pp) => {
+                            let (sid, h) = host_owner[&pp];
+                            format!("delivered to {sid} host {}", h.0)
+                        }
+                        WalkEnd::Looped => "forwarding loop".into(),
+                    };
+                    audit.cross_leaks.push(CrossLeak {
+                        from_slice: s.id,
+                        src,
+                        to_slice: t.id,
+                        dst,
+                        outcome,
+                    });
                 }
             }
             audit.per_slice.push(entry);
         }
-
-        // Replay the probes' port-counter effects. Increments commute, so
-        // job order is immaterial; canonical order keeps it reproducible.
-        let switches = mgr.switches_mut();
-        for p in &probes {
-            for &(sw, in_port, out) in &p.hops {
-                switches[sw as usize].record_traffic(in_port, out, 1500);
-            }
-        }
         audit
     }
-}
-
-/// Everything one (slice, source host) job produced: its intra-slice row,
-/// one row per foreign slice's cross matrix, and the hop-by-hop port
-/// effects to replay.
-struct SrcProbes {
-    intra: Vec<(HostId, HostId, Walk)>,
-    cross: Vec<Vec<(HostId, HostId, Walk)>>,
-    hops: Vec<(u32, PortNo, Option<PortNo>)>,
-}
-
-#[derive(Clone, Copy)]
-enum Walk {
-    Delivered((SliceId, HostId)),
-    Dropped(u32),
-    Looped,
-}
-
-/// Slice-aware packet walk: like [`sdt_core::walk::walk_packet`] but with
-/// explicit fabric-wide addresses (the slice's namespaced ones) and a
-/// cross-slice host-port owner map, so a mis-delivery names the tenant that
-/// received the packet. Runs on a shared bank via
-/// [`OpenFlowSwitch::pipeline_egress`]; every hop's port effect is appended
-/// to `hops` for the caller to replay through
-/// [`OpenFlowSwitch::record_traffic`].
-fn walk(
-    cluster: &PhysicalCluster,
-    switches: &[OpenFlowSwitch],
-    host_owner: &HashMap<PhysPort, (SliceId, HostId)>,
-    start: PhysPort,
-    src: HostAddr,
-    dst: HostAddr,
-    hops: &mut Vec<(u32, PortNo, Option<PortNo>)>,
-) -> Walk {
-    let mut at_switch = start.switch;
-    let mut in_port = start.port;
-    let budget = 4 * cluster.links().len() + 8;
-    for _ in 0..budget {
-        let meta = PacketMeta { in_port, src, dst, l4_src: 4791, l4_dst: 4791 };
-        let decision = switches[at_switch as usize].pipeline_egress(&meta);
-        hops.push((at_switch, in_port, decision));
-        let out = match decision {
-            Some(p) => p,
-            None => return Walk::Dropped(at_switch),
-        };
-        let out_pp = PhysPort { switch: at_switch, port: out };
-        if cluster.is_host_port(out_pp) {
-            return match host_owner.get(&out_pp) {
-                Some(&owner) => Walk::Delivered(owner),
-                // Egress on an unassigned host port: the packet left the
-                // fabric but reached nobody.
-                None => Walk::Dropped(at_switch),
-            };
-        }
-        match cluster.link_at(out_pp) {
-            Some(cable) => {
-                let far = cable.other(out_pp);
-                at_switch = far.switch;
-                in_port = far.port;
-            }
-            None => return Walk::Dropped(at_switch),
-        }
-    }
-    Walk::Looped
 }
 
 #[cfg(test)]
@@ -441,30 +295,6 @@ mod tests {
         assert!(audit.clean(), "stale state after destroy: {audit:?}");
         assert_eq!(audit.per_slice.len(), 1);
         assert_eq!(audit.orphan_entries, 0);
-    }
-
-    #[test]
-    fn audit_is_thread_count_invariant() {
-        // Two identically-built managers, audited with 1 worker and with 8:
-        // the reports must be byte-identical and the live switches must end
-        // with identical table and port counters (probe effects replay in
-        // canonical order; lookup counters commute).
-        let build = || {
-            let mut mgr = manager();
-            mgr.create("a", &chain(4)).unwrap();
-            mgr.create("b", &ring(5)).unwrap();
-            mgr.create("c", &mesh(&[2, 2])).unwrap();
-            mgr
-        };
-        let (mut seq, mut par) = (build(), build());
-        let a1 = SliceAudit::run_threads(&mut seq, 1);
-        let a8 = SliceAudit::run_threads(&mut par, 8);
-        assert_eq!(format!("{a1:?}"), format!("{a8:?}"));
-        for (s1, s8) in seq.switches().iter().zip(par.switches()) {
-            assert_eq!(s1.table(0).stats(), s8.table(0).stats());
-            assert_eq!(s1.table(1).stats(), s8.table(1).stats());
-            assert_eq!(format!("{:?}", s1.all_port_stats()), format!("{:?}", s8.all_port_stats()));
-        }
     }
 
     #[test]

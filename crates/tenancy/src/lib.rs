@@ -19,11 +19,15 @@
 //!   map before anything is applied: every mod must fall inside the
 //!   owning slice's (switch, in-port) and metadata space, so one tenant's
 //!   churn provably cannot touch another's rules;
-//! * [`SliceAudit`] extends the single-tenant isolation audit across
-//!   tenants: it walks real packets through the shared tables and proves
-//!   intra-slice delivery, cross-slice isolation, and structural
-//!   disjointness of the match spaces, and it attributes dead (shadowed)
-//!   rules to the slice that owns them.
+//! * every epoch is additionally gated on the `sdt-verify` static proof
+//!   of the post-epoch tables, and [`SliceManager::verify_report`] hands
+//!   that cached proof to every operator report — the one isolation
+//!   checker production code runs;
+//! * [`SliceAudit`] is the probe-injection **oracle** the proof is tested
+//!   against (`tests/verify_differential.rs`): it walks real packets
+//!   through the shared tables and reaches intra-slice delivery,
+//!   cross-slice isolation and structural disjointness independently. It
+//!   moves port counters, so nothing outside tests and examples calls it.
 //!
 //! Isolation rests on the same §VI-B mechanism as the single-tenant
 //! testbed — a miss in either table is a drop — plus two disjointness

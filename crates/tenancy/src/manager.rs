@@ -365,8 +365,22 @@ pub struct ManagerStatus {
     pub cables_total: usize,
     /// Cables held by slices.
     pub cables_used: usize,
+    /// Live table entries no admitted slice owns — stale state a teardown
+    /// failed to collect. The static proof cannot see these (an entry
+    /// outside every slice's match space forwards nobody's traffic), so
+    /// this count is the one hygiene signal reported beside it.
+    pub orphan_entries: usize,
     /// Per-slice rows, in id order.
     pub slices: Vec<SliceStatus>,
+}
+
+/// Entries installed across the bank, and entries the slices account for.
+/// Equal on a healthy fabric; `live > owned` means orphaned entries.
+fn live_and_owned<'a>(
+    switches: &[OpenFlowSwitch],
+    slices: impl Iterator<Item = &'a Slice>,
+) -> (usize, usize) {
+    (switches.iter().map(|s| s.total_entries()).sum(), slices.map(|s| s.entries()).sum())
 }
 
 /// Admission-controlled multi-tenant manager over one physical cluster.
@@ -443,7 +457,7 @@ impl SliceManager {
         &self.switches
     }
 
-    /// Mutable access to the live switches (the audit needs to forward
+    /// Mutable access to the live switches (the audit oracle forwards
     /// probe packets, which bumps port counters). Drops the cached static
     /// proof: a caller may rewrite tables behind the manager's back, and a
     /// stale proof would let the next delta check miss that damage.
@@ -1110,8 +1124,7 @@ impl SliceManager {
                 .restore_tables(t0, t1)
                 .map_err(|e| RestoreError(format!("switch {sw}: {e}")))?;
         }
-        let live: usize = mgr.switches.iter().map(|s| s.total_entries()).sum();
-        let owned: usize = export.slices.iter().map(|s| s.entries()).sum();
+        let (live, owned) = live_and_owned(&mgr.switches, export.slices.iter());
         if live != owned {
             return Err(RestoreError(format!(
                 "live tables hold {live} entries but the slices own {owned}"
@@ -1155,7 +1168,9 @@ impl SliceManager {
                 epochs: s.epochs,
             })
             .collect();
+        let (live, owned) = live_and_owned(&self.switches, self.slices.values());
         ManagerStatus {
+            orphan_entries: live.saturating_sub(owned),
             host_ports_total: self.cluster.host_ports().len(),
             host_ports_used: slices.iter().map(|s| s.host_ports).sum(),
             cables_total: self.cluster.links().len(),

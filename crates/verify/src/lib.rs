@@ -1,11 +1,18 @@
 //! Static data-plane verification for SDT (`sdt-verify`).
 //!
-//! Every other correctness check in this workspace is *dynamic*: walk a
-//! synthetic packet through live tables ([`sdt_core::walk_packet`]), or
-//! probe the full cross-slice matrix (`SliceAudit`). This crate proves the
-//! same properties — and more — *symbolically*, from nothing but the
-//! physical wiring and the installed [`sdt_openflow::FlowEntry`] lists,
-//! with **zero packet injections** (no lookup or port counter moves):
+//! This crate is the one isolation checker production code runs: every
+//! install is gated on it (`SdtController::deploy_with`,
+//! `SliceManager::static_gate`, one proof per `apply_batch`) and every
+//! operator report (`sdtctl deploy`/`slices`/`reconfigure`/`verify`, local
+//! or through `sdtd`) renders it. The workspace's other two checkers are
+//! *dynamic* — walk a synthetic packet through live tables
+//! ([`sdt_core::walk_packet`] and `IsolationReport` over it), or probe the
+//! full cross-slice matrix (`SliceAudit`) — and survive only as the test
+//! oracles `tests/verify_differential.rs` holds this crate against. It
+//! proves the same properties — and more — *symbolically*, from nothing
+//! but the physical wiring and the installed [`sdt_openflow::FlowEntry`]
+//! lists, with **zero packet injections** (no lookup or port counter
+//! moves):
 //!
 //! 1. **Loop detection** — any cycle in the projected forwarding
 //!    port-graph, reported as the rule chain that forms it

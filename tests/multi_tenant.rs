@@ -6,7 +6,7 @@
 //! resource and the switch, with no partial install.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
-use sdt::controller::{SliceController, SliceOpError};
+use sdt::controller::{output, FailureDetector, SliceController, SliceOpError};
 use sdt::core::cluster::ClusterBuilder;
 use sdt::core::methods::SwitchModel;
 use sdt::openflow::FlowEntry;
@@ -68,7 +68,7 @@ fn three_slices_admitted_with_clean_isolation_audit() {
     assert!(status.host_ports_used > 0 && status.host_ports_used <= status.host_ports_total);
     assert!(status.cables_used > 0 && status.cables_used <= status.cables_total);
 
-    let audit: SliceAudit = ctl.audit();
+    let audit = SliceAudit::run(ctl.manager_mut());
     assert!(audit.clean(), "cross-slice audit must be clean: {audit:?}");
     assert!(audit.cross_leaks.is_empty());
     assert!(audit.port_overlaps.is_empty());
@@ -80,6 +80,85 @@ fn three_slices_admitted_with_clean_isolation_audit() {
         .flat_map(|i| (0..3).filter(move |&j| j != i).map(move |j| hosts[i] * hosts[j]))
         .sum();
     assert_eq!(audit.cross_isolated, expected);
+}
+
+/// Every counter the Network Monitor and the failure detector read: per
+/// port rx/tx bytes and packets, per table lookups and misses.
+fn counters(ctl: &SliceController) -> Vec<String> {
+    ctl.manager()
+        .switches()
+        .iter()
+        .map(|sw| {
+            let (t0, t1) = (sw.table(0).stats(), sw.table(1).stats());
+            format!(
+                "{:?} t0 {}/{} t1 {}/{}",
+                sw.all_port_stats(),
+                t0.lookups,
+                t0.misses,
+                t1.lookups,
+                t1.misses
+            )
+        })
+        .collect()
+}
+
+/// What `sdtctl slices` renders after its admissions.
+fn render_slices(ctl: &mut SliceController) -> String {
+    let status = ctl.status();
+    let verify = ctl.manager_mut().verify_report();
+    assert!(verify.holds(), "{}", verify.summary());
+    assert_eq!(status.orphan_entries, 0);
+    output::slices_json(&[], &status, &verify) + &output::slices_human(&[], &status, &verify)
+}
+
+/// The operator reports are pure reads: a `slices` listing and a
+/// `reconfigure` report leave every port and table counter bit-identical.
+/// (They used to replay 1500 B per probe hop into the live port counters.)
+#[test]
+fn slices_and_reconfigure_reports_move_no_counter() {
+    let mut ctl = SliceController::new(shared_cluster());
+    let (_a, b, _c) = three_slices(&mut ctl);
+    // Background traffic on every slice, so "unchanged" is not "still zero".
+    let idle = counters(&ctl);
+    SliceAudit::run(ctl.manager_mut());
+    let before = counters(&ctl);
+    assert_ne!(idle, before, "the probe oracle forwards real packets");
+
+    let listing = render_slices(&mut ctl);
+    assert!(listing.contains("\"orphan_entries\":0},\"verify\":{\"scope\":\"slices\""));
+    assert_eq!(before, counters(&ctl), "a slices listing moved a counter");
+
+    // `sdtctl reconfigure`: migrate, then render `audit_clean` from the proof.
+    let report = ctl.reconfigure(b, &chain(4), "default").unwrap();
+    let holds = ctl.manager_mut().verify_report().holds();
+    let text = output::reconfigure_json("b/dragonfly", "chain-4", false, &report, None, holds);
+    assert!(text.ends_with("\"audit_clean\":true}"), "{text}");
+    assert_eq!(before, counters(&ctl), "a reconfigure report moved a counter");
+}
+
+/// The failure detector judges a channel dead when its tx counter freezes.
+/// A `slices` listing between two polls must not thaw a suspected channel:
+/// probe traffic on the live counters would reset the staleness count and
+/// hide a dead link for another `threshold` polls.
+#[test]
+fn slices_listing_keeps_suspected_channels_suspected() {
+    let mut ctl = SliceController::new(shared_cluster());
+    let (a, _b, _c) = three_slices(&mut ctl);
+    let mut det = FailureDetector::new(3);
+    let poll = |det: &mut FailureDetector, ctl: &SliceController| {
+        let s = ctl.manager().slice(a).unwrap();
+        det.poll(&s.topology, &s.projection, ctl.manager().switches());
+    };
+    // One seeding poll, then three frozen ones: the idle fabric is suspect.
+    for _ in 0..4 {
+        poll(&mut det, &ctl);
+    }
+    let suspected = det.suspected();
+    assert_eq!(suspected.len(), fat_tree(4).fabric_links().count());
+
+    render_slices(&mut ctl);
+    poll(&mut det, &ctl);
+    assert_eq!(det.suspected(), suspected, "a listing un-froze a suspected channel");
 }
 
 #[test]
@@ -101,7 +180,7 @@ fn reconfiguring_b_leaves_a_and_c_fabric_state_byte_identical() {
         entries_excluding(&ctl, b),
         "B's epoch must not add, delete, or reorder any co-tenant entry"
     );
-    assert!(ctl.audit().clean());
+    assert!(SliceAudit::run(ctl.manager_mut()).clean());
 }
 
 /// The headline acceptance check: run A, B, C concurrently in one engine;
@@ -211,7 +290,7 @@ fn over_budget_fourth_slice_is_rejected_structurally_with_no_partial_install() {
         entries_excluding(&ctl, b),
         "rejection must not install a single flow entry"
     );
-    assert!(ctl.audit().clean());
+    assert!(SliceAudit::run(ctl.manager_mut()).clean());
 }
 
 #[test]
@@ -231,7 +310,7 @@ fn destroy_then_readmit_reuses_the_freed_budget() {
         .expect("freed budget must be admissible again");
     let row = ctl.status().slices.iter().find(|s| s.id == d).unwrap().clone();
     assert_eq!(row.host_ports, reclaimed.host_ports);
-    assert!(ctl.audit().clean());
+    assert!(SliceAudit::run(ctl.manager_mut()).clean());
 }
 
 #[test]

@@ -1,8 +1,11 @@
 //! Differential test: the *static* verification verdict must agree with
 //! the *dynamic* probe-matrix audit on every preset topology and on a
-//! seeded random slice mix — and the static pass must provably inject zero
-//! packets (every table lookup counter and port counter stays at zero
-//! until the probe audit runs).
+//! seeded random slice mix — clean, and with a blackhole and a cross-slice
+//! leak seeded behind the manager's back, where both sides must name the
+//! same offending pairs (production renders the proof alone, so the probe
+//! oracle is what keeps it honest) — and the static pass must provably
+//! inject zero packets (every table lookup counter and port counter stays
+//! put until the probe audit runs).
 //!
 //! On disagreement the assertion names each divergent probe as
 //! `(switch, in_port, dst)`, which is exactly what an operator would need
@@ -12,9 +15,9 @@
 use sdt::controller::{paper_testbed, paper_topologies, SdtController};
 use sdt::core::synthesis::addr_of;
 use sdt::core::walk::{walk_packet, IsolationReport, WalkOutcome};
-use sdt::core::{ClusterBuilder, PhysicalCluster, SdtProjection, SwitchModel};
-use sdt::openflow::OpenFlowSwitch;
-use sdt::tenancy::{SliceAudit, SliceManager};
+use sdt::core::{ClusterBuilder, PhysPort, PhysicalCluster, SdtProjection, SwitchModel};
+use sdt::openflow::{Action, FlowEntry, FlowMod, HostAddr, OpenFlowSwitch};
+use sdt::tenancy::{SliceAudit, SliceId, SliceManager};
 use sdt::topology::chain::{chain, ring};
 use sdt::topology::fattree::fat_tree;
 use sdt::topology::meshtorus::{mesh, torus};
@@ -22,6 +25,7 @@ use sdt::topology::{HostId, Topology};
 use sdt::verify::{Intent, TableView, Verifier, VerifyReport};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::collections::BTreeSet;
 
 /// Every port and table counter across the fleet, summed. The static
 /// verifier reads `entries()` only, so this must stay zero through a
@@ -182,11 +186,9 @@ fn static_matches_probes_on_two_switch_cluster() {
     }
 }
 
-/// Multi-tenant differential: a seeded random mix of slice admissions and
-/// teardowns, then static closure vs the probe-based [`SliceAudit`] —
-/// same per-domain delivered counts, same isolation verdict.
-#[test]
-fn static_matches_slice_audit_on_seeded_random_mix() {
+/// A seeded random mix of slice admissions and one teardown on the
+/// two-switch cluster: the fabric every multi-tenant differential runs on.
+fn seeded_mix() -> SliceManager {
     let mut rng = StdRng::seed_from_u64(0x5d7_0001);
     let cluster = ClusterBuilder::new(SwitchModel::openflow_128x100g(), 2)
         .hosts_per_switch(8)
@@ -208,28 +210,132 @@ fn static_matches_slice_audit_on_seeded_random_mix() {
             admitted.push(id);
         }
     }
-    assert!(admitted.len() >= 2, "seed must admit at least two slices");
+    assert!(admitted.len() >= 3, "seed must leave at least two slices after the teardown");
     // Tear one down at random so the differential runs over a fabric that
     // has seen the full lifecycle, not just fresh installs.
     let victim = admitted.remove(rng.random_range(0..admitted.len()));
     mgr.destroy(victim).unwrap();
-
     assert_eq!(total_counters(mgr.switches()), 0, "admission path must stay packet-free");
+    mgr
+}
+
+/// One misbehaving probe, named the same way by both sides: the slice it
+/// was injected in, its source host, and the address it carried.
+type Offender = (SliceId, HostId, HostAddr);
+
+/// Static closure vs the probe-based [`SliceAudit`] oracle on the same live
+/// tables: same verdict, same delivered and isolated totals, and every
+/// offending (slice, src, dst address) named by one is named by the other.
+/// Returns the proof and the common offender set.
+fn assert_proof_matches_oracle(mgr: &mut SliceManager) -> (VerifyReport, BTreeSet<Offender>) {
+    let before = total_counters(mgr.switches());
     let r = mgr.verify_report();
     assert_eq!(
         total_counters(mgr.switches()),
-        0,
+        before,
         "static verification of the shared fabric must inject zero packets"
     );
-    assert!(r.holds(), "{}", r.summary());
+    let audit = SliceAudit::run(mgr);
+    assert!(total_counters(mgr.switches()) > before, "the slice audit forwards real probes");
 
-    let audit = SliceAudit::run(&mut mgr);
-    assert!(total_counters(mgr.switches()) > 0, "the slice audit forwards real probes");
-    assert_eq!(r.holds(), audit.clean(), "verdicts diverge: {}", r.summary());
+    assert_eq!(r.holds(), audit.clean(), "verdicts diverge: {}\n{audit:?}", r.summary());
     let probe_delivered: usize = audit.per_slice.iter().map(|s| s.delivered).sum();
     let probe_isolated: usize =
         audit.per_slice.iter().map(|s| s.isolated).sum::<usize>() + audit.cross_isolated;
     assert_eq!(r.delivered_pairs, probe_delivered, "delivered closures diverge");
     assert_eq!(r.isolated_pairs, probe_isolated, "isolated closures diverge");
-    assert!(audit.cross_leaks.is_empty());
+
+    let slice = |id: SliceId| mgr.slice(id).unwrap();
+    let by_domain = |d: &str| {
+        mgr.slices().find(|s| format!("{}:{}", s.id, s.name) == d).unwrap_or_else(|| panic!("{d}"))
+    };
+    let proof: BTreeSet<Offender> = r
+        .blackholes
+        .iter()
+        .map(|b| {
+            let s = by_domain(&b.domain);
+            (s.id, b.src, s.host_addr(b.dst))
+        })
+        .chain(r.leaks.iter().map(|l| (by_domain(&l.from_domain).id, l.src, l.dst_addr)))
+        .collect();
+    let oracle: BTreeSet<Offender> = audit
+        .per_slice
+        .iter()
+        .flat_map(|e| e.violations.iter().map(|&(src, dst, _)| (e.id, src, slice(e.id).host_addr(dst))))
+        .chain(
+            audit
+                .cross_leaks
+                .iter()
+                .map(|l| (l.from_slice, l.src, slice(l.to_slice).host_addr(l.dst))),
+        )
+        .collect();
+    assert_eq!(proof, oracle, "offending pairs diverge: {}\n{audit:?}", r.summary());
+    (r, proof)
+}
+
+/// Multi-tenant differential, the passing direction: the seeded mix is
+/// clean on both sides.
+#[test]
+fn static_matches_slice_audit_on_seeded_random_mix() {
+    let mut mgr = seeded_mix();
+    let (r, offenders) = assert_proof_matches_oracle(&mut mgr);
+    assert!(r.holds(), "{}", r.summary());
+    assert!(offenders.is_empty());
+}
+
+/// A table-1 `Output` entry of the first slice in the mix, with the switch
+/// it lives on and a co-tenant's host port on that same switch (the place a
+/// leak is rewired to).
+fn victim_entry(mgr: &SliceManager) -> (SliceId, usize, FlowEntry, PhysPort) {
+    let slices: Vec<_> = mgr.slices().collect();
+    let v = slices[0];
+    for (sw, t1) in v.installed.table1.iter().enumerate() {
+        let foreign = slices[1..]
+            .iter()
+            .flat_map(|w| w.projection.host_port.values())
+            .find(|pp| pp.switch as usize == sw);
+        let entry = t1.iter().find(|e| matches!(e.action, Action::Output(_)));
+        if let (Some(&e), Some(&pp)) = (entry, foreign) {
+            return (v.id, sw, e, pp);
+        }
+    }
+    panic!("seeded mix has no switch shared by the first slice and a co-tenant");
+}
+
+/// The failing direction, blackhole: delete one slice's table-1 entry
+/// behind the manager's back. Production trusts the proof alone, so the
+/// proof must condemn exactly the pairs the probes see die.
+#[test]
+fn static_and_oracle_name_the_same_blackholed_pairs() {
+    let mut mgr = seeded_mix();
+    let (victim, sw, e, _) = victim_entry(&mgr);
+    mgr.switches_mut()[sw].apply(1, FlowMod::Delete(e.m, e.priority)).unwrap();
+
+    let (r, offenders) = assert_proof_matches_oracle(&mut mgr);
+    assert!(!r.holds(), "a deleted route entry must fail the proof");
+    assert!(!r.blackholes.is_empty() && r.leaks.is_empty(), "{}", r.summary());
+    assert!(!offenders.is_empty() && offenders.iter().all(|&(s, _, _)| s == victim));
+}
+
+/// The failing direction, leak: rewrite one output of a slice onto a
+/// co-tenant's host port. Both sides must name the leaking pairs.
+#[test]
+fn static_and_oracle_name_the_same_leaking_pairs() {
+    let mut mgr = seeded_mix();
+    let (victim, sw, e, foreign) = victim_entry(&mgr);
+    let bank = mgr.switches_mut();
+    bank[sw].apply(1, FlowMod::Delete(e.m, e.priority)).unwrap();
+    bank[sw].apply(1, FlowMod::Add(FlowEntry { action: Action::Output(foreign.port), ..e })).unwrap();
+
+    let (r, offenders) = assert_proof_matches_oracle(&mut mgr);
+    assert!(!r.holds(), "an output rewired to a foreign host port must fail the proof");
+    let owner = |pp| mgr.slices().find(|s| s.projection.host_port.values().any(|&p| p == pp));
+    assert!(!r.leaks.is_empty(), "{}", r.summary());
+    for l in &r.leaks {
+        assert_eq!(l.port, foreign);
+        let to = owner(l.port).unwrap();
+        assert_eq!(l.to_domain, format!("{}:{}", to.id, to.name));
+        assert_ne!(to.id, victim, "the leak lands in a co-tenant");
+    }
+    assert!(!offenders.is_empty() && offenders.iter().all(|&(s, _, _)| s == victim));
 }
