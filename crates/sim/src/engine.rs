@@ -30,6 +30,9 @@ const NO_CHANNEL: u32 = u32::MAX;
 /// mid-run can raise the VC count without re-building channels.
 const MAX_VCS: usize = 8;
 
+/// VC of every flow's first hop, the NIC staging queue (`resolve_route`).
+const NIC_VC: u8 = 0;
+
 /// One cell (packet or flit) in flight.
 #[derive(Clone, Copy, Debug)]
 struct Cell {
@@ -57,8 +60,6 @@ struct Channel {
     busy_until: Time,
     next_vc: usize,
     queued: u32,
-    /// Flows blocked waiting for NIC queue space on this channel.
-    blocked_flows: Vec<FlowId>,
     /// Monitor window byte counter.
     window_bytes: u64,
     /// Lifetime counters.
@@ -72,6 +73,50 @@ struct Channel {
     /// Serialization-rate multiplier (port degradation faults; 1.0 =
     /// nominal rate).
     rate_scale: f64,
+}
+
+/// Inject chains waiting for room in one NIC staging queue.
+#[derive(Default)]
+struct Backlog {
+    /// One entry per blocked chain, in blocking order. A flow holds several
+    /// when a DCQCN timer tick or an ack re-armed it while it was blocked.
+    entries: VecDeque<FlowId>,
+    /// The distinct flows of `entries` with the number of entries each
+    /// holds, so a wake that finds the queue full touches each flow once.
+    members: Vec<(FlowId, u32)>,
+}
+
+impl Backlog {
+    fn push(&mut self, f: FlowId) {
+        self.entries.push_back(f);
+        match self.members.iter_mut().find(|m| m.0 == f) {
+            Some(m) => m.1 += 1,
+            None => self.members.push((f, 1)),
+        }
+    }
+
+    fn pop(&mut self) -> Option<FlowId> {
+        let f = self.entries.pop_front()?;
+        let Some(i) = self.members.iter().position(|m| m.0 == f) else {
+            unreachable!("every backlog entry has a member")
+        };
+        self.members[i].1 -= 1;
+        if self.members[i].1 == 0 {
+            self.members.swap_remove(i);
+        }
+        Some(f)
+    }
+}
+
+/// A host's blocked inject chains, on its one outgoing channel.
+#[derive(Default)]
+struct Nic {
+    /// Chains that found the staging queue full since the last transmit.
+    backlog: Backlog,
+    /// The backlog as of the last transmit, owned by the one pending
+    /// [`Ev::Wake`] (a channel is busy until its next transmit, so there is
+    /// never a second one).
+    parked: Backlog,
 }
 
 /// What kind of transport drives a flow.
@@ -131,6 +176,23 @@ impl Flow {
     fn total_cells(&self, cell_bytes: u32) -> u32 {
         (self.bytes_total.div_ceil(cell_bytes as u64)) as u32
     }
+
+    /// Bytes the flow would hand its NIC next: 0 once it has finished, has
+    /// injected everything, or (TCP) has a full window in flight — acks
+    /// re-trigger injection then.
+    fn sendable(&self, cell_bytes: u32) -> u64 {
+        if self.finish.is_some() {
+            return 0;
+        }
+        match &self.kind {
+            FlowKind::Tcp(t) if t.next_seq.saturating_sub(t.acked) >= t.cwnd as u32 => 0,
+            // Go-back-N: next_seq may rewind below injected bytes.
+            FlowKind::Tcp(t) => {
+                self.bytes_total.saturating_sub(t.next_seq as u64 * cell_bytes as u64)
+            }
+            _ => self.bytes_total - self.bytes_injected,
+        }
+    }
 }
 
 /// Per-flow result snapshot.
@@ -175,11 +237,77 @@ pub struct FlowRecord {
     pub fct_ns: Option<u64>,
 }
 
+/// What a dispatched event was, for [`SimStats::events_by_kind`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum EventKind {
+    /// A channel arbiter tried to transmit.
+    TryTx,
+    /// A cell reached the far end of a channel.
+    Arrive,
+    /// A buffer credit returned upstream.
+    Credit,
+    /// One step of a flow's paced inject chain.
+    Inject,
+    /// A NIC freed a slot and woke its backlog.
+    Wake,
+    /// A CNP reached its sender.
+    Cnp,
+    /// A DCQCN rate-increase timer tick.
+    DcqcnTimer,
+    /// A TCP ack or retransmission timeout.
+    Tcp,
+    /// A Network Monitor / watchdog tick.
+    Monitor,
+    /// An injected fault or recovery.
+    Fault,
+    /// An MPI rank resumed its program.
+    Mpi,
+}
+
+impl EventKind {
+    /// Every kind, in [`SimStats::events_by_kind`] index order.
+    pub const ALL: [EventKind; 11] = [
+        EventKind::TryTx,
+        EventKind::Arrive,
+        EventKind::Credit,
+        EventKind::Inject,
+        EventKind::Wake,
+        EventKind::Cnp,
+        EventKind::DcqcnTimer,
+        EventKind::Tcp,
+        EventKind::Monitor,
+        EventKind::Fault,
+        EventKind::Mpi,
+    ];
+
+    /// Stable snake_case name for reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            EventKind::TryTx => "try_tx",
+            EventKind::Arrive => "arrive",
+            EventKind::Credit => "credit",
+            EventKind::Inject => "inject",
+            EventKind::Wake => "wake",
+            EventKind::Cnp => "cnp",
+            EventKind::DcqcnTimer => "dcqcn_timer",
+            EventKind::Tcp => "tcp",
+            EventKind::Monitor => "monitor",
+            EventKind::Fault => "fault",
+            EventKind::Mpi => "mpi",
+        }
+    }
+}
+
 /// Aggregate simulation statistics.
 #[derive(Clone, Debug, Default)]
 pub struct SimStats {
     /// Events processed.
     pub events: u64,
+    /// `events` split by kind, indexed by `EventKind as usize`.
+    pub events_by_kind: [u64; EventKind::ALL.len()],
+    /// `TryTx` events that transmitted nothing: channel down or still
+    /// serializing, queues empty, or no VC with both a cell and a credit.
+    pub try_tx_noops: u64,
     /// Cells delivered to hosts.
     pub cells_delivered: u64,
     /// Cells dropped (lossy mode).
@@ -233,6 +361,8 @@ enum Ev {
     Arrive(u32, Cell),
     Credit(u32, u8),
     Inject(FlowId),
+    /// NIC channel `.0` transmitted while its host had a backlog.
+    Wake(u32),
     RankWake(u32),
     CnpArrive(FlowId),
     DcqcnTimer(FlowId),
@@ -244,6 +374,28 @@ enum Ev {
     NodeFail(u32),
     NodeRestore(u32),
     Degrade(u32, u32, f64),
+}
+
+impl Ev {
+    fn kind(&self) -> EventKind {
+        match self {
+            Ev::TryTx(_) => EventKind::TryTx,
+            Ev::Arrive(..) => EventKind::Arrive,
+            Ev::Credit(..) => EventKind::Credit,
+            Ev::Inject(_) => EventKind::Inject,
+            Ev::Wake(_) => EventKind::Wake,
+            Ev::RankWake(_) => EventKind::Mpi,
+            Ev::CnpArrive(_) => EventKind::Cnp,
+            Ev::DcqcnTimer(_) => EventKind::DcqcnTimer,
+            Ev::TcpAck(..) | Ev::TcpRto(_) => EventKind::Tcp,
+            Ev::MonitorTick => EventKind::Monitor,
+            Ev::LinkFail(..)
+            | Ev::LinkUp(..)
+            | Ev::NodeFail(_)
+            | Ev::NodeRestore(_)
+            | Ev::Degrade(..) => EventKind::Fault,
+        }
+    }
 }
 
 struct Scheduled {
@@ -330,6 +482,8 @@ pub struct Simulator {
     num_hosts: u32,
     channels: Vec<Channel>,
     channel_ix: ChannelIndex,
+    /// Indexed by host node; switches have none.
+    nics: Vec<Nic>,
     pub(crate) flows: Vec<Flow>,
     /// Future events, min-ordered on `(t, seq)`.
     events: BinaryHeap<Scheduled>,
@@ -386,7 +540,6 @@ impl Simulator {
                     busy_until: 0,
                     next_vc: 0,
                     queued: 0,
-                    blocked_flows: Vec::new(),
                     window_bytes: 0,
                     total_bytes: 0,
                     drops: 0,
@@ -410,6 +563,7 @@ impl Simulator {
             num_hosts,
             channels,
             channel_ix,
+            nics: (0..num_hosts).map(|_| Nic::default()).collect(),
             flows: Vec::new(),
             events: BinaryHeap::new(),
             now_events: VecDeque::new(),
@@ -497,7 +651,7 @@ impl Simulator {
         let sb = self.topo.host_switch(dst);
         let sn = |s: SwitchId| self.num_hosts + s.0;
         let mut chans = vec![self.channel(self.host_node(src), sn(sa))];
-        let mut vcs = vec![0u8];
+        let mut vcs = vec![NIC_VC];
         if sa != sb {
             let r = self
                 .routes
@@ -670,11 +824,13 @@ impl Simulator {
             };
             self.now = t;
             self.stats.events += 1;
+            self.stats.events_by_kind[ev.kind() as usize] += 1;
             match ev {
                 Ev::TryTx(c) => self.try_tx(c),
                 Ev::Arrive(c, cell) => self.arrive(c, cell),
                 Ev::Credit(c, vc) => self.credit(c, vc),
                 Ev::Inject(f) => self.inject(f),
+                Ev::Wake(c) => self.wake(c),
                 Ev::RankWake(r) => self.rank_wake(r),
                 Ev::CnpArrive(f) => self.cnp(f),
                 Ev::DcqcnTimer(f) => self.dcqcn_timer(f),
@@ -767,6 +923,7 @@ impl Simulator {
         let lossless = self.cfg.lossless;
         let ch = &mut self.channels[c as usize];
         if !ch.up || self.now < ch.busy_until || ch.queued == 0 {
+            self.stats.try_tx_noops += 1;
             return;
         }
         let nvc = ch.queues.len();
@@ -778,7 +935,10 @@ impl Simulator {
                 break;
             }
         }
-        let Some(vc) = picked else { return };
+        let Some(vc) = picked else {
+            self.stats.try_tx_noops += 1;
+            return;
+        };
         ch.next_vc = (vc + 1) % nvc;
         let cell = match ch.queues[vc].pop_front() {
             Some(c) => c,
@@ -801,10 +961,14 @@ impl Simulator {
             let lat = self.cfg.link_latency_ns;
             self.push(self.now + lat, Ev::Credit(arr_ch, arr_vc));
         }
-        // Wake flows blocked on NIC space.
-        let blocked = std::mem::take(&mut self.channels[c as usize].blocked_flows);
-        for f in blocked {
-            self.push(self.now, Ev::Inject(f));
+        // A NIC slot came free: park the backlog for one wake.
+        let from = self.channels[c as usize].from as usize;
+        if let Some(nic) = self.nics.get_mut(from) {
+            if !nic.backlog.entries.is_empty() {
+                debug_assert!(nic.parked.entries.is_empty(), "one wake per transmit");
+                std::mem::swap(&mut nic.backlog, &mut nic.parked);
+                self.push(self.now, Ev::Wake(c));
+            }
         }
         // Transit: wire + (switch pipeline if entering a switch, including
         // the SDT crossbar-sharing overhead). With cut-through the head
@@ -919,6 +1083,49 @@ impl Simulator {
         self.push(self.now, Ev::TryTx(c));
     }
 
+    fn nic_full(&self, nic_ch: u32) -> bool {
+        self.channels[nic_ch as usize].queues[NIC_VC as usize].len()
+            >= self.nic_queue_cells as usize
+    }
+
+    /// The NIC on channel `c` freed a slot. Does, in list order, what one
+    /// `Inject` event per parked entry would: those events would carry
+    /// contiguous sequence numbers and so run back to back, and `(t, seq)`
+    /// dispatch sees nothing else of them.
+    fn wake(&mut self, c: u32) {
+        let host = self.channels[c as usize].from as usize;
+        let mut parked = std::mem::take(&mut self.nics[host].parked);
+        while !self.nic_full(c) {
+            let Some(f) = parked.pop() else { break };
+            self.inject(f);
+        }
+        // The queue is full and nothing dequeues inside one event, so every
+        // remaining entry would clear its flow's flag and then drop out or
+        // re-block in place — which the flow alone decides, once.
+        let cell_bytes = self.cell_bytes;
+        let mut died = false;
+        for &(f, _) in &parked.members {
+            let flow = &mut self.flows[f as usize];
+            flow.inject_scheduled = false;
+            died |= flow.sendable(cell_bytes) == 0;
+        }
+        if died {
+            let alive = |f: FlowId| self.flows[f as usize].sendable(cell_bytes) != 0;
+            parked.entries.retain(|&f| alive(f));
+            parked.members.retain(|&(f, _)| alive(f));
+        }
+        // Chains that blocked between the transmit and this wake did so
+        // before any parked entry would have re-blocked.
+        let backlog = &mut self.nics[host].backlog;
+        if backlog.entries.is_empty() {
+            *backlog = parked;
+        } else {
+            for f in parked.entries {
+                backlog.push(f);
+            }
+        }
+    }
+
     /// NIC injection: one cell per event, paced by DCQCN rate or TCP window.
     fn inject(&mut self, fid: FlowId) {
         let cell_bytes = self.cell_bytes;
@@ -934,43 +1141,18 @@ impl Simulator {
             f.finish = Some(self.now + 1_000);
             f.send_completed = true;
             let done_t = self.now + 1_000;
-            let key = match &f.kind {
-                FlowKind::Message { key } => Some(*key),
-                _ => None,
-            };
             self.push(done_t, Ev::TcpAck(fid, u32::MAX)); // reuse as completion tick
-            let _ = key;
             return;
         }
 
-        // How many cells may we inject right now?
-        let (limit_ok, window_gap): (bool, bool) = match &f.kind {
-            FlowKind::Tcp(t) => {
-                let inflight = t.next_seq.saturating_sub(t.acked);
-                (inflight < t.cwnd as u32, true)
-            }
-            _ => (f.bytes_injected < f.bytes_total, true),
-        };
-        let _ = window_gap;
-        if !limit_ok {
-            return; // TCP: acks will re-trigger injection
-        }
-        let remaining = match &f.kind {
-            FlowKind::Tcp(t) => {
-                // Go-back-N: next_seq may rewind below injected bytes.
-                f.bytes_total.saturating_sub(t.next_seq as u64 * cell_bytes as u64)
-            }
-            _ => f.bytes_total - f.bytes_injected,
-        };
+        let remaining = f.sendable(cell_bytes);
         if remaining == 0 {
             return;
         }
-        let nic_ch = f.channels[0];
-        let nic_vc = f.vcs[0] as usize;
-        if self.channels[nic_ch as usize].queues[nic_vc].len()
-            >= self.nic_queue_cells as usize
-        {
-            self.channels[nic_ch as usize].blocked_flows.push(fid);
+        let (nic_ch, host) = (f.channels[0], f.src_host as usize);
+        debug_assert_eq!(f.vcs[0], NIC_VC);
+        if self.nic_full(nic_ch) {
+            self.nics[host].backlog.push(fid);
             return;
         }
         let f = &mut self.flows[fid as usize];
@@ -1035,7 +1217,6 @@ impl Simulator {
 
     fn deliver(&mut self, cell: Cell) {
         let fid = cell.flow;
-        let cell_bytes = self.cell_bytes;
         let (is_tcp, ecn) = {
             let f = &self.flows[fid as usize];
             (matches!(f.kind, FlowKind::Tcp(_)), cell.ecn)
@@ -1060,7 +1241,7 @@ impl Simulator {
         // Message / raw flow.
         if ecn {
             // Receiver NIC returns a CNP, rate-limited per flow.
-            let (ok, delay) = {
+            let ok = {
                 let f = &mut self.flows[fid as usize];
                 let dc = self.cfg.dcqcn.as_ref();
                 match (&mut f.dcqcn, dc) {
@@ -1068,20 +1249,19 @@ impl Simulator {
                         if self.now - st.last_cnp_rx >= cfgd.cnp_interval_ns =>
                     {
                         st.last_cnp_rx = self.now;
-                        (true, 0u64)
+                        true
                     }
-                    _ => (false, 0),
+                    _ => false,
                 }
             };
             if ok {
-                let d = self.reverse_delay(fid) + delay;
+                let d = self.reverse_delay(fid);
                 self.push(self.now + d, Ev::CnpArrive(fid));
             }
         }
         let done = {
             let f = &mut self.flows[fid as usize];
             f.bytes_delivered += cell.bytes as u64;
-            let _ = cell_bytes;
             cell.last && f.bytes_delivered >= f.bytes_total
         };
         if done {
@@ -1141,7 +1321,6 @@ impl Simulator {
         let total_cells = self.flows[fid as usize].total_cells(self.cell_bytes);
         let mut reinject = false;
         {
-            let cfgt = self.cfg.tcp;
             let f = &mut self.flows[fid as usize];
             let FlowKind::Tcp(t) = &mut f.kind else { return };
             if ack > t.acked {
@@ -1173,7 +1352,6 @@ impl Simulator {
                     reinject = true;
                 }
             }
-            let _ = cfgt;
         }
         if reinject && !self.flows[fid as usize].inject_scheduled {
             self.flows[fid as usize].inject_scheduled = true;
@@ -1598,6 +1776,32 @@ mod tests {
         let slow = run_with(100);
         // 4 switch transits x 100 ns.
         assert_eq!(slow - base, 400);
+    }
+
+    #[test]
+    fn a_flow_blocked_twice_holds_two_entries_and_one_member() {
+        // One-cell NIC queue; DCQCN so a timer tick can re-arm a blocked flow.
+        let mut s = sim(SimConfig {
+            nic_queue_bytes: 1500,
+            dcqcn: Some(crate::config::DcqcnConfig::default()),
+            ..SimConfig::default()
+        });
+        let a = s.start_raw_flow(HostId(0), HostId(3), 150_000);
+        let b = s.start_raw_flow(HostId(0), HostId(2), 150_000);
+        s.inject(a); // takes the only slot
+        for f in [a, b, a] {
+            s.inject(f);
+        }
+        let mut backlog = std::mem::take(&mut s.nics[0].backlog);
+        assert_eq!(backlog.entries, [a, b, a]);
+        assert_eq!(backlog.members, [(a, 2), (b, 1)]);
+        // Entries leave in blocking order; a member leaves with its last one.
+        assert_eq!(backlog.pop(), Some(a));
+        assert_eq!(backlog.members, [(a, 1), (b, 1)]);
+        assert_eq!(backlog.pop(), Some(b));
+        assert_eq!(backlog.pop(), Some(a));
+        assert!(backlog.members.is_empty());
+        assert_eq!(backlog.pop(), None);
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub mod telemetry;
 
 pub use config::{DcqcnConfig, Granularity, SimConfig, TcpConfig};
 pub use engine::{
-    CaptureEvent, CaptureRecord, FlowRecord, FlowStats, SimOutcome, SimStats, Simulator,
+    CaptureEvent, CaptureRecord, EventKind, FlowRecord, FlowStats, SimOutcome, SimStats, Simulator,
 };
 pub use faults::{ChaosConfig, ControlFaults, FaultEvent, FaultSchedule, TimedFault};
 pub use slices::MultiSliceSim;
