@@ -41,21 +41,21 @@
 //! routed to a running `sdtd` instead of building a throwaway cluster:
 //! the daemon admits/migrates/verifies against its persistent state and
 //! ships back the finished report, which this client prints verbatim —
-//! the output is byte-for-byte what local mode prints, because the daemon
-//! renders through the same `sdt_controller::output` functions.
+//! the output is byte-for-byte what local mode prints, because both run
+//! the same `sdt_controller::commands` function: local mode on a fresh
+//! controller wired from the first config, the daemon on its persistent
+//! one.
 //!
 //! Every command accepts `--json` for machine-readable output on stdout;
 //! any failure (non-deployable config, admission rejection, proof
 //! violation) exits non-zero either way, so scripts and CI can gate on it.
 
-use sdt_controller::output::{
-    self, jlist, jstr, AdmitInfo, AdmitRow, StatsBlock,
-};
+use sdt_controller::commands::{self, ConfigItem};
+use sdt_controller::output::{self, jlist, jstr, StatsBlock};
 use sdt_controller::{
-    plan_wiring, Deployment, Json, SdtController, SliceController, SliceOpError, TestbedConfig,
+    plan_wiring, Deployment, Json, SdtController, SliceController, TestbedConfig,
 };
-use sdt_tenancy::SliceId;
-use sdt_openflow::{Action, FlowEntry, FlowMod};
+use sdt_openflow::{Action, ControlConfig, FlowEntry, FlowMod};
 use sdt_verify::{Intent, TableView, Verifier};
 use std::process::ExitCode;
 
@@ -155,24 +155,26 @@ fn daemon_call(socket: &str, method: &str, params: Json) -> Result<Json, String>
     Json::parse(resp.trim_end_matches('\n')).map_err(|e| format!("daemon sent bad JSON: {e}"))
 }
 
-/// Print the daemon's pre-rendered report verbatim, then map its named
-/// error (if any) onto this command's exit status — same split as local
-/// mode: report on stdout, failure reason on stderr + non-zero exit.
-fn daemon_finish(resp: Json) -> Result<(), String> {
-    if let Some(out) = resp.get("output").and_then(Json::as_str) {
-        if !out.is_empty() {
-            println!("{out}");
-        }
+/// How every shared command ends, local or daemon: the report (if any) on
+/// stdout, the failure reason (if any) to `main` for stderr + non-zero exit.
+fn finish(output: &str, error: Option<String>) -> Result<(), String> {
+    if !output.is_empty() {
+        println!("{output}");
     }
-    if resp.get("ok").and_then(Json::as_bool) == Some(true) {
-        Ok(())
-    } else {
-        Err(resp
-            .get("error")
+    error.map_or(Ok(()), Err)
+}
+
+/// Print the daemon's pre-rendered report verbatim and map its named error
+/// onto this command's exit status.
+fn daemon_finish(resp: Json) -> Result<(), String> {
+    let output = resp.get("output").and_then(Json::as_str).unwrap_or("");
+    let error = (resp.get("ok").and_then(Json::as_bool) != Some(true)).then(|| {
+        resp.get("error")
             .and_then(Json::as_str)
             .unwrap_or("daemon returned an unnamed error")
-            .to_string())
-    }
+            .to_string()
+    });
+    finish(output, error)
 }
 
 fn daemon_slices(socket: &str, paths: &[String], json: bool) -> Result<(), String> {
@@ -225,9 +227,9 @@ fn daemon_reconfigure(socket: &str, args: &[String], json: bool) -> Result<(), S
     let params = Json::Obj(vec![
         ("json".into(), Json::Bool(json)),
         ("scheduled".into(), Json::Bool(f.scheduled)),
-        ("drop".into(), Json::f64(f.drop_prob)),
-        ("reorder".into(), Json::f64(f.reorder_prob)),
-        ("seed".into(), Json::u64(f.seed)),
+        ("drop".into(), Json::f64(f.channel.drop_prob)),
+        ("reorder".into(), Json::f64(f.channel.reorder_prob)),
+        ("seed".into(), Json::u64(f.channel.seed)),
         ("from_path".into(), Json::str(from_path.as_str())),
         ("from_text".into(), Json::str(load_text(from_path)?)),
         ("to_path".into(), Json::str(to_path.as_str())),
@@ -381,65 +383,24 @@ fn cmd_tables(paths: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// One config's slice name and admission verdict.
-type Admitted = (String, Result<SliceId, SliceOpError>);
-
-/// Wire the shared cluster from the first config's `[cluster]` section and
-/// admit every config's topology + strategy as one batch of tenants, named
-/// after their topologies. One entry per path, in order.
-fn admit_all(paths: &[String]) -> Result<(SliceController, Vec<Admitted>), String> {
+/// Local mode's stand-in for the daemon's persistent state: load every
+/// config up front (a bad file fails the command before anything runs) and
+/// wire a fresh shared cluster from the first one's `[cluster]` section.
+fn fresh(paths: &[String]) -> Result<(SliceController, Vec<ConfigItem>), String> {
     let cfgs = paths.iter().map(|p| load(p)).collect::<Result<Vec<_>, _>>()?;
-    let mut ctl = SliceController::from_config(&cfgs[0]);
-    let items: Vec<_> =
-        cfgs.iter().map(|c| (c.topology.name(), &c.topology, c.strategy.as_str())).collect();
-    let verdicts = ctl.create_batch(&items);
-    Ok((ctl, items.iter().map(|i| i.0.to_string()).zip(verdicts).collect()))
+    let ctl = SliceController::from_config(&cfgs[0]);
+    Ok((ctl, paths.iter().cloned().zip(cfgs.into_iter().map(Ok)).collect()))
 }
 
-/// Admit every config file as one slice of a shared cluster. Prints
-/// admissions, occupancy, and the static proof the last admission gate
-/// installed (cached — nothing is walked or injected); exits non-zero if
-/// any slice is rejected, the proof does not hold, or the tables hold
-/// entries no slice owns.
+/// Admit every config file as one slice of a shared cluster
+/// ([`commands::slices`]).
 fn cmd_slices(paths: &[String], json: bool) -> Result<(), String> {
     if paths.is_empty() {
         return Err("slices: need at least one config file".into());
     }
-    let (mut ctl, admitted) = admit_all(paths)?;
-    let rows: Vec<AdmitRow> = paths
-        .iter()
-        .zip(admitted)
-        .map(|(path, (slice, result))| AdmitRow {
-            path: path.clone(),
-            slice,
-            result: match result {
-                Ok(id) => match ctl.manager().slice(id) {
-                    Some(s) => Ok(AdmitInfo::of(s)),
-                    None => unreachable!("create_batch returned a live slice id"),
-                },
-                Err(e) => Err(e.to_string()),
-            },
-        })
-        .collect();
-    let rejected = rows.iter().filter(|r| r.result.is_err()).count();
-
-    let status = ctl.status();
-    let verify = ctl.manager_mut().verify_report();
-    if json {
-        println!("{}", output::slices_json(&rows, &status, &verify));
-    } else {
-        println!("{}", output::slices_human(&rows, &status, &verify));
-    }
-    if rejected > 0 {
-        return Err(format!("{rejected} slice(s) rejected"));
-    }
-    if !verify.holds() {
-        return Err("static verification failed".into());
-    }
-    if status.orphan_entries > 0 {
-        return Err(format!("{} orphan table entries", status.orphan_entries));
-    }
-    Ok(())
+    let (mut ctl, configs) = fresh(paths)?;
+    let done = commands::slices(&mut ctl, &configs, json);
+    finish(&done.output, done.error)
 }
 
 const RECONFIGURE_USAGE: &str = "reconfigure: usage: sdtctl reconfigure [--scheduled] \
@@ -447,38 +408,32 @@ const RECONFIGURE_USAGE: &str = "reconfigure: usage: sdtctl reconfigure [--sched
 
 struct ReconfigureFlags {
     scheduled: bool,
-    drop_prob: f64,
-    reorder_prob: f64,
-    seed: u64,
+    /// Loss profile of the `--scheduled` control channel.
+    channel: ControlConfig,
     paths: Vec<String>,
 }
 
 fn parse_reconfigure_flags(args: &[String]) -> Result<ReconfigureFlags, String> {
-    let mut f = ReconfigureFlags {
-        scheduled: false,
-        drop_prob: 0.0,
-        reorder_prob: 0.0,
-        seed: 0,
-        paths: Vec::new(),
-    };
+    let mut f =
+        ReconfigureFlags { scheduled: false, channel: ControlConfig::reliable(), paths: Vec::new() };
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--scheduled" => f.scheduled = true,
             "--drop" => {
-                f.drop_prob = it
+                f.channel.drop_prob = it
                     .next()
                     .and_then(|v| v.parse().ok())
                     .ok_or("reconfigure: --drop needs a probability")?;
             }
             "--reorder" => {
-                f.reorder_prob = it
+                f.channel.reorder_prob = it
                     .next()
                     .and_then(|v| v.parse().ok())
                     .ok_or("reconfigure: --reorder needs a probability")?;
             }
             "--seed" => {
-                f.seed = it
+                f.channel.seed = it
                     .next()
                     .and_then(|v| v.parse().ok())
                     .ok_or("reconfigure: --seed needs an integer")?;
@@ -490,11 +445,12 @@ fn parse_reconfigure_flags(args: &[String]) -> Result<ReconfigureFlags, String> 
 }
 
 /// Admit the first config's topology as a slice of its own cluster, then
-/// migrate it to the second config's topology. Plain mode uses the
-/// one-shot make-before-break epoch; `--scheduled` compiles the epoch into
-/// dependency-ordered rounds with every intermediate state statically
-/// proven before its round installs, over a control channel whose loss and
-/// reordering probabilities come from `--drop` / `--reorder` / `--seed`.
+/// migrate it to the second config's topology ([`commands::reconfigure`]).
+/// Plain mode uses the one-shot make-before-break epoch; `--scheduled`
+/// compiles the epoch into dependency-ordered rounds with every
+/// intermediate state statically proven before its round installs, over a
+/// control channel whose loss and reordering probabilities come from
+/// `--drop` / `--reorder` / `--seed`.
 fn cmd_reconfigure(args: &[String], json: bool) -> Result<(), String> {
     let f = parse_reconfigure_flags(args)?;
     let [from_path, to_path] = f.paths.as_slice() else {
@@ -503,56 +459,9 @@ fn cmd_reconfigure(args: &[String], json: bool) -> Result<(), String> {
     let from = load(from_path)?;
     let to = load(to_path)?;
     let mut ctl = SliceController::from_config(&from);
-    let id = ctl
-        .create(from.topology.name(), &from.topology, &from.strategy)
-        .map_err(|e| format!("{from_path}: admission failed: {e}"))?;
-    let (report, sched) = if f.scheduled {
-        let mut ch = sdt_openflow::ControlChannel::new(sdt_openflow::ControlConfig {
-            drop_prob: f.drop_prob,
-            reorder_prob: f.reorder_prob,
-            seed: f.seed,
-            ..sdt_openflow::ControlConfig::reliable()
-        });
-        let (r, s) = ctl
-            .reconfigure_scheduled(id, &to.topology, &to.strategy, &mut ch)
-            .map_err(|e| e.to_string())?;
-        (r, Some(s))
-    } else {
-        (ctl.reconfigure(id, &to.topology, &to.strategy).map_err(|e| e.to_string())?, None)
-    };
-    let holds = ctl.manager_mut().verify_report().holds();
-    if json {
-        println!(
-            "{}",
-            output::reconfigure_json(
-                from.topology.name(),
-                to.topology.name(),
-                f.scheduled,
-                &report,
-                sched.as_ref(),
-                holds,
-            )
-        );
-    } else {
-        println!(
-            "{}",
-            output::reconfigure_human(
-                from.topology.name(),
-                to.topology.name(),
-                &report,
-                sched.as_ref(),
-                holds,
-            )
-        );
-    }
-    let diverged = sched.as_ref().is_some_and(|s| !s.converged);
-    if !holds {
-        return Err("post-reconfiguration audit found violations".into());
-    }
-    if diverged {
-        return Err("scheduled migration did not converge".into());
-    }
-    Ok(())
+    let scheduled = f.scheduled.then_some(f.channel);
+    let done = commands::reconfigure(&mut ctl, from_path, &from, &to, scheduled, json);
+    finish(&done.output, done.error)
 }
 
 /// Statically verify installed flow tables — no packets injected. One
@@ -625,30 +534,9 @@ fn cmd_verify(args: &[String], json: bool) -> Result<(), String> {
             if corrupt_kind.is_some() {
                 return Err("verify: --corrupt works with exactly one config".into());
             }
-            let (mut ctl, admitted) = admit_all(many)?;
-            for (path, (_, verdict)) in many.iter().zip(admitted) {
-                verdict.map_err(|e| format!("{path}: admission failed: {e}"))?;
-            }
-            let (r, block) = if stats {
-                let mgr = ctl.manager_mut();
-                let t0 = std::time::Instant::now();
-                let (r, stats) = mgr.verify_report_with_stats();
-                let wall_s = t0.elapsed().as_secs_f64();
-                (r, Some(StatsBlock { wall_s, warm_s: None, stats }))
-            } else {
-                (ctl.manager_mut().verify_report(), None)
-            };
-            let text = if json {
-                output::verify_json("slices", &r, block.as_ref())
-            } else {
-                output::verify_human("slices", &r, block.as_ref())
-            };
-            println!("{text}");
-            if r.holds() {
-                Ok(())
-            } else {
-                Err("static verification failed".into())
-            }
+            let (mut ctl, configs) = fresh(many)?;
+            let done = commands::verify(&mut ctl, &configs, json, stats);
+            finish(&done.output, done.error)
         }
     }
 }

@@ -32,6 +32,7 @@
 //! hosts = [0, 2]            # host 0 on switch 0, host 1 on switch 2
 //! ```
 
+use sdt_core::cluster::{ClusterBuilder, PhysicalCluster};
 use sdt_core::methods::SwitchModel;
 use sdt_topology::{chain, dragonfly, fattree, meshtorus, Topology, TopologyBuilder};
 use std::collections::HashMap;
@@ -276,6 +277,29 @@ impl TestbedConfig {
             strategy: raw.string_or("routing.strategy", "default")?,
             require_deadlock_free: raw.bool_or("routing.require_deadlock_free", true)?,
         })
+    }
+}
+
+/// Wire the physical cluster a `[cluster]` section describes — the one
+/// `[cluster]` → [`ClusterBuilder`] translation (both controllers build
+/// through it from a parsed file, the daemon's snapshot restore from the
+/// persisted fields).
+pub fn wire_cluster(
+    model: SwitchModel,
+    switches: u32,
+    hosts_per_switch: u16,
+    inter_links_per_pair: u16,
+) -> PhysicalCluster {
+    ClusterBuilder::new(model, switches)
+        .hosts_per_switch(hosts_per_switch)
+        .inter_links_per_pair(inter_links_per_pair)
+        .build()
+}
+
+impl TestbedConfig {
+    /// The cluster this file's `[cluster]` section wires.
+    pub fn cluster(&self) -> PhysicalCluster {
+        wire_cluster(self.model, self.switches, self.hosts_per_switch, self.inter_links_per_pair)
     }
 }
 

@@ -6,7 +6,7 @@ use crate::recovery::{
     RetryStats,
 };
 use crate::wiring::plan_wiring;
-use sdt_core::cluster::{ClusterBuilder, PhysLink, PhysicalCluster};
+use sdt_core::cluster::{PhysLink, PhysicalCluster};
 use sdt_core::sdt::{
     FailedResources, ProjectOptions, ProjectionError, SdtProjection, SdtProjector,
 };
@@ -98,6 +98,16 @@ pub fn resolve_strategy(
     Ok(s)
 }
 
+/// The Deadlock Avoidance gate (§V-3), shared by deployment, recovery and
+/// slice admission: when `required`, routes whose channel dependency graph
+/// has a cycle are refused — `Err` carries the cycle's length.
+pub(crate) fn deadlock_gate(required: bool, routes: &RouteTable) -> Result<(), usize> {
+    match required.then(|| analyze(routes)) {
+        Some(DeadlockAnalysis::Cycle(c)) => Err(c.len()),
+        _ => Ok(()),
+    }
+}
+
 /// A live deployment: projection + programmed switches.
 #[derive(Debug)]
 pub struct Deployment {
@@ -139,11 +149,7 @@ impl SdtController {
 
     /// Build controller + cluster straight from a parsed config file.
     pub fn from_config(cfg: &TestbedConfig) -> Self {
-        let cluster = ClusterBuilder::new(cfg.model, cfg.switches)
-            .hosts_per_switch(cfg.hosts_per_switch)
-            .inter_links_per_pair(cfg.inter_links_per_pair)
-            .build();
-        let mut c = SdtController::new(cluster);
+        let mut c = SdtController::new(cfg.cluster());
         c.require_deadlock_free = cfg.require_deadlock_free;
         c
     }
@@ -220,12 +226,8 @@ impl SdtController {
     ) -> Result<Deployment, DeployError> {
         let strategy = resolve_strategy(strategy_name, topo)?;
         let routes = RouteTable::build_for_hosts(topo, strategy.as_ref());
-        // Deadlock Avoidance gate (§V-3).
-        if self.require_deadlock_free {
-            if let DeadlockAnalysis::Cycle(c) = analyze(&routes) {
-                return Err(DeployError::DeadlockRisk { cycle_len: c.len() });
-            }
-        }
+        deadlock_gate(self.require_deadlock_free, &routes)
+            .map_err(|cycle_len| DeployError::DeadlockRisk { cycle_len })?;
         let projection = self
             .projector
             .project(topo, &self.cluster, &routes)
@@ -257,21 +259,12 @@ impl SdtController {
     ) -> Result<(Deployment, u64), DeployError> {
         let new = self.deploy(topo)?;
         // Switches reprogram in parallel: the busiest one bounds the time.
-        let mut max_mods = 0usize;
-        for sw in 0..self.cluster.num_switches() as usize {
-            let mods = sdt_openflow::diff_tables(
-                &old.projection.synthesis.table0[sw],
-                &new.projection.synthesis.table0[sw],
-            )
-            .len()
-                + sdt_openflow::diff_tables(
-                    &old.projection.synthesis.table1[sw],
-                    &new.projection.synthesis.table1[sw],
-                )
-                .len();
-            max_mods = max_mods.max(mods);
-        }
-        let t = self.timing.install_time_ns(max_mods);
+        let delta = sdt_tenancy::Epoch::from_diff(
+            sdt_tenancy::SliceId::default(),
+            &old.projection.synthesis,
+            &new.projection.synthesis,
+        );
+        let t = delta.report(self.cluster.num_switches() as usize, &self.timing).install_time_ns;
         self.reconfigurations += 1;
         Ok((new, t))
     }
@@ -351,11 +344,8 @@ impl SdtController {
         let surviving = surviving_topology(&old.topology, &all_dead);
         let strategy = default_strategy(&surviving);
         let routes = RouteTable::build_for_hosts(&surviving, strategy.as_ref());
-        if self.require_deadlock_free {
-            if let DeadlockAnalysis::Cycle(c) = analyze(&routes) {
-                return Err(DeployError::DeadlockRisk { cycle_len: c.len() });
-            }
-        }
+        deadlock_gate(self.require_deadlock_free, &routes)
+            .map_err(|cycle_len| DeployError::DeadlockRisk { cycle_len })?;
         let pinned = ProjectOptions {
             fixed_assignment: Some(&old.projection.assignment),
             failed: Some(&failed),
@@ -407,29 +397,21 @@ impl SdtController {
         // The intent is built from the surviving topology, so pairs the
         // faults severed count as expected drops, not blackholes.
         self.static_gate(&topology, &projection)?;
-        let (retry, schedule) = if cfg.scheduled {
-            match self.scheduled_reconcile(&topology, &projection, &mut switches, channel, cfg) {
-                Some((retry, rep)) => (retry, Some(rep)),
-                // The scheduler refused (boundary unprovable even fully
-                // merged, or the channel diverged into an unsafe state):
-                // fall back to the plain retry loop, which the epoch-level
-                // static gate above still covers.
-                None => (
-                    install_with_retry(
-                        channel,
-                        &mut switches,
-                        &projection.synthesis,
-                        cfg,
-                        &self.timing,
-                    ),
-                    None,
-                ),
-            }
+        let scheduled = if cfg.scheduled {
+            self.scheduled_reconcile(&topology, &projection, &mut switches, channel, cfg)
         } else {
-            (
+            None
+        };
+        let (retry, schedule) = match scheduled {
+            Some((retry, rep)) => (retry, Some(rep)),
+            // Not asked for, or the scheduler refused (boundary unprovable
+            // even fully merged, or the channel diverged into an unsafe
+            // state): the plain retry loop, which the epoch-level static
+            // gate above still covers.
+            None => (
                 install_with_retry(channel, &mut switches, &projection.synthesis, cfg, &self.timing),
                 None,
-            )
+            ),
         };
         let recovery_time_ns = cfg.detection_ns() + retry.elapsed_ns;
         let deploy_time_ns = projection.deploy_time_ns(&self.timing);
@@ -467,43 +449,17 @@ impl SdtController {
         channel: &mut ControlChannel,
         cfg: &RecoveryConfig,
     ) -> Option<(RetryStats, sdt_tenancy::ScheduleReport)> {
-        use sdt_tenancy::{Epoch, EpochAdd, EpochDelete};
-        let mut epoch = Epoch::default();
-        for (sw, s) in switches.iter().enumerate() {
-            for t in [0u8, 1u8] {
-                let intended = if t == 0 {
-                    &projection.synthesis.table0[sw]
-                } else {
-                    &projection.synthesis.table1[sw]
-                };
-                for m in sdt_openflow::diff_tables(s.table(t).entries(), intended) {
-                    match m {
-                        sdt_openflow::FlowMod::Add(entry) => {
-                            epoch.adds.push(EpochAdd { switch: sw as u32, table: t, entry });
-                        }
-                        sdt_openflow::FlowMod::Delete(m, priority) => {
-                            epoch.deletes.push(EpochDelete {
-                                switch: sw as u32,
-                                table: t,
-                                m,
-                                priority,
-                            });
-                        }
-                        sdt_openflow::FlowMod::Clear => return None,
-                    }
-                }
-            }
-        }
+        let epoch = sdt_tenancy::Epoch::from_entries(
+            sdt_tenancy::SliceId::default(),
+            switches.len(),
+            |sw, t| switches[sw].table(t).entries(),
+            |sw, t| sdt_tenancy::epoch::synthesis_entries(&projection.synthesis, sw, t),
+        );
         let before = TableView::of_switches(switches);
         let rounds = sdt_tenancy::compile_rounds(&epoch, &before);
         let intent = Intent::of_projection(projection, topology, topology.name());
         let threads = sdt_verify::verify_threads();
         let base = Verifier::check_threads(&self.cluster, before, intent.clone(), threads);
-        let policy = sdt_tenancy::RetryPolicy {
-            max_retries: cfg.max_retries,
-            backoff_base_ns: cfg.backoff_base_ns,
-            backoff_factor: cfg.backoff_factor,
-        };
         let (_proof, rep) = sdt_tenancy::install_scheduled(
             &self.cluster,
             switches,
@@ -514,7 +470,7 @@ impl SdtController {
             &intent,
             &self.timing,
             threads,
-            &policy,
+            &cfg.retry,
         )
         .ok()?;
         let retry = RetryStats {
@@ -553,6 +509,7 @@ pub struct RecoveryOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdt_core::cluster::ClusterBuilder;
     use sdt_core::methods::SwitchModel;
     use sdt_core::walk::IsolationReport;
     use sdt_topology::chain::{chain, ring};

@@ -172,7 +172,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(JsonError { at: pos, msg: "trailing characters".into() });
@@ -182,8 +182,10 @@ impl Json {
 }
 
 /// Canonical string escaping: `"` `\` as pairs, `\n` `\t` `\r` by name,
-/// other control characters as `\u00XX`, everything else verbatim.
-fn escape_into(s: &str, out: &mut String) {
+/// other control characters as `\u00XX`, everything else verbatim. The
+/// one JSON string escaper: [`Json::emit`] and `output::jstr` both write
+/// through it.
+pub(crate) fn escape_into(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -216,8 +218,18 @@ fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level and requests are parsed on the daemon's
+/// default-stack reader threads, so an unbounded `[[[[…` line far below the
+/// request-size cap would overflow the stack and abort the process.
+/// Snapshots nest about 6 deep, requests about 4.
+const MAX_DEPTH: usize = 128;
+
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(b, pos);
+    if depth == MAX_DEPTH && matches!(b.get(*pos), Some(b'[' | b'{')) {
+        return Err(JsonError { at: *pos, msg: "nesting too deep".into() });
+    }
     match b.get(*pos) {
         None => Err(JsonError { at: *pos, msg: "unexpected end of input".into() }),
         Some(b'n') => expect(b, pos, "null").map(|()| Json::Null),
@@ -233,7 +245,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -258,7 +270,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, ":")?;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(b, pos, depth + 1)?;
                 members.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -394,6 +406,17 @@ mod tests {
         for bad in ["", "{", "[1,", "\"", "{\"a\" 1}", "12x", "[1] extra", "nul"] {
             assert!(Json::parse(bad).is_err(), "`{bad}` should not parse");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let too_deep = |e: Result<Json, JsonError>| e.is_err_and(|e| e.msg == "nesting too deep");
+        // Both bombs are far past any thread's stack at one frame per level.
+        assert!(too_deep(Json::parse(&"[".repeat(100_000))));
+        assert!(too_deep(Json::parse(&"{\"a\":".repeat(100_000))));
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(too_deep(Json::parse(&nested(MAX_DEPTH + 1))));
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! (§IV-B: reserve the maximum inter-switch links any target topology
 //! needs).
 
+pub mod commands;
 pub mod config;
 pub mod controller;
 pub mod jsonv;

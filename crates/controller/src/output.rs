@@ -3,33 +3,23 @@
 //! The daemon promise is that `sdtctl --daemon <socket> slices ...` prints
 //! **byte-for-byte** what local `sdtctl slices ...` prints, JSON and human
 //! mode alike. The only way to keep that true under maintenance is to have
-//! exactly one implementation of each report: these functions return the
-//! finished text, local mode prints it, and the daemon ships it over the
-//! wire for the client to print verbatim. Every renderer returns its text
-//! *without* a trailing newline; the caller adds the final `\n`.
+//! exactly one implementation of each report — these functions — and of
+//! each command that fills one in ([`crate::commands`], which local mode
+//! and the daemon both call): the finished text comes back, local mode
+//! prints it, and the daemon ships it over the wire for the client to
+//! print verbatim. Every renderer returns its text *without* a trailing
+//! newline; the caller adds the final `\n`.
 
 use sdt_tenancy::epoch::EpochReport;
 use sdt_tenancy::{ManagerStatus, ScheduleReport, Slice};
 use sdt_verify::VerifyReport;
 use std::fmt::Write as _;
 
-/// JSON string literal with the escapes the emitted data can contain.
+/// JSON string literal, escaped by the one escaper the `jsonv` emitter
+/// uses.
 pub fn jstr(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    crate::jsonv::escape_into(s, &mut out);
     out
 }
 
@@ -382,7 +372,10 @@ mod tests {
 
     #[test]
     fn jstr_escapes_controls() {
-        assert_eq!(jstr("a\"b\\c\nd\te\u{7}f"), "\"a\\\"b\\\\c\\nd\\te\\u0007f\"");
+        assert_eq!(
+            jstr("a\"b\\c\nd\te\u{7}f\rg"),
+            "\"a\\\"b\\\\c\\nd\\te\\u0007f\\rg\""
+        );
     }
 
     #[test]

@@ -10,33 +10,31 @@
 //! * [`surviving_topology`] / [`unreachable_pairs`] — graceful
 //!   degradation: the logical topology minus everything the faults took
 //!   out, and the host pairs an operator must be told are gone;
-//! * [`install_with_retry`] — reconcile live switch tables against the
-//!   intended synthesis over a lossy [`ControlChannel`], re-diffing and
-//!   re-sending with exponential backoff until the tables converge or the
-//!   retry budget runs out. A silently dropped flow-mod is caught here,
+//! * [`install_with_retry`] — [`sdt_openflow::reconcile`] aimed at the
+//!   intended synthesis: re-diff the live tables, re-send over the lossy
+//!   [`ControlChannel`] with exponential backoff until they converge or
+//!   the retry budget runs out. A silently dropped flow-mod is caught
 //!   because the diff is computed from the switch's *actual* table, not
 //!   from what the controller believes it sent.
 
 use sdt_core::sdt::SdtProjection;
 use sdt_core::synthesis::SynthesisOutput;
-use sdt_openflow::{diff_tables, ControlChannel, InstallTiming, OpenFlowSwitch};
+use sdt_openflow::{reconcile, ControlChannel, InstallTiming, OpenFlowSwitch, RetryPolicy};
+use sdt_tenancy::epoch::synthesis_entries;
 use sdt_topology::{HostId, SwitchId, Topology, TopologyBuilder};
 use std::collections::{HashMap, HashSet};
 
-/// Detection / retry / backoff timing knobs (EXPERIMENTS.md records these
-/// next to the Fig. 13 deployment-time model).
+/// Detection timing knobs plus the reconciliation retry budget
+/// (EXPERIMENTS.md records these next to the Fig. 13 deployment-time
+/// model).
 #[derive(Clone, Copy, Debug)]
 pub struct RecoveryConfig {
     /// Consecutive stale monitor polls before a channel is declared dead.
     pub detect_stale_polls: u32,
     /// Monitor poll interval, ns.
     pub poll_interval_ns: u64,
-    /// Reconciliation rounds after the initial install before giving up.
-    pub max_retries: u32,
-    /// Backoff before the first retry, ns.
-    pub backoff_base_ns: u64,
-    /// Multiplier per further retry (exponential backoff).
-    pub backoff_factor: u32,
+    /// Retry/backoff budget of the reconciliation loop.
+    pub retry: RetryPolicy,
     /// Reconcile through the transient-safe epoch scheduler
     /// ([`sdt_tenancy::schedule`]) instead of the one-shot retry loop:
     /// the repair batch is compiled into dependency-ordered rounds and
@@ -51,9 +49,7 @@ impl Default for RecoveryConfig {
         RecoveryConfig {
             detect_stale_polls: 3,
             poll_interval_ns: 1_000_000,
-            max_retries: 5,
-            backoff_base_ns: 2_000_000,
-            backoff_factor: 2,
+            retry: RetryPolicy::default(),
             scheduled: false,
         }
     }
@@ -247,11 +243,9 @@ pub fn unreachable_pairs(topo: &Topology) -> Vec<(HostId, HostId)> {
     out
 }
 
-/// Reconcile the live switch tables against `intended`, re-diffing and
-/// re-sending over `channel` with exponential backoff until they converge
-/// or the retry budget is exhausted. Every round diffs the switches'
-/// *actual* tables, so flow-mods the channel silently dropped (or mangled
-/// by reordering) are detected and re-issued.
+/// Reconcile the live switch tables against `intended` over `channel`
+/// ([`sdt_openflow::reconcile`], no attempt made yet), reported as the
+/// controller's retry counters.
 pub fn install_with_retry(
     channel: &mut ControlChannel,
     switches: &mut [OpenFlowSwitch],
@@ -259,40 +253,15 @@ pub fn install_with_retry(
     cfg: &RecoveryConfig,
     timing: &InstallTiming,
 ) -> RetryStats {
-    let mut stats = RetryStats::default();
-    loop {
-        // Read back the live tables and compute what is still missing.
-        let mut per_switch = vec![0usize; switches.len()];
-        let mut mods = Vec::new();
-        for (sw, s) in switches.iter().enumerate() {
-            let d0 = diff_tables(s.table(0).entries(), &intended.table0[sw]);
-            let d1 = diff_tables(s.table(1).entries(), &intended.table1[sw]);
-            per_switch[sw] = d0.len() + d1.len();
-            mods.extend(d0.into_iter().map(|m| (sw, 0u8, m)));
-            mods.extend(d1.into_iter().map(|m| (sw, 1u8, m)));
-        }
-        if mods.is_empty() {
-            stats.converged = true;
-            return stats;
-        }
-        if stats.rounds > cfg.max_retries {
-            return stats; // gave up; stats.converged stays false
-        }
-        if stats.rounds > 0 {
-            stats.retries += 1;
-            let backoff =
-                cfg.backoff_base_ns * (cfg.backoff_factor as u64).pow(stats.rounds - 1);
-            stats.backoff_ns_total += backoff;
-            stats.elapsed_ns += backoff;
-        }
-        for (sw, table, m) in mods {
-            channel.send(sw, table, m);
-            stats.flow_mods_sent += 1;
-        }
-        channel.barrier(switches);
-        let busiest = per_switch.iter().copied().max().unwrap_or(0);
-        stats.elapsed_ns += timing.install_time_ns(busiest) + 2 * channel.delay_ns();
-        stats.rounds += 1;
+    let target = |sw, table| synthesis_entries(intended, sw, table);
+    let r = reconcile(channel, switches, target, &cfg.retry, timing, 0);
+    RetryStats {
+        rounds: r.attempts,
+        retries: r.retries,
+        flow_mods_sent: r.sends,
+        backoff_ns_total: r.backoff_ns,
+        elapsed_ns: r.install_ns,
+        converged: r.converged,
     }
 }
 
@@ -392,7 +361,7 @@ mod tests {
         assert!(stats.converged, "loop must converge: {stats:?}");
         assert!(stats.retries > 0, "50% loss must force at least one retry");
         assert!(stats.flow_mods_sent > 6, "re-sends counted");
-        assert!(stats.backoff_ns_total >= cfg.backoff_base_ns);
+        assert!(stats.backoff_ns_total >= cfg.retry.backoff_base_ns);
         assert_eq!(
             table_divergence(&d.switches[0], &synth.table0[0], &synth.table1[0]),
             0
@@ -433,11 +402,14 @@ mod tests {
             seed: 0,
             ..ControlConfig::reliable()
         });
-        let cfg = RecoveryConfig { max_retries: 3, ..Default::default() };
+        let cfg = RecoveryConfig {
+            retry: RetryPolicy { max_retries: 3, ..Default::default() },
+            ..Default::default()
+        };
         let stats =
             install_with_retry(&mut ch, &mut d.switches, &synth, &cfg, &InstallTiming::default());
         assert!(!stats.converged);
-        assert_eq!(stats.rounds, cfg.max_retries + 1, "initial + max_retries rounds");
-        assert_eq!(stats.retries, cfg.max_retries);
+        assert_eq!(stats.rounds, cfg.retry.max_retries + 1, "initial + max_retries rounds");
+        assert_eq!(stats.retries, cfg.retry.max_retries);
     }
 }

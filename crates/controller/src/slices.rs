@@ -10,9 +10,8 @@
 //! admission is even attempted.
 
 use crate::config::TestbedConfig;
-use crate::controller::resolve_strategy;
-use sdt_core::cluster::{ClusterBuilder, PhysicalCluster};
-use sdt_routing::cdg::{analyze, DeadlockAnalysis};
+use crate::controller::{deadlock_gate, resolve_strategy};
+use sdt_core::cluster::PhysicalCluster;
 use sdt_routing::RouteTable;
 use sdt_tenancy::epoch::EpochReport;
 use sdt_tenancy::{
@@ -63,11 +62,7 @@ impl SliceController {
 
     /// Build the shared cluster from a config file's `[cluster]` section.
     pub fn from_config(cfg: &TestbedConfig) -> Self {
-        let cluster = ClusterBuilder::new(cfg.model, cfg.switches)
-            .hosts_per_switch(cfg.hosts_per_switch)
-            .inter_links_per_pair(cfg.inter_links_per_pair)
-            .build();
-        let mut c = SliceController::new(cluster);
+        let mut c = SliceController::new(cfg.cluster());
         c.require_deadlock_free = cfg.require_deadlock_free;
         c
     }
@@ -100,11 +95,8 @@ impl SliceController {
             other => SliceOpError::UnknownStrategy(other.to_string()),
         })?;
         let routes = RouteTable::build_for_hosts(topo, s.as_ref());
-        if self.require_deadlock_free {
-            if let DeadlockAnalysis::Cycle(c) = analyze(&routes) {
-                return Err(SliceOpError::DeadlockRisk { cycle_len: c.len() });
-            }
-        }
+        deadlock_gate(self.require_deadlock_free, &routes)
+            .map_err(|cycle_len| SliceOpError::DeadlockRisk { cycle_len })?;
         Ok(routes)
     }
 
@@ -210,6 +202,7 @@ impl SliceController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdt_core::cluster::ClusterBuilder;
     use sdt_core::methods::SwitchModel;
     use sdt_tenancy::SliceAudit;
     use sdt_topology::chain::{chain, ring};

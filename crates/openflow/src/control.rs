@@ -17,14 +17,15 @@
 //!   arrived;
 //! * divergence between a switch's live tables and the controller's
 //!   intended state is therefore only detectable by reading the tables
-//!   back and diffing ([`table_divergence`]) — which is precisely what the
-//!   controller's retry loop does.
+//!   back and diffing ([`table_divergence`]) — which is precisely what
+//!   [`reconcile`], the one retry loop, does.
 //!
 //! Randomness is a seeded [`StdRng`]: a chaos scenario's control-plane
 //! behavior replays bit-identically from its seed.
 
 use crate::switch::OpenFlowSwitch;
 use crate::table::{diff_tables, FlowEntry, FlowMod};
+use crate::InstallTiming;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -242,6 +243,98 @@ pub fn table_divergence(
         + diff_tables(sw.table(1).entries(), intended_t1).len()
 }
 
+/// Retry/backoff budget of one [`reconcile`] loop — the only retry knobs
+/// in the workspace (scheduled rounds and failure recovery both take it).
+#[derive(Clone, Copy, Debug)]
+pub struct RetryPolicy {
+    /// Re-diff/re-send attempts after the first send before giving up.
+    pub max_retries: u32,
+    /// Backoff before the first retry, ns.
+    pub backoff_base_ns: u64,
+    /// Multiplier per further retry (exponential backoff).
+    pub backoff_factor: u32,
+}
+
+impl Default for RetryPolicy {
+    fn default() -> Self {
+        RetryPolicy { max_retries: 5, backoff_base_ns: 2_000_000, backoff_factor: 2 }
+    }
+}
+
+/// What one [`reconcile`] loop did. Times are modeled (the channel is
+/// simulated), never measured.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Reconciled {
+    /// Send + barrier attempts made towards the target, the caller's
+    /// `attempts_done` included.
+    pub attempts: u32,
+    /// Flow-mods handed to the channel by this loop.
+    pub sends: u64,
+    /// Attempts that had to wait out a backoff first (every attempt after
+    /// the first towards this target).
+    pub retries: u32,
+    /// Total exponential-backoff wait, ns.
+    pub backoff_ns: u64,
+    /// Modeled time of the loop: installs + barriers + backoff, ns.
+    pub install_ns: u64,
+    /// Every live table matches the target.
+    pub converged: bool,
+}
+
+/// Drive the live tables to `target(switch, table)` over a lossy channel:
+/// read the tables back, diff them against the target, re-send what is
+/// missing or stale, barrier, and repeat — waiting `base · factor^(n−1)`
+/// before the n-th retry — until nothing differs or `max_retries + 1`
+/// attempts have been spent. The diff is taken from what the switches
+/// *actually* hold, so flow-mods the channel silently dropped or reordered
+/// are caught and re-issued. `attempts_done` counts sends towards this
+/// target the caller already made (a scheduler round's own send + barrier
+/// is attempt 1; a plain repair starts at 0).
+pub fn reconcile<'a>(
+    channel: &mut ControlChannel,
+    switches: &mut [OpenFlowSwitch],
+    target: impl Fn(usize, u8) -> &'a [FlowEntry],
+    policy: &RetryPolicy,
+    timing: &InstallTiming,
+    attempts_done: u32,
+) -> Reconciled {
+    let mut r = Reconciled { attempts: attempts_done, ..Default::default() };
+    loop {
+        let mut per_switch = vec![0usize; switches.len()];
+        let mut mods = Vec::new();
+        for (sw, s) in switches.iter().enumerate() {
+            for t in [0u8, 1u8] {
+                for m in diff_tables(s.table(t).entries(), target(sw, t)) {
+                    per_switch[sw] += 1;
+                    mods.push((sw, t, m));
+                }
+            }
+        }
+        if mods.is_empty() {
+            r.converged = true;
+            return r;
+        }
+        if r.attempts > policy.max_retries {
+            return r;
+        }
+        if r.attempts > 0 {
+            r.retries += 1;
+            let wait =
+                policy.backoff_base_ns * u64::from(policy.backoff_factor).pow(r.attempts - 1);
+            r.backoff_ns += wait;
+            r.install_ns += wait;
+        }
+        for (sw, t, m) in mods {
+            channel.send(sw, t, m);
+            r.sends += 1;
+        }
+        channel.barrier(switches);
+        let busiest = per_switch.iter().copied().max().unwrap_or(0);
+        r.install_ns += timing.install_time_ns(busiest) + 2 * channel.delay_ns();
+        r.attempts += 1;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,5 +438,55 @@ mod tests {
             }
         }
         assert!(saw_stale, "some seed in 0..64 must reorder");
+    }
+
+    #[test]
+    fn reconcile_retries_with_exponential_backoff_until_the_tables_match() {
+        let target: Vec<FlowEntry> = (0..8).map(|i| entry(i, 1)).collect();
+        let goal = |_: usize, t: u8| if t == 1 { target.as_slice() } else { &[][..] };
+        let (policy, timing) = (RetryPolicy::default(), InstallTiming::default());
+        let lossy =
+            || ControlChannel::new(ControlConfig { drop_prob: 0.3, seed: 3, ..Default::default() });
+
+        // A plain repair (no attempt made yet): the first send is free of
+        // backoff, every later one waits base * factor^(n-1).
+        let mut sw = [switch()];
+        let mut ch = lossy();
+        let r = reconcile(&mut ch, &mut sw, goal, &policy, &timing, 0);
+        assert!(r.converged, "{r:?}");
+        assert!(r.retries > 0 && r.attempts == r.retries + 1, "{r:?}");
+        assert_eq!(r.sends, ch.sent());
+        let waits: u64 = (0..r.retries).map(|n| policy.backoff_base_ns << n).sum();
+        assert_eq!(r.backoff_ns, waits);
+        assert_eq!(sw[0].table(1).entries().len(), 8);
+
+        // Tables already at the target: nothing sent, nothing waited.
+        let again = reconcile(&mut ch, &mut sw, goal, &policy, &timing, 0);
+        assert_eq!(again, Reconciled { converged: true, ..Default::default() });
+
+        // The caller's own send was attempt 1: same channel draws, but every
+        // send of the loop is now a retry and the budget is one shorter.
+        let mut sw = [switch()];
+        let after_round = reconcile(&mut lossy(), &mut sw, goal, &policy, &timing, 1);
+        assert_eq!(after_round.retries, after_round.attempts - 1);
+        assert_eq!(after_round.sends, r.sends);
+        assert!(after_round.backoff_ns > r.backoff_ns);
+    }
+
+    #[test]
+    fn reconcile_gives_up_after_max_retries_plus_one_attempts() {
+        let target = [entry(1, 1)];
+        let goal = |_: usize, t: u8| if t == 1 { &target[..] } else { &[][..] };
+        let policy = RetryPolicy { max_retries: 3, ..Default::default() };
+        for done in [0, 1] {
+            let mut sw = [switch()];
+            let mut dead =
+                ControlChannel::new(ControlConfig { drop_prob: 1.0, ..Default::default() });
+            let r = reconcile(&mut dead, &mut sw, goal, &policy, &InstallTiming::default(), done);
+            assert!(!r.converged);
+            assert_eq!(r.attempts, policy.max_retries + 1, "initial + max_retries attempts");
+            assert_eq!(r.retries, policy.max_retries);
+            assert_eq!(r.sends, u64::from(policy.max_retries + 1 - done));
+        }
     }
 }

@@ -27,7 +27,10 @@ pub mod snap;
 pub mod switch;
 pub mod table;
 
-pub use control::{table_divergence, BarrierReport, ControlChannel, ControlConfig, RoundBatch};
+pub use control::{
+    reconcile, table_divergence, BarrierReport, ControlChannel, ControlConfig, Reconciled,
+    RetryPolicy, RoundBatch,
+};
 pub use index::EntryIndex;
 pub use overlap::{table_warnings_indexed, OverlapHit, OverlapIndex};
 pub use switch::{OpenFlowSwitch, PortStats, SwitchConfig};

@@ -33,8 +33,8 @@
 
 use crate::engine::{engine_loop, EngineHost};
 use crate::snapshot::{write_atomic, ClusterSpec, Snapshot};
-use sdt_controller::output::{self, AdmitInfo, AdmitRow, StatsBlock};
-use sdt_controller::{Json, SliceController, SliceOpError, TestbedConfig};
+use sdt_controller::commands::{self, Done};
+use sdt_controller::{Json, SliceController, TestbedConfig};
 use sdt_sync::atomic::{AtomicBool, Ordering};
 use sdt_sync::sync::mpsc::Sender;
 use sdt_sync::sync::{Arc, Mutex};
@@ -154,10 +154,8 @@ enum Request {
 
 struct ReconfigureReq {
     json: bool,
-    scheduled: bool,
-    drop_prob: f64,
-    reorder_prob: f64,
-    seed: u64,
+    /// `Some` = scheduled, over a control channel of this profile.
+    scheduled: Option<sdt_openflow::ControlConfig>,
     from_path: String,
     from_text: String,
     to_text: String,
@@ -293,10 +291,19 @@ fn parse_request(line: &str) -> (u64, Request) {
                 (Some(from_path), Some(from_text), Some(to_text)) => {
                     Request::Reconfigure(Box::new(ReconfigureReq {
                         json,
-                        scheduled: p.get("scheduled").and_then(Json::as_bool).unwrap_or(false),
-                        drop_prob: p.get("drop").and_then(Json::as_f64).unwrap_or(0.0),
-                        reorder_prob: p.get("reorder").and_then(Json::as_f64).unwrap_or(0.0),
-                        seed: p.get("seed").and_then(Json::as_u64).unwrap_or(0),
+                        scheduled: p
+                            .get("scheduled")
+                            .and_then(Json::as_bool)
+                            .unwrap_or(false)
+                            .then(|| sdt_openflow::ControlConfig {
+                                drop_prob: p.get("drop").and_then(Json::as_f64).unwrap_or(0.0),
+                                reorder_prob: p
+                                    .get("reorder")
+                                    .and_then(Json::as_f64)
+                                    .unwrap_or(0.0),
+                                seed: p.get("seed").and_then(Json::as_u64).unwrap_or(0),
+                                ..sdt_openflow::ControlConfig::reliable()
+                            }),
                         from_path: from_path.to_string(),
                         from_text: from_text.to_string(),
                         to_text: to_text.to_string(),
@@ -577,6 +584,16 @@ impl Engine<'_> {
         }
     }
 
+    /// Count a run of `ops` lifecycle operations handed to `apply_batch`
+    /// together (a run of one is not a batch).
+    fn note_batch(&mut self, ops: u64) {
+        if ops >= 2 {
+            self.metrics.batches += 1;
+            self.metrics.batched_ops += ops;
+            self.metrics.largest_batch = self.metrics.largest_batch.max(ops);
+        }
+    }
+
     /// One coalesced run of admit / migrate / destroy. Strategy resolution
     /// and the deadlock gate run per request up front (their rejections
     /// are batch-independent); what survives becomes one `apply_batch`
@@ -596,11 +613,7 @@ impl Engine<'_> {
                 Err(e) => replies.push(Some(Reply::err(item.id, e))),
             }
         }
-        if ops.len() >= 2 {
-            self.metrics.batches += 1;
-            self.metrics.batched_ops += ops.len() as u64;
-            self.metrics.largest_batch = self.metrics.largest_batch.max(ops.len() as u64);
-        }
+        self.note_batch(ops.len() as u64);
         let results = self.state.ctl.manager_mut().apply_batch(ops);
         for (slot, result) in op_source.into_iter().zip(results) {
             let item = &group[slot];
@@ -735,110 +748,49 @@ impl Engine<'_> {
         r
     }
 
-    /// `sdtctl verify --daemon`: the multi-config local path, against the
-    /// daemon's live slices, rendered by the shared output module — hence
-    /// byte-for-byte local output.
+    /// Fold a finished [`commands`] call into the daemon's bookkeeping and
+    /// wrap it for the wire: every slice the command installed marks the
+    /// state dirty and records the config text (`texts`, indexed like the
+    /// command's configs) it now runs — what the snapshot rebuilds it from.
+    fn command_reply(&mut self, id: u64, done: Done, texts: &[&str]) -> Reply {
+        for &(i, sid) in &done.installed {
+            self.dirty = true;
+            self.state.configs.insert(sid.0, texts[i].to_string());
+        }
+        self.note_batch(done.batch_ops);
+        let mut r = match done.error {
+            Some(e) => Reply::err(id, e),
+            None => Reply::ok(id),
+        };
+        r.output = done.output;
+        r
+    }
+
+    /// `sdtctl verify --daemon`: [`commands::verify`] over the daemon's
+    /// live slices, nothing new admitted.
     fn verify_reply(&mut self, id: u64, json: bool, stats: bool) -> Reply {
-        let mgr = self.state.ctl.manager_mut();
-        let (report, block) = if stats {
-            let t0 = std::time::Instant::now();
-            let (r, stats) = mgr.verify_report_with_stats();
-            let wall_s = t0.elapsed().as_secs_f64();
-            (r, Some(StatsBlock { wall_s, warm_s: None, stats }))
-        } else {
-            (mgr.verify_report(), None)
-        };
-        let text = if json {
-            output::verify_json("slices", &report, block.as_ref())
-        } else {
-            output::verify_human("slices", &report, block.as_ref())
-        };
-        let mut r = if report.holds() {
-            Reply::ok(id)
-        } else {
-            Reply::err(id, "static verification failed")
-        };
-        r.output = text;
-        r
+        let done = commands::verify(&mut self.state.ctl, &[], json, stats);
+        self.command_reply(id, done, &[])
     }
 
-    /// `sdtctl slices --daemon`: admit every config of the request as a
-    /// slice of the daemon's persistent cluster (one internal
-    /// `apply_batch`), then render admissions + occupancy + the cached
-    /// static proof exactly as local mode does — a pure read: no walk, no
-    /// probe, no counter moves.
+    /// `sdtctl slices --daemon`: [`commands::slices`] on the persistent
+    /// cluster. A config text that does not parse keeps its row, rejected
+    /// with the parse error.
     fn slices_reply(&mut self, id: u64, json: bool, items: &[(String, String)]) -> Reply {
-        // Configs that parse go to the controller as one batch; the rest
-        // keep their row, rejected with the parse error.
-        let parsed: Vec<Result<TestbedConfig, String>> = items
+        let configs: Vec<_> = items
             .iter()
-            .map(|(_, text)| TestbedConfig::parse(text).map_err(|e| e.to_string()))
+            .map(|(path, text)| {
+                (path.clone(), TestbedConfig::parse(text).map_err(|e| e.to_string()))
+            })
             .collect();
-        let batch: Vec<_> = parsed
-            .iter()
-            .flatten()
-            .map(|c| (c.topology.name(), &c.topology, c.strategy.as_str()))
-            .collect();
-        let verdicts = self.state.ctl.create_batch(&batch);
-        // What reached `apply_batch`: everything not refused up front by
-        // strategy resolution or the deadlock gate.
-        let ops = verdicts
-            .iter()
-            .filter(|v| matches!(v, Ok(_) | Err(SliceOpError::Admission(_))))
-            .count() as u64;
-        if ops >= 2 {
-            self.metrics.batches += 1;
-            self.metrics.batched_ops += ops;
-            self.metrics.largest_batch = self.metrics.largest_batch.max(ops);
-        }
-        let mut verdicts = verdicts.into_iter();
-        let mut rows = Vec::with_capacity(items.len());
-        for ((path, text), cfg) in items.iter().zip(parsed) {
-            let (slice, result) = match cfg {
-                Err(e) => ("<invalid>".to_string(), Err(e)),
-                Ok(cfg) => {
-                    let result = match verdicts.next() {
-                        Some(Ok(sid)) => {
-                            self.dirty = true;
-                            self.state.configs.insert(sid.0, text.clone());
-                            match self.state.ctl.manager().slice(sid) {
-                                Some(s) => Ok(AdmitInfo::of(s)),
-                                None => unreachable!("create_batch returned a live slice id"),
-                            }
-                        }
-                        Some(Err(e)) => Err(e.to_string()),
-                        None => unreachable!("create_batch answers every parsed config"),
-                    };
-                    (cfg.topology.name().to_string(), result)
-                }
-            };
-            rows.push(AdmitRow { path: path.clone(), slice, result });
-        }
-        let rejected = rows.iter().filter(|r| r.result.is_err()).count();
-        let status = self.state.ctl.status();
-        let verify = self.state.ctl.manager_mut().verify_report();
-        let text = if json {
-            output::slices_json(&rows, &status, &verify)
-        } else {
-            output::slices_human(&rows, &status, &verify)
-        };
-        let mut r = if rejected > 0 {
-            Reply::err(id, format!("{rejected} slice(s) rejected"))
-        } else if !verify.holds() {
-            Reply::err(id, "static verification failed")
-        } else if status.orphan_entries > 0 {
-            Reply::err(id, format!("{} orphan table entries", status.orphan_entries))
-        } else {
-            Reply::ok(id)
-        };
-        r.output = text;
-        r
+        let done = commands::slices(&mut self.state.ctl, &configs, json);
+        let texts: Vec<&str> = items.iter().map(|(_, text)| text.as_str()).collect();
+        self.command_reply(id, done, &texts)
     }
 
-    /// `sdtctl reconfigure --daemon`: migrate the slice named by the
-    /// `from` config's topology (admitting it first if absent — the local
-    /// command's create-then-migrate, against persistent state), then
-    /// render the epoch report exactly as local mode does.
+    /// `sdtctl reconfigure --daemon`: [`commands::reconfigure`] against
+    /// persistent state — the slice named by the `from` config's topology
+    /// is migrated, admitted first if absent.
     fn reconfigure_reply(&mut self, id: u64, req: &ReconfigureReq) -> Reply {
         let from = match TestbedConfig::parse(&req.from_text) {
             Ok(c) => c,
@@ -848,84 +800,19 @@ impl Engine<'_> {
             Ok(c) => c,
             Err(e) => return Reply::err(id, e.to_string()),
         };
-        let existing = self
-            .state
-            .ctl
-            .manager()
-            .slices()
-            .find(|s| s.name == from.topology.name())
-            .map(|s| s.id);
-        let sid = match existing {
-            Some(sid) => sid,
-            None => {
-                match self.state.ctl.create(
-                    from.topology.name(),
-                    &from.topology,
-                    &from.strategy,
-                ) {
-                    Ok(sid) => {
-                        self.dirty = true;
-                        self.state.configs.insert(sid.0, req.from_text.clone());
-                        sid
-                    }
-                    Err(e) => {
-                        return Reply::err(
-                            id,
-                            format!("{}: admission failed: {e}", req.from_path),
-                        )
-                    }
-                }
-            }
-        };
-        let attempt = if req.scheduled {
-            let mut ch = sdt_openflow::ControlChannel::new(sdt_openflow::ControlConfig {
-                drop_prob: req.drop_prob,
-                reorder_prob: req.reorder_prob,
-                seed: req.seed,
-                ..sdt_openflow::ControlConfig::reliable()
-            });
-            self.state
-                .ctl
-                .reconfigure_scheduled(sid, &to.topology, &to.strategy, &mut ch)
-                .map(|(r, s)| (r, Some(s)))
-        } else {
-            self.state.ctl.reconfigure(sid, &to.topology, &to.strategy).map(|r| (r, None))
-        };
-        let (report, sched) = match attempt {
-            Ok(x) => x,
-            Err(e) => return Reply::err(id, e.to_string()),
-        };
-        self.dirty = true;
-        self.state.configs.insert(sid.0, req.to_text.clone());
-        let holds = self.state.ctl.manager_mut().verify_report().holds();
-        let text = if req.json {
-            output::reconfigure_json(
-                from.topology.name(),
-                to.topology.name(),
-                req.scheduled,
-                &report,
-                sched.as_ref(),
-                holds,
-            )
-        } else {
-            output::reconfigure_human(
-                from.topology.name(),
-                to.topology.name(),
-                &report,
-                sched.as_ref(),
-                holds,
-            )
-        };
-        let diverged = sched.as_ref().is_some_and(|s| !s.converged);
-        let mut r = if !holds {
-            Reply::err(id, "post-reconfiguration audit found violations")
-        } else if diverged {
-            Reply::err(id, "scheduled migration did not converge")
-        } else {
-            Reply::ok(id)
-        };
-        r.extra = vec![("slice".to_string(), Json::u64(sid.0.into()))];
-        r.output = text;
+        let done = commands::reconfigure(
+            &mut self.state.ctl,
+            &req.from_path,
+            &from,
+            &to,
+            req.scheduled,
+            req.json,
+        );
+        let migrated = done.installed.iter().find(|&&(config, _)| config == 1).map(|&(_, sid)| sid);
+        let mut r = self.command_reply(id, done, &[&req.from_text, &req.to_text]);
+        if let Some(sid) = migrated {
+            r.extra = vec![("slice".to_string(), Json::u64(sid.0.into()))];
+        }
         r
     }
 }

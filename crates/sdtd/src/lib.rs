@@ -26,9 +26,9 @@
 //!   continues where it stopped.
 //!
 //! `sdtctl --daemon <socket>` drives the same `slices` / `verify` /
-//! `reconfigure` commands through the wire; the daemon renders reports
-//! with the shared `sdt_controller::output` functions, so daemon-mode
-//! output is byte-for-byte local-mode output.
+//! `reconfigure` commands through the wire; the daemon's handlers call
+//! the `sdt_controller::commands` functions local mode calls, so
+//! daemon-mode output is byte-for-byte local-mode output.
 
 pub mod daemon;
 pub mod engine;

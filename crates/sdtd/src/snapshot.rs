@@ -31,8 +31,9 @@
 //! tested property: snapshot → restore → re-snapshot is byte-identical.
 
 use sdt_controller::controller::resolve_strategy;
+use sdt_controller::config::wire_cluster;
 use sdt_controller::{model_by_name, model_config_name, Json, TestbedConfig};
-use sdt_core::cluster::{ClusterBuilder, PhysLink, PhysLinkKind, PhysPort, PhysicalCluster};
+use sdt_core::cluster::{PhysLink, PhysLinkKind, PhysPort, PhysicalCluster};
 use sdt_core::sdt::SdtProjection;
 use sdt_core::synthesis::SynthesisOutput;
 use sdt_openflow::{snap, FlowEntry, PortNo};
@@ -65,7 +66,7 @@ fn bad(msg: impl Into<String>) -> SnapshotError {
 }
 
 /// The physical cluster's deterministic description: enough to rebuild
-/// the wiring with [`ClusterBuilder`].
+/// the wiring with [`wire_cluster`].
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ClusterSpec {
     /// Switch model, by its `[cluster] model` config name.
@@ -95,10 +96,7 @@ impl ClusterSpec {
     pub fn build(&self) -> Result<PhysicalCluster, SnapshotError> {
         let model = model_by_name(&self.model)
             .ok_or_else(|| bad(format!("unknown switch model `{}`", self.model)))?;
-        Ok(ClusterBuilder::new(model, self.switches)
-            .hosts_per_switch(self.hosts_per_switch)
-            .inter_links_per_pair(self.inter_links_per_pair)
-            .build())
+        Ok(wire_cluster(model, self.switches, self.hosts_per_switch, self.inter_links_per_pair))
     }
 }
 

@@ -4,13 +4,14 @@
 //! on one connection must come back in request order (FCFS),
 //! daemon-rendered reports must be byte-identical to local `sdtctl`
 //! rendering of the same state and must not move a dataplane counter, and
-//! an over-long request line must cost only its own connection.
+//! a hostile request line (over-long, or nested past the parser's cap)
+//! must cost only its own connection.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 mod util;
 
-use sdt_controller::output::{self, AdmitInfo, AdmitRow};
+use sdt_controller::commands::{self, ConfigItem};
 use sdt_controller::{Json, SliceController, TestbedConfig};
 use sdt_sdtd::{run, serve, DaemonOptions, DaemonState};
 use std::io::{BufRead as _, BufReader, Write as _};
@@ -147,6 +148,23 @@ fn replies_on_one_connection_are_fcfs() {
     handle.join().unwrap().unwrap();
 }
 
+/// Blank the number after every occurrence of each `key`: measured wall
+/// clocks are the only bytes allowed to differ between two runs.
+fn mask(text: &str, keys: &[&str]) -> String {
+    let mut out = text.to_string();
+    for key in keys {
+        let mut from = 0;
+        while let Some(at) = out[from..].find(key) {
+            let start = from + at + key.len();
+            let digits =
+                out[start..].chars().take_while(|c| c.is_ascii_digit() || *c == '.').count();
+            out.replace_range(start..start + digits, "X");
+            from = start;
+        }
+    }
+    out
+}
+
 #[test]
 fn daemon_reports_are_byte_identical_to_local_rendering() {
     // Three tenants, the last touching only part of the fabric, plus one
@@ -160,30 +178,24 @@ fn daemon_reports_are_byte_identical_to_local_rendering() {
         ("d.toml", cfg("kind = \"chain\"\nn = 3")),
     ];
 
-    // Local mode: what `sdtctl slices a.toml b.toml c.toml d.toml` renders.
-    let parsed: Vec<TestbedConfig> =
-        configs.iter().map(|(_, text)| TestbedConfig::parse(text).unwrap()).collect();
-    let mut ctl = SliceController::from_config(&parsed[0]);
-    let items: Vec<_> =
-        parsed.iter().map(|c| (c.topology.name(), &c.topology, c.strategy.as_str())).collect();
-    let rows: Vec<AdmitRow> = ctl
-        .create_batch(&items)
-        .into_iter()
-        .zip(configs.iter().zip(&parsed))
-        .map(|(verdict, ((path, _), c))| AdmitRow {
-            path: path.to_string(),
-            slice: c.topology.name().to_string(),
-            result: verdict
-                .map(|id| AdmitInfo::of(ctl.manager().slice(id).unwrap()))
-                .map_err(|e| e.to_string()),
-        })
+    // Local mode: what `sdtctl slices a.toml b.toml c.toml d.toml` runs —
+    // the shared command on a fresh controller wired from the first config.
+    let parsed: Vec<ConfigItem> = configs
+        .iter()
+        .map(|(path, text)| (path.to_string(), Ok(TestbedConfig::parse(text).unwrap())))
         .collect();
-    assert_eq!(rows.iter().filter(|r| r.result.is_err()).count(), 1);
-    let status = ctl.status();
-    let verify = ctl.manager_mut().verify_report();
-    let local_human = output::slices_human(&rows, &status, &verify);
-    let local_json = output::slices_json(&rows, &status, &verify);
-    let local_verify = output::verify_json("slices", &verify, None);
+    let fresh = || SliceController::from_config(parsed[0].1.as_ref().unwrap());
+    let [local_human, local_json] = [false, true].map(|json| {
+        let done = commands::slices(&mut fresh(), &parsed, json);
+        assert_eq!(done.error.as_deref(), Some("1 slice(s) rejected"));
+        assert_eq!(done.installed.len(), 3);
+        done.output
+    });
+    let local_verify = {
+        let mut ctl = fresh();
+        commands::slices(&mut ctl, &parsed, true);
+        commands::verify(&mut ctl, &[], true, false).output
+    };
 
     // Daemon mode: same configs through the wire, fresh daemon.
     for (json, want) in [(false, &local_human), (true, &local_json)] {
@@ -210,6 +222,57 @@ fn daemon_reports_are_byte_identical_to_local_rendering() {
             let verify = c.call("verify", vec![("json".into(), Json::Bool(true))]);
             assert_eq!(reply_output(&verify), local_verify);
         }
+        stop(&socket);
+        handle.join().unwrap().unwrap();
+    }
+}
+
+/// `reconfigure`, plain and `--scheduled` over a channel dropping and
+/// reordering a fifth of the flow-mods: a fresh daemon answers with the
+/// bytes and the verdict local mode produces, measured proof times aside.
+#[test]
+fn daemon_reconfigure_is_byte_identical_to_local() {
+    let (from_text, to_text) = (cfg("kind = \"ring\"\nn = 4"), cfg("kind = \"chain\"\nn = 4"));
+    let from = TestbedConfig::parse(&from_text).unwrap();
+    let to = TestbedConfig::parse(&to_text).unwrap();
+    let wall_clocks = ["\"proof_wall_ms\":", "\"proof_wall_ms_total\":", "— proof "];
+    let lossy = sdt_openflow::ControlConfig {
+        drop_prob: 0.2,
+        reorder_prob: 0.2,
+        seed: 7,
+        ..sdt_openflow::ControlConfig::reliable()
+    };
+    for (scheduled, json) in
+        [(None, false), (None, true), (Some(lossy), false), (Some(lossy), true)]
+    {
+        let mut ctl = SliceController::from_config(&from);
+        let local = commands::reconfigure(&mut ctl, "ring.toml", &from, &to, scheduled, json);
+        assert_eq!(local.installed.len(), 2, "admitted from `from`, migrated to `to`");
+        assert!(scheduled.is_none() || local.output.contains("retries"), "{}", local.output);
+
+        let (socket, handle) = start(&format!("reconf-{}-{json}", scheduled.is_some()), 64);
+        let channel = scheduled.unwrap_or_default();
+        let reply = Client::connect(&socket).call(
+            "reconfigure",
+            vec![
+                ("json".into(), Json::Bool(json)),
+                ("scheduled".into(), Json::Bool(scheduled.is_some())),
+                ("drop".into(), Json::f64(channel.drop_prob)),
+                ("reorder".into(), Json::f64(channel.reorder_prob)),
+                ("seed".into(), Json::u64(channel.seed)),
+                ("from_path".into(), Json::str("ring.toml")),
+                ("from_text".into(), Json::str(from_text.as_str())),
+                ("to_path".into(), Json::str("chain.toml")),
+                ("to_text".into(), Json::str(to_text.as_str())),
+            ],
+        );
+        assert_eq!(
+            mask(&reply_output(&reply), &wall_clocks),
+            mask(&local.output, &wall_clocks),
+            "scheduled={} json={json}",
+            scheduled.is_some()
+        );
+        assert_eq!(outcome(&reply), (local.error.is_none(), local.error.unwrap_or_default()));
         stop(&socket);
         handle.join().unwrap().unwrap();
     }
@@ -323,6 +386,26 @@ fn over_long_request_line_is_refused_and_only_that_connection_closes() {
     let text = cfg("kind = \"chain\"\nn = 3");
     let admit = other.call("admit", vec![("config".into(), Json::str(text.as_str()))]);
     assert!(outcome(&admit).0, "the daemon must keep serving other connections");
+    stop(&socket);
+    handle.join().unwrap().unwrap();
+}
+
+/// A request nested past the JSON parser's cap — 100 000 `[` in a 100 KB
+/// line, far under the line cap — once overflowed the reader thread's
+/// stack and aborted the process. It now costs one error reply.
+#[test]
+fn nesting_bomb_gets_an_error_reply_and_the_daemon_keeps_serving() {
+    let (socket, handle) = start("nesting-bomb", 64);
+    let mut hostile = UnixStream::connect(&socket).unwrap();
+    hostile.write_all("[".repeat(100_000).as_bytes()).unwrap();
+    hostile.write_all(b"\n").unwrap();
+    let mut line = String::new();
+    BufReader::new(hostile).read_line(&mut line).unwrap();
+    let (ok, err) = outcome(&Json::parse(line.trim_end_matches('\n')).unwrap());
+    assert!(!ok && err.contains("nesting too deep"), "the bomb must be refused by name: {line}");
+
+    let mut other = Client::connect(&socket);
+    assert!(outcome(&other.call("ping", vec![])).0, "the daemon must keep answering");
     stop(&socket);
     handle.join().unwrap().unwrap();
 }

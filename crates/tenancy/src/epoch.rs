@@ -180,21 +180,43 @@ impl EpochReport {
     }
 }
 
+/// One switch's table-`table` entries of a synthesized pipeline (empty for
+/// a switch the pipeline does not reach).
+pub fn synthesis_entries(s: &SynthesisOutput, switch: usize, table: u8) -> &[FlowEntry] {
+    let tables = if table == 0 { &s.table0 } else { &s.table1 };
+    tables.get(switch).map_or(&[], Vec::as_slice)
+}
+
 impl Epoch {
     /// Diff two synthesized pipelines into an epoch: exactly the mods that
     /// turn `old` into `new`, table by table, switch by switch. Entries
     /// present in both stay untouched, which is what keeps same-family
     /// reconfigurations proportional to the delta.
     pub fn from_diff(slice: SliceId, old: &SynthesisOutput, new: &SynthesisOutput) -> Epoch {
-        let mut epoch = Epoch { slice, ..Default::default() };
         let num_switches = old.table0.len().max(new.table0.len());
-        let empty: Vec<FlowEntry> = Vec::new();
+        Epoch::from_entries(
+            slice,
+            num_switches,
+            |sw, t| synthesis_entries(old, sw, t),
+            |sw, t| synthesis_entries(new, sw, t),
+        )
+    }
+
+    /// The epoch that turns the `old(switch, table)` entry lists into the
+    /// `new(switch, table)` ones over `num_switches` switches. The lists
+    /// may be synthesized pipelines ([`Epoch::from_diff`]) or live tables
+    /// read back from the switches (recovery diffs those against the
+    /// intended synthesis).
+    pub fn from_entries<'a>(
+        slice: SliceId,
+        num_switches: usize,
+        old: impl Fn(usize, u8) -> &'a [FlowEntry],
+        new: impl Fn(usize, u8) -> &'a [FlowEntry],
+    ) -> Epoch {
+        let mut epoch = Epoch { slice, ..Default::default() };
         for sw in 0..num_switches {
-            for (table, old_t, new_t) in [
-                (0u8, old.table0.get(sw).unwrap_or(&empty), new.table0.get(sw).unwrap_or(&empty)),
-                (1u8, old.table1.get(sw).unwrap_or(&empty), new.table1.get(sw).unwrap_or(&empty)),
-            ] {
-                for m in diff_tables(old_t, new_t) {
+            for table in [0u8, 1u8] {
+                for m in diff_tables(old(sw, table), new(sw, table)) {
                     match m {
                         FlowMod::Add(entry) => {
                             epoch.adds.push(EpochAdd { switch: sw as u32, table, entry })

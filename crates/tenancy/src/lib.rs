@@ -44,11 +44,11 @@ pub mod schedule;
 pub use audit::{SliceAudit, SliceAuditEntry};
 pub use epoch::{Epoch, EpochAdd, EpochDelete, EpochReport, EpochViolation, OwnedSpace};
 pub use manager::{
-    AdmissionError, ManagerExport, ManagerStatus, MigrationPlan, OpOutcome,
+    AdmissionError, ManagerExport, ManagerStatus, MigrationPlan, OpOutcome, Plan,
     ReclaimedResources, RestoreError, Slice, SliceId, SliceManager, SliceOp, SliceStatus,
     SwitchOccupancy,
 };
 pub use schedule::{
-    compile_rounds, install_scheduled, no_new_findings, RetryPolicy, Round, RoundPhase,
-    RoundReport, ScheduleError, ScheduleReport,
+    compile_rounds, install_scheduled, no_new_findings, Round, RoundPhase, RoundReport,
+    ScheduleError, ScheduleReport,
 };

@@ -215,25 +215,47 @@ pub struct ReclaimedResources {
     pub flow_entries: usize,
 }
 
-/// A compiled, not-yet-applied scheduled reconfiguration: the epoch, its
-/// dependency-ordered rounds, and the intents each round boundary is
-/// proven against. Produced by [`SliceManager::plan_scheduled`]; consumed
-/// by [`SliceManager::commit_scheduled`]. Planning is pure — nothing is
+/// One planned, not-yet-applied lifecycle operation: the epoch that
+/// realizes it and the slice as it will stand afterwards. Produced by
+/// [`SliceManager::plan`], which is pure — nothing is installed and no
+/// bookkeeping moves until the manager gates and commits the plan.
+#[derive(Clone, Debug)]
+pub struct Plan {
+    id: SliceId,
+    epoch: Epoch,
+    /// The slice once the epoch is in; `None` for a teardown.
+    after: Option<Slice>,
+    /// `after` sits in namespace ranges taken at `next_metadata` /
+    /// `next_addr` (every create, and a reconfiguration that outgrew its
+    /// reservation), so commit must advance those counters.
+    fresh_namespace: bool,
+}
+
+impl Plan {
+    /// The flow-mod batch this plan installs.
+    pub fn epoch(&self) -> &Epoch {
+        &self.epoch
+    }
+}
+
+/// A compiled, not-yet-applied scheduled reconfiguration: the planned
+/// operation, its dependency-ordered rounds, and the intents each round
+/// boundary is proven against. Produced by
+/// [`SliceManager::plan_scheduled`]; consumed by
+/// [`SliceManager::commit_scheduled`]. Planning is pure — nothing is
 /// installed and no bookkeeping moves until commit.
 #[derive(Clone, Debug)]
 pub struct MigrationPlan {
-    epoch: Epoch,
+    plan: Plan,
     rounds: Vec<crate::schedule::Round>,
     pre_intent: Intent,
     post_intent: Intent,
-    new_slice: Slice,
-    fits: bool,
 }
 
 impl MigrationPlan {
     /// The flow-mod batch this plan installs.
     pub fn epoch(&self) -> &Epoch {
-        &self.epoch
+        &self.plan.epoch
     }
 
     /// The dependency-ordered rounds the epoch was compiled into.
@@ -393,20 +415,10 @@ pub struct SliceManager {
     next_id: u32,
     next_metadata: u32,
     next_addr: u32,
-    /// Gate every epoch on a static proof before any flow-mod is applied.
-    /// Always on, except inside `apply_segment`, which defers the per-op
-    /// proofs of a batch to one combined proof.
-    static_verify: bool,
     /// Proof of the *current* live tables, carried between epochs so each
     /// admission only pays for the delta ([`Verifier::check_delta`]).
     /// `None` until first use.
     verifier: Option<Verifier>,
-    /// Per-round reconciliation budget for scheduled installs. The default
-    /// suits epochs of a few hundred flow-mods; the expected number of
-    /// stragglers after `r` retries is `mods * drop_prob^(r+1)`, so large
-    /// fabrics over very lossy channels need more retries to converge —
-    /// see [`SliceManager::set_retry_policy`].
-    retry: crate::schedule::RetryPolicy,
 }
 
 impl SliceManager {
@@ -432,19 +444,8 @@ impl SliceManager {
             next_id: 0,
             next_metadata: 0,
             next_addr: 0,
-            static_verify: true,
             verifier: None,
-            retry: crate::schedule::RetryPolicy::default(),
         }
-    }
-
-    /// Per-round reconciliation budget for scheduled installs
-    /// ([`SliceManager::commit_scheduled`]). Convergence over a channel
-    /// dropping a fraction `p` of flow-mods needs roughly
-    /// `log(mods) / log(1/p)` retries; raise `max_retries` accordingly for
-    /// large fabrics over very lossy channels.
-    pub fn set_retry_policy(&mut self, retry: crate::schedule::RetryPolicy) {
-        self.retry = retry;
     }
 
     /// The shared cluster.
@@ -617,43 +618,181 @@ impl SliceManager {
         (report, stats)
     }
 
-    /// Statically verify a pending epoch against the live tables plus its
-    /// delta, without applying anything: would the tables *after* this
-    /// epoch still be loop-free, blackhole-free and isolated? Live tables
-    /// are untouched either way.
-    pub fn precheck_epoch(&mut self, epoch: &Epoch) -> Result<(), AdmissionError> {
-        let current = self.current_verifier();
-        let pending = Verifier::check_delta(&current, &epoch.ordered_mods(), self.intent());
-        self.verifier = Some(current);
-        if pending.holds() {
-            Ok(())
-        } else {
-            Err(AdmissionError::StaticViolation(pending.report().summary()))
-        }
-    }
-
-    /// The pre-install gate used by every lifecycle operation: prove the
-    /// epoch against the current tables + delta and the post-operation
-    /// intent. On success returns the new proof (installed into the cache
-    /// by the caller *after* `apply_epoch`); on failure restores the cached
-    /// current proof and nothing is applied.
-    fn static_gate(
+    /// The one pre-install gate: prove the live tables plus `epoch` against
+    /// `intent` — would the tables *after* this epoch still be loop-free,
+    /// blackhole-free and isolated? On success returns the proof of the
+    /// current tables and the proof of the pending ones, both out of the
+    /// cache (the caller installs whichever describes the tables it leaves
+    /// behind); on failure the current proof goes back into the cache, the
+    /// error names the violation, and nothing is applied.
+    fn gate(
         &mut self,
         epoch: &Epoch,
         intent: Intent,
-    ) -> Result<Option<Verifier>, AdmissionError> {
-        if !self.static_verify {
-            return Ok(None);
-        }
+    ) -> Result<(Verifier, Verifier), AdmissionError> {
         let current = self.current_verifier();
         let pending = Verifier::check_delta(&current, &epoch.ordered_mods(), intent);
         if pending.holds() {
-            Ok(Some(pending))
+            Ok((current, pending))
         } else {
             let summary = pending.report().summary();
             self.verifier = Some(current);
             Err(AdmissionError::StaticViolation(summary))
         }
+    }
+
+    /// Statically verify a pending epoch against the live tables plus its
+    /// delta and the current intent, without applying anything. Live
+    /// tables are untouched either way.
+    pub fn precheck_epoch(&mut self, epoch: &Epoch) -> Result<(), AdmissionError> {
+        let (current, _) = self.gate(epoch, self.intent())?;
+        self.verifier = Some(current);
+        Ok(())
+    }
+
+    /// Plan one lifecycle operation against the current state: project the
+    /// requested topology around co-tenants, resolve its namespace, diff
+    /// the slice's installed pipeline into an epoch, and check table
+    /// headroom and namespace ownership. Pure — nothing is installed, no
+    /// manager state moves; a refusal names the scarce resource.
+    pub fn plan(&self, op: SliceOp) -> Result<Plan, AdmissionError> {
+        let known =
+            |id: SliceId| self.slices.get(&id.0).ok_or(AdmissionError::UnknownSlice(id));
+        let (id, old, request) = match op {
+            SliceOp::Create { name, topo, routes } => {
+                (SliceId(self.next_id), None, Some((name, topo, routes)))
+            }
+            SliceOp::Reconfigure { id, topo, routes } => {
+                let old = known(id)?;
+                (id, Some(old), Some((old.name.clone(), topo, routes)))
+            }
+            SliceOp::Destroy { id } => (id, Some(known(id)?), None),
+        };
+
+        let mut fresh_namespace = false;
+        let after = match request {
+            None => None,
+            Some((name, topology, routes)) => {
+                let projection = self.project(&topology, &routes, old)?;
+                // Namespace: reuse the reserved ranges when the new topology
+                // fits (diff-friendly); otherwise allocate fresh ranges.
+                let (switches, hosts) = (topology.num_switches(), topology.num_hosts());
+                let (metadata_base, metadata_reserved, addr_base, addr_reserved) = match old {
+                    Some(o) if switches <= o.metadata_reserved && hosts <= o.addr_reserved => {
+                        (o.metadata_base, o.metadata_reserved, o.addr_base, o.addr_reserved)
+                    }
+                    _ => {
+                        fresh_namespace = true;
+                        (self.next_metadata, switches, self.next_addr, hosts)
+                    }
+                };
+                let installed = remap_synthesis(&projection.synthesis, metadata_base, addr_base);
+                Some(Slice {
+                    id,
+                    name,
+                    topology,
+                    routes,
+                    projection,
+                    metadata_base,
+                    metadata_reserved,
+                    addr_base,
+                    addr_reserved,
+                    installed,
+                    epochs: old.map_or(1, |o| o.epochs + 1),
+                })
+            }
+        };
+
+        let empty = empty_synthesis(self.cluster.num_switches() as usize);
+        let epoch = Epoch::from_diff(
+            id,
+            old.map_or(&empty, |s| &s.installed),
+            after.as_ref().map_or(&empty, |s| &s.installed),
+        );
+        self.headroom_check(&epoch.adds_per_switch(self.switches.len()))?;
+        // The epoch may touch the old and the new namespace of this slice.
+        let mut own = OwnedSpace::default();
+        for s in old.into_iter().chain(&after) {
+            own.merge(&s.owned_space());
+        }
+        epoch
+            .verify(&own, &self.owned_by_others(id))
+            .map_err(|v| AdmissionError::EpochViolation(v.to_string()))?;
+        Ok(Plan { id, epoch, after, fresh_namespace })
+    }
+
+    /// Project `topo` around everything co-tenants hold. `old` is the
+    /// slice being reconfigured, if any: its own resources stay available
+    /// to it, and its current cables are preferred where logical pairs
+    /// coincide, so same-family reconfigurations diff to near-nothing.
+    fn project(
+        &self,
+        topo: &Topology,
+        routes: &RouteTable,
+        old: Option<&Slice>,
+    ) -> Result<SdtProjection, AdmissionError> {
+        let mut prefer: HashMap<(SwitchId, SwitchId), PhysLink> = HashMap::new();
+        if let Some(o) = old {
+            for l in o.topology.fabric_links() {
+                let (a, b) = l.switch_ends();
+                prefer.insert((a.min(b), a.max(b)), o.projection.link_real[&l.id]);
+            }
+        }
+        let occ = self.occupancy_excluding(old.map(|o| o.id));
+        let opts = ProjectOptions {
+            failed: Some(&occ),
+            prefer_cables: old.map(|_| &prefer),
+            ..Default::default()
+        };
+        self.projector
+            .project_with(topo, &self.cluster, routes, &opts)
+            .map_err(AdmissionError::Resources)
+    }
+
+    /// Install a gated plan: apply its epoch, cache `proof` as the proof of
+    /// the live tables (`None` = the caller proves a whole batch's end
+    /// state afterwards), and settle the bookkeeping.
+    fn commit(&mut self, plan: Plan, proof: Option<Verifier>) -> OpOutcome {
+        let report = self.apply_epoch(&plan.epoch);
+        self.verifier = proof;
+        self.settle(plan, report)
+    }
+
+    /// The bookkeeping tail of every installed plan: namespace counters,
+    /// the slice map, and the outcome the operation reports.
+    fn settle(&mut self, plan: Plan, report: EpochReport) -> OpOutcome {
+        let Some(slice) = plan.after else {
+            let Some(gone) = self.slices.remove(&plan.id.0) else {
+                unreachable!("{} was planned against this slice map", plan.id);
+            };
+            return OpOutcome::Destroyed(ReclaimedResources {
+                host_ports: gone.projection.host_port.len(),
+                cables: gone.projection.link_real.len(),
+                flow_entries: gone.entries(),
+            });
+        };
+        if plan.fresh_namespace {
+            self.next_metadata += slice.metadata_reserved;
+            self.next_addr += slice.addr_reserved;
+        }
+        match self.slices.insert(plan.id.0, slice) {
+            Some(_) => OpOutcome::Reconfigured(report),
+            None => {
+                self.next_id += 1;
+                OpOutcome::Created(plan.id)
+            }
+        }
+    }
+
+    /// Apply one lifecycle operation: plan it, gate the plan's epoch on
+    /// the static proof of the post-operation tables, commit. Either the
+    /// whole operation lands, or nothing does and the error names why —
+    /// on any error the switches are exactly as before.
+    pub fn apply_one(&mut self, op: SliceOp) -> Result<OpOutcome, AdmissionError> {
+        let plan = self.plan(op)?;
+        let intent = self.intent_with(Some(plan.id), plan.after.as_ref());
+        let (_, proof) = self.gate(&plan.epoch, intent)?;
+        Ok(self.commit(plan, Some(proof)))
     }
 
     /// Admit a slice with its topology's default (Table III) routing.
@@ -671,47 +810,11 @@ impl SliceManager {
         topo: &Topology,
         routes: RouteTable,
     ) -> Result<SliceId, AdmissionError> {
-        let occ = self.occupancy_excluding(None);
-        let opts = ProjectOptions { failed: Some(&occ), ..Default::default() };
-        let projection = self
-            .projector
-            .project_with(topo, &self.cluster, &routes, &opts)
-            .map_err(AdmissionError::Resources)?;
-
-        let id = SliceId(self.next_id);
-        let (metadata_base, metadata_reserved) = (self.next_metadata, topo.num_switches());
-        let (addr_base, addr_reserved) = (self.next_addr, topo.num_hosts());
-        let installed = remap_synthesis(&projection.synthesis, metadata_base, addr_base);
-
-        let empty = empty_synthesis(self.cluster.num_switches() as usize);
-        let epoch = Epoch::from_diff(id, &empty, &installed);
-        self.headroom_check(&epoch.adds_per_switch(self.switches.len()))?;
-
-        let slice = Slice {
-            id,
-            name: name.to_string(),
-            topology: topo.clone(),
-            routes,
-            projection,
-            metadata_base,
-            metadata_reserved,
-            addr_base,
-            addr_reserved,
-            installed,
-            epochs: 1,
-        };
-        epoch
-            .verify(&slice.owned_space(), &self.owned_by_others(id))
-            .map_err(|v| AdmissionError::EpochViolation(v.to_string()))?;
-        let proof = self.static_gate(&epoch, self.intent_with(None, Some(&slice)))?;
-
-        self.apply_epoch(&epoch);
-        self.verifier = proof;
-        self.next_id += 1;
-        self.next_metadata += metadata_reserved;
-        self.next_addr += addr_reserved;
-        self.slices.insert(id.0, slice);
-        Ok(id)
+        let op = SliceOp::Create { name: name.to_string(), topo: topo.clone(), routes };
+        match self.apply_one(op)? {
+            OpOutcome::Created(id) => Ok(id),
+            other => unreachable!("a create settles as Created, not {other:?}"),
+        }
     }
 
     /// Reconfigure a slice to a new topology with default routing.
@@ -730,102 +833,23 @@ impl SliceManager {
     /// diff stays small), install the new pipeline *next to* the old one,
     /// then cut over port by port and garbage-collect. Co-tenants' rules
     /// are untouched — the epoch is verified against their namespace before
-    /// any flow-mod is applied. On any error the switches are exactly as
-    /// before.
+    /// any flow-mod is applied.
     pub fn reconfigure_with_routes(
         &mut self,
         id: SliceId,
         topo: &Topology,
         routes: RouteTable,
     ) -> Result<EpochReport, AdmissionError> {
-        let (epoch, new_slice, fits) = self.plan_reconfigure(id, topo, routes)?;
-        let proof = self.static_gate(&epoch, self.intent_with(Some(id), Some(&new_slice)))?;
-
-        let report = self.apply_epoch(&epoch);
-        self.verifier = proof;
-        if !fits {
-            self.next_metadata += new_slice.metadata_reserved;
-            self.next_addr += new_slice.addr_reserved;
+        match self.apply_one(SliceOp::Reconfigure { id, topo: topo.clone(), routes })? {
+            OpOutcome::Reconfigured(report) => Ok(report),
+            other => unreachable!("a reconfiguration settles as Reconfigured, not {other:?}"),
         }
-        self.slices.insert(id.0, new_slice);
-        Ok(report)
-    }
-
-    /// The planning half of a reconfiguration, shared by the one-shot and
-    /// the scheduled paths: project the new topology around co-tenants
-    /// (preferring the slice's current cables), resolve the namespace,
-    /// diff the pipelines into an epoch, and verify headroom and namespace
-    /// ownership. Pure — nothing is installed, no manager state moves.
-    fn plan_reconfigure(
-        &self,
-        id: SliceId,
-        topo: &Topology,
-        routes: RouteTable,
-    ) -> Result<(Epoch, Slice, bool), AdmissionError> {
-        let old = self.slices.get(&id.0).ok_or(AdmissionError::UnknownSlice(id))?;
-
-        // Keep healthy cables where they are when logical pairs coincide:
-        // same-family reconfigurations then diff to near-nothing.
-        let mut prefer: HashMap<(SwitchId, SwitchId), PhysLink> = HashMap::new();
-        for l in old.topology.fabric_links() {
-            let (a, b) = l.switch_ends();
-            prefer.insert((a.min(b), a.max(b)), old.projection.link_real[&l.id]);
-        }
-        let occ = self.occupancy_excluding(Some(id));
-        let opts = ProjectOptions {
-            failed: Some(&occ),
-            prefer_cables: Some(&prefer),
-            ..Default::default()
-        };
-        let projection = self
-            .projector
-            .project_with(topo, &self.cluster, &routes, &opts)
-            .map_err(AdmissionError::Resources)?;
-
-        // Namespace: reuse the reserved ranges when the new topology fits
-        // (diff-friendly); otherwise allocate fresh ranges.
-        let fits = topo.num_switches() <= old.metadata_reserved
-            && topo.num_hosts() <= old.addr_reserved;
-        let (metadata_base, metadata_reserved, addr_base, addr_reserved) = if fits {
-            (old.metadata_base, old.metadata_reserved, old.addr_base, old.addr_reserved)
-        } else {
-            (
-                self.next_metadata,
-                topo.num_switches(),
-                self.next_addr,
-                topo.num_hosts(),
-            )
-        };
-        let installed = remap_synthesis(&projection.synthesis, metadata_base, addr_base);
-
-        let epoch = Epoch::from_diff(id, &old.installed, &installed);
-        self.headroom_check(&epoch.adds_per_switch(self.switches.len()))?;
-
-        // The epoch may touch the old and the new namespace of this slice.
-        let mut own = old.owned_space();
-        let new_slice = Slice {
-            id,
-            name: old.name.clone(),
-            topology: topo.clone(),
-            routes,
-            projection,
-            metadata_base,
-            metadata_reserved,
-            addr_base,
-            addr_reserved,
-            installed,
-            epochs: old.epochs + 1,
-        };
-        own.merge(&new_slice.owned_space());
-        epoch
-            .verify(&own, &self.owned_by_others(id))
-            .map_err(|v| AdmissionError::EpochViolation(v.to_string()))?;
-        Ok((epoch, new_slice, fits))
     }
 
     /// Plan a *scheduled* reconfiguration with the topology's default
     /// routing: compile the epoch into dependency-ordered rounds without
-    /// applying anything. See [`SliceManager::reconfigure_scheduled`].
+    /// applying anything. The plan can be inspected (rounds, intents) or
+    /// handed to [`SliceManager::commit_scheduled`].
     pub fn plan_scheduled(
         &self,
         id: SliceId,
@@ -836,30 +860,27 @@ impl SliceManager {
         self.plan_scheduled_with_routes(id, topo, routes)
     }
 
-    /// Plan a scheduled reconfiguration with explicit routes. Pure: the
-    /// live tables and the manager's bookkeeping are untouched; the plan
-    /// can be inspected (rounds, intents) or handed to
-    /// [`SliceManager::commit_scheduled`].
-    pub fn plan_scheduled_with_routes(
+    /// [`SliceManager::plan_scheduled`] with explicit routes.
+    fn plan_scheduled_with_routes(
         &self,
         id: SliceId,
         topo: &Topology,
         routes: RouteTable,
     ) -> Result<MigrationPlan, AdmissionError> {
-        let (epoch, new_slice, fits) = self.plan_reconfigure(id, topo, routes)?;
+        let plan = self.plan(SliceOp::Reconfigure { id, topo: topo.clone(), routes })?;
         let before = TableView::of_switches(&self.switches);
-        let rounds = crate::schedule::compile_rounds(&epoch, &before);
+        let rounds = crate::schedule::compile_rounds(&plan.epoch, &before);
         let pre_intent = self.intent();
-        let post_intent = self.intent_with(Some(id), Some(&new_slice));
-        Ok(MigrationPlan { epoch, rounds, pre_intent, post_intent, new_slice, fits })
+        let post_intent = self.intent_with(Some(id), plan.after.as_ref());
+        Ok(MigrationPlan { plan, rounds, pre_intent, post_intent })
     }
 
-    /// Transient-safe reconfiguration: like
-    /// [`SliceManager::reconfigure`], but the epoch is partitioned into
-    /// dependency-ordered rounds, every intermediate table state is
-    /// statically proven before its round installs, and the rounds go out
-    /// over `channel` — which may drop and reorder flow-mods — with
-    /// per-round read-back reconciliation (see [`crate::schedule`]).
+    /// Transient-safe reconfiguration with explicit routes: like
+    /// [`SliceManager::reconfigure_with_routes`], but the epoch is
+    /// partitioned into dependency-ordered rounds, every intermediate
+    /// table state is statically proven before its round installs, and the
+    /// rounds go out over `channel` — which may drop and reorder flow-mods
+    /// — with per-round read-back reconciliation (see [`crate::schedule`]).
     ///
     /// The whole epoch's end state is gated first, exactly as the one-shot
     /// path does; the per-round proofs come on top. On
@@ -867,17 +888,6 @@ impl SliceManager {
     /// individually-proven boundary state and the manager's bookkeeping
     /// still describes the *old* slice; the cached live-state proof is
     /// dropped either way.
-    pub fn reconfigure_scheduled(
-        &mut self,
-        id: SliceId,
-        topo: &Topology,
-        channel: &mut sdt_openflow::ControlChannel,
-    ) -> Result<(EpochReport, crate::schedule::ScheduleReport), AdmissionError> {
-        let plan = self.plan_scheduled(id, topo)?;
-        self.commit_scheduled(plan, channel)
-    }
-
-    /// Scheduled reconfiguration with explicit routes.
     pub fn reconfigure_scheduled_with_routes(
         &mut self,
         id: SliceId,
@@ -896,26 +906,11 @@ impl SliceManager {
         plan: MigrationPlan,
         channel: &mut sdt_openflow::ControlChannel,
     ) -> Result<(EpochReport, crate::schedule::ScheduleReport), AdmissionError> {
-        let MigrationPlan { epoch, rounds, pre_intent, post_intent, new_slice, fits } = plan;
-        let threads = sdt_verify::verify_threads();
-        let retry = self.retry;
-
+        let MigrationPlan { plan, rounds, pre_intent, post_intent } = plan;
         // Whole-epoch gate first. Beyond matching the one-shot contract,
         // this is what guarantees the scheduler's merge-on-failure
         // fallback terminates: the fully-merged round *is* this epoch.
-        let current = self.current_verifier();
-        let pending = Verifier::check_delta_threads(
-            &current,
-            &epoch.ordered_mods(),
-            post_intent.clone(),
-            threads,
-        );
-        if !pending.holds() {
-            let summary = pending.report().summary();
-            self.verifier = Some(current);
-            return Err(AdmissionError::StaticViolation(summary));
-        }
-
+        let (current, _) = self.gate(&plan.epoch, post_intent.clone())?;
         match crate::schedule::install_scheduled(
             &self.cluster,
             &mut self.switches,
@@ -925,19 +920,15 @@ impl SliceManager {
             &pre_intent,
             &post_intent,
             &self.timing,
-            threads,
-            &retry,
+            sdt_verify::verify_threads(),
+            &sdt_openflow::RetryPolicy::default(),
         ) {
             Ok((proof, sreport)) => {
                 // A proof of the intended end state only describes the
                 // live tables if they actually converged there.
-                self.verifier = if sreport.converged { Some(proof) } else { None };
-                if !fits {
-                    self.next_metadata += new_slice.metadata_reserved;
-                    self.next_addr += new_slice.addr_reserved;
-                }
-                let report = epoch.report(self.switches.len(), &self.timing);
-                self.slices.insert(new_slice.id.0, new_slice);
+                self.verifier = sreport.converged.then_some(proof);
+                let report = plan.epoch.report(self.switches.len(), &self.timing);
+                self.settle(plan, report);
                 Ok((report, sreport))
             }
             Err(e) => {
@@ -951,36 +942,9 @@ impl SliceManager {
     /// ports stop classifying before the routing state goes) and return its
     /// resources. Co-tenants are untouched.
     pub fn destroy(&mut self, id: SliceId) -> Result<ReclaimedResources, AdmissionError> {
-        let slice = self.slices.get(&id.0).ok_or(AdmissionError::UnknownSlice(id))?;
-        let reclaimed = ReclaimedResources {
-            host_ports: slice.projection.host_port.len(),
-            cables: slice.projection.link_real.len(),
-            flow_entries: slice.entries(),
-        };
-        let empty = empty_synthesis(self.cluster.num_switches() as usize);
-        let epoch = Epoch::from_diff(id, &slice.installed, &empty);
-        epoch
-            .verify(&slice.owned_space(), &self.owned_by_others(id))
-            .map_err(|v| AdmissionError::EpochViolation(v.to_string()))?;
-        let proof = self.static_gate(&epoch, self.intent_with(Some(id), None))?;
-        self.apply_epoch(&epoch);
-        self.verifier = proof;
-        self.slices.remove(&id.0);
-        Ok(reclaimed)
-    }
-
-    /// Apply one queued lifecycle operation. Exactly the semantics of the
-    /// underlying `create_with_routes` / `reconfigure_with_routes` /
-    /// `destroy` call, shaped for queue processing.
-    pub fn apply_one(&mut self, op: SliceOp) -> Result<OpOutcome, AdmissionError> {
-        match op {
-            SliceOp::Create { name, topo, routes } => self
-                .create_with_routes(&name, &topo, routes)
-                .map(OpOutcome::Created),
-            SliceOp::Reconfigure { id, topo, routes } => self
-                .reconfigure_with_routes(id, &topo, routes)
-                .map(OpOutcome::Reconfigured),
-            SliceOp::Destroy { id } => self.destroy(id).map(OpOutcome::Destroyed),
+        match self.apply_one(SliceOp::Destroy { id })? {
+            OpOutcome::Destroyed(reclaimed) => Ok(reclaimed),
+            other => unreachable!("a teardown settles as Destroyed, not {other:?}"),
         }
     }
 
@@ -989,12 +953,13 @@ impl SliceManager {
     /// accept/reject decisions and named errors sequential submission would
     /// produce.
     ///
-    /// How: resource projection, headroom and namespace-ownership checks
-    /// still run per operation, in order, against the evolving state — they
-    /// are cheap and their rejections are position-dependent either way.
-    /// The static proof, the expensive part, is deferred: epochs apply
-    /// unproven, then a single full pass ([`Verifier::check`]) proves the
-    /// batch's end state. That is sound because distinct slices occupy disjoint match-spaces (disjoint
+    /// How: planning — resource projection, headroom and namespace
+    /// ownership — still runs per operation, in order, against the
+    /// evolving state; it is cheap and its rejections are
+    /// position-dependent either way. The static proof, the expensive
+    /// part, is deferred: plans commit with no proof, then a single full
+    /// pass ([`Verifier::check`]) proves the batch's end state. That is
+    /// sound because distinct slices occupy disjoint match-spaces (disjoint
     /// ingress ports in table 0, disjoint metadata in table 1 — enforced by
     /// [`Epoch::verify`] before anything installs), so one operation's
     /// violation cannot be masked or repaired by another slice's entries:
@@ -1005,10 +970,11 @@ impl SliceManager {
     ///
     /// If the combined proof fails, the segment is rolled back exactly
     /// (switch banks are cloned up front — sequence numbers included) and
-    /// re-run sequentially with per-operation proofs, which attributes the named [`AdmissionError`] to the
-    /// culprit(s) and admits the innocent. The slow path costs more than
-    /// plain sequential submission, but only fires when a batch actually
-    /// contains a statically invalid operation.
+    /// re-run through [`SliceManager::apply_one`], whose per-operation
+    /// gate attributes the named [`AdmissionError`] to the culprit(s) and
+    /// admits the innocent. The slow path costs more than plain sequential
+    /// submission, but only fires when a batch actually contains a
+    /// statically invalid operation.
     pub fn apply_batch(
         &mut self,
         ops: Vec<SliceOp>,
@@ -1048,11 +1014,12 @@ impl SliceManager {
         let saved_slices = self.slices.clone();
         let saved_counters = (self.next_id, self.next_metadata, self.next_addr);
 
-        // Fast path: everything but the proof, in order.
-        self.static_verify = false;
-        let fast: Vec<Result<OpOutcome, AdmissionError>> =
-            ops.iter().cloned().map(|op| self.apply_one(op)).collect();
-        self.static_verify = true;
+        // Fast path: plan and commit in order, every proof deferred.
+        let fast: Vec<Result<OpOutcome, AdmissionError>> = ops
+            .iter()
+            .cloned()
+            .map(|op| self.plan(op).map(|plan| self.commit(plan, None)))
+            .collect();
 
         if fast.iter().all(|r| r.is_err()) {
             // Nothing installed; the pre-batch proof still describes the
@@ -1071,8 +1038,8 @@ impl SliceManager {
         }
 
         // Slow path: exact rollback (clones preserve sequence numbers, so
-        // the restored bank is bit-identical), then sequential re-run with per-operation proofs to name the
-        // culprit(s).
+        // the restored bank is bit-identical), then sequential re-run with
+        // per-operation proofs to name the culprit(s).
         self.switches = saved_switches;
         self.slices = saved_slices;
         (self.next_id, self.next_metadata, self.next_addr) = saved_counters;

@@ -36,17 +36,21 @@
 //!    is measured wall clock and install time is modeled (the channel is
 //!    simulated), so the report carries the two totals in separate fields
 //!    and never combines them.
-//! 5. **Retry and divergence fallback** — after each barrier the live
-//!    tables are read back and diffed against the intended boundary state;
-//!    stragglers are re-sent with exponential backoff. If a round's retry
-//!    budget runs out, the *actual* live state is re-verified from scratch
+//! 5. **Retry and divergence fallback** — after each barrier
+//!    [`sdt_openflow::reconcile`] reads the live tables back, diffs them
+//!    against the intended boundary state and re-sends stragglers with
+//!    exponential backoff. If a round's retry budget runs out, the
+//!    *actual* live state is re-verified from scratch
 //!    — the proof-of-record for that boundary is then of what is really
 //!    installed, not of what was intended — and the migration only
 //!    proceeds if that state, too, introduces no new finding.
 
 use crate::epoch::Epoch;
 use sdt_core::cluster::PhysicalCluster;
-use sdt_openflow::{diff_tables, Action, ControlChannel, FlowMod, InstallTiming, OpenFlowSwitch};
+use sdt_openflow::{
+    diff_tables, reconcile, Action, ControlChannel, FlowMod, InstallTiming, OpenFlowSwitch,
+    RetryPolicy,
+};
 use sdt_verify::{Intent, TableView, Verifier, VerifyReport};
 use std::collections::{HashSet, VecDeque};
 use std::fmt;
@@ -84,25 +88,6 @@ pub struct Round {
     pub phase: RoundPhase,
     /// Atomic units in the round (a MODIFY pair counts once).
     pub units: usize,
-}
-
-/// Retry/backoff knobs for the per-round reconciliation loop (mirrors the
-/// controller's recovery loop so both paths model the same channel).
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Re-diff/re-send rounds per scheduler round before falling back to
-    /// re-verification of the live state.
-    pub max_retries: u32,
-    /// Backoff before the first retry, ns.
-    pub backoff_base_ns: u64,
-    /// Multiplier per further retry.
-    pub backoff_factor: u32,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy { max_retries: 5, backoff_base_ns: 2_000_000, backoff_factor: 2 }
-    }
 }
 
 /// What one scheduled round did.
@@ -485,11 +470,9 @@ pub fn install_scheduled(
         // mods are in flight.
         channel.begin_round(index as u32 + 1);
         let mut per_switch = vec![0usize; switches.len()];
-        let mut sends = 0u64;
         for (sw, t, m) in &round.mods {
             channel.send(*sw as usize, *t, m.clone());
             per_switch[*sw as usize] += 1;
-            sends += 1;
         }
         if !work.is_empty() {
             next = Some(prove_with_merge(
@@ -505,53 +488,16 @@ pub fn install_scheduled(
         }
         channel.barrier(switches);
         let busiest = per_switch.iter().copied().max().unwrap_or(0);
-        let mut install_ns = timing.install_time_ns(busiest) + 2 * channel.delay_ns();
-        let mut backoff_ns = 0u64;
-
-        // Reconcile the live tables against the intended boundary: the
-        // diff is computed from what is *actually* installed, so silently
-        // dropped or reordered mods are detected and re-issued.
-        let mut attempts = 1u32;
-        let mut retries = 0u32;
-        let mut converged = false;
-        loop {
-            let mut mods = Vec::new();
-            let mut per = vec![0usize; switches.len()];
-            for (sw, s) in switches.iter().enumerate() {
-                for t in [0u8, 1u8] {
-                    for m in diff_tables(s.table(t).entries(), view.entries(sw as u32, t)) {
-                        per[sw] += 1;
-                        mods.push((sw, t, m));
-                    }
-                }
-            }
-            if mods.is_empty() {
-                converged = true;
-                break;
-            }
-            if attempts > retry.max_retries {
-                break;
-            }
-            retries += 1;
-            let wait = retry.backoff_base_ns * u64::from(retry.backoff_factor).pow(attempts - 1);
-            backoff_ns += wait;
-            install_ns += wait;
-            for (sw, t, m) in mods {
-                channel.send(sw, t, m);
-                sends += 1;
-            }
-            channel.barrier(switches);
-            install_ns +=
-                timing.install_time_ns(per.iter().copied().max().unwrap_or(0))
-                    + 2 * channel.delay_ns();
-            attempts += 1;
-        }
+        // Reconcile the live tables against the intended boundary; the
+        // round's own send + barrier above was attempt 1.
+        let rec = reconcile(channel, switches, |sw, t| view.entries(sw as u32, t), retry, timing, 1);
+        let install_ns = timing.install_time_ns(busiest) + 2 * channel.delay_ns() + rec.install_ns;
 
         // Divergence fallback: the boundary proof describes the intended
         // state; if the channel never got the switches there, prove what
         // is actually installed before going on.
         let mut reverified = false;
-        if !converged {
+        if !rec.converged {
             reverified = true;
             report.reverifications += 1;
             let intent = if post { post_intent } else { pre_intent };
@@ -579,10 +525,10 @@ pub fn install_scheduled(
             proof_wall_ns,
             pairs_walked,
             install_ns,
-            backoff_ns,
-            sends,
-            retries,
-            converged,
+            backoff_ns: rec.backoff_ns,
+            sends: round.mods.len() as u64 + rec.sends,
+            retries: rec.retries,
+            converged: rec.converged,
             reverified,
         });
         current = verifier;

@@ -18,8 +18,10 @@
 use proptest::prelude::*;
 use sdt_core::cluster::{ClusterBuilder, PhysicalCluster};
 use sdt_core::methods::SwitchModel;
-use sdt_openflow::{diff_tables, Action, ControlChannel, ControlConfig, FlowMod, OpenFlowSwitch};
-use sdt_tenancy::{install_scheduled, MigrationPlan, RetryPolicy, SliceManager};
+use sdt_openflow::{
+    diff_tables, Action, ControlChannel, ControlConfig, FlowMod, OpenFlowSwitch, RetryPolicy,
+};
+use sdt_tenancy::{install_scheduled, MigrationPlan, SliceManager};
 use sdt_topology::chain::{chain, ring};
 use sdt_topology::meshtorus::mesh;
 use sdt_topology::Topology;

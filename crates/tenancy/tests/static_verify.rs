@@ -13,11 +13,12 @@
 use sdt_core::cluster::ClusterBuilder;
 use sdt_core::methods::SwitchModel;
 use sdt_openflow::{Action, FlowEntry, FlowMatch, FlowMod, OpenFlowSwitch};
+use sdt_routing::{default_strategy, RouteTable};
 use sdt_tenancy::{
-    AdmissionError, Epoch, EpochAdd, EpochDelete, OwnedSpace, SliceManager,
+    AdmissionError, Epoch, EpochAdd, EpochDelete, OwnedSpace, SliceId, SliceManager, SliceOp,
 };
 use sdt_topology::chain::{chain, ring};
-use sdt_topology::HostId;
+use sdt_topology::{HostId, Topology};
 
 fn manager() -> SliceManager {
     let cluster = ClusterBuilder::new(SwitchModel::openflow_128x100g(), 2)
@@ -176,4 +177,59 @@ fn corrupted_fabric_blocks_admission() {
     assert_eq!(mgr.num_slices(), 1, "rejected admission leaves no trace");
     // The full report tells the truth about the wounded fabric.
     assert!(!mgr.verify_report().holds());
+}
+
+/// Everything a plan could disturb if planning were not pure: table
+/// entries, lookup/miss and port counters, the slice map, the namespace
+/// counters, and the cached proof (a dropped proof would come back from a
+/// full pass with different work counters).
+fn observable(mgr: &mut SliceManager) -> String {
+    let counters: Vec<String> = mgr
+        .switches()
+        .iter()
+        .map(|sw| {
+            format!("{:?} {:?} {:?}", sw.all_port_stats(), sw.table(0).stats(), sw.table(1).stats())
+        })
+        .collect();
+    let ex = mgr.export();
+    format!(
+        "{:?} {counters:?} {:?} {} {} {} {:?}",
+        ex.tables,
+        ex.slices,
+        ex.next_id,
+        ex.next_metadata,
+        ex.next_addr,
+        mgr.verify_report()
+    )
+}
+
+/// `plan` is the pure half of every lifecycle operation: planning a
+/// create, a reconfiguration (one that fits its reservation, one that
+/// outgrows it) and a teardown — accepted or refused — and dropping the
+/// plan leaves the manager exactly as it was.
+#[test]
+fn planning_is_pure_for_create_reconfigure_and_destroy() {
+    let routed = |t: &Topology| RouteTable::build_for_hosts(t, default_strategy(t).as_ref());
+    let mut mgr = manager();
+    let a = mgr.create("a", &ring(4)).unwrap();
+    mgr.create("b", &chain(3)).unwrap();
+    let before = observable(&mut mgr);
+
+    let create = |t: Topology| SliceOp::Create { name: "c".into(), routes: routed(&t), topo: t };
+    let reconfigure = |t: Topology| SliceOp::Reconfigure { id: a, routes: routed(&t), topo: t };
+    let mods = |op: SliceOp| mgr.plan(op).map(|p| p.epoch().ordered_mods().len());
+    assert!(mods(create(ring(3))).unwrap() > 0);
+    assert!(mods(reconfigure(chain(4))).unwrap() > 0);
+    assert!(mods(reconfigure(ring(6))).unwrap() > 0);
+    assert!(mods(SliceOp::Destroy { id: a }).unwrap() > 0);
+    // Refusals are just as traceless.
+    assert!(matches!(mods(create(chain(40))), Err(AdmissionError::Resources(_))));
+    assert!(matches!(
+        mods(SliceOp::Destroy { id: SliceId(9) }),
+        Err(AdmissionError::UnknownSlice(_))
+    ));
+
+    assert_eq!(observable(&mut mgr), before, "planning moved manager state");
+    // The same operation still lands afterwards, as if never planned.
+    assert_eq!(mgr.create("c", &ring(3)).unwrap(), SliceId(2));
 }
