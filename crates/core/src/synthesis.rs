@@ -16,10 +16,11 @@
 //! is the property the §VI-B isolation experiment checks with a sniffer.
 
 use crate::cluster::PhysPort;
-use sdt_openflow::{Action, FlowEntry, FlowMatch, HostAddr};
+use sdt_openflow::{Action, FlowEntry, FlowMatch, HostAddr, PortNo};
 use sdt_routing::RouteTable;
 use sdt_topology::{HostId, LinkId, SwitchId, Topology};
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, HashMap};
 
 /// Priorities of the synthesized entry classes.
 const PRIO_CLASSIFY: u16 = 10;
@@ -56,7 +57,7 @@ pub fn synthesize_flow_tables(
     host_port: &HashMap<(HostId, LinkId), PhysPort>,
     num_phys: u32,
 ) -> SynthesisOutput {
-    synthesize_with(topo, routes, assignment, port_of, host_port, num_phys, false)
+    emit(&demand(topo, routes, port_of, host_port), assignment, port_of, num_phys, false)
 }
 
 /// Like [`synthesize_flow_tables`], but with §VII-C entry merging: for each
@@ -75,81 +76,120 @@ pub fn synthesize_flow_tables_merged(
     host_port: &HashMap<(HostId, LinkId), PhysPort>,
     num_phys: u32,
 ) -> SynthesisOutput {
-    synthesize_with(topo, routes, assignment, port_of, host_port, num_phys, true)
+    emit(&demand(topo, routes, port_of, host_port), assignment, port_of, num_phys, true)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn synthesize_with(
+/// What the routes ask of the pipeline, before it is lowered to entries.
+struct Demand {
+    /// Per logical switch: `(destination host, egress port)` in ascending
+    /// destination order — the route default at that sub-switch.
+    egress: Vec<Vec<(HostId, PhysPort)>>,
+    /// `(sub-switch, source, destination)` triples whose route leaves on a
+    /// different port than the default (source-dependent strategies).
+    overrides: HashMap<(SwitchId, HostId, HostId), PhysPort>,
+}
+
+/// Egress demand of `routes`, one walk per *(ingress switch, destination
+/// host)*: routes are keyed by switch pair, so every host behind one
+/// ingress switch contributes the same hops. The first route to cross
+/// `(s, dst)` sets the default there and later disagreeing ones become
+/// per-source overrides, so the order in which ingress switches are met
+/// decides which entries exist. It is the order a scan over source hosts
+/// meets them in: an ingress switch is walked at its lowest host other than
+/// `dst`, and a disagreeing route is recorded for every host behind it.
+fn demand(
     topo: &Topology,
     routes: &RouteTable,
-    assignment: &[u32],
     port_of: &HashMap<(SwitchId, LinkId), PhysPort>,
     host_port: &HashMap<(HostId, LinkId), PhysPort>,
-    num_phys: u32,
-    merge_defaults: bool,
-) -> SynthesisOutput {
-    // Egress demand: (logical switch, dst host) -> egress port, with
-    // src-specific overrides when routes conflict.
-    let mut egress: HashMap<(SwitchId, HostId), PhysPort> = HashMap::new();
-    let mut overrides: HashMap<(SwitchId, HostId, HostId), PhysPort> = HashMap::new();
-
-    // Link id joining two adjacent logical switches.
-    let link_between = |a: SwitchId, b: SwitchId| -> LinkId {
-        topo.neighbors(a)
-            .iter()
-            .find(|&&(n, _)| n == b)
-            .map(|&(_, lid)| lid)
-            .unwrap_or_else(|| unreachable!("route hops are fabric neighbors"))
+) -> Demand {
+    let switches = topo.num_switches() as usize;
+    let hosts = || (0..topo.num_hosts()).map(HostId);
+    let ingress: Vec<SwitchId> = hosts().map(|h| topo.host_switch(h)).collect();
+    let mut behind: Vec<Vec<HostId>> = vec![Vec::new(); switches];
+    for h in hosts() {
+        behind[ingress[h.idx()].idx()].push(h);
+    }
+    // Physical egress of every logical fabric port, resolved once.
+    let fabric: Vec<Vec<(SwitchId, Option<PhysPort>)>> = (0..topo.num_switches())
+        .map(|s| {
+            let s = SwitchId(s);
+            topo.neighbors(s).iter().map(|&(n, lid)| (n, port_of.get(&(s, lid)).copied())).collect()
+        })
+        .collect();
+    let toward = |s: SwitchId, next: SwitchId| -> PhysPort {
+        match fabric[s.idx()].iter().find(|&&(n, _)| n == next) {
+            Some(&(_, Some(port))) => port,
+            Some(_) => unreachable!("the projection maps every routed logical port"),
+            None => unreachable!("route hops are fabric neighbors"),
+        }
     };
 
-    for src in 0..topo.num_hosts() {
-        let src = HostId(src);
-        for dst in 0..topo.num_hosts() {
-            let dst = HostId(dst);
-            if src == dst {
+    let mut d = Demand { egress: vec![Vec::new(); switches], overrides: HashMap::new() };
+    // Per destination: its default egress at each logical switch, and the
+    // ingress switches already walked.
+    let mut first: Vec<Option<PhysPort>> = vec![None; switches];
+    let mut walked = vec![false; switches];
+    for dst in hosts() {
+        let sb = ingress[dst.idx()];
+        first.fill(None);
+        walked.fill(false);
+        for src in hosts() {
+            let sa = ingress[src.idx()];
+            if src == dst || std::mem::replace(&mut walked[sa.idx()], true) {
                 continue;
             }
-            let sa = topo.host_switch(src);
-            let sb = topo.host_switch(dst);
             // Hop sequence of logical switches the packet visits.
-            let hops: Vec<SwitchId> = if sa == sb {
-                vec![sa]
+            let hops: &[SwitchId] = if sa == sb {
+                std::slice::from_ref(&sa)
             } else {
                 match routes.try_route(sa, sb) {
-                    Some(r) => r.hops.clone(),
+                    Some(r) => &r.hops,
                     None => continue, // unreachable pair (disjoint component)
                 }
             };
             for (i, &s) in hops.iter().enumerate() {
-                let out: PhysPort = if i + 1 < hops.len() {
-                    let lid = link_between(s, hops[i + 1]);
-                    port_of[&(s, lid)]
-                } else {
-                    // Delivery hop: the destination's host port at `s`.
-                    let (_, lid) = topo
-                        .attachments(dst)
-                        .iter()
-                        .copied()
-                        .find(|&(att, _)| att == s)
-                        .unwrap_or_else(|| unreachable!("route ends at an attachment switch of dst"));
-                    host_port[&(dst, lid)]
-                };
-                match egress.entry((s, dst)) {
-                    std::collections::hash_map::Entry::Vacant(v) => {
-                        v.insert(out);
+                let out = match hops.get(i + 1) {
+                    Some(&next) => toward(s, next),
+                    None => {
+                        // Delivery hop: the destination's host port at `s`.
+                        let (_, lid) = topo
+                            .attachments(dst)
+                            .iter()
+                            .copied()
+                            .find(|&(att, _)| att == s)
+                            .unwrap_or_else(|| {
+                                unreachable!("route ends at an attachment switch of dst")
+                            });
+                        host_port[&(dst, lid)]
                     }
-                    std::collections::hash_map::Entry::Occupied(o) => {
-                        if *o.get() != out {
-                            // Source-dependent route: record an override.
-                            overrides.insert((s, src, dst), out);
+                };
+                match first[s.idx()] {
+                    None => {
+                        first[s.idx()] = Some(out);
+                        d.egress[s.idx()].push((dst, out));
+                    }
+                    Some(default) if default != out => {
+                        for &h in behind[sa.idx()].iter().filter(|&&h| h != dst) {
+                            d.overrides.insert((s, h, dst), out);
                         }
                     }
+                    Some(_) => {}
                 }
             }
         }
     }
+    d
+}
 
-    // Emit per physical switch.
+/// Lower a [`Demand`] to per-switch tables.
+fn emit(
+    demand: &Demand,
+    assignment: &[u32],
+    port_of: &HashMap<(SwitchId, LinkId), PhysPort>,
+    num_phys: u32,
+    merge_defaults: bool,
+) -> SynthesisOutput {
     let mut out = SynthesisOutput {
         table0: vec![Vec::new(); num_phys as usize],
         table1: vec![Vec::new(); num_phys as usize],
@@ -166,38 +206,35 @@ fn synthesize_with(
     }
 
     // Table 1: destination routing per sub-switch, optionally compressed
-    // around a per-sub-switch default egress (§VII-C entry merging).
-    let mut default_egress: HashMap<u32, sdt_openflow::PortNo> = HashMap::new();
-    if merge_defaults {
-        let mut counts: HashMap<(u32, sdt_openflow::PortNo), usize> = HashMap::new();
-        for (&(s, _), &pp) in &egress {
-            *counts.entry((s.0, pp.port)).or_insert(0) += 1;
-        }
-        for (&(s, port), &n) in &counts {
-            let best = default_egress.get(&s).map(|p| counts[&(s, *p)]).unwrap_or(0);
-            if n > best {
-                default_egress.insert(s, port);
+    // around a per-sub-switch default egress (§VII-C entry merging): the
+    // port most destinations leave on, the lowest-numbered one on a tie.
+    for (s, dsts) in demand.egress.iter().enumerate() {
+        let table = &mut out.table1[assignment[s] as usize];
+        let mut default = None;
+        if merge_defaults {
+            let mut counts: BTreeMap<PortNo, usize> = BTreeMap::new();
+            for &(_, pp) in dsts {
+                *counts.entry(pp.port).or_insert(0) += 1;
             }
+            default = counts.iter().max_by_key(|&(&p, &n)| (n, Reverse(p))).map(|(&p, _)| p);
         }
-        for (&s, &port) in &default_egress {
-            out.table1[assignment[s as usize] as usize].push(FlowEntry {
-                m: FlowMatch { metadata: Some(s), ..FlowMatch::any() },
+        if let Some(port) = default {
+            table.push(FlowEntry {
+                m: FlowMatch { metadata: Some(s as u32), ..FlowMatch::any() },
                 priority: PRIO_DEFAULT,
                 action: Action::Output(port),
             });
         }
-    }
-    for (&(s, dst), &pp) in &egress {
-        if merge_defaults && default_egress.get(&s.0) == Some(&pp.port) {
-            continue; // covered by the sub-switch default
+        // Covered by the sub-switch default: no exact entry.
+        for &(dst, pp) in dsts.iter().filter(|&&(_, pp)| default != Some(pp.port)) {
+            table.push(FlowEntry {
+                m: FlowMatch::to_dst(addr_of(dst)).and_metadata(s as u32),
+                priority: PRIO_DST,
+                action: Action::Output(pp.port),
+            });
         }
-        out.table1[assignment[s.idx()] as usize].push(FlowEntry {
-            m: FlowMatch::to_dst(addr_of(dst)).and_metadata(s.0),
-            priority: PRIO_DST,
-            action: Action::Output(pp.port),
-        });
     }
-    for (&(s, src, dst), &pp) in &overrides {
+    for (&(s, src, dst), &pp) in &demand.overrides {
         let mut m = FlowMatch::to_dst(addr_of(dst)).and_metadata(s.0);
         m.src = Some(addr_of(src));
         out.table1[assignment[s.idx()] as usize].push(FlowEntry {
@@ -209,9 +246,7 @@ fn synthesize_with(
 
     // Deterministic order (HashMap iteration is not).
     for t in out.table0.iter_mut().chain(out.table1.iter_mut()) {
-        t.sort_unstable_by_key(|e| {
-            (std::cmp::Reverse(e.priority), e.m.in_port, e.m.metadata, e.m.dst, e.m.src)
-        });
+        t.sort_unstable_by_key(|e| (Reverse(e.priority), e.m.in_port, e.m.metadata, e.m.dst, e.m.src));
     }
     for sw in 0..num_phys as usize {
         out.entries_per_switch[sw] = out.table0[sw].len() + out.table1[sw].len();
@@ -225,7 +260,208 @@ mod tests {
     use crate::cluster::ClusterBuilder;
     use crate::methods::SwitchModel;
     use crate::sdt::SdtProjector;
+    use sdt_routing::RoutingStrategy;
     use sdt_topology::fattree::fat_tree;
+
+    /// The demand loop as it was before it walked one route per ingress
+    /// switch: every ordered host pair, in host order. The oracle [`demand`]
+    /// is held to.
+    fn demand_per_pair(
+        topo: &Topology,
+        routes: &RouteTable,
+        port_of: &HashMap<(SwitchId, LinkId), PhysPort>,
+        host_port: &HashMap<(HostId, LinkId), PhysPort>,
+    ) -> Demand {
+        let mut egress: HashMap<(SwitchId, HostId), PhysPort> = HashMap::new();
+        let mut overrides: HashMap<(SwitchId, HostId, HostId), PhysPort> = HashMap::new();
+        let link_between = |a: SwitchId, b: SwitchId| -> LinkId {
+            topo.neighbors(a)
+                .iter()
+                .find(|&&(n, _)| n == b)
+                .map(|&(_, lid)| lid)
+                .unwrap_or_else(|| unreachable!("route hops are fabric neighbors"))
+        };
+        for src in 0..topo.num_hosts() {
+            let src = HostId(src);
+            for dst in 0..topo.num_hosts() {
+                let dst = HostId(dst);
+                if src == dst {
+                    continue;
+                }
+                let sa = topo.host_switch(src);
+                let sb = topo.host_switch(dst);
+                let hops: Vec<SwitchId> = if sa == sb {
+                    vec![sa]
+                } else {
+                    match routes.try_route(sa, sb) {
+                        Some(r) => r.hops.clone(),
+                        None => continue,
+                    }
+                };
+                for (i, &s) in hops.iter().enumerate() {
+                    let out: PhysPort = if i + 1 < hops.len() {
+                        let lid = link_between(s, hops[i + 1]);
+                        port_of[&(s, lid)]
+                    } else {
+                        let (_, lid) = topo
+                            .attachments(dst)
+                            .iter()
+                            .copied()
+                            .find(|&(att, _)| att == s)
+                            .unwrap_or_else(|| {
+                                unreachable!("route ends at an attachment switch of dst")
+                            });
+                        host_port[&(dst, lid)]
+                    };
+                    match egress.entry((s, dst)) {
+                        std::collections::hash_map::Entry::Vacant(v) => {
+                            v.insert(out);
+                        }
+                        std::collections::hash_map::Entry::Occupied(o) => {
+                            if *o.get() != out {
+                                overrides.insert((s, src, dst), out);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let mut d = Demand { egress: vec![Vec::new(); topo.num_switches() as usize], overrides };
+        for ((s, dst), pp) in egress {
+            d.egress[s.idx()].push((dst, pp));
+        }
+        for dsts in &mut d.egress {
+            dsts.sort_unstable_by_key(|&(dst, _)| dst);
+        }
+        d
+    }
+
+    /// Projection-shaped port maps without a projector: logical switch `s`
+    /// lives on physical switch `s % phys`, ports handed out in order.
+    #[allow(clippy::type_complexity)]
+    fn wiring(
+        topo: &Topology,
+        phys: u32,
+    ) -> (Vec<u32>, HashMap<(SwitchId, LinkId), PhysPort>, HashMap<(HostId, LinkId), PhysPort>)
+    {
+        let assignment: Vec<u32> = (0..topo.num_switches()).map(|s| s % phys).collect();
+        let mut next = vec![0u16; phys as usize];
+        let mut take = |s: SwitchId| {
+            let switch = assignment[s.idx()];
+            let port = PortNo(next[switch as usize]);
+            next[switch as usize] += 1;
+            PhysPort { switch, port }
+        };
+        let (mut port_of, mut host_port) = (HashMap::new(), HashMap::new());
+        for s in (0..topo.num_switches()).map(SwitchId) {
+            for &(_, lid) in topo.neighbors(s) {
+                port_of.insert((s, lid), take(s));
+            }
+        }
+        for h in (0..topo.num_hosts()).map(HostId) {
+            for &(s, lid) in topo.attachments(h) {
+                host_port.insert((h, lid), take(s));
+            }
+        }
+        (assignment, port_of, host_port)
+    }
+
+    /// Plain and merged synthesis of `routes` agree with the per-pair
+    /// oracle; returns how many source overrides the routes needed.
+    fn assert_matches_per_pair(topo: &Topology, strategy: &dyn RoutingStrategy) -> usize {
+        let routes = RouteTable::build_for_hosts(topo, strategy);
+        let (assignment, port_of, host_port) = wiring(topo, 3);
+        let ours = demand(topo, &routes, &port_of, &host_port);
+        let oracle = demand_per_pair(topo, &routes, &port_of, &host_port);
+        let name = format!("{} under {}", topo.name(), routes.strategy());
+        for merged in [false, true] {
+            let got = emit(&ours, &assignment, &port_of, 3, merged);
+            let want = emit(&oracle, &assignment, &port_of, 3, merged);
+            assert_eq!(got, want, "{name}, merged = {merged}");
+        }
+        oracle.overrides.len()
+    }
+
+    #[test]
+    fn per_switch_synthesis_matches_the_per_pair_oracle() {
+        use sdt_routing::{dragonfly::DragonflyValiant, ecmp::Ecmp, generic::Bfs, oddeven::OddEven};
+        use sdt_topology::{bcube::bcube, chain::chain, dragonfly::dragonfly, meshtorus};
+        let split = Topology::disjoint_union("split", &[&fat_tree(4), &chain(3)]);
+        let mesh = meshtorus::mesh(&[4, 4]);
+        let df = dragonfly(4, 9, 2, 2);
+        let topos = [
+            fat_tree(4),
+            fat_tree(8),
+            meshtorus::torus(&[4, 4]),
+            mesh.clone(),
+            df.clone(),
+            bcube(4, 1),
+            split,
+        ];
+        for t in &topos {
+            assert_matches_per_pair(t, sdt_routing::default_strategy(t).as_ref());
+            assert_matches_per_pair(t, &Bfs::new(t));
+        }
+        // Source-dependent strategies: the only inputs that reach a
+        // `PRIO_SRC_OVERRIDE` entry.
+        let mut overrides = 0;
+        for t in &topos[..2] {
+            overrides += assert_matches_per_pair(t, &Ecmp::new(t));
+        }
+        overrides += assert_matches_per_pair(&mesh, &OddEven::new(&[4, 4]));
+        let valiant = assert_matches_per_pair(&df, &DragonflyValiant::new(4, 9, 2, 2, &df));
+        assert!(valiant > 0, "Valiant routes depend on the source switch");
+        assert!(overrides > 0, "ECMP / odd-even routes depend on the source switch");
+    }
+
+    /// FNV-1a over every field of every entry, in table order.
+    fn digest(out: &SynthesisOutput) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |v: u64| {
+            for b in v.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        let opt = |v: Option<u32>| v.map_or(u64::MAX, u64::from);
+        for table in out.table0.iter().chain(&out.table1) {
+            eat(table.len() as u64);
+            for e in table {
+                eat(u64::from(e.priority));
+                eat(opt(e.m.in_port.map(|p| u32::from(p.0))));
+                eat(opt(e.m.metadata));
+                eat(opt(e.m.src.map(|a| a.0)));
+                eat(opt(e.m.dst.map(|a| a.0)));
+                eat(match e.action {
+                    Action::Output(p) => u64::from(p.0),
+                    Action::Drop => 1 << 32,
+                    Action::WriteMetadataGoto(md) => 2 << 32 | u64::from(md),
+                });
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn merged_synthesis_is_deterministic() {
+        // Up-ports of a fat-tree carry equal destination counts, so the
+        // default egress of most sub-switches is a tie; each synthesis
+        // builds its own `HashMap`s, each with its own hash keys.
+        let t = fat_tree(4);
+        let c = ClusterBuilder::new(SwitchModel::openflow_128x100g(), 2)
+            .hosts_per_switch(16)
+            .inter_links_per_pair(16)
+            .build();
+        let p = SdtProjector::default().project_default(&t, &c).unwrap();
+        let routes = RouteTable::build_for_hosts(&t, sdt_routing::default_strategy(&t).as_ref());
+        let merged = || {
+            synthesize_flow_tables_merged(&t, &routes, &p.assignment, &p.port_of, &p.host_port, 2)
+        };
+        let first = merged();
+        for _ in 0..4 {
+            assert_eq!(merged(), first);
+        }
+        assert_eq!(digest(&first), 10_845_559_731_164_891_837, "entries per switch {:?}", first.entries_per_switch);
+    }
 
     #[test]
     fn fat_tree_k4_entry_budget_matches_paper() {

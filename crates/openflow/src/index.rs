@@ -15,8 +15,9 @@
 //! - [`EntryIndex`] here is the build-once variant over an immutable entry
 //!   slice, used by `sdt-verify` to accelerate symbolic class walks.
 
+use crate::overlap::FxBuild;
 use crate::{FlowEntry, HostAddr, PortNo};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 /// Tier-id bit: the entry constrains `in_port`.
 pub(crate) const TIER_IN_PORT: usize = 1;
@@ -75,18 +76,50 @@ pub(crate) fn query_key(
 /// linear scan would hit first.
 #[derive(Clone, Debug)]
 pub struct EntryIndex {
-    tiers: [HashMap<TierKey, Vec<(u32, FlowEntry)>>; TIER_COUNT],
+    tiers: [HashMap<TierKey, Bucket, FxBuild>; TIER_COUNT],
+}
+
+/// The `(position, entry)` pairs of one bucket, ascending position. SDT
+/// pipelines key every entry of a table differently, so the bucket of one
+/// is held inline: no allocation to build it, no pointer to chase to
+/// probe it.
+#[derive(Clone, Debug)]
+enum Bucket {
+    One((u32, FlowEntry)),
+    Many(Vec<(u32, FlowEntry)>),
+}
+
+impl Bucket {
+    fn push(&mut self, at: (u32, FlowEntry)) {
+        match self {
+            Bucket::One(first) => *self = Bucket::Many(vec![*first, at]),
+            Bucket::Many(v) => v.push(at),
+        }
+    }
+
+    fn as_slice(&self) -> &[(u32, FlowEntry)] {
+        match self {
+            Bucket::One(e) => std::slice::from_ref(e),
+            Bucket::Many(v) => v,
+        }
+    }
 }
 
 impl EntryIndex {
     /// Index `entries` (which must be in flow-table order: descending
     /// priority, stable within a level).
     pub fn build(entries: &[FlowEntry]) -> Self {
-        let mut tiers: [HashMap<TierKey, Vec<(u32, FlowEntry)>>; TIER_COUNT] =
-            std::array::from_fn(|_| HashMap::new());
+        let mut tiers: [HashMap<TierKey, Bucket, FxBuild>; TIER_COUNT] =
+            std::array::from_fn(|_| HashMap::default());
         for (pos, e) in entries.iter().enumerate() {
             let tier = tier_of(&e.m);
-            tiers[tier].entry(entry_key(tier, &e.m)).or_default().push((pos as u32, *e));
+            let at = (pos as u32, *e);
+            match tiers[tier].entry(entry_key(tier, &e.m)) {
+                Entry::Vacant(v) => {
+                    v.insert(Bucket::One(at));
+                }
+                Entry::Occupied(mut o) => o.get_mut().push(at),
+            }
         }
         EntryIndex { tiers }
     }
@@ -123,7 +156,7 @@ impl EntryIndex {
             let Some(bucket) = map.get(&query_key(tier, in_port, metadata, dst)) else {
                 continue;
             };
-            for (pos, e) in bucket {
+            for (pos, e) in bucket.as_slice() {
                 if best.is_some_and(|(bp, _)| *pos >= bp) {
                     break; // positions ascend — this tier cannot improve
                 }
@@ -179,6 +212,18 @@ mod tests {
                 priority: 6,
                 action: Action::Output(PortNo(5)),
             },
+            // Same keys again: buckets of more than one entry.
+            FlowEntry {
+                m: FlowMatch::to_dst(HostAddr(8)).and_metadata(9),
+                priority: 6,
+                action: Action::Drop,
+            },
+            FlowEntry {
+                m: FlowMatch::to_dst(HostAddr(7)),
+                priority: 12,
+                action: Action::Output(PortNo(4)),
+            },
+            FlowEntry { m: FlowMatch::to_dst(HostAddr(7)), priority: 3, action: Action::Drop },
         ];
         for e in adds {
             t.apply(FlowMod::Add(e)).unwrap();

@@ -32,7 +32,7 @@ pub use control::{
     RetryPolicy, RoundBatch,
 };
 pub use index::EntryIndex;
-pub use overlap::{table_warnings_indexed, OverlapHit, OverlapIndex};
+pub use overlap::{table_warnings_indexed, FxBuild, FxHasher, OverlapHit, OverlapIndex};
 pub use switch::{OpenFlowSwitch, PortStats, SwitchConfig};
 pub use table::{
     diff_tables, shadowed_entries, shadowed_entries_in, subtract_witness, Action, FlowEntry,

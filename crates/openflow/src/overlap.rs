@@ -31,7 +31,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// well-mixed fixed-width packs, and bucket probes are the inner loop of
 /// the warnings scan, so the default SipHash costs more than the probe.
 #[derive(Default)]
-pub(crate) struct FxHasher(u64);
+pub struct FxHasher(u64);
 
 impl Hasher for FxHasher {
     fn write(&mut self, bytes: &[u8]) {
@@ -70,7 +70,9 @@ impl Hasher for FxHasher {
     }
 }
 
-pub(crate) type FxBuild = BuildHasherDefault<FxHasher>;
+/// [`std::hash::BuildHasher`] of [`FxHasher`], for maps keyed by entries
+/// and matches the controller synthesized itself.
+pub type FxBuild = BuildHasherDefault<FxHasher>;
 
 /// Field-presence mask: one bit per match field.
 const F_IN_PORT: u8 = 1;

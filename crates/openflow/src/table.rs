@@ -1,8 +1,9 @@
 //! Priority-matched flow tables with capacity accounting.
 
 use crate::index::{entry_key, query_key, tier_of, TierKey, TIER_COUNT, TIER_METADATA};
+use crate::overlap::FxBuild;
 use crate::{HostAddr, PortNo};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use sdt_sync::atomic::{AtomicU64, Ordering};
 
 /// Wildcard-able match over the fields SDT programs: ingress port, pipeline
@@ -730,8 +731,8 @@ pub fn shadowed_entries_in(entries: &[FlowEntry], universe: &MatchUniverse) -> V
 /// which is what keeps SDT reconfigurations between *similar* topologies
 /// fast — only the delta pays install latency.
 pub fn diff_tables(old: &[FlowEntry], new: &[FlowEntry]) -> Vec<FlowMod> {
-    let old_set: std::collections::HashSet<&FlowEntry> = old.iter().collect();
-    let new_set: std::collections::HashSet<&FlowEntry> = new.iter().collect();
+    let old_set: HashSet<&FlowEntry, FxBuild> = old.iter().collect();
+    let new_set: HashSet<&FlowEntry, FxBuild> = new.iter().collect();
     let mut mods = Vec::new();
     for e in old {
         if !new_set.contains(e) {

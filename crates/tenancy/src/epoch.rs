@@ -26,8 +26,8 @@
 
 use crate::SliceId;
 use sdt_core::synthesis::SynthesisOutput;
-use sdt_openflow::{diff_tables, FlowEntry, FlowMatch, FlowMod, InstallTiming, PortNo};
-use std::collections::HashSet;
+use sdt_openflow::{diff_tables, FlowEntry, FlowMatch, FlowMod, FxBuild, InstallTiming, PortNo};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// One entry installation, targeted at a switch and pipeline table.
@@ -53,6 +53,9 @@ pub struct EpochDelete {
     /// Priority of the entry to remove.
     pub priority: u16,
 }
+
+/// What a strict delete removes and a same-key add replaces in place.
+type ModKey = (u32, u8, FlowMatch, u16);
 
 /// A verified, atomic batch of flow-mods belonging to exactly one slice.
 #[derive(Clone, Debug, Default)]
@@ -307,36 +310,51 @@ impl Epoch {
     /// (OpenFlow MODIFY: the add is held back and lands right after its
     /// delete, otherwise the delete would wipe its own replacement).
     ///
-    /// Both the manager's `apply_epoch` and the static pre-install check
-    /// replay this sequence, so what the verifier proves is byte-for-byte
-    /// what the switches receive.
+    /// Both the manager's install and the static pre-install check replay
+    /// this sequence, so what the verifier proves is byte-for-byte what the
+    /// switches receive.
     pub fn ordered_mods(&self) -> Vec<(u32, u8, FlowMod)> {
-        type ModKey = (u32, u8, FlowMatch, u16);
-        let delete_keys: HashSet<ModKey> =
-            self.deletes.iter().map(|d| (d.switch, d.table, d.m, d.priority)).collect();
-        let mut replacements: std::collections::HashMap<ModKey, Vec<FlowEntry>> =
-            std::collections::HashMap::new();
+        self.ordered().0
+    }
+
+    /// [`Epoch::ordered_mods`] and the index at which its delete phase
+    /// starts. That index is all the atomic units need: before it every
+    /// mod is a unit of its own, from it on a unit is a delete and the adds
+    /// that follow it (its replacements).
+    pub(crate) fn ordered(&self) -> (Vec<(u32, u8, FlowMod)>, usize) {
+        // Position (in `deletes`) of the first delete of each key: the one
+        // an add of the same key rides behind.
+        let mut first_delete: HashMap<ModKey, u32, FxBuild> =
+            HashMap::with_capacity_and_hasher(self.deletes.len(), FxBuild::default());
+        for (at, d) in self.deletes.iter().enumerate() {
+            first_delete.entry((d.switch, d.table, d.m, d.priority)).or_insert(at as u32);
+        }
+        // Held-back adds per table: (position of their delete, entry).
+        let mut held: [Vec<(u32, FlowEntry)>; 2] = Default::default();
         let mut mods = Vec::with_capacity(self.adds.len() + self.deletes.len());
         for table in [1u8, 0u8] {
             for a in self.adds.iter().filter(|a| a.table == table) {
-                let key = (a.switch, a.table, a.entry.m, a.entry.priority);
-                if delete_keys.contains(&key) {
-                    replacements.entry(key).or_default().push(a.entry);
-                } else {
-                    mods.push((a.switch, a.table, FlowMod::Add(a.entry)));
+                match first_delete.get(&(a.switch, a.table, a.entry.m, a.entry.priority)) {
+                    Some(&at) => held[usize::from(table)].push((at, a.entry)),
+                    None => mods.push((a.switch, a.table, FlowMod::Add(a.entry))),
                 }
             }
         }
+        let deletes_from = mods.len();
         for table in [0u8, 1u8] {
-            for d in self.deletes.iter().filter(|d| d.table == table) {
+            // Stable: adds sharing a delete keep their order. The deletes
+            // of one table are then met in the order their adds are held.
+            let held = &mut held[usize::from(table)];
+            held.sort_by_key(|&(at, _)| at);
+            let mut held = held.iter().peekable();
+            for (at, d) in self.deletes.iter().enumerate().filter(|(_, d)| d.table == table) {
                 mods.push((d.switch, d.table, FlowMod::Delete(d.m, d.priority)));
-                let key = (d.switch, d.table, d.m, d.priority);
-                for e in replacements.remove(&key).into_iter().flatten() {
+                while let Some(&(_, e)) = held.next_if(|&&(of, _)| of == at as u32) {
                     mods.push((d.switch, d.table, FlowMod::Add(e)));
                 }
             }
         }
-        mods
+        (mods, deletes_from)
     }
 
     /// Build the report for this epoch (before or after applying it).

@@ -40,7 +40,7 @@ use sdt_core::sdt::{
 };
 use sdt_core::synthesis::SynthesisOutput;
 use sdt_openflow::{
-    Action, HostAddr, InstallTiming, OpenFlowSwitch, SwitchConfig,
+    Action, FlowMod, HostAddr, InstallTiming, OpenFlowSwitch, SwitchConfig,
 };
 use sdt_routing::{default_strategy, RouteTable};
 use sdt_topology::{HostId, SwitchId, Topology};
@@ -223,6 +223,9 @@ pub struct ReclaimedResources {
 pub struct Plan {
     id: SliceId,
     epoch: Epoch,
+    /// `epoch` in wire order ([`Epoch::ordered_mods`]), ordered once: the
+    /// gate proves this sequence and commit installs it.
+    mods: Vec<(u32, u8, FlowMod)>,
     /// The slice once the epoch is in; `None` for a teardown.
     after: Option<Slice>,
     /// `after` sits in namespace ranges taken at `next_metadata` /
@@ -542,13 +545,13 @@ impl SliceManager {
     /// delete. Those pairs are applied as an in-place replacement
     /// (OpenFlow's MODIFY): the add is held back and installed right after
     /// its delete.
-    fn apply_epoch(&mut self, epoch: &Epoch) -> EpochReport {
-        for (sw, table, m) in epoch.ordered_mods() {
-            if let Err(e) = self.switches[sw as usize].apply(table, m) {
+    fn apply_epoch(&mut self, plan: &Plan) -> EpochReport {
+        for (sw, table, m) in &plan.mods {
+            if let Err(e) = self.switches[*sw as usize].apply(*table, m.clone()) {
                 unreachable!("headroom pre-checked before applying the epoch: {e}");
             }
         }
-        epoch.report(self.switches.len(), &self.timing)
+        plan.epoch.report(self.switches.len(), &self.timing)
     }
 
     /// The connectivity intent of a hypothetical slice set: every current
@@ -618,8 +621,9 @@ impl SliceManager {
         (report, stats)
     }
 
-    /// The one pre-install gate: prove the live tables plus `epoch` against
-    /// `intent` — would the tables *after* this epoch still be loop-free,
+    /// The one pre-install gate: prove the live tables plus an epoch's
+    /// `mods` (in wire order) against `intent` — would the tables *after*
+    /// this epoch still be loop-free,
     /// blackhole-free and isolated? On success returns the proof of the
     /// current tables and the proof of the pending ones, both out of the
     /// cache (the caller installs whichever describes the tables it leaves
@@ -627,11 +631,11 @@ impl SliceManager {
     /// error names the violation, and nothing is applied.
     fn gate(
         &mut self,
-        epoch: &Epoch,
+        mods: &[(u32, u8, FlowMod)],
         intent: Intent,
     ) -> Result<(Verifier, Verifier), AdmissionError> {
         let current = self.current_verifier();
-        let pending = Verifier::check_delta(&current, &epoch.ordered_mods(), intent);
+        let pending = Verifier::check_delta(&current, mods, intent);
         if pending.holds() {
             Ok((current, pending))
         } else {
@@ -645,7 +649,7 @@ impl SliceManager {
     /// delta and the current intent, without applying anything. Live
     /// tables are untouched either way.
     pub fn precheck_epoch(&mut self, epoch: &Epoch) -> Result<(), AdmissionError> {
-        let (current, _) = self.gate(epoch, self.intent())?;
+        let (current, _) = self.gate(&epoch.ordered_mods(), self.intent())?;
         self.verifier = Some(current);
         Ok(())
     }
@@ -718,7 +722,8 @@ impl SliceManager {
         epoch
             .verify(&own, &self.owned_by_others(id))
             .map_err(|v| AdmissionError::EpochViolation(v.to_string()))?;
-        Ok(Plan { id, epoch, after, fresh_namespace })
+        let mods = epoch.ordered_mods();
+        Ok(Plan { id, epoch, mods, after, fresh_namespace })
     }
 
     /// Project `topo` around everything co-tenants hold. `old` is the
@@ -753,7 +758,7 @@ impl SliceManager {
     /// the live tables (`None` = the caller proves a whole batch's end
     /// state afterwards), and settle the bookkeeping.
     fn commit(&mut self, plan: Plan, proof: Option<Verifier>) -> OpOutcome {
-        let report = self.apply_epoch(&plan.epoch);
+        let report = self.apply_epoch(&plan);
         self.verifier = proof;
         self.settle(plan, report)
     }
@@ -791,7 +796,7 @@ impl SliceManager {
     pub fn apply_one(&mut self, op: SliceOp) -> Result<OpOutcome, AdmissionError> {
         let plan = self.plan(op)?;
         let intent = self.intent_with(Some(plan.id), plan.after.as_ref());
-        let (_, proof) = self.gate(&plan.epoch, intent)?;
+        let (_, proof) = self.gate(&plan.mods, intent)?;
         Ok(self.commit(plan, Some(proof)))
     }
 
@@ -910,7 +915,7 @@ impl SliceManager {
         // Whole-epoch gate first. Beyond matching the one-shot contract,
         // this is what guarantees the scheduler's merge-on-failure
         // fallback terminates: the fully-merged round *is* this epoch.
-        let (current, _) = self.gate(&plan.epoch, post_intent.clone())?;
+        let (current, _) = self.gate(&plan.mods, post_intent.clone())?;
         match crate::schedule::install_scheduled(
             &self.cluster,
             &mut self.switches,

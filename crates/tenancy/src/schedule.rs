@@ -48,8 +48,8 @@
 use crate::epoch::Epoch;
 use sdt_core::cluster::PhysicalCluster;
 use sdt_openflow::{
-    diff_tables, reconcile, Action, ControlChannel, FlowMod, InstallTiming, OpenFlowSwitch,
-    RetryPolicy,
+    diff_tables, reconcile, Action, ControlChannel, FlowMod, FxBuild, InstallTiming,
+    OpenFlowSwitch, RetryPolicy,
 };
 use sdt_verify::{Intent, TableView, Verifier, VerifyReport};
 use std::collections::{HashSet, VecDeque};
@@ -186,34 +186,15 @@ impl fmt::Display for ScheduleError {
 
 impl std::error::Error for ScheduleError {}
 
-/// An epoch's flow-mods grouped into atomic units: each unit is either a
-/// single add/delete, or a delete immediately followed by the add(s)
-/// replacing it under the same (switch, table, match, priority) key — an
-/// in-place MODIFY that must never be split across rounds.
-fn units_of(mods: Vec<(u32, u8, FlowMod)>) -> Vec<Vec<(u32, u8, FlowMod)>> {
-    let mut units: Vec<Vec<(u32, u8, FlowMod)>> = Vec::new();
-    for (sw, t, m) in mods {
-        let attaches = match (&m, units.last()) {
-            (FlowMod::Add(e), Some(u)) => matches!(
-                u.first(),
-                Some(&(usw, ut, FlowMod::Delete(dm, dp)))
-                    if usw == sw && ut == t && dm == e.m && dp == e.priority
-            ),
-            _ => false,
-        };
-        match units.last_mut() {
-            Some(u) if attaches => u.push((sw, t, m)),
-            _ => units.push(vec![(sw, t, m)]),
-        }
-    }
-    units
-}
-
 /// Compile an epoch into dependency-ordered rounds against the pre-epoch
 /// table state `before` (needed to resolve which metadata a deleted
 /// table-0 entry used to steer).
 ///
-/// Layering (longest-path over the per-switch class-walk dependencies):
+/// The epoch's wire order is cut into atomic units — a single add or
+/// delete, or a delete and the add(s) that follow it under the same
+/// (switch, table, match, priority) key: an in-place MODIFY that must
+/// never be split across rounds — and each unit is assigned a layer
+/// (longest-path over the per-switch class-walk dependencies):
 ///
 /// * table-1 adds — layer 0 (new routing entries, dark until steered to);
 /// * table-0 adds — layer 1 when the metadata they write gains new table-1
@@ -234,22 +215,12 @@ fn units_of(mods: Vec<(u32, u8, FlowMod)>) -> Vec<Vec<(u32, u8, FlowMod)>> {
 /// by `tests/round_properties.rs`). Determinism needs no seed: the
 /// compilation is a pure function of the epoch and `before`.
 pub fn compile_rounds(epoch: &Epoch, before: &TableView) -> Vec<Round> {
-    let units = units_of(epoch.ordered_mods());
-
-    // Metadata values gaining new table-1 routes per switch in this epoch.
-    let mut fresh_routes: HashSet<(u32, u32)> = HashSet::new();
-    for u in &units {
-        if let [(sw, 1, FlowMod::Add(e))] = u.as_slice() {
-            if let Some(md) = e.m.metadata {
-                fresh_routes.insert((*sw, md));
-            }
-        }
-    }
+    let (mods, deletes_from) = epoch.ordered();
 
     // Metadata the pre-state's table 0 still steers, per switch: a pure
     // table-1 delete in a live class must wait for the cutover to go dark;
     // one in an already-dark class has no walk crossing it and needn't.
-    let mut steered: HashSet<(u32, u32)> = HashSet::new();
+    let mut steered: HashSet<(u32, u32), FxBuild> = HashSet::default();
     for sw in 0..before.num_switches() as u32 {
         for e in before.entries(sw, 0) {
             if let Action::WriteMetadataGoto(md) = e.action {
@@ -258,65 +229,48 @@ pub fn compile_rounds(epoch: &Epoch, before: &TableView) -> Vec<Round> {
         }
     }
 
-    // Longest-path layer per unit. Adds occupy layers 0..=add_max; the
-    // cutover and collect layers come strictly after.
-    let mut add_max = 0usize;
-    let mut layers: Vec<(usize, RoundPhase)> = Vec::with_capacity(units.len());
-    for u in &units {
-        let layer = match u.as_slice() {
-            [(_, 1, FlowMod::Add(_))] => (0, RoundPhase::Make),
-            [(sw, 0, FlowMod::Add(e))] => {
-                let depends = match e.action {
-                    Action::WriteMetadataGoto(md) => fresh_routes.contains(&(*sw, md)),
-                    _ => false,
-                };
-                (usize::from(depends), RoundPhase::Make)
-            }
-            [(_, 0, FlowMod::Delete(..)), ..] => (usize::MAX - 1, RoundPhase::Cutover),
-            // Table-1 MODIFY: in-place route repoint, grouped with the
-            // cutover (its class stays live before and after).
-            [(_, 1, FlowMod::Delete(..)), _, ..] => (usize::MAX - 1, RoundPhase::Cutover),
-            // Pure table-1 delete: collect only after the cutover stops
-            // steering its class — unless the class is already dark.
-            [(sw, 1, FlowMod::Delete(dm, _))] => {
-                let live = dm.metadata.is_some_and(|md| steered.contains(&(*sw, md)));
-                if live {
-                    (usize::MAX, RoundPhase::Collect)
-                } else {
-                    (usize::MAX - 1, RoundPhase::Cutover)
+    // The layers in install order; one pass moves every mod into its
+    // unit's layer. Wire order puts all table-1 adds before the first
+    // table-0 add, so `fresh_routes` is complete when it is first read.
+    const CUTOVER: usize = 2;
+    const COLLECT: usize = 3;
+    let mut layers =
+        [RoundPhase::Make, RoundPhase::Make, RoundPhase::Cutover, RoundPhase::Collect]
+            .map(|phase| Round { mods: Vec::new(), phase, units: 0 });
+    // Metadata values gaining new table-1 routes per switch in this epoch.
+    let mut fresh_routes: HashSet<(u32, u32), FxBuild> = HashSet::default();
+    let mut layer = 0;
+    let mut mods = mods.into_iter().enumerate().peekable();
+    while let Some((at, (sw, table, m))) = mods.next() {
+        // Past `deletes_from` an add is a replacement riding its delete's
+        // unit; everything else starts a unit of its own.
+        if at < deletes_from || matches!(m, FlowMod::Delete(..)) {
+            let modify = matches!(mods.peek(), Some((_, (_, _, FlowMod::Add(_)))));
+            layer = match (table, &m) {
+                (1, FlowMod::Add(e)) => {
+                    fresh_routes.extend(e.m.metadata.map(|md| (sw, md)));
+                    0
                 }
-            }
-            _ => (usize::MAX - 1, RoundPhase::Cutover),
-        };
-        if layer.1 == RoundPhase::Make {
-            add_max = add_max.max(layer.0);
+                (0, FlowMod::Add(e)) => match e.action {
+                    Action::WriteMetadataGoto(md) => usize::from(fresh_routes.contains(&(sw, md))),
+                    _ => 0,
+                },
+                // Pure table-1 delete: collect only after the cutover stops
+                // steering its class — unless the class is already dark.
+                (1, FlowMod::Delete(dm, _))
+                    if !modify && dm.metadata.is_some_and(|md| steered.contains(&(sw, md))) =>
+                {
+                    COLLECT
+                }
+                // Table-0 deletes and MODIFYs; a table-1 MODIFY is an
+                // in-place route repoint (its class stays live throughout).
+                _ => CUTOVER,
+            };
+            layers[layer].units += 1;
         }
-        layers.push(layer);
+        layers[layer].mods.push((sw, table, m));
     }
-
-    // Materialize rounds in layer order, preserving wire order inside each.
-    let resolved = |l: usize| match l {
-        usize::MAX => add_max + 2,
-        x if x == usize::MAX - 1 => add_max + 1,
-        x => x,
-    };
-    let mut rounds: Vec<Round> = Vec::new();
-    for target in 0..=add_max + 2 {
-        let mut mods = Vec::new();
-        let mut n_units = 0usize;
-        let mut phase = RoundPhase::Make;
-        for (u, &(l, p)) in units.iter().zip(&layers) {
-            if resolved(l) == target {
-                mods.extend(u.iter().cloned());
-                n_units += 1;
-                phase = phase.max(p);
-            }
-        }
-        if !mods.is_empty() {
-            rounds.push(Round { mods, phase, units: n_units });
-        }
-    }
-    rounds
+    layers.into_iter().filter(|r| !r.mods.is_empty()).collect()
 }
 
 /// True when `r` carries no loop/blackhole/leak finding that `base` did
@@ -572,6 +526,193 @@ mod tests {
 
     fn view1() -> TableView {
         TableView::empty(1)
+    }
+
+    type Mod = (u32, u8, FlowMod);
+
+    /// [`Epoch::ordered_mods`] as it was before the pairing was keyed by
+    /// delete position: a key set, and a heap `Vec` of replacements per
+    /// key. The oracle the wire order is held to.
+    fn reference_ordered_mods(e: &Epoch) -> Vec<Mod> {
+        use std::collections::HashMap;
+        type ModKey = (u32, u8, FlowMatch, u16);
+        let delete_keys: HashSet<ModKey> =
+            e.deletes.iter().map(|d| (d.switch, d.table, d.m, d.priority)).collect();
+        let mut replacements: HashMap<ModKey, Vec<FlowEntry>> = HashMap::new();
+        let mut mods = Vec::new();
+        for table in [1u8, 0u8] {
+            for a in e.adds.iter().filter(|a| a.table == table) {
+                let key = (a.switch, a.table, a.entry.m, a.entry.priority);
+                if delete_keys.contains(&key) {
+                    replacements.entry(key).or_default().push(a.entry);
+                } else {
+                    mods.push((a.switch, a.table, FlowMod::Add(a.entry)));
+                }
+            }
+        }
+        for table in [0u8, 1u8] {
+            for d in e.deletes.iter().filter(|d| d.table == table) {
+                mods.push((d.switch, d.table, FlowMod::Delete(d.m, d.priority)));
+                let key = (d.switch, d.table, d.m, d.priority);
+                for e in replacements.remove(&key).into_iter().flatten() {
+                    mods.push((d.switch, d.table, FlowMod::Add(e)));
+                }
+            }
+        }
+        mods
+    }
+
+    /// The atomic units as they were found before `ordered` reported where
+    /// its delete phase starts: regrouped by adjacency, one `Vec` each.
+    fn reference_units_of(mods: Vec<Mod>) -> Vec<Vec<Mod>> {
+        let mut units: Vec<Vec<Mod>> = Vec::new();
+        for (sw, t, m) in mods {
+            let attaches = match (&m, units.last()) {
+                (FlowMod::Add(e), Some(u)) => matches!(
+                    u.first(),
+                    Some(&(usw, ut, FlowMod::Delete(dm, dp)))
+                        if usw == sw && ut == t && dm == e.m && dp == e.priority
+                ),
+                _ => false,
+            };
+            match units.last_mut() {
+                Some(u) if attaches => u.push((sw, t, m)),
+                _ => units.push(vec![(sw, t, m)]),
+            }
+        }
+        units
+    }
+
+    /// [`compile_rounds`] as it was: a layer per unit, then one filtering,
+    /// cloning pass over every unit per layer.
+    fn reference_compile_rounds(epoch: &Epoch, before: &TableView) -> Vec<Round> {
+        let units = reference_units_of(reference_ordered_mods(epoch));
+        let mut fresh_routes: HashSet<(u32, u32)> = HashSet::new();
+        for u in &units {
+            if let [(sw, 1, FlowMod::Add(e))] = u.as_slice() {
+                if let Some(md) = e.m.metadata {
+                    fresh_routes.insert((*sw, md));
+                }
+            }
+        }
+        let mut steered: HashSet<(u32, u32)> = HashSet::new();
+        for sw in 0..before.num_switches() as u32 {
+            for e in before.entries(sw, 0) {
+                if let Action::WriteMetadataGoto(md) = e.action {
+                    steered.insert((sw, md));
+                }
+            }
+        }
+        let mut add_max = 0usize;
+        let mut layers: Vec<(usize, RoundPhase)> = Vec::with_capacity(units.len());
+        for u in &units {
+            let layer = match u.as_slice() {
+                [(_, 1, FlowMod::Add(_))] => (0, RoundPhase::Make),
+                [(sw, 0, FlowMod::Add(e))] => {
+                    let depends = match e.action {
+                        Action::WriteMetadataGoto(md) => fresh_routes.contains(&(*sw, md)),
+                        _ => false,
+                    };
+                    (usize::from(depends), RoundPhase::Make)
+                }
+                [(_, 0, FlowMod::Delete(..)), ..] => (usize::MAX - 1, RoundPhase::Cutover),
+                [(_, 1, FlowMod::Delete(..)), _, ..] => (usize::MAX - 1, RoundPhase::Cutover),
+                [(sw, 1, FlowMod::Delete(dm, _))] => {
+                    let live = dm.metadata.is_some_and(|md| steered.contains(&(*sw, md)));
+                    if live {
+                        (usize::MAX, RoundPhase::Collect)
+                    } else {
+                        (usize::MAX - 1, RoundPhase::Cutover)
+                    }
+                }
+                _ => (usize::MAX - 1, RoundPhase::Cutover),
+            };
+            if layer.1 == RoundPhase::Make {
+                add_max = add_max.max(layer.0);
+            }
+            layers.push(layer);
+        }
+        let resolved = |l: usize| match l {
+            usize::MAX => add_max + 2,
+            x if x == usize::MAX - 1 => add_max + 1,
+            x => x,
+        };
+        let mut rounds: Vec<Round> = Vec::new();
+        for target in 0..=add_max + 2 {
+            let mut mods = Vec::new();
+            let mut n_units = 0usize;
+            let mut phase = RoundPhase::Make;
+            for (u, &(l, p)) in units.iter().zip(&layers) {
+                if resolved(l) == target {
+                    mods.extend(u.iter().cloned());
+                    n_units += 1;
+                    phase = phase.max(p);
+                }
+            }
+            if !mods.is_empty() {
+                rounds.push(Round { mods, phase, units: n_units });
+            }
+        }
+        rounds
+    }
+
+    /// A random epoch over 3 switches and a small key space, so that it
+    /// holds pure adds, pure deletes, MODIFYs with several replacement
+    /// adds, repeated delete keys and repeated adds, on both tables — and
+    /// the pre-state it applies to.
+    fn random_epoch(seed: u64) -> (Epoch, TableView) {
+        let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % n) as u32
+        };
+        let entry = |table: u8, next: &mut dyn FnMut(u64) -> u32| match table {
+            0 => t0(next(4) as u16, next(3)),
+            _ => t1(next(3), next(3), next(5) as u16),
+        };
+        let mut before = TableView::empty(3);
+        for _ in 0..next(8) {
+            let (sw, table) = (next(3), next(2) as u8);
+            before.apply(sw, table, &FlowMod::Add(entry(table, &mut next)));
+        }
+        let mut e = Epoch { slice: SliceId(0), ..Default::default() };
+        for _ in 0..next(24) {
+            let (switch, table) = (next(3), next(2) as u8);
+            let entry = entry(table, &mut next);
+            if next(2) == 0 {
+                e.adds.push(crate::epoch::EpochAdd { switch, table, entry });
+            } else {
+                e.deletes.push(crate::epoch::EpochDelete {
+                    switch,
+                    table,
+                    m: entry.m,
+                    priority: entry.priority,
+                });
+            }
+        }
+        (e, before)
+    }
+
+    #[test]
+    fn wire_order_and_rounds_match_the_reference_on_random_epochs() {
+        let (mut modifies, mut repeated_deletes, mut wide_modifies) = (0, 0, 0);
+        for seed in 0..2000 {
+            let (e, before) = random_epoch(seed);
+            let want = reference_ordered_mods(&e);
+            assert_eq!(format!("{:?}", e.ordered_mods()), format!("{want:?}"), "seed {seed}");
+            let want = reference_compile_rounds(&e, &before);
+            let got = compile_rounds(&e, &before);
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "seed {seed}");
+            // What the generator reached.
+            let units = reference_units_of(reference_ordered_mods(&e));
+            modifies += units.iter().filter(|u| u.len() > 1).count();
+            wide_modifies += units.iter().filter(|u| u.len() > 2).count();
+            let keys: HashSet<String> = e.deletes.iter().map(|d| format!("{d:?}")).collect();
+            repeated_deletes += usize::from(keys.len() < e.deletes.len());
+        }
+        assert!(modifies > 0 && wide_modifies > 0 && repeated_deletes > 0);
     }
 
     #[test]

@@ -22,9 +22,7 @@ use sdt_openflow::{
 };
 use sdt_topology::HostId;
 
-use crate::fast::{
-    mask_of, no_switches, DestinyMemo, FateOut, FateTable, VerifyStats, WalkCache,
-};
+use crate::fast::{DestinyMemo, Fate, FateOut, FateTable, SwitchSet, VerifyStats, WalkCache};
 use crate::model::{entry_matches, HeaderClass, HeaderValues, Intent, TableView};
 
 /// A named rule: enough to point an operator at the exact `FlowEntry` in
@@ -326,11 +324,11 @@ fn view_indexes(view: &TableView) -> Vec<Arc<[EntryIndex; 2]>> {
 fn delta_indexes(
     prev: &[Arc<[EntryIndex; 2]>],
     view: &TableView,
-    touched: &BTreeSet<u32>,
+    touched: &SwitchSet,
 ) -> Vec<Arc<[EntryIndex; 2]>> {
     (0..view.num_switches() as u32)
         .map(|sw| {
-            if touched.contains(&sw) || prev.get(sw as usize).is_none() {
+            if touched.contains(sw) || prev.get(sw as usize).is_none() {
                 Arc::new([
                     EntryIndex::build(view.entries(sw, 0)),
                     EntryIndex::build(view.entries(sw, 1)),
@@ -396,13 +394,6 @@ fn egress(cluster: &PhysicalCluster, port: PhysPort, rules: Vec<RuleRef>) -> Ste
 /// the key to incremental re-checking (a pair whose path avoids every
 /// switch touched by a delta cannot change behaviour).
 ///
-/// The switch set is split in two Arc-shared parts so the symmetry-collapse
-/// path can assemble a trace without materializing a set per pair: `pre`
-/// (the class-independent approach, shared per ingress port) and `post`
-/// (the destiny's crossing set, shared per pipeline state). The set of
-/// switches crossed is `pre ∪ post`; `mask` is its bloom mask (see
-/// [`mask_of`]).
-///
 /// Traces carry no addresses: the pair a trace belongs to is implied by its
 /// position in the src-major/dst-minor trace vector, and the whole trace is
 /// `Arc`-shared so replaying a verdict to a million pairs moves pointers,
@@ -410,21 +401,13 @@ fn egress(cluster: &PhysicalCluster, port: PhysPort, rules: Vec<RuleRef>) -> Ste
 #[derive(Clone, Debug)]
 struct PairTrace {
     outcome: PairOutcome,
-    pre: Arc<BTreeSet<u32>>,
-    post: Arc<BTreeSet<u32>>,
-    mask: u64,
+    crossed: SwitchSet,
 }
 
 impl PairTrace {
-    /// Does the traced path avoid every switch in `touched`? (`tmask` is
-    /// `touched`'s bloom mask.) Disjoint blooms prove avoidance — this
-    /// covers the empty delta outright — and only an aliased overlap pays
-    /// for the exact set check.
-    fn avoids(&self, touched: &BTreeSet<u32>, tmask: u64) -> bool {
-        if self.mask & tmask == 0 {
-            return true;
-        }
-        self.pre.is_disjoint(touched) && self.post.is_disjoint(touched)
+    /// Does the traced path avoid every switch in `touched`?
+    fn avoids(&self, touched: &SwitchSet) -> bool {
+        !self.crossed.intersects(touched)
     }
 }
 
@@ -623,7 +606,7 @@ impl Verifier {
         plain: bool,
     ) -> Verifier {
         let mut view = prev.view.clone();
-        let mut touched: BTreeSet<u32> = BTreeSet::new();
+        let mut touched = SwitchSet::empty(prev.cluster.num_switches());
         for (sw, table, m) in batch {
             view.apply(*sw, *table, m);
             touched.insert(*sw);
@@ -654,7 +637,7 @@ impl Verifier {
         v.loops = prev
             .loops
             .iter()
-            .filter(|l| l.ports.iter().all(|p| !touched.contains(&p.switch)))
+            .filter(|l| l.ports.iter().all(|p| !touched.contains(p.switch)))
             .cloned()
             .collect();
         if plain {
@@ -728,7 +711,7 @@ impl Verifier {
     /// [`switch_warnings_fast`] (byte-identical findings, sub-quadratic).
     fn scan_warnings(
         &mut self,
-        delta: Option<(&BTreeSet<u32>, &[SwitchWarnings])>,
+        delta: Option<(&SwitchSet, &[SwitchWarnings])>,
         threads: usize,
         scan: fn(&TableView, u16, u32) -> SwitchWarnings,
     ) {
@@ -737,7 +720,7 @@ impl Verifier {
         let ids: Vec<u32> = (0..view.num_switches() as u32).collect();
         self.warnings = sdt_par::par_map_threads(threads, &ids, |&sw| {
             if let Some((touched, prev)) = delta {
-                if !touched.contains(&sw) {
+                if !touched.contains(sw) {
                     return prev[sw as usize].clone();
                 }
             }
@@ -755,13 +738,13 @@ impl Verifier {
     /// enumeration order** against one global dedup set — reproducing the
     /// sequential pass's output exactly, including which class gets credit
     /// for a cycle that several classes exhibit.
-    fn scan_loops(&mut self, touched: Option<&BTreeSet<u32>>, threads: usize) {
+    fn scan_loops(&mut self, touched: Option<&SwitchSet>, threads: usize) {
         let starts: Vec<PhysPort> = self
             .cluster
             .links()
             .iter()
             .flat_map(|l| [l.a, l.b])
-            .filter(|p| touched.is_none_or(|t| t.contains(&p.switch)))
+            .filter(|p| touched.is_none_or(|t| t.contains(p.switch)))
             .collect();
         let carried: HashSet<Vec<(u32, u16)>> = self
             .loops
@@ -792,8 +775,7 @@ impl Verifier {
     fn reusable_map<'p>(
         &self,
         prev: &'p Verifier,
-        touched: &BTreeSet<u32>,
-        tmask: u64,
+        touched: &SwitchSet,
     ) -> HashMap<(u32, u32), &'p Arc<PairTrace>> {
         let np = prev.intent.hosts.len();
         if np < 2 || prev.traces.len() != np * (np - 1) {
@@ -825,7 +807,7 @@ impl Verifier {
                 let (i, r) = (pos / (np - 1), pos % (np - 1));
                 let j = if r < i { r } else { r + 1 };
                 let (sa, da) = (prev.intent.hosts[i].addr.0, prev.intent.hosts[j].addr.0);
-                (ok_hosts.contains(&sa) && ok_hosts.contains(&da) && t.avoids(touched, tmask))
+                (ok_hosts.contains(&sa) && ok_hosts.contains(&da) && t.avoids(touched))
                     .then_some(((sa, da), t))
             })
             .collect()
@@ -838,15 +820,14 @@ impl Verifier {
     /// pairs actually re-walked (for the report).
     fn walk_pairs(
         &mut self,
-        touched: Option<&BTreeSet<u32>>,
+        touched: Option<&SwitchSet>,
         prev: Option<&Verifier>,
         threads: usize,
     ) -> usize {
         // A previous trace is reusable iff both endpoints' intent entries
         // are unchanged and the traced path avoids every touched switch.
-        let tmask = touched.map_or(0, mask_of);
         let reusable: HashMap<(u32, u32), &Arc<PairTrace>> = match (touched, prev) {
-            (Some(touched), Some(prev)) => self.reusable_map(prev, touched, tmask),
+            (Some(touched), Some(prev)) => self.reusable_map(prev, touched),
             _ => HashMap::new(),
         };
         let budget = 4 * self.cluster.links().len() + 8;
@@ -867,31 +848,25 @@ impl Verifier {
                     }
                     walked += 1;
                     let class = values.class_of(src.addr, dst.addr, 4791, 4791);
-                    let mut switches = BTreeSet::new();
+                    let mut crossed = SwitchSet::empty(cluster.num_switches());
                     let mut at = src.ingress;
                     let mut outcome = PairOutcome::Looped;
                     for _ in 0..budget {
-                        switches.insert(at.switch);
+                        crossed.insert(at.switch);
                         match step(indexes, cluster, at, &class) {
                             Step::Deliver { port, via } => {
                                 outcome = PairOutcome::Delivered { port, via };
                                 break;
                             }
                             Step::Dead { at: sw, reason } => {
-                                switches.insert(sw);
+                                crossed.insert(sw);
                                 outcome = PairOutcome::Dropped { reason };
                                 break;
                             }
                             Step::Next { to, .. } => at = to,
                         }
                     }
-                    let mask = mask_of(&switches);
-                    traces.push(Arc::new(PairTrace {
-                        outcome,
-                        pre: Arc::new(switches),
-                        post: no_switches(),
-                        mask,
-                    }));
+                    traces.push(Arc::new(PairTrace { outcome, crossed }));
                 }
                 (walked, traces)
             });
@@ -911,7 +886,7 @@ impl Verifier {
     /// per pipeline state through a shared [`DestinyMemo`] and uses it twice —
     /// to prove the class loop-free (or fall back to the reference port
     /// walk, keeping `LoopFinding`s byte-identical) and to replay one
-    /// representative verdict per source to every same-class pair. Jobs
+    /// representative verdict per source group to every same-class pair. Jobs
     /// are weighted by pair count and scheduled heaviest first over
     /// [`sdt_par::par_map_weighted_threads`]; traces are scattered back
     /// into the exact src-major/dst-minor order `finalize` consumes and
@@ -921,16 +896,16 @@ impl Verifier {
     fn walk_pairs_fast(
         &mut self,
         fates: &FateTable,
-        touched: Option<&BTreeSet<u32>>,
+        touched: Option<&SwitchSet>,
         prev: Option<&Verifier>,
         threads: usize,
     ) -> usize {
         let hosts = &self.intent.hosts;
         let n = hosts.len();
         let total = n * n.saturating_sub(1);
-        let tmask = touched.map_or(0, mask_of);
         // Per-position reuse table (pos = src-major pair index), pre-filled
-        // with `Arc`-cloned previous traces. The positional fast path
+        // with `Arc`-cloned previous traces; a full proof has nothing to
+        // reuse and no table. The positional fast path
         // applies when the intent is unchanged and addresses are unique —
         // then the reference's address-keyed map would resolve every
         // position to exactly this trace. Otherwise build the reference's
@@ -942,7 +917,7 @@ impl Verifier {
         let positional = |prev: &Verifier| {
             unique_addrs && self.intent == prev.intent && prev.traces.len() == total
         };
-        let mut slots: Vec<Option<Arc<PairTrace>>> = match (touched, prev) {
+        let reused: Option<Vec<Option<Arc<PairTrace>>>> = match (touched, prev) {
             (Some(touched), Some(prev)) if positional(prev) => {
                 if touched.is_empty() {
                     // Nothing touched: every trace replays verbatim, and
@@ -951,13 +926,15 @@ impl Verifier {
                     self.traces = prev.traces.clone();
                     return 0;
                 }
-                prev.traces
-                    .iter()
-                    .map(|t| t.avoids(touched, tmask).then(|| Arc::clone(t)))
-                    .collect()
+                Some(
+                    prev.traces
+                        .iter()
+                        .map(|t| t.avoids(touched).then(|| Arc::clone(t)))
+                        .collect(),
+                )
             }
             (Some(touched), Some(prev)) => {
-                let map = self.reusable_map(prev, touched, tmask);
+                let map = self.reusable_map(prev, touched);
                 let mut v = Vec::with_capacity(total);
                 for (i, src) in hosts.iter().enumerate() {
                     for (j, dst) in hosts.iter().enumerate() {
@@ -966,9 +943,9 @@ impl Verifier {
                         }
                     }
                 }
-                v
+                Some(v)
             }
-            _ => vec![None; total],
+            _ => None,
         };
         // Group hosts by per-field class code (0 = fresh, k+1 = k-th
         // tested value); a *walking* job is one (src-code, dst-code) cell =
@@ -991,20 +968,46 @@ impl Verifier {
             .links()
             .iter()
             .flat_map(|l| [l.a, l.b])
-            .filter(|p| touched.is_none_or(|t| t.contains(&p.switch)))
+            .filter(|p| touched.is_none_or(|t| t.contains(p.switch)))
             .collect();
         // Start fates are class-independent, and Dead/Deliver starts can
         // never reach a `Looped` destiny — so the per-class loop check only
         // needs the distinct pipeline states the starts resolve to.
-        let start_states: Vec<(u32, u32)> = {
+        let start_states: Vec<u32> = {
             let mut seen = HashSet::new();
             starts
                 .iter()
-                .filter_map(|&p| match &fates.fate(p).out {
-                    FateOut::State { sw, md } => Some((*sw, *md)),
+                .filter_map(|&p| match fates.fate(p).out {
+                    FateOut::State(state) => Some(state),
                     _ => None,
                 })
                 .filter(|s| seen.insert(*s))
+                .collect()
+        };
+        // Ingress fates are class-independent too: sources whose fates
+        // reach the same pipeline state across the same switches get
+        // content-identical traces in every class (the destiny is a pure
+        // function of the state within a class), so they form one group
+        // and share one trace per class. Other fates stay on their own.
+        let mut groups: Vec<&Fate> = Vec::new();
+        let group_of: Vec<usize> = {
+            let mut by_state: HashMap<(u32, &SwitchSet), usize> = HashMap::new();
+            hosts
+                .iter()
+                .map(|h| {
+                    let fate = fates.fate(h.ingress);
+                    let fresh = groups.len();
+                    let group = match fate.out {
+                        FateOut::State(state) => {
+                            *by_state.entry((state, &fate.crossed)).or_insert(fresh)
+                        }
+                        _ => fresh,
+                    };
+                    if group == fresh {
+                        groups.push(fate);
+                    }
+                    group
+                })
                 .collect()
         };
         let carried: HashSet<Vec<(u32, u16)>> =
@@ -1026,19 +1029,23 @@ impl Verifier {
             })
             .collect();
         struct JobOut {
-            out: Vec<(usize, Arc<PairTrace>)>,
-            walked: usize,
+            /// Per source group: its verdict in this class, if the class
+            /// has a pair of that group to walk.
+            reps: Vec<Option<Arc<PairTrace>>>,
             full: usize,
             hits: usize,
             resolved: usize,
             loops: Option<(Vec<LoopFinding>, bool)>,
         }
         let (cluster, indexes) = (&self.cluster, &self.indexes);
-        let (hosts_ref, srcs_ref, dsts_ref, slots_ref) = (hosts, &srcs_by, &dsts_by, &slots);
+        let (srcs_ref, dsts_ref, reused_ref) = (&srcs_by, &dsts_by, reused.as_deref());
         let (starts_ref, states_ref, carried_ref) = (&starts, &start_states, &carried);
-        // Jobs emit only the pairs they actually walk (reused positions are
-        // already filled); each walked pair is an 8-byte `Arc` clone of its
-        // source's per-job representative trace.
+        let (groups_ref, group_of_ref) = (&groups, &group_of);
+        // Position of ordered pair (i, j) in the src-major trace vector.
+        let pos = |i: usize, j: usize| i * (n - 1) + if j < i { j } else { j - 1 };
+        // Jobs build one representative trace per source group that has a
+        // pair to walk (reused positions are already filled); the merge
+        // below replays it to each such pair as an 8-byte `Arc` clone.
         let results: Vec<JobOut> = sdt_par::par_map_weighted_threads(
             threads,
             &jobs,
@@ -1055,8 +1062,8 @@ impl Verifier {
                 let loops = if starts_ref.is_empty() {
                     None
                 } else {
-                    let looped = states_ref.iter().any(|&(sw, md)| {
-                        let idx = memo.resolve(sw, md);
+                    let looped = states_ref.iter().any(|&state| {
+                        let idx = memo.resolve(state);
                         matches!(memo.destiny(idx).out, PairOutcome::Looped)
                     });
                     if looped {
@@ -1068,90 +1075,41 @@ impl Verifier {
                         Some((Vec::new(), true))
                     }
                 };
-                let mut out = Vec::new();
-                let (mut walked, mut full) = (0usize, 0usize);
-                // Cross-source representative table: two sources whose
-                // ingress fates reach the same pipeline state through the
-                // same singleton `pre` set produce content-identical traces
-                // (the destiny is a pure function of the state within this
-                // memo), so they share one allocation.
-                let mut reps: HashMap<(u32, u32, u32), Arc<PairTrace>> = HashMap::new();
+                let mut full = 0usize;
+                let mut reps: Vec<Option<Arc<PairTrace>>> = vec![None; groups_ref.len()];
                 for &i in srcs_ref[a].iter().filter(|_| walk) {
-                    let src = &hosts_ref[i];
-                    // Representative verdict for this source, built on the
-                    // first non-reused pair and replayed to the rest.
-                    let mut rep: Option<Arc<PairTrace>> = None;
-                    for &j in &dsts_ref[b] {
-                        if i == j {
-                            continue;
-                        }
-                        let pos = i * (n - 1) + if j < i { j } else { j - 1 };
-                        if slots_ref[pos].is_some() {
-                            continue;
-                        }
-                        walked += 1;
-                        if rep.is_none() {
-                            let fate = fates.fate(src.ingress);
-                            let shared = match &fate.out {
-                                FateOut::State { sw, md } if fate.pre.len() == 1 => {
-                                    fate.pre.first().map(|&s| (s, *sw, *md))
-                                }
-                                _ => None,
-                            };
-                            let t = match shared.and_then(|k| reps.get(&k).cloned()) {
-                                Some(t) => t,
-                                None => {
-                                    full += 1;
-                                    let (outcome, pre, post, mask) = match &fate.out {
-                                        FateOut::Dead(reason) => (
-                                            PairOutcome::Dropped { reason: reason.clone() },
-                                            fate.pre.clone(),
-                                            no_switches(),
-                                            fate.mask,
-                                        ),
-                                        FateOut::Deliver { port, via } => (
-                                            PairOutcome::Delivered {
-                                                port: *port,
-                                                via: via.clone(),
-                                            },
-                                            fate.pre.clone(),
-                                            no_switches(),
-                                            fate.mask,
-                                        ),
-                                        FateOut::State { sw, md } => {
-                                            let idx = memo.resolve(*sw, *md);
-                                            let d = memo.destiny(idx);
-                                            (
-                                                d.out.clone(),
-                                                fate.pre.clone(),
-                                                d.post.clone(),
-                                                fate.mask | d.mask,
-                                            )
-                                        }
-                                    };
-                                    let t = Arc::new(PairTrace { outcome, pre, post, mask });
-                                    if let Some(k) = shared {
-                                        reps.insert(k, Arc::clone(&t));
-                                    }
-                                    t
-                                }
-                            };
-                            rep = Some(t);
-                        }
-                        if let Some(r) = &rep {
-                            out.push((pos, Arc::clone(r)));
-                        }
+                    let group = group_of_ref[i];
+                    let to_walk = |&j: &usize| {
+                        i != j && reused_ref.is_none_or(|r| r[pos(i, j)].is_none())
+                    };
+                    if reps[group].is_some() || !dsts_ref[b].iter().any(to_walk) {
+                        continue;
                     }
+                    full += 1;
+                    let fate = groups_ref[group];
+                    let mut crossed = fate.crossed.clone();
+                    let outcome = match &fate.out {
+                        FateOut::Dead(reason) => PairOutcome::Dropped { reason: reason.clone() },
+                        FateOut::Deliver { port, via } => {
+                            PairOutcome::Delivered { port: *port, via: via.clone() }
+                        }
+                        FateOut::State(state) => {
+                            let idx = memo.resolve(*state);
+                            let d = memo.destiny(idx);
+                            crossed.union_with(&d.crossed);
+                            d.out.clone()
+                        }
+                    };
+                    reps[group] = Some(Arc::new(PairTrace { outcome, crossed }));
                 }
-                JobOut { out, walked, full, hits: memo.hits, resolved: memo.resolved, loops }
+                JobOut { reps, full, hits: memo.hits, resolved: memo.resolved, loops }
             },
         );
+        let mut slots = reused.unwrap_or_else(|| vec![None; total]);
         let mut walked_total = 0usize;
         let mut seen_cycles = carried;
-        for job in results {
-            walked_total += job.walked;
+        for (job, &(_, a, b, _)) in results.into_iter().zip(&jobs) {
             self.stats.pairs_walked_full += job.full;
-            self.stats.pairs_replayed += job.walked - job.full;
             self.stats.cache_hits += job.hits;
             self.stats.cache_misses += job.resolved;
             if let Some((found, fast)) = job.loops {
@@ -1166,10 +1124,20 @@ impl Verifier {
                     }
                 }
             }
-            for (pos, t) in job.out {
-                slots[pos] = Some(t);
+            // Every pair of this class still open takes its source group's
+            // verdict.
+            for &i in &srcs_by[a] {
+                let Some(rep) = &job.reps[group_of[i]] else { continue };
+                for &j in dsts_by[b].iter().filter(|&&j| i != j) {
+                    let slot = &mut slots[pos(i, j)];
+                    if slot.is_none() {
+                        *slot = Some(Arc::clone(rep));
+                        walked_total += 1;
+                    }
+                }
             }
         }
+        self.stats.pairs_replayed = walked_total - self.stats.pairs_walked_full;
         self.traces = Arc::new(
             slots
                 .into_iter()

@@ -35,9 +35,8 @@
 //! Nothing here outlives a pass: what carries over between proofs is the
 //! previous [`crate::Verifier`] that `check_delta*` takes.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
-use std::sync::OnceLock;
 
 use sdt_core::cluster::{PhysPort, PhysicalCluster};
 use sdt_openflow::{Action, EntryIndex, PortNo};
@@ -80,9 +79,63 @@ pub(crate) struct Destiny {
     /// How the walk ends from this state.
     pub(crate) out: PairOutcome,
     /// Switches the walk crosses strictly after entering this state.
-    pub(crate) post: Arc<BTreeSet<u32>>,
-    /// Bloom mask of `post` (see [`mask_of`]).
-    pub(crate) mask: u64,
+    pub(crate) crossed: SwitchSet,
+}
+
+/// An exact set of physical switches, one bit each: ⌈n/64⌉ words for an
+/// n-switch cluster. The first word is held inline and `rest` is the empty
+/// box (no allocation) up to 64 switches — every cluster this repository
+/// projects onto — so the sets a proof makes by the hundred thousand cost
+/// no heap traffic there; wider clusters spill into `rest`, same
+/// operations.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct SwitchSet {
+    first: u64,
+    rest: Box<[u64]>,
+}
+
+impl SwitchSet {
+    /// The empty set over a cluster of `switches` switches.
+    pub(crate) fn empty(switches: u32) -> Self {
+        let words = (switches as usize).div_ceil(64).max(1);
+        SwitchSet { first: 0, rest: vec![0; words - 1].into() }
+    }
+
+    pub(crate) fn insert(&mut self, sw: u32) {
+        let word = match (sw / 64) as usize {
+            0 => &mut self.first,
+            w => &mut self.rest[w - 1],
+        };
+        *word |= 1 << (sw % 64);
+    }
+
+    pub(crate) fn contains(&self, sw: u32) -> bool {
+        let word = match (sw / 64) as usize {
+            0 => self.first,
+            w => self.rest.get(w - 1).copied().unwrap_or(0),
+        };
+        word & 1 << (sw % 64) != 0
+    }
+
+    pub(crate) fn union_with(&mut self, other: &SwitchSet) {
+        self.first |= other.first;
+        for (a, b) in self.rest.iter_mut().zip(&other.rest) {
+            *a |= b;
+        }
+    }
+
+    pub(crate) fn intersects(&self, other: &SwitchSet) -> bool {
+        self.first & other.first != 0
+            || self.rest.iter().zip(&other.rest).any(|(a, b)| a & b != 0)
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        std::iter::once(&self.first).chain(&self.rest).map(|w| w.count_ones() as usize).sum()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
 }
 
 /// Holds nothing. Kept only because `benchmark/` names it and may not be
@@ -121,18 +174,6 @@ pub(crate) fn symmetric(view: &TableView) -> bool {
     true
 }
 
-fn empty_set() -> Arc<BTreeSet<u32>> {
-    static EMPTY: OnceLock<Arc<BTreeSet<u32>>> = OnceLock::new();
-    EMPTY.get_or_init(|| Arc::new(BTreeSet::new())).clone()
-}
-
-/// Switch-set bloom mask: bit `s & 63` per member. Two sets whose masks
-/// AND to zero are provably disjoint (the converse needs an exact set
-/// check, since switches past 64 alias); exact below 64 switches.
-pub(crate) fn mask_of(set: &BTreeSet<u32>) -> u64 {
-    set.iter().fold(0u64, |m, &s| m | 1 << (s & 63))
-}
-
 /// Where a packet entering a given `(switch, port)` ends up, independent of
 /// its header class (valid only under `symmetric` tables).
 #[derive(Clone, Debug)]
@@ -146,14 +187,10 @@ pub(crate) enum FateOut {
         /// Rule performing the final output.
         via: RuleRef,
     },
-    /// Reaches pipeline state `(switch, metadata)` — header-dependent from
-    /// here on; continue in `DestinyMemo`.
-    State {
-        /// Switch whose table 1 takes over.
-        sw: u32,
-        /// Metadata written by its classify rule.
-        md: u32,
-    },
+    /// Reaches a pipeline state `(switch, metadata)` — header-dependent from
+    /// here on; continue in `DestinyMemo`. The id indexes
+    /// [`FateTable::state`].
+    State(u32),
 }
 
 /// One port's fate plus the switches crossed reaching it (the terminal
@@ -161,8 +198,7 @@ pub(crate) enum FateOut {
 #[derive(Clone, Debug)]
 pub(crate) struct Fate {
     pub(crate) out: FateOut,
-    pub(crate) pre: Arc<BTreeSet<u32>>,
-    pub(crate) mask: u64,
+    pub(crate) crossed: SwitchSet,
 }
 
 /// Class-independent per-port fate of every `(switch, port)`, precomputed
@@ -173,6 +209,11 @@ pub(crate) struct FateTable {
     pub(crate) ok: bool,
     fates: Vec<Option<Fate>>,
     ports: usize,
+    /// Every pipeline state some port's fate reaches, by state id. A walk
+    /// enters a state only through a port's fate, so these are all the
+    /// states a `DestinyMemo` can meet and it indexes them densely.
+    states: Vec<(u32, u32)>,
+    switches: u32,
 }
 
 impl FateTable {
@@ -187,10 +228,17 @@ impl FateTable {
     ) -> FateTable {
         let ports = cluster.model().ports as usize;
         let n = view.num_switches();
-        let mut t = FateTable { ok: symmetric(view), fates: vec![None; n * ports], ports };
+        let mut t = FateTable {
+            ok: symmetric(view),
+            fates: vec![None; n * ports],
+            ports,
+            states: Vec::new(),
+            switches: cluster.num_switches(),
+        };
         if !t.ok {
             return t;
         }
+        let mut ids: HashMap<(u32, u32), u32> = HashMap::new();
         for sw in 0..n as u32 {
             for port in 0..ports as u16 {
                 if t.slot(sw, PortNo(port)).is_some() {
@@ -198,10 +246,10 @@ impl FateTable {
                 }
                 // Follow direct-output hops until a known fate, a terminal,
                 // or a revisit (cable cycle) — then resolve the chain
-                // backwards, each hop adding its own switch to `pre`.
+                // backwards, each hop adding its own switch.
                 let mut chain: Vec<PhysPort> = Vec::new();
                 let mut cur = PhysPort { switch: sw, port: PortNo(port) };
-                let base = loop {
+                let mut f = loop {
                     if let Some(f) = t.slot(cur.switch, cur.port) {
                         break f.clone();
                     }
@@ -209,28 +257,28 @@ impl FateTable {
                         t.ok = false;
                         return t;
                     }
-                    match classify_step(cluster, indexes, cur) {
-                        ClassifyStep::Terminal(out) => {
-                            let pre = Arc::new(BTreeSet::from([cur.switch]));
-                            let mask = mask_of(&pre);
-                            let f = Fate { out, pre, mask };
-                            *t.slot_mut(cur.switch, cur.port) = Some(f.clone());
-                            break f;
-                        }
+                    let out = match classify_step(cluster, indexes, cur) {
                         ClassifyStep::Hop(next) => {
                             chain.push(cur);
                             cur = next;
+                            continue;
                         }
-                    }
+                        ClassifyStep::Terminal(out) => out,
+                        ClassifyStep::State(state) => {
+                            FateOut::State(*ids.entry(state).or_insert_with(|| {
+                                t.states.push(state);
+                                t.states.len() as u32 - 1
+                            }))
+                        }
+                    };
+                    let mut crossed = SwitchSet::empty(t.switches);
+                    crossed.insert(cur.switch);
+                    let f = Fate { out, crossed };
+                    *t.slot_mut(cur.switch, cur.port) = Some(f.clone());
+                    break f;
                 };
-                let mut f = base;
                 for &p in chain.iter().rev() {
-                    if !f.pre.contains(&p.switch) {
-                        let mut set = (*f.pre).clone();
-                        set.insert(p.switch);
-                        f.mask = mask_of(&set);
-                        f.pre = Arc::new(set);
-                    }
+                    f.crossed.insert(p.switch);
                     *t.slot_mut(p.switch, p.port) = Some(f.clone());
                 }
             }
@@ -254,10 +302,22 @@ impl FateTable {
             None => unreachable!("fate table covers every port when ok"),
         }
     }
+
+    /// The `(switch, metadata)` of a state id.
+    fn state(&self, id: u32) -> (u32, u32) {
+        self.states[id as usize]
+    }
+
+    /// The empty switch set of this pass's cluster.
+    fn no_switches(&self) -> SwitchSet {
+        SwitchSet::empty(self.switches)
+    }
 }
 
 enum ClassifyStep {
     Terminal(FateOut),
+    /// A metadata write: pipeline state `(switch, metadata)`.
+    State((u32, u32)),
     Hop(PhysPort),
 }
 
@@ -281,7 +341,7 @@ fn classify_step(
     let r0 = RuleRef { switch: sw, table: 0, entry: e0 };
     match e0.action {
         Action::Drop => ClassifyStep::Terminal(FateOut::Dead(DropReason::Rule(r0))),
-        Action::WriteMetadataGoto(md) => ClassifyStep::Terminal(FateOut::State { sw, md }),
+        Action::WriteMetadataGoto(md) => ClassifyStep::State((sw, md)),
         Action::Output(p) => {
             let port = PhysPort { switch: sw, port: p };
             if cluster.is_host_port(port) {
@@ -295,20 +355,30 @@ fn classify_step(
     }
 }
 
-/// Per-class destiny resolver: maps pipeline states `(switch, metadata)` to
-/// their walk verdicts, each resolved once per pass.
+/// Per-class destiny resolver: maps pipeline states to their walk verdicts,
+/// each resolved once per pass.
 pub(crate) struct DestinyMemo<'a> {
     cluster: &'a PhysicalCluster,
     indexes: &'a [Arc<[EntryIndex; 2]>],
     fates: &'a FateTable,
     class: HeaderClass,
-    map: HashMap<(u32, u32), usize>,
+    /// Per state id: 1 + its index in `arena` once resolved, else 0.
+    slot: Vec<u32>,
     arena: Vec<Destiny>,
-    /// Lookups answered from `map` so far ([`VerifyStats::cache_hits`]).
+    /// The chain `resolve` is walking (empty between calls; kept for its
+    /// allocation) and, per state id, 1 + its position on it, else 0.
+    chain: Vec<ChainLink<'a>>,
+    onchain: Vec<u32>,
+    /// Lookups answered by a resolved state so far
+    /// ([`VerifyStats::cache_hits`]).
     pub(crate) hits: usize,
     /// States resolved so far ([`VerifyStats::cache_misses`]).
     pub(crate) resolved: usize,
 }
+
+/// One pending link of a destiny chain walk: the state, and the switches
+/// the edge to the next state crosses.
+type ChainLink<'a> = (u32, &'a SwitchSet);
 
 impl<'a> DestinyMemo<'a> {
     pub(crate) fn new(
@@ -317,13 +387,16 @@ impl<'a> DestinyMemo<'a> {
         fates: &'a FateTable,
         class: HeaderClass,
     ) -> Self {
+        let states = fates.states.len();
         DestinyMemo {
             cluster,
             indexes,
             fates,
             class,
-            map: HashMap::new(),
-            arena: Vec::new(),
+            slot: vec![0; states],
+            arena: Vec::with_capacity(states),
+            chain: Vec::new(),
+            onchain: vec![0; states],
             hits: 0,
             resolved: 0,
         }
@@ -333,82 +406,74 @@ impl<'a> DestinyMemo<'a> {
         &self.arena[idx]
     }
 
-    /// Resolve the destiny of state `(sw, md)` for this memo's class.
-    /// Iterative chain walk with cycle detection: a state chain revisiting
-    /// itself is exactly a walk that would exhaust the reference budget, so
-    /// every state on the cycle is `Looped`.
-    pub(crate) fn resolve(&mut self, sw: u32, md: u32) -> usize {
-        if let Some(&i) = self.map.get(&(sw, md)) {
+    /// Resolve the destiny of a state for this memo's class. Iterative
+    /// chain walk with cycle detection: a state chain revisiting itself is
+    /// exactly a walk that would exhaust the reference budget, so every
+    /// state on the cycle is `Looped`.
+    pub(crate) fn resolve(&mut self, state: u32) -> usize {
+        if let Some(i) = self.known(state) {
             self.hits += 1;
             return i;
         }
-        let mut chain: Vec<ChainLink> = Vec::new();
-        let mut onchain: HashMap<(u32, u32), usize> = HashMap::new();
-        let mut cur = (sw, md);
-        let base: usize = loop {
-            if let Some(&i) = self.map.get(&cur) {
+        let mut chain = std::mem::take(&mut self.chain);
+        let mut cur = state;
+        // The resolved destiny the chain runs into, and how much of the
+        // chain leads up to it (the rest closed a cycle).
+        let (base, upto) = loop {
+            if let Some(i) = self.known(cur) {
                 self.hits += 1;
-                break i;
+                break (i, chain.len());
             }
             self.resolved += 1;
-            if let Some(&pos) = onchain.get(&cur) {
-                break self.close_cycle(&chain, pos);
+            if let Some(pos) = (self.onchain[cur as usize] as usize).checked_sub(1) {
+                break (self.close_cycle(&chain[pos..]), pos);
             }
             match self.route_step(cur) {
-                RouteStep::Terminal { out, post, mask } => {
-                    break self.commit(cur, out, post, mask);
+                RouteStep::Terminal { out, crossed } => {
+                    break (self.commit(cur, out, crossed), chain.len());
                 }
-                RouteStep::Chain { pre, mask, next } => {
-                    onchain.insert(cur, chain.len());
-                    chain.push((cur, pre, mask));
+                RouteStep::Chain { crossed, next } => {
+                    chain.push((cur, crossed));
+                    self.onchain[cur as usize] = chain.len() as u32;
                     cur = next;
                 }
             }
         };
         // Back-resolve the (acyclic remainder of the) chain: each earlier
         // state shares the downstream outcome and adds its edge switches.
-        let upto = onchain.get(&cur).copied().unwrap_or(chain.len()).min(chain.len());
         let out = self.arena[base].out.clone();
-        let mut post = self.arena[base].post.clone();
-        let mut mask = self.arena[base].mask;
-        for (state, pre, pmask) in chain[..upto].iter().rev() {
-            if !pre.iter().all(|s| post.contains(s)) {
-                let mut set = (*post).clone();
-                set.extend(pre.iter().copied());
-                post = Arc::new(set);
-            }
-            mask |= pmask;
-            self.commit(*state, out.clone(), post.clone(), mask);
+        let mut crossed = self.arena[base].crossed.clone();
+        for &(earlier, edge) in chain[..upto].iter().rev() {
+            crossed.union_with(edge);
+            self.commit(earlier, out.clone(), crossed.clone());
         }
-        match self.map.get(&(sw, md)) {
-            Some(&i) => i,
+        for (walked, _) in chain.drain(..) {
+            self.onchain[walked as usize] = 0;
+        }
+        self.chain = chain;
+        match self.known(state) {
+            Some(i) => i,
             None => unreachable!("resolve always installs its own state"),
         }
     }
 
-    /// All states on `chain[pos..]` form one cycle: each is `Looped` and
-    /// crosses the union of the cycle's edge switch sets (the walk repeats
-    /// the cycle forever, so every cycle state sees the same union).
-    fn close_cycle(&mut self, chain: &[ChainLink], pos: usize) -> usize {
-        let cycle = &chain[pos..];
-        let (post, mask) = match cycle {
-            [(_, pre, m)] => (pre.clone(), *m),
-            _ => {
-                let mut set = BTreeSet::new();
-                let mut mask = 0u64;
-                for (_, pre, m) in cycle {
-                    set.extend(pre.iter().copied());
-                    mask |= m;
-                }
-                (Arc::new(set), mask)
-            }
-        };
-        let mut first = 0;
-        for (i, (state, _, _)) in cycle.iter().enumerate() {
-            let idx = self.commit(*state, PairOutcome::Looped, post.clone(), mask);
-            if i == 0 {
-                first = idx;
-            }
+    /// The destiny of a state this memo has resolved.
+    fn known(&self, state: u32) -> Option<usize> {
+        (self.slot[state as usize] as usize).checked_sub(1)
+    }
+
+    /// All states on `cycle` form one cycle: each is `Looped` and crosses
+    /// the union of the cycle's edge switch sets (the walk repeats the
+    /// cycle forever, so every cycle state sees the same union). Returns
+    /// the first state's destiny.
+    fn close_cycle(&mut self, cycle: &[ChainLink<'a>]) -> usize {
+        let mut crossed = self.fates.no_switches();
+        for (_, edge) in cycle {
+            crossed.union_with(edge);
+        }
+        let first = self.arena.len();
+        for &(state, _) in cycle {
+            self.commit(state, PairOutcome::Looped, crossed.clone());
         }
         first
     }
@@ -416,87 +481,86 @@ impl<'a> DestinyMemo<'a> {
     /// One header-dependent route step: the table-1 decision at a state.
     /// Port-blind under `symmetric` tables, so `PortNo(0)` stands in for
     /// any actual ingress port — the reference lookup finds the same entry.
-    fn route_step(&self, (sw, md): (u32, u32)) -> RouteStep {
+    fn route_step(&self, state: u32) -> RouteStep<'a> {
+        let (sw, md) = self.fates.state(state);
         let class = self.class;
+        let terminal =
+            |out| RouteStep::Terminal { out, crossed: self.fates.no_switches() };
         let hit = self.indexes[sw as usize][1]
             .first_match_where(PortNo(0), Some(md), class.dst, |e| {
                 entry_matches(e, PortNo(0), Some(md), &class)
             });
         let Some(&e1) = hit else {
-            return RouteStep::terminal(PairOutcome::Dropped {
+            return terminal(PairOutcome::Dropped {
                 reason: DropReason::Miss { switch: sw, table: 1 },
             });
         };
         let r1 = RuleRef { switch: sw, table: 1, entry: e1 };
         let p = match e1.action {
             Action::Drop => {
-                return RouteStep::terminal(PairOutcome::Dropped { reason: DropReason::Rule(r1) })
+                return terminal(PairOutcome::Dropped { reason: DropReason::Rule(r1) })
             }
             Action::WriteMetadataGoto(_) => {
-                return RouteStep::terminal(PairOutcome::Dropped {
-                    reason: DropReason::BadGoto(r1),
-                })
+                return terminal(PairOutcome::Dropped { reason: DropReason::BadGoto(r1) })
             }
             Action::Output(p) => p,
         };
         let port = PhysPort { switch: sw, port: p };
         if self.cluster.is_host_port(port) {
-            return RouteStep::terminal(PairOutcome::Delivered { port, via: r1 });
+            return terminal(PairOutcome::Delivered { port, via: r1 });
         }
         let Some(link) = self.cluster.link_at(port) else {
-            return RouteStep::terminal(PairOutcome::Dropped {
-                reason: DropReason::Unwired(port),
-            });
+            return terminal(PairOutcome::Dropped { reason: DropReason::Unwired(port) });
         };
         let fate = self.fates.fate(link.other(port));
         match &fate.out {
             FateOut::Dead(reason) => RouteStep::Terminal {
                 out: PairOutcome::Dropped { reason: reason.clone() },
-                post: fate.pre.clone(),
-                mask: fate.mask,
+                crossed: fate.crossed.clone(),
             },
             FateOut::Deliver { port, via } => RouteStep::Terminal {
                 out: PairOutcome::Delivered { port: *port, via: via.clone() },
-                post: fate.pre.clone(),
-                mask: fate.mask,
+                crossed: fate.crossed.clone(),
             },
-            FateOut::State { sw, md } => {
-                RouteStep::Chain { pre: fate.pre.clone(), mask: fate.mask, next: (*sw, *md) }
-            }
+            FateOut::State(next) => RouteStep::Chain { crossed: &fate.crossed, next: *next },
         }
     }
 
     /// Record a computed verdict and index it.
-    fn commit(
-        &mut self,
-        state: (u32, u32),
-        out: PairOutcome,
-        post: Arc<BTreeSet<u32>>,
-        mask: u64,
-    ) -> usize {
-        let idx = self.arena.len();
-        self.arena.push(Destiny { out, post, mask });
-        self.map.insert(state, idx);
-        idx
+    fn commit(&mut self, state: u32, out: PairOutcome, crossed: SwitchSet) -> usize {
+        self.arena.push(Destiny { out, crossed });
+        self.slot[state as usize] = self.arena.len() as u32;
+        self.arena.len() - 1
     }
 }
 
-/// One pending link of a destiny chain walk: the state, the switches the
-/// edge to the next state crosses, and that edge's mask.
-type ChainLink = ((u32, u32), Arc<BTreeSet<u32>>, u64);
-
-enum RouteStep {
-    Terminal { out: PairOutcome, post: Arc<BTreeSet<u32>>, mask: u64 },
-    Chain { pre: Arc<BTreeSet<u32>>, mask: u64, next: (u32, u32) },
+enum RouteStep<'a> {
+    Terminal { out: PairOutcome, crossed: SwitchSet },
+    Chain { crossed: &'a SwitchSet, next: u32 },
 }
 
-impl RouteStep {
-    fn terminal(out: PairOutcome) -> RouteStep {
-        RouteStep::Terminal { out, post: empty_set(), mask: 0 }
+#[cfg(test)]
+mod tests {
+    use super::SwitchSet;
+
+    #[test]
+    fn switch_sets_are_exact_across_word_boundaries() {
+        let of = |members: &[u32]| {
+            let mut s = SwitchSet::empty(130);
+            members.iter().for_each(|&m| s.insert(m));
+            s
+        };
+        let a = of(&[0, 63, 64, 129]);
+        assert_eq!(a.len(), 4);
+        for sw in 0..130 {
+            assert_eq!(a.contains(sw), [0, 63, 64, 129].contains(&sw), "switch {sw}");
+        }
+        // 3 and 67 fold onto one bit of a 64-bit mask; the set keeps them apart.
+        assert!(!of(&[3]).intersects(&of(&[67])));
+        assert!(of(&[3, 128]).intersects(&of(&[67, 128])));
+        let mut u = of(&[3]);
+        u.union_with(&of(&[67]));
+        assert_eq!(u, of(&[3, 67]));
+        assert!(SwitchSet::empty(19).is_empty() && !u.is_empty());
     }
-}
-
-/// Shared empty switch set for terminal fates/destinies.
-pub(crate) fn no_switches() -> Arc<BTreeSet<u32>> {
-    empty_set()
 }

@@ -172,6 +172,110 @@ fn post_recovery_live_tables_fast_equals_plain() {
     assert_identical(&fast, &plain, "post-recovery live tables");
 }
 
+/// A chain of `n` three-port switches, one logical switch and one host
+/// each, with hand-written tables: port 0 is the host, port 1 the cable to
+/// the left neighbor, port 2 the cable to the right; switch `i` classifies
+/// into metadata `i` and routes by destination. Wider than any cluster a
+/// projection in this repository produces, so switch sets need two words.
+fn wide_chain(n: u32) -> (sdt_core::cluster::PhysicalCluster, TableView, Intent) {
+    use sdt_core::cluster::{PhysPort, PhysicalCluster};
+    use sdt_verify::IntentHost;
+    let at = |switch: u32, port: u16| PhysPort { switch, port: PortNo(port) };
+    let model = SwitchModel { name: "synthetic 3-port", ports: 3, ..SwitchModel::openflow_64x100g() };
+    let cables = (0..n - 1).map(|i| (at(i, 2), at(i + 1, 1))).collect();
+    let cluster = PhysicalCluster::custom(model, n, cables, (0..n).map(|i| at(i, 0)).collect());
+    let mut view = TableView::empty(n as usize);
+    let mut intent = Intent::new();
+    intent.domains.push("wide-chain".to_string());
+    for i in 0..n {
+        for port in 0..3 {
+            let classify = FlowEntry {
+                m: FlowMatch::on_port(PortNo(port)),
+                priority: 10,
+                action: Action::WriteMetadataGoto(i),
+            };
+            view.apply(i, 0, &FlowMod::Add(classify));
+        }
+        for dst in 0..n {
+            let out = match dst.cmp(&i) {
+                std::cmp::Ordering::Less => 1,
+                std::cmp::Ordering::Equal => 0,
+                std::cmp::Ordering::Greater => 2,
+            };
+            view.apply(i, 1, &FlowMod::Add(route(i, dst, out)));
+        }
+        intent.hosts.push(IntentHost {
+            domain: 0,
+            host: sdt_topology::HostId(i),
+            addr: HostAddr(i),
+            ingress: at(i, 0),
+            ports: vec![at(i, 0)],
+            group: 0,
+        });
+    }
+    (cluster, view, intent)
+}
+
+/// Switch `sw`'s route toward host `dst` in [`wide_chain`].
+fn route(sw: u32, dst: u32, out: u16) -> FlowEntry {
+    FlowEntry {
+        m: FlowMatch::to_dst(HostAddr(dst)).and_metadata(sw),
+        priority: 10,
+        action: Action::Output(PortNo(out)),
+    }
+}
+
+#[test]
+fn deltas_past_the_64th_switch_fast_equals_plain() {
+    // Switches 3 and 67 share a bit in any 64-bit fold of the switch id, so
+    // a delta on one must not re-walk the pairs that cross only the other:
+    // the re-walked count is exactly the pairs whose path crosses a touched
+    // switch.
+    const N: u32 = 70;
+    let (cluster, view, intent) = wide_chain(N);
+    let plain0 = Verifier::check_plain_threads(&cluster, view.clone(), intent.clone(), 2);
+    let fast0 = Verifier::check_threads(&cluster, view, intent.clone(), 2);
+    assert_identical(&fast0, &plain0, "wide chain");
+    assert!(fast0.holds() && fast0.stats().symmetric);
+
+    // Ordered pairs of a chain whose path crosses any of `touched`.
+    let crossing = |touched: &[u32]| {
+        (0..N)
+            .flat_map(|i| (0..N).map(move |j| (i, j)))
+            .filter(|&(i, j)| i != j && touched.iter().any(|&t| i.min(j) <= t && t <= i.max(j)))
+            .count()
+    };
+    // Repoint one route on each touched switch back toward the sender.
+    let repoint = |sw: u32| {
+        let old = route(sw, sw + 1, 2);
+        [(sw, 1, FlowMod::Delete(old.m, old.priority)), (sw, 1, FlowMod::Add(route(sw, sw + 1, 1)))]
+    };
+    for touched in [vec![3], vec![67], vec![3, 67], vec![63, 64]] {
+        let batch: Vec<(u32, u8, FlowMod)> = touched.iter().flat_map(|&sw| repoint(sw)).collect();
+        let label = format!("delta on {touched:?}");
+        let dp = Verifier::check_delta_plain_threads(&plain0, &batch, intent.clone(), 2);
+        let df = Verifier::check_delta_threads(&fast0, &batch, intent.clone(), 2);
+        assert_identical(&df, &dp, &label);
+        assert!(!df.holds(), "{label}: a route pointing backwards must break the proof");
+        assert_eq!(df.report().pairs_walked, crossing(&touched), "{label}");
+
+        // Undo it as a delta on the delta: traces reused once are reused
+        // again, and the proof is whole again.
+        let undo: Vec<(u32, u8, FlowMod)> = touched
+            .iter()
+            .flat_map(|&sw| {
+                let bad = route(sw, sw + 1, 1);
+                [(sw, 1, FlowMod::Delete(bad.m, bad.priority)), (sw, 1, FlowMod::Add(route(sw, sw + 1, 2)))]
+            })
+            .collect();
+        let up = Verifier::check_delta_plain_threads(&dp, &undo, intent.clone(), 2);
+        let uf = Verifier::check_delta_threads(&df, &undo, intent.clone(), 2);
+        assert_identical(&uf, &up, &format!("{label}, undone"));
+        assert!(uf.holds());
+        assert_eq!(uf.report().pairs_walked, crossing(&touched), "{label}, undone");
+    }
+}
+
 /// Decode a random match over tiny field domains so entries collide and
 /// shadow constantly — and regularly break the symmetry preconditions
 /// (header-matching classify rules, port-matching route rules), forcing
