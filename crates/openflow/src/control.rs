@@ -319,10 +319,12 @@ pub fn reconcile<'a>(
         }
         if r.attempts > 0 {
             r.retries += 1;
-            let wait =
-                policy.backoff_base_ns * u64::from(policy.backoff_factor).pow(r.attempts - 1);
-            r.backoff_ns += wait;
-            r.install_ns += wait;
+            // Saturating: `RetryPolicy` is the caller's, and 2 ms doubled
+            // leaves a u64 after 44 retries.
+            let factor = u64::from(policy.backoff_factor).saturating_pow(r.attempts - 1);
+            let wait = policy.backoff_base_ns.saturating_mul(factor);
+            r.backoff_ns = r.backoff_ns.saturating_add(wait);
+            r.install_ns = r.install_ns.saturating_add(wait);
         }
         for (sw, t, m) in mods {
             channel.send(sw, t, m);
@@ -330,7 +332,8 @@ pub fn reconcile<'a>(
         }
         channel.barrier(switches);
         let busiest = per_switch.iter().copied().max().unwrap_or(0);
-        r.install_ns += timing.install_time_ns(busiest) + 2 * channel.delay_ns();
+        let round_ns = timing.install_time_ns(busiest) + 2 * channel.delay_ns();
+        r.install_ns = r.install_ns.saturating_add(round_ns);
         r.attempts += 1;
     }
 }
@@ -488,5 +491,12 @@ mod tests {
             assert_eq!(r.retries, policy.max_retries);
             assert_eq!(r.sends, u64::from(policy.max_retries + 1 - done));
         }
+        // A budget long enough for `base * factor^n` to leave a u64: the
+        // modeled wait saturates, the loop still ends.
+        let policy = RetryPolicy { max_retries: 80, ..Default::default() };
+        let mut dead = ControlChannel::new(ControlConfig { drop_prob: 1.0, ..Default::default() });
+        let r = reconcile(&mut dead, &mut [switch()], goal, &policy, &InstallTiming::default(), 0);
+        assert!(!r.converged);
+        assert_eq!((r.attempts, r.backoff_ns), (81, u64::MAX));
     }
 }

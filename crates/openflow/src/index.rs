@@ -1,103 +1,98 @@
-//! Multi-tier hash indexing over flow entries (tuple-space search).
+//! The ordered entry store: a flow table's entries, their order, and the
+//! tuple-space index over them — one type, one `apply`, one lookup.
 //!
-//! SDT rules key on three fields with exact values: `in_port` (domain
-//! restriction), `metadata` (sub-switch id) and `dst` (routing); the other
-//! match fields are almost always wildcards. Entries are therefore bucketed
-//! by *which* of those three fields they constrain — a 3-bit tier id — and
-//! within a tier by the constrained values, hashed exactly. A lookup probes
-//! at most `TIER_COUNT` buckets (one hash each) instead of scanning every
-//! entry, and merges the per-tier winners by (priority, install order), so
-//! the result is bit-for-bit the first-match-wins answer of the linear scan.
+//! Entries are kept in `(priority descending, install sequence ascending)`
+//! order, the order a front-to-back scan resolves first-match-wins in.
+//! [`EntryStore::apply`] is the only code that decides what an Add, a
+//! Delete or a Clear does to that order, and it patches the index in the
+//! same step, so the index is never rebuilt.
 //!
-//! Two consumers share this module:
-//! - [`crate::FlowTable`] keeps a live tier index patched incrementally on
-//!   every `apply` (see `table.rs`);
-//! - [`EntryIndex`] here is the build-once variant over an immutable entry
-//!   slice, used by `sdt-verify` to accelerate symbolic class walks.
+//! The index: SDT rules key on three fields with exact values — `in_port`
+//! (domain restriction), `metadata` (sub-switch id) and `dst` (routing);
+//! the other match fields are almost always wildcards. Entries are
+//! therefore bucketed by *which* of those three fields they constrain — a
+//! 3-bit tier id — and within a tier by the constrained values, hashed
+//! exactly. A lookup probes at most `TIER_COUNT` buckets (one hash each)
+//! instead of scanning every entry, and merges the per-tier winners by
+//! (priority, install order), so the result is bit-for-bit the
+//! first-match-wins answer of the linear scan.
+//!
+//! Every holder of flow entries is built on this type: the live
+//! [`crate::FlowTable`] (store + capacity + lookup/miss counters) and
+//! `sdt-verify`'s `TableView` (the prover's and the scheduler's unbounded,
+//! copy-on-write copies). The store has no counters, so code that holds
+//! only a store cannot move one.
 
 use crate::overlap::FxBuild;
-use crate::{FlowEntry, HostAddr, PortNo};
+use crate::{FlowEntry, FlowMatch, FlowMod, HostAddr, PacketMeta, PortNo};
+use std::cmp::Reverse;
 use std::collections::hash_map::{Entry, HashMap};
 
 /// Tier-id bit: the entry constrains `in_port`.
-pub(crate) const TIER_IN_PORT: usize = 1;
+const TIER_IN_PORT: usize = 1;
 /// Tier-id bit: the entry constrains `metadata`.
-pub(crate) const TIER_METADATA: usize = 1 << 1;
+const TIER_METADATA: usize = 1 << 1;
 /// Tier-id bit: the entry constrains `dst`.
-pub(crate) const TIER_DST: usize = 1 << 2;
+const TIER_DST: usize = 1 << 2;
 /// Number of tiers: one per subset of the indexed fields. Tier 0 is the
 /// wildcard tier (entries constraining none of the indexed fields).
-pub(crate) const TIER_COUNT: usize = 8;
+const TIER_COUNT: usize = 8;
 
 /// Exact-value bucket key within a tier: the constrained values of
 /// (`in_port`, `metadata`, `dst`), with unconstrained fields pinned to 0 so
 /// they never split buckets.
-pub(crate) type TierKey = (u16, u32, u32);
+type TierKey = (u16, u32, u32);
 
-/// Which tier an entry lives in: the subset of indexed fields it constrains.
-pub(crate) fn tier_of(m: &crate::FlowMatch) -> usize {
-    (if m.in_port.is_some() { TIER_IN_PORT } else { 0 })
+/// Where an entry lives: its tier — the subset of indexed fields it
+/// constrains — and its bucket key within that tier.
+fn slot_of(m: &FlowMatch) -> (usize, TierKey) {
+    let tier = (if m.in_port.is_some() { TIER_IN_PORT } else { 0 })
         | (if m.metadata.is_some() { TIER_METADATA } else { 0 })
-        | (if m.dst.is_some() { TIER_DST } else { 0 })
+        | (if m.dst.is_some() { TIER_DST } else { 0 });
+    (tier, (m.in_port.map_or(0, |p| p.0), m.metadata.unwrap_or(0), m.dst.map_or(0, |d| d.0)))
 }
 
-/// Bucket key for an entry within its own tier.
-pub(crate) fn entry_key(tier: usize, m: &crate::FlowMatch) -> TierKey {
-    (
-        if tier & TIER_IN_PORT != 0 { m.in_port.map_or(0, |p| p.0) } else { 0 },
-        if tier & TIER_METADATA != 0 { m.metadata.unwrap_or(0) } else { 0 },
-        if tier & TIER_DST != 0 { m.dst.map_or(0, |d| d.0) } else { 0 },
-    )
+/// An index candidate: an entry and its install sequence number.
+type Installed = (u64, FlowEntry);
+
+/// Where a candidate stands in scan order; ascends exactly as position in
+/// the entry vector does. Unlike a position it is fixed at install, so an
+/// Add or a Delete elsewhere in the table never renumbers a candidate.
+fn rank(&(seq, e): &Installed) -> (Reverse<u16>, u64) {
+    (Reverse(e.priority), seq)
 }
 
-/// Bucket key a packet (or symbolic class) probes in a given tier. The
-/// caller must skip tiers whose required fields the query leaves undefined
-/// ([`TIER_METADATA`] with no pipeline metadata, [`TIER_DST`] with a
-/// destination outside every concrete class).
-pub(crate) fn query_key(
-    tier: usize,
-    in_port: PortNo,
-    metadata: Option<u32>,
-    dst: Option<HostAddr>,
-) -> TierKey {
-    (
-        if tier & TIER_IN_PORT != 0 { in_port.0 } else { 0 },
-        if tier & TIER_METADATA != 0 { metadata.unwrap_or(0) } else { 0 },
-        if tier & TIER_DST != 0 { dst.map_or(0, |d| d.0) } else { 0 },
-    )
-}
-
-/// Build-once tier index over an immutable, priority-ordered entry slice.
-///
-/// Buckets store `(position, entry)` pairs in ascending slice position;
-/// because the slice is sorted by descending priority with stable insertion
-/// order within a level (the [`crate::FlowTable`] invariant), the
-/// lowest-position candidate across all tiers *is* the entry a front-to-back
-/// linear scan would hit first.
-#[derive(Clone, Debug)]
-pub struct EntryIndex {
-    tiers: [HashMap<TierKey, Bucket, FxBuild>; TIER_COUNT],
-}
-
-/// The `(position, entry)` pairs of one bucket, ascending position. SDT
-/// pipelines key every entry of a table differently, so the bucket of one
-/// is held inline: no allocation to build it, no pointer to chase to
-/// probe it.
+/// The candidates of one bucket, ascending rank. SDT pipelines key every
+/// entry of a table differently, so the bucket of one is held inline: no
+/// allocation to build it, no pointer to chase to probe it.
 #[derive(Clone, Debug)]
 enum Bucket {
-    One((u32, FlowEntry)),
-    Many(Vec<(u32, FlowEntry)>),
+    One(Installed),
+    Many(Vec<Installed>),
 }
 
 impl Bucket {
-    fn push(&mut self, at: (u32, FlowEntry)) {
+    fn insert(&mut self, at: Installed) {
+        let mut v = match std::mem::replace(self, Bucket::Many(Vec::new())) {
+            Bucket::One(first) => vec![first],
+            Bucket::Many(v) => v,
+        };
+        v.insert(v.partition_point(|x| rank(x) < rank(&at)), at);
+        *self = Bucket::Many(v);
+    }
+
+    /// Drop the candidates `doomed` names; true when none are left.
+    fn remove(&mut self, doomed: impl Fn(&FlowEntry) -> bool) -> bool {
         match self {
-            Bucket::One(first) => *self = Bucket::Many(vec![*first, at]),
-            Bucket::Many(v) => v.push(at),
+            Bucket::One((_, e)) => doomed(e),
+            Bucket::Many(v) => {
+                v.retain(|(_, e)| !doomed(e));
+                v.is_empty()
+            }
         }
     }
 
-    fn as_slice(&self) -> &[(u32, FlowEntry)] {
+    fn as_slice(&self) -> &[Installed] {
         match self {
             Bucket::One(e) => std::slice::from_ref(e),
             Bucket::Many(v) => v,
@@ -105,23 +100,74 @@ impl Bucket {
     }
 }
 
-impl EntryIndex {
-    /// Index `entries` (which must be in flow-table order: descending
-    /// priority, stable within a level).
-    pub fn build(entries: &[FlowEntry]) -> Self {
-        let mut tiers: [HashMap<TierKey, Bucket, FxBuild>; TIER_COUNT] =
-            std::array::from_fn(|_| HashMap::default());
-        for (pos, e) in entries.iter().enumerate() {
-            let tier = tier_of(&e.m);
-            let at = (pos as u32, *e);
-            match tiers[tier].entry(entry_key(tier, &e.m)) {
-                Entry::Vacant(v) => {
-                    v.insert(Bucket::One(at));
+/// Flow entries in first-match order with their tier index, mutable only
+/// through [`EntryStore::apply`]. Unbounded and counter-free: capacity and
+/// the lookup/miss tallies belong to [`crate::FlowTable`], which wraps one.
+#[derive(Clone, Debug, Default)]
+pub struct EntryStore {
+    /// Entries sorted by descending priority (stable insertion order within
+    /// a priority level — first match wins, as in OpenFlow).
+    entries: Vec<FlowEntry>,
+    /// Monotonic install counter; within one priority level, lower seq ==
+    /// installed earlier == wins first (the OpenFlow first-match rule).
+    next_seq: u64,
+    /// Tier index over `entries`, patched in lock-step by `apply`.
+    tiers: [HashMap<TierKey, Bucket, FxBuild>; TIER_COUNT],
+}
+
+impl EntryStore {
+    /// Installed entries, highest priority first.
+    pub fn entries(&self) -> &[FlowEntry] {
+        &self.entries
+    }
+
+    /// Apply a flow-mod: Add inserts after every entry of greater *or
+    /// equal* priority, Delete removes every entry with exactly this
+    /// (match, priority), Clear removes everything. The tier index is
+    /// patched in the same step — one bucket insert for Add, one bucket
+    /// drain for Delete.
+    pub fn apply(&mut self, m: &FlowMod) {
+        match m {
+            FlowMod::Add(e) => {
+                let at = (self.next_seq, *e);
+                self.next_seq += 1;
+                // Found from the back: no more steps than the insert below
+                // shifts entries, and none for a table installed in order.
+                let behind = |x: &FlowEntry| x.priority >= e.priority;
+                let pos = self.entries.iter().rposition(behind).map_or(0, |p| p + 1);
+                self.entries.insert(pos, *e);
+                let (tier, key) = slot_of(&e.m);
+                match self.tiers[tier].entry(key) {
+                    Entry::Vacant(v) => {
+                        v.insert(Bucket::One(at));
+                    }
+                    Entry::Occupied(mut o) => o.get_mut().insert(at),
                 }
-                Entry::Occupied(mut o) => o.get_mut().push(at),
+            }
+            FlowMod::Clear => {
+                self.entries.clear();
+                self.next_seq = 0;
+                self.tiers.iter_mut().for_each(HashMap::clear);
+            }
+            FlowMod::Delete(fm, priority) => {
+                let doomed = |e: &FlowEntry| e.m == *fm && e.priority == *priority;
+                self.entries.retain(|e| !doomed(e));
+                let (tier, key) = slot_of(fm);
+                if let Entry::Occupied(mut o) = self.tiers[tier].entry(key) {
+                    if o.get_mut().remove(doomed) {
+                        o.remove();
+                    }
+                }
             }
         }
-        EntryIndex { tiers }
+    }
+
+    /// The entry a packet fires: the first, in scan order, whose match fits
+    /// `meta` under pipeline `metadata`.
+    pub fn lookup(&self, meta: &PacketMeta, metadata: Option<u32>) -> Option<&FlowEntry> {
+        self.first_match_where(meta.in_port, metadata, Some(meta.dst), |e| {
+            e.m.matches(meta, metadata)
+        })
     }
 
     /// The first entry — in linear-scan order — that satisfies `pred`,
@@ -144,7 +190,7 @@ impl EntryIndex {
     where
         F: FnMut(&FlowEntry) -> bool,
     {
-        let mut best: Option<(u32, &FlowEntry)> = None;
+        let mut best: Option<&Installed> = None;
         for tier in 0..TIER_COUNT {
             let map = &self.tiers[tier];
             if map.is_empty()
@@ -153,15 +199,21 @@ impl EntryIndex {
             {
                 continue;
             }
-            let Some(bucket) = map.get(&query_key(tier, in_port, metadata, dst)) else {
-                continue;
-            };
-            for (pos, e) in bucket.as_slice() {
-                if best.is_some_and(|(bp, _)| *pos >= bp) {
-                    break; // positions ascend — this tier cannot improve
+            // The bucket this query probes: its values on the tier's fields
+            // (all defined — the tiers that need an undefined one were
+            // skipped above), 0 elsewhere.
+            let key = (
+                if tier & TIER_IN_PORT != 0 { in_port.0 } else { 0 },
+                if tier & TIER_METADATA != 0 { metadata.unwrap_or(0) } else { 0 },
+                if tier & TIER_DST != 0 { dst.map_or(0, |d| d.0) } else { 0 },
+            );
+            let Some(bucket) = map.get(&key) else { continue };
+            for c in bucket.as_slice() {
+                if best.is_some_and(|b| rank(c) >= rank(b)) {
+                    break; // ranks ascend — this tier cannot improve
                 }
-                if pred(e) {
-                    best = Some((*pos, e));
+                if pred(&c.1) {
+                    best = Some(c);
                     break;
                 }
             }
@@ -173,7 +225,7 @@ impl EntryIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Action, FlowMatch, FlowMod, FlowTable, PacketMeta};
+    use crate::Action;
 
     fn pkt(in_port: u16, src: u32, dst: u32) -> PacketMeta {
         PacketMeta {
@@ -185,12 +237,17 @@ mod tests {
         }
     }
 
+    fn store_of(adds: &[FlowEntry]) -> EntryStore {
+        let mut s = EntryStore::default();
+        adds.iter().for_each(|&e| s.apply(&FlowMod::Add(e)));
+        s
+    }
+
     /// Exhaustive differential: every probe over a mixed-tier table agrees
     /// with the linear scan.
     #[test]
     fn agrees_with_linear_scan_across_tiers() {
-        let mut t = FlowTable::new(64);
-        let adds = [
+        let s = store_of(&[
             FlowEntry { m: FlowMatch::any(), priority: 0, action: Action::Drop },
             FlowEntry {
                 m: FlowMatch::to_dst(HostAddr(7)),
@@ -224,21 +281,13 @@ mod tests {
                 action: Action::Output(PortNo(4)),
             },
             FlowEntry { m: FlowMatch::to_dst(HostAddr(7)), priority: 3, action: Action::Drop },
-        ];
-        for e in adds {
-            t.apply(FlowMod::Add(e)).unwrap();
-        }
-        let idx = EntryIndex::build(t.entries());
+        ]);
         for in_port in 0..5u16 {
             for dst in 5..10u32 {
                 for md in [None, Some(9), Some(11)] {
                     let p = pkt(in_port, 1, dst);
-                    let linear =
-                        t.entries().iter().find(|e| e.m.matches(&p, md)).copied();
-                    let indexed = idx
-                        .first_match_where(p.in_port, md, Some(p.dst), |e| e.m.matches(&p, md))
-                        .copied();
-                    assert_eq!(indexed, linear, "in_port={in_port} dst={dst} md={md:?}");
+                    let linear = s.entries().iter().find(|e| e.m.matches(&p, md));
+                    assert_eq!(s.lookup(&p, md), linear, "in_port={in_port} dst={dst} md={md:?}");
                 }
             }
         }
@@ -254,8 +303,8 @@ mod tests {
             action: Action::Output(PortNo(1)),
         };
         let fallback = FlowEntry { m: FlowMatch::any(), priority: 1, action: Action::Drop };
-        let idx = EntryIndex::build(&[dst_rule, fallback]);
-        let hit = idx.first_match_where(PortNo(0), None, None, |e| {
+        let s = store_of(&[dst_rule, fallback]);
+        let hit = s.first_match_where(PortNo(0), None, None, |e| {
             e.m.dst.is_none() && e.m.metadata.is_none()
         });
         assert_eq!(hit.map(|e| e.action), Some(Action::Drop));

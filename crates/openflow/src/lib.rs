@@ -31,8 +31,10 @@ pub use control::{
     reconcile, table_divergence, BarrierReport, ControlChannel, ControlConfig, Reconciled,
     RetryPolicy, RoundBatch,
 };
-pub use index::EntryIndex;
-pub use overlap::{table_warnings_indexed, FxBuild, FxHasher, OverlapHit, OverlapIndex};
+pub use index::EntryStore;
+pub use overlap::{
+    table_warnings_indexed, table_warnings_linear, FxBuild, FxHasher, OverlapHit, OverlapIndex,
+};
 pub use switch::{OpenFlowSwitch, PortStats, SwitchConfig};
 pub use table::{
     diff_tables, shadowed_entries, shadowed_entries_in, subtract_witness, Action, FlowEntry,

@@ -22,7 +22,7 @@
 //! O(1); the degenerate worst case (every entry overlapping every other)
 //! returns output-sized results, which is what the caller must walk anyway.
 
-use crate::table::subtract_witness;
+use crate::table::{shadowed_entries_in, subtract_witness};
 use crate::{FlowEntry, FlowMatch, MatchUniverse, ShadowedEntry};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -243,42 +243,44 @@ pub fn table_warnings_indexed(
     (shadowed, nondet)
 }
 
+/// The linear reference of [`table_warnings_indexed`], kept as its oracle
+/// (the verifier's plain path runs it): the union-shadow search against
+/// every earlier entry, and nested loops over each equal-priority run —
+/// O(n²), same findings, same order.
+pub fn table_warnings_linear(
+    entries: &[FlowEntry],
+    universe: &MatchUniverse,
+) -> (Vec<ShadowedEntry>, Vec<(u32, u32)>) {
+    let mut nondet = Vec::new();
+    for (i, a) in entries.iter().enumerate() {
+        for (j, b) in entries
+            .iter()
+            .enumerate()
+            .skip(i + 1)
+            .take_while(|(_, b)| b.priority == a.priority)
+        {
+            if a.m != b.m && a.m.overlaps(&b.m) {
+                nondet.push((i as u32, j as u32));
+            }
+        }
+    }
+    (shadowed_entries_in(entries, universe), nondet)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{shadowed_entries_in, Action, HostAddr, PortNo};
+    use crate::{Action, HostAddr, PortNo};
 
     fn entry(m: FlowMatch, priority: u16) -> FlowEntry {
         FlowEntry { m, priority, action: Action::Drop }
     }
 
-    /// The reference nondet pair enumeration: nested loops over the
-    /// equal-priority run, exactly as the verifier's linear scan.
-    fn nondet_reference(entries: &[FlowEntry]) -> Vec<(u32, u32)> {
-        let mut out = Vec::new();
-        for (i, a) in entries.iter().enumerate() {
-            for (j, b) in entries
-                .iter()
-                .enumerate()
-                .skip(i + 1)
-                .take_while(|(_, b)| b.priority == a.priority)
-                .filter(|(_, b)| a.m != b.m && a.m.overlaps(&b.m))
-            {
-                let _ = b;
-                out.push((i as u32, j as u32));
-            }
-        }
-        out
-    }
-
     fn assert_agrees(entries: &[FlowEntry], universe: &MatchUniverse, label: &str) {
         let (shadowed, nondet) = table_warnings_indexed(entries, universe);
-        assert_eq!(
-            shadowed,
-            shadowed_entries_in(entries, universe),
-            "{label}: shadowed findings diverge"
-        );
-        assert_eq!(nondet, nondet_reference(entries), "{label}: nondet pairs diverge");
+        let (want_shadowed, want_nondet) = table_warnings_linear(entries, universe);
+        assert_eq!(shadowed, want_shadowed, "{label}: shadowed findings diverge");
+        assert_eq!(nondet, want_nondet, "{label}: nondet pairs diverge");
     }
 
     #[test]

@@ -170,20 +170,21 @@ impl OpenFlowSwitch {
             Some(Action::WriteMetadataGoto(md)) => self.t1.lookup_with(meta, Some(md)),
             other => other,
         };
-        let out = match action {
-            Some(Action::Output(p)) => Some(p),
-            // A goto out of table 1 is a programming error; treat as drop.
-            Some(Action::Drop) | Some(Action::WriteMetadataGoto(_)) | None => None,
-        };
-        let rx = &mut self.port_stats[meta.in_port.idx()];
-        rx.rx_bytes += bytes;
-        rx.rx_packets += 1;
-        if let Some(p) = out {
-            let tx = &mut self.port_stats[p.idx()];
-            tx.tx_bytes += bytes;
-            tx.tx_packets += 1;
+        // A restored snapshot can name any `u16` port: an ingress this
+        // switch does not have is not counted, and an egress it does not
+        // have is a drop (the verifier's `DropReason::Unwired`).
+        if let Some(rx) = self.port_stats.get_mut(meta.in_port.idx()) {
+            rx.rx_bytes += bytes;
+            rx.rx_packets += 1;
         }
-        out
+        let Some(Action::Output(p)) = action else {
+            // A goto out of table 1 is a programming error; treat as drop.
+            return None;
+        };
+        let tx = self.port_stats.get_mut(p.idx())?;
+        tx.tx_bytes += bytes;
+        tx.tx_packets += 1;
+        Some(p)
     }
 
     /// Read one port's counters.
@@ -310,6 +311,19 @@ mod tests {
             SwitchConfig { num_ports: 8, port_gbps: 10, table_capacity: 2 },
         );
         assert!(tiny.restore_tables(&t0, &t1).is_err());
+    }
+
+    /// `snap::decode_entry` accepts any `u16` port, so a restored table can
+    /// hold a rule the switch model has no port for.
+    #[test]
+    fn forward_survives_restored_out_of_range_ports() {
+        let mut sw = OpenFlowSwitch::new(0, SwitchConfig::x128_100g());
+        let rule = crate::snap::decode_entry("5|*|out:65000").unwrap();
+        sw.restore_tables(&[rule], &[]).unwrap();
+        assert_eq!(sw.forward(&pkt(1, 9), 100), None, "no such egress: dropped");
+        assert_eq!(sw.port_stats(PortNo(1)).rx_packets, 1);
+        assert_eq!(sw.forward(&pkt(40_000, 9), 100), None, "no such ingress either");
+        assert!(sw.all_port_stats().iter().all(|s| s.tx_packets == 0));
     }
 
     #[test]

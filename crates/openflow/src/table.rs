@@ -1,9 +1,9 @@
 //! Priority-matched flow tables with capacity accounting.
 
-use crate::index::{entry_key, query_key, tier_of, TierKey, TIER_COUNT, TIER_METADATA};
+use crate::index::EntryStore;
 use crate::overlap::FxBuild;
 use crate::{HostAddr, PortNo};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use sdt_sync::atomic::{AtomicU64, Ordering};
 
 /// Wildcard-able match over the fields SDT programs: ingress port, pipeline
@@ -197,112 +197,17 @@ pub struct TableStats {
     pub misses: u64,
 }
 
-/// An entry plus its install sequence number, as stored in the tier index.
-/// Buckets are kept sorted by (priority descending, seq ascending) — the
-/// same total order as position in the canonical entry vector, so the best
-/// (priority, seq) pair across all tiers is exactly the entry a linear
-/// front-to-back scan would hit first.
-#[derive(Clone, Copy, Debug)]
-struct IndexedEntry {
-    seq: u64,
-    entry: FlowEntry,
-}
-
-/// Live multi-tier hash index over a table's entries (see
-/// [`crate::index`] for the tier layout). Patched incrementally on every
-/// [`FlowTable::apply`]: Add inserts into one bucket, Delete drains one
-/// bucket, Clear resets — no rebuild ever scans the whole table.
-#[derive(Clone, Debug)]
-struct TierIndex {
-    tiers: [HashMap<TierKey, Vec<IndexedEntry>>; TIER_COUNT],
-}
-
-impl TierIndex {
-    fn new() -> Self {
-        TierIndex { tiers: std::array::from_fn(|_| HashMap::new()) }
-    }
-
-    /// `seq` is the table's install counter for this entry.
-    fn add(&mut self, e: FlowEntry, seq: u64) {
-        let tier = tier_of(&e.m);
-        let bucket = self.tiers[tier].entry(entry_key(tier, &e.m)).or_default();
-        // New entries carry the largest seq, so within the equal-priority
-        // run they slot after every existing entry — mirroring the
-        // partition_point insert on the canonical vector.
-        let pos = bucket.partition_point(|x| x.entry.priority >= e.priority);
-        bucket.insert(pos, IndexedEntry { seq, entry: e });
-    }
-
-    fn delete(&mut self, fm: &FlowMatch, priority: u16) {
-        let tier = tier_of(fm);
-        let key = entry_key(tier, fm);
-        if let Some(bucket) = self.tiers[tier].get_mut(&key) {
-            bucket.retain(|x| !(x.entry.m == *fm && x.entry.priority == priority));
-            if bucket.is_empty() {
-                self.tiers[tier].remove(&key);
-            }
-        }
-    }
-
-    fn clear(&mut self) {
-        for t in &mut self.tiers {
-            t.clear();
-        }
-    }
-
-    /// Highest-priority match, earliest-installed within a level — the
-    /// cross-tier merge. Each tier contributes its best candidate (buckets
-    /// are sorted best-first, so the scan stops at the first residual-field
-    /// match or as soon as the bucket cannot beat the current best).
-    fn lookup(&self, meta: &PacketMeta, metadata: Option<u32>) -> Option<Action> {
-        let mut best: Option<(u16, u64, Action)> = None;
-        for tier in 0..TIER_COUNT {
-            let map = &self.tiers[tier];
-            if map.is_empty() || (tier & TIER_METADATA != 0 && metadata.is_none()) {
-                continue;
-            }
-            let key = query_key(tier, meta.in_port, metadata, Some(meta.dst));
-            let Some(bucket) = map.get(&key) else { continue };
-            for ie in bucket {
-                if let Some((bp, bs, _)) = best {
-                    let worse = ie.entry.priority < bp
-                        || (ie.entry.priority == bp && ie.seq >= bs);
-                    if worse {
-                        break; // bucket is best-first: nothing below helps
-                    }
-                }
-                if ie.entry.m.matches(meta, metadata) {
-                    best = Some((ie.entry.priority, ie.seq, ie.entry.action));
-                    break;
-                }
-            }
-        }
-        best.map(|(_, _, action)| action)
-    }
-}
-
-/// Below this entry count a straight scan of the canonical vector beats
-/// probing up to eight hash buckets; both paths return identical results.
-const LINEAR_CUTOFF: usize = 8;
-
-/// A priority-ordered flow table with bounded capacity.
+/// A priority-ordered flow table with bounded capacity: an [`EntryStore`]
+/// (the entries, their order, their tier index and the one `apply`) plus
+/// what only a live switch table has — a capacity and lookup/miss counters.
 ///
-/// Lookups are served from a multi-tier hash index (exact tiers on
-/// `in_port`/`metadata`/`dst`, wildcard-tier fallback, priority-merged
-/// across tiers — see [`crate::index`]) so cost is O(tiers), not
-/// O(entries); [`FlowTable::linear_lookup_with`] keeps the original scan as
-/// a differential-testing oracle.
+/// Lookups are served from the store's multi-tier hash index, so cost is
+/// O(tiers), not O(entries); [`FlowTable::linear_lookup_with`] keeps the
+/// original scan as a differential-testing oracle.
 #[derive(Debug)]
 pub struct FlowTable {
-    /// Entries sorted by descending priority (stable insertion order within
-    /// a priority level — first match wins, as in OpenFlow).
-    entries: Vec<FlowEntry>,
-    /// Monotonic install counter; within one priority level, lower seq ==
-    /// installed earlier == wins first (the OpenFlow first-match rule).
-    next_seq: u64,
+    store: EntryStore,
     capacity: usize,
-    /// Tier index over `entries`, patched in lock-step by `apply`.
-    index: TierIndex,
     /// Lookup/miss tallies, bumped from `&self` lookups that may run on
     /// many verifier/audit threads at once.
     ///
@@ -322,10 +227,8 @@ pub struct FlowTable {
 impl Clone for FlowTable {
     fn clone(&self) -> Self {
         FlowTable {
-            entries: self.entries.clone(),
-            next_seq: self.next_seq,
+            store: self.store.clone(),
             capacity: self.capacity,
-            index: self.index.clone(),
             // Relaxed: a clone takes a point-in-time sample of each
             // counter independently. Cloning a table that is concurrently
             // being probed may catch `lookups` and `misses` from slightly
@@ -341,78 +244,43 @@ impl FlowTable {
     /// An empty table holding at most `capacity` entries.
     pub fn new(capacity: usize) -> Self {
         FlowTable {
-            entries: Vec::new(),
-            next_seq: 0,
+            store: EntryStore::default(),
             capacity,
-            index: TierIndex::new(),
             lookups: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
-    /// Configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Installed entry count.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries().len()
     }
 
     /// True if no entries are installed.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.entries().is_empty()
     }
 
-    /// Remaining entry budget.
-    pub fn free(&self) -> usize {
-        self.capacity - self.entries.len()
-    }
-
-    /// Apply a flow-mod. The tier index is patched in the same step — one
-    /// bucket insert for Add, one bucket drain for Delete — so it never
-    /// needs a full rebuild.
+    /// Apply a flow-mod: refuse an Add past capacity, else
+    /// [`EntryStore::apply`].
     pub fn apply(&mut self, m: FlowMod) -> Result<(), TableError> {
-        match m {
-            FlowMod::Add(e) => {
-                if self.entries.len() >= self.capacity {
-                    return Err(TableError::TableFull { capacity: self.capacity });
-                }
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                // Insert keeping descending priority, stable within a level.
-                let pos = self
-                    .entries
-                    .partition_point(|x| x.priority >= e.priority);
-                self.entries.insert(pos, e);
-                self.index.add(e, seq);
-                Ok(())
-            }
-            FlowMod::Clear => {
-                self.entries.clear();
-                self.next_seq = 0;
-                self.index.clear();
-                Ok(())
-            }
-            FlowMod::Delete(fm, priority) => {
-                self.entries.retain(|e| !(e.m == fm && e.priority == priority));
-                self.index.delete(&fm, priority);
-                Ok(())
-            }
+        if matches!(m, FlowMod::Add(_)) && self.len() >= self.capacity {
+            return Err(TableError::TableFull { capacity: self.capacity });
         }
+        self.store.apply(&m);
+        Ok(())
     }
 
     /// Highest-priority matching action, or `None` on a table miss.
     ///
     /// Within a priority level the table is **first-match-wins in insertion
-    /// order**: [`FlowTable::apply`] inserts each entry after every existing
-    /// entry of greater *or equal* priority, and lookup scans front to back,
-    /// so the earliest-installed of two equal-priority overlapping entries
-    /// fires. This mirrors OpenFlow, where overlapping same-priority rules
-    /// leave behaviour switch-defined — deterministic here, but dependent on
-    /// install order, which is why the static verifier flags such pairs as
-    /// nondeterminism warnings.
+    /// order**: [`EntryStore::apply`] inserts each entry after every existing
+    /// entry of greater *or equal* priority, and lookup resolves in that
+    /// order, so the earliest-installed of two equal-priority overlapping
+    /// entries fires. This mirrors OpenFlow, where overlapping same-priority
+    /// rules leave behaviour switch-defined — deterministic here, but
+    /// dependent on install order, which is why the static verifier flags
+    /// such pairs as nondeterminism warnings.
     pub fn lookup(&self, meta: &PacketMeta) -> Option<Action> {
         self.lookup_with(meta, None)
     }
@@ -420,20 +288,14 @@ impl FlowTable {
     /// Lookup with pipeline metadata from an earlier table. Same
     /// first-match-wins-within-priority contract as [`FlowTable::lookup`].
     ///
-    /// Served from the tier index above `LINEAR_CUTOFF` entries, by
-    /// linear scan below it; the two paths return identical results and
-    /// move the lookup/miss counters identically (one lookup per call, one
-    /// miss per `None`).
+    /// [`EntryStore::lookup`] plus the counters: one lookup per call, one
+    /// miss per `None`.
     pub fn lookup_with(&self, meta: &PacketMeta, metadata: Option<u32>) -> Option<Action> {
         // Relaxed RMW: a pure tally. No memory is published through this
         // counter and atomic read-modify-writes on one location never lose
         // increments, so the total is exact under any interleaving.
         self.lookups.fetch_add(1, Ordering::Relaxed);
-        let hit = if self.entries.len() <= LINEAR_CUTOFF {
-            self.entries.iter().find(|e| e.m.matches(meta, metadata)).map(|e| e.action)
-        } else {
-            self.index.lookup(meta, metadata)
-        };
+        let hit = self.store.lookup(meta, metadata).map(|e| e.action);
         if hit.is_none() {
             // Relaxed RMW: same tally-only contract as `lookups` above.
             // `misses` is not ordered against `lookups` either — a
@@ -454,7 +316,7 @@ impl FlowTable {
         // `lookup_with` — the differential tests depend on the two paths
         // moving the counters identically.
         self.lookups.fetch_add(1, Ordering::Relaxed);
-        for e in &self.entries {
+        for e in self.entries() {
             if e.m.matches(meta, metadata) {
                 return Some(e.action);
             }
@@ -475,7 +337,7 @@ impl FlowTable {
     /// quiesced totals are exact.
     pub fn stats(&self) -> TableStats {
         TableStats {
-            entries: self.entries.len(),
+            entries: self.len(),
             lookups: self.lookups.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
         }
@@ -483,7 +345,13 @@ impl FlowTable {
 
     /// Installed entries, highest priority first.
     pub fn entries(&self) -> &[FlowEntry] {
-        &self.entries
+        self.store.entries()
+    }
+
+    /// The table without its capacity and counters: what a proof or a
+    /// schedule clones, so that no lookup it makes can be counted.
+    pub fn store(&self) -> &EntryStore {
+        &self.store
     }
 }
 
@@ -998,9 +866,8 @@ mod tests {
         assert_eq!(t.lookup(&meta(0, 0, 0)), Some(Action::Output(PortNo(1))));
     }
 
-    /// Above [`LINEAR_CUTOFF`] lookups go through the tier index; pin that
-    /// path against the linear-scan oracle on a mixed-tier table, through
-    /// interleaved deletes and re-adds.
+    /// Pin the tier index against the linear-scan oracle on a mixed-tier
+    /// table, through interleaved deletes and re-adds.
     #[test]
     fn indexed_path_matches_linear_oracle() {
         let mut t = FlowTable::new(128);
@@ -1028,7 +895,6 @@ mod tests {
         .unwrap();
         t.apply(FlowMod::Add(FlowEntry { m: FlowMatch::any(), priority: 0, action: Action::Drop }))
             .unwrap();
-        assert!(t.len() > LINEAR_CUTOFF, "test must exercise the indexed path");
         t.apply(FlowMod::Delete(FlowMatch::to_dst(HostAddr(5)), 10)).unwrap();
         t.apply(FlowMod::Add(FlowEntry {
             m: FlowMatch::to_dst(HostAddr(5)),
@@ -1060,7 +926,7 @@ mod tests {
     #[test]
     fn indexed_first_match_is_install_order_stable_across_tiers() {
         let mut t = FlowTable::new(32);
-        // Pad the table over the cutoff with non-matching entries.
+        // Non-matching higher-priority entries ahead of the pair.
         for dst in 100..110u32 {
             t.apply(FlowMod::Add(FlowEntry {
                 m: FlowMatch::to_dst(HostAddr(dst)),

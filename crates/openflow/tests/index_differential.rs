@@ -1,7 +1,14 @@
-//! Differential property test for the tiered lookup index: on any table
-//! built by a random interleaving of Add / Delete / Clear flow-mods, the
-//! indexed lookup path must agree with the pre-index linear scan — same
-//! match on every probe, and identical lookup/miss counter movement.
+//! Differential property test for the one tier index: on any table built
+//! by a random interleaving of Add / Delete / Clear flow-mods, every way the
+//! workspace reads it must agree with the pre-index linear scan —
+//!
+//! * **live**: `FlowTable::lookup_with`, same match on every probe and
+//!   identical lookup/miss counter movement;
+//! * **cloned**: an `EntryStore` cloned out of the table mid-stream and fed
+//!   the remaining mods itself (what a `TableView` does with a delta: clone
+//!   one switch's stores, patch them in place) ends with the same entries;
+//! * **symbolic**: `first_match_where` on that clone, under the concrete
+//!   `matches` predicate, returns the very entry the linear scan fires.
 //!
 //! Field domains are kept tiny (4 ports, 3 metadata values, 6 addresses) so
 //! random entries collide constantly: same-priority overlaps, duplicate
@@ -11,7 +18,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use proptest::prelude::*;
 use sdt_openflow::{
-    Action, FlowEntry, FlowMatch, FlowMod, FlowTable, HostAddr, PacketMeta, PortNo,
+    Action, EntryStore, FlowEntry, FlowMatch, FlowMod, FlowTable, HostAddr, PacketMeta, PortNo,
 };
 
 /// Decode a random match over the small field domains from raw bits:
@@ -85,16 +92,24 @@ proptest! {
         ),
     ) {
         // Two tables fed the identical mod stream: one probed through the
-        // index, one through the linear oracle.
+        // index, one through the linear oracle. Halfway, a store forks off
+        // the first (the clone replaces whatever `forked` held) and applies
+        // the rest of the stream on its own.
         let mut indexed = FlowTable::new(4096);
         let mut linear = FlowTable::new(4096);
+        let mut forked = EntryStore::default();
         let mut log = Vec::new();
-        for &op in &ops {
+        for (i, &op) in ops.iter().enumerate() {
+            if i == ops.len() / 2 {
+                forked = indexed.store().clone();
+            }
             let m = resolve_op(&mut log, op);
+            forked.apply(&m);
             indexed.apply(m.clone()).unwrap();
             linear.apply(m).unwrap();
         }
         prop_assert_eq!(indexed.entries(), linear.entries());
+        prop_assert_eq!(forked.entries(), linear.entries());
 
         // Exhaustive probe grid over the op domains (plus out-of-domain
         // values so some probes miss everything).
@@ -113,6 +128,13 @@ proptest! {
                             indexed.lookup_with(&meta, metadata),
                             linear.linear_lookup_with(&meta, metadata),
                             "divergence at port {} dst {} src {} md {:?}",
+                            port, dst, src, metadata
+                        );
+                        let fits = |e: &FlowEntry| e.m.matches(&meta, metadata);
+                        prop_assert_eq!(
+                            forked.first_match_where(meta.in_port, metadata, Some(meta.dst), fits),
+                            linear.entries().iter().find(|e| fits(e)),
+                            "forked store diverges at port {} dst {} src {} md {:?}",
                             port, dst, src, metadata
                         );
                     }

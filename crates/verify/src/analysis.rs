@@ -17,8 +17,8 @@ use std::sync::Arc;
 
 use sdt_core::cluster::{PhysPort, PhysicalCluster};
 use sdt_openflow::{
-    shadowed_entries_in, table_warnings_indexed, Action, EntryIndex, FlowEntry, FlowMod,
-    HostAddr, MatchUniverse, PortNo, ShadowedEntry,
+    table_warnings_indexed, table_warnings_linear, Action, FlowEntry, FlowMod, HostAddr,
+    MatchUniverse, PortNo, ShadowedEntry,
 };
 use sdt_topology::HostId;
 
@@ -306,54 +306,15 @@ enum Step {
     Dead { at: u32, reason: DropReason },
 }
 
-/// Per-(switch, table) tier indexes over a [`TableView`], built once per
-/// verification pass so every symbolic step costs O(tiers) instead of a
-/// linear scan over the table (same [`sdt_openflow::EntryIndex`] machinery
-/// the live [`sdt_openflow::FlowTable`] uses).
-/// Indexes are Arc-shared per switch so an incremental check clones the
-/// untouched switches' indexes by reference instead of rebuilding them.
-fn view_indexes(view: &TableView) -> Vec<Arc<[EntryIndex; 2]>> {
-    (0..view.num_switches() as u32)
-        .map(|sw| {
-            Arc::new([EntryIndex::build(view.entries(sw, 0)), EntryIndex::build(view.entries(sw, 1))])
-        })
-        .collect()
-}
-
-/// Indexes for a delta view: rebuild touched switches, share the rest.
-fn delta_indexes(
-    prev: &[Arc<[EntryIndex; 2]>],
-    view: &TableView,
-    touched: &SwitchSet,
-) -> Vec<Arc<[EntryIndex; 2]>> {
-    (0..view.num_switches() as u32)
-        .map(|sw| {
-            if touched.contains(sw) || prev.get(sw as usize).is_none() {
-                Arc::new([
-                    EntryIndex::build(view.entries(sw, 0)),
-                    EntryIndex::build(view.entries(sw, 1)),
-                ])
-            } else {
-                prev[sw as usize].clone()
-            }
-        })
-        .collect()
-}
-
 /// Evaluate the two-table pipeline of `at.switch` for a packet entering on
 /// `at.port`, symbolically (first matching entry wins; no counters touched).
-/// The tier index prunes candidates; `entry_matches` keeps the final say,
-/// so the firing entry is exactly the linear scan's first match.
-fn step(
-    indexes: &[Arc<[EntryIndex; 2]>],
-    cluster: &PhysicalCluster,
-    at: PhysPort,
-    class: &HeaderClass,
-) -> Step {
+/// The view's tier index prunes candidates; `entry_matches` keeps the final
+/// say, so the firing entry is exactly the linear scan's first match.
+fn step(view: &TableView, cluster: &PhysicalCluster, at: PhysPort, class: &HeaderClass) -> Step {
     let sw = at.switch;
-    let idx = &indexes[sw as usize];
-    let Some(&e0) =
-        idx[0].first_match_where(at.port, None, class.dst, |e| entry_matches(e, at.port, None, class))
+    let Some(&e0) = view
+        .store(sw, 0)
+        .first_match_where(at.port, None, class.dst, |e| entry_matches(e, at.port, None, class))
     else {
         return Step::Dead { at: sw, reason: DropReason::Miss { switch: sw, table: 0 } };
     };
@@ -363,7 +324,8 @@ fn step(
         Action::Output(p) => return egress(cluster, PhysPort { switch: sw, port: p }, vec![r0]),
         Action::WriteMetadataGoto(md) => md,
     };
-    let Some(&e1) = idx[1]
+    let Some(&e1) = view
+        .store(sw, 1)
         .first_match_where(at.port, Some(md), class.dst, |e| entry_matches(e, at.port, Some(md), class))
     else {
         return Step::Dead { at: sw, reason: DropReason::Miss { switch: sw, table: 1 } };
@@ -447,7 +409,6 @@ pub struct Verifier {
     view: TableView,
     intent: Intent,
     values: HeaderValues,
-    indexes: Vec<Arc<[EntryIndex; 2]>>,
     traces: Arc<Vec<Arc<PairTrace>>>,
     loops: Vec<LoopFinding>,
     warnings: Vec<SwitchWarnings>,
@@ -506,13 +467,11 @@ impl Verifier {
         plain: bool,
     ) -> Verifier {
         let values = HeaderValues::collect(&view);
-        let indexes = view_indexes(&view);
         let mut v = Verifier {
             cluster: cluster.clone(),
             view,
             intent,
             values,
-            indexes,
             traces: Arc::new(Vec::new()),
             loops: Vec::new(),
             warnings: Vec::new(),
@@ -520,14 +479,14 @@ impl Verifier {
             stats: VerifyStats::default(),
         };
         if plain {
-            v.scan_warnings(None, threads, switch_warnings);
+            v.scan_warnings(None, threads, table_warnings_linear);
             v.scan_loops(None, threads);
             let walked = v.walk_pairs(None, None, threads);
             v.finalize(v.view.num_switches(), walked);
             return v;
         }
-        v.scan_warnings(None, threads, switch_warnings_fast);
-        let fates = FateTable::build(&v.cluster, &v.view, &v.indexes);
+        v.scan_warnings(None, threads, table_warnings_indexed);
+        let fates = FateTable::build(&v.cluster, &v.view);
         v.stats.symmetric = fates.ok;
         if fates.ok {
             let walked = v.walk_pairs_fast(&fates, None, None, threads);
@@ -619,13 +578,11 @@ impl Verifier {
         } else {
             HeaderValues::collect(&view)
         };
-        let indexes = delta_indexes(&prev.indexes, &view, &touched);
         let mut v = Verifier {
             cluster: prev.cluster.clone(),
             view,
             intent,
             values,
-            indexes,
             traces: Arc::new(Vec::new()),
             loops: Vec::new(),
             warnings: Vec::new(),
@@ -641,13 +598,13 @@ impl Verifier {
             .cloned()
             .collect();
         if plain {
-            v.scan_warnings(Some((&touched, &prev.warnings)), threads, switch_warnings);
+            v.scan_warnings(Some((&touched, &prev.warnings)), threads, table_warnings_linear);
             v.scan_loops(Some(&touched), threads);
             let walked = v.walk_pairs(Some(&touched), Some(prev), threads);
             v.finalize(touched.len(), walked);
             return v;
         }
-        v.scan_warnings(Some((&touched, &prev.warnings)), threads, switch_warnings_fast);
+        v.scan_warnings(Some((&touched, &prev.warnings)), threads, table_warnings_indexed);
         // Empty batch against an unchanged intent: the view, values,
         // warnings, carried loops and every previous trace are replayed
         // verbatim, so the report is `prev`'s with the delta counters
@@ -669,7 +626,7 @@ impl Verifier {
                 VerifyReport { switches_scanned: 0, pairs_walked: 0, ..prev.report.clone() };
             return v;
         }
-        let fates = FateTable::build(&v.cluster, &v.view, &v.indexes);
+        let fates = FateTable::build(&v.cluster, &v.view);
         v.stats.symmetric = fates.ok;
         if fates.ok {
             let walked = v.walk_pairs_fast(&fates, Some(&touched), Some(prev), threads);
@@ -707,13 +664,13 @@ impl Verifier {
     /// Per-switch dead-rule and nondeterminism warnings, one independent
     /// job per switch, merged back in switch-id order. For untouched
     /// switches in a delta check, the cached findings are reused. `scan`
-    /// is the reference [`switch_warnings`] or the overlap-indexed
-    /// [`switch_warnings_fast`] (byte-identical findings, sub-quadratic).
+    /// is the reference [`table_warnings_linear`] or the overlap-indexed
+    /// [`table_warnings_indexed`] (byte-identical findings, sub-quadratic).
     fn scan_warnings(
         &mut self,
         delta: Option<(&SwitchSet, &[SwitchWarnings])>,
         threads: usize,
-        scan: fn(&TableView, u16, u32) -> SwitchWarnings,
+        scan: TableScan,
     ) {
         let num_ports = self.cluster.model().ports as u16;
         let view = &self.view;
@@ -724,7 +681,7 @@ impl Verifier {
                     return prev[sw as usize].clone();
                 }
             }
-            scan(view, num_ports, sw)
+            switch_warnings(view, num_ports, sw, scan)
         });
     }
 
@@ -752,11 +709,10 @@ impl Verifier {
             .map(|l| canonical_cycle(&l.ports))
             .collect();
         let classes = self.values.classes();
-        let (cluster, indexes, starts, carried_ref) =
-            (&self.cluster, &self.indexes, &starts, &carried);
+        let (cluster, view, starts, carried_ref) = (&self.cluster, &self.view, &starts, &carried);
         let per_class: Vec<Vec<LoopFinding>> =
             sdt_par::par_map_threads(threads, &classes, |&class| {
-                scan_loops_class(indexes, cluster, starts, carried_ref, class)
+                scan_loops_class(view, cluster, starts, carried_ref, class)
             });
         let mut seen_cycles = carried;
         for found in per_class {
@@ -832,8 +788,8 @@ impl Verifier {
         };
         let budget = 4 * self.cluster.links().len() + 8;
         let hosts = &self.intent.hosts;
-        let (cluster, values, indexes, reusable_ref) =
-            (&self.cluster, &self.values, &self.indexes, &reusable);
+        let (cluster, values, view, reusable_ref) =
+            (&self.cluster, &self.values, &self.view, &reusable);
         let per_src: Vec<(usize, Vec<Arc<PairTrace>>)> =
             sdt_par::par_map_threads(threads, hosts, |src| {
                 let mut walked = 0usize;
@@ -853,7 +809,7 @@ impl Verifier {
                     let mut outcome = PairOutcome::Looped;
                     for _ in 0..budget {
                         crossed.insert(at.switch);
-                        match step(indexes, cluster, at, &class) {
+                        match step(view, cluster, at, &class) {
                             Step::Deliver { port, via } => {
                                 outcome = PairOutcome::Delivered { port, via };
                                 break;
@@ -1037,7 +993,7 @@ impl Verifier {
             resolved: usize,
             loops: Option<(Vec<LoopFinding>, bool)>,
         }
-        let (cluster, indexes) = (&self.cluster, &self.indexes);
+        let (cluster, view) = (&self.cluster, &self.view);
         let (srcs_ref, dsts_ref, reused_ref) = (&srcs_by, &dsts_by, reused.as_deref());
         let (starts_ref, states_ref, carried_ref) = (&starts, &start_states, &carried);
         let (groups_ref, group_of_ref) = (&groups, &group_of);
@@ -1054,7 +1010,7 @@ impl Verifier {
                     as u64
             },
             |&(class, a, b, walk)| {
-                let mut memo = DestinyMemo::new(cluster, indexes, fates, class);
+                let mut memo = DestinyMemo::new(cluster, view, fates, class);
                 // Loop scan first: a class from whose start ports no
                 // `Looped` destiny is reachable provably has no cycle —
                 // skip it; one that does falls back to the reference port
@@ -1068,7 +1024,7 @@ impl Verifier {
                     });
                     if looped {
                         Some((
-                            scan_loops_class(indexes, cluster, starts_ref, carried_ref, class),
+                            scan_loops_class(view, cluster, starts_ref, carried_ref, class),
                             false,
                         ))
                     } else {
@@ -1232,7 +1188,7 @@ impl Verifier {
 /// each start with a visited set, reporting every new cycle. Shared by the
 /// plain pass (all classes) and the fast pass (fallback classes only).
 fn scan_loops_class(
-    indexes: &[Arc<[EntryIndex; 2]>],
+    view: &TableView,
     cluster: &PhysicalCluster,
     starts: &[PhysPort],
     carried: &HashSet<Vec<(u32, u16)>>,
@@ -1265,7 +1221,7 @@ fn scan_loops_class(
                 }
                 break;
             }
-            match step(indexes, cluster, cur, &class) {
+            match step(view, cluster, cur, &class) {
                 Step::Next { to, rules } => {
                     index.insert(cur, chain.len());
                     chain.push((cur, rules));
@@ -1279,55 +1235,15 @@ fn scan_loops_class(
     found
 }
 
-/// [`switch_warnings`] built on the mask-group overlap index: identical
-/// findings in identical order, sub-quadratic for the large tables the
-/// linear reference struggles with.
-fn switch_warnings_fast(view: &TableView, num_ports: u16, sw: u32) -> SwitchWarnings {
-    let mut w = SwitchWarnings::default();
-    let written: BTreeSet<u32> = view
-        .entries(sw, 0)
-        .iter()
-        .filter_map(|e| match e.action {
-            Action::WriteMetadataGoto(md) => Some(md),
-            _ => None,
-        })
-        .collect();
-    for table in 0..2u8 {
-        let entries = view.entries(sw, table);
-        let universe = if table == 0 {
-            MatchUniverse { in_ports: Some((0..num_ports).map(PortNo).collect()), metadata: None }
-        } else {
-            MatchUniverse::for_switch(num_ports, written.iter().copied())
-        };
-        if table == 0 {
-            for e in entries.iter().filter(|e| e.m.metadata.is_some()) {
-                w.shadowed.push(ShadowFinding {
-                    switch: sw,
-                    table,
-                    shadowed: ShadowedEntry { entry: *e, covered_by: Vec::new() },
-                });
-            }
-        }
-        let (shadowed, nondet) = table_warnings_indexed(entries, &universe);
-        for s in shadowed {
-            w.shadowed.push(ShadowFinding { switch: sw, table, shadowed: s });
-        }
-        for (a, b) in nondet {
-            w.nondet.push(NondetFinding {
-                switch: sw,
-                table,
-                first: entries[a as usize],
-                second: entries[b as usize],
-            });
-        }
-    }
-    w
-}
+/// One table's dead rules and equal-priority overlapping pairs (as
+/// positions, ascending): the contract [`table_warnings_indexed`] and its
+/// reference [`table_warnings_linear`] share.
+type TableScan = fn(&[FlowEntry], &MatchUniverse) -> (Vec<ShadowedEntry>, Vec<(u32, u32)>);
 
 /// The dead-rule and nondeterminism warnings of a single switch — a pure
 /// function of its table view, so the per-switch jobs can run on any
 /// worker in any order.
-fn switch_warnings(view: &TableView, num_ports: u16, sw: u32) -> SwitchWarnings {
+fn switch_warnings(view: &TableView, num_ports: u16, sw: u32, scan: TableScan) -> SwitchWarnings {
     let mut w = SwitchWarnings::default();
     // Metadata values table 0 can hand to table 1 on this switch.
     let written: BTreeSet<u32> = view
@@ -1360,17 +1276,17 @@ fn switch_warnings(view: &TableView, num_ports: u16, sw: u32) -> SwitchWarnings 
                 });
             }
         }
-        for s in shadowed_entries_in(entries, &universe) {
+        let (shadowed, nondet) = scan(entries, &universe);
+        for s in shadowed {
             w.shadowed.push(ShadowFinding { switch: sw, table, shadowed: s });
         }
-        for (i, a) in entries.iter().enumerate() {
-            for b in entries[i + 1..]
-                .iter()
-                .take_while(|b| b.priority == a.priority)
-                .filter(|b| a.m != b.m && a.m.overlaps(&b.m))
-            {
-                w.nondet.push(NondetFinding { switch: sw, table, first: *a, second: *b });
-            }
+        for (a, b) in nondet {
+            w.nondet.push(NondetFinding {
+                switch: sw,
+                table,
+                first: entries[a as usize],
+                second: entries[b as usize],
+            });
         }
     }
     w

@@ -36,10 +36,9 @@
 //! previous [`crate::Verifier`] that `check_delta*` takes.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use sdt_core::cluster::{PhysPort, PhysicalCluster};
-use sdt_openflow::{Action, EntryIndex, PortNo};
+use sdt_openflow::{Action, PortNo};
 
 use crate::analysis::{DropReason, PairOutcome, RuleRef};
 use crate::model::{entry_matches, HeaderClass, TableView};
@@ -221,11 +220,7 @@ impl FateTable {
     /// cables are followed with memoization; a cycle among them (packets
     /// that loop without ever hitting table 1) defeats the state
     /// abstraction, so it conservatively reports `ok = false`.
-    pub(crate) fn build(
-        cluster: &PhysicalCluster,
-        view: &TableView,
-        indexes: &[Arc<[EntryIndex; 2]>],
-    ) -> FateTable {
+    pub(crate) fn build(cluster: &PhysicalCluster, view: &TableView) -> FateTable {
         let ports = cluster.model().ports as usize;
         let n = view.num_switches();
         let mut t = FateTable {
@@ -257,7 +252,7 @@ impl FateTable {
                         t.ok = false;
                         return t;
                     }
-                    let out = match classify_step(cluster, indexes, cur) {
+                    let out = match classify_step(cluster, view, cur) {
                         ClassifyStep::Hop(next) => {
                             chain.push(cur);
                             cur = next;
@@ -326,13 +321,9 @@ enum ClassifyStep {
 /// exactly the entry the reference walker's class-aware lookup finds for
 /// *every* header class: live rules constrain no header field, and
 /// metadata-constrained rules fail the reference's match too.
-fn classify_step(
-    cluster: &PhysicalCluster,
-    indexes: &[Arc<[EntryIndex; 2]>],
-    at: PhysPort,
-) -> ClassifyStep {
+fn classify_step(cluster: &PhysicalCluster, view: &TableView, at: PhysPort) -> ClassifyStep {
     let sw = at.switch;
-    let hit = indexes[sw as usize][0].first_match_where(at.port, None, None, |e| {
+    let hit = view.store(sw, 0).first_match_where(at.port, None, None, |e| {
         e.m.metadata.is_none() && e.m.in_port.is_none_or(|p| p == at.port)
     });
     let Some(&e0) = hit else {
@@ -359,7 +350,7 @@ fn classify_step(
 /// each resolved once per pass.
 pub(crate) struct DestinyMemo<'a> {
     cluster: &'a PhysicalCluster,
-    indexes: &'a [Arc<[EntryIndex; 2]>],
+    view: &'a TableView,
     fates: &'a FateTable,
     class: HeaderClass,
     /// Per state id: 1 + its index in `arena` once resolved, else 0.
@@ -383,14 +374,14 @@ type ChainLink<'a> = (u32, &'a SwitchSet);
 impl<'a> DestinyMemo<'a> {
     pub(crate) fn new(
         cluster: &'a PhysicalCluster,
-        indexes: &'a [Arc<[EntryIndex; 2]>],
+        view: &'a TableView,
         fates: &'a FateTable,
         class: HeaderClass,
     ) -> Self {
         let states = fates.states.len();
         DestinyMemo {
             cluster,
-            indexes,
+            view,
             fates,
             class,
             slot: vec![0; states],
@@ -486,10 +477,9 @@ impl<'a> DestinyMemo<'a> {
         let class = self.class;
         let terminal =
             |out| RouteStep::Terminal { out, crossed: self.fates.no_switches() };
-        let hit = self.indexes[sw as usize][1]
-            .first_match_where(PortNo(0), Some(md), class.dst, |e| {
-                entry_matches(e, PortNo(0), Some(md), &class)
-            });
+        let hit = self.view.store(sw, 1).first_match_where(PortNo(0), Some(md), class.dst, |e| {
+            entry_matches(e, PortNo(0), Some(md), &class)
+        });
         let Some(&e1) = hit else {
             return terminal(PairOutcome::Dropped {
                 reason: DropReason::Miss { switch: sw, table: 1 },

@@ -9,66 +9,61 @@ use std::sync::Arc;
 use sdt_core::cluster::PhysPort;
 use sdt_core::synthesis::{addr_of, SynthesisOutput};
 use sdt_core::SdtProjection;
-use sdt_openflow::{FlowEntry, FlowMod, HostAddr, OpenFlowSwitch};
+use sdt_openflow::{EntryStore, FlowEntry, FlowMod, HostAddr, OpenFlowSwitch};
 use sdt_topology::{HostId, Topology};
-
-/// One switch's slice of a [`TableView`]: its two tables in `FlowTable`
-/// order (descending priority, stable insertion order within a level).
-type SwitchView = [Vec<FlowEntry>; 2];
 
 /// A side-effect-free snapshot of every flow table in the cluster, mutable
 /// under [`FlowMod`] semantics.
 ///
-/// The verifier never calls [`sdt_openflow::FlowTable::lookup`] or
-/// [`OpenFlowSwitch::forward`] — both bump lookup/port counters, and the
-/// whole point of static checking is to prove properties with **zero packet
-/// injections** (the differential test asserts the counters stay at zero).
-/// Instead the entry lists are copied out once and matched symbolically.
+/// The whole point of static checking is to prove properties with **zero
+/// packet injections**, so a proof must not move a lookup or port counter
+/// (the differential test asserts they stay at zero). That holds by type:
+/// a view holds each table's [`EntryStore`] — the entries, their order and
+/// their tier index, cloned out of [`sdt_openflow::FlowTable::store`] —
+/// and a store has no counters to move.
 ///
 /// Per-switch state is `Arc`-shared copy-on-write: cloning a view costs one
 /// pointer per switch, and [`TableView::apply`] deep-copies only the switch
 /// it mutates — the clone-then-apply pattern every delta check uses touches
-/// exactly the batch's switches.
+/// exactly the batch's switches, and patches their indexes in place.
 #[derive(Clone, Debug, Default)]
 pub struct TableView {
-    switches: Vec<Arc<SwitchView>>,
+    switches: Vec<Arc<[EntryStore; 2]>>,
 }
 
 impl TableView {
     /// An all-empty view for `num_switches` switches. All slots share one
     /// `Arc` — [`TableView::apply`] copies-on-write before mutating.
     pub fn empty(num_switches: usize) -> Self {
-        let empty = Arc::new(SwitchView::default());
-        TableView { switches: vec![empty; num_switches] }
+        TableView { switches: vec![Arc::default(); num_switches] }
     }
 
-    /// Snapshot the live tables of a switch bank. Reads
-    /// [`sdt_openflow::FlowTable::entries`] only — no lookups, no counters.
+    /// Snapshot the live tables of a switch bank: a clone of each table's
+    /// store — no lookups, no counters.
     pub fn of_switches(switches: &[OpenFlowSwitch]) -> Self {
         TableView {
             switches: switches
                 .iter()
-                .map(|s| Arc::new([s.table(0).entries().to_vec(), s.table(1).entries().to_vec()]))
+                .map(|s| Arc::new([0, 1].map(|t| s.table(t).store().clone())))
                 .collect(),
         }
     }
 
     /// View of a synthesized (not yet installed) pipeline — the shape the
-    /// tables *would* have after installation. Entries are ordered exactly
-    /// as `FlowTable::apply` would order them: stable sort by descending
-    /// priority.
+    /// tables *would* have after installation: every entry applied as an
+    /// Add, in synthesis order.
     pub fn of_synthesis(s: &SynthesisOutput) -> Self {
-        let order = |entries: &[FlowEntry]| {
-            let mut v = entries.to_vec();
-            v.sort_by_key(|e| std::cmp::Reverse(e.priority));
-            v
+        let install = |entries: &Vec<FlowEntry>| {
+            let mut store = EntryStore::default();
+            entries.iter().for_each(|&e| store.apply(&FlowMod::Add(e)));
+            store
         };
         TableView {
             switches: s
                 .table0
                 .iter()
                 .zip(&s.table1)
-                .map(|(t0, t1)| Arc::new([order(t0), order(t1)]))
+                .map(|(t0, t1)| Arc::new([t0, t1].map(install)))
                 .collect(),
         }
     }
@@ -80,25 +75,20 @@ impl TableView {
 
     /// Entries of one table, descending priority.
     pub fn entries(&self, switch: u32, table: u8) -> &[FlowEntry] {
+        self.store(switch, table).entries()
+    }
+
+    /// One table's store, for the symbolic lookups of the analyses.
+    pub(crate) fn store(&self, switch: u32, table: u8) -> &EntryStore {
         &self.switches[switch as usize][usize::from(table)]
     }
 
-    /// Apply one flow-mod with the same semantics as `FlowTable::apply`
-    /// (minus capacity, which admission checks separately). Copy-on-write:
-    /// only this switch's state is cloned (and only when shared with
-    /// another view).
+    /// Apply one flow-mod with [`EntryStore::apply`] — what
+    /// `FlowTable::apply` does, minus capacity, which admission checks
+    /// separately. Copy-on-write: only this switch's state is cloned (and
+    /// only when shared with another view).
     pub fn apply(&mut self, switch: u32, table: u8, m: &FlowMod) {
-        let t = &mut Arc::make_mut(&mut self.switches[switch as usize])[usize::from(table)];
-        match m {
-            FlowMod::Add(e) => {
-                let pos = t.partition_point(|x| x.priority >= e.priority);
-                t.insert(pos, *e);
-            }
-            FlowMod::Clear => t.clear(),
-            FlowMod::Delete(fm, priority) => {
-                t.retain(|x| !(x.m == *fm && x.priority == *priority));
-            }
-        }
+        Arc::make_mut(&mut self.switches[switch as usize])[usize::from(table)].apply(m);
     }
 }
 
@@ -335,25 +325,36 @@ pub(crate) fn entry_matches(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdt_core::cluster::ClusterBuilder;
+    use sdt_core::methods::SwitchModel;
+    use sdt_core::sdt::SdtProjector;
+    use sdt_core::walk::instantiate;
     use sdt_openflow::{Action, FlowMatch, PortNo};
+    use sdt_topology::fattree::fat_tree;
 
+    /// A proof of the synthesized pipeline and a proof of the installed
+    /// one read the same tables: both constructors end in the one `apply`.
     #[test]
-    fn view_apply_mirrors_flow_table_order() {
-        let mut v = TableView::empty(1);
-        let e = |p: u16, port: u16| FlowEntry {
-            m: FlowMatch::on_port(PortNo(port)),
-            priority: p,
-            action: Action::Drop,
-        };
-        v.apply(0, 0, &FlowMod::Add(e(5, 0)));
-        v.apply(0, 0, &FlowMod::Add(e(9, 1)));
-        v.apply(0, 0, &FlowMod::Add(e(5, 2)));
-        let prios: Vec<u16> = v.entries(0, 0).iter().map(|e| e.priority).collect();
-        assert_eq!(prios, [9, 5, 5]);
-        // Stable within a level: port 0 entry installed before port 2.
-        assert_eq!(v.entries(0, 0)[1].m.in_port, Some(PortNo(0)));
-        v.apply(0, 0, &FlowMod::Delete(FlowMatch::on_port(PortNo(1)), 9));
-        assert_eq!(v.entries(0, 0).len(), 2);
+    fn synthesized_and_installed_views_hold_the_same_tables() {
+        let topo = fat_tree(4);
+        let cluster = ClusterBuilder::new(SwitchModel::openflow_128x100g(), 2)
+            .hosts_per_switch(16)
+            .inter_links_per_pair(16)
+            .build();
+        let proj = SdtProjector::default().project_default(&topo, &cluster).unwrap();
+        let planned = TableView::of_synthesis(&proj.synthesis);
+        let installed = TableView::of_switches(&instantiate(&cluster, &proj));
+        assert_eq!(planned.num_switches(), installed.num_switches());
+        for sw in 0..planned.num_switches() as u32 {
+            for table in 0..2 {
+                assert!(!planned.entries(sw, table).is_empty(), "switch {sw} table {table}");
+                assert_eq!(
+                    planned.entries(sw, table),
+                    installed.entries(sw, table),
+                    "switch {sw} table {table}"
+                );
+            }
+        }
     }
 
     #[test]
