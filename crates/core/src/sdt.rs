@@ -58,22 +58,6 @@ impl FailedResources {
         self.ports.insert(p);
     }
 
-    /// Mark every port of a physical switch dead (switch crash).
-    pub fn fail_switch(&mut self, cluster: &PhysicalCluster, switch: u32) {
-        for l in cluster.links() {
-            for end in [l.a, l.b] {
-                if end.switch == switch {
-                    self.ports.insert(end);
-                }
-            }
-        }
-        for &p in cluster.host_ports() {
-            if p.switch == switch {
-                self.ports.insert(p);
-            }
-        }
-    }
-
     /// True when no resource is marked failed.
     pub fn is_empty(&self) -> bool {
         self.cables.is_empty() && self.ports.is_empty()

@@ -173,11 +173,6 @@ impl ControlChannel {
         self.round_dropped = 0;
     }
 
-    /// The round tag sends are currently attributed to (0 = untagged).
-    pub fn current_round(&self) -> u32 {
-        self.round
-    }
-
     /// One [`RoundBatch`] per barrier executed on this channel, in order.
     /// Retries within a scheduler round re-use its tag, so a round that
     /// needed three barriers contributes three entries with one tag.

@@ -47,12 +47,6 @@ impl FlowMatch {
         self
     }
 
-    /// Restrict this match to a destination host.
-    pub fn and_dst(mut self, d: HostAddr) -> Self {
-        self.dst = Some(d);
-        self
-    }
-
     /// Restrict this match to pipeline metadata (sub-switch id).
     pub fn and_metadata(mut self, m: u32) -> Self {
         self.metadata = Some(m);

@@ -45,6 +45,81 @@ pub fn threads_from_env(var: &str) -> usize {
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
+/// The one pool body behind the three maps. Work is claimed in *units*: unit
+/// `u` is the run of up to `run` consecutive items starting at item
+/// `first(u)`, and units are claimed in ascending `u` off a shared counter —
+/// so a unit is never split or duplicated whatever the per-item cost skew.
+/// The variants differ only in `run` and `first`; the units must tile
+/// `items` exactly.
+///
+/// Unit 0 runs inline as the probe: when the work it projects for the rest
+/// is below [`SEQ_FALLBACK_NS`] the calling thread claims every other unit
+/// too, otherwise `threads` workers do. Either way the runs are merged back
+/// in item order, bit-identical to `items.iter().map(f).collect()`.
+fn pool<T, R, F>(
+    threads: usize,
+    items: &[T],
+    run: usize,
+    first: impl Fn(usize) -> usize + Sync,
+    f: F,
+) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let n = items.len();
+    let units = n.div_ceil(run);
+    let threads = threads.min(units);
+    if threads <= 1 {
+        return items.iter().map(&f).collect();
+    }
+    let unit = |u: usize| -> (usize, Vec<R>) {
+        let start = first(u);
+        (start, items[start..(start + run).min(n)].iter().map(&f).collect())
+    };
+    let next = AtomicUsize::new(1); // unit 0 is the probe's
+    let claim = || {
+        let mut local = Vec::new();
+        loop {
+            let u = next.fetch_add(1, Ordering::Relaxed);
+            if u >= units {
+                break local;
+            }
+            local.push(unit(u));
+        }
+    };
+    // A sweep whose projected remaining work is smaller than a few thread
+    // spawns never wins from them. Skipped under the model checker: the
+    // branch reads the wall clock, which would make the explored schedule
+    // space nondeterministic.
+    let t0 = Instant::now();
+    let probe = unit(0);
+    let probe_ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+    let projected = probe_ns.saturating_mul((n - probe.1.len()) as u64) / probe.1.len() as u64;
+    let mut runs: Vec<(usize, Vec<R>)> = if !sdt_sync::modeling() && projected < SEQ_FALLBACK_NS {
+        claim()
+    } else {
+        thread::scope(|s| {
+            let workers: Vec<_> = (0..threads).map(|_| s.spawn(claim)).collect();
+            workers
+                .into_iter()
+                .flat_map(|w| match w.join() {
+                    Ok(part) => part,
+                    Err(payload) => std::panic::resume_unwind(payload),
+                })
+                .collect()
+        })
+    };
+    runs.push(probe);
+    runs.sort_unstable_by_key(|&(start, _)| start);
+    let mut out = Vec::with_capacity(n);
+    for (_, run) in runs {
+        out.extend(run);
+    }
+    out
+}
+
 /// Map `f` over `items` on up to `threads` workers (1 = plain sequential
 /// map), preserving input order in the returned vector.
 ///
@@ -57,54 +132,7 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let n = items.len();
-    let threads = threads.min(n);
-    if threads <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    // Probe: run the first item inline and project the remaining work. A
-    // sweep this small never wins from thread spawns, so finish it here.
-    // Skipped under the model checker: the branch reads the wall clock,
-    // which would make the explored schedule space nondeterministic.
-    let t0 = Instant::now();
-    let first = f(&items[0]);
-    let probe_ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-    if !sdt_sync::modeling() && probe_ns.saturating_mul((n - 1) as u64) < SEQ_FALLBACK_NS {
-        let mut out = Vec::with_capacity(n);
-        out.push(first);
-        out.extend(items[1..].iter().map(&f));
-        return out;
-    }
-    let next = AtomicUsize::new(1); // index 0 already done by the probe
-    let mut tagged: Vec<(usize, R)> = thread::scope(|s| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, f(&items[i])));
-                    }
-                    local
-                })
-            })
-            .collect();
-        workers
-            .into_iter()
-            .flat_map(|w| match w.join() {
-                Ok(part) => part,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    });
-    tagged.sort_unstable_by_key(|&(i, _)| i);
-    let mut out = Vec::with_capacity(n);
-    out.push(first);
-    out.extend(tagged.into_iter().map(|(_, r)| r));
-    out
+    pool(threads, items, 1, |u| u, f)
 }
 
 /// Like [`par_map_threads`], but workers claim items in **descending
@@ -129,59 +157,14 @@ where
     F: Fn(&T) -> R + Sync,
     W: Fn(&T) -> u64,
 {
-    let n = items.len();
-    if threads.min(n) <= 1 {
+    if threads.min(items.len()) <= 1 {
         return items.iter().map(&f).collect();
     }
     // Schedule: item indexes, heaviest first. Ties break on input order so
     // the schedule itself is deterministic (not that results depend on it).
-    let mut order: Vec<usize> = (0..n).collect();
+    let mut order: Vec<usize> = (0..items.len()).collect();
     order.sort_by_key(|&i| (std::cmp::Reverse(weight(&items[i])), i));
-
-    // Probe on the heaviest item: if even the projected total for the rest
-    // is below the spawn budget, stay sequential. Clock-gated like the
-    // unweighted probe, so skipped under the model checker.
-    let head = order[0];
-    let t0 = Instant::now();
-    let head_result = f(&items[head]);
-    let probe_ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-    if !sdt_sync::modeling() && probe_ns.saturating_mul((n - 1) as u64) < SEQ_FALLBACK_NS {
-        let mut tagged: Vec<(usize, R)> = Vec::with_capacity(n);
-        tagged.push((head, head_result));
-        tagged.extend(order[1..].iter().map(|&i| (i, f(&items[i]))));
-        tagged.sort_unstable_by_key(|&(i, _)| i);
-        return tagged.into_iter().map(|(_, r)| r).collect();
-    }
-    let next = AtomicUsize::new(1); // order[0] already done by the probe
-    let mut tagged: Vec<(usize, R)> = thread::scope(|s| {
-        let order = &order;
-        let workers: Vec<_> = (0..threads.min(n))
-            .map(|_| {
-                s.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let slot = next.fetch_add(1, Ordering::Relaxed);
-                        if slot >= n {
-                            break;
-                        }
-                        let i = order[slot];
-                        local.push((i, f(&items[i])));
-                    }
-                    local
-                })
-            })
-            .collect();
-        workers
-            .into_iter()
-            .flat_map(|w| match w.join() {
-                Ok(part) => part,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    });
-    tagged.push((head, head_result));
-    tagged.sort_unstable_by_key(|&(i, _)| i);
-    tagged.into_iter().map(|(_, r)| r).collect()
+    pool(threads, items, 1, |u| order[u], f)
 }
 
 /// Like [`par_map_threads`], but workers claim **runs of `chunk` consecutive
@@ -202,56 +185,8 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let n = items.len();
     let chunk = chunk.max(1);
-    let threads = threads.min(n.div_ceil(chunk));
-    if threads <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    // Probe on the first chunk, then project the remaining work per item —
-    // the same clock-gated fallback as the per-item variants.
-    let probe_len = chunk.min(n);
-    let t0 = Instant::now();
-    let mut first: Vec<R> = items[..probe_len].iter().map(&f).collect();
-    let probe_ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-    let projected = probe_ns.saturating_mul((n - probe_len) as u64) / probe_len as u64;
-    if !sdt_sync::modeling() && projected < SEQ_FALLBACK_NS {
-        first.extend(items[probe_len..].iter().map(&f));
-        return first;
-    }
-    let next = AtomicUsize::new(probe_len);
-    let mut tagged: Vec<(usize, Vec<R>)> = thread::scope(|s| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let start = next.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= n {
-                            break;
-                        }
-                        let end = (start + chunk).min(n);
-                        local.push((start, items[start..end].iter().map(&f).collect()));
-                    }
-                    local
-                })
-            })
-            .collect();
-        workers
-            .into_iter()
-            .flat_map(|w| match w.join() {
-                Ok(part) => part,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    });
-    tagged.sort_unstable_by_key(|&(start, _)| start);
-    let mut out = first;
-    out.reserve(n - out.len());
-    for (_, run) in tagged {
-        out.extend(run);
-    }
-    out
+    pool(threads, items, chunk, |u| u * chunk, f)
 }
 
 #[cfg(test)]

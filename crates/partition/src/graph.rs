@@ -64,11 +64,6 @@ impl Graph {
         self.total_vwgt
     }
 
-    /// Sum of weighted degrees of `u` (used for gain bounds).
-    pub fn wdegree(&self, u: u32) -> u64 {
-        self.adj[u as usize].iter().map(|&(_, w)| w).sum()
-    }
-
     /// Total edge weight of the graph (each undirected edge counted once).
     pub fn total_ewgt(&self) -> u64 {
         self.adj.iter().flatten().map(|&(_, w)| w).sum::<u64>() / 2

@@ -229,31 +229,24 @@ impl RouteTable {
     /// — and only need to be deadlock-free — for edge-to-edge traffic.
     pub fn build_for_hosts(topo: &Topology, strategy: &dyn RoutingStrategy) -> Self {
         let comp = topo.component_of();
-        let mut pairs = std::collections::HashSet::new();
-        for a in 0..topo.num_hosts() {
-            for b in 0..topo.num_hosts() {
-                if a == b {
-                    continue;
-                }
-                let (sa, sb) = (
-                    topo.host_switch(sdt_topology::HostId(a)),
-                    topo.host_switch(sdt_topology::HostId(b)),
-                );
+        // Two different attachment switches always mean two different
+        // hosts, so pairing the distinct switches covers every host pair.
+        let attached: std::collections::BTreeSet<SwitchId> =
+            (0..topo.num_hosts()).map(|h| topo.host_switch(sdt_topology::HostId(h))).collect();
+        let mut table = Self::empty(topo.num_switches(), strategy);
+        // Ascending (from, to): the table lists its pairs in insertion order.
+        for &from in &attached {
+            for &to in &attached {
                 // Hosts in different connected components have no route —
                 // co-deployed disjoint topologies stay isolated.
-                if sa != sb && comp[sa.idx()] == comp[sb.idx()] {
-                    pairs.insert((sa, sb));
+                if from == to || comp[from.idx()] != comp[to.idx()] {
+                    continue;
                 }
+                let r = strategy.route(topo, from, to);
+                debug_assert_eq!(r.hops.first(), Some(&from));
+                debug_assert_eq!(r.hops.last(), Some(&to));
+                table.insert(from, to, r);
             }
-        }
-        let mut table = Self::empty(topo.num_switches(), strategy);
-        let mut pairs: Vec<_> = pairs.into_iter().collect();
-        pairs.sort();
-        for (from, to) in pairs {
-            let r = strategy.route(topo, from, to);
-            debug_assert_eq!(r.hops.first(), Some(&from));
-            debug_assert_eq!(r.hops.last(), Some(&to));
-            table.insert(from, to, r);
         }
         table
     }
@@ -333,6 +326,32 @@ mod tests {
         assert_eq!(table.iter().count(), 12);
         let r = table.route(SwitchId(0), SwitchId(3));
         assert_eq!(r.hops.len(), 4);
+    }
+
+    #[test]
+    fn host_table_pairs_the_attachment_switches_of_routable_host_pairs() {
+        // Two components, several hosts per edge switch, core switches
+        // with none: the table's pairs are the attachment switches of every
+        // same-component host pair, ascending.
+        let (a, b) = (sdt_topology::fattree::fat_tree(4), chain(3));
+        let t = Topology::disjoint_union("two", &[&a, &b]);
+        let comp = t.component_of();
+        let mut want = std::collections::BTreeSet::new();
+        for x in 0..t.num_hosts() {
+            for y in 0..t.num_hosts() {
+                let (sx, sy) = (
+                    t.host_switch(sdt_topology::HostId(x)),
+                    t.host_switch(sdt_topology::HostId(y)),
+                );
+                if x != y && sx != sy && comp[sx.idx()] == comp[sy.idx()] {
+                    want.insert((sx, sy));
+                }
+            }
+        }
+        let table = RouteTable::build_for_hosts(&t, &generic::Bfs::new(&t));
+        let got: Vec<_> = table.iter().map(|(pair, _)| *pair).collect();
+        assert_eq!(got, want.into_iter().collect::<Vec<_>>());
+        assert!(got.len() < t.num_switches() as usize * (t.num_switches() as usize - 1));
     }
 
     #[test]

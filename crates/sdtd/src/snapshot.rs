@@ -291,12 +291,11 @@ impl Snapshot {
         let cluster = ClusterSpec {
             model: want_str(member(c, "model")?, "cluster.model")?.to_string(),
             switches: want_u32(member(c, "switches")?, "cluster.switches")?,
-            hosts_per_switch: want_u64(member(c, "hosts_per_switch")?, "hosts_per_switch")?
-                as u16,
-            inter_links_per_pair: want_u64(
+            hosts_per_switch: want_u16(member(c, "hosts_per_switch")?, "hosts_per_switch")?,
+            inter_links_per_pair: want_u16(
                 member(c, "inter_links_per_pair")?,
                 "inter_links_per_pair",
-            )? as u16,
+            )?,
         };
         let require_deadlock_free = member(&doc, "require_deadlock_free")?
             .as_bool()
@@ -355,6 +354,10 @@ fn want_u32(j: &Json, what: &str) -> Result<u32, SnapshotError> {
     u32::try_from(want_u64(j, what)?).map_err(|_| bad(format!("{what}: out of u32 range")))
 }
 
+fn want_u16(j: &Json, what: &str) -> Result<u16, SnapshotError> {
+    u16::try_from(want_u64(j, what)?).map_err(|_| bad(format!("{what}: out of u16 range")))
+}
+
 fn want_str<'a>(j: &'a Json, what: &str) -> Result<&'a str, SnapshotError> {
     j.as_str().ok_or_else(|| bad(format!("{what}: not a string")))
 }
@@ -382,7 +385,7 @@ fn port_from(j: &Json, what: &str) -> Result<PhysPort, SnapshotError> {
     };
     Ok(PhysPort {
         switch: want_u32(sw, what)?,
-        port: PortNo(want_u64(port, what)? as u16),
+        port: PortNo(want_u16(port, what)?),
     })
 }
 
@@ -658,6 +661,26 @@ mod tests {
             Ok(_) => panic!("future version must be refused"),
         };
         assert!(e.to_string().contains("version 9"), "{e}");
+    }
+
+    #[test]
+    fn out_of_range_numbers_refused_by_field() {
+        // 65552 and 65539 wrap to 16 and 3 as `u16`: reading them would
+        // restore a cluster and a projection the file does not describe.
+        let (spec, ctl, configs) = populated();
+        let text = Snapshot::capture(&spec, true, ctl.manager(), &configs).unwrap().encode();
+        let edits = [
+            ("\"hosts_per_switch\":16", "\"hosts_per_switch\":65552", "hosts_per_switch"),
+            ("\"self\",[1,126]", "\"self\",[1,65539]", "link end a"),
+        ];
+        for (from, to, field) in edits {
+            assert!(text.contains(from), "the snapshot has no {from} to edit");
+            let e = match Snapshot::decode(&text.replacen(from, to, 1)) {
+                Err(e) => e,
+                Ok(_) => panic!("{to} must be refused"),
+            };
+            assert!(e.to_string().contains(&format!("{field}: out of u16 range")), "{e}");
+        }
     }
 
     #[test]

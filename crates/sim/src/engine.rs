@@ -905,11 +905,6 @@ impl Simulator {
         self.flows.len() as u32
     }
 
-    /// MPI result accessor (ACT etc.) once a trace has run.
-    pub fn mpi_state(&self) -> Option<&MpiState> {
-        self.mpi.as_ref()
-    }
-
     // ---- event handlers ----
 
     /// Serialization time on a (possibly degraded) channel. `scale == 1.0`
@@ -1450,12 +1445,6 @@ impl Simulator {
 
     pub(crate) fn schedule_rank_wake(&mut self, rank: u32, at: Time) {
         self.push(at, Ev::RankWake(rank));
-    }
-
-    /// Per-channel drop count between a switch pair (tests).
-    pub fn channel_drops(&self, from_sw: SwitchId, to_sw: SwitchId) -> u64 {
-        let c = self.channel(self.num_hosts + from_sw.0, self.num_hosts + to_sw.0);
-        self.channels[c as usize].drops
     }
 
     /// Iterate over switch-to-switch channels as (from, to, total bytes).

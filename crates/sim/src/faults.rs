@@ -94,11 +94,6 @@ impl ControlFaults {
     pub fn reliable() -> Self {
         ControlFaults::default()
     }
-
-    /// True when no control fault can occur.
-    pub fn is_reliable(&self) -> bool {
-        self.drop_prob == 0.0 && self.reorder_prob == 0.0 && self.delay_ns == 0
-    }
 }
 
 /// Tuning for [`FaultSchedule::random`].

@@ -184,18 +184,6 @@ impl MultiSliceSim {
         self.sim.now_ns()
     }
 
-    /// Run until simulated time `t_ns` (or completion/deadlock, whichever
-    /// comes first), leaving the engine resumable. The
-    /// live-traffic-during-migration harness interleaves this with
-    /// [`cutover`](Self::cutover): advance to mid-flight, flip the slice,
-    /// keep running — in-flight cells drain on the old component.
-    pub fn run_until(&mut self, t_ns: Time) -> SimOutcome {
-        self.sim.set_time_limit(t_ns);
-        let out = self.sim.run();
-        self.sim.set_time_limit(0);
-        out
-    }
-
     /// One slice's packet-loss accounting: `(unfinished, delivered)` flow
     /// counts over everything the slice ever started. Combined with
     /// [`Simulator::stats`]'s `drops` counter (cells dropped engine-wide),
@@ -267,11 +255,6 @@ impl MultiSliceSim {
     /// reports).
     pub fn sim(&self) -> &Simulator {
         &self.sim
-    }
-
-    /// Mutable engine access (fault injection, extra time limits).
-    pub fn sim_mut(&mut self) -> &mut Simulator {
-        &mut self.sim
     }
 }
 

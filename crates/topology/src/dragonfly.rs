@@ -49,10 +49,6 @@ impl DragonflyIds {
     pub fn group_of(&self, s: SwitchId) -> u32 {
         s.0 / self.a
     }
-    /// Position of a switch within its group.
-    pub fn pos_of(&self, s: SwitchId) -> u32 {
-        s.0 % self.a
-    }
     /// Group of a host.
     pub fn group_of_host(&self, hst: HostId) -> u32 {
         (hst.0 / self.p) / self.a

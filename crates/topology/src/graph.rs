@@ -74,13 +74,6 @@ impl Endpoint {
             Endpoint::Host(_) => None,
         }
     }
-    /// The host behind this endpoint, if it is one.
-    pub fn as_host(self) -> Option<HostId> {
-        match self {
-            Endpoint::Host(h) => Some(h),
-            Endpoint::Switch(_) => None,
-        }
-    }
 }
 
 /// An undirected logical link.
@@ -401,11 +394,6 @@ impl Topology {
     /// Iterator over switch↔switch links.
     pub fn fabric_links(&self) -> impl Iterator<Item = &Link> {
         self.links.iter().filter(|l| l.is_fabric())
-    }
-
-    /// Iterator over host attachment links.
-    pub fn host_links(&self) -> impl Iterator<Item = &Link> {
-        self.links.iter().filter(|l| l.is_host())
     }
 
     /// Fabric neighbors of a switch, with the joining link.

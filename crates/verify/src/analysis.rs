@@ -11,6 +11,15 @@
 //! host order). Workers share only immutable state, so any worker count
 //! produces byte-identical findings; `SDT_VERIFY_THREADS` (see
 //! [`crate::verify_threads`]) only changes wall-clock time.
+//!
+//! # What a proof keeps
+//!
+//! Besides its view, intent, warnings and loops, a [`Verifier`] keeps how
+//! every ordered host pair fared: each *distinct* trace of the pass once,
+//! and a src-major `pair position → trace id` index of `u32`s. The report
+//! reads each pair through the index, and so does the next proof: one
+//! carry-over rule, shared by both walkers, decides which pairs of a delta
+//! keep their previous trace; the walkers fill in the rest.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
@@ -356,21 +365,60 @@ fn egress(cluster: &PhysicalCluster, port: PhysPort, rules: Vec<RuleRef>) -> Ste
 /// the key to incremental re-checking (a pair whose path avoids every
 /// switch touched by a delta cannot change behaviour).
 ///
-/// Traces carry no addresses: the pair a trace belongs to is implied by its
-/// position in the src-major/dst-minor trace vector, and the whole trace is
-/// `Arc`-shared so replaying a verdict to a million pairs moves pointers,
-/// not sets.
+/// Traces carry no addresses: which pairs a trace belongs to is recorded
+/// beside it, in [`TraceStore::index`].
 #[derive(Clone, Debug)]
 struct PairTrace {
     outcome: PairOutcome,
     crossed: SwitchSet,
 }
 
-impl PairTrace {
-    /// Does the traced path avoid every switch in `touched`?
-    fn avoids(&self, touched: &SwitchSet) -> bool {
-        !self.crossed.intersects(touched)
+/// What a proof keeps of its pair walks: each distinct trace once, and which
+/// of them every ordered intent pair got. A verdict replayed to a million
+/// pairs is a million `u32`s, and the next proof tests a trace against its
+/// delta once, however many pairs share it.
+#[derive(Debug, Default)]
+struct TraceStore {
+    /// The distinct traces of the pass: those carried over from the previous
+    /// proof, then one per walked pair (reference walker) or one per (class
+    /// job, source group) representative (fast walker). `Arc`s, so carrying
+    /// one over copies a pointer.
+    distinct: Vec<Arc<PairTrace>>,
+    /// For every ordered intent pair, at its [`pair_pos`], the index of its
+    /// trace in `distinct` ([`OPEN`] only while a walker is filling it).
+    index: Vec<u32>,
+}
+
+/// The [`TraceStore::index`] entry of a pair that has no trace yet.
+const OPEN: u32 = u32::MAX;
+/// [`Verifier::carry_over`]'s mark for a previous trace no pair has asked
+/// for yet. Neither is ever a trace's index.
+const UNASKED: u32 = OPEN - 1;
+
+impl TraceStore {
+    /// Add a distinct trace; returns its index.
+    fn push(&mut self, trace: Arc<PairTrace>) -> u32 {
+        let id = self.distinct.len();
+        assert!(id < UNASKED as usize, "a pair index of u32s names at most 2^32 - 2 traces");
+        self.distinct.push(trace);
+        id as u32
     }
+}
+
+/// Per address, the one host of `intent` holding it — `None` once a second
+/// host does.
+fn sole_holders(intent: &Intent) -> HashMap<u32, Option<usize>> {
+    let mut at = HashMap::with_capacity(intent.hosts.len());
+    for (i, h) in intent.hosts.iter().enumerate() {
+        at.entry(h.addr.0).and_modify(|held| *held = None).or_insert(Some(i));
+    }
+    at
+}
+
+/// Position of ordered pair `(i, j)`, `i != j`, of `n` intent hosts in the
+/// src-major/dst-minor pair order.
+fn pair_pos(n: usize, i: usize, j: usize) -> usize {
+    i * (n - 1) + if j < i { j } else { j - 1 }
 }
 
 /// The verdict of one ordered pair's walk.
@@ -400,6 +448,10 @@ struct SwitchWarnings {
     nondet: Vec<NondetFinding>,
 }
 
+/// What a delta check works from: the switches its batch touches and the
+/// proof of the tables before it. `None` for a full proof.
+type Delta<'a> = Option<(&'a SwitchSet, &'a Verifier)>;
+
 /// The static verifier: proves loop-freedom, blackhole-freedom and
 /// isolation of a table snapshot against an [`Intent`], and re-proves them
 /// incrementally for a pending flow-mod batch without touching live tables.
@@ -409,7 +461,8 @@ pub struct Verifier {
     view: TableView,
     intent: Intent,
     values: HeaderValues,
-    traces: Arc<Vec<Arc<PairTrace>>>,
+    /// Shared, not copied, by `Clone` and by an empty-batch replay.
+    traces: Arc<TraceStore>,
     loops: Vec<LoopFinding>,
     warnings: Vec<SwitchWarnings>,
     report: VerifyReport,
@@ -467,36 +520,67 @@ impl Verifier {
         plain: bool,
     ) -> Verifier {
         let values = HeaderValues::collect(&view);
-        let mut v = Verifier {
-            cluster: cluster.clone(),
+        Self::unproven(cluster.clone(), view, intent, values).prove(None, threads, plain)
+    }
+
+    /// A verifier of these tables against this intent that has proven
+    /// nothing yet.
+    fn unproven(
+        cluster: PhysicalCluster,
+        view: TableView,
+        intent: Intent,
+        values: HeaderValues,
+    ) -> Verifier {
+        Verifier {
+            cluster,
             view,
             intent,
             values,
-            traces: Arc::new(Vec::new()),
+            traces: Arc::default(),
             loops: Vec::new(),
             warnings: Vec::new(),
             report: VerifyReport::default(),
             stats: VerifyStats::default(),
+        }
+    }
+
+    /// Every proof — full or delta, reference or fast: scan the switches,
+    /// find the loops, walk the pairs the delta does not carry over, report.
+    fn prove(mut self, delta: Delta<'_>, threads: usize, plain: bool) -> Verifier {
+        let scan = if plain { table_warnings_linear } else { table_warnings_indexed };
+        self.scan_warnings(delta, threads, scan);
+        // Empty batch against an unchanged intent in which every host owns
+        // its address (so every pair carries over): the view, values,
+        // warnings, carried loops and every previous trace are replayed
+        // verbatim, so the report is `prev`'s with the delta counters zeroed
+        // — exactly what the full machinery below would recompute, and what
+        // the reference does recompute. (`symmetric` is inherited: the
+        // tables didn't change.)
+        if let Some((touched, prev)) = delta {
+            if !plain
+                && touched.is_empty()
+                && self.intent == prev.intent
+                && sole_holders(&self.intent).values().all(Option::is_some)
+            {
+                self.traces = Arc::clone(&prev.traces);
+                self.stats.symmetric = prev.stats.symmetric;
+                self.report =
+                    VerifyReport { switches_scanned: 0, pairs_walked: 0, ..prev.report.clone() };
+                return self;
+            }
+        }
+        let touched = delta.map(|(touched, _)| touched);
+        let fates = (!plain).then(|| FateTable::build(&self.cluster, &self.view)).filter(|f| f.ok);
+        self.stats.symmetric = fates.is_some();
+        let walked = match &fates {
+            Some(fates) => self.walk_pairs_fast(fates, delta, threads),
+            None => {
+                self.scan_loops(touched, threads);
+                self.walk_pairs(delta, threads)
+            }
         };
-        if plain {
-            v.scan_warnings(None, threads, table_warnings_linear);
-            v.scan_loops(None, threads);
-            let walked = v.walk_pairs(None, None, threads);
-            v.finalize(v.view.num_switches(), walked);
-            return v;
-        }
-        v.scan_warnings(None, threads, table_warnings_indexed);
-        let fates = FateTable::build(&v.cluster, &v.view);
-        v.stats.symmetric = fates.ok;
-        if fates.ok {
-            let walked = v.walk_pairs_fast(&fates, None, None, threads);
-            v.finalize(v.view.num_switches(), walked);
-        } else {
-            v.scan_loops(None, threads);
-            let walked = v.walk_pairs(None, None, threads);
-            v.finalize(v.view.num_switches(), walked);
-        }
-        v
+        self.finalize(touched.map_or(self.view.num_switches(), SwitchSet::len), walked);
+        self
     }
 
     /// Incrementally verify `prev`'s tables plus a pending flow-mod batch
@@ -578,17 +662,7 @@ impl Verifier {
         } else {
             HeaderValues::collect(&view)
         };
-        let mut v = Verifier {
-            cluster: prev.cluster.clone(),
-            view,
-            intent,
-            values,
-            traces: Arc::new(Vec::new()),
-            loops: Vec::new(),
-            warnings: Vec::new(),
-            report: VerifyReport::default(),
-            stats: VerifyStats::default(),
-        };
+        let mut v = Self::unproven(prev.cluster.clone(), view, intent, values);
         // Carry over loops that avoid every touched switch; rediscover the
         // rest from the touched frontier.
         v.loops = prev
@@ -597,46 +671,7 @@ impl Verifier {
             .filter(|l| l.ports.iter().all(|p| !touched.contains(p.switch)))
             .cloned()
             .collect();
-        if plain {
-            v.scan_warnings(Some((&touched, &prev.warnings)), threads, table_warnings_linear);
-            v.scan_loops(Some(&touched), threads);
-            let walked = v.walk_pairs(Some(&touched), Some(prev), threads);
-            v.finalize(touched.len(), walked);
-            return v;
-        }
-        v.scan_warnings(Some((&touched, &prev.warnings)), threads, table_warnings_indexed);
-        // Empty batch against an unchanged intent: the view, values,
-        // warnings, carried loops and every previous trace are replayed
-        // verbatim, so the report is `prev`'s with the delta counters
-        // zeroed — exactly what the full machinery below would recompute.
-        // (`symmetric` is inherited: the tables didn't change.)
-        let n = v.intent.hosts.len();
-        let unique_addrs = {
-            let mut seen = HashSet::with_capacity(n);
-            v.intent.hosts.iter().all(|h| seen.insert(h.addr.0))
-        };
-        if touched.is_empty()
-            && unique_addrs
-            && v.intent == prev.intent
-            && prev.traces.len() == n * n.saturating_sub(1)
-        {
-            v.traces = prev.traces.clone();
-            v.stats.symmetric = prev.stats.symmetric;
-            v.report =
-                VerifyReport { switches_scanned: 0, pairs_walked: 0, ..prev.report.clone() };
-            return v;
-        }
-        let fates = FateTable::build(&v.cluster, &v.view);
-        v.stats.symmetric = fates.ok;
-        if fates.ok {
-            let walked = v.walk_pairs_fast(&fates, Some(&touched), Some(prev), threads);
-            v.finalize(touched.len(), walked);
-        } else {
-            v.scan_loops(Some(&touched), threads);
-            let walked = v.walk_pairs(Some(&touched), Some(prev), threads);
-            v.finalize(touched.len(), walked);
-        }
-        v
+        v.prove(Some((&touched, prev)), threads, plain)
     }
 
     /// The verdict.
@@ -666,19 +701,14 @@ impl Verifier {
     /// switches in a delta check, the cached findings are reused. `scan`
     /// is the reference [`table_warnings_linear`] or the overlap-indexed
     /// [`table_warnings_indexed`] (byte-identical findings, sub-quadratic).
-    fn scan_warnings(
-        &mut self,
-        delta: Option<(&SwitchSet, &[SwitchWarnings])>,
-        threads: usize,
-        scan: TableScan,
-    ) {
+    fn scan_warnings(&mut self, delta: Delta<'_>, threads: usize, scan: TableScan) {
         let num_ports = self.cluster.model().ports as u16;
         let view = &self.view;
         let ids: Vec<u32> = (0..view.num_switches() as u32).collect();
         self.warnings = sdt_par::par_map_threads(threads, &ids, |&sw| {
             if let Some((touched, prev)) = delta {
                 if !touched.contains(sw) {
-                    return prev[sw as usize].clone();
+                    return prev.warnings[sw as usize].clone();
                 }
             }
             switch_warnings(view, num_ports, sw, scan)
@@ -696,18 +726,7 @@ impl Verifier {
     /// sequential pass's output exactly, including which class gets credit
     /// for a cycle that several classes exhibit.
     fn scan_loops(&mut self, touched: Option<&SwitchSet>, threads: usize) {
-        let starts: Vec<PhysPort> = self
-            .cluster
-            .links()
-            .iter()
-            .flat_map(|l| [l.a, l.b])
-            .filter(|p| touched.is_none_or(|t| t.contains(p.switch)))
-            .collect();
-        let carried: HashSet<Vec<(u32, u16)>> = self
-            .loops
-            .iter()
-            .map(|l| canonical_cycle(&l.ports))
-            .collect();
+        let (starts, carried) = self.loop_scan_inputs(touched);
         let classes = self.values.classes();
         let (cluster, view, starts, carried_ref) = (&self.cluster, &self.view, &starts, &carried);
         let per_class: Vec<Vec<LoopFinding>> =
@@ -724,116 +743,132 @@ impl Verifier {
         }
     }
 
-    /// Which previous traces may be replayed for this delta: both
-    /// endpoints' intent entries unchanged, path avoiding every touched
-    /// switch. Keyed by address pair — shared verbatim by the reference
-    /// and fast walkers so their reuse decisions are identical.
-    fn reusable_map<'p>(
+    /// What every loop scan starts from: the ingress ports to walk from —
+    /// every link end, or those on a touched switch for a delta — and the
+    /// cycles already in `self.loops` (carried over from the previous
+    /// proof), which must not be reported again.
+    fn loop_scan_inputs(
         &self,
-        prev: &'p Verifier,
-        touched: &SwitchSet,
-    ) -> HashMap<(u32, u32), &'p Arc<PairTrace>> {
-        let np = prev.intent.hosts.len();
-        if np < 2 || prev.traces.len() != np * (np - 1) {
-            return HashMap::new();
-        }
-        let prev_hosts: HashMap<u32, (&crate::model::IntentHost, &str)> = prev
-            .intent
-            .hosts
+        touched: Option<&SwitchSet>,
+    ) -> (Vec<PhysPort>, HashSet<Vec<(u32, u16)>>) {
+        let starts = self
+            .cluster
+            .links()
             .iter()
-            .map(|h| (h.addr.0, (h, prev.intent.domains[h.domain].as_str())))
+            .flat_map(|l| [l.a, l.b])
+            .filter(|p| touched.is_none_or(|t| t.contains(p.switch)))
             .collect();
-        let unchanged = |h: &crate::model::IntentHost| {
-            prev_hosts.get(&h.addr.0).is_some_and(|(p, label)| {
-                p.ingress == h.ingress
-                    && p.ports == h.ports
-                    && p.group == h.group
-                    && p.host == h.host
-                    && *label == self.intent.domains[h.domain]
-            })
-        };
-        let ok_hosts: HashSet<u32> =
-            self.intent.hosts.iter().filter(|h| unchanged(h)).map(|h| h.addr.0).collect();
-        // Traces carry no addresses; recover the pair from the position
-        // (src-major/dst-minor over prev's intent hosts).
-        prev.traces
-            .iter()
-            .enumerate()
-            .filter_map(|(pos, t)| {
-                let (i, r) = (pos / (np - 1), pos % (np - 1));
-                let j = if r < i { r } else { r + 1 };
-                let (sa, da) = (prev.intent.hosts[i].addr.0, prev.intent.hosts[j].addr.0);
-                (ok_hosts.contains(&sa) && ok_hosts.contains(&da) && t.avoids(touched))
-                    .then_some(((sa, da), t))
-            })
-            .collect()
+        let carried = self.loops.iter().map(|l| canonical_cycle(&l.ports)).collect();
+        (starts, carried)
     }
 
-    /// Reachability closure over every ordered intent host pair, one
-    /// parallel job per source host; traces are concatenated in intent host
-    /// order, so the flattened vector is exactly the sequential
-    /// src-major/dst-minor order `finalize` consumes. Returns the number of
-    /// pairs actually re-walked (for the report).
-    fn walk_pairs(
-        &mut self,
-        touched: Option<&SwitchSet>,
-        prev: Option<&Verifier>,
-        threads: usize,
-    ) -> usize {
-        // A previous trace is reusable iff both endpoints' intent entries
-        // are unchanged and the traced path avoids every touched switch.
-        let reusable: HashMap<(u32, u32), &Arc<PairTrace>> = match (touched, prev) {
-            (Some(touched), Some(prev)) => self.reusable_map(prev, touched),
-            _ => HashMap::new(),
-        };
+    /// The one carry-over rule, shared by both walkers so their reuse
+    /// decisions are identical. A host of this intent *is* a host of
+    /// `prev`'s when it has the same address and an identical entry —
+    /// ingress, ports, group, host id and domain label — and owns that
+    /// address in both intents: an address held twice names no host, since
+    /// nothing in a packet tells its holders apart. Ordered pair `(i, j)`
+    /// keeps its previous trace iff both hosts are hosts of `prev` and that
+    /// trace avoids every touched switch — tested, and the trace carried,
+    /// once per distinct trace, the first time a pair asks for it.
+    ///
+    /// Returns the store a walker starts from: carried pairs indexed to
+    /// their traces, every other pair [`OPEN`] (all of them without a
+    /// `delta`).
+    fn carry_over(&self, delta: Delta<'_>) -> TraceStore {
+        let (now, n) = (&self.intent, self.intent.hosts.len());
+        let mut store =
+            TraceStore { distinct: Vec::new(), index: vec![OPEN; n * n.saturating_sub(1)] };
+        let Some((touched, prev)) = delta else { return store };
+        let (was, np) = (&prev.intent, prev.intent.hosts.len());
+        let (now_at, was_at) = (sole_holders(now), sole_holders(was));
+        // (host, the host of `prev` it is), for every host that is one.
+        let same: Vec<(usize, usize)> = (0..n)
+            .filter_map(|i| {
+                let h = &now.hosts[i];
+                // Sole holder of its address now, and who was before.
+                now_at.get(&h.addr.0).copied().flatten()?;
+                let p = was_at.get(&h.addr.0).copied().flatten()?;
+                let w = &was.hosts[p];
+                (w.ingress == h.ingress
+                    && w.ports == h.ports
+                    && w.group == h.group
+                    && w.host == h.host
+                    && was.domains[w.domain] == now.domains[h.domain])
+                .then_some((i, p))
+            })
+            .collect();
+        // Per previous trace: its index in `store`, or `OPEN` if it crosses
+        // a touched switch — once some pair has asked.
+        let mut moved = vec![UNASKED; prev.traces.distinct.len()];
+        for &(i, pi) in &same {
+            for &(j, pj) in same.iter().filter(|&&(j, _)| i != j) {
+                let t = prev.traces.index[pair_pos(np, pi, pj)] as usize;
+                if moved[t] == UNASKED {
+                    let trace = &prev.traces.distinct[t];
+                    moved[t] = if trace.crossed.intersects(touched) {
+                        OPEN
+                    } else {
+                        store.push(Arc::clone(trace))
+                    };
+                }
+                store.index[pair_pos(n, i, j)] = moved[t];
+            }
+        }
+        store
+    }
+
+    /// Reachability closure over every ordered intent host pair the delta
+    /// does not carry over, one parallel job per source host; the walked
+    /// traces come back in intent host order — exactly the order of the
+    /// open positions of the src-major/dst-minor index — and each takes the
+    /// next one. Returns the number of pairs actually re-walked (for the
+    /// report).
+    fn walk_pairs(&mut self, delta: Delta<'_>, threads: usize) -> usize {
+        let mut store = self.carry_over(delta);
         let budget = 4 * self.cluster.links().len() + 8;
         let hosts = &self.intent.hosts;
-        let (cluster, values, view, reusable_ref) =
-            (&self.cluster, &self.values, &self.view, &reusable);
-        let per_src: Vec<(usize, Vec<Arc<PairTrace>>)> =
-            sdt_par::par_map_threads(threads, hosts, |src| {
-                let mut walked = 0usize;
-                let mut traces = Vec::with_capacity(hosts.len().saturating_sub(1));
-                for dst in hosts {
-                    if std::ptr::eq(src, dst) {
-                        continue;
-                    }
-                    if let Some(t) = reusable_ref.get(&(src.addr.0, dst.addr.0)) {
-                        traces.push(Arc::clone(t));
-                        continue;
-                    }
-                    walked += 1;
-                    let class = values.class_of(src.addr, dst.addr, 4791, 4791);
-                    let mut crossed = SwitchSet::empty(cluster.num_switches());
-                    let mut at = src.ingress;
-                    let mut outcome = PairOutcome::Looped;
-                    for _ in 0..budget {
-                        crossed.insert(at.switch);
-                        match step(view, cluster, at, &class) {
-                            Step::Deliver { port, via } => {
-                                outcome = PairOutcome::Delivered { port, via };
-                                break;
-                            }
-                            Step::Dead { at: sw, reason } => {
-                                crossed.insert(sw);
-                                outcome = PairOutcome::Dropped { reason };
-                                break;
-                            }
-                            Step::Next { to, .. } => at = to,
+        let n = hosts.len();
+        let (cluster, values, view, index) =
+            (&self.cluster, &self.values, &self.view, &store.index);
+        let srcs: Vec<usize> = (0..n).collect();
+        let per_src: Vec<Vec<Arc<PairTrace>>> = sdt_par::par_map_threads(threads, &srcs, |&i| {
+            let src = &hosts[i];
+            let open = (0..n).filter(|&j| i != j && index[pair_pos(n, i, j)] == OPEN);
+            open.map(|j| {
+                let class = values.class_of(src.addr, hosts[j].addr, 4791, 4791);
+                let mut crossed = SwitchSet::empty(cluster.num_switches());
+                let mut at = src.ingress;
+                let mut outcome = PairOutcome::Looped;
+                for _ in 0..budget {
+                    crossed.insert(at.switch);
+                    match step(view, cluster, at, &class) {
+                        Step::Deliver { port, via } => {
+                            outcome = PairOutcome::Delivered { port, via };
+                            break;
                         }
+                        Step::Dead { at: sw, reason } => {
+                            crossed.insert(sw);
+                            outcome = PairOutcome::Dropped { reason };
+                            break;
+                        }
+                        Step::Next { to, .. } => at = to,
                     }
-                    traces.push(Arc::new(PairTrace { outcome, crossed }));
                 }
-                (walked, traces)
-            });
-        let mut walked = 0usize;
-        let mut traces =
-            Vec::with_capacity(hosts.len().saturating_mul(hosts.len().saturating_sub(1)));
-        for (w, t) in per_src {
-            walked += w;
-            traces.extend(t);
+                Arc::new(PairTrace { outcome, crossed })
+            })
+            .collect()
+        });
+        let (mut walked, mut at) = (0usize, 0usize);
+        for trace in per_src.into_iter().flatten() {
+            while store.index[at] != OPEN {
+                at += 1;
+            }
+            let id = store.push(trace);
+            store.index[at] = id;
+            walked += 1;
         }
-        self.traces = Arc::new(traces);
+        self.traces = Arc::new(store);
         walked
     }
 
@@ -841,68 +876,18 @@ impl Verifier {
     /// the symmetry collapse: one job per header class resolves one destiny
     /// per pipeline state through a shared [`DestinyMemo`] and uses it twice —
     /// to prove the class loop-free (or fall back to the reference port
-    /// walk, keeping `LoopFinding`s byte-identical) and to replay one
-    /// representative verdict per source group to every same-class pair. Jobs
-    /// are weighted by pair count and scheduled heaviest first over
-    /// [`sdt_par::par_map_weighted_threads`]; traces are scattered back
-    /// into the exact src-major/dst-minor order `finalize` consumes and
-    /// loop findings merge in class-enumeration order, so reports are
-    /// byte-identical to the reference's at any thread count.
+    /// walk, keeping `LoopFinding`s byte-identical) and to build one
+    /// representative trace per source group, which the merge hands to every
+    /// same-class pair still open as a `u32`. Jobs are weighted by pair count
+    /// and scheduled heaviest first over
+    /// [`sdt_par::par_map_weighted_threads`]; the merge runs in job order on
+    /// one thread and loop findings merge in class-enumeration order, so
+    /// reports are byte-identical to the reference's at any thread count.
     #[allow(clippy::too_many_lines)]
-    fn walk_pairs_fast(
-        &mut self,
-        fates: &FateTable,
-        touched: Option<&SwitchSet>,
-        prev: Option<&Verifier>,
-        threads: usize,
-    ) -> usize {
+    fn walk_pairs_fast(&mut self, fates: &FateTable, delta: Delta<'_>, threads: usize) -> usize {
+        let mut store = self.carry_over(delta);
         let hosts = &self.intent.hosts;
         let n = hosts.len();
-        let total = n * n.saturating_sub(1);
-        // Per-position reuse table (pos = src-major pair index), pre-filled
-        // with `Arc`-cloned previous traces; a full proof has nothing to
-        // reuse and no table. The positional fast path
-        // applies when the intent is unchanged and addresses are unique —
-        // then the reference's address-keyed map would resolve every
-        // position to exactly this trace. Otherwise build the reference's
-        // map and read it out positionally.
-        let unique_addrs = {
-            let mut seen = HashSet::with_capacity(n);
-            hosts.iter().all(|h| seen.insert(h.addr.0))
-        };
-        let positional = |prev: &Verifier| {
-            unique_addrs && self.intent == prev.intent && prev.traces.len() == total
-        };
-        let reused: Option<Vec<Option<Arc<PairTrace>>>> = match (touched, prev) {
-            (Some(touched), Some(prev)) if positional(prev) => {
-                if touched.is_empty() {
-                    // Nothing touched: every trace replays verbatim, and
-                    // the walk below would visit a million pairs only to
-                    // skip each one. Clone the trace vector wholesale.
-                    self.traces = prev.traces.clone();
-                    return 0;
-                }
-                Some(
-                    prev.traces
-                        .iter()
-                        .map(|t| t.avoids(touched).then(|| Arc::clone(t)))
-                        .collect(),
-                )
-            }
-            (Some(touched), Some(prev)) => {
-                let map = self.reusable_map(prev, touched);
-                let mut v = Vec::with_capacity(total);
-                for (i, src) in hosts.iter().enumerate() {
-                    for (j, dst) in hosts.iter().enumerate() {
-                        if i != j {
-                            v.push(map.get(&(src.addr.0, dst.addr.0)).map(|t| Arc::clone(t)));
-                        }
-                    }
-                }
-                Some(v)
-            }
-            _ => None,
-        };
         // Group hosts by per-field class code (0 = fresh, k+1 = k-th
         // tested value); a *walking* job is one (src-code, dst-code) cell =
         // one header class (L4 fields are constant across intent traffic).
@@ -916,16 +901,7 @@ impl Verifier {
             dsts_by[code(values.dsts(), h.addr)].push(i);
         }
         let l4 = values.class_of(HostAddr(0), HostAddr(0), 4791, 4791);
-        // Loop-scan starts: every link ingress (on a touched switch, for
-        // deltas). Cycles carried over from `prev` are already in
-        // `self.loops` and must not be re-reported.
-        let starts: Vec<PhysPort> = self
-            .cluster
-            .links()
-            .iter()
-            .flat_map(|l| [l.a, l.b])
-            .filter(|p| touched.is_none_or(|t| t.contains(p.switch)))
-            .collect();
+        let (starts, carried) = self.loop_scan_inputs(delta.map(|(touched, _)| touched));
         // Start fates are class-independent, and Dead/Deliver starts can
         // never reach a `Looped` destiny — so the per-class loop check only
         // needs the distinct pipeline states the starts resolve to.
@@ -966,8 +942,6 @@ impl Verifier {
                 })
                 .collect()
         };
-        let carried: HashSet<Vec<(u32, u16)>> =
-            self.loops.iter().map(|l| canonical_cycle(&l.ports)).collect();
         // One job per header class, in `classes()` enumeration order (loop
         // findings are deduplicated first-class-wins, so this order is part
         // of the report contract).
@@ -994,14 +968,12 @@ impl Verifier {
             loops: Option<(Vec<LoopFinding>, bool)>,
         }
         let (cluster, view) = (&self.cluster, &self.view);
-        let (srcs_ref, dsts_ref, reused_ref) = (&srcs_by, &dsts_by, reused.as_deref());
+        let (srcs_ref, dsts_ref, index) = (&srcs_by, &dsts_by, &store.index);
         let (starts_ref, states_ref, carried_ref) = (&starts, &start_states, &carried);
         let (groups_ref, group_of_ref) = (&groups, &group_of);
-        // Position of ordered pair (i, j) in the src-major trace vector.
-        let pos = |i: usize, j: usize| i * (n - 1) + if j < i { j } else { j - 1 };
         // Jobs build one representative trace per source group that has a
-        // pair to walk (reused positions are already filled); the merge
-        // below replays it to each such pair as an 8-byte `Arc` clone.
+        // pair to walk (carried pairs are already indexed); the merge below
+        // stores it once and hands each such pair its index.
         let results: Vec<JobOut> = sdt_par::par_map_weighted_threads(
             threads,
             &jobs,
@@ -1035,9 +1007,7 @@ impl Verifier {
                 let mut reps: Vec<Option<Arc<PairTrace>>> = vec![None; groups_ref.len()];
                 for &i in srcs_ref[a].iter().filter(|_| walk) {
                     let group = group_of_ref[i];
-                    let to_walk = |&j: &usize| {
-                        i != j && reused_ref.is_none_or(|r| r[pos(i, j)].is_none())
-                    };
+                    let to_walk = |&j: &usize| i != j && index[pair_pos(n, i, j)] == OPEN;
                     if reps[group].is_some() || !dsts_ref[b].iter().any(to_walk) {
                         continue;
                     }
@@ -1061,7 +1031,6 @@ impl Verifier {
                 JobOut { reps, full, hits: memo.hits, resolved: memo.resolved, loops }
             },
         );
-        let mut slots = reused.unwrap_or_else(|| vec![None; total]);
         let mut walked_total = 0usize;
         let mut seen_cycles = carried;
         for (job, &(_, a, b, _)) in results.into_iter().zip(&jobs) {
@@ -1082,27 +1051,28 @@ impl Verifier {
             }
             // Every pair of this class still open takes its source group's
             // verdict.
+            let ids: Vec<u32> =
+                job.reps.into_iter().map(|rep| rep.map_or(OPEN, |t| store.push(t))).collect();
             for &i in &srcs_by[a] {
-                let Some(rep) = &job.reps[group_of[i]] else { continue };
+                let id = ids[group_of[i]];
+                if id == OPEN {
+                    continue;
+                }
                 for &j in dsts_by[b].iter().filter(|&&j| i != j) {
-                    let slot = &mut slots[pos(i, j)];
-                    if slot.is_none() {
-                        *slot = Some(Arc::clone(rep));
+                    let slot = &mut store.index[pair_pos(n, i, j)];
+                    if *slot == OPEN {
+                        *slot = id;
                         walked_total += 1;
                     }
                 }
             }
         }
-        self.stats.pairs_replayed = walked_total - self.stats.pairs_walked_full;
-        self.traces = Arc::new(
-            slots
-                .into_iter()
-                .map(|s| match s {
-                    Some(t) => t,
-                    None => unreachable!("every ordered pair belongs to exactly one class job"),
-                })
-                .collect(),
+        debug_assert!(
+            store.index.iter().all(|&id| id != OPEN),
+            "every ordered pair belongs to exactly one class job"
         );
+        self.stats.pairs_replayed = walked_total - self.stats.pairs_walked_full;
+        self.traces = Arc::new(store);
         walked_total
     }
 
@@ -1124,7 +1094,7 @@ impl Verifier {
             loops: self.loops.clone(),
             switches_scanned,
             pairs_walked,
-            pairs_checked: self.traces.len(),
+            pairs_checked: self.traces.index.len(),
             header_classes: self.values.num_classes(),
             ..VerifyReport::default()
         };
@@ -1138,7 +1108,7 @@ impl Verifier {
                 if i == j {
                     continue;
                 }
-                let trace = &self.traces[t];
+                let trace = &self.traces.distinct[self.traces.index[t] as usize];
                 t += 1;
                 let expected = self.intent.expects_delivery(i, j);
                 match &trace.outcome {

@@ -33,7 +33,9 @@
 //! `ok = false`). Correct-but-slow beats fast-but-wrong.
 //!
 //! Nothing here outlives a pass: what carries over between proofs is the
-//! previous [`crate::Verifier`] that `check_delta*` takes.
+//! previous [`crate::Verifier`] that `check_delta*` takes — the traces the
+//! class jobs built from these destinies, one per (class, source group),
+//! and the index saying which pair got which.
 
 use std::collections::HashMap;
 

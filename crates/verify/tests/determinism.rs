@@ -6,6 +6,8 @@
 //! delta check, and on a seeded random multi-tenant slice mix.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
+mod common;
+
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use sdt_core::cluster::ClusterBuilder;
@@ -82,6 +84,19 @@ fn delta_check_is_thread_count_invariant() {
     let d8 = Verifier::check_delta_threads(&v8, &batch, intent(), 8);
     assert_identical(&d1, &d8, "fat-tree k=4 + clear delta");
     assert!(!d1.holds(), "clearing a routing table must break the proof");
+
+    // Slice churn: every step carries some pairs over a changed intent and
+    // the class jobs fill in the rest, all into one shared pair index.
+    let (cluster, steps) = common::slice_churn(10);
+    let empty = || TableView::of_switches(&steps[0].before);
+    let mut c1 = Verifier::check_threads(&cluster, empty(), Intent::new(), 1);
+    let mut c4 = Verifier::check_threads(&cluster, empty(), Intent::new(), 4);
+    for step in &steps {
+        c1 = Verifier::check_delta_threads(&c1, &step.batch, step.intent.clone(), 1);
+        c4 = Verifier::check_delta_threads(&c4, &step.batch, step.intent.clone(), 4);
+        assert_identical(&c1, &c4, step.label);
+        assert!(c1.holds(), "{}: {}", step.label, c1.report().summary());
+    }
 }
 
 #[test]

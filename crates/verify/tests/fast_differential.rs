@@ -10,6 +10,8 @@
 //! any drift in a finding, a counter, or even ordering fails loudly.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
+mod common;
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -40,6 +42,21 @@ fn assert_identical(fast: &Verifier, plain: &Verifier, label: &str) {
         format!("{rf:?}"),
         format!("{rp:?}"),
         "{label}: reports not byte-identical"
+    );
+}
+
+/// A delta proof must say what a from-scratch proof of the same tables and
+/// intent says, in everything but the two counters of work it saved.
+fn assert_same_verdict_as_scratch(delta: &Verifier, scratch: &Verifier, label: &str) {
+    let with_delta_counters = sdt_verify::VerifyReport {
+        pairs_walked: delta.report().pairs_walked,
+        switches_scanned: delta.report().switches_scanned,
+        ..scratch.report().clone()
+    };
+    assert_eq!(
+        format!("{:?}", delta.report()),
+        format!("{with_delta_counters:?}"),
+        "{label}: delta proof differs from a from-scratch proof"
     );
 }
 
@@ -273,6 +290,133 @@ fn deltas_past_the_64th_switch_fast_equals_plain() {
         assert_identical(&uf, &up, &format!("{label}, undone"));
         assert!(uf.holds());
         assert_eq!(uf.report().pairs_walked, crossing(&touched), "{label}, undone");
+    }
+}
+
+#[test]
+fn hosts_sharing_an_address_are_never_carried_over() {
+    // Hosts 0 and 5 of a six-switch chain claim one address, so nothing but
+    // the ingress port tells their traffic apart and no trace can be handed
+    // to "the pair with these addresses". Take switch 1's route to host 3
+    // away: host 0's packets now die there and host 5's still arrive, which
+    // a proof that carried either's trace to the other would get wrong.
+    let (cluster, view, mut intent) = wide_chain(6);
+    intent.hosts[5].addr = HostAddr(0);
+    let plain0 = Verifier::check_plain_threads(&cluster, view.clone(), intent.clone(), 2);
+    let fast0 = Verifier::check_threads(&cluster, view.clone(), intent.clone(), 2);
+    assert_identical(&fast0, &plain0, "shared address");
+
+    let gone = route(1, 3, 2);
+    let batch = vec![(1, 1, FlowMod::Delete(gone.m, gone.priority))];
+    let mut after = view;
+    for (sw, table, m) in &batch {
+        after.apply(*sw, *table, m);
+    }
+    let dp = Verifier::check_delta_plain_threads(&plain0, &batch, intent.clone(), 2);
+    let df = Verifier::check_delta_threads(&fast0, &batch, intent.clone(), 2);
+    assert_identical(&df, &dp, "shared address, delta");
+    let scratch = Verifier::check_threads(&cluster, after, intent.clone(), 2);
+    assert_same_verdict_as_scratch(&df, &scratch, "shared address, delta");
+    // The 18 pairs with host 0 or 5 at an end, and of the 12 among hosts
+    // 1..=4 the 6 with host 1 at an end (they cross switch 1).
+    assert_eq!(df.report().pairs_walked, 18 + 6);
+
+    // Unchanged tables and intent: only the pairs of hosts that own their
+    // address replay.
+    let warm = Verifier::check_delta_threads(&df, &[], intent.clone(), 2);
+    let warm_plain = Verifier::check_delta_plain_threads(&dp, &[], intent, 2);
+    assert_identical(&warm, &warm_plain, "shared address, empty delta");
+    assert_same_verdict_as_scratch(&warm, &scratch, "shared address, empty delta");
+    assert_eq!(warm.report().pairs_walked, 18);
+}
+
+/// The ordered pairs of `step.intent` a delta proof on top of a proof
+/// against `was` must re-walk, counted without the verifier: a pair carries
+/// over only if both hosts were hosts of `was` — same address, same entry,
+/// same domain label — and a probe through the tables the step starts from
+/// crosses no switch the step's batch touches.
+fn pairs_to_rewalk(
+    cluster: &sdt_core::cluster::PhysicalCluster,
+    was: &Intent,
+    step: &common::ChurnStep,
+) -> usize {
+    use sdt_core::walk::{walk_addrs, WalkEnd};
+    let now = &step.intent;
+    let kept: Vec<bool> = now
+        .hosts
+        .iter()
+        .map(|h| {
+            was.hosts.iter().any(|p| {
+                (p.addr, p.ingress, &p.ports, p.group, p.host, &was.domains[p.domain])
+                    == (h.addr, h.ingress, &h.ports, h.group, h.host, &now.domains[h.domain])
+            })
+        })
+        .collect();
+    let mut switches = step.before.clone();
+    let mut count = 0;
+    for (i, src) in now.hosts.iter().enumerate() {
+        for (j, dst) in now.hosts.iter().enumerate() {
+            if i == j {
+                continue;
+            }
+            let mut crosses_touched = || {
+                let (end, path) =
+                    walk_addrs(cluster, &mut switches, src.ingress, src.addr, dst.addr);
+                let died_at = match end {
+                    WalkEnd::Dropped(sw) => Some(sw),
+                    _ => None,
+                };
+                let mut crossed = path.iter().map(|hop| hop.0).chain(died_at);
+                crossed.any(|sw| step.batch.iter().any(|(touched, _, _)| *touched == sw))
+            };
+            if !kept[i] || !kept[j] || crosses_touched() {
+                count += 1;
+            }
+        }
+    }
+    count
+}
+
+#[test]
+fn carry_over_under_intent_change_fast_equals_plain_equals_scratch() {
+    // Slice churn moves the intent under the proof: hosts are appended,
+    // removed from the middle (every later position shifts) and relabelled.
+    // At every step the two walkers' delta proofs must be byte-identical,
+    // must say what a from-scratch proof of the same tables says, and must
+    // have re-walked exactly the pairs the carry-over rule cannot keep.
+    // Seed 10 tears the middle slice down next to 20 pairs it leaves alone;
+    // seed 111 reconfigures to the topology the slice already has, an empty
+    // batch the fast path replays whole and the reference re-derives.
+    for seed in [10, 111] {
+        let (cluster, steps) = common::slice_churn(seed);
+        let mut view = TableView::of_switches(&steps[0].before);
+        let mut plain = Verifier::check_plain_threads(&cluster, view.clone(), Intent::new(), 2);
+        let mut fast = Verifier::check_threads(&cluster, view.clone(), Intent::new(), 2);
+        for step in &steps {
+            let label = format!("seed {seed}, {}", step.label);
+            let expected = pairs_to_rewalk(&cluster, fast.intent(), step);
+            for (sw, table, m) in &step.batch {
+                view.apply(*sw, *table, m);
+            }
+            let intent = || step.intent.clone();
+            plain = Verifier::check_delta_plain_threads(&plain, &step.batch, intent(), 2);
+            fast = Verifier::check_delta_threads(&fast, &step.batch, intent(), 2);
+            assert_identical(&fast, &plain, &label);
+            let r = fast.report();
+            assert!(r.holds(), "{label}: {}", r.summary());
+
+            let scratch = Verifier::check_threads(&cluster, view.clone(), intent(), 2);
+            assert_same_verdict_as_scratch(&fast, &scratch, &label);
+            assert_eq!(r.pairs_walked, expected, "{label}: of {} pairs", r.pairs_checked);
+            if step.label.starts_with("destroy") {
+                assert!(
+                    0 < r.pairs_walked && r.pairs_walked < r.pairs_checked,
+                    "{label}: {} of {} re-walked, the step must both carry and re-walk",
+                    r.pairs_walked,
+                    r.pairs_checked
+                );
+            }
+        }
     }
 }
 
