@@ -51,7 +51,8 @@
 //! violation) exits non-zero either way, so scripts and CI can gate on it.
 
 use sdt_controller::commands::{self, ConfigItem};
-use sdt_controller::output::{self, jlist, jstr, StatsBlock};
+use sdt_controller::output::{self, StatsBlock};
+use sdt_controller::wire::{Reply, Request};
 use sdt_controller::{
     plan_wiring, Deployment, Json, SdtController, SliceController, TestbedConfig,
 };
@@ -133,17 +134,14 @@ fn load_text(path: &str) -> Result<String, String> {
 
 // ---------------------------------------------------------------- daemon
 
-/// One JSON-RPC round trip over the daemon's Unix socket.
-fn daemon_call(socket: &str, method: &str, params: Json) -> Result<Json, String> {
+/// One request/reply round trip over the daemon's Unix socket, ended the
+/// way every shared command ends: the daemon's pre-rendered report printed
+/// verbatim, its named error mapped onto this command's exit status.
+fn daemon_call(socket: &str, req: &Request) -> Result<(), String> {
     use std::io::{BufRead, BufReader, Write as _};
     let mut stream = std::os::unix::net::UnixStream::connect(socket)
         .map_err(|e| format!("cannot connect to daemon at {socket}: {e}"))?;
-    let req = Json::Obj(vec![
-        ("id".into(), Json::u64(1)),
-        ("method".into(), Json::str(method)),
-        ("params".into(), params),
-    ]);
-    let mut line = req.emit();
+    let mut line = req.encode(1);
     line.push('\n');
     stream.write_all(line.as_bytes()).map_err(|e| format!("daemon write: {e}"))?;
     let mut reader = BufReader::new(stream);
@@ -152,7 +150,9 @@ fn daemon_call(socket: &str, method: &str, params: Json) -> Result<Json, String>
     if resp.is_empty() {
         return Err("daemon closed the connection".into());
     }
-    Json::parse(resp.trim_end_matches('\n')).map_err(|e| format!("daemon sent bad JSON: {e}"))
+    let reply =
+        Reply::decode(resp.trim_end_matches('\n')).map_err(|e| format!("daemon reply: {e}"))?;
+    finish(&reply.output, reply.error)
 }
 
 /// How every shared command ends, local or daemon: the report (if any) on
@@ -164,35 +164,13 @@ fn finish(output: &str, error: Option<String>) -> Result<(), String> {
     error.map_or(Ok(()), Err)
 }
 
-/// Print the daemon's pre-rendered report verbatim and map its named error
-/// onto this command's exit status.
-fn daemon_finish(resp: Json) -> Result<(), String> {
-    let output = resp.get("output").and_then(Json::as_str).unwrap_or("");
-    let error = (resp.get("ok").and_then(Json::as_bool) != Some(true)).then(|| {
-        resp.get("error")
-            .and_then(Json::as_str)
-            .unwrap_or("daemon returned an unnamed error")
-            .to_string()
-    });
-    finish(output, error)
-}
-
 fn daemon_slices(socket: &str, paths: &[String], json: bool) -> Result<(), String> {
     if paths.is_empty() {
         return Err("slices: need at least one config file".into());
     }
-    let mut configs = Vec::new();
-    for path in paths {
-        configs.push(Json::Obj(vec![
-            ("path".into(), Json::str(path.as_str())),
-            ("text".into(), Json::str(load_text(path)?)),
-        ]));
-    }
-    let params = Json::Obj(vec![
-        ("json".into(), Json::Bool(json)),
-        ("configs".into(), Json::Arr(configs)),
-    ]);
-    daemon_finish(daemon_call(socket, "slices", params)?)
+    let configs =
+        paths.iter().map(|p| Ok((p.clone(), load_text(p)?))).collect::<Result<_, String>>()?;
+    daemon_call(socket, &Request::Slices { json, configs })
 }
 
 fn daemon_verify(socket: &str, args: &[String], json: bool) -> Result<(), String> {
@@ -212,11 +190,7 @@ fn daemon_verify(socket: &str, args: &[String], json: bool) -> Result<(), String
             }
         }
     }
-    let params = Json::Obj(vec![
-        ("json".into(), Json::Bool(json)),
-        ("stats".into(), Json::Bool(stats)),
-    ]);
-    daemon_finish(daemon_call(socket, "verify", params)?)
+    daemon_call(socket, &Request::Verify { json, stats })
 }
 
 fn daemon_reconfigure(socket: &str, args: &[String], json: bool) -> Result<(), String> {
@@ -224,18 +198,14 @@ fn daemon_reconfigure(socket: &str, args: &[String], json: bool) -> Result<(), S
     let [from_path, to_path] = f.paths.as_slice() else {
         return Err(RECONFIGURE_USAGE.into());
     };
-    let params = Json::Obj(vec![
-        ("json".into(), Json::Bool(json)),
-        ("scheduled".into(), Json::Bool(f.scheduled)),
-        ("drop".into(), Json::f64(f.channel.drop_prob)),
-        ("reorder".into(), Json::f64(f.channel.reorder_prob)),
-        ("seed".into(), Json::u64(f.channel.seed)),
-        ("from_path".into(), Json::str(from_path.as_str())),
-        ("from_text".into(), Json::str(load_text(from_path)?)),
-        ("to_path".into(), Json::str(to_path.as_str())),
-        ("to_text".into(), Json::str(load_text(to_path)?)),
-    ]);
-    daemon_finish(daemon_call(socket, "reconfigure", params)?)
+    let req = Request::Reconfigure {
+        json,
+        scheduled: f.scheduled,
+        from_path: from_path.clone(),
+        from_text: load_text(from_path)?,
+        to_text: load_text(to_path)?,
+    };
+    daemon_call(socket, &req)
 }
 
 // ----------------------------------------------------------------- local
@@ -250,35 +220,25 @@ fn cmd_check(paths: &[String], json: bool) -> Result<(), String> {
         let cfg = load(path)?;
         let ctl = SdtController::from_config(&cfg);
         let report = ctl.check(std::slice::from_ref(&cfg.topology));
-        match &report.verdicts[0] {
-            Ok(()) => {
-                if json {
-                    rows.push(format!(
-                        "{{\"path\":{},\"topology\":{},\"deployable\":true}}",
-                        jstr(path),
-                        jstr(cfg.topology.name())
-                    ));
-                } else {
-                    println!("{path}: OK — {} deployable", cfg.topology.name());
-                }
-            }
-            Err(e) => {
-                failed = true;
-                if json {
-                    rows.push(format!(
-                        "{{\"path\":{},\"topology\":{},\"deployable\":false,\"error\":{}}}",
-                        jstr(path),
-                        jstr(cfg.topology.name()),
-                        jstr(&e.to_string())
-                    ));
-                } else {
-                    println!("{path}: NOT deployable — {e}");
-                }
+        let verdict = &report.verdicts[0];
+        failed |= verdict.is_err();
+        if json {
+            let mut row = vec![
+                ("path", Json::str(path.as_str())),
+                ("topology", Json::str(cfg.topology.name())),
+                ("deployable", Json::Bool(verdict.is_ok())),
+            ];
+            row.extend(verdict.as_ref().err().map(|e| ("error", Json::str(e.to_string()))));
+            rows.push(Json::obj(row));
+        } else {
+            match verdict {
+                Ok(()) => println!("{path}: OK — {} deployable", cfg.topology.name()),
+                Err(e) => println!("{path}: NOT deployable — {e}"),
             }
         }
     }
     if json {
-        println!("[{}]", rows.join(","));
+        println!("{}", Json::Arr(rows).emit());
     }
     if failed {
         Err("some configurations are not deployable".into())
@@ -298,20 +258,24 @@ fn cmd_deploy(paths: &[String], json: bool) -> Result<(), String> {
     let proof = v.report();
     let violations = proof.loops.len() + proof.blackholes.len() + proof.leaks.len();
     if json {
-        println!(
-            "{{\"topology\":{},\"strategy\":{},\"inter_switch_links\":{},\
-             \"entries_per_switch\":{},\"deploy_time_ms\":{:.3},\
-             \"audit\":{{\"delivered\":{},\"isolated\":{},\"violations\":{},\"clean\":{}}}}}",
-            jstr(cfg.topology.name()),
-            jstr(d.routes.strategy()),
-            d.projection.inter_switch_links_used,
-            jlist(&d.projection.synthesis.entries_per_switch, |n| n.to_string()),
-            d.deploy_time_ns as f64 / 1e6,
-            proof.delivered_pairs,
-            proof.isolated_pairs,
-            violations,
-            proof.holds(),
-        );
+        let entries = &d.projection.synthesis.entries_per_switch;
+        let report = Json::obj([
+            ("topology", Json::str(cfg.topology.name())),
+            ("strategy", Json::str(d.routes.strategy())),
+            ("inter_switch_links", Json::usize(d.projection.inter_switch_links_used)),
+            ("entries_per_switch", Json::Arr(entries.iter().map(|&n| Json::usize(n)).collect())),
+            ("deploy_time_ms", Json::fixed(d.deploy_time_ns as f64 / 1e6, 3)),
+            (
+                "audit",
+                Json::obj([
+                    ("delivered", Json::usize(proof.delivered_pairs)),
+                    ("isolated", Json::usize(proof.isolated_pairs)),
+                    ("violations", Json::usize(violations)),
+                    ("clean", Json::Bool(proof.holds())),
+                ]),
+            ),
+        ]);
+        println!("{}", report.emit());
     } else {
         println!("deployed {} on {} x {}", cfg.topology.name(), cfg.switches, cfg.model.name);
         println!("  routing strategy    : {}", d.routes.strategy());
@@ -407,41 +371,42 @@ const RECONFIGURE_USAGE: &str = "reconfigure: usage: sdtctl reconfigure [--sched
                                  [--drop <p>] [--reorder <p>] [--seed <n>] <from.toml> <to.toml>";
 
 struct ReconfigureFlags {
-    scheduled: bool,
-    /// Loss profile of the `--scheduled` control channel.
-    channel: ControlConfig,
+    /// `Some` with `--scheduled`: the loss profile of its control channel
+    /// (`--drop` / `--reorder` / `--seed`), the same value local mode hands
+    /// [`commands::reconfigure`] and daemon mode puts on the wire.
+    scheduled: Option<ControlConfig>,
     paths: Vec<String>,
 }
 
 fn parse_reconfigure_flags(args: &[String]) -> Result<ReconfigureFlags, String> {
-    let mut f =
-        ReconfigureFlags { scheduled: false, channel: ControlConfig::reliable(), paths: Vec::new() };
+    let (mut scheduled, mut channel) = (false, ControlConfig::reliable());
+    let mut paths = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--scheduled" => f.scheduled = true,
+            "--scheduled" => scheduled = true,
             "--drop" => {
-                f.channel.drop_prob = it
+                channel.drop_prob = it
                     .next()
                     .and_then(|v| v.parse().ok())
                     .ok_or("reconfigure: --drop needs a probability")?;
             }
             "--reorder" => {
-                f.channel.reorder_prob = it
+                channel.reorder_prob = it
                     .next()
                     .and_then(|v| v.parse().ok())
                     .ok_or("reconfigure: --reorder needs a probability")?;
             }
             "--seed" => {
-                f.channel.seed = it
+                channel.seed = it
                     .next()
                     .and_then(|v| v.parse().ok())
                     .ok_or("reconfigure: --seed needs an integer")?;
             }
-            _ => f.paths.push(a.clone()),
+            _ => paths.push(a.clone()),
         }
     }
-    Ok(f)
+    Ok(ReconfigureFlags { scheduled: scheduled.then_some(channel), paths })
 }
 
 /// Admit the first config's topology as a slice of its own cluster, then
@@ -459,8 +424,7 @@ fn cmd_reconfigure(args: &[String], json: bool) -> Result<(), String> {
     let from = load(from_path)?;
     let to = load(to_path)?;
     let mut ctl = SliceController::from_config(&from);
-    let scheduled = f.scheduled.then_some(f.channel);
-    let done = commands::reconfigure(&mut ctl, from_path, &from, &to, scheduled, json);
+    let done = commands::reconfigure(&mut ctl, from_path, &from, &to, f.scheduled, json);
     finish(&done.output, done.error)
 }
 

@@ -13,9 +13,10 @@
 //! slice, how large the admission batch was) comes back in [`Done`].
 
 use crate::output::{self, AdmitInfo, AdmitRow, StatsBlock};
-use crate::{SliceController, SliceOpError, TestbedConfig};
+use crate::slices::BatchItem;
+use crate::{SliceController, TestbedConfig};
 use sdt_openflow::{ControlChannel, ControlConfig};
-use sdt_tenancy::SliceId;
+use sdt_tenancy::{OpOutcome, SliceId};
 
 /// One config file handed to a command: the path the operator named and
 /// the parsed file, or why it did not parse. (Local mode refuses an
@@ -48,41 +49,35 @@ impl Done {
 }
 
 /// Admit every parsable config as a slice named after its topology — one
-/// [`SliceController::create_batch`], so one static proof for the lot —
+/// [`SliceController::apply_batch`], so one static proof for the lot —
 /// and return one row per config, in order.
 fn admit(ctl: &mut SliceController, configs: &[ConfigItem], done: &mut Done) -> Vec<AdmitRow> {
-    let batch: Vec<_> = configs
+    let batch = configs
         .iter()
-        .filter_map(|(_, cfg)| cfg.as_ref().ok())
-        .map(|c| (c.topology.name(), &c.topology, c.strategy.as_str()))
+        .map(|(_, cfg)| {
+            cfg.as_ref().map_err(String::clone).map(|c| BatchItem::Admit {
+                name: c.topology.name().to_string(),
+                topo: c.topology.clone(),
+                strategy: c.strategy.clone(),
+            })
+        })
         .collect();
-    let verdicts = ctl.create_batch(&batch);
-    // What reached `apply_batch`: everything not refused up front by
-    // strategy resolution or the deadlock gate.
-    done.batch_ops = verdicts
-        .iter()
-        .filter(|v| matches!(v, Ok(_) | Err(SliceOpError::Admission(_))))
-        .count() as u64;
-    let mut verdicts = verdicts.into_iter();
+    let (verdicts, reached) = ctl.apply_batch(batch);
+    done.batch_ops = reached as u64;
     let mut rows = Vec::with_capacity(configs.len());
-    for (i, (path, cfg)) in configs.iter().enumerate() {
-        let (slice, result) = match cfg {
-            Err(e) => ("<invalid>".to_string(), Err(e.clone())),
-            Ok(cfg) => {
-                let result = match verdicts.next() {
-                    Some(Ok(id)) => match ctl.manager().slice(id) {
-                        Some(s) => {
-                            done.installed.push((i, id));
-                            Ok(AdmitInfo::of(s))
-                        }
-                        None => unreachable!("create_batch returned a live slice id"),
-                    },
-                    Some(Err(e)) => Err(e.to_string()),
-                    None => unreachable!("create_batch answers every parsed config"),
-                };
-                (cfg.topology.name().to_string(), result)
-            }
+    for (i, ((path, cfg), verdict)) in configs.iter().zip(verdicts).enumerate() {
+        let result = match verdict {
+            Ok(OpOutcome::Created(id)) => match ctl.manager().slice(id) {
+                Some(s) => {
+                    done.installed.push((i, id));
+                    Ok(AdmitInfo::of(s))
+                }
+                None => unreachable!("apply_batch returned a live slice id"),
+            },
+            Ok(_) => unreachable!("an admission is answered with `Created`"),
+            Err(e) => Err(e.to_string()),
         };
+        let slice = cfg.as_ref().map_or("<invalid>", |c| c.topology.name()).to_string();
         rows.push(AdmitRow { path: path.clone(), slice, result });
     }
     rows

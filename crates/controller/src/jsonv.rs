@@ -1,22 +1,36 @@
-//! A minimal JSON document model: parse, build, emit.
+//! A minimal JSON document model: parse, build, emit, read fields checked.
 //!
 //! The workspace is registry-offline and has no serializer crate, so
-//! anything that needs JSON — the daemon's wire protocol and snapshot
-//! format, `sdtctl --daemon`'s responses — hand-rolls it on this module.
-//! It lives in the controller crate because both ends of the wire need
-//! it: `sdtctl` builds requests and picks fields out of responses,
-//! `sdt-sdtd` parses requests and renders responses/snapshots.
+//! everything that speaks JSON hand-rolls it on this module, and on nothing
+//! else: there is **one writer** ([`Json::emit`]) and **one reader**
+//! ([`Json::parse`] plus the checked field accessors [`Json::member`] /
+//! `Json::want_*`). Who calls them:
 //!
-//! Properties the daemon relies on:
+//! * [`crate::wire`] — the `sdtctl` ⇄ `sdtd` request and reply lines;
+//! * [`crate::output`] — every `--json` report `sdtctl` prints or the
+//!   daemon ships back as a reply's `output`;
+//! * `sdt_sdtd::snapshot` — the daemon's on-disk state file;
+//! * `benchmark/` — its result files, and the raw wire lines it sends.
+//!
+//! It lives in the controller crate because both ends of the wire need it.
+//!
+//! Properties the callers rely on:
 //!
 //! * **Deterministic emission** — [`Json::emit`] is compact (no
 //!   whitespace), preserves object key order and array order, and escapes
 //!   strings canonically, so equal documents emit equal bytes. The
 //!   snapshot round-trip proof (encode → parse → re-encode is
-//!   byte-identical) rests on this.
+//!   byte-identical) and the daemon-vs-local report identity rest on this.
 //! * **Number fidelity** — numbers keep their lexeme: parsing `18446744`
-//!   and re-emitting yields `18446744`, never `1.8446744e7`. Accessors
-//!   parse the lexeme on demand.
+//!   and re-emitting yields `18446744`, never `1.8446744e7`, and a report
+//!   writes a fixed-precision figure by building the lexeme
+//!   ([`Json::fixed`]). Accessors parse the lexeme on demand.
+//! * **Checked reads** — a decoder never casts: [`Json::member`] refuses an
+//!   absent key and every `want_*` refuses a value of the wrong type or an
+//!   integer outside the target width, each naming the field, so
+//!   `4294967297` is never read as `1`.
+//! * **First key wins** — [`Json::get`] returns the first member of that
+//!   name; a duplicate later in the object is carried but never read.
 
 use std::fmt::Write as _;
 
@@ -65,6 +79,11 @@ impl Json {
         Json::Num(n.to_string())
     }
 
+    /// A count or index.
+    pub fn usize(n: usize) -> Json {
+        Json::Num(n.to_string())
+    }
+
     /// A signed integer value.
     pub fn i64(n: i64) -> Json {
         Json::Num(n.to_string())
@@ -78,6 +97,21 @@ impl Json {
         } else {
             Json::Null
         }
+    }
+
+    /// A finite float written with exactly `places` decimals — the lexeme a
+    /// report wants (`12.300`), which [`Json::f64`] would shorten.
+    pub fn fixed(x: f64, places: usize) -> Json {
+        if x.is_finite() {
+            Json::Num(format!("{x:.places$}"))
+        } else {
+            Json::Null
+        }
+    }
+
+    /// An object from `(key, value)` pairs, in the order given.
+    pub fn obj<'a>(members: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(members.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 
     /// Object member by key (first match).
@@ -126,6 +160,60 @@ impl Json {
             Json::Arr(v) => Some(v),
             _ => None,
         }
+    }
+
+    /// Object member by key, or an error naming the key. With the `want_*`
+    /// readers below this is the one way a decoder ([`crate::wire`], the
+    /// daemon's snapshot) takes a field out of a document.
+    pub fn member(&self, key: &str) -> Result<&Json, String> {
+        self.get(key).ok_or_else(|| format!("missing member `{key}`"))
+    }
+
+    /// This value as a bool; `what` names the field in the error.
+    pub fn want_bool(&self, what: &str) -> Result<bool, String> {
+        self.as_bool().ok_or_else(|| format!("{what}: not a bool"))
+    }
+
+    /// This value as a string.
+    pub fn want_str(&self, what: &str) -> Result<&str, String> {
+        self.as_str().ok_or_else(|| format!("{what}: not a string"))
+    }
+
+    /// This value as an array.
+    pub fn want_arr(&self, what: &str) -> Result<&[Json], String> {
+        self.as_arr().ok_or_else(|| format!("{what}: not an array"))
+    }
+
+    /// This value as a finite float (`1e999` lexes as a number but reads as
+    /// infinity, which [`Json::f64`] could not write back).
+    pub fn want_f64(&self, what: &str) -> Result<f64, String> {
+        self.as_f64()
+            .filter(|x| x.is_finite())
+            .ok_or_else(|| format!("{what}: not a finite number"))
+    }
+
+    /// This value as an unsigned integer.
+    pub fn want_u64(&self, what: &str) -> Result<u64, String> {
+        self.as_u64().ok_or_else(|| format!("{what}: not an unsigned integer"))
+    }
+
+    /// This value as a `u32`, refused — not wrapped — when out of range.
+    pub fn want_u32(&self, what: &str) -> Result<u32, String> {
+        self.want_int(what, "u32")
+    }
+
+    /// This value as a `u16`, refused when out of range.
+    pub fn want_u16(&self, what: &str) -> Result<u16, String> {
+        self.want_int(what, "u16")
+    }
+
+    /// This value as a `usize`, refused when out of range.
+    pub fn want_usize(&self, what: &str) -> Result<usize, String> {
+        self.want_int(what, "usize")
+    }
+
+    fn want_int<T: TryFrom<u64>>(&self, what: &str, width: &str) -> Result<T, String> {
+        T::try_from(self.want_u64(what)?).map_err(|_| format!("{what}: out of {width} range"))
     }
 
     /// Compact, deterministic serialization.
@@ -182,10 +270,8 @@ impl Json {
 }
 
 /// Canonical string escaping: `"` `\` as pairs, `\n` `\t` `\r` by name,
-/// other control characters as `\u00XX`, everything else verbatim. The
-/// one JSON string escaper: [`Json::emit`] and `output::jstr` both write
-/// through it.
-pub(crate) fn escape_into(s: &str, out: &mut String) {
+/// other control characters as `\u00XX`, everything else verbatim.
+fn escape_into(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -347,15 +433,17 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte safe).
-                let s = std::str::from_utf8(&b[*pos..])
-                    .map_err(|_| JsonError { at: *pos, msg: "invalid utf-8".into() })?;
-                let c = match s.chars().next() {
-                    Some(c) => c,
-                    None => unreachable!("non-empty slice has a first char"),
-                };
-                out.push(c);
-                *pos += c.len_utf8();
+                // The run of plain bytes up to the next quote or backslash,
+                // validated once: both are ASCII, so neither can sit inside
+                // a multi-byte scalar, and checking the rest of the document
+                // per character made a 1 MiB string cost 15 s.
+                let start = *pos;
+                while b.get(*pos).is_some_and(|c| !matches!(c, b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&b[start..*pos])
+                    .map_err(|_| JsonError { at: start, msg: "invalid utf-8".into() })?;
+                out.push_str(run);
             }
         }
     }
@@ -383,6 +471,51 @@ mod tests {
         assert_eq!(back, doc);
         // Emitter-produced text re-encodes byte-identically.
         assert_eq!(back.emit(), text);
+    }
+
+    /// Pair escapes, named escapes, `\u00XX` for every other control.
+    #[test]
+    fn emit_escapes_controls() {
+        assert_eq!(
+            Json::str("a\"b\\c\nd\te\u{7}f\rg").emit(),
+            "\"a\\\"b\\\\c\\nd\\te\\u0007f\\rg\""
+        );
+    }
+
+    #[test]
+    fn builders_write_the_lexeme_a_report_wants() {
+        let doc = Json::obj([
+            ("ms", Json::fixed(12.3, 3)),
+            ("s", Json::fixed(0.5, 6)),
+            ("n", Json::usize(7)),
+            ("nan", Json::fixed(f64::NAN, 3)),
+        ]);
+        assert_eq!(doc.emit(), "{\"ms\":12.300,\"s\":0.500000,\"n\":7,\"nan\":null}");
+    }
+
+    #[test]
+    fn checked_readers_name_the_field_and_refuse_instead_of_wrapping() {
+        let d = Json::parse(
+            "{\"id\":4294967297,\"port\":65539,\"n\":3,\"s\":\"x\",\"b\":true,\
+             \"a\":[1],\"p\":0.25,\"huge\":1e999,\"neg\":-1,\"id\":1}",
+        )
+        .unwrap();
+        let id = d.member("id").unwrap();
+        assert_eq!(id.want_u64("id"), Ok(4_294_967_297), "of a duplicated key the first is read");
+        assert_eq!(id.want_u32("id"), Err("id: out of u32 range".into()));
+        assert_eq!(d.member("port").unwrap().want_u16("link end a"), Err("link end a: out of u16 range".into()));
+        assert_eq!(d.member("n").unwrap().want_u16("n"), Ok(3));
+        assert_eq!(d.member("n").unwrap().want_usize("n"), Ok(3));
+        assert_eq!(d.member("neg").unwrap().want_u64("neg"), Err("neg: not an unsigned integer".into()));
+        assert_eq!(d.member("s").unwrap().want_str("s"), Ok("x"));
+        assert_eq!(d.member("s").unwrap().want_bool("s"), Err("s: not a bool".into()));
+        assert_eq!(d.member("b").unwrap().want_bool("b"), Ok(true));
+        assert_eq!(d.member("b").unwrap().want_str("b"), Err("b: not a string".into()));
+        assert_eq!(d.member("a").unwrap().want_arr("a").map(<[Json]>::len), Ok(1));
+        assert_eq!(d.member("n").unwrap().want_arr("n"), Err("n: not an array".into()));
+        assert_eq!(d.member("p").unwrap().want_f64("p"), Ok(0.25));
+        assert_eq!(d.member("huge").unwrap().want_f64("huge"), Err("huge: not a finite number".into()));
+        assert_eq!(d.member("zzz"), Err("missing member `zzz`".into()));
     }
 
     #[test]

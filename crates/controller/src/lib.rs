@@ -29,6 +29,7 @@ pub mod output;
 pub mod presets;
 pub mod recovery;
 pub mod slices;
+pub mod wire;
 pub mod wiring;
 
 pub use config::{model_by_name, model_config_name, ConfigError, TestbedConfig};

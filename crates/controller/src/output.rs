@@ -8,26 +8,15 @@
 //! and the daemon both call): the finished text comes back, local mode
 //! prints it, and the daemon ships it over the wire for the client to
 //! print verbatim. Every renderer returns its text *without* a trailing
-//! newline; the caller adds the final `\n`.
+//! newline; the caller adds the final `\n`. The JSON forms are [`Json`]
+//! trees written by [`Json::emit`] — the one JSON writer — so a report
+//! never spells a brace or an escape of its own.
 
+use crate::jsonv::Json;
 use sdt_tenancy::epoch::EpochReport;
 use sdt_tenancy::{ManagerStatus, ScheduleReport, Slice};
 use sdt_verify::VerifyReport;
 use std::fmt::Write as _;
-
-/// JSON string literal, escaped by the one escaper the `jsonv` emitter
-/// uses.
-pub fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    crate::jsonv::escape_into(s, &mut out);
-    out
-}
-
-/// `[f(x), f(y), ...]` — JSON array from a slice.
-pub fn jlist<T, F: FnMut(&T) -> String>(items: &[T], f: F) -> String {
-    let inner: Vec<String> = items.iter().map(f).collect();
-    format!("[{}]", inner.join(","))
-}
 
 /// One admission attempt: the config path, the slice name, and either the
 /// admitted slice's resource bill or the named rejection.
@@ -65,25 +54,22 @@ impl AdmitInfo {
 }
 
 /// One admission row, JSON form.
-pub fn admit_row_json(row: &AdmitRow) -> String {
+pub fn admit_row_json(row: &AdmitRow) -> Json {
+    let mut obj = vec![
+        ("path", Json::str(row.path.as_str())),
+        ("slice", Json::str(row.slice.as_str())),
+        ("admitted", Json::Bool(row.result.is_ok())),
+    ];
     match &row.result {
-        Ok(i) => format!(
-            "{{\"path\":{},\"slice\":{},\"admitted\":true,\"id\":{},\
-             \"host_ports\":{},\"cables\":{},\"entries\":{}}}",
-            jstr(&row.path),
-            jstr(&row.slice),
-            i.id,
-            i.host_ports,
-            i.cables,
-            i.entries,
-        ),
-        Err(e) => format!(
-            "{{\"path\":{},\"slice\":{},\"admitted\":false,\"error\":{}}}",
-            jstr(&row.path),
-            jstr(&row.slice),
-            jstr(e)
-        ),
+        Ok(i) => obj.extend([
+            ("id", Json::u64(i.id.into())),
+            ("host_ports", Json::usize(i.host_ports)),
+            ("cables", Json::usize(i.cables)),
+            ("entries", Json::usize(i.entries)),
+        ]),
+        Err(e) => obj.push(("error", Json::str(e.as_str()))),
     }
+    Json::obj(obj)
 }
 
 /// One admission row, human form.
@@ -100,27 +86,30 @@ pub fn admit_row_human(row: &AdmitRow) -> String {
 /// The `slices` report, JSON: admissions, occupancy, and the static proof
 /// of the shared tables as the object `sdtctl verify --json` prints.
 pub fn slices_json(rows: &[AdmitRow], status: &ManagerStatus, verify: &VerifyReport) -> String {
-    let admissions: Vec<String> = rows.iter().map(admit_row_json).collect();
-    let switches = jlist(&status.switches, |s| {
-        format!(
-            "{{\"switch\":{},\"capacity\":{},\"used\":{},\"free\":{}}}",
-            s.switch, s.capacity, s.used, s.free
-        )
+    let switches = status.switches.iter().map(|s| {
+        Json::obj([
+            ("switch", Json::u64(s.switch.into())),
+            ("capacity", Json::usize(s.capacity)),
+            ("used", Json::usize(s.used)),
+            ("free", Json::usize(s.free)),
+        ])
     });
-    format!(
-        "{{\"admissions\":[{}],\"status\":{{\"switches\":{},\
-         \"host_ports_used\":{},\"host_ports_total\":{},\
-         \"cables_used\":{},\"cables_total\":{},\"orphan_entries\":{}}},\
-         \"verify\":{}}}",
-        admissions.join(","),
-        switches,
-        status.host_ports_used,
-        status.host_ports_total,
-        status.cables_used,
-        status.cables_total,
-        status.orphan_entries,
-        verify_json("slices", verify, None),
-    )
+    Json::obj([
+        ("admissions", Json::Arr(rows.iter().map(admit_row_json).collect())),
+        (
+            "status",
+            Json::obj([
+                ("switches", Json::Arr(switches.collect())),
+                ("host_ports_used", Json::usize(status.host_ports_used)),
+                ("host_ports_total", Json::usize(status.host_ports_total)),
+                ("cables_used", Json::usize(status.cables_used)),
+                ("cables_total", Json::usize(status.cables_total)),
+                ("orphan_entries", Json::usize(status.orphan_entries)),
+            ]),
+        ),
+        ("verify", verify_tree("slices", verify, None)),
+    ])
+    .emit()
 }
 
 /// The `slices` report, human form: admission lines, occupancy, and the
@@ -159,47 +148,43 @@ pub struct StatsBlock {
 
 /// Verification report, JSON form. `block` adds the `"stats"` member.
 pub fn verify_json(scope: &str, r: &VerifyReport, block: Option<&StatsBlock>) -> String {
-    let threads = sdt_verify::verify_threads();
-    let stats = match block {
-        Some(b) => {
-            let warm = match b.warm_s {
-                Some(w) => format!(",\"warm_reverify_s\":{w:.6}"),
-                None => String::new(),
-            };
-            format!(
-                ",\"stats\":{{\"header_classes\":{},\"pairs_walked\":{},\
-                 \"pairs_walked_full\":{},\"pairs_replayed\":{},\
-                 \"states_resolved\":{},\
-                 \"symmetric\":{},\"wall_s\":{:.6}{warm},\"threads\":{threads}}}",
-                r.header_classes,
-                r.pairs_walked,
-                b.stats.pairs_walked_full,
-                b.stats.pairs_replayed,
-                b.stats.cache_misses,
-                b.stats.symmetric,
-                b.wall_s,
-            )
-        }
-        None => String::new(),
-    };
-    format!(
-        "{{\"scope\":{},\"holds\":{},\"delivered_pairs\":{},\"isolated_pairs\":{},\
-         \"pairs_checked\":{},\"pairs_walked\":{},\"switches_scanned\":{},\
-         \"loops\":{},\"blackholes\":{},\"leaks\":{},\"shadowed\":{},\
-         \"nondeterminism\":{}{stats}}}",
-        jstr(scope),
-        r.holds(),
-        r.delivered_pairs,
-        r.isolated_pairs,
-        r.pairs_checked,
-        r.pairs_walked,
-        r.switches_scanned,
-        jlist(&r.loops, |l| jstr(&l.to_string())),
-        jlist(&r.blackholes, |b| jstr(&b.to_string())),
-        jlist(&r.leaks, |l| jstr(&l.to_string())),
-        jlist(&r.shadowed, |s| jstr(&s.to_string())),
-        jlist(&r.nondeterminism, |n| jstr(&n.to_string())),
-    )
+    verify_tree(scope, r, block).emit()
+}
+
+/// [`verify_json`] before it is written out — the `slices` report embeds it.
+fn verify_tree(scope: &str, r: &VerifyReport, block: Option<&StatsBlock>) -> Json {
+    fn findings<T: std::fmt::Display>(items: &[T]) -> Json {
+        Json::Arr(items.iter().map(|f| Json::str(f.to_string())).collect())
+    }
+    let mut obj = vec![
+        ("scope", Json::str(scope)),
+        ("holds", Json::Bool(r.holds())),
+        ("delivered_pairs", Json::usize(r.delivered_pairs)),
+        ("isolated_pairs", Json::usize(r.isolated_pairs)),
+        ("pairs_checked", Json::usize(r.pairs_checked)),
+        ("pairs_walked", Json::usize(r.pairs_walked)),
+        ("switches_scanned", Json::usize(r.switches_scanned)),
+        ("loops", findings(&r.loops)),
+        ("blackholes", findings(&r.blackholes)),
+        ("leaks", findings(&r.leaks)),
+        ("shadowed", findings(&r.shadowed)),
+        ("nondeterminism", findings(&r.nondeterminism)),
+    ];
+    if let Some(b) = block {
+        let mut stats = vec![
+            ("header_classes", Json::usize(r.header_classes)),
+            ("pairs_walked", Json::usize(r.pairs_walked)),
+            ("pairs_walked_full", Json::usize(b.stats.pairs_walked_full)),
+            ("pairs_replayed", Json::usize(b.stats.pairs_replayed)),
+            ("states_resolved", Json::usize(b.stats.cache_misses)),
+            ("symmetric", Json::Bool(b.stats.symmetric)),
+            ("wall_s", Json::fixed(b.wall_s, 6)),
+        ];
+        stats.extend(b.warm_s.map(|w| ("warm_reverify_s", Json::fixed(w, 6))));
+        stats.push(("threads", Json::usize(sdt_verify::verify_threads())));
+        obj.push(("stats", Json::obj(stats)));
+    }
+    Json::obj(obj)
 }
 
 /// Verification report, human form.
@@ -265,55 +250,54 @@ pub fn reconfigure_json(
     sched: Option<&ScheduleReport>,
     audit_clean: bool,
 ) -> String {
-    let schedule = match sched {
-        Some(s) => {
-            let rounds = jlist(&s.rounds, |r| {
-                format!(
-                    "{{\"round\":{},\"phase\":{},\"mods\":{},\"units\":{},\
-                     \"merged_from\":{},\"proof_wall_ms\":{:.3},\"pairs_walked\":{},\
-                     \"install_ms\":{:.3},\"sends\":{},\"retries\":{},\
-                     \"converged\":{},\"reverified\":{}}}",
-                    r.round,
-                    jstr(&r.phase.to_string()),
-                    r.mods,
-                    r.units,
-                    r.merged_from,
-                    r.proof_wall_ns as f64 / 1e6,
-                    r.pairs_walked,
-                    r.install_ns as f64 / 1e6,
-                    r.sends,
-                    r.retries,
-                    r.converged,
-                    r.reverified,
-                )
-            });
-            format!(
-                ",\"schedule\":{{\"rounds\":{rounds},\"total_mods\":{},\"merges\":{},\
-                 \"reverifications\":{},\"violations\":{},\"converged\":{},\
-                 \"proof_wall_ms_total\":{:.3},\"install_ms_total\":{:.3}}}",
-                s.total_mods,
-                s.merges,
-                s.reverifications,
-                s.violations,
-                s.converged,
-                s.proof_wall_ns_total as f64 / 1e6,
-                s.install_ns_total as f64 / 1e6,
-            )
-        }
-        None => String::new(),
-    };
-    format!(
-        "{{\"from\":{},\"to\":{},\"scheduled\":{scheduled},\
-         \"epoch\":{{\"adds\":{},\"deletes\":{},\"flow_mods\":{},\
-         \"install_time_ms\":{:.3}}}{schedule},\"audit_clean\":{}}}",
-        jstr(from),
-        jstr(to),
-        report.adds,
-        report.deletes,
-        report.flow_mods(),
-        report.install_time_ns as f64 / 1e6,
-        audit_clean,
-    )
+    let ms = |ns: u64| Json::fixed(ns as f64 / 1e6, 3);
+    let mut obj = vec![
+        ("from", Json::str(from)),
+        ("to", Json::str(to)),
+        ("scheduled", Json::Bool(scheduled)),
+        (
+            "epoch",
+            Json::obj([
+                ("adds", Json::usize(report.adds)),
+                ("deletes", Json::usize(report.deletes)),
+                ("flow_mods", Json::usize(report.flow_mods())),
+                ("install_time_ms", ms(report.install_time_ns)),
+            ]),
+        ),
+    ];
+    if let Some(s) = sched {
+        let rounds = s.rounds.iter().map(|r| {
+            Json::obj([
+                ("round", Json::usize(r.round)),
+                ("phase", Json::str(r.phase.to_string())),
+                ("mods", Json::usize(r.mods)),
+                ("units", Json::usize(r.units)),
+                ("merged_from", Json::usize(r.merged_from)),
+                ("proof_wall_ms", ms(r.proof_wall_ns)),
+                ("pairs_walked", Json::usize(r.pairs_walked)),
+                ("install_ms", ms(r.install_ns)),
+                ("sends", Json::u64(r.sends)),
+                ("retries", Json::u64(r.retries.into())),
+                ("converged", Json::Bool(r.converged)),
+                ("reverified", Json::Bool(r.reverified)),
+            ])
+        });
+        obj.push((
+            "schedule",
+            Json::obj([
+                ("rounds", Json::Arr(rounds.collect())),
+                ("total_mods", Json::usize(s.total_mods)),
+                ("merges", Json::usize(s.merges)),
+                ("reverifications", Json::usize(s.reverifications)),
+                ("violations", Json::usize(s.violations)),
+                ("converged", Json::Bool(s.converged)),
+                ("proof_wall_ms_total", ms(s.proof_wall_ns_total)),
+                ("install_ms_total", ms(s.install_ns_total)),
+            ]),
+        ));
+    }
+    obj.push(("audit_clean", Json::Bool(audit_clean)));
+    Json::obj(obj).emit()
 }
 
 /// Reconfiguration report, human form.
@@ -371,14 +355,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn jstr_escapes_controls() {
-        assert_eq!(
-            jstr("a\"b\\c\nd\te\u{7}f\rg"),
-            "\"a\\\"b\\\\c\\nd\\te\\u0007f\\rg\""
-        );
-    }
-
-    #[test]
     fn admit_rows_render_both_outcomes() {
         let ok = AdmitRow {
             path: "a.toml".into(),
@@ -391,11 +367,11 @@ mod tests {
             result: Err("insufficient host ports".into()),
         };
         assert_eq!(
-            admit_row_json(&ok),
+            admit_row_json(&ok).emit(),
             "{\"path\":\"a.toml\",\"slice\":\"fat-tree-k4\",\"admitted\":true,\
              \"id\":1,\"host_ports\":16,\"cables\":8,\"entries\":300}"
         );
-        assert!(admit_row_json(&bad).contains("\"admitted\":false"));
+        assert!(admit_row_json(&bad).emit().contains("\"admitted\":false"));
         assert!(admit_row_human(&bad).contains("REJECTED"));
     }
 

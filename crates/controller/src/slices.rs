@@ -32,6 +32,8 @@ pub enum SliceOpError {
     },
     /// Unknown routing strategy name.
     UnknownStrategy(String),
+    /// The item's config file did not parse; the parser's message.
+    Config(String),
 }
 
 impl fmt::Display for SliceOpError {
@@ -42,11 +44,41 @@ impl fmt::Display for SliceOpError {
                 write!(f, "routing rejected: channel dependency cycle of length {cycle_len}")
             }
             SliceOpError::UnknownStrategy(s) => write!(f, "unknown routing strategy `{s}`"),
+            SliceOpError::Config(e) => write!(f, "{e}"),
         }
     }
 }
 
 impl std::error::Error for SliceOpError {}
+
+/// One lifecycle operation of a [`SliceController::apply_batch`]: what
+/// [`SliceOp`] is before its routing strategy is resolved.
+#[derive(Clone, Debug)]
+pub enum BatchItem {
+    /// Admit a slice ([`SliceController::create`]).
+    Admit {
+        /// Slice name.
+        name: String,
+        /// Logical topology.
+        topo: Topology,
+        /// Routing strategy name ("default" for Table III's pick).
+        strategy: String,
+    },
+    /// Reconfigure a slice, one shot ([`SliceController::reconfigure`]).
+    Migrate {
+        /// The slice.
+        id: SliceId,
+        /// Its new topology.
+        topo: Topology,
+        /// Routing strategy name.
+        strategy: String,
+    },
+    /// Tear a slice down ([`SliceController::destroy`]).
+    Destroy {
+        /// The slice.
+        id: SliceId,
+    },
+}
 
 /// Multi-tenant front of the SDT controller.
 pub struct SliceController {
@@ -112,37 +144,49 @@ impl SliceController {
         self.mgr.create_with_routes(name, topo, routes).map_err(SliceOpError::Admission)
     }
 
-    /// Admit several slices as one batch — the `slices` command, local and
-    /// daemon alike, so both leave the same cached proof behind: strategy
-    /// resolution and the deadlock gate per item, then one
-    /// [`SliceManager::apply_batch`] (one static proof for the lot, each
-    /// refusal still named). Items are [`SliceController::create`]'s
-    /// `(name, topology, strategy)`; one result per item, in order.
-    pub fn create_batch(
+    /// Run several lifecycle operations as one batch — the `slices`
+    /// command and the daemon's coalesced runs, so both leave the same
+    /// cached proof behind: strategy resolution and the deadlock gate per
+    /// item, then one [`SliceManager::apply_batch`] over the survivors (one
+    /// static proof for the lot, each refusal still named). An `Err` item
+    /// is a config that did not parse: it keeps its place and comes back
+    /// as [`SliceOpError::Config`]. Returns one result per item, in order,
+    /// and how many items reached `apply_batch`.
+    pub fn apply_batch(
         &mut self,
-        items: &[(&str, &Topology, &str)],
-    ) -> Vec<Result<SliceId, SliceOpError>> {
+        items: Vec<Result<BatchItem, String>>,
+    ) -> (Vec<Result<OpOutcome, SliceOpError>>, usize) {
         let mut ops = Vec::new();
         let resolved: Vec<Result<(), SliceOpError>> = items
-            .iter()
-            .map(|&(name, topo, strategy)| {
-                let routes = self.resolve_routes(topo, strategy)?;
-                ops.push(SliceOp::Create { name: name.to_string(), topo: topo.clone(), routes });
+            .into_iter()
+            .map(|item| {
+                ops.push(match item.map_err(SliceOpError::Config)? {
+                    BatchItem::Admit { name, topo, strategy } => {
+                        let routes = self.resolve_routes(&topo, &strategy)?;
+                        SliceOp::Create { name, topo, routes }
+                    }
+                    BatchItem::Migrate { id, topo, strategy } => {
+                        let routes = self.resolve_routes(&topo, &strategy)?;
+                        SliceOp::Reconfigure { id, topo, routes }
+                    }
+                    BatchItem::Destroy { id } => SliceOp::Destroy { id },
+                });
                 Ok(())
             })
             .collect();
-        let mut admitted = self.mgr.apply_batch(ops).into_iter();
-        resolved
+        let reached = ops.len();
+        let mut applied = self.mgr.apply_batch(ops).into_iter();
+        let results = resolved
             .into_iter()
             .map(|r| {
                 r?;
-                match admitted.next() {
-                    Some(Ok(OpOutcome::Created(id))) => Ok(id),
-                    Some(Err(e)) => Err(SliceOpError::Admission(e)),
-                    _ => unreachable!("apply_batch answers each Create with Created or a refusal"),
+                match applied.next() {
+                    Some(outcome) => outcome.map_err(SliceOpError::Admission),
+                    None => unreachable!("apply_batch answers every operation"),
                 }
             })
-            .collect()
+            .collect();
+        (results, reached)
     }
 
     /// Make-before-break reconfiguration of an admitted slice to a new

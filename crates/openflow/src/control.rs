@@ -30,7 +30,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 /// Control-channel reliability parameters.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ControlConfig {
     /// Probability an individual flow-mod is silently lost in flight.
     pub drop_prob: f64,

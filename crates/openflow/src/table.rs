@@ -4,6 +4,7 @@ use crate::index::EntryStore;
 use crate::overlap::FxBuild;
 use crate::{HostAddr, PortNo};
 use std::collections::HashSet;
+use std::sync::Arc;
 use sdt_sync::atomic::{AtomicU64, Ordering};
 
 /// Wildcard-able match over the fields SDT programs: ingress port, pipeline
@@ -195,12 +196,17 @@ pub struct TableStats {
 /// (the entries, their order, their tier index and the one `apply`) plus
 /// what only a live switch table has — a capacity and lookup/miss counters.
 ///
+/// The store is held behind an `Arc` and shared copy-on-write: a proof's
+/// view of the table ([`FlowTable::shared_store`]) and a cloned bank hold
+/// the same allocation until [`FlowTable::apply`] next writes to it, and
+/// only then is it copied — by whoever writes, once.
+///
 /// Lookups are served from the store's multi-tier hash index, so cost is
 /// O(tiers), not O(entries); [`FlowTable::linear_lookup_with`] keeps the
 /// original scan as a differential-testing oracle.
 #[derive(Debug)]
 pub struct FlowTable {
-    store: EntryStore,
+    store: Arc<EntryStore>,
     capacity: usize,
     /// Lookup/miss tallies, bumped from `&self` lookups that may run on
     /// many verifier/audit threads at once.
@@ -221,7 +227,7 @@ pub struct FlowTable {
 impl Clone for FlowTable {
     fn clone(&self) -> Self {
         FlowTable {
-            store: self.store.clone(),
+            store: Arc::clone(&self.store),
             capacity: self.capacity,
             // Relaxed: a clone takes a point-in-time sample of each
             // counter independently. Cloning a table that is concurrently
@@ -238,7 +244,7 @@ impl FlowTable {
     /// An empty table holding at most `capacity` entries.
     pub fn new(capacity: usize) -> Self {
         FlowTable {
-            store: EntryStore::default(),
+            store: Arc::default(),
             capacity,
             lookups: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -261,7 +267,7 @@ impl FlowTable {
         if matches!(m, FlowMod::Add(_)) && self.len() >= self.capacity {
             return Err(TableError::TableFull { capacity: self.capacity });
         }
-        self.store.apply(&m);
+        Arc::make_mut(&mut self.store).apply(&m);
         Ok(())
     }
 
@@ -343,9 +349,15 @@ impl FlowTable {
     }
 
     /// The table without its capacity and counters: what a proof or a
-    /// schedule clones, so that no lookup it makes can be counted.
+    /// schedule reads, so that no lookup it makes can be counted.
     pub fn store(&self) -> &EntryStore {
         &self.store
+    }
+
+    /// [`FlowTable::store`] as a share of the allocation — what a
+    /// `TableView` of the live bank holds, one pointer per table.
+    pub fn shared_store(&self) -> Arc<EntryStore> {
+        Arc::clone(&self.store)
     }
 }
 

@@ -4,10 +4,12 @@
 //!
 //! * an **acceptor** thread owns the `UnixListener` and spawns one reader
 //!   thread per connection;
-//! * each **reader** thread parses newline-delimited JSON-RPC requests
-//!   and forwards them — in arrival order — into one shared mpsc queue
-//!   (even unparsable lines enter the queue, as `Request::Bad`, so a
-//!   connection's replies always come back in request order);
+//! * each **reader** thread decodes newline-delimited requests
+//!   ([`sdt_controller::wire`], the one place the wire format is written
+//!   down) and forwards them — in arrival order — into one shared mpsc
+//!   queue (even lines that do not decode enter the queue, as the `Err` of
+//!   their decode, so a connection's replies always come back in request
+//!   order);
 //! * one **engine** thread owns the [`SliceController`], drains the
 //!   queue, and is the only thing that ever touches slices, switches, or
 //!   the snapshot file. No locks around the cluster — the queue *is* the
@@ -34,12 +36,14 @@
 use crate::engine::{engine_loop, EngineHost};
 use crate::snapshot::{write_atomic, ClusterSpec, Snapshot};
 use sdt_controller::commands::{self, Done};
-use sdt_controller::{Json, SliceController, TestbedConfig};
+use sdt_controller::slices::BatchItem;
+use sdt_controller::wire::{Reply, Request};
+use sdt_controller::{Json, SliceController, SliceOpError, TestbedConfig};
 use sdt_sync::atomic::{AtomicBool, Ordering};
 use sdt_sync::sync::mpsc::Sender;
 use sdt_sync::sync::{Arc, Mutex};
 use sdt_sync::thread;
-use sdt_tenancy::{OpOutcome, SliceId, SliceOp};
+use sdt_tenancy::{OpOutcome, SliceId};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read as _, Write as _};
 use std::net::Shutdown;
@@ -135,43 +139,6 @@ impl DaemonState {
 
 // ------------------------------------------------------------- protocol
 
-/// One parsed request. `Bad` keeps its queue slot so per-connection reply
-/// order always matches request order.
-enum Request {
-    Ping,
-    Bad(String),
-    Admit { name: String, text: String },
-    Destroy { id: u32 },
-    Migrate { id: u32, text: String },
-    Slices { json: bool, items: Vec<(String, String)> },
-    Reconfigure(Box<ReconfigureReq>),
-    Verify { json: bool, stats: bool },
-    Status,
-    Metrics,
-    SnapshotNow,
-    Shutdown,
-}
-
-struct ReconfigureReq {
-    json: bool,
-    /// `Some` = scheduled, over a control channel of this profile.
-    scheduled: Option<sdt_openflow::ControlConfig>,
-    from_path: String,
-    from_text: String,
-    to_text: String,
-}
-
-impl Request {
-    /// Lifecycle operations the engine may coalesce into one
-    /// `apply_batch` run.
-    fn batchable(&self) -> bool {
-        matches!(
-            self,
-            Request::Admit { .. } | Request::Destroy { .. } | Request::Migrate { .. }
-        )
-    }
-}
-
 /// Serialized write half of one connection, shared by every queued
 /// request from it.
 struct ConnWriter {
@@ -188,133 +155,13 @@ impl ConnWriter {
     }
 }
 
+/// One queued line: the id to answer under and the request it decoded to,
+/// or why it is not one. A refused line keeps its queue slot so
+/// per-connection reply order always matches request order.
 struct WorkItem {
     writer: Arc<ConnWriter>,
     id: u64,
-    req: Request,
-}
-
-/// One reply, with optional method-specific extras ahead of the rendered
-/// report.
-struct Reply {
-    id: u64,
-    ok: bool,
-    extra: Vec<(String, Json)>,
-    output: String,
-    error: Option<String>,
-}
-
-impl Reply {
-    fn ok(id: u64) -> Reply {
-        Reply { id, ok: true, extra: Vec::new(), output: String::new(), error: None }
-    }
-
-    fn err(id: u64, e: impl Into<String>) -> Reply {
-        Reply { id, ok: false, extra: Vec::new(), output: String::new(), error: Some(e.into()) }
-    }
-
-    fn emit(&self) -> String {
-        let mut obj = vec![
-            ("id".to_string(), Json::u64(self.id)),
-            ("ok".to_string(), Json::Bool(self.ok)),
-        ];
-        obj.extend(self.extra.iter().cloned());
-        obj.push(("output".to_string(), Json::str(self.output.as_str())));
-        if let Some(e) = &self.error {
-            obj.push(("error".to_string(), Json::str(e.as_str())));
-        }
-        Json::Obj(obj).emit()
-    }
-}
-
-fn pstr<'a>(p: &'a Json, key: &str) -> Option<&'a str> {
-    p.get(key).and_then(Json::as_str)
-}
-
-fn parse_request(line: &str) -> (u64, Request) {
-    let doc = match Json::parse(line) {
-        Ok(d) => d,
-        Err(e) => return (0, Request::Bad(format!("bad request JSON: {e}"))),
-    };
-    let id = doc.get("id").and_then(Json::as_u64).unwrap_or(0);
-    let Some(method) = doc.get("method").and_then(Json::as_str) else {
-        return (id, Request::Bad("request has no method".into()));
-    };
-    let empty = Json::Obj(Vec::new());
-    let p = doc.get("params").unwrap_or(&empty);
-    let json = p.get("json").and_then(Json::as_bool).unwrap_or(false);
-    let req = match method {
-        "ping" => Request::Ping,
-        "status" => Request::Status,
-        "metrics" => Request::Metrics,
-        "snapshot" => Request::SnapshotNow,
-        "shutdown" => Request::Shutdown,
-        "verify" => Request::Verify {
-            json,
-            stats: p.get("stats").and_then(Json::as_bool).unwrap_or(false),
-        },
-        "admit" => match pstr(p, "config") {
-            Some(text) => Request::Admit {
-                name: pstr(p, "name").unwrap_or("").to_string(),
-                text: text.to_string(),
-            },
-            None => Request::Bad("admit: missing `config`".into()),
-        },
-        "destroy" => match p.get("id").and_then(Json::as_u64) {
-            Some(id) => Request::Destroy { id: id as u32 },
-            None => Request::Bad("destroy: missing `id`".into()),
-        },
-        "migrate" => match (p.get("id").and_then(Json::as_u64), pstr(p, "config")) {
-            (Some(id), Some(text)) => {
-                Request::Migrate { id: id as u32, text: text.to_string() }
-            }
-            _ => Request::Bad("migrate: needs `id` and `config`".into()),
-        },
-        "slices" => {
-            let mut items = Vec::new();
-            for c in p.get("configs").and_then(Json::as_arr).unwrap_or(&[]) {
-                match (pstr(c, "path"), pstr(c, "text")) {
-                    (Some(path), Some(text)) => {
-                        items.push((path.to_string(), text.to_string()))
-                    }
-                    _ => return (id, Request::Bad("slices: bad config entry".into())),
-                }
-            }
-            if items.is_empty() {
-                Request::Bad("slices: need at least one config".into())
-            } else {
-                Request::Slices { json, items }
-            }
-        }
-        "reconfigure" => {
-            match (pstr(p, "from_path"), pstr(p, "from_text"), pstr(p, "to_text")) {
-                (Some(from_path), Some(from_text), Some(to_text)) => {
-                    Request::Reconfigure(Box::new(ReconfigureReq {
-                        json,
-                        scheduled: p
-                            .get("scheduled")
-                            .and_then(Json::as_bool)
-                            .unwrap_or(false)
-                            .then(|| sdt_openflow::ControlConfig {
-                                drop_prob: p.get("drop").and_then(Json::as_f64).unwrap_or(0.0),
-                                reorder_prob: p
-                                    .get("reorder")
-                                    .and_then(Json::as_f64)
-                                    .unwrap_or(0.0),
-                                seed: p.get("seed").and_then(Json::as_u64).unwrap_or(0),
-                                ..sdt_openflow::ControlConfig::reliable()
-                            }),
-                        from_path: from_path.to_string(),
-                        from_text: from_text.to_string(),
-                        to_text: to_text.to_string(),
-                    }))
-                }
-                _ => Request::Bad("reconfigure: needs from/to config texts".into()),
-            }
-        }
-        other => Request::Bad(format!("unknown method `{other}`")),
-    };
-    (id, req)
+    req: Result<Request, String>,
 }
 
 // --------------------------------------------------------------- server
@@ -480,16 +327,13 @@ fn serve_conn(stream: UnixStream, tx: Sender<WorkItem>) {
         // answer (in queue order, like any bad line) and close.
         let too_long = line.len() > MAX_LINE_BYTES && line.last() != Some(&b'\n');
         let (id, req) = if too_long {
-            (0, Request::Bad(format!("request line exceeds {MAX_LINE_BYTES} bytes")))
+            (0, Err(format!("request line exceeds {MAX_LINE_BYTES} bytes")))
         } else {
-            let Ok(text) = std::str::from_utf8(&line) else {
-                return;
-            };
-            let trimmed = text.trim_end_matches('\n');
+            let trimmed = line.strip_suffix(b"\n").unwrap_or(&line);
             if trimmed.is_empty() {
                 continue;
             }
-            parse_request(trimmed)
+            Request::decode(trimmed)
         };
         if tx.send(WorkItem { writer: Arc::clone(&writer), id, req }).is_err() || too_long {
             return; // engine is gone (shutdown in progress), or the line was too long
@@ -522,12 +366,16 @@ impl EngineHost for Engine<'_> {
     type Item = WorkItem;
     type Reply = Reply;
 
+    /// Lifecycle operations coalesce into one `apply_batch` run.
     fn batchable(&self, item: &WorkItem) -> bool {
-        item.req.batchable()
+        matches!(
+            item.req,
+            Ok(Request::Admit { .. } | Request::Destroy { .. } | Request::Migrate { .. })
+        )
     }
 
     fn is_shutdown(&self, item: &WorkItem) -> bool {
-        matches!(item.req, Request::Shutdown)
+        matches!(item.req, Ok(Request::Shutdown))
     }
 
     fn apply_run(&mut self, run: &[WorkItem]) -> Vec<Reply> {
@@ -547,12 +395,12 @@ impl EngineHost for Engine<'_> {
     }
 
     fn deliver(&mut self, item: &WorkItem, reply: Reply) {
-        item.writer.send_line(&reply.emit());
+        item.writer.send_line(&reply.encode());
         self.metrics.requests += 1;
     }
 
     fn reject_undelivered(&mut self, item: WorkItem) {
-        item.writer.send_line(&Reply::err(item.id, "daemon is shutting down").emit());
+        item.writer.send_line(&Reply::err(item.id, "daemon is shutting down").encode());
         self.metrics.requests += 1;
     }
 
@@ -594,89 +442,56 @@ impl Engine<'_> {
         }
     }
 
-    /// One coalesced run of admit / migrate / destroy. Strategy resolution
-    /// and the deadlock gate run per request up front (their rejections
-    /// are batch-independent); what survives becomes one `apply_batch`
-    /// call whose per-op results map back onto the originating requests.
+    /// One coalesced run of admit / migrate / destroy: parse each config,
+    /// hand the run to [`SliceController::apply_batch`], and map its
+    /// per-item results back onto the originating requests.
     fn lifecycle_group(&mut self, group: &[WorkItem]) -> Vec<Reply> {
-        let mut replies: Vec<Option<Reply>> = Vec::with_capacity(group.len());
-        let mut ops: Vec<SliceOp> = Vec::new();
-        let mut op_source: Vec<usize> = Vec::new();
-        for (i, item) in group.iter().enumerate() {
-            let prepared = self.prepare_op(&item.req);
-            match prepared {
-                Ok(op) => {
-                    ops.push(op);
-                    op_source.push(i);
-                    replies.push(None);
-                }
-                Err(e) => replies.push(Some(Reply::err(item.id, e))),
-            }
-        }
-        self.note_batch(ops.len() as u64);
-        let results = self.state.ctl.manager_mut().apply_batch(ops);
-        for (slot, result) in op_source.into_iter().zip(results) {
-            let item = &group[slot];
-            replies[slot] = Some(match result {
+        let parsed = |text: &str| TestbedConfig::parse(text).map_err(|e| e.to_string());
+        let items = group
+            .iter()
+            .map(|item| match &item.req {
+                Ok(Request::Admit { name, config }) => parsed(config).map(|cfg| BatchItem::Admit {
+                    name: if name.is_empty() { cfg.topology.name() } else { name }.to_string(),
+                    topo: cfg.topology,
+                    strategy: cfg.strategy,
+                }),
+                Ok(Request::Migrate { id, config }) => parsed(config).map(|cfg| {
+                    BatchItem::Migrate { id: SliceId(*id), topo: cfg.topology, strategy: cfg.strategy }
+                }),
+                Ok(Request::Destroy { id }) => Ok(BatchItem::Destroy { id: SliceId(*id) }),
+                _ => unreachable!("lifecycle_group only receives batchable requests"),
+            })
+            .collect();
+        let (results, reached) = self.state.ctl.apply_batch(items);
+        self.note_batch(reached as u64);
+        group
+            .iter()
+            .zip(results)
+            .map(|(item, result)| match result {
                 Ok(outcome) => {
                     self.dirty = true;
-                    self.record_outcome(&item.req, &outcome);
-                    let mut r = Reply::ok(item.id);
-                    r.extra = outcome_fields(&outcome);
-                    r
+                    self.record_outcome(item, &outcome);
+                    Reply::ok(item.id).with(outcome_fields(&outcome))
                 }
+                // An admission refusal goes out in the manager's own words,
+                // which clients match on: no `admission refused:` prefix.
+                Err(SliceOpError::Admission(e)) => Reply::err(item.id, e.to_string()),
                 Err(e) => Reply::err(item.id, e.to_string()),
-            });
-        }
-        replies
-            .into_iter()
-            .map(|r| match r {
-                Some(r) => r,
-                None => unreachable!("every slot is filled by prepare or apply"),
             })
             .collect()
     }
 
-    /// The admission-independent half of a lifecycle request: parse the
-    /// config, resolve its strategy, run the deadlock gate.
-    fn prepare_op(&self, req: &Request) -> Result<SliceOp, String> {
-        match req {
-            Request::Admit { name, text } => {
-                let cfg = TestbedConfig::parse(text).map_err(|e| e.to_string())?;
-                let routes = self
-                    .state
-                    .ctl
-                    .resolve_routes(&cfg.topology, &cfg.strategy)
-                    .map_err(|e| e.to_string())?;
-                let name =
-                    if name.is_empty() { cfg.topology.name().to_string() } else { name.clone() };
-                Ok(SliceOp::Create { name, topo: cfg.topology, routes })
-            }
-            Request::Migrate { id, text } => {
-                let cfg = TestbedConfig::parse(text).map_err(|e| e.to_string())?;
-                let routes = self
-                    .state
-                    .ctl
-                    .resolve_routes(&cfg.topology, &cfg.strategy)
-                    .map_err(|e| e.to_string())?;
-                Ok(SliceOp::Reconfigure { id: SliceId(*id), topo: cfg.topology, routes })
-            }
-            Request::Destroy { id } => Ok(SliceOp::Destroy { id: SliceId(*id) }),
-            _ => unreachable!("lifecycle_group only receives batchable requests"),
-        }
-    }
-
     /// Keep the per-slice config map in step with a successful outcome —
     /// it is what the snapshot needs to rebuild topology and routes.
-    fn record_outcome(&mut self, req: &Request, outcome: &OpOutcome) {
-        match (req, outcome) {
-            (Request::Admit { text, .. }, OpOutcome::Created(id)) => {
-                self.state.configs.insert(id.0, text.clone());
+    fn record_outcome(&mut self, item: &WorkItem, outcome: &OpOutcome) {
+        match (&item.req, outcome) {
+            (Ok(Request::Admit { config, .. }), OpOutcome::Created(id)) => {
+                self.state.configs.insert(id.0, config.clone());
             }
-            (Request::Migrate { id, text }, OpOutcome::Reconfigured(_)) => {
-                self.state.configs.insert(*id, text.clone());
+            (Ok(Request::Migrate { id, config }), OpOutcome::Reconfigured(_)) => {
+                self.state.configs.insert(*id, config.clone());
             }
-            (Request::Destroy { id }, OpOutcome::Destroyed(_)) => {
+            (Ok(Request::Destroy { id }), OpOutcome::Destroyed(_)) => {
                 self.state.configs.remove(id);
             }
             _ => {}
@@ -684,13 +499,15 @@ impl Engine<'_> {
     }
 
     fn one_request(&mut self, item: &WorkItem) -> Reply {
-        match &item.req {
-            Request::Ping => Reply::ok(item.id),
-            Request::Bad(msg) => Reply::err(item.id, msg.clone()),
-            Request::Shutdown => Reply::ok(item.id),
+        let req = match &item.req {
+            Ok(req) => req,
+            Err(why) => return Reply::err(item.id, why.as_str()),
+        };
+        match req {
+            Request::Ping | Request::Shutdown => Reply::ok(item.id),
             Request::Status => self.status_reply(item.id),
             Request::Metrics => self.metrics_reply(item.id),
-            Request::SnapshotNow => {
+            Request::Snapshot => {
                 self.dirty = true;
                 self.persist();
                 if self.dirty {
@@ -700,8 +517,10 @@ impl Engine<'_> {
                 }
             }
             Request::Verify { json, stats } => self.verify_reply(item.id, *json, *stats),
-            Request::Slices { json, items } => self.slices_reply(item.id, *json, items),
-            Request::Reconfigure(r) => self.reconfigure_reply(item.id, r),
+            Request::Slices { json, configs } => self.slices_reply(item.id, *json, configs),
+            Request::Reconfigure { json, scheduled, from_path, from_text, to_text } => {
+                self.reconfigure_reply(item.id, *json, *scheduled, from_path, from_text, to_text)
+            }
             Request::Admit { .. } | Request::Destroy { .. } | Request::Migrate { .. } => {
                 unreachable!("batchable requests go through lifecycle_group")
             }
@@ -710,14 +529,6 @@ impl Engine<'_> {
 
     fn status_reply(&self, id: u64) -> Reply {
         let s = self.state.ctl.status();
-        let mut r = Reply::ok(id);
-        r.extra = vec![
-            ("slices".to_string(), Json::u64(s.slices.len() as u64)),
-            ("host_ports_used".to_string(), Json::u64(s.host_ports_used as u64)),
-            ("host_ports_total".to_string(), Json::u64(s.host_ports_total as u64)),
-            ("cables_used".to_string(), Json::u64(s.cables_used as u64)),
-            ("cables_total".to_string(), Json::u64(s.cables_total as u64)),
-        ];
         let mut out = String::new();
         for sl in &s.slices {
             out.push_str(&format!("{}  {}  ({})\n", sl.id, sl.name, sl.topology));
@@ -730,22 +541,26 @@ impl Engine<'_> {
             s.cables_used,
             s.cables_total
         ));
-        r.output = out;
-        r
+        let r = Reply::ok(id).with([
+            ("slices", Json::usize(s.slices.len())),
+            ("host_ports_used", Json::usize(s.host_ports_used)),
+            ("host_ports_total", Json::usize(s.host_ports_total)),
+            ("cables_used", Json::usize(s.cables_used)),
+            ("cables_total", Json::usize(s.cables_total)),
+        ]);
+        Reply { output: out, ..r }
     }
 
     fn metrics_reply(&self, id: u64) -> Reply {
         let m = &self.metrics;
-        let mut r = Reply::ok(id);
-        r.extra = vec![
-            ("requests".to_string(), Json::u64(m.requests)),
-            ("batches".to_string(), Json::u64(m.batches)),
-            ("batched_ops".to_string(), Json::u64(m.batched_ops)),
-            ("largest_batch".to_string(), Json::u64(m.largest_batch)),
-            ("snapshot_writes".to_string(), Json::u64(m.snapshot_writes)),
-            ("drain_cycles".to_string(), Json::u64(m.drain_cycles)),
-        ];
-        r
+        Reply::ok(id).with([
+            ("requests", Json::u64(m.requests)),
+            ("batches", Json::u64(m.batches)),
+            ("batched_ops", Json::u64(m.batched_ops)),
+            ("largest_batch", Json::u64(m.largest_batch)),
+            ("snapshot_writes", Json::u64(m.snapshot_writes)),
+            ("drain_cycles", Json::u64(m.drain_cycles)),
+        ])
     }
 
     /// Fold a finished [`commands`] call into the daemon's bookkeeping and
@@ -758,12 +573,7 @@ impl Engine<'_> {
             self.state.configs.insert(sid.0, texts[i].to_string());
         }
         self.note_batch(done.batch_ops);
-        let mut r = match done.error {
-            Some(e) => Reply::err(id, e),
-            None => Reply::ok(id),
-        };
-        r.output = done.output;
-        r
+        Reply { output: done.output, error: done.error, ..Reply::ok(id) }
     }
 
     /// `sdtctl verify --daemon`: [`commands::verify`] over the daemon's
@@ -791,82 +601,41 @@ impl Engine<'_> {
     /// `sdtctl reconfigure --daemon`: [`commands::reconfigure`] against
     /// persistent state — the slice named by the `from` config's topology
     /// is migrated, admitted first if absent.
-    fn reconfigure_reply(&mut self, id: u64, req: &ReconfigureReq) -> Reply {
-        let from = match TestbedConfig::parse(&req.from_text) {
+    fn reconfigure_reply(
+        &mut self,
+        id: u64,
+        json: bool,
+        scheduled: Option<sdt_openflow::ControlConfig>,
+        from_path: &str,
+        from_text: &str,
+        to_text: &str,
+    ) -> Reply {
+        let from = match TestbedConfig::parse(from_text) {
             Ok(c) => c,
-            Err(e) => return Reply::err(id, format!("{}: {e}", req.from_path)),
+            Err(e) => return Reply::err(id, format!("{from_path}: {e}")),
         };
-        let to = match TestbedConfig::parse(&req.to_text) {
+        let to = match TestbedConfig::parse(to_text) {
             Ok(c) => c,
             Err(e) => return Reply::err(id, e.to_string()),
         };
-        let done = commands::reconfigure(
-            &mut self.state.ctl,
-            &req.from_path,
-            &from,
-            &to,
-            req.scheduled,
-            req.json,
-        );
+        let done =
+            commands::reconfigure(&mut self.state.ctl, from_path, &from, &to, scheduled, json);
         let migrated = done.installed.iter().find(|&&(config, _)| config == 1).map(|&(_, sid)| sid);
-        let mut r = self.command_reply(id, done, &[&req.from_text, &req.to_text]);
-        if let Some(sid) = migrated {
-            r.extra = vec![("slice".to_string(), Json::u64(sid.0.into()))];
-        }
-        r
+        self.command_reply(id, done, &[from_text, to_text])
+            .with(migrated.map(|sid| ("slice", Json::u64(sid.0.into()))))
     }
 }
 
-fn outcome_fields(outcome: &OpOutcome) -> Vec<(String, Json)> {
+/// What a lifecycle reply carries beside `ok` (the `extras` column of the
+/// wire table).
+fn outcome_fields(outcome: &OpOutcome) -> Vec<(&'static str, Json)> {
     match outcome {
-        OpOutcome::Created(id) => vec![("slice".to_string(), Json::u64(id.0.into()))],
-        OpOutcome::Reconfigured(report) => {
-            vec![("flow_mods".to_string(), Json::u64(report.flow_mods() as u64))]
-        }
+        OpOutcome::Created(id) => vec![("slice", Json::u64(id.0.into()))],
+        OpOutcome::Reconfigured(report) => vec![("flow_mods", Json::usize(report.flow_mods()))],
         OpOutcome::Destroyed(r) => vec![
-            ("host_ports".to_string(), Json::u64(r.host_ports as u64)),
-            ("cables".to_string(), Json::u64(r.cables as u64)),
-            ("flow_entries".to_string(), Json::u64(r.flow_entries as u64)),
+            ("host_ports", Json::usize(r.host_ports)),
+            ("cables", Json::usize(r.cables)),
+            ("flow_entries", Json::usize(r.flow_entries)),
         ],
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parse_request_maps_methods_and_bad_lines() {
-        let (id, req) = parse_request(r#"{"id":7,"method":"ping","params":{}}"#);
-        assert_eq!(id, 7);
-        assert!(matches!(req, Request::Ping));
-
-        let (_, req) = parse_request(r#"{"id":1,"method":"admit","params":{}}"#);
-        assert!(matches!(req, Request::Bad(_)));
-
-        let (id, req) = parse_request("not json at all");
-        assert_eq!(id, 0);
-        assert!(matches!(req, Request::Bad(_)));
-
-        let (_, req) = parse_request(
-            r#"{"id":2,"method":"migrate","params":{"id":3,"config":"x"}}"#,
-        );
-        match req {
-            Request::Migrate { id, text } => {
-                assert_eq!(id, 3);
-                assert_eq!(text, "x");
-            }
-            _ => panic!("expected migrate"),
-        }
-    }
-
-    #[test]
-    fn reply_emit_shape() {
-        let mut r = Reply::ok(5);
-        r.extra = vec![("slice".to_string(), Json::u64(2))];
-        r.output = "done".to_string();
-        assert_eq!(r.emit(), r#"{"id":5,"ok":true,"slice":2,"output":"done"}"#);
-        let e = Reply::err(6, "nope");
-        assert_eq!(e.emit(), r#"{"id":6,"ok":false,"output":"","error":"nope"}"#);
     }
 }

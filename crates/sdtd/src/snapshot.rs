@@ -65,6 +65,13 @@ fn bad(msg: impl Into<String>) -> SnapshotError {
     SnapshotError(msg.into())
 }
 
+/// A field the checked [`Json`] readers refused, under its own words.
+impl From<String> for SnapshotError {
+    fn from(msg: String) -> Self {
+        SnapshotError(msg)
+    }
+}
+
 /// The physical cluster's deterministic description: enough to rebuild
 /// the wiring with [`wire_cluster`].
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -281,35 +288,37 @@ impl Snapshot {
     /// Parse the on-disk form.
     pub fn decode(text: &str) -> Result<Snapshot, SnapshotError> {
         let doc = Json::parse(text).map_err(|e| bad(e.to_string()))?;
-        let version = want_u64(member(&doc, "version")?, "version")?;
+        let version = doc.member("version")?.want_u64("version")?;
         if version != SNAPSHOT_VERSION {
             return Err(bad(format!(
                 "version {version} (this build reads {SNAPSHOT_VERSION})"
             )));
         }
-        let c = member(&doc, "cluster")?;
+        let c = doc.member("cluster")?;
         let cluster = ClusterSpec {
-            model: want_str(member(c, "model")?, "cluster.model")?.to_string(),
-            switches: want_u32(member(c, "switches")?, "cluster.switches")?,
-            hosts_per_switch: want_u16(member(c, "hosts_per_switch")?, "hosts_per_switch")?,
-            inter_links_per_pair: want_u16(
-                member(c, "inter_links_per_pair")?,
-                "inter_links_per_pair",
-            )?,
+            model: c.member("model")?.want_str("cluster.model")?.to_string(),
+            switches: c.member("switches")?.want_u32("cluster.switches")?,
+            hosts_per_switch: c.member("hosts_per_switch")?.want_u16("hosts_per_switch")?,
+            inter_links_per_pair: c
+                .member("inter_links_per_pair")?
+                .want_u16("inter_links_per_pair")?,
         };
-        let require_deadlock_free = member(&doc, "require_deadlock_free")?
-            .as_bool()
-            .ok_or_else(|| bad("require_deadlock_free: not a bool"))?;
-        let slices = want_arr(member(&doc, "slices")?, "slices")?
+        let require_deadlock_free =
+            doc.member("require_deadlock_free")?.want_bool("require_deadlock_free")?;
+        let slices = doc
+            .member("slices")?
+            .want_arr("slices")?
             .iter()
             .map(slice_from)
             .collect::<Result<Vec<_>, _>>()?;
-        let tables = want_arr(member(&doc, "tables")?, "tables")?
+        let tables = doc
+            .member("tables")?
+            .want_arr("tables")?
             .iter()
             .map(|t| {
                 Ok((
-                    entries_from(member(t, "t0")?, "tables.t0")?,
-                    entries_from(member(t, "t1")?, "tables.t1")?,
+                    entries_from(t.member("t0")?, "tables.t0")?,
+                    entries_from(t.member("t1")?, "tables.t1")?,
                 ))
             })
             .collect::<Result<Vec<_>, SnapshotError>>()?;
@@ -317,9 +326,9 @@ impl Snapshot {
             version,
             cluster,
             require_deadlock_free,
-            next_id: want_u32(member(&doc, "next_id")?, "next_id")?,
-            next_metadata: want_u32(member(&doc, "next_metadata")?, "next_metadata")?,
-            next_addr: want_u32(member(&doc, "next_addr")?, "next_addr")?,
+            next_id: doc.member("next_id")?.want_u32("next_id")?,
+            next_metadata: doc.member("next_metadata")?.want_u32("next_metadata")?,
+            next_addr: doc.member("next_addr")?.want_u32("next_addr")?,
             slices,
             tables,
         })
@@ -342,36 +351,12 @@ pub fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
 
 // -------------------------------------------------------- JSON helpers
 
-fn member<'a>(j: &'a Json, key: &str) -> Result<&'a Json, SnapshotError> {
-    j.get(key).ok_or_else(|| bad(format!("missing member `{key}`")))
-}
-
-fn want_u64(j: &Json, what: &str) -> Result<u64, SnapshotError> {
-    j.as_u64().ok_or_else(|| bad(format!("{what}: not an unsigned integer")))
-}
-
-fn want_u32(j: &Json, what: &str) -> Result<u32, SnapshotError> {
-    u32::try_from(want_u64(j, what)?).map_err(|_| bad(format!("{what}: out of u32 range")))
-}
-
-fn want_u16(j: &Json, what: &str) -> Result<u16, SnapshotError> {
-    u16::try_from(want_u64(j, what)?).map_err(|_| bad(format!("{what}: out of u16 range")))
-}
-
-fn want_str<'a>(j: &'a Json, what: &str) -> Result<&'a str, SnapshotError> {
-    j.as_str().ok_or_else(|| bad(format!("{what}: not a string")))
-}
-
-fn want_arr<'a>(j: &'a Json, what: &str) -> Result<&'a [Json], SnapshotError> {
-    j.as_arr().ok_or_else(|| bad(format!("{what}: not an array")))
-}
-
 fn u32s_json(ns: impl IntoIterator<Item = u32>) -> Json {
     Json::Arr(ns.into_iter().map(|n| Json::u64(n.into())).collect())
 }
 
 fn u32s_from(j: &Json, what: &str) -> Result<Vec<u32>, SnapshotError> {
-    want_arr(j, what)?.iter().map(|n| want_u32(n, what)).collect()
+    Ok(j.want_arr(what)?.iter().map(|n| n.want_u32(what)).collect::<Result<_, _>>()?)
 }
 
 fn port_json(p: PhysPort) -> Json {
@@ -379,13 +364,13 @@ fn port_json(p: PhysPort) -> Json {
 }
 
 fn port_from(j: &Json, what: &str) -> Result<PhysPort, SnapshotError> {
-    let a = want_arr(j, what)?;
+    let a = j.want_arr(what)?;
     let [sw, port] = a else {
         return Err(bad(format!("{what}: expected [switch, port]")));
     };
     Ok(PhysPort {
-        switch: want_u32(sw, what)?,
-        port: PortNo(want_u16(port, what)?),
+        switch: sw.want_u32(what)?,
+        port: PortNo(port.want_u16(what)?),
     })
 }
 
@@ -394,10 +379,10 @@ fn entries_json(entries: &[FlowEntry]) -> Json {
 }
 
 fn entries_from(j: &Json, what: &str) -> Result<Vec<FlowEntry>, SnapshotError> {
-    want_arr(j, what)?
+    j.want_arr(what)?
         .iter()
         .map(|l| {
-            snap::decode_entry(want_str(l, what)?).map_err(|e| bad(format!("{what}: {e}")))
+            snap::decode_entry(l.want_str(what)?).map_err(|e| bad(format!("{what}: {e}")))
         })
         .collect()
 }
@@ -416,14 +401,16 @@ fn synth_json(s: &SynthesisOutput) -> Json {
 
 fn synth_from(j: &Json, what: &str) -> Result<SynthesisOutput, SnapshotError> {
     let tab = |m: &Json| -> Result<Vec<Vec<FlowEntry>>, SnapshotError> {
-        want_arr(m, what)?.iter().map(|t| entries_from(t, what)).collect()
+        m.want_arr(what)?.iter().map(|t| entries_from(t, what)).collect()
     };
     Ok(SynthesisOutput {
-        table0: tab(member(j, "t0")?)?,
-        table1: tab(member(j, "t1")?)?,
-        entries_per_switch: want_arr(member(j, "n")?, what)?
+        table0: tab(j.member("t0")?)?,
+        table1: tab(j.member("t1")?)?,
+        entries_per_switch: j
+            .member("n")?
+            .want_arr(what)?
             .iter()
-            .map(|n| want_u64(n, what).map(|n| n as usize))
+            .map(|n| n.want_usize(what))
             .collect::<Result<Vec<_>, _>>()?,
     })
 }
@@ -497,58 +484,59 @@ fn projection_json(p: &SdtProjection) -> Json {
 }
 
 fn projection_from(j: &Json) -> Result<SdtProjection, SnapshotError> {
-    let assignment = u32s_from(member(j, "assignment")?, "assignment")?;
+    let assignment = u32s_from(j.member("assignment")?, "assignment")?;
     let mut link_real = std::collections::HashMap::new();
-    for row in want_arr(member(j, "link_real")?, "link_real")? {
-        let r = want_arr(row, "link_real row")?;
+    for row in j.member("link_real")?.want_arr("link_real")? {
+        let r = row.want_arr("link_real row")?;
         let [lid, kind, a, b] = r else {
             return Err(bad("link_real row: expected [link, kind, a, b]"));
         };
-        let kind = match want_str(kind, "link kind")? {
+        let kind = match kind.want_str("link kind")? {
             "self" => PhysLinkKind::SelfLink,
             "inter" => PhysLinkKind::InterSwitch,
             other => return Err(bad(format!("unknown link kind `{other}`"))),
         };
         link_real.insert(
-            LinkId(want_u32(lid, "link id")?),
+            LinkId(lid.want_u32("link id")?),
             PhysLink { kind, a: port_from(a, "link end a")?, b: port_from(b, "link end b")? },
         );
     }
     let mut port_of = std::collections::HashMap::new();
-    for row in want_arr(member(j, "port_of")?, "port_of")? {
-        let r = want_arr(row, "port_of row")?;
+    for row in j.member("port_of")?.want_arr("port_of")? {
+        let r = row.want_arr("port_of row")?;
         let [s, l, pp] = r else {
             return Err(bad("port_of row: expected [switch, link, port]"));
         };
         port_of.insert(
-            (SwitchId(want_u32(s, "port_of switch")?), LinkId(want_u32(l, "port_of link")?)),
+            (SwitchId(s.want_u32("port_of switch")?), LinkId(l.want_u32("port_of link")?)),
             port_from(pp, "port_of port")?,
         );
     }
     let mut host_port = std::collections::HashMap::new();
-    for row in want_arr(member(j, "host_port")?, "host_port")? {
-        let r = want_arr(row, "host_port row")?;
+    for row in j.member("host_port")?.want_arr("host_port")? {
+        let r = row.want_arr("host_port row")?;
         let [h, l, pp] = r else {
             return Err(bad("host_port row: expected [host, link, port]"));
         };
         host_port.insert(
-            (HostId(want_u32(h, "host_port host")?), LinkId(want_u32(l, "host_port link")?)),
+            (HostId(h.want_u32("host_port host")?), LinkId(l.want_u32("host_port link")?)),
             port_from(pp, "host_port port")?,
         );
     }
     let mut subswitches = Vec::new();
-    for per_switch in want_arr(member(j, "subswitches")?, "subswitches")? {
+    for per_switch in j.member("subswitches")?.want_arr("subswitches")? {
         let mut subs = Vec::new();
-        for entry in want_arr(per_switch, "subswitch entry")? {
-            let r = want_arr(entry, "subswitch entry")?;
+        for entry in per_switch.want_arr("subswitch entry")? {
+            let r = entry.want_arr("subswitch entry")?;
             let [sid, ports] = r else {
                 return Err(bad("subswitch entry: expected [switch, ports]"));
             };
-            let ports = want_arr(ports, "subswitch ports")?
+            let ports = ports
+                .want_arr("subswitch ports")?
                 .iter()
                 .map(|pp| port_from(pp, "subswitch port"))
                 .collect::<Result<Vec<_>, _>>()?;
-            subs.push((SwitchId(want_u32(sid, "subswitch id")?), ports));
+            subs.push((SwitchId(sid.want_u32("subswitch id")?), ports));
         }
         subswitches.push(subs);
     }
@@ -558,8 +546,8 @@ fn projection_from(j: &Json) -> Result<SdtProjection, SnapshotError> {
         port_of,
         host_port,
         subswitches,
-        synthesis: synth_from(member(j, "synthesis")?, "projection.synthesis")?,
-        inter_switch_links_used: want_u64(member(j, "inter")?, "inter")? as usize,
+        synthesis: synth_from(j.member("synthesis")?, "projection.synthesis")?,
+        inter_switch_links_used: j.member("inter")?.want_usize("inter")?,
     })
 }
 
@@ -580,16 +568,16 @@ fn slice_json(s: &SliceSnap) -> Json {
 
 fn slice_from(j: &Json) -> Result<SliceSnap, SnapshotError> {
     Ok(SliceSnap {
-        id: want_u32(member(j, "id")?, "slice.id")?,
-        name: want_str(member(j, "name")?, "slice.name")?.to_string(),
-        config: want_str(member(j, "config")?, "slice.config")?.to_string(),
-        metadata_base: want_u32(member(j, "metadata_base")?, "metadata_base")?,
-        metadata_reserved: want_u32(member(j, "metadata_reserved")?, "metadata_reserved")?,
-        addr_base: want_u32(member(j, "addr_base")?, "addr_base")?,
-        addr_reserved: want_u32(member(j, "addr_reserved")?, "addr_reserved")?,
-        epochs: want_u32(member(j, "epochs")?, "epochs")?,
-        projection: projection_from(member(j, "projection")?)?,
-        installed: synth_from(member(j, "installed")?, "installed")?,
+        id: j.member("id")?.want_u32("slice.id")?,
+        name: j.member("name")?.want_str("slice.name")?.to_string(),
+        config: j.member("config")?.want_str("slice.config")?.to_string(),
+        metadata_base: j.member("metadata_base")?.want_u32("metadata_base")?,
+        metadata_reserved: j.member("metadata_reserved")?.want_u32("metadata_reserved")?,
+        addr_base: j.member("addr_base")?.want_u32("addr_base")?,
+        addr_reserved: j.member("addr_reserved")?.want_u32("addr_reserved")?,
+        epochs: j.member("epochs")?.want_u32("epochs")?,
+        projection: projection_from(j.member("projection")?)?,
+        installed: synth_from(j.member("installed")?, "installed")?,
     })
 }
 

@@ -4,8 +4,9 @@
 //! on one connection must come back in request order (FCFS),
 //! daemon-rendered reports must be byte-identical to local `sdtctl`
 //! rendering of the same state and must not move a dataplane counter, and
-//! a hostile request line (over-long, or nested past the parser's cap)
-//! must cost only its own connection.
+//! a hostile request line (over-long, not UTF-8, nested past the parser's
+//! cap, or carrying a number that does not fit its field) must cost at
+//! most its own connection and never be served as some other request.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -386,6 +387,63 @@ fn over_long_request_line_is_refused_and_only_that_connection_closes() {
     let text = cfg("kind = \"chain\"\nn = 3");
     let admit = other.call("admit", vec![("config".into(), Json::str(text.as_str()))]);
     assert!(outcome(&admit).0, "the daemon must keep serving other connections");
+    stop(&socket);
+    handle.join().unwrap().unwrap();
+}
+
+/// A line that is not UTF-8 is a bad request like any other: answered under
+/// id 0 in queue order, and the connection keeps serving. It used to make
+/// the reader thread return, closing the connection with no reply at all.
+#[test]
+fn non_utf8_request_line_gets_an_error_reply_and_the_connection_keeps_serving() {
+    let (socket, handle) = start("not-utf8", 64);
+    let mut hostile = UnixStream::connect(&socket).unwrap();
+    hostile.write_all(b"{\"id\":5,\"method\":\"ping\xff\xfe\"}\n").unwrap();
+    hostile.write_all(b"{\"id\":6,\"method\":\"ping\"}\n").unwrap();
+    let mut reader = BufReader::new(hostile);
+    let mut line = String::new();
+    assert!(reader.read_line(&mut line).unwrap() > 0, "the bad line is owed a reply");
+    let reply = Json::parse(line.trim_end_matches('\n')).unwrap();
+    let (ok, err) = outcome(&reply);
+    assert!(!ok && err.contains("UTF-8"), "the refusal names the defect: {line}");
+    assert_eq!(reply.get("id").and_then(Json::as_u64), Some(0));
+    line.clear();
+    assert!(reader.read_line(&mut line).unwrap() > 0, "the connection must keep serving");
+    let reply = Json::parse(line.trim_end_matches('\n')).unwrap();
+    assert_eq!((outcome(&reply).0, reply.get("id").and_then(Json::as_u64)), (true, Some(6)));
+    stop(&socket);
+    handle.join().unwrap().unwrap();
+}
+
+/// A slice id that does not fit `u32` is refused by name, in queue order.
+/// `id as u32` used to wrap 2³² + 1 onto slice 1 and destroy (or migrate)
+/// a live tenant. Of a duplicated key the first is read, so a second `id`
+/// cannot smuggle the wrap back in either.
+#[test]
+fn out_of_range_slice_id_is_refused_not_wrapped_onto_a_live_slice() {
+    let (socket, handle) = start("id-range", 64);
+    let mut c = Client::connect(&socket);
+    let chain = cfg("kind = \"chain\"\nn = 3");
+    for want in 0..2u64 {
+        let admit = c.call("admit", vec![("config".into(), Json::str(chain.as_str()))]);
+        assert_eq!(admit.get("slice").and_then(Json::as_u64), Some(want));
+    }
+    let wrapped = Json::u64((1 << 32) + 1);
+    let hostile = [
+        c.call("destroy", vec![("id".into(), wrapped.clone())]),
+        c.call("destroy", vec![("id".into(), wrapped.clone()), ("id".into(), Json::u64(1))]),
+        c.call(
+            "migrate",
+            vec![("id".into(), wrapped), ("config".into(), Json::str(cfg("kind = \"ring\"\nn = 4")))],
+        ),
+    ];
+    for reply in &hostile {
+        let (ok, err) = outcome(reply);
+        assert!(!ok && err.contains("id: out of u32 range"), "{}", reply.emit());
+    }
+    let status = c.call("status", vec![]);
+    assert_eq!(status.get("slices").and_then(Json::as_u64), Some(2));
+    assert!(reply_output(&status).contains("slice-1  chain-3  (chain-3)"), "slice 1 must survive");
     stop(&socket);
     handle.join().unwrap().unwrap();
 }

@@ -7,6 +7,12 @@
 //!     restored manager IS the original, as far as persistence can see);
 //! (c) the restored manager's full static-verification report renders
 //!     byte-identical to the original's — findings, counts, everything.
+//!
+//! And on a file nobody vouches for — torn at any byte, or with any one
+//! byte changed — [`Snapshot::decode`] never panics, never takes a torn
+//! file, and whatever it does take is a snapshot whose encoding is stable
+//! (`encode → decode → encode` byte-identical): a damaged file is refused
+//! or read as exactly what it now says, never as something in between.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -97,5 +103,70 @@ proptest! {
         let original = format!("{:?}", ctl.manager_mut().verify_report());
         let restored = format!("{:?}", mgr.verify_report());
         prop_assert_eq!(original, restored);
+    }
+}
+
+/// The encoded snapshot of a two-slice daemon (chain-2 and ring-4).
+fn two_slice_snapshot() -> String {
+    let (ctl, configs) = build(&[(0, 1), (2, 1)]);
+    assert_eq!(configs.len(), 2);
+    let spec = ClusterSpec {
+        model: "openflow-128x100g".to_string(),
+        switches: 2,
+        hosts_per_switch: 16,
+        inter_links_per_pair: 16,
+    };
+    Snapshot::capture(&spec, true, ctl.manager(), &configs).unwrap().encode()
+}
+
+#[test]
+fn a_torn_snapshot_file_is_never_taken() {
+    let text = two_slice_snapshot();
+    assert!(Snapshot::decode(&text).is_ok());
+    for cut in 0..text.len() {
+        let torn = String::from_utf8_lossy(&text.as_bytes()[..cut]);
+        assert!(Snapshot::decode(&torn).is_err(), "a prefix of {cut} bytes decoded");
+    }
+}
+
+#[test]
+fn a_snapshot_with_one_byte_changed_is_refused_or_read_as_what_it_says() {
+    let text = two_slice_snapshot();
+    let mut bytes = text.clone().into_bytes();
+    let (mut taken, mut refused) = (0, 0);
+    for at in 0..bytes.len() {
+        let original = bytes[at];
+        for replacement in [b'"', b'\\', b'}', b',', b'0', b'9', 0xff, original ^ 1] {
+            bytes[at] = replacement;
+            match Snapshot::decode(&String::from_utf8_lossy(&bytes)) {
+                Ok(snap) => {
+                    taken += 1;
+                    let encoded = snap.encode();
+                    let again = Snapshot::decode(&encoded)
+                        .unwrap_or_else(|e| panic!("byte {at} -> {replacement:#x}: {e}"));
+                    assert_eq!(again.encode(), encoded, "byte {at} -> {replacement:#x}");
+                }
+                Err(_) => refused += 1,
+            }
+        }
+        bytes[at] = original;
+    }
+    // Both arms ran: digits and string bytes mutate into other valid
+    // files, structure and keys do not.
+    assert!(taken > 0 && refused > taken, "{taken} taken, {refused} refused");
+}
+
+#[test]
+fn numbers_that_do_not_fit_their_field_are_refused_by_name() {
+    let text = two_slice_snapshot();
+    for (from, to, why) in [
+        ("\"inter\":", "\"inter\":-", "inter: not an unsigned integer"),
+        ("\"n\":[", "\"n\":[18446744073709551616,", "not an unsigned integer"),
+        ("\"next_id\":2", "\"next_id\":4294967298", "next_id: out of u32 range"),
+        ("\"require_deadlock_free\":true", "\"require_deadlock_free\":1", "require_deadlock_free: not a bool"),
+    ] {
+        assert!(text.contains(from), "the snapshot has no {from} to edit");
+        let e = Snapshot::decode(&text.replacen(from, to, 1)).map(|_| ()).unwrap_err();
+        assert!(e.to_string().contains(why), "{to}: {e}");
     }
 }

@@ -394,8 +394,8 @@ pub fn install_scheduled(
     let total_mods: usize = rounds.iter().map(|r| r.mods.len()).sum();
     let mut work: VecDeque<Round> = rounds.into();
     let mut report = ScheduleReport { total_mods, ..Default::default() };
-    // The intended boundary trajectory, chained round by round.
-    let mut view = TableView::of_switches(switches);
+    // The intended boundary trajectory is the chain of proofs itself: each
+    // round's verifier holds the tables its round is to reach.
     let mut current = base;
 
     let mut next = if work.is_empty() {
@@ -416,9 +416,6 @@ pub fn install_scheduled(
     let mut index = 0usize;
     while let Some(p) = next.take() {
         let Proven { round, verifier, proof_wall_ns, merged_from, pairs_walked, post } = p;
-        for (sw, t, m) in &round.mods {
-            view.apply(*sw, *t, m);
-        }
 
         // Send the round tagged, then prove the *next* boundary while the
         // mods are in flight.
@@ -444,7 +441,9 @@ pub fn install_scheduled(
         let busiest = per_switch.iter().copied().max().unwrap_or(0);
         // Reconcile the live tables against the intended boundary; the
         // round's own send + barrier above was attempt 1.
-        let rec = reconcile(channel, switches, |sw, t| view.entries(sw as u32, t), retry, timing, 1);
+        let intended = verifier.view();
+        let rec =
+            reconcile(channel, switches, |sw, t| intended.entries(sw as u32, t), retry, timing, 1);
         let install_ns = timing.install_time_ns(busiest) + 2 * channel.delay_ns() + rec.install_ns;
 
         // Divergence fallback: the boundary proof describes the intended
@@ -490,11 +489,11 @@ pub fn install_scheduled(
     }
 
     // Overall convergence: later rounds chase earlier stragglers (every
-    // retry diff targets the chained view), so only the final divergence
-    // matters.
+    // retry diff targets its boundary's proven tables), so only the final
+    // divergence matters.
     report.converged = switches.iter().enumerate().all(|(sw, s)| {
         (0u8..2).all(|t| {
-            diff_tables(s.table(t).entries(), view.entries(sw as u32, t)).is_empty()
+            diff_tables(s.table(t).entries(), current.view().entries(sw as u32, t)).is_empty()
         })
     });
     report.proof_wall_ns_total = report.rounds.iter().map(|r| r.proof_wall_ns).sum();

@@ -679,6 +679,13 @@ impl Verifier {
         &self.report
     }
 
+    /// The tables this proof is of — for a delta proof, the previous
+    /// proof's tables with the batch applied. The scheduler reads each
+    /// round's intended boundary state here instead of keeping its own.
+    pub fn view(&self) -> &TableView {
+        &self.view
+    }
+
     /// Shorthand for `report().holds()`.
     pub fn holds(&self) -> bool {
         self.report.holds()

@@ -19,33 +19,32 @@ use sdt_topology::{HostId, Topology};
 /// packet injections**, so a proof must not move a lookup or port counter
 /// (the differential test asserts they stay at zero). That holds by type:
 /// a view holds each table's [`EntryStore`] — the entries, their order and
-/// their tier index, cloned out of [`sdt_openflow::FlowTable::store`] —
-/// and a store has no counters to move.
+/// their tier index — and a store has no counters to move.
 ///
-/// Per-switch state is `Arc`-shared copy-on-write: cloning a view costs one
-/// pointer per switch, and [`TableView::apply`] deep-copies only the switch
-/// it mutates — the clone-then-apply pattern every delta check uses touches
-/// exactly the batch's switches, and patches their indexes in place.
+/// Every table is `Arc`-shared copy-on-write, with the live switch too
+/// ([`sdt_openflow::FlowTable::shared_store`]): snapshotting a bank or
+/// cloning a view costs one pointer per table and copies no entry, and
+/// [`TableView::apply`] deep-copies only the table it mutates — the
+/// clone-then-apply pattern every delta check uses touches exactly the
+/// batch's tables, and patches their indexes in place.
 #[derive(Clone, Debug, Default)]
 pub struct TableView {
-    switches: Vec<Arc<[EntryStore; 2]>>,
+    switches: Vec<[Arc<EntryStore>; 2]>,
 }
 
 impl TableView {
-    /// An all-empty view for `num_switches` switches. All slots share one
-    /// `Arc` — [`TableView::apply`] copies-on-write before mutating.
+    /// An all-empty view for `num_switches` switches. All slots share two
+    /// `Arc`s — [`TableView::apply`] copies-on-write before mutating.
     pub fn empty(num_switches: usize) -> Self {
-        TableView { switches: vec![Arc::default(); num_switches] }
+        TableView { switches: vec![Default::default(); num_switches] }
     }
 
-    /// Snapshot the live tables of a switch bank: a clone of each table's
-    /// store — no lookups, no counters.
+    /// Snapshot the live tables of a switch bank: a share of each table's
+    /// store — no entry copied, no lookups, no counters. The bank's next
+    /// write to a table copies it first, so the snapshot never moves.
     pub fn of_switches(switches: &[OpenFlowSwitch]) -> Self {
         TableView {
-            switches: switches
-                .iter()
-                .map(|s| Arc::new([0, 1].map(|t| s.table(t).store().clone())))
-                .collect(),
+            switches: switches.iter().map(|s| [0, 1].map(|t| s.table(t).shared_store())).collect(),
         }
     }
 
@@ -63,7 +62,7 @@ impl TableView {
                 .table0
                 .iter()
                 .zip(&s.table1)
-                .map(|(t0, t1)| Arc::new([t0, t1].map(install)))
+                .map(|(t0, t1)| [t0, t1].map(|t| Arc::new(install(t))))
                 .collect(),
         }
     }
@@ -85,10 +84,10 @@ impl TableView {
 
     /// Apply one flow-mod with [`EntryStore::apply`] — what
     /// `FlowTable::apply` does, minus capacity, which admission checks
-    /// separately. Copy-on-write: only this switch's state is cloned (and
-    /// only when shared with another view).
+    /// separately. Copy-on-write: only this table is cloned (and only when
+    /// shared with another view or the live switch).
     pub fn apply(&mut self, switch: u32, table: u8, m: &FlowMod) {
-        Arc::make_mut(&mut self.switches[switch as usize])[usize::from(table)].apply(m);
+        Arc::make_mut(&mut self.switches[switch as usize][usize::from(table)]).apply(m);
     }
 }
 
