@@ -512,13 +512,14 @@ fn corrupt(d: &mut Deployment, kind: &str) -> Result<(), String> {
     let oops = |e: sdt_openflow::TableError| format!("corrupt: {e}");
     match kind {
         "loop" => {
-            // Bounce rules at both ends of the first cable: anything
-            // entering the cable port is reflected straight back out of it.
-            let link = *d
+            // Bounce rules at both ends of the cable under the first logical
+            // link (smallest id — the map's own order differs per process):
+            // anything entering the cable port is reflected straight back out.
+            let (_, &link) = d
                 .projection
                 .link_real
-                .values()
-                .next()
+                .iter()
+                .min_by_key(|(id, _)| **id)
                 .ok_or("corrupt loop: deployment uses no cables")?;
             for (p, md) in [(link.a, 7001), (link.b, 7002)] {
                 let sw = &mut d.switches[p.switch as usize];

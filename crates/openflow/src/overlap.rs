@@ -11,11 +11,15 @@
 //! their **mask** — the subset of fields they constrain. Two matches `x`
 //! (mask `M`) and `e` (mask `E`) overlap iff they agree on every field of
 //! `M ∩ E`; `x` covers `e` iff additionally `M ⊆ E`. So per group, bucket
-//! entries under every submask projection of their constrained values; a
-//! query probes exactly one bucket per group — key `(M ∩ E, e`'s values on
+//! entries under submask projections of their constrained values; a query
+//! probes exactly one bucket per group — key `(M ∩ E, e`'s values on
 //! `M ∩ E)` — and every bucket member overlaps, with covering exactly when
 //! `M ∩ E = M`. Each entry lands in one bucket per query, so results need
-//! no dedup, and positions come back in install order.
+//! no dedup, and positions come back in install order. Every query is an
+//! entry of the table being scanned, so a group is only ever probed at its
+//! intersections with the masks present there, and an entry is filed under
+//! those alone: one key for a `{metadata, dst}` route in a table of routes,
+//! not the four its submasks would make.
 //!
 //! SDT tables hold a handful of distinct masks (`{in_port}` classify rows,
 //! `{metadata, dst}` routing rows, a catch-all), so queries are effectively
@@ -24,7 +28,7 @@
 
 use crate::table::{shadowed_entries_in, subtract_witness};
 use crate::{FlowEntry, FlowMatch, MatchUniverse, ShadowedEntry};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// FxHash-style multiply-xor hasher: the keys below are already
@@ -112,9 +116,35 @@ type Projected = (u16, u32, u32, u32, u16, u16);
 /// agree numerically.
 type Key = (u8, Projected);
 
+/// The positions filed under one key, ascending. SDT tables key almost
+/// every entry differently, so a bucket of one is held inline.
+enum Bucket {
+    One(u32),
+    Many(Vec<u32>),
+}
+
+impl Bucket {
+    fn push(&mut self, pos: u32) {
+        match self {
+            Bucket::One(first) => *self = Bucket::Many(vec![*first, pos]),
+            Bucket::Many(v) => v.push(pos),
+        }
+    }
+
+    fn as_slice(&self) -> &[u32] {
+        match self {
+            Bucket::One(pos) => std::slice::from_ref(pos),
+            Bucket::Many(v) => v,
+        }
+    }
+}
+
 struct MaskGroup {
     mask: u8,
-    buckets: HashMap<Key, Vec<u32>, FxBuild>,
+    /// `mask ∩ Q` for every mask `Q` present in the table, each once: the
+    /// submasks a query can probe this group at.
+    probed: Vec<u8>,
+    buckets: HashMap<Key, Bucket, FxBuild>,
 }
 
 /// Incremental index over a prefix of a priority-ordered entry list,
@@ -134,40 +164,46 @@ pub struct OverlapHit {
     pub first_cover: Option<u32>,
 }
 
-impl Default for OverlapIndex {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl OverlapIndex {
-    /// An empty index.
-    pub fn new() -> Self {
-        OverlapIndex { groups: Vec::new(), by_mask: [None; 64] }
+    /// An empty index for scanning `entries`: every match inserted or
+    /// queried later must constrain the same fields as one of them.
+    pub fn new(entries: &[FlowEntry]) -> Self {
+        let mut count = [0usize; 64];
+        for e in entries {
+            count[usize::from(mask_of(&e.m))] += 1;
+        }
+        let masks: Vec<u8> = (0..64).filter(|&m| count[usize::from(m)] > 0).collect();
+        let mut by_mask = [None; 64];
+        let groups = masks
+            .iter()
+            .enumerate()
+            .map(|(gi, &mask)| {
+                by_mask[usize::from(mask)] = Some(gi as u8);
+                let mut probed: Vec<u8> = masks.iter().map(|q| mask & q).collect();
+                probed.sort_unstable();
+                probed.dedup();
+                let buckets =
+                    HashMap::with_capacity_and_hasher(count[usize::from(mask)], FxBuild::default());
+                MaskGroup { mask, probed, buckets }
+            })
+            .collect();
+        OverlapIndex { groups, by_mask }
     }
 
     /// Insert the match of the entry at `pos`. Positions must be inserted
     /// in ascending order for bucket vectors to stay sorted.
     pub fn insert(&mut self, pos: u32, m: &FlowMatch) {
-        let mask = mask_of(m);
-        let gi = match self.by_mask[usize::from(mask)] {
-            Some(gi) => usize::from(gi),
-            None => {
-                let gi = self.groups.len();
-                self.by_mask[usize::from(mask)] = Some(gi as u8);
-                self.groups.push(MaskGroup { mask, buckets: HashMap::default() });
-                gi
-            }
+        let Some(gi) = self.by_mask[usize::from(mask_of(m))] else {
+            panic!("{m:?} constrains fields no entry given to `OverlapIndex::new` does");
         };
-        let group = &mut self.groups[gi];
-        // Enumerate every submask of the entry's constrained fields.
-        let mut sub = mask;
-        loop {
-            group.buckets.entry((sub, project(m, sub))).or_default().push(pos);
-            if sub == 0 {
-                break;
+        let group = &mut self.groups[usize::from(gi)];
+        for &sub in &group.probed {
+            match group.buckets.entry((sub, project(m, sub))) {
+                Entry::Vacant(v) => {
+                    v.insert(Bucket::One(pos));
+                }
+                Entry::Occupied(mut o) => o.get_mut().push(pos),
             }
-            sub = (sub - 1) & mask;
         }
     }
 
@@ -181,14 +217,13 @@ impl OverlapIndex {
             let Some(bucket) = group.buckets.get(&(common, project(m, common))) else {
                 continue;
             };
+            let bucket = bucket.as_slice();
             overlaps.extend_from_slice(bucket);
             if common == group.mask {
                 // Every bucket member's full constraint set agrees with
                 // `m`, i.e. each covers it; the first is the earliest.
-                if let Some(&p) = bucket.first() {
-                    if first_cover.is_none_or(|c| p < c) {
-                        first_cover = Some(p);
-                    }
+                if first_cover.is_none_or(|c| bucket[0] < c) {
+                    first_cover = Some(bucket[0]);
                 }
             }
         }
@@ -209,7 +244,7 @@ pub fn table_warnings_indexed(
     entries: &[FlowEntry],
     universe: &MatchUniverse,
 ) -> (Vec<ShadowedEntry>, Vec<(u32, u32)>) {
-    let mut idx = OverlapIndex::new();
+    let mut idx = OverlapIndex::new(entries);
     let mut shadowed = Vec::new();
     let mut nondet: Vec<(u32, u32)> = Vec::new();
     for (i, e) in entries.iter().enumerate() {
@@ -308,39 +343,88 @@ mod tests {
         }
     }
 
-    #[test]
-    fn randomized_tables_match_linear_reference() {
-        // Deterministic xorshift so failures reproduce.
-        let mut s = 0x5d7_2026_0809u64;
-        let mut next = move || {
+    /// `n` entries in flow-table order from one xorshift stream: each of the
+    /// six fields constrained when its bit of `fields` is set and a coin
+    /// says so, over tiny value domains so entries collide constantly.
+    fn random_table(next: &mut impl FnMut() -> u64, n: usize, fields: u64) -> Vec<FlowEntry> {
+        let mut entries: Vec<FlowEntry> = (0..n)
+            .map(|_| {
+                let r = next() & (fields | !63);
+                let m = FlowMatch {
+                    in_port: (r & 1 != 0).then_some(PortNo((r >> 8) as u16 % 4)),
+                    metadata: (r & 2 != 0).then_some((r >> 16) as u32 % 3),
+                    src: (r & 4 != 0).then_some(HostAddr((r >> 24) as u32 % 3)),
+                    dst: (r & 8 != 0).then_some(HostAddr((r >> 32) as u32 % 3)),
+                    l4_src: (r & 16 != 0).then_some((r >> 40) as u16 % 2),
+                    l4_dst: (r & 32 != 0).then_some((r >> 48) as u16 % 2),
+                };
+                FlowEntry { m, priority: ((r >> 56) % 4) as u16, action: Action::Drop }
+            })
+            .collect();
+        // Flow-table order: stable sort by descending priority.
+        entries.sort_by_key(|e| std::cmp::Reverse(e.priority));
+        entries
+    }
+
+    /// Deterministic xorshift so failures reproduce.
+    fn xorshift(mut s: u64) -> impl FnMut() -> u64 {
+        move || {
             s ^= s << 13;
             s ^= s >> 7;
             s ^= s << 17;
             s
-        };
+        }
+    }
+
+    #[test]
+    fn randomized_tables_match_linear_reference() {
+        let mut next = xorshift(0x5d7_2026_0809);
         let universe = MatchUniverse::for_switch(4, 0..3);
-        for round in 0..60 {
-            let n = 2 + (next() % 24) as usize;
-            let mut entries: Vec<FlowEntry> = (0..n)
-                .map(|_| {
-                    let r = next();
-                    let m = FlowMatch {
-                        in_port: (r & 1 != 0).then_some(PortNo((r >> 8) as u16 % 4)),
-                        metadata: (r & 2 != 0).then_some((r >> 16) as u32 % 3),
-                        src: (r & 4 != 0).then_some(HostAddr((r >> 24) as u32 % 3)),
-                        dst: (r & 8 != 0).then_some(HostAddr((r >> 32) as u32 % 3)),
-                        l4_src: (r & 16 != 0).then_some((r >> 40) as u16 % 2),
-                        l4_dst: (r & 32 != 0).then_some((r >> 48) as u16 % 2),
-                    };
-                    let priority = ((r >> 56) % 4) as u16;
-                    let action = Action::Drop;
-                    FlowEntry { m, priority, action }
-                })
-                .collect();
-            // Flow-table order: stable sort by descending priority.
-            entries.sort_by_key(|e| std::cmp::Reverse(e.priority));
-            assert_agrees(&entries, &universe, &format!("random round {round}"));
+        // Small tables over every subset of the fields a table may use, so
+        // the masks present — and with them the submasks filed — vary from
+        // one mask to all sixty-four; then tables of several hundred
+        // entries, where every bucket holds many positions.
+        let sizes = (0..64).map(|fields| (2 + fields as usize % 24, fields)).chain([
+            (300, 63),
+            (500, 0b001011),
+            (400, 0b111100),
+        ]);
+        for (round, (n, fields)) in sizes.enumerate() {
+            let entries = random_table(&mut next, n, fields);
+            assert_agrees(&entries, &universe, &format!("round {round}, fields {fields:#b}"));
             assert_agrees(&entries, &MatchUniverse::unbounded(), &format!("round {round} unb"));
+        }
+    }
+
+    #[test]
+    fn an_entry_is_filed_once_per_mask_present() {
+        let keys = |entries: &[FlowEntry]| {
+            let mut idx = OverlapIndex::new(entries);
+            for (pos, e) in entries.iter().enumerate() {
+                idx.insert(pos as u32, &e.m);
+            }
+            let masks: std::collections::BTreeSet<u8> =
+                entries.iter().map(|e| mask_of(&e.m)).collect();
+            (idx.groups.iter().map(|g| g.buckets.len()).sum::<usize>(), masks.len())
+        };
+        // A table of routes: one mask, one key an entry — under every
+        // submask it was four.
+        let routes: Vec<FlowEntry> = (0..40)
+            .map(|i| entry(FlowMatch::to_dst(HostAddr(i)).and_metadata(i % 5), 10))
+            .collect();
+        assert_eq!(keys(&routes), (40, 1));
+        // With a catch-all behind them the routes are also reachable through
+        // the empty submask: one more key for all of them, one for itself.
+        let mut with_default = routes.clone();
+        with_default.push(entry(FlowMatch::any(), 1));
+        assert_eq!(keys(&with_default), (42, 2));
+        // All six fields in play: never more than entries × masks present,
+        // where every submask made it entries × 64.
+        let mut next = xorshift(0x21);
+        for fields in [63, 0b101010, 0b000111] {
+            let entries = random_table(&mut next, 200, fields);
+            let (filed, masks) = keys(&entries);
+            assert!(filed <= entries.len() * masks, "{filed} keys, {masks} masks");
         }
     }
 }

@@ -15,28 +15,33 @@
 //! # What a proof keeps
 //!
 //! Besides its view, intent, warnings and loops, a [`Verifier`] keeps how
-//! every ordered host pair fared: each *distinct* trace of the pass once,
-//! and a src-major `pair position → trace id` index of `u32`s. The report
-//! reads each pair through the index, and so does the next proof: one
-//! carry-over rule, shared by both walkers, decides which pairs of a delta
-//! keep their previous trace; the walkers fill in the rest.
+//! every ordered host pair fared: each *distinct* trace of the pass once —
+//! a verdict id and the switches crossed, in one flat vector — and a
+//! src-major `pair position → trace id` index of `u32`s. The report reads
+//! each pair through the index, and so does the next proof: one carry-over
+//! rule, shared by both walkers, decides which pairs of a delta keep their
+//! previous trace; the walkers fill in the rest. Every pass over the pairs
+//! walks the index one source row at a time.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 use sdt_core::cluster::{PhysPort, PhysicalCluster};
 use sdt_openflow::{
-    table_warnings_indexed, table_warnings_linear, Action, FlowEntry, FlowMod, HostAddr,
-    MatchUniverse, PortNo, ShadowedEntry,
+    table_warnings_indexed, table_warnings_linear, Action, FlowEntry, FlowMod, MatchUniverse,
+    PortNo, ShadowedEntry,
 };
 use sdt_topology::HostId;
 
-use crate::fast::{DestinyMemo, Fate, FateOut, FateTable, SwitchSet, VerifyStats, WalkCache};
+use crate::fast::{
+    DestinyMemo, Fate, FateOut, FateTable, Outcomes, StepMatrix, SwitchSet, Trace, VerifyStats,
+    WalkCache,
+};
 use crate::model::{entry_matches, HeaderClass, HeaderValues, Intent, TableView};
 
 /// A named rule: enough to point an operator at the exact `FlowEntry` in
 /// the exact table that causes a finding.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct RuleRef {
     /// Physical switch.
     pub switch: u32,
@@ -57,7 +62,7 @@ impl std::fmt::Display for RuleRef {
 }
 
 /// Why a match space dead-ends.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum DropReason {
     /// No entry matched (table miss — drop in OpenFlow-with-no-miss-rule).
     Miss {
@@ -361,29 +366,24 @@ fn egress(cluster: &PhysicalCluster, port: PhysPort, rules: Vec<RuleRef>) -> Ste
     }
 }
 
-/// How one ordered intent pair fares, plus the switches its packets cross —
-/// the key to incremental re-checking (a pair whose path avoids every
-/// switch touched by a delta cannot change behaviour).
-///
-/// Traces carry no addresses: which pairs a trace belongs to is recorded
-/// beside it, in [`TraceStore::index`].
-#[derive(Clone, Debug)]
-struct PairTrace {
-    outcome: PairOutcome,
-    crossed: SwitchSet,
-}
-
-/// What a proof keeps of its pair walks: each distinct trace once, and which
-/// of them every ordered intent pair got. A verdict replayed to a million
+/// What a proof keeps of its pair walks: each distinct verdict once, each
+/// distinct [`Trace`] — how a pair fares plus the switches its packets
+/// cross, the key to incremental re-checking (a pair whose path avoids every
+/// switch touched by a delta cannot change behaviour) — once, and which of
+/// them every ordered intent pair got. A verdict replayed to a million
 /// pairs is a million `u32`s, and the next proof tests a trace against its
-/// delta once, however many pairs share it.
+/// delta once, however many pairs share it. Traces carry no addresses:
+/// which pairs a trace belongs to is recorded beside it, in the index.
 #[derive(Debug, Default)]
 struct TraceStore {
+    /// The verdicts `distinct` names by position: those of the traces
+    /// carried over from the previous proof, then the proof's own
+    /// [`Outcomes`] (fast walker) or one per walked pair (reference walker).
+    outcomes: Vec<PairOutcome>,
     /// The distinct traces of the pass: those carried over from the previous
     /// proof, then one per walked pair (reference walker) or one per (class
-    /// job, source group) representative (fast walker). `Arc`s, so carrying
-    /// one over copies a pointer.
-    distinct: Vec<Arc<PairTrace>>,
+    /// job, source group) representative (fast walker).
+    distinct: Vec<Trace>,
     /// For every ordered intent pair, at its [`pair_pos`], the index of its
     /// trace in `distinct` ([`OPEN`] only while a walker is filling it).
     index: Vec<u32>,
@@ -392,12 +392,19 @@ struct TraceStore {
 /// The [`TraceStore::index`] entry of a pair that has no trace yet.
 const OPEN: u32 = u32::MAX;
 /// [`Verifier::carry_over`]'s mark for a previous trace no pair has asked
-/// for yet. Neither is ever a trace's index.
+/// for yet, and the fast walker's for a (source group, class) whose trace
+/// some open pair waits for. Neither is ever a trace's index.
 const UNASKED: u32 = OPEN - 1;
+const NEEDED: u32 = OPEN - 1;
+
+/// Header classes per [`StepMatrix`]: what bounds a proof's memory when
+/// rules test `src` and the classes number in the millions. Fat-tree k=16
+/// (1 025 classes) is one block.
+const CLASS_BLOCK: usize = 2048;
 
 impl TraceStore {
     /// Add a distinct trace; returns its index.
-    fn push(&mut self, trace: Arc<PairTrace>) -> u32 {
+    fn push(&mut self, trace: Trace) -> u32 {
         let id = self.distinct.len();
         assert!(id < UNASKED as usize, "a pair index of u32s names at most 2^32 - 2 traces");
         self.distinct.push(trace);
@@ -422,7 +429,7 @@ fn pair_pos(n: usize, i: usize, j: usize) -> usize {
 }
 
 /// The verdict of one ordered pair's walk.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub(crate) enum PairOutcome {
     /// Egressed on a host port.
     Delivered {
@@ -484,7 +491,7 @@ impl Verifier {
         intent: Intent,
         threads: usize,
     ) -> Verifier {
-        Self::check_impl(cluster, view, intent, threads, false)
+        Self::check_impl(cluster, view, intent, threads, false, CLASS_BLOCK)
     }
 
     /// [`Verifier::check_threads`]. Kept only because `benchmark/` calls
@@ -509,7 +516,7 @@ impl Verifier {
         intent: Intent,
         threads: usize,
     ) -> Verifier {
-        Self::check_impl(cluster, view, intent, threads, true)
+        Self::check_impl(cluster, view, intent, threads, true, CLASS_BLOCK)
     }
 
     fn check_impl(
@@ -518,9 +525,10 @@ impl Verifier {
         intent: Intent,
         threads: usize,
         plain: bool,
+        block: usize,
     ) -> Verifier {
         let values = HeaderValues::collect(&view);
-        Self::unproven(cluster.clone(), view, intent, values).prove(None, threads, plain)
+        Self::unproven(cluster.clone(), view, intent, values).prove(None, threads, plain, block)
     }
 
     /// A verifier of these tables against this intent that has proven
@@ -546,7 +554,7 @@ impl Verifier {
 
     /// Every proof — full or delta, reference or fast: scan the switches,
     /// find the loops, walk the pairs the delta does not carry over, report.
-    fn prove(mut self, delta: Delta<'_>, threads: usize, plain: bool) -> Verifier {
+    fn prove(mut self, delta: Delta<'_>, threads: usize, plain: bool, block: usize) -> Verifier {
         let scan = if plain { table_warnings_linear } else { table_warnings_indexed };
         self.scan_warnings(delta, threads, scan);
         // Empty batch against an unchanged intent in which every host owns
@@ -560,7 +568,10 @@ impl Verifier {
             if !plain
                 && touched.is_empty()
                 && self.intent == prev.intent
-                && sole_holders(&self.intent).values().all(Option::is_some)
+                && {
+                    let holders = sole_holders(&self.intent);
+                    self.intent.hosts.iter().all(|h| holders[&h.addr.0].is_some())
+                }
             {
                 self.traces = Arc::clone(&prev.traces);
                 self.stats.symmetric = prev.stats.symmetric;
@@ -570,10 +581,13 @@ impl Verifier {
             }
         }
         let touched = delta.map(|(touched, _)| touched);
-        let fates = (!plain).then(|| FateTable::build(&self.cluster, &self.view)).filter(|f| f.ok);
+        let mut outcomes = Outcomes::new();
+        let fates = (!plain)
+            .then(|| FateTable::build(&self.cluster, &self.view, &mut outcomes))
+            .filter(|f| f.ok);
         self.stats.symmetric = fates.is_some();
         let walked = match &fates {
-            Some(fates) => self.walk_pairs_fast(fates, delta, threads),
+            Some(fates) => self.walk_pairs_fast(fates, outcomes, delta, threads, block),
             None => {
                 self.scan_loops(touched, threads);
                 self.walk_pairs(delta, threads)
@@ -616,7 +630,7 @@ impl Verifier {
         intent: Intent,
         threads: usize,
     ) -> Verifier {
-        Self::check_delta_impl(prev, batch, intent, threads, false)
+        Self::check_delta_impl(prev, batch, intent, threads, false, CLASS_BLOCK)
     }
 
     /// [`Verifier::check_delta_threads`]. Kept only because `benchmark/`
@@ -638,7 +652,7 @@ impl Verifier {
         intent: Intent,
         threads: usize,
     ) -> Verifier {
-        Self::check_delta_impl(prev, batch, intent, threads, true)
+        Self::check_delta_impl(prev, batch, intent, threads, true, CLASS_BLOCK)
     }
 
     fn check_delta_impl(
@@ -647,6 +661,7 @@ impl Verifier {
         intent: Intent,
         threads: usize,
         plain: bool,
+        block: usize,
     ) -> Verifier {
         let mut view = prev.view.clone();
         let mut touched = SwitchSet::empty(prev.cluster.num_switches());
@@ -671,7 +686,7 @@ impl Verifier {
             .filter(|l| l.ports.iter().all(|p| !touched.contains(p.switch)))
             .cloned()
             .collect();
-        v.prove(Some((&touched, prev)), threads, plain)
+        v.prove(Some((&touched, prev)), threads, plain, block)
     }
 
     /// The verdict.
@@ -785,7 +800,7 @@ impl Verifier {
     fn carry_over(&self, delta: Delta<'_>) -> TraceStore {
         let (now, n) = (&self.intent, self.intent.hosts.len());
         let mut store =
-            TraceStore { distinct: Vec::new(), index: vec![OPEN; n * n.saturating_sub(1)] };
+            TraceStore { index: vec![OPEN; n * n.saturating_sub(1)], ..TraceStore::default() };
         let Some((touched, prev)) = delta else { return store };
         let (was, np) = (&prev.intent, prev.intent.hosts.len());
         let (now_at, was_at) = (sole_holders(now), sole_holders(was));
@@ -806,20 +821,32 @@ impl Verifier {
             })
             .collect();
         // Per previous trace: its index in `store`, or `OPEN` if it crosses
-        // a touched switch — once some pair has asked.
-        let mut moved = vec![UNASKED; prev.traces.distinct.len()];
+        // a touched switch — once some pair has asked; per previous verdict,
+        // its index in `store` once a carried trace names it.
+        let kept = &*prev.traces;
+        let mut moved = vec![UNASKED; kept.distinct.len()];
+        store.distinct.reserve(kept.distinct.len());
+        let mut moved_out = vec![UNASKED; kept.outcomes.len()];
         for &(i, pi) in &same {
+            // One row of each index per source: the pair's column is the
+            // other host's position with the diagonal left out.
+            let (row, was_row) = (i * (n - 1), pi * (np - 1));
             for &(j, pj) in same.iter().filter(|&&(j, _)| i != j) {
-                let t = prev.traces.index[pair_pos(np, pi, pj)] as usize;
+                let t = kept.index[was_row + pj - usize::from(pj > pi)] as usize;
                 if moved[t] == UNASKED {
-                    let trace = &prev.traces.distinct[t];
-                    moved[t] = if trace.crossed.intersects(touched) {
+                    let Trace { outcome, crossed } = &kept.distinct[t];
+                    moved[t] = if crossed.intersects(touched) {
                         OPEN
                     } else {
-                        store.push(Arc::clone(trace))
+                        let out = &mut moved_out[*outcome as usize];
+                        if *out == UNASKED {
+                            *out = store.outcomes.len() as u32;
+                            store.outcomes.push(kept.outcomes[*outcome as usize].clone());
+                        }
+                        store.push(Trace { outcome: *out, crossed: crossed.clone() })
                     };
                 }
-                store.index[pair_pos(n, i, j)] = moved[t];
+                store.index[row + j - usize::from(j > i)] = moved[t];
             }
         }
         store
@@ -839,7 +866,7 @@ impl Verifier {
         let (cluster, values, view, index) =
             (&self.cluster, &self.values, &self.view, &store.index);
         let srcs: Vec<usize> = (0..n).collect();
-        let per_src: Vec<Vec<Arc<PairTrace>>> = sdt_par::par_map_threads(threads, &srcs, |&i| {
+        let per_src = sdt_par::par_map_threads(threads, &srcs, |&i| {
             let src = &hosts[i];
             let open = (0..n).filter(|&j| i != j && index[pair_pos(n, i, j)] == OPEN);
             open.map(|j| {
@@ -862,16 +889,17 @@ impl Verifier {
                         Step::Next { to, .. } => at = to,
                     }
                 }
-                Arc::new(PairTrace { outcome, crossed })
+                (outcome, crossed)
             })
-            .collect()
+            .collect::<Vec<(PairOutcome, SwitchSet)>>()
         });
         let (mut walked, mut at) = (0usize, 0usize);
-        for trace in per_src.into_iter().flatten() {
+        for (outcome, crossed) in per_src.into_iter().flatten() {
             while store.index[at] != OPEN {
                 at += 1;
             }
-            let id = store.push(trace);
+            store.outcomes.push(outcome);
+            let id = store.push(Trace { outcome: store.outcomes.len() as u32 - 1, crossed });
             store.index[at] = id;
             walked += 1;
         }
@@ -880,228 +908,200 @@ impl Verifier {
     }
 
     /// [`Verifier::walk_pairs`] and [`Verifier::scan_loops`] fused, with
-    /// the symmetry collapse: one job per header class resolves one destiny
-    /// per pipeline state through a shared [`DestinyMemo`] and uses it twice —
-    /// to prove the class loop-free (or fall back to the reference port
-    /// walk, keeping `LoopFinding`s byte-identical) and to build one
-    /// representative trace per source group, which the merge hands to every
-    /// same-class pair still open as a `u32`. Jobs are weighted by pair count
-    /// and scheduled heaviest first over
-    /// [`sdt_par::par_map_weighted_threads`]; the merge runs in job order on
-    /// one thread and loop findings merge in class-enumeration order, so
-    /// reports are byte-identical to the reference's at any thread count.
-    #[allow(clippy::too_many_lines)]
-    fn walk_pairs_fast(&mut self, fates: &FateTable, delta: Delta<'_>, threads: usize) -> usize {
+    /// the symmetry collapse. Per block of `block` header classes: the route
+    /// pass resolves every table-1 decision once ([`StepMatrix::build`]); a
+    /// pass over the pair index, row by row, marks each (source group,
+    /// class) some open pair waits on; one job per class chases the
+    /// decisions through a [`DestinyMemo`] and uses the destinies twice — to
+    /// prove the class loop-free (or fall back to the reference port walk,
+    /// keeping `LoopFinding`s byte-identical) and to build one
+    /// representative trace per marked source group; the merge stores those
+    /// in job order on one thread, loop findings merging in
+    /// class-enumeration order; and a second row pass hands every open pair
+    /// its trace as a `u32`. Reports are byte-identical to the reference's
+    /// at any thread count and any block size.
+    fn walk_pairs_fast(
+        &mut self,
+        fates: &FateTable,
+        mut outcomes: Outcomes,
+        delta: Delta<'_>,
+        threads: usize,
+        block: usize,
+    ) -> usize {
         let mut store = self.carry_over(delta);
+        let carried_outcomes = store.outcomes.len() as u32;
         let hosts = &self.intent.hosts;
-        let n = hosts.len();
-        // Group hosts by per-field class code (0 = fresh, k+1 = k-th
-        // tested value); a *walking* job is one (src-code, dst-code) cell =
-        // one header class (L4 fields are constant across intent traffic).
-        // Every other class still gets a job for the loop scan alone.
-        let values = &self.values;
-        let code = |vals: &[HostAddr], a: HostAddr| vals.binary_search(&a).map_or(0, |p| p + 1);
-        let mut srcs_by: Vec<Vec<usize>> = vec![Vec::new(); values.srcs().len() + 1];
-        let mut dsts_by: Vec<Vec<usize>> = vec![Vec::new(); values.dsts().len() + 1];
-        for (i, h) in hosts.iter().enumerate() {
-            srcs_by[code(values.srcs(), h.addr)].push(i);
-            dsts_by[code(values.dsts(), h.addr)].push(i);
-        }
-        let l4 = values.class_of(HostAddr(0), HostAddr(0), 4791, 4791);
-        let (starts, carried) = self.loop_scan_inputs(delta.map(|(touched, _)| touched));
-        // Start fates are class-independent, and Dead/Deliver starts can
-        // never reach a `Looped` destiny — so the per-class loop check only
-        // needs the distinct pipeline states the starts resolve to.
-        let start_states: Vec<u32> = {
-            let mut seen = HashSet::new();
-            starts
-                .iter()
-                .filter_map(|&p| match fates.fate(p).out {
-                    FateOut::State(state) => Some(state),
-                    _ => None,
-                })
-                .filter(|s| seen.insert(*s))
-                .collect()
-        };
+        let (starts, mut seen_cycles) = self.loop_scan_inputs(delta.map(|(touched, _)| touched));
+        // Start fates are class-independent, and terminal starts can never
+        // reach a `Looped` destiny — so the per-class loop check only needs
+        // the distinct pipeline states the starts resolve to.
+        let mut seen = HashSet::new();
+        let start_states: Vec<u32> = starts
+            .iter()
+            .filter_map(|&p| match fates.fate(p).out {
+                FateOut::State(state) => Some(state),
+                FateOut::Terminal(_) => None,
+            })
+            .filter(|s| seen.insert(*s))
+            .collect();
         // Ingress fates are class-independent too: sources whose fates
         // reach the same pipeline state across the same switches get
         // content-identical traces in every class (the destiny is a pure
         // function of the state within a class), so they form one group
         // and share one trace per class. Other fates stay on their own.
         let mut groups: Vec<&Fate> = Vec::new();
-        let group_of: Vec<usize> = {
-            let mut by_state: HashMap<(u32, &SwitchSet), usize> = HashMap::new();
-            hosts
-                .iter()
-                .map(|h| {
-                    let fate = fates.fate(h.ingress);
-                    let fresh = groups.len();
-                    let group = match fate.out {
-                        FateOut::State(state) => {
-                            *by_state.entry((state, &fate.crossed)).or_insert(fresh)
-                        }
-                        _ => fresh,
-                    };
-                    if group == fresh {
-                        groups.push(fate);
+        let mut by_state: HashMap<(u32, &SwitchSet), usize> = HashMap::new();
+        // Per host: its group, after the two halves of its pairs' classes as
+        // positions in `classes()` — a pair's class is its source's first
+        // half plus its destination's second (L4 fields are constant across
+        // intent traffic). One job per class, in that enumeration order
+        // (loop findings are deduplicated first-class-wins, so the order is
+        // part of the report contract); the classes no pair falls in still
+        // get their job, for the loop scan alone.
+        let sides: Vec<(usize, usize, usize)> = hosts
+            .iter()
+            .map(|h| {
+                let fate = fates.fate(h.ingress);
+                let fresh = groups.len();
+                let group = match fate.out {
+                    FateOut::State(state) => {
+                        *by_state.entry((state, &fate.crossed)).or_insert(fresh)
                     }
-                    group
-                })
-                .collect()
-        };
-        // One job per header class, in `classes()` enumeration order (loop
-        // findings are deduplicated first-class-wins, so this order is part
-        // of the report contract).
-        let jobs: Vec<(HeaderClass, usize, usize, bool)> = values
-            .classes()
-            .into_iter()
-            .map(|class| {
-                let a = class.src.map_or(0, |v| code(values.srcs(), v));
-                let b = class.dst.map_or(0, |v| code(values.dsts(), v));
-                let walk = class.l4_src == l4.l4_src
-                    && class.l4_dst == l4.l4_dst
-                    && !srcs_by[a].is_empty()
-                    && !dsts_by[b].is_empty();
-                (class, a, b, walk)
+                    FateOut::Terminal(_) => fresh,
+                };
+                if group == fresh {
+                    groups.push(fate);
+                }
+                let (from, to) = self.values.pair_class(h.addr, 4791, 4791);
+                (from, to, group)
             })
             .collect();
         struct JobOut {
-            /// Per source group: its verdict in this class, if the class
-            /// has a pair of that group to walk.
-            reps: Vec<Option<Arc<PairTrace>>>,
-            full: usize,
+            /// The class's verdict for each source group marked [`NEEDED`],
+            /// in group order.
+            reps: Vec<Trace>,
             hits: usize,
             resolved: usize,
             loops: Option<(Vec<LoopFinding>, bool)>,
         }
         let (cluster, view) = (&self.cluster, &self.view);
-        let (srcs_ref, dsts_ref, index) = (&srcs_by, &dsts_by, &store.index);
-        let (starts_ref, states_ref, carried_ref) = (&starts, &start_states, &carried);
-        let (groups_ref, group_of_ref) = (&groups, &group_of);
-        // Jobs build one representative trace per source group that has a
-        // pair to walk (carried pairs are already indexed); the merge below
-        // stores it once and hands each such pair its index.
-        let results: Vec<JobOut> = sdt_par::par_map_weighted_threads(
-            threads,
-            &jobs,
-            |&(_, a, b, walk)| {
-                (starts_ref.len() + if walk { srcs_ref[a].len() * dsts_ref[b].len() } else { 0 })
-                    as u64
-            },
-            |&(class, a, b, walk)| {
-                let mut memo = DestinyMemo::new(cluster, view, fates, class);
+        let classes = self.values.classes();
+        let mut walked_total = 0usize;
+        for (nth, classes) in classes.chunks(block).enumerate() {
+            let (lo, len) = (nth * block, classes.len());
+            let steps = StepMatrix::build(cluster, view, fates, &mut outcomes, classes, threads);
+            // Per (source group, class of the block): `OPEN`, `NEEDED`, then
+            // the trace id the merge gives it.
+            let mut cells = vec![OPEN; groups.len() * len];
+            each_open(&sides, &mut store.index, &mut cells, (lo, len), |_, cell| *cell = NEEDED);
+            let class_ids: Vec<usize> = (0..len).collect();
+            let results: Vec<JobOut> = sdt_par::par_map_threads(threads, &class_ids, |&c| {
+                let mut memo = DestinyMemo::new(fates, steps.class(c));
                 // Loop scan first: a class from whose start ports no
                 // `Looped` destiny is reachable provably has no cycle —
                 // skip it; one that does falls back to the reference port
                 // walk so the findings are byte-identical.
-                let loops = if starts_ref.is_empty() {
-                    None
-                } else {
-                    let looped = states_ref.iter().any(|&state| {
+                let loops = (!starts.is_empty()).then(|| {
+                    let looped = start_states.iter().any(|&state| {
                         let idx = memo.resolve(state);
-                        matches!(memo.destiny(idx).out, PairOutcome::Looped)
+                        memo.destiny(idx).outcome == Outcomes::LOOPED
                     });
-                    if looped {
-                        Some((
-                            scan_loops_class(view, cluster, starts_ref, carried_ref, class),
-                            false,
-                        ))
+                    let found = if looped {
+                        scan_loops_class(view, cluster, &starts, &seen_cycles, classes[c])
                     } else {
-                        Some((Vec::new(), true))
-                    }
-                };
-                let mut full = 0usize;
-                let mut reps: Vec<Option<Arc<PairTrace>>> = vec![None; groups_ref.len()];
-                for &i in srcs_ref[a].iter().filter(|_| walk) {
-                    let group = group_of_ref[i];
-                    let to_walk = |&j: &usize| i != j && index[pair_pos(n, i, j)] == OPEN;
-                    if reps[group].is_some() || !dsts_ref[b].iter().any(to_walk) {
-                        continue;
-                    }
-                    full += 1;
-                    let fate = groups_ref[group];
-                    let mut crossed = fate.crossed.clone();
-                    let outcome = match &fate.out {
-                        FateOut::Dead(reason) => PairOutcome::Dropped { reason: reason.clone() },
-                        FateOut::Deliver { port, via } => {
-                            PairOutcome::Delivered { port: *port, via: via.clone() }
-                        }
-                        FateOut::State(state) => {
-                            let idx = memo.resolve(*state);
-                            let d = memo.destiny(idx);
-                            crossed.union_with(&d.crossed);
-                            d.out.clone()
-                        }
+                        Vec::new()
                     };
-                    reps[group] = Some(Arc::new(PairTrace { outcome, crossed }));
-                }
-                JobOut { reps, full, hits: memo.hits, resolved: memo.resolved, loops }
-            },
-        );
-        let mut walked_total = 0usize;
-        let mut seen_cycles = carried;
-        for (job, &(_, a, b, _)) in results.into_iter().zip(&jobs) {
-            self.stats.pairs_walked_full += job.full;
-            self.stats.cache_hits += job.hits;
-            self.stats.cache_misses += job.resolved;
-            if let Some((found, fast)) = job.loops {
-                if fast {
-                    self.stats.loop_classes_fast += 1;
-                } else {
-                    self.stats.loop_classes_fallback += 1;
-                }
-                for l in found {
-                    if seen_cycles.insert(canonical_cycle(&l.ports)) {
-                        self.loops.push(l);
+                    (found, !looped)
+                });
+                let needed = (0..groups.len()).filter(|g| cells[g * len + c] == NEEDED);
+                let reps = needed
+                    .map(|g| {
+                        let Fate { out, crossed } = groups[g];
+                        let mut crossed = crossed.clone();
+                        let outcome = match *out {
+                            FateOut::Terminal(outcome) => outcome,
+                            FateOut::State(state) => {
+                                let idx = memo.resolve(state);
+                                crossed.union_with(&memo.destiny(idx).crossed);
+                                memo.destiny(idx).outcome
+                            }
+                        };
+                        Trace { outcome: carried_outcomes + outcome, crossed }
+                    })
+                    .collect();
+                JobOut { reps, hits: memo.hits, resolved: memo.resolved, loops }
+            });
+            for (c, job) in results.into_iter().enumerate() {
+                self.stats.pairs_walked_full += job.reps.len();
+                self.stats.cache_hits += job.hits;
+                self.stats.cache_misses += job.resolved;
+                if let Some((found, fast)) = job.loops {
+                    if fast {
+                        self.stats.loop_classes_fast += 1;
+                    } else {
+                        self.stats.loop_classes_fallback += 1;
+                    }
+                    for l in found {
+                        if seen_cycles.insert(canonical_cycle(&l.ports)) {
+                            self.loops.push(l);
+                        }
                     }
                 }
-            }
-            // Every pair of this class still open takes its source group's
-            // verdict.
-            let ids: Vec<u32> =
-                job.reps.into_iter().map(|rep| rep.map_or(OPEN, |t| store.push(t))).collect();
-            for &i in &srcs_by[a] {
-                let id = ids[group_of[i]];
-                if id == OPEN {
-                    continue;
-                }
-                for &j in dsts_by[b].iter().filter(|&&j| i != j) {
-                    let slot = &mut store.index[pair_pos(n, i, j)];
-                    if *slot == OPEN {
-                        *slot = id;
-                        walked_total += 1;
-                    }
+                let waiting = cells.iter_mut().skip(c).step_by(len).filter(|cell| **cell == NEEDED);
+                for (cell, rep) in waiting.zip(job.reps) {
+                    *cell = store.push(rep);
                 }
             }
+            // Every pair of the block still open takes its source group's
+            // verdict in its class.
+            each_open(&sides, &mut store.index, &mut cells, (lo, len), |slot, cell| {
+                *slot = *cell;
+                walked_total += 1;
+            });
         }
         debug_assert!(
-            store.index.iter().all(|&id| id != OPEN),
+            store.index.iter().all(|&id| id < NEEDED),
             "every ordered pair belongs to exactly one class job"
         );
+        store.outcomes.extend(outcomes.list);
         self.stats.pairs_replayed = walked_total - self.stats.pairs_walked_full;
         self.traces = Arc::new(store);
         walked_total
     }
 
-    /// Turn traces + warnings + loops into the final report.
+    /// Turn traces + warnings + loops into the final report: classify each
+    /// distinct trace once, then compare and count along each source's row
+    /// of the pair index; only a pair off its expected verdict reads its
+    /// trace.
     fn finalize(&mut self, switches_scanned: usize, pairs_walked: usize) {
-        // Dense port→host-index table (last write wins, like the HashMap it
-        // replaces): finalize probes it once per delivered pair, and a flat
-        // vector beats hashing at the ~1M-pair scale of the big presets.
+        /// A trace's verdict when it reaches no intent host, and when it
+        /// never ends; otherwise the index of the host it is delivered to.
+        const NOWHERE: u32 = u32::MAX;
+        const FOREVER: u32 = u32::MAX - 1;
+        // Dense port→host-index table (last write wins): probed once per
+        // distinct delivered trace.
         let ports = self.cluster.model().ports as usize;
-        let mut owner: Vec<Option<usize>> = vec![None; self.cluster.num_switches() as usize * ports];
-        for (i, h) in self.intent.hosts.iter().enumerate() {
+        let mut owner = vec![NOWHERE; self.cluster.num_switches() as usize * ports];
+        let (intent, store) = (&self.intent, &*self.traces);
+        for (i, h) in intent.hosts.iter().enumerate() {
             for &p in &h.ports {
-                owner[p.switch as usize * ports + p.port.idx()] = Some(i);
+                owner[p.switch as usize * ports + p.port.idx()] = i as u32;
             }
         }
-        let owner_of =
-            |p: &PhysPort| owner.get(p.switch as usize * ports + p.port.idx()).copied().flatten();
+        let verdict_of = |trace: &Trace| match &store.outcomes[trace.outcome as usize] {
+            PairOutcome::Delivered { port, .. } => {
+                let at = port.switch as usize * ports + port.port.idx();
+                owner.get(at).copied().unwrap_or(NOWHERE)
+            }
+            PairOutcome::Dropped { .. } => NOWHERE,
+            PairOutcome::Looped => FOREVER,
+        };
+        let verdicts: Vec<u32> = store.distinct.iter().map(verdict_of).collect();
         let mut report = VerifyReport {
             loops: self.loops.clone(),
             switches_scanned,
             pairs_walked,
-            pairs_checked: self.traces.index.len(),
+            pairs_checked: store.index.len(),
             header_classes: self.values.num_classes(),
             ..VerifyReport::default()
         };
@@ -1109,55 +1109,82 @@ impl Verifier {
             report.shadowed.extend(w.shadowed.iter().cloned());
             report.nondeterminism.extend(w.nondet.iter().cloned());
         }
-        let mut t = 0usize;
-        for (i, src) in self.intent.hosts.iter().enumerate() {
-            for (j, dst) in self.intent.hosts.iter().enumerate() {
-                if i == j {
-                    continue;
-                }
-                let trace = &self.traces.distinct[self.traces.index[t] as usize];
-                t += 1;
-                let expected = self.intent.expects_delivery(i, j);
-                match &trace.outcome {
-                    PairOutcome::Delivered { port, via } => match owner_of(port) {
-                        Some(k) if k == j && expected => report.delivered_pairs += 1,
-                        Some(k) => {
-                            let to = &self.intent.hosts[k];
+        // Delivery is expected within one (domain, connectivity group).
+        let sides: Vec<(usize, u32)> = intent.hosts.iter().map(|h| (h.domain, h.group)).collect();
+        let n = intent.hosts.len();
+        for (i, src) in intent.hosts.iter().enumerate() {
+            let row = &store.index[i * (n - 1)..][..n - 1];
+            for (j, &id) in (0..n).filter(|&j| j != i).zip(row) {
+                let (expected, verdict) = (sides[i] == sides[j], verdicts[id as usize]);
+                if expected && verdict == j as u32 {
+                    report.delivered_pairs += 1;
+                } else if verdict == FOREVER {
+                    report.looped_pairs += 1;
+                } else if !expected && verdict == NOWHERE {
+                    report.isolated_pairs += 1;
+                } else {
+                    let dst = &intent.hosts[j];
+                    let dead = |reason| BlackholeFinding {
+                        domain: intent.domains[src.domain].clone(),
+                        src: src.host,
+                        dst: dst.host,
+                        reason,
+                    };
+                    match &store.outcomes[store.distinct[id as usize].outcome as usize] {
+                        PairOutcome::Delivered { port, via } if verdict != NOWHERE => {
+                            let to = &intent.hosts[verdict as usize];
                             report.leaks.push(LeakFinding {
-                                from_domain: self.intent.domains[src.domain].clone(),
+                                from_domain: intent.domains[src.domain].clone(),
                                 src: src.host,
-                                to_domain: self.intent.domains[to.domain].clone(),
+                                to_domain: intent.domains[to.domain].clone(),
                                 to_host: to.host,
                                 dst_addr: dst.addr,
                                 port: *port,
                                 via: via.clone(),
                             });
                         }
-                        None if expected => report.blackholes.push(BlackholeFinding {
-                            domain: self.intent.domains[src.domain].clone(),
-                            src: src.host,
-                            dst: dst.host,
-                            reason: DropReason::UnownedHostPort(*port),
-                        }),
-                        None => report.isolated_pairs += 1,
-                    },
-                    PairOutcome::Dropped { reason } => {
-                        if expected {
-                            report.blackholes.push(BlackholeFinding {
-                                domain: self.intent.domains[src.domain].clone(),
-                                src: src.host,
-                                dst: dst.host,
-                                reason: reason.clone(),
-                            });
-                        } else {
-                            report.isolated_pairs += 1;
+                        PairOutcome::Delivered { port, .. } => {
+                            report.blackholes.push(dead(DropReason::UnownedHostPort(*port)));
                         }
+                        PairOutcome::Dropped { reason } => {
+                            report.blackholes.push(dead(reason.clone()));
+                        }
+                        PairOutcome::Looped => unreachable!("counted above"),
                     }
-                    PairOutcome::Looped => report.looped_pairs += 1,
                 }
             }
         }
         self.report = report;
+    }
+}
+
+/// Visit, one source row of `index` at a time, every pair still [`OPEN`]
+/// whose class is one of the `len` from position `lo`, together with its
+/// (source group, class) cell of `cells`. `sides` holds, per host, the two
+/// halves of its pairs' class positions ([`HeaderValues::pair_class`]) and
+/// its source group.
+fn each_open(
+    sides: &[(usize, usize, usize)],
+    index: &mut [u32],
+    cells: &mut [u32],
+    (lo, len): (usize, usize),
+    mut visit: impl FnMut(&mut u32, &mut u32),
+) {
+    let n = sides.len();
+    let widest = sides.iter().map(|&(_, to, _)| to).max().unwrap_or(0);
+    for (i, &(from, _, group)) in sides.iter().enumerate() {
+        if from >= lo + len || from + widest < lo {
+            continue; // none of this source's classes is in the block
+        }
+        let row = &mut index[i * (n - 1)..][..n - 1];
+        let cells = &mut cells[group * len..][..len];
+        for (j, slot) in (0..n).filter(|&j| j != i).zip(row) {
+            // Below `lo` wraps far past `len`.
+            let at = (from + sides[j].1).wrapping_sub(lo);
+            if *slot == OPEN && at < len {
+                visit(slot, &mut cells[at]);
+            }
+        }
     }
 }
 
@@ -1280,4 +1307,84 @@ fn canonical_cycle(ports: &[PhysPort]) -> Vec<(u32, u16)> {
     out.extend_from_slice(&raw[min_at..]);
     out.extend_from_slice(&raw[..min_at]);
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sdt_core::cluster::ClusterBuilder;
+    use sdt_core::methods::SwitchModel;
+    use sdt_core::sdt::SdtProjector;
+    use sdt_openflow::{FlowMatch, HostAddr};
+    use sdt_topology::fattree::fat_tree;
+
+    /// What a proof keeps, rendered: the report, the pair index, and the
+    /// traces it names with their verdicts spelled out (a verdict's id is
+    /// its place in the order the route passes met it, which moves with the
+    /// block cut).
+    fn kept(v: &Verifier) -> String {
+        let store = &v.traces;
+        let named = |t: &'_ Trace| (store.outcomes[t.outcome as usize].clone(), t.crossed.clone());
+        let traces: Vec<_> = store.distinct.iter().map(named).collect();
+        format!("{:?} {:?} {traces:?}", v.report, store.index)
+    }
+
+    /// The pair index is a function of the tables and the intent alone:
+    /// however many workers run the per-switch and per-class jobs, and
+    /// wherever the class blocks are cut — one class each, a boundary inside
+    /// a source row, one block for all — full and delta proofs keep the same
+    /// verdicts, traces and trace ids, and report what the reference does.
+    #[test]
+    fn pair_index_is_the_same_at_any_block_size_and_thread_count() {
+        let topo = fat_tree(4);
+        let cluster = ClusterBuilder::new(SwitchModel::openflow_128x100g(), 2)
+            .hosts_per_switch(16)
+            .inter_links_per_pair(16)
+            .build();
+        let proj = SdtProjector::default().project_default(&topo, &cluster).unwrap();
+        let mut view = TableView::of_synthesis(&proj.synthesis);
+        let intent = Intent::of_projection(&proj, &topo, topo.name());
+        // Three routes of switch 0 each refuse one source: four source
+        // classes, so a pair's job depends on both its ends.
+        let refused: Vec<FlowEntry> = view.entries(0, 1)[..3]
+            .iter()
+            .zip([2, 7, 11])
+            .map(|(e, src)| FlowEntry {
+                m: FlowMatch { src: Some(HostAddr(src)), ..e.m },
+                priority: e.priority + 1,
+                action: Action::Drop,
+            })
+            .collect();
+        for rule in &refused {
+            view.apply(0, 1, &FlowMod::Add(*rule));
+        }
+        let batch = vec![(0, 1, FlowMod::Delete(refused[0].m, refused[0].priority))];
+        let prove = |threads, block| {
+            let (v, i) = (view.clone(), intent.clone());
+            let full = Verifier::check_impl(&cluster, v, i, threads, false, block);
+            let i = intent.clone();
+            let delta = Verifier::check_delta_impl(&full, &batch, i, threads, false, block);
+            (full, delta)
+        };
+        let (full, delta) = prove(1, CLASS_BLOCK);
+        let classes = full.report.header_classes;
+        assert!(full.stats.symmetric && classes == 4 * 17, "{classes} classes");
+        assert!(0 < delta.report.pairs_walked && delta.report.pairs_walked < 16 * 15);
+        let plain = Verifier::check_plain_threads(&cluster, view.clone(), intent.clone(), 2);
+        let plain_delta = Verifier::check_delta_plain_threads(&plain, &batch, intent.clone(), 2);
+        assert_eq!(format!("{:?}", full.report), format!("{:?}", plain.report));
+        assert_eq!(format!("{:?}", delta.report), format!("{:?}", plain_delta.report));
+        for (threads, block) in [(2, 1), (3, 5), (1, 17), (2, 18), (3, classes - 1), (3, classes)] {
+            let (f, d) = prove(threads, block);
+            assert_eq!(kept(&f), kept(&full), "full proof, {threads} workers, blocks of {block}");
+            assert_eq!(kept(&d), kept(&delta), "delta proof, {threads} workers, blocks of {block}");
+            assert_eq!((&f.stats, &d.stats), (&full.stats, &delta.stats));
+        }
+        // Workers alone move nothing at all, verdict ids included.
+        for threads in [2, 3] {
+            let (f, d) = prove(threads, CLASS_BLOCK);
+            assert_eq!(format!("{:?}", f.traces), format!("{:?}", full.traces));
+            assert_eq!(format!("{:?}", d.traces), format!("{:?}", delta.traces));
+        }
+    }
 }

@@ -32,6 +32,10 @@
 //! **falls back** to the reference walker (`FateTable::build` reports
 //! `ok = false`). Correct-but-slow beats fast-but-wrong.
 //!
+//! The table-1 decisions are taken switch by switch, not class by class:
+//! one job per switch resolves every `(state, class)` into a `StepMatrix`
+//! cell while its tier index is hot, and the `DestinyMemo`s chase cells.
+//!
 //! Nothing here outlives a pass: what carries over between proofs is the
 //! previous [`crate::Verifier`] that `check_delta*` takes — the traces the
 //! class jobs built from these destinies, one per (class, source group),
@@ -40,7 +44,7 @@
 use std::collections::HashMap;
 
 use sdt_core::cluster::{PhysPort, PhysicalCluster};
-use sdt_openflow::{Action, PortNo};
+use sdt_openflow::{Action, FlowEntry, FxBuild, PortNo};
 
 use crate::analysis::{DropReason, PairOutcome, RuleRef};
 use crate::model::{entry_matches, HeaderClass, TableView};
@@ -64,23 +68,58 @@ pub struct VerifyStats {
     /// Header classes re-scanned by the reference loop walker (a cycle was
     /// reachable, and findings must be byte-identical).
     pub loop_classes_fallback: usize,
-    /// Destiny lookups answered by a state the same class job had already
-    /// resolved (the in-pass `DestinyMemo`; nothing crosses passes). The
-    /// name is kept only because `benchmark/` reads it and its own test
-    /// requires a non-zero reading; a later `benchmark` issue retires it.
+    /// Destiny lookups a class job answered from a state it had already
+    /// resolved (the in-pass `DestinyMemo`; nothing crosses passes) —
+    /// non-zero on any proof whose routes share a next hop. The name is
+    /// kept only because `benchmark/` reads it; a later `benchmark` issue
+    /// retires it.
     pub cache_hits: usize,
-    /// Destiny states the pass resolved. The name is kept only because
-    /// `benchmark/` reads it; a later `benchmark` issue retires it.
+    /// Destiny states the class jobs resolved, each by chasing
+    /// `StepMatrix` cells: the table-1 lookups behind the cells are made
+    /// once per proof by the per-switch route pass, not once per resolve.
+    /// The name is kept only because `benchmark/` reads it; a later
+    /// `benchmark` issue retires it.
     pub cache_misses: usize,
 }
 
-/// One pipeline state's walk verdict, for one header class.
+/// A walk verdict and the switches the walk crosses: a pair's trace (the
+/// whole path) or one pipeline state's *destiny* in one header class (what
+/// the walk crosses strictly after entering the state). The verdict is an
+/// id — into the proof's [`Outcomes`], then into the trace store's list —
+/// so a trace is 32 bytes and carrying one over copies no rule.
 #[derive(Clone, Debug)]
-pub(crate) struct Destiny {
-    /// How the walk ends from this state.
-    pub(crate) out: PairOutcome,
-    /// Switches the walk crosses strictly after entering this state.
+pub(crate) struct Trace {
+    pub(crate) outcome: u32,
     pub(crate) crossed: SwitchSet,
+}
+
+/// The distinct verdicts a proof's walks end in, each held once: `LOOPED`,
+/// then the terminals the fate table and the route passes meet, in order.
+pub(crate) struct Outcomes {
+    pub(crate) list: Vec<PairOutcome>,
+    /// Keyed lookups only, never iterated.
+    ids: HashMap<PairOutcome, u32, FxBuild>,
+}
+
+impl Outcomes {
+    /// The id of [`PairOutcome::Looped`] in every proof.
+    pub(crate) const LOOPED: u32 = 0;
+
+    pub(crate) fn new() -> Self {
+        let mut all = Outcomes { list: Vec::new(), ids: HashMap::default() };
+        all.id(PairOutcome::Looped);
+        all
+    }
+
+    /// The id of `out`, added if this proof has not met it yet.
+    pub(crate) fn id(&mut self, out: PairOutcome) -> u32 {
+        let Outcomes { list, ids } = self;
+        assert!(list.len() < TERMINAL as usize, "a step cell names at most 2^31 outcomes");
+        *ids.entry(out).or_insert_with_key(|out| {
+            list.push(out.clone());
+            list.len() as u32 - 1
+        })
+    }
 }
 
 /// An exact set of physical switches, one bit each: ⌈n/64⌉ words for an
@@ -177,17 +216,11 @@ pub(crate) fn symmetric(view: &TableView) -> bool {
 
 /// Where a packet entering a given `(switch, port)` ends up, independent of
 /// its header class (valid only under `symmetric` tables).
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) enum FateOut {
-    /// Dies before any metadata write.
-    Dead(DropReason),
-    /// Delivered to a host port by direct classify outputs.
-    Deliver {
-        /// The host port.
-        port: PhysPort,
-        /// Rule performing the final output.
-        via: RuleRef,
-    },
+    /// Dies, or is delivered to a host port by direct classify outputs,
+    /// before any metadata write: the verdict's [`Outcomes`] id.
+    Terminal(u32),
     /// Reaches a pipeline state `(switch, metadata)` — header-dependent from
     /// here on; continue in `DestinyMemo`. The id indexes
     /// [`FateTable::state`].
@@ -222,7 +255,11 @@ impl FateTable {
     /// cables are followed with memoization; a cycle among them (packets
     /// that loop without ever hitting table 1) defeats the state
     /// abstraction, so it conservatively reports `ok = false`.
-    pub(crate) fn build(cluster: &PhysicalCluster, view: &TableView) -> FateTable {
+    pub(crate) fn build(
+        cluster: &PhysicalCluster,
+        view: &TableView,
+        outcomes: &mut Outcomes,
+    ) -> FateTable {
         let ports = cluster.model().ports as usize;
         let n = view.num_switches();
         let mut t = FateTable {
@@ -260,7 +297,7 @@ impl FateTable {
                             cur = next;
                             continue;
                         }
-                        ClassifyStep::Terminal(out) => out,
+                        ClassifyStep::Terminal(out) => FateOut::Terminal(outcomes.id(out)),
                         ClassifyStep::State(state) => {
                             FateOut::State(*ids.entry(state).or_insert_with(|| {
                                 t.states.push(state);
@@ -294,15 +331,15 @@ impl FateTable {
     /// The fate of a packet entering at `p`. Every in-range port was
     /// resolved by `FateTable::build`.
     pub(crate) fn fate(&self, p: PhysPort) -> &Fate {
-        match self.slot(p.switch, p.port) {
+        self.at(p.switch as usize * self.ports + p.port.idx())
+    }
+
+    /// The fate at a [`StepMatrix`] cell's slot.
+    fn at(&self, slot: usize) -> &Fate {
+        match &self.fates[slot] {
             Some(f) => f,
             None => unreachable!("fate table covers every port when ok"),
         }
-    }
-
-    /// The `(switch, metadata)` of a state id.
-    fn state(&self, id: u32) -> (u32, u32) {
-        self.states[id as usize]
     }
 
     /// The empty switch set of this pass's cluster.
@@ -312,7 +349,7 @@ impl FateTable {
 }
 
 enum ClassifyStep {
-    Terminal(FateOut),
+    Terminal(PairOutcome),
     /// A metadata write: pipeline state `(switch, metadata)`.
     State((u32, u32)),
     Hop(PhysPort),
@@ -328,36 +365,142 @@ fn classify_step(cluster: &PhysicalCluster, view: &TableView, at: PhysPort) -> C
     let hit = view.store(sw, 0).first_match_where(at.port, None, None, |e| {
         e.m.metadata.is_none() && e.m.in_port.is_none_or(|p| p == at.port)
     });
-    let Some(&e0) = hit else {
-        return ClassifyStep::Terminal(FateOut::Dead(DropReason::Miss { switch: sw, table: 0 }));
+    let onward = match hit.map(|e| e.action) {
+        Some(Action::WriteMetadataGoto(md)) => return ClassifyStep::State((sw, md)),
+        Some(Action::Output(p)) => far_end(cluster, PhysPort { switch: sw, port: p }),
+        _ => None,
     };
-    let r0 = RuleRef { switch: sw, table: 0, entry: e0 };
-    match e0.action {
-        Action::Drop => ClassifyStep::Terminal(FateOut::Dead(DropReason::Rule(r0))),
-        Action::WriteMetadataGoto(md) => ClassifyStep::State((sw, md)),
+    match onward {
+        Some(next) => ClassifyStep::Hop(next),
+        None => ClassifyStep::Terminal(walk_end(cluster, sw, 0, hit)),
+    }
+}
+
+/// The far end of the cable at `port`; `None` at a host port and at a port
+/// with nothing behind it.
+fn far_end(cluster: &PhysicalCluster, port: PhysPort) -> Option<PhysPort> {
+    let link = cluster.link_at(port).filter(|_| !cluster.is_host_port(port))?;
+    Some(link.other(port))
+}
+
+/// The verdict of a walk that ends in `table` of switch `sw`: `hit` is the
+/// entry fired there (`None` = table miss), which neither hands the packet
+/// to table 1 nor outputs it to a cable.
+fn walk_end(cluster: &PhysicalCluster, sw: u32, table: u8, hit: Option<&FlowEntry>) -> PairOutcome {
+    let dead = |reason| PairOutcome::Dropped { reason };
+    let Some(&entry) = hit else {
+        return dead(DropReason::Miss { switch: sw, table });
+    };
+    let rule = RuleRef { switch: sw, table, entry };
+    match entry.action {
+        Action::Drop => dead(DropReason::Rule(rule)),
+        Action::WriteMetadataGoto(_) => dead(DropReason::BadGoto(rule)),
         Action::Output(p) => {
             let port = PhysPort { switch: sw, port: p };
             if cluster.is_host_port(port) {
-                return ClassifyStep::Terminal(FateOut::Deliver { port, via: r0 });
-            }
-            match cluster.link_at(port) {
-                Some(link) => ClassifyStep::Hop(link.other(port)),
-                None => ClassifyStep::Terminal(FateOut::Dead(DropReason::Unwired(port))),
+                PairOutcome::Delivered { port, via: rule }
+            } else {
+                dead(DropReason::Unwired(port))
             }
         }
+    }
+}
+
+/// A [`StepMatrix`] cell with this bit holds an [`Outcomes`] id in the rest:
+/// the walk ends at the state's own switch. Without it the cell is the
+/// [`FateTable`] slot of the far end of the cable the route outputs to.
+const TERMINAL: u32 = 1 << 31;
+
+/// The table-1 decision of every pipeline state in every header class of
+/// one block of classes — all a `DestinyMemo` reads. Class-major: a class
+/// job chases one contiguous row.
+pub(crate) struct StepMatrix {
+    cells: Vec<u32>,
+    states: usize,
+}
+
+impl StepMatrix {
+    /// One job per switch makes the first-match probes of all its states in
+    /// all of `classes`, through the lookup and the match test the reference
+    /// walker uses. Jobs name their terminal verdicts locally; the merge, in
+    /// switch order on one thread, gives them their ids in `outcomes`, so
+    /// the matrix is the same at any thread count.
+    pub(crate) fn build(
+        cluster: &PhysicalCluster,
+        view: &TableView,
+        fates: &FateTable,
+        outcomes: &mut Outcomes,
+        classes: &[HeaderClass],
+        threads: usize,
+    ) -> StepMatrix {
+        let states = fates.states.len();
+        let mut by_switch: Vec<Vec<u32>> = vec![Vec::new(); view.num_switches()];
+        for (id, &(sw, _)) in fates.states.iter().enumerate() {
+            by_switch[sw as usize].push(id as u32);
+        }
+        let switches: Vec<u32> = (0..view.num_switches() as u32).collect();
+        let per_switch = sdt_par::par_map_threads(threads, &switches, |&sw| {
+            // The fate slot each port's cable leads to, if one does.
+            let far: Vec<Option<u32>> = (0..fates.ports as u16)
+                .map(|p| {
+                    let to = far_end(cluster, PhysPort { switch: sw, port: PortNo(p) })?;
+                    Some((to.switch as usize * fates.ports + to.port.idx()) as u32)
+                })
+                .collect();
+            let store = view.store(sw, 1);
+            let (mut local, mut miss) = (Outcomes::new(), None);
+            let mut cells = Vec::with_capacity(by_switch[sw as usize].len() * classes.len());
+            for &state in &by_switch[sw as usize] {
+                let (_, md) = fates.states[state as usize];
+                cells.extend(classes.iter().map(|class| {
+                    // Port-blind under `symmetric` tables: `PortNo(0)` stands
+                    // in for any ingress port, the entry found is the same.
+                    let hit = store.first_match_where(PortNo(0), Some(md), class.dst, |e| {
+                        entry_matches(e, PortNo(0), Some(md), class)
+                    });
+                    let mut end = || local.id(walk_end(cluster, sw, 1, hit));
+                    match hit {
+                        // Half the cells of a fat-tree: named once per job.
+                        None => TERMINAL | *miss.get_or_insert_with(end),
+                        Some(FlowEntry { action: Action::Output(p), .. }) => {
+                            far.get(p.idx()).copied().flatten().unwrap_or_else(|| TERMINAL | end())
+                        }
+                        Some(_) => TERMINAL | end(),
+                    }
+                }));
+            }
+            (cells, local.list)
+        });
+        let mut matrix = StepMatrix { cells: vec![0; classes.len() * states], states };
+        for (of_switch, (cells, local)) in by_switch.iter().zip(per_switch) {
+            let ids: Vec<u32> = local.into_iter().map(|out| outcomes.id(out)).collect();
+            for (row, &state) in cells.chunks_exact(classes.len()).zip(of_switch) {
+                for (class, &cell) in row.iter().enumerate() {
+                    matrix.cells[class * states + state as usize] = match cell & TERMINAL {
+                        0 => cell,
+                        _ => TERMINAL | ids[(cell ^ TERMINAL) as usize],
+                    };
+                }
+            }
+        }
+        matrix
+    }
+
+    /// One class's decisions, by state id.
+    pub(crate) fn class(&self, class: usize) -> &[u32] {
+        &self.cells[class * self.states..][..self.states]
     }
 }
 
 /// Per-class destiny resolver: maps pipeline states to their walk verdicts,
 /// each resolved once per pass.
 pub(crate) struct DestinyMemo<'a> {
-    cluster: &'a PhysicalCluster,
-    view: &'a TableView,
     fates: &'a FateTable,
-    class: HeaderClass,
+    /// This class's [`StepMatrix`] row.
+    steps: &'a [u32],
     /// Per state id: 1 + its index in `arena` once resolved, else 0.
     slot: Vec<u32>,
-    arena: Vec<Destiny>,
+    arena: Vec<Trace>,
     /// The chain `resolve` is walking (empty between calls; kept for its
     /// allocation) and, per state id, 1 + its position on it, else 0.
     chain: Vec<ChainLink<'a>>,
@@ -374,18 +517,11 @@ pub(crate) struct DestinyMemo<'a> {
 type ChainLink<'a> = (u32, &'a SwitchSet);
 
 impl<'a> DestinyMemo<'a> {
-    pub(crate) fn new(
-        cluster: &'a PhysicalCluster,
-        view: &'a TableView,
-        fates: &'a FateTable,
-        class: HeaderClass,
-    ) -> Self {
+    pub(crate) fn new(fates: &'a FateTable, steps: &'a [u32]) -> Self {
         let states = fates.states.len();
         DestinyMemo {
-            cluster,
-            view,
             fates,
-            class,
+            steps,
             slot: vec![0; states],
             arena: Vec::with_capacity(states),
             chain: Vec::new(),
@@ -395,7 +531,7 @@ impl<'a> DestinyMemo<'a> {
         }
     }
 
-    pub(crate) fn destiny(&self, idx: usize) -> &Destiny {
+    pub(crate) fn destiny(&self, idx: usize) -> &Trace {
         &self.arena[idx]
     }
 
@@ -421,24 +557,28 @@ impl<'a> DestinyMemo<'a> {
             if let Some(pos) = (self.onchain[cur as usize] as usize).checked_sub(1) {
                 break (self.close_cycle(&chain[pos..]), pos);
             }
-            match self.route_step(cur) {
-                RouteStep::Terminal { out, crossed } => {
-                    break (self.commit(cur, out, crossed), chain.len());
-                }
-                RouteStep::Chain { crossed, next } => {
-                    chain.push((cur, crossed));
-                    self.onchain[cur as usize] = chain.len() as u32;
-                    cur = next;
-                }
-            }
+            // The table-1 decision at `cur`, then the fate of the port it
+            // outputs to.
+            let (outcome, crossed) = match self.steps[cur as usize] {
+                cell if cell & TERMINAL != 0 => (cell ^ TERMINAL, self.fates.no_switches()),
+                slot => match self.fates.at(slot as usize) {
+                    Fate { out: FateOut::State(next), crossed } => {
+                        chain.push((cur, crossed));
+                        self.onchain[cur as usize] = chain.len() as u32;
+                        cur = *next;
+                        continue;
+                    }
+                    Fate { out: FateOut::Terminal(outcome), crossed } => (*outcome, crossed.clone()),
+                },
+            };
+            break (self.commit(cur, outcome, crossed), chain.len());
         };
         // Back-resolve the (acyclic remainder of the) chain: each earlier
         // state shares the downstream outcome and adds its edge switches.
-        let out = self.arena[base].out.clone();
-        let mut crossed = self.arena[base].crossed.clone();
+        let Trace { outcome, mut crossed } = self.arena[base].clone();
         for &(earlier, edge) in chain[..upto].iter().rev() {
             crossed.union_with(edge);
-            self.commit(earlier, out.clone(), crossed.clone());
+            self.commit(earlier, outcome, crossed.clone());
         }
         for (walked, _) in chain.drain(..) {
             self.onchain[walked as usize] = 0;
@@ -466,69 +606,17 @@ impl<'a> DestinyMemo<'a> {
         }
         let first = self.arena.len();
         for &(state, _) in cycle {
-            self.commit(state, PairOutcome::Looped, crossed.clone());
+            self.commit(state, Outcomes::LOOPED, crossed.clone());
         }
         first
     }
 
-    /// One header-dependent route step: the table-1 decision at a state.
-    /// Port-blind under `symmetric` tables, so `PortNo(0)` stands in for
-    /// any actual ingress port — the reference lookup finds the same entry.
-    fn route_step(&self, state: u32) -> RouteStep<'a> {
-        let (sw, md) = self.fates.state(state);
-        let class = self.class;
-        let terminal =
-            |out| RouteStep::Terminal { out, crossed: self.fates.no_switches() };
-        let hit = self.view.store(sw, 1).first_match_where(PortNo(0), Some(md), class.dst, |e| {
-            entry_matches(e, PortNo(0), Some(md), &class)
-        });
-        let Some(&e1) = hit else {
-            return terminal(PairOutcome::Dropped {
-                reason: DropReason::Miss { switch: sw, table: 1 },
-            });
-        };
-        let r1 = RuleRef { switch: sw, table: 1, entry: e1 };
-        let p = match e1.action {
-            Action::Drop => {
-                return terminal(PairOutcome::Dropped { reason: DropReason::Rule(r1) })
-            }
-            Action::WriteMetadataGoto(_) => {
-                return terminal(PairOutcome::Dropped { reason: DropReason::BadGoto(r1) })
-            }
-            Action::Output(p) => p,
-        };
-        let port = PhysPort { switch: sw, port: p };
-        if self.cluster.is_host_port(port) {
-            return terminal(PairOutcome::Delivered { port, via: r1 });
-        }
-        let Some(link) = self.cluster.link_at(port) else {
-            return terminal(PairOutcome::Dropped { reason: DropReason::Unwired(port) });
-        };
-        let fate = self.fates.fate(link.other(port));
-        match &fate.out {
-            FateOut::Dead(reason) => RouteStep::Terminal {
-                out: PairOutcome::Dropped { reason: reason.clone() },
-                crossed: fate.crossed.clone(),
-            },
-            FateOut::Deliver { port, via } => RouteStep::Terminal {
-                out: PairOutcome::Delivered { port: *port, via: via.clone() },
-                crossed: fate.crossed.clone(),
-            },
-            FateOut::State(next) => RouteStep::Chain { crossed: &fate.crossed, next: *next },
-        }
-    }
-
     /// Record a computed verdict and index it.
-    fn commit(&mut self, state: u32, out: PairOutcome, crossed: SwitchSet) -> usize {
-        self.arena.push(Destiny { out, crossed });
+    fn commit(&mut self, state: u32, outcome: u32, crossed: SwitchSet) -> usize {
+        self.arena.push(Trace { outcome, crossed });
         self.slot[state as usize] = self.arena.len() as u32;
         self.arena.len() - 1
     }
-}
-
-enum RouteStep<'a> {
-    Terminal { out: PairOutcome, crossed: SwitchSet },
-    Chain { crossed: &'a SwitchSet, next: u32 },
 }
 
 #[cfg(test)]

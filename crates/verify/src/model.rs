@@ -3,13 +3,13 @@
 //! ([`Intent`]), and the finite header-equivalence-class machinery that
 //! makes exhaustive analysis tractable.
 
-use std::collections::BTreeSet;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use sdt_core::cluster::PhysPort;
 use sdt_core::synthesis::{addr_of, SynthesisOutput};
 use sdt_core::SdtProjection;
-use sdt_openflow::{EntryStore, FlowEntry, FlowMod, HostAddr, OpenFlowSwitch};
+use sdt_openflow::{EntryStore, FlowEntry, FlowMod, FxBuild, HostAddr, OpenFlowSwitch};
 use sdt_topology::{HostId, Topology};
 
 /// A side-effect-free snapshot of every flow table in the cluster, mutable
@@ -215,10 +215,15 @@ pub struct HeaderClass {
 impl HeaderValues {
     /// Collect the value sets from every rule in the view.
     pub fn collect(view: &TableView) -> Self {
-        let mut srcs = BTreeSet::new();
-        let mut dsts = BTreeSet::new();
-        let mut l4_srcs = BTreeSet::new();
-        let mut l4_dsts = BTreeSet::new();
+        fn sorted<T: Ord>(values: HashSet<T, FxBuild>) -> Vec<T> {
+            let mut values: Vec<T> = values.into_iter().collect();
+            values.sort_unstable();
+            values
+        }
+        let mut srcs: HashSet<_, FxBuild> = HashSet::default();
+        let mut dsts: HashSet<_, FxBuild> = HashSet::default();
+        let mut l4_srcs: HashSet<_, FxBuild> = HashSet::default();
+        let mut l4_dsts: HashSet<_, FxBuild> = HashSet::default();
         for sw in 0..view.num_switches() as u32 {
             for table in 0..2 {
                 for e in view.entries(sw, table) {
@@ -230,10 +235,10 @@ impl HeaderValues {
             }
         }
         HeaderValues {
-            srcs: srcs.into_iter().collect(),
-            dsts: dsts.into_iter().collect(),
-            l4_srcs: l4_srcs.into_iter().collect(),
-            l4_dsts: l4_dsts.into_iter().collect(),
+            srcs: sorted(srcs),
+            dsts: sorted(dsts),
+            l4_srcs: sorted(l4_srcs),
+            l4_dsts: sorted(l4_dsts),
         }
     }
 
@@ -269,14 +274,20 @@ impl HeaderValues {
             * (self.l4_dsts.len() + 1)
     }
 
-    /// Source-address values some rule tests, ascending.
-    pub(crate) fn srcs(&self) -> &[HostAddr] {
-        &self.srcs
-    }
-
-    /// Destination-address values some rule tests, ascending.
-    pub(crate) fn dsts(&self) -> &[HostAddr] {
-        &self.dsts
+    /// Position in [`HeaderValues::classes`] of the class of a packet from
+    /// `src` to `dst` with these L4 ports, in two halves that add up to it:
+    /// `pair_class(src, ..).0 + pair_class(dst, ..).1`. The first half
+    /// carries the source and both L4 fields, the second the destination.
+    pub(crate) fn pair_class(&self, addr: HostAddr, l4_src: u16, l4_dst: u16) -> (usize, usize) {
+        // A field's values come first, in order; the fresh class is last.
+        fn pos<T: Ord>(vs: &[T], v: T) -> usize {
+            vs.binary_search(&v).unwrap_or(vs.len())
+        }
+        let per_l4_src = self.l4_dsts.len() + 1;
+        let per_dst = (self.l4_srcs.len() + 1) * per_l4_src;
+        let per_src = (self.dsts.len() + 1) * per_dst;
+        let l4 = pos(&self.l4_srcs, l4_src) * per_l4_src + pos(&self.l4_dsts, l4_dst);
+        (pos(&self.srcs, addr) * per_src + l4, pos(&self.dsts, addr) * per_dst)
     }
 
     /// The class a concrete packet header falls into: each field keeps its
@@ -387,5 +398,27 @@ mod tests {
         // 2 dst classes (3 + fresh) × 1 × 1 × 1.
         assert_eq!(vals.classes().len(), 2);
         assert_eq!(vals.num_classes(), vals.classes().len());
+    }
+
+    #[test]
+    fn pair_class_is_the_position_of_class_of() {
+        let mut v = TableView::empty(1);
+        let rule = |m: FlowMatch| FlowMod::Add(FlowEntry { m, priority: 1, action: Action::Drop });
+        for (src, dst, l4) in [(1, 5, 4791), (9, 5, 80), (9, 7, 443)] {
+            let to = FlowMatch { src: Some(HostAddr(src)), ..FlowMatch::to_dst(HostAddr(dst)) };
+            v.apply(0, 1, &rule(FlowMatch { l4_dst: Some(l4), ..to }));
+            v.apply(0, 1, &rule(FlowMatch { l4_src: Some(l4), ..FlowMatch::any() }));
+        }
+        let vals = HeaderValues::collect(&v);
+        let classes = vals.classes();
+        for (l4_src, l4_dst) in [(4791, 4791), (80, 443), (1, 2)] {
+            for src in [0, 1, 5, 9].map(HostAddr) {
+                for dst in [0, 5, 7, 9].map(HostAddr) {
+                    let at = vals.pair_class(src, l4_src, l4_dst).0
+                        + vals.pair_class(dst, l4_src, l4_dst).1;
+                    assert_eq!(classes[at], vals.class_of(src, dst, l4_src, l4_dst));
+                }
+            }
+        }
     }
 }

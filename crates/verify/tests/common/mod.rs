@@ -4,20 +4,23 @@
 //! destroyed (later hosts shift position), the first is reconfigured, one
 //! domain is relabelled, and another slice arrives. `fast_differential`
 //! holds the two walkers to each other and to a probe count along it;
-//! `determinism` runs it at two thread counts.
+//! `determinism` runs it at two thread counts. Also the hand-written
+//! switch chain both suites edit rules into.
 
 #![allow(dead_code)] // each test crate reads its own part of a step
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use sdt_core::cluster::{ClusterBuilder, PhysicalCluster};
+use sdt_core::cluster::{ClusterBuilder, PhysPort, PhysicalCluster};
 use sdt_core::methods::SwitchModel;
-use sdt_openflow::{diff_tables, FlowMod, OpenFlowSwitch};
+use sdt_openflow::{
+    diff_tables, Action, FlowEntry, FlowMatch, FlowMod, HostAddr, OpenFlowSwitch, PortNo,
+};
 use sdt_tenancy::{SliceId, SliceManager};
 use sdt_topology::chain::{chain, ring};
 use sdt_topology::meshtorus::mesh;
 use sdt_topology::Topology;
-use sdt_verify::Intent;
+use sdt_verify::{Intent, IntentHost, TableView};
 
 /// One link of the chain: what to hand `Verifier::check_delta*` on top of
 /// the proof of the previous step (the first step's previous proof is of
@@ -98,4 +101,55 @@ pub fn slice_churn(seed: u64) -> (PhysicalCluster, Vec<ChurnStep>) {
         m.create("d", &topo).unwrap();
     });
     (cluster, steps)
+}
+
+/// A chain of `n` three-port switches, one logical switch and one host
+/// each, with hand-written tables: port 0 is the host, port 1 the cable to
+/// the left neighbor, port 2 the cable to the right; switch `i` classifies
+/// into metadata `i` and routes by destination. Wider than any cluster a
+/// projection in this repository produces, so switch sets need two words.
+pub fn wide_chain(n: u32) -> (PhysicalCluster, TableView, Intent) {
+    let at = |switch: u32, port: u16| PhysPort { switch, port: PortNo(port) };
+    let model = SwitchModel { name: "synthetic 3-port", ports: 3, ..SwitchModel::openflow_64x100g() };
+    let cables = (0..n - 1).map(|i| (at(i, 2), at(i + 1, 1))).collect();
+    let cluster = PhysicalCluster::custom(model, n, cables, (0..n).map(|i| at(i, 0)).collect());
+    let mut view = TableView::empty(n as usize);
+    let mut intent = Intent::new();
+    intent.domains.push("wide-chain".to_string());
+    for i in 0..n {
+        for port in 0..3 {
+            let classify = FlowEntry {
+                m: FlowMatch::on_port(PortNo(port)),
+                priority: 10,
+                action: Action::WriteMetadataGoto(i),
+            };
+            view.apply(i, 0, &FlowMod::Add(classify));
+        }
+        for dst in 0..n {
+            let out = match dst.cmp(&i) {
+                std::cmp::Ordering::Less => 1,
+                std::cmp::Ordering::Equal => 0,
+                std::cmp::Ordering::Greater => 2,
+            };
+            view.apply(i, 1, &FlowMod::Add(route(i, dst, out)));
+        }
+        intent.hosts.push(IntentHost {
+            domain: 0,
+            host: sdt_topology::HostId(i),
+            addr: HostAddr(i),
+            ingress: at(i, 0),
+            ports: vec![at(i, 0)],
+            group: 0,
+        });
+    }
+    (cluster, view, intent)
+}
+
+/// Switch `sw`'s route toward host `dst` in [`wide_chain`].
+pub fn route(sw: u32, dst: u32, out: u16) -> FlowEntry {
+    FlowEntry {
+        m: FlowMatch::to_dst(HostAddr(dst)).and_metadata(sw),
+        priority: 10,
+        action: Action::Output(PortNo(out)),
+    }
 }

@@ -13,7 +13,7 @@ use rand::{RngExt, SeedableRng};
 use sdt_core::cluster::ClusterBuilder;
 use sdt_core::methods::SwitchModel;
 use sdt_core::sdt::SdtProjector;
-use sdt_openflow::FlowMod;
+use sdt_openflow::{Action, FlowEntry, FlowMatch, FlowMod, HostAddr};
 use sdt_tenancy::SliceManager;
 use sdt_topology::chain::{chain, ring};
 use sdt_topology::dragonfly::dragonfly;
@@ -141,4 +141,50 @@ fn random_slice_mix_is_thread_count_invariant() {
     );
     assert_identical(&v1, &v8, "random slice mix");
     assert!(v1.holds(), "slice mix should verify clean");
+}
+
+#[test]
+fn one_two_and_three_workers_agree_on_every_pass() {
+    // What runs per switch (warnings, the route pass), per class (the class
+    // jobs) and per source (the reference walk) all merge in a fixed order:
+    // 1, 2 and 3 workers — 19 jobs split evenly by none of them — agree on a
+    // full proof of tables whose rules test `src`, on a delta that closes a
+    // cycle, and along the slice-churn chain.
+    let (cluster, mut view, intent) = common::wide_chain(19);
+    for (src, dst) in [(1, 5), (6, 0), (900, 3)] {
+        let m = FlowMatch { src: Some(HostAddr(src)), ..common::route(4, dst, 0).m };
+        view.apply(4, 1, &FlowMod::Add(FlowEntry { m, priority: 20, action: Action::Drop }));
+    }
+    let old = common::route(9, 10, 2);
+    let batch = vec![
+        (9, 1, FlowMod::Delete(old.m, old.priority)),
+        (9, 1, FlowMod::Add(common::route(9, 10, 1))),
+    ];
+    let (churn_cluster, steps) = common::slice_churn(10);
+    let prove = |threads: usize| {
+        let full = Verifier::check_threads(&cluster, view.clone(), intent.clone(), threads);
+        let delta = Verifier::check_delta_threads(&full, &batch, intent.clone(), threads);
+        let empty = TableView::of_switches(&steps[0].before);
+        let base = Verifier::check_threads(&churn_cluster, empty, Intent::new(), threads);
+        let mut chain = vec![base];
+        for step in &steps {
+            let next = Verifier::check_delta_threads(
+                &chain[chain.len() - 1],
+                &step.batch,
+                step.intent.clone(),
+                threads,
+            );
+            chain.push(next);
+        }
+        chain.extend([full, delta]);
+        chain
+    };
+    let one = prove(1);
+    assert!(!one[one.len() - 1].holds(), "the delta closes a cycle");
+    for threads in [2, 3] {
+        for (nth, (a, b)) in one.iter().zip(prove(threads)).enumerate() {
+            assert_identical(a, &b, &format!("proof {nth} at {threads} workers"));
+            assert_eq!(a.stats(), b.stats(), "proof {nth} at {threads} workers");
+        }
+    }
 }

@@ -12,6 +12,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 mod common;
 
+use common::{route, wide_chain};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -189,59 +190,6 @@ fn post_recovery_live_tables_fast_equals_plain() {
     assert_identical(&fast, &plain, "post-recovery live tables");
 }
 
-/// A chain of `n` three-port switches, one logical switch and one host
-/// each, with hand-written tables: port 0 is the host, port 1 the cable to
-/// the left neighbor, port 2 the cable to the right; switch `i` classifies
-/// into metadata `i` and routes by destination. Wider than any cluster a
-/// projection in this repository produces, so switch sets need two words.
-fn wide_chain(n: u32) -> (sdt_core::cluster::PhysicalCluster, TableView, Intent) {
-    use sdt_core::cluster::{PhysPort, PhysicalCluster};
-    use sdt_verify::IntentHost;
-    let at = |switch: u32, port: u16| PhysPort { switch, port: PortNo(port) };
-    let model = SwitchModel { name: "synthetic 3-port", ports: 3, ..SwitchModel::openflow_64x100g() };
-    let cables = (0..n - 1).map(|i| (at(i, 2), at(i + 1, 1))).collect();
-    let cluster = PhysicalCluster::custom(model, n, cables, (0..n).map(|i| at(i, 0)).collect());
-    let mut view = TableView::empty(n as usize);
-    let mut intent = Intent::new();
-    intent.domains.push("wide-chain".to_string());
-    for i in 0..n {
-        for port in 0..3 {
-            let classify = FlowEntry {
-                m: FlowMatch::on_port(PortNo(port)),
-                priority: 10,
-                action: Action::WriteMetadataGoto(i),
-            };
-            view.apply(i, 0, &FlowMod::Add(classify));
-        }
-        for dst in 0..n {
-            let out = match dst.cmp(&i) {
-                std::cmp::Ordering::Less => 1,
-                std::cmp::Ordering::Equal => 0,
-                std::cmp::Ordering::Greater => 2,
-            };
-            view.apply(i, 1, &FlowMod::Add(route(i, dst, out)));
-        }
-        intent.hosts.push(IntentHost {
-            domain: 0,
-            host: sdt_topology::HostId(i),
-            addr: HostAddr(i),
-            ingress: at(i, 0),
-            ports: vec![at(i, 0)],
-            group: 0,
-        });
-    }
-    (cluster, view, intent)
-}
-
-/// Switch `sw`'s route toward host `dst` in [`wide_chain`].
-fn route(sw: u32, dst: u32, out: u16) -> FlowEntry {
-    FlowEntry {
-        m: FlowMatch::to_dst(HostAddr(dst)).and_metadata(sw),
-        priority: 10,
-        action: Action::Output(PortNo(out)),
-    }
-}
-
 #[test]
 fn deltas_past_the_64th_switch_fast_equals_plain() {
     // Switches 3 and 67 share a bit in any 64-bit fold of the switch id, so
@@ -328,6 +276,171 @@ fn hosts_sharing_an_address_are_never_carried_over() {
     assert_identical(&warm, &warm_plain, "shared address, empty delta");
     assert_same_verdict_as_scratch(&warm, &scratch, "shared address, empty delta");
     assert_eq!(warm.report().pairs_walked, 18);
+}
+
+/// A table-1 rule of [`wide_chain`]'s switch `sw` that drops what `src`
+/// sends to `dst`, above the routes.
+fn drop_from(sw: u32, src: u32, dst: u32) -> FlowEntry {
+    FlowEntry {
+        m: FlowMatch { src: Some(HostAddr(src)), ..route(sw, dst, 0).m },
+        priority: 20,
+        action: Action::Drop,
+    }
+}
+
+/// Fast and plain full proofs of `view`, held to each other; then `batch` on
+/// top of each as a delta, held to each other and to a from-scratch proof
+/// of the tables it leaves. Returns the two fast proofs.
+fn assert_full_and_delta_agree(
+    cluster: &sdt_core::cluster::PhysicalCluster,
+    view: &TableView,
+    intent: &Intent,
+    batch: &[(u32, u8, FlowMod)],
+    label: &str,
+) -> (Verifier, Verifier) {
+    let plain0 = Verifier::check_plain_threads(cluster, view.clone(), intent.clone(), 2);
+    let fast0 = Verifier::check_threads(cluster, view.clone(), intent.clone(), 2);
+    assert_identical(&fast0, &plain0, label);
+    assert!(fast0.stats().symmetric, "{label}: the fast path must take these tables");
+    let mut after = view.clone();
+    for (sw, table, m) in batch {
+        after.apply(*sw, *table, m);
+    }
+    let dp = Verifier::check_delta_plain_threads(&plain0, batch, intent.clone(), 2);
+    let df = Verifier::check_delta_threads(&fast0, batch, intent.clone(), 2);
+    assert_identical(&df, &dp, &format!("{label}, delta"));
+    let scratch = Verifier::check_threads(cluster, after, intent.clone(), 2);
+    assert_same_verdict_as_scratch(&df, &scratch, &format!("{label}, delta"));
+    (fast0, df)
+}
+
+#[test]
+fn rules_testing_src_fast_equals_plain_equals_scratch() {
+    // Table-1 rules that test `src` split the pairs over several source
+    // classes, so the class a pair falls in depends on both its ends: host 1
+    // may not reach host 5, nor host 6 host 0, and nobody else is touched.
+    let (cluster, mut view, intent) = wide_chain(8);
+    for rule in [drop_from(2, 1, 5), drop_from(4, 6, 0), drop_from(4, 900, 3)] {
+        view.apply(rule.m.metadata.unwrap(), 1, &FlowMod::Add(rule));
+    }
+    let gone = drop_from(2, 1, 5);
+    let batch = vec![(2, 1, FlowMod::Delete(gone.m, gone.priority))];
+    let (full, delta) = assert_full_and_delta_agree(&cluster, &view, &intent, &batch, "src rules");
+    // Sources 1, 6, 900 and fresh, by nine destinations.
+    assert_eq!(full.report().header_classes, 4 * 9);
+    let dead = |v: &Verifier| -> Vec<(u32, u32)> {
+        v.report().blackholes.iter().map(|b| (b.src.0, b.dst.0)).collect()
+    };
+    assert_eq!(dead(&full), [(1, 5), (6, 0)]);
+    assert_eq!(dead(&delta), [(6, 0)]);
+}
+
+#[test]
+fn catch_all_and_equal_priority_routes_break_ties_by_install_order() {
+    // Switch 3 loses its exact route to host 5 and gets two overlapping
+    // rules of the routes' own priority instead — one on the destination
+    // alone, one on the metadata alone — over a catch-all drop. Whichever
+    // was installed first fires: destination first and host 5 is still
+    // reached; metadata first and its traffic bounces between 2 and 3.
+    let (cluster, mut view, intent) = wide_chain(6);
+    let exact = route(3, 5, 2);
+    let by_dst = FlowEntry { m: FlowMatch::to_dst(HostAddr(5)), ..exact };
+    let by_md = FlowEntry {
+        m: FlowMatch::default().and_metadata(3),
+        action: Action::Output(PortNo(1)),
+        ..exact
+    };
+    let catch_all = FlowEntry { m: FlowMatch::any(), priority: 1, action: Action::Drop };
+    view.apply(3, 1, &FlowMod::Delete(exact.m, exact.priority));
+    view.apply(3, 1, &FlowMod::Add(catch_all));
+    view.apply(2, 1, &FlowMod::Add(catch_all));
+    let mut dst_first = view.clone();
+    dst_first.apply(3, 1, &FlowMod::Add(by_dst));
+    dst_first.apply(3, 1, &FlowMod::Add(by_md));
+    // The delta re-installs the destination rule behind the metadata rule.
+    let swap = vec![
+        (3, 1, FlowMod::Delete(by_dst.m, by_dst.priority)),
+        (3, 1, FlowMod::Add(by_dst)),
+    ];
+    let (full, delta) =
+        assert_full_and_delta_agree(&cluster, &dst_first, &intent, &swap, "tie-break");
+    assert!(full.holds(), "{}", full.report().summary());
+    assert!(!full.report().nondeterminism.is_empty(), "the overlap is still flagged");
+    assert_eq!(delta.report().loops.len(), 1, "{}", delta.report().summary());
+    // Hosts 0..=3 lose host 5 to the cycle; hosts 4 and 5 never cross switch 3's rule.
+    assert_eq!(delta.report().looped_pairs, 4);
+    assert_eq!(delta.stats().loop_classes_fallback, 1);
+}
+
+#[test]
+fn more_classes_than_one_block_fast_equals_plain_equals_scratch() {
+    // 200 source values nobody sends from, and one somebody does, times
+    // thirteen destination classes: the class jobs run in two blocks, each
+    // behind its own route pass, and the pair index is filled across both.
+    let (cluster, mut view, intent) = wide_chain(12);
+    for k in 0..200 {
+        view.apply(5, 1, &FlowMod::Add(drop_from(5, 1000 + k, k % 12)));
+    }
+    view.apply(5, 1, &FlowMod::Add(drop_from(5, 1, 9)));
+    let back = route(7, 8, 1);
+    let batch = vec![
+        (7, 1, FlowMod::Delete(back.m, back.priority)),
+        (7, 1, FlowMod::Add(back)),
+    ];
+    let (full, delta) = assert_full_and_delta_agree(&cluster, &view, &intent, &batch, "blocks");
+    assert_eq!(full.report().header_classes, 202 * 13);
+    assert_eq!(full.report().blackholes.len(), 1);
+    // Traffic to host 8 now cycles in every source class, and those classes
+    // lie on both sides of the block boundary (position 2 048).
+    assert!(delta.report().looped_pairs > 0);
+    assert_eq!(delta.stats().loop_classes_fallback, 202);
+}
+
+#[test]
+fn reordered_and_replaced_hosts_past_the_64th_switch_carry_row_by_row() {
+    // The intent of the second proof lists the hosts backwards and gives
+    // six of them a new host id, and its batch turns a route on switch 67
+    // around: a pair keeps its trace iff both its hosts are who they were —
+    // wherever they now stand in the list — and its path avoids switch 67.
+    const N: u32 = 70;
+    let (cluster, view, intent) = wide_chain(N);
+    let plain0 = Verifier::check_plain_threads(&cluster, view.clone(), intent.clone(), 2);
+    let fast0 = Verifier::check_threads(&cluster, view.clone(), intent.clone(), 2);
+    let replaced = 10..16u32;
+    let mut next = intent.clone();
+    next.hosts.reverse();
+    for h in next.hosts.iter_mut().filter(|h| replaced.contains(&h.addr.0)) {
+        h.host = sdt_topology::HostId(100 + h.addr.0);
+    }
+    let old = route(67, 68, 2);
+    let batch = vec![
+        (67, 1, FlowMod::Delete(old.m, old.priority)),
+        (67, 1, FlowMod::Add(route(67, 68, 1))),
+    ];
+    let mut after = view;
+    for (sw, table, m) in &batch {
+        after.apply(*sw, *table, m);
+    }
+    let dp = Verifier::check_delta_plain_threads(&plain0, &batch, next.clone(), 2);
+    let df = Verifier::check_delta_threads(&fast0, &batch, next.clone(), 2);
+    assert_identical(&df, &dp, "reordered intent");
+    let scratch = Verifier::check_threads(&cluster, after, next.clone(), 2);
+    assert_same_verdict_as_scratch(&df, &scratch, "reordered intent");
+    let rewalked = (0..N)
+        .flat_map(|a| (0..N).map(move |b| (a, b)))
+        .filter(|&(a, b)| a != b)
+        .filter(|&(a, b)| {
+            replaced.contains(&a) || replaced.contains(&b) || (a.min(b) <= 67 && 67 <= a.max(b))
+        })
+        .count();
+    assert_eq!(df.report().pairs_walked, rewalked);
+
+    // Back to the first order on unchanged tables: everything carries but
+    // the pairs of the hosts whose id changes back.
+    let back = Verifier::check_delta_threads(&df, &[], intent.clone(), 2);
+    let back_plain = Verifier::check_delta_plain_threads(&dp, &[], intent, 2);
+    assert_identical(&back, &back_plain, "order restored");
+    assert_eq!(back.report().pairs_walked, 2 * 6 * (N as usize - 6) + 6 * 5);
 }
 
 /// The ordered pairs of `step.intent` a delta proof on top of a proof
