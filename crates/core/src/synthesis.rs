@@ -246,7 +246,7 @@ fn emit(
 
     // Deterministic order (HashMap iteration is not).
     for t in out.table0.iter_mut().chain(out.table1.iter_mut()) {
-        t.sort_unstable_by_key(|e| (Reverse(e.priority), e.m.in_port, e.m.metadata, e.m.dst, e.m.src));
+        t.sort_unstable_by_key(FlowEntry::order_key);
     }
     for sw in 0..num_phys as usize {
         out.entries_per_switch[sw] = out.table0[sw].len() + out.table1[sw].len();

@@ -24,7 +24,7 @@
 //! behavior replays bit-identically from its seed.
 
 use crate::switch::OpenFlowSwitch;
-use crate::table::{diff_tables, FlowEntry, FlowMod};
+use crate::table::{diff_tables, each_absent, FlowEntry, FlowMod};
 use crate::InstallTiming;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -234,8 +234,8 @@ pub fn table_divergence(
     intended_t0: &[FlowEntry],
     intended_t1: &[FlowEntry],
 ) -> usize {
-    diff_tables(sw.table(0).entries(), intended_t0).len()
-        + diff_tables(sw.table(1).entries(), intended_t1).len()
+    each_absent(sw.table(0).entries(), intended_t0, |_, _| true)
+        + each_absent(sw.table(1).entries(), intended_t1, |_, _| true)
 }
 
 /// Retry/backoff budget of one [`reconcile`] loop — the only retry knobs

@@ -37,9 +37,9 @@ pub use overlap::{
 };
 pub use switch::{OpenFlowSwitch, PortStats, SwitchConfig};
 pub use table::{
-    diff_tables, shadowed_entries, shadowed_entries_in, subtract_witness, Action, FlowEntry,
-    FlowMatch, FlowMod, FlowTable, MatchUniverse, PacketMeta, ShadowedEntry, TableError,
-    TableStats,
+    diff_positions, diff_tables, same_entries, shadowed_entries, shadowed_entries_in,
+    subtract_witness, Action, FlowEntry, FlowMatch, FlowMod, FlowTable, MatchUniverse,
+    PacketMeta, ShadowedEntry, TableError, TableStats,
 };
 
 /// A physical port number on an OpenFlow switch (0-based).

@@ -1,9 +1,8 @@
 //! Priority-matched flow tables with capacity accounting.
 
 use crate::index::EntryStore;
-use crate::overlap::FxBuild;
 use crate::{HostAddr, PortNo};
-use std::collections::HashSet;
+use std::cmp::Reverse;
 use std::sync::Arc;
 use sdt_sync::atomic::{AtomicU64, Ordering};
 
@@ -52,6 +51,14 @@ impl FlowMatch {
     pub fn and_metadata(mut self, m: u32) -> Self {
         self.metadata = Some(m);
         self
+    }
+
+    /// Where an entry with this match and `priority` stands among a table's
+    /// entries — what a strict delete names, in the order of
+    /// [`FlowEntry::order_key`].
+    pub fn order_key(&self, priority: u16) -> impl Ord {
+        let FlowMatch { in_port, metadata, src, dst, l4_src, l4_dst } = *self;
+        (Reverse(priority), in_port, metadata, dst, src, l4_src, l4_dst)
     }
 
     /// Does this match cover every packet the `other` match covers?
@@ -124,8 +131,9 @@ pub struct PacketMeta {
     pub l4_dst: u16,
 }
 
-/// Forwarding action of a flow entry.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+/// Forwarding action of a flow entry. Ordered only to complete
+/// [`FlowEntry::order_key`].
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Action {
     /// Emit on a port.
     Output(PortNo),
@@ -145,6 +153,17 @@ pub struct FlowEntry {
     pub priority: u16,
     /// Action on match.
     pub action: Action,
+}
+
+impl FlowEntry {
+    /// The one total order on entries: priority descending (scan order),
+    /// then `in_port`, `metadata`, `dst`, `src`, `l4_src`, `l4_dst`, then
+    /// action. Synthesis emits every table in it, a table installed from
+    /// one is kept in it, and the table diff and the epoch's delete/add
+    /// pairing merge along it.
+    pub fn order_key(&self) -> impl Ord {
+        (self.m.order_key(self.priority), self.action)
+    }
 }
 
 /// Flow-table modification messages (the controller→switch protocol subset
@@ -600,25 +619,79 @@ pub fn shadowed_entries_in(entries: &[FlowEntry], universe: &MatchUniverse) -> V
     shadowed
 }
 
+/// Walk `old` and `new` merged in entry order and hand `visit` every entry
+/// the other side does not hold — `(false, i)` for `old[i]`, `(true, j)` for
+/// `new[j]` — until it returns false; returns how many it was handed.
+/// Sides are sets: an entry held twice is handed over twice or not at all.
+pub(crate) fn each_absent(
+    old: &[FlowEntry],
+    new: &[FlowEntry],
+    mut visit: impl FnMut(bool, usize) -> bool,
+) -> usize {
+    // One comparison per element on a side already in entry order — every
+    // synthesized and every freshly installed table.
+    let in_order = |side: &[FlowEntry]| {
+        let mut at: Vec<usize> = (0..side.len()).collect();
+        at.sort_unstable_by_key(|&i| side[i].order_key());
+        at
+    };
+    let (olds, news) = (in_order(old), in_order(new));
+    let (mut i, mut j, mut handed) = (0, 0, 0);
+    while i < olds.len() || j < news.len() {
+        let (a, b) = (olds.get(i).map(|&a| &old[a]), news.get(j).map(|&b| &new[b]));
+        let (in_new, at) = match (a, b) {
+            // Held by both: skip every copy.
+            (Some(a), Some(b)) if a == b => {
+                i += olds[i..].iter().take_while(|&&at| old[at] == *a).count();
+                j += news[j..].iter().take_while(|&&at| new[at] == *a).count();
+                continue;
+            }
+            (Some(a), b) if b.is_none_or(|b| a.order_key() < b.order_key()) => {
+                i += 1;
+                (false, olds[i - 1])
+            }
+            _ => {
+                j += 1;
+                (true, news[j - 1])
+            }
+        };
+        handed += 1;
+        if !visit(in_new, at) {
+            break;
+        }
+    }
+    handed
+}
+
+/// [`diff_tables`] as positions: the entries of `old` that `new` lacks and
+/// the entries of `new` that `old` lacks, each ascending.
+pub fn diff_positions(old: &[FlowEntry], new: &[FlowEntry]) -> (Vec<usize>, Vec<usize>) {
+    let (mut gone, mut fresh) = (Vec::new(), Vec::new());
+    each_absent(old, new, |in_new, at| {
+        if in_new { &mut fresh } else { &mut gone }.push(at);
+        true
+    });
+    // Met in entry order; already ascending on a side kept in it.
+    gone.sort_unstable();
+    fresh.sort_unstable();
+    (gone, fresh)
+}
+
+/// Do the two tables hold the same set of entries? Stops at the first one
+/// they do not share.
+pub fn same_entries(a: &[FlowEntry], b: &[FlowEntry]) -> bool {
+    each_absent(a, b, |_, _| false) == 0
+}
+
 /// Incremental reconfiguration: the flow-mods turning the entry set `old`
-/// into `new` (deletes first, then adds). Unchanged entries are untouched,
-/// which is what keeps SDT reconfigurations between *similar* topologies
-/// fast — only the delta pays install latency.
+/// into `new` (deletes first, in `old` order, then adds, in `new` order).
+/// Unchanged entries are untouched, which is what keeps SDT
+/// reconfigurations between *similar* topologies fast — only the delta
+/// pays install latency.
 pub fn diff_tables(old: &[FlowEntry], new: &[FlowEntry]) -> Vec<FlowMod> {
-    let old_set: HashSet<&FlowEntry, FxBuild> = old.iter().collect();
-    let new_set: HashSet<&FlowEntry, FxBuild> = new.iter().collect();
-    let mut mods = Vec::new();
-    for e in old {
-        if !new_set.contains(e) {
-            mods.push(FlowMod::Delete(e.m, e.priority));
-        }
-    }
-    for e in new {
-        if !old_set.contains(e) {
-            mods.push(FlowMod::Add(*e));
-        }
-    }
-    mods
+    let (gone, fresh) = diff_positions(old, new);
+    let deletes = gone.iter().map(|&i| FlowMod::Delete(old[i].m, old[i].priority));
+    deletes.chain(fresh.iter().map(|&j| FlowMod::Add(new[j]))).collect()
 }
 
 #[cfg(test)]

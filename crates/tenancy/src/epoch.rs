@@ -26,8 +26,8 @@
 
 use crate::SliceId;
 use sdt_core::synthesis::SynthesisOutput;
-use sdt_openflow::{diff_tables, FlowEntry, FlowMatch, FlowMod, FxBuild, InstallTiming, PortNo};
-use std::collections::{HashMap, HashSet};
+use sdt_openflow::{diff_positions, FlowEntry, FlowMatch, FlowMod, InstallTiming, PortNo};
+use std::collections::HashSet;
 use std::fmt;
 
 /// One entry installation, targeted at a switch and pipeline table.
@@ -54,9 +54,6 @@ pub struct EpochDelete {
     pub priority: u16,
 }
 
-/// What a strict delete removes and a same-key add replaces in place.
-type ModKey = (u32, u8, FlowMatch, u16);
-
 /// A verified, atomic batch of flow-mods belonging to exactly one slice.
 #[derive(Clone, Debug, Default)]
 pub struct Epoch {
@@ -74,7 +71,8 @@ pub struct Epoch {
 #[derive(Clone, Debug, Default)]
 pub struct OwnedSpace {
     /// (physical switch, ingress port) pairs whose table-0 entries belong
-    /// to the slice.
+    /// to the slice. Probed by key; iterated only to pour one set into
+    /// another ([`OwnedSpace::merge`]), so its order reaches no output.
     pub ports: HashSet<(u32, PortNo)>,
     /// Metadata ranges `[base, base + len)` scoping the slice's table-1
     /// entries. More than one range only transiently, mid-reconfiguration.
@@ -216,24 +214,21 @@ impl Epoch {
         old: impl Fn(usize, u8) -> &'a [FlowEntry],
         new: impl Fn(usize, u8) -> &'a [FlowEntry],
     ) -> Epoch {
-        let mut epoch = Epoch { slice, ..Default::default() };
-        for sw in 0..num_switches {
-            for table in [0u8, 1u8] {
-                for m in diff_tables(old(sw, table), new(sw, table)) {
-                    match m {
-                        FlowMod::Add(entry) => {
-                            epoch.adds.push(EpochAdd { switch: sw as u32, table, entry })
-                        }
-                        FlowMod::Delete(fm, priority) => epoch.deletes.push(EpochDelete {
-                            switch: sw as u32,
-                            table,
-                            m: fm,
-                            priority,
-                        }),
-                        FlowMod::Clear => unreachable!("diff_tables never clears"),
-                    }
-                }
-            }
+        let tables = || (0..num_switches).flat_map(|sw| [(sw, 0u8), (sw, 1u8)]);
+        let diffs: Vec<_> =
+            tables().map(|(sw, t)| diff_positions(old(sw, t), new(sw, t))).collect();
+        let mut epoch = Epoch {
+            slice,
+            adds: Vec::with_capacity(diffs.iter().map(|(_, fresh)| fresh.len()).sum()),
+            deletes: Vec::with_capacity(diffs.iter().map(|(gone, _)| gone.len()).sum()),
+        };
+        for ((sw, table), (gone, fresh)) in tables().zip(diffs) {
+            let (switch, old, new) = (sw as u32, old(sw, table), new(sw, table));
+            epoch.deletes.extend(gone.iter().map(|&i| {
+                let FlowEntry { m, priority, .. } = old[i];
+                EpochDelete { switch, table, m, priority }
+            }));
+            epoch.adds.extend(fresh.iter().map(|&j| EpochAdd { switch, table, entry: new[j] }));
         }
         epoch
     }
@@ -322,21 +317,41 @@ impl Epoch {
     /// mod is a unit of its own, from it on a unit is a delete and the adds
     /// that follow it (its replacements).
     pub(crate) fn ordered(&self) -> (Vec<(u32, u8, FlowMod)>, usize) {
-        // Position (in `deletes`) of the first delete of each key: the one
-        // an add of the same key rides behind.
-        let mut first_delete: HashMap<ModKey, u32, FxBuild> =
-            HashMap::with_capacity_and_hasher(self.deletes.len(), FxBuild::default());
-        for (at, d) in self.deletes.iter().enumerate() {
-            first_delete.entry((d.switch, d.table, d.m, d.priority)).or_insert(at as u32);
+        // Adds and deletes by position, each sorted by key — one pass over
+        // an epoch diffed out of ordered tables. Equal delete keys stay in
+        // position order, so a merge meets the first delete of a key first:
+        // the one an add of the same key rides behind.
+        let add_key = |&i: &u32| {
+            let a = &self.adds[i as usize];
+            (a.switch, a.table, a.entry.m.order_key(a.entry.priority))
+        };
+        let delete_key = |&i: &u32| {
+            let d = &self.deletes[i as usize];
+            (d.switch, d.table, d.m.order_key(d.priority))
+        };
+        let mut by_key: Vec<u32> = (0..self.adds.len() as u32).collect();
+        by_key.sort_unstable_by_key(add_key);
+        let mut deletes: Vec<u32> = (0..self.deletes.len() as u32).collect();
+        deletes.sort_by_key(delete_key);
+        // Per add: the position of the delete it rides, if one shares its key.
+        const ALONE: u32 = u32::MAX;
+        let mut rides = vec![ALONE; self.adds.len()];
+        let mut deletes = deletes.iter().peekable();
+        for a in &by_key {
+            let key = add_key(a);
+            while deletes.next_if(|&d| delete_key(d) < key).is_some() {}
+            if let Some(&&d) = deletes.peek().filter(|&&d| delete_key(d) == key) {
+                rides[*a as usize] = d;
+            }
         }
-        // Held-back adds per table: (position of their delete, entry).
-        let mut held: [Vec<(u32, FlowEntry)>; 2] = Default::default();
+        // Held-back adds per table: (position of their delete, own position).
+        let mut held: [Vec<(u32, u32)>; 2] = Default::default();
         let mut mods = Vec::with_capacity(self.adds.len() + self.deletes.len());
         for table in [1u8, 0u8] {
-            for a in self.adds.iter().filter(|a| a.table == table) {
-                match first_delete.get(&(a.switch, a.table, a.entry.m, a.entry.priority)) {
-                    Some(&at) => held[usize::from(table)].push((at, a.entry)),
-                    None => mods.push((a.switch, a.table, FlowMod::Add(a.entry))),
+            for (i, a) in self.adds.iter().enumerate().filter(|(_, a)| a.table == table) {
+                match rides[i] {
+                    ALONE => mods.push((a.switch, a.table, FlowMod::Add(a.entry))),
+                    at => held[usize::from(table)].push((at, i as u32)),
                 }
             }
         }
@@ -349,8 +364,8 @@ impl Epoch {
             let mut held = held.iter().peekable();
             for (at, d) in self.deletes.iter().enumerate().filter(|(_, d)| d.table == table) {
                 mods.push((d.switch, d.table, FlowMod::Delete(d.m, d.priority)));
-                while let Some(&(_, e)) = held.next_if(|&&(of, _)| of == at as u32) {
-                    mods.push((d.switch, d.table, FlowMod::Add(e)));
+                while let Some(&(_, i)) = held.next_if(|&&(of, _)| of == at as u32) {
+                    mods.push((d.switch, d.table, FlowMod::Add(self.adds[i as usize].entry)));
                 }
             }
         }

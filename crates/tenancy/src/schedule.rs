@@ -48,7 +48,7 @@
 use crate::epoch::Epoch;
 use sdt_core::cluster::PhysicalCluster;
 use sdt_openflow::{
-    diff_tables, reconcile, Action, ControlChannel, FlowMod, FxBuild, InstallTiming,
+    reconcile, same_entries, Action, ControlChannel, FlowMod, FxBuild, InstallTiming,
     OpenFlowSwitch, RetryPolicy,
 };
 use sdt_verify::{Intent, TableView, Verifier, VerifyReport};
@@ -215,11 +215,12 @@ impl std::error::Error for ScheduleError {}
 /// by `tests/round_properties.rs`). Determinism needs no seed: the
 /// compilation is a pure function of the epoch and `before`.
 pub fn compile_rounds(epoch: &Epoch, before: &TableView) -> Vec<Round> {
-    let (mods, deletes_from) = epoch.ordered();
+    let (mut mods, deletes_from) = epoch.ordered();
 
     // Metadata the pre-state's table 0 still steers, per switch: a pure
     // table-1 delete in a live class must wait for the cutover to go dark;
     // one in an already-dark class has no walk crossing it and needn't.
+    // Keyed lookups only, never iterated.
     let mut steered: HashSet<(u32, u32), FxBuild> = HashSet::default();
     for sw in 0..before.num_switches() as u32 {
         for e in before.entries(sw, 0) {
@@ -229,36 +230,38 @@ pub fn compile_rounds(epoch: &Epoch, before: &TableView) -> Vec<Round> {
         }
     }
 
-    // The layers in install order; one pass moves every mod into its
-    // unit's layer. Wire order puts all table-1 adds before the first
-    // table-0 add, so `fresh_routes` is complete when it is first read.
+    // Every mod's layer, in install order, decided unit by unit. Wire
+    // order puts all table-1 adds before the first table-0 add, so
+    // `fresh_routes` is complete when it is first read.
     const CUTOVER: usize = 2;
     const COLLECT: usize = 3;
     let mut layers =
         [RoundPhase::Make, RoundPhase::Make, RoundPhase::Cutover, RoundPhase::Collect]
             .map(|phase| Round { mods: Vec::new(), phase, units: 0 });
+    let mut sizes = [0usize; 4];
     // Metadata values gaining new table-1 routes per switch in this epoch.
+    // Keyed lookups only, never iterated.
     let mut fresh_routes: HashSet<(u32, u32), FxBuild> = HashSet::default();
     let mut layer = 0;
-    let mut mods = mods.into_iter().enumerate().peekable();
-    while let Some((at, (sw, table, m))) = mods.next() {
+    let mut layer_of: Vec<u8> = Vec::with_capacity(mods.len());
+    for (at, (sw, table, m)) in mods.iter().enumerate() {
         // Past `deletes_from` an add is a replacement riding its delete's
         // unit; everything else starts a unit of its own.
         if at < deletes_from || matches!(m, FlowMod::Delete(..)) {
-            let modify = matches!(mods.peek(), Some((_, (_, _, FlowMod::Add(_)))));
-            layer = match (table, &m) {
+            let modify = matches!(mods.get(at + 1), Some((_, _, FlowMod::Add(_))));
+            layer = match (table, m) {
                 (1, FlowMod::Add(e)) => {
-                    fresh_routes.extend(e.m.metadata.map(|md| (sw, md)));
+                    fresh_routes.extend(e.m.metadata.map(|md| (*sw, md)));
                     0
                 }
                 (0, FlowMod::Add(e)) => match e.action {
-                    Action::WriteMetadataGoto(md) => usize::from(fresh_routes.contains(&(sw, md))),
+                    Action::WriteMetadataGoto(md) => usize::from(fresh_routes.contains(&(*sw, md))),
                     _ => 0,
                 },
                 // Pure table-1 delete: collect only after the cutover stops
                 // steering its class — unless the class is already dark.
                 (1, FlowMod::Delete(dm, _))
-                    if !modify && dm.metadata.is_some_and(|md| steered.contains(&(sw, md))) =>
+                    if !modify && dm.metadata.is_some_and(|md| steered.contains(&(*sw, md))) =>
                 {
                     COLLECT
                 }
@@ -268,8 +271,25 @@ pub fn compile_rounds(epoch: &Epoch, before: &TableView) -> Vec<Round> {
             };
             layers[layer].units += 1;
         }
-        layers[layer].mods.push((sw, table, m));
+        sizes[layer] += 1;
+        layer_of.push(layer as u8);
     }
+    // Then one pass moves every mod into its layer. The largest layer
+    // keeps the wire order's own allocation, the others' mods taken out of
+    // it; those are allocated once, at their final size.
+    let home = (0..layers.len()).max_by_key(|&l| sizes[l]).unwrap_or(0);
+    for (l, round) in layers.iter_mut().enumerate().filter(|&(l, _)| l != home) {
+        round.mods.reserve_exact(sizes[l]);
+    }
+    let mut layer_of = layer_of.into_iter().map(usize::from);
+    mods.retain(|m| match layer_of.next() {
+        Some(l) if l != home => {
+            layers[l].mods.push(m.clone());
+            false
+        }
+        _ => true,
+    });
+    layers[home].mods = mods;
     layers.into_iter().filter(|r| !r.mods.is_empty()).collect()
 }
 
@@ -280,6 +300,7 @@ pub fn no_new_findings(r: &VerifyReport, base: &VerifyReport) -> bool {
     if r.holds() {
         return true;
     }
+    // Keyed lookups only, never iterated.
     let known: HashSet<String> = base
         .loops
         .iter()
@@ -492,9 +513,7 @@ pub fn install_scheduled(
     // retry diff targets its boundary's proven tables), so only the final
     // divergence matters.
     report.converged = switches.iter().enumerate().all(|(sw, s)| {
-        (0u8..2).all(|t| {
-            diff_tables(s.table(t).entries(), current.view().entries(sw as u32, t)).is_empty()
-        })
+        (0u8..2).all(|t| same_entries(s.table(t).entries(), current.view().entries(sw as u32, t)))
     });
     report.proof_wall_ns_total = report.rounds.iter().map(|r| r.proof_wall_ns).sum();
     report.install_ns_total = report.rounds.iter().map(|r| r.install_ns).sum();
@@ -677,7 +696,7 @@ mod tests {
             before.apply(sw, table, &FlowMod::Add(entry(table, &mut next)));
         }
         let mut e = Epoch { slice: SliceId(0), ..Default::default() };
-        for _ in 0..next(24) {
+        for _ in 0..next(40) {
             let (switch, table) = (next(3), next(2) as u8);
             let entry = entry(table, &mut next);
             if next(2) == 0 {
@@ -696,7 +715,8 @@ mod tests {
 
     #[test]
     fn wire_order_and_rounds_match_the_reference_on_random_epochs() {
-        let (mut modifies, mut repeated_deletes, mut wide_modifies) = (0, 0, 0);
+        let (mut wide_modifies, mut repeated_deletes, mut unsorted) = (0, 0, 0);
+        let mut modifies = [0, 0];
         for seed in 0..2000 {
             let (e, before) = random_epoch(seed);
             let want = reference_ordered_mods(&e);
@@ -704,14 +724,46 @@ mod tests {
             let want = reference_compile_rounds(&e, &before);
             let got = compile_rounds(&e, &before);
             assert_eq!(format!("{got:?}"), format!("{want:?}"), "seed {seed}");
-            // What the generator reached.
-            let units = reference_units_of(reference_ordered_mods(&e));
-            modifies += units.iter().filter(|u| u.len() > 1).count();
-            wide_modifies += units.iter().filter(|u| u.len() > 2).count();
+            // What the generator reached: MODIFYs in either table, several
+            // adds behind one delete, a delete key twice, and sides in no
+            // order (an epoch diffed out of tables is in key order).
+            for u in reference_units_of(reference_ordered_mods(&e)).iter().filter(|u| u.len() > 1) {
+                modifies[usize::from(u[0].1)] += 1;
+                wide_modifies += usize::from(u.len() > 2);
+            }
             let keys: HashSet<String> = e.deletes.iter().map(|d| format!("{d:?}")).collect();
             repeated_deletes += usize::from(keys.len() < e.deletes.len());
+            let adds = e.adds.iter().map(|a| (a.switch, a.table, a.entry.order_key()));
+            let deletes = e.deletes.iter().map(|d| (d.switch, d.table, d.m.order_key(d.priority)));
+            unsorted += usize::from(!adds.is_sorted() && !deletes.is_sorted());
         }
-        assert!(modifies > 0 && wide_modifies > 0 && repeated_deletes > 0);
+        assert!(modifies[0] > 100 && modifies[1] > 100 && wide_modifies > 100, "{modifies:?}");
+        assert!(repeated_deletes > 100 && unsorted > 1000, "{repeated_deletes} {unsorted}");
+    }
+
+    #[test]
+    fn an_add_rides_the_first_delete_of_its_key() {
+        use crate::epoch::{EpochAdd, EpochDelete};
+        let delete = |table, e: FlowEntry| EpochDelete { switch: 0, table, m: e.m, priority: e.priority };
+        let add = |table, entry| EpochAdd { switch: 0, table, entry };
+        // Neither side in key order; route (5, 1) is deleted twice and
+        // replaced twice, port 3 is re-classified, route (7, 2) is new.
+        let e = Epoch {
+            slice: SliceId(0),
+            deletes: vec![delete(1, t1(5, 1, 1)), delete(0, t0(3, 5)), delete(1, t1(5, 1, 9))],
+            adds: vec![add(1, t1(5, 1, 2)), add(0, t0(3, 6)), add(1, t1(7, 2, 4)), add(1, t1(5, 1, 3))],
+        };
+        let wire: Vec<Mod> = vec![
+            (0, 1, FlowMod::Add(t1(7, 2, 4))),
+            (0, 0, FlowMod::Delete(t0(3, 5).m, 10)),
+            (0, 0, FlowMod::Add(t0(3, 6))),
+            (0, 1, FlowMod::Delete(t1(5, 1, 1).m, 10)),
+            (0, 1, FlowMod::Add(t1(5, 1, 2))),
+            (0, 1, FlowMod::Add(t1(5, 1, 3))),
+            (0, 1, FlowMod::Delete(t1(5, 1, 1).m, 10)),
+        ];
+        assert_eq!(format!("{:?}", e.ordered_mods()), format!("{wire:?}"));
+        assert_eq!(format!("{:?}", reference_ordered_mods(&e)), format!("{wire:?}"));
     }
 
     #[test]

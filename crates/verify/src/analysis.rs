@@ -400,7 +400,7 @@ const NEEDED: u32 = OPEN - 1;
 /// Header classes per [`StepMatrix`]: what bounds a proof's memory when
 /// rules test `src` and the classes number in the millions. Fat-tree k=16
 /// (1 025 classes) is one block.
-const CLASS_BLOCK: usize = 2048;
+pub(crate) const CLASS_BLOCK: usize = 2048;
 
 impl TraceStore {
     /// Add a distinct trace; returns its index.
@@ -989,7 +989,8 @@ impl Verifier {
         let mut walked_total = 0usize;
         for (nth, classes) in classes.chunks(block).enumerate() {
             let (lo, len) = (nth * block, classes.len());
-            let steps = StepMatrix::build(cluster, view, fates, &mut outcomes, classes, threads);
+            let (values, at) = (&self.values, (lo, classes));
+            let steps = StepMatrix::build(cluster, view, fates, &mut outcomes, values, at, threads);
             // Per (source group, class of the block): `OPEN`, `NEEDED`, then
             // the trace id the merge gives it.
             let mut cells = vec![OPEN; groups.len() * len];

@@ -33,8 +33,9 @@
 //! `ok = false`). Correct-but-slow beats fast-but-wrong.
 //!
 //! The table-1 decisions are taken switch by switch, not class by class:
-//! one job per switch resolves every `(state, class)` into a `StepMatrix`
-//! cell while its tier index is hot, and the `DestinyMemo`s chase cells.
+//! one job per switch walks its table 1 once, in scan order, each entry
+//! claiming the `StepMatrix` cells — `(state, class)` — it is the first to
+//! match, and the `DestinyMemo`s chase cells.
 //!
 //! Nothing here outlives a pass: what carries over between proofs is the
 //! previous [`crate::Verifier`] that `check_delta*` takes — the traces the
@@ -47,7 +48,7 @@ use sdt_core::cluster::{PhysPort, PhysicalCluster};
 use sdt_openflow::{Action, FlowEntry, FxBuild, PortNo};
 
 use crate::analysis::{DropReason, PairOutcome, RuleRef};
-use crate::model::{entry_matches, HeaderClass, TableView};
+use crate::model::{entry_matches, HeaderClass, HeaderValues, TableView};
 
 /// Operational counters of one verification pass: how much work the
 /// symmetry collapse and the in-pass destiny memo saved. Kept
@@ -114,7 +115,7 @@ impl Outcomes {
     /// The id of `out`, added if this proof has not met it yet.
     pub(crate) fn id(&mut self, out: PairOutcome) -> u32 {
         let Outcomes { list, ids } = self;
-        assert!(list.len() < TERMINAL as usize, "a step cell names at most 2^31 outcomes");
+        assert!(list.len() < (UNSET ^ TERMINAL) as usize, "a step cell names under 2^31 outcomes");
         *ids.entry(out).or_insert_with_key(|out| {
             list.push(out.clone());
             list.len() as u32 - 1
@@ -410,6 +411,9 @@ fn walk_end(cluster: &PhysicalCluster, sw: u32, table: u8, hit: Option<&FlowEntr
 /// the walk ends at the state's own switch. Without it the cell is the
 /// [`FateTable`] slot of the far end of the cable the route outputs to.
 const TERMINAL: u32 = 1 << 31;
+/// A cell no entry has claimed yet, while a route pass fills its block;
+/// never an [`Outcomes`] id ([`Outcomes::id`] stops one short).
+const UNSET: u32 = u32::MAX;
 
 /// The table-1 decision of every pipeline state in every header class of
 /// one block of classes — all a `DestinyMemo` reads. Class-major: a class
@@ -420,24 +424,32 @@ pub(crate) struct StepMatrix {
 }
 
 impl StepMatrix {
-    /// One job per switch makes the first-match probes of all its states in
-    /// all of `classes`, through the lookup and the match test the reference
-    /// walker uses. Jobs name their terminal verdicts locally; the merge, in
-    /// switch order on one thread, gives them their ids in `outcomes`, so
-    /// the matrix is the same at any thread count.
+    /// One job per switch walks its table 1 once, in scan order, and hands
+    /// each entry the cells it can own: the switch's states whose metadata
+    /// it names (all if none) × the classes of the block its header fields
+    /// fit ([`HeaderValues::each_fitting`]). An entry claims a cell still
+    /// unset when it matches there, so a cell's owner is the first match in
+    /// scan order — the entry the reference walker's lookup returns; the
+    /// cells no entry claims are the switch's table miss. Jobs name their
+    /// terminal verdicts locally; the merge, in switch order on one thread,
+    /// gives them their ids in `outcomes`, so the matrix is the same at any
+    /// thread count. `classes` are those from position `lo` on.
     pub(crate) fn build(
         cluster: &PhysicalCluster,
         view: &TableView,
         fates: &FateTable,
         outcomes: &mut Outcomes,
-        classes: &[HeaderClass],
+        values: &HeaderValues,
+        (lo, classes): (usize, &[HeaderClass]),
         threads: usize,
     ) -> StepMatrix {
         let states = fates.states.len();
+        let md_of = |state: &u32| fates.states[*state as usize].1;
         let mut by_switch: Vec<Vec<u32>> = vec![Vec::new(); view.num_switches()];
         for (id, &(sw, _)) in fates.states.iter().enumerate() {
             by_switch[sw as usize].push(id as u32);
         }
+        by_switch.iter_mut().for_each(|of_switch| of_switch.sort_unstable_by_key(md_of));
         let switches: Vec<u32> = (0..view.num_switches() as u32).collect();
         let per_switch = sdt_par::par_map_threads(threads, &switches, |&sw| {
             // The fate slot each port's cable leads to, if one does.
@@ -447,35 +459,58 @@ impl StepMatrix {
                     Some((to.switch as usize * fates.ports + to.port.idx()) as u32)
                 })
                 .collect();
-            let store = view.store(sw, 1);
-            let (mut local, mut miss) = (Outcomes::new(), None);
-            let mut cells = Vec::with_capacity(by_switch[sw as usize].len() * classes.len());
-            for &state in &by_switch[sw as usize] {
-                let (_, md) = fates.states[state as usize];
-                cells.extend(classes.iter().map(|class| {
-                    // Port-blind under `symmetric` tables: `PortNo(0)` stands
-                    // in for any ingress port, the entry found is the same.
-                    let hit = store.first_match_where(PortNo(0), Some(md), class.dst, |e| {
-                        entry_matches(e, PortNo(0), Some(md), class)
-                    });
-                    let mut end = || local.id(walk_end(cluster, sw, 1, hit));
-                    match hit {
-                        // Half the cells of a fat-tree: named once per job.
-                        None => TERMINAL | *miss.get_or_insert_with(end),
-                        Some(FlowEntry { action: Action::Output(p), .. }) => {
-                            far.get(p.idx()).copied().flatten().unwrap_or_else(|| TERMINAL | end())
+            let mds: Vec<u32> = by_switch[sw as usize].iter().map(md_of).collect();
+            let block = lo..lo + classes.len();
+            let mut local = Outcomes::new();
+            // Class-major, as the matrix is.
+            let mut cells = vec![UNSET; classes.len() * mds.len()];
+            let mut near = 0;
+            for run in view.entries(sw, 1).chunk_by(|a, b| a.m.metadata == b.m.metadata) {
+                let rows = match run[0].m.metadata {
+                    None => 0..mds.len(),
+                    Some(md) => match mds.binary_search(&md) {
+                        Ok(row) => row..row + 1,
+                        Err(_) => continue, // no port steers here
+                    },
+                };
+                for e in run {
+                    // What the walk does on firing `e`, named at its first claim.
+                    let mut step = None;
+                    values.each_fitting(&e.m, &block, &mut near, |at| {
+                        let class = at - lo;
+                        for row in rows.clone() {
+                            let cell = &mut cells[class * mds.len() + row];
+                            // Port-blind under `symmetric` tables: `PortNo(0)`
+                            // stands in for any ingress port.
+                            let md = Some(mds[row]);
+                            if *cell == UNSET && entry_matches(e, PortNo(0), md, &classes[class]) {
+                                *cell = *step.get_or_insert_with(|| {
+                                    let cabled = match e.action {
+                                        Action::Output(p) => far.get(p.idx()).copied().flatten(),
+                                        _ => None,
+                                    };
+                                    cabled.unwrap_or_else(|| {
+                                        TERMINAL | local.id(walk_end(cluster, sw, 1, Some(e)))
+                                    })
+                                });
+                            }
                         }
-                        Some(_) => TERMINAL | end(),
-                    }
-                }));
+                    });
+                }
+            }
+            // Half the cells of a fat-tree: named once per job.
+            let mut miss = None;
+            for cell in cells.iter_mut().filter(|cell| **cell == UNSET) {
+                let end = || TERMINAL | local.id(walk_end(cluster, sw, 1, None));
+                *cell = *miss.get_or_insert_with(end);
             }
             (cells, local.list)
         });
         let mut matrix = StepMatrix { cells: vec![0; classes.len() * states], states };
         for (of_switch, (cells, local)) in by_switch.iter().zip(per_switch) {
             let ids: Vec<u32> = local.into_iter().map(|out| outcomes.id(out)).collect();
-            for (row, &state) in cells.chunks_exact(classes.len()).zip(of_switch) {
-                for (class, &cell) in row.iter().enumerate() {
+            for (class, row) in cells.chunks_exact(of_switch.len().max(1)).enumerate() {
+                for (&cell, &state) in row.iter().zip(of_switch) {
                     matrix.cells[class * states + state as usize] = match cell & TERMINAL {
                         0 => cell,
                         _ => TERMINAL | ids[(cell ^ TERMINAL) as usize],
@@ -621,7 +656,127 @@ impl<'a> DestinyMemo<'a> {
 
 #[cfg(test)]
 mod tests {
-    use super::SwitchSet;
+    use super::*;
+    use crate::analysis::CLASS_BLOCK;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+    use sdt_core::methods::SwitchModel;
+    use sdt_openflow::{FlowMatch, FlowMod, HostAddr};
+
+    /// One cell of the route pass as it was before it walked the tables: a
+    /// first-match probe of the tier index, under the reference walker's
+    /// match test. The oracle [`StepMatrix::build`] is held to.
+    fn probe<'a>(view: &'a TableView, sw: u32, md: u32, class: &HeaderClass) -> Option<&'a FlowEntry> {
+        view.store(sw, 1).first_match_where(PortNo(0), Some(md), class.dst, |e| {
+            entry_matches(e, PortNo(0), Some(md), class)
+        })
+    }
+
+    /// What a cell says, ids resolved: the fate slot the walk goes on at,
+    /// or the verdict it ends in.
+    fn decode(cell: u32, outcomes: &Outcomes) -> Result<u32, PairOutcome> {
+        match cell & TERMINAL {
+            0 => Ok(cell),
+            _ => Err(outcomes.list[(cell ^ TERMINAL) as usize].clone()),
+        }
+    }
+
+    /// Four 8-port switches — port 0 a host, ports 1–2 cabled round a ring,
+    /// the rest dark — whose table 0 steers every port into one of a few
+    /// sub-switches and whose table 1 is `rules` random entries over small
+    /// value sets (`spread` addresses per field), so that they overlap at
+    /// equal priority all the time: metadata and destination wildcards,
+    /// merged defaults, `src` and L4 tests, unsteered metadata, bad gotos.
+    /// Switch 3 routes nothing. Installed in generation order, or reversed.
+    fn random_tables(seed: u64, rules: usize, spread: u32, reversed: bool) -> (PhysicalCluster, TableView) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let at = |switch: u32, port: u16| PhysPort { switch, port: PortNo(port) };
+        let model = SwitchModel { name: "synthetic 8-port", ports: 8, ..SwitchModel::openflow_64x100g() };
+        let cables = (0..4).map(|i| (at(i, 2), at((i + 1) % 4, 1))).collect();
+        let cluster = PhysicalCluster::custom(model, 4, cables, (0..4).map(|i| at(i, 0)).collect());
+        let mut view = TableView::empty(4);
+        for sw in 0..4u32 {
+            for port in 0..8 {
+                let md = rng.random_range(0..4u32);
+                let m = FlowMatch::on_port(PortNo(port));
+                let classify = FlowEntry { m, priority: 10, action: Action::WriteMetadataGoto(md) };
+                view.apply(sw, 0, &FlowMod::Add(classify));
+            }
+            let mut some = |p: f64, n: u32| rng.random_bool(p).then(|| rng.random_range(0..n));
+            let mut table: Vec<FlowEntry> = (0..if sw == 3 { 0 } else { rules })
+                .map(|_| FlowEntry {
+                    m: FlowMatch {
+                        in_port: None,
+                        metadata: some(0.8, 6),
+                        src: some(0.3, spread).map(HostAddr),
+                        dst: some(0.7, spread).map(HostAddr),
+                        l4_src: some(0.1, 2).map(|v| v as u16),
+                        l4_dst: some(0.1, 2).map(|v| 4791 + v as u16),
+                    },
+                    priority: [5, 10, 10, 20][some(1.0, 4).unwrap_or(0) as usize],
+                    action: match some(0.9, 8) {
+                        Some(port) => Action::Output(PortNo(port as u16)),
+                        None => [Action::Drop, Action::WriteMetadataGoto(1)][some(1.0, 2).unwrap_or(0) as usize],
+                    },
+                })
+                .collect();
+            if reversed {
+                table.reverse();
+            }
+            table.iter().for_each(|&e| view.apply(sw, 1, &FlowMod::Add(e)));
+        }
+        (cluster, view)
+    }
+
+    #[test]
+    fn every_cell_is_the_first_match_the_index_probe_finds() {
+        // (seed, rules per table, addresses per field): the last set-up has
+        // 51 × 51 × 3 × 3 classes, so blocks of `CLASS_BLOCK` split it.
+        let mut cells_checked = 0;
+        for (seed, rules, spread) in [(1, 40, 4), (2, 40, 4), (3, 120, 3), (4, 400, 50)] {
+            for reversed in [false, true] {
+                let (cluster, view) = random_tables(seed, rules, spread, reversed);
+                let mut outcomes = Outcomes::new();
+                let fates = FateTable::build(&cluster, &view, &mut outcomes);
+                assert!(fates.ok && !fates.states.is_empty());
+                let values = HeaderValues::collect(&view);
+                let classes = values.classes();
+                let sizes = match classes.len() > CLASS_BLOCK {
+                    true => vec![CLASS_BLOCK],
+                    false => vec![1, 7, classes.len()],
+                };
+                for (size, threads) in sizes.into_iter().zip([1, 2, 3].into_iter().cycle()) {
+                    for (nth, block) in classes.chunks(size).enumerate() {
+                        let lo = nth * size;
+                        let steps = StepMatrix::build(
+                            &cluster, &view, &fates, &mut outcomes, &values, (lo, block), threads,
+                        );
+                        for (c, class) in block.iter().enumerate() {
+                            for (state, &(sw, md)) in fates.states.iter().enumerate() {
+                                let hit = probe(&view, sw, md, class);
+                                let cabled = hit.and_then(|e| match e.action {
+                                    Action::Output(p) => far_end(&cluster, PhysPort { switch: sw, port: p }),
+                                    _ => None,
+                                });
+                                let want = match cabled {
+                                    Some(to) => Ok((to.switch as usize * fates.ports + to.port.idx()) as u32),
+                                    None => Err(walk_end(&cluster, sw, 1, hit)),
+                                };
+                                let got = decode(steps.class(c)[state], &outcomes);
+                                assert_eq!(
+                                    got, want,
+                                    "seed {seed} reversed {reversed} block {size}@{lo} switch {sw} \
+                                     metadata {md} class {class:?}"
+                                );
+                                cells_checked += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(cells_checked > 500_000, "{cells_checked} cells");
+    }
 
     #[test]
     fn switch_sets_are_exact_across_word_boundaries() {

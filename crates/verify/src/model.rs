@@ -4,12 +4,13 @@
 //! makes exhaustive analysis tractable.
 
 use std::collections::HashSet;
+use std::ops::Range;
 use std::sync::Arc;
 
 use sdt_core::cluster::PhysPort;
 use sdt_core::synthesis::{addr_of, SynthesisOutput};
 use sdt_core::SdtProjection;
-use sdt_openflow::{EntryStore, FlowEntry, FlowMod, FxBuild, HostAddr, OpenFlowSwitch};
+use sdt_openflow::{EntryStore, FlowEntry, FlowMatch, FlowMod, FxBuild, HostAddr, OpenFlowSwitch};
 use sdt_topology::{HostId, Topology};
 
 /// A side-effect-free snapshot of every flow table in the cluster, mutable
@@ -268,10 +269,15 @@ impl HeaderValues {
     /// materializing it: per-field value count plus the fresh class, as a
     /// product.
     pub fn num_classes(&self) -> usize {
-        (self.srcs.len() + 1)
-            * (self.dsts.len() + 1)
-            * (self.l4_srcs.len() + 1)
-            * (self.l4_dsts.len() + 1)
+        (self.srcs.len() + 1) * self.strides()[0]
+    }
+
+    /// What one step of each field but the last is worth as a position in
+    /// [`HeaderValues::classes`]: `[src, dst, l4_src]`, `l4_dst` steps by 1.
+    fn strides(&self) -> [usize; 3] {
+        let per_l4_src = self.l4_dsts.len() + 1;
+        let per_dst = (self.l4_srcs.len() + 1) * per_l4_src;
+        [(self.dsts.len() + 1) * per_dst, per_dst, per_l4_src]
     }
 
     /// Position in [`HeaderValues::classes`] of the class of a packet from
@@ -279,15 +285,56 @@ impl HeaderValues {
     /// `pair_class(src, ..).0 + pair_class(dst, ..).1`. The first half
     /// carries the source and both L4 fields, the second the destination.
     pub(crate) fn pair_class(&self, addr: HostAddr, l4_src: u16, l4_dst: u16) -> (usize, usize) {
-        // A field's values come first, in order; the fresh class is last.
-        fn pos<T: Ord>(vs: &[T], v: T) -> usize {
-            vs.binary_search(&v).unwrap_or(vs.len())
-        }
-        let per_l4_src = self.l4_dsts.len() + 1;
-        let per_dst = (self.l4_srcs.len() + 1) * per_l4_src;
-        let per_src = (self.dsts.len() + 1) * per_dst;
+        let [per_src, per_dst, per_l4_src] = self.strides();
         let l4 = pos(&self.l4_srcs, l4_src) * per_l4_src + pos(&self.l4_dsts, l4_dst);
         (pos(&self.srcs, addr) * per_src + l4, pos(&self.dsts, addr) * per_dst)
+    }
+
+    /// Visit the position, within `block` of [`HeaderValues::classes`], of
+    /// every class a rule matching `m` can fit: per field the one value `m`
+    /// names, or all of them and the fresh class where it names none. A
+    /// table in entry order names ascending destinations, so each is looked
+    /// for first right after `near`, where the last call found its own.
+    pub(crate) fn each_fitting(
+        &self,
+        m: &FlowMatch,
+        block: &Range<usize>,
+        near: &mut usize,
+        mut visit: impl FnMut(usize),
+    ) {
+        // One field's digits: the one `m` names, else those of its
+        // `values + 1` that — worth `stride` positions each, the higher
+        // fields having put the class at `base` — reach into the block. A
+        // field no rule tests has the fresh class alone: nothing to divide.
+        let digits = |named: Option<usize>, values: usize, stride: usize, base: usize| match named {
+            Some(at) => at..at + 1,
+            None if values == 0 => 0..1,
+            None => {
+                block.start.saturating_sub(base) / stride
+                    ..block.end.saturating_sub(base).div_ceil(stride).min(values + 1)
+            }
+        };
+        let [per_src, per_dst, per_l4_src] = self.strides();
+        let src = m.src.map(|v| pos(&self.srcs, v));
+        let dst = m.dst.map(|v| {
+            let next = *near + 1;
+            *near = if self.dsts.get(next) == Some(&v) { next } else { pos(&self.dsts, v) };
+            *near
+        });
+        let l4_src = m.l4_src.map(|v| pos(&self.l4_srcs, v));
+        let l4_dst = m.l4_dst.map(|v| pos(&self.l4_dsts, v));
+        for src in digits(src, self.srcs.len(), per_src, 0) {
+            let base = src * per_src;
+            for dst in digits(dst, self.dsts.len(), per_dst, base) {
+                let base = base + dst * per_dst;
+                for l4_src in digits(l4_src, self.l4_srcs.len(), per_l4_src, base) {
+                    let base = base + l4_src * per_l4_src;
+                    let at = digits(l4_dst, self.l4_dsts.len(), 1, base).map(|d| base + d);
+                    // A named digit is not clipped above: it may miss the block.
+                    at.filter(|at| block.contains(at)).for_each(&mut visit);
+                }
+            }
+        }
     }
 
     /// The class a concrete packet header falls into: each field keeps its
@@ -303,6 +350,12 @@ impl HeaderValues {
             l4_dst: keep(&self.l4_dsts, l4_dst),
         }
     }
+}
+
+/// Position of `v` among a field's values: they come first, in order; the
+/// fresh class is last.
+fn pos<T: Ord>(vs: &[T], v: T) -> usize {
+    vs.binary_search(&v).unwrap_or(vs.len())
 }
 
 /// Symbolic match: does `m` fit a packet of class `h` entering on
