@@ -174,23 +174,18 @@ fn daemon_slices(socket: &str, paths: &[String], json: bool) -> Result<(), Strin
 }
 
 fn daemon_verify(socket: &str, args: &[String], json: bool) -> Result<(), String> {
-    let mut stats = false;
-    for a in args {
-        match a.as_str() {
-            "--stats" => stats = true,
-            "--corrupt" => {
-                return Err("verify: --corrupt is local-only (it edits a throwaway \
-                            deployment, not the daemon's live slices)"
-                    .into())
-            }
-            other => {
-                return Err(format!(
-                    "verify --daemon checks the daemon's live slices; unexpected `{other}`"
-                ))
-            }
-        }
+    let f = parse_verify_flags(args)?;
+    if f.corrupt.is_some() {
+        return Err("verify: --corrupt is local-only (it edits a throwaway \
+                    deployment, not the daemon's live slices)"
+            .into());
     }
-    daemon_call(socket, &Request::Verify { json, stats })
+    if let Some(other) = f.paths.first() {
+        return Err(format!(
+            "verify --daemon checks the daemon's live slices; unexpected `{other}`"
+        ));
+    }
+    daemon_call(socket, &Request::Verify { json, stats: f.stats })
 }
 
 fn daemon_reconfigure(socket: &str, args: &[String], json: bool) -> Result<(), String> {
@@ -428,26 +423,36 @@ fn cmd_reconfigure(args: &[String], json: bool) -> Result<(), String> {
     finish(&done.output, done.error)
 }
 
+struct VerifyFlags {
+    stats: bool,
+    /// The defect class `--corrupt` names.
+    corrupt: Option<String>,
+    paths: Vec<String>,
+}
+
+fn parse_verify_flags(args: &[String]) -> Result<VerifyFlags, String> {
+    let mut f = VerifyFlags { stats: false, corrupt: None, paths: Vec::new() };
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--stats" => f.stats = true,
+            "--corrupt" => {
+                let kind = it.next().ok_or("verify: --corrupt needs loop|blackhole|leak|shadow")?;
+                f.corrupt = Some(kind.clone());
+            }
+            _ => f.paths.push(a.clone()),
+        }
+    }
+    Ok(f)
+}
+
 /// Statically verify installed flow tables — no packets injected. One
 /// config verifies a single deployment's live switches; several configs are
 /// admitted as slices of one shared cluster and the cross-slice closure is
 /// proven. `--corrupt <kind>` seeds a defect into the live tables first so
 /// the catch can be demonstrated end to end.
 fn cmd_verify(args: &[String], json: bool) -> Result<(), String> {
-    let mut corrupt_kind: Option<String> = None;
-    let mut stats = false;
-    let mut paths: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--corrupt" {
-            let kind = it.next().ok_or("verify: --corrupt needs loop|blackhole|leak|shadow")?;
-            corrupt_kind = Some(kind.clone());
-        } else if a == "--stats" {
-            stats = true;
-        } else {
-            paths.push(a.clone());
-        }
-    }
+    let VerifyFlags { stats, corrupt: corrupt_kind, paths } = parse_verify_flags(args)?;
     match paths.as_slice() {
         [] => Err("verify: need at least one config file".into()),
         [path] => {

@@ -13,8 +13,10 @@
 //! 3. **Deadlock Avoidance** — a channel-dependency-graph gate: deployments
 //!    whose route/VC assignment is cyclic are rejected before any flow-mod
 //!    is sent;
-//! 4. **Network Monitor** — folds OpenFlow port counters back into logical
-//!    per-channel loads for adaptive (active) routing.
+//! 4. **Network Monitor** — [`recovery::FailureDetector`] folds OpenFlow
+//!    port counters back onto logical channels and suspects the ones that
+//!    froze; the loads that drive adaptive (active) routing are the
+//!    simulator's own (`sdt_routing::LoadMap`, DESIGN §4 E-AR).
 //!
 //! The controller also plans cluster wiring from a *set* of topologies
 //! (§IV-B: reserve the maximum inter-switch links any target topology
@@ -24,7 +26,6 @@ pub mod commands;
 pub mod config;
 pub mod controller;
 pub mod jsonv;
-pub mod monitor;
 pub mod output;
 pub mod presets;
 pub mod recovery;
@@ -38,10 +39,9 @@ pub use controller::{
     resolve_strategy, CheckReport, Deployment, DeployError, RecoveryOutcome, SdtController,
 };
 pub use slices::{SliceController, SliceOpError};
-pub use monitor::collect_loads;
 pub use recovery::{
     install_with_retry, surviving_topology, unreachable_pairs, FailureDetector, FailureReport,
     RecoveryConfig, RetryStats,
 };
-pub use presets::{paper_sim_config, paper_testbed, paper_topologies};
+pub use presets::{paper_testbed, paper_topologies};
 pub use wiring::{plan_wiring, WiringPlan};

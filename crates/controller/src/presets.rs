@@ -14,7 +14,6 @@
 use crate::controller::SdtController;
 use crate::wiring::plan_wiring;
 use sdt_core::methods::SwitchModel;
-use sdt_sim::SimConfig;
 use sdt_topology::dragonfly::dragonfly;
 use sdt_topology::fattree::fat_tree;
 use sdt_topology::meshtorus::torus;
@@ -53,16 +52,6 @@ pub fn paper_testbed() -> SdtController {
     SdtController::new(plan.build(model, 3))
 }
 
-/// Simulator settings matching the paper's fabric: 10G lossless RoCEv2 with
-/// cut-through (§VI-A/§VI-D: "PFC thresholds, congestion control, DCQCN
-/// enabled, cut-through enabled").
-pub fn paper_sim_config() -> SimConfig {
-    SimConfig {
-        dcqcn: Some(sdt_sim::DcqcnConfig::default()),
-        ..SimConfig::testbed_10g()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,14 +81,5 @@ mod tests {
             prev = Some(d);
         }
         assert_eq!(ctl.reconfigurations, 2);
-    }
-
-    #[test]
-    fn paper_sim_config_is_lossless_dcqcn() {
-        let cfg = paper_sim_config();
-        assert!(cfg.lossless);
-        assert!(cfg.dcqcn.is_some());
-        assert!(cfg.cut_through);
-        assert_eq!(cfg.link_gbps, 10.0);
     }
 }

@@ -3,10 +3,9 @@
 //! Three pieces, composed by [`crate::SdtController::recover`]:
 //!
 //! * [`FailureDetector`] — the Network Monitor's failure-facing half:
-//!   link-down events reported by the dataplane, plus port-stat staleness
-//!   (a logical channel whose byte counters freeze in *both* directions
-//!   for [`RecoveryConfig::detect_stale_polls`] consecutive polls is
-//!   suspect);
+//!   port-stat staleness (a logical channel whose byte counters freeze in
+//!   *both* directions for [`RecoveryConfig::detect_stale_polls`]
+//!   consecutive polls is suspect);
 //! * [`surviving_topology`] / [`unreachable_pairs`] — graceful
 //!   degradation: the logical topology minus everything the faults took
 //!   out, and the host pairs an operator must be told are gone;
@@ -121,8 +120,7 @@ impl FailureReport {
     }
 }
 
-/// Monitor-driven failure detection: explicit link-down events plus
-/// port-stat staleness.
+/// Monitor-driven failure detection by port-stat staleness.
 ///
 /// Staleness is judged per *logical* channel through the projection's port
 /// map: if the tx counter behind a channel freezes in both directions for
@@ -135,25 +133,12 @@ pub struct FailureDetector {
     polls: u64,
     last_tx: HashMap<(SwitchId, SwitchId), u64>,
     stale: HashMap<(SwitchId, SwitchId), u32>,
-    down_events: HashSet<(SwitchId, SwitchId)>,
 }
 
 impl FailureDetector {
     /// Detector declaring a channel dead after `threshold` frozen polls.
     pub fn new(threshold: u32) -> Self {
         FailureDetector { threshold: threshold.max(1), ..Default::default() }
-    }
-
-    /// Dataplane reported this link down (e.g. loss-of-signal interrupt).
-    pub fn report_link_down(&mut self, a: SwitchId, b: SwitchId) {
-        self.down_events.insert((a.min(b), a.max(b)));
-    }
-
-    /// Dataplane reported the link back up.
-    pub fn report_link_up(&mut self, a: SwitchId, b: SwitchId) {
-        self.down_events.remove(&(a.min(b), a.max(b)));
-        self.stale.remove(&(a.min(b), a.max(b)));
-        self.stale.remove(&(a.max(b), a.min(b)));
     }
 
     /// One monitor poll: fold the switches' per-port tx counters through
@@ -173,11 +158,10 @@ impl FailureDetector {
         self.polls += 1;
     }
 
-    /// Links currently suspected dead: every reported-down link, plus
-    /// every channel stale in both directions past the threshold.
-    /// Normalized `(min, max)` pairs, sorted.
+    /// Links currently suspected dead: every channel stale in both
+    /// directions past the threshold. Normalized `(min, max)` pairs, sorted.
     pub fn suspected(&self) -> Vec<(SwitchId, SwitchId)> {
-        let mut out: HashSet<(SwitchId, SwitchId)> = self.down_events.clone();
+        let mut out: HashSet<(SwitchId, SwitchId)> = HashSet::new();
         for (&(s, t), &n) in &self.stale {
             if n >= self.threshold
                 && self.stale.get(&(t, s)).is_some_and(|&m| m >= self.threshold)
@@ -303,14 +287,6 @@ mod tests {
             }
             det.poll(&topo, &d.projection, &d.switches);
         }
-        assert_eq!(det.suspected(), vec![(SwitchId(2), SwitchId(3))]);
-        // An explicit link-down report needs no staleness history.
-        det.report_link_down(SwitchId(1), SwitchId(0));
-        assert_eq!(
-            det.suspected(),
-            vec![(SwitchId(0), SwitchId(1)), (SwitchId(2), SwitchId(3))]
-        );
-        det.report_link_up(SwitchId(0), SwitchId(1));
         assert_eq!(det.suspected(), vec![(SwitchId(2), SwitchId(3))]);
     }
 

@@ -18,29 +18,23 @@
 //! 4. reconfiguring to a new topology is a flow-table rewrite — no recabling
 //!    and no optical switch.
 //!
-//! The crate also models the three baselines the paper compares against
-//! (manual Switch Projection, SP with a MEMS optical switch, and TurboNet's
-//! loopback-port projection) for the Table I/II cost, reconfiguration-time
-//! and feasibility comparisons, and provides a pure-dataplane packet walker
-//! used to verify projection correctness and hardware isolation (§VI-B).
+//! The crate also models the cost, reconfiguration time and feasibility of
+//! the three baselines the paper compares against (manual Switch
+//! Projection, SP with a MEMS optical switch, and TurboNet's loopback-port
+//! projection) for Tables I/II ([`methods`], [`feasibility`]), and provides
+//! a pure-dataplane packet walker used to verify projection correctness and
+//! hardware isolation (§VI-B).
 
-pub mod baselines;
 pub mod cluster;
 pub mod compare;
 pub mod feasibility;
-pub mod flex;
 pub mod methods;
 pub mod sdt;
 pub mod synthesis;
 pub mod walk;
 
-pub use baselines::{
-    BaselineError, BaselineProjection, CablingPlan, SpOsProjector, SpProjector,
-    TurbonetProjector,
-};
 pub use cluster::{ClusterBuilder, PhysLink, PhysLinkKind, PhysPort, PhysicalCluster};
 pub use feasibility::{max_link_gbps, port_demand, FeasibilityReport};
-pub use flex::{FlexCluster, FlexError};
 pub use methods::{
     CostModel, HardwareKind, Method, ReconfigEstimate, SwitchModel, OPTICAL_PORT_USD,
 };

@@ -197,13 +197,6 @@ impl SdtProjection {
         self.host_port[&(h, lid)]
     }
 
-    /// Number of sub-switches sharing the physical switch that hosts logical
-    /// switch `s` — the crossbar-sharing factor behind the paper's ≤2%
-    /// latency overhead (§VI-B).
-    pub fn crossbar_sharing(&self, s: SwitchId) -> usize {
-        self.subswitches[self.assignment[s.idx()] as usize].len()
-    }
-
     /// Total pipeline entries across the cluster.
     pub fn total_entries(&self) -> usize {
         self.synthesis.entries_per_switch.iter().sum()
@@ -485,7 +478,6 @@ mod tests {
         assert_eq!(p.link_real.len(), 7);
         assert_eq!(p.host_port.len(), 8);
         assert_eq!(p.subswitches[0].len(), 8);
-        assert_eq!(p.crossbar_sharing(SwitchId(0)), 8);
     }
 
     #[test]

@@ -129,11 +129,6 @@ pub fn encode_entries(entries: &[FlowEntry]) -> Vec<String> {
     entries.iter().map(encode_entry).collect()
 }
 
-/// Decode a table dump. Order is preserved — it *is* the table order.
-pub fn decode_entries<S: AsRef<str>>(lines: &[S]) -> Result<Vec<FlowEntry>, SnapError> {
-    lines.iter().map(|l| decode_entry(l.as_ref())).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,7 +189,8 @@ mod tests {
     fn table_dump_preserves_order() {
         let entries = sample_entries();
         let lines = encode_entries(&entries);
-        assert_eq!(decode_entries(&lines).unwrap(), entries);
+        let back: Vec<FlowEntry> = lines.iter().map(|l| decode_entry(l).unwrap()).collect();
+        assert_eq!(back, entries);
     }
 
     #[test]

@@ -39,11 +39,6 @@ impl SwitchConfig {
     pub fn x64_100g() -> Self {
         SwitchConfig { num_ports: 64, port_gbps: 100, table_capacity: 4096 }
     }
-
-    /// Generic 128 x 100G switch (Table II column).
-    pub fn x128_100g() -> Self {
-        SwitchConfig { num_ports: 128, port_gbps: 100, table_capacity: 8192 }
-    }
 }
 
 /// Per-port byte/packet counters — the Network Monitor's raw data (§V-3).
@@ -196,11 +191,6 @@ impl OpenFlowSwitch {
     pub fn all_port_stats(&self) -> &[PortStats] {
         &self.port_stats
     }
-
-    /// Zero all counters.
-    pub fn clear_stats(&mut self) {
-        self.port_stats.fill(PortStats::default());
-    }
 }
 
 #[cfg(test)]
@@ -317,7 +307,7 @@ mod tests {
     /// hold a rule the switch model has no port for.
     #[test]
     fn forward_survives_restored_out_of_range_ports() {
-        let mut sw = OpenFlowSwitch::new(0, SwitchConfig::x128_100g());
+        let mut sw = OpenFlowSwitch::new(0, SwitchConfig::x64_100g());
         let rule = crate::snap::decode_entry("5|*|out:65000").unwrap();
         sw.restore_tables(&[rule], &[]).unwrap();
         assert_eq!(sw.forward(&pkt(1, 9), 100), None, "no such egress: dropped");
@@ -327,13 +317,12 @@ mod tests {
     }
 
     #[test]
-    fn clear_stats_and_tables() {
+    fn clear_tables_keeps_counters() {
         let mut sw = OpenFlowSwitch::new(0, SwitchConfig::h3c_s6861());
         add(&mut sw, 0, FlowMatch::any(), 0, Action::Drop);
         sw.forward(&pkt(0, 1), 42);
-        sw.clear_stats();
         sw.clear_tables();
-        assert_eq!(sw.port_stats(PortNo(0)).rx_bytes, 0);
+        assert_eq!(sw.port_stats(PortNo(0)).rx_bytes, 42);
         assert_eq!(sw.total_entries(), 0);
     }
 }

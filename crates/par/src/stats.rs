@@ -12,9 +12,8 @@
 //! says 20.
 //!
 //! The module lives in `sdt-par` (the bottom of the dependency stack) so
-//! `sdt-sim`'s telemetry and `sdt-bench`'s artifact writers can share one
-//! implementation; `sdt_bench::stats` re-exports it under the name the
-//! benchmarks use.
+//! `sdt-sim`'s telemetry and the `benchmark/` workloads can share one
+//! implementation.
 
 /// Nearest-rank percentile of an **already sorted** slice: the value at
 /// 1-based rank `ceil(p·n)`, clamped into `[1, n]`. `None` on an empty
@@ -51,19 +50,11 @@ pub struct LatencySummary {
 }
 
 impl LatencySummary {
-    /// Summarize a set of durations (ns). Order irrelevant; the vector is
-    /// consumed because it must be sorted anyway.
-    pub fn from_ns(mut samples: Vec<u64>) -> LatencySummary {
-        samples.sort_unstable();
-        Self::from_sorted_ns(&samples)
-    }
-
     /// Summarize an **already sorted** sample without copying or
-    /// re-sorting it. This is the zero-allocation path for callers that
-    /// keep their samples sorted anyway (the estimator's FCT
-    /// distributions, merged benchmark series). Sortedness is the
-    /// caller's contract — checked only under `debug_assertions`, since
-    /// verifying it is the O(n) scan this entry point exists to avoid.
+    /// re-sorting it (callers keep their samples sorted anyway: the
+    /// simulator's FCT telemetry). Sortedness is the caller's contract —
+    /// checked only under `debug_assertions`, since verifying it is the
+    /// O(n) scan this entry point exists to avoid.
     pub fn from_sorted_ns(sorted: &[u64]) -> LatencySummary {
         debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "input must be sorted ascending");
         if sorted.is_empty() {
@@ -93,7 +84,7 @@ mod tests {
     #[test]
     fn empty_is_none() {
         assert_eq!(percentile_sorted::<u64>(&[], 0.5), None);
-        assert_eq!(LatencySummary::from_ns(Vec::new()), LatencySummary::default());
+        assert_eq!(LatencySummary::from_sorted_ns(&[]), LatencySummary::default());
     }
 
     #[test]
@@ -129,7 +120,7 @@ mod tests {
         for p in [0.0, 0.5, 0.99, 0.999, 1.0] {
             assert_eq!(percentile_sorted(&[42u64], p), Some(42));
         }
-        let s = LatencySummary::from_ns(vec![42]);
+        let s = LatencySummary::from_sorted_ns(&[42]);
         assert_eq!(s.count, 1);
         assert_eq!(s.mean_ns, 42.0);
         assert_eq!(
@@ -140,18 +131,8 @@ mod tests {
     }
 
     #[test]
-    fn from_sorted_matches_from_ns() {
-        let unsorted: Vec<u64> = (1..=1000).rev().collect();
-        let mut sorted = unsorted.clone();
-        sorted.sort_unstable();
-        assert_eq!(LatencySummary::from_ns(unsorted), LatencySummary::from_sorted_ns(&sorted));
-        assert_eq!(LatencySummary::from_sorted_ns(&[]), LatencySummary::default());
-        assert_eq!(LatencySummary::from_sorted_ns(&[7]).p999_ns, 7);
-    }
-
-    #[test]
     fn summary_orders_percentiles() {
-        let s = LatencySummary::from_ns((1..=1000).rev().collect());
+        let s = LatencySummary::from_sorted_ns(&(1..=1000).collect::<Vec<u64>>());
         assert_eq!(s.count, 1000);
         assert_eq!(s.min_ns, 1);
         assert_eq!(s.max_ns, 1000);

@@ -12,9 +12,8 @@
 //!
 //! plus Valiant and UGAL-style adaptive routing for Dragonfly (the §VI-E
 //! "active routing" experiment), odd-even turn-model meshes ([`oddeven`]),
-//! ECMP shortest-path spreading ([`ecmp`]), Yen's k-shortest paths
-//! ([`kshortest`]), and a spanning-tree up/down fallback for arbitrary
-//! graphs (WANs, chains, rings).
+//! ECMP shortest-path spreading ([`ecmp`]), and a spanning-tree up/down
+//! fallback for arbitrary graphs (WANs, chains, rings).
 //!
 //! Every strategy emits [`Route`]s whose per-hop virtual-channel assignment
 //! can be checked for deadlock freedom with the channel-dependency-graph
@@ -27,7 +26,6 @@ pub mod dragonfly;
 pub mod ecmp;
 pub mod fattree;
 pub mod generic;
-pub mod kshortest;
 pub mod oddeven;
 
 use sdt_topology::{SwitchId, Topology};
@@ -115,11 +113,6 @@ impl LoadMap {
             .or_else(|| self.loads.get(&(to, from)))
             .copied()
             .unwrap_or(0.0)
-    }
-
-    /// Sum of loads along a route.
-    pub fn route_cost(&self, route: &Route) -> f64 {
-        route.hops.windows(2).map(|w| self.get(w[0], w[1])).sum()
     }
 }
 
@@ -367,16 +360,6 @@ mod tests {
         }
         assert_eq!(at, SwitchId(3));
         assert_eq!(hops, 3);
-    }
-
-    #[test]
-    fn load_map_costs() {
-        let mut l = LoadMap::new();
-        l.set(SwitchId(0), SwitchId(1), 2.0);
-        l.set(SwitchId(1), SwitchId(2), 3.0);
-        let r = Route { hops: vec![SwitchId(0), SwitchId(1), SwitchId(2)], vcs: vec![0, 0] };
-        assert_eq!(l.route_cost(&r), 5.0);
-        assert_eq!(l.get(SwitchId(2), SwitchId(0)), 0.0);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   deadlock checker;
 //! * [`openflow`] — the two-table OpenFlow pipeline model;
 //! * [`core`] — Topology Projection itself: SDT's Link Projection plus the
-//!   SP / SP-OS / TurboNet baselines, feasibility, cost and
-//!   reconfiguration models;
+//!   feasibility, cost and reconfiguration models of the SP / SP-OS /
+//!   TurboNet baselines;
 //! * [`workloads`] — MPI trace generators (IMB, HPCG, HPL, miniGhost,
 //!   miniFE);
 //! * [`sim`] — the event-driven fabric simulator (PFC/credits, DCQCN, TCP,

@@ -6,7 +6,9 @@
 //! rendering of the same state and must not move a dataplane counter, and
 //! a hostile request line (over-long, not UTF-8, nested past the parser's
 //! cap, or carrying a number that does not fit its field) must cost at
-//! most its own connection and never be served as some other request.
+//! most its own connection and never be served as some other request, and
+//! a hostile *config* inside a well-formed request must cost one error
+//! reply naming the key.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -464,6 +466,40 @@ fn nesting_bomb_gets_an_error_reply_and_the_daemon_keeps_serving() {
 
     let mut other = Client::connect(&socket);
     assert!(outcome(&other.call("ping", vec![])).0, "the daemon must keep answering");
+    stop(&socket);
+    handle.join().unwrap().unwrap();
+}
+
+/// Config texts no topology or cluster builder accepts, pipelined on one
+/// connection: each is refused naming its key, in queue order, and the
+/// same connection then pings and admits. `k = 3` used to trip
+/// `fat_tree`'s assert on the engine thread — the daemon exited 101 with
+/// the request unanswered — `k = -4`, read `as u32`, never returned, and
+/// `k = 4294967300` was admitted as `k = 4`.
+#[test]
+fn hostile_configs_are_refused_by_key_and_the_connection_keeps_serving() {
+    let (socket, handle) = start("hostile-config", 64);
+    let mut c = Client::connect(&socket);
+    let hostile = [
+        ("kind = \"fat-tree\"\nk = 3", "`topology.k`: must be even"),
+        ("kind = \"fat-tree\"\nk = -4", "`topology.k`: out of u32 range"),
+        ("kind = \"fat-tree\"\nk = 4294967300", "`topology.k`: out of u32 range"),
+        ("kind = \"torus\"\ndims = [0, 4]", "`topology.dims`"),
+        ("kind = \"custom\"\nswitches = 2\nedges = [0, 7]", "`topology.edges`: switch s7"),
+    ];
+    let admit = |c: &mut Client, topology: &str| {
+        c.send("admit", vec![("config".into(), Json::str(cfg(topology)))]).unwrap()
+    };
+    let sent: Vec<u64> = hostile.iter().map(|(topology, _)| admit(&mut c, topology)).collect();
+    for (id, (topology, named)) in sent.into_iter().zip(hostile) {
+        let reply = c.read_reply().expect("every hostile config is owed a reply");
+        assert_eq!(reply.get("id").and_then(Json::as_u64), Some(id), "queue order");
+        let (ok, err) = outcome(&reply);
+        assert!(!ok && err.contains(named), "{topology}: {}", reply.emit());
+    }
+    assert!(outcome(&c.call("ping", vec![])).0, "the daemon must keep answering");
+    admit(&mut c, "kind = \"chain\"\nn = 3");
+    assert_eq!(c.read_reply().unwrap().get("slice").and_then(Json::as_u64), Some(0));
     stop(&socket);
     handle.join().unwrap().unwrap();
 }

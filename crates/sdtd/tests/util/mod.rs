@@ -19,6 +19,8 @@ impl Client {
     pub fn connect(socket: &Path) -> Client {
         let stream = UnixStream::connect(socket)
             .unwrap_or_else(|e| panic!("connect {}: {e}", socket.display()));
+        // A daemon that died owes the test a failure, not a hang.
+        stream.set_read_timeout(Some(std::time::Duration::from_secs(60))).unwrap();
         let reader = BufReader::new(stream.try_clone().unwrap());
         Client { stream, reader, next_id: 1 }
     }

@@ -248,29 +248,6 @@ impl FaultSchedule {
         v
     }
 
-    /// Fabric links that are down at the end of the schedule (cut and
-    /// never restored, or whose last transition is a down). Switch crashes
-    /// without a matching restart contribute every incident fabric link of
-    /// the crashed switch. This is the failure set the controller must
-    /// recover from.
-    pub fn surviving_cut(&self, topo: &Topology) -> Vec<(SwitchId, SwitchId)> {
-        use std::collections::HashSet;
-        let key = |a: SwitchId, b: SwitchId| (a.min(b), a.max(b));
-        let mut cut: HashSet<(SwitchId, SwitchId)> =
-            self.final_link_cuts().into_iter().collect();
-        let dead_switches: HashSet<SwitchId> =
-            self.unrecovered_crashes().into_iter().collect();
-        for l in topo.fabric_links() {
-            let (a, b) = l.switch_ends();
-            if dead_switches.contains(&a) || dead_switches.contains(&b) {
-                cut.insert(key(a, b));
-            }
-        }
-        let mut cut: Vec<_> = cut.into_iter().collect();
-        cut.sort();
-        cut
-    }
-
     /// Generate a random schedule over `topo`'s fabric links. Same
     /// `(seed, topo, cfg)` ⇒ same schedule, always.
     pub fn random(seed: u64, topo: &Topology, cfg: &ChaosConfig) -> Self {
@@ -346,8 +323,7 @@ mod tests {
     }
 
     #[test]
-    fn surviving_cut_tracks_last_transition() {
-        let t = torus(&[4, 4]);
+    fn final_link_cuts_track_last_transition() {
         let mut s = FaultSchedule::new();
         // Flapped link ends up: not in the cut.
         s.link_flap(SwitchId(0), SwitchId(1), 100, 50);
@@ -357,23 +333,17 @@ mod tests {
         s.link_down(SwitchId(2), SwitchId(3), 300);
         s.link_up(SwitchId(2), SwitchId(3), 400);
         s.link_down(SwitchId(2), SwitchId(3), 500);
-        let cut = s.surviving_cut(&t);
+        let cut = s.final_link_cuts();
         assert_eq!(cut, vec![(SwitchId(1), SwitchId(2)), (SwitchId(2), SwitchId(3))]);
     }
 
     #[test]
-    fn unrecovered_crash_cuts_incident_links() {
-        let t = torus(&[2, 2]);
+    fn crash_is_unrecovered_until_restart() {
         let mut s = FaultSchedule::new();
         s.switch_crash(SwitchId(0), 100);
-        let cut = s.surviving_cut(&t);
-        // In a 2x2 torus switch 0 touches switches 1 and 2.
-        assert!(cut.iter().all(|&(a, _)| a == SwitchId(0)));
-        assert!(!cut.is_empty());
         assert_eq!(s.unrecovered_crashes(), vec![SwitchId(0)]);
         assert!(s.final_link_cuts().is_empty(), "no cable-level faults");
         s.switch_restart(SwitchId(0), 200);
-        assert!(s.surviving_cut(&t).is_empty());
         assert!(s.unrecovered_crashes().is_empty());
     }
 }

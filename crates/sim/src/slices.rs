@@ -125,40 +125,6 @@ impl MultiSliceSim {
         id
     }
 
-    /// Schedule a raw flow between two of a slice's hosts (slice-local
-    /// ids) to start at absolute simulated time `at_ns` — see
-    /// [`Simulator::schedule_raw_flow`].
-    pub fn schedule_raw_flow(
-        &mut self,
-        slice: usize,
-        src: HostId,
-        dst: HostId,
-        bytes: u64,
-        at_ns: Time,
-    ) -> FlowId {
-        let c = self.active[slice];
-        let off = self.components[c].host_off;
-        let id =
-            self.sim.schedule_raw_flow(HostId(off + src.0), HostId(off + dst.0), bytes, at_ns);
-        self.flows[slice].push((id, c));
-        id
-    }
-
-    /// Replay a flow-level workload (e.g. [`sdt_workloads::spec`] Poisson
-    /// arrivals or a permutation pattern) inside one slice: every spec'd
-    /// flow is scheduled at its own start time, host ids slice-local.
-    /// Returns the engine flow ids in spec order.
-    pub fn schedule_workload(
-        &mut self,
-        slice: usize,
-        flows: &[sdt_workloads::spec::FlowSpec],
-    ) -> Vec<FlowId> {
-        flows
-            .iter()
-            .map(|f| self.schedule_raw_flow(slice, f.src, f.dst, f.bytes, f.start_ns))
-            .collect()
-    }
-
     /// Start a TCP flow between two of a slice's hosts (slice-local ids).
     pub fn start_tcp_flow(&mut self, slice: usize, src: HostId, dst: HostId, bytes: u64) -> FlowId {
         let c = self.active[slice];

@@ -49,14 +49,6 @@ impl DragonflyIds {
     pub fn group_of(&self, s: SwitchId) -> u32 {
         s.0 / self.a
     }
-    /// Group of a host.
-    pub fn group_of_host(&self, hst: HostId) -> u32 {
-        (hst.0 / self.p) / self.a
-    }
-    /// Router a host is attached to.
-    pub fn router_of_host(&self, hst: HostId) -> SwitchId {
-        SwitchId(hst.0 / self.p)
-    }
 
     /// The global-link slots of the whole fabric, as (groupA, routerA,
     /// groupB, routerB) — the palmtree arrangement: group `q`'s global link
@@ -172,13 +164,5 @@ mod tests {
         assert!(t.is_connected());
         // local hop + global hop + local hop max
         assert!(t.diameter().unwrap() <= 3);
-    }
-
-    #[test]
-    fn host_group_math() {
-        let ids = DragonflyIds::new(4, 9, 2, 2);
-        assert_eq!(ids.router_of_host(HostId(0)), SwitchId(0));
-        assert_eq!(ids.router_of_host(HostId(7)), SwitchId(3));
-        assert_eq!(ids.group_of_host(HostId(8)), 1);
     }
 }

@@ -72,12 +72,6 @@ impl FatTreeIds {
             FatTreeTier::Core { row: r / half, col: r % half }
         }
     }
-
-    /// The pod that hosts a given host id.
-    pub fn pod_of_host(&self, h: HostId) -> u32 {
-        let per_pod = self.k * self.k / 4;
-        h.0 / per_pod
-    }
 }
 
 /// Tier classification of a Fat-Tree switch.
@@ -190,13 +184,5 @@ mod tests {
         // Edge -> agg -> core -> agg -> edge = 4 switch hops.
         let t = fat_tree(4);
         assert_eq!(t.diameter(), Some(4));
-    }
-
-    #[test]
-    fn pod_of_host() {
-        let ids = FatTreeIds::new(4);
-        assert_eq!(ids.pod_of_host(HostId(0)), 0);
-        assert_eq!(ids.pod_of_host(HostId(4)), 1);
-        assert_eq!(ids.pod_of_host(HostId(15)), 3);
     }
 }

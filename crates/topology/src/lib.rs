@@ -14,8 +14,6 @@
 //! * [`bcube::bcube`] — BCube (Guo et al., SIGCOMM'09)
 //! * [`chain::chain`] / [`chain::ring`] / [`chain::star`] — small fixtures
 //!   (Fig. 10 of the paper uses an 8-switch chain)
-//! * [`modern::leaf_spine`] / [`modern::jellyfish`] / [`modern::hyperx`] —
-//!   further user-defined fabrics (two-tier Clos, random regular, HyperX)
 //! * [`zoo`] — a 261-graph synthetic stand-in for the Internet Topology Zoo
 //!   WAN corpus used by Table II
 //!
@@ -27,8 +25,6 @@ pub mod dragonfly;
 pub mod fattree;
 pub mod graph;
 pub mod meshtorus;
-pub mod metrics;
-pub mod modern;
 pub mod zoo;
 
 pub use graph::{

@@ -173,13 +173,6 @@ impl Intent {
         }
         domain
     }
-
-    /// Should a packet from host `i` reach host `j`? (Indexes into
-    /// [`Intent::hosts`].)
-    pub fn expects_delivery(&self, i: usize, j: usize) -> bool {
-        let (a, b) = (&self.hosts[i], &self.hosts[j]);
-        a.domain == b.domain && a.group == b.group
-    }
 }
 
 /// The concrete values each header field is compared against anywhere in

@@ -260,20 +260,6 @@ pub fn minife(n_ranks: u32, nx: u32, cg_iters: u32, m: &MachineModel) -> Trace {
     t
 }
 
-/// Rough communication fraction of a trace at a given link speed: wire
-/// time of the busiest rank over (wire + compute). Used to sanity-check
-/// the Table IV ordering, not as a simulator.
-pub fn comm_fraction(t: &Trace, gbps: f64) -> f64 {
-    let bytes_per_ns = gbps / 8.0;
-    let wire: f64 = t
-        .ranks
-        .iter()
-        .map(|r| r.bytes_sent() as f64 / bytes_per_ns)
-        .fold(0.0, f64::max);
-    let compute = t.max_compute_ns() as f64;
-    wire / (wire + compute).max(1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -314,6 +300,20 @@ mod tests {
             let c = g.coord(r);
             assert_eq!(g.rank(c), r);
         }
+    }
+
+    /// Rough communication fraction of a trace at a given link speed: wire
+    /// time of the busiest rank over (wire + compute). Sanity-checks the
+    /// Table IV ordering; not a simulator.
+    fn comm_fraction(t: &Trace, gbps: f64) -> f64 {
+        let bytes_per_ns = gbps / 8.0;
+        let wire: f64 = t
+            .ranks
+            .iter()
+            .map(|r| r.bytes_sent() as f64 / bytes_per_ns)
+            .fold(0.0, f64::max);
+        let compute = t.max_compute_ns() as f64;
+        wire / (wire + compute).max(1.0)
     }
 
     #[test]

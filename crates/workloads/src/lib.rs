@@ -21,15 +21,13 @@
 //! Datacenter *flow-level* workloads (ROADMAP item 5) live in [`spec`]:
 //! empirical size distributions (websearch/hadoop) with Poisson arrivals
 //! at a target load, plus the fixed host permutation — the traffic that
-//! feeds `sdt-estimate` and `MultiSliceSim::schedule_workload`.
+//! feeds `sdt-estimate` and `Simulator::schedule_raw_flow`.
 
 pub mod apps;
 pub mod collectives;
 pub mod patterns;
 pub mod spec;
 pub mod trace;
-pub mod tracefile;
 
 pub use spec::{permutation_flows, poisson_flows, FlowSpec, SizeDist};
 pub use trace::{select_nodes, MachineModel, MpiOp, Rank, RankTrace, Trace};
-pub use tracefile::TraceParseError;

@@ -32,8 +32,8 @@ use rand::{RngExt, SeedableRng};
 use sdt_topology::HostId;
 
 /// One flow of a flow-level workload: who, how much, when. Consumed by the
-/// exact engine (`Simulator::schedule_raw_flow`, `MultiSliceSim::
-/// schedule_workload`) and by the `sdt-estimate` decomposition alike.
+/// exact engine (`Simulator::schedule_raw_flow`) and by the `sdt-estimate`
+/// decomposition alike.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct FlowSpec {
     /// Source host.
