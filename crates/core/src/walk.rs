@@ -17,7 +17,7 @@
 use crate::cluster::{PhysPort, PhysicalCluster};
 use crate::sdt::SdtProjection;
 use crate::synthesis::addr_of;
-use sdt_openflow::{FlowMod, HostAddr, OpenFlowSwitch, PacketMeta, PortNo, SwitchConfig};
+use sdt_openflow::{HostAddr, OpenFlowSwitch, PacketMeta, PortNo, SwitchConfig};
 use sdt_topology::{HostId, Topology};
 
 /// One traversal record: (physical switch, ingress port, egress port).
@@ -60,7 +60,7 @@ pub fn instantiate(cluster: &PhysicalCluster, proj: &SdtProjection) -> Vec<OpenF
             (1, &proj.synthesis.table1[sw]),
         ];
         for (table, entries) in mods {
-            if let Err(e) = switch.apply_batch(table, entries.iter().map(|&e| FlowMod::Add(e))) {
+            if let Err(e) = switch.install(table, entries) {
                 unreachable!("projection passed the capacity check: {e}");
             }
         }

@@ -4,8 +4,18 @@
 //! Entries are kept in `(priority descending, install sequence ascending)`
 //! order, the order a front-to-back scan resolves first-match-wins in.
 //! [`EntryStore::apply`] is the only code that decides what an Add, a
-//! Delete or a Clear does to that order, and it patches the index in the
-//! same step, so the index is never rebuilt.
+//! Delete or a Clear does to that order.
+//!
+//! The index is built by whoever first looks something up
+//! ([`EntryStore::first_match_where`], which [`EntryStore::lookup`] goes
+//! through): one pass over the entries, behind a [`OnceLock`] so any number
+//! of threads may share a store and probe it first at once. A store that is
+//! only ever installed, walked through [`EntryStore::entries`], diffed and
+//! dropped — a planned view handed to the round compiler, table 1 of a
+//! proof, a switch nobody sends a packet to — never hashes an entry. Once
+//! the index exists, `apply` patches it in the same step as the entries, a
+//! clone copies it, and only a Clear drops it (the next probe of the then
+//! empty store builds an empty one).
 //!
 //! The index: SDT rules key on three fields with exact values — `in_port`
 //! (domain restriction), `metadata` (sub-switch id) and `dst` (routing);
@@ -27,6 +37,7 @@ use crate::overlap::FxBuild;
 use crate::{FlowEntry, FlowMatch, FlowMod, HostAddr, PacketMeta, PortNo};
 use std::cmp::Reverse;
 use std::collections::hash_map::{Entry, HashMap};
+use std::sync::OnceLock;
 
 /// Tier-id bit: the entry constrains `in_port`.
 const TIER_IN_PORT: usize = 1;
@@ -56,8 +67,9 @@ fn slot_of(m: &FlowMatch) -> (usize, TierKey) {
 type Installed = (u64, FlowEntry);
 
 /// Where a candidate stands in scan order; ascends exactly as position in
-/// the entry vector does. Unlike a position it is fixed at install, so an
-/// Add or a Delete elsewhere in the table never renumbers a candidate.
+/// the entry vector does. Unlike a position it is fixed when the candidate
+/// is indexed, so an Add or a Delete elsewhere in the table never renumbers
+/// a candidate.
 fn rank(&(seq, e): &Installed) -> (Reverse<u16>, u64) {
     (Reverse(e.priority), seq)
 }
@@ -100,6 +112,45 @@ impl Bucket {
     }
 }
 
+/// One exact-match map per tier.
+#[derive(Clone, Debug, Default)]
+struct Tiers([HashMap<TierKey, Bucket, FxBuild>; TIER_COUNT]);
+
+impl Tiers {
+    /// Index the entries of a store nobody has probed yet, each under its
+    /// position as install sequence number: positions ascend exactly as
+    /// scan order does, and every later Add draws a `next_seq` of at least
+    /// `entries.len()` (one Add per entry ever installed since the last
+    /// Clear), so it ranks behind every equal-priority entry indexed here.
+    fn of(entries: &[FlowEntry]) -> Self {
+        let mut tiers = Tiers::default();
+        for (at, e) in entries.iter().enumerate() {
+            tiers.insert((at as u64, *e));
+        }
+        tiers
+    }
+
+    fn insert(&mut self, at: Installed) {
+        let (tier, key) = slot_of(&at.1.m);
+        match self.0[tier].entry(key) {
+            Entry::Vacant(v) => {
+                v.insert(Bucket::One(at));
+            }
+            Entry::Occupied(mut o) => o.get_mut().insert(at),
+        }
+    }
+
+    /// Drop every candidate with exactly this (match, priority).
+    fn remove(&mut self, fm: &FlowMatch, priority: u16) {
+        let (tier, key) = slot_of(fm);
+        if let Entry::Occupied(mut o) = self.0[tier].entry(key) {
+            if o.get_mut().remove(|e| e.m == *fm && e.priority == priority) {
+                o.remove();
+            }
+        }
+    }
+}
+
 /// Flow entries in first-match order with their tier index, mutable only
 /// through [`EntryStore::apply`]. Unbounded and counter-free: capacity and
 /// the lookup/miss tallies belong to [`crate::FlowTable`], which wraps one.
@@ -111,8 +162,9 @@ pub struct EntryStore {
     /// Monotonic install counter; within one priority level, lower seq ==
     /// installed earlier == wins first (the OpenFlow first-match rule).
     next_seq: u64,
-    /// Tier index over `entries`, patched in lock-step by `apply`.
-    tiers: [HashMap<TierKey, Bucket, FxBuild>; TIER_COUNT],
+    /// Tier index over `entries`: unset until the first probe, from then
+    /// on patched in lock-step by `apply`.
+    tiers: OnceLock<Tiers>,
 }
 
 impl EntryStore {
@@ -123,9 +175,9 @@ impl EntryStore {
 
     /// Apply a flow-mod: Add inserts after every entry of greater *or
     /// equal* priority, Delete removes every entry with exactly this
-    /// (match, priority), Clear removes everything. The tier index is
-    /// patched in the same step — one bucket insert for Add, one bucket
-    /// drain for Delete.
+    /// (match, priority), Clear removes everything. A tier index that has
+    /// been built is patched in the same step — one bucket insert for Add,
+    /// one bucket drain for Delete; Clear drops it.
     pub fn apply(&mut self, m: &FlowMod) {
         match m {
             FlowMod::Add(e) => {
@@ -136,29 +188,29 @@ impl EntryStore {
                 let behind = |x: &FlowEntry| x.priority >= e.priority;
                 let pos = self.entries.iter().rposition(behind).map_or(0, |p| p + 1);
                 self.entries.insert(pos, *e);
-                let (tier, key) = slot_of(&e.m);
-                match self.tiers[tier].entry(key) {
-                    Entry::Vacant(v) => {
-                        v.insert(Bucket::One(at));
-                    }
-                    Entry::Occupied(mut o) => o.get_mut().insert(at),
+                if let Some(tiers) = self.tiers.get_mut() {
+                    tiers.insert(at);
                 }
             }
             FlowMod::Clear => {
                 self.entries.clear();
                 self.next_seq = 0;
-                self.tiers.iter_mut().for_each(HashMap::clear);
+                self.tiers.take();
             }
             FlowMod::Delete(fm, priority) => {
-                let doomed = |e: &FlowEntry| e.m == *fm && e.priority == *priority;
-                self.entries.retain(|e| !doomed(e));
-                let (tier, key) = slot_of(fm);
-                if let Entry::Occupied(mut o) = self.tiers[tier].entry(key) {
-                    if o.get_mut().remove(doomed) {
-                        o.remove();
-                    }
+                self.entries.retain(|e| !(e.m == *fm && e.priority == *priority));
+                if let Some(tiers) = self.tiers.get_mut() {
+                    tiers.remove(fm, *priority);
                 }
             }
+        }
+    }
+
+    /// Install `entries` as Adds, in order, reserving room for them once.
+    pub fn install(&mut self, entries: &[FlowEntry]) {
+        self.entries.reserve(entries.len());
+        for &e in entries {
+            self.apply(&FlowMod::Add(e));
         }
     }
 
@@ -190,9 +242,9 @@ impl EntryStore {
     where
         F: FnMut(&FlowEntry) -> bool,
     {
+        let tiers = self.tiers.get_or_init(|| Tiers::of(&self.entries));
         let mut best: Option<&Installed> = None;
-        for tier in 0..TIER_COUNT {
-            let map = &self.tiers[tier];
+        for (tier, map) in tiers.0.iter().enumerate() {
             if map.is_empty()
                 || (tier & TIER_METADATA != 0 && metadata.is_none())
                 || (tier & TIER_DST != 0 && dst.is_none())
@@ -239,7 +291,7 @@ mod tests {
 
     fn store_of(adds: &[FlowEntry]) -> EntryStore {
         let mut s = EntryStore::default();
-        adds.iter().for_each(|&e| s.apply(&FlowMod::Add(e)));
+        s.install(adds);
         s
     }
 

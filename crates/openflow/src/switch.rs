@@ -114,18 +114,21 @@ impl OpenFlowSwitch {
         }
     }
 
-    /// Apply a batch of flow-mods to one table, stopping at the first error.
-    pub fn apply_batch(
-        &mut self,
-        table: u8,
-        mods: impl IntoIterator<Item = FlowMod>,
-    ) -> Result<usize, TableError> {
-        let mut n = 0;
-        for m in mods {
-            self.apply(table, m)?;
-            n += 1;
+    /// Install `entries` into one table as Adds, in order, under the shared
+    /// capacity budget: the entries that fit are installed
+    /// ([`FlowTable::install`]), and the first that does not is the error.
+    pub fn install(&mut self, table: u8, entries: &[FlowEntry]) -> Result<(), TableError> {
+        let room = self.config.table_capacity.saturating_sub(self.total_entries());
+        let fit = &entries[..room.min(entries.len())];
+        match table {
+            0 => self.t0.install(fit)?,
+            1 => self.t1.install(fit)?,
+            _ => panic!("pipeline has tables 0 and 1"),
         }
-        Ok(n)
+        if fit.len() < entries.len() {
+            return Err(TableError::TableFull { capacity: self.config.table_capacity });
+        }
+        Ok(())
     }
 
     /// Remove every entry from both tables.
@@ -151,9 +154,11 @@ impl OpenFlowSwitch {
         t1: &[FlowEntry],
     ) -> Result<(), TableError> {
         self.clear_tables();
-        self.apply_batch(0, t0.iter().map(|&e| FlowMod::Add(e)))?;
-        self.apply_batch(1, t1.iter().map(|&e| FlowMod::Add(e)))?;
-        Ok(())
+        let done = self.install(0, t0).and_then(|()| self.install(1, t1));
+        if done.is_err() {
+            self.clear_tables();
+        }
+        done
     }
 
     /// Dataplane forwarding: count the packet in, run the pipeline, count it
@@ -267,17 +272,26 @@ mod tests {
     }
 
     #[test]
-    fn batch_apply_reports_count() {
-        let mut sw = OpenFlowSwitch::new(0, SwitchConfig::x64_100g());
-        let mods = (0..10).map(|i| {
-            FlowMod::Add(FlowEntry {
+    fn install_stops_at_the_first_entry_past_capacity() {
+        let entries: Vec<FlowEntry> = (0..10)
+            .map(|i| FlowEntry {
                 m: FlowMatch::to_dst(HostAddr(i)),
                 priority: 1,
                 action: Action::Drop,
             })
-        });
-        assert_eq!(sw.apply_batch(1, mods).unwrap(), 10);
-        assert_eq!(sw.table(1).len(), 10);
+            .collect();
+        let mut sw = OpenFlowSwitch::new(0, SwitchConfig::x64_100g());
+        sw.install(1, &entries).unwrap();
+        assert_eq!(sw.table(1).entries(), &entries[..]);
+
+        // The budget is the pipeline's: table 0's entry counts against it.
+        let mut tiny = OpenFlowSwitch::new(
+            0,
+            SwitchConfig { num_ports: 8, port_gbps: 10, table_capacity: 4 },
+        );
+        add(&mut tiny, 0, FlowMatch::on_port(PortNo(0)), 1, Action::WriteMetadataGoto(0));
+        assert_eq!(tiny.install(1, &entries), Err(TableError::TableFull { capacity: 4 }));
+        assert_eq!(tiny.table(1).entries(), &entries[..3]);
     }
 
     #[test]
@@ -301,6 +315,7 @@ mod tests {
             SwitchConfig { num_ports: 8, port_gbps: 10, table_capacity: 2 },
         );
         assert!(tiny.restore_tables(&t0, &t1).is_err());
+        assert_eq!(tiny.total_entries(), 0, "a failed restore leaves the pipeline cleared");
     }
 
     /// `snap::decode_entry` accepts any `u16` port, so a restored table can

@@ -220,7 +220,8 @@ pub struct TableStats {
 /// the same allocation until [`FlowTable::apply`] next writes to it, and
 /// only then is it copied — by whoever writes, once.
 ///
-/// Lookups are served from the store's multi-tier hash index, so cost is
+/// Lookups are served from the store's multi-tier hash index (built by
+/// the table's first lookup, patched by every mod after it), so cost is
 /// O(tiers), not O(entries); [`FlowTable::linear_lookup_with`] keeps the
 /// original scan as a differential-testing oracle.
 #[derive(Debug)]
@@ -287,6 +288,19 @@ impl FlowTable {
             return Err(TableError::TableFull { capacity: self.capacity });
         }
         Arc::make_mut(&mut self.store).apply(&m);
+        Ok(())
+    }
+
+    /// Install `entries` as Adds, in order ([`EntryStore::install`]): the
+    /// entries that fit under `capacity` are installed, and the first that
+    /// does not is the error — what one [`FlowTable::apply`] per entry does.
+    pub fn install(&mut self, entries: &[FlowEntry]) -> Result<(), TableError> {
+        let room = self.capacity.saturating_sub(self.len());
+        let fit = &entries[..room.min(entries.len())];
+        Arc::make_mut(&mut self.store).install(fit);
+        if fit.len() < entries.len() {
+            return Err(TableError::TableFull { capacity: self.capacity });
+        }
         Ok(())
     }
 

@@ -10,6 +10,13 @@
 //! probing threads join, the totals equal exactly the number of lookups
 //! (and misses) performed — no increment lost, none invented, no matter
 //! how the RMWs interleave.
+//!
+//! The first probe of a table also builds its tier index, behind a
+//! `std::sync::OnceLock`. That initialiser takes no `sdt_sync` operation —
+//! it reads the entries and fills the maps — so it adds no scheduling point
+//! and the explored schedules are exactly the counters' RMWs: whichever
+//! model thread probes first builds the index inside its own step, and the
+//! others read the finished one.
 
 #![cfg(sdt_check)]
 #![allow(clippy::unwrap_used, clippy::expect_used)]

@@ -10,6 +10,16 @@
 //! * **symbolic**: `first_match_where` on that clone, under the concrete
 //!   `matches` predicate, returns the very entry the linear scan fires.
 //!
+//! The index is built by the first probe and patched by every mod after
+//! it, so *when* a store is first probed is part of the input: the live
+//! table is probed at a drawn position of the stream (position 0 is a first
+//! probe of an empty store), again at a second drawn position, and at the
+//! end; one clone forks off just before the first probe (it carries no
+//! index and builds its own at the end), one just after (it carries a copy
+//! and patches it), and a fifth store sees the whole stream unprobed. A
+//! Clear forced in shortly after the first probe drops a built index
+//! mid-stream. All of them must end equal to the linear scan.
+//!
 //! Field domains are kept tiny (4 ports, 3 metadata values, 6 addresses) so
 //! random entries collide constantly: same-priority overlaps, duplicate
 //! (match, priority) pairs, cross-tier shadowing — exactly the cases where
@@ -20,6 +30,7 @@ use proptest::prelude::*;
 use sdt_openflow::{
     Action, EntryStore, FlowEntry, FlowMatch, FlowMod, FlowTable, HostAddr, PacketMeta, PortNo,
 };
+use std::sync::{Arc, Barrier};
 
 /// Decode a random match over the small field domains from raw bits:
 /// low bits choose which fields constrain, higher bits choose the values.
@@ -81,6 +92,58 @@ fn resolve_op(
     }
 }
 
+/// Exhaustive probe grid over the op domains (plus out-of-domain values so
+/// some probes miss everything).
+fn grid() -> Vec<(PacketMeta, Option<u32>)> {
+    let mut probes = Vec::new();
+    for port in 0..5u16 {
+        for dst in 0..7u32 {
+            for src in [0u32, 3, 6] {
+                for metadata in [None, Some(0u32), Some(2), Some(7)] {
+                    let meta = PacketMeta {
+                        in_port: PortNo(port),
+                        src: HostAddr(src),
+                        dst: HostAddr(dst),
+                        l4_src: 1,
+                        l4_dst: 2,
+                    };
+                    probes.push((meta, metadata));
+                }
+            }
+        }
+    }
+    probes
+}
+
+/// The live pair over the whole grid: same action on every probe. Both
+/// sides count one lookup per probe, so their stats stay comparable.
+fn live_agrees(indexed: &FlowTable, linear: &FlowTable, when: &str) -> Result<(), TestCaseError> {
+    for (meta, metadata) in grid() {
+        prop_assert_eq!(
+            indexed.lookup_with(&meta, metadata),
+            linear.linear_lookup_with(&meta, metadata),
+            "live table diverges {} at {:?} md {:?}",
+            when, meta, metadata
+        );
+    }
+    Ok(())
+}
+
+/// A bare store over the whole grid: `first_match_where` returns the very
+/// entry a front-to-back scan of its own entries fires.
+fn store_agrees(store: &EntryStore, which: &str) -> Result<(), TestCaseError> {
+    for (meta, metadata) in grid() {
+        let fits = |e: &FlowEntry| e.m.matches(&meta, metadata);
+        prop_assert_eq!(
+            store.first_match_where(meta.in_port, metadata, Some(meta.dst), fits),
+            store.entries().iter().find(|e| fits(e)),
+            "{} store diverges at {:?} md {:?}",
+            which, meta, metadata
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -90,59 +153,112 @@ proptest! {
             (0u8..16, any::<u32>(), 0u16..8, 0u8..3),
             1..120,
         ),
+        probes in (any::<u32>(), any::<u32>()),
+        clear_after in 0usize..6,
     ) {
+        let mut ops = ops;
+        let (a, b) = (probes.0 as usize % ops.len(), probes.1 as usize % ops.len());
+        let (first_probe, second_probe) = (a.min(b), a.max(b));
+        // Half the cases force a Clear (kind 0) a few mods after the first
+        // probe: a built index dropped mid-stream, rebuilt by a later probe.
+        if (1..=3).contains(&clear_after) && first_probe + clear_after < ops.len() {
+            ops[first_probe + clear_after].0 = 0;
+        }
+
         // Two tables fed the identical mod stream: one probed through the
-        // index, one through the linear oracle. Halfway, a store forks off
-        // the first (the clone replaces whatever `forked` held) and applies
-        // the rest of the stream on its own.
+        // index, one through the linear oracle.
         let mut indexed = FlowTable::new(4096);
         let mut linear = FlowTable::new(4096);
-        let mut forked = EntryStore::default();
+        let mut unprobed = EntryStore::default();
+        // (fork taken before the first probe, fork taken after it)
+        let mut forks: Option<(EntryStore, EntryStore)> = None;
         let mut log = Vec::new();
         for (i, &op) in ops.iter().enumerate() {
-            if i == ops.len() / 2 {
-                forked = indexed.store().clone();
+            if i == first_probe {
+                let before = indexed.store().clone();
+                live_agrees(&indexed, &linear, "at its first probe")?;
+                forks = Some((before, indexed.store().clone()));
+            }
+            if i == second_probe {
+                live_agrees(&indexed, &linear, "at its second probe")?;
             }
             let m = resolve_op(&mut log, op);
-            forked.apply(&m);
+            if let Some((before, after)) = forks.as_mut() {
+                before.apply(&m);
+                after.apply(&m);
+            }
+            unprobed.apply(&m);
             indexed.apply(m.clone()).unwrap();
             linear.apply(m).unwrap();
         }
-        prop_assert_eq!(indexed.entries(), linear.entries());
-        prop_assert_eq!(forked.entries(), linear.entries());
+        let Some((before, after)) = forks else { unreachable!("first_probe < ops.len()") };
 
-        // Exhaustive probe grid over the op domains (plus out-of-domain
-        // values so some probes miss everything).
-        for port in 0..5u16 {
-            for dst in 0..7u32 {
-                for src in [0u32, 3, 6] {
-                    for metadata in [None, Some(0u32), Some(2), Some(7)] {
-                        let meta = PacketMeta {
-                            in_port: PortNo(port),
-                            src: HostAddr(src),
-                            dst: HostAddr(dst),
-                            l4_src: 1,
-                            l4_dst: 2,
-                        };
-                        prop_assert_eq!(
-                            indexed.lookup_with(&meta, metadata),
-                            linear.linear_lookup_with(&meta, metadata),
-                            "divergence at port {} dst {} src {} md {:?}",
-                            port, dst, src, metadata
-                        );
-                        let fits = |e: &FlowEntry| e.m.matches(&meta, metadata);
-                        prop_assert_eq!(
-                            forked.first_match_where(meta.in_port, metadata, Some(meta.dst), fits),
-                            linear.entries().iter().find(|e| fits(e)),
-                            "forked store diverges at port {} dst {} src {} md {:?}",
-                            port, dst, src, metadata
-                        );
-                    }
-                }
-            }
+        prop_assert_eq!(indexed.entries(), linear.entries());
+        live_agrees(&indexed, &linear, "at the end")?;
+        for (store, which) in [
+            (&before, "forked-before-first-probe"),
+            (&after, "forked-after-first-probe"),
+            (&unprobed, "probed-only-at-the-end"),
+        ] {
+            prop_assert_eq!(store.entries(), linear.entries(), "{} store's entries", which);
+            store_agrees(store, which)?;
         }
         // Identical probe streams must move the counters identically —
         // in particular the two paths must agree on every miss.
         prop_assert_eq!(indexed.stats(), linear.stats());
     }
+}
+
+/// Eight threads make the first probe of one shared store at the same
+/// moment: whichever builds the index, every thread reads the finished one,
+/// and all answers are the linear scan's.
+#[test]
+fn concurrent_first_probes_agree_with_linear_scan() {
+    const THREADS: usize = 8;
+    // 12 000 entries over all eight tiers, three priorities, with repeats
+    // of a (match) under a lower priority so buckets hold more than one.
+    let mut store = EntryStore::default();
+    let entries: Vec<FlowEntry> = (0..12_000u32)
+        .map(|i| {
+            let mut m = FlowMatch::any();
+            if i & 1 != 0 {
+                m.in_port = Some(PortNo((i >> 3) as u16 % 48));
+            }
+            if i & 2 != 0 {
+                m.metadata = Some((i >> 3) % 96);
+            }
+            if i & 4 != 0 {
+                m.dst = Some(HostAddr((i >> 3) % 1024));
+            }
+            FlowEntry { m, priority: (i % 3) as u16, action: Action::Output(PortNo(i as u16)) }
+        })
+        .collect();
+    store.install(&entries);
+    let store = Arc::new(store);
+    let start = Barrier::new(THREADS);
+
+    std::thread::scope(|s| {
+        for t in 0..THREADS as u32 {
+            let (store, start) = (Arc::clone(&store), &start);
+            s.spawn(move || {
+                start.wait();
+                for q in 0..600u32 {
+                    let x = q * THREADS as u32 + t;
+                    let meta = PacketMeta {
+                        in_port: PortNo((x % 50) as u16),
+                        src: HostAddr(1),
+                        dst: HostAddr(x % 1100),
+                        l4_src: 1,
+                        l4_dst: 2,
+                    };
+                    let metadata = (x % 5 != 0).then_some(x % 100);
+                    assert_eq!(
+                        store.lookup(&meta, metadata),
+                        store.entries().iter().find(|e| e.m.matches(&meta, metadata)),
+                        "thread {t} probe {q}"
+                    );
+                }
+            });
+        }
+    });
 }

@@ -1,6 +1,6 @@
 //! Multilevel bisection and recursive k-way partitioning.
 
-use crate::fm::{cut_weight, fm_pass};
+use crate::fm::{cut_weight, fm_pass, FmScratch};
 use crate::graph::Graph;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -119,8 +119,22 @@ impl Partitioning {
 /// Multilevel bisection. Returns `side[v] ∈ {0,1}` with side 0 targeting the
 /// fraction `frac0` of total vertex weight.
 pub fn bisect(g: &Graph, frac0: f64, cfg: &PartitionConfig) -> Vec<u8> {
+    bisect_with(g, frac0, cfg, &mut FmScratch::default())
+}
+
+fn bisect_with(g: &Graph, frac0: f64, cfg: &PartitionConfig, fm: &mut FmScratch) -> Vec<u8> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    bisect_inner(g, frac0, cfg, &mut rng, 0)
+    bisect_inner(g, frac0, cfg, &mut rng, 0, fm)
+}
+
+/// FM passes over one bisection until a pass gains nothing (at most
+/// `cfg.fm_passes`).
+fn refine(g: &Graph, side: &mut [u8], targets: [u64; 2], cfg: &PartitionConfig, fm: &mut FmScratch) {
+    for _ in 0..cfg.fm_passes {
+        if fm_pass(g, side, targets, cfg.epsilon, fm) == 0 {
+            break;
+        }
+    }
 }
 
 fn bisect_inner(
@@ -129,6 +143,7 @@ fn bisect_inner(
     cfg: &PartitionConfig,
     rng: &mut StdRng,
     depth: usize,
+    fm: &mut FmScratch,
 ) -> Vec<u8> {
     let target0 = (g.total_vwgt() as f64 * frac0).round() as u64;
     let targets = [target0, g.total_vwgt() - target0];
@@ -137,11 +152,7 @@ fn bisect_inner(
         let mut best: Option<(u64, Vec<u8>)> = None;
         for _ in 0..cfg.init_tries.max(1) {
             let mut side = grow_bisection(g, target0, rng);
-            for _ in 0..cfg.fm_passes {
-                if fm_pass(g, &mut side, targets, cfg.epsilon) == 0 {
-                    break;
-                }
-            }
+            refine(g, &mut side, targets, cfg, fm);
             let cut = cut_weight(g, &side);
             if best.as_ref().is_none_or(|(c, _)| cut < *c) {
                 best = Some((cut, side));
@@ -159,24 +170,16 @@ fn bisect_inner(
     let (coarse, coarse_of) = g.contract(&matched);
     if coarse.len() == g.len() {
         let mut side = grow_bisection(g, target0, rng);
-        for _ in 0..cfg.fm_passes {
-            if fm_pass(g, &mut side, targets, cfg.epsilon) == 0 {
-                break;
-            }
-        }
+        refine(g, &mut side, targets, cfg, fm);
         return side;
     }
 
-    let coarse_side = bisect_inner(&coarse, frac0, cfg, rng, depth + 1);
+    let coarse_side = bisect_inner(&coarse, frac0, cfg, rng, depth + 1, fm);
     // Project up and refine at this level.
     let mut side: Vec<u8> = (0..g.len())
         .map(|u| coarse_side[coarse_of[u] as usize])
         .collect();
-    for _ in 0..cfg.fm_passes {
-        if fm_pass(g, &mut side, targets, cfg.epsilon) == 0 {
-            break;
-        }
-    }
+    refine(g, &mut side, targets, cfg, fm);
     side
 }
 
@@ -276,12 +279,13 @@ pub fn partition(g: &Graph, k: u32, cfg: &PartitionConfig) -> Partitioning {
         return Partitioning { assignment, k };
     }
     let mut best: Option<(u64, u64, Partitioning)> = None;
+    let mut fm = FmScratch::default();
     for t in 0..cfg.global_tries.max(1) as u64 {
         let cfg_t = PartitionConfig {
             seed: cfg.seed.wrapping_add(t.wrapping_mul(0x9E37_79B9)),
             ..cfg.clone()
         };
-        let p = partition_once(g, k, &cfg_t);
+        let p = partition_once(g, k, &cfg_t, &mut fm);
         let key = (p.cut_edges(g), p.part_vertex_loads(g).into_iter().max().unwrap_or(0));
         if best.as_ref().is_none_or(|(c, l, _)| key < (*c, *l)) {
             best = Some((key.0, key.1, p));
@@ -293,14 +297,14 @@ pub fn partition(g: &Graph, k: u32, cfg: &PartitionConfig) -> Partitioning {
     }
 }
 
-fn partition_once(g: &Graph, k: u32, cfg: &PartitionConfig) -> Partitioning {
+fn partition_once(g: &Graph, k: u32, cfg: &PartitionConfig, fm: &mut FmScratch) -> Partitioning {
     let n = g.len();
     let mut assignment = vec![0u32; n];
     let verts: Vec<u32> = (0..n as u32).collect();
-    recurse(g, &verts, 0, k, cfg, &mut assignment);
+    recurse(g, &verts, 0, k, cfg, &mut assignment, fm);
     let mut p = Partitioning { assignment, k };
     if k > 2 {
-        kway_refine(g, &mut p, cfg);
+        kway_refine(g, &mut p, cfg, fm);
     }
     p
 }
@@ -309,43 +313,94 @@ fn partition_once(g: &Graph, k: u32, cfg: &PartitionConfig) -> Partitioning {
 /// whole round yields no cut improvement (bounded rounds). Recursive
 /// bisection fixes early cuts before later parts exist; this pass lets
 /// vertices migrate across any pair of parts afterwards.
-fn kway_refine(g: &Graph, p: &mut Partitioning, cfg: &PartitionConfig) {
-    let k = p.k;
+fn kway_refine(g: &Graph, p: &mut Partitioning, cfg: &PartitionConfig, fm: &mut FmScratch) {
+    let k = p.k as usize;
     let ideal = g.total_vwgt() / k as u64;
+    // The vertices of each part, ascending; rewritten for the two parts of
+    // a pair after its sweep, so no pair scans the whole graph.
+    let mut members: Vec<Vec<u32>> = vec![Vec::new(); k];
+    for (v, &a) in p.assignment.iter().enumerate() {
+        members[a as usize].push(v as u32);
+    }
+    let mut verts: Vec<u32> = Vec::new();
+    let mut side: Vec<u8> = Vec::new();
+    // What a sweep does depends only on which vertices its two parts hold.
+    // Once one has ended on a pass that gained nothing, sweeping the pair
+    // again is that same pass on the same input, until a sweep with a third
+    // part moves a vertex into or out of either. `changed[i]` numbers the
+    // last sweep that moved a vertex of part i, `settled[i * k + j]` the
+    // pair's last sweep that ended on such a pass.
+    let mut sweep = 1u32;
+    let mut changed = vec![sweep; k];
+    let mut settled = vec![0u32; k * k];
     for _round in 0..4 {
         let mut improved = 0u64;
         for i in 0..k {
             for j in (i + 1)..k {
-                // Extract the i∪j subgraph.
-                let verts: Vec<u32> = (0..g.len() as u32)
-                    .filter(|&v| {
-                        let a = p.assignment[v as usize];
-                        a == i || a == j
-                    })
-                    .collect();
-                if verts.len() < 2 {
+                if settled[i * k + j] >= changed[i].max(changed[j]) {
                     continue;
                 }
-                let (sub, map) = g.subgraph(&verts);
-                let mut side: Vec<u8> = map
-                    .iter()
-                    .map(|&v| u8::from(p.assignment[v as usize] == j))
-                    .collect();
+                // FM keeps a move prefix only for a positive total gain, and
+                // the cut between two parts with no edge between them is
+                // already 0: nothing to extract, nothing to move.
+                if !adjacent(g, &p.assignment, &members[i], j as u32) {
+                    continue;
+                }
+                // Extract the i∪j subgraph, vertices ascending.
+                merge_ascending(&members[i], &members[j], &mut verts, &mut side);
+                let sub = g.subgraph(&verts);
+                sweep += 1;
+                let mut gained = 0u64;
                 for _ in 0..cfg.fm_passes.max(1) {
-                    let gain = fm_pass(&sub, &mut side, [ideal, ideal], cfg.epsilon);
-                    improved += gain;
+                    let gain = fm_pass(&sub, &mut side, [ideal, ideal], cfg.epsilon, fm);
                     if gain == 0 {
+                        settled[i * k + j] = sweep;
                         break;
                     }
+                    gained += gain;
                 }
-                for (x, &v) in map.iter().enumerate() {
-                    p.assignment[v as usize] = if side[x] == 0 { i } else { j };
+                if gained == 0 {
+                    continue;
+                }
+                improved += gained;
+                changed[i] = sweep;
+                changed[j] = sweep;
+                members[i].clear();
+                members[j].clear();
+                for (&v, &s) in verts.iter().zip(&side) {
+                    let part = if s == 0 { i } else { j };
+                    p.assignment[v as usize] = part as u32;
+                    members[part].push(v);
                 }
             }
         }
         if improved == 0 {
             break;
         }
+    }
+}
+
+/// True if some vertex of `part` has a neighbour assigned to `other`.
+fn adjacent(g: &Graph, assignment: &[u32], part: &[u32], other: u32) -> bool {
+    part.iter().any(|&v| g.neighbors(v).iter().any(|&(n, _)| assignment[n as usize] == other))
+}
+
+/// Merge two ascending vertex lists into `verts` (ascending), with
+/// `side[x]` = 0 where `verts[x]` came from `zeros` and 1 where from `ones`.
+fn merge_ascending(zeros: &[u32], ones: &[u32], verts: &mut Vec<u32>, side: &mut Vec<u8>) {
+    verts.clear();
+    side.clear();
+    let (mut a, mut b) = (0, 0);
+    while a < zeros.len() || b < ones.len() {
+        let from_ones = a == zeros.len() || (b < ones.len() && ones[b] < zeros[a]);
+        if from_ones {
+            verts.push(ones[b]);
+            b += 1;
+        } else {
+            verts.push(zeros[a]);
+            a += 1;
+        }
+        side.push(u8::from(from_ones));
     }
 }
 
@@ -356,6 +411,7 @@ fn recurse(
     k: u32,
     cfg: &PartitionConfig,
     assignment: &mut [u32],
+    fm: &mut FmScratch,
 ) {
     if k == 1 {
         for &v in verts {
@@ -363,7 +419,7 @@ fn recurse(
         }
         return;
     }
-    let (sub, map) = orig.subgraph(verts);
+    let sub = orig.subgraph(verts);
     let k0 = k / 2;
     let k1 = k - k0;
     // Derive a distinct seed per recursion branch for diversity.
@@ -371,26 +427,92 @@ fn recurse(
         seed: cfg.seed.wrapping_add((base as u64) << 32 | k as u64),
         ..cfg.clone()
     };
-    let side = bisect(&sub, k0 as f64 / k as f64, &cfg_here);
-    let left: Vec<u32> = map
-        .iter()
-        .zip(&side)
-        .filter(|&(_, &s)| s == 0)
-        .map(|(&v, _)| v)
-        .collect();
-    let right: Vec<u32> = map
-        .iter()
-        .zip(&side)
-        .filter(|&(_, &s)| s == 1)
-        .map(|(&v, _)| v)
-        .collect();
-    recurse(orig, &left, base, k0, cfg, assignment);
-    recurse(orig, &right, base + k0, k1, cfg, assignment);
+    let side = bisect_with(&sub, k0 as f64 / k as f64, &cfg_here, fm);
+    let on = |s: u8| -> Vec<u32> {
+        verts.iter().zip(&side).filter(|&(_, &x)| x == s).map(|(&v, _)| v).collect()
+    };
+    recurse(orig, &on(0), base, k0, cfg, assignment, fm);
+    recurse(orig, &on(1), base + k0, k1, cfg, assignment, fm);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fm::{fm_pass_reference, tests::graphs};
+    use proptest::prelude::*;
+
+    /// The refinement [`kway_refine`] replaced, kept as its oracle: every
+    /// pair of every round is swept — no skip for a pair with no edge
+    /// between its parts, none for one that has settled — over a vertex list
+    /// filtered out of the whole graph, with the reference FM pass.
+    fn kway_refine_reference(g: &Graph, p: &mut Partitioning, cfg: &PartitionConfig) {
+        let k = p.k;
+        let ideal = g.total_vwgt() / k as u64;
+        for _round in 0..4 {
+            let mut improved = 0u64;
+            for i in 0..k {
+                for j in (i + 1)..k {
+                    let verts: Vec<u32> = (0..g.len() as u32)
+                        .filter(|&v| {
+                            let a = p.assignment[v as usize];
+                            a == i || a == j
+                        })
+                        .collect();
+                    if verts.len() < 2 {
+                        continue;
+                    }
+                    let sub = g.subgraph(&verts);
+                    let mut side: Vec<u8> = verts
+                        .iter()
+                        .map(|&v| u8::from(p.assignment[v as usize] == j))
+                        .collect();
+                    for _ in 0..cfg.fm_passes.max(1) {
+                        let gain = fm_pass_reference(&sub, &mut side, [ideal, ideal], cfg.epsilon);
+                        improved += gain;
+                        if gain == 0 {
+                            break;
+                        }
+                    }
+                    for (x, &v) in verts.iter().enumerate() {
+                        p.assignment[v as usize] = if side[x] == 0 { i } else { j };
+                    }
+                }
+            }
+            if improved == 0 {
+                break;
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Member lists, the zero-cut skip and the settled-pair skip against
+        /// the sweep-everything refinement, from arbitrary (unbalanced,
+        /// disconnected, some-parts-empty) starting assignments.
+        #[test]
+        fn kway_refine_equals_reference(
+            g in graphs(60),
+            raw_parts in proptest::collection::vec(any::<u32>(), 60..61),
+            (k, spread) in (2u32..9, 1u32..9),
+            fm_passes in 1usize..9,
+            epsilon in 0usize..3,
+        ) {
+            // `spread` < k leaves the top parts empty at the start.
+            let assignment: Vec<u32> =
+                raw_parts[..g.len()].iter().map(|r| r % k.min(spread)).collect();
+            let cfg = PartitionConfig {
+                fm_passes,
+                epsilon: [0.0, 0.1, 0.6][epsilon],
+                ..PartitionConfig::default()
+            };
+            let mut p = Partitioning { assignment: assignment.clone(), k };
+            let mut p_ref = Partitioning { assignment, k };
+            kway_refine(&g, &mut p, &cfg, &mut FmScratch::default());
+            kway_refine_reference(&g, &mut p_ref, &cfg);
+            prop_assert_eq!(p.assignment, p_ref.assignment);
+        }
+    }
 
     fn grid(w: u32, h: u32) -> Graph {
         let mut edges = Vec::new();

@@ -19,15 +19,19 @@ use sdt_topology::{HostId, Topology};
 /// The whole point of static checking is to prove properties with **zero
 /// packet injections**, so a proof must not move a lookup or port counter
 /// (the differential test asserts they stay at zero). That holds by type:
-/// a view holds each table's [`EntryStore`] — the entries, their order and
-/// their tier index — and a store has no counters to move.
+/// a view holds each table's [`EntryStore`] — the entries, their order and,
+/// once something has probed the table, its tier index — and a store has
+/// no counters to move.
 ///
 /// Every table is `Arc`-shared copy-on-write, with the live switch too
 /// ([`sdt_openflow::FlowTable::shared_store`]): snapshotting a bank or
 /// cloning a view costs one pointer per table and copies no entry, and
 /// [`TableView::apply`] deep-copies only the table it mutates — the
 /// clone-then-apply pattern every delta check uses touches exactly the
-/// batch's tables, and patches their indexes in place.
+/// batch's tables. A table's index is built by its first lookup, so a view
+/// that is only walked entry by entry (the round compiler's, table 1 of a
+/// fast proof) never builds one; a copy carries the index only if the
+/// original had been probed, and from then on `apply` patches it in place.
 #[derive(Clone, Debug, Default)]
 pub struct TableView {
     switches: Vec<[Arc<EntryStore>; 2]>,
@@ -55,7 +59,7 @@ impl TableView {
     pub fn of_synthesis(s: &SynthesisOutput) -> Self {
         let install = |entries: &Vec<FlowEntry>| {
             let mut store = EntryStore::default();
-            entries.iter().for_each(|&e| store.apply(&FlowMod::Add(e)));
+            store.install(entries);
             store
         };
         TableView {
