@@ -25,7 +25,7 @@ use sdt_openflow::InstallTiming;
 use sdt_partition::{partition_topology, PartitionConfig};
 use sdt_routing::{default_strategy, RouteTable};
 use sdt_topology::{HostId, LinkId, SwitchId, Topology};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 
 /// Physical resources the failure detector has declared unusable. A
@@ -272,9 +272,10 @@ impl SdtProjector {
             None => partition_topology(topo, k, &self.partition).assignment().to_vec(),
         };
 
-        // 2. Count resource demands up front so errors are complete.
+        // 2. Count resource demands up front so errors are complete. Pairs
+        // in order: a short one is reported lowest first, in every process.
         let mut self_need = vec![0usize; k as usize];
-        let mut inter_need: HashMap<(u32, u32), usize> = HashMap::new();
+        let mut inter_need: BTreeMap<(u32, u32), usize> = BTreeMap::new();
         for l in topo.fabric_links() {
             let (sa, sb) = l.switch_ends();
             let (pa, pb) = (assignment[sa.idx()], assignment[sb.idx()]);
@@ -520,6 +521,20 @@ mod tests {
             }
             other => panic!("unexpected error {other:?}"),
         }
+    }
+
+    /// Three switch pairs each one cable short: the error names the lowest,
+    /// whatever order a hash map would have visited them in.
+    #[test]
+    fn the_lowest_short_switch_pair_is_reported() {
+        let t = fat_tree(4);
+        let c = cluster(3, 16, 1);
+        let messages: HashSet<String> = (0..16)
+            .map(|_| SdtProjector::default().project_default(&t, &c).unwrap_err().to_string())
+            .collect();
+        assert_eq!(messages.len(), 1, "{messages:?}");
+        let only = messages.iter().next().unwrap();
+        assert!(only.starts_with("switch pair (0, 1):"), "{only}");
     }
 
     #[test]

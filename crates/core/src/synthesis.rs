@@ -89,14 +89,36 @@ struct Demand {
     overrides: HashMap<(SwitchId, HostId, HostId), PhysPort>,
 }
 
-/// Egress demand of `routes`, one walk per *(ingress switch, destination
-/// host)*: routes are keyed by switch pair, so every host behind one
-/// ingress switch contributes the same hops. The first route to cross
-/// `(s, dst)` sets the default there and later disagreeing ones become
-/// per-source overrides, so the order in which ingress switches are met
-/// decides which entries exist. It is the order a scan over source hosts
-/// meets them in: an ingress switch is walked at its lowest host other than
-/// `dst`, and a disagreeing route is recorded for every host behind it.
+/// What the routes toward one destination switch ask of the switches they
+/// cross: the part of [`demand`] every host behind that switch shares.
+#[derive(Default)]
+struct Toward {
+    /// The default egress at each switch a route crosses before its last
+    /// hop, other than the destination switch, in the order first crossed.
+    defaults: Vec<(SwitchId, PhysPort)>,
+    /// `(switch, ingress switch, port)`: a later route leaving that switch
+    /// on another port than the default, in walk order.
+    disagree: Vec<(SwitchId, SwitchId, PhysPort)>,
+    /// Every visit of the destination switch, in walk order: where the
+    /// source scan meets the walked ingress switch (its lowest host), the
+    /// switch, and the port it leaves on — `None` at the route's end, where
+    /// it is the destination host's own port.
+    arrivals: Vec<(HostId, SwitchId, Option<PhysPort>)>,
+}
+
+/// Egress demand of `routes`, walked once per *destination switch*: routes
+/// are keyed by switch pair, so every host behind one ingress switch
+/// contributes the same hops, and toward every host behind one destination
+/// switch `sb` the same routes run. The first route to cross `(s, dst)` sets
+/// the default there and later disagreeing ones become per-source
+/// overrides, for every host behind their ingress switch, so the order in
+/// which ingress switches are met decides which entries exist. It is the
+/// order a scan over source hosts meets them in: an ingress switch is
+/// walked at its lowest host other than `dst`. Only two things move with
+/// `dst` behind `sb`: where `sb`'s own hosts fall in that order, and the
+/// port a route ends on, `dst`'s own. So every other ingress switch's route
+/// to `sb` is walked once into a [`Toward`], and each destination stamps
+/// its entries from it, replaying only its visits of `sb`.
 fn demand(
     topo: &Topology,
     routes: &RouteTable,
@@ -110,6 +132,11 @@ fn demand(
     for h in hosts() {
         behind[ingress[h.idx()].idx()].push(h);
     }
+    // Ingress switches in the order a scan over source hosts meets them.
+    let met: Vec<SwitchId> = hosts()
+        .filter(|h| behind[ingress[h.idx()].idx()][0] == *h)
+        .map(|h| ingress[h.idx()])
+        .collect();
     // Physical egress of every logical fabric port, resolved once.
     let fabric: Vec<Vec<(SwitchId, Option<PhysPort>)>> = (0..topo.num_switches())
         .map(|s| {
@@ -125,58 +152,81 @@ fn demand(
         }
     };
 
-    let mut d = Demand { egress: vec![Vec::new(); switches], overrides: HashMap::new() };
-    // Per destination: its default egress at each logical switch, and the
-    // ingress switches already walked.
+    // Every other ingress switch's route to `sb`, walked in scan order.
     let mut first: Vec<Option<PhysPort>> = vec![None; switches];
-    let mut walked = vec![false; switches];
-    for dst in hosts() {
-        let sb = ingress[dst.idx()];
+    let mut walk = |sb: SwitchId| {
         first.fill(None);
-        walked.fill(false);
-        for src in hosts() {
-            let sa = ingress[src.idx()];
-            if src == dst || std::mem::replace(&mut walked[sa.idx()], true) {
-                continue;
-            }
-            // Hop sequence of logical switches the packet visits.
-            let hops: &[SwitchId] = if sa == sb {
-                std::slice::from_ref(&sa)
-            } else {
-                match routes.try_route(sa, sb) {
-                    Some(r) => &r.hops,
-                    None => continue, // unreachable pair (disjoint component)
-                }
+        let mut t = Toward::default();
+        for &sa in met.iter().filter(|&&sa| sa != sb) {
+            let Some(route) = routes.try_route(sa, sb) else {
+                continue; // unreachable pair (disjoint component)
             };
-            for (i, &s) in hops.iter().enumerate() {
-                let out = match hops.get(i + 1) {
-                    Some(&next) => toward(s, next),
-                    None => {
-                        // Delivery hop: the destination's host port at `s`.
-                        let (_, lid) = topo
-                            .attachments(dst)
-                            .iter()
-                            .copied()
-                            .find(|&(att, _)| att == s)
-                            .unwrap_or_else(|| {
-                                unreachable!("route ends at an attachment switch of dst")
-                            });
-                        host_port[&(dst, lid)]
-                    }
-                };
+            for (i, &s) in route.hops.iter().enumerate() {
+                let out = route.hops.get(i + 1).map(|&next| toward(s, next));
+                if s == sb {
+                    t.arrivals.push((behind[sa.idx()][0], sa, out));
+                    continue;
+                }
+                let Some(out) = out else { unreachable!("a route ends at its destination") };
                 match first[s.idx()] {
                     None => {
                         first[s.idx()] = Some(out);
-                        d.egress[s.idx()].push((dst, out));
+                        t.defaults.push((s, out));
                     }
-                    Some(default) if default != out => {
-                        for &h in behind[sa.idx()].iter().filter(|&&h| h != dst) {
-                            d.overrides.insert((s, h, dst), out);
-                        }
-                    }
+                    Some(default) if default != out => t.disagree.push((s, sa, out)),
                     Some(_) => {}
                 }
             }
+        }
+        t
+    };
+
+    let mut d = Demand { egress: vec![Vec::new(); switches], overrides: HashMap::new() };
+    let mut walked: Vec<Option<Toward>> = (0..switches).map(|_| None).collect();
+    for dst in hosts() {
+        let sb = ingress[dst.idx()];
+        let t = walked[sb.idx()].get_or_insert_with(|| walk(sb));
+        for &(s, out) in &t.defaults {
+            d.egress[s.idx()].push((dst, out));
+        }
+        // Behind another ingress switch than `sb`: never `dst`.
+        for &(s, sa, out) in &t.disagree {
+            for &h in &behind[sa.idx()] {
+                d.overrides.insert((s, h, dst), out);
+            }
+        }
+        // At `sb`: every visit in walk order, `sb`'s own hosts met where
+        // the first of them other than `dst` falls, and every route that
+        // ends there ending on `dst`'s port.
+        let (_, lid) = topo
+            .attachments(dst)
+            .iter()
+            .copied()
+            .find(|&(att, _)| att == sb)
+            .unwrap_or_else(|| unreachable!("a host attaches to its own switch"));
+        let delivery = host_port[&(dst, lid)];
+        let mut own = behind[sb.idx()].iter().copied().find(|&h| h != dst);
+        let mut default = None;
+        let mut visit = |sa: SwitchId, out: PhysPort| match default {
+            None => {
+                default = Some(out);
+                d.egress[sb.idx()].push((dst, out));
+            }
+            Some(port) if port != out => {
+                for &h in behind[sa.idx()].iter().filter(|&&h| h != dst) {
+                    d.overrides.insert((sb, h, dst), out);
+                }
+            }
+            Some(_) => {}
+        };
+        for &(at, sa, out) in &t.arrivals {
+            if own.take_if(|own| *own < at).is_some() {
+                visit(sb, delivery);
+            }
+            visit(sa, out.unwrap_or(delivery));
+        }
+        if own.is_some() {
+            visit(sb, delivery);
         }
     }
     d
@@ -382,6 +432,50 @@ mod tests {
         oracle.overrides.len()
     }
 
+    /// Six switches joined by `links`, their eighteen hosts dealt out five
+    /// switches apart from switch 2: it holds hosts 0, 6 and 12, so where a
+    /// destination switch's own hosts fall among the sources moves with the
+    /// destination.
+    fn dealt(name: &str, links: &[(u32, u32)]) -> Topology {
+        let mut b = sdt_topology::TopologyBuilder::new(name, 6, 18);
+        for &(x, y) in links {
+            b.fabric(SwitchId(x), SwitchId(y));
+        }
+        for h in 0..18 {
+            b.attach(HostId(h), SwitchId((h * 5 + 2) % 6));
+        }
+        b.build().unwrap()
+    }
+
+    /// Shortest paths along a chain, except that a route to any switch but
+    /// the chain's ends runs one switch past it and comes back: it crosses
+    /// its destination switch before its last hop.
+    struct Overshoot;
+
+    impl RoutingStrategy for Overshoot {
+        fn name(&self) -> &str {
+            "overshoot"
+        }
+
+        fn num_vcs(&self) -> u8 {
+            1
+        }
+
+        fn route(&self, topo: &Topology, from: SwitchId, to: SwitchId) -> sdt_routing::Route {
+            let mut hops: Vec<SwitchId> = if from <= to {
+                (from.0..=to.0).map(SwitchId).collect()
+            } else {
+                (to.0..=from.0).rev().map(SwitchId).collect()
+            };
+            if from < to && to.0 + 1 < topo.num_switches() {
+                hops.extend([SwitchId(to.0 + 1), to]);
+            } else if from > to && to.0 > 0 {
+                hops.extend([SwitchId(to.0 - 1), to]);
+            }
+            sdt_routing::Route { vcs: vec![0; hops.len() - 1], hops }
+        }
+    }
+
     #[test]
     fn per_switch_synthesis_matches_the_per_pair_oracle() {
         use sdt_routing::{dragonfly::DragonflyValiant, ecmp::Ecmp, generic::Bfs, oddeven::OddEven};
@@ -389,6 +483,13 @@ mod tests {
         let split = Topology::disjoint_union("split", &[&fat_tree(4), &chain(3)]);
         let mesh = meshtorus::mesh(&[4, 4]);
         let df = dragonfly(4, 9, 2, 2);
+        // Host 16 alone on switch 20: no other host behind it, and no route
+        // reaches it from another component — nor leaves it.
+        let lone = Topology::disjoint_union("lone", &[&fat_tree(4), &chain(1)]);
+        let chain6: Vec<(u32, u32)> = (0..5).map(|s| (s, s + 1)).collect();
+        let ring6: Vec<(u32, u32)> =
+            chain6.iter().copied().chain([(5, 0), (0, 3), (1, 4)]).collect();
+        let dealt_ring = dealt("dealt-ring", &ring6);
         let topos = [
             fat_tree(4),
             fat_tree(8),
@@ -397,6 +498,8 @@ mod tests {
             df.clone(),
             bcube(4, 1),
             split,
+            lone.clone(),
+            dealt_ring.clone(),
         ];
         for t in &topos {
             assert_matches_per_pair(t, sdt_routing::default_strategy(t).as_ref());
@@ -405,13 +508,40 @@ mod tests {
         // Source-dependent strategies: the only inputs that reach a
         // `PRIO_SRC_OVERRIDE` entry.
         let mut overrides = 0;
-        for t in &topos[..2] {
+        for t in [&topos[0], &topos[1], &dealt_ring] {
             overrides += assert_matches_per_pair(t, &Ecmp::new(t));
         }
         overrides += assert_matches_per_pair(&mesh, &OddEven::new(&[4, 4]));
         let valiant = assert_matches_per_pair(&df, &DragonflyValiant::new(4, 9, 2, 2, &df));
         assert!(valiant > 0, "Valiant routes depend on the source switch");
         assert!(overrides > 0, "ECMP / odd-even routes depend on the source switch");
+        // Routes that pass their destination switch before ending there:
+        // whether a destination's first default there is its own port or
+        // the way on depends on where its switch's own hosts are met.
+        for t in [chain(6), dealt("dealt-chain", &chain6)] {
+            let overshot = assert_matches_per_pair(&t, &Overshoot);
+            assert!(overshot > 0, "a route leaving its destination switch disagrees there");
+        }
+        // The lone host gets no entry at its switch: nothing arrives.
+        let routes = RouteTable::build_for_hosts(&lone, &Bfs::new(&lone));
+        let (_, port_of, host_port) = wiring(&lone, 3);
+        let egress = demand(&lone, &routes, &port_of, &host_port).egress;
+        assert_eq!(lone.host_switch(HostId(16)), SwitchId(20));
+        assert!(egress[20].is_empty());
+        assert!(egress.iter().flatten().all(|&(dst, _)| dst != HostId(16)));
+    }
+
+    /// Plain synthesis of fat-tree k=16 on 19 switches, every entry,
+    /// pinned: a digest recorded before destinations were walked per
+    /// switch.
+    #[test]
+    fn fat_tree_k16_synthesis_is_pinned() {
+        let t = fat_tree(16);
+        let routes = RouteTable::build_for_hosts(&t, sdt_routing::default_strategy(&t).as_ref());
+        let (assignment, port_of, host_port) = wiring(&t, 19);
+        let out = synthesize_flow_tables(&t, &routes, &assignment, &port_of, &host_port, 19);
+        assert_eq!(out.table1.iter().map(Vec::len).sum::<usize>(), 148_480);
+        assert_eq!(digest(&out), 10_473_455_963_939_887_681);
     }
 
     /// FNV-1a over every field of every entry, in table order.

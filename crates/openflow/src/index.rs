@@ -33,11 +33,58 @@
 //! copy-on-write copies). The store has no counters, so code that holds
 //! only a store cannot move one.
 
-use crate::overlap::FxBuild;
 use crate::{FlowEntry, FlowMatch, FlowMod, HostAddr, PacketMeta, PortNo};
 use std::cmp::Reverse;
 use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::OnceLock;
+
+/// FxHash-style multiply-xor hasher: the keys below are already
+/// well-mixed fixed-width packs, and bucket probes are the inner loop of
+/// a lookup, so the default SipHash costs more than the probe.
+#[derive(Default)]
+pub struct FxHasher(u64);
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u8(b);
+        }
+    }
+
+    fn write_u8(&mut self, b: u8) {
+        self.write_u64(u64::from(b));
+    }
+
+    fn write_u16(&mut self, w: u16) {
+        self.write_u64(u64::from(w));
+    }
+
+    fn write_u32(&mut self, w: u32) {
+        self.write_u64(u64::from(w));
+    }
+
+    fn write_u64(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn write_u128(&mut self, w: u128) {
+        self.write_u64(w as u64);
+        self.write_u64((w >> 64) as u64);
+    }
+
+    fn write_usize(&mut self, w: usize) {
+        self.write_u64(w as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// [`std::hash::BuildHasher`] of [`FxHasher`], for maps keyed by entries
+/// and matches the controller synthesized itself.
+pub type FxBuild = BuildHasherDefault<FxHasher>;
 
 /// Tier-id bit: the entry constrains `in_port`.
 const TIER_IN_PORT: usize = 1;

@@ -31,10 +31,8 @@ pub use control::{
     reconcile, table_divergence, BarrierReport, ControlChannel, ControlConfig, Reconciled,
     RetryPolicy, RoundBatch,
 };
-pub use index::EntryStore;
-pub use overlap::{
-    table_warnings_indexed, table_warnings_linear, FxBuild, FxHasher, OverlapHit, OverlapIndex,
-};
+pub use index::{EntryStore, FxBuild, FxHasher};
+pub use overlap::{table_warnings_indexed, table_warnings_linear};
 pub use switch::{OpenFlowSwitch, PortStats, SwitchConfig};
 pub use table::{
     diff_positions, diff_tables, same_entries, shadowed_entries, shadowed_entries_in,

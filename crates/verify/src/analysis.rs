@@ -16,20 +16,24 @@
 //!
 //! Besides its view, intent, warnings and loops, a [`Verifier`] keeps how
 //! every ordered host pair fared: each *distinct* trace of the pass once —
-//! a verdict id and the switches crossed, in one flat vector — and a
-//! src-major `pair position → trace id` index of `u32`s. The report reads
-//! each pair through the index, and so does the next proof: one carry-over
-//! rule, shared by both walkers, decides which pairs of a delta keep their
-//! previous trace; the walkers fill in the rest. Every pass over the pairs
-//! walks the index one source row at a time.
+//! a verdict id and the switches crossed, in one flat vector — and rows of
+//! `u32` trace ids, one id per destination host, which every host points
+//! at. Hosts that provably fare alike toward every destination share a
+//! row: at fat-tree k=16, 128 rows serve 1 024 hosts. The report reads each
+//! pair through its source's row, and so does the next proof: one
+//! carry-over rule, shared by both walkers, decides which pairs of a delta
+//! keep their previous trace; the walkers fill in the rest. Every pass over
+//! the pairs — marking, gathering, carrying, counting — runs once per row,
+//! not once per host.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::hash::Hash;
 use std::sync::Arc;
 
 use sdt_core::cluster::{PhysPort, PhysicalCluster};
 use sdt_openflow::{
-    table_warnings_indexed, table_warnings_linear, Action, FlowEntry, FlowMod, MatchUniverse,
-    PortNo, ShadowedEntry,
+    table_warnings_indexed, table_warnings_linear, Action, FlowEntry, FlowMod, FxBuild,
+    MatchUniverse, PortNo, ShadowedEntry,
 };
 use sdt_topology::HostId;
 
@@ -370,10 +374,11 @@ fn egress(cluster: &PhysicalCluster, port: PhysPort, rules: Vec<RuleRef>) -> Ste
 /// distinct [`Trace`] — how a pair fares plus the switches its packets
 /// cross, the key to incremental re-checking (a pair whose path avoids every
 /// switch touched by a delta cannot change behaviour) — once, and which of
-/// them every ordered intent pair got. A verdict replayed to a million
-/// pairs is a million `u32`s, and the next proof tests a trace against its
-/// delta once, however many pairs share it. Traces carry no addresses:
-/// which pairs a trace belongs to is recorded beside it, in the index.
+/// them every ordered intent pair got, as rows of trace ids. A verdict
+/// replayed to a million pairs is a few hundred rows, and the next proof
+/// tests a trace against its delta once, however many pairs share it.
+/// Traces carry no addresses: which pairs a trace belongs to is recorded
+/// beside it, in the rows.
 #[derive(Debug, Default)]
 struct TraceStore {
     /// The verdicts `distinct` names by position: those of the traces
@@ -384,12 +389,18 @@ struct TraceStore {
     /// proof, then one per walked pair (reference walker) or one per (class
     /// job, source group) representative (fast walker).
     distinct: Vec<Trace>,
-    /// For every ordered intent pair, at its [`pair_pos`], the index of its
-    /// trace in `distinct` ([`OPEN`] only while a walker is filling it).
-    index: Vec<u32>,
+    /// Per intent host, the row of `rows` its pairs read. Hosts share a row
+    /// when their rows are provably equal ([`Verifier::carry_over`]).
+    row_of: Vec<u32>,
+    /// Rows of one trace id per intent host, flat: pair `(i, j)` reads its
+    /// index in `distinct` at `row_of[i] · n + j` ([`OPEN`] only while a
+    /// walker is filling it). A host's own column is no pair of its own: it
+    /// holds the other members' pair to it, or stays [`OPEN`] in a row of
+    /// one.
+    rows: Vec<u32>,
 }
 
-/// The [`TraceStore::index`] entry of a pair that has no trace yet.
+/// The [`TraceStore::rows`] entry of a pair that has no trace yet.
 const OPEN: u32 = u32::MAX;
 /// [`Verifier::carry_over`]'s mark for a previous trace no pair has asked
 /// for yet, and the fast walker's for a (source group, class) whose trace
@@ -406,9 +417,27 @@ impl TraceStore {
     /// Add a distinct trace; returns its index.
     fn push(&mut self, trace: Trace) -> u32 {
         let id = self.distinct.len();
-        assert!(id < UNASKED as usize, "a pair index of u32s names at most 2^32 - 2 traces");
+        assert!(id < UNASKED as usize, "rows of u32s name at most 2^32 - 2 traces");
         self.distinct.push(trace);
         id as u32
+    }
+
+    /// The row host `i` reads, of `n` intent hosts.
+    fn row(&self, i: usize, n: usize) -> &[u32] {
+        &self.rows[self.row_of[i] as usize * n..][..n]
+    }
+
+    /// Per row: its first member, and how many hosts read it.
+    fn heads(&self) -> Vec<(usize, u32)> {
+        let mut heads = vec![(0, 0); self.rows.len() / self.row_of.len().max(1)];
+        for (i, &r) in self.row_of.iter().enumerate() {
+            let (head, members) = &mut heads[r as usize];
+            if *members == 0 {
+                *head = i;
+            }
+            *members += 1;
+        }
+        heads
     }
 }
 
@@ -420,12 +449,6 @@ fn sole_holders(intent: &Intent) -> HashMap<u32, Option<usize>> {
         at.entry(h.addr.0).and_modify(|held| *held = None).or_insert(Some(i));
     }
     at
-}
-
-/// Position of ordered pair `(i, j)`, `i != j`, of `n` intent hosts in the
-/// src-major/dst-minor pair order.
-fn pair_pos(n: usize, i: usize, j: usize) -> usize {
-    i * (n - 1) + if j < i { j } else { j - 1 }
 }
 
 /// The verdict of one ordered pair's walk.
@@ -575,6 +598,7 @@ impl Verifier {
             {
                 self.traces = Arc::clone(&prev.traces);
                 self.stats.symmetric = prev.stats.symmetric;
+                self.stats.rows = prev.stats.rows;
                 self.report =
                     VerifyReport { switches_scanned: 0, pairs_walked: 0, ..prev.report.clone() };
                 return self;
@@ -792,83 +816,134 @@ impl Verifier {
     /// nothing in a packet tells its holders apart. Ordered pair `(i, j)`
     /// keeps its previous trace iff both hosts are hosts of `prev` and that
     /// trace avoids every touched switch — tested, and the trace carried,
-    /// once per distinct trace, the first time a pair asks for it.
+    /// once per distinct trace, the first time a pair asks for it in
+    /// src-major order.
     ///
-    /// Returns the store a walker starts from: carried pairs indexed to
+    /// Hosts share a row when the walker about to fill it gives them the
+    /// same `key` (the reference walker: the host itself), they expect the
+    /// same verdicts (domain and connectivity group), and they carry the
+    /// same previous row or nothing at all: then their carried columns
+    /// agree, and so does whatever the walker fills in. A host of `prev`
+    /// asks only for the traces of its previous row, so the carrying runs
+    /// once per previous row — all of it at its first member, whose pairs
+    /// ask first; of the later members only the second asks anything new,
+    /// its pair to the first. A row all of whose traces cross a touched
+    /// switch carries nothing, and its hosts join the fresh ones: a row
+    /// split by a changed host merges again once its switch is touched.
+    ///
+    /// Returns the store a walker starts from: carried pairs pointing at
     /// their traces, every other pair [`OPEN`] (all of them without a
     /// `delta`).
-    fn carry_over(&self, delta: Delta<'_>) -> TraceStore {
+    fn carry_over<K: Hash + Eq>(&self, delta: Delta<'_>, key: impl Fn(usize) -> K) -> TraceStore {
         let (now, n) = (&self.intent, self.intent.hosts.len());
-        let mut store =
-            TraceStore { index: vec![OPEN; n * n.saturating_sub(1)], ..TraceStore::default() };
-        let Some((touched, prev)) = delta else { return store };
-        let (was, np) = (&prev.intent, prev.intent.hosts.len());
-        let (now_at, was_at) = (sole_holders(now), sole_holders(was));
-        // (host, the host of `prev` it is), for every host that is one.
-        let same: Vec<(usize, usize)> = (0..n)
-            .filter_map(|i| {
-                let h = &now.hosts[i];
-                // Sole holder of its address now, and who was before.
-                now_at.get(&h.addr.0).copied().flatten()?;
-                let p = was_at.get(&h.addr.0).copied().flatten()?;
-                let w = &was.hosts[p];
-                (w.ingress == h.ingress
-                    && w.ports == h.ports
-                    && w.group == h.group
-                    && w.host == h.host
-                    && was.domains[w.domain] == now.domains[h.domain])
-                .then_some((i, p))
+        let mut store = TraceStore::default();
+        // The previous rows carried, remapped to this proof's hosts and
+        // traces, and per host the one it carries, if it carries anything.
+        let mut carried: Vec<Vec<u32>> = Vec::new();
+        let mut carries: Vec<Option<usize>> = vec![None; n];
+        if let Some((touched, prev)) = delta {
+            let (kept, np) = (&*prev.traces, prev.intent.hosts.len());
+            let (now_at, was_at) = (sole_holders(now), sole_holders(&prev.intent));
+            // (host, the host of `prev` it is), for every host that is one.
+            let same: Vec<(usize, usize)> = (now.hosts.iter().enumerate())
+                .filter_map(|(i, h)| {
+                    // Sole holder of its address now, and who was before.
+                    let sole =
+                        |at: &HashMap<u32, Option<usize>>| at.get(&h.addr.0).copied().flatten();
+                    sole(&now_at)?;
+                    let p = sole(&was_at)?;
+                    let w = &prev.intent.hosts[p];
+                    (w.ingress == h.ingress
+                        && w.ports == h.ports
+                        && w.group == h.group
+                        && w.host == h.host
+                        && prev.intent.domains[w.domain] == now.domains[h.domain])
+                        .then_some((i, p))
+                })
+                .collect();
+            // Per previous trace: its index in `store`, or `OPEN` if it
+            // crosses a touched switch — once some pair has asked; per
+            // previous verdict, its index in `store` once a carried trace
+            // names it.
+            let mut moved = vec![UNASKED; kept.distinct.len()];
+            store.distinct.reserve(kept.distinct.len());
+            let mut moved_out = vec![UNASKED; kept.outcomes.len()];
+            // Per previous row: where in `carried` it goes, its first member
+            // with the host of `prev` it is, and how many have been met.
+            let mut met = vec![(0, (0, 0), 0u32); kept.rows.len() / np.max(1)];
+            for &(i, pi) in &same {
+                let (at, first, members) = &mut met[kept.row_of[pi] as usize];
+                *members += 1;
+                if *members == 1 {
+                    (*at, *first) = (carried.len(), (i, pi));
+                    carried.push(vec![OPEN; n]);
+                }
+                carries[i] = Some(*at);
+                let first = [*first];
+                let asks: &[(usize, usize)] = match *members {
+                    1 => &same,
+                    2 => &first,
+                    _ => continue,
+                };
+                let (was_row, row) = (kept.row(pi, np), &mut carried[*at]);
+                for &(j, pj) in asks.iter().filter(|&&(j, _)| i != j) {
+                    let t = was_row[pj] as usize;
+                    if moved[t] == UNASKED {
+                        let Trace { outcome, crossed } = &kept.distinct[t];
+                        moved[t] = if crossed.intersects(touched) {
+                            OPEN
+                        } else {
+                            let out = &mut moved_out[*outcome as usize];
+                            if *out == UNASKED {
+                                *out = store.outcomes.len() as u32;
+                                store.outcomes.push(kept.outcomes[*outcome as usize].clone());
+                            }
+                            store.push(Trace { outcome: *out, crossed: crossed.clone() })
+                        };
+                    }
+                    row[j] = moved[t];
+                }
+            }
+            let empty: Vec<bool> =
+                carried.iter().map(|row| row.iter().all(|&id| id == OPEN)).collect();
+            carries.iter_mut().for_each(|c| *c = c.filter(|&at| !empty[at]));
+        }
+        // Keyed lookups only, never iterated: rows are numbered in host order.
+        let mut ids: HashMap<_, u32, FxBuild> = HashMap::default();
+        let mut starts: Vec<Option<usize>> = Vec::new();
+        store.row_of = (now.hosts.iter().enumerate())
+            .map(|(i, h)| {
+                let fresh = ids.len() as u32;
+                *ids.entry((key(i), h.domain, h.group, carries[i])).or_insert_with(|| {
+                    starts.push(carries[i]);
+                    fresh
+                })
             })
             .collect();
-        // Per previous trace: its index in `store`, or `OPEN` if it crosses
-        // a touched switch — once some pair has asked; per previous verdict,
-        // its index in `store` once a carried trace names it.
-        let kept = &*prev.traces;
-        let mut moved = vec![UNASKED; kept.distinct.len()];
-        store.distinct.reserve(kept.distinct.len());
-        let mut moved_out = vec![UNASKED; kept.outcomes.len()];
-        for &(i, pi) in &same {
-            // One row of each index per source: the pair's column is the
-            // other host's position with the diagonal left out.
-            let (row, was_row) = (i * (n - 1), pi * (np - 1));
-            for &(j, pj) in same.iter().filter(|&&(j, _)| i != j) {
-                let t = kept.index[was_row + pj - usize::from(pj > pi)] as usize;
-                if moved[t] == UNASKED {
-                    let Trace { outcome, crossed } = &kept.distinct[t];
-                    moved[t] = if crossed.intersects(touched) {
-                        OPEN
-                    } else {
-                        let out = &mut moved_out[*outcome as usize];
-                        if *out == UNASKED {
-                            *out = store.outcomes.len() as u32;
-                            store.outcomes.push(kept.outcomes[*outcome as usize].clone());
-                        }
-                        store.push(Trace { outcome: *out, crossed: crossed.clone() })
-                    };
-                }
-                store.index[row + j - usize::from(j > i)] = moved[t];
-            }
-        }
+        let open = vec![OPEN; n];
+        store.rows = (starts.iter())
+            .flat_map(|start| start.map_or(&open, |at| &carried[at]))
+            .copied()
+            .collect();
         store
     }
 
     /// Reachability closure over every ordered intent host pair the delta
-    /// does not carry over, one parallel job per source host; the walked
-    /// traces come back in intent host order — exactly the order of the
-    /// open positions of the src-major/dst-minor index — and each takes the
-    /// next one. Returns the number of pairs actually re-walked (for the
-    /// report).
+    /// does not carry over, one parallel job per source host, each with a
+    /// row of its own; the walked traces come back in src-major/dst-minor
+    /// order and are stored in it. Returns the number of pairs actually
+    /// re-walked (for the report).
     fn walk_pairs(&mut self, delta: Delta<'_>, threads: usize) -> usize {
-        let mut store = self.carry_over(delta);
+        let mut store = self.carry_over(delta, |i| i);
         let budget = 4 * self.cluster.links().len() + 8;
         let hosts = &self.intent.hosts;
         let n = hosts.len();
-        let (cluster, values, view, index) =
-            (&self.cluster, &self.values, &self.view, &store.index);
+        let (cluster, values, view, store_ref) = (&self.cluster, &self.values, &self.view, &store);
         let srcs: Vec<usize> = (0..n).collect();
         let per_src = sdt_par::par_map_threads(threads, &srcs, |&i| {
             let src = &hosts[i];
-            let open = (0..n).filter(|&j| i != j && index[pair_pos(n, i, j)] == OPEN);
+            let row = store_ref.row(i, n);
+            let open = (0..n).filter(|&j| i != j && row[j] == OPEN);
             open.map(|j| {
                 let class = values.class_of(src.addr, hosts[j].addr, 4791, 4791);
                 let mut crossed = SwitchSet::empty(cluster.num_switches());
@@ -889,35 +964,37 @@ impl Verifier {
                         Step::Next { to, .. } => at = to,
                     }
                 }
-                (outcome, crossed)
+                (j, outcome, crossed)
             })
-            .collect::<Vec<(PairOutcome, SwitchSet)>>()
+            .collect::<Vec<(usize, PairOutcome, SwitchSet)>>()
         });
-        let (mut walked, mut at) = (0usize, 0usize);
-        for (outcome, crossed) in per_src.into_iter().flatten() {
-            while store.index[at] != OPEN {
-                at += 1;
+        let mut walked = 0usize;
+        for (i, row) in per_src.into_iter().enumerate() {
+            let at = store.row_of[i] as usize * n;
+            for (j, outcome, crossed) in row {
+                store.outcomes.push(outcome);
+                let id = store.push(Trace { outcome: store.outcomes.len() as u32 - 1, crossed });
+                store.rows[at + j] = id;
+                walked += 1;
             }
-            store.outcomes.push(outcome);
-            let id = store.push(Trace { outcome: store.outcomes.len() as u32 - 1, crossed });
-            store.index[at] = id;
-            walked += 1;
         }
         self.traces = Arc::new(store);
         walked
     }
 
     /// [`Verifier::walk_pairs`] and [`Verifier::scan_loops`] fused, with
-    /// the symmetry collapse. Per block of `block` header classes: the route
-    /// pass resolves every table-1 decision once ([`StepMatrix::build`]); a
-    /// pass over the pair index, row by row, marks each (source group,
-    /// class) some open pair waits on; one job per class chases the
+    /// the symmetry collapse. Hosts of one source group and one source
+    /// class half share a row: every pair of theirs to one destination has
+    /// one class and one trace. Per block of `block` header classes: the
+    /// route pass resolves every table-1 decision once
+    /// ([`StepMatrix::build`]); a pass over the rows marks each (source
+    /// group, class) some open pair waits on; one job per class chases the
     /// decisions through a [`DestinyMemo`] and uses the destinies twice — to
     /// prove the class loop-free (or fall back to the reference port walk,
     /// keeping `LoopFinding`s byte-identical) and to build one
     /// representative trace per marked source group; the merge stores those
     /// in job order on one thread, loop findings merging in
-    /// class-enumeration order; and a second row pass hands every open pair
+    /// class-enumeration order; and a second row pass hands every open cell
     /// its trace as a `u32`. Reports are byte-identical to the reference's
     /// at any thread count and any block size.
     fn walk_pairs_fast(
@@ -928,8 +1005,6 @@ impl Verifier {
         threads: usize,
         block: usize,
     ) -> usize {
-        let mut store = self.carry_over(delta);
-        let carried_outcomes = store.outcomes.len() as u32;
         let hosts = &self.intent.hosts;
         let (starts, mut seen_cycles) = self.loop_scan_inputs(delta.map(|(touched, _)| touched));
         // Start fates are class-independent, and terminal starts can never
@@ -976,6 +1051,10 @@ impl Verifier {
                 (from, to, group)
             })
             .collect();
+        let mut store = self.carry_over(delta, |i| (sides[i].0, sides[i].2));
+        let carried_outcomes = store.outcomes.len() as u32;
+        let heads = store.heads();
+        self.stats.rows = heads.len();
         struct JobOut {
             /// The class's verdict for each source group marked [`NEEDED`],
             /// in group order.
@@ -994,7 +1073,8 @@ impl Verifier {
             // Per (source group, class of the block): `OPEN`, `NEEDED`, then
             // the trace id the merge gives it.
             let mut cells = vec![OPEN; groups.len() * len];
-            each_open(&sides, &mut store.index, &mut cells, (lo, len), |_, cell| *cell = NEEDED);
+            let rows = (&heads[..], &store.row_of[..], &mut store.rows[..]);
+            each_open(&sides, rows, &mut cells, (lo, len), |_, cell, _| *cell = NEEDED);
             let class_ids: Vec<usize> = (0..len).collect();
             let results: Vec<JobOut> = sdt_par::par_map_threads(threads, &class_ids, |&c| {
                 let mut memo = DestinyMemo::new(fates, steps.class(c));
@@ -1053,16 +1133,19 @@ impl Verifier {
                     *cell = store.push(rep);
                 }
             }
-            // Every pair of the block still open takes its source group's
-            // verdict in its class.
-            each_open(&sides, &mut store.index, &mut cells, (lo, len), |slot, cell| {
+            // Every cell of the block still open takes its source group's
+            // verdict in its class, for each pair that reads it.
+            let rows = (&heads[..], &store.row_of[..], &mut store.rows[..]);
+            each_open(&sides, rows, &mut cells, (lo, len), |slot, cell, pairs| {
                 *slot = *cell;
-                walked_total += 1;
+                walked_total += pairs;
             });
         }
-        debug_assert!(
-            store.index.iter().all(|&id| id < NEEDED),
-            "every ordered pair belongs to exactly one class job"
+        debug_assert_eq!(
+            store.rows.iter().filter(|&&id| id >= NEEDED).count(),
+            heads.iter().filter(|&&(_, members)| members == 1).count(),
+            "every ordered pair belongs to exactly one class job; only a lone member's own \
+             column stays open"
         );
         store.outcomes.extend(outcomes.list);
         self.stats.pairs_replayed = walked_total - self.stats.pairs_walked_full;
@@ -1071,14 +1154,21 @@ impl Verifier {
     }
 
     /// Turn traces + warnings + loops into the final report: classify each
-    /// distinct trace once, then compare and count along each source's row
-    /// of the pair index; only a pair off its expected verdict reads its
+    /// distinct trace once, then compare and count along each row, once
+    /// for all its members; only a row with a cell off its expected verdict
+    /// is read again, member by member, and only such a cell reads its
     /// trace.
     fn finalize(&mut self, switches_scanned: usize, pairs_walked: usize) {
         /// A trace's verdict when it reaches no intent host, and when it
         /// never ends; otherwise the index of the host it is delivered to.
         const NOWHERE: u32 = u32::MAX;
         const FOREVER: u32 = u32::MAX - 1;
+        /// What a pair's verdict says against its expectation, as a
+        /// position in a row's counts.
+        const DELIVERED: usize = 0;
+        const LOOPED: usize = 1;
+        const ISOLATED: usize = 2;
+        const OFF: usize = 3;
         // Dense port→host-index table (last write wins): probed once per
         // distinct delivered trace.
         let ports = self.cluster.model().ports as usize;
@@ -1098,11 +1188,12 @@ impl Verifier {
             PairOutcome::Looped => FOREVER,
         };
         let verdicts: Vec<u32> = store.distinct.iter().map(verdict_of).collect();
+        let n = intent.hosts.len();
         let mut report = VerifyReport {
             loops: self.loops.clone(),
             switches_scanned,
             pairs_walked,
-            pairs_checked: store.index.len(),
+            pairs_checked: n * n.saturating_sub(1),
             header_classes: self.values.num_classes(),
             ..VerifyReport::default()
         };
@@ -1110,48 +1201,78 @@ impl Verifier {
             report.shadowed.extend(w.shadowed.iter().cloned());
             report.nondeterminism.extend(w.nondet.iter().cloned());
         }
-        // Delivery is expected within one (domain, connectivity group).
+        // Delivery is expected within one (domain, connectivity group),
+        // which the members of a row share: what a cell says is the same
+        // for each of them.
         let sides: Vec<(usize, u32)> = intent.hosts.iter().map(|h| (h.domain, h.group)).collect();
-        let n = intent.hosts.len();
-        for (i, src) in intent.hosts.iter().enumerate() {
-            let row = &store.index[i * (n - 1)..][..n - 1];
-            for (j, &id) in (0..n).filter(|&j| j != i).zip(row) {
-                let (expected, verdict) = (sides[i] == sides[j], verdicts[id as usize]);
-                if expected && verdict == j as u32 {
-                    report.delivered_pairs += 1;
-                } else if verdict == FOREVER {
-                    report.looped_pairs += 1;
-                } else if !expected && verdict == NOWHERE {
-                    report.isolated_pairs += 1;
-                } else {
-                    let dst = &intent.hosts[j];
-                    let dead = |reason| BlackholeFinding {
-                        domain: intent.domains[src.domain].clone(),
-                        src: src.host,
-                        dst: dst.host,
-                        reason,
-                    };
-                    match &store.outcomes[store.distinct[id as usize].outcome as usize] {
-                        PairOutcome::Delivered { port, via } if verdict != NOWHERE => {
-                            let to = &intent.hosts[verdict as usize];
-                            report.leaks.push(LeakFinding {
-                                from_domain: intent.domains[src.domain].clone(),
-                                src: src.host,
-                                to_domain: intent.domains[to.domain].clone(),
-                                to_host: to.host,
-                                dst_addr: dst.addr,
-                                port: *port,
-                                via: via.clone(),
-                            });
-                        }
-                        PairOutcome::Delivered { port, .. } => {
-                            report.blackholes.push(dead(DropReason::UnownedHostPort(*port)));
-                        }
-                        PairOutcome::Dropped { reason } => {
-                            report.blackholes.push(dead(reason.clone()));
-                        }
-                        PairOutcome::Looped => unreachable!("counted above"),
+        let say = |src: usize, j: usize, id: u32| {
+            let (expected, verdict) = (sides[src] == sides[j], verdicts[id as usize]);
+            if expected && verdict == j as u32 {
+                DELIVERED
+            } else if verdict == FOREVER {
+                LOOPED
+            } else if !expected && verdict == NOWHERE {
+                ISOLATED
+            } else {
+                OFF
+            }
+        };
+        let heads = store.heads();
+        let counts: Vec<[usize; 4]> = (heads.iter().enumerate())
+            .map(|(r, &(head, _))| {
+                let mut count = [0; 4];
+                for (j, &id) in store.rows[r * n..][..n].iter().enumerate() {
+                    if id != OPEN {
+                        count[say(head, j, id)] += 1;
                     }
+                }
+                count
+            })
+            .collect();
+        for (i, src) in intent.hosts.iter().enumerate() {
+            let row = store.row(i, n);
+            let mut count = counts[store.row_of[i] as usize];
+            // Its own column is no pair of this host's.
+            if row[i] != OPEN {
+                count[say(i, i, row[i])] -= 1;
+            }
+            report.delivered_pairs += count[DELIVERED];
+            report.looped_pairs += count[LOOPED];
+            report.isolated_pairs += count[ISOLATED];
+            if count[OFF] == 0 {
+                continue;
+            }
+            for (j, &id) in row.iter().enumerate().filter(|&(j, _)| j != i) {
+                if say(i, j, id) != OFF {
+                    continue;
+                }
+                let (dst, verdict) = (&intent.hosts[j], verdicts[id as usize]);
+                let dead = |reason| BlackholeFinding {
+                    domain: intent.domains[src.domain].clone(),
+                    src: src.host,
+                    dst: dst.host,
+                    reason,
+                };
+                match &store.outcomes[store.distinct[id as usize].outcome as usize] {
+                    PairOutcome::Delivered { port, via } if verdict != NOWHERE => {
+                        let to = &intent.hosts[verdict as usize];
+                        report.leaks.push(LeakFinding {
+                            from_domain: intent.domains[src.domain].clone(),
+                            src: src.host,
+                            to_domain: intent.domains[to.domain].clone(),
+                            to_host: to.host,
+                            dst_addr: dst.addr,
+                            port: *port,
+                            via: via.clone(),
+                        });
+                    }
+                    PairOutcome::Delivered { port, .. } => {
+                        report.blackholes.push(dead(DropReason::UnownedHostPort(*port)));
+                    }
+                    PairOutcome::Dropped { reason } => {
+                        report.blackholes.push(dead(reason.clone()));
+                    }
+                    PairOutcome::Looped => unreachable!("counted above"),
                 }
             }
         }
@@ -1159,31 +1280,37 @@ impl Verifier {
     }
 }
 
-/// Visit, one source row of `index` at a time, every pair still [`OPEN`]
-/// whose class is one of the `len` from position `lo`, together with its
-/// (source group, class) cell of `cells`. `sides` holds, per host, the two
-/// halves of its pairs' class positions ([`HeaderValues::pair_class`]) and
-/// its source group.
+/// Visit, one row at a time, every cell still [`OPEN`] that some pair
+/// reads and whose class is one of the `len` from position `lo`, together
+/// with its (source group, class) cell of `cells` and how many pairs read
+/// it: every member of the row, less the one whose own column it is.
+/// `sides` holds, per host, the two halves of its pairs' class positions
+/// ([`HeaderValues::pair_class`]) and its source group, which a row's
+/// members share; `rows` is [`TraceStore::heads`], `row_of` and `rows`.
 fn each_open(
     sides: &[(usize, usize, usize)],
-    index: &mut [u32],
+    (heads, row_of, rows): (&[(usize, u32)], &[u32], &mut [u32]),
     cells: &mut [u32],
     (lo, len): (usize, usize),
-    mut visit: impl FnMut(&mut u32, &mut u32),
+    mut visit: impl FnMut(&mut u32, &mut u32, usize),
 ) {
     let n = sides.len();
     let widest = sides.iter().map(|&(_, to, _)| to).max().unwrap_or(0);
-    for (i, &(from, _, group)) in sides.iter().enumerate() {
+    for (r, &(head, members)) in heads.iter().enumerate() {
+        let (from, _, group) = sides[head];
         if from >= lo + len || from + widest < lo {
-            continue; // none of this source's classes is in the block
+            continue; // none of this row's classes is in the block
         }
-        let row = &mut index[i * (n - 1)..][..n - 1];
+        let row = &mut rows[r * n..][..n];
         let cells = &mut cells[group * len..][..len];
-        for (j, slot) in (0..n).filter(|&j| j != i).zip(row) {
+        for (j, slot) in row.iter_mut().enumerate() {
             // Below `lo` wraps far past `len`.
             let at = (from + sides[j].1).wrapping_sub(lo);
             if *slot == OPEN && at < len {
-                visit(slot, &mut cells[at]);
+                let pairs = members as usize - usize::from(row_of[j] as usize == r);
+                if pairs > 0 {
+                    visit(slot, &mut cells[at], pairs);
+                }
             }
         }
     }
@@ -1319,15 +1446,15 @@ mod tests {
     use sdt_openflow::{FlowMatch, HostAddr};
     use sdt_topology::fattree::fat_tree;
 
-    /// What a proof keeps, rendered: the report, the pair index, and the
-    /// traces it names with their verdicts spelled out (a verdict's id is
-    /// its place in the order the route passes met it, which moves with the
-    /// block cut).
+    /// What a proof keeps, rendered: the report, the rows and who reads
+    /// them, and the traces they name with their verdicts spelled out (a
+    /// verdict's id is its place in the order the route passes met it,
+    /// which moves with the block cut).
     fn kept(v: &Verifier) -> String {
         let store = &v.traces;
         let named = |t: &'_ Trace| (store.outcomes[t.outcome as usize].clone(), t.crossed.clone());
         let traces: Vec<_> = store.distinct.iter().map(named).collect();
-        format!("{:?} {:?} {traces:?}", v.report, store.index)
+        format!("{:?} {:?} {:?} {traces:?}", v.report, store.row_of, store.rows)
     }
 
     /// The pair index is a function of the tables and the intent alone:

@@ -64,6 +64,10 @@ pub struct VerifyStats {
     pub pairs_walked_full: usize,
     /// Pairs that replayed a representative's verdict without walking.
     pub pairs_replayed: usize,
+    /// Rows of trace ids the proof keeps: one per set of hosts that
+    /// provably fare alike toward every destination (128 of 1 024 hosts on
+    /// fat-tree k=16), not one per host.
+    pub rows: usize,
     /// Header classes the loop scan cleared by state-graph analysis alone.
     pub loop_classes_fast: usize,
     /// Header classes re-scanned by the reference loop walker (a cycle was

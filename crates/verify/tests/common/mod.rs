@@ -5,7 +5,9 @@
 //! domain is relabelled, and another slice arrives. `fast_differential`
 //! holds the two walkers to each other and to a probe count along it;
 //! `determinism` runs it at two thread counts. Also the hand-written
-//! switch chain both suites edit rules into.
+//! switch chains the suites edit rules into — one host per switch, or
+//! several that share their switch's row — and a live bank of a view's
+//! tables for probes.
 
 #![allow(dead_code)] // each test crate reads its own part of a step
 
@@ -145,7 +147,78 @@ pub fn wide_chain(n: u32) -> (PhysicalCluster, TableView, Intent) {
     (cluster, view, intent)
 }
 
-/// Switch `sw`'s route toward host `dst` in [`wide_chain`].
+/// A chain of `n` switches with `per` host ports each — ports `0..per`,
+/// then port `per` to the left neighbor and `per + 1` to the right — whose
+/// tables have [`wide_chain`]'s shape: switch `i` classifies every port into
+/// metadata `i` and routes address `per · i + k` to its port `k`. The intent
+/// lists the hosts on ports `0..listed` of every switch, each with its
+/// address as host id; the other ports' addresses are routed, but nobody
+/// holds them yet.
+pub fn bushy_chain(n: u32, per: u16, listed: u16) -> (PhysicalCluster, TableView, Intent) {
+    let at = |switch: u32, port: u16| PhysPort { switch, port: PortNo(port) };
+    let model = SwitchModel {
+        name: "synthetic bushy",
+        ports: u32::from(per) + 2,
+        ..SwitchModel::openflow_64x100g()
+    };
+    let cables = (0..n - 1).map(|i| (at(i, per + 1), at(i + 1, per))).collect();
+    let hosts = (0..n).flat_map(|i| (0..per).map(move |k| at(i, k))).collect();
+    let cluster = PhysicalCluster::custom(model, n, cables, hosts);
+    let mut view = TableView::empty(n as usize);
+    let mut intent = Intent::new();
+    intent.domains.push("bushy-chain".to_string());
+    let per32 = u32::from(per);
+    for i in 0..n {
+        for port in 0..per + 2 {
+            let classify = FlowEntry {
+                m: FlowMatch::on_port(PortNo(port)),
+                priority: 10,
+                action: Action::WriteMetadataGoto(i),
+            };
+            view.apply(i, 0, &FlowMod::Add(classify));
+        }
+        for dst in 0..n * per32 {
+            let out = match (dst / per32).cmp(&i) {
+                std::cmp::Ordering::Less => per,
+                std::cmp::Ordering::Equal => (dst % per32) as u16,
+                std::cmp::Ordering::Greater => per + 1,
+            };
+            view.apply(i, 1, &FlowMod::Add(route(i, dst, out)));
+        }
+        for k in 0..listed {
+            let addr = per32 * i + u32::from(k);
+            intent.hosts.push(IntentHost {
+                domain: 0,
+                host: sdt_topology::HostId(addr),
+                addr: HostAddr(addr),
+                ingress: at(i, k),
+                ports: vec![at(i, k)],
+                group: 0,
+            });
+        }
+    }
+    (cluster, view, intent)
+}
+
+/// A live switch bank holding `view`'s tables, for probes that walk packets.
+pub fn bank(cluster: &PhysicalCluster, view: &TableView) -> Vec<OpenFlowSwitch> {
+    let config = sdt_openflow::SwitchConfig {
+        num_ports: cluster.model().ports as u16,
+        port_gbps: 100,
+        table_capacity: usize::MAX,
+    };
+    (0..view.num_switches() as u32)
+        .map(|sw| {
+            let mut s = OpenFlowSwitch::new(sw, config);
+            for table in 0..2 {
+                s.install(table, view.entries(sw, table)).unwrap();
+            }
+            s
+        })
+        .collect()
+}
+
+/// Switch `sw`'s route toward host `dst` in [`wide_chain`] and [`bushy_chain`].
 pub fn route(sw: u32, dst: u32, out: u16) -> FlowEntry {
     FlowEntry {
         m: FlowMatch::to_dst(HostAddr(dst)).and_metadata(sw),

@@ -12,7 +12,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 mod common;
 
-use common::{route, wide_chain};
+use common::{bank, bushy_chain, route, wide_chain};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -75,6 +75,26 @@ fn project(topo: &Topology) -> (sdt_core::cluster::PhysicalCluster, sdt_core::sd
         }
     }
     panic!("{} does not fit on 8 switches", topo.name());
+}
+
+/// Project a topology onto `switches` synthetic 512-port switches wired for
+/// it, as the `reconfig-k16` benchmark unit does.
+fn project_wide(
+    topo: &Topology,
+    switches: u32,
+) -> (sdt_core::cluster::PhysicalCluster, sdt_core::sdt::SdtProjection) {
+    let wide = SwitchModel {
+        name: "synthetic 512x100G",
+        ports: 512,
+        gbps: 100,
+        price_usd: 0,
+        table_capacity: 262_144,
+        p4: false,
+    };
+    let ctl = SdtController::for_campaign(std::slice::from_ref(topo), wide, switches).unwrap();
+    let projector = SdtProjector { merge_entries_on_overflow: true, ..Default::default() };
+    let proj = projector.project_default(topo, ctl.cluster()).unwrap();
+    (ctl.cluster().clone(), proj)
 }
 
 #[test]
@@ -531,6 +551,144 @@ fn carry_over_under_intent_change_fast_equals_plain_equals_scratch() {
             }
         }
     }
+}
+
+#[test]
+fn a_shared_rows_leak_and_blackhole_are_reported_per_member_in_src_major_order() {
+    // Hosts 0..=3 sit behind one edge switch of a fat-tree k=8 and share a
+    // row. Two rules above its routes break that row twice: traffic for
+    // host 100 is dropped there, and traffic for host 101 goes out host 1's
+    // port. Every member of the row must get its own finding, source by
+    // source, exactly where the reference walker puts it.
+    let topo = fat_tree(8);
+    let (cluster, proj) = project_wide(&topo, 4);
+    let intent = Intent::of_projection(&proj, &topo, topo.name());
+    let mut view = TableView::of_synthesis(&proj.synthesis);
+    let edge = topo.host_switch(sdt_topology::HostId(0));
+    assert!((1..4).all(|h| topo.host_switch(sdt_topology::HostId(h)) == edge));
+    let sw = proj.assignment[edge.idx()];
+    let at_edge = |dst: u32, action| FlowEntry {
+        m: FlowMatch::to_dst(HostAddr(dst)).and_metadata(edge.0),
+        priority: 20,
+        action,
+    };
+    let host_1 = intent.hosts[1].ingress;
+    assert_eq!(host_1.switch, sw);
+    view.apply(sw, 1, &FlowMod::Add(at_edge(100, Action::Drop)));
+    view.apply(sw, 1, &FlowMod::Add(at_edge(101, Action::Output(host_1.port))));
+    let plain = Verifier::check_plain_threads(&cluster, view.clone(), intent.clone(), 2);
+    let fast = Verifier::check_threads(&cluster, view, intent, 2);
+    assert_identical(&fast, &plain, "corrupted fat-tree k=8");
+    assert_eq!(fast.stats().rows, 32, "one row per edge switch");
+    let r = fast.report();
+    let dead: Vec<(u32, u32)> = r.blackholes.iter().map(|b| (b.src.0, b.dst.0)).collect();
+    assert_eq!(dead, [(0, 100), (1, 100), (2, 100), (3, 100)]);
+    let leaks: Vec<(u32, u32, u32)> =
+        r.leaks.iter().map(|l| (l.src.0, l.dst_addr.0, l.to_host.0)).collect();
+    assert_eq!(leaks, [(0, 101, 1), (1, 101, 1), (2, 101, 1), (3, 101, 1)]);
+    assert_eq!(r.pairs_checked, 128 * 127);
+    assert_eq!(r.delivered_pairs, 128 * 127 - 8);
+}
+
+#[test]
+fn hosts_that_expect_differently_never_share_a_row() {
+    // Hosts 0 and 1 enter switch 0 alike, so every packet of theirs fares
+    // alike, but the intent puts host 1 in a connectivity group of its own:
+    // each of its ten deliveries, to and from the other five hosts, is a
+    // leak, and none of host 0's is.
+    let (cluster, view, mut intent) = bushy_chain(3, 2, 2);
+    intent.hosts[1].group = 1;
+    let plain = Verifier::check_plain_threads(&cluster, view.clone(), intent.clone(), 2);
+    let fast = Verifier::check_threads(&cluster, view, intent, 2);
+    assert_identical(&fast, &plain, "two groups on one switch");
+    assert_eq!(fast.stats().rows, 4);
+    assert_eq!(fast.report().leaks.len(), 10);
+}
+
+#[test]
+fn a_delta_chain_splits_a_shared_row_and_merges_it_again() {
+    // Six switches, two listed hosts on each of their three host ports: the
+    // hosts of a switch share a row. Each step is a delta on the last; each
+    // must be byte-identical to the reference delta, say what a from-scratch
+    // proof says, and re-walk exactly the pairs a probe through the tables
+    // it starts from says cross a touched switch (or lost an endpoint).
+    let (cluster, mut view, intent) = bushy_chain(6, 3, 2);
+    let mut plain = Verifier::check_plain_threads(&cluster, view.clone(), intent.clone(), 2);
+    let mut fast = Verifier::check_threads(&cluster, view.clone(), intent.clone(), 2);
+    assert_identical(&fast, &plain, "bushy chain");
+    assert_eq!(fast.stats().rows, 6);
+    let reroute = |sw: u32, dst: u32, from: u16, to: u16| {
+        let old = route(sw, dst, from);
+        [(sw, 1, FlowMod::Delete(old.m, old.priority)), (sw, 1, FlowMod::Add(route(sw, dst, to)))]
+    };
+    let at = |switch: u32, port: u16| sdt_core::cluster::PhysPort { switch, port: PortNo(port) };
+    let mut steps = Vec::new();
+    // Host 3 leaves switch 1 for switch 3's free port: the routes to it on
+    // switches 1 to 3 turn, every row there carries nothing, and it joins
+    // switch 3's row.
+    let mut moved = intent.clone();
+    let h3 = moved.hosts.iter_mut().find(|h| h.addr.0 == 3).unwrap();
+    (h3.ingress, h3.ports) = (at(3, 2), vec![at(3, 2)]);
+    let batch = [reroute(1, 3, 0, 4), reroute(2, 3, 3, 4), reroute(3, 3, 3, 2)].concat();
+    steps.push(("move host 3", batch, moved.clone(), 6));
+    // A host appears on switch 5's free port, whose address is routed
+    // already: no table changes, switch 5's two hosts carry their row and
+    // the newcomer carries nothing — the row splits.
+    let mut added = moved.clone();
+    added.hosts.push(sdt_verify::IntentHost {
+        host: sdt_topology::HostId(17),
+        addr: HostAddr(17),
+        ingress: at(5, 2),
+        ports: vec![at(5, 2)],
+        ..added.hosts[0].clone()
+    });
+    steps.push(("add host 17", Vec::new(), added.clone(), 7));
+    // Host 7 leaves from the middle of the list: every later host moves up
+    // a position, the split stays.
+    let mut removed = added.clone();
+    removed.hosts.retain(|h| h.addr.0 != 7);
+    steps.push(("remove host 7", Vec::new(), removed.clone(), 7));
+    // Switch 5 is touched: none of its hosts carries anything, and they
+    // share one row again.
+    steps.push(("touch switch 5", reroute(5, 15, 0, 0).to_vec(), removed, 6));
+    for (label, batch, next, rows) in steps {
+        let step = common::ChurnStep { label, before: bank(&cluster, &view), batch, intent: next };
+        let expected = pairs_to_rewalk(&cluster, fast.intent(), &step);
+        for (sw, table, m) in &step.batch {
+            view.apply(*sw, *table, m);
+        }
+        plain = Verifier::check_delta_plain_threads(&plain, &step.batch, step.intent.clone(), 2);
+        fast = Verifier::check_delta_threads(&fast, &step.batch, step.intent.clone(), 2);
+        assert_identical(&fast, &plain, label);
+        assert!(fast.holds(), "{label}: {}", fast.report().summary());
+        let scratch = Verifier::check_threads(&cluster, view.clone(), step.intent.clone(), 2);
+        assert_same_verdict_as_scratch(&fast, &scratch, label);
+        assert_eq!(fast.report().pairs_walked, expected, "{label}");
+        assert_eq!(fast.stats().rows, rows, "{label}");
+    }
+}
+
+#[test]
+fn fat_tree_k16_keeps_one_row_per_source_group() {
+    // The `reconfig-k16` benchmark unit's proof: 1 024 hosts, 128 edge
+    // switches, 1 025 header classes, on 19 wide switches.
+    let topo = fat_tree(16);
+    let (cluster, proj) = project_wide(&topo, 19);
+    let intent = Intent::of_projection(&proj, &topo, topo.name());
+    let v = Verifier::check_threads(&cluster, TableView::of_synthesis(&proj.synthesis), intent, 2);
+    assert!(v.holds(), "{}", v.report().summary());
+    assert_eq!(v.report().pairs_checked, 1_047_552);
+    let want = sdt_verify::VerifyStats {
+        symmetric: true,
+        pairs_walked_full: 131_072,
+        pairs_replayed: 916_480,
+        rows: 128,
+        loop_classes_fast: 1025,
+        loop_classes_fallback: 0,
+        cache_hits: 278_528,
+        cache_misses: 328_000,
+    };
+    assert_eq!(v.stats(), &want);
 }
 
 /// Decode a random match over tiny field domains so entries collide and
