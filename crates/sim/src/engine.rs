@@ -11,11 +11,12 @@
 
 use crate::config::SimConfig;
 use crate::mpi::MpiState;
+use crate::queue::EventQueue;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use sdt_routing::{LoadMap, RouteTable, RoutingStrategy};
 use sdt_topology::{Endpoint, HostId, SwitchId, Topology};
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Simulation timestamp, ns.
 pub type Time = u64;
@@ -398,28 +399,9 @@ impl Ev {
     }
 }
 
-struct Scheduled {
-    t: Time,
-    seq: u64,
-    ev: Ev,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.t == other.t && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reverse for a min-heap on (t, seq).
-        (other.t, other.seq).cmp(&(self.t, self.seq))
-    }
+/// Serialization time of `bytes` at `bytes_per_ns`, ns.
+fn ser_ns(bytes: u32, bytes_per_ns: f64) -> u64 {
+    (bytes as f64 / bytes_per_ns).ceil() as u64
 }
 
 /// CSR-style per-node adjacency index mapping `(from, to)` node pairs to
@@ -476,6 +458,9 @@ impl ChannelIndex {
 pub struct Simulator {
     cfg: SimConfig,
     cell_bytes: u32,
+    /// Nominal serialization of a full cell and of `header_bytes`, ns.
+    ser_cell_ns: u64,
+    ser_header_ns: u64,
     /// Buffer limits converted from bytes to cells at this granularity.
     queue_cap_cells: u32,
     nic_queue_cells: u32,
@@ -485,16 +470,8 @@ pub struct Simulator {
     /// Indexed by host node; switches have none.
     nics: Vec<Nic>,
     pub(crate) flows: Vec<Flow>,
-    /// Future events, min-ordered on `(t, seq)`.
-    events: BinaryHeap<Scheduled>,
-    /// Events scheduled at the current timestamp, in `seq` (push) order.
-    /// The hot path — enqueue→TryTx, credit→TryTx, paced Inject chains —
-    /// overwhelmingly schedules at `now`, so those events take two O(1)
-    /// deque ops instead of two O(log n) heap ops. Global `(t, seq)`
-    /// ordering is preserved exactly: the dispatcher merges the deque head
-    /// with the heap head by sequence number.
-    now_events: VecDeque<(u64, Ev)>,
-    seq: u64,
+    /// Future events, dispatched in `(t, push order)`.
+    events: EventQueue<Ev>,
     pub(crate) now: Time,
     rng: StdRng,
     stats: SimStats,
@@ -555,9 +532,18 @@ impl Simulator {
         let cell_bytes = cfg.granularity.bytes();
         let queue_cap_cells = (cfg.queue_cap_bytes / cell_bytes).max(1);
         let nic_queue_cells = (cfg.nic_queue_bytes / cell_bytes).max(1);
+        let ser_cell_ns = ser_ns(cell_bytes, cfg.bytes_per_ns());
+        let ser_header_ns = ser_ns(cfg.header_bytes, cfg.bytes_per_ns());
+        // Twice one nominal hop, so a transmit's Arrive and TryTx land on the
+        // wheel; the cap only bounds memory for extreme configs.
+        let hop_ns =
+            ser_cell_ns + cfg.link_latency_ns + cfg.switch_latency_ns + cfg.extra_switch_ns;
+        let span = (2 * hop_ns).next_power_of_two().clamp(64, 1 << 16);
         Simulator {
             cfg,
             cell_bytes,
+            ser_cell_ns,
+            ser_header_ns,
             queue_cap_cells,
             nic_queue_cells,
             num_hosts,
@@ -565,9 +551,7 @@ impl Simulator {
             channel_ix,
             nics: (0..num_hosts).map(|_| Nic::default()).collect(),
             flows: Vec::new(),
-            events: BinaryHeap::new(),
-            now_events: VecDeque::new(),
-            seq: 0,
+            events: EventQueue::new(span),
             now: 0,
             rng: StdRng::seed_from_u64(seed),
             stats: SimStats::default(),
@@ -622,23 +606,6 @@ impl Simulator {
         &self.topo
     }
 
-    fn host_node(&self, h: HostId) -> u32 {
-        h.0
-    }
-
-    fn push(&mut self, t: Time, ev: Ev) {
-        self.seq += 1;
-        if t <= self.now {
-            // Timestamps never run backwards; `t < now` cannot happen from
-            // the handlers (delays are non-negative), so this is the
-            // schedule-at-current-time fast path.
-            debug_assert!(t == self.now);
-            self.now_events.push_back((self.seq, ev));
-        } else {
-            self.events.push(Scheduled { t, seq: self.seq, ev });
-        }
-    }
-
     #[inline]
     fn channel(&self, from: u32, to: u32) -> u32 {
         self.channel_ix.get(from, to)
@@ -650,7 +617,7 @@ impl Simulator {
         let sa = self.topo.host_switch(src);
         let sb = self.topo.host_switch(dst);
         let sn = |s: SwitchId| self.num_hosts + s.0;
-        let mut chans = vec![self.channel(self.host_node(src), sn(sa))];
+        let mut chans = vec![self.channel(src.0, sn(sa))];
         let mut vcs = vec![NIC_VC];
         if sa != sb {
             let r = self
@@ -662,7 +629,7 @@ impl Simulator {
                 vcs.push(vc);
             }
         }
-        chans.push(self.channel(sn(sb), self.host_node(dst)));
+        chans.push(self.channel(sn(sb), dst.0));
         vcs.push(0);
         (chans, vcs)
     }
@@ -696,7 +663,7 @@ impl Simulator {
         };
         let id = self.start_flow(src, dst, bytes, FlowKind::Tcp(tcp));
         let rto = self.cfg.tcp.rto_ns;
-        self.push(self.now + rto, Ev::TcpRto(id));
+        self.events.push(self.now + rto, Ev::TcpRto(id));
         id
     }
 
@@ -752,10 +719,10 @@ impl Simulator {
             inject_scheduled: true,
             send_completed: false,
         });
-        self.push(at, Ev::Inject(id));
+        self.events.push(at, Ev::Inject(id));
         if let Some(d) = self.cfg.dcqcn.as_ref() {
             if dcqcn.is_some() {
-                self.push(at + d.timer_ns, Ev::DcqcnTimer(id));
+                self.events.push(at + d.timer_ns, Ev::DcqcnTimer(id));
             }
         }
         id
@@ -766,7 +733,7 @@ impl Simulator {
         let n = mpi.num_ranks();
         self.mpi = Some(mpi);
         for r in 0..n {
-            self.push(0, Ev::RankWake(r));
+            self.events.push(0, Ev::RankWake(r));
         }
     }
 
@@ -776,51 +743,23 @@ impl Simulator {
         let wall_start = std::time::Instant::now();
         if !self.monitor_active {
             self.monitor_active = true;
-            self.push(self.now + self.cfg.monitor_interval_ns, Ev::MonitorTick);
+            self.events.push(self.now + self.cfg.monitor_interval_ns, Ev::MonitorTick);
         }
         loop {
             // Stop as soon as an outcome is decided.
             if self.outcome.is_some() {
                 break;
             }
-            // Pick the earlier of the heap head and the current-time deque
-            // head; ties (same timestamp) go to the lower sequence number,
-            // so dispatch order is exactly the single-heap (t, seq) order.
-            let take_heap = match (self.events.peek(), self.now_events.front()) {
-                (Some(s), Some(&(front_seq, _))) => {
-                    s.t < self.now || (s.t == self.now && s.seq < front_seq)
-                }
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
+            let Some(next_t) = self.events.next_time() else { break };
             // Respect the time limit without consuming the event beyond it,
             // so a run can resume after `set_time_limit`.
-            let next_t = if take_heap {
-                match self.events.peek() {
-                    Some(s) => s.t,
-                    None => unreachable!("take_heap implies a peeked event"),
-                }
-            } else {
-                // Deque events run at the current timestamp; it can only
-                // exceed the limit if `set_time_limit` lowered it mid-run.
-                self.now
-            };
             if self.cfg.max_sim_ns > 0 && next_t > self.cfg.max_sim_ns {
                 self.outcome = Some(SimOutcome::TimeLimit);
                 self.now = self.cfg.max_sim_ns;
                 break;
             }
-            let (t, ev) = if take_heap {
-                match self.events.pop() {
-                    Some(Scheduled { t, ev, .. }) => (t, ev),
-                    None => unreachable!("take_heap implies a poppable event"),
-                }
-            } else {
-                match self.now_events.pop_front() {
-                    Some((_, ev)) => (self.now, ev),
-                    None => unreachable!("the deque branch implies a queued event"),
-                }
+            let Some((t, ev)) = self.events.pop() else {
+                unreachable!("next_time saw an event")
             };
             self.now = t;
             self.stats.events += 1;
@@ -909,9 +848,18 @@ impl Simulator {
 
     /// Serialization time on a (possibly degraded) channel. `scale == 1.0`
     /// is the nominal line rate, so fault-free runs are bit-identical to
-    /// the pre-degradation engine.
+    /// the pre-degradation engine; full cells and headers at that rate are
+    /// precomputed.
     fn ser_ns_scaled(&self, bytes: u32, scale: f64) -> u64 {
-        (bytes as f64 / (self.cfg.bytes_per_ns() * scale)).ceil() as u64
+        if scale == 1.0 {
+            if bytes == self.cell_bytes {
+                return self.ser_cell_ns;
+            }
+            if bytes == self.cfg.header_bytes {
+                return self.ser_header_ns;
+            }
+        }
+        ser_ns(bytes, self.cfg.bytes_per_ns() * scale)
     }
 
     fn try_tx(&mut self, c: u32) {
@@ -921,20 +869,18 @@ impl Simulator {
             self.stats.try_tx_noops += 1;
             return;
         }
+        // Round-robin from `next_vc`: each VC at most once, wrapping at `nvc`.
         let nvc = ch.queues.len();
-        let mut picked: Option<usize> = None;
-        for i in 0..nvc {
-            let vc = (ch.next_vc + i) % nvc;
-            if !ch.queues[vc].is_empty() && (!lossless || ch.credits[vc] > 0) {
-                picked = Some(vc);
-                break;
+        let (mut vc, mut left) = (ch.next_vc, nvc);
+        while ch.queues[vc].is_empty() || (lossless && ch.credits[vc] == 0) {
+            left -= 1;
+            if left == 0 {
+                self.stats.try_tx_noops += 1;
+                return;
             }
+            vc = if vc + 1 == nvc { 0 } else { vc + 1 };
         }
-        let Some(vc) = picked else {
-            self.stats.try_tx_noops += 1;
-            return;
-        };
-        ch.next_vc = (vc + 1) % nvc;
+        ch.next_vc = if vc + 1 == nvc { 0 } else { vc + 1 };
         let cell = match ch.queues[vc].pop_front() {
             Some(c) => c,
             None => unreachable!("the arbiter picked a non-empty VC"),
@@ -954,7 +900,7 @@ impl Simulator {
         let (arr_ch, arr_vc) = (cell.arr_ch, cell.arr_vc);
         if lossless && arr_ch != NO_CHANNEL {
             let lat = self.cfg.link_latency_ns;
-            self.push(self.now + lat, Ev::Credit(arr_ch, arr_vc));
+            self.events.push(self.now + lat, Ev::Credit(arr_ch, arr_vc));
         }
         // A NIC slot came free: park the backlog for one wake.
         let from = self.channels[c as usize].from as usize;
@@ -962,7 +908,7 @@ impl Simulator {
             if !nic.backlog.entries.is_empty() {
                 debug_assert!(nic.parked.entries.is_empty(), "one wake per transmit");
                 std::mem::swap(&mut nic.backlog, &mut nic.parked);
-                self.push(self.now, Ev::Wake(c));
+                self.events.push(self.now, Ev::Wake(c));
             }
         }
         // Transit: wire + (switch pipeline if entering a switch, including
@@ -981,8 +927,8 @@ impl Simulator {
         if to >= self.num_hosts {
             arr += self.cfg.switch_latency_ns + self.cfg.extra_switch_ns;
         }
-        self.push(arr, Ev::Arrive(c, cell));
-        self.push(busy, Ev::TryTx(c));
+        self.events.push(arr, Ev::Arrive(c, cell));
+        self.events.push(busy, Ev::TryTx(c));
     }
 
     fn arrive(&mut self, c: u32, mut cell: Cell) {
@@ -991,7 +937,7 @@ impl Simulator {
             // Delivery to a host NIC: buffer frees instantly.
             if self.cfg.lossless {
                 let lat = self.cfg.link_latency_ns;
-                self.push(self.now + lat, Ev::Credit(c, cell.vcs_arr()));
+                self.events.push(self.now + lat, Ev::Credit(c, cell.vc));
             }
             self.stats.cells_delivered += 1;
             self.last_delivery = self.now;
@@ -1026,7 +972,7 @@ impl Simulator {
             }
             if self.cfg.lossless && cell.arr_ch != NO_CHANNEL {
                 let lat = self.cfg.link_latency_ns;
-                self.push(self.now + lat, Ev::Credit(cell.arr_ch, cell.arr_vc));
+                self.events.push(self.now + lat, Ev::Credit(cell.arr_ch, cell.arr_vc));
             }
             self.sniff(cell.flow, cell.seq, CaptureEvent::Dropped);
             return;
@@ -1070,12 +1016,12 @@ impl Simulator {
         ch.queues[vc].push_back(cell);
         ch.queued += 1;
         ch.peak_queued = ch.peak_queued.max(ch.queued);
-        self.push(self.now, Ev::TryTx(d));
+        self.events.push(self.now, Ev::TryTx(d));
     }
 
     fn credit(&mut self, c: u32, vc: u8) {
         self.channels[c as usize].credits[vc as usize] += 1;
-        self.push(self.now, Ev::TryTx(c));
+        self.events.push(self.now, Ev::TryTx(c));
     }
 
     fn nic_full(&self, nic_ch: u32) -> bool {
@@ -1136,7 +1082,7 @@ impl Simulator {
             f.finish = Some(self.now + 1_000);
             f.send_completed = true;
             let done_t = self.now + 1_000;
-            self.push(done_t, Ev::TcpAck(fid, u32::MAX)); // reuse as completion tick
+            self.events.push(done_t, Ev::TcpAck(fid, u32::MAX)); // reuse as completion tick
             return;
         }
 
@@ -1183,7 +1129,7 @@ impl Simulator {
         }
         let eager_done = !matches!(f.kind, FlowKind::Tcp(_)) && f.bytes_injected >= f.bytes_total;
         // Pace the next injection.
-        let ser = (bytes as f64 / self.cfg.bytes_per_ns()).ceil() as u64;
+        let ser = self.ser_ns_scaled(bytes, 1.0);
         let f = &mut self.flows[fid as usize];
         let gap = match (&f.kind, &f.dcqcn) {
             (FlowKind::Tcp(_), _) => ser,
@@ -1202,7 +1148,7 @@ impl Simulator {
         }
         self.enqueue(nic_ch, cell);
         if more {
-            self.push(self.now + gap, Ev::Inject(fid));
+            self.events.push(self.now + gap, Ev::Inject(fid));
         }
         if eager_done {
             self.flows[fid as usize].send_completed = true;
@@ -1230,7 +1176,7 @@ impl Simulator {
                 }
             };
             let delay = self.reverse_delay(fid);
-            self.push(self.now + delay, Ev::TcpAck(fid, ack));
+            self.events.push(self.now + delay, Ev::TcpAck(fid, ack));
             return;
         }
         // Message / raw flow.
@@ -1251,7 +1197,7 @@ impl Simulator {
             };
             if ok {
                 let d = self.reverse_delay(fid);
-                self.push(self.now + d, Ev::CnpArrive(fid));
+                self.events.push(self.now + d, Ev::CnpArrive(fid));
             }
         }
         let done = {
@@ -1298,10 +1244,10 @@ impl Simulator {
             st.target_bpns = (st.target_bpns + dcfg.rate_ai_bpns).min(line);
         }
         let resched = !f.inject_scheduled && f.bytes_injected < f.bytes_total;
-        self.push(self.now + dcfg.timer_ns, Ev::DcqcnTimer(fid));
+        self.events.push(self.now + dcfg.timer_ns, Ev::DcqcnTimer(fid));
         if resched {
             self.flows[fid as usize].inject_scheduled = true;
-            self.push(self.now, Ev::Inject(fid));
+            self.events.push(self.now, Ev::Inject(fid));
         }
     }
 
@@ -1350,7 +1296,7 @@ impl Simulator {
         }
         if reinject && !self.flows[fid as usize].inject_scheduled {
             self.flows[fid as usize].inject_scheduled = true;
-            self.push(self.now, Ev::Inject(fid));
+            self.events.push(self.now, Ev::Inject(fid));
         }
     }
 
@@ -1374,11 +1320,11 @@ impl Simulator {
             }
         }
         if resched {
-            self.push(self.now + rto, Ev::TcpRto(fid));
+            self.events.push(self.now + rto, Ev::TcpRto(fid));
         }
         if reinject && !self.flows[fid as usize].inject_scheduled {
             self.flows[fid as usize].inject_scheduled = true;
-            self.push(self.now, Ev::Inject(fid));
+            self.events.push(self.now, Ev::Inject(fid));
         }
     }
 
@@ -1419,7 +1365,7 @@ impl Simulator {
         let mpi_active = self.mpi.as_ref().is_some_and(|m| !m.all_done());
         let injecting = self.flows.iter().any(|f| f.inject_scheduled);
         if self.cells_in_net > 0 || injecting || mpi_active {
-            self.push(self.now + self.cfg.monitor_interval_ns, Ev::MonitorTick);
+            self.events.push(self.now + self.cfg.monitor_interval_ns, Ev::MonitorTick);
         } else {
             self.monitor_active = false;
         }
@@ -1444,7 +1390,7 @@ impl Simulator {
     }
 
     pub(crate) fn schedule_rank_wake(&mut self, rank: u32, at: Time) {
-        self.push(at, Ev::RankWake(rank));
+        self.events.push(at, Ev::RankWake(rank));
     }
 
     /// Iterate over switch-to-switch channels as (from, to, total bytes).
@@ -1497,7 +1443,7 @@ impl Simulator {
     pub fn schedule_link_failure(&mut self, a: SwitchId, b: SwitchId, at_ns: Time) {
         let x = self.num_hosts + a.0;
         let y = self.num_hosts + b.0;
-        self.push(at_ns, Ev::LinkFail(x, y));
+        self.events.push(at_ns, Ev::LinkFail(x, y));
     }
 
     /// Recovery injection: at `at_ns`, both directions of the fabric link
@@ -1505,19 +1451,19 @@ impl Simulator {
     pub fn schedule_link_recovery(&mut self, a: SwitchId, b: SwitchId, at_ns: Time) {
         let x = self.num_hosts + a.0;
         let y = self.num_hosts + b.0;
-        self.push(at_ns, Ev::LinkUp(x, y));
+        self.events.push(at_ns, Ev::LinkUp(x, y));
     }
 
     /// Crash injection: at `at_ns`, every channel incident to switch `s` —
     /// fabric links and host attachments — goes down at once.
     pub fn schedule_switch_crash(&mut self, s: SwitchId, at_ns: Time) {
-        self.push(at_ns, Ev::NodeFail(self.num_hosts + s.0));
+        self.events.push(at_ns, Ev::NodeFail(self.num_hosts + s.0));
     }
 
     /// Restart injection: at `at_ns`, every channel incident to switch `s`
     /// comes back.
     pub fn schedule_switch_restart(&mut self, s: SwitchId, at_ns: Time) {
-        self.push(at_ns, Ev::NodeRestore(self.num_hosts + s.0));
+        self.events.push(at_ns, Ev::NodeRestore(self.num_hosts + s.0));
     }
 
     /// Degradation injection: at `at_ns`, the link serializes at `factor`
@@ -1532,7 +1478,7 @@ impl Simulator {
         assert!(factor > 0.0 && factor <= 1.0, "degrade factor must be in (0, 1]");
         let x = self.num_hosts + a.0;
         let y = self.num_hosts + b.0;
-        self.push(at_ns, Ev::Degrade(x, y, factor));
+        self.events.push(at_ns, Ev::Degrade(x, y, factor));
     }
 
     /// Queue every fault of a [`crate::faults::FaultSchedule`] into the
@@ -1589,7 +1535,7 @@ impl Simulator {
         self.stats.drops += lost;
         self.cells_in_net -= lost;
         for (arr_ch, arr_vc) in credits_due {
-            self.push(self.now + lat, Ev::Credit(arr_ch, arr_vc));
+            self.events.push(self.now + lat, Ev::Credit(arr_ch, arr_vc));
         }
     }
 
@@ -1600,7 +1546,7 @@ impl Simulator {
             return;
         }
         ch.up = true;
-        self.push(self.now, Ev::TryTx(c));
+        self.events.push(self.now, Ev::TryTx(c));
     }
 
     fn link_fail(&mut self, x: u32, y: u32) {
@@ -1644,13 +1590,6 @@ impl Simulator {
             let c = self.channel(from, to);
             self.channels[c as usize].rate_scale = factor;
         }
-    }
-}
-
-impl Cell {
-    /// VC used on the delivery channel (arrival accounting helper).
-    fn vcs_arr(&self) -> u8 {
-        self.vc
     }
 }
 

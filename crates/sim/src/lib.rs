@@ -50,6 +50,7 @@ pub mod config;
 pub mod engine;
 pub mod faults;
 pub mod mpi;
+mod queue;
 pub mod slices;
 pub mod telemetry;
 

@@ -8,7 +8,7 @@
 //! the quantity Table IV and Fig. 13 compare across the full testbed, SDT,
 //! and the flit-level simulator.
 
-use crate::engine::{FlowId, FlowKind, SimOutcome, Simulator, Time};
+use crate::engine::{EventKind, FlowId, FlowKind, SimOutcome, Simulator, Time};
 use crate::SimConfig;
 use sdt_routing::RouteTable;
 use sdt_topology::{HostId, Topology};
@@ -81,6 +81,10 @@ pub struct MpiRunResult {
     pub wall_ns: u128,
     /// Events processed.
     pub events: u64,
+    /// `events` split by kind, as [`crate::SimStats::events_by_kind`].
+    pub events_by_kind: [u64; EventKind::ALL.len()],
+    /// As [`crate::SimStats::try_tx_noops`].
+    pub try_tx_noops: u64,
     /// Cells delivered.
     pub cells_delivered: u64,
     /// Per-flow (start, finish) times in flow-creation order — the
@@ -108,14 +112,21 @@ pub fn run_trace(
 ) -> MpiRunResult {
     let mut sim = Simulator::new(topo, routes, cfg);
     sim.attach_mpi(MpiState::new(trace, hosts));
+    replay(sim)
+}
+
+/// Run an MPI-attached simulator to the end and read out its result.
+fn replay(mut sim: Simulator) -> MpiRunResult {
     let outcome = sim.run();
-    let mpi = mpi_ref(&sim);
+    let st = sim.stats();
     MpiRunResult {
         outcome,
-        act_ns: mpi.act_ns(),
-        wall_ns: sim.stats().wall_ns,
-        events: sim.stats().events,
-        cells_delivered: sim.stats().cells_delivered,
+        act_ns: mpi_ref(&sim).act_ns(),
+        wall_ns: st.wall_ns,
+        events: st.events,
+        events_by_kind: st.events_by_kind,
+        try_tx_noops: st.try_tx_noops,
+        cells_delivered: st.cells_delivered,
         flow_times_ns: flow_times(&sim),
     }
 }
@@ -132,16 +143,7 @@ pub fn run_trace_adaptive(
     let mut sim = Simulator::new(topo, routes, cfg);
     sim.set_adaptive(strategy);
     sim.attach_mpi(MpiState::new(trace, hosts));
-    let outcome = sim.run();
-    let mpi = mpi_ref(&sim);
-    MpiRunResult {
-        outcome,
-        act_ns: mpi.act_ns(),
-        wall_ns: sim.stats().wall_ns,
-        events: sim.stats().events,
-        cells_delivered: sim.stats().cells_delivered,
-        flow_times_ns: flow_times(&sim),
-    }
+    replay(sim)
 }
 
 /// The attached MPI state. Callbacks in this module only fire from flows

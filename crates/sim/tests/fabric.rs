@@ -288,3 +288,36 @@ fn nic_backlog_wakes_once_per_freed_slot() {
         assert_eq!(of(k), 0, "{} events in a raw-flow run", k.name());
     }
 }
+
+/// Known defect, pinned rather than fixed: `set_time_limit` clears
+/// `monitor_active` while the stopped run's `MonitorTick` is still queued,
+/// so the resumed `run` arms a second monitor chain. Uninterrupted, this
+/// run takes 10 ticks and ends at 10.0 ms; stopped at 2.5 ms and resumed it
+/// takes 18 ticks and ends at 10.5 ms, and every adaptive load is read over
+/// half a window. Deleting that line fixes it but moves `golden.rs`'s
+/// `dcqcn-k4-resumed` digest, so the fix lands with a re-recording.
+#[test]
+#[ignore = "known defect: a resumed run arms a second monitor chain"]
+fn a_resumed_run_keeps_one_monitor_chain() {
+    use sdt_routing::default_strategy;
+    use sdt_sim::EventKind;
+    use sdt_topology::fattree::fat_tree;
+    let run = |limit: u64| {
+        let topo = fat_tree(4);
+        let routes = RouteTable::build_for_hosts(&topo, default_strategy(&topo).as_ref());
+        let mut sim = Simulator::new(&topo, routes, SimConfig::default());
+        for h in 0..8 {
+            sim.start_raw_flow(HostId(h), HostId(h + 8), 6_000_000);
+        }
+        if limit > 0 {
+            sim.set_time_limit(limit);
+            assert_eq!(sim.run(), SimOutcome::TimeLimit);
+            sim.set_time_limit(0);
+        }
+        assert_eq!(sim.run(), SimOutcome::Completed);
+        let st = sim.stats();
+        (st.events_by_kind[EventKind::Monitor as usize], st.sim_ns)
+    };
+    assert_eq!(run(0), (10, 10_000_000));
+    assert_eq!(run(2_500_000), run(0));
+}

@@ -8,7 +8,8 @@
 //! wall time: per-flow records, `bytes_delivered` and DCQCN rate bits, the
 //! delivered/dropped cell counts, the final simulated time, the peak queue
 //! depth and the credit invariant. An engine change that claims to be a
-//! pure event-count optimisation has to leave every line here alone.
+//! pure event-count optimisation has to leave every line here alone. The
+//! second table, [`WORK`], pins the events themselves, by kind.
 //!
 //! On a mismatch the panic message is the full recomputed table, ready to
 //! paste — but re-recording is a `benchmark`-archetype decision (it means
@@ -17,12 +18,13 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use sdt_routing::{default_strategy, RouteTable};
 use sdt_sim::faults::FaultSchedule;
-use sdt_sim::{run_trace, DcqcnConfig, Granularity, SimConfig, SimOutcome, Simulator};
+use sdt_sim::{run_trace, DcqcnConfig, EventKind, Granularity, SimConfig, SimOutcome, Simulator};
 use sdt_topology::dragonfly::dragonfly;
 use sdt_topology::fattree::fat_tree;
 use sdt_topology::{Endpoint, HostId, Topology};
 use sdt_workloads::apps::imb_alltoall;
 use sdt_workloads::{poisson_flows, select_nodes, SizeDist};
+use std::sync::OnceLock;
 
 const SEEDS: [u64; 5] = [1, 2, 3, 7, 2023];
 
@@ -48,8 +50,13 @@ fn outcome_word(o: SimOutcome) -> u64 {
     }
 }
 
-/// Everything observable of a finished [`Simulator`] run but the event count.
-fn digest(sim: &Simulator, outcome: SimOutcome) -> u64 {
+/// The dispatch work of one run: `SimStats::events_by_kind`, then
+/// `SimStats::try_tx_noops`.
+type Work = ([u64; EventKind::ALL.len()], u64);
+
+/// Everything observable of a finished [`Simulator`] run but the event
+/// count, and the run's work.
+fn digest(sim: &Simulator, outcome: SimOutcome) -> (u64, Work) {
     let mut h = Fnv::new();
     h.word(outcome_word(outcome));
     for (id, r) in sim.flow_records().iter().enumerate() {
@@ -67,7 +74,7 @@ fn digest(sim: &Simulator, outcome: SimOutcome) -> u64 {
     h.word(st.sim_ns);
     h.word(sim.peak_queue_bytes());
     h.word(sim.credits_intact() as u64);
-    h.0
+    (h.0, (st.events_by_kind, st.try_tx_noops))
 }
 
 fn fabric(topo: &Topology, cfg: SimConfig) -> Simulator {
@@ -80,7 +87,14 @@ fn fixed(bytes: f64) -> SizeDist {
 }
 
 /// Seeded Poisson raw flows on a fat-tree, run to the end.
-fn poisson(k: u32, cfg: SimConfig, dist: &SizeDist, flows: usize, load: f64, seed: u64) -> u64 {
+fn poisson(
+    k: u32,
+    cfg: SimConfig,
+    dist: &SizeDist,
+    flows: usize,
+    load: f64,
+    seed: u64,
+) -> (u64, Work) {
     let topo = fat_tree(k);
     let mut sim = fabric(&topo, SimConfig { seed, ..cfg });
     let line = sim.config().bytes_per_ns();
@@ -101,7 +115,7 @@ fn dcqcn(cfg: SimConfig) -> SimConfig {
 /// An IMB Alltoall replay on the paper's dragonfly, two ranks per host so
 /// that sends share a NIC (and some pairs are host-local); the seed picks
 /// the hosts.
-fn alltoall(cfg: SimConfig, ranks: u32, bytes: u64, seed: u64) -> u64 {
+fn alltoall(cfg: SimConfig, ranks: u32, bytes: u64, seed: u64) -> (u64, Work) {
     let topo = dragonfly(4, 9, 2, 2);
     let routes = RouteTable::build_for_hosts(&topo, default_strategy(&topo).as_ref());
     let nodes = select_nodes(&topo, ranks / 2, seed);
@@ -123,13 +137,13 @@ fn alltoall(cfg: SimConfig, ranks: u32, bytes: u64, seed: u64) -> u64 {
         h.word(start);
         h.word(finish.unwrap_or(u64::MAX));
     }
-    h.0
+    (h.0, (r.events_by_kind, r.try_tx_noops))
 }
 
 /// Two TCP connections per sender into host 0, DCQCN raw cross-traffic, and
 /// a fabric link that flaps mid-run — with a NIC staging queue of `nic_cells`
 /// packets, so several inject chains share (and block on) one NIC.
-fn tcp_incast_raw_flap(nic_cells: u32, seed: u64) -> u64 {
+fn tcp_incast_raw_flap(nic_cells: u32, seed: u64) -> (u64, Work) {
     let topo = fat_tree(4);
     let mut sim = fabric(
         &topo,
@@ -165,7 +179,7 @@ fn tcp_incast_raw_flap(nic_cells: u32, seed: u64) -> u64 {
 
 /// A DCQCN run cut by the time limit while NIC backlogs are populated, then
 /// resumed to the end.
-fn resumed(seed: u64) -> u64 {
+fn resumed(seed: u64) -> (u64, Work) {
     let topo = fat_tree(4);
     let mut sim = fabric(
         &topo,
@@ -185,11 +199,19 @@ fn resumed(seed: u64) -> u64 {
     digest(&sim, out)
 }
 
-fn grid() -> Vec<(String, u64)> {
+/// Every scenario's name, digest and work, computed once per test binary.
+fn grid() -> &'static [(String, u64, Work)] {
+    static GRID: OnceLock<Vec<(String, u64, Work)>> = OnceLock::new();
+    GRID.get_or_init(compute_grid)
+}
+
+fn compute_grid() -> Vec<(String, u64, Work)> {
     let base = SimConfig::default;
     let mut rows = Vec::new();
     for seed in SEEDS {
-        let mut row = |name: &str, d: u64| rows.push((format!("{name}/seed{seed}"), d));
+        let mut row = |name: &str, (d, w): (u64, Work)| {
+            rows.push((format!("{name}/seed{seed}"), d, w))
+        };
         row(
             "dcqcn-k4-fixed150k",
             poisson(4, dcqcn(base()), &fixed(150_000.0), 500, 0.8, seed),
@@ -247,7 +269,8 @@ fn grid() -> Vec<(String, u64)> {
             );
         }
     }
-    rows.push(("dcqcn-k4-resumed/seed1".to_string(), resumed(1)));
+    let (d, w) = resumed(1);
+    rows.push(("dcqcn-k4-resumed/seed1".to_string(), d, w));
     rows
 }
 
@@ -313,12 +336,93 @@ fn simulated_results_match_the_recorded_engine() {
         && got
             .iter()
             .zip(GOLDEN)
-            .all(|((n, d), (gn, gd))| n == gn && d == gd);
+            .all(|((n, d, _), (gn, gd))| n == gn && d == gd);
     if !same {
         let table: String = got
             .iter()
-            .map(|(n, d)| format!("    (\"{n}\", {d:#018x}),\n"))
+            .map(|(n, d, _)| format!("    (\"{n}\", {d:#018x}),\n"))
             .collect();
         panic!("engine digests differ from the recorded table; recomputed:\n{table}");
+    }
+}
+
+/// Recorded at commit a25c5e1, the parent of the timing-wheel event queue:
+/// per scenario, `events_by_kind` (in `EventKind::ALL` order) and
+/// `try_tx_noops`.
+const WORK: &[(&str, [u64; EventKind::ALL.len()], u64)] = &[
+    ("dcqcn-k4-fixed150k/seed1", [830400, 276800, 276800, 72661, 47031, 10029, 23250, 0, 10, 0, 0], 553600),
+    ("dcqcn-k4-hadoop/seed1", [1112262, 370754, 370754, 66527, 51303, 2608, 3649, 0, 24, 0, 0], 741508),
+    ("pfc-k8-hadoop/seed1", [1488786, 496262, 496262, 84542, 50332, 0, 0, 0, 14, 0, 0], 992524),
+    ("lossy-dcqcn-k4/seed1", [55250, 27625, 0, 6204, 4514, 44, 350, 0, 1, 0, 0], 27625),
+    ("flit-dcqcn-nic1k-k4/seed1", [259440, 86480, 86480, 15043, 9363, 13, 85, 0, 1, 0, 0], 172960),
+    ("mpi-alltoall-flit-dragonfly/seed1", [172032, 57344, 57344, 12296, 1446, 0, 0, 8, 1, 0, 8], 114688),
+    ("mpi-alltoall-dcqcn-dragonfly/seed1", [132000, 44000, 44000, 9924, 4146, 67, 349, 16, 2, 0, 16], 88000),
+    ("tcp-incast-raw-flap-nic1/seed1", [35957, 11980, 11980, 2604, 1548, 27, 85, 661, 1, 2, 0], 23977),
+    ("tcp-incast-raw-flap-nic2/seed1", [34704, 11552, 11552, 2585, 1567, 29, 87, 580, 1, 2, 0], 23152),
+    ("tcp-incast-raw-flap-nic8/seed1", [34771, 11573, 11573, 2566, 1422, 30, 83, 580, 1, 2, 0], 23198),
+    ("dcqcn-k4-fixed150k/seed2", [831600, 277200, 277200, 75626, 46817, 9076, 26220, 0, 11, 0, 0], 554400),
+    ("dcqcn-k4-hadoop/seed2", [625020, 208340, 208340, 36833, 23548, 929, 1989, 0, 16, 0, 0], 416680),
+    ("pfc-k8-hadoop/seed2", [1029408, 343136, 343136, 57480, 26934, 0, 0, 0, 11, 0, 0], 686272),
+    ("lossy-dcqcn-k4/seed2", [50554, 25277, 0, 6142, 4306, 47, 306, 0, 1, 0, 0], 25277),
+    ("flit-dcqcn-nic1k-k4/seed2", [258312, 86104, 86104, 15040, 8175, 20, 82, 0, 1, 0, 0], 172208),
+    ("mpi-alltoall-flit-dragonfly/seed2", [159744, 53248, 53248, 12296, 1876, 0, 0, 8, 1, 0, 8], 106496),
+    ("mpi-alltoall-dcqcn-dragonfly/seed2", [132000, 44000, 44000, 9914, 3817, 48, 344, 16, 2, 0, 16], 88000),
+    ("tcp-incast-raw-flap-nic1/seed2", [33972, 11316, 11316, 2516, 1279, 45, 69, 580, 1, 2, 0], 22656),
+    ("tcp-incast-raw-flap-nic2/seed2", [33975, 11316, 11316, 2499, 1180, 44, 69, 580, 1, 2, 0], 22659),
+    ("tcp-incast-raw-flap-nic8/seed2", [33992, 11320, 11320, 2481, 915, 40, 67, 580, 1, 2, 0], 22672),
+    ("dcqcn-k4-fixed150k/seed3", [814200, 271400, 271400, 68416, 46821, 6988, 19026, 0, 9, 0, 0], 542800),
+    ("dcqcn-k4-hadoop/seed3", [508056, 169352, 169352, 36073, 23794, 816, 2182, 0, 15, 0, 0], 338704),
+    ("pfc-k8-hadoop/seed3", [747966, 249322, 249322, 46799, 28140, 0, 0, 0, 12, 0, 0], 498644),
+    ("lossy-dcqcn-k4/seed3", [51110, 25555, 0, 6155, 3965, 42, 315, 0, 1, 0, 0], 25555),
+    ("flit-dcqcn-nic1k-k4/seed3", [249288, 83096, 83096, 15041, 6948, 11, 81, 0, 1, 0, 0], 166192),
+    ("mpi-alltoall-flit-dragonfly/seed3", [165888, 55296, 55296, 12296, 1786, 0, 0, 8, 1, 0, 8], 110592),
+    ("mpi-alltoall-dcqcn-dragonfly/seed3", [134112, 44704, 44704, 9922, 4291, 70, 355, 16, 3, 0, 16], 89408),
+    ("tcp-incast-raw-flap-nic1/seed3", [33590, 11179, 11179, 2508, 1130, 27, 64, 580, 1, 2, 0], 22411),
+    ("tcp-incast-raw-flap-nic2/seed3", [33626, 11193, 11193, 2514, 1095, 28, 64, 580, 1, 2, 0], 22433),
+    ("tcp-incast-raw-flap-nic8/seed3", [33642, 11211, 11211, 2487, 826, 28, 64, 580, 1, 2, 0], 22431),
+    ("dcqcn-k4-fixed150k/seed7", [810600, 270200, 270200, 72347, 47393, 9757, 22928, 0, 10, 0, 0], 540400),
+    ("dcqcn-k4-hadoop/seed7", [882834, 294278, 294278, 58794, 49978, 1199, 3754, 0, 22, 0, 0], 588556),
+    ("pfc-k8-hadoop/seed7", [1642794, 547598, 547598, 94399, 71084, 0, 0, 0, 16, 0, 0], 1095196),
+    ("lossy-dcqcn-k4/seed7", [50080, 25040, 0, 6187, 4439, 40, 340, 0, 1, 0, 0], 25040),
+    ("flit-dcqcn-nic1k-k4/seed7", [248160, 82720, 82720, 15041, 8793, 10, 85, 0, 1, 0, 0], 165440),
+    ("mpi-alltoall-flit-dragonfly/seed7", [165888, 55296, 55296, 12296, 1717, 0, 0, 8, 1, 0, 8], 110592),
+    ("mpi-alltoall-dcqcn-dragonfly/seed7", [126720, 42240, 42240, 9926, 4248, 36, 349, 16, 2, 0, 16], 84480),
+    ("tcp-incast-raw-flap-nic1/seed7", [33463, 11127, 11127, 2540, 1378, 33, 74, 580, 1, 2, 0], 22336),
+    ("tcp-incast-raw-flap-nic2/seed7", [33650, 11189, 11189, 2529, 1294, 34, 75, 580, 1, 2, 0], 22461),
+    ("tcp-incast-raw-flap-nic8/seed7", [33687, 11210, 11210, 2511, 1057, 29, 74, 580, 1, 2, 0], 22477),
+    ("dcqcn-k4-fixed150k/seed2023", [828000, 276000, 276000, 75674, 46901, 9931, 26270, 0, 11, 0, 0], 552000),
+    ("dcqcn-k4-hadoop/seed2023", [971322, 323774, 323774, 65720, 54408, 2046, 4081, 0, 22, 0, 0], 647548),
+    ("pfc-k8-hadoop/seed2023", [1702002, 567334, 567334, 99802, 74160, 0, 0, 0, 18, 0, 0], 1134668),
+    ("lossy-dcqcn-k4/seed2023", [51518, 25759, 0, 6159, 3588, 46, 325, 0, 1, 0, 0], 25759),
+    ("flit-dcqcn-nic1k-k4/seed2023", [250416, 83472, 83472, 15040, 7497, 9, 81, 0, 1, 0, 0], 166944),
+    ("mpi-alltoall-flit-dragonfly/seed2023", [172032, 57344, 57344, 12296, 1740, 0, 0, 8, 1, 0, 8], 114688),
+    ("mpi-alltoall-dcqcn-dragonfly/seed2023", [128832, 42944, 42944, 9918, 4124, 43, 349, 16, 2, 0, 16], 85888),
+    ("tcp-incast-raw-flap-nic1/seed2023", [31926, 10618, 10618, 2478, 1003, 20, 64, 580, 1, 2, 0], 21308),
+    ("tcp-incast-raw-flap-nic2/seed2023", [31932, 10620, 10620, 2480, 978, 20, 64, 580, 1, 2, 0], 21312),
+    ("tcp-incast-raw-flap-nic8/seed2023", [31954, 10624, 10624, 2458, 812, 22, 63, 580, 1, 2, 0], 21330),
+    ("dcqcn-k4-resumed/seed1", [104400, 34800, 34800, 6422, 4735, 294, 521, 0, 4, 0, 0], 69600),
+];
+
+/// Pins the work, not the results: how many events of each kind every
+/// golden scenario dispatches, and how many `TryTx` found nothing to send.
+/// A change to the event queue or the dispatcher alone leaves every count
+/// where it is; a change that drops redundant events (an elision) moves
+/// these and must leave [`GOLDEN`] alone. Unlike the digests, re-recording
+/// this table is not a fidelity decision — but say which counts moved and
+/// why.
+#[test]
+fn dispatch_work_matches_the_recorded_engine() {
+    let got = grid();
+    let same = got.len() == WORK.len()
+        && got
+            .iter()
+            .zip(WORK)
+            .all(|((n, _, (k, t)), (wn, wk, wt))| n == wn && k == wk && t == wt);
+    if !same {
+        let table: String = got
+            .iter()
+            .map(|(n, _, (k, t))| format!("    (\"{n}\", {k:?}, {t}),\n"))
+            .collect();
+        panic!("dispatch work differs from the recorded table; recomputed:\n{table}");
     }
 }
