@@ -31,19 +31,24 @@ const NO_CHANNEL: u32 = u32::MAX;
 /// mid-run can raise the VC count without re-building channels.
 const MAX_VCS: usize = 8;
 
-/// VC of every flow's first hop, the NIC staging queue (`resolve_route`).
+/// VC of every flow's first hop, the NIC staging queue (`push_route`).
 const NIC_VC: u8 = 0;
+
+/// One bit per VC of a channel.
+type VcMask = u32;
 
 /// One cell (packet or flit) in flight.
 #[derive(Clone, Copy, Debug)]
 struct Cell {
     flow: FlowId,
-    bytes: u32,
+    bytes: u16,
     seq: u32,
     last: bool,
-    /// Index into the flow's channel route of the channel this cell is
-    /// currently queued on / traversing.
-    hop: u8,
+    /// Offset of the flow's route in [`Simulator::hops`].
+    route: u32,
+    /// Index into the flow's route of the channel this cell is currently
+    /// queued on / traversing.
+    hop: u16,
     /// VC in use on the channel the cell is currently queued on.
     vc: u8,
     /// Channel + VC the cell arrived on (for credit return).
@@ -52,12 +57,18 @@ struct Cell {
     ecn: bool,
 }
 
+const _: () = assert!(std::mem::size_of::<Cell>() == 24);
+
 /// A directed channel and its egress state.
 struct Channel {
     from: u32,
     to: u32,
     queues: Vec<std::collections::VecDeque<Cell>>,
     credits: Vec<u32>,
+    /// Bit `vc` set iff `queues[vc]` holds a cell.
+    nonempty: VcMask,
+    /// Bit `vc` set iff `credits[vc] > 0`; lossy mode spends no credits.
+    credited: VcMask,
     busy_until: Time,
     next_vc: usize,
     queued: u32,
@@ -74,6 +85,13 @@ struct Channel {
     /// Serialization-rate multiplier (port degradation faults; 1.0 =
     /// nominal rate).
     rate_scale: f64,
+}
+
+impl Channel {
+    fn grant(&mut self, vc: u8) {
+        self.credits[vc as usize] += 1;
+        self.credited |= 1 << vc;
+    }
 }
 
 /// Inject chains waiting for room in one NIC staging queue.
@@ -159,8 +177,9 @@ struct Dcqcn {
 pub(crate) struct Flow {
     pub(crate) src_host: u32,
     pub(crate) dst_host: u32,
-    channels: Vec<u32>,
-    vcs: Vec<u8>,
+    /// The flow's channels are `Simulator::hops[route..route + route_len]`.
+    route: u32,
+    route_len: u32,
     pub(crate) bytes_total: u64,
     pub(crate) bytes_injected: u64,
     pub(crate) bytes_delivered: u64,
@@ -470,6 +489,8 @@ pub struct Simulator {
     /// Indexed by host node; switches have none.
     nics: Vec<Nic>,
     pub(crate) flows: Vec<Flow>,
+    /// Every flow's route, as (channel, VC) per hop, back to back.
+    hops: Vec<(u32, u8)>,
     /// Future events, dispatched in `(t, push order)`.
     events: EventQueue<Ev>,
     pub(crate) now: Time,
@@ -504,7 +525,10 @@ impl Simulator {
             }
         };
         let num_vcs = MAX_VCS.max(routes.num_vcs() as usize);
-        let init_credits = (cfg.vc_buffer_bytes / cfg.granularity.bytes()).max(1);
+        assert!(num_vcs as u32 <= VcMask::BITS, "too many VCs: {num_vcs}");
+        let cell_bytes = cfg.granularity.bytes();
+        assert!(cell_bytes <= u16::MAX as u32, "{cell_bytes} B cells > u16");
+        let init_credits = (cfg.vc_buffer_bytes / cell_bytes).max(1);
         let mut channels = Vec::new();
         for l in topo.links() {
             let (a, b) = (node_of(l.a), node_of(l.b));
@@ -514,6 +538,8 @@ impl Simulator {
                     to: y,
                     queues: vec![VecDeque::new(); num_vcs],
                     credits: vec![init_credits; num_vcs],
+                    nonempty: 0,
+                    credited: VcMask::MAX >> (VcMask::BITS as usize - num_vcs),
                     busy_until: 0,
                     next_vc: 0,
                     queued: 0,
@@ -529,7 +555,6 @@ impl Simulator {
         let channel_ix =
             ChannelIndex::build(num_hosts + topo.num_switches(), &channels);
         let seed = cfg.seed;
-        let cell_bytes = cfg.granularity.bytes();
         let queue_cap_cells = (cfg.queue_cap_bytes / cell_bytes).max(1);
         let nic_queue_cells = (cfg.nic_queue_bytes / cell_bytes).max(1);
         let ser_cell_ns = ser_ns(cell_bytes, cfg.bytes_per_ns());
@@ -551,6 +576,7 @@ impl Simulator {
             channel_ix,
             nics: (0..num_hosts).map(|_| Nic::default()).collect(),
             flows: Vec::new(),
+            hops: Vec::new(),
             events: EventQueue::new(span),
             now: 0,
             rng: StdRng::seed_from_u64(seed),
@@ -611,27 +637,24 @@ impl Simulator {
         self.channel_ix.get(from, to)
     }
 
-    /// Resolve the channel/VC route between two hosts under the current
-    /// route table.
-    fn resolve_route(&self, src: HostId, dst: HostId) -> (Vec<u32>, Vec<u8>) {
+    /// Append the channel/VC route between two hosts under the current
+    /// route table to `hops`.
+    fn push_route(&mut self, src: HostId, dst: HostId) {
         let sa = self.topo.host_switch(src);
         let sb = self.topo.host_switch(dst);
-        let sn = |s: SwitchId| self.num_hosts + s.0;
-        let mut chans = vec![self.channel(src.0, sn(sa))];
-        let mut vcs = vec![NIC_VC];
+        let nh = self.num_hosts;
+        let (ix, hops) = (&self.channel_ix, &mut self.hops);
+        hops.push((ix.get(src.0, nh + sa.0), NIC_VC));
         if sa != sb {
             let r = self
                 .routes
                 .try_route(sa, sb)
                 .unwrap_or_else(|| panic!("no route {sa:?} -> {sb:?}"));
             for (w, &vc) in r.hops.windows(2).zip(&r.vcs) {
-                chans.push(self.channel(sn(w[0]), sn(w[1])));
-                vcs.push(vc);
+                hops.push((ix.get(nh + w[0].0, nh + w[1].0), vc));
             }
         }
-        chans.push(self.channel(sn(sb), dst.0));
-        vcs.push(0);
-        (chans, vcs)
+        hops.push((ix.get(nh + sb.0, dst.0), 0));
     }
 
     /// Start a raw bulk flow; returns its id.
@@ -688,11 +711,14 @@ impl Simulator {
     ) -> FlowId {
         assert!(bytes > 0, "zero-byte flows are not modeled");
         assert!(at >= self.now, "flows cannot start in the past ({at} < {})", self.now);
-        let (channels, vcs) = if src == dst {
-            (Vec::new(), Vec::new())
-        } else {
-            self.resolve_route(src, dst)
+        let Ok(route) = u32::try_from(self.hops.len()) else {
+            panic!("the route arena outgrew u32 offsets")
         };
+        if src != dst {
+            self.push_route(src, dst);
+        }
+        let route_len = (self.hops.len() - route as usize) as u32;
+        assert!(route_len <= 1 << 16, "{route_len}-channel route > u16 hop");
         let dcqcn = match (&kind, &self.cfg.dcqcn) {
             (FlowKind::Tcp(_), _) | (_, None) => None,
             (_, Some(_)) => Some(Dcqcn {
@@ -706,8 +732,8 @@ impl Simulator {
         self.flows.push(Flow {
             src_host: src.0,
             dst_host: dst.0,
-            channels,
-            vcs,
+            route,
+            route_len,
             bytes_total: bytes,
             bytes_injected: 0,
             bytes_delivered: 0,
@@ -865,42 +891,38 @@ impl Simulator {
     fn try_tx(&mut self, c: u32) {
         let lossless = self.cfg.lossless;
         let ch = &mut self.channels[c as usize];
-        if !ch.up || self.now < ch.busy_until || ch.queued == 0 {
+        let ready = ch.nonempty & ch.credited;
+        if !ch.up || self.now < ch.busy_until || ready == 0 {
             self.stats.try_tx_noops += 1;
             return;
         }
-        // Round-robin from `next_vc`: each VC at most once, wrapping at `nvc`.
-        let nvc = ch.queues.len();
-        let (mut vc, mut left) = (ch.next_vc, nvc);
-        while ch.queues[vc].is_empty() || (lossless && ch.credits[vc] == 0) {
-            left -= 1;
-            if left == 0 {
-                self.stats.try_tx_noops += 1;
-                return;
-            }
-            vc = if vc + 1 == nvc { 0 } else { vc + 1 };
-        }
-        ch.next_vc = if vc + 1 == nvc { 0 } else { vc + 1 };
-        let cell = match ch.queues[vc].pop_front() {
-            Some(c) => c,
-            None => unreachable!("the arbiter picked a non-empty VC"),
+        // Round-robin: the first ready VC at or after `next_vc`, wrapping.
+        let later = ready & (VcMask::MAX << ch.next_vc);
+        let vc = if later != 0 { later } else { ready }.trailing_zeros() as usize;
+        ch.next_vc = if vc + 1 == ch.queues.len() { 0 } else { vc + 1 };
+        let Some(cell) = ch.queues[vc].pop_front() else {
+            unreachable!("the arbiter picked a non-empty VC")
         };
+        if ch.queues[vc].is_empty() {
+            ch.nonempty &= !(1 << vc);
+        }
         ch.queued -= 1;
         if lossless {
             ch.credits[vc] -= 1;
+            if ch.credits[vc] == 0 {
+                ch.credited &= !(1 << vc);
+            }
         }
-        ch.window_bytes += cell.bytes as u64;
-        ch.total_bytes += cell.bytes as u64;
+        ch.window_bytes += u64::from(cell.bytes);
+        ch.total_bytes += u64::from(cell.bytes);
         let scale = ch.rate_scale;
-        let ser = self.ser_ns_scaled(cell.bytes, scale);
+        let ser = self.ser_ns_scaled(cell.bytes.into(), scale);
         let busy = self.now + ser;
         self.channels[c as usize].busy_until = busy;
         // Return the credit of the channel this cell arrived on: it has now
         // left this node's buffer.
-        let (arr_ch, arr_vc) = (cell.arr_ch, cell.arr_vc);
-        if lossless && arr_ch != NO_CHANNEL {
-            let lat = self.cfg.link_latency_ns;
-            self.events.push(self.now + lat, Ev::Credit(arr_ch, arr_vc));
+        if lossless && cell.arr_ch != NO_CHANNEL {
+            self.return_credit(cell.arr_ch, cell.arr_vc);
         }
         // A NIC slot came free: park the backlog for one wake.
         let from = self.channels[c as usize].from as usize;
@@ -936,8 +958,7 @@ impl Simulator {
         if to < self.num_hosts {
             // Delivery to a host NIC: buffer frees instantly.
             if self.cfg.lossless {
-                let lat = self.cfg.link_latency_ns;
-                self.events.push(self.now + lat, Ev::Credit(c, cell.vc));
+                self.return_credit(c, cell.vc);
             }
             self.stats.cells_delivered += 1;
             self.last_delivery = self.now;
@@ -948,13 +969,10 @@ impl Simulator {
         }
         // Forward within the fabric.
         self.sniff(cell.flow, cell.seq, CaptureEvent::Forwarded(to));
-        let f = &self.flows[cell.flow as usize];
-        let next_hop = cell.hop as usize + 1;
-        let d = f.channels[next_hop];
-        let vc = f.vcs[next_hop];
+        let (d, vc) = self.hops[cell.route as usize + cell.hop as usize + 1];
         cell.arr_ch = c;
         cell.arr_vc = cell.vc;
-        cell.hop = next_hop as u8;
+        cell.hop += 1;
         cell.vc = vc;
         self.enqueue(d, cell);
     }
@@ -971,8 +989,7 @@ impl Simulator {
                 self.cells_in_net -= 1;
             }
             if self.cfg.lossless && cell.arr_ch != NO_CHANNEL {
-                let lat = self.cfg.link_latency_ns;
-                self.events.push(self.now + lat, Ev::Credit(cell.arr_ch, cell.arr_vc));
+                self.return_credit(cell.arr_ch, cell.arr_vc);
             }
             self.sniff(cell.flow, cell.seq, CaptureEvent::Dropped);
             return;
@@ -1011,17 +1028,43 @@ impl Simulator {
             self.cells_in_net += 1;
             self.sniff(cell.flow, cell.seq, CaptureEvent::Injected);
         }
-        let vc = cell.vc as usize;
         let ch = &mut self.channels[d as usize];
-        ch.queues[vc].push_back(cell);
+        ch.queues[cell.vc as usize].push_back(cell);
+        ch.nonempty |= 1 << cell.vc;
         ch.queued += 1;
         ch.peak_queued = ch.peak_queued.max(ch.queued);
-        self.events.push(self.now, Ev::TryTx(d));
+        self.kick(d);
     }
 
     fn credit(&mut self, c: u32, vc: u8) {
-        self.channels[c as usize].credits[vc as usize] += 1;
-        self.events.push(self.now, Ev::TryTx(c));
+        self.channels[c as usize].grant(vc);
+        self.kick(c);
+    }
+
+    /// Try channel `c` now — unless it is serializing: only a transmit
+    /// moves `busy_until` and a transmit needs `now >= busy_until`, so the
+    /// `TryTx` its last transmit pushed for `busy_until` is the first that
+    /// can send.
+    fn kick(&mut self, c: u32) {
+        if self.now >= self.channels[c as usize].busy_until {
+            self.events.push(self.now, Ev::TryTx(c));
+        }
+    }
+
+    /// Give back one `vc` buffer slot of channel `c`, due upstream after
+    /// one link latency. Only `try_tx(c)` reads credits, and a channel busy
+    /// past that instant reads none before its busy-end `TryTx` — strictly
+    /// past, since a `Credit` landing at `busy_until` dispatches after that
+    /// earlier-pushed `TryTx`, which must not see it — so such a channel
+    /// gets it now, eventless.
+    fn return_credit(&mut self, c: u32, vc: u8) {
+        let due = self.now + self.cfg.link_latency_ns;
+        let ch = &mut self.channels[c as usize];
+        if ch.busy_until > due {
+            ch.grant(vc);
+        } else {
+            self.events.push(due, Ev::Credit(c, vc));
+        }
     }
 
     fn nic_full(&self, nic_ch: u32) -> bool {
@@ -1090,14 +1133,14 @@ impl Simulator {
         if remaining == 0 {
             return;
         }
-        let (nic_ch, host) = (f.channels[0], f.src_host as usize);
-        debug_assert_eq!(f.vcs[0], NIC_VC);
+        let (route, host) = (f.route, f.src_host as usize);
+        let nic_ch = self.hops[route as usize].0;
         if self.nic_full(nic_ch) {
             self.nics[host].backlog.push(fid);
             return;
         }
         let f = &mut self.flows[fid as usize];
-        let bytes = remaining.min(cell_bytes as u64) as u32;
+        let bytes = remaining.min(cell_bytes as u64) as u16;
         let seq = match &mut f.kind {
             FlowKind::Tcp(t) => {
                 let s = t.next_seq;
@@ -1116,8 +1159,9 @@ impl Simulator {
             bytes,
             seq,
             last,
+            route,
             hop: 0,
-            vc: f.vcs[0],
+            vc: NIC_VC,
             arr_ch: NO_CHANNEL,
             arr_vc: 0,
             ecn: false,
@@ -1129,7 +1173,7 @@ impl Simulator {
         }
         let eager_done = !matches!(f.kind, FlowKind::Tcp(_)) && f.bytes_injected >= f.bytes_total;
         // Pace the next injection.
-        let ser = self.ser_ns_scaled(bytes, 1.0);
+        let ser = self.ser_ns_scaled(u32::from(bytes), 1.0);
         let f = &mut self.flows[fid as usize];
         let gap = match (&f.kind, &f.dcqcn) {
             (FlowKind::Tcp(_), _) => ser,
@@ -1214,8 +1258,7 @@ impl Simulator {
     /// Latency of a control message on the reverse path (acks, CNPs):
     /// propagation + switch transit per hop, no queueing.
     fn reverse_delay(&self, fid: FlowId) -> u64 {
-        let f = &self.flows[fid as usize];
-        let hops = f.channels.len() as u64;
+        let hops = self.flows[fid as usize].route_len as u64;
         hops * self.cfg.link_latency_ns
             + hops.saturating_sub(1) * (self.cfg.switch_latency_ns + self.cfg.extra_switch_ns)
     }
@@ -1421,7 +1464,9 @@ impl Simulator {
 
     /// Credit-conservation invariant: after a fully drained lossless run,
     /// every (channel, VC) must hold exactly its initial credit allotment —
-    /// no slot leaked, none minted.
+    /// no slot leaked, none minted. A run stopped at a time limit may
+    /// already count credits still in flight: a channel serializing past a
+    /// credit's arrival is granted it when it is returned.
     pub fn credits_intact(&self) -> bool {
         let init = (self.cfg.vc_buffer_bytes / self.cell_bytes).max(1);
         self.channels
@@ -1513,7 +1558,6 @@ impl Simulator {
     /// lossless mode the queued cells' upstream credits are returned —
     /// frames are lost, buffer slots are not.
     fn fail_channel(&mut self, c: u32) {
-        let lat = self.cfg.link_latency_ns;
         let lossless = self.cfg.lossless;
         let ch = &mut self.channels[c as usize];
         if !ch.up {
@@ -1531,11 +1575,12 @@ impl Simulator {
             }
         }
         ch.queued = 0;
+        ch.nonempty = 0;
         ch.drops += lost;
         self.stats.drops += lost;
         self.cells_in_net -= lost;
         for (arr_ch, arr_vc) in credits_due {
-            self.events.push(self.now + lat, Ev::Credit(arr_ch, arr_vc));
+            self.return_credit(arr_ch, arr_vc);
         }
     }
 

@@ -81,6 +81,21 @@ fn credits_conserved_after_drain() {
 }
 
 #[test]
+fn a_route_longer_than_255_channels_delivers_and_drains() {
+    // Host 0 to host 299 crosses 301 channels. A cell's hop index used to
+    // be 8 bits: it wrapped past 255, the cell counted as a fresh injection
+    // on 256 channels (a spurious `Deadlock`) and re-walked the route head
+    // on 300.
+    let t = chain(300);
+    let routes = RouteTable::build(&t, &Bfs::new(&t));
+    let mut sim = Simulator::new(&t, routes, SimConfig::default());
+    let f = sim.start_raw_flow(HostId(0), HostId(299), 15_000);
+    assert_eq!(sim.run(), SimOutcome::Completed);
+    assert_eq!(sim.flow_stats(f).bytes_delivered, 15_000);
+    assert!(sim.credits_intact());
+}
+
+#[test]
 fn bottleneck_fairness_across_message_flows() {
     // Two equal flows over the same bottleneck finish near-simultaneously.
     let t = chain(4);

@@ -2,10 +2,12 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use proptest::prelude::*;
-use sdt_routing::{generic::Bfs, RouteTable};
-use sdt_sim::{Granularity, SimConfig, SimOutcome, Simulator};
+use sdt_routing::{default_strategy, generic::Bfs, RouteTable};
+use sdt_sim::faults::FaultSchedule;
+use sdt_sim::{DcqcnConfig, EventKind, Granularity, SimConfig, SimOutcome, Simulator};
 use sdt_topology::chain::{chain, ring, star};
-use sdt_topology::{HostId, Topology};
+use sdt_topology::fattree::fat_tree;
+use sdt_topology::{Endpoint, HostId, SwitchId, Topology};
 
 fn run_flows(
     topo: &Topology,
@@ -113,5 +115,66 @@ proptest! {
             sim.stats().drops,
             injected_cells
         );
+    }
+
+    /// Whatever the fabric, cell size, loss mode, DCQCN and faults (a link
+    /// flap, a degraded link, a switch crash and restart): over a drained
+    /// run every transmit — a `TryTx` that sent a cell — has its `Arrive`,
+    /// and a drained lossless run holds every credit it started with.
+    #[test]
+    fn drained_runs_arrive_every_transmit_and_keep_credits(
+        (topo_pick, n) in (0u8..3, 3u32..8),
+        raw_flows in proptest::collection::vec((0u32..16, 0u32..16, 1u64..300_000), 1..8),
+        (lossless, flit, dcqcn) in (any::<bool>(), any::<bool>(), any::<bool>()),
+        (flap_pick, degrade_pick, crash_pick) in (0usize..64, 0usize..64, 0u32..64),
+        (flap_at, degrade_at, crash_at) in (0u64..150_000, 0u64..150_000, 0u64..150_000),
+        (outage, factor_pct) in (1u64..100_000, 10u32..100),
+    ) {
+        let topo = match topo_pick {
+            0 => chain(n),
+            1 => ring(n),
+            _ => fat_tree(4),
+        };
+        let h = topo.num_hosts();
+        let flows: Vec<(u32, u32, u64)> = raw_flows
+            .into_iter()
+            .map(|(a, b, bytes)| (a % h, b % h, bytes))
+            .filter(|(a, b, _)| a != b)
+            .collect();
+        prop_assume!(!flows.is_empty());
+        let links: Vec<(SwitchId, SwitchId)> = topo
+            .links()
+            .iter()
+            .filter_map(|l| match (l.a, l.b) {
+                (Endpoint::Switch(a), Endpoint::Switch(b)) => Some((a, b)),
+                _ => None,
+            })
+            .collect();
+        let (fa, fb) = links[flap_pick % links.len()];
+        let (da, db) = links[degrade_pick % links.len()];
+        let crashed = SwitchId(crash_pick % topo.num_switches());
+        let mut faults = FaultSchedule::new();
+        faults
+            .link_flap(fa, fb, flap_at, outage)
+            .port_degrade(da, db, factor_pct as f64 / 100.0, degrade_at)
+            .switch_crash(crashed, crash_at)
+            .switch_restart(crashed, crash_at + outage);
+        let cfg = SimConfig {
+            lossless,
+            granularity: if flit { Granularity::Flit } else { Granularity::Packet },
+            dcqcn: dcqcn.then(DcqcnConfig::default),
+            ..SimConfig::default()
+        };
+        let routes = RouteTable::build_for_hosts(&topo, default_strategy(&topo).as_ref());
+        let mut sim = Simulator::new(&topo, routes, cfg);
+        sim.apply_fault_schedule(&faults);
+        for &(a, b, bytes) in &flows {
+            sim.start_raw_flow(HostId(a), HostId(b), bytes);
+        }
+        prop_assert_eq!(sim.run(), SimOutcome::Completed);
+        let st = sim.stats();
+        let of = |k: EventKind| st.events_by_kind[k as usize];
+        prop_assert_eq!(of(EventKind::TryTx) - st.try_tx_noops, of(EventKind::Arrive));
+        prop_assert!(!lossless || sim.credits_intact(), "credits leaked or minted");
     }
 }
