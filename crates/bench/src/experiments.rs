@@ -1,8 +1,9 @@
-//! Experiment drivers, one per paper artifact.
+//! Experiment drivers, one per paper artifact: [`crate::render`] prints
+//! them and `tests/accuracy.rs` asserts the paper's shapes on them.
 
-use sdt::controller::SdtController;
+use sdt::controller::{Deployment, SdtController};
 use sdt::core::feasibility::{max_link_gbps, projectable_count};
-use sdt::core::methods::{Method, SwitchModel};
+use sdt::core::methods::{CostModel, Method, SwitchModel};
 use sdt::routing::dragonfly::{DragonflyMinimal, DragonflyUgal};
 use sdt::routing::{default_strategy, generic::Bfs, RouteTable};
 use sdt::sim::mpi::run_trace_adaptive;
@@ -28,6 +29,20 @@ fn act_ns(ns: Option<u64>, what: &str) -> u64 {
         Some(v) => v,
         None => panic!("{what} did not complete within the simulated horizon"),
     }
+}
+
+/// `topo` deployed on the smallest cluster of 128x100G switches, up to
+/// six, that carries it.
+pub fn smallest_deployment(topo: &Topology) -> Deployment {
+    let model = SwitchModel::openflow_128x100g();
+    for n in 1..=6u32 {
+        if let Ok(mut ctl) = SdtController::for_campaign(std::slice::from_ref(topo), model, n) {
+            if let Ok(d) = ctl.deploy(topo) {
+                return d;
+            }
+        }
+    }
+    panic!("{} does not fit on 6x128 ports", topo.name());
 }
 
 // ---------------------------------------------------------------- Fig. 11
@@ -179,22 +194,14 @@ pub fn table4_cell(
     }
 }
 
-/// The Table IV topologies with an auto-planned SDT deployment each;
-/// returns (topology, modeled deployment time ns).
+/// The Table IV topologies, each with the modeled deployment time (ns) of
+/// its [`smallest_deployment`].
 pub fn table4_topologies() -> Vec<(Topology, u64)> {
-    let model = SwitchModel::openflow_128x100g();
     [dragonfly(4, 9, 2, 2), fat_tree(4), torus(&[5, 5]), torus(&[4, 4, 4])]
         .into_iter()
         .map(|t| {
-            // Smallest cluster that carries the topology.
-            for n in 1..=6u32 {
-                if let Ok(mut ctl) = SdtController::for_campaign(std::slice::from_ref(&t), model, n) {
-                    if let Ok(d) = ctl.deploy(&t) {
-                        return (t, d.deploy_time_ns);
-                    }
-                }
-            }
-            panic!("{} does not fit on 6x128 ports", t.name());
+            let deploy_ns = smallest_deployment(&t).deploy_time_ns;
+            (t, deploy_ns)
         })
         .collect()
 }
@@ -225,8 +232,7 @@ pub fn table4_grid(topologies: &[(Topology, u64)], max_ranks: u32) -> Vec<Vec<Ta
 }
 
 /// The Table IV workload columns for `n` ranks, scaled so flit-level
-/// simulation stays tractable. Communication fractions preserve the
-/// paper's ordering (HPL < HPCG < miniGhost < miniFE < IMB).
+/// simulation stays tractable.
 pub fn table4_workloads(n: u32) -> Vec<(&'static str, Trace)> {
     let m = MachineModel::default();
     vec![
@@ -251,6 +257,9 @@ pub struct Fig13Point {
     pub act_ns: u64,
     /// Simulator evaluation time = measured wall-clock, ns.
     pub sim_wall_ns: u128,
+    /// Events the flit simulation processed: the simulator's cost, free of
+    /// the host's speed.
+    pub sim_events: u64,
     /// SDT evaluation time = deployment + ACT, ns.
     pub sdt_eval_ns: u64,
 }
@@ -277,6 +286,7 @@ pub fn fig13_point(topo: &Topology, n: u32, msg_bytes: u64, deploy_ns: u64) -> F
         nodes: n,
         act_ns: act,
         sim_wall_ns: sim.wall_ns,
+        sim_events: sim.events,
         sdt_eval_ns: act + deploy_ns,
     }
 }
@@ -346,14 +356,37 @@ pub fn table2_dc_grid() -> Vec<Table2Row> {
         .collect()
 }
 
-/// The Table II WAN row: projectable count out of 261 per method.
-/// `switches` of `model` per cluster.
-pub fn table2_wan_counts(model: &SwitchModel, switches: u32) -> Vec<(Method, usize)> {
-    let corpus = sdt::topology::zoo::zoo_corpus();
+/// Table II's hardware cost per method, one switch per column:
+/// (method, 64x100G USD, 128x100G USD).
+pub fn table2_costs() -> Vec<(Method, u64, u64)> {
     Method::ALL
         .iter()
-        .map(|&m| (m, projectable_count(m, &corpus, model, switches)))
+        .map(|&m| {
+            let c64 = CostModel::of(m, &SwitchModel::openflow_64x100g(), 1, 128).total_usd();
+            let c128 = CostModel::of(m, &SwitchModel::openflow_128x100g(), 1, 256).total_usd();
+            (m, c64, c128)
+        })
         .collect()
+}
+
+/// The Table II WAN row: projectable count out of 261 per method, on a
+/// cluster of four 64x100G and one of two 128x100G switches, each with its
+/// label.
+pub fn table2_wan_rows() -> Vec<(&'static str, Vec<(Method, usize)>)> {
+    let corpus = sdt::topology::zoo::zoo_corpus();
+    [
+        ("4x 64x100G ", SwitchModel::openflow_64x100g(), 4u32),
+        ("2x 128x100G", SwitchModel::openflow_128x100g(), 2),
+    ]
+    .into_iter()
+    .map(|(label, model, switches)| {
+        let counts = Method::ALL
+            .iter()
+            .map(|&m| (m, projectable_count(m, &corpus, &model, switches)))
+            .collect();
+        (label, counts)
+    })
+    .collect()
 }
 
 // ---------------------------------------------------------------- §VI-E
@@ -394,25 +427,24 @@ pub fn active_routing_compare(trace: &Trace, hosts: &[HostId]) -> ActiveRoutingR
     }
 }
 
-/// Format a speed cell (`None` = "x").
-pub fn speed_cell(v: Option<u32>) -> String {
-    match v {
-        Some(g) => format!("<={g}G"),
-        None => "x".into(),
-    }
-}
-
-/// Format nanoseconds human-readably.
-pub fn fmt_ns(ns: f64) -> String {
-    if ns >= 1e9 {
-        format!("{:.2} s", ns / 1e9)
-    } else if ns >= 1e6 {
-        format!("{:.2} ms", ns / 1e6)
-    } else if ns >= 1e3 {
-        format!("{:.2} us", ns / 1e3)
-    } else {
-        format!("{ns:.0} ns")
-    }
+/// The two §VI-E cases on Dragonfly(4,9,2), 32 ranks, labelled: IMB
+/// Alltoall on the seeded random placement, then a group-shift permutation
+/// on packed nodes (8 per group), where minimal routing aims each group's
+/// whole load at one global link.
+pub fn active_routing_cases() -> [(&'static str, ActiveRoutingResult); 2] {
+    let topo = dragonfly(4, 9, 2, 2);
+    let random_hosts = select_nodes(&topo, 32, 2023);
+    let packed_hosts: Vec<HostId> = (0..32).map(HostId).collect();
+    [
+        (
+            "IMB Alltoall, random nodes",
+            active_routing_compare(&apps::imb_alltoall(32, 64 * 1024, 2), &random_hosts),
+        ),
+        (
+            "group-shift permutation, packed nodes",
+            active_routing_compare(&apps::permutation_shift(32, 8, 512 * 1024, 4), &packed_hosts),
+        ),
+    ]
 }
 
 #[cfg(test)]

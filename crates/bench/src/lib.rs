@@ -1,12 +1,13 @@
-//! Shared experiment drivers behind the per-table/per-figure binaries.
-//!
-//! Every function here regenerates one artifact of the paper's evaluation
-//! at a configurable scale; the `src/bin/*` entry points run them at
-//! reporting scale and print paper-style rows. Nothing here times the
+//! The paper's evaluation (§VI): one driver per experiment
+//! ([`experiments`]), one render function per artifact ([`render`]), and a
+//! binary that renders them all in order into `results/<name>.txt`
+//! (`cargo run --release -p sdt-bench`). The tests under `tests/` assert
+//! the paper's shapes on the same drivers. Nothing here times the
 //! repository's own code — that is `benchmark/`'s job.
 
 pub mod experiments;
 pub mod par;
+pub mod render;
 
 pub use experiments::*;
 pub use par::{bench_threads, par_map};
