@@ -34,7 +34,7 @@
 //!                                  defect first to show it being caught.
 //!                                  `--stats` adds verifier cost figures:
 //!                                  header equivalence classes, symbolic
-//!                                  walks, worker count and wall time.
+//!                                  walks and wall time.
 //! ```
 //!
 //! With `--daemon <socket>`, `slices`, `reconfigure` and `verify` are
@@ -476,12 +476,7 @@ fn cmd_verify(args: &[String], json: bool) -> Result<(), String> {
                 // An empty-delta re-verify of the unchanged tables: what an
                 // incremental recheck costs when the previous proof is kept.
                 let t0 = std::time::Instant::now();
-                let _ = Verifier::check_delta_threads(
-                    &v,
-                    &[],
-                    intent(),
-                    sdt_verify::verify_threads(),
-                );
+                let _ = Verifier::check_delta(&v, &[], intent());
                 let warm_s = t0.elapsed().as_secs_f64();
                 Some(StatsBlock { wall_s, warm_s: Some(warm_s), stats: v.stats().clone() })
             } else {

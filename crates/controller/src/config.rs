@@ -243,6 +243,15 @@ impl TestbedConfig {
     /// — are known to fit the ports of the cluster the same file declares,
     /// so no file can panic a builder or make it build without bound.
     pub fn parse(text: &str) -> Result<TestbedConfig, ConfigError> {
+        Self::parse_within(text, u128::MAX)
+    }
+
+    /// [`TestbedConfig::parse`] on behalf of a process that already runs a
+    /// cluster of `ports` physical ports (`sdtd`): the topology is built
+    /// only if it also fits those, so a request cannot make the daemon
+    /// build more than its own cluster could carry by declaring a larger
+    /// `[cluster]`.
+    pub fn parse_within(text: &str, ports: u128) -> Result<TestbedConfig, ConfigError> {
         let raw = Raw::parse(text)?;
         let kind = raw.string("topology.kind")?;
 
@@ -268,7 +277,7 @@ impl TestbedConfig {
         }
 
         // A logical switch and a host each take at least one physical port.
-        let ports = u128::from(switches) * u128::from(model.ports);
+        let ports = (u128::from(switches) * u128::from(model.ports)).min(ports);
         let fits = |s: u128, h: u128| {
             if s.max(h) <= ports {
                 return Ok(());

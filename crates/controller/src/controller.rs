@@ -171,12 +171,6 @@ impl SdtController {
         &self.cluster
     }
 
-    /// Allow deployments with cyclic CDGs (e.g. to demonstrate deadlock in
-    /// the simulator).
-    pub fn allow_deadlock_risk(&mut self) {
-        self.require_deadlock_free = false;
-    }
-
     /// Statically verify a projection's synthesized tables against the
     /// topology's delivery intent — no packets injected, no counters
     /// touched. Pure read of the would-be pipeline.
@@ -458,8 +452,7 @@ impl SdtController {
         let before = TableView::of_switches(switches);
         let rounds = sdt_tenancy::compile_rounds(&epoch, &before);
         let intent = Intent::of_projection(projection, topology, topology.name());
-        let threads = sdt_verify::verify_threads();
-        let base = Verifier::check_threads(&self.cluster, before, intent.clone(), threads);
+        let base = Verifier::check(&self.cluster, before, intent.clone());
         let (_proof, rep) = sdt_tenancy::install_scheduled(
             &self.cluster,
             switches,
@@ -469,7 +462,6 @@ impl SdtController {
             &intent,
             &intent,
             &self.timing,
-            threads,
             &cfg.retry,
         )
         .ok()?;

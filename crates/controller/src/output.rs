@@ -181,7 +181,6 @@ fn verify_tree(scope: &str, r: &VerifyReport, block: Option<&StatsBlock>) -> Jso
             ("wall_s", Json::fixed(b.wall_s, 6)),
         ];
         stats.extend(b.warm_s.map(|w| ("warm_reverify_s", Json::fixed(w, 6))));
-        stats.push(("threads", Json::usize(sdt_verify::verify_threads())));
         obj.push(("stats", Json::obj(stats)));
     }
     Json::obj(obj)
@@ -189,7 +188,6 @@ fn verify_tree(scope: &str, r: &VerifyReport, block: Option<&StatsBlock>) -> Jso
 
 /// Verification report, human form.
 pub fn verify_human(scope: &str, r: &VerifyReport, block: Option<&StatsBlock>) -> String {
-    let threads = sdt_verify::verify_threads();
     let mut out = String::new();
     let _ = writeln!(out, "static verification ({scope}): {}", r.summary());
     let _ = writeln!(
@@ -200,7 +198,7 @@ pub fn verify_human(scope: &str, r: &VerifyReport, block: Option<&StatsBlock>) -
     if let Some(b) = block {
         let _ = writeln!(
             out,
-            "  stats: {} header classes, {} symbolic walks ({} full, {} replayed), {threads} worker(s), {:.1} ms wall{}",
+            "  stats: {} header classes, {} symbolic walks ({} full, {} replayed), {:.1} ms wall{}",
             r.header_classes,
             r.pairs_walked,
             b.stats.pairs_walked_full,

@@ -106,11 +106,6 @@ impl SliceController {
         SliceController { mgr, require_deadlock_free }
     }
 
-    /// Allow slices whose routing has a cyclic CDG (deadlock demos).
-    pub fn allow_deadlock_risk(&mut self) {
-        self.require_deadlock_free = false;
-    }
-
     /// Resolve a named strategy and run the deadlock gate — the
     /// admission-independent half of `create`/`reconfigure`. The daemon
     /// calls this per request *before* queueing, so a batch handed to

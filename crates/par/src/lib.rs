@@ -1,8 +1,8 @@
 //! Deterministic, order-preserving thread fan-out.
 //!
-//! Both the experiment sweep driver (`sdt-bench`) and the static verifier
-//! (`sdt-verify`) are maps over independent work items: each item owns its
-//! state, so the result of an item does not depend on which thread ran it
+//! Both the experiment sweep driver (`sdt-bench`) and the decomposed
+//! estimator (`sdt-estimate`) are maps over independent work items: each
+//! item owns its state, so the result of an item does not depend on which thread ran it
 //! or when. [`par_map_threads`] exploits that: it fans items over a
 //! `std::thread::scope` pool and returns results in input order,
 //! bit-identical to the sequential map.
@@ -38,7 +38,7 @@ pub fn parse_threads(raw: Option<&str>) -> Option<usize> {
 }
 
 /// Worker count from an environment variable (e.g. `SDT_BENCH_THREADS`,
-/// `SDT_VERIFY_THREADS`): the variable when set to a positive integer, else
+/// `SDT_ESTIMATE_THREADS`): the variable when set to a positive integer, else
 /// the machine's available parallelism.
 pub fn threads_from_env(var: &str) -> usize {
     parse_threads(std::env::var(var).ok().as_deref())
@@ -144,7 +144,8 @@ where
 /// running alone while the rest idle (makespan ≈ heaviest tail). Claiming
 /// heaviest-first is the classic LPT greedy, within 4/3 of the optimal
 /// makespan. `weight` is any monotone proxy for per-item cost — for the
-/// verifier's pair walk, `pairs × table sizes` of the job's home switch.
+/// estimator's representative simulations, an `n log n` model of their
+/// flow count.
 pub fn par_map_weighted_threads<T, R, F, W>(
     threads: usize,
     items: &[T],

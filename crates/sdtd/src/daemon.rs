@@ -135,6 +135,15 @@ impl DaemonState {
     pub fn verify_holds(&mut self) -> bool {
         self.ctl.manager_mut().verify_report().holds()
     }
+
+    /// Parse a request's config text. Its topology is built only if it
+    /// fits this daemon's own cluster, whatever `[cluster]` the text
+    /// declares.
+    fn parse(&self, text: &str) -> Result<TestbedConfig, String> {
+        let cluster = self.ctl.manager().cluster();
+        let ports = u128::from(cluster.num_switches()) * u128::from(cluster.model().ports);
+        TestbedConfig::parse_within(text, ports).map_err(|e| e.to_string())
+    }
 }
 
 // ------------------------------------------------------------- protocol
@@ -446,7 +455,7 @@ impl Engine<'_> {
     /// hand the run to [`SliceController::apply_batch`], and map its
     /// per-item results back onto the originating requests.
     fn lifecycle_group(&mut self, group: &[WorkItem]) -> Vec<Reply> {
-        let parsed = |text: &str| TestbedConfig::parse(text).map_err(|e| e.to_string());
+        let parsed = |text: &str| self.state.parse(text);
         let items = group
             .iter()
             .map(|item| match &item.req {
@@ -589,9 +598,7 @@ impl Engine<'_> {
     fn slices_reply(&mut self, id: u64, json: bool, items: &[(String, String)]) -> Reply {
         let configs: Vec<_> = items
             .iter()
-            .map(|(path, text)| {
-                (path.clone(), TestbedConfig::parse(text).map_err(|e| e.to_string()))
-            })
+            .map(|(path, text)| (path.clone(), self.state.parse(text)))
             .collect();
         let done = commands::slices(&mut self.state.ctl, &configs, json);
         let texts: Vec<&str> = items.iter().map(|(_, text)| text.as_str()).collect();
@@ -610,13 +617,13 @@ impl Engine<'_> {
         from_text: &str,
         to_text: &str,
     ) -> Reply {
-        let from = match TestbedConfig::parse(from_text) {
+        let from = match self.state.parse(from_text) {
             Ok(c) => c,
             Err(e) => return Reply::err(id, format!("{from_path}: {e}")),
         };
-        let to = match TestbedConfig::parse(to_text) {
+        let to = match self.state.parse(to_text) {
             Ok(c) => c,
-            Err(e) => return Reply::err(id, e.to_string()),
+            Err(e) => return Reply::err(id, e),
         };
         let done =
             commands::reconfigure(&mut self.state.ctl, from_path, &from, &to, scheduled, json);

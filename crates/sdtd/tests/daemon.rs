@@ -503,3 +503,31 @@ fn hostile_configs_are_refused_by_key_and_the_connection_keeps_serving() {
     stop(&socket);
     handle.join().unwrap().unwrap();
 }
+
+/// A request's `[cluster]` is its own claim, not the daemon's cluster: a
+/// 100 000-switch chain under a declared 1 000-switch cluster fits the file
+/// but not the daemon's 4 × 128 ports, and is refused by name at parse
+/// time — admitted or migrated to, it is never built.
+#[test]
+fn oversize_topology_under_an_inflated_cluster_is_refused_before_it_is_built() {
+    let (socket, handle) = start("inflated-cluster", 64);
+    let mut c = Client::connect(&socket);
+    let inflated = "[topology]\nkind = \"chain\"\nn = 100000\n\n[cluster]\nswitches = 1000\n\
+                    model = \"openflow-128x100g\"\nhosts_per_switch = 16\n\
+                    inter_links_per_pair = 0\n";
+    assert!(TestbedConfig::parse(inflated).is_ok(), "the file alone is consistent");
+    let named = "bad value for `topology`: 100000 switches and 100000 hosts exceed the \
+                 cluster's 512 ports";
+    let admitted = c.call("admit", vec![("config".into(), Json::str(inflated))]);
+    assert_eq!(outcome(&admitted), (false, named.to_string()), "{}", admitted.emit());
+    let chain3 = cfg("kind = \"chain\"\nn = 3");
+    let small = c.call("admit", vec![("config".into(), Json::str(chain3.as_str()))]);
+    assert_eq!(small.get("slice").and_then(Json::as_u64), Some(0), "{}", small.emit());
+    let params = vec![("id".into(), Json::u64(0)), ("config".into(), Json::str(inflated))];
+    let migrated = c.call("migrate", params);
+    assert_eq!(outcome(&migrated), (false, named.to_string()), "{}", migrated.emit());
+    let status = c.call("status", vec![]);
+    assert_eq!(status.get("slices").and_then(Json::as_u64), Some(1), "{}", status.emit());
+    stop(&socket);
+    handle.join().unwrap().unwrap();
+}

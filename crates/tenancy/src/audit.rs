@@ -4,7 +4,7 @@
 //! Production code never runs this: every install is gated by the
 //! `sdt-verify` proof and every operator report renders that proof
 //! ([`SliceManager::verify_report`]). The audit stays, like
-//! `Verifier::check_plain_threads` and `FlowTable::linear_lookup_with`, as
+//! `Verifier::check_plain` and `FlowTable::linear_lookup_with`, as
 //! an independent second opinion for `tests/verify_differential.rs`: it
 //! shares no code with the verifier, walks real packets through the *live*
 //! shared tables with the one walker in [`sdt_core::walk`], and must reach

@@ -925,7 +925,6 @@ impl SliceManager {
             &pre_intent,
             &post_intent,
             &self.timing,
-            sdt_verify::verify_threads(),
             &sdt_openflow::RetryPolicy::default(),
         ) {
             Ok((proof, sreport)) => {

@@ -18,7 +18,7 @@
 //!    priority) key is an in-place MODIFY and is never split across
 //!    rounds.
 //! 2. **Per-round proofs** — [`install_scheduled`] chains a
-//!    [`Verifier::check_delta_threads`] proof across the round boundaries:
+//!    [`Verifier::check_delta`] proof across the round boundaries:
 //!    each boundary state is accepted only if it introduces *no finding
 //!    that the pre-migration tables did not already have* (for a healthy
 //!    starting state this is exactly [`sdt_verify::VerifyReport::holds`]).
@@ -339,7 +339,6 @@ fn prove_with_merge(
     base_report: &VerifyReport,
     pre_intent: &Intent,
     post_intent: &Intent,
-    threads: usize,
     merges: &mut usize,
     round_index: usize,
 ) -> Result<Proven, ScheduleError> {
@@ -355,7 +354,7 @@ fn prove_with_merge(
         let post = work.is_empty() || round.phase >= RoundPhase::Cutover;
         let intent = if post { post_intent } else { pre_intent };
         let t0 = Instant::now();
-        let v = Verifier::check_delta_threads(base, &round.mods, intent.clone(), threads);
+        let v = Verifier::check_delta(base, &round.mods, intent.clone());
         wall += t0.elapsed().as_nanos() as u64;
         if no_new_findings(v.report(), base_report) {
             let pairs_walked = v.report().pairs_walked;
@@ -408,7 +407,6 @@ pub fn install_scheduled(
     pre_intent: &Intent,
     post_intent: &Intent,
     timing: &InstallTiming,
-    threads: usize,
     retry: &RetryPolicy,
 ) -> Result<(Verifier, ScheduleReport), ScheduleError> {
     let base_report = base.report().clone();
@@ -428,7 +426,6 @@ pub fn install_scheduled(
             &base_report,
             pre_intent,
             post_intent,
-            threads,
             &mut report.merges,
             0,
         )?)
@@ -453,7 +450,6 @@ pub fn install_scheduled(
                 &base_report,
                 pre_intent,
                 post_intent,
-                threads,
                 &mut report.merges,
                 index + 1,
             )?);
@@ -475,12 +471,7 @@ pub fn install_scheduled(
             reverified = true;
             report.reverifications += 1;
             let intent = if post { post_intent } else { pre_intent };
-            let live = Verifier::check_threads(
-                cluster,
-                TableView::of_switches(switches),
-                intent.clone(),
-                threads,
-            );
+            let live = Verifier::check(cluster, TableView::of_switches(switches), intent.clone());
             if !no_new_findings(live.report(), &base_report) {
                 report.violations += 1;
                 return Err(ScheduleError::DivergedUnsafe {

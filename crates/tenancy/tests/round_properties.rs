@@ -11,8 +11,8 @@
 //!     table state: same entry set per table, every (match, priority) key
 //!     unique — distinct-key units commute, so set equality is lookup
 //!     equality;
-//! (d) scheduling and installation are deterministic for a fixed channel
-//!     seed at any `SDT_VERIFY_THREADS` worker count.
+//! (d) scheduling and installation are deterministic: re-planning gives
+//!     the same rounds, and a fixed channel seed replays the same install.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use proptest::prelude::*;
@@ -171,12 +171,11 @@ proptest! {
     }
 }
 
-/// Run one plan through `install_scheduled` with an explicit worker count
-/// and a fixed channel seed; return what determinism must preserve.
+/// Run one plan through `install_scheduled` with a fixed channel seed;
+/// return what determinism must preserve.
 fn run_install(
     mgr: &SliceManager,
     plan: &MigrationPlan,
-    threads: usize,
     seed: u64,
 ) -> (Vec<OpenFlowSwitch>, Vec<String>, usize, bool) {
     let mut switches: Vec<OpenFlowSwitch> = mgr.switches().to_vec();
@@ -186,11 +185,10 @@ fn run_install(
         seed,
         ..ControlConfig::reliable()
     });
-    let base = Verifier::check_threads(
+    let base = Verifier::check(
         mgr.cluster(),
         TableView::of_switches(&switches),
         plan.pre_intent().clone(),
-        threads,
     );
     let (_, rep) = install_scheduled(
         mgr.cluster(),
@@ -201,7 +199,6 @@ fn run_install(
         plan.pre_intent(),
         plan.post_intent(),
         mgr.timing(),
-        threads,
         &RetryPolicy::default(),
     )
     .unwrap();
@@ -219,7 +216,7 @@ fn run_install(
 }
 
 #[test]
-fn scheduling_is_thread_count_independent_for_a_fixed_seed() {
+fn scheduling_replays_exactly_for_a_fixed_seed() {
     let (mgr, plan) = plan_of(1, 2, 1); // chain(4) co-tenant isn't migrated
     // compile_rounds is a pure function: re-planning must be identical.
     let replan = {
@@ -231,19 +228,17 @@ fn scheduling_is_thread_count_independent_for_a_fixed_seed() {
     assert_eq!(format!("{:?}", plan.rounds()), format!("{:?}", replan.rounds()));
 
     for seed in [3u64, 17] {
-        let (sw1, rounds1, viol1, conv1) = run_install(&mgr, &plan, 1, seed);
-        for threads in [2usize, 4] {
-            let (swn, roundsn, violn, convn) = run_install(&mgr, &plan, threads, seed);
-            assert_eq!(rounds1, roundsn, "seed {seed}: round trace differs at {threads} threads");
-            assert_eq!((viol1, conv1), (violn, convn));
-            for (a, b) in sw1.iter().zip(&swn) {
-                for t in [0u8, 1u8] {
-                    assert_eq!(
-                        a.table(t).entries(),
-                        b.table(t).entries(),
-                        "seed {seed}: live tables differ at {threads} threads"
-                    );
-                }
+        let (sw1, rounds1, viol1, conv1) = run_install(&mgr, &plan, seed);
+        let (sw2, rounds2, viol2, conv2) = run_install(&mgr, &plan, seed);
+        assert_eq!(rounds1, rounds2, "seed {seed}: round trace differs on replay");
+        assert_eq!((viol1, conv1), (viol2, conv2));
+        for (a, b) in sw1.iter().zip(&sw2) {
+            for t in [0u8, 1u8] {
+                assert_eq!(
+                    a.table(t).entries(),
+                    b.table(t).entries(),
+                    "seed {seed}: live tables differ on replay"
+                );
             }
         }
         assert!(conv1, "seed {seed}: lossy install must converge");

@@ -4,10 +4,10 @@
 //! shown to produce a transient violation the scheduler provably avoids.
 //!
 //! The scheduler's own proofs run through the collapsed incremental walker
-//! (`check_delta_threads`); trusting it to certify its own rounds would be
+//! (`check_delta`); trusting it to certify its own rounds would be
 //! circular. Here each round boundary is re-derived independently: the
 //! rounds are applied to a [`TableView`] snapshot one by one and each
-//! resulting state is handed to `Verifier::check_plain_threads`, which
+//! resulting state is handed to `Verifier::check_plain`, which
 //! shares no collapse machinery with the fast path.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -60,7 +60,7 @@ fn enumerate_boundaries(
 /// Reference verdict on one boundary: no loop, blackhole or leak.
 fn assert_boundary_clean(mgr: &SliceManager, plan: &MigrationPlan, label: &str) {
     enumerate_boundaries(mgr, plan, |i, view, intent| {
-        let v = Verifier::check_plain_threads(mgr.cluster(), view.clone(), intent.clone(), 1);
+        let v = Verifier::check_plain(mgr.cluster(), view.clone(), intent.clone());
         assert!(
             v.holds(),
             "{label}: round {i}/{} boundary violates: {}",
@@ -129,7 +129,7 @@ fn seeded_random_slice_mixes_are_clean_at_every_boundary() {
 #[test]
 fn memoized_round_proofs_match_the_reference_walker() {
     // Differential closure of the scheduler's actual proof chain: replay it
-    // with `check_delta_plain_threads` (no memoization, no collapse) and
+    // with `check_delta_plain` (no memoization, no collapse) and
     // assert findings are byte-identical to the fast incremental chain at
     // every boundary.
     let mut mgr = SliceManager::new(cluster2());
@@ -139,16 +139,11 @@ fn memoized_round_proofs_match_the_reference_walker() {
 
     let before = TableView::of_switches(mgr.switches());
     let mut fast = Verifier::check(mgr.cluster(), before.clone(), plan.pre_intent().clone());
-    let mut plain = Verifier::check_plain_threads(
-        mgr.cluster(),
-        before,
-        plan.pre_intent().clone(),
-        1,
-    );
+    let mut plain = Verifier::check_plain(mgr.cluster(), before, plan.pre_intent().clone());
     for (i, round) in plan.rounds().iter().enumerate() {
         let intent = boundary_intent(&plan, i);
         fast = Verifier::check_delta(&fast, &round.mods, intent.clone());
-        plain = Verifier::check_delta_plain_threads(&plain, &round.mods, intent.clone(), 1);
+        plain = Verifier::check_delta_plain(&plain, &round.mods, intent.clone());
         let (f, p) = (fast.report(), plain.report());
         assert_eq!(format!("{:?}", f.loops), format!("{:?}", p.loops), "round {i} loops");
         assert_eq!(
@@ -181,7 +176,7 @@ fn naive_one_shot_order_produces_a_transient_violation() {
         view.apply(d.switch, d.table, &FlowMod::Delete(d.m, d.priority));
     }
     let mid =
-        Verifier::check_plain_threads(mgr.cluster(), view.clone(), plan.pre_intent().clone(), 1);
+        Verifier::check_plain(mgr.cluster(), view.clone(), plan.pre_intent().clone());
     assert!(
         !mid.report().blackholes.is_empty(),
         "deletes-first midpoint must blackhole live traffic: {}",
@@ -195,6 +190,6 @@ fn naive_one_shot_order_produces_a_transient_violation() {
         view.apply(a.switch, a.table, &FlowMod::Add(a.entry));
     }
     let done =
-        Verifier::check_plain_threads(mgr.cluster(), view, plan.post_intent().clone(), 1);
+        Verifier::check_plain(mgr.cluster(), view, plan.post_intent().clone());
     assert!(done.holds(), "end state clean either way: {}", done.report().summary());
 }

@@ -2,15 +2,13 @@
 //! closure, dead/nondeterministic-rule warnings, and the VeriFlow-style
 //! incremental delta check.
 //!
-//! # Parallel, deterministic
+//! # One thread
 //!
-//! The three passes are embarrassingly parallel — warnings per switch,
-//! loop scans per header class, reachability walks per source host — and
-//! each is fanned out over [`sdt_par::par_map_threads`] with results merged
-//! back in canonical order (switch id / class enumeration order / intent
-//! host order). Workers share only immutable state, so any worker count
-//! produces byte-identical findings; `SDT_VERIFY_THREADS` (see
-//! [`crate::verify_threads`]) only changes wall-clock time.
+//! Every pass runs on the caller's thread, in canonical order — warnings
+//! per switch id, loop scans per class in enumeration order, reachability
+//! walks per source host in intent order — and writes its findings in
+//! place. A delta proof bounds the work by the switches its batch touches,
+//! not by cores.
 //!
 //! # What a proof keeps
 //!
@@ -386,8 +384,8 @@ struct TraceStore {
     /// [`Outcomes`] (fast walker) or one per walked pair (reference walker).
     outcomes: Vec<PairOutcome>,
     /// The distinct traces of the pass: those carried over from the previous
-    /// proof, then one per walked pair (reference walker) or one per (class
-    /// job, source group) representative (fast walker).
+    /// proof, then one per walked pair (reference walker) or one per (class,
+    /// source group) representative (fast walker).
     distinct: Vec<Trace>,
     /// Per intent host, the row of `rows` its pairs read. Hosts share a row
     /// when their rows are provably equal ([`Verifier::carry_over`]).
@@ -500,58 +498,51 @@ pub struct Verifier {
 }
 
 impl Verifier {
-    /// Fully verify a table snapshot against an intent, on
-    /// [`crate::verify_threads`] workers.
+    /// Fully verify a table snapshot against an intent.
     pub fn check(cluster: &PhysicalCluster, view: TableView, intent: Intent) -> Verifier {
-        Self::check_threads(cluster, view, intent, crate::verify_threads())
+        Self::check_impl(cluster, view, intent, false, CLASS_BLOCK)
     }
 
-    /// [`Verifier::check`] with an explicit worker count (1 = fully
-    /// sequential). The report is byte-identical for every worker count.
+    /// [`Verifier::check`]; the worker count is ignored. Kept only because
+    /// `benchmark/` calls it; a later `benchmark` issue retires it.
     pub fn check_threads(
         cluster: &PhysicalCluster,
         view: TableView,
         intent: Intent,
-        threads: usize,
+        _threads: usize,
     ) -> Verifier {
-        Self::check_impl(cluster, view, intent, threads, false, CLASS_BLOCK)
+        Self::check(cluster, view, intent)
     }
 
-    /// [`Verifier::check_threads`]. Kept only because `benchmark/` calls
-    /// it; a later `benchmark` issue retires it.
+    /// [`Verifier::check`]. Kept only because `benchmark/` calls it; a
+    /// later `benchmark` issue retires it.
     pub fn check_cached(
         cluster: &PhysicalCluster,
         view: TableView,
         intent: Intent,
-        threads: usize,
+        _threads: usize,
         _cache: &mut WalkCache,
     ) -> Verifier {
-        Self::check_threads(cluster, view, intent, threads)
+        Self::check(cluster, view, intent)
     }
 
     /// The reference (unoptimized) verifier: no symmetry collapse, no
     /// memoization — every pair budget-walked, every switch linearly
     /// scanned. Exists so the differential tests can prove the fast path
     /// byte-identical; not intended for production callers.
-    pub fn check_plain_threads(
-        cluster: &PhysicalCluster,
-        view: TableView,
-        intent: Intent,
-        threads: usize,
-    ) -> Verifier {
-        Self::check_impl(cluster, view, intent, threads, true, CLASS_BLOCK)
+    pub fn check_plain(cluster: &PhysicalCluster, view: TableView, intent: Intent) -> Verifier {
+        Self::check_impl(cluster, view, intent, true, CLASS_BLOCK)
     }
 
     fn check_impl(
         cluster: &PhysicalCluster,
         view: TableView,
         intent: Intent,
-        threads: usize,
         plain: bool,
         block: usize,
     ) -> Verifier {
         let values = HeaderValues::collect(&view);
-        Self::unproven(cluster.clone(), view, intent, values).prove(None, threads, plain, block)
+        Self::unproven(cluster.clone(), view, intent, values).prove(None, plain, block)
     }
 
     /// A verifier of these tables against this intent that has proven
@@ -577,9 +568,9 @@ impl Verifier {
 
     /// Every proof — full or delta, reference or fast: scan the switches,
     /// find the loops, walk the pairs the delta does not carry over, report.
-    fn prove(mut self, delta: Delta<'_>, threads: usize, plain: bool, block: usize) -> Verifier {
+    fn prove(mut self, delta: Delta<'_>, plain: bool, block: usize) -> Verifier {
         let scan = if plain { table_warnings_linear } else { table_warnings_indexed };
-        self.scan_warnings(delta, threads, scan);
+        self.scan_warnings(delta, scan);
         // Empty batch against an unchanged intent in which every host owns
         // its address (so every pair carries over): the view, values,
         // warnings, carried loops and every previous trace are replayed
@@ -611,10 +602,10 @@ impl Verifier {
             .filter(|f| f.ok);
         self.stats.symmetric = fates.is_some();
         let walked = match &fates {
-            Some(fates) => self.walk_pairs_fast(fates, outcomes, delta, threads, block),
+            Some(fates) => self.walk_pairs_fast(fates, outcomes, delta, block),
             None => {
-                self.scan_loops(touched, threads);
-                self.walk_pairs(delta, threads)
+                self.scan_loops(touched);
+                self.walk_pairs(delta)
             }
         };
         self.finalize(touched.map_or(self.view.num_switches(), SwitchSet::len), walked);
@@ -643,47 +634,34 @@ impl Verifier {
         batch: &[(u32, u8, FlowMod)],
         intent: Intent,
     ) -> Verifier {
-        Self::check_delta_threads(prev, batch, intent, crate::verify_threads())
+        Self::check_delta_impl(prev, batch, intent, false, CLASS_BLOCK)
     }
 
-    /// [`Verifier::check_delta`] with an explicit worker count (1 = fully
-    /// sequential). The report is byte-identical for every worker count.
-    pub fn check_delta_threads(
-        prev: &Verifier,
-        batch: &[(u32, u8, FlowMod)],
-        intent: Intent,
-        threads: usize,
-    ) -> Verifier {
-        Self::check_delta_impl(prev, batch, intent, threads, false, CLASS_BLOCK)
-    }
-
-    /// [`Verifier::check_delta_threads`]. Kept only because `benchmark/`
-    /// calls it; a later `benchmark` issue retires it.
+    /// [`Verifier::check_delta`]. Kept only because `benchmark/` calls it;
+    /// a later `benchmark` issue retires it.
     pub fn check_delta_cached(
         prev: &Verifier,
         batch: &[(u32, u8, FlowMod)],
         intent: Intent,
-        threads: usize,
+        _threads: usize,
         _cache: &mut WalkCache,
     ) -> Verifier {
-        Self::check_delta_threads(prev, batch, intent, threads)
+        Self::check_delta(prev, batch, intent)
     }
 
-    /// The reference incremental check — see [`Verifier::check_plain_threads`].
-    pub fn check_delta_plain_threads(
+    /// The reference incremental check — see [`Verifier::check_plain`].
+    pub fn check_delta_plain(
         prev: &Verifier,
         batch: &[(u32, u8, FlowMod)],
         intent: Intent,
-        threads: usize,
     ) -> Verifier {
-        Self::check_delta_impl(prev, batch, intent, threads, true, CLASS_BLOCK)
+        Self::check_delta_impl(prev, batch, intent, true, CLASS_BLOCK)
     }
 
     fn check_delta_impl(
         prev: &Verifier,
         batch: &[(u32, u8, FlowMod)],
         intent: Intent,
-        threads: usize,
         plain: bool,
         block: usize,
     ) -> Verifier {
@@ -710,7 +688,7 @@ impl Verifier {
             .filter(|l| l.ports.iter().all(|p| !touched.contains(p.switch)))
             .cloned()
             .collect();
-        v.prove(Some((&touched, prev)), threads, plain, block)
+        v.prove(Some((&touched, prev)), plain, block)
     }
 
     /// The verdict.
@@ -742,50 +720,34 @@ impl Verifier {
         &self.stats
     }
 
-    /// Per-switch dead-rule and nondeterminism warnings, one independent
-    /// job per switch, merged back in switch-id order. For untouched
-    /// switches in a delta check, the cached findings are reused. `scan`
-    /// is the reference [`table_warnings_linear`] or the overlap-indexed
-    /// [`table_warnings_indexed`] (byte-identical findings, sub-quadratic).
-    fn scan_warnings(&mut self, delta: Delta<'_>, threads: usize, scan: TableScan) {
+    /// Per-switch dead-rule and nondeterminism warnings, in switch-id
+    /// order. For untouched switches in a delta check, the cached findings
+    /// are reused. `scan` is the reference [`table_warnings_linear`] or the
+    /// overlap-indexed [`table_warnings_indexed`] (byte-identical findings,
+    /// sub-quadratic).
+    fn scan_warnings(&mut self, delta: Delta<'_>, scan: TableScan) {
         let num_ports = self.cluster.model().ports as u16;
         let view = &self.view;
-        let ids: Vec<u32> = (0..view.num_switches() as u32).collect();
-        self.warnings = sdt_par::par_map_threads(threads, &ids, |&sw| {
-            if let Some((touched, prev)) = delta {
-                if !touched.contains(sw) {
-                    return prev.warnings[sw as usize].clone();
+        self.warnings = (0..view.num_switches() as u32)
+            .map(|sw| match delta {
+                Some((touched, prev)) if !touched.contains(sw) => {
+                    prev.warnings[sw as usize].clone()
                 }
-            }
-            switch_warnings(view, num_ports, sw, scan)
-        });
+                _ => switch_warnings(view, num_ports, sw, scan),
+            })
+            .collect();
     }
 
     /// Cycle scan over the forwarding port-graph. Nodes are cable ingress
     /// ports; per header class the graph is functional (one successor), so
     /// following successor chains with a visited set finds every cycle.
-    ///
-    /// Classes are scanned in parallel: each worker discovers its class's
-    /// cycles independently (the traversal never depends on what other
-    /// classes found), then the per-class lists are merged **in class
-    /// enumeration order** against one global dedup set — reproducing the
-    /// sequential pass's output exactly, including which class gets credit
-    /// for a cycle that several classes exhibit.
-    fn scan_loops(&mut self, touched: Option<&SwitchSet>, threads: usize) {
-        let (starts, carried) = self.loop_scan_inputs(touched);
-        let classes = self.values.classes();
-        let (cluster, view, starts, carried_ref) = (&self.cluster, &self.view, &starts, &carried);
-        let per_class: Vec<Vec<LoopFinding>> =
-            sdt_par::par_map_threads(threads, &classes, |&class| {
-                scan_loops_class(view, cluster, starts, carried_ref, class)
-            });
-        let mut seen_cycles = carried;
-        for found in per_class {
-            for l in found {
-                if seen_cycles.insert(canonical_cycle(&l.ports)) {
-                    self.loops.push(l);
-                }
-            }
+    /// Classes are scanned in enumeration order against one set of the
+    /// cycles met so far, so a cycle that several classes exhibit is
+    /// credited to the first.
+    fn scan_loops(&mut self, touched: Option<&SwitchSet>) {
+        let (starts, mut seen) = self.loop_scan_inputs(touched);
+        for class in self.values.classes() {
+            scan_loops_class(&self.view, &self.cluster, &starts, &mut seen, class, &mut self.loops);
         }
     }
 
@@ -929,23 +891,23 @@ impl Verifier {
     }
 
     /// Reachability closure over every ordered intent host pair the delta
-    /// does not carry over, one parallel job per source host, each with a
-    /// row of its own; the walked traces come back in src-major/dst-minor
-    /// order and are stored in it. Returns the number of pairs actually
-    /// re-walked (for the report).
-    fn walk_pairs(&mut self, delta: Delta<'_>, threads: usize) -> usize {
+    /// does not carry over, each source host with a row of its own, walked
+    /// and stored in src-major/dst-minor order. Returns the number of pairs
+    /// actually re-walked (for the report).
+    fn walk_pairs(&mut self, delta: Delta<'_>) -> usize {
         let mut store = self.carry_over(delta, |i| i);
         let budget = 4 * self.cluster.links().len() + 8;
+        let (cluster, values, view) = (&self.cluster, &self.values, &self.view);
         let hosts = &self.intent.hosts;
         let n = hosts.len();
-        let (cluster, values, view, store_ref) = (&self.cluster, &self.values, &self.view, &store);
-        let srcs: Vec<usize> = (0..n).collect();
-        let per_src = sdt_par::par_map_threads(threads, &srcs, |&i| {
-            let src = &hosts[i];
-            let row = store_ref.row(i, n);
-            let open = (0..n).filter(|&j| i != j && row[j] == OPEN);
-            open.map(|j| {
-                let class = values.class_of(src.addr, hosts[j].addr, 4791, 4791);
+        let mut walked = 0usize;
+        for (i, src) in hosts.iter().enumerate() {
+            let row = store.row_of[i] as usize * n;
+            for (j, dst) in hosts.iter().enumerate() {
+                if i == j || store.rows[row + j] != OPEN {
+                    continue;
+                }
+                let class = values.class_of(src.addr, dst.addr, 4791, 4791);
                 let mut crossed = SwitchSet::empty(cluster.num_switches());
                 let mut at = src.ingress;
                 let mut outcome = PairOutcome::Looped;
@@ -964,17 +926,9 @@ impl Verifier {
                         Step::Next { to, .. } => at = to,
                     }
                 }
-                (j, outcome, crossed)
-            })
-            .collect::<Vec<(usize, PairOutcome, SwitchSet)>>()
-        });
-        let mut walked = 0usize;
-        for (i, row) in per_src.into_iter().enumerate() {
-            let at = store.row_of[i] as usize * n;
-            for (j, outcome, crossed) in row {
                 store.outcomes.push(outcome);
                 let id = store.push(Trace { outcome: store.outcomes.len() as u32 - 1, crossed });
-                store.rows[at + j] = id;
+                store.rows[row + j] = id;
                 walked += 1;
             }
         }
@@ -988,21 +942,18 @@ impl Verifier {
     /// one class and one trace. Per block of `block` header classes: the
     /// route pass resolves every table-1 decision once
     /// ([`StepMatrix::build`]); a pass over the rows marks each (source
-    /// group, class) some open pair waits on; one job per class chases the
+    /// group, class) some open pair waits on; each class in turn chases the
     /// decisions through a [`DestinyMemo`] and uses the destinies twice — to
     /// prove the class loop-free (or fall back to the reference port walk,
-    /// keeping `LoopFinding`s byte-identical) and to build one
-    /// representative trace per marked source group; the merge stores those
-    /// in job order on one thread, loop findings merging in
-    /// class-enumeration order; and a second row pass hands every open cell
-    /// its trace as a `u32`. Reports are byte-identical to the reference's
-    /// at any thread count and any block size.
+    /// keeping `LoopFinding`s byte-identical) and to store one
+    /// representative trace per marked source group; and a second row pass
+    /// hands every open cell its trace as a `u32`. Reports are
+    /// byte-identical to the reference's at any block size.
     fn walk_pairs_fast(
         &mut self,
         fates: &FateTable,
         mut outcomes: Outcomes,
         delta: Delta<'_>,
-        threads: usize,
         block: usize,
     ) -> usize {
         let hosts = &self.intent.hosts;
@@ -1029,10 +980,10 @@ impl Verifier {
         // Per host: its group, after the two halves of its pairs' classes as
         // positions in `classes()` — a pair's class is its source's first
         // half plus its destination's second (L4 fields are constant across
-        // intent traffic). One job per class, in that enumeration order
+        // intent traffic). Classes are taken in that enumeration order
         // (loop findings are deduplicated first-class-wins, so the order is
         // part of the report contract); the classes no pair falls in still
-        // get their job, for the loop scan alone.
+        // get their turn, for the loop scan alone.
         let sides: Vec<(usize, usize, usize)> = hosts
             .iter()
             .map(|h| {
@@ -1055,83 +1006,56 @@ impl Verifier {
         let carried_outcomes = store.outcomes.len() as u32;
         let heads = store.heads();
         self.stats.rows = heads.len();
-        struct JobOut {
-            /// The class's verdict for each source group marked [`NEEDED`],
-            /// in group order.
-            reps: Vec<Trace>,
-            hits: usize,
-            resolved: usize,
-            loops: Option<(Vec<LoopFinding>, bool)>,
-        }
         let (cluster, view) = (&self.cluster, &self.view);
         let classes = self.values.classes();
         let mut walked_total = 0usize;
         for (nth, classes) in classes.chunks(block).enumerate() {
             let (lo, len) = (nth * block, classes.len());
-            let (values, at) = (&self.values, (lo, classes));
-            let steps = StepMatrix::build(cluster, view, fates, &mut outcomes, values, at, threads);
+            let at = (lo, classes);
+            let steps = StepMatrix::build(cluster, view, fates, &mut outcomes, &self.values, at);
             // Per (source group, class of the block): `OPEN`, `NEEDED`, then
-            // the trace id the merge gives it.
+            // the trace id its class gives it.
             let mut cells = vec![OPEN; groups.len() * len];
             let rows = (&heads[..], &store.row_of[..], &mut store.rows[..]);
             each_open(&sides, rows, &mut cells, (lo, len), |_, cell, _| *cell = NEEDED);
-            let class_ids: Vec<usize> = (0..len).collect();
-            let results: Vec<JobOut> = sdt_par::par_map_threads(threads, &class_ids, |&c| {
+            for (c, &class) in classes.iter().enumerate() {
                 let mut memo = DestinyMemo::new(fates, steps.class(c));
                 // Loop scan first: a class from whose start ports no
                 // `Looped` destiny is reachable provably has no cycle —
                 // skip it; one that does falls back to the reference port
                 // walk so the findings are byte-identical.
-                let loops = (!starts.is_empty()).then(|| {
+                if !starts.is_empty() {
                     let looped = start_states.iter().any(|&state| {
                         let idx = memo.resolve(state);
                         memo.destiny(idx).outcome == Outcomes::LOOPED
                     });
-                    let found = if looped {
-                        scan_loops_class(view, cluster, &starts, &seen_cycles, classes[c])
-                    } else {
-                        Vec::new()
-                    };
-                    (found, !looped)
-                });
-                let needed = (0..groups.len()).filter(|g| cells[g * len + c] == NEEDED);
-                let reps = needed
-                    .map(|g| {
-                        let Fate { out, crossed } = groups[g];
-                        let mut crossed = crossed.clone();
-                        let outcome = match *out {
-                            FateOut::Terminal(outcome) => outcome,
-                            FateOut::State(state) => {
-                                let idx = memo.resolve(state);
-                                crossed.union_with(&memo.destiny(idx).crossed);
-                                memo.destiny(idx).outcome
-                            }
-                        };
-                        Trace { outcome: carried_outcomes + outcome, crossed }
-                    })
-                    .collect();
-                JobOut { reps, hits: memo.hits, resolved: memo.resolved, loops }
-            });
-            for (c, job) in results.into_iter().enumerate() {
-                self.stats.pairs_walked_full += job.reps.len();
-                self.stats.cache_hits += job.hits;
-                self.stats.cache_misses += job.resolved;
-                if let Some((found, fast)) = job.loops {
-                    if fast {
-                        self.stats.loop_classes_fast += 1;
-                    } else {
+                    if looped {
                         self.stats.loop_classes_fallback += 1;
+                        let (seen, loops) = (&mut seen_cycles, &mut self.loops);
+                        scan_loops_class(view, cluster, &starts, seen, class, loops);
+                    } else {
+                        self.stats.loop_classes_fast += 1;
                     }
-                    for l in found {
-                        if seen_cycles.insert(canonical_cycle(&l.ports)) {
-                            self.loops.push(l);
+                }
+                for (g, cell) in cells.iter_mut().skip(c).step_by(len).enumerate() {
+                    if *cell != NEEDED {
+                        continue;
+                    }
+                    let Fate { out, crossed } = groups[g];
+                    let mut crossed = crossed.clone();
+                    let outcome = match *out {
+                        FateOut::Terminal(outcome) => outcome,
+                        FateOut::State(state) => {
+                            let idx = memo.resolve(state);
+                            crossed.union_with(&memo.destiny(idx).crossed);
+                            memo.destiny(idx).outcome
                         }
-                    }
+                    };
+                    *cell = store.push(Trace { outcome: carried_outcomes + outcome, crossed });
+                    self.stats.pairs_walked_full += 1;
                 }
-                let waiting = cells.iter_mut().skip(c).step_by(len).filter(|cell| **cell == NEEDED);
-                for (cell, rep) in waiting.zip(job.reps) {
-                    *cell = store.push(rep);
-                }
+                self.stats.cache_hits += memo.hits;
+                self.stats.cache_misses += memo.resolved;
             }
             // Every cell of the block still open takes its source group's
             // verdict in its class, for each pair that reads it.
@@ -1144,7 +1068,7 @@ impl Verifier {
         debug_assert_eq!(
             store.rows.iter().filter(|&&id| id >= NEEDED).count(),
             heads.iter().filter(|&&(_, members)| members == 1).count(),
-            "every ordered pair belongs to exactly one class job; only a lone member's own \
+            "every ordered pair belongs to exactly one class; only a lone member's own \
              column stays open"
         );
         store.outcomes.extend(outcomes.list);
@@ -1317,17 +1241,17 @@ fn each_open(
 }
 
 /// One class's reference loop scan: follow the forwarding port-graph from
-/// each start with a visited set, reporting every new cycle. Shared by the
-/// plain pass (all classes) and the fast pass (fallback classes only).
+/// each start with a visited set, appending to `loops` every cycle not yet
+/// in `seen` (and adding it there). Shared by the plain pass (all classes)
+/// and the fast pass (fallback classes only).
 fn scan_loops_class(
     view: &TableView,
     cluster: &PhysicalCluster,
     starts: &[PhysPort],
-    carried: &HashSet<Vec<(u32, u16)>>,
+    seen: &mut HashSet<Vec<(u32, u16)>>,
     class: HeaderClass,
-) -> Vec<LoopFinding> {
-    let mut found = Vec::new();
-    let mut local_seen: HashSet<Vec<(u32, u16)>> = HashSet::new();
+    loops: &mut Vec<LoopFinding>,
+) {
     let mut done: HashSet<PhysPort> = HashSet::new();
     for &start in starts {
         if done.contains(&start) {
@@ -1344,8 +1268,8 @@ fn scan_loops_class(
                 let cycle = &chain[i..];
                 let ports: Vec<PhysPort> = cycle.iter().map(|(p, _)| *p).collect();
                 let canon = canonical_cycle(&ports);
-                if !carried.contains(&canon) && local_seen.insert(canon) {
-                    found.push(LoopFinding {
+                if seen.insert(canon) {
+                    loops.push(LoopFinding {
                         ports,
                         rules: cycle.iter().flat_map(|(_, r)| r.clone()).collect(),
                         class,
@@ -1364,7 +1288,6 @@ fn scan_loops_class(
         }
         done.extend(chain.iter().map(|(p, _)| *p));
     }
-    found
 }
 
 /// One table's dead rules and equal-priority overlapping pairs (as
@@ -1373,8 +1296,7 @@ fn scan_loops_class(
 type TableScan = fn(&[FlowEntry], &MatchUniverse) -> (Vec<ShadowedEntry>, Vec<(u32, u32)>);
 
 /// The dead-rule and nondeterminism warnings of a single switch — a pure
-/// function of its table view, so the per-switch jobs can run on any
-/// worker in any order.
+/// function of its table view.
 fn switch_warnings(view: &TableView, num_ports: u16, sw: u32, scan: TableScan) -> SwitchWarnings {
     let mut w = SwitchWarnings::default();
     // Metadata values table 0 can hand to table 1 on this switch.
@@ -1458,12 +1380,12 @@ mod tests {
     }
 
     /// The pair index is a function of the tables and the intent alone:
-    /// however many workers run the per-switch and per-class jobs, and
-    /// wherever the class blocks are cut — one class each, a boundary inside
-    /// a source row, one block for all — full and delta proofs keep the same
-    /// verdicts, traces and trace ids, and report what the reference does.
+    /// wherever the class blocks are cut — one class each, a boundary
+    /// inside a source row, one block for all — full and delta proofs keep
+    /// the same verdicts, traces and trace ids, and report what the
+    /// reference does.
     #[test]
-    fn pair_index_is_the_same_at_any_block_size_and_thread_count() {
+    fn pair_index_is_the_same_at_any_block_size() {
         let topo = fat_tree(4);
         let cluster = ClusterBuilder::new(SwitchModel::openflow_128x100g(), 2)
             .hosts_per_switch(16)
@@ -1473,7 +1395,7 @@ mod tests {
         let mut view = TableView::of_synthesis(&proj.synthesis);
         let intent = Intent::of_projection(&proj, &topo, topo.name());
         // Three routes of switch 0 each refuse one source: four source
-        // classes, so a pair's job depends on both its ends.
+        // classes, so a pair's class depends on both its ends.
         let refused: Vec<FlowEntry> = view.entries(0, 1)[..3]
             .iter()
             .zip([2, 7, 11])
@@ -1487,32 +1409,25 @@ mod tests {
             view.apply(0, 1, &FlowMod::Add(*rule));
         }
         let batch = vec![(0, 1, FlowMod::Delete(refused[0].m, refused[0].priority))];
-        let prove = |threads, block| {
+        let prove = |block| {
             let (v, i) = (view.clone(), intent.clone());
-            let full = Verifier::check_impl(&cluster, v, i, threads, false, block);
-            let i = intent.clone();
-            let delta = Verifier::check_delta_impl(&full, &batch, i, threads, false, block);
+            let full = Verifier::check_impl(&cluster, v, i, false, block);
+            let delta = Verifier::check_delta_impl(&full, &batch, intent.clone(), false, block);
             (full, delta)
         };
-        let (full, delta) = prove(1, CLASS_BLOCK);
+        let (full, delta) = prove(CLASS_BLOCK);
         let classes = full.report.header_classes;
         assert!(full.stats.symmetric && classes == 4 * 17, "{classes} classes");
         assert!(0 < delta.report.pairs_walked && delta.report.pairs_walked < 16 * 15);
-        let plain = Verifier::check_plain_threads(&cluster, view.clone(), intent.clone(), 2);
-        let plain_delta = Verifier::check_delta_plain_threads(&plain, &batch, intent.clone(), 2);
+        let plain = Verifier::check_plain(&cluster, view.clone(), intent.clone());
+        let plain_delta = Verifier::check_delta_plain(&plain, &batch, intent.clone());
         assert_eq!(format!("{:?}", full.report), format!("{:?}", plain.report));
         assert_eq!(format!("{:?}", delta.report), format!("{:?}", plain_delta.report));
-        for (threads, block) in [(2, 1), (3, 5), (1, 17), (2, 18), (3, classes - 1), (3, classes)] {
-            let (f, d) = prove(threads, block);
-            assert_eq!(kept(&f), kept(&full), "full proof, {threads} workers, blocks of {block}");
-            assert_eq!(kept(&d), kept(&delta), "delta proof, {threads} workers, blocks of {block}");
+        for block in [1, 5, 17, 18, classes - 1, classes] {
+            let (f, d) = prove(block);
+            assert_eq!(kept(&f), kept(&full), "full proof, blocks of {block}");
+            assert_eq!(kept(&d), kept(&delta), "delta proof, blocks of {block}");
             assert_eq!((&f.stats, &d.stats), (&full.stats, &delta.stats));
-        }
-        // Workers alone move nothing at all, verdict ids included.
-        for threads in [2, 3] {
-            let (f, d) = prove(threads, CLASS_BLOCK);
-            assert_eq!(format!("{:?}", f.traces), format!("{:?}", full.traces));
-            assert_eq!(format!("{:?}", d.traces), format!("{:?}", delta.traces));
         }
     }
 }

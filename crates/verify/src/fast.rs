@@ -33,13 +33,13 @@
 //! `ok = false`). Correct-but-slow beats fast-but-wrong.
 //!
 //! The table-1 decisions are taken switch by switch, not class by class:
-//! one job per switch walks its table 1 once, in scan order, each entry
+//! each switch's table 1 is walked once, in scan order, each entry
 //! claiming the `StepMatrix` cells — `(state, class)` — it is the first to
 //! match, and the `DestinyMemo`s chase cells.
 //!
 //! Nothing here outlives a pass: what carries over between proofs is the
 //! previous [`crate::Verifier`] that `check_delta*` takes — the traces the
-//! class jobs built from these destinies, one per (class, source group),
+//! class passes built from these destinies, one per (class, source group),
 //! and the index saying which pair got which.
 
 use std::collections::HashMap;
@@ -73,13 +73,13 @@ pub struct VerifyStats {
     /// Header classes re-scanned by the reference loop walker (a cycle was
     /// reachable, and findings must be byte-identical).
     pub loop_classes_fallback: usize,
-    /// Destiny lookups a class job answered from a state it had already
+    /// Destiny lookups a class pass answered from a state it had already
     /// resolved (the in-pass `DestinyMemo`; nothing crosses passes) —
     /// non-zero on any proof whose routes share a next hop. The name is
     /// kept only because `benchmark/` reads it; a later `benchmark` issue
     /// retires it.
     pub cache_hits: usize,
-    /// Destiny states the class jobs resolved, each by chasing
+    /// Destiny states the class passes resolved, each by chasing
     /// `StepMatrix` cells: the table-1 lookups behind the cells are made
     /// once per proof by the per-switch route pass, not once per resolve.
     /// The name is kept only because `benchmark/` reads it; a later
@@ -421,23 +421,22 @@ const UNSET: u32 = u32::MAX;
 
 /// The table-1 decision of every pipeline state in every header class of
 /// one block of classes — all a `DestinyMemo` reads. Class-major: a class
-/// job chases one contiguous row.
+/// chases one contiguous row.
 pub(crate) struct StepMatrix {
     cells: Vec<u32>,
     states: usize,
 }
 
 impl StepMatrix {
-    /// One job per switch walks its table 1 once, in scan order, and hands
+    /// Each switch in turn walks its table 1 once, in scan order, and hands
     /// each entry the cells it can own: the switch's states whose metadata
     /// it names (all if none) × the classes of the block its header fields
     /// fit ([`HeaderValues::each_fitting`]). An entry claims a cell still
     /// unset when it matches there, so a cell's owner is the first match in
     /// scan order — the entry the reference walker's lookup returns; the
-    /// cells no entry claims are the switch's table miss. Jobs name their
-    /// terminal verdicts locally; the merge, in switch order on one thread,
-    /// gives them their ids in `outcomes`, so the matrix is the same at any
-    /// thread count. `classes` are those from position `lo` on.
+    /// cells no entry claims are the switch's table miss. Terminal verdicts
+    /// get their ids in `outcomes` as they are first named. `classes` are
+    /// those from position `lo` on.
     pub(crate) fn build(
         cluster: &PhysicalCluster,
         view: &TableView,
@@ -445,7 +444,6 @@ impl StepMatrix {
         outcomes: &mut Outcomes,
         values: &HeaderValues,
         (lo, classes): (usize, &[HeaderClass]),
-        threads: usize,
     ) -> StepMatrix {
         let states = fates.states.len();
         let md_of = |state: &u32| fates.states[*state as usize].1;
@@ -454,8 +452,9 @@ impl StepMatrix {
             by_switch[sw as usize].push(id as u32);
         }
         by_switch.iter_mut().for_each(|of_switch| of_switch.sort_unstable_by_key(md_of));
-        let switches: Vec<u32> = (0..view.num_switches() as u32).collect();
-        let per_switch = sdt_par::par_map_threads(threads, &switches, |&sw| {
+        let block = lo..lo + classes.len();
+        let mut cells = vec![UNSET; classes.len() * states];
+        for (sw, of_switch) in (0u32..).zip(&by_switch) {
             // The fate slot each port's cable leads to, if one does.
             let far: Vec<Option<u32>> = (0..fates.ports as u16)
                 .map(|p| {
@@ -463,11 +462,7 @@ impl StepMatrix {
                     Some((to.switch as usize * fates.ports + to.port.idx()) as u32)
                 })
                 .collect();
-            let mds: Vec<u32> = by_switch[sw as usize].iter().map(md_of).collect();
-            let block = lo..lo + classes.len();
-            let mut local = Outcomes::new();
-            // Class-major, as the matrix is.
-            let mut cells = vec![UNSET; classes.len() * mds.len()];
+            let mds: Vec<u32> = of_switch.iter().map(md_of).collect();
             let mut near = 0;
             for run in view.entries(sw, 1).chunk_by(|a, b| a.m.metadata == b.m.metadata) {
                 let rows = match run[0].m.metadata {
@@ -483,7 +478,7 @@ impl StepMatrix {
                     values.each_fitting(&e.m, &block, &mut near, |at| {
                         let class = at - lo;
                         for row in rows.clone() {
-                            let cell = &mut cells[class * mds.len() + row];
+                            let cell = &mut cells[class * states + of_switch[row] as usize];
                             // Port-blind under `symmetric` tables: `PortNo(0)`
                             // stands in for any ingress port.
                             let md = Some(mds[row]);
@@ -494,7 +489,7 @@ impl StepMatrix {
                                         _ => None,
                                     };
                                     cabled.unwrap_or_else(|| {
-                                        TERMINAL | local.id(walk_end(cluster, sw, 1, Some(e)))
+                                        TERMINAL | outcomes.id(walk_end(cluster, sw, 1, Some(e)))
                                     })
                                 });
                             }
@@ -502,27 +497,19 @@ impl StepMatrix {
                     });
                 }
             }
-            // Half the cells of a fat-tree: named once per job.
+            // Half the cells of a fat-tree: named once per switch.
             let mut miss = None;
-            for cell in cells.iter_mut().filter(|cell| **cell == UNSET) {
-                let end = || TERMINAL | local.id(walk_end(cluster, sw, 1, None));
-                *cell = *miss.get_or_insert_with(end);
-            }
-            (cells, local.list)
-        });
-        let mut matrix = StepMatrix { cells: vec![0; classes.len() * states], states };
-        for (of_switch, (cells, local)) in by_switch.iter().zip(per_switch) {
-            let ids: Vec<u32> = local.into_iter().map(|out| outcomes.id(out)).collect();
-            for (class, row) in cells.chunks_exact(of_switch.len().max(1)).enumerate() {
-                for (&cell, &state) in row.iter().zip(of_switch) {
-                    matrix.cells[class * states + state as usize] = match cell & TERMINAL {
-                        0 => cell,
-                        _ => TERMINAL | ids[(cell ^ TERMINAL) as usize],
-                    };
+            for class in cells.chunks_exact_mut(states.max(1)) {
+                for &state in of_switch {
+                    let cell = &mut class[state as usize];
+                    if *cell == UNSET {
+                        let end = || TERMINAL | outcomes.id(walk_end(cluster, sw, 1, None));
+                        *cell = *miss.get_or_insert_with(end);
+                    }
                 }
             }
         }
-        matrix
+        StepMatrix { cells, states }
     }
 
     /// One class's decisions, by state id.
@@ -749,12 +736,12 @@ mod tests {
                     true => vec![CLASS_BLOCK],
                     false => vec![1, 7, classes.len()],
                 };
-                for (size, threads) in sizes.into_iter().zip([1, 2, 3].into_iter().cycle()) {
+                for size in sizes {
                     for (nth, block) in classes.chunks(size).enumerate() {
                         let lo = nth * size;
-                        let steps = StepMatrix::build(
-                            &cluster, &view, &fates, &mut outcomes, &values, (lo, block), threads,
-                        );
+                        let at = (lo, block);
+                        let steps =
+                            StepMatrix::build(&cluster, &view, &fates, &mut outcomes, &values, at);
                         for (c, class) in block.iter().enumerate() {
                             for (state, &(sw, md)) in fates.states.iter().enumerate() {
                                 let hit = probe(&view, sw, md, class);

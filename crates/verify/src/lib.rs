@@ -42,9 +42,8 @@
 //!
 //! # Verification at scale
 //!
-//! The exhaustive walk is collapsed and sharded (see [`mod@fast`]):
-//! structurally equivalent `(ingress, header-class)` walks share one
-//! representative, and class jobs spread over cores weighted-heaviest-first.
+//! The exhaustive walk is collapsed (see [`mod@fast`]): structurally
+//! equivalent `(ingress, header-class)` walks share one representative.
 //! All of it is *transparent*: whenever a precondition fails the pass falls
 //! back to the reference walker, and findings are byte-identical either way
 //! ([`Verifier::stats`] reports what was saved). Callers that verify
@@ -61,12 +60,9 @@ pub use analysis::{
 };
 pub use fast::{VerifyStats, WalkCache};
 pub use model::{HeaderClass, HeaderValues, Intent, IntentHost, TableView};
-/// Worker count for the parallel analyses ([`Verifier::check`],
-/// [`Verifier::check_delta`], and the tenancy audit matrices):
-/// `SDT_VERIFY_THREADS` when set to a positive integer, else the machine's
-/// available parallelism. The fan-out is deterministic — findings are
-/// merged in canonical order, so any thread count produces byte-identical
-/// reports (pinned by `tests/determinism.rs`).
+
+/// Always `1`: every proof runs on the caller's thread. Kept only because
+/// `benchmark/` calls it; a later `benchmark` issue retires it.
 pub fn verify_threads() -> usize {
-    sdt_par::threads_from_env("SDT_VERIFY_THREADS")
+    1
 }

@@ -4,7 +4,7 @@
 //! destroyed (later hosts shift position), the first is reconfigured, one
 //! domain is relabelled, and another slice arrives. `fast_differential`
 //! holds the two walkers to each other and to a probe count along it;
-//! `determinism` runs it at two thread counts. Also the hand-written
+//! `determinism` proves it twice. Also the hand-written
 //! switch chains the suites edit rules into — one host per switch, or
 //! several that share their switch's row — and a live bank of a view's
 //! tables for probes.

@@ -105,8 +105,8 @@ fn paper_presets_fast_equals_plain() {
         let (cluster, proj) = project(topo);
         let view = || TableView::of_synthesis(&proj.synthesis);
         let intent = || Intent::of_projection(&proj, topo, topo.name());
-        let plain = Verifier::check_plain_threads(&cluster, view(), intent(), 2);
-        let fast = Verifier::check_threads(&cluster, view(), intent(), 2);
+        let plain = Verifier::check_plain(&cluster, view(), intent());
+        let fast = Verifier::check(&cluster, view(), intent());
         assert_identical(&fast, &plain, topo.name());
         assert!(
             fast.stats().symmetric,
@@ -125,12 +125,12 @@ fn delta_checks_fast_equals_plain_across_modes() {
     let (cluster, proj) = project(&topo);
     let view = || TableView::of_synthesis(&proj.synthesis);
     let intent = || Intent::of_projection(&proj, &topo, topo.name());
-    let plain0 = Verifier::check_plain_threads(&cluster, view(), intent(), 2);
-    let fast0 = Verifier::check_threads(&cluster, view(), intent(), 2);
+    let plain0 = Verifier::check_plain(&cluster, view(), intent());
+    let fast0 = Verifier::check(&cluster, view(), intent());
 
     let batch: Vec<(u32, u8, FlowMod)> = vec![(0, 1, FlowMod::Clear)];
-    let dp = Verifier::check_delta_plain_threads(&plain0, &batch, intent(), 2);
-    let df = Verifier::check_delta_threads(&fast0, &batch, intent(), 2);
+    let dp = Verifier::check_delta_plain(&plain0, &batch, intent());
+    let df = Verifier::check_delta(&fast0, &batch, intent());
     assert_identical(&df, &dp, "clear delta fast");
     assert!(!dp.holds(), "clearing a routing table must break the proof");
 
@@ -138,8 +138,8 @@ fn delta_checks_fast_equals_plain_across_modes() {
     // replay) must agree with the plain empty delta (both report zero
     // re-walked pairs — everything reused) and keep every clean finding.
     let empty: Vec<(u32, u8, FlowMod)> = Vec::new();
-    let warm = Verifier::check_delta_threads(&fast0, &empty, intent(), 2);
-    let warm_plain = Verifier::check_delta_plain_threads(&plain0, &empty, intent(), 2);
+    let warm = Verifier::check_delta(&fast0, &empty, intent());
+    let warm_plain = Verifier::check_delta_plain(&plain0, &empty, intent());
     assert_identical(&warm, &warm_plain, "warm empty delta");
     assert!(warm.holds(), "empty delta over clean tables stays clean");
 }
@@ -172,8 +172,8 @@ fn random_slice_mix_fast_equals_plain() {
     }
     assert!(!admitted.is_empty(), "seed produced no surviving slices");
     let view = || TableView::of_switches(mgr.switches());
-    let plain = Verifier::check_plain_threads(mgr.cluster(), view(), mgr.intent(), 2);
-    let fast = Verifier::check_threads(mgr.cluster(), view(), mgr.intent(), 2);
+    let plain = Verifier::check_plain(mgr.cluster(), view(), mgr.intent());
+    let fast = Verifier::check(mgr.cluster(), view(), mgr.intent());
     assert_identical(&fast, &plain, "random slice mix");
 }
 
@@ -188,11 +188,10 @@ fn post_recovery_live_tables_fast_equals_plain() {
         .build();
     let mut c = SdtController::new(cluster);
     let d = c.deploy(&torus(&[4, 4])).unwrap();
-    let pre = Verifier::check_threads(
+    let pre = Verifier::check(
         c.cluster(),
         TableView::of_switches(&d.switches),
         Intent::of_projection(&d.projection, &d.topology, d.topology.name()),
-        2,
     );
     assert!(pre.holds(), "intact deployment must verify clean");
 
@@ -205,8 +204,8 @@ fn post_recovery_live_tables_fast_equals_plain() {
     let dep = &out.deployment;
     let view = || TableView::of_switches(&dep.switches);
     let intent = || Intent::of_projection(&dep.projection, &dep.topology, dep.topology.name());
-    let plain = Verifier::check_plain_threads(c.cluster(), view(), intent(), 2);
-    let fast = Verifier::check_threads(c.cluster(), view(), intent(), 2);
+    let plain = Verifier::check_plain(c.cluster(), view(), intent());
+    let fast = Verifier::check(c.cluster(), view(), intent());
     assert_identical(&fast, &plain, "post-recovery live tables");
 }
 
@@ -218,8 +217,8 @@ fn deltas_past_the_64th_switch_fast_equals_plain() {
     // switch.
     const N: u32 = 70;
     let (cluster, view, intent) = wide_chain(N);
-    let plain0 = Verifier::check_plain_threads(&cluster, view.clone(), intent.clone(), 2);
-    let fast0 = Verifier::check_threads(&cluster, view, intent.clone(), 2);
+    let plain0 = Verifier::check_plain(&cluster, view.clone(), intent.clone());
+    let fast0 = Verifier::check(&cluster, view, intent.clone());
     assert_identical(&fast0, &plain0, "wide chain");
     assert!(fast0.holds() && fast0.stats().symmetric);
 
@@ -238,8 +237,8 @@ fn deltas_past_the_64th_switch_fast_equals_plain() {
     for touched in [vec![3], vec![67], vec![3, 67], vec![63, 64]] {
         let batch: Vec<(u32, u8, FlowMod)> = touched.iter().flat_map(|&sw| repoint(sw)).collect();
         let label = format!("delta on {touched:?}");
-        let dp = Verifier::check_delta_plain_threads(&plain0, &batch, intent.clone(), 2);
-        let df = Verifier::check_delta_threads(&fast0, &batch, intent.clone(), 2);
+        let dp = Verifier::check_delta_plain(&plain0, &batch, intent.clone());
+        let df = Verifier::check_delta(&fast0, &batch, intent.clone());
         assert_identical(&df, &dp, &label);
         assert!(!df.holds(), "{label}: a route pointing backwards must break the proof");
         assert_eq!(df.report().pairs_walked, crossing(&touched), "{label}");
@@ -253,8 +252,8 @@ fn deltas_past_the_64th_switch_fast_equals_plain() {
                 [(sw, 1, FlowMod::Delete(bad.m, bad.priority)), (sw, 1, FlowMod::Add(route(sw, sw + 1, 2)))]
             })
             .collect();
-        let up = Verifier::check_delta_plain_threads(&dp, &undo, intent.clone(), 2);
-        let uf = Verifier::check_delta_threads(&df, &undo, intent.clone(), 2);
+        let up = Verifier::check_delta_plain(&dp, &undo, intent.clone());
+        let uf = Verifier::check_delta(&df, &undo, intent.clone());
         assert_identical(&uf, &up, &format!("{label}, undone"));
         assert!(uf.holds());
         assert_eq!(uf.report().pairs_walked, crossing(&touched), "{label}, undone");
@@ -270,8 +269,8 @@ fn hosts_sharing_an_address_are_never_carried_over() {
     // a proof that carried either's trace to the other would get wrong.
     let (cluster, view, mut intent) = wide_chain(6);
     intent.hosts[5].addr = HostAddr(0);
-    let plain0 = Verifier::check_plain_threads(&cluster, view.clone(), intent.clone(), 2);
-    let fast0 = Verifier::check_threads(&cluster, view.clone(), intent.clone(), 2);
+    let plain0 = Verifier::check_plain(&cluster, view.clone(), intent.clone());
+    let fast0 = Verifier::check(&cluster, view.clone(), intent.clone());
     assert_identical(&fast0, &plain0, "shared address");
 
     let gone = route(1, 3, 2);
@@ -280,10 +279,10 @@ fn hosts_sharing_an_address_are_never_carried_over() {
     for (sw, table, m) in &batch {
         after.apply(*sw, *table, m);
     }
-    let dp = Verifier::check_delta_plain_threads(&plain0, &batch, intent.clone(), 2);
-    let df = Verifier::check_delta_threads(&fast0, &batch, intent.clone(), 2);
+    let dp = Verifier::check_delta_plain(&plain0, &batch, intent.clone());
+    let df = Verifier::check_delta(&fast0, &batch, intent.clone());
     assert_identical(&df, &dp, "shared address, delta");
-    let scratch = Verifier::check_threads(&cluster, after, intent.clone(), 2);
+    let scratch = Verifier::check(&cluster, after, intent.clone());
     assert_same_verdict_as_scratch(&df, &scratch, "shared address, delta");
     // The 18 pairs with host 0 or 5 at an end, and of the 12 among hosts
     // 1..=4 the 6 with host 1 at an end (they cross switch 1).
@@ -291,8 +290,8 @@ fn hosts_sharing_an_address_are_never_carried_over() {
 
     // Unchanged tables and intent: only the pairs of hosts that own their
     // address replay.
-    let warm = Verifier::check_delta_threads(&df, &[], intent.clone(), 2);
-    let warm_plain = Verifier::check_delta_plain_threads(&dp, &[], intent, 2);
+    let warm = Verifier::check_delta(&df, &[], intent.clone());
+    let warm_plain = Verifier::check_delta_plain(&dp, &[], intent);
     assert_identical(&warm, &warm_plain, "shared address, empty delta");
     assert_same_verdict_as_scratch(&warm, &scratch, "shared address, empty delta");
     assert_eq!(warm.report().pairs_walked, 18);
@@ -318,18 +317,18 @@ fn assert_full_and_delta_agree(
     batch: &[(u32, u8, FlowMod)],
     label: &str,
 ) -> (Verifier, Verifier) {
-    let plain0 = Verifier::check_plain_threads(cluster, view.clone(), intent.clone(), 2);
-    let fast0 = Verifier::check_threads(cluster, view.clone(), intent.clone(), 2);
+    let plain0 = Verifier::check_plain(cluster, view.clone(), intent.clone());
+    let fast0 = Verifier::check(cluster, view.clone(), intent.clone());
     assert_identical(&fast0, &plain0, label);
     assert!(fast0.stats().symmetric, "{label}: the fast path must take these tables");
     let mut after = view.clone();
     for (sw, table, m) in batch {
         after.apply(*sw, *table, m);
     }
-    let dp = Verifier::check_delta_plain_threads(&plain0, batch, intent.clone(), 2);
-    let df = Verifier::check_delta_threads(&fast0, batch, intent.clone(), 2);
+    let dp = Verifier::check_delta_plain(&plain0, batch, intent.clone());
+    let df = Verifier::check_delta(&fast0, batch, intent.clone());
     assert_identical(&df, &dp, &format!("{label}, delta"));
-    let scratch = Verifier::check_threads(cluster, after, intent.clone(), 2);
+    let scratch = Verifier::check(cluster, after, intent.clone());
     assert_same_verdict_as_scratch(&df, &scratch, &format!("{label}, delta"));
     (fast0, df)
 }
@@ -424,8 +423,8 @@ fn reordered_and_replaced_hosts_past_the_64th_switch_carry_row_by_row() {
     // wherever they now stand in the list — and its path avoids switch 67.
     const N: u32 = 70;
     let (cluster, view, intent) = wide_chain(N);
-    let plain0 = Verifier::check_plain_threads(&cluster, view.clone(), intent.clone(), 2);
-    let fast0 = Verifier::check_threads(&cluster, view.clone(), intent.clone(), 2);
+    let plain0 = Verifier::check_plain(&cluster, view.clone(), intent.clone());
+    let fast0 = Verifier::check(&cluster, view.clone(), intent.clone());
     let replaced = 10..16u32;
     let mut next = intent.clone();
     next.hosts.reverse();
@@ -441,10 +440,10 @@ fn reordered_and_replaced_hosts_past_the_64th_switch_carry_row_by_row() {
     for (sw, table, m) in &batch {
         after.apply(*sw, *table, m);
     }
-    let dp = Verifier::check_delta_plain_threads(&plain0, &batch, next.clone(), 2);
-    let df = Verifier::check_delta_threads(&fast0, &batch, next.clone(), 2);
+    let dp = Verifier::check_delta_plain(&plain0, &batch, next.clone());
+    let df = Verifier::check_delta(&fast0, &batch, next.clone());
     assert_identical(&df, &dp, "reordered intent");
-    let scratch = Verifier::check_threads(&cluster, after, next.clone(), 2);
+    let scratch = Verifier::check(&cluster, after, next.clone());
     assert_same_verdict_as_scratch(&df, &scratch, "reordered intent");
     let rewalked = (0..N)
         .flat_map(|a| (0..N).map(move |b| (a, b)))
@@ -457,8 +456,8 @@ fn reordered_and_replaced_hosts_past_the_64th_switch_carry_row_by_row() {
 
     // Back to the first order on unchanged tables: everything carries but
     // the pairs of the hosts whose id changes back.
-    let back = Verifier::check_delta_threads(&df, &[], intent.clone(), 2);
-    let back_plain = Verifier::check_delta_plain_threads(&dp, &[], intent, 2);
+    let back = Verifier::check_delta(&df, &[], intent.clone());
+    let back_plain = Verifier::check_delta_plain(&dp, &[], intent);
     assert_identical(&back, &back_plain, "order restored");
     assert_eq!(back.report().pairs_walked, 2 * 6 * (N as usize - 6) + 6 * 5);
 }
@@ -523,8 +522,8 @@ fn carry_over_under_intent_change_fast_equals_plain_equals_scratch() {
     for seed in [10, 111] {
         let (cluster, steps) = common::slice_churn(seed);
         let mut view = TableView::of_switches(&steps[0].before);
-        let mut plain = Verifier::check_plain_threads(&cluster, view.clone(), Intent::new(), 2);
-        let mut fast = Verifier::check_threads(&cluster, view.clone(), Intent::new(), 2);
+        let mut plain = Verifier::check_plain(&cluster, view.clone(), Intent::new());
+        let mut fast = Verifier::check(&cluster, view.clone(), Intent::new());
         for step in &steps {
             let label = format!("seed {seed}, {}", step.label);
             let expected = pairs_to_rewalk(&cluster, fast.intent(), step);
@@ -532,13 +531,13 @@ fn carry_over_under_intent_change_fast_equals_plain_equals_scratch() {
                 view.apply(*sw, *table, m);
             }
             let intent = || step.intent.clone();
-            plain = Verifier::check_delta_plain_threads(&plain, &step.batch, intent(), 2);
-            fast = Verifier::check_delta_threads(&fast, &step.batch, intent(), 2);
+            plain = Verifier::check_delta_plain(&plain, &step.batch, intent());
+            fast = Verifier::check_delta(&fast, &step.batch, intent());
             assert_identical(&fast, &plain, &label);
             let r = fast.report();
             assert!(r.holds(), "{label}: {}", r.summary());
 
-            let scratch = Verifier::check_threads(&cluster, view.clone(), intent(), 2);
+            let scratch = Verifier::check(&cluster, view.clone(), intent());
             assert_same_verdict_as_scratch(&fast, &scratch, &label);
             assert_eq!(r.pairs_walked, expected, "{label}: of {} pairs", r.pairs_checked);
             if step.label.starts_with("destroy") {
@@ -576,8 +575,8 @@ fn a_shared_rows_leak_and_blackhole_are_reported_per_member_in_src_major_order()
     assert_eq!(host_1.switch, sw);
     view.apply(sw, 1, &FlowMod::Add(at_edge(100, Action::Drop)));
     view.apply(sw, 1, &FlowMod::Add(at_edge(101, Action::Output(host_1.port))));
-    let plain = Verifier::check_plain_threads(&cluster, view.clone(), intent.clone(), 2);
-    let fast = Verifier::check_threads(&cluster, view, intent, 2);
+    let plain = Verifier::check_plain(&cluster, view.clone(), intent.clone());
+    let fast = Verifier::check(&cluster, view, intent);
     assert_identical(&fast, &plain, "corrupted fat-tree k=8");
     assert_eq!(fast.stats().rows, 32, "one row per edge switch");
     let r = fast.report();
@@ -598,8 +597,8 @@ fn hosts_that_expect_differently_never_share_a_row() {
     // leak, and none of host 0's is.
     let (cluster, view, mut intent) = bushy_chain(3, 2, 2);
     intent.hosts[1].group = 1;
-    let plain = Verifier::check_plain_threads(&cluster, view.clone(), intent.clone(), 2);
-    let fast = Verifier::check_threads(&cluster, view, intent, 2);
+    let plain = Verifier::check_plain(&cluster, view.clone(), intent.clone());
+    let fast = Verifier::check(&cluster, view, intent);
     assert_identical(&fast, &plain, "two groups on one switch");
     assert_eq!(fast.stats().rows, 4);
     assert_eq!(fast.report().leaks.len(), 10);
@@ -613,8 +612,8 @@ fn a_delta_chain_splits_a_shared_row_and_merges_it_again() {
     // proof says, and re-walk exactly the pairs a probe through the tables
     // it starts from says cross a touched switch (or lost an endpoint).
     let (cluster, mut view, intent) = bushy_chain(6, 3, 2);
-    let mut plain = Verifier::check_plain_threads(&cluster, view.clone(), intent.clone(), 2);
-    let mut fast = Verifier::check_threads(&cluster, view.clone(), intent.clone(), 2);
+    let mut plain = Verifier::check_plain(&cluster, view.clone(), intent.clone());
+    let mut fast = Verifier::check(&cluster, view.clone(), intent.clone());
     assert_identical(&fast, &plain, "bushy chain");
     assert_eq!(fast.stats().rows, 6);
     let reroute = |sw: u32, dst: u32, from: u16, to: u16| {
@@ -657,11 +656,11 @@ fn a_delta_chain_splits_a_shared_row_and_merges_it_again() {
         for (sw, table, m) in &step.batch {
             view.apply(*sw, *table, m);
         }
-        plain = Verifier::check_delta_plain_threads(&plain, &step.batch, step.intent.clone(), 2);
-        fast = Verifier::check_delta_threads(&fast, &step.batch, step.intent.clone(), 2);
+        plain = Verifier::check_delta_plain(&plain, &step.batch, step.intent.clone());
+        fast = Verifier::check_delta(&fast, &step.batch, step.intent.clone());
         assert_identical(&fast, &plain, label);
         assert!(fast.holds(), "{label}: {}", fast.report().summary());
-        let scratch = Verifier::check_threads(&cluster, view.clone(), step.intent.clone(), 2);
+        let scratch = Verifier::check(&cluster, view.clone(), step.intent.clone());
         assert_same_verdict_as_scratch(&fast, &scratch, label);
         assert_eq!(fast.report().pairs_walked, expected, "{label}");
         assert_eq!(fast.stats().rows, rows, "{label}");
@@ -675,7 +674,7 @@ fn fat_tree_k16_keeps_one_row_per_source_group() {
     let topo = fat_tree(16);
     let (cluster, proj) = project_wide(&topo, 19);
     let intent = Intent::of_projection(&proj, &topo, topo.name());
-    let v = Verifier::check_threads(&cluster, TableView::of_synthesis(&proj.synthesis), intent, 2);
+    let v = Verifier::check(&cluster, TableView::of_synthesis(&proj.synthesis), intent);
     assert!(v.holds(), "{}", v.report().summary());
     assert_eq!(v.report().pairs_checked, 1_047_552);
     let want = sdt_verify::VerifyStats {
@@ -755,8 +754,8 @@ proptest! {
         let intent = || Intent::of_projection(&proj, &topo, topo.name());
         let view = || TableView::of_synthesis(&proj.synthesis);
         let num_switches = cluster.num_switches();
-        let mut plain = Verifier::check_plain_threads(&cluster, view(), intent(), 2);
-        let mut fast = Verifier::check_threads(&cluster, view(), intent(), 2);
+        let mut plain = Verifier::check_plain(&cluster, view(), intent());
+        let mut fast = Verifier::check(&cluster, view(), intent());
         assert_identical(&fast, &plain, "proptest initial");
         for (bi, raw) in batches.iter().enumerate() {
             let batch: Vec<(u32, u8, FlowMod)> = raw
@@ -768,8 +767,8 @@ proptest! {
                     (sw, table, decode_mod(op))
                 })
                 .collect();
-            plain = Verifier::check_delta_plain_threads(&plain, &batch, intent(), 2);
-            fast = Verifier::check_delta_threads(&fast, &batch, intent(), 2);
+            plain = Verifier::check_delta_plain(&plain, &batch, intent());
+            fast = Verifier::check_delta(&fast, &batch, intent());
             assert_identical(&fast, &plain, &format!("proptest batch {bi}"));
         }
     }
