@@ -10,7 +10,7 @@
 //! # Usage
 //!
 //! Write the concurrent protocol against the primitives in [`sync`] and
-//! [`thread`] (or against `sdt-sync`, which re-exports them under
+//! [`thread`] (production code reaches them through [`facade`] under
 //! `--cfg sdt_check`), create all shared state **inside** the closure, and
 //! hand it to [`model`]:
 //!
@@ -35,27 +35,23 @@
 //! [`model`] re-runs the closure under every schedule a bounded DFS with
 //! sleep-set pruning reaches. The assertion therefore holds on *every*
 //! interleaving of the instrumented operations, not just the ones this
-//! machine's scheduler produced today. [`Config::random`] swaps the DFS
-//! for a seeded random walk when the exact space is too deep, and
-//! [`Config::replay`] re-executes one recorded decision trace — the
-//! message a [`Failure`] prints contains the exact `Config::replay("…")`
-//! call that reproduces it.
+//! machine's scheduler produced today. [`Config::replay`] re-executes one
+//! recorded decision trace — the message a [`Failure`] prints contains the
+//! exact `Config::replay("…")` call that reproduces it.
 //!
 //! Besides assertion failures, the runtime reports deadlocks (no runnable
-//! thread while some are live), lock-order cycles (ABBA acquisition
-//! patterns, even on schedules where the deadlock does not manifest),
-//! nondeterministic models (the enabled set diverged under an identical
-//! decision prefix — usually a branch on wall-clock time), and leaked
-//! threads.
+//! thread while some are live), nondeterministic models (the enabled set
+//! diverged under an identical decision prefix — usually a branch on
+//! wall-clock time), and leaked threads.
 //!
 //! # Model rules
 //!
-//! - Create every shared object (mutexes, channels, atomics) inside the
-//!   model closure; objects created outside silently opt out of checking.
+//! - Create every shared object (channels, atomics) inside the model
+//!   closure; objects created outside silently opt out of checking.
 //! - Join every spawned thread before the closure returns.
 //! - Model code must be deterministic given the schedule: no wall-clock
 //!   reads, no OS randomness, no uninstrumented blocking. Production code
-//!   with such branches gates them on [`is_modeling`].
+//!   with such branches gates them on [`facade::modeling`].
 //!
 //! See `DESIGN.md` §3.11 for the workspace's thread inventory, the
 //! invariants checked by the model-test suite, and the replay workflow.
@@ -64,4 +60,71 @@ mod rt;
 pub mod sync;
 pub mod thread;
 
-pub use rt::{is_modeling, model, seed_from_env, Config, Exploration, Failure};
+pub use rt::{model, Config, Exploration, Failure};
+
+/// The concurrency primitives production code imports: plain `std` in a
+/// normal build (a re-export, so the generated code is std's), this
+/// crate's checked primitives under `RUSTFLAGS="--cfg sdt_check"`. Only
+/// what the model tests route production code through is here: the
+/// atomics of `sdt-openflow`'s table counters and `sdt-par`'s claim loop,
+/// and `sdt-par`'s scoped threads. Outside a model closure the checked
+/// primitives behave like `std`, so a `--cfg sdt_check` build of the whole
+/// workspace still passes the ordinary test suites.
+pub mod facade {
+    /// Is the calling thread inside a [`crate::model`] closure? Always
+    /// `false` in a normal build. Production code skips branches that
+    /// would make a model nondeterministic (a wall-clock probe) when it
+    /// is `true`.
+    #[must_use]
+    pub fn modeling() -> bool {
+        #[cfg(sdt_check)]
+        {
+            crate::rt::maybe_current().is_some()
+        }
+        #[cfg(not(sdt_check))]
+        {
+            false
+        }
+    }
+
+    /// Atomic integers, with an explicit `Ordering` at every call site:
+    /// each use documents its contract (see `crates/openflow/src/table.rs`
+    /// for the counter convention).
+    pub mod atomic {
+        #[cfg(not(sdt_check))]
+        pub use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+
+        #[cfg(sdt_check)]
+        pub use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    }
+
+    /// Scoped threads.
+    pub mod thread {
+        #[cfg(not(sdt_check))]
+        pub use std::thread::scope;
+
+        #[cfg(sdt_check)]
+        pub use crate::thread::scope;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::facade::atomic::{AtomicU64, AtomicUsize, Ordering};
+
+    #[test]
+    fn facade_round_trips() {
+        let a = AtomicU64::new(0);
+        a.fetch_add(3, Ordering::Relaxed);
+        assert_eq!(a.load(Ordering::Relaxed), 3);
+
+        let n = AtomicUsize::new(1);
+        super::facade::thread::scope(|s| {
+            let h = s.spawn(|| n.fetch_add(1, Ordering::Relaxed));
+            assert_eq!(h.join().ok(), Some(1));
+        });
+        assert_eq!(n.load(Ordering::Relaxed), 2);
+
+        assert!(!super::facade::modeling());
+    }
+}

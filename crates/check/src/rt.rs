@@ -7,22 +7,23 @@
 //! [`crate::thread::spawn`] adds one) runs on its own OS thread, but all of
 //! them are gated on one **baton**: a thread may execute user code only
 //! while `active == Some(its id)`, and the baton is handed over exclusively
-//! at *yield points* — the instrumented operations of [`crate::sync`]. At
-//! any instant at most one logical thread is runnable, so the OS scheduler
-//! has zero influence on the interleaving; the only source of schedule
-//! nondeterminism is the checker's own decision at each yield point, which
-//! is exactly what the [`Explorer`] enumerates, samples, or replays.
+//! at *yield points* — the instrumented operations of [`crate::sync`] and
+//! [`crate::thread`]. At any instant at most one logical thread is
+//! runnable, so the OS scheduler has zero influence on the interleaving;
+//! the only source of schedule nondeterminism is the checker's own
+//! decision at each yield point, which is exactly what the [`Explorer`]
+//! enumerates or replays.
 //!
 //! A yield point works in two halves. *Park*: the running thread records
 //! the operation it is **about to** perform (`pending`), asks the explorer
 //! to pick the next thread among the currently *enabled* ones, hands the
 //! baton over, and blocks. *Resume*: when the baton comes back, the thread
-//! applies the operation's effect on the model state (acquire the mutex,
-//! pop the channel, …) under the runtime lock and returns to user code.
-//! Because every parked thread has declared its pending operation, the
-//! scheduler always knows each candidate's next action — which is what
-//! enabledness checks (a `lock` of a held mutex is not schedulable) and
-//! the sleep-set independence pruning need.
+//! applies the operation's effect on the model state (pop the channel,
+//! …) under the runtime lock and returns to user code. Because every
+//! parked thread has declared its pending operation, the scheduler always
+//! knows each candidate's next action — which is what enabledness checks
+//! (a `recv` on an empty, connected channel is not schedulable) and the
+//! sleep-set independence pruning need.
 //!
 //! # What the model covers — and what it does not
 //!
@@ -40,7 +41,7 @@
 //! # Failure = replayable schedule
 //!
 //! Any invariant violation (an assertion in model code, a detected
-//! deadlock, a lock-order cycle) aborts the execution and surfaces as a
+//! deadlock, a leaked thread) aborts the execution and surfaces as a
 //! [`Failure`] carrying the **decision trace**: the sequence of thread ids
 //! chosen at each yield point. [`Config::replay`] re-runs that exact
 //! interleaving — same decisions, same effects, same panic — which is the
@@ -48,7 +49,7 @@
 
 use std::any::Any;
 use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
@@ -65,11 +66,6 @@ pub(crate) enum Op {
     AtomicLoad(usize),
     /// Atomic store / RMW.
     AtomicWrite(usize),
-    /// Mutex acquire; only schedulable while the mutex is free.
-    Lock(usize),
-    /// Mutex release (the actual unlock precedes the yield so the baton
-    /// handoff can never hand the OS-level lock to a parked thread).
-    Unlock(usize),
     /// Channel send (never blocks; fails if the receiver is gone).
     Send(usize),
     /// Blocking receive; schedulable when non-empty or fully disconnected.
@@ -82,8 +78,6 @@ pub(crate) enum Op {
     CloseRx(usize),
     /// Join on a logical thread; schedulable once it has finished.
     Join(usize),
-    /// Plain `yield_now` — a pure decision point.
-    Yield,
 }
 
 impl Op {
@@ -92,32 +86,25 @@ impl Op {
             Op::Start => "start".into(),
             Op::AtomicLoad(a) => format!("atomic-load(a{a})"),
             Op::AtomicWrite(a) => format!("atomic-write(a{a})"),
-            Op::Lock(m) => format!("lock(m{m})"),
-            Op::Unlock(m) => format!("unlock(m{m})"),
             Op::Send(c) => format!("send(c{c})"),
             Op::Recv(c) => format!("recv(c{c})"),
             Op::TryRecv(c) => format!("try-recv(c{c})"),
             Op::CloseTx(c) => format!("close-tx(c{c})"),
             Op::CloseRx(c) => format!("close-rx(c{c})"),
             Op::Join(t) => format!("join(t{t})"),
-            Op::Yield => "yield".into(),
         }
     }
 }
 
 /// Conservative dependence relation for sleep-set pruning: two operations
 /// are independent iff they commute from every state. Anything touching
-/// the same object is dependent except load/load; joins, starts and yields
-/// commute with everything.
+/// the same object is dependent except load/load; joins and starts commute
+/// with everything.
 fn dependent(a: Op, b: Op) -> bool {
-    use Op::{AtomicLoad, AtomicWrite, CloseRx, CloseTx, Lock, Recv, Send, TryRecv, Unlock};
+    use Op::{AtomicLoad, AtomicWrite, CloseRx, CloseTx, Recv, Send, TryRecv};
     let atomic = |o: Op| match o {
         AtomicLoad(x) => Some((x, false)),
         AtomicWrite(x) => Some((x, true)),
-        _ => None,
-    };
-    let mutex = |o: Op| match o {
-        Lock(x) | Unlock(x) => Some(x),
         _ => None,
     };
     let channel = |o: Op| match o {
@@ -126,9 +113,6 @@ fn dependent(a: Op, b: Op) -> bool {
     };
     if let (Some((x, wx)), Some((y, wy))) = (atomic(a), atomic(b)) {
         return x == y && (wx || wy);
-    }
-    if let (Some(x), Some(y)) = (mutex(a), mutex(b)) {
-        return x == y;
     }
     if let (Some(x), Some(y)) = (channel(a), channel(b)) {
         return x == y;
@@ -190,8 +174,6 @@ impl std::fmt::Display for Failure {
 pub struct Exploration {
     /// Schedules actually executed.
     pub schedules: usize,
-    /// Longest decision sequence seen.
-    pub max_depth: usize,
 }
 
 // --------------------------------------------------------------- explorer
@@ -200,8 +182,6 @@ pub struct Exploration {
 enum Mode {
     /// Exhaustive bounded DFS with sleep-set pruning.
     Dfs,
-    /// Seeded uniform random walk, `executions` schedules.
-    Random { seed: u64, executions: usize },
     /// Follow one recorded decision trace.
     Replay(Vec<usize>),
 }
@@ -224,26 +204,11 @@ struct Node {
 struct Explorer {
     mode: Mode,
     stack: Vec<Node>,
-    /// xorshift state for the current random-walk execution.
-    rng: u64,
-    /// Executions completed (all modes).
-    ran: usize,
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 impl Explorer {
     fn new(mode: Mode) -> Explorer {
-        let rng = match &mode {
-            Mode::Random { seed, .. } => splitmix64(*seed),
-            _ => 0,
-        };
-        Explorer { mode, stack: Vec::new(), rng, ran: 0 }
+        Explorer { mode, stack: Vec::new() }
     }
 
     /// Pick the thread to run at decision `depth` among `enabled` (whose
@@ -311,10 +276,6 @@ impl Explorer {
                 });
                 Ok(chosen)
             }
-            Mode::Random { .. } => {
-                self.rng = splitmix64(self.rng);
-                Ok(enabled[(self.rng % enabled.len() as u64) as usize])
-            }
             Mode::Replay(decisions) => match decisions.get(depth) {
                 Some(&t) if enabled.contains(&t) => Ok(t),
                 Some(&t) => Err(format!(
@@ -331,9 +292,8 @@ impl Explorer {
     }
 
     /// Prepare the next execution. `false` when the search space (or the
-    /// configured number of random walks, or the single replay) is done.
+    /// single replay) is done.
     fn advance(&mut self) -> bool {
-        self.ran += 1;
         match &self.mode {
             Mode::Dfs => {
                 loop {
@@ -347,13 +307,6 @@ impl Explorer {
                     }
                     self.stack.pop();
                 }
-            }
-            Mode::Random { seed, executions } => {
-                if self.ran >= *executions {
-                    return false;
-                }
-                self.rng = splitmix64(seed ^ (self.ran as u64).wrapping_mul(0x9e37_79b9));
-                true
             }
             Mode::Replay(_) => false,
         }
@@ -388,31 +341,20 @@ struct ChanSt {
 struct Core {
     threads: Vec<Th>,
     active: Option<usize>,
-    /// Per-mutex holder.
-    mutexes: Vec<Option<usize>>,
     channels: Vec<ChanSt>,
     next_atomic: usize,
-    /// Mutexes currently held, per thread (lock-order bookkeeping).
-    held: Vec<Vec<usize>>,
-    /// Held-while-acquiring edges seen this execution; a cycle here is a
-    /// potential deadlock even when this schedule did not manifest it.
-    lock_edges: HashSet<(usize, usize)>,
-    lock_adj: HashMap<usize, Vec<usize>>,
-    /// Decisions taken this execution.
+    /// Decisions taken this execution; its length is the current depth.
     trace: Vec<usize>,
-    depth: usize,
     /// First failure of this execution; everything aborts once set.
     failed: Option<String>,
     /// OS handles of threads spawned this execution (index = tid - 1).
     os_handles: Vec<Option<std::thread::JoinHandle<()>>>,
     explorer: Explorer,
-    max_depth_seen: usize,
 }
 
 impl Core {
     fn op_enabled(&self, op: Op) -> bool {
         match op {
-            Op::Lock(m) => self.mutexes[m].is_none(),
             Op::Recv(c) => self.channels[c].len > 0 || self.channels[c].senders == 0,
             Op::Join(t) => self.threads[t].status == Status::Done,
             _ => true,
@@ -426,10 +368,12 @@ impl Core {
     }
 }
 
+/// Decision depth at which one schedule is declared a livelock.
+const MAX_STEPS: usize = 20_000;
+
 pub(crate) struct Rt {
     core: Mutex<Core>,
     cv: Condvar,
-    max_steps: usize,
 }
 
 thread_local! {
@@ -441,14 +385,6 @@ thread_local! {
 /// fall back to plain `std` behavior.
 pub(crate) fn maybe_current() -> Option<(Arc<Rt>, usize)> {
     CURRENT.with(|c| c.borrow().clone())
-}
-
-/// Is the calling thread a logical thread of an active model exploration?
-/// Production code uses this to skip branches that depend on wall-clock
-/// time or other non-instrumented nondeterminism (which would break
-/// schedule replay).
-pub fn is_modeling() -> bool {
-    maybe_current().is_some()
 }
 
 fn set_current(rt: Option<(Arc<Rt>, usize)>) {
@@ -466,26 +402,19 @@ impl Drop for TlsGuard {
 }
 
 impl Rt {
-    fn new(mode: Mode, max_steps: usize) -> Rt {
+    fn new(mode: Mode) -> Rt {
         Rt {
             core: Mutex::new(Core {
                 threads: Vec::new(),
                 active: None,
-                mutexes: Vec::new(),
                 channels: Vec::new(),
                 next_atomic: 0,
-                held: Vec::new(),
-                lock_edges: HashSet::new(),
-                lock_adj: HashMap::new(),
                 trace: Vec::new(),
-                depth: 0,
                 failed: None,
                 os_handles: Vec::new(),
                 explorer: Explorer::new(mode),
-                max_depth_seen: 0,
             }),
             cv: Condvar::new(),
-            max_steps,
         }
     }
 
@@ -502,25 +431,14 @@ impl Rt {
         let mut c = self.lock();
         c.threads = vec![Th { status: Status::Running, pending: None }];
         c.active = Some(0);
-        c.mutexes.clear();
         c.channels.clear();
         c.next_atomic = 0;
-        c.held = vec![Vec::new()];
-        c.lock_edges.clear();
-        c.lock_adj.clear();
         c.trace.clear();
-        c.depth = 0;
         c.failed = None;
         c.os_handles.clear();
     }
 
     // ------------------------------------------------------ registration
-
-    pub(crate) fn register_mutex(&self) -> usize {
-        let mut c = self.lock();
-        c.mutexes.push(None);
-        c.mutexes.len() - 1
-    }
 
     pub(crate) fn register_channel(&self) -> usize {
         let mut c = self.lock();
@@ -550,7 +468,6 @@ impl Rt {
         let tid = {
             let mut c = self.lock();
             c.threads.push(Th { status: Status::Ready, pending: Some(Op::Start) });
-            c.held.push(Vec::new());
             c.threads.len() - 1
         };
         let rt = Arc::clone(self);
@@ -603,25 +520,17 @@ impl Rt {
                 if th.status == Status::Done {
                     continue;
                 }
-                let what = match th.pending {
-                    Some(Op::Lock(m)) => match c.mutexes[m] {
-                        Some(h) => format!("lock(m{m}) held by thread {h}"),
-                        None => format!("lock(m{m})"),
-                    },
-                    Some(op) => op.describe(),
-                    None => "running".into(),
-                };
+                let what = th.pending.map_or_else(|| "running".into(), Op::describe);
                 blocked.push(format!("thread {t} waiting on {what}"));
             }
             c.fail(format!("deadlock: no runnable thread — {}", blocked.join("; ")));
             self.cv.notify_all();
             return;
         }
-        if c.depth >= self.max_steps {
+        if c.trace.len() >= MAX_STEPS {
             c.fail(format!(
-                "schedule exceeded max_steps ({}) — livelock, or raise \
-                 Config::max_steps",
-                self.max_steps
+                "schedule exceeded {MAX_STEPS} decisions — livelock, or a model too \
+                 deep to check"
             ));
             self.cv.notify_all();
             return;
@@ -633,12 +542,10 @@ impl Rt {
                 None => unreachable!("enabled thread always has a pending op"),
             })
             .collect();
-        let depth = c.depth;
+        let depth = c.trace.len();
         match c.explorer.decide(depth, &enabled, &ops) {
             Ok(choice) => {
                 c.trace.push(choice);
-                c.depth += 1;
-                c.max_depth_seen = c.max_depth_seen.max(c.depth);
                 c.active = Some(choice);
                 self.cv.notify_all();
             }
@@ -678,7 +585,7 @@ impl Rt {
         }
         c.threads[me].status = Status::Running;
         c.threads[me].pending = None;
-        let out = self.apply_effect(&mut c, me, op);
+        let out = Self::apply_effect(&mut c, op);
         if c.failed.is_some() {
             drop(c);
             abort_execution();
@@ -689,42 +596,14 @@ impl Rt {
     /// Bookkeeping-only variant for `Drop` impls running during a panic
     /// unwind: keep the model state consistent but never yield or abort —
     /// a second panic inside a `Drop` would abort the process.
-    pub(crate) fn effect_during_unwind(&self, me: usize, op: Op) {
+    pub(crate) fn effect_during_unwind(&self, op: Op) {
         let mut c = self.lock();
-        let _ = self.apply_effect(&mut c, me, op);
+        let _ = Self::apply_effect(&mut c, op);
     }
 
-    fn apply_effect(&self, c: &mut Core, me: usize, op: Op) -> Outcome {
+    fn apply_effect(c: &mut Core, op: Op) -> Outcome {
         match op {
-            Op::Start | Op::AtomicLoad(_) | Op::AtomicWrite(_) | Op::Join(_) | Op::Yield => {
-                Outcome::Unit
-            }
-            Op::Lock(m) => {
-                debug_assert!(c.mutexes[m].is_none());
-                c.mutexes[m] = Some(me);
-                let held = c.held[me].clone();
-                c.held[me].push(m);
-                for h in held {
-                    if c.lock_edges.insert((h, m)) {
-                        c.lock_adj.entry(h).or_default().push(m);
-                        if let Some(cycle) = lock_cycle(&c.lock_adj, m, h) {
-                            c.fail(format!(
-                                "lock-order cycle: acquiring m{m} while holding m{h}, \
-                                 but the reverse order was also taken this execution \
-                                 (cycle {cycle}) — a schedule interleaving the two \
-                                 acquisition paths deadlocks"
-                            ));
-                            self.cv.notify_all();
-                        }
-                    }
-                }
-                Outcome::Unit
-            }
-            Op::Unlock(m) => {
-                c.mutexes[m] = None;
-                c.held[me].retain(|&x| x != m);
-                Outcome::Unit
-            }
+            Op::Start | Op::AtomicLoad(_) | Op::AtomicWrite(_) | Op::Join(_) => Outcome::Unit,
             Op::Send(ch) => {
                 if c.channels[ch].receiver_alive {
                     c.channels[ch].len += 1;
@@ -873,29 +752,6 @@ impl Rt {
     }
 }
 
-/// Is `to` reachable from `from` in the lock-order graph? Returns the path
-/// rendered as `m2 -> m0 -> m2` when so.
-fn lock_cycle(adj: &HashMap<usize, Vec<usize>>, from: usize, to: usize) -> Option<String> {
-    let mut stack = vec![(from, vec![from])];
-    let mut seen = HashSet::new();
-    while let Some((node, path)) = stack.pop() {
-        if node == to {
-            let mut names: Vec<String> = path.iter().map(|m| format!("m{m}")).collect();
-            names.push(format!("m{to}"));
-            return Some(names.join(" -> "));
-        }
-        if !seen.insert(node) {
-            continue;
-        }
-        for &next in adj.get(&node).map_or(&[][..], |v| v) {
-            let mut p = path.clone();
-            p.push(next);
-            stack.push((next, p));
-        }
-    }
-    None
-}
-
 fn payload_msg(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -908,13 +764,14 @@ fn payload_msg(payload: &(dyn Any + Send)) -> String {
 
 // ---------------------------------------------------------------- config
 
-/// How to explore: exhaustively, randomly, or replaying one trace — plus
-/// the bounds that keep exploration finite.
+/// How to explore: exhaustively, or replaying one trace — plus the bound
+/// that keeps exploration finite.
 #[derive(Clone, Debug)]
 pub struct Config {
-    mode: Mode,
+    /// `Err` holds why a replay trace did not parse; `explore` refuses it
+    /// before running anything.
+    mode: Result<Mode, String>,
     max_schedules: usize,
-    max_steps: usize,
 }
 
 impl Config {
@@ -922,30 +779,31 @@ impl Config {
     /// [`model`]). Explores *every* interleaving of the instrumented
     /// operations, up to `max_schedules`.
     pub fn dfs() -> Config {
-        Config { mode: Mode::Dfs, max_schedules: 200_000, max_steps: 20_000 }
+        Config { mode: Ok(Mode::Dfs), max_schedules: 200_000 }
     }
 
-    /// Seeded random walk: `executions` schedules, each picking uniformly
-    /// among enabled threads at every decision. For models whose DFS space
-    /// is too deep; failures still carry an exact replayable trace.
-    pub fn random(seed: u64, executions: usize) -> Config {
-        Config {
-            mode: Mode::Random { seed, executions },
-            max_schedules: executions,
-            max_steps: 20_000,
-        }
-    }
-
-    /// Re-run exactly one schedule from a recorded decision trace (the
-    /// `[0,1,1,0]`-style string a [`Failure`] prints).
+    /// Re-run exactly one schedule from a recorded decision trace: the
+    /// comma-separated thread ids inside the `Config::replay("…")` call a
+    /// [`Failure`] prints. A token that is not a thread id makes
+    /// [`Config::explore`] fail naming it, without running the model.
     pub fn replay(trace: &str) -> Config {
-        let decisions: Vec<usize> = trace
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .filter_map(|s| s.parse().ok())
-            .collect();
-        Config { mode: Mode::Replay(decisions), max_schedules: 1, max_steps: 20_000 }
+        let trace = trace.trim();
+        let mode = if trace.is_empty() {
+            Ok(Vec::new())
+        } else {
+            trace
+                .split(',')
+                .map(|token| {
+                    token.trim().parse().map_err(|_| {
+                        format!(
+                            "malformed replay trace: `{token}` is not a thread id \
+                             (expected comma-separated integers, e.g. \"0,1,1,0\")"
+                        )
+                    })
+                })
+                .collect()
+        };
+        Config { mode: mode.map(Mode::Replay), max_schedules: 1 }
     }
 
     /// Cap the number of schedules an exhaustive search may run before
@@ -956,17 +814,15 @@ impl Config {
         self
     }
 
-    /// Cap the decision depth of a single schedule (livelock guard).
-    #[must_use]
-    pub fn max_steps(mut self, n: usize) -> Config {
-        self.max_steps = n;
-        self
-    }
-
     /// Explore `f` under this configuration. Returns the exploration
     /// summary, or the first violating schedule.
     pub fn explore<F: Fn()>(&self, f: F) -> Result<Exploration, Failure> {
-        let rt = Arc::new(Rt::new(self.mode.clone(), self.max_steps));
+        let mode = self.mode.clone().map_err(|message| Failure {
+            message,
+            trace: String::new(),
+            schedules: 0,
+        })?;
+        let rt = Arc::new(Rt::new(mode));
         let mut schedules = 0usize;
         loop {
             schedules += 1;
@@ -998,27 +854,13 @@ impl Config {
                 }
             }
             rt.reap_os_threads();
-            let (failed, trace, max_depth) = {
-                let c = rt.lock();
-                (
-                    c.failed.clone().filter(|m| !m.is_empty()),
-                    c.trace
-                        .iter()
-                        .map(ToString::to_string)
-                        .collect::<Vec<_>>()
-                        .join(","),
-                    c.max_depth_seen,
-                )
-            };
-            if let Some(message) = failed {
-                return Err(Failure { message, trace, schedules });
+            let mut c = rt.lock();
+            if let Some(message) = c.failed.clone().filter(|m| !m.is_empty()) {
+                let trace: Vec<String> = c.trace.iter().map(ToString::to_string).collect();
+                return Err(Failure { message, trace: trace.join(","), schedules });
             }
-            let more = {
-                let mut c = rt.lock();
-                c.explorer.advance()
-            };
-            if !more {
-                return Ok(Exploration { schedules, max_depth });
+            if !c.explorer.advance() {
+                return Ok(Exploration { schedules });
             }
         }
     }
@@ -1035,10 +877,4 @@ impl Config {
 /// DFS reaches, panicking with a replayable trace on the first violation.
 pub fn model<F: Fn()>(f: F) {
     Config::dfs().check(f);
-}
-
-/// A schedule seed from the environment (`var` as a u64), else `default`.
-/// The CI `check` job pins seeds the same way the chaos job does.
-pub fn seed_from_env(var: &str, default: u64) -> u64 {
-    std::env::var(var).ok().and_then(|s| s.parse().ok()).unwrap_or(default)
 }

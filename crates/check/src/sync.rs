@@ -1,4 +1,4 @@
-//! Checked synchronization primitives: `Mutex`, mpsc channel, atomics.
+//! Checked synchronization primitives: mpsc channel, integer atomics.
 //!
 //! Each primitive wraps its `std` counterpart and inserts a scheduler
 //! yield point before every operation. Construction decides
@@ -15,100 +15,9 @@
 //! outside object silently opts out of checking.
 
 use std::collections::VecDeque;
-use std::mem::ManuallyDrop;
-use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 use crate::rt::{maybe_current, Op, Outcome};
-
-// ----------------------------------------------------------------- mutex
-
-/// A mutual-exclusion lock whose acquire and release are schedule decision
-/// points when created inside a model.
-pub struct Mutex<T: ?Sized> {
-    /// Model object id; `None` when created outside a model (std behavior).
-    id: Option<usize>,
-    inner: std::sync::Mutex<T>,
-}
-
-impl<T> Mutex<T> {
-    pub fn new(value: T) -> Mutex<T> {
-        let id = maybe_current().map(|(rt, _)| rt.register_mutex());
-        Mutex { id, inner: std::sync::Mutex::new(value) }
-    }
-}
-
-impl<T: ?Sized> Mutex<T> {
-    /// Acquire. Poison-transparent: a model thread that panicked has
-    /// already failed the whole execution, so poison carries no extra
-    /// information here (and the production shim recovers likewise).
-    pub fn lock(&self) -> MutexGuard<'_, T> {
-        if let (Some(id), Some((rt, me))) = (self.id, maybe_current()) {
-            // Schedulable only while free, so the std lock below never
-            // contends: the model state *is* the lock discipline.
-            let _ = rt.yield_point(me, Op::Lock(id));
-        }
-        let g = match self.inner.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        MutexGuard { lock: self, inner: ManuallyDrop::new(g) }
-    }
-}
-
-impl<T: Default> Default for Mutex<T> {
-    fn default() -> Mutex<T> {
-        Mutex::new(T::default())
-    }
-}
-
-impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for Mutex<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Mutex").finish_non_exhaustive()
-    }
-}
-
-/// RAII guard; releasing it is itself a decision point (the model decides
-/// who runs between the release and whatever follows).
-pub struct MutexGuard<'a, T: ?Sized> {
-    lock: &'a Mutex<T>,
-    inner: ManuallyDrop<std::sync::MutexGuard<'a, T>>,
-}
-
-impl<T: ?Sized> Deref for MutexGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
-impl<T: ?Sized> Drop for MutexGuard<'_, T> {
-    fn drop(&mut self) {
-        // Release the real lock *before* yielding: once parked we no
-        // longer hold any OS-level resource, so whichever thread the
-        // explorer schedules next can make progress. The model still
-        // counts the mutex as held until the Unlock effect applies, so no
-        // waiter is schedulable in between — the early std unlock is
-        // invisible to the exploration.
-        unsafe { ManuallyDrop::drop(&mut self.inner) };
-        if let (Some(id), Some((rt, me))) = (self.lock.id, maybe_current()) {
-            if std::thread::panicking() {
-                // Unwinding (assertion failure or execution abort): keep
-                // the model state consistent but never schedule — a panic
-                // inside a Drop during unwind would abort the process.
-                rt.effect_during_unwind(me, Op::Unlock(id));
-            } else {
-                let _ = rt.yield_point(me, Op::Unlock(id));
-            }
-        }
-    }
-}
 
 // --------------------------------------------------------------- channel
 
@@ -279,7 +188,7 @@ pub mod mpsc {
             }
             if let (Some(id), Some((rt, me))) = (self.id, maybe_current()) {
                 if std::thread::panicking() {
-                    rt.effect_during_unwind(me, Op::CloseTx(id));
+                    rt.effect_during_unwind(Op::CloseTx(id));
                 } else {
                     // The last sender dropping enables a parked `recv` to
                     // resolve as disconnected — a real decision point.
@@ -350,7 +259,7 @@ pub mod mpsc {
             self.data.lock().rx_alive = false;
             if let (Some(id), Some((rt, me))) = (self.id, maybe_current()) {
                 if std::thread::panicking() {
-                    rt.effect_during_unwind(me, Op::CloseRx(id));
+                    rt.effect_during_unwind(Op::CloseRx(id));
                 } else {
                     let _ = rt.yield_point(me, Op::CloseRx(id));
                 }
@@ -407,21 +316,6 @@ pub mod atomic {
                     self.hit(true);
                     self.v.fetch_add(value, order)
                 }
-
-                pub fn fetch_sub(&self, value: $prim, order: Ordering) -> $prim {
-                    self.hit(true);
-                    self.v.fetch_sub(value, order)
-                }
-
-                pub fn fetch_max(&self, value: $prim, order: Ordering) -> $prim {
-                    self.hit(true);
-                    self.v.fetch_max(value, order)
-                }
-
-                pub fn swap(&self, value: $prim, order: Ordering) -> $prim {
-                    self.hit(true);
-                    self.v.swap(value, order)
-                }
             }
 
             impl Default for $name {
@@ -440,50 +334,4 @@ pub mod atomic {
 
     checked_int_atomic!(AtomicU64, AtomicU64, u64);
     checked_int_atomic!(AtomicUsize, AtomicUsize, usize);
-
-    pub struct AtomicBool {
-        id: Option<usize>,
-        v: std::sync::atomic::AtomicBool,
-    }
-
-    impl AtomicBool {
-        pub fn new(value: bool) -> AtomicBool {
-            let id = maybe_current().map(|(rt, _)| rt.register_atomic());
-            AtomicBool { id, v: std::sync::atomic::AtomicBool::new(value) }
-        }
-
-        fn hit(&self, write: bool) {
-            if let (Some(id), Some((rt, me))) = (self.id, maybe_current()) {
-                let op = if write { Op::AtomicWrite(id) } else { Op::AtomicLoad(id) };
-                let _ = rt.yield_point(me, op);
-            }
-        }
-
-        pub fn load(&self, order: Ordering) -> bool {
-            self.hit(false);
-            self.v.load(order)
-        }
-
-        pub fn store(&self, value: bool, order: Ordering) {
-            self.hit(true);
-            self.v.store(value, order);
-        }
-
-        pub fn swap(&self, value: bool, order: Ordering) -> bool {
-            self.hit(true);
-            self.v.swap(value, order)
-        }
-    }
-
-    impl Default for AtomicBool {
-        fn default() -> AtomicBool {
-            AtomicBool::new(false)
-        }
-    }
-
-    impl std::fmt::Debug for AtomicBool {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            write!(f, "AtomicBool({})", self.v.load(Ordering::Relaxed))
-        }
-    }
 }

@@ -94,16 +94,6 @@ where
     }
 }
 
-/// Give up the baton without any effect — a pure scheduling decision
-/// point. A no-op hint outside a model.
-pub fn yield_now() {
-    if let Some((rt, me)) = maybe_current() {
-        let _ = rt.yield_point(me, Op::Yield);
-    } else {
-        std::thread::yield_now();
-    }
-}
-
 // ----------------------------------------------------------------- scope
 
 /// Where one scoped thread stands; shared between the `Scope` registry

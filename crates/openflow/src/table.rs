@@ -4,7 +4,7 @@ use crate::index::EntryStore;
 use crate::{HostAddr, PortNo};
 use std::cmp::Reverse;
 use std::sync::Arc;
-use sdt_sync::atomic::{AtomicU64, Ordering};
+use sdt_check::facade::atomic::{AtomicU64, Ordering};
 
 /// Wildcard-able match over the fields SDT programs: ingress port, pipeline
 /// metadata (OpenFlow 1.3 multi-table), plus an IPv4-style 5-tuple subset.

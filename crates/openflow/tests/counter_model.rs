@@ -1,7 +1,7 @@
 //! Model-checked audit of the [`FlowTable`] lookup/miss counters. Only
-//! meaningful under `--cfg sdt_check`, where the `sdt_sync` atomics the
-//! table uses route through the deterministic scheduler and the DFS
-//! explores every interleaving of concurrent probing threads.
+//! meaningful under `--cfg sdt_check`, where the `sdt_check::facade`
+//! atomics the table uses route through the deterministic scheduler and
+//! the DFS explores every interleaving of concurrent probing threads.
 //!
 //! The counters' documented ordering contract (see `table.rs`): every
 //! access is `Relaxed`, and that is enough because each counter is a
@@ -12,7 +12,7 @@
 //! how the RMWs interleave.
 //!
 //! The first probe of a table also builds its tier index, behind a
-//! `std::sync::OnceLock`. That initialiser takes no `sdt_sync` operation —
+//! `std::sync::OnceLock`. That initialiser takes no facade operation —
 //! it reads the entries and fills the maps — so it adds no scheduling point
 //! and the explored schedules are exactly the counters' RMWs: whichever
 //! model thread probes first builds the index inside its own step, and the

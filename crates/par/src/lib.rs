@@ -21,8 +21,8 @@ pub mod stats;
 
 use std::time::Instant;
 
-use sdt_sync::atomic::{AtomicUsize, Ordering};
-use sdt_sync::thread;
+use sdt_check::facade::atomic::{AtomicUsize, Ordering};
+use sdt_check::facade::{self, thread};
 
 /// Remaining-work threshold (ns) below which the pool is not worth waking:
 /// roughly ten thread spawns. Sweeps whose probe projects less total work
@@ -97,7 +97,7 @@ where
     let probe = unit(0);
     let probe_ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
     let projected = probe_ns.saturating_mul((n - probe.1.len()) as u64) / probe.1.len() as u64;
-    let mut runs: Vec<(usize, Vec<R>)> = if !sdt_sync::modeling() && projected < SEQ_FALLBACK_NS {
+    let mut runs: Vec<(usize, Vec<R>)> = if !facade::modeling() && projected < SEQ_FALLBACK_NS {
         claim()
     } else {
         thread::scope(|s| {

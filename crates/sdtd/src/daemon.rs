@@ -39,16 +39,16 @@ use sdt_controller::commands::{self, Done};
 use sdt_controller::slices::BatchItem;
 use sdt_controller::wire::{Reply, Request};
 use sdt_controller::{Json, SliceController, SliceOpError, TestbedConfig};
-use sdt_sync::atomic::{AtomicBool, Ordering};
-use sdt_sync::sync::mpsc::Sender;
-use sdt_sync::sync::{Arc, Mutex};
-use sdt_sync::thread;
 use sdt_tenancy::{OpOutcome, SliceId};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read as _, Write as _};
 use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Sender};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::thread;
 
 /// How the daemon runs: where it listens, where it persists, how greedy
 /// a batch may get.
@@ -156,9 +156,10 @@ struct ConnWriter {
 
 impl ConnWriter {
     fn send_line(&self, line: &str) {
-        // The facade lock is poison-recovering; a vanished client is its
-        // own problem; the engine keeps serving either way.
-        let mut guard = self.stream.lock();
+        // A panicking holder already failed its own thread loudly, and a
+        // vanished client is its own problem; the engine keeps serving
+        // either way.
+        let mut guard = self.stream.lock().unwrap_or_else(PoisonError::into_inner);
         let _ = guard.write_all(line.as_bytes());
         let _ = guard.write_all(b"\n");
     }
@@ -199,7 +200,7 @@ impl ConnRegistry {
     /// already shutting down — the stream has then been closed already.
     fn track(&self, stream: &UnixStream) -> Option<u64> {
         let clone = stream.try_clone().ok()?;
-        let mut set = self.conns.lock();
+        let mut set = self.conns.lock().unwrap_or_else(PoisonError::into_inner);
         if set.closed {
             let _ = clone.shutdown(Shutdown::Both);
             return None;
@@ -213,7 +214,7 @@ impl ConnRegistry {
     /// Drop a finished connection so a long-lived daemon does not
     /// accumulate dead file descriptors.
     fn untrack(&self, token: u64) {
-        let mut set = self.conns.lock();
+        let mut set = self.conns.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(i) = set.streams.iter().position(|(t, _)| *t == token) {
             set.streams.swap_remove(i);
         }
@@ -223,7 +224,7 @@ impl ConnRegistry {
     /// after the engine loop has returned, i.e. after every terminal
     /// reply (including shutdown rejections) has been written.
     fn close_all(&self) {
-        let mut set = self.conns.lock();
+        let mut set = self.conns.lock().unwrap_or_else(PoisonError::into_inner);
         set.closed = true;
         for (_, stream) in set.streams.drain(..) {
             let _ = stream.shutdown(Shutdown::Both);
@@ -249,7 +250,7 @@ pub fn serve(state: &mut DaemonState, opts: DaemonOptions) -> Result<DaemonMetri
     let _ = std::fs::remove_file(&opts.socket);
     let listener = UnixListener::bind(&opts.socket)
         .map_err(|e| format!("bind {}: {e}", opts.socket.display()))?;
-    let (tx, rx) = sdt_sync::sync::mpsc::channel::<WorkItem>();
+    let (tx, rx) = mpsc::channel::<WorkItem>();
     let stop = Arc::new(AtomicBool::new(false));
     let registry = Arc::new(ConnRegistry::default());
 

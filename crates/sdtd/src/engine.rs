@@ -20,8 +20,7 @@
 //!   come.
 
 use std::collections::VecDeque;
-
-use sdt_sync::sync::mpsc::{Receiver, TryRecvError};
+use std::sync::mpsc::{Receiver, TryRecvError};
 
 /// Non-blocking pull from a work source.
 pub enum Poll<I> {

@@ -16,8 +16,8 @@
 //!   or rejected — never silently dropped.
 //!
 //! These run in the plain build: the engine loop's concurrency surface is
-//! injected through traits, so it can be exhaustively explored without
-//! the `--cfg sdt_check` shim swap that the in-crate ports need.
+//! injected through traits, so it can be exhaustively explored with
+//! `sdt_check` channels while the daemon itself uses `std` directly.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -158,8 +158,7 @@ impl RecordingHost {
 }
 
 /// Bridges the checked channel into the engine's `WorkSource` (the daemon
-/// uses the `sdt_sync` receiver, which is this same type only under
-/// `--cfg sdt_check`).
+/// implements it for `std::sync::mpsc::Receiver`).
 struct CheckedSource(Receiver<Item>);
 
 impl WorkSource<Item> for CheckedSource {

@@ -830,8 +830,6 @@ impl Simulator {
         self.cfg.max_sim_ns = max_sim_ns;
         if self.outcome == Some(SimOutcome::TimeLimit) {
             self.outcome = None;
-            // The monitor may have parked; re-arm it on resume.
-            self.monitor_active = false;
         }
     }
 

@@ -304,15 +304,12 @@ fn nic_backlog_wakes_once_per_freed_slot() {
     }
 }
 
-/// Known defect, pinned rather than fixed: `set_time_limit` clears
-/// `monitor_active` while the stopped run's `MonitorTick` is still queued,
-/// so the resumed `run` arms a second monitor chain. Uninterrupted, this
-/// run takes 10 ticks and ends at 10.0 ms; stopped at 2.5 ms and resumed it
-/// takes 18 ticks and ends at 10.5 ms, and every adaptive load is read over
-/// half a window. Deleting that line fixes it but moves `golden.rs`'s
-/// `dcqcn-k4-resumed` digest, so the fix lands with a re-recording.
+/// A stop at the time limit leaves the run's `MonitorTick` queued, so a
+/// resumed `run` continues that one chain instead of arming a second: the
+/// uninterrupted run takes 10 ticks and ends at 10.0 ms, and so does the
+/// same run stopped at 2.5 ms and resumed. A second chain would take 18
+/// ticks, end at 10.5 ms and read every adaptive load over half a window.
 #[test]
-#[ignore = "known defect: a resumed run arms a second monitor chain"]
 fn a_resumed_run_keeps_one_monitor_chain() {
     use sdt_routing::default_strategy;
     use sdt_sim::EventKind;
