@@ -8,9 +8,9 @@
 //! results in input order, bit-identical to the sequential map (asserted
 //! in `tests/determinism.rs`).
 //!
-//! The machinery lives in the `sdt-par` crate so the static verifier and
-//! tenancy audit can share it without depending on the umbrella crate;
-//! this module adds the sweep-specific `SDT_BENCH_THREADS` default.
+//! The machinery lives in the `sdt-par` crate, which the decomposed
+//! estimator (`sdt-estimate`) shares; this module adds the sweep-specific
+//! `SDT_BENCH_THREADS` default.
 
 use sdt_par::{par_map_threads, threads_from_env};
 
@@ -21,9 +21,8 @@ pub fn bench_threads() -> usize {
 }
 
 /// Map `f` over `items` on [`bench_threads`] workers, preserving input
-/// order in the returned vector. Falls back to a sequential loop when the
-/// projected total work is too small to pay for thread spawns (see
-/// [`sdt_par::SEQ_FALLBACK_NS`]); either path returns the same bytes.
+/// order in the returned vector: the same bytes as the sequential map at
+/// any worker count.
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,

@@ -50,8 +50,7 @@
 //!   closure; objects created outside silently opt out of checking.
 //! - Join every spawned thread before the closure returns.
 //! - Model code must be deterministic given the schedule: no wall-clock
-//!   reads, no OS randomness, no uninstrumented blocking. Production code
-//!   with such branches gates them on [`facade::modeling`].
+//!   reads, no OS randomness, no uninstrumented blocking.
 //!
 //! See `DESIGN.md` §3.11 for the workspace's thread inventory, the
 //! invariants checked by the model-test suite, and the replay workflow.
@@ -71,22 +70,6 @@ pub use rt::{model, Config, Exploration, Failure};
 /// primitives behave like `std`, so a `--cfg sdt_check` build of the whole
 /// workspace still passes the ordinary test suites.
 pub mod facade {
-    /// Is the calling thread inside a [`crate::model`] closure? Always
-    /// `false` in a normal build. Production code skips branches that
-    /// would make a model nondeterministic (a wall-clock probe) when it
-    /// is `true`.
-    #[must_use]
-    pub fn modeling() -> bool {
-        #[cfg(sdt_check)]
-        {
-            crate::rt::maybe_current().is_some()
-        }
-        #[cfg(not(sdt_check))]
-        {
-            false
-        }
-    }
-
     /// Atomic integers, with an explicit `Ordering` at every call site:
     /// each use documents its contract (see `crates/openflow/src/table.rs`
     /// for the counter convention).
@@ -124,7 +107,5 @@ mod tests {
             assert_eq!(h.join().ok(), Some(1));
         });
         assert_eq!(n.load(Ordering::Relaxed), 2);
-
-        assert!(!super::facade::modeling());
     }
 }

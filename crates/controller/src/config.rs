@@ -259,22 +259,9 @@ impl TestbedConfig {
         let model =
             model_by_name(&model_name).ok_or_else(|| bad("cluster.model", model_name))?;
         let switches: u32 = raw.int_or("cluster.switches", 1)?;
-        ensure(switches >= 1, "cluster.switches", "must be >= 1")?;
-        // `ClusterBuilder` numbers a switch's peers in a `u16`.
-        let peers: u16 = Raw::narrow("cluster.switches", switches - 1)?;
         let hosts_per_switch: u16 = raw.int_or("cluster.hosts_per_switch", 16)?;
         let inter_links_per_pair: u16 = raw.int_or("cluster.inter_links_per_pair", 0)?;
-        let reserved =
-            u32::from(hosts_per_switch) + u32::from(inter_links_per_pair) * u32::from(peers);
-        if reserved > model.ports {
-            let key = if u32::from(hosts_per_switch) > model.ports {
-                "cluster.hosts_per_switch"
-            } else {
-                "cluster.inter_links_per_pair"
-            };
-            let why = format!("reserved ports ({reserved}) exceed switch ports ({})", model.ports);
-            return Err(bad(key, why));
-        }
+        check_cluster(&model, switches, hosts_per_switch, inter_links_per_pair)?;
 
         // A logical switch and a host each take at least one physical port.
         let ports = (u128::from(switches) * u128::from(model.ports)).min(ports);
@@ -385,6 +372,31 @@ impl TestbedConfig {
             require_deadlock_free: raw.bool_or("routing.require_deadlock_free", true)?,
         })
     }
+}
+
+/// The preconditions [`wire_cluster`] asserts, as a `BadValue` naming the
+/// key that breaks one: at least one switch, peers numbered in a `u16`,
+/// reserved host and inter-switch ports within the model's.
+pub fn check_cluster(
+    model: &SwitchModel,
+    switches: u32,
+    hosts_per_switch: u16,
+    inter_links_per_pair: u16,
+) -> Result<(), ConfigError> {
+    ensure(switches >= 1, "cluster.switches", "must be >= 1")?;
+    let peers: u16 = Raw::narrow("cluster.switches", switches - 1)?;
+    let reserved =
+        u32::from(hosts_per_switch) + u32::from(inter_links_per_pair) * u32::from(peers);
+    if reserved > model.ports {
+        let key = if u32::from(hosts_per_switch) > model.ports {
+            "cluster.hosts_per_switch"
+        } else {
+            "cluster.inter_links_per_pair"
+        };
+        let why = format!("reserved ports ({reserved}) exceed switch ports ({})", model.ports);
+        return Err(bad(key, why));
+    }
+    Ok(())
 }
 
 /// Wire the physical cluster a `[cluster]` section describes — the one

@@ -207,11 +207,6 @@ impl Json {
         self.want_int(what, "u16")
     }
 
-    /// This value as a `usize`, refused when out of range.
-    pub fn want_usize(&self, what: &str) -> Result<usize, String> {
-        self.want_int(what, "usize")
-    }
-
     fn want_int<T: TryFrom<u64>>(&self, what: &str, width: &str) -> Result<T, String> {
         T::try_from(self.want_u64(what)?).map_err(|_| format!("{what}: out of {width} range"))
     }
@@ -505,7 +500,6 @@ mod tests {
         assert_eq!(id.want_u32("id"), Err("id: out of u32 range".into()));
         assert_eq!(d.member("port").unwrap().want_u16("link end a"), Err("link end a: out of u16 range".into()));
         assert_eq!(d.member("n").unwrap().want_u16("n"), Ok(3));
-        assert_eq!(d.member("n").unwrap().want_usize("n"), Ok(3));
         assert_eq!(d.member("neg").unwrap().want_u64("neg"), Err("neg: not an unsigned integer".into()));
         assert_eq!(d.member("s").unwrap().want_str("s"), Ok("x"));
         assert_eq!(d.member("s").unwrap().want_bool("s"), Err("s: not a bool".into()));

@@ -43,6 +43,13 @@ pub struct PhysLink {
 }
 
 impl PhysLink {
+    /// The cable joining `a` and `b`; its kind follows from its ends.
+    pub fn between(a: PhysPort, b: PhysPort) -> PhysLink {
+        let same = a.switch == b.switch;
+        let kind = if same { PhysLinkKind::SelfLink } else { PhysLinkKind::InterSwitch };
+        PhysLink { kind, a, b }
+    }
+
     /// The opposite end of the cable. Panics if `p` is not an endpoint.
     pub fn other(&self, p: PhysPort) -> PhysPort {
         if self.a == p {
@@ -97,13 +104,8 @@ impl PhysicalCluster {
         for (a, b) in cables {
             claim(a);
             claim(b);
-            let kind = if a.switch == b.switch {
-                PhysLinkKind::SelfLink
-            } else {
-                PhysLinkKind::InterSwitch
-            };
             let idx = links.len() as u32;
-            links.push(PhysLink { kind, a, b });
+            links.push(PhysLink::between(a, b));
             port_link[a.switch as usize][a.port.idx()] = idx;
             port_link[b.switch as usize][b.port.idx()] = idx;
         }
@@ -157,15 +159,17 @@ impl PhysicalCluster {
         self.host_ports.iter().filter(move |p| p.switch == switch)
     }
 
-    /// The cable attached to a port, if any.
+    /// The cable attached to a port, if any (`None` for a port the
+    /// cluster does not have).
     pub fn link_at(&self, p: PhysPort) -> Option<&PhysLink> {
-        let idx = self.port_link[p.switch as usize][p.port.idx()];
+        let idx = *self.port_link.get(p.switch as usize)?.get(p.port.idx())?;
         (idx != u32::MAX).then(|| &self.links[idx as usize])
     }
 
-    /// Is this port reserved for a host?
+    /// Is this port reserved for a host? (`false` for a port the cluster
+    /// does not have.)
     pub fn is_host_port(&self, p: PhysPort) -> bool {
-        self.is_host_port[p.switch as usize][p.port.idx()]
+        self.is_host_port.get(p.switch as usize).and_then(|s| s.get(p.port.idx())) == Some(&true)
     }
 
     /// Total hardware price of the cluster (switches only).

@@ -171,6 +171,68 @@ impl fmt::Display for ProjectionError {
 
 impl std::error::Error for ProjectionError {}
 
+/// What [`SdtProjector::place`] decided for one topology, given what was
+/// free; the rest of an [`SdtProjection`] follows ([`SdtProjector::realize`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Placement {
+    /// Logical switch -> physical switch.
+    pub assignment: Vec<u32>,
+    /// Logical fabric link -> the cable realizing it.
+    pub link_real: HashMap<LinkId, PhysLink>,
+    /// Host attachment (host, host link) -> physical host port.
+    pub host_port: HashMap<(HostId, LinkId), PhysPort>,
+}
+
+impl Placement {
+    /// The decisions inside a projection.
+    pub fn of(p: &SdtProjection) -> Placement {
+        let (assignment, link_real) = (p.assignment.clone(), p.link_real.clone());
+        Placement { assignment, link_real, host_port: p.host_port.clone() }
+    }
+
+    /// Does this placement fit `topo` on `cluster`, for
+    /// [`SdtProjector::realize`] to index by? Every logical switch on a
+    /// physical one, every fabric link on a cable the cluster has between
+    /// its endpoints' switches, every host attachment on a host port of its
+    /// switch, nothing else listed. The error names what does not fit.
+    pub fn check(&self, topo: &Topology, cluster: &PhysicalCluster) -> Result<(), String> {
+        let (a, k, n) = (&self.assignment, cluster.num_switches(), topo.num_switches());
+        if a.len() != n as usize {
+            return Err(format!("assignment covers {} of {n} logical switches", a.len()));
+        }
+        if let Some(s) = a.iter().position(|&p| p >= k) {
+            return Err(format!("assignment puts switch {s} on physical switch {}, of {k}", a[s]));
+        }
+        let mut listed = (0, 0);
+        for l in topo.fabric_links() {
+            listed.0 += 1;
+            let Some(cable) = self.link_real.get(&l.id) else {
+                return Err(format!("fabric link {} has no cable", l.id.0));
+            };
+            let (sa, sb) = l.switch_ends();
+            let ends = [(cable.a.switch, cable.b.switch), (cable.b.switch, cable.a.switch)];
+            let joins = ends.contains(&(a[sa.idx()], a[sb.idx()]));
+            if !joins || cluster.link_at(cable.a) != Some(cable) {
+                return Err(format!("link {}: no cable {cable:?} between its switches", l.id.0));
+            }
+        }
+        for h in (0..topo.num_hosts()).map(HostId) {
+            for &(s, lid) in topo.attachments(h) {
+                listed.1 += 1;
+                match self.host_port.get(&(h, lid)) {
+                    Some(&p) if p.switch == a[s.idx()] && cluster.is_host_port(p) => {}
+                    p => return Err(format!("host {}: {p:?} is no host port of its switch", h.0)),
+                }
+            }
+        }
+        if listed != (self.link_real.len(), self.host_port.len()) {
+            let (links, hosts) = listed;
+            return Err(format!("more cables or ports listed than {links} links, {hosts} hosts"));
+        }
+        Ok(())
+    }
+}
+
 /// A deployed (or deployable) projection of one logical topology.
 #[derive(Clone, Debug)]
 pub struct SdtProjection {
@@ -246,7 +308,8 @@ impl SdtProjector {
 
     /// [`project`](Self::project) with explicit options: reuse a previous
     /// partition and/or route around failed physical resources. With
-    /// default options this is exactly `project`.
+    /// default options this is exactly `project`. It is
+    /// [`place`](Self::place) followed by [`realize`](Self::realize).
     pub fn project_with(
         &self,
         topo: &Topology,
@@ -254,6 +317,17 @@ impl SdtProjector {
         routes: &RouteTable,
         opts: &ProjectOptions<'_>,
     ) -> Result<SdtProjection, ProjectionError> {
+        let placement = self.place(topo, cluster, opts)?;
+        self.realize(topo, cluster, routes, placement)
+    }
+
+    /// Steps 1–3, the decisions: partition, cables and host ports.
+    pub fn place(
+        &self,
+        topo: &Topology,
+        cluster: &PhysicalCluster,
+        opts: &ProjectOptions<'_>,
+    ) -> Result<Placement, ProjectionError> {
         let k = cluster.num_switches();
         let no_faults = FailedResources::default();
         let failed = opts.failed.unwrap_or(&no_faults);
@@ -340,8 +414,6 @@ impl SdtProjector {
             .collect();
 
         let mut link_real = HashMap::new();
-        let mut port_of = HashMap::new();
-        let mut inter_used = 0usize;
         // Cables some link prefers: a link *without* a (live) preference
         // must not steal one of these, or the displaced link would cascade
         // into stealing the next link's cable and the "incremental" diff
@@ -380,21 +452,7 @@ impl SdtProjector {
                     }
                 }
             };
-            if pa != pb {
-                inter_used += 1;
-            }
-            // Orient: endpoint `sa` gets the cable end on `pa` (for
-            // self-links both ends are on `pa`; keep the cable's order).
-            let (end_a, end_b) = if cable.a.switch == pa {
-                (cable.a, cable.b)
-            } else {
-                (cable.b, cable.a)
-            };
-            debug_assert_eq!(end_a.switch, pa);
-            debug_assert_eq!(end_b.switch, pb);
             link_real.insert(l.id, cable);
-            port_of.insert((sa, l.id), end_a);
-            port_of.insert((sb, l.id), end_b);
         }
 
         let mut host_port = HashMap::new();
@@ -406,7 +464,50 @@ impl SdtProjector {
                     None => unreachable!("demand counting reserved a port per attachment"),
                 };
                 host_port.insert((HostId(h), lid), p);
-                port_of.insert((s, lid), p);
+            }
+        }
+
+        Ok(Placement { assignment, link_real, host_port })
+    }
+
+    /// Steps 4–5, everything a [`Placement`] determines: the port map,
+    /// sub-switches, the pipeline (§VII-C merge on overflow, capacity
+    /// check) and the cut size. [`project_with`](Self::project_with) ends
+    /// here, so realizing its placement reproduces its projection.
+    ///
+    /// # Panics
+    /// If `placement` does not [fit](Placement::check) `topo` on `cluster`.
+    pub fn realize(
+        &self,
+        topo: &Topology,
+        cluster: &PhysicalCluster,
+        routes: &RouteTable,
+        placement: Placement,
+    ) -> Result<SdtProjection, ProjectionError> {
+        let Placement { assignment, link_real, host_port } = placement;
+        let k = cluster.num_switches();
+        let mut port_of = HashMap::new();
+        let mut inter_used = 0usize;
+        for l in topo.fabric_links() {
+            let (sa, sb) = l.switch_ends();
+            let pa = assignment[sa.idx()];
+            let cable = link_real[&l.id];
+            if pa != assignment[sb.idx()] {
+                inter_used += 1;
+            }
+            // Orient: endpoint `sa` gets the cable end on `pa` (for
+            // self-links both ends are on `pa`; keep the cable's order).
+            let (end_a, end_b) = if cable.a.switch == pa {
+                (cable.a, cable.b)
+            } else {
+                (cable.b, cable.a)
+            };
+            port_of.insert((sa, l.id), end_a);
+            port_of.insert((sb, l.id), end_b);
+        }
+        for h in 0..topo.num_hosts() {
+            for &(s, lid) in topo.attachments(HostId(h)) {
+                port_of.insert((s, lid), host_port[&(HostId(h), lid)]);
             }
         }
 
@@ -460,6 +561,7 @@ mod tests {
     use crate::cluster::ClusterBuilder;
     use crate::methods::SwitchModel;
     use sdt_topology::chain::chain;
+    use sdt_topology::dragonfly::dragonfly;
     use sdt_topology::fattree::fat_tree;
     use sdt_topology::meshtorus::torus;
 
@@ -584,6 +686,112 @@ mod tests {
             SdtProjector { merge_entries_on_overflow: true, ..Default::default() };
         let p = proj.project_default(&t, &c).unwrap();
         assert!(p.synthesis.entries_per_switch.iter().all(|&n| n < need));
+    }
+
+    /// `realize` of the placement `project_with` decided returns
+    /// `project_with`'s own projection, field for field.
+    fn assert_realize_reproduces(
+        proj: &SdtProjector,
+        t: &Topology,
+        c: &PhysicalCluster,
+        opts: &ProjectOptions<'_>,
+    ) -> SdtProjection {
+        let routes = RouteTable::build_for_hosts(t, default_strategy(t).as_ref());
+        let p = proj.project_with(t, c, &routes, opts).unwrap();
+        let placement = Placement::of(&p);
+        assert_eq!(placement.check(t, c), Ok(()), "{}", t.name());
+        let r = proj.realize(t, c, &routes, placement).unwrap();
+        assert_eq!(r.assignment, p.assignment, "{}", t.name());
+        assert_eq!(r.link_real, p.link_real, "{}", t.name());
+        assert_eq!(r.port_of, p.port_of, "{}", t.name());
+        assert_eq!(r.host_port, p.host_port, "{}", t.name());
+        assert_eq!(r.subswitches, p.subswitches, "{}", t.name());
+        assert_eq!(r.synthesis, p.synthesis, "{}", t.name());
+        assert_eq!(r.inter_switch_links_used, p.inter_switch_links_used, "{}", t.name());
+        p
+    }
+
+    #[test]
+    fn realizing_a_projections_placement_reproduces_it() {
+        // The paper's four evaluation topologies (§VI-D) and a chain on one
+        // switch, where every link is a self-link.
+        let presets = [fat_tree(4), dragonfly(4, 9, 2, 1), torus(&[5, 5]), torus(&[4, 4, 4])];
+        for t in &presets {
+            assert_realize_reproduces(
+                &SdtProjector::default(),
+                t,
+                &cluster(4, 16, 16),
+                &ProjectOptions::default(),
+            );
+        }
+        assert_realize_reproduces(
+            &SdtProjector::default(),
+            &chain(8),
+            &cluster(1, 8, 0),
+            &ProjectOptions::default(),
+        );
+
+        // A recovery re-projection: pinned partition, dead cables, preferred
+        // cables.
+        let t = torus(&[4, 4]);
+        let c = cluster(2, 16, 10);
+        let old = assert_realize_reproduces(
+            &SdtProjector::default(),
+            &t,
+            &c,
+            &ProjectOptions::default(),
+        );
+        let mut failed = FailedResources::new();
+        failed.fail_cable(c.inter_links_between(0, 1).next().unwrap());
+        let prefer: HashMap<(SwitchId, SwitchId), PhysLink> = t
+            .fabric_links()
+            .map(|l| {
+                let (a, b) = l.switch_ends();
+                ((a.min(b), a.max(b)), old.link_real[&l.id])
+            })
+            .collect();
+        let opts = ProjectOptions {
+            fixed_assignment: Some(&old.assignment),
+            failed: Some(&failed),
+            prefer_cables: Some(&prefer),
+        };
+        assert_realize_reproduces(&SdtProjector::default(), &t, &c, &opts);
+
+        // The §VII-C merged pipeline: capacity below the plain one's need.
+        let t = fat_tree(4);
+        let plain = SdtProjector::default().project_default(&t, &cluster(2, 16, 16)).unwrap();
+        let mut model = SwitchModel::openflow_128x100g();
+        model.table_capacity = plain.synthesis.entries_per_switch.iter().max().unwrap() - 10;
+        let c = ClusterBuilder::new(model, 2).hosts_per_switch(16).inter_links_per_pair(16).build();
+        let merging = SdtProjector { merge_entries_on_overflow: true, ..Default::default() };
+        let merged = assert_realize_reproduces(&merging, &t, &c, &ProjectOptions::default());
+        assert_ne!(merged.synthesis, plain.synthesis, "the merged path ran");
+    }
+
+    #[test]
+    fn placement_check_names_what_does_not_fit() {
+        let t = chain(4);
+        let c = cluster(2, 8, 4);
+        let p = Placement::of(&SdtProjector::default().project_default(&t, &c).unwrap());
+        let refused = |edit: &dyn Fn(&mut Placement), why: &str| {
+            let mut bad = p.clone();
+            edit(&mut bad);
+            let e = bad.check(&t, &c).unwrap_err();
+            assert!(e.contains(why), "{why}: {e}");
+        };
+        let lid = t.fabric_links().next().unwrap().id;
+        let foreign = PhysLink {
+            b: PhysPort { switch: 1, port: sdt_openflow::PortNo(300) },
+            ..p.link_real[&lid]
+        };
+        let cable = *c.links().first().unwrap();
+        let (h, hl) = (HostId(0), t.attachments(HostId(0))[0].1);
+        refused(&|b| b.assignment[1] = 2, "puts switch 1 on physical switch 2, of 2");
+        refused(&|b| b.assignment.truncate(3), "covers 3 of 4 logical switches");
+        refused(&|b| b.link_real.retain(|&l, _| l != lid), "has no cable");
+        refused(&|b| b.link_real.extend([(lid, foreign)]), "no cable PhysLink");
+        refused(&|b| b.host_port.extend([((h, hl), cable.a)]), "is no host port of its switch");
+        refused(&|b| b.link_real.extend([(LinkId(999), cable)]), "listed than 3 links, 4 hosts");
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub struct LinkDelays {
 
 impl LinkDelays {
     /// Simulate each representative's workload on `threads` threads
-    /// (`0` = sequential fan-out decision left to `sdt_par`'s probe).
+    /// (`0`, like `1`, is the plain sequential map).
     /// `park_cap` is the per-link standing-queue cap in bytes (the VC
     /// buffer under lossless flow control).
     pub fn compute(

@@ -5,29 +5,13 @@
 //! item owns its state, so the result of an item does not depend on which thread ran it
 //! or when. [`par_map_threads`] exploits that: it fans items over a
 //! `std::thread::scope` pool and returns results in input order,
-//! bit-identical to the sequential map.
-//!
-//! # Work-size-aware sequential fallback
-//!
-//! Spawning OS threads costs tens of microseconds each; a sweep whose
-//! *total* remaining work is smaller than that loses by going parallel.
-//! `par_map_threads` therefore runs the first item inline as a probe and
-//! falls back to a plain sequential loop when the projected remaining work
-//! is below [`SEQ_FALLBACK_NS`]. The fallback changes scheduling only —
-//! results are the same bytes either way, so callers cannot observe which
-//! path ran except through wall-clock time.
+//! bit-identical to the sequential map. A pool of one thread, or a single
+//! unit of work, is the plain sequential map.
 
 pub mod stats;
 
-use std::time::Instant;
-
 use sdt_check::facade::atomic::{AtomicUsize, Ordering};
-use sdt_check::facade::{self, thread};
-
-/// Remaining-work threshold (ns) below which the pool is not worth waking:
-/// roughly ten thread spawns. Sweeps whose probe projects less total work
-/// than this complete on the calling thread.
-pub const SEQ_FALLBACK_NS: u64 = 500_000;
+use sdt_check::facade::thread;
 
 /// Parse a thread-count override, as read from an environment variable:
 /// a positive integer means that many workers, anything else means "no
@@ -50,12 +34,9 @@ pub fn threads_from_env(var: &str) -> usize {
 /// `first(u)`, and units are claimed in ascending `u` off a shared counter —
 /// so a unit is never split or duplicated whatever the per-item cost skew.
 /// The variants differ only in `run` and `first`; the units must tile
-/// `items` exactly.
-///
-/// Unit 0 runs inline as the probe: when the work it projects for the rest
-/// is below [`SEQ_FALLBACK_NS`] the calling thread claims every other unit
-/// too, otherwise `threads` workers do. Either way the runs are merged back
-/// in item order, bit-identical to `items.iter().map(f).collect()`.
+/// `items` exactly. `threads` workers claim every unit, and the runs are
+/// merged back in item order, bit-identical to
+/// `items.iter().map(f).collect()`.
 fn pool<T, R, F>(
     threads: usize,
     items: &[T],
@@ -74,11 +55,7 @@ where
     if threads <= 1 {
         return items.iter().map(&f).collect();
     }
-    let unit = |u: usize| -> (usize, Vec<R>) {
-        let start = first(u);
-        (start, items[start..(start + run).min(n)].iter().map(&f).collect())
-    };
-    let next = AtomicUsize::new(1); // unit 0 is the probe's
+    let next = AtomicUsize::new(0);
     let claim = || {
         let mut local = Vec::new();
         loop {
@@ -86,32 +63,20 @@ where
             if u >= units {
                 break local;
             }
-            local.push(unit(u));
+            let start = first(u);
+            local.push((start, items[start..(start + run).min(n)].iter().map(&f).collect()));
         }
     };
-    // A sweep whose projected remaining work is smaller than a few thread
-    // spawns never wins from them. Skipped under the model checker: the
-    // branch reads the wall clock, which would make the explored schedule
-    // space nondeterministic.
-    let t0 = Instant::now();
-    let probe = unit(0);
-    let probe_ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-    let projected = probe_ns.saturating_mul((n - probe.1.len()) as u64) / probe.1.len() as u64;
-    let mut runs: Vec<(usize, Vec<R>)> = if !facade::modeling() && projected < SEQ_FALLBACK_NS {
-        claim()
-    } else {
-        thread::scope(|s| {
-            let workers: Vec<_> = (0..threads).map(|_| s.spawn(claim)).collect();
-            workers
-                .into_iter()
-                .flat_map(|w| match w.join() {
-                    Ok(part) => part,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        })
-    };
-    runs.push(probe);
+    let mut runs: Vec<(usize, Vec<R>)> = thread::scope(|s| {
+        let workers: Vec<_> = (0..threads).map(|_| s.spawn(claim)).collect();
+        workers
+            .into_iter()
+            .flat_map(|w| match w.join() {
+                Ok(part) => part,
+                Err(payload) => std::panic::resume_unwind(payload),
+            })
+            .collect()
+    });
     runs.sort_unstable_by_key(|&(start, _)| start);
     let mut out = Vec::with_capacity(n);
     for (_, run) in runs {
@@ -206,9 +171,7 @@ mod tests {
     #[test]
     fn preserves_order_under_skewed_cost() {
         // Early items sleep longest, so completion order inverts input
-        // order — the output must still come back in input order. The
-        // sleeps also push the probe projection over the fallback
-        // threshold, so the pool really spins up.
+        // order — the output must still come back in input order.
         let items: Vec<u64> = (0..16).collect();
         let out = par_map_threads(8, &items, |&x| {
             std::thread::sleep(std::time::Duration::from_millis(16 - x));
@@ -218,19 +181,10 @@ mod tests {
     }
 
     #[test]
-    fn tiny_work_falls_back_to_sequential_with_identical_results() {
-        // Items are near-free, so the probe keeps everything on the calling
-        // thread; the result must be indistinguishable from the parallel
-        // path's.
-        let items: Vec<u64> = (0..64).collect();
-        let seq: Vec<u64> = items.iter().map(|&x| x.wrapping_mul(3)).collect();
-        assert_eq!(par_map_threads(8, &items, |&x| x.wrapping_mul(3)), seq);
-    }
-
-    #[test]
     fn empty_and_singleton() {
         let none: Vec<u32> = vec![];
         assert!(par_map_threads(4, &none, |&x| x).is_empty());
+        assert!(par_map_weighted_threads(4, &none, |_| 1, |&x| x).is_empty());
         assert_eq!(par_map_threads(4, &[9u32], |&x| x + 1), vec![10]);
     }
 
@@ -250,8 +204,7 @@ mod tests {
     fn weighted_preserves_order_with_real_pool() {
         // Weights invert the sleep times, so the claimed execution order
         // differs from input order AND from completion order; the output
-        // must still come back in input order. Sleeps push the probe over
-        // the fallback threshold so the pool really spins up.
+        // must still come back in input order.
         let items: Vec<u64> = (0..16).collect();
         let out = par_map_weighted_threads(
             8,
@@ -263,18 +216,6 @@ mod tests {
             },
         );
         assert_eq!(out, items);
-    }
-
-    #[test]
-    fn weighted_tiny_work_falls_back_sequential() {
-        let items: Vec<u64> = (0..64).collect();
-        let seq: Vec<u64> = items.iter().map(|&x| x.wrapping_mul(5)).collect();
-        assert_eq!(
-            par_map_weighted_threads(8, &items, |&x| 64 - x, |&x| x.wrapping_mul(5)),
-            seq
-        );
-        let none: Vec<u32> = vec![];
-        assert!(par_map_weighted_threads(4, &none, |_| 1, |&x| x).is_empty());
     }
 
     #[test]
@@ -295,7 +236,7 @@ mod tests {
     #[test]
     fn chunked_preserves_order_with_real_pool() {
         // Early chunks sleep longest so completion order inverts claim
-        // order; the sleeps also defeat the sequential-fallback probe.
+        // order.
         let items: Vec<u64> = (0..24).collect();
         let out = par_map_chunked_threads(8, 3, &items, |&x| {
             std::thread::sleep(std::time::Duration::from_millis(24 - x));

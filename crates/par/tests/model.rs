@@ -45,9 +45,9 @@ fn weighted_par_map_is_order_preserving_on_every_schedule() {
     });
 }
 
-/// Two workers, two items after the probe: small enough to visit the full
-/// unpruned interleaving set, proving no lost work when both workers race
-/// the counter to the last item.
+/// Two workers, three items: small enough to visit the full unpruned
+/// interleaving set, proving no lost work when both workers race the
+/// counter to the last item.
 #[test]
 fn steal_race_on_last_item_never_loses_work() {
     sdt_check::model(|| {

@@ -29,9 +29,11 @@
 //! one snapshot write per mutation.
 //!
 //! Durability contract: after any group that mutated state, the snapshot
-//! is rewritten (atomically) *before* the group's replies are flushed. A
-//! client that has seen an `ok` therefore knows the state that produced
-//! it survives `kill -9`.
+//! is rewritten ([`write_atomic`]: atomic, file and directory fsynced)
+//! *before* the group's replies are flushed. If that write succeeds, a
+//! client that has seen an `ok` knows the state that produced it survives
+//! `kill -9` and power loss; if it fails, the error goes to stderr and the
+//! replies still go out, durable only as far as the previous file.
 
 use crate::engine::{engine_loop, EngineHost};
 use crate::snapshot::{write_atomic, ClusterSpec, Snapshot};

@@ -35,4 +35,4 @@ pub mod engine;
 pub mod snapshot;
 
 pub use daemon::{run, serve, DaemonMetrics, DaemonOptions, DaemonState};
-pub use snapshot::{ClusterSpec, SliceSnap, Snapshot, SnapshotError, SNAPSHOT_VERSION};
+pub use snapshot::{ClusterSpec, Snapshot, SnapshotError, SNAPSHOT_VERSION};

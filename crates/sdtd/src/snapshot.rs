@@ -2,12 +2,18 @@
 //!
 //! The snapshot is the daemon's crash-recovery story: after every mutating
 //! batch the engine serializes its whole world — cluster spec, tenancy
-//! bookkeeping, every slice, and the live flow tables — and atomically
-//! replaces the state file *before* acknowledging the batch. A `kill -9`
-//! at any instant therefore loses at most un-acknowledged work; restart
-//! reloads the file and continues serving.
+//! bookkeeping, every slice's decisions, and the live flow tables — and
+//! replaces the state file with [`write_atomic`] *before* acknowledging
+//! the batch. Once that returns, the new file survives `kill -9` and,
+//! because both the file and its directory entry are fsynced, power loss
+//! too; a crash at any earlier instant leaves the previous file whole. So
+//! while writes succeed, a crash loses at most un-acknowledged work (a
+//! failed write is logged and the batch still acknowledged — see the
+//! daemon's durability contract); restart reloads the file and continues
+//! serving.
 //!
-//! What is stored, and why:
+//! What is stored, and why — a snapshot stores decisions, not their
+//! consequences:
 //!
 //! * **cluster spec, not wiring** — the physical cluster is deterministic
 //!   in its spec (model name, switch count, ports, cables), so the
@@ -17,37 +23,46 @@
 //!   `RouteTable` are re-derived from the config that created (or last
 //!   reconfigured) it. Custom topologies serialize through the config
 //!   grammar's `kind = "custom"` edge list.
-//! * **the projection, verbatim** — a slice's port/cable assignment
-//!   depends on what was free *at admission time*, which depends on the
-//!   full create/destroy history; it is NOT re-derivable from the configs
-//!   alone. Same for the namespaced `installed` pipeline.
+//! * **per-slice placement, namespace and epoch count** — which switch,
+//!   cable and host port a slice got depends on what was free *at
+//!   admission time*, which depends on the full create/destroy history; it
+//!   is NOT re-derivable from the configs alone. Everything that follows
+//!   from it — the port map, sub-switches, the synthesized pipeline, the
+//!   namespaced pipeline as installed — is not stored: restore re-derives
+//!   it through the code admission used ([`SliceManager::restore`]), after
+//!   checking the placement against the rebuilt cluster and the config's
+//!   topology. A change to what synthesis or the namespace remap emits
+//!   for a placement therefore changes restored slices, and bumps
+//!   [`SNAPSHOT_VERSION`].
 //! * **live table dumps, verbatim** — the flow tables are the ground
-//!   truth the verifier proves things about. They are re-applied entry by
-//!   entry on restore and re-proven once.
+//!   truth the verifier proves things about, and the one place a flow
+//!   entry is written. They are re-applied entry by entry on restore,
+//!   must hold per switch and table exactly the entries the re-derived
+//!   slices install, and are re-proven once.
 //!
 //! Encoding uses [`Json`]'s deterministic emitter and the flow-entry text
-//! codec from [`sdt_openflow::snap`]; map-typed projection fields are
+//! codec from [`sdt_openflow::snap`]; map-typed placement fields are
 //! key-sorted. Equal states therefore encode to equal bytes, giving the
 //! tested property: snapshot → restore → re-snapshot is byte-identical.
 
 use sdt_controller::controller::resolve_strategy;
-use sdt_controller::config::wire_cluster;
+use sdt_controller::config::{check_cluster, wire_cluster};
 use sdt_controller::{model_by_name, model_config_name, Json, TestbedConfig};
-use sdt_core::cluster::{PhysLink, PhysLinkKind, PhysPort, PhysicalCluster};
-use sdt_core::sdt::SdtProjection;
-use sdt_core::synthesis::SynthesisOutput;
+use sdt_core::cluster::{PhysLink, PhysPort, PhysicalCluster};
+use sdt_core::sdt::Placement;
 use sdt_openflow::{snap, FlowEntry, PortNo};
 use sdt_routing::RouteTable;
-use sdt_tenancy::{ManagerExport, Slice, SliceId, SliceManager};
-use sdt_topology::{HostId, LinkId, SwitchId};
-use std::collections::BTreeMap;
+use sdt_tenancy::{ManagerExport, SliceId, SliceManager, SliceRecord};
+use sdt_topology::{HostId, LinkId};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::io::Write as _;
 use std::path::Path;
 
-/// Current snapshot format version. Bump on any incompatible change; the
-/// decoder refuses other versions by name instead of misreading them.
-pub const SNAPSHOT_VERSION: u64 = 1;
+/// Current snapshot format version. Bump on any incompatible change —
+/// including a change to what a stored placement realizes to; the decoder
+/// refuses other versions by name instead of misreading them.
+pub const SNAPSHOT_VERSION: u64 = 2;
 
 /// Why a snapshot failed to encode, decode, or restore.
 #[derive(Clone, Debug)]
@@ -103,57 +118,22 @@ impl ClusterSpec {
     pub fn build(&self) -> Result<PhysicalCluster, SnapshotError> {
         let model = model_by_name(&self.model)
             .ok_or_else(|| bad(format!("unknown switch model `{}`", self.model)))?;
+        check_cluster(&model, self.switches, self.hosts_per_switch, self.inter_links_per_pair)
+            .map_err(|e| bad(e.to_string()))?;
         Ok(wire_cluster(model, self.switches, self.hosts_per_switch, self.inter_links_per_pair))
     }
 }
 
-/// One slice as persisted: identity, the config text that (re)creates its
-/// topology and routing, its namespace reservation, and the two
-/// admission-history-dependent artifacts stored verbatim.
-#[derive(Clone, Debug)]
-pub struct SliceSnap {
-    /// Slice id.
-    pub id: u32,
-    /// Operator-facing name.
-    pub name: String,
-    /// Config text of the creating (or last reconfiguring) request.
-    pub config: String,
-    /// First metadata value of the slice's namespace.
-    pub metadata_base: u32,
-    /// Reserved metadata values.
-    pub metadata_reserved: u32,
-    /// First host address of the slice's namespace.
-    pub addr_base: u32,
-    /// Reserved host addresses.
-    pub addr_reserved: u32,
-    /// Epochs applied (1 = initial install).
-    pub epochs: u32,
-    /// Projection onto the shared cluster, verbatim.
-    pub projection: SdtProjection,
-    /// Namespaced pipeline as installed, verbatim.
-    pub installed: SynthesisOutput,
-}
-
-/// A complete daemon state dump.
+/// A complete daemon state dump, at [`SNAPSHOT_VERSION`].
 #[derive(Clone, Debug)]
 pub struct Snapshot {
-    /// Format version ([`SNAPSHOT_VERSION`]).
-    pub version: u64,
     /// Cluster wiring description.
     pub cluster: ClusterSpec,
     /// Whether the deadlock gate vetoes cyclic-CDG routing.
     pub require_deadlock_free: bool,
-    /// Next slice id.
-    pub next_id: u32,
-    /// Next free metadata namespace base.
-    pub next_metadata: u32,
-    /// Next free host-address namespace base.
-    pub next_addr: u32,
-    /// Admitted slices, in id order.
-    pub slices: Vec<SliceSnap>,
-    /// Per physical switch: live `(table 0, table 1)` dumps in first-match
-    /// order.
-    pub tables: Vec<(Vec<FlowEntry>, Vec<FlowEntry>)>,
+    /// The manager's state, each slice asked for as the config text that
+    /// created (or last reconfigured) it.
+    pub state: ManagerExport<String>,
 }
 
 impl Snapshot {
@@ -165,80 +145,30 @@ impl Snapshot {
         mgr: &SliceManager,
         configs: &BTreeMap<u32, String>,
     ) -> Result<Snapshot, SnapshotError> {
-        let ex = mgr.export();
-        let mut slices = Vec::new();
-        for s in ex.slices {
-            let config = configs
-                .get(&s.id.0)
-                .ok_or_else(|| bad(format!("no config text recorded for {}", s.id)))?
-                .clone();
-            slices.push(SliceSnap {
-                id: s.id.0,
-                name: s.name,
-                config,
-                metadata_base: s.metadata_base,
-                metadata_reserved: s.metadata_reserved,
-                addr_base: s.addr_base,
-                addr_reserved: s.addr_reserved,
-                epochs: s.epochs,
-                projection: s.projection,
-                installed: s.installed,
-            });
-        }
-        Ok(Snapshot {
-            version: SNAPSHOT_VERSION,
-            cluster: spec.clone(),
-            require_deadlock_free,
-            next_id: ex.next_id,
-            next_metadata: ex.next_metadata,
-            next_addr: ex.next_addr,
-            slices,
-            tables: ex.tables,
-        })
+        let state = mgr.export().try_with(|s| {
+            let config = configs.get(&s.id.0);
+            config.cloned().ok_or_else(|| bad(format!("no config text recorded for {}", s.id)))
+        })?;
+        Ok(Snapshot { cluster: spec.clone(), require_deadlock_free, state })
     }
 
     /// Rebuild a live manager (and the per-slice config map) from this
     /// snapshot. All-or-nothing: any inconsistency — unknown model,
-    /// unparsable config, table dumps that do not match the slices'
-    /// accounting — rejects the whole restore with the reason named.
+    /// unparsable config, a placement the cluster or topology does not
+    /// have, table dumps that are not the entries the slices derive —
+    /// rejects the whole restore with the reason named.
     pub fn restore(&self) -> Result<(SliceManager, BTreeMap<u32, String>), SnapshotError> {
-        if self.version != SNAPSHOT_VERSION {
-            return Err(bad(format!(
-                "version {} (this build reads {SNAPSHOT_VERSION})",
-                self.version
-            )));
-        }
         let cluster = self.cluster.build()?;
-        let mut slices = Vec::new();
         let mut configs = BTreeMap::new();
-        for s in &self.slices {
-            let cfg = TestbedConfig::parse(&s.config)
-                .map_err(|e| bad(format!("slice {}: config: {e}", s.id)))?;
+        let export = self.state.clone().try_with(|s| {
+            let cfg = TestbedConfig::parse(&s.request)
+                .map_err(|e| bad(format!("{}: config: {e}", s.id)))?;
             let strategy = resolve_strategy(&cfg.strategy, &cfg.topology)
-                .map_err(|e| bad(format!("slice {}: {e}", s.id)))?;
+                .map_err(|e| bad(format!("{}: {e}", s.id)))?;
             let routes = RouteTable::build_for_hosts(&cfg.topology, strategy.as_ref());
-            configs.insert(s.id, s.config.clone());
-            slices.push(Slice {
-                id: SliceId(s.id),
-                name: s.name.clone(),
-                topology: cfg.topology,
-                routes,
-                projection: s.projection.clone(),
-                metadata_base: s.metadata_base,
-                metadata_reserved: s.metadata_reserved,
-                addr_base: s.addr_base,
-                addr_reserved: s.addr_reserved,
-                installed: s.installed.clone(),
-                epochs: s.epochs,
-            });
-        }
-        let export = ManagerExport {
-            slices,
-            next_id: self.next_id,
-            next_metadata: self.next_metadata,
-            next_addr: self.next_addr,
-            tables: self.tables.clone(),
-        };
+            configs.insert(s.id.0, s.request.clone());
+            Ok::<_, SnapshotError>((cfg.topology, routes))
+        })?;
         let mgr = SliceManager::restore(cluster, export).map_err(|e| bad(e.to_string()))?;
         Ok((mgr, configs))
     }
@@ -246,41 +176,34 @@ impl Snapshot {
     /// Serialize to the on-disk JSON form. Deterministic: equal snapshots
     /// emit equal bytes.
     pub fn encode(&self) -> String {
-        let slices = Json::Arr(self.slices.iter().map(slice_json).collect());
-        let tables = Json::Arr(
-            self.tables
-                .iter()
-                .map(|(t0, t1)| {
-                    Json::Obj(vec![
-                        ("t0".into(), entries_json(t0)),
-                        ("t1".into(), entries_json(t1)),
-                    ])
-                })
-                .collect(),
-        );
-        Json::Obj(vec![
-            ("version".into(), Json::u64(self.version)),
+        let (c, st) = (&self.cluster, &self.state);
+        Json::obj([
+            ("version", Json::u64(SNAPSHOT_VERSION)),
             (
-                "cluster".into(),
-                Json::Obj(vec![
-                    ("model".into(), Json::str(self.cluster.model.as_str())),
-                    ("switches".into(), Json::u64(self.cluster.switches.into())),
-                    (
-                        "hosts_per_switch".into(),
-                        Json::u64(self.cluster.hosts_per_switch.into()),
-                    ),
-                    (
-                        "inter_links_per_pair".into(),
-                        Json::u64(self.cluster.inter_links_per_pair.into()),
-                    ),
+                "cluster",
+                Json::obj([
+                    ("model", Json::str(c.model.as_str())),
+                    ("switches", Json::u64(c.switches.into())),
+                    ("hosts_per_switch", Json::u64(c.hosts_per_switch.into())),
+                    ("inter_links_per_pair", Json::u64(c.inter_links_per_pair.into())),
                 ]),
             ),
-            ("require_deadlock_free".into(), Json::Bool(self.require_deadlock_free)),
-            ("next_id".into(), Json::u64(self.next_id.into())),
-            ("next_metadata".into(), Json::u64(self.next_metadata.into())),
-            ("next_addr".into(), Json::u64(self.next_addr.into())),
-            ("slices".into(), slices),
-            ("tables".into(), tables),
+            ("require_deadlock_free", Json::Bool(self.require_deadlock_free)),
+            ("next_id", Json::u64(st.next_id.into())),
+            ("next_metadata", Json::u64(st.next_metadata.into())),
+            ("next_addr", Json::u64(st.next_addr.into())),
+            ("slices", Json::Arr(st.slices.iter().map(slice_json).collect())),
+            (
+                "tables",
+                Json::Arr(
+                    st.tables
+                        .iter()
+                        .map(|(t0, t1)| {
+                            Json::obj([("t0", entries_json(t0)), ("t1", entries_json(t1))])
+                        })
+                        .collect(),
+                ),
+            ),
         ])
         .emit()
     }
@@ -322,22 +245,22 @@ impl Snapshot {
                 ))
             })
             .collect::<Result<Vec<_>, SnapshotError>>()?;
-        Ok(Snapshot {
-            version,
-            cluster,
-            require_deadlock_free,
+        let state = ManagerExport {
+            slices,
             next_id: doc.member("next_id")?.want_u32("next_id")?,
             next_metadata: doc.member("next_metadata")?.want_u32("next_metadata")?,
             next_addr: doc.member("next_addr")?.want_u32("next_addr")?,
-            slices,
             tables,
-        })
+        };
+        Ok(Snapshot { cluster, require_deadlock_free, state })
     }
 }
 
-/// Atomically replace `path` with `text`: write a sibling tmp file, sync
-/// it, rename over the target. A crash mid-write leaves the old snapshot
-/// intact; rename is atomic on POSIX filesystems.
+/// Atomically and durably replace `path` with `text`: write a sibling tmp
+/// file, fsync it, rename it over the target, fsync the directory. A crash
+/// before the rename leaves the old file intact (rename is atomic on POSIX
+/// filesystems); once this returns, the new file and its directory entry
+/// are on disk, so power loss cannot bring the old one back.
 pub fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
     let tmp = path.with_file_name(format!(
         "{}.tmp",
@@ -346,18 +269,15 @@ pub fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
     let mut f = std::fs::File::create(&tmp)?;
     f.write_all(text.as_bytes())?;
     f.sync_all()?;
-    std::fs::rename(&tmp, path)
+    std::fs::rename(&tmp, path)?;
+    let dir = match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(dir)?.sync_all()
 }
 
 // -------------------------------------------------------- JSON helpers
-
-fn u32s_json(ns: impl IntoIterator<Item = u32>) -> Json {
-    Json::Arr(ns.into_iter().map(|n| Json::u64(n.into())).collect())
-}
-
-fn u32s_from(j: &Json, what: &str) -> Result<Vec<u32>, SnapshotError> {
-    Ok(j.want_arr(what)?.iter().map(|n| n.want_u32(what)).collect::<Result<_, _>>()?)
-}
 
 fn port_json(p: PhysPort) -> Json {
     Json::Arr(vec![Json::u64(p.switch.into()), Json::u64(p.port.0.into())])
@@ -387,135 +307,46 @@ fn entries_from(j: &Json, what: &str) -> Result<Vec<FlowEntry>, SnapshotError> {
         .collect()
 }
 
-fn synth_json(s: &SynthesisOutput) -> Json {
-    let tab = |t: &Vec<Vec<FlowEntry>>| Json::Arr(t.iter().map(|e| entries_json(e)).collect());
-    Json::Obj(vec![
-        ("t0".into(), tab(&s.table0)),
-        ("t1".into(), tab(&s.table1)),
-        (
-            "n".into(),
-            Json::Arr(s.entries_per_switch.iter().map(|&n| Json::u64(n as u64)).collect()),
-        ),
+fn slice_json(s: &SliceRecord<String>) -> Json {
+    let (p, u) = (&s.placement, |n: u32| Json::u64(n.into()));
+    let links: BTreeMap<u32, &PhysLink> = p.link_real.iter().map(|(l, c)| (l.0, c)).collect();
+    let hosts: BTreeMap<_, _> = p.host_port.iter().map(|((h, l), &pp)| ((h.0, l.0), pp)).collect();
+    let links =
+        links.into_iter().map(|(l, c)| Json::Arr(vec![u(l), port_json(c.a), port_json(c.b)]));
+    let hosts = hosts.into_iter().map(|((h, l), pp)| Json::Arr(vec![u(h), u(l), port_json(pp)]));
+    Json::obj([
+        ("id", u(s.id.0)),
+        ("name", Json::str(s.name.as_str())),
+        ("config", Json::str(s.request.as_str())),
+        ("metadata_base", u(s.metadata_base)),
+        ("metadata_reserved", u(s.metadata_reserved)),
+        ("addr_base", u(s.addr_base)),
+        ("addr_reserved", u(s.addr_reserved)),
+        ("epochs", u(s.epochs)),
+        ("assignment", Json::Arr(p.assignment.iter().map(|&sw| u(sw)).collect())),
+        ("link_real", Json::Arr(links.collect())),
+        ("host_port", Json::Arr(hosts.collect())),
     ])
 }
 
-fn synth_from(j: &Json, what: &str) -> Result<SynthesisOutput, SnapshotError> {
-    let tab = |m: &Json| -> Result<Vec<Vec<FlowEntry>>, SnapshotError> {
-        m.want_arr(what)?.iter().map(|t| entries_from(t, what)).collect()
-    };
-    Ok(SynthesisOutput {
-        table0: tab(j.member("t0")?)?,
-        table1: tab(j.member("t1")?)?,
-        entries_per_switch: j
-            .member("n")?
-            .want_arr(what)?
-            .iter()
-            .map(|n| n.want_usize(what))
-            .collect::<Result<Vec<_>, _>>()?,
-    })
-}
-
-fn projection_json(p: &SdtProjection) -> Json {
-    let mut links: Vec<(&LinkId, &PhysLink)> = p.link_real.iter().collect();
-    links.sort_by_key(|(lid, _)| lid.0);
-    let link_real = Json::Arr(
-        links
-            .into_iter()
-            .map(|(lid, l)| {
-                Json::Arr(vec![
-                    Json::u64(lid.0.into()),
-                    Json::str(match l.kind {
-                        PhysLinkKind::SelfLink => "self",
-                        PhysLinkKind::InterSwitch => "inter",
-                    }),
-                    port_json(l.a),
-                    port_json(l.b),
-                ])
-            })
-            .collect(),
-    );
-    let mut ports: Vec<(&(SwitchId, LinkId), &PhysPort)> = p.port_of.iter().collect();
-    ports.sort_by_key(|((s, l), _)| (s.0, l.0));
-    let port_of = Json::Arr(
-        ports
-            .into_iter()
-            .map(|((s, l), pp)| {
-                Json::Arr(vec![Json::u64(s.0.into()), Json::u64(l.0.into()), port_json(*pp)])
-            })
-            .collect(),
-    );
-    let mut hosts: Vec<(&(HostId, LinkId), &PhysPort)> = p.host_port.iter().collect();
-    hosts.sort_by_key(|((h, l), _)| (h.0, l.0));
-    let host_port = Json::Arr(
-        hosts
-            .into_iter()
-            .map(|((h, l), pp)| {
-                Json::Arr(vec![Json::u64(h.0.into()), Json::u64(l.0.into()), port_json(*pp)])
-            })
-            .collect(),
-    );
-    let subswitches = Json::Arr(
-        p.subswitches
-            .iter()
-            .map(|per_switch| {
-                Json::Arr(
-                    per_switch
-                        .iter()
-                        .map(|(sid, ports)| {
-                            Json::Arr(vec![
-                                Json::u64(sid.0.into()),
-                                Json::Arr(ports.iter().map(|&pp| port_json(pp)).collect()),
-                            ])
-                        })
-                        .collect(),
-                )
-            })
-            .collect(),
-    );
-    Json::Obj(vec![
-        ("assignment".into(), u32s_json(p.assignment.iter().copied())),
-        ("link_real".into(), link_real),
-        ("port_of".into(), port_of),
-        ("host_port".into(), host_port),
-        ("subswitches".into(), subswitches),
-        ("synthesis".into(), synth_json(&p.synthesis)),
-        ("inter".into(), Json::u64(p.inter_switch_links_used as u64)),
-    ])
-}
-
-fn projection_from(j: &Json) -> Result<SdtProjection, SnapshotError> {
-    let assignment = u32s_from(j.member("assignment")?, "assignment")?;
-    let mut link_real = std::collections::HashMap::new();
+fn slice_from(j: &Json) -> Result<SliceRecord<String>, SnapshotError> {
+    let assignment = j
+        .member("assignment")?
+        .want_arr("assignment")?
+        .iter()
+        .map(|sw| sw.want_u32("assignment"))
+        .collect::<Result<_, _>>()?;
+    let mut link_real = HashMap::new();
     for row in j.member("link_real")?.want_arr("link_real")? {
-        let r = row.want_arr("link_real row")?;
-        let [lid, kind, a, b] = r else {
-            return Err(bad("link_real row: expected [link, kind, a, b]"));
+        let [lid, a, b] = row.want_arr("link_real row")? else {
+            return Err(bad("link_real row: expected [link, a, b]"));
         };
-        let kind = match kind.want_str("link kind")? {
-            "self" => PhysLinkKind::SelfLink,
-            "inter" => PhysLinkKind::InterSwitch,
-            other => return Err(bad(format!("unknown link kind `{other}`"))),
-        };
-        link_real.insert(
-            LinkId(lid.want_u32("link id")?),
-            PhysLink { kind, a: port_from(a, "link end a")?, b: port_from(b, "link end b")? },
-        );
+        let cable = PhysLink::between(port_from(a, "link end a")?, port_from(b, "link end b")?);
+        link_real.insert(LinkId(lid.want_u32("link id")?), cable);
     }
-    let mut port_of = std::collections::HashMap::new();
-    for row in j.member("port_of")?.want_arr("port_of")? {
-        let r = row.want_arr("port_of row")?;
-        let [s, l, pp] = r else {
-            return Err(bad("port_of row: expected [switch, link, port]"));
-        };
-        port_of.insert(
-            (SwitchId(s.want_u32("port_of switch")?), LinkId(l.want_u32("port_of link")?)),
-            port_from(pp, "port_of port")?,
-        );
-    }
-    let mut host_port = std::collections::HashMap::new();
+    let mut host_port = HashMap::new();
     for row in j.member("host_port")?.want_arr("host_port")? {
-        let r = row.want_arr("host_port row")?;
-        let [h, l, pp] = r else {
+        let [h, l, pp] = row.want_arr("host_port row")? else {
             return Err(bad("host_port row: expected [host, link, port]"));
         };
         host_port.insert(
@@ -523,61 +354,16 @@ fn projection_from(j: &Json) -> Result<SdtProjection, SnapshotError> {
             port_from(pp, "host_port port")?,
         );
     }
-    let mut subswitches = Vec::new();
-    for per_switch in j.member("subswitches")?.want_arr("subswitches")? {
-        let mut subs = Vec::new();
-        for entry in per_switch.want_arr("subswitch entry")? {
-            let r = entry.want_arr("subswitch entry")?;
-            let [sid, ports] = r else {
-                return Err(bad("subswitch entry: expected [switch, ports]"));
-            };
-            let ports = ports
-                .want_arr("subswitch ports")?
-                .iter()
-                .map(|pp| port_from(pp, "subswitch port"))
-                .collect::<Result<Vec<_>, _>>()?;
-            subs.push((SwitchId(sid.want_u32("subswitch id")?), ports));
-        }
-        subswitches.push(subs);
-    }
-    Ok(SdtProjection {
-        assignment,
-        link_real,
-        port_of,
-        host_port,
-        subswitches,
-        synthesis: synth_from(j.member("synthesis")?, "projection.synthesis")?,
-        inter_switch_links_used: j.member("inter")?.want_usize("inter")?,
-    })
-}
-
-fn slice_json(s: &SliceSnap) -> Json {
-    Json::Obj(vec![
-        ("id".into(), Json::u64(s.id.into())),
-        ("name".into(), Json::str(s.name.as_str())),
-        ("config".into(), Json::str(s.config.as_str())),
-        ("metadata_base".into(), Json::u64(s.metadata_base.into())),
-        ("metadata_reserved".into(), Json::u64(s.metadata_reserved.into())),
-        ("addr_base".into(), Json::u64(s.addr_base.into())),
-        ("addr_reserved".into(), Json::u64(s.addr_reserved.into())),
-        ("epochs".into(), Json::u64(s.epochs.into())),
-        ("projection".into(), projection_json(&s.projection)),
-        ("installed".into(), synth_json(&s.installed)),
-    ])
-}
-
-fn slice_from(j: &Json) -> Result<SliceSnap, SnapshotError> {
-    Ok(SliceSnap {
-        id: j.member("id")?.want_u32("slice.id")?,
+    Ok(SliceRecord {
+        id: SliceId(j.member("id")?.want_u32("slice.id")?),
         name: j.member("name")?.want_str("slice.name")?.to_string(),
-        config: j.member("config")?.want_str("slice.config")?.to_string(),
+        request: j.member("config")?.want_str("slice.config")?.to_string(),
         metadata_base: j.member("metadata_base")?.want_u32("metadata_base")?,
         metadata_reserved: j.member("metadata_reserved")?.want_u32("metadata_reserved")?,
         addr_base: j.member("addr_base")?.want_u32("addr_base")?,
         addr_reserved: j.member("addr_reserved")?.want_u32("addr_reserved")?,
         epochs: j.member("epochs")?.want_u32("epochs")?,
-        projection: projection_from(j.member("projection")?)?,
-        installed: synth_from(j.member("installed")?, "installed")?,
+        placement: Placement { assignment, link_real, host_port },
     })
 }
 
@@ -641,14 +427,18 @@ mod tests {
 
     #[test]
     fn version_mismatch_refused_by_name() {
+        // A version-1 file (every slice's pipelines stored beside the live
+        // tables) is refused like a future one: there is one reader.
         let (spec, ctl, configs) = populated();
-        let snap = Snapshot::capture(&spec, true, ctl.manager(), &configs).unwrap();
-        let text = snap.encode().replacen("\"version\":1", "\"version\":9", 1);
-        let e = match Snapshot::decode(&text) {
-            Err(e) => e,
-            Ok(_) => panic!("future version must be refused"),
-        };
-        assert!(e.to_string().contains("version 9"), "{e}");
+        let text = Snapshot::capture(&spec, true, ctl.manager(), &configs).unwrap().encode();
+        for v in [1, 9] {
+            let old = text.replacen("\"version\":2", &format!("\"version\":{v}"), 1);
+            let e = match Snapshot::decode(&old) {
+                Err(e) => e,
+                Ok(_) => panic!("version {v} must be refused"),
+            };
+            assert!(e.to_string().contains(&format!("version {v} (this build reads 2)")), "{e}");
+        }
     }
 
     #[test]
@@ -659,7 +449,7 @@ mod tests {
         let text = Snapshot::capture(&spec, true, ctl.manager(), &configs).unwrap().encode();
         let edits = [
             ("\"hosts_per_switch\":16", "\"hosts_per_switch\":65552", "hosts_per_switch"),
-            ("\"self\",[1,126]", "\"self\",[1,65539]", "link end a"),
+            ("[2,[1,126]", "[2,[1,65539]", "link end a"),
         ];
         for (from, to, field) in edits {
             assert!(text.contains(from), "the snapshot has no {from} to edit");
@@ -669,6 +459,74 @@ mod tests {
             };
             assert!(e.to_string().contains(&format!("{field}: out of u16 range")), "{e}");
         }
+    }
+
+    /// Decode `text` with `from` replaced by `to`, restore it, and return
+    /// the refusal.
+    fn restore_refusal(text: &str, from: &str, to: &str) -> String {
+        assert!(text.contains(from), "the snapshot has no {from} to edit");
+        let snap = Snapshot::decode(&text.replacen(from, to, 1)).unwrap();
+        match snap.restore() {
+            Err(e) => e.to_string(),
+            Ok(_) => panic!("{to} must be refused"),
+        }
+    }
+
+    #[test]
+    fn placements_the_cluster_or_topology_lacks_are_refused_by_name() {
+        let (spec, ctl, configs) = populated();
+        let text = Snapshot::capture(&spec, true, ctl.manager(), &configs).unwrap().encode();
+        // Slice 0 is a fat-tree k=4: logical switch 0 on physical switch 1,
+        // link 2 on self-link (126, 127) of switch 1, host 0 on port 15.
+        for (from, to, why) in [
+            (
+                "\"assignment\":[1,",
+                "\"assignment\":[7,",
+                "slice-0: assignment puts switch 0 on physical switch 7, of 2",
+            ),
+            (
+                "[2,[1,126],[1,127]]",
+                "[2,[1,126],[1,125]]",
+                "slice-0: link 2: no cable PhysLink { kind: SelfLink, a: PhysPort { switch: 1, \
+                 port: PortNo(126) }, b: PhysPort { switch: 1, port: PortNo(125) } } between \
+                 its switches",
+            ),
+            (
+                "[0,0,[1,15]]",
+                "[0,0,[1,126]]",
+                "slice-0: host 0: Some(PhysPort { switch: 1, port: PortNo(126) }) is no host \
+                 port of its switch",
+            ),
+            ("[2,[1,126],[1,127]],", "", "slice-0: fabric link 2 has no cable"),
+        ] {
+            let e = restore_refusal(&text, from, to);
+            assert!(e.contains(why), "{to}: {e}");
+        }
+    }
+
+    #[test]
+    fn a_placement_the_live_tables_disagree_with_is_refused_by_name() {
+        // Host 0 of slice 0 moved to a free host port (5) and to one slice
+        // 1 holds (7): both pass the placement check and re-derive as many
+        // entries as before, but not the entries the live tables hold.
+        let (spec, ctl, configs) = populated();
+        let text = Snapshot::capture(&spec, true, ctl.manager(), &configs).unwrap().encode();
+        for port in [5, 7] {
+            let e = restore_refusal(&text, "[0,0,[1,15]]", &format!("[0,0,[1,{port}]]"));
+            let why = "slice-0: switch 1 table 0 lacks entries it derives";
+            assert!(e.contains(why), "{port}: {e}");
+        }
+    }
+
+    #[test]
+    fn a_cluster_the_builder_cannot_wire_is_refused_by_name() {
+        // 9 switches with 16 cables per pair need 16 + 8 * 16 ports.
+        let (spec, ctl, configs) = populated();
+        let text = Snapshot::capture(&spec, true, ctl.manager(), &configs).unwrap().encode();
+        let e = restore_refusal(&text, "\"switches\":2", "\"switches\":9");
+        assert!(e.contains("reserved ports (144) exceed switch ports (128)"), "{e}");
+        let e = restore_refusal(&text, "\"switches\":2", "\"switches\":0");
+        assert!(e.contains("`cluster.switches`: must be >= 1"), "{e}");
     }
 
     #[test]

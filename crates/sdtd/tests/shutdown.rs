@@ -136,7 +136,7 @@ fn shutdown_racing_pipelined_connections_leaves_no_client_hanging() {
     // persisted, reply lost — that is the safe direction of the race.)
     let snap = Snapshot::decode(&std::fs::read_to_string(&snapshot).unwrap())
         .expect("snapshot must parse after shutdown");
-    let durable: BTreeSet<u64> = snap.slices.iter().map(|s| u64::from(s.id)).collect();
+    let durable: BTreeSet<u64> = snap.state.slices.iter().map(|s| u64::from(s.id.0)).collect();
     for id in &acked {
         assert!(
             durable.contains(id),

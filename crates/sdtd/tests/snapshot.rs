@@ -6,20 +6,26 @@
 //! (b) `capture → restore → capture → encode` is byte-identical (the
 //!     restored manager IS the original, as far as persistence can see);
 //! (c) the restored manager's full static-verification report renders
-//!     byte-identical to the original's — findings, counts, everything.
+//!     byte-identical to the original's — findings, counts, everything;
+//! (d) every restored slice equals the original in every field — the
+//!     stored decisions and everything restore re-derives from them.
+//!
+//! The file holds each flow entry once: its entry records are exactly the
+//! live tables' entries.
 //!
 //! And on a file nobody vouches for — torn at any byte, or with any one
-//! byte changed — [`Snapshot::decode`] never panics, never takes a torn
-//! file, and whatever it does take is a snapshot whose encoding is stable
-//! (`encode → decode → encode` byte-identical): a damaged file is refused
-//! or read as exactly what it now says, never as something in between.
+//! byte changed — neither [`Snapshot::decode`] nor [`Snapshot::restore`]
+//! panics, a torn file is never taken, and whatever decodes is a snapshot
+//! whose encoding is stable (`encode → decode → encode` byte-identical): a
+//! damaged file is refused or read as exactly what it now says, never as
+//! something in between.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use proptest::prelude::*;
 use sdt_controller::{SliceController, TestbedConfig};
 use sdt_sdtd::{ClusterSpec, Snapshot};
-use sdt_tenancy::SliceId;
+use sdt_tenancy::{Slice, SliceId, SliceManager};
 use std::collections::BTreeMap;
 
 fn cfg(topology: &str) -> String {
@@ -43,6 +49,31 @@ fn pool() -> Vec<String> {
         cfg("kind = \"star\"\nleaves = 3"),
         cfg("kind = \"fat-tree\"\nk = 4"),
     ]
+}
+
+/// Property (d): `b` is `a`, field for field.
+fn assert_same_slice(a: &Slice, b: &Slice) {
+    let (p, q) = (&a.projection, &b.projection);
+    assert_eq!((a.id, &a.name), (b.id, &b.name));
+    assert_eq!(p.assignment, q.assignment, "{}", a.id);
+    assert_eq!(p.link_real, q.link_real, "{}", a.id);
+    assert_eq!(p.port_of, q.port_of, "{}", a.id);
+    assert_eq!(p.host_port, q.host_port, "{}", a.id);
+    assert_eq!(p.subswitches, q.subswitches, "{}", a.id);
+    assert_eq!(p.synthesis, q.synthesis, "{}", a.id);
+    assert_eq!(p.inter_switch_links_used, q.inter_switch_links_used, "{}", a.id);
+    assert_eq!(a.installed, b.installed, "{}", a.id);
+    assert_eq!(
+        (a.metadata_base, a.metadata_reserved, a.addr_base, a.addr_reserved, a.epochs),
+        (b.metadata_base, b.metadata_reserved, b.addr_base, b.addr_reserved, b.epochs),
+        "{}",
+        a.id
+    );
+}
+
+/// Flow entries in the manager's live tables.
+fn live_entries(mgr: &SliceManager) -> usize {
+    mgr.switches().iter().map(|sw| sw.total_entries()).sum()
 }
 
 /// Replay a random op sequence the way the daemon would: admissions keep
@@ -98,6 +129,16 @@ proptest! {
         let again = Snapshot::capture(&spec, true, &mgr, &restored_configs).unwrap();
         prop_assert_eq!(again.encode(), text);
 
+        // (d) every slice comes back equal in every field.
+        prop_assert_eq!(mgr.num_slices(), ctl.manager().num_slices());
+        for (a, b) in ctl.manager().slices().zip(mgr.slices()) {
+            assert_same_slice(a, b);
+        }
+
+        // Each flow entry is in the file once: every entry record is a
+        // `priority|match|action` string, and no other string holds a `|`.
+        prop_assert_eq!(text.matches('|').count(), 2 * live_entries(ctl.manager()));
+
         // (c) the restored verifier findings render byte-identical.
         let mut mgr = mgr;
         let original = format!("{:?}", ctl.manager_mut().verify_report());
@@ -119,13 +160,19 @@ fn two_slice_snapshot() -> String {
     Snapshot::capture(&spec, true, ctl.manager(), &configs).unwrap().encode()
 }
 
+/// What a daemon restart does with a file: decode it, then restore it.
+fn load(text: &str) -> Result<SliceManager, String> {
+    let snap = Snapshot::decode(text).map_err(|e| e.to_string())?;
+    snap.restore().map(|(mgr, _)| mgr).map_err(|e| e.to_string())
+}
+
 #[test]
 fn a_torn_snapshot_file_is_never_taken() {
     let text = two_slice_snapshot();
-    assert!(Snapshot::decode(&text).is_ok());
+    assert!(load(&text).is_ok());
     for cut in 0..text.len() {
         let torn = String::from_utf8_lossy(&text.as_bytes()[..cut]);
-        assert!(Snapshot::decode(&torn).is_err(), "a prefix of {cut} bytes decoded");
+        assert!(load(&torn).is_err(), "a prefix of {cut} bytes loaded");
     }
 }
 
@@ -133,7 +180,7 @@ fn a_torn_snapshot_file_is_never_taken() {
 fn a_snapshot_with_one_byte_changed_is_refused_or_read_as_what_it_says() {
     let text = two_slice_snapshot();
     let mut bytes = text.clone().into_bytes();
-    let (mut taken, mut refused) = (0, 0);
+    let (mut taken, mut refused, mut restored) = (0, 0, 0);
     for at in 0..bytes.len() {
         let original = bytes[at];
         for replacement in [b'"', b'\\', b'}', b',', b'0', b'9', 0xff, original ^ 1] {
@@ -145,23 +192,30 @@ fn a_snapshot_with_one_byte_changed_is_refused_or_read_as_what_it_says() {
                     let again = Snapshot::decode(&encoded)
                         .unwrap_or_else(|e| panic!("byte {at} -> {replacement:#x}: {e}"));
                     assert_eq!(again.encode(), encoded, "byte {at} -> {replacement:#x}");
+                    // Restore indexes by the decoded values: it refuses what
+                    // does not fit, by name, and never panics.
+                    if snap.restore().is_ok() {
+                        restored += 1;
+                    }
                 }
                 Err(_) => refused += 1,
             }
         }
         bytes[at] = original;
     }
-    // Both arms ran: digits and string bytes mutate into other valid
-    // files, structure and keys do not.
+    // Every arm ran: digits and string bytes mutate into other valid
+    // files, structure and keys do not, and some mutations (a name, an
+    // epoch count) still restore.
     assert!(taken > 0 && refused > taken, "{taken} taken, {refused} refused");
+    assert!(restored > 0 && restored < taken, "{restored} of {taken} taken restored");
 }
 
 #[test]
 fn numbers_that_do_not_fit_their_field_are_refused_by_name() {
     let text = two_slice_snapshot();
     for (from, to, why) in [
-        ("\"inter\":", "\"inter\":-", "inter: not an unsigned integer"),
-        ("\"n\":[", "\"n\":[18446744073709551616,", "not an unsigned integer"),
+        ("\"epochs\":", "\"epochs\":-", "epochs: not an unsigned integer"),
+        ("\"assignment\":[", "\"assignment\":[18446744073709551616,", "not an unsigned integer"),
         ("\"next_id\":2", "\"next_id\":4294967298", "next_id: out of u32 range"),
         ("\"require_deadlock_free\":true", "\"require_deadlock_free\":1", "require_deadlock_free: not a bool"),
     ] {

@@ -45,8 +45,8 @@ pub use audit::{SliceAudit, SliceAuditEntry};
 pub use epoch::{Epoch, EpochAdd, EpochDelete, EpochReport, EpochViolation, OwnedSpace};
 pub use manager::{
     AdmissionError, ManagerExport, ManagerStatus, MigrationPlan, OpOutcome, Plan,
-    ReclaimedResources, RestoreError, Slice, SliceId, SliceManager, SliceOp, SliceStatus,
-    SwitchOccupancy,
+    ReclaimedResources, RestoreError, Slice, SliceId, SliceManager, SliceOp, SliceRecord,
+    SliceStatus, SwitchOccupancy,
 };
 pub use schedule::{
     compile_rounds, install_scheduled, no_new_findings, Round, RoundPhase, RoundReport,

@@ -36,11 +36,11 @@
 use crate::epoch::{Epoch, EpochReport, OwnedSpace};
 use sdt_core::cluster::{PhysLink, PhysicalCluster};
 use sdt_core::sdt::{
-    FailedResources, ProjectOptions, ProjectionError, SdtProjection, SdtProjector,
+    FailedResources, Placement, ProjectOptions, ProjectionError, SdtProjection, SdtProjector,
 };
 use sdt_core::synthesis::SynthesisOutput;
 use sdt_openflow::{
-    Action, FlowMod, HostAddr, InstallTiming, OpenFlowSwitch, SwitchConfig,
+    Action, FlowEntry, FlowMod, HostAddr, InstallTiming, OpenFlowSwitch, SwitchConfig,
 };
 use sdt_routing::{default_strategy, RouteTable};
 use sdt_topology::{HostId, SwitchId, Topology};
@@ -172,12 +172,13 @@ pub enum OpOutcome {
 
 /// The manager's mutable state, dumped by [`SliceManager::export`] and
 /// consumed by [`SliceManager::restore`]. Serialization lives with the
-/// daemon (`sdt-sdtd`), which owns the on-disk format; this struct is the
-/// typed contract between the two.
+/// daemon (`sdt-sdtd`), which owns the on-disk format and stores each
+/// slice's request as config text (`R = String`); this struct is the typed
+/// contract between the two.
 #[derive(Clone, Debug)]
-pub struct ManagerExport {
-    /// Admitted slices, in id order.
-    pub slices: Vec<Slice>,
+pub struct ManagerExport<R = (Topology, RouteTable)> {
+    /// Admitted slices' decisions, in id order.
+    pub slices: Vec<SliceRecord<R>>,
     /// Next slice id (ids are never reused, so this is not derivable from
     /// `slices` once something was destroyed).
     pub next_id: u32,
@@ -186,7 +187,28 @@ pub struct ManagerExport {
     /// Next free host-address namespace base.
     pub next_addr: u32,
     /// Per switch: live `(table 0, table 1)` entries in first-match order.
-    pub tables: Vec<(Vec<sdt_openflow::FlowEntry>, Vec<sdt_openflow::FlowEntry>)>,
+    pub tables: Vec<(Vec<FlowEntry>, Vec<FlowEntry>)>,
+}
+
+impl<R> ManagerExport<R> {
+    /// The same state, each slice asked for as `ask` answers for it.
+    pub fn try_with<S, E>(
+        self,
+        mut ask: impl FnMut(&SliceRecord<R>) -> Result<S, E>,
+    ) -> Result<ManagerExport<S>, E> {
+        let mut slices = Vec::with_capacity(self.slices.len());
+        for s in self.slices {
+            let request = ask(&s)?;
+            slices.push(s.with(request));
+        }
+        Ok(ManagerExport {
+            slices,
+            next_id: self.next_id,
+            next_metadata: self.next_metadata,
+            next_addr: self.next_addr,
+            tables: self.tables,
+        })
+    }
 }
 
 /// Why [`SliceManager::restore`] refused a dump. Restores are all-or-
@@ -309,6 +331,72 @@ pub struct Slice {
     pub epochs: u32,
 }
 
+/// One slice as admission decided it: the placement, namespace and epoch
+/// count — what depends on history — beside the request `R` they answer
+/// (topology and routes here, the config text in a daemon snapshot).
+#[derive(Clone, Debug)]
+pub struct SliceRecord<R = (Topology, RouteTable)> {
+    /// Stable identifier.
+    pub id: SliceId,
+    /// Operator-facing name.
+    pub name: String,
+    /// What the slice was asked to realize.
+    pub request: R,
+    /// Partition, cables and host ports it was given.
+    pub placement: Placement,
+    /// First metadata value of the slice's table-1 namespace.
+    pub metadata_base: u32,
+    /// Reserved metadata values.
+    pub metadata_reserved: u32,
+    /// First host address of the slice's namespace.
+    pub addr_base: u32,
+    /// Reserved host addresses.
+    pub addr_reserved: u32,
+    /// Epochs applied to this slice (1 = initial install).
+    pub epochs: u32,
+}
+
+impl<R> SliceRecord<R> {
+    /// The same decisions, asked for as `request`.
+    fn with<S>(self, request: S) -> SliceRecord<S> {
+        SliceRecord {
+            id: self.id,
+            name: self.name,
+            request,
+            placement: self.placement,
+            metadata_base: self.metadata_base,
+            metadata_reserved: self.metadata_reserved,
+            addr_base: self.addr_base,
+            addr_reserved: self.addr_reserved,
+            epochs: self.epochs,
+        }
+    }
+}
+
+impl SliceRecord {
+    /// The one place a [`Slice`] is built, for admission and restore
+    /// alike: realize the placement ([`SdtProjector::realize`]) and remap
+    /// its pipeline into the slice's namespace.
+    fn realize(self, by: &SdtProjector, on: &PhysicalCluster) -> Result<Slice, ProjectionError> {
+        let (topology, routes) = self.request;
+        let projection = by.realize(&topology, on, &routes, self.placement)?;
+        let installed = remap_synthesis(&projection.synthesis, self.metadata_base, self.addr_base);
+        Ok(Slice {
+            id: self.id,
+            name: self.name,
+            topology,
+            routes,
+            projection,
+            metadata_base: self.metadata_base,
+            metadata_reserved: self.metadata_reserved,
+            addr_base: self.addr_base,
+            addr_reserved: self.addr_reserved,
+            installed,
+            epochs: self.epochs,
+        })
+    }
+}
+
 impl Slice {
     /// Flow-table entries this slice occupies across the cluster.
     pub fn entries(&self) -> usize {
@@ -397,15 +485,6 @@ pub struct ManagerStatus {
     pub orphan_entries: usize,
     /// Per-slice rows, in id order.
     pub slices: Vec<SliceStatus>,
-}
-
-/// Entries installed across the bank, and entries the slices account for.
-/// Equal on a healthy fabric; `live > owned` means orphaned entries.
-fn live_and_owned<'a>(
-    switches: &[OpenFlowSwitch],
-    slices: impl Iterator<Item = &'a Slice>,
-) -> (usize, usize) {
-    (switches.iter().map(|s| s.total_entries()).sum(), slices.map(|s| s.entries()).sum())
 }
 
 /// Admission-controlled multi-tenant manager over one physical cluster.
@@ -677,7 +756,7 @@ impl SliceManager {
         let after = match request {
             None => None,
             Some((name, topology, routes)) => {
-                let projection = self.project(&topology, &routes, old)?;
+                let placement = self.place(&topology, old)?;
                 // Namespace: reuse the reserved ranges when the new topology
                 // fits (diff-friendly); otherwise allocate fresh ranges.
                 let (switches, hosts) = (topology.num_switches(), topology.num_hosts());
@@ -690,20 +769,19 @@ impl SliceManager {
                         (self.next_metadata, switches, self.next_addr, hosts)
                     }
                 };
-                let installed = remap_synthesis(&projection.synthesis, metadata_base, addr_base);
-                Some(Slice {
+                let slice = SliceRecord {
                     id,
                     name,
-                    topology,
-                    routes,
-                    projection,
+                    request: (topology, routes),
+                    placement,
                     metadata_base,
                     metadata_reserved,
                     addr_base,
                     addr_reserved,
-                    installed,
                     epochs: old.map_or(1, |o| o.epochs + 1),
-                })
+                }
+                .realize(&self.projector, &self.cluster);
+                Some(slice.map_err(AdmissionError::Resources)?)
             }
         };
 
@@ -726,16 +804,11 @@ impl SliceManager {
         Ok(Plan { id, epoch, mods, after, fresh_namespace })
     }
 
-    /// Project `topo` around everything co-tenants hold. `old` is the
+    /// Place `topo` around everything co-tenants hold. `old` is the
     /// slice being reconfigured, if any: its own resources stay available
     /// to it, and its current cables are preferred where logical pairs
     /// coincide, so same-family reconfigurations diff to near-nothing.
-    fn project(
-        &self,
-        topo: &Topology,
-        routes: &RouteTable,
-        old: Option<&Slice>,
-    ) -> Result<SdtProjection, AdmissionError> {
+    fn place(&self, topo: &Topology, old: Option<&Slice>) -> Result<Placement, AdmissionError> {
         let mut prefer: HashMap<(SwitchId, SwitchId), PhysLink> = HashMap::new();
         if let Some(o) = old {
             for l in o.topology.fabric_links() {
@@ -749,9 +822,7 @@ impl SliceManager {
             prefer_cables: old.map(|_| &prefer),
             ..Default::default()
         };
-        self.projector
-            .project_with(topo, &self.cluster, routes, &opts)
-            .map_err(AdmissionError::Resources)
+        self.projector.place(topo, &self.cluster, &opts).map_err(AdmissionError::Resources)
     }
 
     /// Install a gated plan: apply its epoch, cache `proof` as the proof of
@@ -1051,14 +1122,28 @@ impl SliceManager {
         ops.into_iter().map(|op| self.apply_one(op)).collect()
     }
 
-    /// Dump the manager's mutable state for persistence: admitted slices,
-    /// namespace counters, and the live per-switch tables in first-match
-    /// order. The physical cluster itself is wiring, not state — the caller
-    /// persists its build parameters and hands an identically wired cluster
-    /// back to [`SliceManager::restore`].
+    /// Dump the manager's mutable state for persistence: what admission
+    /// decided for each slice, namespace counters, and the live per-switch
+    /// tables in first-match order. The physical cluster itself is wiring,
+    /// not state — the caller persists its build parameters and hands an
+    /// identically wired cluster back to [`SliceManager::restore`].
     pub fn export(&self) -> ManagerExport {
         ManagerExport {
-            slices: self.slices.values().cloned().collect(),
+            slices: self
+                .slices
+                .values()
+                .map(|s| SliceRecord {
+                    id: s.id,
+                    name: s.name.clone(),
+                    request: (s.topology.clone(), s.routes.clone()),
+                    placement: Placement::of(&s.projection),
+                    metadata_base: s.metadata_base,
+                    metadata_reserved: s.metadata_reserved,
+                    addr_base: s.addr_base,
+                    addr_reserved: s.addr_reserved,
+                    epochs: s.epochs,
+                })
+                .collect(),
             next_id: self.next_id,
             next_metadata: self.next_metadata,
             next_addr: self.next_addr,
@@ -1073,11 +1158,16 @@ impl SliceManager {
     }
 
     /// Rebuild a manager from an [`ManagerExport`] over a freshly wired
-    /// cluster. The live tables are re-installed entry by entry in dump
-    /// order (reproducing equal-priority tie-breaks exactly); the first
-    /// proof after a restore is a full [`Verifier::check`] pass. The
-    /// restored manager's verifiable behavior — admission decisions, verify findings, audit
-    /// results — is byte-identical to the exporter's.
+    /// cluster. Each slice is rebuilt from its record the way admission
+    /// built it ([`SdtProjector::realize`], then [`remap_synthesis`]), once
+    /// its placement is checked against the cluster and its topology
+    /// ([`Placement::check`]) and its namespace against the counters. The
+    /// live tables are re-installed entry by entry in dump order
+    /// (reproducing equal-priority tie-breaks exactly) and must hold, per
+    /// switch and table, exactly the entries the slices re-derive. The
+    /// first proof after a restore is a full [`Verifier::check`] pass. The restored
+    /// manager's verifiable behavior — admission decisions, verify
+    /// findings, audit results — is byte-identical to the exporter's.
     pub fn restore(
         cluster: PhysicalCluster,
         export: ManagerExport,
@@ -1095,13 +1185,56 @@ impl SliceManager {
                 .restore_tables(t0, t1)
                 .map_err(|e| RestoreError(format!("switch {sw}: {e}")))?;
         }
-        let (live, owned) = live_and_owned(&mgr.switches, export.slices.iter());
-        if live != owned {
-            return Err(RestoreError(format!(
-                "live tables hold {live} entries but the slices own {owned}"
-            )));
+        // A namespace covers its topology and lies below the counters that
+        // allocated it, as `plan` leaves it: then remapping cannot overflow.
+        let inside = |base: u32, reserved: u32, need: u32, next: u32| {
+            need <= reserved && base.checked_add(reserved).is_some_and(|end| end <= next)
+        };
+        let (next_md, next_addr) = (export.next_metadata, export.next_addr);
+        let mut slices = BTreeMap::new();
+        for rec in export.slices {
+            let (id, t, r) = (rec.id, &rec.request.0, &rec);
+            let checked = if inside(r.metadata_base, r.metadata_reserved, t.num_switches(), next_md)
+                && inside(r.addr_base, r.addr_reserved, t.num_hosts(), next_addr)
+            {
+                rec.placement.check(t, &mgr.cluster)
+            } else {
+                Err("namespace outside what was allocated".into())
+            };
+            let slice = checked
+                .and_then(|()| rec.realize(&mgr.projector, &mgr.cluster).map_err(|e| e.to_string()))
+                .map_err(|e| RestoreError(format!("{id}: {e}")))?;
+            slices.insert(id.0, slice);
         }
-        mgr.slices = export.slices.into_iter().map(|s| (s.id.0, s)).collect();
+        // The live tables are ground truth: per switch and table they hold
+        // exactly the entries the slices re-derive. A slice that realizes
+        // an entry the tables lack is refused by name, any other difference
+        // (an orphan, a doubled entry) by switch and table.
+        fn installed(s: &Slice, t: usize, sw: usize) -> &[FlowEntry] {
+            &[&s.installed.table0, &s.installed.table1][t][sw]
+        }
+        for (sw, (t0, t1)) in export.tables.iter().enumerate() {
+            for (t, live) in [t0, t1].into_iter().enumerate() {
+                let mut live = live.clone();
+                let mut derived: Vec<FlowEntry> =
+                    slices.values().flat_map(|s| installed(s, t, sw).iter().copied()).collect();
+                live.sort_unstable_by_key(FlowEntry::order_key);
+                derived.sort_unstable_by_key(FlowEntry::order_key);
+                if live == derived {
+                    continue;
+                }
+                let key = FlowEntry::order_key;
+                let lacks = |s: &&Slice| {
+                    let mut es = installed(s, t, sw).iter();
+                    es.any(|e| live.binary_search_by_key(&key(e), key).is_err())
+                };
+                return Err(RestoreError(match slices.values().find(lacks) {
+                    Some(s) => format!("{}: switch {sw} table {t} lacks entries it derives", s.id),
+                    None => format!("switch {sw} table {t}: entries differ from the slices'"),
+                }));
+            }
+        }
+        mgr.slices = slices;
         mgr.next_id = export.next_id;
         mgr.next_metadata = export.next_metadata;
         mgr.next_addr = export.next_addr;
@@ -1139,7 +1272,9 @@ impl SliceManager {
                 epochs: s.epochs,
             })
             .collect();
-        let (live, owned) = live_and_owned(&self.switches, self.slices.values());
+        // Equal on a healthy fabric; `live > owned` means orphaned entries.
+        let live: usize = self.switches.iter().map(|s| s.total_entries()).sum();
+        let owned: usize = slices.iter().map(|s| s.entries).sum();
         ManagerStatus {
             orphan_entries: live.saturating_sub(owned),
             host_ports_total: self.cluster.host_ports().len(),
@@ -1173,7 +1308,7 @@ pub fn remap_synthesis(s: &SynthesisOutput, metadata_base: u32, addr_base: u32) 
                         }
                         other => other,
                     };
-                    sdt_openflow::FlowEntry { action, ..e }
+                    FlowEntry { action, ..e }
                 })
                 .collect(),
         );
@@ -1186,7 +1321,7 @@ pub fn remap_synthesis(s: &SynthesisOutput, metadata_base: u32, addr_base: u32) 
                     m.metadata = m.metadata.map(|md| md + metadata_base);
                     m.src = shift_addr(m.src);
                     m.dst = shift_addr(m.dst);
-                    sdt_openflow::FlowEntry { m, ..e }
+                    FlowEntry { m, ..e }
                 })
                 .collect(),
         );
