@@ -1,19 +1,17 @@
 //! Topology Customization + deployment lifecycle.
 
 use crate::config::TestbedConfig;
-use crate::recovery::{
-    install_with_retry, surviving_topology, unreachable_pairs, FailureReport, RecoveryConfig,
-    RetryStats,
-};
+use crate::recovery::{surviving_topology, unreachable_pairs, FailureReport, DETECTION_NS};
 use crate::wiring::plan_wiring;
 use sdt_core::cluster::{PhysLink, PhysicalCluster};
 use sdt_core::sdt::{
     FailedResources, ProjectOptions, ProjectionError, SdtProjection, SdtProjector,
 };
 use sdt_core::walk::instantiate;
-use sdt_openflow::{ControlChannel, InstallTiming, OpenFlowSwitch};
+use sdt_openflow::{reconcile, ControlChannel, OpenFlowSwitch, Reconciled, RetryPolicy};
 use sdt_routing::cdg::{analyze, DeadlockAnalysis};
 use sdt_routing::{default_strategy, RouteTable, RoutingStrategy};
+use sdt_tenancy::epoch::synthesis_entries;
 use sdt_topology::{HostId, SwitchId, Topology, TopologyKind};
 use sdt_verify::{Intent, TableView, Verifier};
 use std::collections::HashMap;
@@ -127,7 +125,6 @@ pub struct Deployment {
 pub struct SdtController {
     cluster: PhysicalCluster,
     projector: SdtProjector,
-    timing: InstallTiming,
     require_deadlock_free: bool,
     /// Count of reconfigurations performed (reporting).
     pub reconfigurations: u32,
@@ -141,7 +138,6 @@ impl SdtController {
             // §VII-C: the controller's built-in module merges entries when
             // a projection would exceed a switch's table capacity.
             projector: SdtProjector { merge_entries_on_overflow: true, ..Default::default() },
-            timing: InstallTiming::default(),
             require_deadlock_free: true,
             reconfigurations: 0,
         }
@@ -231,7 +227,7 @@ impl SdtController {
         // switch is programmed.
         self.static_gate(topo, &projection)?;
         let switches = instantiate(&self.cluster, &projection);
-        let deploy_time_ns = projection.deploy_time_ns(&self.timing);
+        let deploy_time_ns = projection.deploy_time_ns();
         Ok(Deployment {
             topology: topo.clone(),
             projection,
@@ -258,7 +254,7 @@ impl SdtController {
             &old.projection.synthesis,
             &new.projection.synthesis,
         );
-        let t = delta.report(self.cluster.num_switches() as usize, &self.timing).install_time_ns;
+        let t = delta.report(self.cluster.num_switches() as usize).install_time_ns;
         self.reconfigurations += 1;
         Ok((new, t))
     }
@@ -266,7 +262,8 @@ impl SdtController {
     /// Failure recovery (§V + §VI-E): given the [`FailureReport`] the
     /// [`crate::recovery::FailureDetector`] produced, repair the deployment
     /// and reconcile the *live* switches — stale tables, dropped flow-mods
-    /// and all — toward it over `channel`. Two phases:
+    /// and all — toward it over `channel` ([`sdt_openflow::reconcile`]
+    /// under [`RetryPolicy::default`]). Two phases:
     ///
     /// 1. **Full recovery** — cable faults only: the *same* logical
     ///    topology and routes are re-projected with the dead cables marked
@@ -286,7 +283,6 @@ impl SdtController {
         old: Deployment,
         report: &FailureReport,
         channel: &mut ControlChannel,
-        cfg: &RecoveryConfig,
     ) -> Result<RecoveryOutcome, DeployError> {
         // The cables that realized the dead logical links are the failed
         // physical resources; every healthy cable is preferred where it
@@ -323,7 +319,6 @@ impl SdtController {
                     old.routes,
                     old.switches,
                     channel,
-                    cfg,
                     Vec::new(),
                     false,
                 );
@@ -367,7 +362,6 @@ impl SdtController {
             routes,
             old.switches,
             channel,
-            cfg,
             unreachable,
             !report.is_empty(),
         )
@@ -381,7 +375,6 @@ impl SdtController {
         routes: RouteTable,
         mut switches: Vec<OpenFlowSwitch>,
         channel: &mut ControlChannel,
-        cfg: &RecoveryConfig,
         unreachable_pairs: Vec<(HostId, HostId)>,
         degraded: bool,
     ) -> Result<RecoveryOutcome, DeployError> {
@@ -391,24 +384,10 @@ impl SdtController {
         // The intent is built from the surviving topology, so pairs the
         // faults severed count as expected drops, not blackholes.
         self.static_gate(&topology, &projection)?;
-        let scheduled = if cfg.scheduled {
-            self.scheduled_reconcile(&topology, &projection, &mut switches, channel, cfg)
-        } else {
-            None
-        };
-        let (retry, schedule) = match scheduled {
-            Some((retry, rep)) => (retry, Some(rep)),
-            // Not asked for, or the scheduler refused (boundary unprovable
-            // even fully merged, or the channel diverged into an unsafe
-            // state): the plain retry loop, which the epoch-level static
-            // gate above still covers.
-            None => (
-                install_with_retry(channel, &mut switches, &projection.synthesis, cfg, &self.timing),
-                None,
-            ),
-        };
-        let recovery_time_ns = cfg.detection_ns() + retry.elapsed_ns;
-        let deploy_time_ns = projection.deploy_time_ns(&self.timing);
+        let target = |sw, t| synthesis_entries(&projection.synthesis, sw, t);
+        let retry = reconcile(channel, &mut switches, target, &RetryPolicy::default(), 0);
+        let recovery_time_ns = DETECTION_NS + retry.install_ns;
+        let deploy_time_ns = projection.deploy_time_ns();
         self.reconfigurations += 1;
         Ok(RecoveryOutcome {
             unreachable_pairs,
@@ -421,59 +400,8 @@ impl SdtController {
                 deploy_time_ns,
             },
             retry,
-            schedule,
             recovery_time_ns,
         })
-    }
-
-    /// Transient-safe recovery path: compile the repair diff (live tables →
-    /// intended synthesis) into an [`sdt_tenancy::Epoch`], schedule it into
-    /// dependency-ordered rounds, and install them with every round
-    /// boundary statically proven to introduce *no new* findings over the
-    /// wounded base state ([`sdt_tenancy::no_new_findings`] — recovery
-    /// starts from tables that may already blackhole, so the bar is
-    /// monotone improvement, not perfection). Returns `None` when the
-    /// scheduler gives up, letting the caller fall back to
-    /// [`install_with_retry`].
-    fn scheduled_reconcile(
-        &self,
-        topology: &Topology,
-        projection: &SdtProjection,
-        switches: &mut [OpenFlowSwitch],
-        channel: &mut ControlChannel,
-        cfg: &RecoveryConfig,
-    ) -> Option<(RetryStats, sdt_tenancy::ScheduleReport)> {
-        let epoch = sdt_tenancy::Epoch::from_entries(
-            sdt_tenancy::SliceId::default(),
-            switches.len(),
-            |sw, t| switches[sw].table(t).entries(),
-            |sw, t| sdt_tenancy::epoch::synthesis_entries(&projection.synthesis, sw, t),
-        );
-        let before = TableView::of_switches(switches);
-        let rounds = sdt_tenancy::compile_rounds(&epoch, &before);
-        let intent = Intent::of_projection(projection, topology, topology.name());
-        let base = Verifier::check(&self.cluster, before, intent.clone());
-        let (_proof, rep) = sdt_tenancy::install_scheduled(
-            &self.cluster,
-            switches,
-            channel,
-            rounds,
-            base,
-            &intent,
-            &intent,
-            &self.timing,
-            &cfg.retry,
-        )
-        .ok()?;
-        let retry = RetryStats {
-            rounds: rep.rounds.len() as u32,
-            retries: rep.rounds.iter().map(|r| r.retries).sum(),
-            flow_mods_sent: rep.rounds.iter().map(|r| r.sends).sum(),
-            backoff_ns_total: rep.rounds.iter().map(|r| r.backoff_ns).sum(),
-            elapsed_ns: rep.install_ns_total,
-            converged: rep.converged,
-        };
-        Some((retry, rep))
     }
 }
 
@@ -486,12 +414,8 @@ pub struct RecoveryOutcome {
     /// Ordered host pairs cut off by the faults (empty when the surviving
     /// topology is still connected).
     pub unreachable_pairs: Vec<(HostId, HostId)>,
-    /// Retry counters from the reconciliation loop.
-    pub retry: RetryStats,
-    /// Per-round report when the transient-safe scheduler carried the
-    /// reconciliation ([`RecoveryConfig::scheduled`]); `None` on the
-    /// one-shot path or when the scheduler refused and recovery fell back.
-    pub schedule: Option<sdt_tenancy::ScheduleReport>,
+    /// What the reconciliation loop did: attempts, re-sends, backoff.
+    pub retry: Reconciled,
     /// Modeled end-to-end recovery time: detection + installs + backoff.
     pub recovery_time_ns: u64,
     /// True when any logical link was actually lost.
@@ -610,7 +534,7 @@ mod tests {
         };
         let mut ch = ControlChannel::reliable();
         let report = FailureReport::links(vec![dead]);
-        let out = c.recover(d, &report, &mut ch, &RecoveryConfig::default()).unwrap();
+        let out = c.recover(d, &report, &mut ch).unwrap();
         // A spare cable absorbs the fault: FULL recovery, nothing lost.
         assert!(out.retry.converged);
         assert!(!out.degraded, "spare cable means no degradation");
@@ -645,10 +569,10 @@ mod tests {
             ..sdt_openflow::ControlConfig::reliable()
         });
         let report = FailureReport::links(vec![dead]);
-        let out = c.recover(d, &report, &mut ch, &RecoveryConfig::default()).unwrap();
+        let out = c.recover(d, &report, &mut ch).unwrap();
         assert!(out.retry.converged, "{:?}", out.retry);
         assert!(out.retry.retries > 0, "30% loss must trigger the retry path");
-        assert!(out.retry.backoff_ns_total > 0);
+        assert!(out.retry.backoff_ns > 0);
         assert!(ch.dropped() > 0);
         let mut switches = out.deployment.switches;
         let report = sdt_core::walk::IsolationReport::audit_on(
@@ -674,7 +598,7 @@ mod tests {
             dead_switches: vec![sdt_topology::SwitchId(1)],
         };
         let mut ch = ControlChannel::reliable();
-        let out = c.recover(d, &report, &mut ch, &RecoveryConfig::default()).unwrap();
+        let out = c.recover(d, &report, &mut ch).unwrap();
         assert!(out.degraded);
         // Components {0}, {1}, {2,3}: ordered host pairs across = 12 - 2.
         assert_eq!(out.unreachable_pairs.len(), 10);
@@ -695,25 +619,42 @@ mod tests {
         // One dead link with a spare cable: full recovery keeps topology
         // and routes, so the reconciliation touches only the entries of
         // the re-realized link — far fewer than a from-scratch install.
-        let cluster = ClusterBuilder::new(SwitchModel::openflow_128x100g(), 2)
-            .hosts_per_switch(16)
-            .inter_links_per_pair(10)
-            .build();
-        let mut c = SdtController::new(cluster);
-        let d = c.deploy(&torus(&[4, 4])).unwrap();
-        let full_install: usize = d.projection.synthesis.entries_per_switch.iter().sum();
-        let report =
-            FailureReport::links(vec![(sdt_topology::SwitchId(0), sdt_topology::SwitchId(4))]);
-        let mut ch = ControlChannel::reliable();
-        let out = c.recover(d, &report, &mut ch, &RecoveryConfig::default()).unwrap();
-        assert!(out.retry.converged);
-        assert!(!out.degraded);
-        assert!(
-            (out.retry.flow_mods_sent as usize) < full_install / 2,
-            "incremental recovery sent {} mods vs {} full install",
-            out.retry.flow_mods_sent,
-            full_install
-        );
+        // The cases are the recoveries EXPERIMENTS.md quotes, on the
+        // `failure_recovery` example's cluster: (cut, channel) → (sends,
+        // attempts, retries, backoff ns, modeled recovery ns, converged).
+        use sdt_openflow::ControlConfig;
+        let lossy =
+            ControlConfig { drop_prob: 0.25, reorder_prob: 0.05, delay_ns: 100_000, seed: 7 };
+        let dead = ControlConfig { drop_prob: 1.0, ..ControlConfig::reliable() };
+        let cases = [
+            ((0, 4), ControlConfig::reliable(), (28, 1, 0, 0, 81_000_000, true)),
+            // The example's phase 1.
+            ((0, 1), lossy, (16, 3, 2, 6_000_000, 175_600_000, true)),
+            // Every mod dropped: the budget runs out and says so; each
+            // attempt pays its barrier on top of the 2+4+8+16+32 ms backoff.
+            ((0, 1), dead, (60, 6, 5, 62_000_000, 425_000_000, false)),
+        ];
+        for ((a, b), channel, want) in cases {
+            let cluster = ClusterBuilder::new(SwitchModel::openflow_128x100g(), 2)
+                .hosts_per_switch(16)
+                .inter_links_per_pair(10)
+                .build();
+            let mut c = SdtController::new(cluster);
+            let d = c.deploy(&torus(&[4, 4])).unwrap();
+            let full_install: usize = d.projection.synthesis.entries_per_switch.iter().sum();
+            let report = FailureReport::links(vec![(SwitchId(a), SwitchId(b))]);
+            let out = c.recover(d, &report, &mut ControlChannel::new(channel)).unwrap();
+            assert!(!out.degraded);
+            let r = out.retry;
+            let got =
+                (r.sends, r.attempts, r.retries, r.backoff_ns, out.recovery_time_ns, r.converged);
+            assert_eq!(got, want, "cut s{a}-s{b} over {channel:?}");
+            assert!(
+                (r.sends as usize) < full_install / 2,
+                "incremental recovery sent {} mods vs {full_install} full install",
+                r.sends
+            );
+        }
     }
 
     #[test]
@@ -725,11 +666,11 @@ mod tests {
         d.switches[0].apply(1, sdt_openflow::FlowMod::Delete(e.m, e.priority)).unwrap();
         let mut ch = ControlChannel::reliable();
         let out = c
-            .recover(d, &FailureReport::default(), &mut ch, &RecoveryConfig::default())
+            .recover(d, &FailureReport::default(), &mut ch)
             .unwrap();
         assert!(out.retry.converged);
         assert!(!out.degraded);
-        assert_eq!(out.retry.flow_mods_sent, 1, "exactly the missing entry re-sent");
+        assert_eq!(out.retry.sends, 1, "exactly the missing entry re-sent");
     }
 
     #[test]

@@ -40,8 +40,7 @@ pub use controller::{
 };
 pub use slices::{SliceController, SliceOpError};
 pub use recovery::{
-    install_with_retry, surviving_topology, unreachable_pairs, FailureDetector, FailureReport,
-    RecoveryConfig, RetryStats,
+    surviving_topology, unreachable_pairs, FailureDetector, FailureReport, DETECTION_NS,
 };
 pub use presets::{paper_testbed, paper_topologies};
 pub use wiring::{plan_wiring, WiringPlan};

@@ -1,83 +1,31 @@
-//! Failure detection and flow-mod retry machinery (§V + §VI-E recovery).
+//! Failure detection and degradation (§V + §VI-E recovery).
 //!
-//! Three pieces, composed by [`crate::SdtController::recover`]:
+//! Two pieces, composed by [`crate::SdtController::recover`]:
 //!
 //! * [`FailureDetector`] — the Network Monitor's failure-facing half:
 //!   port-stat staleness (a logical channel whose byte counters freeze in
-//!   *both* directions for [`RecoveryConfig::detect_stale_polls`]
-//!   consecutive polls is suspect);
+//!   *both* directions for [`DETECT_STALE_POLLS`] consecutive polls is
+//!   suspect);
 //! * [`surviving_topology`] / [`unreachable_pairs`] — graceful
 //!   degradation: the logical topology minus everything the faults took
-//!   out, and the host pairs an operator must be told are gone;
-//! * [`install_with_retry`] — [`sdt_openflow::reconcile`] aimed at the
-//!   intended synthesis: re-diff the live tables, re-send over the lossy
-//!   [`ControlChannel`] with exponential backoff until they converge or
-//!   the retry budget runs out. A silently dropped flow-mod is caught
-//!   because the diff is computed from the switch's *actual* table, not
-//!   from what the controller believes it sent.
+//!   out, and the host pairs an operator must be told are gone.
+//!
+//! The repair itself is [`sdt_openflow::reconcile`] aimed at the intended
+//! synthesis: a silently dropped flow-mod is caught because the diff is
+//! computed from the switch's *actual* table, not from what the controller
+//! believes it sent.
 
 use sdt_core::sdt::SdtProjection;
-use sdt_core::synthesis::SynthesisOutput;
-use sdt_openflow::{reconcile, ControlChannel, InstallTiming, OpenFlowSwitch, RetryPolicy};
-use sdt_tenancy::epoch::synthesis_entries;
+use sdt_openflow::OpenFlowSwitch;
 use sdt_topology::{HostId, SwitchId, Topology, TopologyBuilder};
 use std::collections::{HashMap, HashSet};
 
-/// Detection timing knobs plus the reconciliation retry budget
-/// (EXPERIMENTS.md records these next to the Fig. 13 deployment-time
-/// model).
-#[derive(Clone, Copy, Debug)]
-pub struct RecoveryConfig {
-    /// Consecutive stale monitor polls before a channel is declared dead.
-    pub detect_stale_polls: u32,
-    /// Monitor poll interval, ns.
-    pub poll_interval_ns: u64,
-    /// Retry/backoff budget of the reconciliation loop.
-    pub retry: RetryPolicy,
-    /// Reconcile through the transient-safe epoch scheduler
-    /// ([`sdt_tenancy::schedule`]) instead of the one-shot retry loop:
-    /// the repair batch is compiled into dependency-ordered rounds and
-    /// every intermediate state is statically proven before its round
-    /// installs. Falls back to [`install_with_retry`] if the live state is
-    /// too wounded for the scheduler to accept.
-    pub scheduled: bool,
-}
-
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        RecoveryConfig {
-            detect_stale_polls: 3,
-            poll_interval_ns: 1_000_000,
-            retry: RetryPolicy::default(),
-            scheduled: false,
-        }
-    }
-}
-
-impl RecoveryConfig {
-    /// Modeled detection latency: polls until a frozen counter is trusted.
-    pub fn detection_ns(&self) -> u64 {
-        self.detect_stale_polls as u64 * self.poll_interval_ns
-    }
-}
-
-/// What a reconciliation loop did (the controller's retry counters).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RetryStats {
-    /// Install rounds executed (1 = converged first try).
-    pub rounds: u32,
-    /// Retry rounds among them (rounds beyond the first).
-    pub retries: u32,
-    /// Flow-mods handed to the control channel, including re-sends.
-    pub flow_mods_sent: u64,
-    /// Total exponential-backoff wait, ns.
-    pub backoff_ns_total: u64,
-    /// Modeled wall-clock of the whole loop (installs + barriers +
-    /// backoff), ns.
-    pub elapsed_ns: u64,
-    /// True when every switch table matches the intended synthesis.
-    pub converged: bool,
-}
+/// Consecutive stale monitor polls before a channel is declared dead.
+pub const DETECT_STALE_POLLS: u32 = 3;
+/// Monitor poll interval, ns.
+pub const POLL_INTERVAL_NS: u64 = 1_000_000;
+/// Modeled detection latency: polls until a frozen counter is trusted.
+pub const DETECTION_NS: u64 = DETECT_STALE_POLLS as u64 * POLL_INTERVAL_NS;
 
 /// What the failure detector hands the controller: which logical links
 /// lost their cable, and which sub-switches are wedged beyond a flow-mod's
@@ -124,23 +72,17 @@ impl FailureReport {
 ///
 /// Staleness is judged per *logical* channel through the projection's port
 /// map: if the tx counter behind a channel freezes in both directions for
-/// `threshold` consecutive polls, the link is suspected. (Like any
+/// [`DETECT_STALE_POLLS`] consecutive polls, the link is suspected. (Like any
 /// passive monitor, this needs background traffic to discriminate — an
 /// idle-by-design link looks identical to a dead one.)
 #[derive(Clone, Debug, Default)]
 pub struct FailureDetector {
-    threshold: u32,
     polls: u64,
     last_tx: HashMap<(SwitchId, SwitchId), u64>,
     stale: HashMap<(SwitchId, SwitchId), u32>,
 }
 
 impl FailureDetector {
-    /// Detector declaring a channel dead after `threshold` frozen polls.
-    pub fn new(threshold: u32) -> Self {
-        FailureDetector { threshold: threshold.max(1), ..Default::default() }
-    }
-
     /// One monitor poll: fold the switches' per-port tx counters through
     /// the projection and update per-channel staleness.
     pub fn poll(&mut self, topo: &Topology, proj: &SdtProjection, switches: &[OpenFlowSwitch]) {
@@ -159,12 +101,13 @@ impl FailureDetector {
     }
 
     /// Links currently suspected dead: every channel stale in both
-    /// directions past the threshold. Normalized `(min, max)` pairs, sorted.
+    /// directions for at least [`DETECT_STALE_POLLS`] polls. Normalized
+    /// `(min, max)` pairs, sorted.
     pub fn suspected(&self) -> Vec<(SwitchId, SwitchId)> {
         let mut out: HashSet<(SwitchId, SwitchId)> = HashSet::new();
         for (&(s, t), &n) in &self.stale {
-            if n >= self.threshold
-                && self.stale.get(&(t, s)).is_some_and(|&m| m >= self.threshold)
+            if n >= DETECT_STALE_POLLS
+                && self.stale.get(&(t, s)).is_some_and(|&m| m >= DETECT_STALE_POLLS)
             {
                 out.insert((s.min(t), s.max(t)));
             }
@@ -227,28 +170,6 @@ pub fn unreachable_pairs(topo: &Topology) -> Vec<(HostId, HostId)> {
     out
 }
 
-/// Reconcile the live switch tables against `intended` over `channel`
-/// ([`sdt_openflow::reconcile`], no attempt made yet), reported as the
-/// controller's retry counters.
-pub fn install_with_retry(
-    channel: &mut ControlChannel,
-    switches: &mut [OpenFlowSwitch],
-    intended: &SynthesisOutput,
-    cfg: &RecoveryConfig,
-    timing: &InstallTiming,
-) -> RetryStats {
-    let target = |sw, table| synthesis_entries(intended, sw, table);
-    let r = reconcile(channel, switches, target, &cfg.retry, timing, 0);
-    RetryStats {
-        rounds: r.attempts,
-        retries: r.retries,
-        flow_mods_sent: r.sends,
-        backoff_ns_total: r.backoff_ns,
-        elapsed_ns: r.install_ns,
-        converged: r.converged,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,7 +177,6 @@ mod tests {
     use sdt_core::cluster::ClusterBuilder;
     use sdt_core::methods::SwitchModel;
     use sdt_core::walk::walk_packet;
-    use sdt_openflow::{table_divergence, ControlConfig, FlowMod};
     use sdt_topology::chain::{chain, ring};
 
     fn controller(hosts: u16) -> SdtController {
@@ -271,7 +191,7 @@ mod tests {
         let mut c = controller(4);
         let topo = chain(4);
         let mut d = c.deploy(&topo).unwrap();
-        let mut det = FailureDetector::new(3);
+        let mut det = FailureDetector::default();
         // Traffic h0<->h1 and h1<->h2 keeps s0-s1 and s1-s2 hot in both
         // directions; s2-s3 stays frozen — as if its cable were cut.
         for _ in 0..5 {
@@ -307,85 +227,5 @@ mod tests {
         // Symmetric: (a,b) gone  =>  (b,a) gone.
         let set: HashSet<_> = gone.iter().copied().collect();
         assert!(gone.iter().all(|&(a, b)| set.contains(&(b, a))));
-    }
-
-    #[test]
-    fn retry_loop_converges_over_a_lossy_channel() {
-        let mut c = controller(8);
-        let topo = chain(8);
-        let mut d = c.deploy(&topo).unwrap();
-        // Wound the live tables: delete a handful of routing entries.
-        let victims: Vec<FlowMod> = d.switches[0].table(1).entries()[..6]
-            .iter()
-            .map(|e| FlowMod::Delete(e.m, e.priority))
-            .collect();
-        for m in victims {
-            d.switches[0].apply(1, m).unwrap();
-        }
-        let synth = d.projection.synthesis.clone();
-        let before =
-            table_divergence(&d.switches[0], &synth.table0[0], &synth.table1[0]);
-        assert_eq!(before, 6);
-        let mut ch = ControlChannel::new(ControlConfig {
-            drop_prob: 0.5,
-            seed: 3,
-            ..ControlConfig::reliable()
-        });
-        let cfg = RecoveryConfig::default();
-        let stats =
-            install_with_retry(&mut ch, &mut d.switches, &synth, &cfg, &InstallTiming::default());
-        assert!(stats.converged, "loop must converge: {stats:?}");
-        assert!(stats.retries > 0, "50% loss must force at least one retry");
-        assert!(stats.flow_mods_sent > 6, "re-sends counted");
-        assert!(stats.backoff_ns_total >= cfg.retry.backoff_base_ns);
-        assert_eq!(
-            table_divergence(&d.switches[0], &synth.table0[0], &synth.table1[0]),
-            0
-        );
-    }
-
-    #[test]
-    fn retry_loop_is_free_when_tables_already_match() {
-        let mut c = controller(4);
-        let topo = chain(4);
-        let mut d = c.deploy(&topo).unwrap();
-        let synth = d.projection.synthesis.clone();
-        let mut ch = ControlChannel::reliable();
-        let stats = install_with_retry(
-            &mut ch,
-            &mut d.switches,
-            &synth,
-            &RecoveryConfig::default(),
-            &InstallTiming::default(),
-        );
-        assert!(stats.converged);
-        assert_eq!(stats.rounds, 0);
-        assert_eq!(stats.flow_mods_sent, 0);
-        assert_eq!(stats.elapsed_ns, 0);
-    }
-
-    #[test]
-    fn hopeless_channel_gives_up_with_budget_intact() {
-        let mut c = controller(4);
-        let topo = chain(4);
-        let mut d = c.deploy(&topo).unwrap();
-        let e = d.switches[0].table(1).entries()[0];
-        d.switches[0].apply(1, FlowMod::Delete(e.m, e.priority)).unwrap();
-        let synth = d.projection.synthesis.clone();
-        // drop_prob 1.0: nothing ever arrives.
-        let mut ch = ControlChannel::new(ControlConfig {
-            drop_prob: 1.0,
-            seed: 0,
-            ..ControlConfig::reliable()
-        });
-        let cfg = RecoveryConfig {
-            retry: RetryPolicy { max_retries: 3, ..Default::default() },
-            ..Default::default()
-        };
-        let stats =
-            install_with_retry(&mut ch, &mut d.switches, &synth, &cfg, &InstallTiming::default());
-        assert!(!stats.converged);
-        assert_eq!(stats.rounds, cfg.retry.max_retries + 1, "initial + max_retries rounds");
-        assert_eq!(stats.retries, cfg.retry.max_retries);
     }
 }

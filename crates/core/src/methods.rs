@@ -256,7 +256,7 @@ impl ReconfigEstimate {
             },
             // Flow-mod installs + barrier: 100 ms – 1 s for realistic tables.
             Method::Sdt => ReconfigEstimate {
-                time_ns: sdt_openflow::InstallTiming::default().install_time_ns(flow_entries),
+                time_ns: sdt_openflow::install_time_ns(flow_entries),
                 manual: false,
             },
         }

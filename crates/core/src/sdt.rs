@@ -21,7 +21,7 @@
 
 use crate::cluster::{PhysLink, PhysPort, PhysicalCluster};
 use crate::synthesis::{synthesize_flow_tables, synthesize_flow_tables_merged, SynthesisOutput};
-use sdt_openflow::InstallTiming;
+use sdt_openflow::install_time_ns;
 use sdt_partition::{partition_topology, PartitionConfig};
 use sdt_routing::{default_strategy, RouteTable};
 use sdt_topology::{HostId, LinkId, SwitchId, Topology};
@@ -266,9 +266,9 @@ impl SdtProjection {
 
     /// Estimated deployment/reconfiguration time: flow-mod installs on the
     /// busiest switch (switches install in parallel) plus the barrier.
-    pub fn deploy_time_ns(&self, timing: &InstallTiming) -> u64 {
+    pub fn deploy_time_ns(&self) -> u64 {
         let max_entries = self.synthesis.entries_per_switch.iter().copied().max().unwrap_or(0);
-        timing.install_time_ns(max_entries)
+        install_time_ns(max_entries)
     }
 }
 
@@ -908,7 +908,7 @@ mod tests {
         let t = fat_tree(4);
         let c = cluster(2, 16, 16);
         let p = SdtProjector::default().project_default(&t, &c).unwrap();
-        let ns = p.deploy_time_ns(&InstallTiming::default());
+        let ns = p.deploy_time_ns();
         assert!((100_000_000..=1_000_000_000).contains(&ns), "{ns} ns");
     }
 }

@@ -25,7 +25,7 @@
 
 use crate::switch::OpenFlowSwitch;
 use crate::table::{diff_tables, each_absent, FlowEntry, FlowMod};
-use crate::InstallTiming;
+use crate::install_time_ns;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -290,7 +290,6 @@ pub fn reconcile<'a>(
     switches: &mut [OpenFlowSwitch],
     target: impl Fn(usize, u8) -> &'a [FlowEntry],
     policy: &RetryPolicy,
-    timing: &InstallTiming,
     attempts_done: u32,
 ) -> Reconciled {
     let mut r = Reconciled { attempts: attempts_done, ..Default::default() };
@@ -327,7 +326,7 @@ pub fn reconcile<'a>(
         }
         channel.barrier(switches);
         let busiest = per_switch.iter().copied().max().unwrap_or(0);
-        let round_ns = timing.install_time_ns(busiest) + 2 * channel.delay_ns();
+        let round_ns = install_time_ns(busiest) + 2 * channel.delay_ns();
         r.install_ns = r.install_ns.saturating_add(round_ns);
         r.attempts += 1;
     }
@@ -442,7 +441,7 @@ mod tests {
     fn reconcile_retries_with_exponential_backoff_until_the_tables_match() {
         let target: Vec<FlowEntry> = (0..8).map(|i| entry(i, 1)).collect();
         let goal = |_: usize, t: u8| if t == 1 { target.as_slice() } else { &[][..] };
-        let (policy, timing) = (RetryPolicy::default(), InstallTiming::default());
+        let policy = RetryPolicy::default();
         let lossy =
             || ControlChannel::new(ControlConfig { drop_prob: 0.3, seed: 3, ..Default::default() });
 
@@ -450,7 +449,7 @@ mod tests {
         // backoff, every later one waits base * factor^(n-1).
         let mut sw = [switch()];
         let mut ch = lossy();
-        let r = reconcile(&mut ch, &mut sw, goal, &policy, &timing, 0);
+        let r = reconcile(&mut ch, &mut sw, goal, &policy, 0);
         assert!(r.converged, "{r:?}");
         assert!(r.retries > 0 && r.attempts == r.retries + 1, "{r:?}");
         assert_eq!(r.sends, ch.sent());
@@ -459,13 +458,13 @@ mod tests {
         assert_eq!(sw[0].table(1).entries().len(), 8);
 
         // Tables already at the target: nothing sent, nothing waited.
-        let again = reconcile(&mut ch, &mut sw, goal, &policy, &timing, 0);
+        let again = reconcile(&mut ch, &mut sw, goal, &policy, 0);
         assert_eq!(again, Reconciled { converged: true, ..Default::default() });
 
         // The caller's own send was attempt 1: same channel draws, but every
         // send of the loop is now a retry and the budget is one shorter.
         let mut sw = [switch()];
-        let after_round = reconcile(&mut lossy(), &mut sw, goal, &policy, &timing, 1);
+        let after_round = reconcile(&mut lossy(), &mut sw, goal, &policy, 1);
         assert_eq!(after_round.retries, after_round.attempts - 1);
         assert_eq!(after_round.sends, r.sends);
         assert!(after_round.backoff_ns > r.backoff_ns);
@@ -480,7 +479,7 @@ mod tests {
             let mut sw = [switch()];
             let mut dead =
                 ControlChannel::new(ControlConfig { drop_prob: 1.0, ..Default::default() });
-            let r = reconcile(&mut dead, &mut sw, goal, &policy, &InstallTiming::default(), done);
+            let r = reconcile(&mut dead, &mut sw, goal, &policy, done);
             assert!(!r.converged);
             assert_eq!(r.attempts, policy.max_retries + 1, "initial + max_retries attempts");
             assert_eq!(r.retries, policy.max_retries);
@@ -490,7 +489,7 @@ mod tests {
         // modeled wait saturates, the loop still ends.
         let policy = RetryPolicy { max_retries: 80, ..Default::default() };
         let mut dead = ControlChannel::new(ControlConfig { drop_prob: 1.0, ..Default::default() });
-        let r = reconcile(&mut dead, &mut [switch()], goal, &policy, &InstallTiming::default(), 0);
+        let r = reconcile(&mut dead, &mut [switch()], goal, &policy, 0);
         assert!(!r.converged);
         assert_eq!((r.attempts, r.backoff_ns), (81, u64::MAX));
     }

@@ -56,28 +56,16 @@ impl PortNo {
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct HostAddr(pub u32);
 
-/// Flow-mod installation latency model, used to estimate reconfiguration
-/// time. Defaults follow common hardware-switch figures: ~1 ms per TCAM
-/// entry install plus a ~50 ms barrier/commit.
-#[derive(Clone, Copy, Debug)]
-pub struct InstallTiming {
-    /// Nanoseconds to install one flow entry.
-    pub per_entry_ns: u64,
-    /// Nanoseconds for the final barrier/commit round-trip.
-    pub barrier_ns: u64,
-}
+/// Modeled install time of one flow entry, ns (~1 ms per TCAM entry on
+/// common hardware switches). With [`BARRIER_NS`] this is the flow-mod
+/// installation latency model behind every reconfiguration time.
+pub const ENTRY_INSTALL_NS: u64 = 1_000_000;
+/// Modeled barrier/commit round trip closing an install, ns.
+pub const BARRIER_NS: u64 = 50_000_000;
 
-impl Default for InstallTiming {
-    fn default() -> Self {
-        InstallTiming { per_entry_ns: 1_000_000, barrier_ns: 50_000_000 }
-    }
-}
-
-impl InstallTiming {
-    /// Total time to install `entries` flow entries and commit.
-    pub fn install_time_ns(&self, entries: usize) -> u64 {
-        self.per_entry_ns * entries as u64 + self.barrier_ns
-    }
+/// Modeled time to install `entries` flow entries on one switch and commit.
+pub fn install_time_ns(entries: usize) -> u64 {
+    ENTRY_INSTALL_NS * entries as u64 + BARRIER_NS
 }
 
 #[cfg(test)]
@@ -86,12 +74,11 @@ mod tests {
 
     #[test]
     fn install_timing_scales_linearly() {
-        let t = InstallTiming::default();
-        let small = t.install_time_ns(10);
-        let large = t.install_time_ns(310);
-        assert_eq!(large - small, 300 * t.per_entry_ns);
+        let small = install_time_ns(10);
+        let large = install_time_ns(310);
+        assert_eq!(large - small, 300 * ENTRY_INSTALL_NS);
         // Paper §VII-C: ~300 entries per switch for fat-tree k=4 on 2
         // switches; install stays comfortably sub-second.
-        assert!(t.install_time_ns(300) < 1_000_000_000);
+        assert!(install_time_ns(300) < 1_000_000_000);
     }
 }

@@ -26,7 +26,7 @@
 
 use crate::SliceId;
 use sdt_core::synthesis::SynthesisOutput;
-use sdt_openflow::{diff_positions, FlowEntry, FlowMatch, FlowMod, InstallTiming, PortNo};
+use sdt_openflow::{diff_positions, install_time_ns, FlowEntry, FlowMatch, FlowMod, PortNo};
 use std::collections::HashSet;
 use std::fmt;
 
@@ -195,35 +195,20 @@ impl Epoch {
     /// reconfigurations proportional to the delta.
     pub fn from_diff(slice: SliceId, old: &SynthesisOutput, new: &SynthesisOutput) -> Epoch {
         let num_switches = old.table0.len().max(new.table0.len());
-        Epoch::from_entries(
-            slice,
-            num_switches,
-            |sw, t| synthesis_entries(old, sw, t),
-            |sw, t| synthesis_entries(new, sw, t),
-        )
-    }
-
-    /// The epoch that turns the `old(switch, table)` entry lists into the
-    /// `new(switch, table)` ones over `num_switches` switches. The lists
-    /// may be synthesized pipelines ([`Epoch::from_diff`]) or live tables
-    /// read back from the switches (recovery diffs those against the
-    /// intended synthesis).
-    pub fn from_entries<'a>(
-        slice: SliceId,
-        num_switches: usize,
-        old: impl Fn(usize, u8) -> &'a [FlowEntry],
-        new: impl Fn(usize, u8) -> &'a [FlowEntry],
-    ) -> Epoch {
         let tables = || (0..num_switches).flat_map(|sw| [(sw, 0u8), (sw, 1u8)]);
-        let diffs: Vec<_> =
-            tables().map(|(sw, t)| diff_positions(old(sw, t), new(sw, t))).collect();
+        let diffs: Vec<_> = tables()
+            .map(|(sw, t)| {
+                diff_positions(synthesis_entries(old, sw, t), synthesis_entries(new, sw, t))
+            })
+            .collect();
         let mut epoch = Epoch {
             slice,
             adds: Vec::with_capacity(diffs.iter().map(|(_, fresh)| fresh.len()).sum()),
             deletes: Vec::with_capacity(diffs.iter().map(|(gone, _)| gone.len()).sum()),
         };
         for ((sw, table), (gone, fresh)) in tables().zip(diffs) {
-            let (switch, old, new) = (sw as u32, old(sw, table), new(sw, table));
+            let switch = sw as u32;
+            let (old, new) = (synthesis_entries(old, sw, table), synthesis_entries(new, sw, table));
             epoch.deletes.extend(gone.iter().map(|&i| {
                 let FlowEntry { m, priority, .. } = old[i];
                 EpochDelete { switch, table, m, priority }
@@ -373,13 +358,13 @@ impl Epoch {
     }
 
     /// Build the report for this epoch (before or after applying it).
-    pub fn report(&self, num_switches: usize, timing: &InstallTiming) -> EpochReport {
+    pub fn report(&self, num_switches: usize) -> EpochReport {
         let max = self.mods_per_switch(num_switches).into_iter().max().unwrap_or(0);
         EpochReport {
             adds: self.adds.len(),
             deletes: self.deletes.len(),
             max_mods_one_switch: max,
-            install_time_ns: timing.install_time_ns(max),
+            install_time_ns: install_time_ns(max),
         }
     }
 }
@@ -472,11 +457,11 @@ mod tests {
         let old = synth(vec![], vec![]);
         let new = synth(vec![t0_entry(1, 100)], vec![t1_entry(100, 7, 1)]);
         let e = Epoch::from_diff(SliceId(0), &old, &new);
-        let r = e.report(1, &InstallTiming::default());
+        let r = e.report(1);
         assert_eq!(r.adds, 2);
         assert_eq!(r.deletes, 0);
         assert_eq!(r.flow_mods(), 2);
         assert_eq!(r.max_mods_one_switch, 2);
-        assert_eq!(r.install_time_ns, InstallTiming::default().install_time_ns(2));
+        assert_eq!(r.install_time_ns, install_time_ns(2));
     }
 }

@@ -39,9 +39,7 @@ use sdt_core::sdt::{
     FailedResources, Placement, ProjectOptions, ProjectionError, SdtProjection, SdtProjector,
 };
 use sdt_core::synthesis::SynthesisOutput;
-use sdt_openflow::{
-    Action, FlowEntry, FlowMod, HostAddr, InstallTiming, OpenFlowSwitch, SwitchConfig,
-};
+use sdt_openflow::{Action, FlowEntry, FlowMod, HostAddr, OpenFlowSwitch, SwitchConfig};
 use sdt_routing::{default_strategy, RouteTable};
 use sdt_topology::{HostId, SwitchId, Topology};
 use sdt_verify::{Intent, TableView, Verifier, VerifyStats};
@@ -491,7 +489,6 @@ pub struct ManagerStatus {
 pub struct SliceManager {
     cluster: PhysicalCluster,
     projector: SdtProjector,
-    timing: InstallTiming,
     switches: Vec<OpenFlowSwitch>,
     slices: BTreeMap<u32, Slice>,
     next_id: u32,
@@ -520,7 +517,6 @@ impl SliceManager {
             // §VII-C mitigation stays on: a slice that only fits merged
             // still beats a rejection.
             projector: SdtProjector { merge_entries_on_overflow: true, ..Default::default() },
-            timing: InstallTiming::default(),
             switches,
             slices: BTreeMap::new(),
             next_id: 0,
@@ -562,11 +558,6 @@ impl SliceManager {
     /// Number of admitted slices.
     pub fn num_slices(&self) -> usize {
         self.slices.len()
-    }
-
-    /// The flow-mod timing model used for epoch reports.
-    pub fn timing(&self) -> &InstallTiming {
-        &self.timing
     }
 
     /// Everything co-tenants hold, expressed as "failed" resources so a
@@ -630,7 +621,7 @@ impl SliceManager {
                 unreachable!("headroom pre-checked before applying the epoch: {e}");
             }
         }
-        plan.epoch.report(self.switches.len(), &self.timing)
+        plan.epoch.report(self.switches.len())
     }
 
     /// The connectivity intent of a hypothetical slice set: every current
@@ -995,14 +986,13 @@ impl SliceManager {
             current,
             &pre_intent,
             &post_intent,
-            &self.timing,
             &sdt_openflow::RetryPolicy::default(),
         ) {
             Ok((proof, sreport)) => {
                 // A proof of the intended end state only describes the
                 // live tables if they actually converged there.
                 self.verifier = sreport.converged.then_some(proof);
-                let report = plan.epoch.report(self.switches.len(), &self.timing);
+                let report = plan.epoch.report(self.switches.len());
                 self.settle(plan, report);
                 Ok((report, sreport))
             }

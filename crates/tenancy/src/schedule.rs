@@ -48,7 +48,7 @@
 use crate::epoch::Epoch;
 use sdt_core::cluster::PhysicalCluster;
 use sdt_openflow::{
-    reconcile, same_entries, Action, ControlChannel, FlowMod, FxBuild, InstallTiming,
+    install_time_ns, reconcile, same_entries, Action, ControlChannel, FlowMod, FxBuild,
     OpenFlowSwitch, RetryPolicy,
 };
 use sdt_verify::{Intent, TableView, Verifier, VerifyReport};
@@ -295,7 +295,9 @@ pub fn compile_rounds(epoch: &Epoch, before: &TableView) -> Vec<Round> {
 
 /// True when `r` carries no loop/blackhole/leak finding that `base` did
 /// not already have. A healthy base makes this exactly `r.holds()`; a
-/// wounded base (recovery) accepts monotone improvement.
+/// wounded base — a slice migration starting from the live tables a
+/// [`ScheduleError::DivergedUnsafe`] migration left behind — accepts
+/// monotone improvement.
 pub fn no_new_findings(r: &VerifyReport, base: &VerifyReport) -> bool {
     if r.holds() {
         return true;
@@ -406,7 +408,6 @@ pub fn install_scheduled(
     base: Verifier,
     pre_intent: &Intent,
     post_intent: &Intent,
-    timing: &InstallTiming,
     retry: &RetryPolicy,
 ) -> Result<(Verifier, ScheduleReport), ScheduleError> {
     let base_report = base.report().clone();
@@ -459,9 +460,8 @@ pub fn install_scheduled(
         // Reconcile the live tables against the intended boundary; the
         // round's own send + barrier above was attempt 1.
         let intended = verifier.view();
-        let rec =
-            reconcile(channel, switches, |sw, t| intended.entries(sw as u32, t), retry, timing, 1);
-        let install_ns = timing.install_time_ns(busiest) + 2 * channel.delay_ns() + rec.install_ns;
+        let rec = reconcile(channel, switches, |sw, t| intended.entries(sw as u32, t), retry, 1);
+        let install_ns = install_time_ns(busiest) + 2 * channel.delay_ns() + rec.install_ns;
 
         // Divergence fallback: the boundary proof describes the intended
         // state; if the channel never got the switches there, prove what

@@ -198,7 +198,6 @@ fn run_install(
         base,
         plan.pre_intent(),
         plan.post_intent(),
-        mgr.timing(),
         &RetryPolicy::default(),
     )
     .unwrap();

@@ -13,7 +13,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use sdt_core::cluster::{ClusterBuilder, PhysicalCluster};
 use sdt_core::methods::SwitchModel;
-use sdt_openflow::FlowMod;
+use sdt_openflow::{ControlChannel, ControlConfig, FlowMod};
 use sdt_tenancy::{MigrationPlan, RoundPhase, SliceManager};
 use sdt_topology::chain::{chain, ring};
 use sdt_topology::fattree::fat_tree;
@@ -192,4 +192,63 @@ fn naive_one_shot_order_produces_a_transient_violation() {
     let done =
         Verifier::check_plain(mgr.cluster(), view, plan.post_intent().clone());
     assert!(done.holds(), "end state clean either way: {}", done.report().summary());
+}
+
+#[test]
+fn migration_from_a_wounded_base_accepts_its_findings_and_heals_it() {
+    // A slice migration can start from live tables that already fail their
+    // proof — e.g. after a `DivergedUnsafe` migration left stragglers. Every
+    // boundary then has to be judged as "no new finding over the base"
+    // (`no_new_findings`): demanding a clean proof would coarsen the plan
+    // into fewer, larger rounds the base's own findings still fail.
+    let mut mgr = SliceManager::new(cluster2());
+    mgr.create("co-tenant", &chain(4)).unwrap();
+    let id = mgr.create("migrant", &fat_tree(4)).unwrap();
+    let to = torus(&[4, 4]);
+
+    // Wound the migrant's routing: drop live table-1 entries that the
+    // migration deletes anyway.
+    let victims: Vec<(usize, FlowMod)> = mgr
+        .plan_scheduled(id, &to)
+        .unwrap()
+        .epoch()
+        .deletes
+        .iter()
+        .filter(|d| d.table == 1)
+        .take(3)
+        .map(|d| (d.switch as usize, FlowMod::Delete(d.m, d.priority)))
+        .collect();
+    assert_eq!(victims.len(), 3);
+    for (sw, m) in victims {
+        mgr.switches_mut()[sw].apply(1, m).unwrap();
+    }
+
+    let plan = mgr.plan_scheduled(id, &to).unwrap();
+    let planned = plan.rounds().len();
+    assert!(planned > 1, "the migration must take several rounds");
+    let base = Verifier::check_plain(
+        mgr.cluster(),
+        TableView::of_switches(mgr.switches()),
+        plan.pre_intent().clone(),
+    );
+    assert!(!base.holds(), "the wound must show in the base proof");
+
+    let mut channel = ControlChannel::new(ControlConfig {
+        drop_prob: 0.2,
+        reorder_prob: 0.1,
+        delay_ns: 100_000,
+        seed: 17,
+    });
+    let (_, sched) = mgr.commit_scheduled(plan, &mut channel).unwrap();
+    assert!(channel.dropped() > 0, "the channel must actually lose mods");
+    assert_eq!(sched.violations, 0);
+    assert!(sched.converged, "{sched:?}");
+    assert_eq!(
+        (sched.merges, sched.rounds.len()),
+        (0, planned),
+        "the base's own findings coarsened the plan"
+    );
+    assert!(mgr.verify_report().holds(), "the carried proof must hold");
+    let (fresh, _) = mgr.verify_report_with_stats();
+    assert!(fresh.holds(), "the healed tables must prove clean: {}", fresh.summary());
 }

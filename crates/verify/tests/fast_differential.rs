@@ -16,7 +16,7 @@ use common::{bank, bushy_chain, route, wide_chain};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use sdt_controller::{FailureReport, RecoveryConfig, SdtController};
+use sdt_controller::{FailureReport, SdtController};
 use sdt_core::cluster::ClusterBuilder;
 use sdt_core::methods::SwitchModel;
 use sdt_core::sdt::SdtProjector;
@@ -198,7 +198,7 @@ fn post_recovery_live_tables_fast_equals_plain() {
     let dead = (sdt_topology::SwitchId(0), sdt_topology::SwitchId(1));
     let mut ch = ControlChannel::reliable();
     let report = FailureReport::links(vec![dead]);
-    let out = c.recover(d, &report, &mut ch, &RecoveryConfig::default()).unwrap();
+    let out = c.recover(d, &report, &mut ch).unwrap();
     assert!(out.retry.converged, "reliable channel must converge");
 
     let dep = &out.deployment;

@@ -16,7 +16,7 @@
 //! Run with: `cargo run --release --example failure_recovery`
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
-use sdt::controller::{FailureReport, RecoveryConfig, SdtController};
+use sdt::controller::{FailureReport, SdtController, DETECTION_NS};
 use sdt::core::cluster::ClusterBuilder;
 use sdt::core::methods::SwitchModel;
 use sdt::core::walk::IsolationReport;
@@ -73,18 +73,17 @@ fn main() {
         delay_ns: schedule.control.delay_ns,
         seed: 7,
     });
-    let cfg = RecoveryConfig::default();
-    let out = ctl.recover(d, &report, &mut ch, &cfg).unwrap();
+    let out = ctl.recover(d, &report, &mut ch).unwrap();
     println!("\nphase 1 — incremental repair over a 25%-lossy control channel:");
     println!("  {} flow-mods sent in {} rounds ({} retries, {:.1} ms backoff) vs {} full install",
-        out.retry.flow_mods_sent, out.retry.rounds, out.retry.retries,
-        out.retry.backoff_ns_total as f64 / 1e6, full_install);
+        out.retry.sends, out.retry.attempts, out.retry.retries,
+        out.retry.backoff_ns as f64 / 1e6, full_install);
     println!("  modeled recovery time {:.1} ms (detection {:.1} ms + reconciliation)",
-        out.recovery_time_ns as f64 / 1e6, cfg.detection_ns() as f64 / 1e6);
+        out.recovery_time_ns as f64 / 1e6, DETECTION_NS as f64 / 1e6);
     assert!(out.retry.converged, "reconciliation must converge");
     assert!(!out.degraded, "a spare cable means nothing was lost");
     assert!(out.unreachable_pairs.is_empty());
-    assert!((out.retry.flow_mods_sent as usize) < full_install / 2,
+    assert!((out.retry.sends as usize) < full_install / 2,
         "the diff scales with the damage, not the topology");
     let mut switches = out.deployment.switches;
     let audit = IsolationReport::audit_on(ctl.cluster(), &mut switches,
@@ -98,10 +97,10 @@ fn main() {
     // degrades around it and names what was lost.
     let report = FailureReport { dead_links: vec![], dead_switches: vec![SwitchId(1)] };
     let mut ch = ControlChannel::reliable();
-    let out = ctl.recover(d, &report, &mut ch, &cfg).unwrap();
+    let out = ctl.recover(d, &report, &mut ch).unwrap();
     println!("\nphase 2 — switch 1 crashed, no spare can help:");
     println!("  degraded={}, {} host pairs reported unreachable, {} flow-mods to reroute",
-        out.degraded, out.unreachable_pairs.len(), out.retry.flow_mods_sent);
+        out.degraded, out.unreachable_pairs.len(), out.retry.sends);
     assert!(out.degraded);
     assert!(out.retry.converged);
     // Host 1 sits on the dead switch: 15 ordered pairs each way.

@@ -139,12 +139,12 @@ fn slices_and_reconfigure_reports_move_no_counter() {
 /// The failure detector judges a channel dead when its tx counter freezes.
 /// A `slices` listing between two polls must not thaw a suspected channel:
 /// probe traffic on the live counters would reset the staleness count and
-/// hide a dead link for another `threshold` polls.
+/// hide a dead link for another `DETECT_STALE_POLLS` polls.
 #[test]
 fn slices_listing_keeps_suspected_channels_suspected() {
     let mut ctl = SliceController::new(shared_cluster());
     let (a, _b, _c) = three_slices(&mut ctl);
-    let mut det = FailureDetector::new(3);
+    let mut det = FailureDetector::default();
     let poll = |det: &mut FailureDetector, ctl: &SliceController| {
         let s = ctl.manager().slice(a).unwrap();
         det.poll(&s.topology, &s.projection, ctl.manager().switches());
