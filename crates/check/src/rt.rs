@@ -29,14 +29,10 @@
 //!
 //! The checker explores **schedule** nondeterminism: every way the declared
 //! operations of the threads can interleave, within the configured bounds.
-//! Memory is sequentially consistent inside the model — a `Relaxed` load
-//! cannot observe a reordered value here. That is the right tool for the
-//! invariants this workspace cares about (lost updates, ordering of
-//! snapshot vs. reply, stale cache serves, deadlocks): they are all
-//! schedule properties, and single-location RMW counters have a total
-//! modification order under any memory model, so totals proven
-//! schedule-invariant here hold under `Relaxed` on real hardware too.
-//! Compiler/hardware *reordering across locations* is out of scope.
+//! The operations are channel sends and receives, spawns and joins; that
+//! is the right tool for the invariants this workspace cares about
+//! (ordering of snapshot vs. reply, lost or duplicated work, deadlocks):
+//! they are all schedule properties. Memory models are out of scope.
 //!
 //! # Failure = replayable schedule
 //!
@@ -62,10 +58,6 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 pub(crate) enum Op {
     /// A freshly spawned thread's first scheduling.
     Start,
-    /// Atomic load (commutes with other loads of the same cell).
-    AtomicLoad(usize),
-    /// Atomic store / RMW.
-    AtomicWrite(usize),
     /// Channel send (never blocks; fails if the receiver is gone).
     Send(usize),
     /// Blocking receive; schedulable when non-empty or fully disconnected.
@@ -84,8 +76,6 @@ impl Op {
     fn describe(self) -> String {
         match self {
             Op::Start => "start".into(),
-            Op::AtomicLoad(a) => format!("atomic-load(a{a})"),
-            Op::AtomicWrite(a) => format!("atomic-write(a{a})"),
             Op::Send(c) => format!("send(c{c})"),
             Op::Recv(c) => format!("recv(c{c})"),
             Op::TryRecv(c) => format!("try-recv(c{c})"),
@@ -97,27 +87,16 @@ impl Op {
 }
 
 /// Conservative dependence relation for sleep-set pruning: two operations
-/// are independent iff they commute from every state. Anything touching
-/// the same object is dependent except load/load; joins and starts commute
-/// with everything.
+/// are independent iff they commute from every state. Two operations on
+/// the same channel are dependent; joins and starts commute with
+/// everything.
 fn dependent(a: Op, b: Op) -> bool {
-    use Op::{AtomicLoad, AtomicWrite, CloseRx, CloseTx, Recv, Send, TryRecv};
-    let atomic = |o: Op| match o {
-        AtomicLoad(x) => Some((x, false)),
-        AtomicWrite(x) => Some((x, true)),
-        _ => None,
-    };
+    use Op::{CloseRx, CloseTx, Recv, Send, TryRecv};
     let channel = |o: Op| match o {
         Send(x) | Recv(x) | TryRecv(x) | CloseTx(x) | CloseRx(x) => Some(x),
         _ => None,
     };
-    if let (Some((x, wx)), Some((y, wy))) = (atomic(a), atomic(b)) {
-        return x == y && (wx || wy);
-    }
-    if let (Some(x), Some(y)) = (channel(a), channel(b)) {
-        return x == y;
-    }
-    false
+    matches!((channel(a), channel(b)), (Some(x), Some(y)) if x == y)
 }
 
 /// What an operation's effect resolved to, returned to the primitive that
@@ -342,7 +321,6 @@ struct Core {
     threads: Vec<Th>,
     active: Option<usize>,
     channels: Vec<ChanSt>,
-    next_atomic: usize,
     /// Decisions taken this execution; its length is the current depth.
     trace: Vec<usize>,
     /// First failure of this execution; everything aborts once set.
@@ -380,11 +358,23 @@ thread_local! {
     static CURRENT: RefCell<Option<(Arc<Rt>, usize)>> = const { RefCell::new(None) };
 }
 
-/// The runtime of the enclosing [`model`]/[`Config::check`] call, if any.
-/// `None` means the caller is ordinary code: the checked primitives then
-/// fall back to plain `std` behavior.
+/// The runtime of the enclosing [`model`]/[`Config::check`] call and the
+/// caller's logical thread id, if any. `None` means the caller is ordinary
+/// code; the primitives' `Drop` impls then do nothing.
 pub(crate) fn maybe_current() -> Option<(Arc<Rt>, usize)> {
     CURRENT.with(|c| c.borrow().clone())
+}
+
+/// [`maybe_current`] for the checked primitive `what`, which exists only
+/// inside a model: outside one it panics, naming `what`.
+pub(crate) fn current(what: &str) -> (Arc<Rt>, usize) {
+    match maybe_current() {
+        Some(rt) => rt,
+        None => panic!(
+            "sdt-check: {what} called outside a model — checked primitives exist only \
+             inside sdt_check::model / Config::explore"
+        ),
+    }
 }
 
 fn set_current(rt: Option<(Arc<Rt>, usize)>) {
@@ -408,7 +398,6 @@ impl Rt {
                 threads: Vec::new(),
                 active: None,
                 channels: Vec::new(),
-                next_atomic: 0,
                 trace: Vec::new(),
                 failed: None,
                 os_handles: Vec::new(),
@@ -432,7 +421,6 @@ impl Rt {
         c.threads = vec![Th { status: Status::Running, pending: None }];
         c.active = Some(0);
         c.channels.clear();
-        c.next_atomic = 0;
         c.trace.clear();
         c.failed = None;
         c.os_handles.clear();
@@ -444,12 +432,6 @@ impl Rt {
         let mut c = self.lock();
         c.channels.push(ChanSt { len: 0, senders: 1, receiver_alive: true });
         c.channels.len() - 1
-    }
-
-    pub(crate) fn register_atomic(&self) -> usize {
-        let mut c = self.lock();
-        c.next_atomic += 1;
-        c.next_atomic - 1
     }
 
     /// Another `Sender` clone exists. No yield point: while at least one
@@ -603,7 +585,7 @@ impl Rt {
 
     fn apply_effect(c: &mut Core, op: Op) -> Outcome {
         match op {
-            Op::Start | Op::AtomicLoad(_) | Op::AtomicWrite(_) | Op::Join(_) => Outcome::Unit,
+            Op::Start | Op::Join(_) => Outcome::Unit,
             Op::Send(ch) => {
                 if c.channels[ch].receiver_alive {
                     c.channels[ch].len += 1;
@@ -694,23 +676,11 @@ impl Rt {
         self.cv.notify_all();
     }
 
-    /// Record a failure observed on the main thread (scope-body panic,
-    /// leaked threads) without unwinding.
-    pub(crate) fn fail_main(&self, msg: String) {
+    /// Record a failure observed on the main thread without unwinding.
+    fn fail_main(&self, msg: String) {
         let mut c = self.lock();
         c.fail(msg);
         self.cv.notify_all();
-    }
-
-    /// A scope body unwound with `payload`: if it is a genuine user panic
-    /// (not the internal abort marker), record it as the execution's
-    /// failure so every parked thread wakes and the scope can reap them
-    /// before its stack frame — and the `'scope` data — disappears.
-    pub(crate) fn fail_scope_panic(&self, payload: &(dyn Any + Send)) {
-        if payload.downcast_ref::<Abort>().is_some() {
-            return;
-        }
-        self.fail_main(format!("scope body panicked: {}", payload_msg(payload)));
     }
 
     /// Take the OS handle of logical thread `tid` (for its joiner).
@@ -731,8 +701,7 @@ impl Rt {
             if !leaked.is_empty() {
                 c.fail(format!(
                     "model closure returned with live threads {leaked:?} — every \
-                     spawned thread must be joined (use thread::scope, or join \
-                     the handles)"
+                     spawned thread must be joined"
                 ));
             }
         }

@@ -1,77 +1,58 @@
-//! Checked synchronization primitives: mpsc channel, integer atomics.
+//! Checked synchronization primitives: the mpsc channel.
 //!
-//! Each primitive wraps its `std` counterpart and inserts a scheduler
-//! yield point before every operation. Construction decides
-//! whether an object participates in checking: an object created **inside**
-//! a [`crate::model`] closure registers with the runtime and its operations
-//! become exploration decision points; one created outside behaves exactly
-//! like `std` (so a whole test binary can be compiled with `--cfg
-//! sdt_check` and only the model tests pay the instrumentation).
-//!
-//! Because model objects are registered in creation order and model code
-//! must be deterministic, the same schedule prefix always assigns the same
-//! ids — which is what makes decision traces replayable. Consequence:
-//! **create shared state inside the model closure**, not outside it; an
-//! outside object silently opts out of checking.
+//! Each operation is a scheduler yield point, and a channel exists only
+//! inside a [`crate::model`] closure: creating or using one outside a model
+//! panics by name. Model objects register with the runtime in creation
+//! order, and model code must be deterministic, so the same schedule
+//! prefix always assigns the same ids — which is what makes decision
+//! traces replayable.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use crate::rt::{maybe_current, Op, Outcome};
+use crate::rt::{current, maybe_current, Op, Outcome};
 
 // --------------------------------------------------------------- channel
 
 /// Multi-producer single-consumer FIFO, mirroring `std::sync::mpsc`.
 pub mod mpsc {
-    use super::{maybe_current, Arc, Op, Outcome, VecDeque};
+    use super::{current, maybe_current, Arc, Mutex, Op, Outcome, VecDeque};
 
-    struct ChanInner<T> {
-        queue: VecDeque<T>,
-        /// Live `Sender` clones. The model path tracks enabledness in the
-        /// runtime's own counters; this field is what gives the
-        /// *unregistered* path (production code in a `--cfg sdt_check`
-        /// build, outside any model run) real disconnect semantics.
-        senders: usize,
-        /// Whether the `Receiver` is still alive (unregistered sends fail
-        /// once it is gone, like `std::sync::mpsc`).
-        rx_alive: bool,
+    /// The queued values. Which operations are enabled (queue length, live
+    /// senders, receiver alive) is the runtime's `ChanSt`; the queue only
+    /// carries the data, so it is touched by the one thread holding the
+    /// baton.
+    type Queue<T> = Arc<Mutex<VecDeque<T>>>;
+
+    fn push<T>(q: &Queue<T>, value: T) {
+        match q.lock() {
+            Ok(mut g) => g.push_back(value),
+            Err(p) => p.into_inner().push_back(value),
+        }
     }
 
-    struct ChanData<T> {
-        inner: std::sync::Mutex<ChanInner<T>>,
-        /// Wakes an unregistered blocking `recv` on push or disconnect.
-        cv: std::sync::Condvar,
-    }
-
-    impl<T> ChanData<T> {
-        fn lock(&self) -> std::sync::MutexGuard<'_, ChanInner<T>> {
-            match self.inner.lock() {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            }
-        }
-
-        fn push(&self, value: T) {
-            self.lock().queue.push_back(value);
-            self.cv.notify_one();
-        }
-
-        fn pop(&self) -> Option<T> {
-            self.lock().queue.pop_front()
+    fn pop<T>(q: &Queue<T>) -> T {
+        let v = match q.lock() {
+            Ok(mut g) => g.pop_front(),
+            Err(p) => p.into_inner().pop_front(),
+        };
+        match v {
+            Some(v) => v,
+            None => unreachable!("model queue length said non-empty"),
         }
     }
 
     /// Sending half. Cloning adds a producer; dropping the last sender
     /// disconnects the channel.
     pub struct Sender<T> {
-        id: Option<usize>,
-        data: Arc<ChanData<T>>,
+        id: usize,
+        data: Queue<T>,
     }
 
     /// Receiving half (single consumer, not cloneable).
     pub struct Receiver<T> {
-        id: Option<usize>,
-        data: Arc<ChanData<T>>,
+        id: usize,
+        data: Queue<T>,
     }
 
     /// The receiver disconnected before this value could be delivered.
@@ -124,76 +105,44 @@ pub mod mpsc {
     impl std::error::Error for RecvError {}
     impl std::error::Error for TryRecvError {}
 
-    /// Create a connected sender/receiver pair.
+    /// Create a connected sender/receiver pair inside a model.
     pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
-        let id = maybe_current().map(|(rt, _)| rt.register_channel());
-        let data = Arc::new(ChanData {
-            inner: std::sync::Mutex::new(ChanInner {
-                queue: VecDeque::new(),
-                senders: 1,
-                rx_alive: true,
-            }),
-            cv: std::sync::Condvar::new(),
-        });
+        let id = current("mpsc::channel").0.register_channel();
+        let data = Queue::default();
         (Sender { id, data: Arc::clone(&data) }, Receiver { id, data })
     }
 
     impl<T> Sender<T> {
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            if let (Some(id), Some((rt, me))) = (self.id, maybe_current()) {
-                return match rt.yield_point(me, Op::Send(id)) {
-                    Outcome::Item => {
-                        self.data.push(value);
-                        Ok(())
-                    }
-                    _ => Err(SendError(value)),
-                };
+            let (rt, me) = current("Sender::send");
+            match rt.yield_point(me, Op::Send(self.id)) {
+                Outcome::Item => {
+                    push(&self.data, value);
+                    Ok(())
+                }
+                _ => Err(SendError(value)),
             }
-            // Unregistered (production code in a `--cfg sdt_check` build,
-            // outside any model run): full std semantics — fail once the
-            // receiver is gone, wake a blocked `recv` otherwise.
-            let mut inner = self.data.lock();
-            if !inner.rx_alive {
-                return Err(SendError(value));
-            }
-            inner.queue.push_back(value);
-            drop(inner);
-            self.data.cv.notify_one();
-            Ok(())
         }
     }
 
     impl<T> Clone for Sender<T> {
         fn clone(&self) -> Sender<T> {
-            self.data.lock().senders += 1;
-            if let (Some(id), Some((rt, _))) = (self.id, maybe_current()) {
-                // Not a yield point: adding a sender while at least one is
-                // alive cannot change any thread's enabledness.
-                rt.sender_cloned(id);
-            }
+            // Not a yield point: adding a sender while at least one is
+            // alive cannot change any thread's enabledness.
+            current("Sender::clone").0.sender_cloned(self.id);
             Sender { id: self.id, data: Arc::clone(&self.data) }
         }
     }
 
     impl<T> Drop for Sender<T> {
         fn drop(&mut self) {
-            {
-                let mut inner = self.data.lock();
-                inner.senders -= 1;
-                if inner.senders == 0 {
-                    // Unregistered blocking `recv`s must wake to observe
-                    // the disconnect.
-                    self.data.cv.notify_all();
-                }
-            }
-            if let (Some(id), Some((rt, me))) = (self.id, maybe_current()) {
-                if std::thread::panicking() {
-                    rt.effect_during_unwind(Op::CloseTx(id));
-                } else {
-                    // The last sender dropping enables a parked `recv` to
-                    // resolve as disconnected — a real decision point.
-                    let _ = rt.yield_point(me, Op::CloseTx(id));
-                }
+            let Some((rt, me)) = maybe_current() else { return };
+            if std::thread::panicking() {
+                rt.effect_during_unwind(Op::CloseTx(self.id));
+            } else {
+                // The last sender dropping enables a parked `recv` to
+                // resolve as disconnected — a real decision point.
+                let _ = rt.yield_point(me, Op::CloseTx(self.id));
             }
         }
     }
@@ -202,136 +151,31 @@ pub mod mpsc {
         /// Blocking receive: schedulable once a value is queued or all
         /// senders are gone.
         pub fn recv(&self) -> Result<T, RecvError> {
-            if let (Some(id), Some((rt, me))) = (self.id, maybe_current()) {
-                return match rt.yield_point(me, Op::Recv(id)) {
-                    Outcome::Item => match self.data.pop() {
-                        Some(v) => Ok(v),
-                        None => unreachable!("model queue length said non-empty"),
-                    },
-                    _ => Err(RecvError),
-                };
-            }
-            if maybe_current().is_some() {
-                // A model thread on a channel created outside the model:
-                // never block for real while holding the baton — that
-                // would wedge the whole exploration.
-                return self.data.pop().ok_or(RecvError);
-            }
-            // Unregistered, outside any model: real blocking semantics,
-            // woken by `send` and by the last `Sender` dropping.
-            let mut inner = self.data.lock();
-            loop {
-                if let Some(v) = inner.queue.pop_front() {
-                    return Ok(v);
-                }
-                if inner.senders == 0 {
-                    return Err(RecvError);
-                }
-                inner = match self.data.cv.wait(inner) {
-                    Ok(g) => g,
-                    Err(p) => p.into_inner(),
-                };
+            let (rt, me) = current("Receiver::recv");
+            match rt.yield_point(me, Op::Recv(self.id)) {
+                Outcome::Item => Ok(pop(&self.data)),
+                _ => Err(RecvError),
             }
         }
 
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            if let (Some(id), Some((rt, me))) = (self.id, maybe_current()) {
-                return match rt.yield_point(me, Op::TryRecv(id)) {
-                    Outcome::Item => match self.data.pop() {
-                        Some(v) => Ok(v),
-                        None => unreachable!("model queue length said non-empty"),
-                    },
-                    Outcome::Empty => Err(TryRecvError::Empty),
-                    _ => Err(TryRecvError::Disconnected),
-                };
-            }
-            let mut inner = self.data.lock();
-            match inner.queue.pop_front() {
-                Some(v) => Ok(v),
-                None if inner.senders == 0 => Err(TryRecvError::Disconnected),
-                None => Err(TryRecvError::Empty),
+            let (rt, me) = current("Receiver::try_recv");
+            match rt.yield_point(me, Op::TryRecv(self.id)) {
+                Outcome::Item => Ok(pop(&self.data)),
+                Outcome::Empty => Err(TryRecvError::Empty),
+                _ => Err(TryRecvError::Disconnected),
             }
         }
     }
 
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
-            self.data.lock().rx_alive = false;
-            if let (Some(id), Some((rt, me))) = (self.id, maybe_current()) {
-                if std::thread::panicking() {
-                    rt.effect_during_unwind(Op::CloseRx(id));
-                } else {
-                    let _ = rt.yield_point(me, Op::CloseRx(id));
-                }
+            let Some((rt, me)) = maybe_current() else { return };
+            if std::thread::panicking() {
+                rt.effect_during_unwind(Op::CloseRx(self.id));
+            } else {
+                let _ = rt.yield_point(me, Op::CloseRx(self.id));
             }
         }
     }
-}
-
-// --------------------------------------------------------------- atomics
-
-/// Checked atomics. Inside a model every load/store/RMW is a decision
-/// point; the values themselves live in real `std` atomics so the data
-/// path is identical to production. The `Ordering` argument is accepted
-/// for API fidelity but the model serializes everything (sequentially
-/// consistent by construction) — see the crate docs for why that is the
-/// right coverage for schedule invariants.
-pub mod atomic {
-    pub use std::sync::atomic::Ordering;
-
-    use super::maybe_current;
-    use crate::rt::Op;
-
-    macro_rules! checked_int_atomic {
-        ($name:ident, $std:ident, $prim:ty) => {
-            pub struct $name {
-                id: Option<usize>,
-                v: std::sync::atomic::$std,
-            }
-
-            impl $name {
-                pub fn new(value: $prim) -> $name {
-                    let id = maybe_current().map(|(rt, _)| rt.register_atomic());
-                    $name { id, v: std::sync::atomic::$std::new(value) }
-                }
-
-                fn hit(&self, write: bool) {
-                    if let (Some(id), Some((rt, me))) = (self.id, maybe_current()) {
-                        let op = if write { Op::AtomicWrite(id) } else { Op::AtomicLoad(id) };
-                        let _ = rt.yield_point(me, op);
-                    }
-                }
-
-                pub fn load(&self, order: Ordering) -> $prim {
-                    self.hit(false);
-                    self.v.load(order)
-                }
-
-                pub fn store(&self, value: $prim, order: Ordering) {
-                    self.hit(true);
-                    self.v.store(value, order);
-                }
-
-                pub fn fetch_add(&self, value: $prim, order: Ordering) -> $prim {
-                    self.hit(true);
-                    self.v.fetch_add(value, order)
-                }
-            }
-
-            impl Default for $name {
-                fn default() -> $name {
-                    $name::new(0)
-                }
-            }
-
-            impl std::fmt::Debug for $name {
-                fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                    write!(f, "{}({})", stringify!($name), self.v.load(Ordering::Relaxed))
-                }
-            }
-        };
-    }
-
-    checked_int_atomic!(AtomicU64, AtomicU64, u64);
-    checked_int_atomic!(AtomicUsize, AtomicUsize, usize);
 }

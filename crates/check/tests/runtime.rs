@@ -1,37 +1,60 @@
 //! Exercises the exploration runtime itself: exhaustive search visits
 //! multiple schedules, violations come back with deterministic replayable
-//! traces, a malformed trace is refused, and the failure detectors
-//! (deadlock, leaked threads) fire.
+//! traces, a malformed trace is refused, the failure detectors (deadlock,
+//! leaked threads) fire, and the primitives refuse to run outside a model.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::sync::Arc;
-
-use sdt_check::sync::atomic::{AtomicU64, Ordering};
 use sdt_check::sync::mpsc;
 use sdt_check::{thread, Config};
 
-/// Two threads doing atomic RMW increments: the total is schedule
+/// A request to a counter the model's main thread owns: the channel form
+/// of a shared integer. `Add` is applied in one step, like an atomic
+/// read-modify-write; `Load` then `Store` split an increment into a read
+/// and a later write.
+enum Op {
+    Add(u64),
+    Load(mpsc::Sender<u64>),
+    Store(u64),
+}
+
+/// Spawn one worker per entry of `bodies`, serve their requests until
+/// every worker has hung up, join them, and return the final count.
+fn serve(bodies: Vec<fn(&mpsc::Sender<Op>)>) -> u64 {
+    let (tx, rx) = mpsc::channel::<Op>();
+    let workers: Vec<_> = bodies
+        .into_iter()
+        .map(|body| {
+            let tx = tx.clone();
+            thread::spawn(move || body(&tx))
+        })
+        .collect();
+    drop(tx);
+    let mut count = 0;
+    while let Ok(op) = rx.recv() {
+        match op {
+            Op::Add(n) => count += n,
+            Op::Load(reply) => reply.send(count).unwrap(),
+            Op::Store(n) => count = n,
+        }
+    }
+    for w in workers {
+        w.join().unwrap();
+    }
+    count
+}
+
+fn add_twice(tx: &mpsc::Sender<Op>) {
+    tx.send(Op::Add(1)).unwrap();
+    tx.send(Op::Add(1)).unwrap();
+}
+
+/// Two threads doing one-step increments: the total is schedule
 /// invariant, and the DFS actually explores more than one interleaving.
 #[test]
 fn atomic_rmw_total_is_schedule_invariant() {
     let exploration = Config::dfs()
-        .explore(|| {
-            let counter = Arc::new(AtomicU64::new(0));
-            let workers: Vec<_> = (0..2)
-                .map(|_| {
-                    let counter = Arc::clone(&counter);
-                    thread::spawn(move || {
-                        counter.fetch_add(1, Ordering::Relaxed);
-                        counter.fetch_add(1, Ordering::Relaxed);
-                    })
-                })
-                .collect();
-            for w in workers {
-                w.join().unwrap();
-            }
-            assert_eq!(counter.load(Ordering::Relaxed), 4);
-        })
+        .explore(|| assert_eq!(serve(vec![add_twice, add_twice]), 4))
         .unwrap();
     assert!(
         exploration.schedules > 1,
@@ -45,22 +68,13 @@ fn atomic_rmw_total_is_schedule_invariant() {
 /// the same failure deterministically.
 #[test]
 fn lost_update_is_found_and_replays() {
-    let broken = || {
-        let counter = Arc::new(AtomicU64::new(0));
-        let workers: Vec<_> = (0..2)
-            .map(|_| {
-                let counter = Arc::clone(&counter);
-                thread::spawn(move || {
-                    let v = counter.load(Ordering::SeqCst);
-                    counter.store(v + 1, Ordering::SeqCst);
-                })
-            })
-            .collect();
-        for w in workers {
-            w.join().unwrap();
-        }
-        assert_eq!(counter.load(Ordering::SeqCst), 2, "lost update");
-    };
+    fn load_then_store(tx: &mpsc::Sender<Op>) {
+        let (reply, value) = mpsc::channel();
+        tx.send(Op::Load(reply)).unwrap();
+        let v = value.recv().unwrap();
+        tx.send(Op::Store(v + 1)).unwrap();
+    }
+    let broken = || assert_eq!(serve(vec![load_then_store, load_then_store]), 2, "lost update");
 
     let failure = Config::dfs().explore(broken).expect_err("the race must be found");
     assert!(failure.message.contains("lost update"), "unexpected: {}", failure.message);
@@ -192,42 +206,19 @@ fn leaked_thread_is_reported() {
     assert!(failure.message.contains("live threads"), "unexpected: {}", failure.message);
 }
 
-/// Scoped threads may borrow the environment; all joined at scope end.
+/// A channel exists only inside a model: outside one it is refused by
+/// name, not silently unchecked.
 #[test]
-fn scope_borrows_and_joins() {
-    Config::dfs().check(|| {
-        let data = [10u64, 20, 30];
-        let total = Arc::new(AtomicU64::new(0));
-        thread::scope(|s| {
-            for chunk in data.chunks(1) {
-                let total = Arc::clone(&total);
-                s.spawn(move || {
-                    total.fetch_add(chunk[0], Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 60);
-    });
+#[should_panic(expected = "mpsc::channel called outside a model")]
+fn channel_outside_a_model_is_refused() {
+    let _ = mpsc::channel::<u8>();
 }
 
-/// Checked primitives created outside a model behave as plain std types.
+/// A spawn outside a model is refused the same way.
 #[test]
-fn primitives_fall_back_to_std_outside_models() {
-    let a = AtomicU64::new(7);
-    a.fetch_add(1, Ordering::SeqCst);
-    assert_eq!(a.load(Ordering::SeqCst), 8);
-
-    let (tx, rx) = mpsc::channel::<u8>();
-    tx.send(42).unwrap();
-    assert_eq!(rx.try_recv(), Ok(42));
-
-    let h = thread::spawn(|| 9u8);
-    assert_eq!(h.join().unwrap(), 9);
-
-    thread::scope(|s| {
-        let h = s.spawn(|| 3u8);
-        assert_eq!(h.join().unwrap(), 3);
-    });
+#[should_panic(expected = "thread::spawn called outside a model")]
+fn spawn_outside_a_model_is_refused() {
+    let _ = thread::spawn(|| ());
 }
 
 /// Exceeding max_schedules surfaces as a bound error, not a hang.
@@ -235,21 +226,7 @@ fn primitives_fall_back_to_std_outside_models() {
 fn schedule_budget_is_enforced() {
     let failure = Config::dfs()
         .max_schedules(3)
-        .explore(|| {
-            let counter = Arc::new(AtomicU64::new(0));
-            let workers: Vec<_> = (0..3)
-                .map(|_| {
-                    let counter = Arc::clone(&counter);
-                    thread::spawn(move || {
-                        counter.fetch_add(1, Ordering::Relaxed);
-                        counter.fetch_add(1, Ordering::Relaxed);
-                    })
-                })
-                .collect();
-            for w in workers {
-                w.join().unwrap();
-            }
-        })
+        .explore(|| assert_eq!(serve(vec![add_twice, add_twice, add_twice]), 6))
         .expect_err("3 schedules cannot cover 3 racing threads");
     assert!(failure.message.contains("max_schedules"), "unexpected: {}", failure.message);
 }

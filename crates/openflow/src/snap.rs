@@ -84,7 +84,11 @@ fn parse_num<T: std::str::FromStr>(v: &str, what: &str, text: &str) -> Result<T,
     v.parse().map_err(|_| err(format!("{what}: not a number: `{v}`"), text))
 }
 
-/// Decode an entry previously produced by [`encode_entry`].
+/// Decode an entry previously produced by [`encode_entry`]. Only the text
+/// `encode_entry` writes is accepted: a line that parses but is not in
+/// canonical form (repeated or reordered fields, a sign or leading zero on
+/// a number) is refused, so two different files never restore to the
+/// same state.
 pub fn decode_entry(text: &str) -> Result<FlowEntry, SnapError> {
     let mut parts = text.splitn(3, '|');
     let (prio, m, action) = match (parts.next(), parts.next(), parts.next()) {
@@ -121,7 +125,12 @@ pub fn decode_entry(text: &str) -> Result<FlowEntry, SnapError> {
         return Err(err(format!("unknown action `{action}`"), text));
     };
 
-    Ok(FlowEntry { m: m_out, priority, action })
+    let entry = FlowEntry { m: m_out, priority, action };
+    let canonical = encode_entry(&entry);
+    if canonical != text {
+        return Err(err(format!("not in canonical form (`{canonical}`)"), text));
+    }
+    Ok(entry)
 }
 
 /// Encode a whole table dump (entries in live first-match order).
@@ -132,6 +141,7 @@ pub fn encode_entries(entries: &[FlowEntry]) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_entries() -> Vec<FlowEntry> {
         vec![
@@ -195,9 +205,60 @@ mod tests {
 
     #[test]
     fn corrupt_records_name_the_text() {
-        for bad in ["", "x|*|drop", "1|zz:3|drop", "1|*|warp", "1|in3|drop", "1|*"] {
+        let malformed = ["", "x|*|drop", "1|zz:3|drop", "1|*|warp", "1|in3|drop", "1|*"];
+        // Each parses, but `encode_entry` never writes it.
+        let non_canonical = [
+            "1|dst:4,dst:5|drop",
+            "+1|*|drop",
+            "01|*|drop",
+            "1|dst:4,in:3|drop",
+            "1|*|out:+2",
+            "1|*|goto:007",
+        ];
+        for bad in malformed.into_iter().chain(non_canonical) {
             let e = decode_entry(bad).unwrap_err();
             assert!(e.to_string().contains(&format!("`{bad}`")), "{e}");
+        }
+    }
+
+    /// The grammar's pieces plus signs, leading zeros, overflow and junk.
+    /// Lines built from them are mostly well formed, so the decoder's
+    /// accepting path sees the non-canonical spellings (repeated and
+    /// reordered fields, padded numbers) as well as its error paths.
+    const NUM: [&str; 9] = ["0", "4", "9", "00", "+", "-", "65536", "4294967296", " "];
+    const KEY: [&str; 8] = ["in:", "md:", "src:", "dst:", "ls:", "ld:", "zz:", "in"];
+    const ACT: [&str; 4] = ["drop", "out:", "goto:", "warp"];
+    const ALPHABET: [&str; 12] =
+        ["0", "1", "|", "*", ",", ":", "+", "in:", "dst:", "out:", "drop", "\u{e9}"];
+
+    fn spell(tokens: &[usize], from: &[&str]) -> String {
+        tokens.iter().map(|&t| from[t]).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// Decoding never panics, and whatever it accepts is exactly what
+        /// `encode_entry` writes for the entry it returns.
+        #[test]
+        fn decode_accepts_only_canonical_text(
+            prio in collection::vec(0..NUM.len(), 1..3),
+            fields in collection::vec((0..KEY.len(), 0..NUM.len()), 0..4),
+            action in (0..ACT.len(), 0..NUM.len()),
+            raw in collection::vec(0..ALPHABET.len(), 0..12),
+        ) {
+            let fields: Vec<String> =
+                fields.iter().map(|&(k, v)| format!("{}{}", KEY[k], NUM[v])).collect();
+            let m = if fields.is_empty() { "*".to_string() } else { fields.join(",") };
+            let a = match action {
+                (0, _) => ACT[0].to_string(),
+                (a, v) => format!("{}{}", ACT[a], NUM[v]),
+            };
+            for s in [format!("{}|{m}|{a}", spell(&prio, &NUM)), spell(&raw, &ALPHABET)] {
+                if let Ok(e) = decode_entry(&s) {
+                    prop_assert_eq!(encode_entry(&e), s);
+                }
+            }
         }
     }
 }

@@ -3,8 +3,8 @@
 use crate::index::EntryStore;
 use crate::{HostAddr, PortNo};
 use std::cmp::Reverse;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use sdt_check::facade::atomic::{AtomicU64, Ordering};
 
 /// Wildcard-able match over the fields SDT programs: ingress port, pipeline
 /// metadata (OpenFlow 1.3 multi-table), plus an IPv4-style 5-tuple subset.
@@ -237,9 +237,10 @@ pub struct FlowTable {
     /// lost regardless of ordering) and standalone `load`s that feed
     /// stats reports. Nothing is *published* through these counters: no
     /// other memory access is ordered against them, so no release/acquire
-    /// edge is needed. The totals are schedule-invariant (the model test
-    /// `tests/counter_model.rs` explores every interleaving); only the
-    /// momentary values seen by a concurrent `stats()` depend on timing.
+    /// edge is needed. The quiesced totals are therefore exact under any
+    /// interleaving (`tests/index_differential.rs` probes one shared table
+    /// from eight threads and checks them); only the momentary values seen
+    /// by a concurrent `stats()` depend on timing.
     lookups: AtomicU64,
     misses: AtomicU64,
 }
@@ -362,12 +363,12 @@ impl FlowTable {
     ///
     /// Counter reads are `Relaxed` point-in-time samples: exact once the
     /// probing threads have quiesced (joined), momentary while they run.
-    /// The two counters are sampled independently with no ordering between
-    /// them, so a report taken concurrently with probing can even show
-    /// `misses` ahead of `lookups` (the model test in
-    /// `tests/counter_model.rs` exhibits such a schedule). Each sample is
-    /// still bounded by its true total — counts are never invented, and
-    /// quiesced totals are exact.
+    /// The two counters are two independent relaxed loads with no ordering
+    /// between them, so a report taken concurrently with probing can even
+    /// show `misses` ahead of `lookups`: the `lookups` load may run before
+    /// a probe's bump and the `misses` load after that probe's miss. Each
+    /// sample is still bounded by its true total — counts are never
+    /// invented, and quiesced totals are exact.
     pub fn stats(&self) -> TableStats {
         TableStats {
             entries: self.len(),

@@ -29,6 +29,7 @@
 use proptest::prelude::*;
 use sdt_openflow::{
     Action, EntryStore, FlowEntry, FlowMatch, FlowMod, FlowTable, HostAddr, PacketMeta, PortNo,
+    TableStats,
 };
 use std::sync::{Arc, Barrier};
 
@@ -209,15 +210,21 @@ proptest! {
     }
 }
 
-/// Eight threads make the first probe of one shared store at the same
+/// Eight threads make the first probe of one shared table at the same
 /// moment: whichever builds the index, every thread reads the finished one,
-/// and all answers are the linear scan's.
+/// and all answers are the linear scan's. The table's relaxed counters lose
+/// no bump to the race: once the threads are joined, `stats()` holds
+/// exactly one lookup per probe and one miss per probe the scan missed.
 #[test]
 fn concurrent_first_probes_agree_with_linear_scan() {
     const THREADS: usize = 8;
+    const PROBES: u32 = 600;
     // 12 000 entries over all eight tiers, three priorities, with repeats
     // of a (match) under a lower priority so buckets hold more than one.
-    let mut store = EntryStore::default();
+    // The entries that constrain no tier field pin `src` instead, and the
+    // probes range past every field's domain, so some probes miss
+    // everything. Every entry outputs to its own port, so an action names
+    // its entry.
     let entries: Vec<FlowEntry> = (0..12_000u32)
         .map(|i| {
             let mut m = FlowMatch::any();
@@ -230,35 +237,52 @@ fn concurrent_first_probes_agree_with_linear_scan() {
             if i & 4 != 0 {
                 m.dst = Some(HostAddr((i >> 3) % 1024));
             }
+            if i & 7 == 0 {
+                m.src = Some(HostAddr((i >> 3) % 3));
+            }
             FlowEntry { m, priority: (i % 3) as u16, action: Action::Output(PortNo(i as u16)) }
         })
         .collect();
-    store.install(&entries);
-    let store = Arc::new(store);
+    let mut table = FlowTable::new(entries.len());
+    table.install(&entries).unwrap();
+    let table = Arc::new(table);
     let start = Barrier::new(THREADS);
 
-    std::thread::scope(|s| {
-        for t in 0..THREADS as u32 {
-            let (store, start) = (Arc::clone(&store), &start);
-            s.spawn(move || {
-                start.wait();
-                for q in 0..600u32 {
-                    let x = q * THREADS as u32 + t;
-                    let meta = PacketMeta {
-                        in_port: PortNo((x % 50) as u16),
-                        src: HostAddr(1),
-                        dst: HostAddr(x % 1100),
-                        l4_src: 1,
-                        l4_dst: 2,
-                    };
-                    let metadata = (x % 5 != 0).then_some(x % 100);
-                    assert_eq!(
-                        store.lookup(&meta, metadata),
-                        store.entries().iter().find(|e| e.m.matches(&meta, metadata)),
-                        "thread {t} probe {q}"
-                    );
-                }
-            });
-        }
+    let oracle_misses: u64 = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..THREADS as u32)
+            .map(|t| {
+                let (table, start) = (Arc::clone(&table), &start);
+                s.spawn(move || {
+                    start.wait();
+                    let mut misses = 0;
+                    for q in 0..PROBES {
+                        let x = q * THREADS as u32 + t;
+                        let meta = PacketMeta {
+                            in_port: PortNo((x % 97) as u16),
+                            src: HostAddr(x % 7),
+                            dst: HostAddr(x % 2053),
+                            l4_src: 1,
+                            l4_dst: 2,
+                        };
+                        let metadata = (x % 5 != 0).then_some(x % 193);
+                        let scan = table.entries().iter().find(|e| e.m.matches(&meta, metadata));
+                        misses += u64::from(scan.is_none());
+                        assert_eq!(
+                            table.lookup_with(&meta, metadata),
+                            scan.map(|e| e.action),
+                            "thread {t} probe {q}"
+                        );
+                    }
+                    misses
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).sum()
     });
+    assert!(oracle_misses > 0, "the probe grid must miss somewhere");
+    let lookups = THREADS as u64 * u64::from(PROBES);
+    assert_eq!(
+        table.stats(),
+        TableStats { entries: entries.len(), lookups, misses: oracle_misses }
+    );
 }

@@ -10,8 +10,8 @@
 
 pub mod stats;
 
-use sdt_check::facade::atomic::{AtomicUsize, Ordering};
-use sdt_check::facade::thread;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::thread;
 
 /// Parse a thread-count override, as read from an environment variable:
 /// a positive integer means that many workers, anything else means "no
