@@ -67,26 +67,6 @@ pub struct BarrierReport {
     pub reordered: usize,
 }
 
-/// Per-round channel telemetry: what one tagged batch of flow-mods
-/// experienced between its [`ControlChannel::begin_round`] and the barrier
-/// that flushed it. The scheduler's replay-identical telemetry contract
-/// rests on this log: same seed, same rounds → byte-identical entries.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RoundBatch {
-    /// Round tag the batch was sent under (0 = untagged traffic).
-    pub round: u32,
-    /// Flow-mods handed to the channel during the round.
-    pub sent: u64,
-    /// Of those, silently lost in flight.
-    pub dropped: u64,
-    /// Flow-mods the switches applied at the barrier.
-    pub applied: usize,
-    /// Flow-mods the switches refused at the barrier.
-    pub rejected: usize,
-    /// Adjacent in-flight swaps at the barrier.
-    pub reordered: usize,
-}
-
 /// A lossy, reordering controller→switch message channel.
 #[derive(Clone, Debug)]
 pub struct ControlChannel {
@@ -98,13 +78,6 @@ pub struct ControlChannel {
     sent: u64,
     dropped: u64,
     delivered: u64,
-    /// Current round tag (0 until [`ControlChannel::begin_round`]).
-    round: u32,
-    /// Sends/drops since the round began (folded into the log at barrier).
-    round_sent: u64,
-    round_dropped: u64,
-    /// One entry per barrier since the channel was created.
-    round_log: Vec<RoundBatch>,
 }
 
 impl ControlChannel {
@@ -117,10 +90,6 @@ impl ControlChannel {
             sent: 0,
             dropped: 0,
             delivered: 0,
-            round: 0,
-            round_sent: 0,
-            round_dropped: 0,
-            round_log: Vec::new(),
         }
     }
 
@@ -154,30 +123,11 @@ impl ControlChannel {
     /// — exactly the OpenFlow flow-mod contract.
     pub fn send(&mut self, switch: usize, table: u8, m: FlowMod) {
         self.sent += 1;
-        self.round_sent += 1;
         if self.cfg.drop_prob > 0.0 && self.rng.random_bool(self.cfg.drop_prob) {
             self.dropped += 1;
-            self.round_dropped += 1;
             return;
         }
         self.queue.push((switch, table, m));
-    }
-
-    /// Tag all subsequent sends with `round` until the next barrier (or
-    /// the next `begin_round`). The scheduler tags each dependency-ordered
-    /// round so the per-barrier [`ControlChannel::round_log`] attributes
-    /// loss and reordering to the round that suffered it.
-    pub fn begin_round(&mut self, round: u32) {
-        self.round = round;
-        self.round_sent = 0;
-        self.round_dropped = 0;
-    }
-
-    /// One [`RoundBatch`] per barrier executed on this channel, in order.
-    /// Retries within a scheduler round re-use its tag, so a round that
-    /// needed three barriers contributes three entries with one tag.
-    pub fn round_log(&self) -> &[RoundBatch] {
-        &self.round_log
     }
 
     /// Deliver every queued message (possibly reordered) and wait for the
@@ -206,16 +156,6 @@ impl ControlChannel {
                 Err(_) => report.rejected += 1,
             }
         }
-        self.round_log.push(RoundBatch {
-            round: self.round,
-            sent: self.round_sent,
-            dropped: self.round_dropped,
-            applied: report.applied,
-            rejected: report.rejected,
-            reordered: report.reordered,
-        });
-        self.round_sent = 0;
-        self.round_dropped = 0;
         report
     }
 

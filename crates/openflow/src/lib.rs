@@ -29,7 +29,7 @@ pub mod table;
 
 pub use control::{
     reconcile, table_divergence, BarrierReport, ControlChannel, ControlConfig, Reconciled,
-    RetryPolicy, RoundBatch,
+    RetryPolicy,
 };
 pub use index::{EntryStore, FxBuild, FxHasher};
 pub use overlap::{table_warnings_indexed, table_warnings_linear};

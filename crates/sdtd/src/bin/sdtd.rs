@@ -60,7 +60,7 @@ fn real_main() -> Result<(), String> {
     }
     let socket = socket.ok_or(format!("--socket is required\n{USAGE}"))?;
 
-    let mut state = match &snapshot {
+    let state = match &snapshot {
         Some(path) if path.exists() => {
             let mut s = DaemonState::from_snapshot_file(path)?;
             eprintln!(
@@ -91,7 +91,6 @@ fn real_main() -> Result<(), String> {
             DaemonState::fresh(&text).map_err(|e| format!("{}: {e}", path.display()))?
         }
     };
-    let _ = &mut state;
 
     eprintln!("sdtd: serving on {} (batch-max {batch_max})", socket.display());
     let metrics = run(state, DaemonOptions { socket, snapshot, batch_max })?;

@@ -58,7 +58,8 @@ use std::thread;
 pub struct DaemonOptions {
     /// Unix-domain socket path to serve on (stale files are replaced).
     pub socket: PathBuf,
-    /// Snapshot file; `None` disables persistence (bench-only).
+    /// Snapshot file; `None` runs without persistence: nothing survives a
+    /// restart, and a `snapshot` request is refused.
     pub snapshot: Option<PathBuf>,
     /// Longest run of lifecycle ops coalesced into one
     /// [`SliceManager::apply_batch`](sdt_tenancy::SliceManager::apply_batch)
@@ -519,6 +520,9 @@ impl Engine<'_> {
             Request::Ping | Request::Shutdown => Reply::ok(item.id),
             Request::Status => self.status_reply(item.id),
             Request::Metrics => self.metrics_reply(item.id),
+            Request::Snapshot if self.opts.snapshot.is_none() => {
+                Reply::err(item.id, "no snapshot file configured (start sdtd with --snapshot)")
+            }
             Request::Snapshot => {
                 self.dirty = true;
                 self.persist();

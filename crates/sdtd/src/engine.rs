@@ -1,9 +1,10 @@
 //! The engine loop, extracted from the daemon so it is scheduler-agnostic:
 //! pure control flow over two small traits, with no I/O, no clock, and no
 //! direct thread use. The daemon drives it with a real mpsc receiver and
-//! the slice controller; the model tests drive it with `sdt-check`
-//! channels and a recording host, exploring every interleaving of
-//! producers against the drain/batch/persist/reply sequence.
+//! the slice controller; the model tests (`tests/model.rs`) drive it with
+//! a scripted [`WorkSource`] and a recording host, running it once per
+//! answer sequence an mpsc queue can give — every way producers' sends
+//! can meet the drain/batch/persist/reply sequence.
 //!
 //! The loop owns the ordering guarantees the daemon advertises:
 //!

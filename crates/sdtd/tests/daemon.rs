@@ -417,6 +417,19 @@ fn non_utf8_request_line_gets_an_error_reply_and_the_connection_keeps_serving() 
     handle.join().unwrap().unwrap();
 }
 
+/// A daemon started without a snapshot file writes nothing, so a
+/// `snapshot` request is refused by name instead of answered `ok`.
+#[test]
+fn snapshot_request_without_a_snapshot_file_is_refused() {
+    let (socket, handle) = start("no-snapshot", 64);
+    let mut c = Client::connect(&socket);
+    let (ok, err) = outcome(&c.call("snapshot", vec![]));
+    assert!(!ok && err.contains("no snapshot file configured"), "got ok={ok} {err:?}");
+    assert!(outcome(&c.call("ping", vec![])).0, "the connection keeps serving");
+    stop(&socket);
+    assert_eq!(handle.join().unwrap().unwrap().snapshot_writes, 0);
+}
+
 /// A slice id that does not fit `u32` is refused by name, in queue order.
 /// `id as u32` used to wrap 2³² + 1 onto slice 1 and destroy (or migrate)
 /// a live tenant. Of a duplicated key the first is read, so a second `id`

@@ -436,9 +436,8 @@ pub fn install_scheduled(
     while let Some(p) = next.take() {
         let Proven { round, verifier, proof_wall_ns, merged_from, pairs_walked, post } = p;
 
-        // Send the round tagged, then prove the *next* boundary while the
-        // mods are in flight.
-        channel.begin_round(index as u32 + 1);
+        // Send the round, then prove the *next* boundary while the mods
+        // are in flight.
         let mut per_switch = vec![0usize; switches.len()];
         for (sw, t, m) in &round.mods {
             channel.send(*sw as usize, *t, m.clone());
