@@ -280,16 +280,6 @@ impl RouteTable {
     pub fn strategy(&self) -> &str {
         &self.strategy
     }
-
-    /// Next hop and VC from switch `at` toward destination switch `to`.
-    /// `None` when `at == to` (delivery).
-    pub fn next_hop(&self, at: SwitchId, to: SwitchId) -> Option<(SwitchId, u8)> {
-        if at == to {
-            return None;
-        }
-        let r = self.route(at, to);
-        Some((r.hops[1], r.vcs[0]))
-    }
 }
 
 /// Pick the strategy the paper pairs with each topology family
@@ -345,21 +335,6 @@ mod tests {
         let got: Vec<_> = table.iter().map(|(pair, _)| *pair).collect();
         assert_eq!(got, want.into_iter().collect::<Vec<_>>());
         assert!(got.len() < t.num_switches() as usize * (t.num_switches() as usize - 1));
-    }
-
-    #[test]
-    fn next_hop_walks_route() {
-        let t = chain(4);
-        let table = RouteTable::build(&t, &generic::Bfs::new(&t));
-        let mut at = SwitchId(0);
-        let mut hops = 0;
-        while let Some((next, _vc)) = table.next_hop(at, SwitchId(3)) {
-            at = next;
-            hops += 1;
-            assert!(hops <= 4);
-        }
-        assert_eq!(at, SwitchId(3));
-        assert_eq!(hops, 3);
     }
 
     #[test]

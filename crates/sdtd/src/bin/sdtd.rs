@@ -49,7 +49,9 @@ fn real_main() -> Result<(), String> {
             "--batch-max" => {
                 batch_max = need(&mut it, "--batch-max")?
                     .parse()
-                    .map_err(|_| "--batch-max needs a positive integer".to_string())?;
+                    .ok()
+                    .filter(|&n| n > 0)
+                    .ok_or("--batch-max needs a positive integer")?;
             }
             "--help" | "-h" => {
                 println!("{USAGE}");

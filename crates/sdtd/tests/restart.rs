@@ -197,3 +197,25 @@ fn kill9_mid_churn_loses_nothing_that_was_acked() {
     daemon.kill9();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `--batch-max 0` is refused where the flag is parsed: the daemon exits
+/// non-zero before it claims to serve, and binds no socket.
+#[test]
+fn batch_max_zero_is_refused_before_serving() {
+    let dir = util::scratch("restart-batch-max-zero");
+    let config = write_config(&dir);
+    let socket = dir.join("sdtd.sock");
+    let out = Command::new(env!("CARGO_BIN_EXE_sdtd"))
+        .arg("--socket")
+        .arg(&socket)
+        .arg("--config")
+        .arg(&config)
+        .args(["--batch-max", "0"])
+        .output()
+        .expect("run sdtd");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "sdtd accepted --batch-max 0: {stderr}");
+    assert!(stderr.contains("--batch-max needs a positive integer"), "{stderr}");
+    assert!(!stderr.contains("serving on"), "{stderr}");
+    assert!(!socket.exists(), "a socket file appeared");
+}

@@ -2,67 +2,51 @@
 //!
 //! Every mutation the [`crate::SliceManager`] performs on the shared
 //! switches — admitting a slice, reconfiguring it, tearing it down — is
-//! first materialized as an [`Epoch`]: the complete set of additions and
-//! deletions, each targeted at a (physical switch, pipeline table). Before
-//! anything is applied, [`Epoch::verify`] proves that every mod's match
-//! space lies inside the owning slice's namespace and outside every other
-//! slice's — so a reconfiguration *cannot* touch a co-tenant's rules, by
-//! construction and by check.
+//! first materialized as an [`Epoch`]: one batch of `(physical switch,
+//! pipeline table, flow-mod)` triples, stored in the order the switches
+//! receive them. [`Epoch::from_diff`] is the one place that order is
+//! decided. Before anything is applied, [`Epoch::verify`] proves that
+//! every mod's match space lies inside the owning slice's namespace and
+//! outside every other slice's — so a reconfiguration *cannot* touch a
+//! co-tenant's rules, by construction and by check.
 //!
-//! Application order implements make-before-break:
+//! The wire order implements make-before-break:
 //!
-//! 1. **adds, table 1 first** — new routing entries become matchable before
+//! 1. **adds, table 1** — new routing entries become matchable before
 //!    any port steers to them;
 //! 2. **adds, table 0** — new classify entries land *behind* the old ones
 //!    (same priority, stable insertion order), so the old pipeline keeps
 //!    winning first-match until step 3;
-//! 3. **deletes, table 0 first** — removing an old classify entry is the
+//! 3. **deletes, table 0** — removing an old classify entry is the
 //!    per-port atomic cutover to the already-installed new pipeline;
 //! 4. **deletes, table 1** — only then is the old routing state garbage
 //!    collected.
+//!
+//! An add that shares a delete's (switch, table, match, priority) key is an
+//! in-place replacement (OpenFlow MODIFY): `FlowMod::Delete` removes by
+//! (match, priority), so adding first would get the replacement wiped by
+//! its own delete. Such an add leaves steps 1–2 and lands right after the
+//! first delete of its key instead. The manager's install, the static
+//! pre-install gate and the round compiler all read this one sequence, so
+//! what the verifier proves is byte-for-byte what the switches receive.
 //!
 //! At no instant does a port classify into a sub-switch whose routing
 //! entries are absent, and at no instant is another slice's state touched.
 
 use crate::SliceId;
 use sdt_core::synthesis::SynthesisOutput;
-use sdt_openflow::{diff_positions, install_time_ns, FlowEntry, FlowMatch, FlowMod, PortNo};
+use sdt_openflow::{diff_positions, install_time_ns, FlowEntry, FlowMod, PortNo};
 use std::collections::HashSet;
 use std::fmt;
-
-/// One entry installation, targeted at a switch and pipeline table.
-#[derive(Clone, Copy, Debug)]
-pub struct EpochAdd {
-    /// Physical switch.
-    pub switch: u32,
-    /// Pipeline table (0 or 1).
-    pub table: u8,
-    /// Entry to install.
-    pub entry: FlowEntry,
-}
-
-/// One strict deletion (exact match + priority), targeted like an add.
-#[derive(Clone, Copy, Debug)]
-pub struct EpochDelete {
-    /// Physical switch.
-    pub switch: u32,
-    /// Pipeline table (0 or 1).
-    pub table: u8,
-    /// Match of the entry to remove.
-    pub m: FlowMatch,
-    /// Priority of the entry to remove.
-    pub priority: u16,
-}
 
 /// A verified, atomic batch of flow-mods belonging to exactly one slice.
 #[derive(Clone, Debug, Default)]
 pub struct Epoch {
     /// The slice this epoch mutates.
     pub slice: SliceId,
-    /// Entries to install (applied first: table 1, then table 0).
-    pub adds: Vec<EpochAdd>,
-    /// Entries to remove (applied last: table 0, then table 1).
-    pub deletes: Vec<EpochDelete>,
+    /// `(switch, table, flow-mod)` in wire order (see the module docs):
+    /// what the gate proves and the manager installs.
+    pub mods: Vec<(u32, u8, FlowMod)>,
 }
 
 /// The match-space a slice owns on the shared fabric: its ingress ports
@@ -188,54 +172,109 @@ pub fn synthesis_entries(s: &SynthesisOutput, switch: usize, table: u8) -> &[Flo
     tables.get(switch).map_or(&[], Vec::as_slice)
 }
 
+/// One switch's table of a diff: the positions `old` loses, in position
+/// order; the positions of `new` whose key no delete shares; and the rest
+/// as (rank in `gone` of the delete each rides, position), by rank.
+struct TableDiff<'a> {
+    old: &'a [FlowEntry],
+    new: &'a [FlowEntry],
+    gone: Vec<usize>,
+    alone: Vec<usize>,
+    riders: Vec<(usize, usize)>,
+}
+
+impl<'a> TableDiff<'a> {
+    fn new(old: &'a [FlowEntry], new: &'a [FlowEntry]) -> Self {
+        let (gone, fresh) = diff_positions(old, new);
+        // Both sides by key: one comparison per element on a table already
+        // in entry order. Equal delete keys stay in position order, so the
+        // merge meets the first delete of a key first: the one its adds ride.
+        let key = |e: &FlowEntry| e.m.order_key(e.priority);
+        let mut deletes: Vec<usize> = (0..gone.len()).collect();
+        deletes.sort_by_key(|&k| key(&old[gone[k]]));
+        let mut adds: Vec<usize> = (0..fresh.len()).collect();
+        adds.sort_unstable_by_key(|&a| key(&new[fresh[a]]));
+        // Per fresh entry: the rank in `gone` of the delete it rides.
+        let mut rides = vec![None; fresh.len()];
+        let mut deletes = deletes.into_iter().peekable();
+        for a in adds {
+            let k = key(&new[fresh[a]]);
+            while deletes.next_if(|&d| key(&old[gone[d]]) < k).is_some() {}
+            rides[a] = deletes.peek().copied().filter(|&d| key(&old[gone[d]]) == k);
+        }
+        let (mut alone, mut riders) = (Vec::new(), Vec::new());
+        for (j, ride) in fresh.into_iter().zip(rides) {
+            match ride {
+                Some(k) => riders.push((k, j)),
+                None => alone.push(j),
+            }
+        }
+        // Stable: the adds riding one delete keep their position order.
+        riders.sort_by_key(|&(k, _)| k);
+        TableDiff { old, new, gone, alone, riders }
+    }
+}
+
 impl Epoch {
     /// Diff two synthesized pipelines into an epoch: exactly the mods that
-    /// turn `old` into `new`, table by table, switch by switch. Entries
-    /// present in both stay untouched, which is what keeps same-family
-    /// reconfigurations proportional to the delta.
+    /// turn `old` into `new`, in wire order. Entries present in both stay
+    /// untouched, which is what keeps same-family reconfigurations
+    /// proportional to the delta.
+    ///
+    /// Each section of the wire order runs switch by switch, each switch's
+    /// mods in table position order; an add rides the first delete, in
+    /// `old`'s position order, of its own key.
     pub fn from_diff(slice: SliceId, old: &SynthesisOutput, new: &SynthesisOutput) -> Epoch {
         let num_switches = old.table0.len().max(new.table0.len());
-        let tables = || (0..num_switches).flat_map(|sw| [(sw, 0u8), (sw, 1u8)]);
-        let diffs: Vec<_> = tables()
-            .map(|(sw, t)| {
-                diff_positions(synthesis_entries(old, sw, t), synthesis_entries(new, sw, t))
+        let diffs: Vec<[TableDiff; 2]> = (0..num_switches)
+            .map(|sw| {
+                [0, 1].map(|t| {
+                    TableDiff::new(synthesis_entries(old, sw, t), synthesis_entries(new, sw, t))
+                })
             })
             .collect();
-        let mut epoch = Epoch {
-            slice,
-            adds: Vec::with_capacity(diffs.iter().map(|(_, fresh)| fresh.len()).sum()),
-            deletes: Vec::with_capacity(diffs.iter().map(|(gone, _)| gone.len()).sum()),
-        };
-        for ((sw, table), (gone, fresh)) in tables().zip(diffs) {
-            let switch = sw as u32;
-            let (old, new) = (synthesis_entries(old, sw, table), synthesis_entries(new, sw, table));
-            epoch.deletes.extend(gone.iter().map(|&i| {
-                let FlowEntry { m, priority, .. } = old[i];
-                EpochDelete { switch, table, m, priority }
-            }));
-            epoch.adds.extend(fresh.iter().map(|&j| EpochAdd { switch, table, entry: new[j] }));
+        // The four sections in wire order, each filled once: lone adds of
+        // table 1, then of table 0; deletes of table 0, then of table 1,
+        // each followed by the adds that ride it.
+        let size = diffs.iter().flatten().map(|d| d.gone.len() + d.alone.len() + d.riders.len());
+        let mut mods = Vec::with_capacity(size.sum());
+        for table in [1u8, 0] {
+            for (sw, d) in diffs.iter().enumerate() {
+                let d = &d[usize::from(table)];
+                mods.extend(d.alone.iter().map(|&j| (sw as u32, table, FlowMod::Add(d.new[j]))));
+            }
         }
-        epoch
+        for table in [0u8, 1] {
+            for (sw, d) in diffs.iter().enumerate() {
+                let d = &d[usize::from(table)];
+                let mut riders = d.riders.iter().peekable();
+                for (k, &i) in d.gone.iter().enumerate() {
+                    let FlowEntry { m, priority, .. } = d.old[i];
+                    mods.push((sw as u32, table, FlowMod::Delete(m, priority)));
+                    while let Some(&(_, j)) = riders.next_if(|&&(of, _)| of == k) {
+                        mods.push((sw as u32, table, FlowMod::Add(d.new[j])));
+                    }
+                }
+            }
+        }
+        Epoch { slice, mods }
     }
 
     /// Flow-mods this epoch sends to each switch (adds + deletes).
     pub fn mods_per_switch(&self, num_switches: usize) -> Vec<usize> {
-        let mut per = vec![0usize; num_switches];
-        for a in &self.adds {
-            per[a.switch as usize] += 1;
-        }
-        for d in &self.deletes {
-            per[d.switch as usize] += 1;
-        }
-        per
+        self.per_switch(num_switches, |_| true)
     }
 
     /// *Adds* this epoch sends to each switch — the transient extra table
     /// occupancy make-before-break needs headroom for.
     pub fn adds_per_switch(&self, num_switches: usize) -> Vec<usize> {
+        self.per_switch(num_switches, |m| matches!(m, FlowMod::Add(_)))
+    }
+
+    fn per_switch(&self, num_switches: usize, counts: impl Fn(&FlowMod) -> bool) -> Vec<usize> {
         let mut per = vec![0usize; num_switches];
-        for a in &self.adds {
-            per[a.switch as usize] += 1;
+        for (sw, _, _) in self.mods.iter().filter(|(_, _, m)| counts(m)) {
+            per[*sw as usize] += 1;
         }
         per
     }
@@ -245,124 +284,47 @@ impl Epoch {
     /// co-tenant's namespace). This is the "provably never touch another
     /// slice's rules" guarantee: table-0 mods must name an owned, non-foreign
     /// ingress port; table-1 mods an owned, non-foreign metadata value.
+    /// The first offending mod in wire order is named.
     pub fn verify(&self, own: &OwnedSpace, others: &OwnedSpace) -> Result<(), EpochViolation> {
-        let check = |switch: u32, table: u8, m: &FlowMatch| -> Result<(), EpochViolation> {
-            match table {
-                0 => {
-                    let Some(port) = m.in_port else {
-                        return Err(EpochViolation::UnscopedMatch { switch, table });
-                    };
-                    if others.contains_port(switch, port) {
-                        return Err(EpochViolation::ForeignPort { switch, port });
-                    }
-                    if !own.contains_port(switch, port) {
-                        return Err(EpochViolation::UnownedPort { switch, port });
-                    }
-                    Ok(())
+        for &(switch, table, ref m) in &self.mods {
+            let m = match m {
+                FlowMod::Add(e) => &e.m,
+                FlowMod::Delete(m, _) => m,
+                // A clear wipes co-tenants' entries too: it is scoped to none.
+                FlowMod::Clear => return Err(EpochViolation::UnscopedMatch { switch, table }),
+            };
+            if table == 0 {
+                let Some(port) = m.in_port else {
+                    return Err(EpochViolation::UnscopedMatch { switch, table });
+                };
+                if others.contains_port(switch, port) {
+                    return Err(EpochViolation::ForeignPort { switch, port });
                 }
-                _ => {
-                    let Some(md) = m.metadata else {
-                        return Err(EpochViolation::UnscopedMatch { switch, table });
-                    };
-                    if others.contains_metadata(md) {
-                        return Err(EpochViolation::ForeignMetadata { switch, metadata: md });
-                    }
-                    if !own.contains_metadata(md) {
-                        return Err(EpochViolation::UnownedMetadata { switch, metadata: md });
-                    }
-                    Ok(())
+                if !own.contains_port(switch, port) {
+                    return Err(EpochViolation::UnownedPort { switch, port });
+                }
+            } else {
+                let Some(md) = m.metadata else {
+                    return Err(EpochViolation::UnscopedMatch { switch, table });
+                };
+                if others.contains_metadata(md) {
+                    return Err(EpochViolation::ForeignMetadata { switch, metadata: md });
+                }
+                if !own.contains_metadata(md) {
+                    return Err(EpochViolation::UnownedMetadata { switch, metadata: md });
                 }
             }
-        };
-        for a in &self.adds {
-            check(a.switch, a.table, &a.entry.m)?;
-        }
-        for d in &self.deletes {
-            check(d.switch, d.table, &d.m)?;
         }
         Ok(())
-    }
-
-    /// The epoch lowered to wire order: the exact `(switch, table,
-    /// flow-mod)` sequence make-before-break application sends — adds table
-    /// 1 → table 0, then deletes table 0 → table 1, with a same-(match,
-    /// priority) delete+add pair applied as an in-place replacement
-    /// (OpenFlow MODIFY: the add is held back and lands right after its
-    /// delete, otherwise the delete would wipe its own replacement).
-    ///
-    /// Both the manager's install and the static pre-install check replay
-    /// this sequence, so what the verifier proves is byte-for-byte what the
-    /// switches receive.
-    pub fn ordered_mods(&self) -> Vec<(u32, u8, FlowMod)> {
-        self.ordered().0
-    }
-
-    /// [`Epoch::ordered_mods`] and the index at which its delete phase
-    /// starts. That index is all the atomic units need: before it every
-    /// mod is a unit of its own, from it on a unit is a delete and the adds
-    /// that follow it (its replacements).
-    pub(crate) fn ordered(&self) -> (Vec<(u32, u8, FlowMod)>, usize) {
-        // Adds and deletes by position, each sorted by key — one pass over
-        // an epoch diffed out of ordered tables. Equal delete keys stay in
-        // position order, so a merge meets the first delete of a key first:
-        // the one an add of the same key rides behind.
-        let add_key = |&i: &u32| {
-            let a = &self.adds[i as usize];
-            (a.switch, a.table, a.entry.m.order_key(a.entry.priority))
-        };
-        let delete_key = |&i: &u32| {
-            let d = &self.deletes[i as usize];
-            (d.switch, d.table, d.m.order_key(d.priority))
-        };
-        let mut by_key: Vec<u32> = (0..self.adds.len() as u32).collect();
-        by_key.sort_unstable_by_key(add_key);
-        let mut deletes: Vec<u32> = (0..self.deletes.len() as u32).collect();
-        deletes.sort_by_key(delete_key);
-        // Per add: the position of the delete it rides, if one shares its key.
-        const ALONE: u32 = u32::MAX;
-        let mut rides = vec![ALONE; self.adds.len()];
-        let mut deletes = deletes.iter().peekable();
-        for a in &by_key {
-            let key = add_key(a);
-            while deletes.next_if(|&d| delete_key(d) < key).is_some() {}
-            if let Some(&&d) = deletes.peek().filter(|&&d| delete_key(d) == key) {
-                rides[*a as usize] = d;
-            }
-        }
-        // Held-back adds per table: (position of their delete, own position).
-        let mut held: [Vec<(u32, u32)>; 2] = Default::default();
-        let mut mods = Vec::with_capacity(self.adds.len() + self.deletes.len());
-        for table in [1u8, 0u8] {
-            for (i, a) in self.adds.iter().enumerate().filter(|(_, a)| a.table == table) {
-                match rides[i] {
-                    ALONE => mods.push((a.switch, a.table, FlowMod::Add(a.entry))),
-                    at => held[usize::from(table)].push((at, i as u32)),
-                }
-            }
-        }
-        let deletes_from = mods.len();
-        for table in [0u8, 1u8] {
-            // Stable: adds sharing a delete keep their order. The deletes
-            // of one table are then met in the order their adds are held.
-            let held = &mut held[usize::from(table)];
-            held.sort_by_key(|&(at, _)| at);
-            let mut held = held.iter().peekable();
-            for (at, d) in self.deletes.iter().enumerate().filter(|(_, d)| d.table == table) {
-                mods.push((d.switch, d.table, FlowMod::Delete(d.m, d.priority)));
-                while let Some(&(_, i)) = held.next_if(|&&(of, _)| of == at as u32) {
-                    mods.push((d.switch, d.table, FlowMod::Add(self.adds[i as usize].entry)));
-                }
-            }
-        }
-        (mods, deletes_from)
     }
 
     /// Build the report for this epoch (before or after applying it).
     pub fn report(&self, num_switches: usize) -> EpochReport {
         let max = self.mods_per_switch(num_switches).into_iter().max().unwrap_or(0);
+        let adds = self.mods.iter().filter(|(_, _, m)| matches!(m, FlowMod::Add(_))).count();
         EpochReport {
-            adds: self.adds.len(),
-            deletes: self.deletes.len(),
+            adds,
+            deletes: self.mods.len() - adds,
             max_mods_one_switch: max,
             install_time_ns: install_time_ns(max),
         }
@@ -372,7 +334,7 @@ impl Epoch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdt_openflow::{Action, HostAddr};
+    use sdt_openflow::{Action, FlowMatch, HostAddr};
 
     fn t0_entry(port: u16, md: u32) -> FlowEntry {
         FlowEntry {
@@ -404,8 +366,8 @@ mod tests {
         let old = synth(vec![t0_entry(1, 100)], vec![t1_entry(100, 7, 1)]);
         let new = synth(vec![t0_entry(2, 100)], vec![t1_entry(100, 7, 2)]);
         let e = Epoch::from_diff(SliceId(0), &old, &new);
-        assert_eq!(e.adds.len(), 2);
-        assert_eq!(e.deletes.len(), 2);
+        let r = e.report(1);
+        assert_eq!((r.adds, r.deletes), (2, 2));
         assert_eq!(e.mods_per_switch(1), vec![4]);
         assert_eq!(e.adds_per_switch(1), vec![2]);
     }

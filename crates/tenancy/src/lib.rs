@@ -42,7 +42,7 @@ pub mod manager;
 pub mod schedule;
 
 pub use audit::{SliceAudit, SliceAuditEntry};
-pub use epoch::{Epoch, EpochAdd, EpochDelete, EpochReport, EpochViolation, OwnedSpace};
+pub use epoch::{Epoch, EpochReport, EpochViolation, OwnedSpace};
 pub use manager::{
     AdmissionError, ManagerExport, ManagerStatus, MigrationPlan, OpOutcome, Plan,
     ReclaimedResources, RestoreError, Slice, SliceId, SliceManager, SliceOp, SliceRecord,

@@ -243,9 +243,6 @@ pub struct ReclaimedResources {
 pub struct Plan {
     id: SliceId,
     epoch: Epoch,
-    /// `epoch` in wire order ([`Epoch::ordered_mods`]), ordered once: the
-    /// gate proves this sequence and commit installs it.
-    mods: Vec<(u32, u8, FlowMod)>,
     /// The slice once the epoch is in; `None` for a teardown.
     after: Option<Slice>,
     /// `after` sits in namespace ranges taken at `next_metadata` /
@@ -604,19 +601,11 @@ impl SliceManager {
         Ok(())
     }
 
-    /// Apply a verified epoch in make-before-break order (see
-    /// [`crate::epoch`]): adds table 1 → table 0, then deletes table 0 →
-    /// table 1. Headroom was pre-checked, so installs cannot fail.
-    ///
-    /// One subtlety: a route change that keeps an entry's match and
-    /// priority but changes its action diffs to a delete + an add with the
-    /// same key — and `FlowMod::Delete` removes by (match, priority), so
-    /// adding first would only get the replacement wiped by its own
-    /// delete. Those pairs are applied as an in-place replacement
-    /// (OpenFlow's MODIFY): the add is held back and installed right after
-    /// its delete.
+    /// Apply a verified epoch's mods in their wire order (make-before-break,
+    /// MODIFYs in place; see [`crate::epoch`]). Headroom was pre-checked,
+    /// so installs cannot fail.
     fn apply_epoch(&mut self, plan: &Plan) -> EpochReport {
-        for (sw, table, m) in &plan.mods {
+        for (sw, table, m) in &plan.epoch.mods {
             if let Err(e) = self.switches[*sw as usize].apply(*table, m.clone()) {
                 unreachable!("headroom pre-checked before applying the epoch: {e}");
             }
@@ -719,7 +708,7 @@ impl SliceManager {
     /// delta and the current intent, without applying anything. Live
     /// tables are untouched either way.
     pub fn precheck_epoch(&mut self, epoch: &Epoch) -> Result<(), AdmissionError> {
-        let (current, _) = self.gate(&epoch.ordered_mods(), self.intent())?;
+        let (current, _) = self.gate(&epoch.mods, self.intent())?;
         self.verifier = Some(current);
         Ok(())
     }
@@ -791,8 +780,7 @@ impl SliceManager {
         epoch
             .verify(&own, &self.owned_by_others(id))
             .map_err(|v| AdmissionError::EpochViolation(v.to_string()))?;
-        let mods = epoch.ordered_mods();
-        Ok(Plan { id, epoch, mods, after, fresh_namespace })
+        Ok(Plan { id, epoch, after, fresh_namespace })
     }
 
     /// Place `topo` around everything co-tenants hold. `old` is the
@@ -858,7 +846,7 @@ impl SliceManager {
     pub fn apply_one(&mut self, op: SliceOp) -> Result<OpOutcome, AdmissionError> {
         let plan = self.plan(op)?;
         let intent = self.intent_with(Some(plan.id), plan.after.as_ref());
-        let (_, proof) = self.gate(&plan.mods, intent)?;
+        let (_, proof) = self.gate(&plan.epoch.mods, intent)?;
         Ok(self.commit(plan, Some(proof)))
     }
 
@@ -977,7 +965,7 @@ impl SliceManager {
         // Whole-epoch gate first. Beyond matching the one-shot contract,
         // this is what guarantees the scheduler's merge-on-failure
         // fallback terminates: the fully-merged round *is* this epoch.
-        let (current, _) = self.gate(&plan.mods, post_intent.clone())?;
+        let (current, _) = self.gate(&plan.epoch.mods, post_intent.clone())?;
         match crate::schedule::install_scheduled(
             &self.cluster,
             &mut self.switches,

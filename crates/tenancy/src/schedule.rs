@@ -1,8 +1,8 @@
 //! Transient-safe scheduled reconfiguration: dependency-ordered rounds,
 //! each proven safe before it installs.
 //!
-//! [`Epoch::ordered_mods`] already sequences a reconfiguration
-//! make-before-break, but the whole batch is installed in one shot: the
+//! An [`Epoch`] already sequences a reconfiguration make-before-break,
+//! but the whole batch is installed in one shot: the
 //! static gate proves the *final* table state, while every intermediate
 //! state live traffic traverses during the batch is unproven. This module
 //! closes that gap, Chameleon-style (SIGCOMM'23):
@@ -207,16 +207,14 @@ impl std::error::Error for ScheduleError {}
 ///   delete whose metadata no table-0 entry of the pre-state `before`
 ///   steers is already dark and joins the cutover layer instead.
 ///
-/// Units keep the epoch's original wire order within a layer, so
-/// concatenating the rounds replays [`Epoch::ordered_mods`] exactly up to
+/// Units keep the epoch's wire order within a layer, so concatenating
+/// the rounds replays [`Epoch::mods`] exactly up to
 /// the commuting of distinct-key units — the end state holds exactly the
 /// same entries (only vector order can differ, and epoch entries never
 /// share a (match, priority) key, so lookup behavior is identical; pinned
 /// by `tests/round_properties.rs`). Determinism needs no seed: the
 /// compilation is a pure function of the epoch and `before`.
 pub fn compile_rounds(epoch: &Epoch, before: &TableView) -> Vec<Round> {
-    let (mut mods, deletes_from) = epoch.ordered();
-
     // Metadata the pre-state's table 0 still steers, per switch: a pure
     // table-1 delete in a live class must wait for the cutover to go dark;
     // one in an already-dark class has no walk crossing it and needn't.
@@ -230,8 +228,8 @@ pub fn compile_rounds(epoch: &Epoch, before: &TableView) -> Vec<Round> {
         }
     }
 
-    // Every mod's layer, in install order, decided unit by unit. Wire
-    // order puts all table-1 adds before the first table-0 add, so
+    // Every mod's layer, in wire order, decided unit by unit. Wire order
+    // puts all table-1 adds before the first table-0 add, so
     // `fresh_routes` is complete when it is first read.
     const CUTOVER: usize = 2;
     const COLLECT: usize = 3;
@@ -243,11 +241,15 @@ pub fn compile_rounds(epoch: &Epoch, before: &TableView) -> Vec<Round> {
     // Keyed lookups only, never iterated.
     let mut fresh_routes: HashSet<(u32, u32), FxBuild> = HashSet::default();
     let mut layer = 0;
+    let mut deleting = false;
+    let mods = &epoch.mods;
     let mut layer_of: Vec<u8> = Vec::with_capacity(mods.len());
     for (at, (sw, table, m)) in mods.iter().enumerate() {
-        // Past `deletes_from` an add is a replacement riding its delete's
-        // unit; everything else starts a unit of its own.
-        if at < deletes_from || matches!(m, FlowMod::Delete(..)) {
+        // From the first delete on, an add is a replacement riding its
+        // delete's unit; everything else starts a unit of its own.
+        let delete = matches!(m, FlowMod::Delete(..));
+        deleting |= delete;
+        if delete || !deleting {
             let modify = matches!(mods.get(at + 1), Some((_, _, FlowMod::Add(_))));
             layer = match (table, m) {
                 (1, FlowMod::Add(e)) => {
@@ -274,22 +276,14 @@ pub fn compile_rounds(epoch: &Epoch, before: &TableView) -> Vec<Round> {
         sizes[layer] += 1;
         layer_of.push(layer as u8);
     }
-    // Then one pass moves every mod into its layer. The largest layer
-    // keeps the wire order's own allocation, the others' mods taken out of
-    // it; those are allocated once, at their final size.
-    let home = (0..layers.len()).max_by_key(|&l| sizes[l]).unwrap_or(0);
-    for (l, round) in layers.iter_mut().enumerate().filter(|&(l, _)| l != home) {
-        round.mods.reserve_exact(sizes[l]);
+    // Then one pass copies every mod into its layer, each allocated once,
+    // at its final size.
+    for (round, size) in layers.iter_mut().zip(sizes) {
+        round.mods.reserve_exact(size);
     }
-    let mut layer_of = layer_of.into_iter().map(usize::from);
-    mods.retain(|m| match layer_of.next() {
-        Some(l) if l != home => {
-            layers[l].mods.push(m.clone());
-            false
-        }
-        _ => true,
-    });
-    layers[home].mods = mods;
+    for (m, l) in mods.iter().zip(layer_of) {
+        layers[usize::from(l)].mods.push(m.clone());
+    }
     layers.into_iter().filter(|r| !r.mods.is_empty()).collect()
 }
 
@@ -514,6 +508,7 @@ pub fn install_scheduled(
 mod tests {
     use super::*;
     use crate::SliceId;
+    use sdt_core::synthesis::SynthesisOutput;
     use sdt_openflow::{FlowEntry, FlowMatch, HostAddr, PortNo};
 
     fn t0(port: u16, md: u32) -> FlowEntry {
@@ -532,218 +527,27 @@ mod tests {
         }
     }
 
-    fn view1() -> TableView {
-        TableView::empty(1)
+    /// A one-switch pipeline, tables in the order given.
+    fn synth(t0: Vec<FlowEntry>, t1: Vec<FlowEntry>) -> SynthesisOutput {
+        let entries = t0.len() + t1.len();
+        SynthesisOutput { table0: vec![t0], table1: vec![t1], entries_per_switch: vec![entries] }
     }
 
-    type Mod = (u32, u8, FlowMod);
-
-    /// [`Epoch::ordered_mods`] as it was before the pairing was keyed by
-    /// delete position: a key set, and a heap `Vec` of replacements per
-    /// key. The oracle the wire order is held to.
-    fn reference_ordered_mods(e: &Epoch) -> Vec<Mod> {
-        use std::collections::HashMap;
-        type ModKey = (u32, u8, FlowMatch, u16);
-        let delete_keys: HashSet<ModKey> =
-            e.deletes.iter().map(|d| (d.switch, d.table, d.m, d.priority)).collect();
-        let mut replacements: HashMap<ModKey, Vec<FlowEntry>> = HashMap::new();
-        let mut mods = Vec::new();
-        for table in [1u8, 0u8] {
-            for a in e.adds.iter().filter(|a| a.table == table) {
-                let key = (a.switch, a.table, a.entry.m, a.entry.priority);
-                if delete_keys.contains(&key) {
-                    replacements.entry(key).or_default().push(a.entry);
-                } else {
-                    mods.push((a.switch, a.table, FlowMod::Add(a.entry)));
-                }
-            }
-        }
-        for table in [0u8, 1u8] {
-            for d in e.deletes.iter().filter(|d| d.table == table) {
-                mods.push((d.switch, d.table, FlowMod::Delete(d.m, d.priority)));
-                let key = (d.switch, d.table, d.m, d.priority);
-                for e in replacements.remove(&key).into_iter().flatten() {
-                    mods.push((d.switch, d.table, FlowMod::Add(e)));
-                }
-            }
-        }
-        mods
-    }
-
-    /// The atomic units as they were found before `ordered` reported where
-    /// its delete phase starts: regrouped by adjacency, one `Vec` each.
-    fn reference_units_of(mods: Vec<Mod>) -> Vec<Vec<Mod>> {
-        let mut units: Vec<Vec<Mod>> = Vec::new();
-        for (sw, t, m) in mods {
-            let attaches = match (&m, units.last()) {
-                (FlowMod::Add(e), Some(u)) => matches!(
-                    u.first(),
-                    Some(&(usw, ut, FlowMod::Delete(dm, dp)))
-                        if usw == sw && ut == t && dm == e.m && dp == e.priority
-                ),
-                _ => false,
-            };
-            match units.last_mut() {
-                Some(u) if attaches => u.push((sw, t, m)),
-                _ => units.push(vec![(sw, t, m)]),
-            }
-        }
-        units
-    }
-
-    /// [`compile_rounds`] as it was: a layer per unit, then one filtering,
-    /// cloning pass over every unit per layer.
-    fn reference_compile_rounds(epoch: &Epoch, before: &TableView) -> Vec<Round> {
-        let units = reference_units_of(reference_ordered_mods(epoch));
-        let mut fresh_routes: HashSet<(u32, u32)> = HashSet::new();
-        for u in &units {
-            if let [(sw, 1, FlowMod::Add(e))] = u.as_slice() {
-                if let Some(md) = e.m.metadata {
-                    fresh_routes.insert((*sw, md));
-                }
-            }
-        }
-        let mut steered: HashSet<(u32, u32)> = HashSet::new();
-        for sw in 0..before.num_switches() as u32 {
-            for e in before.entries(sw, 0) {
-                if let Action::WriteMetadataGoto(md) = e.action {
-                    steered.insert((sw, md));
-                }
-            }
-        }
-        let mut add_max = 0usize;
-        let mut layers: Vec<(usize, RoundPhase)> = Vec::with_capacity(units.len());
-        for u in &units {
-            let layer = match u.as_slice() {
-                [(_, 1, FlowMod::Add(_))] => (0, RoundPhase::Make),
-                [(sw, 0, FlowMod::Add(e))] => {
-                    let depends = match e.action {
-                        Action::WriteMetadataGoto(md) => fresh_routes.contains(&(*sw, md)),
-                        _ => false,
-                    };
-                    (usize::from(depends), RoundPhase::Make)
-                }
-                [(_, 0, FlowMod::Delete(..)), ..] => (usize::MAX - 1, RoundPhase::Cutover),
-                [(_, 1, FlowMod::Delete(..)), _, ..] => (usize::MAX - 1, RoundPhase::Cutover),
-                [(sw, 1, FlowMod::Delete(dm, _))] => {
-                    let live = dm.metadata.is_some_and(|md| steered.contains(&(*sw, md)));
-                    if live {
-                        (usize::MAX, RoundPhase::Collect)
-                    } else {
-                        (usize::MAX - 1, RoundPhase::Cutover)
-                    }
-                }
-                _ => (usize::MAX - 1, RoundPhase::Cutover),
-            };
-            if layer.1 == RoundPhase::Make {
-                add_max = add_max.max(layer.0);
-            }
-            layers.push(layer);
-        }
-        let resolved = |l: usize| match l {
-            usize::MAX => add_max + 2,
-            x if x == usize::MAX - 1 => add_max + 1,
-            x => x,
-        };
-        let mut rounds: Vec<Round> = Vec::new();
-        for target in 0..=add_max + 2 {
-            let mut mods = Vec::new();
-            let mut n_units = 0usize;
-            let mut phase = RoundPhase::Make;
-            for (u, &(l, p)) in units.iter().zip(&layers) {
-                if resolved(l) == target {
-                    mods.extend(u.iter().cloned());
-                    n_units += 1;
-                    phase = phase.max(p);
-                }
-            }
-            if !mods.is_empty() {
-                rounds.push(Round { mods, phase, units: n_units });
-            }
-        }
-        rounds
-    }
-
-    /// A random epoch over 3 switches and a small key space, so that it
-    /// holds pure adds, pure deletes, MODIFYs with several replacement
-    /// adds, repeated delete keys and repeated adds, on both tables — and
-    /// the pre-state it applies to.
-    fn random_epoch(seed: u64) -> (Epoch, TableView) {
-        let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-        let mut next = move |n: u64| {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            (x % n) as u32
-        };
-        let entry = |table: u8, next: &mut dyn FnMut(u64) -> u32| match table {
-            0 => t0(next(4) as u16, next(3)),
-            _ => t1(next(3), next(3), next(5) as u16),
-        };
-        let mut before = TableView::empty(3);
-        for _ in 0..next(8) {
-            let (sw, table) = (next(3), next(2) as u8);
-            before.apply(sw, table, &FlowMod::Add(entry(table, &mut next)));
-        }
-        let mut e = Epoch { slice: SliceId(0), ..Default::default() };
-        for _ in 0..next(40) {
-            let (switch, table) = (next(3), next(2) as u8);
-            let entry = entry(table, &mut next);
-            if next(2) == 0 {
-                e.adds.push(crate::epoch::EpochAdd { switch, table, entry });
-            } else {
-                e.deletes.push(crate::epoch::EpochDelete {
-                    switch,
-                    table,
-                    m: entry.m,
-                    priority: entry.priority,
-                });
-            }
-        }
-        (e, before)
-    }
-
-    #[test]
-    fn wire_order_and_rounds_match_the_reference_on_random_epochs() {
-        let (mut wide_modifies, mut repeated_deletes, mut unsorted) = (0, 0, 0);
-        let mut modifies = [0, 0];
-        for seed in 0..2000 {
-            let (e, before) = random_epoch(seed);
-            let want = reference_ordered_mods(&e);
-            assert_eq!(format!("{:?}", e.ordered_mods()), format!("{want:?}"), "seed {seed}");
-            let want = reference_compile_rounds(&e, &before);
-            let got = compile_rounds(&e, &before);
-            assert_eq!(format!("{got:?}"), format!("{want:?}"), "seed {seed}");
-            // What the generator reached: MODIFYs in either table, several
-            // adds behind one delete, a delete key twice, and sides in no
-            // order (an epoch diffed out of tables is in key order).
-            for u in reference_units_of(reference_ordered_mods(&e)).iter().filter(|u| u.len() > 1) {
-                modifies[usize::from(u[0].1)] += 1;
-                wide_modifies += usize::from(u.len() > 2);
-            }
-            let keys: HashSet<String> = e.deletes.iter().map(|d| format!("{d:?}")).collect();
-            repeated_deletes += usize::from(keys.len() < e.deletes.len());
-            let adds = e.adds.iter().map(|a| (a.switch, a.table, a.entry.order_key()));
-            let deletes = e.deletes.iter().map(|d| (d.switch, d.table, d.m.order_key(d.priority)));
-            unsorted += usize::from(!adds.is_sorted() && !deletes.is_sorted());
-        }
-        assert!(modifies[0] > 100 && modifies[1] > 100 && wide_modifies > 100, "{modifies:?}");
-        assert!(repeated_deletes > 100 && unsorted > 1000, "{repeated_deletes} {unsorted}");
+    /// The epoch turning `old` into `new`, and `old` as the pre-state.
+    fn diff(old: SynthesisOutput, new: SynthesisOutput) -> (Epoch, TableView) {
+        (Epoch::from_diff(SliceId(0), &old, &new), TableView::of_synthesis(&old))
     }
 
     #[test]
     fn an_add_rides_the_first_delete_of_its_key() {
-        use crate::epoch::{EpochAdd, EpochDelete};
-        let delete = |table, e: FlowEntry| EpochDelete { switch: 0, table, m: e.m, priority: e.priority };
-        let add = |table, entry| EpochAdd { switch: 0, table, entry };
-        // Neither side in key order; route (5, 1) is deleted twice and
-        // replaced twice, port 3 is re-classified, route (7, 2) is new.
-        let e = Epoch {
-            slice: SliceId(0),
-            deletes: vec![delete(1, t1(5, 1, 1)), delete(0, t0(3, 5)), delete(1, t1(5, 1, 9))],
-            adds: vec![add(1, t1(5, 1, 2)), add(0, t0(3, 6)), add(1, t1(7, 2, 4)), add(1, t1(5, 1, 3))],
-        };
-        let wire: Vec<Mod> = vec![
+        // Neither side in key order; route (5, 1) is held twice, deleted
+        // twice and replaced twice, port 3 is re-classified, route (7, 2)
+        // is new.
+        let (e, _) = diff(
+            synth(vec![t0(3, 5)], vec![t1(5, 1, 9), t1(5, 1, 1)]),
+            synth(vec![t0(3, 6)], vec![t1(5, 1, 2), t1(7, 2, 4), t1(5, 1, 3)]),
+        );
+        let wire: Vec<(u32, u8, FlowMod)> = vec![
             (0, 1, FlowMod::Add(t1(7, 2, 4))),
             (0, 0, FlowMod::Delete(t0(3, 5).m, 10)),
             (0, 0, FlowMod::Add(t0(3, 6))),
@@ -752,22 +556,14 @@ mod tests {
             (0, 1, FlowMod::Add(t1(5, 1, 3))),
             (0, 1, FlowMod::Delete(t1(5, 1, 1).m, 10)),
         ];
-        assert_eq!(format!("{:?}", e.ordered_mods()), format!("{wire:?}"));
-        assert_eq!(format!("{:?}", reference_ordered_mods(&e)), format!("{wire:?}"));
+        assert_eq!(format!("{:?}", e.mods), format!("{wire:?}"));
     }
 
     #[test]
     fn modify_pairs_stay_atomic() {
         // Same key delete+add = MODIFY: one unit, never split.
-        let mut e = Epoch { slice: SliceId(0), ..Default::default() };
-        e.deletes.push(crate::epoch::EpochDelete {
-            switch: 0,
-            table: 1,
-            m: t1(5, 1, 1).m,
-            priority: 10,
-        });
-        e.adds.push(crate::epoch::EpochAdd { switch: 0, table: 1, entry: t1(5, 1, 2) });
-        let rounds = compile_rounds(&e, &view1());
+        let (e, before) = diff(synth(vec![], vec![t1(5, 1, 1)]), synth(vec![], vec![t1(5, 1, 2)]));
+        let rounds = compile_rounds(&e, &before);
         assert_eq!(rounds.len(), 1);
         assert_eq!(rounds[0].units, 1);
         assert_eq!(rounds[0].mods.len(), 2);
@@ -777,26 +573,12 @@ mod tests {
     #[test]
     fn adds_layer_before_cutover_before_collect() {
         // Grow: new t1 route, then the t0 add steering to it; shrink: the
-        // old port's t0 delete, then its route's t1 delete.
-        let mut e = Epoch { slice: SliceId(0), ..Default::default() };
-        e.adds.push(crate::epoch::EpochAdd { switch: 0, table: 1, entry: t1(9, 2, 3) });
-        e.adds.push(crate::epoch::EpochAdd { switch: 0, table: 0, entry: t0(4, 9) });
-        e.deletes.push(crate::epoch::EpochDelete {
-            switch: 0,
-            table: 0,
-            m: t0(1, 5).m,
-            priority: 10,
-        });
-        e.deletes.push(crate::epoch::EpochDelete {
-            switch: 0,
-            table: 1,
-            m: t1(5, 1, 1).m,
-            priority: 10,
-        });
-        // Pre-state: port 1 classifies into metadata 5, routed by t1.
-        let mut before = view1();
-        before.apply(0, 0, &FlowMod::Add(t0(1, 5)));
-        before.apply(0, 1, &FlowMod::Add(t1(5, 1, 1)));
+        // old port's t0 delete, then its route's t1 delete. Pre-state: port
+        // 1 classifies into metadata 5, routed by t1.
+        let (e, before) = diff(
+            synth(vec![t0(1, 5)], vec![t1(5, 1, 1)]),
+            synth(vec![t0(4, 9)], vec![t1(9, 2, 3)]),
+        );
         let rounds = compile_rounds(&e, &before);
         let phases: Vec<RoundPhase> = rounds.iter().map(|r| r.phase).collect();
         assert_eq!(
@@ -808,16 +590,15 @@ mod tests {
         assert!(matches!(rounds[1].mods[0], (0, 0, FlowMod::Add(_))));
         // Concatenation preserves the mod multiset.
         let total: usize = rounds.iter().map(|r| r.mods.len()).sum();
-        assert_eq!(total, e.ordered_mods().len());
+        assert_eq!(total, e.mods.len());
     }
 
     #[test]
     fn independent_t0_add_needs_no_extra_layer() {
         // A t0 add whose metadata gains no new routes this epoch sits in
         // layer 0 alongside the t1 adds.
-        let mut e = Epoch { slice: SliceId(0), ..Default::default() };
-        e.adds.push(crate::epoch::EpochAdd { switch: 0, table: 0, entry: t0(4, 9) });
-        let rounds = compile_rounds(&e, &view1());
+        let (e, before) = diff(synth(vec![], vec![]), synth(vec![t0(4, 9)], vec![]));
+        let rounds = compile_rounds(&e, &before);
         assert_eq!(rounds.len(), 1);
         assert_eq!(rounds[0].phase, RoundPhase::Make);
     }

@@ -12,16 +12,27 @@
 //!     unique — distinct-key units commute, so set equality is lookup
 //!     equality;
 //! (d) scheduling and installation are deterministic: re-planning gives
-//!     the same rounds, and a fixed channel seed replays the same install.
+//!     the same rounds, and a fixed channel seed replays the same install;
+//! (e) the wire order [`Epoch::from_diff`] stores, and the rounds compiled
+//!     from it, equal a reference that works the order out of plain add
+//!     and delete lists — random multi-switch pipelines with MODIFYs, keys
+//!     held twice and tables not in entry order.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use proptest::prelude::*;
 use sdt_core::cluster::{ClusterBuilder, PhysicalCluster};
 use sdt_core::methods::SwitchModel;
+use sdt_core::synthesis::SynthesisOutput;
 use sdt_openflow::{
-    diff_tables, Action, ControlChannel, ControlConfig, FlowMod, OpenFlowSwitch, RetryPolicy,
+    diff_positions, diff_tables, Action, ControlChannel, ControlConfig, FlowEntry, FlowMatch,
+    FlowMod, HostAddr, OpenFlowSwitch, PortNo, RetryPolicy,
 };
-use sdt_tenancy::{install_scheduled, MigrationPlan, SliceManager};
+use sdt_tenancy::epoch::synthesis_entries;
+use sdt_tenancy::{
+    compile_rounds, install_scheduled, Epoch, MigrationPlan, Round, RoundPhase, SliceId,
+    SliceManager,
+};
+use std::collections::HashSet;
 use sdt_topology::chain::{chain, ring};
 use sdt_topology::meshtorus::mesh;
 use sdt_topology::Topology;
@@ -71,7 +82,7 @@ proptest! {
             .flat_map(|r| r.mods.iter().map(|(sw, t, m)| key(*sw, *t, m)))
             .collect();
         let mut epoch: Vec<String> =
-            plan.epoch().ordered_mods().iter().map(|(sw, t, m)| key(*sw, *t, m)).collect();
+            plan.epoch().mods.iter().map(|(sw, t, m)| key(*sw, *t, m)).collect();
         scheduled.sort();
         epoch.sort();
         prop_assert_eq!(scheduled, epoch);
@@ -144,7 +155,7 @@ proptest! {
             }
         }
         let mut one_shot = TableView::of_switches(mgr.switches());
-        for (sw, t, m) in &plan.epoch().ordered_mods() {
+        for (sw, t, m) in &plan.epoch().mods {
             one_shot.apply(*sw, *t, m);
         }
         for sw in 0..by_rounds.num_switches() as u32 {
@@ -243,4 +254,319 @@ fn scheduling_replays_exactly_for_a_fixed_seed() {
         assert!(conv1, "seed {seed}: lossy install must converge");
         assert_eq!(viol1, 0);
     }
+}
+
+type Mod = (u32, u8, FlowMod);
+/// One add of the plain lists: (switch, table, entry).
+type Add = (u32, u8, FlowEntry);
+/// One strict delete of the plain lists: (switch, table, match, priority).
+type Delete = (u32, u8, FlowMatch, u16);
+
+/// The mods turning `old` into `new` as two plain lists, switch by switch,
+/// table 0 then table 1, each in position order.
+fn plain_lists(old: &SynthesisOutput, new: &SynthesisOutput) -> (Vec<Add>, Vec<Delete>) {
+    let (mut adds, mut deletes) = (Vec::new(), Vec::new());
+    for sw in 0..old.table0.len().max(new.table0.len()) {
+        for table in [0u8, 1u8] {
+            let (o, n) = (synthesis_entries(old, sw, table), synthesis_entries(new, sw, table));
+            let (gone, fresh) = diff_positions(o, n);
+            deletes.extend(gone.iter().map(|&i| (sw as u32, table, o[i].m, o[i].priority)));
+            adds.extend(fresh.iter().map(|&j| (sw as u32, table, n[j])));
+        }
+    }
+    (adds, deletes)
+}
+
+/// The reference wire order over plain lists: adds table 1 → table 0, then
+/// deletes table 0 → table 1, each add that shares a delete's (switch,
+/// table, match, priority) key held back to land right after the first
+/// delete of that key (an in-place MODIFY).
+fn ordered(adds: &[Add], deletes: &[Delete]) -> Vec<Mod> {
+    // Adds and deletes by position, each sorted by key. Equal delete keys
+    // stay in position order, so a merge meets the first delete of a key
+    // first: the one an add of the same key rides behind.
+    let add_key = |&i: &u32| {
+        let (switch, table, entry) = &adds[i as usize];
+        (*switch, *table, entry.m.order_key(entry.priority))
+    };
+    let delete_key = |&i: &u32| {
+        let (switch, table, m, priority) = &deletes[i as usize];
+        (*switch, *table, m.order_key(*priority))
+    };
+    let mut by_key: Vec<u32> = (0..adds.len() as u32).collect();
+    by_key.sort_unstable_by_key(add_key);
+    let mut sorted_deletes: Vec<u32> = (0..deletes.len() as u32).collect();
+    sorted_deletes.sort_by_key(delete_key);
+    // Per add: the position of the delete it rides, if one shares its key.
+    const ALONE: u32 = u32::MAX;
+    let mut rides = vec![ALONE; adds.len()];
+    let mut sorted_deletes = sorted_deletes.iter().peekable();
+    for a in &by_key {
+        let key = add_key(a);
+        while sorted_deletes.next_if(|&d| delete_key(d) < key).is_some() {}
+        if let Some(&&d) = sorted_deletes.peek().filter(|&&d| delete_key(d) == key) {
+            rides[*a as usize] = d;
+        }
+    }
+    // Held-back adds per table: (position of their delete, own position).
+    let mut held: [Vec<(u32, u32)>; 2] = Default::default();
+    let mut mods = Vec::with_capacity(adds.len() + deletes.len());
+    for table in [1u8, 0u8] {
+        for (i, a) in adds.iter().enumerate().filter(|(_, a)| a.1 == table) {
+            match rides[i] {
+                ALONE => mods.push((a.0, a.1, FlowMod::Add(a.2))),
+                at => held[usize::from(table)].push((at, i as u32)),
+            }
+        }
+    }
+    for table in [0u8, 1u8] {
+        // Stable: adds sharing a delete keep their order. The deletes of
+        // one table are then met in the order their adds are held.
+        let held = &mut held[usize::from(table)];
+        held.sort_by_key(|&(at, _)| at);
+        let mut held = held.iter().peekable();
+        for (at, d) in deletes.iter().enumerate().filter(|(_, d)| d.1 == table) {
+            mods.push((d.0, d.1, FlowMod::Delete(d.2, d.3)));
+            while let Some(&(_, i)) = held.next_if(|&&(of, _)| of == at as u32) {
+                mods.push((d.0, d.1, FlowMod::Add(adds[i as usize].2)));
+            }
+        }
+    }
+    mods
+}
+
+/// [`ordered`]'s own reference, from before the pairing was keyed by
+/// delete position: a key set, and a heap `Vec` of replacements per key.
+fn ordered_by_key_map(adds: &[Add], deletes: &[Delete]) -> Vec<Mod> {
+    use std::collections::HashMap;
+    let delete_keys: HashSet<Delete> = deletes.iter().copied().collect();
+    let mut replacements: HashMap<Delete, Vec<FlowEntry>> = HashMap::new();
+    let mut mods = Vec::new();
+    for table in [1u8, 0u8] {
+        for &(switch, t, entry) in adds.iter().filter(|a| a.1 == table) {
+            let key = (switch, t, entry.m, entry.priority);
+            if delete_keys.contains(&key) {
+                replacements.entry(key).or_default().push(entry);
+            } else {
+                mods.push((switch, t, FlowMod::Add(entry)));
+            }
+        }
+    }
+    for table in [0u8, 1u8] {
+        for &d in deletes.iter().filter(|d| d.1 == table) {
+            mods.push((d.0, d.1, FlowMod::Delete(d.2, d.3)));
+            for e in replacements.remove(&d).into_iter().flatten() {
+                mods.push((d.0, d.1, FlowMod::Add(e)));
+            }
+        }
+    }
+    mods
+}
+
+/// A wire order's atomic units, regrouped by adjacency: a delete and the
+/// adds of its own key that follow it form one.
+fn units_of(mods: &[Mod]) -> Vec<Vec<Mod>> {
+    let mut units: Vec<Vec<Mod>> = Vec::new();
+    for (sw, t, m) in mods.iter().cloned() {
+        let attaches = match (&m, units.last()) {
+            (FlowMod::Add(e), Some(u)) => matches!(
+                u.first(),
+                Some(&(usw, ut, FlowMod::Delete(dm, dp)))
+                    if usw == sw && ut == t && dm == e.m && dp == e.priority
+            ),
+            _ => false,
+        };
+        match units.last_mut() {
+            Some(u) if attaches => u.push((sw, t, m)),
+            _ => units.push(vec![(sw, t, m)]),
+        }
+    }
+    units
+}
+
+/// The reference round compiler: a layer per unit, then one filtering,
+/// cloning pass over every unit per layer.
+fn reference_rounds(mods: &[Mod], before: &TableView) -> Vec<Round> {
+    let units = units_of(mods);
+    let mut fresh_routes: HashSet<(u32, u32)> = HashSet::new();
+    for u in &units {
+        if let [(sw, 1, FlowMod::Add(e))] = u.as_slice() {
+            if let Some(md) = e.m.metadata {
+                fresh_routes.insert((*sw, md));
+            }
+        }
+    }
+    let mut steered: HashSet<(u32, u32)> = HashSet::new();
+    for sw in 0..before.num_switches() as u32 {
+        for e in before.entries(sw, 0) {
+            if let Action::WriteMetadataGoto(md) = e.action {
+                steered.insert((sw, md));
+            }
+        }
+    }
+    let mut add_max = 0usize;
+    let mut layers: Vec<(usize, RoundPhase)> = Vec::with_capacity(units.len());
+    for u in &units {
+        let layer = match u.as_slice() {
+            [(_, 1, FlowMod::Add(_))] => (0, RoundPhase::Make),
+            [(sw, 0, FlowMod::Add(e))] => {
+                let depends = match e.action {
+                    Action::WriteMetadataGoto(md) => fresh_routes.contains(&(*sw, md)),
+                    _ => false,
+                };
+                (usize::from(depends), RoundPhase::Make)
+            }
+            [(_, 0, FlowMod::Delete(..)), ..] => (usize::MAX - 1, RoundPhase::Cutover),
+            [(_, 1, FlowMod::Delete(..)), _, ..] => (usize::MAX - 1, RoundPhase::Cutover),
+            [(sw, 1, FlowMod::Delete(dm, _))] => {
+                if dm.metadata.is_some_and(|md| steered.contains(&(*sw, md))) {
+                    (usize::MAX, RoundPhase::Collect)
+                } else {
+                    (usize::MAX - 1, RoundPhase::Cutover)
+                }
+            }
+            _ => (usize::MAX - 1, RoundPhase::Cutover),
+        };
+        if layer.1 == RoundPhase::Make {
+            add_max = add_max.max(layer.0);
+        }
+        layers.push(layer);
+    }
+    let resolved = |l: usize| match l {
+        usize::MAX => add_max + 2,
+        x if x == usize::MAX - 1 => add_max + 1,
+        x => x,
+    };
+    let mut rounds: Vec<Round> = Vec::new();
+    for target in 0..=add_max + 2 {
+        let mut mods = Vec::new();
+        let mut n_units = 0usize;
+        let mut phase = RoundPhase::Make;
+        for (u, &(l, p)) in units.iter().zip(&layers) {
+            if resolved(l) == target {
+                mods.extend(u.iter().cloned());
+                n_units += 1;
+                phase = phase.max(p);
+            }
+        }
+        if !mods.is_empty() {
+            rounds.push(Round { mods, phase, units: n_units });
+        }
+    }
+    rounds
+}
+
+/// Random old and new pipelines over one to three switches each (so one
+/// side may lack a switch the other has) and a small key space: tables
+/// hold a (match, priority) key twice and exact copies, the new side
+/// drops entries, re-points some in place (a MODIFY) and adds others, and
+/// about half the tables are left out of entry order.
+fn pipelines(seed: u64) -> (SynthesisOutput, SynthesisOutput) {
+    let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    let mut next = move |n: u64| {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        (x % n) as u32
+    };
+    let entry = |table: usize, next: &mut dyn FnMut(u64) -> u32| match table {
+        0 => FlowEntry {
+            m: FlowMatch::on_port(PortNo(next(4) as u16)),
+            priority: [10, 20][next(2) as usize],
+            action: Action::WriteMetadataGoto(next(3)),
+        },
+        _ => FlowEntry {
+            m: FlowMatch::to_dst(HostAddr(next(3))).and_metadata(next(3)),
+            priority: 10,
+            action: Action::Output(PortNo(next(5) as u16)),
+        },
+    };
+    let shuffle_or_sort = |t: &mut Vec<FlowEntry>, next: &mut dyn FnMut(u64) -> u32| {
+        if next(2) == 0 {
+            t.sort_by_key(FlowEntry::order_key);
+        } else {
+            for i in (1..t.len()).rev() {
+                t.swap(i, next(i as u64 + 1) as usize);
+            }
+        }
+    };
+    let (n_old, n_new) = (1 + next(3) as usize, 1 + next(3) as usize);
+    let mut old = [vec![Vec::new(); n_old], vec![Vec::new(); n_old]];
+    let mut new = [vec![Vec::new(); n_new], vec![Vec::new(); n_new]];
+    for table in 0..2 {
+        for sw in 0..n_old.max(n_new) {
+            let mut was: Vec<FlowEntry> = (0..next(8)).map(|_| entry(table, &mut next)).collect();
+            let mut is = Vec::new();
+            for e in &was {
+                match next(4) {
+                    0 => {}
+                    1 => is.push(FlowEntry { action: entry(table, &mut next).action, ..*e }),
+                    _ => is.push(*e),
+                }
+            }
+            is.extend((0..next(4)).map(|_| entry(table, &mut next)));
+            shuffle_or_sort(&mut was, &mut next);
+            shuffle_or_sort(&mut is, &mut next);
+            if sw < n_old {
+                old[table][sw] = was;
+            }
+            if sw < n_new {
+                new[table][sw] = is;
+            }
+        }
+    }
+    let pipeline = |[table0, table1]: [Vec<Vec<FlowEntry>>; 2]| SynthesisOutput {
+        entries_per_switch: table0.iter().zip(&table1).map(|(a, b)| a.len() + b.len()).collect(),
+        table0,
+        table1,
+    };
+    (pipeline(old), pipeline(new))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(500))]
+
+    #[test]
+    fn epoch_wire_order_and_rounds_equal_the_plain_list_reference(seed in any::<u64>()) {
+        let (old, new) = pipelines(seed);
+        let (adds, deletes) = plain_lists(&old, &new);
+        let want = ordered(&adds, &deletes);
+        prop_assert_eq!(format!("{want:?}"), format!("{:?}", ordered_by_key_map(&adds, &deletes)));
+        let epoch = Epoch::from_diff(SliceId(0), &old, &new);
+        prop_assert_eq!(format!("{:?}", epoch.mods), format!("{want:?}"));
+        let before = TableView::of_synthesis(&old);
+        let rounds = |rounds: Vec<Round>| -> Vec<String> {
+            rounds.iter().map(|r| format!("{:?} {} {:?}", r.phase, r.units, r.mods)).collect()
+        };
+        prop_assert_eq!(
+            rounds(compile_rounds(&epoch, &before)),
+            rounds(reference_rounds(&want, &before))
+        );
+    }
+}
+
+/// What the generator reaches over 500 seeds: MODIFYs in either table,
+/// several adds behind one delete, a delete key held twice within one
+/// table, and diffs out of tables not in entry order.
+#[test]
+fn the_pipeline_generator_reaches_every_pairing_shape() {
+    let (mut modifies, mut wide_modifies, mut repeated_deletes, mut unsorted) = ([0, 0], 0, 0, 0);
+    for seed in 0..500 {
+        let (old, new) = pipelines(seed);
+        let (adds, deletes) = plain_lists(&old, &new);
+        for u in units_of(&ordered(&adds, &deletes)).iter().filter(|u| u.len() > 1) {
+            modifies[usize::from(u[0].1)] += 1;
+            wide_modifies += usize::from(u.len() > 2);
+        }
+        let keys: HashSet<String> = deletes.iter().map(|d| format!("{d:?}")).collect();
+        repeated_deletes += usize::from(keys.len() < deletes.len());
+        let in_order = |t: &Vec<FlowEntry>| t.is_sorted_by_key(FlowEntry::order_key);
+        let tables = old.table0.iter().chain(&old.table1).chain(&new.table0).chain(&new.table1);
+        unsorted += usize::from(!tables.clone().all(in_order) && !adds.is_empty());
+    }
+    assert!(
+        modifies[0] > 100 && modifies[1] > 100 && wide_modifies > 20,
+        "{modifies:?} {wide_modifies}"
+    );
+    assert!(repeated_deletes > 100 && unsorted > 100, "{repeated_deletes} {unsorted}");
 }

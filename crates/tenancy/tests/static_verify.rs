@@ -15,7 +15,7 @@ use sdt_core::methods::SwitchModel;
 use sdt_openflow::{Action, FlowEntry, FlowMatch, FlowMod, OpenFlowSwitch};
 use sdt_routing::{default_strategy, RouteTable};
 use sdt_tenancy::{
-    AdmissionError, Epoch, EpochAdd, EpochDelete, OwnedSpace, SliceId, SliceManager, SliceOp,
+    AdmissionError, Epoch, OwnedSpace, SliceId, SliceManager, SliceOp,
 };
 use sdt_topology::chain::{chain, ring};
 use sdt_topology::{HostId, Topology};
@@ -52,11 +52,7 @@ fn precheck_rejects_blackholing_epoch_and_leaves_tables_untouched() {
         .find_map(|(sw, t)| t.first().map(|e| (sw as u32, *e)))
         .expect("an admitted slice has route entries");
 
-    let epoch = Epoch {
-        slice: a,
-        adds: vec![],
-        deletes: vec![EpochDelete { switch: sw, table: 1, m: victim.m, priority: victim.priority }],
-    };
+    let epoch = Epoch { slice: a, mods: vec![(sw, 1, FlowMod::Delete(victim.m, victim.priority))] };
     // Ownership-wise the epoch is impeccable: it only touches the slice's
     // own metadata space.
     epoch
@@ -90,8 +86,7 @@ fn precheck_accepts_healthy_modify_epoch() {
         .unwrap();
     let epoch = Epoch {
         slice: a,
-        adds: vec![EpochAdd { switch: sw, table: 1, entry: e }],
-        deletes: vec![EpochDelete { switch: sw, table: 1, m: e.m, priority: e.priority }],
+        mods: vec![(sw, 1, FlowMod::Delete(e.m, e.priority)), (sw, 1, FlowMod::Add(e))],
     };
     mgr.precheck_epoch(&epoch).expect("an in-place replacement changes nothing");
 }
@@ -129,19 +124,12 @@ fn precheck_rejects_cross_slice_leak_epoch() {
         })
         .expect("some a-host and b-host share a physical switch");
 
-    let evil = Epoch {
-        slice: a,
-        adds: vec![EpochAdd {
-            switch: to_port.switch,
-            table: 1,
-            entry: FlowEntry {
-                m: FlowMatch::to_dst(dst_addr).and_metadata(md),
-                priority: 99,
-                action: Action::Output(to_port.port),
-            },
-        }],
-        deletes: vec![],
+    let leak = FlowEntry {
+        m: FlowMatch::to_dst(dst_addr).and_metadata(md),
+        priority: 99,
+        action: Action::Output(to_port.port),
     };
+    let evil = Epoch { slice: a, mods: vec![(to_port.switch, 1, FlowMod::Add(leak))] };
     // The match is inside slice A's own metadata space: ownership checking
     // is blind to where the *action* points.
     evil.verify(&sa.owned_space(), &sb.owned_space()).expect("ownership cannot see the leak");
@@ -217,7 +205,7 @@ fn planning_is_pure_for_create_reconfigure_and_destroy() {
 
     let create = |t: Topology| SliceOp::Create { name: "c".into(), routes: routed(&t), topo: t };
     let reconfigure = |t: Topology| SliceOp::Reconfigure { id: a, routes: routed(&t), topo: t };
-    let mods = |op: SliceOp| mgr.plan(op).map(|p| p.epoch().ordered_mods().len());
+    let mods = |op: SliceOp| mgr.plan(op).map(|p| p.epoch().mods.len());
     assert!(mods(create(ring(3))).unwrap() > 0);
     assert!(mods(reconfigure(chain(4))).unwrap() > 0);
     assert!(mods(reconfigure(ring(6))).unwrap() > 0);

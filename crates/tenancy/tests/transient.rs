@@ -166,14 +166,16 @@ fn naive_one_shot_order_produces_a_transient_violation() {
     let mut mgr = SliceManager::new(cluster2());
     let id = mgr.create("migrant", &chain(4)).unwrap();
     let plan = mgr.plan_scheduled(id, &ring(4)).unwrap();
+    let (deletes, adds): (Vec<_>, Vec<_>) =
+        plan.epoch().mods.iter().partition(|(_, _, m)| matches!(m, FlowMod::Delete(..)));
     assert!(
-        !plan.epoch().deletes.is_empty() && !plan.epoch().adds.is_empty(),
+        !deletes.is_empty() && !adds.is_empty(),
         "migration must both add and delete for the ordering to matter"
     );
 
     let mut view = TableView::of_switches(mgr.switches());
-    for d in &plan.epoch().deletes {
-        view.apply(d.switch, d.table, &FlowMod::Delete(d.m, d.priority));
+    for (sw, t, m) in deletes {
+        view.apply(*sw, *t, m);
     }
     let mid =
         Verifier::check_plain(mgr.cluster(), view.clone(), plan.pre_intent().clone());
@@ -186,8 +188,8 @@ fn naive_one_shot_order_produces_a_transient_violation() {
     // Completing the naive batch lands on the same end state the scheduler
     // reaches — the violation is purely transient, which is exactly why
     // one-shot end-state gating cannot see it.
-    for a in &plan.epoch().adds {
-        view.apply(a.switch, a.table, &FlowMod::Add(a.entry));
+    for (sw, t, m) in adds {
+        view.apply(*sw, *t, m);
     }
     let done =
         Verifier::check_plain(mgr.cluster(), view, plan.post_intent().clone());
@@ -212,11 +214,11 @@ fn migration_from_a_wounded_base_accepts_its_findings_and_heals_it() {
         .plan_scheduled(id, &to)
         .unwrap()
         .epoch()
-        .deletes
+        .mods
         .iter()
-        .filter(|d| d.table == 1)
+        .filter(|(_, t, m)| *t == 1 && matches!(m, FlowMod::Delete(..)))
         .take(3)
-        .map(|d| (d.switch as usize, FlowMod::Delete(d.m, d.priority)))
+        .map(|(sw, _, m)| (*sw as usize, m.clone()))
         .collect();
     assert_eq!(victims.len(), 3);
     for (sw, m) in victims {
