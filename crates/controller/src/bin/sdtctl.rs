@@ -118,6 +118,24 @@ fn main() -> ExitCode {
     }
 }
 
+/// The one stdout writer: `say!` is `println!` that ends the command
+/// quietly when the reader has gone (`sdtctl tables ft4.toml | head`)
+/// instead of panicking on the broken pipe.
+macro_rules! say {
+    ($($arg:tt)*) => { say(format_args!($($arg)*)) };
+}
+
+fn say(line: std::fmt::Arguments) {
+    use std::io::Write as _;
+    if let Err(e) = writeln!(std::io::stdout().lock(), "{line}") {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("sdtctl: stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
 fn load(path: &str) -> Result<TestbedConfig, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     TestbedConfig::parse(&text).map_err(|e| format!("{path}: {e}"))
@@ -159,7 +177,7 @@ fn daemon_call(socket: &str, req: &Request) -> Result<(), String> {
 /// stdout, the failure reason (if any) to `main` for stderr + non-zero exit.
 fn finish(output: &str, error: Option<String>) -> Result<(), String> {
     if !output.is_empty() {
-        println!("{output}");
+        say!("{output}");
     }
     error.map_or(Ok(()), Err)
 }
@@ -227,13 +245,13 @@ fn cmd_check(paths: &[String], json: bool) -> Result<(), String> {
             rows.push(Json::obj(row));
         } else {
             match verdict {
-                Ok(()) => println!("{path}: OK — {} deployable", cfg.topology.name()),
-                Err(e) => println!("{path}: NOT deployable — {e}"),
+                Ok(()) => say!("{path}: OK — {} deployable", cfg.topology.name()),
+                Err(e) => say!("{path}: NOT deployable — {e}"),
             }
         }
     }
     if json {
-        println!("{}", Json::Arr(rows).emit());
+        say!("{}", Json::Arr(rows).emit());
     }
     if failed {
         Err("some configurations are not deployable".into())
@@ -270,16 +288,16 @@ fn cmd_deploy(paths: &[String], json: bool) -> Result<(), String> {
                 ]),
             ),
         ]);
-        println!("{}", report.emit());
+        say!("{}", report.emit());
     } else {
-        println!("deployed {} on {} x {}", cfg.topology.name(), cfg.switches, cfg.model.name);
-        println!("  routing strategy    : {}", d.routes.strategy());
-        println!("  inter-switch links  : {}", d.projection.inter_switch_links_used);
+        say!("deployed {} on {} x {}", cfg.topology.name(), cfg.switches, cfg.model.name);
+        say!("  routing strategy    : {}", d.routes.strategy());
+        say!("  inter-switch links  : {}", d.projection.inter_switch_links_used);
         for (sw, n) in d.projection.synthesis.entries_per_switch.iter().enumerate() {
-            println!("  switch {sw} entries    : {n}");
+            say!("  switch {sw} entries    : {n}");
         }
-        println!("  deploy time (model) : {:.0} ms", d.deploy_time_ns as f64 / 1e6);
-        println!(
+        say!("  deploy time (model) : {:.0} ms", d.deploy_time_ns as f64 / 1e6);
+        say!(
             "  dataplane audit     : {} delivered, {} isolated, {} violations",
             proof.delivered_pairs, proof.isolated_pairs, violations
         );
@@ -310,10 +328,10 @@ fn cmd_plan(args: &[String]) -> Result<(), String> {
     };
     let plan = plan_wiring(&topologies, &model, switches)
         .map_err(|e| format!("no feasible wiring: {e}"))?;
-    println!("wiring plan for {} topologies on {switches} x {}:", topologies.len(), model.name);
-    println!("  host ports per switch      : {}", plan.hosts_per_switch);
-    println!("  inter-switch links per pair: {}", plan.inter_links_per_pair);
-    println!("  self-links on busiest switch: {}", plan.max_self_links);
+    say!("wiring plan for {} topologies on {switches} x {}:", topologies.len(), model.name);
+    say!("  host ports per switch      : {}", plan.hosts_per_switch);
+    say!("  inter-switch links per pair: {}", plan.inter_links_per_pair);
+    say!("  self-links on busiest switch: {}", plan.max_self_links);
     Ok(())
 }
 
@@ -330,13 +348,13 @@ fn cmd_tables(paths: &[String]) -> Result<(), String> {
         .zip(&d.projection.synthesis.table1)
         .enumerate()
     {
-        println!("=== physical switch {sw}: table 0 ({} entries) ===", t0.len());
+        say!("=== physical switch {sw}: table 0 ({} entries) ===", t0.len());
         for e in t0 {
-            println!("  {e:?}");
+            say!("  {e:?}");
         }
-        println!("=== physical switch {sw}: table 1 ({} entries) ===", t1.len());
+        say!("=== physical switch {sw}: table 1 ({} entries) ===", t1.len());
         for e in t1 {
-            println!("  {e:?}");
+            say!("  {e:?}");
         }
     }
     Ok(())
@@ -463,7 +481,7 @@ fn cmd_verify(args: &[String], json: bool) -> Result<(), String> {
             if let Some(kind) = &corrupt_kind {
                 corrupt(&mut d, kind)?;
                 if !json {
-                    println!("seeded a `{kind}` defect into the live tables");
+                    say!("seeded a `{kind}` defect into the live tables");
                 }
             }
             let intent =
@@ -487,7 +505,7 @@ fn cmd_verify(args: &[String], json: bool) -> Result<(), String> {
             } else {
                 output::verify_human(d.topology.name(), v.report(), block.as_ref())
             };
-            println!("{text}");
+            say!("{text}");
             if v.holds() {
                 Ok(())
             } else {

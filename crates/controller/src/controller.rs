@@ -137,7 +137,7 @@ impl SdtController {
             cluster,
             // §VII-C: the controller's built-in module merges entries when
             // a projection would exceed a switch's table capacity.
-            projector: SdtProjector { merge_entries_on_overflow: true, ..Default::default() },
+            projector: SdtProjector { merge_entries_on_overflow: true },
             require_deadlock_free: true,
             reconfigurations: 0,
         }

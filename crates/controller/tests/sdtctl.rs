@@ -1,7 +1,8 @@
 //! `sdtctl` run as a process: what it prints must not depend on the
 //! process it runs in. std's `HashMap` seeds its hasher per process, so an
 //! iteration-order dependence that every in-process test agrees with itself
-//! about shows up only here.
+//! about shows up only here. A reader that goes away early is also only
+//! seen from outside.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -40,4 +41,23 @@ fn corrupt_loop_seeds_the_same_cable_in_every_process() {
     for (nth, run) in runs.iter().enumerate() {
         assert_eq!(run, &runs[0], "process {nth} seeded a different defect");
     }
+}
+
+#[test]
+fn a_closed_stdout_ends_the_command_without_a_panic() {
+    let config = std::env::temp_dir().join(format!("sdtctl-epipe-{}.toml", std::process::id()));
+    std::fs::write(&config, FT4).unwrap();
+    // The read end goes before the process starts: its first line meets
+    // a broken pipe, as under `sdtctl tables ft4.toml | head -c 100`.
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_sdtctl"))
+        .args(["tables", config.to_str().unwrap()])
+        .stdout(writer)
+        .output()
+        .unwrap();
+    std::fs::remove_file(&config).unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
 }

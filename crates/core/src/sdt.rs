@@ -275,8 +275,6 @@ impl SdtProjection {
 /// The SDT projector (Link Projection).
 #[derive(Clone, Debug, Default)]
 pub struct SdtProjector {
-    /// Partitioner tuning.
-    pub partition: PartitionConfig,
     /// §VII-C mitigation: when the synthesized pipeline exceeds a switch's
     /// table capacity, retry with per-sub-switch default-route merging
     /// before giving up.
@@ -343,7 +341,9 @@ impl SdtProjector {
                 a.to_vec()
             }
             None if k == 1 => vec![0; topo.num_switches() as usize],
-            None => partition_topology(topo, k, &self.partition).assignment().to_vec(),
+            None => {
+                partition_topology(topo, k, &PartitionConfig::default()).assignment().to_vec()
+            }
         };
 
         // 2. Count resource demands up front so errors are complete. Pairs
@@ -683,7 +683,7 @@ mod tests {
         assert!(matches!(err, ProjectionError::TableCapacity { .. }));
         // With it: merged synthesis fits.
         let proj =
-            SdtProjector { merge_entries_on_overflow: true, ..Default::default() };
+            SdtProjector { merge_entries_on_overflow: true };
         let p = proj.project_default(&t, &c).unwrap();
         assert!(p.synthesis.entries_per_switch.iter().all(|&n| n < need));
     }
@@ -763,7 +763,7 @@ mod tests {
         let mut model = SwitchModel::openflow_128x100g();
         model.table_capacity = plain.synthesis.entries_per_switch.iter().max().unwrap() - 10;
         let c = ClusterBuilder::new(model, 2).hosts_per_switch(16).inter_links_per_pair(16).build();
-        let merging = SdtProjector { merge_entries_on_overflow: true, ..Default::default() };
+        let merging = SdtProjector { merge_entries_on_overflow: true };
         let merged = assert_realize_reproduces(&merging, &t, &c, &ProjectOptions::default());
         assert_ne!(merged.synthesis, plain.synthesis, "the merged path ran");
     }

@@ -5,6 +5,15 @@ use crate::graph::Graph;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
+/// Stop coarsening below this many vertices.
+const COARSEN_TO: usize = 12;
+/// Initial-bisection seeds tried on the coarsest graph.
+const INIT_TRIES: usize = 12;
+/// Whole-partition restarts with derived seeds; the best result by (cut,
+/// max part load) wins. Raises quality on irregular graphs like Dragonfly
+/// at small k.
+const GLOBAL_TRIES: u64 = 4;
+
 /// Tuning knobs for the partitioner.
 #[derive(Clone, Debug)]
 pub struct PartitionConfig {
@@ -12,28 +21,13 @@ pub struct PartitionConfig {
     pub epsilon: f64,
     /// RNG seed for matching order and growing seeds.
     pub seed: u64,
-    /// Stop coarsening below this many vertices.
-    pub coarsen_to: usize,
     /// FM refinement passes per uncoarsening level.
     pub fm_passes: usize,
-    /// Number of initial-bisection seeds to try on the coarsest graph.
-    pub init_tries: usize,
-    /// Whole-partition restarts with derived seeds; the best result by
-    /// (cut, max part load) wins. Raises quality on irregular graphs like
-    /// Dragonfly at small k.
-    pub global_tries: usize,
 }
 
 impl Default for PartitionConfig {
     fn default() -> Self {
-        PartitionConfig {
-            epsilon: 0.10,
-            seed: 42,
-            coarsen_to: 12,
-            fm_passes: 8,
-            init_tries: 12,
-            global_tries: 4,
-        }
+        PartitionConfig { epsilon: 0.10, seed: 42, fm_passes: 8 }
     }
 }
 
@@ -148,9 +142,9 @@ fn bisect_inner(
     let target0 = (g.total_vwgt() as f64 * frac0).round() as u64;
     let targets = [target0, g.total_vwgt() - target0];
 
-    if g.len() <= cfg.coarsen_to || depth > 64 {
+    if g.len() <= COARSEN_TO || depth > 64 {
         let mut best: Option<(u64, Vec<u8>)> = None;
-        for _ in 0..cfg.init_tries.max(1) {
+        for _ in 0..INIT_TRIES {
             let mut side = grow_bisection(g, target0, rng);
             refine(g, &mut side, targets, cfg, fm);
             let cut = cut_weight(g, &side);
@@ -264,7 +258,7 @@ fn grow_bisection(g: &Graph, target0: u64, rng: &mut StdRng) -> Vec<u8> {
 }
 
 /// k-way partition by recursive bisection with proportional targets,
-/// restarted `global_tries` times with derived seeds; the lowest
+/// restarted `GLOBAL_TRIES` times with derived seeds; the lowest
 /// (cut, max-part-load) result wins.
 pub fn partition(g: &Graph, k: u32, cfg: &PartitionConfig) -> Partitioning {
     assert!(k >= 1);
@@ -280,7 +274,7 @@ pub fn partition(g: &Graph, k: u32, cfg: &PartitionConfig) -> Partitioning {
     }
     let mut best: Option<(u64, u64, Partitioning)> = None;
     let mut fm = FmScratch::default();
-    for t in 0..cfg.global_tries.max(1) as u64 {
+    for t in 0..GLOBAL_TRIES {
         let cfg_t = PartitionConfig {
             seed: cfg.seed.wrapping_add(t.wrapping_mul(0x9E37_79B9)),
             ..cfg.clone()

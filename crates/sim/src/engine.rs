@@ -1444,12 +1444,6 @@ impl Simulator {
         )
     }
 
-    /// Total bytes carried between two switches (tests/monitor checks).
-    pub fn channel_bytes(&self, from_sw: SwitchId, to_sw: SwitchId) -> u64 {
-        let c = self.channel(self.num_hosts + from_sw.0, self.num_hosts + to_sw.0);
-        self.channels[c as usize].total_bytes
-    }
-
     /// Peak egress-queue depth, in bytes, over all channels (congestion
     /// observable for the DCQCN experiments).
     pub fn peak_queue_bytes(&self) -> u64 {
@@ -1781,6 +1775,7 @@ mod tests {
         s.start_raw_flow(HostId(0), HostId(3), 3_000_000);
         s.run();
         // The chain's s1->s2 channel carried everything.
-        assert!(s.channel_bytes(SwitchId(1), SwitchId(2)) >= 3_000_000);
+        let s1_s2 = s.fabric_channels().find(|&(a, b, _)| (a, b) == (SwitchId(1), SwitchId(2)));
+        assert!(s1_s2.is_some_and(|(_, _, bytes)| bytes >= 3_000_000));
     }
 }

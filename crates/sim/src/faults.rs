@@ -2,8 +2,8 @@
 //!
 //! A [`FaultSchedule`] is a declarative, time-ordered list of data-plane
 //! faults — link down/up/flap, switch crash/restart, port degradation —
-//! plus a [`ControlFaults`] profile describing how the *control* channel
-//! (flow-mod delivery) misbehaves. The schedule is applied to a
+//! plus the [`ControlConfig`] of the *control* channel (flow-mod delivery)
+//! the scenario's recovery runs over. The schedule is applied to a
 //! [`crate::Simulator`] with [`crate::Simulator::apply_fault_schedule`],
 //! where every fault becomes an ordinary event in the engine's `(t, seq)`
 //! queue — so a run under a fault schedule is exactly as bit-reproducible
@@ -17,6 +17,7 @@
 use crate::engine::Time;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use sdt_openflow::ControlConfig;
 use sdt_topology::{SwitchId, Topology};
 
 /// One data-plane fault.
@@ -69,33 +70,6 @@ pub struct TimedFault {
     pub event: FaultEvent,
 }
 
-/// Control-channel misbehavior profile (flow-mod delivery between the
-/// controller and the switches). Consumed by the `sdt-openflow` control
-/// channel model; carried here so one schedule describes a whole chaos
-/// scenario.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct ControlFaults {
-    /// Probability an individual flow-mod is silently lost.
-    pub drop_prob: f64,
-    /// Probability two adjacent queued flow-mods swap delivery order.
-    pub reorder_prob: f64,
-    /// Extra one-way delay added to every control message, ns.
-    pub delay_ns: u64,
-}
-
-impl Default for ControlFaults {
-    fn default() -> Self {
-        ControlFaults { drop_prob: 0.0, reorder_prob: 0.0, delay_ns: 0 }
-    }
-}
-
-impl ControlFaults {
-    /// A perfectly reliable control channel.
-    pub fn reliable() -> Self {
-        ControlFaults::default()
-    }
-}
-
 /// Tuning for [`FaultSchedule::random`].
 #[derive(Clone, Copy, Debug)]
 pub struct ChaosConfig {
@@ -136,8 +110,8 @@ impl Default for ChaosConfig {
 pub struct FaultSchedule {
     /// Data-plane faults, kept sorted by `at_ns` (stable for equal times).
     pub events: Vec<TimedFault>,
-    /// Control-channel fault profile for the scenario.
-    pub control: ControlFaults,
+    /// The scenario's control channel: what `ControlChannel::new` takes.
+    pub control: ControlConfig,
 }
 
 impl FaultSchedule {
@@ -196,8 +170,8 @@ impl FaultSchedule {
         self.push(at_ns, FaultEvent::PortDegrade { a, b, factor })
     }
 
-    /// Set the control-channel fault profile.
-    pub fn with_control(mut self, control: ControlFaults) -> Self {
+    /// Set the scenario's control channel.
+    pub fn with_control(mut self, control: ControlConfig) -> Self {
         self.control = control;
         self
     }
@@ -253,6 +227,8 @@ impl FaultSchedule {
     pub fn random(seed: u64, topo: &Topology, cfg: &ChaosConfig) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut sched = FaultSchedule::new();
+        // The channel's own draws replay from the scenario seed too.
+        sched.control.seed = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
         let fabric: Vec<(SwitchId, SwitchId)> = topo
             .fabric_links()
             .map(|l| l.switch_ends())
@@ -285,10 +261,11 @@ impl FaultSchedule {
             sched.port_degrade(a, b, factor, rng.random_range(0..t_range));
         }
         if rng.random_bool(cfg.control_fault_prob) {
-            sched.control = ControlFaults {
+            sched.control = ControlConfig {
                 drop_prob: 0.05 + 0.35 * rng.random::<f64>(),
                 reorder_prob: 0.2 * rng.random::<f64>(),
                 delay_ns: rng.random_range(0..1_000_000),
+                ..sched.control
             };
         }
         sched

@@ -51,14 +51,12 @@ pub mod engine;
 pub mod faults;
 pub mod mpi;
 mod queue;
-pub mod slices;
 pub mod telemetry;
 
 pub use config::{DcqcnConfig, Granularity, SimConfig, TcpConfig};
 pub use engine::{
     CaptureEvent, CaptureRecord, EventKind, FlowRecord, FlowStats, SimOutcome, SimStats, Simulator,
 };
-pub use faults::{ChaosConfig, ControlFaults, FaultEvent, FaultSchedule, TimedFault};
-pub use slices::MultiSliceSim;
+pub use faults::{ChaosConfig, FaultEvent, FaultSchedule, TimedFault};
 pub use telemetry::{ChannelUtilization, FctSummary};
 pub use mpi::{run_trace, MpiRunResult};

@@ -33,17 +33,7 @@ impl FctSummary {
     /// implementation shared with the benchmark artifacts.
     pub fn from_durations(mut fcts: Vec<u64>) -> FctSummary {
         fcts.sort_unstable();
-        Self::from_sorted(&fcts)
-    }
-
-    /// Summarize an **already sorted** set of completion times without
-    /// cloning or re-sorting it. Callers that keep their FCT samples
-    /// sorted (the estimator's aggregated distributions, merged sweep
-    /// series) borrow them here instead of paying a `Vec` copy per
-    /// summary; [`Self::from_durations`] is the convenience wrapper that
-    /// sorts first.
-    pub fn from_sorted(fcts: &[u64]) -> FctSummary {
-        let s = sdt_par::stats::LatencySummary::from_sorted_ns(fcts);
+        let s = sdt_par::stats::LatencySummary::from_sorted_ns(&fcts);
         FctSummary {
             count: s.count,
             mean_ns: s.mean_ns,

@@ -26,7 +26,9 @@
 //! in-place replacement (OpenFlow MODIFY): `FlowMod::Delete` removes by
 //! (match, priority), so adding first would get the replacement wiped by
 //! its own delete. Such an add leaves steps 1–2 and lands right after the
-//! first delete of its key instead. The manager's install, the static
+//! last delete of its key instead; an entry kept under a deleted key (only
+//! a table holding the key twice has one) is sent again there, since the
+//! delete strikes it too. The manager's install, the static
 //! pre-install gate and the round compiler all read this one sequence, so
 //! what the verifier proves is byte-for-byte what the switches receive.
 //!
@@ -36,6 +38,7 @@
 use crate::SliceId;
 use sdt_core::synthesis::SynthesisOutput;
 use sdt_openflow::{diff_positions, install_time_ns, FlowEntry, FlowMod, PortNo};
+use std::cmp::Reverse;
 use std::collections::HashSet;
 use std::fmt;
 
@@ -173,8 +176,9 @@ pub fn synthesis_entries(s: &SynthesisOutput, switch: usize, table: u8) -> &[Flo
 }
 
 /// One switch's table of a diff: the positions `old` loses, in position
-/// order; the positions of `new` whose key no delete shares; and the rest
-/// as (rank in `gone` of the delete each rides, position), by rank.
+/// order; the positions of `new` to add whose key no delete shares; and
+/// the other adds as (rank in `gone` of the delete each rides, position),
+/// by rank.
 struct TableDiff<'a> {
     old: &'a [FlowEntry],
     new: &'a [FlowEntry],
@@ -187,26 +191,34 @@ impl<'a> TableDiff<'a> {
     fn new(old: &'a [FlowEntry], new: &'a [FlowEntry]) -> Self {
         let (gone, fresh) = diff_positions(old, new);
         // Both sides by key: one comparison per element on a table already
-        // in entry order. Equal delete keys stay in position order, so the
-        // merge meets the first delete of a key first: the one its adds ride.
+        // in entry order. Equal delete keys go last position first, so the
+        // merge meets the last delete of a key first: the one its adds ride,
+        // which no later delete of the key can strike.
         let key = |e: &FlowEntry| e.m.order_key(e.priority);
         let mut deletes: Vec<usize> = (0..gone.len()).collect();
-        deletes.sort_by_key(|&k| key(&old[gone[k]]));
-        let mut adds: Vec<usize> = (0..fresh.len()).collect();
-        adds.sort_unstable_by_key(|&a| key(&new[fresh[a]]));
-        // Per fresh entry: the rank in `gone` of the delete it rides.
-        let mut rides = vec![None; fresh.len()];
+        deletes.sort_by_key(|&k| (key(&old[gone[k]]), Reverse(k)));
+        // Every entry of `new`, not only the fresh ones, meets the deletes:
+        // a delete strikes every entry of its key, so an entry `new` keeps
+        // under a deleted key is sent again behind it. Only a table that
+        // holds a key twice has one; synthesis never emits such a table.
+        let mut by_key: Vec<usize> = (0..new.len()).collect();
+        by_key.sort_unstable_by_key(|&j| key(&new[j]));
+        // Per entry of `new`: the rank in `gone` of the delete it rides.
+        let mut rides = vec![None; new.len()];
         let mut deletes = deletes.into_iter().peekable();
-        for a in adds {
-            let k = key(&new[fresh[a]]);
+        for j in by_key {
+            let k = key(&new[j]);
             while deletes.next_if(|&d| key(&old[gone[d]]) < k).is_some() {}
-            rides[a] = deletes.peek().copied().filter(|&d| key(&old[gone[d]]) == k);
+            rides[j] = deletes.peek().copied().filter(|&d| key(&old[gone[d]]) == k);
         }
         let (mut alone, mut riders) = (Vec::new(), Vec::new());
-        for (j, ride) in fresh.into_iter().zip(rides) {
+        let mut fresh = fresh.into_iter().peekable();
+        for (j, ride) in rides.into_iter().enumerate() {
+            let is_fresh = fresh.next_if_eq(&j).is_some();
             match ride {
                 Some(k) => riders.push((k, j)),
-                None => alone.push(j),
+                None if is_fresh => alone.push(j),
+                None => {}
             }
         }
         // Stable: the adds riding one delete keep their position order.
@@ -222,7 +234,7 @@ impl Epoch {
     /// proportional to the delta.
     ///
     /// Each section of the wire order runs switch by switch, each switch's
-    /// mods in table position order; an add rides the first delete, in
+    /// mods in table position order; an add rides the last delete, in
     /// `old`'s position order, of its own key.
     pub fn from_diff(slice: SliceId, old: &SynthesisOutput, new: &SynthesisOutput) -> Epoch {
         let num_switches = old.table0.len().max(new.table0.len());

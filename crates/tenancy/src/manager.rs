@@ -513,7 +513,7 @@ impl SliceManager {
             cluster,
             // §VII-C mitigation stays on: a slice that only fits merged
             // still beats a rejection.
-            projector: SdtProjector { merge_entries_on_overflow: true, ..Default::default() },
+            projector: SdtProjector { merge_entries_on_overflow: true },
             switches,
             slices: BTreeMap::new(),
             next_id: 0,

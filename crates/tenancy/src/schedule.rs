@@ -539,7 +539,7 @@ mod tests {
     }
 
     #[test]
-    fn an_add_rides_the_first_delete_of_its_key() {
+    fn an_add_rides_the_last_delete_of_its_key() {
         // Neither side in key order; route (5, 1) is held twice, deleted
         // twice and replaced twice, port 3 is re-classified, route (7, 2)
         // is new.
@@ -552,10 +552,19 @@ mod tests {
             (0, 0, FlowMod::Delete(t0(3, 5).m, 10)),
             (0, 0, FlowMod::Add(t0(3, 6))),
             (0, 1, FlowMod::Delete(t1(5, 1, 1).m, 10)),
+            (0, 1, FlowMod::Delete(t1(5, 1, 1).m, 10)),
             (0, 1, FlowMod::Add(t1(5, 1, 2))),
             (0, 1, FlowMod::Add(t1(5, 1, 3))),
-            (0, 1, FlowMod::Delete(t1(5, 1, 1).m, 10)),
         ];
+        assert_eq!(format!("{:?}", e.mods), format!("{wire:?}"));
+        // One copy of route (5, 1) kept, the other gone: the delete strikes
+        // both, so the kept copy is sent again behind it.
+        let (e, _) = diff(
+            synth(vec![], vec![t1(5, 1, 9), t1(5, 1, 1)]),
+            synth(vec![], vec![t1(5, 1, 1)]),
+        );
+        let wire: Vec<(u32, u8, FlowMod)> =
+            vec![(0, 1, FlowMod::Delete(t1(5, 1, 1).m, 10)), (0, 1, FlowMod::Add(t1(5, 1, 1)))];
         assert_eq!(format!("{:?}", e.mods), format!("{wire:?}"));
     }
 

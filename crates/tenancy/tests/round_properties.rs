@@ -16,7 +16,9 @@
 //! (e) the wire order [`Epoch::from_diff`] stores, and the rounds compiled
 //!     from it, equal a reference that works the order out of plain add
 //!     and delete lists — random multi-switch pipelines with MODIFYs, keys
-//!     held twice and tables not in entry order.
+//!     held twice and tables not in entry order;
+//! (f) replaying that wire order on the old tables ends exactly on the new
+//!     tables' entries, per switch and table.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use proptest::prelude::*;
@@ -32,7 +34,7 @@ use sdt_tenancy::{
     compile_rounds, install_scheduled, Epoch, MigrationPlan, Round, RoundPhase, SliceId,
     SliceManager,
 };
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use sdt_topology::chain::{chain, ring};
 use sdt_topology::meshtorus::mesh;
 use sdt_topology::Topology;
@@ -263,15 +265,22 @@ type Add = (u32, u8, FlowEntry);
 type Delete = (u32, u8, FlowMatch, u16);
 
 /// The mods turning `old` into `new` as two plain lists, switch by switch,
-/// table 0 then table 1, each in position order.
+/// table 0 then table 1, each in position order. A delete strikes every
+/// entry of its (match, priority) key, so the adds are the entries `old`
+/// lacks and those `new` keeps under a deleted key.
 fn plain_lists(old: &SynthesisOutput, new: &SynthesisOutput) -> (Vec<Add>, Vec<Delete>) {
     let (mut adds, mut deletes) = (Vec::new(), Vec::new());
     for sw in 0..old.table0.len().max(new.table0.len()) {
         for table in [0u8, 1u8] {
             let (o, n) = (synthesis_entries(old, sw, table), synthesis_entries(new, sw, table));
             let (gone, fresh) = diff_positions(o, n);
+            let struck: HashSet<_> = gone.iter().map(|&i| (o[i].m, o[i].priority)).collect();
             deletes.extend(gone.iter().map(|&i| (sw as u32, table, o[i].m, o[i].priority)));
-            adds.extend(fresh.iter().map(|&j| (sw as u32, table, n[j])));
+            adds.extend(
+                (0..n.len())
+                    .filter(|j| fresh.contains(j) || struck.contains(&(n[*j].m, n[*j].priority)))
+                    .map(|j| (sw as u32, table, n[j])),
+            );
         }
     }
     (adds, deletes)
@@ -279,11 +288,11 @@ fn plain_lists(old: &SynthesisOutput, new: &SynthesisOutput) -> (Vec<Add>, Vec<D
 
 /// The reference wire order over plain lists: adds table 1 → table 0, then
 /// deletes table 0 → table 1, each add that shares a delete's (switch,
-/// table, match, priority) key held back to land right after the first
+/// table, match, priority) key held back to land right after the last
 /// delete of that key (an in-place MODIFY).
 fn ordered(adds: &[Add], deletes: &[Delete]) -> Vec<Mod> {
     // Adds and deletes by position, each sorted by key. Equal delete keys
-    // stay in position order, so a merge meets the first delete of a key
+    // go last position first, so a merge meets the last delete of a key
     // first: the one an add of the same key rides behind.
     let add_key = |&i: &u32| {
         let (switch, table, entry) = &adds[i as usize];
@@ -296,7 +305,7 @@ fn ordered(adds: &[Add], deletes: &[Delete]) -> Vec<Mod> {
     let mut by_key: Vec<u32> = (0..adds.len() as u32).collect();
     by_key.sort_unstable_by_key(add_key);
     let mut sorted_deletes: Vec<u32> = (0..deletes.len() as u32).collect();
-    sorted_deletes.sort_by_key(delete_key);
+    sorted_deletes.sort_by_key(|d| (delete_key(d), std::cmp::Reverse(*d)));
     // Per add: the position of the delete it rides, if one shares its key.
     const ALONE: u32 = u32::MAX;
     let mut rides = vec![ALONE; adds.len()];
@@ -336,7 +345,8 @@ fn ordered(adds: &[Add], deletes: &[Delete]) -> Vec<Mod> {
 }
 
 /// [`ordered`]'s own reference, from before the pairing was keyed by
-/// delete position: a key set, and a heap `Vec` of replacements per key.
+/// delete position: a key set, and a heap `Vec` of replacements per key,
+/// sent behind the key's last delete.
 fn ordered_by_key_map(adds: &[Add], deletes: &[Delete]) -> Vec<Mod> {
     use std::collections::HashMap;
     let delete_keys: HashSet<Delete> = deletes.iter().copied().collect();
@@ -353,8 +363,11 @@ fn ordered_by_key_map(adds: &[Add], deletes: &[Delete]) -> Vec<Mod> {
         }
     }
     for table in [0u8, 1u8] {
-        for &d in deletes.iter().filter(|d| d.1 == table) {
+        for (at, &d) in deletes.iter().enumerate().filter(|(_, d)| d.1 == table) {
             mods.push((d.0, d.1, FlowMod::Delete(d.2, d.3)));
+            if deletes[at + 1..].contains(&d) {
+                continue;
+            }
             for e in replacements.remove(&d).into_iter().flatten() {
                 mods.push((d.0, d.1, FlowMod::Add(e)));
             }
@@ -542,6 +555,46 @@ proptest! {
             rounds(compile_rounds(&epoch, &before)),
             rounds(reference_rounds(&want, &before))
         );
+    }
+}
+
+/// A plain replay of a wire order on `old`'s tables: an add appends, a
+/// delete strikes every entry of its (match, priority) key. Per switch and
+/// table, the entries left as a set.
+fn replayed(old: &SynthesisOutput, mods: &[Mod]) -> Vec<[BTreeSet<String>; 2]> {
+    let mut tables: Vec<[Vec<FlowEntry>; 2]> =
+        old.table0.iter().zip(&old.table1).map(|(t0, t1)| [t0.clone(), t1.clone()]).collect();
+    for (sw, table, m) in mods {
+        if tables.len() <= *sw as usize {
+            tables.resize(*sw as usize + 1, Default::default());
+        }
+        let t = &mut tables[*sw as usize][usize::from(*table)];
+        match *m {
+            FlowMod::Add(e) => t.push(e),
+            FlowMod::Delete(m, p) => t.retain(|e| (e.m, e.priority) != (m, p)),
+            FlowMod::Clear => t.clear(),
+        }
+    }
+    let set = |t: &Vec<FlowEntry>| t.iter().map(|e| format!("{e:?}")).collect();
+    tables.iter().map(|ts| ts.each_ref().map(set)).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(500))]
+
+    /// (f) Replaying the wire order on `old` ends exactly on `new`'s
+    /// entries, per switch and table, also where `old` holds a key twice
+    /// and deletes one or both copies.
+    #[test]
+    fn replaying_the_epoch_on_old_ends_on_new(seed in any::<u64>()) {
+        let (old, new) = pipelines(seed);
+        let epoch = Epoch::from_diff(SliceId(0), &old, &new);
+        let (got, want) = (replayed(&old, &epoch.mods), replayed(&new, &[]));
+        let none = Default::default();
+        for sw in 0..got.len().max(want.len()) {
+            let (got, want) = (got.get(sw).unwrap_or(&none), want.get(sw).unwrap_or(&none));
+            prop_assert_eq!(got, want, "switch {}", sw);
+        }
     }
 }
 

@@ -41,7 +41,7 @@ fn assert_identical(a: &Verifier, b: &Verifier, label: &str) {
 /// Project a topology onto the smallest cluster that carries it.
 fn project(topo: &Topology) -> (sdt_core::cluster::PhysicalCluster, sdt_core::sdt::SdtProjection) {
     let model = SwitchModel::openflow_128x100g();
-    let projector = SdtProjector { merge_entries_on_overflow: true, ..Default::default() };
+    let projector = SdtProjector { merge_entries_on_overflow: true };
     for n in 1..=8u32 {
         let cluster = ClusterBuilder::new(model, n)
             .hosts_per_switch((topo.num_hosts() / n).max(1) as u16)

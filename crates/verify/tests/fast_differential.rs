@@ -64,7 +64,7 @@ fn assert_same_verdict_as_scratch(delta: &Verifier, scratch: &Verifier, label: &
 /// Project a topology onto the smallest cluster that carries it.
 fn project(topo: &Topology) -> (sdt_core::cluster::PhysicalCluster, sdt_core::sdt::SdtProjection) {
     let model = SwitchModel::openflow_128x100g();
-    let projector = SdtProjector { merge_entries_on_overflow: true, ..Default::default() };
+    let projector = SdtProjector { merge_entries_on_overflow: true };
     for n in 1..=8u32 {
         let cluster = ClusterBuilder::new(model, n)
             .hosts_per_switch((topo.num_hosts() / n).max(1) as u16)
@@ -92,7 +92,7 @@ fn project_wide(
         p4: false,
     };
     let ctl = SdtController::for_campaign(std::slice::from_ref(topo), wide, switches).unwrap();
-    let projector = SdtProjector { merge_entries_on_overflow: true, ..Default::default() };
+    let projector = SdtProjector { merge_entries_on_overflow: true };
     let proj = projector.project_default(topo, ctl.cluster()).unwrap();
     (ctl.cluster().clone(), proj)
 }

@@ -21,7 +21,7 @@ use sdt::core::cluster::ClusterBuilder;
 use sdt::core::methods::SwitchModel;
 use sdt::core::walk::IsolationReport;
 use sdt::openflow::{ControlChannel, ControlConfig};
-use sdt::sim::{ControlFaults, FaultSchedule, SimConfig, Simulator};
+use sdt::sim::{FaultSchedule, SimConfig, Simulator};
 use sdt::topology::meshtorus::torus;
 use sdt::topology::{HostId, SwitchId};
 
@@ -41,8 +41,8 @@ fn main() {
 
     // The scenario: cut s0<->s1 permanently at 2 ms, flap s2<->s6, and a
     // control channel that silently drops a quarter of all flow-mods.
-    let mut schedule = FaultSchedule::new()
-        .with_control(ControlFaults { drop_prob: 0.25, reorder_prob: 0.05, delay_ns: 100_000 });
+    let control = ControlConfig { drop_prob: 0.25, reorder_prob: 0.05, delay_ns: 100_000, seed: 7 };
+    let mut schedule = FaultSchedule::new().with_control(control);
     schedule.link_down(SwitchId(0), SwitchId(1), 2_000_000);
     schedule.link_flap(SwitchId(2), SwitchId(6), 3_000_000, 800_000);
 
@@ -67,12 +67,7 @@ fn main() {
         dead_switches: schedule.unrecovered_crashes(),
     };
     assert_eq!(report.dead_links, vec![(SwitchId(0), SwitchId(1))]);
-    let mut ch = ControlChannel::new(ControlConfig {
-        drop_prob: schedule.control.drop_prob,
-        reorder_prob: schedule.control.reorder_prob,
-        delay_ns: schedule.control.delay_ns,
-        seed: 7,
-    });
+    let mut ch = ControlChannel::new(schedule.control);
     let out = ctl.recover(d, &report, &mut ch).unwrap();
     println!("\nphase 1 — incremental repair over a 25%-lossy control channel:");
     println!("  {} flow-mods sent in {} rounds ({} retries, {:.1} ms backoff) vs {} full install",

@@ -5,9 +5,9 @@
 //!
 //! 1. admit a fat-tree, a dragonfly, and a mesh as slices of one cluster;
 //! 2. prove cross-slice isolation on the live flow tables;
-//! 3. run all three workloads in one simulation with per-slice FCTs,
-//!    reconfiguring the mesh slice to a chain mid-run (make-before-break:
-//!    the other two tenants' rules — and bytes — are untouched);
+//! 3. run each slice's workload on its own engine, over the routes its
+//!    tables realize, reconfiguring the mesh slice to a chain mid-run
+//!    (make-before-break: the other two tenants' rules are untouched);
 //! 4. watch an over-budget fourth slice get rejected with the exact
 //!    scarce resource named, leaving the fabric exactly as it was;
 //! 5. destroy a slice and get its ports/cables/entries back.
@@ -18,8 +18,8 @@
 use sdt::controller::SliceController;
 use sdt::core::cluster::ClusterBuilder;
 use sdt::core::methods::SwitchModel;
-use sdt::sim::{MultiSliceSim, SimConfig};
-use sdt::tenancy::SliceAudit;
+use sdt::sim::{SimConfig, Simulator};
+use sdt::tenancy::{Slice, SliceAudit};
 use sdt::topology::chain::chain;
 use sdt::topology::dragonfly::dragonfly;
 use sdt::topology::fattree::fat_tree;
@@ -68,21 +68,25 @@ fn main() {
         audit.cross_isolated
     );
 
-    // --- 3. concurrent workloads + mid-run reconfiguration ------------
-    // All three slices run in ONE engine; carol's replacement topology is
-    // staged up front so flipping to it cannot disturb anyone's ids.
-    let ms2 = chain(4);
-    let mut sim = MultiSliceSim::new_with_staged(&[&ft, &df, &ms], &[(2, &ms2)], SimConfig::default());
-    sim.start_raw_flow(0, HostId(0), HostId(15), 600_000);
-    sim.start_raw_flow(1, HostId(0), HostId(3), 300_000);
-    sim.start_raw_flow(2, HostId(0), HostId(3), 200_000);
+    // --- 3. per-slice workloads + mid-run reconfiguration -------------
+    // Each slice's workload runs on its own engine, built from the slice's
+    // topology and the routes its installed tables were synthesized from.
+    let engine = |s: &Slice| Simulator::new(&s.topology, s.routes.clone(), SimConfig::default());
+    let mut sims: Vec<Simulator> = ctl.manager().slices().map(engine).collect();
+    sims[0].start_raw_flow(HostId(0), HostId(15), 600_000);
+    sims[1].start_raw_flow(HostId(0), HostId(3), 300_000);
+    sims[2].start_raw_flow(HostId(0), HostId(3), 200_000);
     // Phase 1: run everyone for 50 us of simulated time.
-    sim.set_time_limit(50_000);
-    sim.run();
+    for sim in &mut sims {
+        sim.set_time_limit(50_000);
+        sim.run();
+    }
 
     // Mid-run: carol swaps her mesh for a chain. On the fabric this is a
-    // make-before-break epoch; in the engine her new flows move to the
-    // staged component.
+    // make-before-break epoch. In simulation her old engine drains the
+    // flows already in flight, and a second engine, built on the
+    // reconfigured slice, carries the flows that start after the cutover.
+    let ms2 = chain(4);
     let report = ctl.reconfigure(c, &ms2, "default").unwrap();
     println!(
         "reconfigured carol/mesh -> {} mid-run: {} flow-mods, {:.1} ms modeled cutover",
@@ -91,21 +95,23 @@ fn main() {
         report.install_time_ns as f64 / 1e6
     );
     assert!(SliceAudit::run(ctl.manager_mut()).clean(), "co-tenants untouched by the epoch");
-    sim.cutover(2);
-    sim.start_raw_flow(2, HostId(0), HostId(3), 200_000);
+    let mut carol_chain = engine(ctl.manager().slice(c).unwrap());
+    carol_chain.schedule_raw_flow(HostId(0), HostId(3), 200_000, sims[2].now_ns());
 
     // Phase 2: run everything to completion.
-    sim.set_time_limit(0);
-    sim.run();
-    println!("\nper-slice telemetry (one engine run):");
-    for (slice, name) in [(0, "alice/fat-tree"), (1, "bob/dragonfly"), (2, "carol/mesh->chain")] {
-        let fct = sim.slice_fct_summary(slice);
+    sims.push(carol_chain);
+    println!("\nper-slice telemetry (one engine per slice, carol's two across her cutover):");
+    let names = ["alice/fat-tree", "bob/dragonfly", "carol/mesh (drained)", "carol/chain"];
+    for (sim, name) in sims.iter_mut().zip(names) {
+        sim.set_time_limit(0);
+        sim.run();
+        let fct = sim.fct_summary();
+        let fabric_bytes: u64 = sim.utilization_report().iter().map(|u| u.bytes).sum();
         println!(
-            "  {name}: {} flows done, p50 {:.1} us, p999 {:.1} us, {} fabric bytes",
+            "  {name}: {} flows done, p50 {:.1} us, p999 {:.1} us, {fabric_bytes} fabric bytes",
             fct.count,
             fct.p50_ns as f64 / 1e3,
             fct.p999_ns as f64 / 1e3,
-            sim.slice_fabric_bytes(slice)
         );
     }
 

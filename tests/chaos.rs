@@ -27,9 +27,7 @@ use sdt::core::methods::SwitchModel;
 use sdt::core::walk::IsolationReport;
 use sdt::openflow::{ControlChannel, ControlConfig};
 use sdt::routing::cdg::analyze;
-use sdt::sim::{
-    ChaosConfig, ControlFaults, FaultSchedule, Granularity, SimConfig, Simulator,
-};
+use sdt::sim::{ChaosConfig, FaultSchedule, Granularity, SimConfig, Simulator};
 use sdt::topology::fattree::fat_tree;
 use sdt::topology::meshtorus::torus;
 use sdt::topology::{HostId, SwitchId, Topology};
@@ -52,18 +50,6 @@ fn chaos_topology(ix: usize) -> Topology {
         1 => torus(&[4, 4]),
         _ => torus(&[2, 2, 2]),
     }
-}
-
-/// Derive the scenario's control channel from the schedule's fault
-/// profile. The channel RNG is seeded from the scenario seed so drop and
-/// reorder draws replay exactly.
-fn channel_for(schedule: &FaultSchedule, seed: u64) -> ControlChannel {
-    ControlChannel::new(ControlConfig {
-        drop_prob: schedule.control.drop_prob,
-        reorder_prob: schedule.control.reorder_prob,
-        delay_ns: schedule.control.delay_ns,
-        seed: seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1),
-    })
 }
 
 /// Replay one full chaos scenario and return its telemetry string.
@@ -129,7 +115,7 @@ fn run_chaos(seed: u64, topo: &Topology) -> String {
         report.dead_links, report.dead_switches
     );
 
-    let mut ch = channel_for(&schedule, seed);
+    let mut ch = ControlChannel::new(schedule.control);
     match ctl.recover(d, &report, &mut ch) {
         Ok(out) => {
             let _ = writeln!(
@@ -278,8 +264,10 @@ fn chaos_flow_mod_loss_triggers_retry_and_backoff() {
     let d = ctl.deploy(&topo).unwrap();
     let first = d.topology.fabric_links().next().unwrap();
     let dead = (first.a.as_switch().unwrap(), first.b.as_switch().unwrap());
-    let mut schedule = FaultSchedule::new()
-        .with_control(ControlFaults { drop_prob: 0.35, reorder_prob: 0.1, delay_ns: 200_000 });
+    // The channel seed `FaultSchedule::random(7, ..)` derives.
+    let seed = 7u64.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
+    let control = ControlConfig { drop_prob: 0.35, reorder_prob: 0.1, delay_ns: 200_000, seed };
+    let mut schedule = FaultSchedule::new().with_control(control);
     schedule.link_down(dead.0, dead.1, 1_000_000);
     let report = FailureReport {
         dead_links: schedule.final_link_cuts(),
@@ -287,7 +275,7 @@ fn chaos_flow_mod_loss_triggers_retry_and_backoff() {
     };
     assert_eq!(report.dead_links, vec![(dead.0.min(dead.1), dead.0.max(dead.1))]);
 
-    let mut ch = channel_for(&schedule, 7);
+    let mut ch = ControlChannel::new(schedule.control);
     let out = ctl.recover(d, &report, &mut ch).unwrap();
     assert!(out.retry.converged, "{:?}", out.retry);
     assert!(out.retry.retries > 0, "35% flow-mod loss must trigger retries: {:?}", out.retry);
@@ -371,7 +359,7 @@ proptest! {
             dead_links: schedule.final_link_cuts(),
             dead_switches: schedule.unrecovered_crashes(),
         };
-        let mut ch = channel_for(&schedule, seed);
+        let mut ch = ControlChannel::new(schedule.control);
         match ctl.recover(d, &report, &mut ch) {
             Ok(out) => {
                 prop_assert!(analyze(&out.deployment.routes).is_free());
