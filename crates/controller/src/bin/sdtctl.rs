@@ -52,7 +52,7 @@
 
 use sdt_controller::commands::{self, ConfigItem};
 use sdt_controller::output::{self, StatsBlock};
-use sdt_controller::wire::{Reply, Request};
+use sdt_controller::wire::{self, Reply, Request};
 use sdt_controller::{
     plan_wiring, Deployment, Json, SdtController, SliceController, TestbedConfig,
 };
@@ -399,16 +399,18 @@ fn parse_reconfigure_flags(args: &[String]) -> Result<ReconfigureFlags, String> 
         match a.as_str() {
             "--scheduled" => scheduled = true,
             "--drop" => {
-                channel.drop_prob = it
+                let p = it
                     .next()
                     .and_then(|v| v.parse().ok())
                     .ok_or("reconfigure: --drop needs a probability")?;
+                channel.drop_prob = wire::probability("reconfigure: --drop", p)?;
             }
             "--reorder" => {
-                channel.reorder_prob = it
+                let p = it
                     .next()
                     .and_then(|v| v.parse().ok())
                     .ok_or("reconfigure: --reorder needs a probability")?;
+                channel.reorder_prob = wire::probability("reconfigure: --reorder", p)?;
             }
             "--seed" => {
                 channel.seed = it

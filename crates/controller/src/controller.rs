@@ -8,7 +8,7 @@ use sdt_core::sdt::{
     FailedResources, ProjectOptions, ProjectionError, SdtProjection, SdtProjector,
 };
 use sdt_core::walk::instantiate;
-use sdt_openflow::{reconcile, ControlChannel, OpenFlowSwitch, Reconciled, RetryPolicy};
+use sdt_openflow::{reconcile, ControlChannel, OpenFlowSwitch, Reconciled};
 use sdt_routing::cdg::{analyze, DeadlockAnalysis};
 use sdt_routing::{default_strategy, RouteTable, RoutingStrategy};
 use sdt_tenancy::epoch::synthesis_entries;
@@ -263,7 +263,7 @@ impl SdtController {
     /// [`crate::recovery::FailureDetector`] produced, repair the deployment
     /// and reconcile the *live* switches — stale tables, dropped flow-mods
     /// and all — toward it over `channel` ([`sdt_openflow::reconcile`]
-    /// under [`RetryPolicy::default`]). Two phases:
+    /// under its fixed retry budget). Two phases:
     ///
     /// 1. **Full recovery** — cable faults only: the *same* logical
     ///    topology and routes are re-projected with the dead cables marked
@@ -385,7 +385,7 @@ impl SdtController {
         // faults severed count as expected drops, not blackholes.
         self.static_gate(&topology, &projection)?;
         let target = |sw, t| synthesis_entries(&projection.synthesis, sw, t);
-        let retry = reconcile(channel, &mut switches, target, &RetryPolicy::default(), 0);
+        let retry = reconcile(channel, &mut switches, target, 0);
         let recovery_time_ns = DETECTION_NS + retry.install_ns;
         let deploy_time_ns = projection.deploy_time_ns();
         self.reconfigurations += 1;

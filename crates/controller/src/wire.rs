@@ -218,7 +218,9 @@ fn decode_params(method: &str, p: &Json) -> Result<Option<Request>, String> {
             Request::Slices { json: flag("json")?, configs }
         }
         "reconfigure" => {
-            let prob = |key: &str| p.get(key).map_or(Ok(0.0), |v| v.want_f64(key));
+            let prob = |key: &str| {
+                p.get(key).map_or(Ok(0.0), |v| probability(key, v.want_f64(key)?))
+            };
             let channel = ControlConfig {
                 drop_prob: prob("drop")?,
                 reorder_prob: prob("reorder")?,
@@ -235,6 +237,20 @@ fn decode_params(method: &str, p: &Json) -> Result<Option<Request>, String> {
         }
         _ => return Ok(None),
     }))
+}
+
+/// `p` if it is a probability, in `[0, 1]`; else an error naming `what`.
+/// A control channel's loss profile enters through two doors, the
+/// `reconfigure` request and `sdtctl reconfigure --drop/--reorder`, and
+/// both check it here: out of range, a draw would silently drop every
+/// flow-mod (`2`) or none (`NaN`, `-1`), and upstream `rand`'s
+/// `random_bool` panics on it.
+pub fn probability(what: &str, p: f64) -> Result<f64, String> {
+    if (0.0..=1.0).contains(&p) {
+        Ok(p)
+    } else {
+        Err(format!("{what}: {p} is not a probability in [0, 1]"))
+    }
 }
 
 /// One reply. `ok` on the wire is `error.is_none()`.

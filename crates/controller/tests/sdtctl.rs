@@ -61,3 +61,31 @@ fn a_closed_stdout_ends_the_command_without_a_panic() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert_eq!(out.status.code(), Some(0), "{stderr}");
 }
+
+#[test]
+fn control_channel_probabilities_outside_0_1_are_refused_by_flag() {
+    let config = std::env::temp_dir().join(format!("sdtctl-prob-{}.toml", std::process::id()));
+    std::fs::write(&config, FT4).unwrap();
+    let path = config.to_str().unwrap();
+    let runs: Vec<_> = [("--drop", "2"), ("--drop", "NaN"), ("--reorder", "-1")]
+        .into_iter()
+        .map(|(flag, value)| {
+            let out = Command::new(env!("CARGO_BIN_EXE_sdtctl"))
+                .args(["reconfigure", "--scheduled", flag, value, path, path])
+                .output()
+                .unwrap();
+            (flag, out)
+        })
+        .collect();
+    std::fs::remove_file(&config).unwrap();
+    for (flag, out) in runs {
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{flag}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("sdtctl: reconfigure: {flag}: ")),
+            "{flag}: {stderr}"
+        );
+        assert!(stderr.contains("not a probability"), "{flag}: {stderr}");
+        assert!(out.stdout.is_empty(), "{flag}: nothing ran");
+    }
+}

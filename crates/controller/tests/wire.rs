@@ -38,6 +38,14 @@ fn finite(bits: u64) -> f64 {
     Some(f64::from_bits(bits)).filter(|x| x.is_finite()).unwrap_or(0.25)
 }
 
+/// A probability with an arbitrary lexeme: the bits' own value when it is
+/// one, else their top 53 bits as a fraction of 2^53.
+fn probability(bits: u64) -> f64 {
+    Some(f64::from_bits(bits))
+        .filter(|p| (0.0..=1.0).contains(p))
+        .unwrap_or((bits >> 11) as f64 / (1u64 << 53) as f64)
+}
+
 /// The request of method number `kind`, filled from the fuzz inputs.
 fn request(kind: usize, flags: u8, n: u64, strings: &[Vec<u8>]) -> Request {
     let s = |i: usize| text(&strings[i % strings.len()]);
@@ -59,8 +67,8 @@ fn request(kind: usize, flags: u8, n: u64, strings: &[Vec<u8>]) -> Request {
         _ => Request::Reconfigure {
             json: flags & 1 != 0,
             scheduled: (flags & 2 != 0).then(|| ControlConfig {
-                drop_prob: finite(n),
-                reorder_prob: finite(n.rotate_left(17)),
+                drop_prob: probability(n),
+                reorder_prob: probability(n.rotate_left(17)),
                 seed: n,
                 ..ControlConfig::reliable()
             }),
@@ -239,4 +247,31 @@ fn a_line_at_the_daemons_cap_decodes_in_one_pass() {
     let (_, req) = Request::decode(line.as_bytes());
     assert_eq!(req, Ok(Request::Admit { name: String::new(), config }));
     assert!(t0.elapsed() < std::time::Duration::from_secs(5), "{:?}", t0.elapsed());
+}
+
+#[test]
+fn control_channel_probabilities_outside_0_1_are_refused_by_name() {
+    let line = |member: &str| {
+        format!(
+            "{{\"id\":3,\"method\":\"reconfigure\",\"params\":{{\"scheduled\":true,{member},\
+             \"from_path\":\"a\",\"from_text\":\"\",\"to_text\":\"\"}}}}"
+        )
+    };
+    for (key, value) in [("drop", "2"), ("drop", "-1"), ("reorder", "1.5"), ("reorder", "-0.25")] {
+        let (id, req) = Request::decode(line(&format!("\"{key}\":{value}")).as_bytes());
+        assert_eq!(id, 3);
+        let err = req.unwrap_err();
+        assert!(err.starts_with(&format!("reconfigure: {key}: ")), "{err}");
+        assert!(err.contains("not a probability"), "{err}");
+    }
+    // The ends of the range are probabilities.
+    for (drop, reorder) in [(0.0, 1.0), (1.0, 0.0)] {
+        let (_, req) = Request::decode(
+            line(&format!("\"drop\":{drop:?},\"reorder\":{reorder:?}")).as_bytes(),
+        );
+        let Ok(Request::Reconfigure { scheduled: Some(channel), .. }) = req else {
+            panic!("{req:?}")
+        };
+        assert_eq!((channel.drop_prob, channel.reorder_prob), (drop, reorder));
+    }
 }

@@ -476,9 +476,58 @@ mod tests {
         }
     }
 
+    /// Shortest paths, each hop picked among the next switches one hop
+    /// closer by a hash of the source switch, the destination and the hop
+    /// count, as ECMP spreads flows: two routes to one destination that
+    /// meet part way can leave the meeting switch on different links, so
+    /// its entries there depend on the source.
+    struct Spread;
+
+    impl RoutingStrategy for Spread {
+        fn name(&self) -> &str {
+            "spread"
+        }
+
+        fn num_vcs(&self) -> u8 {
+            1
+        }
+
+        fn route(&self, topo: &Topology, from: SwitchId, to: SwitchId) -> sdt_routing::Route {
+            let mut dist = vec![u32::MAX; topo.num_switches() as usize];
+            dist[to.idx()] = 0;
+            let mut queue = std::collections::VecDeque::from([to]);
+            while let Some(u) = queue.pop_front() {
+                for &(v, _) in topo.neighbors(u) {
+                    if dist[v.idx()] == u32::MAX {
+                        dist[v.idx()] = dist[u.idx()] + 1;
+                        queue.push_back(v);
+                    }
+                }
+            }
+            let mut hops = vec![from];
+            let mut at = from;
+            while at != to {
+                // BFS neighbours differ by at most one hop: `<` is one closer.
+                let closer: Vec<SwitchId> = topo
+                    .neighbors(at)
+                    .iter()
+                    .map(|&(v, _)| v)
+                    .filter(|v| dist[v.idx()] < dist[at.idx()])
+                    .collect();
+                // splitmix64's finalizer over (source, destination, hop).
+                let mut h = u64::from(from.0) << 40 | u64::from(to.0) << 20 | hops.len() as u64;
+                h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                at = closer[(h ^ (h >> 31)) as usize % closer.len()];
+                hops.push(at);
+            }
+            sdt_routing::Route { vcs: vec![0; hops.len() - 1], hops }
+        }
+    }
+
     #[test]
     fn per_switch_synthesis_matches_the_per_pair_oracle() {
-        use sdt_routing::{dragonfly::DragonflyValiant, ecmp::Ecmp, generic::Bfs, oddeven::OddEven};
+        use sdt_routing::{dragonfly::DragonflyValiant, generic::Bfs};
         use sdt_topology::{bcube::bcube, chain::chain, dragonfly::dragonfly, meshtorus};
         let split = Topology::disjoint_union("split", &[&fat_tree(4), &chain(3)]);
         let mesh = meshtorus::mesh(&[4, 4]);
@@ -507,14 +556,12 @@ mod tests {
         }
         // Source-dependent strategies: the only inputs that reach a
         // `PRIO_SRC_OVERRIDE` entry.
-        let mut overrides = 0;
-        for t in [&topos[0], &topos[1], &dealt_ring] {
-            overrides += assert_matches_per_pair(t, &Ecmp::new(t));
+        for t in [&topos[0], &topos[1], &dealt_ring, &mesh] {
+            let overrides = assert_matches_per_pair(t, &Spread);
+            assert!(overrides > 0, "{}: spread routes depend on the source switch", t.name());
         }
-        overrides += assert_matches_per_pair(&mesh, &OddEven::new(&[4, 4]));
         let valiant = assert_matches_per_pair(&df, &DragonflyValiant::new(4, 9, 2, 2, &df));
         assert!(valiant > 0, "Valiant routes depend on the source switch");
-        assert!(overrides > 0, "ECMP / odd-even routes depend on the source switch");
         // Routes that pass their destination switch before ending there:
         // whether a destination's first default there is its own port or
         // the way on depends on where its switch's own hosts are met.

@@ -21,6 +21,7 @@
 
 use crate::decompose::Decomposition;
 use crate::distribute::LinkDelays;
+use sdt_sim::config::{HEADER_BYTES, SWITCH_LATENCY_NS};
 use sdt_sim::SimConfig;
 
 /// The exact FCT the engine gives a raw flow of `bytes` bytes over a
@@ -43,11 +44,11 @@ pub fn ideal_fct(bytes: u64, path_channels: usize, cfg: &SimConfig) -> u64 {
     // flows the per-hop cadence is set by *full* cells.
     let pace = if cells >= 2 { ser_full } else { ser_last };
     let latch = if cfg.cut_through {
-        pace.min((cfg.header_bytes as f64 / c).ceil() as u64)
+        pace.min((HEADER_BYTES as f64 / c).ceil() as u64)
     } else {
         pace
     };
-    let hop = latch + cfg.link_latency_ns + cfg.switch_latency_ns + cfg.extra_switch_ns;
+    let hop = latch + cfg.link_latency_ns + SWITCH_LATENCY_NS + cfg.extra_switch_ns;
     // NIC paces cells ser_full apart; the last cell then crosses H-1
     // switch-bound hops at the pipeline cadence and serializes fully onto
     // the destination host link.

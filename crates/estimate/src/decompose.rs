@@ -20,6 +20,7 @@
 
 use crate::linksim::CanonicalWorkload;
 use sdt_routing::{Route, RouteTable, RoutingStrategy};
+use sdt_sim::config::{HEADER_BYTES, SWITCH_LATENCY_NS};
 use sdt_sim::SimConfig;
 use sdt_topology::{SwitchId, Topology};
 use sdt_workloads::FlowSpec;
@@ -125,11 +126,11 @@ pub fn hop_step_ns(cfg: &SimConfig) -> u64 {
     let c = cfg.bytes_per_ns();
     let ser_full = (cfg.granularity.bytes() as f64 / c).ceil() as u64;
     let latch = if cfg.cut_through {
-        ser_full.min((cfg.header_bytes as f64 / c).ceil() as u64)
+        ser_full.min((HEADER_BYTES as f64 / c).ceil() as u64)
     } else {
         ser_full
     };
-    latch + cfg.link_latency_ns + cfg.switch_latency_ns + cfg.extra_switch_ns
+    latch + cfg.link_latency_ns + SWITCH_LATENCY_NS + cfg.extra_switch_ns
 }
 
 impl Decomposition {

@@ -178,23 +178,15 @@ pub fn table_divergence(
         + each_absent(sw.table(1).entries(), intended_t1, |_, _| true)
 }
 
-/// Retry/backoff budget of one [`reconcile`] loop — the only retry knobs
-/// in the workspace (scheduled rounds and failure recovery both take it).
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Re-diff/re-send attempts after the first send before giving up.
-    pub max_retries: u32,
-    /// Backoff before the first retry, ns.
-    pub backoff_base_ns: u64,
-    /// Multiplier per further retry (exponential backoff).
-    pub backoff_factor: u32,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy { max_retries: 5, backoff_base_ns: 2_000_000, backoff_factor: 2 }
-    }
-}
+// The retry/backoff budget of every `reconcile` loop (scheduled rounds and
+// failure recovery alike).
+/// Re-diff/re-send attempts after the first send before [`reconcile`]
+/// gives up.
+pub const MAX_RETRIES: u32 = 5;
+/// Backoff before the first retry, ns.
+pub const RETRY_BACKOFF_BASE_NS: u64 = 2_000_000;
+/// Multiplier per further retry (exponential backoff).
+pub const RETRY_BACKOFF_FACTOR: u32 = 2;
 
 /// What one [`reconcile`] loop did. Times are modeled (the channel is
 /// simulated), never measured.
@@ -219,7 +211,7 @@ pub struct Reconciled {
 /// Drive the live tables to `target(switch, table)` over a lossy channel:
 /// read the tables back, diff them against the target, re-send what is
 /// missing or stale, barrier, and repeat — waiting `base · factor^(n−1)`
-/// before the n-th retry — until nothing differs or `max_retries + 1`
+/// before the n-th retry — until nothing differs or [`MAX_RETRIES`]` + 1`
 /// attempts have been spent. The diff is taken from what the switches
 /// *actually* hold, so flow-mods the channel silently dropped or reordered
 /// are caught and re-issued. `attempts_done` counts sends towards this
@@ -229,7 +221,6 @@ pub fn reconcile<'a>(
     channel: &mut ControlChannel,
     switches: &mut [OpenFlowSwitch],
     target: impl Fn(usize, u8) -> &'a [FlowEntry],
-    policy: &RetryPolicy,
     attempts_done: u32,
 ) -> Reconciled {
     let mut r = Reconciled { attempts: attempts_done, ..Default::default() };
@@ -248,15 +239,15 @@ pub fn reconcile<'a>(
             r.converged = true;
             return r;
         }
-        if r.attempts > policy.max_retries {
+        if r.attempts > MAX_RETRIES {
             return r;
         }
         if r.attempts > 0 {
             r.retries += 1;
-            // Saturating: `RetryPolicy` is the caller's, and 2 ms doubled
-            // leaves a u64 after 44 retries.
-            let factor = u64::from(policy.backoff_factor).saturating_pow(r.attempts - 1);
-            let wait = policy.backoff_base_ns.saturating_mul(factor);
+            // Saturating: the budget's longest wait is 32 ms, but 2 ms
+            // doubled leaves a u64 after 44 retries should it ever grow.
+            let factor = u64::from(RETRY_BACKOFF_FACTOR).saturating_pow(r.attempts - 1);
+            let wait = RETRY_BACKOFF_BASE_NS.saturating_mul(factor);
             r.backoff_ns = r.backoff_ns.saturating_add(wait);
             r.install_ns = r.install_ns.saturating_add(wait);
         }
@@ -381,7 +372,6 @@ mod tests {
     fn reconcile_retries_with_exponential_backoff_until_the_tables_match() {
         let target: Vec<FlowEntry> = (0..8).map(|i| entry(i, 1)).collect();
         let goal = |_: usize, t: u8| if t == 1 { target.as_slice() } else { &[][..] };
-        let policy = RetryPolicy::default();
         let lossy =
             || ControlChannel::new(ControlConfig { drop_prob: 0.3, seed: 3, ..Default::default() });
 
@@ -389,22 +379,22 @@ mod tests {
         // backoff, every later one waits base * factor^(n-1).
         let mut sw = [switch()];
         let mut ch = lossy();
-        let r = reconcile(&mut ch, &mut sw, goal, &policy, 0);
+        let r = reconcile(&mut ch, &mut sw, goal, 0);
         assert!(r.converged, "{r:?}");
         assert!(r.retries > 0 && r.attempts == r.retries + 1, "{r:?}");
         assert_eq!(r.sends, ch.sent());
-        let waits: u64 = (0..r.retries).map(|n| policy.backoff_base_ns << n).sum();
+        let waits: u64 = (0..r.retries).map(|n| RETRY_BACKOFF_BASE_NS << n).sum();
         assert_eq!(r.backoff_ns, waits);
         assert_eq!(sw[0].table(1).entries().len(), 8);
 
         // Tables already at the target: nothing sent, nothing waited.
-        let again = reconcile(&mut ch, &mut sw, goal, &policy, 0);
+        let again = reconcile(&mut ch, &mut sw, goal, 0);
         assert_eq!(again, Reconciled { converged: true, ..Default::default() });
 
         // The caller's own send was attempt 1: same channel draws, but every
         // send of the loop is now a retry and the budget is one shorter.
         let mut sw = [switch()];
-        let after_round = reconcile(&mut lossy(), &mut sw, goal, &policy, 1);
+        let after_round = reconcile(&mut lossy(), &mut sw, goal, 1);
         assert_eq!(after_round.retries, after_round.attempts - 1);
         assert_eq!(after_round.sends, r.sends);
         assert!(after_round.backoff_ns > r.backoff_ns);
@@ -414,23 +404,17 @@ mod tests {
     fn reconcile_gives_up_after_max_retries_plus_one_attempts() {
         let target = [entry(1, 1)];
         let goal = |_: usize, t: u8| if t == 1 { &target[..] } else { &[][..] };
-        let policy = RetryPolicy { max_retries: 3, ..Default::default() };
         for done in [0, 1] {
             let mut sw = [switch()];
             let mut dead =
                 ControlChannel::new(ControlConfig { drop_prob: 1.0, ..Default::default() });
-            let r = reconcile(&mut dead, &mut sw, goal, &policy, done);
+            let r = reconcile(&mut dead, &mut sw, goal, done);
             assert!(!r.converged);
-            assert_eq!(r.attempts, policy.max_retries + 1, "initial + max_retries attempts");
-            assert_eq!(r.retries, policy.max_retries);
-            assert_eq!(r.sends, u64::from(policy.max_retries + 1 - done));
+            assert_eq!(r.attempts, MAX_RETRIES + 1, "initial + MAX_RETRIES attempts");
+            assert_eq!(r.retries, MAX_RETRIES);
+            assert_eq!(r.sends, u64::from(MAX_RETRIES + 1 - done));
+            // Every retry waits: 2 + 4 + 8 + 16 + 32 ms.
+            assert_eq!(r.backoff_ns, 62_000_000);
         }
-        // A budget long enough for `base * factor^n` to leave a u64: the
-        // modeled wait saturates, the loop still ends.
-        let policy = RetryPolicy { max_retries: 80, ..Default::default() };
-        let mut dead = ControlChannel::new(ControlConfig { drop_prob: 1.0, ..Default::default() });
-        let r = reconcile(&mut dead, &mut [switch()], goal, &policy, 0);
-        assert!(!r.converged);
-        assert_eq!((r.attempts, r.backoff_ns), (81, u64::MAX));
     }
 }

@@ -29,7 +29,7 @@ pub mod table;
 
 pub use control::{
     reconcile, table_divergence, BarrierReport, ControlChannel, ControlConfig, Reconciled,
-    RetryPolicy,
+    MAX_RETRIES, RETRY_BACKOFF_BASE_NS, RETRY_BACKOFF_FACTOR,
 };
 pub use index::{EntryStore, FxBuild, FxHasher};
 pub use overlap::{table_warnings_indexed, table_warnings_linear};

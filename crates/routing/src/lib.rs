@@ -11,9 +11,8 @@
 //! | 2D/3D-Torus  | dimension order + dateline VCs    | by routing + VC change  |
 //!
 //! plus Valiant and UGAL-style adaptive routing for Dragonfly (the §VI-E
-//! "active routing" experiment), odd-even turn-model meshes ([`oddeven`]),
-//! ECMP shortest-path spreading ([`ecmp`]), and a spanning-tree up/down
-//! fallback for arbitrary graphs (WANs, chains, rings).
+//! "active routing" experiment) and a spanning-tree up/down fallback for
+//! arbitrary graphs (WANs, chains, rings).
 //!
 //! Every strategy emits [`Route`]s whose per-hop virtual-channel assignment
 //! can be checked for deadlock freedom with the channel-dependency-graph
@@ -23,10 +22,8 @@
 pub mod cdg;
 pub mod dimension;
 pub mod dragonfly;
-pub mod ecmp;
 pub mod fattree;
 pub mod generic;
-pub mod oddeven;
 
 use sdt_topology::{SwitchId, Topology};
 use std::collections::HashMap;

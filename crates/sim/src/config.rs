@@ -23,58 +23,42 @@ impl Granularity {
     }
 }
 
-/// DCQCN-style rate control parameters (Zhu et al., SIGCOMM 2015 —
-/// simplified: CNP-per-marked-cell with a minimum CNP interval, rate
-/// halving by alpha, timer-driven additive recovery).
-#[derive(Clone, Copy, Debug)]
-pub struct DcqcnConfig {
-    /// ECN marking threshold, bytes queued at the egress (Kmin).
-    pub kmin_bytes: u32,
-    /// Above this queue depth every cell is marked (Kmax).
-    pub kmax_bytes: u32,
-    /// Marking probability at Kmax (ramp from 0 at Kmin).
-    pub pmax: f64,
-    /// Minimum interval between CNPs for one flow, ns.
-    pub cnp_interval_ns: u64,
-    /// Alpha EWMA gain.
-    pub g: f64,
-    /// Additive increase step, bytes/ns (0.05 = 50 Gbit/s per step… scale
-    /// to link rate when configuring).
-    pub rate_ai_bpns: f64,
-    /// Rate increase / alpha decay timer, ns.
-    pub timer_ns: u64,
-}
+/// Switch transit latency per hop, ns (cut-through pipeline fill).
+pub const SWITCH_LATENCY_NS: u64 = 500;
 
-impl Default for DcqcnConfig {
-    fn default() -> Self {
-        DcqcnConfig {
-            kmin_bytes: 30_000,
-            kmax_bytes: 120_000,
-            pmax: 0.1,
-            cnp_interval_ns: 50_000,
-            g: 1.0 / 16.0,
-            rate_ai_bpns: 0.005,
-            timer_ns: 55_000,
-        }
-    }
-}
+/// Header latch size for cut-through, bytes: a cell's head moves on after
+/// this many bytes have arrived.
+pub const HEADER_BYTES: u32 = 64;
 
-/// Go-back-N TCP parameters for the iperf3 incast (Fig. 12).
-#[derive(Clone, Copy, Debug)]
-pub struct TcpConfig {
-    /// Initial congestion window, cells.
-    pub init_cwnd: u32,
-    /// Slow-start threshold, cells.
-    pub init_ssthresh: u32,
-    /// Retransmission timeout, ns.
-    pub rto_ns: u64,
-}
+/// DCQCN-style rate control (Zhu et al., SIGCOMM 2015 — simplified:
+/// CNP-per-marked-cell with a minimum CNP interval, rate halving by alpha,
+/// timer-driven additive recovery). The value only turns it on
+/// ([`SimConfig::dcqcn`]); its parameters are the `DCQCN_*` constants.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct DcqcnConfig {}
 
-impl Default for TcpConfig {
-    fn default() -> Self {
-        TcpConfig { init_cwnd: 4, init_ssthresh: 128, rto_ns: 3_000_000 }
-    }
-}
+/// ECN marking threshold, bytes queued at the egress (Kmin).
+pub const DCQCN_KMIN_BYTES: u32 = 30_000;
+/// Above this queue depth every cell is marked (Kmax).
+pub const DCQCN_KMAX_BYTES: u32 = 120_000;
+/// Marking probability at Kmax (ramp from 0 at Kmin).
+pub const DCQCN_PMAX: f64 = 0.1;
+/// Minimum interval between CNPs for one flow, ns.
+pub const DCQCN_CNP_INTERVAL_NS: u64 = 50_000;
+/// Alpha EWMA gain.
+pub const DCQCN_G: f64 = 1.0 / 16.0;
+/// Additive increase step, bytes/ns.
+pub const DCQCN_RATE_AI_BPNS: f64 = 0.005;
+/// Rate increase / alpha decay timer, ns.
+pub const DCQCN_TIMER_NS: u64 = 55_000;
+
+/// Go-back-N TCP (the iperf3 incast of Fig. 12): initial congestion
+/// window, cells.
+pub const TCP_INIT_CWND: u32 = 4;
+/// TCP slow-start threshold, cells.
+pub const TCP_INIT_SSTHRESH: u32 = 128;
+/// TCP retransmission timeout, ns.
+pub const TCP_RTO_NS: u64 = 3_000_000;
 
 /// Top-level simulator configuration.
 #[derive(Clone, Debug)]
@@ -85,14 +69,11 @@ pub struct SimConfig {
     pub link_gbps: f64,
     /// Link propagation delay, ns.
     pub link_latency_ns: u64,
-    /// Switch transit latency per hop, ns (cut-through pipeline fill).
-    pub switch_latency_ns: u64,
-    /// Cut-through forwarding: a cell's head moves on after `header_bytes`
-    /// have arrived instead of the full cell (the paper enables
-    /// cut-through; channel occupancy still pays full serialization).
+    /// Cut-through forwarding: a cell's head moves on after
+    /// [`HEADER_BYTES`] have arrived instead of the full cell (the paper
+    /// enables cut-through; channel occupancy still pays full
+    /// serialization).
     pub cut_through: bool,
-    /// Header latch size for cut-through, bytes.
-    pub header_bytes: u32,
     /// Extra per-hop transit latency from SDT crossbar sharing (0 for the
     /// full testbed, small and constant for SDT — §VI-B).
     pub extra_switch_ns: u64,
@@ -108,8 +89,6 @@ pub struct SimConfig {
     pub nic_queue_bytes: u32,
     /// DCQCN for message (RoCE) flows; `None` = line-rate blast + PFC.
     pub dcqcn: Option<DcqcnConfig>,
-    /// TCP parameters (only used by TCP flows).
-    pub tcp: TcpConfig,
     /// Network Monitor poll interval, ns (also the watchdog tick).
     pub monitor_interval_ns: u64,
     /// Abort as deadlocked after this long without any cell delivery while
@@ -127,16 +106,13 @@ impl Default for SimConfig {
             granularity: Granularity::Packet,
             link_gbps: 10.0,
             link_latency_ns: 100,
-            switch_latency_ns: 500,
             cut_through: true,
-            header_bytes: 64,
             extra_switch_ns: 0,
             lossless: true,
             vc_buffer_bytes: 96_000,
             queue_cap_bytes: 384_000,
             nic_queue_bytes: 12_000,
             dcqcn: None,
-            tcp: TcpConfig::default(),
             monitor_interval_ns: 1_000_000,
             deadlock_timeout_ns: 50_000_000,
             seed: 1,

@@ -9,7 +9,11 @@
 //! cyclic channel dependencies genuinely deadlock (and are caught by the
 //! watchdog). Lossy mode tail-drops at a bounded queue instead.
 
-use crate::config::SimConfig;
+use crate::config::{
+    SimConfig, DCQCN_CNP_INTERVAL_NS, DCQCN_G, DCQCN_KMAX_BYTES, DCQCN_KMIN_BYTES, DCQCN_PMAX,
+    DCQCN_RATE_AI_BPNS, DCQCN_TIMER_NS, HEADER_BYTES, SWITCH_LATENCY_NS, TCP_INIT_CWND,
+    TCP_INIT_SSTHRESH, TCP_RTO_NS,
+};
 use crate::mpi::MpiState;
 use crate::queue::EventQueue;
 use rand::rngs::StdRng;
@@ -477,7 +481,7 @@ impl ChannelIndex {
 pub struct Simulator {
     cfg: SimConfig,
     cell_bytes: u32,
-    /// Nominal serialization of a full cell and of `header_bytes`, ns.
+    /// Nominal serialization of a full cell and of [`HEADER_BYTES`], ns.
     ser_cell_ns: u64,
     ser_header_ns: u64,
     /// Buffer limits converted from bytes to cells at this granularity.
@@ -558,11 +562,11 @@ impl Simulator {
         let queue_cap_cells = (cfg.queue_cap_bytes / cell_bytes).max(1);
         let nic_queue_cells = (cfg.nic_queue_bytes / cell_bytes).max(1);
         let ser_cell_ns = ser_ns(cell_bytes, cfg.bytes_per_ns());
-        let ser_header_ns = ser_ns(cfg.header_bytes, cfg.bytes_per_ns());
+        let ser_header_ns = ser_ns(HEADER_BYTES, cfg.bytes_per_ns());
         // Twice one nominal hop, so a transmit's Arrive and TryTx land on the
         // wheel; the cap only bounds memory for extreme configs.
         let hop_ns =
-            ser_cell_ns + cfg.link_latency_ns + cfg.switch_latency_ns + cfg.extra_switch_ns;
+            ser_cell_ns + cfg.link_latency_ns + SWITCH_LATENCY_NS + cfg.extra_switch_ns;
         let span = (2 * hop_ns).next_power_of_two().clamp(64, 1 << 16);
         Simulator {
             cfg,
@@ -676,8 +680,8 @@ impl Simulator {
     /// Start an "iperf3" TCP flow (`bytes = u64::MAX` for open-ended).
     pub fn start_tcp_flow(&mut self, src: HostId, dst: HostId, bytes: u64) -> FlowId {
         let tcp = TcpState {
-            cwnd: self.cfg.tcp.init_cwnd as f64,
-            ssthresh: self.cfg.tcp.init_ssthresh as f64,
+            cwnd: TCP_INIT_CWND as f64,
+            ssthresh: TCP_INIT_SSTHRESH as f64,
             next_seq: 0,
             acked: 0,
             expected_rx: 0,
@@ -685,8 +689,7 @@ impl Simulator {
             last_progress: self.now,
         };
         let id = self.start_flow(src, dst, bytes, FlowKind::Tcp(tcp));
-        let rto = self.cfg.tcp.rto_ns;
-        self.events.push(self.now + rto, Ev::TcpRto(id));
+        self.events.push(self.now + TCP_RTO_NS, Ev::TcpRto(id));
         id
     }
 
@@ -746,10 +749,8 @@ impl Simulator {
             send_completed: false,
         });
         self.events.push(at, Ev::Inject(id));
-        if let Some(d) = self.cfg.dcqcn.as_ref() {
-            if dcqcn.is_some() {
-                self.events.push(at + d.timer_ns, Ev::DcqcnTimer(id));
-            }
+        if dcqcn.is_some() {
+            self.events.push(at + DCQCN_TIMER_NS, Ev::DcqcnTimer(id));
         }
         id
     }
@@ -879,7 +880,7 @@ impl Simulator {
             if bytes == self.cell_bytes {
                 return self.ser_cell_ns;
             }
-            if bytes == self.cfg.header_bytes {
+            if bytes == HEADER_BYTES {
                 return self.ser_header_ns;
             }
         }
@@ -933,19 +934,19 @@ impl Simulator {
         }
         // Transit: wire + (switch pipeline if entering a switch, including
         // the SDT crossbar-sharing overhead). With cut-through the head
-        // latches after `header_bytes`; the channel stays busy for the full
+        // latches after `HEADER_BYTES`; the channel stays busy for the full
         // serialization either way.
         let to = self.channels[c as usize].to;
-        // Cut-through latches the head onward after `header_bytes`; the
+        // Cut-through latches the head onward after `HEADER_BYTES`; the
         // final hop to a host completes only when the tail arrives.
         let latch = if self.cfg.cut_through && to >= self.num_hosts {
-            ser.min(self.ser_ns_scaled(self.cfg.header_bytes, scale))
+            ser.min(self.ser_ns_scaled(HEADER_BYTES, scale))
         } else {
             ser
         };
         let mut arr = self.now + latch + self.cfg.link_latency_ns;
         if to >= self.num_hosts {
-            arr += self.cfg.switch_latency_ns + self.cfg.extra_switch_ns;
+            arr += SWITCH_LATENCY_NS + self.cfg.extra_switch_ns;
         }
         self.events.push(arr, Ev::Arrive(c, cell));
         self.events.push(busy, Ev::TryTx(c));
@@ -1007,14 +1008,14 @@ impl Simulator {
             }
         }
         // ECN marking (only meaningful for DCQCN flows).
-        if let Some(dc) = &self.cfg.dcqcn {
+        if self.cfg.dcqcn.is_some() {
             let depth_bytes = self.channels[d as usize].queued * self.cell_bytes;
-            if depth_bytes >= dc.kmin_bytes {
-                let p = if depth_bytes >= dc.kmax_bytes {
+            if depth_bytes >= DCQCN_KMIN_BYTES {
+                let p = if depth_bytes >= DCQCN_KMAX_BYTES {
                     1.0
                 } else {
-                    dc.pmax * (depth_bytes - dc.kmin_bytes) as f64
-                        / (dc.kmax_bytes - dc.kmin_bytes).max(1) as f64
+                    DCQCN_PMAX * (depth_bytes - DCQCN_KMIN_BYTES) as f64
+                        / (DCQCN_KMAX_BYTES - DCQCN_KMIN_BYTES) as f64
                 };
                 if self.rng.random::<f64>() < p {
                     cell.ecn = true;
@@ -1226,11 +1227,8 @@ impl Simulator {
             // Receiver NIC returns a CNP, rate-limited per flow.
             let ok = {
                 let f = &mut self.flows[fid as usize];
-                let dc = self.cfg.dcqcn.as_ref();
-                match (&mut f.dcqcn, dc) {
-                    (Some(st), Some(cfgd))
-                        if self.now - st.last_cnp_rx >= cfgd.cnp_interval_ns =>
-                    {
+                match &mut f.dcqcn {
+                    Some(st) if self.now - st.last_cnp_rx >= DCQCN_CNP_INTERVAL_NS => {
                         st.last_cnp_rx = self.now;
                         true
                     }
@@ -1258,34 +1256,32 @@ impl Simulator {
     fn reverse_delay(&self, fid: FlowId) -> u64 {
         let hops = self.flows[fid as usize].route_len as u64;
         hops * self.cfg.link_latency_ns
-            + hops.saturating_sub(1) * (self.cfg.switch_latency_ns + self.cfg.extra_switch_ns)
+            + hops.saturating_sub(1) * (SWITCH_LATENCY_NS + self.cfg.extra_switch_ns)
     }
 
     fn cnp(&mut self, fid: FlowId) {
-        let Some(dcfg) = self.cfg.dcqcn else { return };
         let f = &mut self.flows[fid as usize];
         if let Some(st) = &mut f.dcqcn {
             st.target_bpns = st.rate_bpns;
-            st.alpha = (1.0 - dcfg.g) * st.alpha + dcfg.g;
+            st.alpha = (1.0 - DCQCN_G) * st.alpha + DCQCN_G;
             st.rate_bpns *= 1.0 - st.alpha / 2.0;
             st.rate_bpns = st.rate_bpns.max(self.cfg.bytes_per_ns() / 1000.0);
         }
     }
 
     fn dcqcn_timer(&mut self, fid: FlowId) {
-        let Some(dcfg) = self.cfg.dcqcn else { return };
         let line = self.cfg.bytes_per_ns();
         let f = &mut self.flows[fid as usize];
         if f.finish.is_some() || f.send_completed {
             return;
         }
         if let Some(st) = &mut f.dcqcn {
-            st.alpha *= 1.0 - dcfg.g;
-            st.rate_bpns = ((st.rate_bpns + st.target_bpns) / 2.0 + dcfg.rate_ai_bpns).min(line);
-            st.target_bpns = (st.target_bpns + dcfg.rate_ai_bpns).min(line);
+            st.alpha *= 1.0 - DCQCN_G;
+            st.rate_bpns = ((st.rate_bpns + st.target_bpns) / 2.0 + DCQCN_RATE_AI_BPNS).min(line);
+            st.target_bpns = (st.target_bpns + DCQCN_RATE_AI_BPNS).min(line);
         }
         let resched = !f.inject_scheduled && f.bytes_injected < f.bytes_total;
-        self.events.push(self.now + dcfg.timer_ns, Ev::DcqcnTimer(fid));
+        self.events.push(self.now + DCQCN_TIMER_NS, Ev::DcqcnTimer(fid));
         if resched {
             self.flows[fid as usize].inject_scheduled = true;
             self.events.push(self.now, Ev::Inject(fid));
@@ -1342,7 +1338,6 @@ impl Simulator {
     }
 
     fn tcp_rto(&mut self, fid: FlowId) {
-        let rto = self.cfg.tcp.rto_ns;
         let mut reinject = false;
         let mut resched = false;
         {
@@ -1350,9 +1345,9 @@ impl Simulator {
             if f.finish.is_none() {
                 resched = true;
                 if let FlowKind::Tcp(t) = &mut f.kind {
-                    if self.now.saturating_sub(t.last_progress) >= rto {
+                    if self.now.saturating_sub(t.last_progress) >= TCP_RTO_NS {
                         t.ssthresh = (t.cwnd / 2.0).max(2.0);
-                        t.cwnd = self.cfg.tcp.init_cwnd as f64;
+                        t.cwnd = TCP_INIT_CWND as f64;
                         t.next_seq = t.acked;
                         t.last_progress = self.now;
                         reinject = true;
@@ -1361,7 +1356,7 @@ impl Simulator {
             }
         }
         if resched {
-            self.events.push(self.now + rto, Ev::TcpRto(fid));
+            self.events.push(self.now + TCP_RTO_NS, Ev::TcpRto(fid));
         }
         if reinject && !self.flows[fid as usize].inject_scheduled {
             self.flows[fid as usize].inject_scheduled = true;
@@ -1472,67 +1467,31 @@ impl Simulator {
         self.flows[id as usize].dcqcn.as_ref().map(|d| d.rate_bpns)
     }
 
-    /// Failure injection: at simulated time `at_ns`, both directions of the
-    /// fabric link between two switches stop transmitting. Queued and
-    /// in-flight cells on the link are lost; the Network Monitor reports
-    /// the dead channel as saturated so adaptive strategies route around
-    /// it.
-    pub fn schedule_link_failure(&mut self, a: SwitchId, b: SwitchId, at_ns: Time) {
-        let x = self.num_hosts + a.0;
-        let y = self.num_hosts + b.0;
-        self.events.push(at_ns, Ev::LinkFail(x, y));
-    }
-
-    /// Recovery injection: at `at_ns`, both directions of the fabric link
-    /// come back at nominal rate.
-    pub fn schedule_link_recovery(&mut self, a: SwitchId, b: SwitchId, at_ns: Time) {
-        let x = self.num_hosts + a.0;
-        let y = self.num_hosts + b.0;
-        self.events.push(at_ns, Ev::LinkUp(x, y));
-    }
-
-    /// Crash injection: at `at_ns`, every channel incident to switch `s` —
-    /// fabric links and host attachments — goes down at once.
-    pub fn schedule_switch_crash(&mut self, s: SwitchId, at_ns: Time) {
-        self.events.push(at_ns, Ev::NodeFail(self.num_hosts + s.0));
-    }
-
-    /// Restart injection: at `at_ns`, every channel incident to switch `s`
-    /// comes back.
-    pub fn schedule_switch_restart(&mut self, s: SwitchId, at_ns: Time) {
-        self.events.push(at_ns, Ev::NodeRestore(self.num_hosts + s.0));
-    }
-
-    /// Degradation injection: at `at_ns`, the link serializes at `factor`
-    /// of its nominal rate in both directions (`1.0` restores it).
-    pub fn schedule_port_degrade(
-        &mut self,
-        a: SwitchId,
-        b: SwitchId,
-        factor: f64,
-        at_ns: Time,
-    ) {
-        assert!(factor > 0.0 && factor <= 1.0, "degrade factor must be in (0, 1]");
-        let x = self.num_hosts + a.0;
-        let y = self.num_hosts + b.0;
-        self.events.push(at_ns, Ev::Degrade(x, y, factor));
-    }
-
     /// Queue every fault of a [`crate::faults::FaultSchedule`] into the
-    /// event queue. Faults in the simulated past fire immediately.
+    /// event queue — the one way a fault enters a run. Faults in the
+    /// simulated past fire immediately.
+    ///
+    /// A link fault takes both directions of the fabric link: a dead link
+    /// loses what is queued and in flight on it, and the Network Monitor
+    /// reports it saturated so adaptive strategies route around it. A
+    /// switch crash takes every incident channel, host attachments
+    /// included. A degraded link serializes at `factor` of its nominal rate
+    /// in both directions (`1.0` restores it).
     pub fn apply_fault_schedule(&mut self, schedule: &crate::faults::FaultSchedule) {
         use crate::faults::FaultEvent;
+        let nh = self.num_hosts;
         for f in &schedule.events {
             let at = f.at_ns.max(self.now);
-            match f.event {
-                FaultEvent::LinkDown { a, b } => self.schedule_link_failure(a, b, at),
-                FaultEvent::LinkUp { a, b } => self.schedule_link_recovery(a, b, at),
-                FaultEvent::SwitchCrash { s } => self.schedule_switch_crash(s, at),
-                FaultEvent::SwitchRestart { s } => self.schedule_switch_restart(s, at),
+            let ev = match f.event {
+                FaultEvent::LinkDown { a, b } => Ev::LinkFail(nh + a.0, nh + b.0),
+                FaultEvent::LinkUp { a, b } => Ev::LinkUp(nh + a.0, nh + b.0),
+                FaultEvent::SwitchCrash { s } => Ev::NodeFail(nh + s.0),
+                FaultEvent::SwitchRestart { s } => Ev::NodeRestore(nh + s.0),
                 FaultEvent::PortDegrade { a, b, factor } => {
-                    self.schedule_port_degrade(a, b, factor, at)
+                    Ev::Degrade(nh + a.0, nh + b.0, factor)
                 }
-            }
+            };
+            self.events.push(at, ev);
         }
     }
 

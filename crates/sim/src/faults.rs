@@ -10,9 +10,9 @@
 //! as a fault-free run.
 //!
 //! Random schedules come from [`FaultSchedule::random`], seeded: the same
-//! `(seed, topology, config)` triple always yields the same schedule,
-//! which is what lets the chaos harness replay a failing scenario from
-//! nothing but the seed printed on failure.
+//! `(seed, topology)` pair always yields the same schedule, which is what
+//! lets the chaos harness replay a failing scenario from nothing but the
+//! seed printed on failure.
 
 use crate::engine::Time;
 use rand::rngs::StdRng;
@@ -70,40 +70,23 @@ pub struct TimedFault {
     pub event: FaultEvent,
 }
 
-/// Tuning for [`FaultSchedule::random`].
-#[derive(Clone, Copy, Debug)]
-pub struct ChaosConfig {
-    /// Faulted links drawn (each becomes a flap or a permanent cut).
-    pub max_link_faults: u32,
-    /// Probability a drawn link fault is a flap (down then up) rather than
-    /// a permanent cut.
-    pub flap_prob: f64,
-    /// Probability of one switch crash/restart pair on top of link faults.
-    pub switch_crash_prob: f64,
-    /// Probability of one port-degradation fault.
-    pub degrade_prob: f64,
-    /// Faults are spread uniformly over `[0, horizon_ns)`.
-    pub horizon_ns: Time,
-    /// Flap/crash outage duration bounds, ns.
-    pub outage_ns: (Time, Time),
-    /// Probability the scenario's control channel drops flow-mods (when it
-    /// does, `drop_prob` is drawn from `(0, 0.4]`).
-    pub control_fault_prob: f64,
-}
-
-impl Default for ChaosConfig {
-    fn default() -> Self {
-        ChaosConfig {
-            max_link_faults: 3,
-            flap_prob: 0.5,
-            switch_crash_prob: 0.25,
-            degrade_prob: 0.25,
-            horizon_ns: 5_000_000,
-            outage_ns: (500_000, 2_000_000),
-            control_fault_prob: 0.5,
-        }
-    }
-}
+// What `FaultSchedule::random` draws.
+/// Faulted links drawn, at most (each becomes a flap or a permanent cut).
+const CHAOS_MAX_LINK_FAULTS: u32 = 3;
+/// Probability a drawn link fault is a flap (down then up) rather than a
+/// permanent cut.
+const CHAOS_FLAP_PROB: f64 = 0.5;
+/// Probability of one switch crash/restart pair on top of link faults.
+const CHAOS_SWITCH_CRASH_PROB: f64 = 0.25;
+/// Probability of one port-degradation fault.
+const CHAOS_DEGRADE_PROB: f64 = 0.25;
+/// Faults are spread uniformly over `[0, CHAOS_HORIZON_NS)`.
+const CHAOS_HORIZON_NS: Time = 5_000_000;
+/// Flap/crash outage duration bounds, ns.
+const CHAOS_OUTAGE_NS: (Time, Time) = (500_000, 2_000_000);
+/// Probability the scenario's control channel drops flow-mods (when it
+/// does, `drop_prob` is drawn from `(0, 0.4]`).
+const CHAOS_CONTROL_FAULT_PROB: f64 = 0.5;
 
 /// A declarative, reproducible fault scenario.
 #[derive(Clone, Debug, Default)]
@@ -223,8 +206,8 @@ impl FaultSchedule {
     }
 
     /// Generate a random schedule over `topo`'s fabric links. Same
-    /// `(seed, topo, cfg)` ⇒ same schedule, always.
-    pub fn random(seed: u64, topo: &Topology, cfg: &ChaosConfig) -> Self {
+    /// `(seed, topo)` ⇒ same schedule, always.
+    pub fn random(seed: u64, topo: &Topology) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut sched = FaultSchedule::new();
         // The channel's own draws replay from the scenario seed too.
@@ -236,31 +219,30 @@ impl FaultSchedule {
         if fabric.is_empty() {
             return sched;
         }
-        let t_range = cfg.horizon_ns.max(1);
-        let n_faults = rng.random_range(1..=cfg.max_link_faults.max(1));
+        let n_faults = rng.random_range(1..=CHAOS_MAX_LINK_FAULTS);
         for _ in 0..n_faults {
             let (a, b) = fabric[rng.random_range(0..fabric.len())];
-            let at = rng.random_range(0..t_range);
-            if rng.random_bool(cfg.flap_prob) {
-                let outage = rng.random_range(cfg.outage_ns.0..=cfg.outage_ns.1);
+            let at = rng.random_range(0..CHAOS_HORIZON_NS);
+            if rng.random_bool(CHAOS_FLAP_PROB) {
+                let outage = rng.random_range(CHAOS_OUTAGE_NS.0..=CHAOS_OUTAGE_NS.1);
                 sched.link_flap(a, b, at, outage);
             } else {
                 sched.link_down(a, b, at);
             }
         }
-        if rng.random_bool(cfg.switch_crash_prob) {
+        if rng.random_bool(CHAOS_SWITCH_CRASH_PROB) {
             let s = SwitchId(rng.random_range(0..topo.num_switches()));
-            let at = rng.random_range(0..t_range);
-            let outage = rng.random_range(cfg.outage_ns.0..=cfg.outage_ns.1);
+            let at = rng.random_range(0..CHAOS_HORIZON_NS);
+            let outage = rng.random_range(CHAOS_OUTAGE_NS.0..=CHAOS_OUTAGE_NS.1);
             sched.switch_crash(s, at);
             sched.switch_restart(s, at + outage);
         }
-        if rng.random_bool(cfg.degrade_prob) {
+        if rng.random_bool(CHAOS_DEGRADE_PROB) {
             let (a, b) = fabric[rng.random_range(0..fabric.len())];
             let factor = 0.1 + 0.8 * rng.random::<f64>();
-            sched.port_degrade(a, b, factor, rng.random_range(0..t_range));
+            sched.port_degrade(a, b, factor, rng.random_range(0..CHAOS_HORIZON_NS));
         }
-        if rng.random_bool(cfg.control_fault_prob) {
+        if rng.random_bool(CHAOS_CONTROL_FAULT_PROB) {
             sched.control = ControlConfig {
                 drop_prob: 0.05 + 0.35 * rng.random::<f64>(),
                 reorder_prob: 0.2 * rng.random::<f64>(),
@@ -290,12 +272,11 @@ mod tests {
     #[test]
     fn random_is_seed_reproducible() {
         let t = torus(&[4, 4]);
-        let cfg = ChaosConfig::default();
-        let a = FaultSchedule::random(7, &t, &cfg);
-        let b = FaultSchedule::random(7, &t, &cfg);
+        let a = FaultSchedule::random(7, &t);
+        let b = FaultSchedule::random(7, &t);
         assert_eq!(a.events, b.events);
         assert_eq!(a.control, b.control);
-        let c = FaultSchedule::random(8, &t, &cfg);
+        let c = FaultSchedule::random(8, &t);
         assert!(c.events != a.events || c.control != a.control);
     }
 

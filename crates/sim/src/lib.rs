@@ -53,10 +53,10 @@ pub mod mpi;
 mod queue;
 pub mod telemetry;
 
-pub use config::{DcqcnConfig, Granularity, SimConfig, TcpConfig};
+pub use config::{DcqcnConfig, Granularity, SimConfig};
 pub use engine::{
     CaptureEvent, CaptureRecord, EventKind, FlowRecord, FlowStats, SimOutcome, SimStats, Simulator,
 };
-pub use faults::{ChaosConfig, FaultEvent, FaultSchedule, TimedFault};
+pub use faults::{FaultEvent, FaultSchedule, TimedFault};
 pub use telemetry::{ChannelUtilization, FctSummary};
 pub use mpi::{run_trace, MpiRunResult};

@@ -974,7 +974,6 @@ impl SliceManager {
             current,
             &pre_intent,
             &post_intent,
-            &sdt_openflow::RetryPolicy::default(),
         ) {
             Ok((proof, sreport)) => {
                 // A proof of the intended end state only describes the

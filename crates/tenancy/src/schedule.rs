@@ -49,7 +49,7 @@ use crate::epoch::Epoch;
 use sdt_core::cluster::PhysicalCluster;
 use sdt_openflow::{
     install_time_ns, reconcile, same_entries, Action, ControlChannel, FlowMod, FxBuild,
-    OpenFlowSwitch, RetryPolicy,
+    OpenFlowSwitch,
 };
 use sdt_verify::{Intent, TableView, Verifier, VerifyReport};
 use std::collections::{HashSet, VecDeque};
@@ -393,7 +393,6 @@ fn prove_with_merge(
 /// pre-migration intent); `pre_intent`/`post_intent` bracket the cutover.
 /// The caller is expected to have gated the whole epoch's end state
 /// already — that is what guarantees the merge fallback terminates.
-#[allow(clippy::too_many_arguments)]
 pub fn install_scheduled(
     cluster: &PhysicalCluster,
     switches: &mut [OpenFlowSwitch],
@@ -402,7 +401,6 @@ pub fn install_scheduled(
     base: Verifier,
     pre_intent: &Intent,
     post_intent: &Intent,
-    retry: &RetryPolicy,
 ) -> Result<(Verifier, ScheduleReport), ScheduleError> {
     let base_report = base.report().clone();
     let total_mods: usize = rounds.iter().map(|r| r.mods.len()).sum();
@@ -453,7 +451,7 @@ pub fn install_scheduled(
         // Reconcile the live tables against the intended boundary; the
         // round's own send + barrier above was attempt 1.
         let intended = verifier.view();
-        let rec = reconcile(channel, switches, |sw, t| intended.entries(sw as u32, t), retry, 1);
+        let rec = reconcile(channel, switches, |sw, t| intended.entries(sw as u32, t), 1);
         let install_ns = install_time_ns(busiest) + 2 * channel.delay_ns() + rec.install_ns;
 
         // Divergence fallback: the boundary proof describes the intended

@@ -27,7 +27,7 @@ use sdt_core::methods::SwitchModel;
 use sdt_core::synthesis::SynthesisOutput;
 use sdt_openflow::{
     diff_positions, diff_tables, Action, ControlChannel, ControlConfig, FlowEntry, FlowMatch,
-    FlowMod, HostAddr, OpenFlowSwitch, PortNo, RetryPolicy,
+    FlowMod, HostAddr, OpenFlowSwitch, PortNo,
 };
 use sdt_tenancy::epoch::synthesis_entries;
 use sdt_tenancy::{
@@ -211,7 +211,6 @@ fn run_install(
         base,
         plan.pre_intent(),
         plan.post_intent(),
-        &RetryPolicy::default(),
     )
     .unwrap();
     let rounds: Vec<String> = rep

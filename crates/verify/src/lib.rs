@@ -2,7 +2,7 @@
 //!
 //! This crate is the one isolation checker production code runs: every
 //! install is gated on it (`SdtController::deploy_with`,
-//! `SliceManager::static_gate`, one proof per `apply_batch`) and every
+//! `SliceManager::gate`, one proof per `apply_batch`) and every
 //! operator report (`sdtctl deploy`/`slices`/`reconfigure`/`verify`, local
 //! or through `sdtd`) renders it. The workspace's other two checkers are
 //! *dynamic* — walk a synthetic packet through live tables

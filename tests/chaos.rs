@@ -27,7 +27,7 @@ use sdt::core::methods::SwitchModel;
 use sdt::core::walk::IsolationReport;
 use sdt::openflow::{ControlChannel, ControlConfig};
 use sdt::routing::cdg::analyze;
-use sdt::sim::{ChaosConfig, FaultSchedule, Granularity, SimConfig, Simulator};
+use sdt::sim::{FaultSchedule, Granularity, SimConfig, Simulator};
 use sdt::topology::fattree::fat_tree;
 use sdt::topology::meshtorus::torus;
 use sdt::topology::{HostId, SwitchId, Topology};
@@ -66,7 +66,7 @@ fn run_chaos(seed: u64, topo: &Topology) -> String {
     let d = ctl.deploy(topo).expect("intact topology must deploy");
 
     // Draw the scenario.
-    let schedule = FaultSchedule::random(seed, topo, &ChaosConfig::default());
+    let schedule = FaultSchedule::random(seed, topo);
     let _ = writeln!(
         t,
         "control: drop={:?} reorder={:?} delay={}",
@@ -354,7 +354,7 @@ proptest! {
         let topo = chaos_topology(topo_ix);
         let mut ctl = SdtController::new(chaos_cluster());
         let d = ctl.deploy(&topo).unwrap();
-        let schedule = FaultSchedule::random(seed, &topo, &ChaosConfig::default());
+        let schedule = FaultSchedule::random(seed, &topo);
         let report = FailureReport {
             dead_links: schedule.final_link_cuts(),
             dead_switches: schedule.unrecovered_crashes(),
