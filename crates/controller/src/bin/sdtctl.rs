@@ -5,7 +5,9 @@
 //! cables to add).
 //!
 //! ```text
-//! sdtctl check  <config.toml>...   validate configs against their clusters
+//! sdtctl check  <config.toml>...   the deploy path short of programming a
+//!                                  switch: succeeds exactly when `deploy`
+//!                                  would, else names why
 //! sdtctl deploy <config.toml>      project + synthesize + prove, print report
 //! sdtctl plan   <switches> <config.toml>...
 //!                                  wiring plan covering a topology campaign
@@ -54,7 +56,7 @@ use sdt_controller::commands::{self, ConfigItem};
 use sdt_controller::output::{self, StatsBlock};
 use sdt_controller::wire::{self, Reply, Request};
 use sdt_controller::{
-    plan_wiring, Deployment, Json, SdtController, SliceController, TestbedConfig,
+    plan_wiring, DeployError, Deployment, Json, SdtController, SliceController, TestbedConfig,
 };
 use sdt_openflow::{Action, ControlConfig, FlowEntry, FlowMod};
 use sdt_verify::{Intent, TableView, Verifier};
@@ -227,36 +229,40 @@ fn cmd_check(paths: &[String], json: bool) -> Result<(), String> {
     if paths.is_empty() {
         return Err("check: need at least one config file".into());
     }
-    let mut failed = false;
+    let mut refused = Vec::new();
     let mut rows = Vec::new();
     for path in paths {
         let cfg = load(path)?;
         let ctl = SdtController::from_config(&cfg);
-        let report = ctl.check(std::slice::from_ref(&cfg.topology));
-        let verdict = &report.verdicts[0];
-        failed |= verdict.is_err();
+        // A projection refusal reads in the projector's own words, which
+        // name the short resource; every other refusal as `deploy` says it.
+        let verdict = ctl.check(&cfg.topology, &cfg.strategy).map(|_| ()).map_err(|e| match e {
+            DeployError::Projection(e) => e.to_string(),
+            e => e.to_string(),
+        });
         if json {
             let mut row = vec![
                 ("path", Json::str(path.as_str())),
                 ("topology", Json::str(cfg.topology.name())),
                 ("deployable", Json::Bool(verdict.is_ok())),
             ];
-            row.extend(verdict.as_ref().err().map(|e| ("error", Json::str(e.to_string()))));
+            row.extend(verdict.as_ref().err().map(|e| ("error", Json::str(e.as_str()))));
             rows.push(Json::obj(row));
         } else {
-            match verdict {
+            match &verdict {
                 Ok(()) => say!("{path}: OK — {} deployable", cfg.topology.name()),
                 Err(e) => say!("{path}: NOT deployable — {e}"),
             }
         }
+        refused.extend(verdict.err().map(|e| format!("{path}: {e}")));
     }
     if json {
         say!("{}", Json::Arr(rows).emit());
     }
-    if failed {
-        Err("some configurations are not deployable".into())
-    } else {
+    if refused.is_empty() {
         Ok(())
+    } else {
+        Err(refused.join("; "))
     }
 }
 

@@ -2,6 +2,7 @@
 
 use crate::config::TestbedConfig;
 use crate::recovery::{surviving_topology, unreachable_pairs, FailureReport, DETECTION_NS};
+use crate::routing::{routes, RouteError};
 use crate::wiring::plan_wiring;
 use sdt_core::cluster::{PhysLink, PhysicalCluster};
 use sdt_core::sdt::{
@@ -9,40 +10,20 @@ use sdt_core::sdt::{
 };
 use sdt_core::walk::instantiate;
 use sdt_openflow::{reconcile, ControlChannel, OpenFlowSwitch, Reconciled};
-use sdt_routing::cdg::{analyze, DeadlockAnalysis};
-use sdt_routing::{default_strategy, RouteTable, RoutingStrategy};
+use sdt_routing::RouteTable;
 use sdt_tenancy::epoch::synthesis_entries;
-use sdt_topology::{HostId, SwitchId, Topology, TopologyKind};
+use sdt_topology::{HostId, SwitchId, Topology};
 use sdt_verify::{Intent, TableView, Verifier};
 use std::collections::HashMap;
-
-/// Outcome of the checking function (§V-1): what the wiring supports and
-/// what would have to change.
-#[derive(Clone, Debug)]
-pub struct CheckReport {
-    /// Per-topology verdicts, in input order.
-    pub verdicts: Vec<Result<(), ProjectionError>>,
-}
-
-impl CheckReport {
-    /// True when every topology is deployable as-is.
-    pub fn all_ok(&self) -> bool {
-        self.verdicts.iter().all(Result::is_ok)
-    }
-}
 
 /// Why a deployment was refused.
 #[derive(Debug)]
 pub enum DeployError {
     /// The projection failed (wiring or table capacity).
     Projection(ProjectionError),
-    /// The Deadlock Avoidance module vetoed the routing (cyclic CDG).
-    DeadlockRisk {
-        /// Length of the offending dependency cycle.
-        cycle_len: usize,
-    },
-    /// Unknown routing strategy name in the config.
-    UnknownStrategy(String),
+    /// The routing step refused: an unknown strategy name, or a cyclic
+    /// channel dependency graph the Deadlock Avoidance module vetoed.
+    Routing(RouteError),
     /// The static data-plane verifier found a loop, blackhole or leak in
     /// the synthesized tables, so nothing was installed.
     StaticVerification(String),
@@ -52,10 +33,7 @@ impl std::fmt::Display for DeployError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DeployError::Projection(e) => write!(f, "projection failed: {e}"),
-            DeployError::DeadlockRisk { cycle_len } => {
-                write!(f, "routing rejected: channel dependency cycle of length {cycle_len}")
-            }
-            DeployError::UnknownStrategy(s) => write!(f, "unknown routing strategy `{s}`"),
+            DeployError::Routing(e) => write!(f, "{e}"),
             DeployError::StaticVerification(s) => {
                 write!(f, "static verification rejected the tables: {s}")
             }
@@ -64,47 +42,6 @@ impl std::fmt::Display for DeployError {
 }
 
 impl std::error::Error for DeployError {}
-
-/// Resolve a routing strategy by its config-file name for a topology.
-pub fn resolve_strategy(
-    name: &str,
-    topo: &Topology,
-) -> Result<Box<dyn RoutingStrategy>, DeployError> {
-    use sdt_routing::{dimension, dragonfly as dfr, fattree as ftr, generic};
-    let s: Box<dyn RoutingStrategy> = match (name, topo.kind()) {
-        ("default", _) => default_strategy(topo),
-        ("bfs", _) => Box::new(generic::Bfs::new(topo)),
-        ("updown", _) => Box::new(generic::UpDown::new(topo)),
-        ("fattree-dfs", TopologyKind::FatTree { k }) => Box::new(ftr::FatTreeDfs::new(*k)),
-        ("dragonfly-minimal", TopologyKind::Dragonfly { a, g, h, p }) => {
-            Box::new(dfr::DragonflyMinimal::new(*a, *g, *h, *p, topo))
-        }
-        ("dragonfly-valiant", TopologyKind::Dragonfly { a, g, h, p }) => {
-            Box::new(dfr::DragonflyValiant::new(*a, *g, *h, *p, topo))
-        }
-        ("dragonfly-ugal", TopologyKind::Dragonfly { a, g, h, p }) => {
-            Box::new(dfr::DragonflyUgal::new(*a, *g, *h, *p, topo))
-        }
-        ("dimension-order", TopologyKind::Mesh { dims }) => {
-            Box::new(dimension::DimensionOrder::mesh(dims.clone()))
-        }
-        ("dimension-order", TopologyKind::Torus { dims }) => {
-            Box::new(dimension::DimensionOrder::torus(dims.clone()))
-        }
-        (other, _) => return Err(DeployError::UnknownStrategy(other.into())),
-    };
-    Ok(s)
-}
-
-/// The Deadlock Avoidance gate (§V-3), shared by deployment, recovery and
-/// slice admission: when `required`, routes whose channel dependency graph
-/// has a cycle are refused — `Err` carries the cycle's length.
-pub(crate) fn deadlock_gate(required: bool, routes: &RouteTable) -> Result<(), usize> {
-    match required.then(|| analyze(routes)) {
-        Some(DeadlockAnalysis::Cycle(c)) => Err(c.len()),
-        _ => Ok(()),
-    }
-}
 
 /// A live deployment: projection + programmed switches.
 #[derive(Debug)]
@@ -189,35 +126,19 @@ impl SdtController {
         }
     }
 
-    /// §V-1 checking function: can each topology be projected on this
-    /// wiring? Failed verdicts say which resource is short and by how much.
-    pub fn check(&self, topologies: &[Topology]) -> CheckReport {
-        let verdicts = topologies
-            .iter()
-            .map(|t| {
-                let strategy = default_strategy(t);
-                let routes = RouteTable::build_for_hosts(t, strategy.as_ref());
-                self.projector.project(t, &self.cluster, &routes).map(|_| ())
-            })
-            .collect();
-        CheckReport { verdicts }
-    }
-
-    /// Deploy a topology with its default (Table III) strategy.
-    pub fn deploy(&mut self, topo: &Topology) -> Result<Deployment, DeployError> {
-        self.deploy_with(topo, "default")
-    }
-
-    /// Deploy with an explicit routing strategy name.
-    pub fn deploy_with(
-        &mut self,
+    /// §V-1 checking function: the deploy pipeline short of programming a
+    /// switch — routing under `strategy` with its deadlock gate, the
+    /// projection, and the static proof of the synthesized tables. A
+    /// topology checks exactly when [`SdtController::deploy_with`] would
+    /// deploy it; a failed projection says which resource is short and by
+    /// how much.
+    pub fn check(
+        &self,
         topo: &Topology,
-        strategy_name: &str,
-    ) -> Result<Deployment, DeployError> {
-        let strategy = resolve_strategy(strategy_name, topo)?;
-        let routes = RouteTable::build_for_hosts(topo, strategy.as_ref());
-        deadlock_gate(self.require_deadlock_free, &routes)
-            .map_err(|cycle_len| DeployError::DeadlockRisk { cycle_len })?;
+        strategy: &str,
+    ) -> Result<(RouteTable, SdtProjection), DeployError> {
+        let routes =
+            routes(topo, strategy, self.require_deadlock_free).map_err(DeployError::Routing)?;
         let projection = self
             .projector
             .project(topo, &self.cluster, &routes)
@@ -226,6 +147,22 @@ impl SdtController {
         // loop-free, blackhole-free and isolation-correct *before* any
         // switch is programmed.
         self.static_gate(topo, &projection)?;
+        Ok((routes, projection))
+    }
+
+    /// Deploy a topology with its default (Table III) strategy.
+    pub fn deploy(&mut self, topo: &Topology) -> Result<Deployment, DeployError> {
+        self.deploy_with(topo, "default")
+    }
+
+    /// Deploy with an explicit routing strategy name: [`SdtController::check`],
+    /// then program the switches.
+    pub fn deploy_with(
+        &mut self,
+        topo: &Topology,
+        strategy_name: &str,
+    ) -> Result<Deployment, DeployError> {
+        let (routes, projection) = self.check(topo, strategy_name)?;
         let switches = instantiate(&self.cluster, &projection);
         let deploy_time_ns = projection.deploy_time_ns();
         Ok(Deployment {
@@ -326,15 +263,13 @@ impl SdtController {
         }
 
         // Phase 2: graceful degradation. The surviving topology is
-        // TopologyKind::Custom: default_strategy falls back to generic
+        // TopologyKind::Custom: its default strategy is generic
         // deadlock-free up/down routing, which keeps working per component
         // however the faults carved the graph.
         let all_dead = report.all_dead_links(&old.topology);
         let surviving = surviving_topology(&old.topology, &all_dead);
-        let strategy = default_strategy(&surviving);
-        let routes = RouteTable::build_for_hosts(&surviving, strategy.as_ref());
-        deadlock_gate(self.require_deadlock_free, &routes)
-            .map_err(|cycle_len| DeployError::DeadlockRisk { cycle_len })?;
+        let routes = routes(&surviving, "default", self.require_deadlock_free)
+            .map_err(DeployError::Routing)?;
         let pinned = ProjectOptions {
             fixed_assignment: Some(&old.projection.assignment),
             failed: Some(&failed),
@@ -478,13 +413,11 @@ mod tests {
             .inter_links_per_pair(2) // too few for a torus cut
             .build();
         let c = SdtController::new(cluster);
-        let report = c.check(&[chain(8), torus(&[4, 4])]);
-        assert!(report.verdicts[0].is_ok());
+        assert!(c.check(&chain(8), "default").is_ok());
         assert!(matches!(
-            report.verdicts[1],
-            Err(ProjectionError::NotEnoughInterLinks { need: 8, .. })
+            c.check(&torus(&[4, 4]), "default"),
+            Err(DeployError::Projection(ProjectionError::NotEnoughInterLinks { need: 8, .. }))
         ));
-        assert!(!report.all_ok());
     }
 
     #[test]
@@ -494,7 +427,12 @@ mod tests {
         let mut c = controller();
         let r = ring(5);
         let err = c.deploy_with(&r, "bfs").unwrap_err();
-        assert!(matches!(err, DeployError::DeadlockRisk { .. }));
+        assert!(matches!(err, DeployError::Routing(RouteError::DeadlockRisk { cycle_len: 5 })));
+        // The checking function refuses it the same way.
+        assert!(matches!(
+            c.check(&r, "bfs"),
+            Err(DeployError::Routing(RouteError::DeadlockRisk { cycle_len: 5 }))
+        ));
         // Up/down routing on the same ring passes the gate.
         let d = c.deploy_with(&r, "updown").unwrap();
         let report = IsolationReport::audit(c.cluster(), &d.projection, &d.topology);
@@ -506,7 +444,7 @@ mod tests {
         let mut c = controller();
         assert!(matches!(
             c.deploy_with(&chain(4), "warp-drive"),
-            Err(DeployError::UnknownStrategy(_))
+            Err(DeployError::Routing(RouteError::UnknownStrategy(_)))
         ));
     }
 

@@ -12,7 +12,8 @@
 //!    `sdt-routing`, selectable by name in the config file;
 //! 3. **Deadlock Avoidance** — a channel-dependency-graph gate: deployments
 //!    whose route/VC assignment is cyclic are rejected before any flow-mod
-//!    is sent;
+//!    is sent. Modules 2 and 3 are one function, [`routing::routes`], the
+//!    only place a strategy name becomes routes;
 //! 4. **Network Monitor** — [`recovery::FailureDetector`] folds OpenFlow
 //!    port counters back onto logical channels and suspects the ones that
 //!    froze; the loads that drive adaptive (active) routing are the
@@ -29,15 +30,15 @@ pub mod jsonv;
 pub mod output;
 pub mod presets;
 pub mod recovery;
+pub mod routing;
 pub mod slices;
 pub mod wire;
 pub mod wiring;
 
 pub use config::{model_by_name, model_config_name, ConfigError, TestbedConfig};
 pub use jsonv::{Json, JsonError};
-pub use controller::{
-    resolve_strategy, CheckReport, Deployment, DeployError, RecoveryOutcome, SdtController,
-};
+pub use controller::{Deployment, DeployError, RecoveryOutcome, SdtController};
+pub use routing::RouteError;
 pub use slices::{SliceController, SliceOpError};
 pub use recovery::{
     surviving_topology, unreachable_pairs, FailureDetector, FailureReport, DETECTION_NS,

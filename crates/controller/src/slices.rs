@@ -10,7 +10,7 @@
 //! admission is even attempted.
 
 use crate::config::TestbedConfig;
-use crate::controller::{deadlock_gate, resolve_strategy};
+use crate::routing::{routes, RouteError};
 use sdt_core::cluster::PhysicalCluster;
 use sdt_routing::RouteTable;
 use sdt_tenancy::epoch::EpochReport;
@@ -25,13 +25,9 @@ use std::fmt;
 pub enum SliceOpError {
     /// The manager refused admission (resources, headroom, unknown slice).
     Admission(AdmissionError),
-    /// The Deadlock Avoidance module vetoed the slice's routing.
-    DeadlockRisk {
-        /// Length of the offending dependency cycle.
-        cycle_len: usize,
-    },
-    /// Unknown routing strategy name.
-    UnknownStrategy(String),
+    /// The routing step refused: an unknown strategy name, or a cyclic
+    /// channel dependency graph the Deadlock Avoidance module vetoed.
+    Routing(RouteError),
     /// The item's config file did not parse; the parser's message.
     Config(String),
 }
@@ -40,10 +36,7 @@ impl fmt::Display for SliceOpError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SliceOpError::Admission(e) => write!(f, "admission refused: {e}"),
-            SliceOpError::DeadlockRisk { cycle_len } => {
-                write!(f, "routing rejected: channel dependency cycle of length {cycle_len}")
-            }
-            SliceOpError::UnknownStrategy(s) => write!(f, "unknown routing strategy `{s}`"),
+            SliceOpError::Routing(e) => write!(f, "{e}"),
             SliceOpError::Config(e) => write!(f, "{e}"),
         }
     }
@@ -115,16 +108,7 @@ impl SliceController {
         topo: &Topology,
         strategy: &str,
     ) -> Result<RouteTable, SliceOpError> {
-        let s = resolve_strategy(strategy, topo).map_err(|e| match e {
-            crate::controller::DeployError::UnknownStrategy(s) => {
-                SliceOpError::UnknownStrategy(s)
-            }
-            other => SliceOpError::UnknownStrategy(other.to_string()),
-        })?;
-        let routes = RouteTable::build_for_hosts(topo, s.as_ref());
-        deadlock_gate(self.require_deadlock_free, &routes)
-            .map_err(|cycle_len| SliceOpError::DeadlockRisk { cycle_len })?;
-        Ok(routes)
+        routes(topo, strategy, self.require_deadlock_free).map_err(SliceOpError::Routing)
     }
 
     /// Admit a slice with a named routing strategy ("default" for
@@ -136,7 +120,7 @@ impl SliceController {
         strategy: &str,
     ) -> Result<SliceId, SliceOpError> {
         let routes = self.resolve_routes(topo, strategy)?;
-        self.mgr.create_with_routes(name, topo, routes).map_err(SliceOpError::Admission)
+        self.mgr.create(name, topo, routes).map_err(SliceOpError::Admission)
     }
 
     /// Run several lifecycle operations as one batch — the `slices`
@@ -194,9 +178,7 @@ impl SliceController {
         strategy: &str,
     ) -> Result<EpochReport, SliceOpError> {
         let routes = self.resolve_routes(topo, strategy)?;
-        self.mgr
-            .reconfigure_with_routes(id, topo, routes)
-            .map_err(SliceOpError::Admission)
+        self.mgr.reconfigure(id, topo, routes).map_err(SliceOpError::Admission)
     }
 
     /// Transient-safe reconfiguration: the epoch is compiled into
@@ -212,9 +194,7 @@ impl SliceController {
         channel: &mut sdt_openflow::ControlChannel,
     ) -> Result<(EpochReport, sdt_tenancy::ScheduleReport), SliceOpError> {
         let routes = self.resolve_routes(topo, strategy)?;
-        self.mgr
-            .reconfigure_scheduled_with_routes(id, topo, routes, channel)
-            .map_err(SliceOpError::Admission)
+        self.mgr.reconfigure_scheduled(id, topo, routes, channel).map_err(SliceOpError::Admission)
     }
 
     /// Tear a slice down and reclaim its resources.
@@ -296,7 +276,7 @@ mod tests {
         let mut c = controller();
         // BFS on an odd ring has a cyclic CDG: vetoed pre-admission.
         let err = c.create("r", &ring(5), "bfs").unwrap_err();
-        assert!(matches!(err, SliceOpError::DeadlockRisk { .. }));
+        assert!(matches!(err, SliceOpError::Routing(RouteError::DeadlockRisk { cycle_len: 5 })));
         assert_eq!(c.status().slices.len(), 0);
         // The same slice under up/down routing is admitted.
         c.create("r", &ring(5), "updown").unwrap();
@@ -306,7 +286,9 @@ mod tests {
     fn unknown_strategy_named_in_error() {
         let mut c = controller();
         match c.create("x", &chain(3), "warp-drive") {
-            Err(SliceOpError::UnknownStrategy(s)) => assert_eq!(s, "warp-drive"),
+            Err(SliceOpError::Routing(RouteError::UnknownStrategy(s))) => {
+                assert_eq!(s, "warp-drive")
+            }
             other => panic!("{other:?}"),
         }
     }

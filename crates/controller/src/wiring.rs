@@ -114,7 +114,7 @@ mod tests {
         // And the resulting cluster really deploys everything.
         let cluster = plan.build(model, 2);
         let c = crate::controller::SdtController::new(cluster);
-        assert!(c.check(&targets).all_ok());
+        assert!(targets.iter().all(|t| c.check(t, "default").is_ok()));
     }
 
     #[test]

@@ -89,3 +89,51 @@ fn control_channel_probabilities_outside_0_1_are_refused_by_flag() {
         assert!(out.stdout.is_empty(), "{flag}: nothing ran");
     }
 }
+
+/// `check` is `deploy` short of programming a switch: over a config that
+/// fits, a cable shortage, a routing the deadlock gate vetoes and an
+/// unknown strategy, both exit alike and refuse for the same reason —
+/// `deploy` names it on stderr, `check` in its verdict line and on stderr.
+#[test]
+fn check_succeeds_exactly_when_deploy_would_and_names_the_same_reason() {
+    let short = FT4
+        .replace("switches = 2", "switches = 3")
+        .replace("inter_links_per_pair = 16", "inter_links_per_pair = 1");
+    let ring5 = FT4.replace("\"fat-tree\"", "\"ring\"").replace("k = 4", "n = 5");
+    let bfs = format!("{ring5}\n[routing]\nstrategy = \"bfs\"\n");
+    let warp = format!("{ring5}\n[routing]\nstrategy = \"warp-drive\"\n");
+    let cases = [
+        ("fits", FT4.to_string(), None),
+        ("short", short, Some("switch pair (0, 1): 4 inter-switch links needed, 1 wired — add 3")),
+        ("bfs", bfs, Some("routing rejected: channel dependency cycle of length 5")),
+        ("warp", warp, Some("unknown routing strategy `warp-drive`")),
+    ];
+    for (name, text, reason) in cases {
+        let config =
+            std::env::temp_dir().join(format!("sdtctl-check-{name}-{}.toml", std::process::id()));
+        std::fs::write(&config, text).unwrap();
+        let path = config.to_str().unwrap();
+        let run = |cmd: &str| {
+            Command::new(env!("CARGO_BIN_EXE_sdtctl")).args([cmd, path]).output().unwrap()
+        };
+        let (check, deploy) = (run("check"), run("deploy"));
+        std::fs::remove_file(&config).unwrap();
+        let text = |b: &[u8]| String::from_utf8(b.to_vec()).unwrap();
+        let (check_out, check_err) = (text(&check.stdout), text(&check.stderr));
+        let deploy_err = text(&deploy.stderr).trim_end().to_string();
+        assert_eq!(check.status.code(), deploy.status.code(), "{name}: {check_err} / {deploy_err}");
+        match reason {
+            None => {
+                assert_eq!(check.status.code(), Some(0), "{name}: {check_err}");
+                assert_eq!(check_out, format!("{path}: OK — fat-tree-k4 deployable\n"));
+            }
+            Some(reason) => {
+                assert_eq!(check.status.code(), Some(1), "{name}");
+                assert_eq!(check_out, format!("{path}: NOT deployable — {reason}\n"));
+                assert_eq!(check_err, format!("sdtctl: {path}: {reason}\n"));
+                let same = deploy_err.starts_with("sdtctl: ") && deploy_err.ends_with(reason);
+                assert!(same, "{name}: deploy says {deploy_err}");
+            }
+        }
+    }
+}

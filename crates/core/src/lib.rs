@@ -13,8 +13,9 @@
 //!    inter-switch link; every host onto a host port (§IV-A);
 //! 3. ports are grouped into *sub-switches* (one per logical switch) and
 //!    flow tables are synthesized that (a) restrict each packet to its
-//!    sub-switch's forwarding domain and (b) implement the routing strategy
-//!    from `sdt-routing` (§V);
+//!    sub-switch's forwarding domain and (b) implement the routes handed
+//!    in as a `RouteTable` (§V) — which strategy made them is the
+//!    controller's decision, never this crate's;
 //! 4. reconfiguring to a new topology is a flow-table rewrite — no recabling
 //!    and no optical switch.
 //!
@@ -41,3 +42,10 @@ pub use methods::{
 pub use sdt::{FailedResources, ProjectOptions, ProjectionError, SdtProjection, SdtProjector};
 pub use synthesis::{synthesize_flow_tables, SynthesisOutput};
 pub use walk::{walk_packet, IsolationReport, WalkOutcome};
+
+#[cfg(test)]
+/// Table III's routes for `t`, as the controller's `"default"` strategy
+/// builds them — the routes this crate's tests project.
+pub(crate) fn default_routes(t: &sdt_topology::Topology) -> sdt_routing::RouteTable {
+    sdt_routing::RouteTable::build_for_hosts(t, sdt_routing::default_strategy(t).as_ref())
+}

@@ -23,7 +23,7 @@ use crate::cluster::{PhysLink, PhysPort, PhysicalCluster};
 use crate::synthesis::{synthesize_flow_tables, synthesize_flow_tables_merged, SynthesisOutput};
 use sdt_openflow::install_time_ns;
 use sdt_partition::{partition_topology, PartitionConfig};
-use sdt_routing::{default_strategy, RouteTable};
+use sdt_routing::RouteTable;
 use sdt_topology::{HostId, LinkId, SwitchId, Topology};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
@@ -282,17 +282,6 @@ pub struct SdtProjector {
 }
 
 impl SdtProjector {
-    /// Project with the topology's default routing strategy (Table III).
-    pub fn project_default(
-        &self,
-        topo: &Topology,
-        cluster: &PhysicalCluster,
-    ) -> Result<SdtProjection, ProjectionError> {
-        let strategy = default_strategy(topo);
-        let routes = RouteTable::build_for_hosts(topo, strategy.as_ref());
-        self.project(topo, cluster, &routes)
-    }
-
     /// Project `topo` onto `cluster`, synthesizing flow tables that realize
     /// `routes`.
     pub fn project(
@@ -558,6 +547,7 @@ impl SdtProjector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::default_routes;
     use crate::cluster::ClusterBuilder;
     use crate::methods::SwitchModel;
     use sdt_topology::chain::chain;
@@ -576,7 +566,7 @@ mod tests {
     fn chain_on_one_switch() {
         let t = chain(8);
         let c = cluster(1, 8, 0);
-        let p = SdtProjector::default().project_default(&t, &c).unwrap();
+        let p = SdtProjector::default().project(&t, &c, &default_routes(&t)).unwrap();
         assert_eq!(p.inter_switch_links_used, 0);
         assert_eq!(p.link_real.len(), 7);
         assert_eq!(p.host_port.len(), 8);
@@ -587,7 +577,7 @@ mod tests {
     fn fat_tree_on_two_switches() {
         let t = fat_tree(4);
         let c = cluster(2, 16, 16);
-        let p = SdtProjector::default().project_default(&t, &c).unwrap();
+        let p = SdtProjector::default().project(&t, &c, &default_routes(&t)).unwrap();
         // All 32 fabric links realized, all 16 hosts placed.
         assert_eq!(p.link_real.len(), 32);
         assert_eq!(p.host_port.len(), 16);
@@ -607,7 +597,7 @@ mod tests {
         // Fig. 7 Case A: 8 inter-switch links.
         let t = torus(&[4, 4]);
         let c = cluster(2, 16, 8);
-        let p = SdtProjector::default().project_default(&t, &c).unwrap();
+        let p = SdtProjector::default().project(&t, &c, &default_routes(&t)).unwrap();
         assert_eq!(p.inter_switch_links_used, 8);
     }
 
@@ -615,7 +605,7 @@ mod tests {
     fn insufficient_inter_links_reported_with_counts() {
         let t = torus(&[4, 4]);
         let c = cluster(2, 16, 4); // only 4 wired, 8 needed
-        let err = SdtProjector::default().project_default(&t, &c).unwrap_err();
+        let err = SdtProjector::default().project(&t, &c, &default_routes(&t)).unwrap_err();
         match err {
             ProjectionError::NotEnoughInterLinks { pair: (0, 1), need, have } => {
                 assert_eq!(need, 8);
@@ -631,8 +621,9 @@ mod tests {
     fn the_lowest_short_switch_pair_is_reported() {
         let t = fat_tree(4);
         let c = cluster(3, 16, 1);
+        let routes = default_routes(&t);
         let messages: HashSet<String> = (0..16)
-            .map(|_| SdtProjector::default().project_default(&t, &c).unwrap_err().to_string())
+            .map(|_| SdtProjector::default().project(&t, &c, &routes).unwrap_err().to_string())
             .collect();
         assert_eq!(messages.len(), 1, "{messages:?}");
         let only = messages.iter().next().unwrap();
@@ -643,7 +634,7 @@ mod tests {
     fn insufficient_host_ports_reported() {
         let t = chain(8);
         let c = cluster(1, 4, 0);
-        let err = SdtProjector::default().project_default(&t, &c).unwrap_err();
+        let err = SdtProjector::default().project(&t, &c, &default_routes(&t)).unwrap_err();
         assert!(matches!(err, ProjectionError::NotEnoughHostPorts { need: 8, have: 4, .. }));
     }
 
@@ -651,7 +642,7 @@ mod tests {
     fn no_cable_used_twice() {
         let t = fat_tree(4);
         let c = cluster(2, 16, 16);
-        let p = SdtProjector::default().project_default(&t, &c).unwrap();
+        let p = SdtProjector::default().project(&t, &c, &default_routes(&t)).unwrap();
         let mut seen = std::collections::HashSet::new();
         for cable in p.link_real.values() {
             assert!(seen.insert((cable.a, cable.b)), "cable reused: {cable:?}");
@@ -671,7 +662,7 @@ mod tests {
             .hosts_per_switch(16)
             .inter_links_per_pair(16)
             .build();
-        let plain = SdtProjector::default().project_default(&t, &c0).unwrap();
+        let plain = SdtProjector::default().project(&t, &c0, &default_routes(&t)).unwrap();
         let need = *plain.synthesis.entries_per_switch.iter().max().unwrap();
         model.table_capacity = need - 10;
         let c = ClusterBuilder::new(model, 2)
@@ -679,12 +670,12 @@ mod tests {
             .inter_links_per_pair(16)
             .build();
         // Without the mitigation: refused.
-        let err = SdtProjector::default().project_default(&t, &c).unwrap_err();
+        let err = SdtProjector::default().project(&t, &c, &default_routes(&t)).unwrap_err();
         assert!(matches!(err, ProjectionError::TableCapacity { .. }));
         // With it: merged synthesis fits.
         let proj =
             SdtProjector { merge_entries_on_overflow: true };
-        let p = proj.project_default(&t, &c).unwrap();
+        let p = proj.project(&t, &c, &default_routes(&t)).unwrap();
         assert!(p.synthesis.entries_per_switch.iter().all(|&n| n < need));
     }
 
@@ -696,7 +687,7 @@ mod tests {
         c: &PhysicalCluster,
         opts: &ProjectOptions<'_>,
     ) -> SdtProjection {
-        let routes = RouteTable::build_for_hosts(t, default_strategy(t).as_ref());
+        let routes = default_routes(t);
         let p = proj.project_with(t, c, &routes, opts).unwrap();
         let placement = Placement::of(&p);
         assert_eq!(placement.check(t, c), Ok(()), "{}", t.name());
@@ -759,7 +750,8 @@ mod tests {
 
         // The §VII-C merged pipeline: capacity below the plain one's need.
         let t = fat_tree(4);
-        let plain = SdtProjector::default().project_default(&t, &cluster(2, 16, 16)).unwrap();
+        let plain =
+            SdtProjector::default().project(&t, &cluster(2, 16, 16), &default_routes(&t)).unwrap();
         let mut model = SwitchModel::openflow_128x100g();
         model.table_capacity = plain.synthesis.entries_per_switch.iter().max().unwrap() - 10;
         let c = ClusterBuilder::new(model, 2).hosts_per_switch(16).inter_links_per_pair(16).build();
@@ -772,7 +764,8 @@ mod tests {
     fn placement_check_names_what_does_not_fit() {
         let t = chain(4);
         let c = cluster(2, 8, 4);
-        let p = Placement::of(&SdtProjector::default().project_default(&t, &c).unwrap());
+        let p = SdtProjector::default().project(&t, &c, &default_routes(&t)).unwrap();
+        let p = Placement::of(&p);
         let refused = |edit: &dyn Fn(&mut Placement), why: &str| {
             let mut bad = p.clone();
             edit(&mut bad);
@@ -799,8 +792,7 @@ mod tests {
         let t = fat_tree(4);
         let c = cluster(2, 16, 16);
         let proj = SdtProjector::default();
-        let strategy = default_strategy(&t);
-        let routes = RouteTable::build_for_hosts(&t, strategy.as_ref());
+        let routes = default_routes(&t);
         let a = proj.project(&t, &c, &routes).unwrap();
         let b = proj.project_with(&t, &c, &routes, &ProjectOptions::default()).unwrap();
         assert_eq!(a.assignment, b.assignment);
@@ -816,8 +808,7 @@ mod tests {
         let t = torus(&[4, 4]);
         let c = cluster(2, 16, 10);
         let proj = SdtProjector::default();
-        let strategy = default_strategy(&t);
-        let routes = RouteTable::build_for_hosts(&t, strategy.as_ref());
+        let routes = default_routes(&t);
         let healthy = proj.project(&t, &c, &routes).unwrap();
         let mut failed = FailedResources::new();
         let dead: Vec<PhysLink> = c.inter_links_between(0, 1).take(2).copied().collect();
@@ -844,8 +835,7 @@ mod tests {
         let t = torus(&[4, 4]);
         let c = cluster(2, 16, 10);
         let proj = SdtProjector::default();
-        let strategy = default_strategy(&t);
-        let routes = RouteTable::build_for_hosts(&t, strategy.as_ref());
+        let routes = default_routes(&t);
         let old = proj.project(&t, &c, &routes).unwrap();
         let mut prefer: HashMap<(SwitchId, SwitchId), PhysLink> = HashMap::new();
         for l in t.fabric_links() {
@@ -868,8 +858,7 @@ mod tests {
         let t = torus(&[4, 4]);
         let c = cluster(2, 16, 8);
         let proj = SdtProjector::default();
-        let strategy = default_strategy(&t);
-        let routes = RouteTable::build_for_hosts(&t, strategy.as_ref());
+        let routes = default_routes(&t);
         let mut failed = FailedResources::new();
         failed.fail_cable(c.inter_links_between(0, 1).next().unwrap());
         let opts = ProjectOptions { failed: Some(&failed), ..Default::default() };
@@ -885,8 +874,7 @@ mod tests {
         let t = chain(8);
         let c = cluster(1, 9, 0);
         let proj = SdtProjector::default();
-        let strategy = default_strategy(&t);
-        let routes = RouteTable::build_for_hosts(&t, strategy.as_ref());
+        let routes = default_routes(&t);
         let mut failed = FailedResources::new();
         // Kill one host port: 9 wired - 1 dead = 8 still fits.
         failed.fail_port(*c.host_ports_of(0).next().unwrap());
@@ -907,7 +895,7 @@ mod tests {
         // Table II: SDT reconfiguration 100ms ~ 1s.
         let t = fat_tree(4);
         let c = cluster(2, 16, 16);
-        let p = SdtProjector::default().project_default(&t, &c).unwrap();
+        let p = SdtProjector::default().project(&t, &c, &default_routes(&t)).unwrap();
         let ns = p.deploy_time_ns();
         assert!((100_000_000..=1_000_000_000).contains(&ns), "{ns} ns");
     }

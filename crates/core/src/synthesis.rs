@@ -307,6 +307,7 @@ fn emit(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::default_routes;
     use crate::cluster::ClusterBuilder;
     use crate::methods::SwitchModel;
     use crate::sdt::SdtProjector;
@@ -584,7 +585,7 @@ mod tests {
     #[test]
     fn fat_tree_k16_synthesis_is_pinned() {
         let t = fat_tree(16);
-        let routes = RouteTable::build_for_hosts(&t, sdt_routing::default_strategy(&t).as_ref());
+        let routes = default_routes(&t);
         let (assignment, port_of, host_port) = wiring(&t, 19);
         let out = synthesize_flow_tables(&t, &routes, &assignment, &port_of, &host_port, 19);
         assert_eq!(out.table1.iter().map(Vec::len).sum::<usize>(), 148_480);
@@ -628,8 +629,8 @@ mod tests {
             .hosts_per_switch(16)
             .inter_links_per_pair(16)
             .build();
-        let p = SdtProjector::default().project_default(&t, &c).unwrap();
-        let routes = RouteTable::build_for_hosts(&t, sdt_routing::default_strategy(&t).as_ref());
+        let p = SdtProjector::default().project(&t, &c, &default_routes(&t)).unwrap();
+        let routes = default_routes(&t);
         let merged = || {
             synthesize_flow_tables_merged(&t, &routes, &p.assignment, &p.port_of, &p.host_port, 2)
         };
@@ -651,7 +652,7 @@ mod tests {
             .hosts_per_switch(16)
             .inter_links_per_pair(16)
             .build();
-        let p = SdtProjector::default().project_default(&t, &c).unwrap();
+        let p = SdtProjector::default().project(&t, &c, &default_routes(&t)).unwrap();
         for (sw, &n) in p.synthesis.entries_per_switch.iter().enumerate() {
             assert!(
                 (100..=400).contains(&n),
@@ -672,11 +673,10 @@ mod tests {
             .hosts_per_switch(16)
             .inter_links_per_pair(16)
             .build();
-        let mut proj = SdtProjector::default().project_default(&t, &c).unwrap();
+        let mut proj = SdtProjector::default().project(&t, &c, &default_routes(&t)).unwrap();
         let plain: usize = proj.synthesis.entries_per_switch.iter().sum();
         // Re-synthesize with merging and swap it in.
-        let strategy = sdt_routing::default_strategy(&t);
-        let routes = sdt_routing::RouteTable::build_for_hosts(&t, strategy.as_ref());
+        let routes = default_routes(&t);
         proj.synthesis = synthesize_flow_tables_merged(
             &t,
             &routes,
@@ -700,7 +700,7 @@ mod tests {
             .hosts_per_switch(16)
             .inter_links_per_pair(16)
             .build();
-        let p = SdtProjector::default().project_default(&t, &c).unwrap();
+        let p = SdtProjector::default().project(&t, &c, &default_routes(&t)).unwrap();
         for (sw, entries) in p.synthesis.table1.iter().enumerate() {
             for e in entries {
                 let s = SwitchId(e.m.metadata.expect("table1 entries are metadata-scoped"));

@@ -222,6 +222,7 @@ impl IsolationReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::default_routes;
     use crate::cluster::ClusterBuilder;
     use crate::methods::SwitchModel;
     use crate::sdt::SdtProjector;
@@ -239,7 +240,7 @@ mod tests {
     fn chain_packet_takes_logical_path() {
         let t = chain(8);
         let c = cluster(1, 8, 0);
-        let p = SdtProjector::default().project_default(&t, &c).unwrap();
+        let p = SdtProjector::default().project(&t, &c, &default_routes(&t)).unwrap();
         let mut switches = instantiate(&c, &p);
         match walk_packet(&c, &mut switches, &p, &t, HostId(0), HostId(7)) {
             WalkOutcome::Delivered { to, path } => {
@@ -255,7 +256,7 @@ mod tests {
     fn fat_tree_all_pairs_delivered() {
         let t = fat_tree(4);
         let c = cluster(2, 16, 16);
-        let p = SdtProjector::default().project_default(&t, &c).unwrap();
+        let p = SdtProjector::default().project(&t, &c, &default_routes(&t)).unwrap();
         let report = IsolationReport::audit(&c, &p, &t);
         assert!(report.clean(), "violations: {:?}", report.violations);
         assert_eq!(report.delivered, 16 * 15);
@@ -266,7 +267,7 @@ mod tests {
     fn hop_count_matches_logical_route() {
         let t = fat_tree(4);
         let c = cluster(2, 16, 16);
-        let p = SdtProjector::default().project_default(&t, &c).unwrap();
+        let p = SdtProjector::default().project(&t, &c, &default_routes(&t)).unwrap();
         let mut switches = instantiate(&c, &p);
         // Host 0 (pod 0) to host 15 (pod 3): 5 logical switches.
         match walk_packet(&c, &mut switches, &p, &t, HostId(0), HostId(15)) {

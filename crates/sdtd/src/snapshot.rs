@@ -21,8 +21,11 @@
 //! * **per-slice config text** — topology generators and routing-strategy
 //!   resolution are deterministic, so the slice's `Topology` and
 //!   `RouteTable` are re-derived from the config that created (or last
-//!   reconfigured) it. Custom topologies serialize through the config
-//!   grammar's `kind = "custom"` edge list.
+//!   reconfigured) it, through the controller's one routing function
+//!   ([`sdt_controller::routing::routes`]) with the snapshot's own deadlock
+//!   gate: a slice whose routes the gate now vetoes is refused by name.
+//!   Custom topologies serialize through the config grammar's
+//!   `kind = "custom"` edge list.
 //! * **per-slice placement, namespace and epoch count** — which switch,
 //!   cable and host port a slice got depends on what was free *at
 //!   admission time*, which depends on the full create/destroy history; it
@@ -45,13 +48,12 @@
 //! key-sorted. Equal states therefore encode to equal bytes, giving the
 //! tested property: snapshot → restore → re-snapshot is byte-identical.
 
-use sdt_controller::controller::resolve_strategy;
 use sdt_controller::config::{check_cluster, wire_cluster};
+use sdt_controller::routing::routes;
 use sdt_controller::{model_by_name, model_config_name, Json, TestbedConfig};
 use sdt_core::cluster::{PhysLink, PhysPort, PhysicalCluster};
 use sdt_core::sdt::Placement;
 use sdt_openflow::{snap, FlowEntry, PortNo};
-use sdt_routing::RouteTable;
 use sdt_tenancy::{ManagerExport, SliceId, SliceManager, SliceRecord};
 use sdt_topology::{HostId, LinkId};
 use std::collections::{BTreeMap, HashMap};
@@ -163,9 +165,8 @@ impl Snapshot {
         let export = self.state.clone().try_with(|s| {
             let cfg = TestbedConfig::parse(&s.request)
                 .map_err(|e| bad(format!("{}: config: {e}", s.id)))?;
-            let strategy = resolve_strategy(&cfg.strategy, &cfg.topology)
+            let routes = routes(&cfg.topology, &cfg.strategy, self.require_deadlock_free)
                 .map_err(|e| bad(format!("{}: {e}", s.id)))?;
-            let routes = RouteTable::build_for_hosts(&cfg.topology, strategy.as_ref());
             configs.insert(s.id.0, s.request.clone());
             Ok::<_, SnapshotError>((cfg.topology, routes))
         })?;

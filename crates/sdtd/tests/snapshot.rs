@@ -224,3 +224,25 @@ fn numbers_that_do_not_fit_their_field_are_refused_by_name() {
         assert!(e.to_string().contains(why), "{to}: {e}");
     }
 }
+
+/// Restore routes each slice the way admission does, deadlock gate
+/// included, under the snapshot's own flag: a ring-5 routed by BFS, admitted
+/// while the gate was off, is refused by name once the file says the gate
+/// is on — not brought back with a cyclic channel dependency graph.
+#[test]
+fn restore_runs_the_deadlock_gate_the_snapshot_names() {
+    let text = format!(
+        "{}\n[routing]\nstrategy = \"bfs\"\nrequire_deadlock_free = false\n",
+        cfg("kind = \"ring\"\nn = 5")
+    );
+    let c = TestbedConfig::parse(&text).unwrap();
+    let mut ctl = SliceController::from_config(&c);
+    let id = ctl.create(c.topology.name(), &c.topology, &c.strategy).unwrap();
+    let spec = ClusterSpec::of_config(&c).unwrap();
+    let configs = BTreeMap::from([(id.0, text)]);
+    let mut snap = Snapshot::capture(&spec, false, ctl.manager(), &configs).unwrap();
+    assert!(snap.restore().is_ok(), "the gate is off: the slice comes back");
+    snap.require_deadlock_free = true;
+    let e = snap.restore().map(|_| ()).unwrap_err().to_string();
+    assert!(e.contains("slice-0: routing rejected: channel dependency cycle of length 5"), "{e}");
+}

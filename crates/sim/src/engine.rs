@@ -1480,7 +1480,7 @@ impl Simulator {
     pub fn apply_fault_schedule(&mut self, schedule: &crate::faults::FaultSchedule) {
         use crate::faults::FaultEvent;
         let nh = self.num_hosts;
-        for f in &schedule.events {
+        for f in schedule.events() {
             let at = f.at_ns.max(self.now);
             let ev = match f.event {
                 FaultEvent::LinkDown { a, b } => Ev::LinkFail(nh + a.0, nh + b.0),

@@ -92,7 +92,9 @@ const CHAOS_CONTROL_FAULT_PROB: f64 = 0.5;
 #[derive(Clone, Debug, Default)]
 pub struct FaultSchedule {
     /// Data-plane faults, kept sorted by `at_ns` (stable for equal times).
-    pub events: Vec<TimedFault>,
+    /// Private: every fault enters through a builder, so each one has
+    /// passed its builder's checks.
+    events: Vec<TimedFault>,
     /// The scenario's control channel: what `ControlChannel::new` takes.
     pub control: ControlConfig,
 }
@@ -101,6 +103,11 @@ impl FaultSchedule {
     /// An empty schedule with a reliable control channel.
     pub fn new() -> Self {
         FaultSchedule::default()
+    }
+
+    /// The data-plane faults, sorted by `at_ns` (stable for equal times).
+    pub fn events(&self) -> &[TimedFault] {
+        &self.events
     }
 
     fn push(&mut self, at_ns: Time, event: FaultEvent) -> &mut Self {
@@ -303,5 +310,17 @@ mod tests {
         assert!(s.final_link_cuts().is_empty(), "no cable-level faults");
         s.switch_restart(SwitchId(0), 200);
         assert!(s.unrecovered_crashes().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "degrade factor must be in (0, 1]")]
+    fn a_zero_degrade_factor_is_refused() {
+        FaultSchedule::new().port_degrade(SwitchId(0), SwitchId(1), 0.0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "degrade factor must be in (0, 1]")]
+    fn a_nan_degrade_factor_is_refused() {
+        FaultSchedule::new().port_degrade(SwitchId(0), SwitchId(1), f64::NAN, 0);
     }
 }

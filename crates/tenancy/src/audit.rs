@@ -254,6 +254,7 @@ impl SliceAudit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::default_routes;
     use sdt_core::cluster::ClusterBuilder;
     use sdt_core::methods::SwitchModel;
     use sdt_topology::chain::{chain, ring};
@@ -270,9 +271,9 @@ mod tests {
     #[test]
     fn three_slices_audit_clean() {
         let mut mgr = manager();
-        mgr.create("a", &chain(4)).unwrap();
-        mgr.create("b", &ring(5)).unwrap();
-        mgr.create("c", &mesh(&[2, 2])).unwrap();
+        mgr.create("a", &chain(4), default_routes(&chain(4))).unwrap();
+        mgr.create("b", &ring(5), default_routes(&ring(5))).unwrap();
+        mgr.create("c", &mesh(&[2, 2]), default_routes(&mesh(&[2, 2]))).unwrap();
         let audit = SliceAudit::run(&mut mgr);
         assert!(audit.clean(), "audit not clean: {audit:?}");
         // Every slice's hosts talk among themselves...
@@ -288,8 +289,8 @@ mod tests {
     #[test]
     fn audit_reflects_destroy() {
         let mut mgr = manager();
-        mgr.create("a", &chain(4)).unwrap();
-        let b = mgr.create("b", &ring(5)).unwrap();
+        mgr.create("a", &chain(4), default_routes(&chain(4))).unwrap();
+        let b = mgr.create("b", &ring(5), default_routes(&ring(5))).unwrap();
         mgr.destroy(b).unwrap();
         let audit = SliceAudit::run(&mut mgr);
         assert!(audit.clean(), "stale state after destroy: {audit:?}");
@@ -300,10 +301,10 @@ mod tests {
     #[test]
     fn audit_survives_reconfiguration() {
         let mut mgr = manager();
-        mgr.create("a", &chain(4)).unwrap();
-        let b = mgr.create("b", &ring(5)).unwrap();
-        mgr.create("c", &mesh(&[2, 2])).unwrap();
-        mgr.reconfigure(b, &chain(5)).unwrap();
+        mgr.create("a", &chain(4), default_routes(&chain(4))).unwrap();
+        let b = mgr.create("b", &ring(5), default_routes(&ring(5))).unwrap();
+        mgr.create("c", &mesh(&[2, 2]), default_routes(&mesh(&[2, 2]))).unwrap();
+        mgr.reconfigure(b, &chain(5), default_routes(&chain(5))).unwrap();
         let audit = SliceAudit::run(&mut mgr);
         assert!(audit.clean(), "audit not clean after reconfigure: {audit:?}");
     }

@@ -10,7 +10,9 @@
 //! * [`SliceManager`] admits multiple logical topologies ("slices") onto
 //!   one [`PhysicalCluster`](sdt_core::cluster::PhysicalCluster)
 //!   concurrently, with hard resource accounting over host ports, cables,
-//!   and per-switch flow-table capacity;
+//!   and per-switch flow-table capacity. Every operation takes the slice's
+//!   routes as a `RouteTable`: the controller picks the strategy and runs
+//!   the deadlock gate, this crate never does;
 //! * admission is all-or-nothing: a slice that does not fit is rejected
 //!   with a structured [`AdmissionError`] naming the scarce resource and
 //!   the switch it ran out on — never a partial install;
@@ -52,3 +54,10 @@ pub use schedule::{
     compile_rounds, install_scheduled, no_new_findings, Round, RoundPhase, RoundReport,
     ScheduleError, ScheduleReport,
 };
+
+#[cfg(test)]
+/// Table III's routes for `t`, as the controller's `"default"` strategy
+/// builds them — the routes this crate's tests project.
+pub(crate) fn default_routes(t: &sdt_topology::Topology) -> sdt_routing::RouteTable {
+    sdt_routing::RouteTable::build_for_hosts(t, sdt_routing::default_strategy(t).as_ref())
+}

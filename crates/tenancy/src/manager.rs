@@ -40,7 +40,7 @@ use sdt_core::sdt::{
 };
 use sdt_core::synthesis::SynthesisOutput;
 use sdt_openflow::{Action, FlowEntry, FlowMod, HostAddr, OpenFlowSwitch, SwitchConfig};
-use sdt_routing::{default_strategy, RouteTable};
+use sdt_routing::RouteTable;
 use sdt_topology::{HostId, SwitchId, Topology};
 use sdt_verify::{Intent, TableView, Verifier, VerifyStats};
 use std::collections::{BTreeMap, HashMap};
@@ -850,16 +850,9 @@ impl SliceManager {
         Ok(self.commit(plan, Some(proof)))
     }
 
-    /// Admit a slice with its topology's default (Table III) routing.
-    pub fn create(&mut self, name: &str, topo: &Topology) -> Result<SliceId, AdmissionError> {
-        let strategy = default_strategy(topo);
-        let routes = RouteTable::build_for_hosts(topo, strategy.as_ref());
-        self.create_with_routes(name, topo, routes)
-    }
-
-    /// Admit a slice with explicit routes. Either the whole pipeline is
+    /// Admit a slice with its routes. Either the whole pipeline is
     /// installed, or nothing is and the error names the scarce resource.
-    pub fn create_with_routes(
+    pub fn create(
         &mut self,
         name: &str,
         topo: &Topology,
@@ -872,24 +865,13 @@ impl SliceManager {
         }
     }
 
-    /// Reconfigure a slice to a new topology with default routing.
-    pub fn reconfigure(
-        &mut self,
-        id: SliceId,
-        topo: &Topology,
-    ) -> Result<EpochReport, AdmissionError> {
-        let strategy = default_strategy(topo);
-        let routes = RouteTable::build_for_hosts(topo, strategy.as_ref());
-        self.reconfigure_with_routes(id, topo, routes)
-    }
-
     /// Make-before-break reconfiguration: project the new topology around
     /// co-tenant resources (preferring the slice's current cables so the
     /// diff stays small), install the new pipeline *next to* the old one,
     /// then cut over port by port and garbage-collect. Co-tenants' rules
     /// are untouched — the epoch is verified against their namespace before
     /// any flow-mod is applied.
-    pub fn reconfigure_with_routes(
+    pub fn reconfigure(
         &mut self,
         id: SliceId,
         topo: &Topology,
@@ -901,22 +883,11 @@ impl SliceManager {
         }
     }
 
-    /// Plan a *scheduled* reconfiguration with the topology's default
-    /// routing: compile the epoch into dependency-ordered rounds without
-    /// applying anything. The plan can be inspected (rounds, intents) or
-    /// handed to [`SliceManager::commit_scheduled`].
+    /// Plan a *scheduled* reconfiguration: compile the epoch into
+    /// dependency-ordered rounds without applying anything. The plan can
+    /// be inspected (rounds, intents) or handed to
+    /// [`SliceManager::commit_scheduled`].
     pub fn plan_scheduled(
-        &self,
-        id: SliceId,
-        topo: &Topology,
-    ) -> Result<MigrationPlan, AdmissionError> {
-        let strategy = default_strategy(topo);
-        let routes = RouteTable::build_for_hosts(topo, strategy.as_ref());
-        self.plan_scheduled_with_routes(id, topo, routes)
-    }
-
-    /// [`SliceManager::plan_scheduled`] with explicit routes.
-    fn plan_scheduled_with_routes(
         &self,
         id: SliceId,
         topo: &Topology,
@@ -930,12 +901,12 @@ impl SliceManager {
         Ok(MigrationPlan { plan, rounds, pre_intent, post_intent })
     }
 
-    /// Transient-safe reconfiguration with explicit routes: like
-    /// [`SliceManager::reconfigure_with_routes`], but the epoch is
-    /// partitioned into dependency-ordered rounds, every intermediate
-    /// table state is statically proven before its round installs, and the
-    /// rounds go out over `channel` — which may drop and reorder flow-mods
-    /// — with per-round read-back reconciliation (see [`crate::schedule`]).
+    /// Transient-safe reconfiguration: like [`SliceManager::reconfigure`],
+    /// but the epoch is partitioned into dependency-ordered rounds, every
+    /// intermediate table state is statically proven before its round
+    /// installs, and the rounds go out over `channel` — which may drop and
+    /// reorder flow-mods — with per-round read-back reconciliation (see
+    /// [`crate::schedule`]).
     ///
     /// The whole epoch's end state is gated first, exactly as the one-shot
     /// path does; the per-round proofs come on top. On
@@ -943,14 +914,14 @@ impl SliceManager {
     /// individually-proven boundary state and the manager's bookkeeping
     /// still describes the *old* slice; the cached live-state proof is
     /// dropped either way.
-    pub fn reconfigure_scheduled_with_routes(
+    pub fn reconfigure_scheduled(
         &mut self,
         id: SliceId,
         topo: &Topology,
         routes: RouteTable,
         channel: &mut sdt_openflow::ControlChannel,
     ) -> Result<(EpochReport, crate::schedule::ScheduleReport), AdmissionError> {
-        let plan = self.plan_scheduled_with_routes(id, topo, routes)?;
+        let plan = self.plan_scheduled(id, topo, routes)?;
         self.commit_scheduled(plan, channel)
     }
 
@@ -1317,6 +1288,7 @@ fn empty_synthesis(num_switches: usize) -> SynthesisOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::default_routes;
     use sdt_core::cluster::ClusterBuilder;
     use sdt_core::methods::SwitchModel;
     use sdt_topology::chain::{chain, ring};
@@ -1333,8 +1305,8 @@ mod tests {
     #[test]
     fn two_slices_coexist_with_disjoint_resources() {
         let mut mgr = SliceManager::new(small_cluster());
-        let a = mgr.create("a", &chain(4)).unwrap();
-        let b = mgr.create("b", &ring(5)).unwrap();
+        let a = mgr.create("a", &chain(4), default_routes(&chain(4))).unwrap();
+        let b = mgr.create("b", &ring(5), default_routes(&ring(5))).unwrap();
         assert_eq!(mgr.num_slices(), 2);
         let (sa, sb) = (mgr.slice(a).unwrap(), mgr.slice(b).unwrap());
         // Disjoint host ports and cables.
@@ -1357,12 +1329,12 @@ mod tests {
     fn admission_rejects_with_true_free_counts() {
         // 16 host ports per switch; first slice takes 16 of 32.
         let mut mgr = SliceManager::new(small_cluster());
-        mgr.create("big", &fat_tree(4)).unwrap();
+        mgr.create("big", &fat_tree(4), default_routes(&fat_tree(4))).unwrap();
         // A second fat-tree needs more inter-switch cables than the first
         // one left free; the error must report the *remaining* free count
         // (4 of 12 cables left after the first tenant took 8), not the raw
         // wiring.
-        let err = mgr.create("bigger", &fat_tree(4)).unwrap_err();
+        let err = mgr.create("bigger", &fat_tree(4), default_routes(&fat_tree(4))).unwrap_err();
         match err {
             AdmissionError::Resources(ProjectionError::NotEnoughInterLinks {
                 need,
@@ -1384,10 +1356,10 @@ mod tests {
         model.table_capacity = 150; // enough for one small slice only
         let cluster = ClusterBuilder::new(model, 1).hosts_per_switch(24).build();
         let mut mgr = SliceManager::new(cluster);
-        mgr.create("first", &chain(8)).unwrap();
+        mgr.create("first", &chain(8), default_routes(&chain(8))).unwrap();
         let before: Vec<usize> =
             mgr.switches().iter().map(|s| s.total_entries()).collect();
-        let err = mgr.create("second", &chain(8)).unwrap_err();
+        let err = mgr.create("second", &chain(8), default_routes(&chain(8))).unwrap_err();
         match err {
             AdmissionError::TableHeadroom { switch, need, free } => {
                 assert_eq!(switch, 0);
@@ -1402,8 +1374,8 @@ mod tests {
     #[test]
     fn destroy_returns_exact_reservation() {
         let mut mgr = SliceManager::new(small_cluster());
-        let a = mgr.create("a", &chain(4)).unwrap();
-        let b = mgr.create("b", &mesh(&[2, 2])).unwrap();
+        let a = mgr.create("a", &chain(4), default_routes(&chain(4))).unwrap();
+        let b = mgr.create("b", &mesh(&[2, 2]), default_routes(&mesh(&[2, 2]))).unwrap();
         let sb = mgr.slice(b).unwrap();
         let expect = ReclaimedResources {
             host_ports: sb.projection.host_port.len(),
@@ -1427,10 +1399,10 @@ mod tests {
     #[test]
     fn reconfigure_prefers_existing_cables() {
         let mut mgr = SliceManager::new(small_cluster());
-        let a = mgr.create("a", &ring(6)).unwrap();
+        let a = mgr.create("a", &ring(6), default_routes(&ring(6))).unwrap();
         let before = mgr.slice(a).unwrap().projection.link_real.clone();
         // Same topology: the epoch should be empty (pure reuse).
-        let report = mgr.reconfigure(a, &ring(6)).unwrap();
+        let report = mgr.reconfigure(a, &ring(6), default_routes(&ring(6))).unwrap();
         assert_eq!(report.flow_mods(), 0, "identical topology must diff to nothing");
         assert_eq!(mgr.slice(a).unwrap().projection.link_real, before);
         assert_eq!(mgr.slice(a).unwrap().epochs, 2);
@@ -1439,10 +1411,10 @@ mod tests {
     #[test]
     fn reconfigure_to_larger_topology_allocates_fresh_namespace() {
         let mut mgr = SliceManager::new(small_cluster());
-        let a = mgr.create("a", &chain(3)).unwrap();
+        let a = mgr.create("a", &chain(3), default_routes(&chain(3))).unwrap();
         let (mb, ab) =
             (mgr.slice(a).unwrap().metadata_base, mgr.slice(a).unwrap().addr_base);
-        mgr.reconfigure(a, &chain(8)).unwrap();
+        mgr.reconfigure(a, &chain(8), default_routes(&chain(8))).unwrap();
         let s = mgr.slice(a).unwrap();
         assert!(s.metadata_base > mb || s.addr_base > ab, "larger topology → fresh ranges");
         assert_eq!(s.metadata_reserved, 8);
@@ -1496,7 +1468,7 @@ mod tests {
         let op = |t: &Topology, n: &str| SliceOp::Create {
             name: n.to_string(),
             topo: t.clone(),
-            routes: RouteTable::build_for_hosts(t, default_strategy(t).as_ref()),
+            routes: default_routes(t),
         };
         assert_batch_matches_sequential(vec![
             op(&fat_tree(4), "a"),
@@ -1512,17 +1484,17 @@ mod tests {
         // split keeps the combined-proof argument sound, and the end state
         // must equal sequential submission's.
         let mut setup = SliceManager::new(small_cluster());
-        let a = setup.create("a", &ring(4)).unwrap();
+        let a = setup.create("a", &ring(4), default_routes(&ring(4))).unwrap();
         drop(setup);
         let re = |t: &Topology| SliceOp::Reconfigure {
             id: a,
             topo: t.clone(),
-            routes: RouteTable::build_for_hosts(t, default_strategy(t).as_ref()),
+            routes: default_routes(t),
         };
         let mk = |t: &Topology, n: &str| SliceOp::Create {
             name: n.to_string(),
             topo: t.clone(),
-            routes: RouteTable::build_for_hosts(t, default_strategy(t).as_ref()),
+            routes: default_routes(t),
         };
         assert_batch_matches_sequential(vec![
             mk(&ring(4), "a"),
@@ -1540,7 +1512,7 @@ mod tests {
         // named StaticViolation — exactly like sequential submission.
         fn corrupted() -> SliceManager {
             let mut mgr = SliceManager::new(small_cluster());
-            mgr.create("a", &chain(4)).unwrap();
+            mgr.create("a", &chain(4), default_routes(&chain(4))).unwrap();
             let e = *mgr.switches()[0].table(1).entries().first().unwrap();
             mgr.switches_mut()[0]
                 .apply(1, sdt_openflow::FlowMod::Delete(e.m, e.priority))
@@ -1550,7 +1522,7 @@ mod tests {
         let op = |t: &Topology, n: &str| SliceOp::Create {
             name: n.to_string(),
             topo: t.clone(),
-            routes: RouteTable::build_for_hosts(t, default_strategy(t).as_ref()),
+            routes: default_routes(t),
         };
         let mut seq = corrupted();
         let mut bat = corrupted();
@@ -1575,9 +1547,9 @@ mod tests {
     #[test]
     fn export_restore_round_trips_state_and_decisions() {
         let mut mgr = SliceManager::new(small_cluster());
-        let a = mgr.create("a", &chain(4)).unwrap();
-        let b = mgr.create("b", &ring(5)).unwrap();
-        mgr.reconfigure(b, &ring(6)).unwrap();
+        let a = mgr.create("a", &chain(4), default_routes(&chain(4))).unwrap();
+        let b = mgr.create("b", &ring(5), default_routes(&ring(5))).unwrap();
+        mgr.reconfigure(b, &ring(6), default_routes(&ring(6))).unwrap();
         mgr.destroy(a).unwrap();
         let report_before = mgr.verify_report();
 
@@ -1595,8 +1567,8 @@ mod tests {
 
         // Ids are never reused: the restored manager continues the id
         // sequence instead of resurrecting slice a's.
-        let c1 = mgr.create("c", &chain(3)).unwrap();
-        let c2 = back.create("c", &chain(3)).unwrap();
+        let c1 = mgr.create("c", &chain(3), default_routes(&chain(3))).unwrap();
+        let c2 = back.create("c", &chain(3), default_routes(&chain(3))).unwrap();
         assert_eq!(c1, c2);
         assert!(c1.0 > b.0);
     }
@@ -1604,7 +1576,7 @@ mod tests {
     #[test]
     fn restore_rejects_mismatched_cluster_or_orphans() {
         let mut mgr = SliceManager::new(small_cluster());
-        mgr.create("a", &chain(4)).unwrap();
+        mgr.create("a", &chain(4), default_routes(&chain(4))).unwrap();
         let export = mgr.export();
 
         // Wrong switch count.
@@ -1629,7 +1601,7 @@ mod tests {
         let cluster = ClusterBuilder::new(SwitchModel::openflow_128x100g(), 1)
             .hosts_per_switch(4)
             .build();
-        let p = SdtProjector::default().project_default(&t, &cluster).unwrap();
+        let p = SdtProjector::default().project(&t, &cluster, &default_routes(&t)).unwrap();
         let r = remap_synthesis(&p.synthesis, 100, 1000);
         for (orig, shifted) in p.synthesis.table0[0].iter().zip(&r.table0[0]) {
             match (orig.action, shifted.action) {

@@ -39,6 +39,13 @@ use sdt_topology::chain::{chain, ring};
 use sdt_topology::meshtorus::mesh;
 use sdt_topology::Topology;
 use sdt_verify::{TableView, Verifier};
+use sdt_routing::{default_strategy, RouteTable};
+
+/// Table III's routes for `t`, as the controller's `"default"` strategy
+/// builds them.
+fn default_routes(t: &Topology) -> RouteTable {
+    RouteTable::build_for_hosts(t, default_strategy(t).as_ref())
+}
 
 fn cluster2() -> PhysicalCluster {
     ClusterBuilder::new(SwitchModel::openflow_128x100g(), 2)
@@ -61,9 +68,9 @@ fn zoo(ix: usize) -> Topology {
 /// Plan a migration `zoo(from) -> zoo(to)` next to a co-tenant.
 fn plan_of(co: usize, from: usize, to: usize) -> (SliceManager, MigrationPlan) {
     let mut mgr = SliceManager::new(cluster2());
-    mgr.create("co", &zoo(co)).unwrap();
-    let id = mgr.create("m", &zoo(from)).unwrap();
-    let plan = mgr.plan_scheduled(id, &zoo(to)).unwrap();
+    mgr.create("co", &zoo(co), default_routes(&zoo(co))).unwrap();
+    let id = mgr.create("m", &zoo(from), default_routes(&zoo(from))).unwrap();
+    let plan = mgr.plan_scheduled(id, &zoo(to), default_routes(&zoo(to))).unwrap();
     (mgr, plan)
 }
 
@@ -232,9 +239,9 @@ fn scheduling_replays_exactly_for_a_fixed_seed() {
     // compile_rounds is a pure function: re-planning must be identical.
     let replan = {
         let mut m2 = SliceManager::new(cluster2());
-        m2.create("co", &zoo(1)).unwrap();
-        let id = m2.create("m", &zoo(2)).unwrap();
-        m2.plan_scheduled(id, &zoo(1)).unwrap()
+        m2.create("co", &zoo(1), default_routes(&zoo(1))).unwrap();
+        let id = m2.create("m", &zoo(2), default_routes(&zoo(2))).unwrap();
+        m2.plan_scheduled(id, &zoo(1), default_routes(&zoo(1))).unwrap()
     };
     assert_eq!(format!("{:?}", plan.rounds()), format!("{:?}", replan.rounds()));
 

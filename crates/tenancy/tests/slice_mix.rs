@@ -20,6 +20,13 @@ use sdt_topology::fattree::fat_tree;
 use sdt_topology::meshtorus::mesh;
 use sdt_topology::Topology;
 use std::collections::HashSet;
+use sdt_routing::{default_strategy, RouteTable};
+
+/// Table III's routes for `t`, as the controller's `"default"` strategy
+/// builds them.
+fn default_routes(t: &Topology) -> RouteTable {
+    RouteTable::build_for_hosts(t, default_strategy(t).as_ref())
+}
 
 /// One requested slice: a small topology drawn from the generator zoo.
 fn arb_slice_topo() -> impl Strategy<Value = Topology> {
@@ -95,7 +102,7 @@ proptest! {
         let mut admitted = Vec::new();
         for (i, t) in topos.iter().enumerate() {
             let before = fabric_fingerprint(&mgr);
-            match mgr.create(&format!("s{i}"), t) {
+            match mgr.create(&format!("s{i}"), t, default_routes(t)) {
                 Ok(id) => admitted.push(id),
                 Err(_) => {
                     // (d) honest rejection: nothing changed.

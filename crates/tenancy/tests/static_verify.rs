@@ -20,6 +20,12 @@ use sdt_tenancy::{
 use sdt_topology::chain::{chain, ring};
 use sdt_topology::{HostId, Topology};
 
+/// Table III's routes for `t`, as the controller's `"default"` strategy
+/// builds them.
+fn default_routes(t: &Topology) -> RouteTable {
+    RouteTable::build_for_hosts(t, default_strategy(t).as_ref())
+}
+
 fn manager() -> SliceManager {
     let cluster = ClusterBuilder::new(SwitchModel::openflow_128x100g(), 2)
         .hosts_per_switch(8)
@@ -42,7 +48,7 @@ fn fingerprint(mgr: &SliceManager) -> Vec<Vec<FlowEntry>> {
 #[test]
 fn precheck_rejects_blackholing_epoch_and_leaves_tables_untouched() {
     let mut mgr = manager();
-    let a = mgr.create("a", &ring(4)).unwrap();
+    let a = mgr.create("a", &ring(4), default_routes(&ring(4))).unwrap();
     let slice = mgr.slice(a).unwrap().clone();
     let (sw, victim) = slice
         .installed
@@ -75,7 +81,7 @@ fn precheck_rejects_blackholing_epoch_and_leaves_tables_untouched() {
 #[test]
 fn precheck_accepts_healthy_modify_epoch() {
     let mut mgr = manager();
-    let a = mgr.create("a", &ring(4)).unwrap();
+    let a = mgr.create("a", &ring(4), default_routes(&ring(4))).unwrap();
     let slice = mgr.slice(a).unwrap().clone();
     let (sw, e) = slice
         .installed
@@ -97,8 +103,8 @@ fn precheck_accepts_healthy_modify_epoch() {
 #[test]
 fn precheck_rejects_cross_slice_leak_epoch() {
     let mut mgr = manager();
-    let a = mgr.create("a", &ring(4)).unwrap();
-    let b = mgr.create("b", &ring(4)).unwrap();
+    let a = mgr.create("a", &ring(4), default_routes(&ring(4))).unwrap();
+    let b = mgr.create("b", &ring(4), default_routes(&ring(4))).unwrap();
     let sa = mgr.slice(a).unwrap().clone();
     let sb = mgr.slice(b).unwrap().clone();
 
@@ -148,7 +154,7 @@ fn precheck_rejects_cross_slice_leak_epoch() {
 #[test]
 fn corrupted_fabric_blocks_admission() {
     let mut mgr = manager();
-    mgr.create("a", &ring(4)).unwrap();
+    mgr.create("a", &ring(4), default_routes(&ring(4))).unwrap();
     // Gut one of slice A's route entries directly on the live switch.
     let (sw, victim) = mgr
         .switches()
@@ -160,7 +166,7 @@ fn corrupted_fabric_blocks_admission() {
 
     // The next admission re-proves the full post-state and finds slice A
     // blackholed — rejected, even though slice B itself is fine.
-    let err = mgr.create("b", &chain(2)).unwrap_err();
+    let err = mgr.create("b", &chain(2), default_routes(&chain(2))).unwrap_err();
     assert!(matches!(err, AdmissionError::StaticViolation(_)), "{err}");
     assert_eq!(mgr.num_slices(), 1, "rejected admission leaves no trace");
     // The full report tells the truth about the wounded fabric.
@@ -197,14 +203,15 @@ fn observable(mgr: &mut SliceManager) -> String {
 /// plan leaves the manager exactly as it was.
 #[test]
 fn planning_is_pure_for_create_reconfigure_and_destroy() {
-    let routed = |t: &Topology| RouteTable::build_for_hosts(t, default_strategy(t).as_ref());
     let mut mgr = manager();
-    let a = mgr.create("a", &ring(4)).unwrap();
-    mgr.create("b", &chain(3)).unwrap();
+    let a = mgr.create("a", &ring(4), default_routes(&ring(4))).unwrap();
+    mgr.create("b", &chain(3), default_routes(&chain(3))).unwrap();
     let before = observable(&mut mgr);
 
-    let create = |t: Topology| SliceOp::Create { name: "c".into(), routes: routed(&t), topo: t };
-    let reconfigure = |t: Topology| SliceOp::Reconfigure { id: a, routes: routed(&t), topo: t };
+    let create =
+        |t: Topology| SliceOp::Create { name: "c".into(), routes: default_routes(&t), topo: t };
+    let reconfigure =
+        |t: Topology| SliceOp::Reconfigure { id: a, routes: default_routes(&t), topo: t };
     let mods = |op: SliceOp| mgr.plan(op).map(|p| p.epoch().mods.len());
     assert!(mods(create(ring(3))).unwrap() > 0);
     assert!(mods(reconfigure(chain(4))).unwrap() > 0);
@@ -219,5 +226,5 @@ fn planning_is_pure_for_create_reconfigure_and_destroy() {
 
     assert_eq!(observable(&mut mgr), before, "planning moved manager state");
     // The same operation still lands afterwards, as if never planned.
-    assert_eq!(mgr.create("c", &ring(3)).unwrap(), SliceId(2));
+    assert_eq!(mgr.create("c", &ring(3), default_routes(&ring(3))).unwrap(), SliceId(2));
 }

@@ -20,6 +20,13 @@ use sdt_topology::fattree::fat_tree;
 use sdt_topology::meshtorus::{mesh, torus};
 use sdt_topology::Topology;
 use sdt_verify::{Intent, TableView, Verifier};
+use sdt_routing::{default_strategy, RouteTable};
+
+/// Table III's routes for `t`, as the controller's `"default"` strategy
+/// builds them.
+fn default_routes(t: &Topology) -> RouteTable {
+    RouteTable::build_for_hosts(t, default_strategy(t).as_ref())
+}
 
 fn cluster2() -> PhysicalCluster {
     ClusterBuilder::new(SwitchModel::openflow_128x100g(), 2)
@@ -82,9 +89,9 @@ fn paper_preset_migrations_are_clean_at_every_boundary() {
     ];
     for (from, to) in presets {
         let mut mgr = SliceManager::new(cluster2());
-        mgr.create("co-tenant", &chain(4)).unwrap();
-        let id = mgr.create("migrant", from).unwrap();
-        let plan = mgr.plan_scheduled(id, to).unwrap();
+        mgr.create("co-tenant", &chain(4), default_routes(&chain(4))).unwrap();
+        let id = mgr.create("migrant", from, default_routes(from)).unwrap();
+        let plan = mgr.plan_scheduled(id, to, default_routes(to)).unwrap();
         assert!(plan.rounds().len() > 1, "{}->{}: expected multiple rounds", from.name(), to.name());
         assert_boundary_clean(&mgr, &plan, &format!("{}->{}", from.name(), to.name()));
     }
@@ -115,9 +122,9 @@ fn seeded_random_slice_mixes_are_clean_at_every_boundary() {
         let b = zoo[next(zoo.len())]();
         let to = zoo[next(zoo.len())]();
         let mut mgr = SliceManager::new(cluster2());
-        mgr.create("a", &a).unwrap();
-        let id = mgr.create("b", &b).unwrap();
-        let plan = mgr.plan_scheduled(id, &to).unwrap();
+        mgr.create("a", &a, default_routes(&a)).unwrap();
+        let id = mgr.create("b", &b, default_routes(&b)).unwrap();
+        let plan = mgr.plan_scheduled(id, &to, default_routes(&to)).unwrap();
         assert_boundary_clean(
             &mgr,
             &plan,
@@ -133,9 +140,9 @@ fn memoized_round_proofs_match_the_reference_walker() {
     // assert findings are byte-identical to the fast incremental chain at
     // every boundary.
     let mut mgr = SliceManager::new(cluster2());
-    mgr.create("co-tenant", &chain(4)).unwrap();
-    let id = mgr.create("migrant", &fat_tree(4)).unwrap();
-    let plan = mgr.plan_scheduled(id, &torus(&[4, 4])).unwrap();
+    mgr.create("co-tenant", &chain(4), default_routes(&chain(4))).unwrap();
+    let id = mgr.create("migrant", &fat_tree(4), default_routes(&fat_tree(4))).unwrap();
+    let plan = mgr.plan_scheduled(id, &torus(&[4, 4]), default_routes(&torus(&[4, 4]))).unwrap();
 
     let before = TableView::of_switches(mgr.switches());
     let mut fast = Verifier::check(mgr.cluster(), before.clone(), plan.pre_intent().clone());
@@ -164,8 +171,8 @@ fn naive_one_shot_order_produces_a_transient_violation() {
     // reference verifier must find a blackhole against the pre-migration
     // intent, because live traffic at that instant still follows it.
     let mut mgr = SliceManager::new(cluster2());
-    let id = mgr.create("migrant", &chain(4)).unwrap();
-    let plan = mgr.plan_scheduled(id, &ring(4)).unwrap();
+    let id = mgr.create("migrant", &chain(4), default_routes(&chain(4))).unwrap();
+    let plan = mgr.plan_scheduled(id, &ring(4), default_routes(&ring(4))).unwrap();
     let (deletes, adds): (Vec<_>, Vec<_>) =
         plan.epoch().mods.iter().partition(|(_, _, m)| matches!(m, FlowMod::Delete(..)));
     assert!(
@@ -204,14 +211,14 @@ fn migration_from_a_wounded_base_accepts_its_findings_and_heals_it() {
     // (`no_new_findings`): demanding a clean proof would coarsen the plan
     // into fewer, larger rounds the base's own findings still fail.
     let mut mgr = SliceManager::new(cluster2());
-    mgr.create("co-tenant", &chain(4)).unwrap();
-    let id = mgr.create("migrant", &fat_tree(4)).unwrap();
+    mgr.create("co-tenant", &chain(4), default_routes(&chain(4))).unwrap();
+    let id = mgr.create("migrant", &fat_tree(4), default_routes(&fat_tree(4))).unwrap();
     let to = torus(&[4, 4]);
 
     // Wound the migrant's routing: drop live table-1 entries that the
     // migration deletes anyway.
     let victims: Vec<(usize, FlowMod)> = mgr
-        .plan_scheduled(id, &to)
+        .plan_scheduled(id, &to, default_routes(&to))
         .unwrap()
         .epoch()
         .mods
@@ -225,7 +232,7 @@ fn migration_from_a_wounded_base_accepts_its_findings_and_heals_it() {
         mgr.switches_mut()[sw].apply(1, m).unwrap();
     }
 
-    let plan = mgr.plan_scheduled(id, &to).unwrap();
+    let plan = mgr.plan_scheduled(id, &to, default_routes(&to)).unwrap();
     let planned = plan.rounds().len();
     assert!(planned > 1, "the migration must take several rounds");
     let base = Verifier::check_plain(

@@ -18,17 +18,24 @@ use sdt_tenancy::SliceManager;
 use sdt_topology::fattree::fat_tree;
 use sdt_topology::meshtorus::torus;
 use sdt_topology::Topology;
+use sdt_routing::{default_strategy, RouteTable};
+
+/// Table III's routes for `t`, as the controller's `"default"` strategy
+/// builds them.
+fn default_routes(t: &Topology) -> RouteTable {
+    RouteTable::build_for_hosts(t, default_strategy(t).as_ref())
+}
 
 /// Admit `path[0]`, then migrate it through the rest of `path` one
 /// scheduled reconfiguration at a time; one rendered table per migration.
 fn migrations(cluster: PhysicalCluster, path: &[Topology]) -> Vec<String> {
     let mut mgr = SliceManager::new(cluster);
-    let id = mgr.create("m", &path[0]).unwrap();
+    let id = mgr.create("m", &path[0], default_routes(&path[0])).unwrap();
     let n = mgr.switches().len();
     path[1..]
         .iter()
         .map(|to| {
-            let plan = mgr.plan_scheduled(id, to).unwrap();
+            let plan = mgr.plan_scheduled(id, to, default_routes(to)).unwrap();
             // Busiest switch per compiled round; an installed round that
             // merged several compiled ones sums their mods per switch.
             let per_switch: Vec<Vec<usize>> = plan

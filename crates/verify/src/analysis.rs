@@ -1362,6 +1362,7 @@ fn canonical_cycle(ports: &[PhysPort]) -> Vec<(u32, u16)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::default_routes;
     use sdt_core::cluster::ClusterBuilder;
     use sdt_core::methods::SwitchModel;
     use sdt_core::sdt::SdtProjector;
@@ -1391,7 +1392,8 @@ mod tests {
             .hosts_per_switch(16)
             .inter_links_per_pair(16)
             .build();
-        let proj = SdtProjector::default().project_default(&topo, &cluster).unwrap();
+        let proj =
+            SdtProjector::default().project(&topo, &cluster, &default_routes(&topo)).unwrap();
         let mut view = TableView::of_synthesis(&proj.synthesis);
         let intent = Intent::of_projection(&proj, &topo, topo.name());
         // Three routes of switch 0 each refuse one source: four source

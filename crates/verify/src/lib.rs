@@ -66,3 +66,10 @@ pub use model::{HeaderClass, HeaderValues, Intent, IntentHost, TableView};
 pub fn verify_threads() -> usize {
     1
 }
+
+#[cfg(test)]
+/// Table III's routes for `t`, as the controller's `"default"` strategy
+/// builds them — the routes this crate's tests project.
+pub(crate) fn default_routes(t: &sdt_topology::Topology) -> sdt_routing::RouteTable {
+    sdt_routing::RouteTable::build_for_hosts(t, sdt_routing::default_strategy(t).as_ref())
+}

@@ -385,6 +385,7 @@ pub(crate) fn entry_matches(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::default_routes;
     use sdt_core::cluster::ClusterBuilder;
     use sdt_core::methods::SwitchModel;
     use sdt_core::sdt::SdtProjector;
@@ -401,7 +402,8 @@ mod tests {
             .hosts_per_switch(16)
             .inter_links_per_pair(16)
             .build();
-        let proj = SdtProjector::default().project_default(&topo, &cluster).unwrap();
+        let proj =
+            SdtProjector::default().project(&topo, &cluster, &default_routes(&topo)).unwrap();
         let planned = TableView::of_synthesis(&proj.synthesis);
         let installed = TableView::of_switches(&instantiate(&cluster, &proj));
         assert_eq!(planned.num_switches(), installed.num_switches());

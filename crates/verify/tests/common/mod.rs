@@ -18,11 +18,18 @@ use sdt_core::methods::SwitchModel;
 use sdt_openflow::{
     diff_tables, Action, FlowEntry, FlowMatch, FlowMod, HostAddr, OpenFlowSwitch, PortNo,
 };
+use sdt_routing::{default_strategy, RouteTable};
 use sdt_tenancy::{SliceId, SliceManager};
 use sdt_topology::chain::{chain, ring};
 use sdt_topology::meshtorus::mesh;
 use sdt_topology::Topology;
 use sdt_verify::{Intent, IntentHost, TableView};
+
+/// Table III's routes for `t`, as the controller's `"default"` strategy
+/// builds them.
+pub fn default_routes(t: &Topology) -> RouteTable {
+    RouteTable::build_for_hosts(t, default_strategy(t).as_ref())
+}
 
 /// One link of the chain: what to hand `Verifier::check_delta*` on top of
 /// the proof of the previous step (the first step's previous proof is of
@@ -78,7 +85,7 @@ pub fn slice_churn(seed: u64) -> (PhysicalCluster, Vec<ChurnStep>) {
     for label in ["create a", "create b", "create c"] {
         let topo = if label == "create b" { chain(2) } else { small_topology(&mut rng) };
         record(&mut steps, &mut mgr, label, |m| {
-            m.create(label, &topo).unwrap();
+            m.create(label, &topo, default_routes(&topo)).unwrap();
         });
     }
     record(&mut steps, &mut mgr, "destroy the middle slice", |m| {
@@ -86,7 +93,7 @@ pub fn slice_churn(seed: u64) -> (PhysicalCluster, Vec<ChurnStep>) {
     });
     let topo = small_topology(&mut rng);
     record(&mut steps, &mut mgr, "reconfigure the first slice", |m| {
-        m.reconfigure(SliceId(0), &topo).unwrap();
+        m.reconfigure(SliceId(0), &topo, default_routes(&topo)).unwrap();
     });
     // Same tables, same hosts, one domain under a new label: findings name
     // the label, so its hosts are not the hosts the previous proof walked.
@@ -100,7 +107,7 @@ pub fn slice_churn(seed: u64) -> (PhysicalCluster, Vec<ChurnStep>) {
     });
     let topo = small_topology(&mut rng);
     record(&mut steps, &mut mgr, "create d", |m| {
-        m.create("d", &topo).unwrap();
+        m.create("d", &topo, default_routes(&topo)).unwrap();
     });
     (cluster, steps)
 }

@@ -9,8 +9,15 @@ use sdt_core::synthesis::addr_of;
 use sdt_core::{ClusterBuilder, PhysPort, SdtProjector, SwitchModel};
 use sdt_openflow::{Action, FlowEntry, FlowMatch, FlowMod, HostAddr, PortNo};
 use sdt_topology::fattree::fat_tree;
-use sdt_topology::HostId;
+use sdt_topology::{HostId, Topology};
 use sdt_verify::{DropReason, Intent, IntentHost, TableView, Verifier};
+use sdt_routing::{default_strategy, RouteTable};
+
+/// Table III's routes for `t`, as the controller's `"default"` strategy
+/// builds them.
+fn default_routes(t: &Topology) -> RouteTable {
+    RouteTable::build_for_hosts(t, default_strategy(t).as_ref())
+}
 
 fn two_switch_cluster() -> sdt_core::PhysicalCluster {
     ClusterBuilder::new(SwitchModel::openflow_128x100g(), 2)
@@ -25,7 +32,8 @@ fn two_switch_cluster() -> sdt_core::PhysicalCluster {
 fn healthy_projection_verifies() {
     let cluster = two_switch_cluster();
     let topo = fat_tree(4);
-    let proj = SdtProjector::default().project_default(&topo, &cluster).unwrap();
+    let proj =
+        SdtProjector::default().project(&topo, &cluster, &default_routes(&topo)).unwrap();
     let intent = Intent::of_projection(&proj, &topo, topo.name());
     let v = Verifier::check(&cluster, TableView::of_synthesis(&proj.synthesis), intent);
     let r = v.report();
@@ -42,7 +50,8 @@ fn healthy_projection_verifies() {
 fn injected_loop_detected_with_rule_chain() {
     let cluster = two_switch_cluster();
     let topo = fat_tree(4);
-    let proj = SdtProjector::default().project_default(&topo, &cluster).unwrap();
+    let proj =
+        SdtProjector::default().project(&topo, &cluster, &default_routes(&topo)).unwrap();
     let intent = Intent::of_projection(&proj, &topo, topo.name());
     let base = Verifier::check(&cluster, TableView::of_synthesis(&proj.synthesis), intent.clone());
     assert!(base.holds());
@@ -97,7 +106,8 @@ fn injected_loop_detected_with_rule_chain() {
 fn deleted_route_is_a_blackhole() {
     let cluster = two_switch_cluster();
     let topo = fat_tree(4);
-    let proj = SdtProjector::default().project_default(&topo, &cluster).unwrap();
+    let proj =
+        SdtProjector::default().project(&topo, &cluster, &default_routes(&topo)).unwrap();
     let intent = Intent::of_projection(&proj, &topo, topo.name());
     let base = Verifier::check(&cluster, TableView::of_synthesis(&proj.synthesis), intent.clone());
     assert!(base.holds());
@@ -300,7 +310,8 @@ fn equal_priority_overlap_warns() {
 fn delta_check_agrees_with_full_recheck() {
     let cluster = two_switch_cluster();
     let topo = fat_tree(4);
-    let proj = SdtProjector::default().project_default(&topo, &cluster).unwrap();
+    let proj =
+        SdtProjector::default().project(&topo, &cluster, &default_routes(&topo)).unwrap();
     let intent = Intent::of_projection(&proj, &topo, topo.name());
     let base = Verifier::check(&cluster, TableView::of_synthesis(&proj.synthesis), intent.clone());
 

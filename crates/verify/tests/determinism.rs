@@ -47,7 +47,7 @@ fn project(topo: &Topology) -> (sdt_core::cluster::PhysicalCluster, sdt_core::sd
             .hosts_per_switch((topo.num_hosts() / n).max(1) as u16)
             .inter_links_per_pair(24)
             .build();
-        if let Ok(p) = projector.project_default(topo, &cluster) {
+        if let Ok(p) = projector.project(topo, &cluster, &common::default_routes(topo)) {
             return (cluster, p);
         }
     }
@@ -119,7 +119,7 @@ fn random_slice_mix_proves_the_same_twice() {
             1 => ring(rng.random_range(3..6u32)),
             _ => mesh(&[2, 2]),
         };
-        if let Ok(id) = mgr.create(&format!("s{i}"), &topo) {
+        if let Ok(id) = mgr.create(&format!("s{i}"), &topo, common::default_routes(&topo)) {
             admitted.push(id);
         }
         if !admitted.is_empty() && rng.random_bool(0.3) {

@@ -12,7 +12,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 mod common;
 
-use common::{bank, bushy_chain, route, wide_chain};
+use common::{bank, bushy_chain, default_routes, route, wide_chain};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -70,7 +70,7 @@ fn project(topo: &Topology) -> (sdt_core::cluster::PhysicalCluster, sdt_core::sd
             .hosts_per_switch((topo.num_hosts() / n).max(1) as u16)
             .inter_links_per_pair(24)
             .build();
-        if let Ok(p) = projector.project_default(topo, &cluster) {
+        if let Ok(p) = projector.project(topo, &cluster, &default_routes(topo)) {
             return (cluster, p);
         }
     }
@@ -93,7 +93,7 @@ fn project_wide(
     };
     let ctl = SdtController::for_campaign(std::slice::from_ref(topo), wide, switches).unwrap();
     let projector = SdtProjector { merge_entries_on_overflow: true };
-    let proj = projector.project_default(topo, ctl.cluster()).unwrap();
+    let proj = projector.project(topo, ctl.cluster(), &default_routes(topo)).unwrap();
     (ctl.cluster().clone(), proj)
 }
 
@@ -162,7 +162,7 @@ fn random_slice_mix_fast_equals_plain() {
             1 => ring(rng.random_range(3..6u32)),
             _ => mesh(&[2, 2]),
         };
-        if let Ok(id) = mgr.create(&format!("s{i}"), &topo) {
+        if let Ok(id) = mgr.create(&format!("s{i}"), &topo, default_routes(&topo)) {
             admitted.push(id);
         }
         if !admitted.is_empty() && rng.random_bool(0.3) {

@@ -72,7 +72,7 @@ fn run_chaos(seed: u64, topo: &Topology) -> String {
         "control: drop={:?} reorder={:?} delay={}",
         schedule.control.drop_prob, schedule.control.reorder_prob, schedule.control.delay_ns
     );
-    for f in &schedule.events {
+    for f in schedule.events() {
         let _ = writeln!(t, "fault: at={} {:?}", f.at_ns, f.event);
     }
 

@@ -26,6 +26,13 @@ use sdt::verify::{Intent, TableView, Verifier, VerifyReport};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::BTreeSet;
+use sdt::routing::{default_strategy, RouteTable};
+
+/// Table III's routes for `t`, as the controller's `"default"` strategy
+/// builds them.
+fn default_routes(t: &Topology) -> RouteTable {
+    RouteTable::build_for_hosts(t, default_strategy(t).as_ref())
+}
 
 /// Every port and table counter across the fleet, summed. The static
 /// verifier reads `entries()` only, so this must stay zero through a
@@ -206,7 +213,7 @@ fn seeded_mix() -> SliceManager {
         };
         // Some admissions may be rejected on capacity — that's part of the
         // mix; only admitted slices take part in the differential.
-        if let Ok(id) = mgr.create(&format!("mix-{i}"), &topo) {
+        if let Ok(id) = mgr.create(&format!("mix-{i}"), &topo, default_routes(&topo)) {
             admitted.push(id);
         }
     }
