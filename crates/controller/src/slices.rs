@@ -99,6 +99,12 @@ impl SliceController {
         SliceController { mgr, require_deadlock_free }
     }
 
+    /// Whether the deadlock gate vetoes routing with a cyclic channel
+    /// dependency graph — what a snapshot of this controller records.
+    pub fn require_deadlock_free(&self) -> bool {
+        self.require_deadlock_free
+    }
+
     /// Resolve a named strategy and run the deadlock gate — the
     /// admission-independent half of `create`/`reconfigure`. The daemon
     /// calls this per request *before* queueing, so a batch handed to

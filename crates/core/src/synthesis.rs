@@ -16,11 +16,13 @@
 //! is the property the §VI-B isolation experiment checks with a sniffer.
 
 use crate::cluster::PhysPort;
-use sdt_openflow::{Action, FlowEntry, FlowMatch, HostAddr, PortNo};
+use sdt_openflow::{Action, EntryStore, FlowEntry, FlowMatch, HostAddr, PortNo};
 use sdt_routing::RouteTable;
 use sdt_topology::{HostId, LinkId, SwitchId, Topology};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// Priorities of the synthesized entry classes.
 const PRIO_CLASSIFY: u16 = 10;
@@ -28,13 +30,63 @@ const PRIO_DEFAULT: u16 = 5;
 const PRIO_DST: u16 = 10;
 const PRIO_SRC_OVERRIDE: u16 = 20;
 
+/// One synthesized flow table: the [`EntryStore`] a switch holds once the
+/// entries are installed, shared. A proof's view
+/// (`TableView::of_synthesis`) and the switches
+/// [`crate::walk::instantiate`] builds take a share of it, so a pipeline
+/// is held once from synthesis to switch; the first write to a holder's
+/// share copies that one table. Reads as the slice of its entries, in scan
+/// order.
+#[derive(Clone, Debug, Default)]
+pub struct Table(Arc<EntryStore>);
+
+impl Table {
+    /// A share of the store.
+    pub fn share(&self) -> Arc<EntryStore> {
+        Arc::clone(&self.0)
+    }
+}
+
+/// The table one Add per entry, in order, builds
+/// ([`EntryStore::from_ordered`]).
+impl From<Vec<FlowEntry>> for Table {
+    fn from(entries: Vec<FlowEntry>) -> Self {
+        Table(Arc::new(EntryStore::from_ordered(entries)))
+    }
+}
+
+impl Deref for Table {
+    type Target = [FlowEntry];
+
+    fn deref(&self) -> &[FlowEntry] {
+        self.0.entries()
+    }
+}
+
+impl<'a> IntoIterator for &'a Table {
+    type Item = &'a FlowEntry;
+    type IntoIter = std::slice::Iter<'a, FlowEntry>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for Table {
+    fn eq(&self, other: &Table) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Table {}
+
 /// Synthesized pipeline for every physical switch.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SynthesisOutput {
     /// Per physical switch: table-0 entries (port classification).
-    pub table0: Vec<Vec<FlowEntry>>,
+    pub table0: Vec<Table>,
     /// Per physical switch: table-1 entries (routing per sub-switch).
-    pub table1: Vec<Vec<FlowEntry>>,
+    pub table1: Vec<Table>,
     /// Per physical switch: total entries (both tables).
     pub entries_per_switch: Vec<usize>,
 }
@@ -240,15 +292,12 @@ fn emit(
     num_phys: u32,
     merge_defaults: bool,
 ) -> SynthesisOutput {
-    let mut out = SynthesisOutput {
-        table0: vec![Vec::new(); num_phys as usize],
-        table1: vec![Vec::new(); num_phys as usize],
-        entries_per_switch: vec![0; num_phys as usize],
-    };
+    let mut table0 = vec![Vec::new(); num_phys as usize];
+    let mut table1 = vec![Vec::new(); num_phys as usize];
 
     // Table 0: port classification for every logical port.
     for (&(s, _lid), &pp) in port_of {
-        out.table0[pp.switch as usize].push(FlowEntry {
+        table0[pp.switch as usize].push(FlowEntry {
             m: FlowMatch::on_port(pp.port),
             priority: PRIO_CLASSIFY,
             action: Action::WriteMetadataGoto(s.0),
@@ -259,7 +308,7 @@ fn emit(
     // around a per-sub-switch default egress (§VII-C entry merging): the
     // port most destinations leave on, the lowest-numbered one on a tie.
     for (s, dsts) in demand.egress.iter().enumerate() {
-        let table = &mut out.table1[assignment[s] as usize];
+        let table = &mut table1[assignment[s] as usize];
         let mut default = None;
         if merge_defaults {
             let mut counts: BTreeMap<PortNo, usize> = BTreeMap::new();
@@ -287,21 +336,23 @@ fn emit(
     for (&(s, src, dst), &pp) in &demand.overrides {
         let mut m = FlowMatch::to_dst(addr_of(dst)).and_metadata(s.0);
         m.src = Some(addr_of(src));
-        out.table1[assignment[s.idx()] as usize].push(FlowEntry {
+        table1[assignment[s.idx()] as usize].push(FlowEntry {
             m,
             priority: PRIO_SRC_OVERRIDE,
             action: Action::Output(pp.port),
         });
     }
 
-    // Deterministic order (HashMap iteration is not).
-    for t in out.table0.iter_mut().chain(out.table1.iter_mut()) {
+    // Deterministic order (HashMap iteration is not), which is scan order:
+    // each table becomes its store as it stands.
+    for t in table0.iter_mut().chain(table1.iter_mut()) {
         t.sort_unstable_by_key(FlowEntry::order_key);
     }
-    for sw in 0..num_phys as usize {
-        out.entries_per_switch[sw] = out.table0[sw].len() + out.table1[sw].len();
+    SynthesisOutput {
+        entries_per_switch: table0.iter().zip(&table1).map(|(a, b)| a.len() + b.len()).collect(),
+        table0: table0.into_iter().map(Table::from).collect(),
+        table1: table1.into_iter().map(Table::from).collect(),
     }
-    out
 }
 
 #[cfg(test)]
@@ -588,7 +639,7 @@ mod tests {
         let routes = default_routes(&t);
         let (assignment, port_of, host_port) = wiring(&t, 19);
         let out = synthesize_flow_tables(&t, &routes, &assignment, &port_of, &host_port, 19);
-        assert_eq!(out.table1.iter().map(Vec::len).sum::<usize>(), 148_480);
+        assert_eq!(out.table1.iter().map(|t| t.len()).sum::<usize>(), 148_480);
         assert_eq!(digest(&out), 10_473_455_963_939_887_681);
     }
 

@@ -44,7 +44,10 @@ pub enum WalkOutcome {
     Looped,
 }
 
-/// Build live switches from a projection (installs the whole pipeline).
+/// Build live switches from a projection: each table adopts its share of
+/// the synthesized store, so no entry is copied until a switch writes to
+/// that table. Panics on a pipeline over the switch model's capacity,
+/// which [`crate::sdt::SdtProjector::project`] never returns.
 pub fn instantiate(cluster: &PhysicalCluster, proj: &SdtProjection) -> Vec<OpenFlowSwitch> {
     let model = cluster.model();
     let cfg = SwitchConfig {
@@ -55,13 +58,10 @@ pub fn instantiate(cluster: &PhysicalCluster, proj: &SdtProjection) -> Vec<OpenF
     let mut switches: Vec<OpenFlowSwitch> =
         (0..cluster.num_switches()).map(|i| OpenFlowSwitch::new(i, cfg)).collect();
     for (sw, switch) in switches.iter_mut().enumerate() {
-        let mods = [
-            (0, &proj.synthesis.table0[sw]),
-            (1, &proj.synthesis.table1[sw]),
-        ];
-        for (table, entries) in mods {
-            if let Err(e) = switch.install(table, entries) {
-                unreachable!("projection passed the capacity check: {e}");
+        let tables = [&proj.synthesis.table0[sw], &proj.synthesis.table1[sw]];
+        for (table, synthesized) in (0..).zip(tables) {
+            if let Err(e) = switch.adopt(table, synthesized.share()) {
+                panic!("switch {sw} cannot hold its synthesized pipeline: {e}");
             }
         }
     }
@@ -261,6 +261,26 @@ mod tests {
         assert!(report.clean(), "violations: {:?}", report.violations);
         assert_eq!(report.delivered, 16 * 15);
         assert_eq!(report.isolated, 0);
+    }
+
+    /// `instantiate` shares the synthesized stores but still holds them to
+    /// the switch model's budget, both tables together.
+    #[test]
+    #[should_panic(expected = "switch 0 cannot hold its synthesized pipeline")]
+    fn instantiate_refuses_a_pipeline_over_table_capacity() {
+        use crate::synthesis::Table;
+        use sdt_openflow::{Action, FlowEntry, FlowMatch};
+        let t = chain(8);
+        let c = cluster(1, 8, 0);
+        let mut p = SdtProjector::default().project(&t, &c, &default_routes(&t)).unwrap();
+        let room = c.model().table_capacity - p.synthesis.table0[0].len();
+        let flood = (0..=room as u32).map(|d| FlowEntry {
+            m: FlowMatch::to_dst(HostAddr(d)).and_metadata(0),
+            priority: 10,
+            action: Action::Drop,
+        });
+        p.synthesis.table1[0] = Table::from(flood.collect::<Vec<_>>());
+        instantiate(&c, &p);
     }
 
     #[test]

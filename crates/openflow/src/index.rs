@@ -28,10 +28,11 @@
 //! first-match-wins answer of the linear scan.
 //!
 //! Every holder of flow entries is built on this type: the live
-//! [`crate::FlowTable`] (store + capacity + lookup/miss counters) and
+//! [`crate::FlowTable`] (store + capacity + lookup/miss counters),
 //! `sdt-verify`'s `TableView` (the prover's and the scheduler's unbounded,
-//! copy-on-write copies). The store has no counters, so code that holds
-//! only a store cannot move one.
+//! copy-on-write copies) and `sdt-core`'s synthesized `Table`, which the
+//! other two share until they write. The store has no counters, so code
+//! that holds only a store cannot move one.
 
 use crate::{FlowEntry, FlowMatch, FlowMod, HostAddr, PacketMeta, PortNo};
 use std::cmp::Reverse;
@@ -253,12 +254,15 @@ impl EntryStore {
         }
     }
 
-    /// Install `entries` as Adds, in order, reserving room for them once.
-    pub fn install(&mut self, entries: &[FlowEntry]) {
-        self.entries.reserve(entries.len());
-        for &e in entries {
-            self.apply(&FlowMod::Add(e));
+    /// The store one [`EntryStore::apply`] of an Add per entry, in order,
+    /// builds from an empty one, without the per-entry insert: the vector
+    /// itself, stably sorted by descending priority (one pass and no move
+    /// for entries already in scan order, as synthesis emits them).
+    pub fn from_ordered(mut entries: Vec<FlowEntry>) -> Self {
+        if !entries.is_sorted_by(|a, b| a.priority >= b.priority) {
+            entries.sort_by_key(|e| Reverse(e.priority));
         }
+        EntryStore { next_seq: entries.len() as u64, entries, tiers: OnceLock::new() }
     }
 
     /// The entry a packet fires: the first, in scan order, whose match fits
@@ -336,9 +340,12 @@ mod tests {
         }
     }
 
+    /// The store one Add per entry builds, in order.
     fn store_of(adds: &[FlowEntry]) -> EntryStore {
         let mut s = EntryStore::default();
-        s.install(adds);
+        for &e in adds {
+            s.apply(&FlowMod::Add(e));
+        }
         s
     }
 
@@ -407,5 +414,34 @@ mod tests {
             e.m.dst.is_none() && e.m.metadata.is_none()
         });
         assert_eq!(hit.map(|e| e.action), Some(Action::Drop));
+    }
+
+    /// `from_ordered` is one Add per entry on an empty store, in scan order
+    /// or out of it: the same entries in the same order, and a later Add of
+    /// an equal priority lands behind all of them in both.
+    #[test]
+    fn from_ordered_is_one_add_per_entry() {
+        let e = |dst: u32, priority: u16| FlowEntry {
+            m: FlowMatch::to_dst(HostAddr(dst)),
+            priority,
+            action: Action::Output(PortNo(dst as u16)),
+        };
+        for adds in [
+            vec![e(1, 20), e(2, 10), e(3, 10), e(4, 5)],
+            vec![e(1, 10), e(2, 20), e(3, 10), e(4, 20), e(5, 5), e(6, 10)],
+        ] {
+            let (mut built, mut installed) =
+                (EntryStore::from_ordered(adds.clone()), store_of(&adds));
+            assert_eq!(built.entries(), installed.entries());
+            for s in [&mut built, &mut installed] {
+                s.apply(&FlowMod::Add(e(7, 10)));
+                s.apply(&FlowMod::Delete(FlowMatch::to_dst(HostAddr(3)), 10));
+            }
+            assert_eq!(built.entries(), installed.entries());
+            for dst in 0..8 {
+                let p = pkt(0, 1, dst);
+                assert_eq!(built.lookup(&p, None), installed.lookup(&p, None), "dst={dst}");
+            }
+        }
     }
 }

@@ -379,8 +379,7 @@ mod tests {
         {
             let mut sorted = random_table(&mut next, n, fields);
             sorted.sort_by_key(FlowEntry::order_key);
-            let mut store = EntryStore::default();
-            store.install(&sorted);
+            let mut store = EntryStore::from_ordered(sorted.clone());
             for e in sorted.iter().step_by(3) {
                 store.apply(&FlowMod::Delete(e.m, e.priority));
             }

@@ -13,8 +13,10 @@
 //! either table drops the packet, which is what guarantees hardware
 //! isolation between co-deployed topologies (§VI-B).
 
+use crate::index::EntryStore;
 use crate::table::{Action, FlowEntry, FlowMod, FlowTable, PacketMeta, TableError};
 use crate::PortNo;
+use std::sync::Arc;
 
 /// Static description of a switch model (used by SDT's cost/feasibility
 /// models as well as by the dataplane).
@@ -114,21 +116,20 @@ impl OpenFlowSwitch {
         }
     }
 
-    /// Install `entries` into one table as Adds, in order, under the shared
-    /// capacity budget: the entries that fit are installed
-    /// ([`FlowTable::install`]), and the first that does not is the error.
-    pub fn install(&mut self, table: u8, entries: &[FlowEntry]) -> Result<(), TableError> {
-        let room = self.config.table_capacity.saturating_sub(self.total_entries());
-        let fit = &entries[..room.min(entries.len())];
-        match table {
-            0 => self.t0.install(fit)?,
-            1 => self.t1.install(fit)?,
+    /// Make `store` one table's entries, shared ([`FlowTable::adopt`]),
+    /// under the shared capacity budget: refused, with the pipeline left as
+    /// it was, if the other table's entries and the store's exceed it.
+    pub fn adopt(&mut self, table: u8, store: Arc<EntryStore>) -> Result<(), TableError> {
+        let capacity = self.config.table_capacity;
+        let (slot, other) = match table {
+            0 => (&mut self.t0, self.t1.len()),
+            1 => (&mut self.t1, self.t0.len()),
             _ => panic!("pipeline has tables 0 and 1"),
+        };
+        if other + store.entries().len() > capacity {
+            return Err(TableError::TableFull { capacity });
         }
-        if fit.len() < entries.len() {
-            return Err(TableError::TableFull { capacity: self.config.table_capacity });
-        }
-        Ok(())
+        slot.adopt(store)
     }
 
     /// Remove every entry from both tables.
@@ -140,11 +141,12 @@ impl OpenFlowSwitch {
         }
     }
 
-    /// Rebuild the pipeline from a snapshot: wipe both tables, then
-    /// re-install `t0`/`t1` in the given order — which must be the live
-    /// first-match order the dump was taken in
-    /// ([`crate::snap::encode_entries`] preserves it), so equal-priority
-    /// insertion-order tie-breaks reproduce exactly. Fails with
+    /// Rebuild the pipeline from a snapshot: wipe both tables, then adopt
+    /// `t0`/`t1` as installed in the given order
+    /// ([`EntryStore::from_ordered`]) — which must be the live first-match
+    /// order the dump was taken in ([`crate::snap::encode_entries`]
+    /// preserves it), so equal-priority insertion-order tie-breaks
+    /// reproduce exactly. Fails with
     /// [`TableError::TableFull`] — leaving the pipeline cleared — if the
     /// dump exceeds this switch's capacity, i.e. the snapshot belongs to a
     /// bigger switch model.
@@ -154,7 +156,8 @@ impl OpenFlowSwitch {
         t1: &[FlowEntry],
     ) -> Result<(), TableError> {
         self.clear_tables();
-        let done = self.install(0, t0).and_then(|()| self.install(1, t1));
+        let store = |t: &[FlowEntry]| Arc::new(EntryStore::from_ordered(t.to_vec()));
+        let done = self.adopt(0, store(t0)).and_then(|()| self.adopt(1, store(t1)));
         if done.is_err() {
             self.clear_tables();
         }
@@ -271,27 +274,37 @@ mod tests {
         assert_eq!(sw.total_entries(), 3);
     }
 
+    /// An adopted store is the table's until a write: shared with whoever
+    /// else holds it, refused whole past the pipeline's budget, copied —
+    /// and counted — by the first write.
     #[test]
-    fn install_stops_at_the_first_entry_past_capacity() {
-        let entries: Vec<FlowEntry> = (0..10)
+    fn adopt_shares_until_the_first_write() {
+        let entries: Vec<FlowEntry> = (0..3)
             .map(|i| FlowEntry {
                 m: FlowMatch::to_dst(HostAddr(i)),
                 priority: 1,
                 action: Action::Drop,
             })
             .collect();
+        let store = Arc::new(EntryStore::from_ordered(entries.clone()));
         let mut sw = OpenFlowSwitch::new(0, SwitchConfig::x64_100g());
-        sw.install(1, &entries).unwrap();
-        assert_eq!(sw.table(1).entries(), &entries[..]);
+        sw.adopt(1, Arc::clone(&store)).unwrap();
+        assert!(Arc::ptr_eq(&sw.table(1).shared_store(), &store));
+        add(&mut sw, 0, FlowMatch::on_port(PortNo(0)), 1, Action::WriteMetadataGoto(0));
+        assert_eq!(sw.table(0).entries_copied(), 0, "table 0 was its own");
+        add(&mut sw, 1, FlowMatch::to_dst(HostAddr(9)), 1, Action::Drop);
+        assert_eq!(sw.table(1).entries_copied(), 3);
+        assert_eq!(store.entries(), &entries[..], "the adopted store never moves");
+        add(&mut sw, 1, FlowMatch::to_dst(HostAddr(8)), 1, Action::Drop);
+        assert_eq!(sw.table(1).entries_copied(), 3, "the copy is the table's own now");
 
-        // The budget is the pipeline's: table 0's entry counts against it.
         let mut tiny = OpenFlowSwitch::new(
             0,
-            SwitchConfig { num_ports: 8, port_gbps: 10, table_capacity: 4 },
+            SwitchConfig { num_ports: 8, port_gbps: 10, table_capacity: 3 },
         );
         add(&mut tiny, 0, FlowMatch::on_port(PortNo(0)), 1, Action::WriteMetadataGoto(0));
-        assert_eq!(tiny.install(1, &entries), Err(TableError::TableFull { capacity: 4 }));
-        assert_eq!(tiny.table(1).entries(), &entries[..3]);
+        assert_eq!(tiny.adopt(1, Arc::clone(&store)), Err(TableError::TableFull { capacity: 3 }));
+        assert!(tiny.table(1).is_empty());
     }
 
     #[test]

@@ -215,10 +215,12 @@ pub struct TableStats {
 /// (the entries, their order, their tier index and the one `apply`) plus
 /// what only a live switch table has — a capacity and lookup/miss counters.
 ///
-/// The store is held behind an `Arc` and shared copy-on-write: a proof's
-/// view of the table ([`FlowTable::shared_store`]) and a cloned bank hold
-/// the same allocation until [`FlowTable::apply`] next writes to it, and
-/// only then is it copied — by whoever writes, once.
+/// The store is held behind an `Arc` and shared copy-on-write: the
+/// synthesized pipeline a switch was instantiated from
+/// ([`FlowTable::adopt`]), a proof's view of the table
+/// ([`FlowTable::shared_store`]) and a cloned bank hold the same allocation
+/// until [`FlowTable::apply`] next writes to it, and only then is it copied
+/// — by whoever writes, once.
 ///
 /// Lookups are served from the store's multi-tier hash index (built by
 /// the table's first lookup, patched by every mod after it), so cost is
@@ -243,6 +245,9 @@ pub struct FlowTable {
     /// by a concurrent `stats()` depend on timing.
     lookups: AtomicU64,
     misses: AtomicU64,
+    /// Entries deep-copied by copy-on-write: a write to a store still
+    /// shared adds the store's length. Bumped only from `&mut self`.
+    entries_copied: u64,
 }
 
 impl Clone for FlowTable {
@@ -250,6 +255,7 @@ impl Clone for FlowTable {
         FlowTable {
             store: Arc::clone(&self.store),
             capacity: self.capacity,
+            entries_copied: self.entries_copied,
             // Relaxed: a clone takes a point-in-time sample of each
             // counter independently. Cloning a table that is concurrently
             // being probed may catch `lookups` and `misses` from slightly
@@ -269,6 +275,7 @@ impl FlowTable {
             capacity,
             lookups: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            entries_copied: 0,
         }
     }
 
@@ -288,21 +295,30 @@ impl FlowTable {
         if matches!(m, FlowMod::Add(_)) && self.len() >= self.capacity {
             return Err(TableError::TableFull { capacity: self.capacity });
         }
+        // A store still shared with a view, a bank or a synthesized
+        // pipeline is copied first: that copy is what `entries_copied` counts.
+        if Arc::get_mut(&mut self.store).is_none() {
+            self.entries_copied += self.len() as u64;
+        }
         Arc::make_mut(&mut self.store).apply(&m);
         Ok(())
     }
 
-    /// Install `entries` as Adds, in order ([`EntryStore::install`]): the
-    /// entries that fit under `capacity` are installed, and the first that
-    /// does not is the error — what one [`FlowTable::apply`] per entry does.
-    pub fn install(&mut self, entries: &[FlowEntry]) -> Result<(), TableError> {
-        let room = self.capacity.saturating_sub(self.len());
-        let fit = &entries[..room.min(entries.len())];
-        Arc::make_mut(&mut self.store).install(fit);
-        if fit.len() < entries.len() {
+    /// Make `store` this table's entries, whole and shared — no entry
+    /// copied until the next write ([`FlowTable::apply`]). Refused, with
+    /// the table left as it was, if the store holds more than `capacity`.
+    pub fn adopt(&mut self, store: Arc<EntryStore>) -> Result<(), TableError> {
+        if store.entries().len() > self.capacity {
             return Err(TableError::TableFull { capacity: self.capacity });
         }
+        self.store = store;
         Ok(())
+    }
+
+    /// Entries this table has deep-copied by copy-on-write: the length of
+    /// every shared store a write had to copy first.
+    pub fn entries_copied(&self) -> u64 {
+        self.entries_copied
     }
 
     /// Highest-priority matching action, or `None` on a table miss.

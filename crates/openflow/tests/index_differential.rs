@@ -244,7 +244,7 @@ fn concurrent_first_probes_agree_with_linear_scan() {
         })
         .collect();
     let mut table = FlowTable::new(entries.len());
-    table.install(&entries).unwrap();
+    table.adopt(Arc::new(EntryStore::from_ordered(entries.clone()))).unwrap();
     let table = Arc::new(table);
     let start = Barrier::new(THREADS);
 

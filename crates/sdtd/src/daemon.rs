@@ -89,7 +89,6 @@ pub struct DaemonMetrics {
 /// live controller, and the per-slice config text needed to snapshot.
 pub struct DaemonState {
     spec: ClusterSpec,
-    require_deadlock_free: bool,
     ctl: SliceController,
     configs: BTreeMap<u32, String>,
 }
@@ -102,7 +101,6 @@ impl DaemonState {
         let spec = ClusterSpec::of_config(&cfg).map_err(|e| e.to_string())?;
         Ok(DaemonState {
             spec,
-            require_deadlock_free: cfg.require_deadlock_free,
             ctl: SliceController::from_config(&cfg),
             configs: BTreeMap::new(),
         })
@@ -117,7 +115,6 @@ impl DaemonState {
         let (mgr, configs) = snap.restore().map_err(|e| format!("{}: {e}", path.display()))?;
         Ok(DaemonState {
             spec: snap.cluster.clone(),
-            require_deadlock_free: snap.require_deadlock_free,
             ctl: SliceController::from_manager(mgr, snap.require_deadlock_free),
             configs,
         })
@@ -430,7 +427,7 @@ impl Engine<'_> {
         };
         match Snapshot::capture(
             &self.state.spec,
-            self.state.require_deadlock_free,
+            self.state.ctl.require_deadlock_free(),
             self.state.ctl.manager(),
             &self.state.configs,
         ) {

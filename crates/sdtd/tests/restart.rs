@@ -15,10 +15,11 @@
 mod util;
 
 use sdt_controller::Json;
+use sdt_sdtd::Snapshot;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use util::{cfg, outcome, output, wait_for_socket, Client};
+use util::{cfg, cfg_routed, outcome, output, wait_for_socket, Client};
 
 struct Daemon {
     child: Child,
@@ -101,6 +102,39 @@ fn kill9_and_restart_preserves_verify_report_and_snapshot_bytes() {
     assert_eq!(snapshot_before, snapshot_after, "re-snapshot must be byte-identical");
 
     daemon.kill9();
+}
+
+/// The deadlock gate is one setting, the controller's: a daemon started
+/// with it off admits a ring-5 routed by BFS (a cyclic channel dependency
+/// graph), and after `kill -9` the daemon restored from its snapshot still
+/// admits one, and its next snapshot still names the gate off.
+#[test]
+fn a_restored_daemon_snapshots_the_gate_its_controller_admits_under() {
+    let dir = util::scratch("restart-gate");
+    let config = dir.join("cluster.toml");
+    let fresh = cfg_routed("kind = \"chain\"\nn = 3", "default");
+    std::fs::write(&config, format!("{fresh}require_deadlock_free = false\n")).unwrap();
+    let ring = cfg_routed("kind = \"ring\"\nn = 5", "bfs");
+    let admit = |c: &mut Client| {
+        outcome(&c.call("admit", vec![("config".into(), Json::str(ring.as_str()))]))
+    };
+
+    let mut daemon = Daemon::start(&dir, Some(&config));
+    let (ok, err) = admit(&mut Client::connect(&daemon.socket));
+    assert!(ok, "the gate is off: {err}");
+    daemon.kill9();
+
+    let mut daemon = Daemon::start(&dir, None);
+    let mut c = Client::connect(&daemon.socket);
+    let (ok, err) = admit(&mut c);
+    assert!(ok, "the restored controller gates as its snapshot says: {err}");
+    assert!(outcome(&c.call("snapshot", vec![])).0);
+    let snap = Snapshot::decode(&std::fs::read_to_string(dir.join("state.json")).unwrap()).unwrap();
+    assert!(!snap.require_deadlock_free, "the next snapshot names the controller's gate");
+    assert_eq!(snap.state.slices.len(), 2);
+
+    daemon.kill9();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// What one churn client saw acknowledged before the lights went out.

@@ -172,7 +172,7 @@ impl EpochReport {
 /// a switch the pipeline does not reach).
 pub fn synthesis_entries(s: &SynthesisOutput, switch: usize, table: u8) -> &[FlowEntry] {
     let tables = if table == 0 { &s.table0 } else { &s.table1 };
-    tables.get(switch).map_or(&[], Vec::as_slice)
+    tables.get(switch).map_or(&[], |t| &t[..])
 }
 
 /// One switch's table of a diff: the positions `old` loses, in position
@@ -367,8 +367,8 @@ mod tests {
     fn synth(t0: Vec<FlowEntry>, t1: Vec<FlowEntry>) -> SynthesisOutput {
         let entries = t0.len() + t1.len();
         SynthesisOutput {
-            table0: vec![t0],
-            table1: vec![t1],
+            table0: vec![t0.into()],
+            table1: vec![t1.into()],
             entries_per_switch: vec![entries],
         }
     }

@@ -38,7 +38,7 @@ use sdt_core::cluster::{PhysLink, PhysicalCluster};
 use sdt_core::sdt::{
     FailedResources, Placement, ProjectOptions, ProjectionError, SdtProjection, SdtProjector,
 };
-use sdt_core::synthesis::SynthesisOutput;
+use sdt_core::synthesis::{SynthesisOutput, Table};
 use sdt_openflow::{Action, FlowEntry, FlowMod, HostAddr, OpenFlowSwitch, SwitchConfig};
 use sdt_routing::RouteTable;
 use sdt_topology::{HostId, SwitchId, Topology};
@@ -1258,7 +1258,8 @@ pub fn remap_synthesis(s: &SynthesisOutput, metadata_base: u32, addr_base: u32) 
                     };
                     FlowEntry { action, ..e }
                 })
-                .collect(),
+                .collect::<Vec<_>>()
+                .into(),
         );
     }
     for t1 in &s.table1 {
@@ -1271,7 +1272,8 @@ pub fn remap_synthesis(s: &SynthesisOutput, metadata_base: u32, addr_base: u32) 
                     m.dst = shift_addr(m.dst);
                     FlowEntry { m, ..e }
                 })
-                .collect(),
+                .collect::<Vec<_>>()
+                .into(),
         );
     }
     out
@@ -1279,8 +1281,8 @@ pub fn remap_synthesis(s: &SynthesisOutput, metadata_base: u32, addr_base: u32) 
 
 fn empty_synthesis(num_switches: usize) -> SynthesisOutput {
     SynthesisOutput {
-        table0: vec![Vec::new(); num_switches],
-        table1: vec![Vec::new(); num_switches],
+        table0: vec![Table::default(); num_switches],
+        table1: vec![Table::default(); num_switches],
         entries_per_switch: vec![0; num_switches],
     }
 }

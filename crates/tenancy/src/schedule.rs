@@ -528,7 +528,11 @@ mod tests {
     /// A one-switch pipeline, tables in the order given.
     fn synth(t0: Vec<FlowEntry>, t1: Vec<FlowEntry>) -> SynthesisOutput {
         let entries = t0.len() + t1.len();
-        SynthesisOutput { table0: vec![t0], table1: vec![t1], entries_per_switch: vec![entries] }
+        SynthesisOutput {
+            table0: vec![t0.into()],
+            table1: vec![t1.into()],
+            entries_per_switch: vec![entries],
+        }
     }
 
     /// The epoch turning `old` into `new`, and `old` as the pre-state.

@@ -24,7 +24,7 @@
 use proptest::prelude::*;
 use sdt_core::cluster::{ClusterBuilder, PhysicalCluster};
 use sdt_core::methods::SwitchModel;
-use sdt_core::synthesis::SynthesisOutput;
+use sdt_core::synthesis::{SynthesisOutput, Table};
 use sdt_openflow::{
     diff_positions, diff_tables, Action, ControlChannel, ControlConfig, FlowEntry, FlowMatch,
     FlowMod, HostAddr, OpenFlowSwitch, PortNo,
@@ -536,8 +536,8 @@ fn pipelines(seed: u64) -> (SynthesisOutput, SynthesisOutput) {
     }
     let pipeline = |[table0, table1]: [Vec<Vec<FlowEntry>>; 2]| SynthesisOutput {
         entries_per_switch: table0.iter().zip(&table1).map(|(a, b)| a.len() + b.len()).collect(),
-        table0,
-        table1,
+        table0: table0.into_iter().map(Table::from).collect(),
+        table1: table1.into_iter().map(Table::from).collect(),
     };
     (pipeline(old), pipeline(new))
 }
@@ -569,7 +569,7 @@ proptest! {
 /// table, the entries left as a set.
 fn replayed(old: &SynthesisOutput, mods: &[Mod]) -> Vec<[BTreeSet<String>; 2]> {
     let mut tables: Vec<[Vec<FlowEntry>; 2]> =
-        old.table0.iter().zip(&old.table1).map(|(t0, t1)| [t0.clone(), t1.clone()]).collect();
+        old.table0.iter().zip(&old.table1).map(|(t0, t1)| [t0.to_vec(), t1.to_vec()]).collect();
     for (sw, table, m) in mods {
         if tables.len() <= *sw as usize {
             tables.resize(*sw as usize + 1, Default::default());
@@ -619,7 +619,7 @@ fn the_pipeline_generator_reaches_every_pairing_shape() {
         }
         let keys: HashSet<String> = deletes.iter().map(|d| format!("{d:?}")).collect();
         repeated_deletes += usize::from(keys.len() < deletes.len());
-        let in_order = |t: &Vec<FlowEntry>| t.is_sorted_by_key(FlowEntry::order_key);
+        let in_order = |t: &Table| t.is_sorted_by_key(FlowEntry::order_key);
         let tables = old.table0.iter().chain(&old.table1).chain(&new.table0).chain(&new.table1);
         unsorted += usize::from(!tables.clone().all(in_order) && !adds.is_empty());
     }

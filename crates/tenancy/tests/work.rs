@@ -7,8 +7,11 @@
 //! round, its phase, atomic units, flow-mods, the busiest switch's share of
 //! them, the host pairs its boundary proof re-walked and the compiled
 //! rounds merged into it; then the migration's total mods, merges and
-//! violations. The tables are exact: a change that moves a pin re-records
-//! it here and says why.
+//! violations, and the entries the switches deep-copied by copy-on-write
+//! (`FlowTable::entries_copied`). That count is 0 here: each proof applies
+//! the mods it checks to its own copy of a table (`TableView::apply`), so
+//! no proof shares a table when a round writes it on a switch. The tables
+//! are exact: a change that moves a pin re-records it here and says why.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use sdt_core::cluster::{ClusterBuilder, PhysicalCluster};
@@ -49,6 +52,11 @@ fn migrations(cluster: PhysicalCluster, path: &[Topology]) -> Vec<String> {
                     per
                 })
                 .collect();
+            let copied = |mgr: &SliceManager| -> u64 {
+                let tables = mgr.switches().iter().flat_map(|sw| [sw.table(0), sw.table(1)]);
+                tables.map(|t| t.entries_copied()).sum()
+            };
+            let before = copied(&mgr);
             let (_, report) = mgr.commit_scheduled(plan, &mut ControlChannel::reliable()).unwrap();
             let mut compiled = per_switch.iter();
             let mut out = String::new();
@@ -67,6 +75,7 @@ fn migrations(cluster: PhysicalCluster, path: &[Topology]) -> Vec<String> {
                 "total_mods={} merges={} violations={}\n",
                 report.total_mods, report.merges, report.violations
             );
+            out += &format!("entries_copied={}\n", copied(&mgr) - before);
             out
         })
         .collect()
@@ -107,12 +116,14 @@ fn fat_tree_k8_to_torus_and_back_on_512_port_switches() {
              1 make units=384 mods=384 busiest=108 pairs_walked=16256 merged_from=1\n\
              2 cutover units=640 mods=896 busiest=252 pairs_walked=16256 merged_from=1\n\
              3 collect units=5248 mods=5248 busiest=1344 pairs_walked=16256 merged_from=1\n\
-             total_mods=22912 merges=0 violations=0\n",
+             total_mods=22912 merges=0 violations=0\n\
+             entries_copied=0\n",
             "0 make units=4089 mods=4089 busiest=1312 pairs_walked=16256 merged_from=1\n\
              1 make units=231 mods=231 busiest=84 pairs_walked=16256 merged_from=1\n\
              2 cutover units=1951 mods=3518 busiest=1514 pairs_walked=16256 merged_from=1\n\
              3 collect units=15072 mods=15072 busiest=4096 pairs_walked=16256 merged_from=1\n\
-             total_mods=22910 merges=0 violations=0\n",
+             total_mods=22910 merges=0 violations=0\n\
+             entries_copied=0\n",
         ],
     );
 }
@@ -133,12 +144,14 @@ fn paper_fat_tree_k4_to_torus_and_back() {
              1 make units=57 mods=57 busiest=21 pairs_walked=240 merged_from=1\n\
              2 cutover units=144 mods=223 busiest=98 pairs_walked=240 merged_from=1\n\
              3 collect units=144 mods=144 busiest=64 pairs_walked=240 merged_from=1\n\
-             total_mods=624 merges=0 violations=0\n",
+             total_mods=624 merges=0 violations=0\n\
+             entries_copied=0\n",
             "0 make units=172 mods=172 busiest=72 pairs_walked=240 merged_from=1\n\
              1 make units=37 mods=37 busiest=15 pairs_walked=240 merged_from=1\n\
              2 cutover units=144 mods=223 busiest=100 pairs_walked=240 merged_from=1\n\
              3 collect units=192 mods=192 busiest=64 pairs_walked=240 merged_from=1\n\
-             total_mods=624 merges=0 violations=0\n",
+             total_mods=624 merges=0 violations=0\n\
+             entries_copied=0\n",
         ],
     );
 }

@@ -1013,11 +1013,14 @@ impl Verifier {
             let (lo, len) = (nth * block, classes.len());
             let at = (lo, classes);
             let steps = StepMatrix::build(cluster, view, fates, &mut outcomes, &self.values, at);
-            // Per (source group, class of the block): `OPEN`, `NEEDED`, then
-            // the trace id its class gives it.
-            let mut cells = vec![OPEN; groups.len() * len];
+            // Per (class of the block, source group), class-major so a class
+            // reads its groups' cells in one run: `OPEN`, `NEEDED`, then the
+            // trace id its class gives it. Each `NEEDED` cell pushes one
+            // trace, so the block's traces are sized for at once.
+            let mut cells = vec![OPEN; len * groups.len()];
             let rows = (&heads[..], &store.row_of[..], &mut store.rows[..]);
             each_open(&sides, rows, &mut cells, (lo, len), |_, cell, _| *cell = NEEDED);
+            store.distinct.reserve_exact(cells.iter().filter(|&&cell| cell == NEEDED).count());
             for (c, &class) in classes.iter().enumerate() {
                 let mut memo = DestinyMemo::new(fates, steps.class(c));
                 // Loop scan first: a class from whose start ports no
@@ -1037,7 +1040,7 @@ impl Verifier {
                         self.stats.loop_classes_fast += 1;
                     }
                 }
-                for (g, cell) in cells.iter_mut().skip(c).step_by(len).enumerate() {
+                for (g, cell) in cells[c * groups.len()..][..groups.len()].iter_mut().enumerate() {
                     if *cell != NEEDED {
                         continue;
                     }
@@ -1206,8 +1209,9 @@ impl Verifier {
 
 /// Visit, one row at a time, every cell still [`OPEN`] that some pair
 /// reads and whose class is one of the `len` from position `lo`, together
-/// with its (source group, class) cell of `cells` and how many pairs read
-/// it: every member of the row, less the one whose own column it is.
+/// with its (class, source group) cell of `cells` (class-major, one source
+/// group per column) and how many pairs read it: every member of the row,
+/// less the one whose own column it is.
 /// `sides` holds, per host, the two halves of its pairs' class positions
 /// ([`HeaderValues::pair_class`]) and its source group, which a row's
 /// members share; `rows` is [`TraceStore::heads`], `row_of` and `rows`.
@@ -1219,6 +1223,7 @@ fn each_open(
     mut visit: impl FnMut(&mut u32, &mut u32, usize),
 ) {
     let n = sides.len();
+    let groups = cells.len() / len.max(1);
     let widest = sides.iter().map(|&(_, to, _)| to).max().unwrap_or(0);
     for (r, &(head, members)) in heads.iter().enumerate() {
         let (from, _, group) = sides[head];
@@ -1226,14 +1231,13 @@ fn each_open(
             continue; // none of this row's classes is in the block
         }
         let row = &mut rows[r * n..][..n];
-        let cells = &mut cells[group * len..][..len];
         for (j, slot) in row.iter_mut().enumerate() {
             // Below `lo` wraps far past `len`.
             let at = (from + sides[j].1).wrapping_sub(lo);
             if *slot == OPEN && at < len {
                 let pairs = members as usize - usize::from(row_of[j] as usize == r);
                 if pairs > 0 {
-                    visit(slot, &mut cells[at], pairs);
+                    visit(slot, &mut cells[at * groups + group], pairs);
                 }
             }
         }

@@ -8,7 +8,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use sdt_core::cluster::PhysPort;
-use sdt_core::synthesis::{addr_of, SynthesisOutput};
+use sdt_core::synthesis::{addr_of, SynthesisOutput, Table};
 use sdt_core::SdtProjection;
 use sdt_openflow::{EntryStore, FlowEntry, FlowMatch, FlowMod, FxBuild, HostAddr, OpenFlowSwitch};
 use sdt_topology::{HostId, Topology};
@@ -23,8 +23,9 @@ use sdt_topology::{HostId, Topology};
 /// once something has probed the table, its tier index — and a store has
 /// no counters to move.
 ///
-/// Every table is `Arc`-shared copy-on-write, with the live switch too
-/// ([`sdt_openflow::FlowTable::shared_store`]): snapshotting a bank or
+/// Every table is `Arc`-shared copy-on-write, with the live switch
+/// ([`sdt_openflow::FlowTable::shared_store`]) and the synthesized pipeline
+/// ([`Table::share`]) too: viewing a pipeline, snapshotting a bank or
 /// cloning a view costs one pointer per table and copies no entry, and
 /// [`TableView::apply`] deep-copies only the table it mutates — the
 /// clone-then-apply pattern every delta check uses touches exactly the
@@ -53,21 +54,16 @@ impl TableView {
         }
     }
 
-    /// View of a synthesized (not yet installed) pipeline — the shape the
-    /// tables *would* have after installation: every entry applied as an
-    /// Add, in synthesis order.
+    /// View of a synthesized (not yet installed) pipeline — the tables a
+    /// switch holds once it is installed: a share of each synthesized
+    /// store, no entry copied.
     pub fn of_synthesis(s: &SynthesisOutput) -> Self {
-        let install = |entries: &Vec<FlowEntry>| {
-            let mut store = EntryStore::default();
-            store.install(entries);
-            store
-        };
         TableView {
             switches: s
                 .table0
                 .iter()
                 .zip(&s.table1)
-                .map(|(t0, t1)| [t0, t1].map(|t| Arc::new(install(t))))
+                .map(|(t0, t1)| [t0, t1].map(Table::share))
                 .collect(),
         }
     }
@@ -417,6 +413,57 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// One copy per table: the proof's view and every instantiated switch
+    /// hold the synthesized store itself, and a write to a switch copies
+    /// only the table it writes — the projection and a proof made before
+    /// the write stay byte-identical.
+    #[test]
+    fn one_copy_per_table_shared_by_synthesis_proof_and_switches() {
+        let topo = fat_tree(4);
+        let cluster = ClusterBuilder::new(SwitchModel::openflow_128x100g(), 2)
+            .hosts_per_switch(16)
+            .inter_links_per_pair(16)
+            .build();
+        let proj =
+            SdtProjector::default().project(&topo, &cluster, &default_routes(&topo)).unwrap();
+        let tables = |s: &SynthesisOutput| -> Vec<Vec<FlowEntry>> {
+            s.table0.iter().chain(&s.table1).map(|t| t.to_vec()).collect()
+        };
+        let synthesized = tables(&proj.synthesis);
+        let intent = Intent::of_projection(&proj, &topo, topo.name());
+        let proof =
+            crate::Verifier::check(&cluster, TableView::of_synthesis(&proj.synthesis), intent);
+        assert!(proof.holds(), "{}", proof.report().summary());
+        let (report, viewed) = (format!("{:?}", proof.report()), format!("{:?}", proof.view()));
+        let mut switches = instantiate(&cluster, &proj);
+        for (sw, switch) in switches.iter().enumerate() {
+            let tables = [&proj.synthesis.table0[sw], &proj.synthesis.table1[sw]];
+            for (t, table) in (0..).zip(tables) {
+                let store = table.share();
+                assert!(Arc::ptr_eq(&switch.table(t).shared_store(), &store), "{sw}/{t}");
+                assert!(std::ptr::eq(proof.view().store(sw as u32, t), Arc::as_ptr(&store)));
+            }
+        }
+
+        let gone = proj.synthesis.table1[0][0];
+        switches[0].apply(1, FlowMod::Delete(gone.m, gone.priority)).unwrap();
+        let copied = proj.synthesis.table1[0].len() as u64;
+        assert_eq!(switches[0].table(1).entries_copied(), copied);
+        assert_eq!(switches[0].table(1).len() as u64, copied - 1);
+        let written = switches[0].table(1).shared_store();
+        assert!(!Arc::ptr_eq(&written, &proj.synthesis.table1[0].share()));
+        let untouched =
+            (0..2).flat_map(|sw| (0..2).map(move |t| (sw, t))).filter(|&st| st != (0, 1));
+        for (sw, t) in untouched {
+            let table = [&proj.synthesis.table0[sw], &proj.synthesis.table1[sw]][usize::from(t)];
+            assert!(Arc::ptr_eq(&switches[sw].table(t).shared_store(), &table.share()));
+            assert_eq!(switches[sw].table(t).entries_copied(), 0, "{sw}/{t}");
+        }
+        assert_eq!(tables(&proj.synthesis), synthesized);
+        assert_eq!(format!("{:?}", proof.report()), report);
+        assert_eq!(format!("{:?}", proof.view()), viewed);
     }
 
     #[test]

@@ -16,7 +16,8 @@ use rand::{RngExt, SeedableRng};
 use sdt_core::cluster::{ClusterBuilder, PhysPort, PhysicalCluster};
 use sdt_core::methods::SwitchModel;
 use sdt_openflow::{
-    diff_tables, Action, FlowEntry, FlowMatch, FlowMod, HostAddr, OpenFlowSwitch, PortNo,
+    diff_tables, Action, EntryStore, FlowEntry, FlowMatch, FlowMod, HostAddr, OpenFlowSwitch,
+    PortNo,
 };
 use sdt_routing::{default_strategy, RouteTable};
 use sdt_tenancy::{SliceId, SliceManager};
@@ -24,6 +25,7 @@ use sdt_topology::chain::{chain, ring};
 use sdt_topology::meshtorus::mesh;
 use sdt_topology::Topology;
 use sdt_verify::{Intent, IntentHost, TableView};
+use std::sync::Arc;
 
 /// Table III's routes for `t`, as the controller's `"default"` strategy
 /// builds them.
@@ -218,7 +220,8 @@ pub fn bank(cluster: &PhysicalCluster, view: &TableView) -> Vec<OpenFlowSwitch> 
         .map(|sw| {
             let mut s = OpenFlowSwitch::new(sw, config);
             for table in 0..2 {
-                s.install(table, view.entries(sw, table)).unwrap();
+                let store = EntryStore::from_ordered(view.entries(sw, table).to_vec());
+                s.adopt(table, Arc::new(store)).unwrap();
             }
             s
         })
