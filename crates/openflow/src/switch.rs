@@ -307,6 +307,30 @@ mod tests {
         assert!(tiny.table(1).is_empty());
     }
 
+    /// A Clear drops the table's share for an empty store: nothing is
+    /// copied, and whoever else holds the store still reads all of it.
+    #[test]
+    fn clear_drops_a_shared_store_without_copying_it() {
+        let entries: Vec<FlowEntry> = (0..1000)
+            .map(|i| FlowEntry {
+                m: FlowMatch::to_dst(HostAddr(i)),
+                priority: 1,
+                action: Action::Drop,
+            })
+            .collect();
+        let store = Arc::new(EntryStore::from_ordered(entries));
+        let mut sw = OpenFlowSwitch::new(0, SwitchConfig::x64_100g());
+        sw.adopt(1, Arc::clone(&store)).unwrap();
+        sw.clear_tables();
+        assert_eq!(sw.total_entries(), 0);
+        assert_eq!(sw.table(1).entries_copied(), 0);
+        assert_eq!(store.entries().len(), 1000, "the other holder keeps its store");
+        // The fresh store behaves as a cleared one: the next Add lands first.
+        add(&mut sw, 1, FlowMatch::to_dst(HostAddr(7)), 1, Action::Drop);
+        assert_eq!(sw.table(1).entries().len(), 1);
+        assert_eq!(sw.table(1).entries_copied(), 0);
+    }
+
     #[test]
     fn restore_reproduces_entries() {
         let mut sw = OpenFlowSwitch::new(0, SwitchConfig::x64_100g());

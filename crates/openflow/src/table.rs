@@ -248,6 +248,10 @@ pub struct FlowTable {
     /// Entries deep-copied by copy-on-write: a write to a store still
     /// shared adds the store's length. Bumped only from `&mut self`.
     entries_copied: u64,
+    /// Entries a Delete visited: each adds the store's length, the
+    /// entries [`EntryStore::apply`]'s `retain` walks. Bumped only from
+    /// `&mut self`.
+    entries_scanned: u64,
 }
 
 impl Clone for FlowTable {
@@ -256,6 +260,7 @@ impl Clone for FlowTable {
             store: Arc::clone(&self.store),
             capacity: self.capacity,
             entries_copied: self.entries_copied,
+            entries_scanned: self.entries_scanned,
             // Relaxed: a clone takes a point-in-time sample of each
             // counter independently. Cloning a table that is concurrently
             // being probed may catch `lookups` and `misses` from slightly
@@ -276,6 +281,7 @@ impl FlowTable {
             lookups: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             entries_copied: 0,
+            entries_scanned: 0,
         }
     }
 
@@ -290,10 +296,19 @@ impl FlowTable {
     }
 
     /// Apply a flow-mod: refuse an Add past capacity, else
-    /// [`EntryStore::apply`].
+    /// [`EntryStore::apply`]. A Clear drops this table's share for a fresh
+    /// empty store, so other holders keep theirs and nothing is copied.
     pub fn apply(&mut self, m: FlowMod) -> Result<(), TableError> {
-        if matches!(m, FlowMod::Add(_)) && self.len() >= self.capacity {
-            return Err(TableError::TableFull { capacity: self.capacity });
+        match m {
+            FlowMod::Add(_) if self.len() >= self.capacity => {
+                return Err(TableError::TableFull { capacity: self.capacity });
+            }
+            FlowMod::Clear => {
+                self.store = Arc::default();
+                return Ok(());
+            }
+            FlowMod::Delete(..) => self.entries_scanned += self.len() as u64,
+            FlowMod::Add(_) => {}
         }
         // A store still shared with a view, a bank or a synthesized
         // pipeline is copied first: that copy is what `entries_copied` counts.
@@ -319,6 +334,12 @@ impl FlowTable {
     /// every shared store a write had to copy first.
     pub fn entries_copied(&self) -> u64 {
         self.entries_copied
+    }
+
+    /// Entries this table's Deletes have visited: the table's length at
+    /// each Delete, what [`EntryStore::apply`] scans to strike its key.
+    pub fn entries_scanned(&self) -> u64 {
+        self.entries_scanned
     }
 
     /// Highest-priority matching action, or `None` on a table miss.

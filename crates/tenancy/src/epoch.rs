@@ -41,6 +41,7 @@ use sdt_openflow::{diff_positions, install_time_ns, FlowEntry, FlowMod, PortNo};
 use std::cmp::Reverse;
 use std::collections::HashSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// A verified, atomic batch of flow-mods belonging to exactly one slice.
 #[derive(Clone, Debug, Default)]
@@ -48,8 +49,12 @@ pub struct Epoch {
     /// The slice this epoch mutates.
     pub slice: SliceId,
     /// `(switch, table, flow-mod)` in wire order (see the module docs):
-    /// what the gate proves and the manager installs.
-    pub mods: Vec<(u32, u8, FlowMod)>,
+    /// what the gate proves and the manager installs. One immutable
+    /// buffer, shared — never copied — by every
+    /// [`crate::schedule::Round`] compiled from the epoch; an `Arc<Vec>`
+    /// rather than an `Arc<[_]>`, so the vector [`Epoch::from_diff`] fills
+    /// at its final size is moved in, not copied.
+    pub mods: Arc<Vec<(u32, u8, FlowMod)>>,
 }
 
 /// The match-space a slice owns on the shared fabric: its ingress ports
@@ -269,7 +274,7 @@ impl Epoch {
                 }
             }
         }
-        Epoch { slice, mods }
+        Epoch { slice, mods: Arc::new(mods) }
     }
 
     /// Flow-mods this epoch sends to each switch (adds + deletes).
@@ -298,7 +303,7 @@ impl Epoch {
     /// ingress port; table-1 mods an owned, non-foreign metadata value.
     /// The first offending mod in wire order is named.
     pub fn verify(&self, own: &OwnedSpace, others: &OwnedSpace) -> Result<(), EpochViolation> {
-        for &(switch, table, ref m) in &self.mods {
+        for &(switch, table, ref m) in self.mods.iter() {
             let m = match m {
                 FlowMod::Add(e) => &e.m,
                 FlowMod::Delete(m, _) => m,

@@ -51,8 +51,8 @@ pub use manager::{
     SliceStatus, SwitchOccupancy,
 };
 pub use schedule::{
-    compile_rounds, install_scheduled, no_new_findings, Round, RoundPhase, RoundReport,
-    ScheduleError, ScheduleReport,
+    compile_rounds, install_scheduled, no_new_findings, Round, RoundMods, RoundModsIter,
+    RoundPhase, RoundReport, ScheduleError, ScheduleReport,
 };
 
 #[cfg(test)]

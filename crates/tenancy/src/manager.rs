@@ -605,7 +605,7 @@ impl SliceManager {
     /// MODIFYs in place; see [`crate::epoch`]). Headroom was pre-checked,
     /// so installs cannot fail.
     fn apply_epoch(&mut self, plan: &Plan) -> EpochReport {
-        for (sw, table, m) in &plan.epoch.mods {
+        for (sw, table, m) in plan.epoch.mods.iter() {
             if let Err(e) = self.switches[*sw as usize].apply(*table, m.clone()) {
                 unreachable!("headroom pre-checked before applying the epoch: {e}");
             }

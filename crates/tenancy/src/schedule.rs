@@ -54,6 +54,7 @@ use sdt_openflow::{
 use sdt_verify::{Intent, TableView, Verifier, VerifyReport};
 use std::collections::{HashSet, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Which migration phase a round belongs to.
@@ -83,11 +84,78 @@ impl fmt::Display for RoundPhase {
 pub struct Round {
     /// The `(switch, table, mod)` sequence this round installs, in the
     /// epoch's original wire order.
-    pub mods: Vec<(u32, u8, FlowMod)>,
+    pub mods: RoundMods,
     /// The migration phase of the latest constituent unit.
     pub phase: RoundPhase,
     /// Atomic units in the round (a MODIFY pair counts once).
     pub units: usize,
+}
+
+/// The mods one round installs: a share of its epoch's [`Epoch::mods`]
+/// and their positions there, in install order — 4 B a mod, no mod
+/// copied. Iterates (and formats) as the `(switch, table, mod)` sequence
+/// it selects.
+#[derive(Clone)]
+pub struct RoundMods {
+    batch: Arc<Vec<(u32, u8, FlowMod)>>,
+    at: Vec<u32>,
+}
+
+impl RoundMods {
+    /// Flow-mods in the round.
+    pub fn len(&self) -> usize {
+        self.at.len()
+    }
+
+    /// True for a round with no mods.
+    pub fn is_empty(&self) -> bool {
+        self.at.is_empty()
+    }
+
+    /// The round's mods, in install order.
+    pub fn iter(&self) -> RoundModsIter<'_> {
+        RoundModsIter { batch: &self.batch, at: self.at.iter() }
+    }
+
+    /// Positions in [`Epoch::mods`] the round installs, in install order:
+    /// ascending for a compiled round, one run per compiled round for a
+    /// merged one.
+    pub fn positions(&self) -> &[u32] {
+        &self.at
+    }
+}
+
+impl<'a> IntoIterator for &'a RoundMods {
+    type Item = &'a (u32, u8, FlowMod);
+    type IntoIter = RoundModsIter<'a>;
+
+    fn into_iter(self) -> RoundModsIter<'a> {
+        self.iter()
+    }
+}
+
+impl fmt::Debug for RoundMods {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self).finish()
+    }
+}
+
+/// [`RoundMods::iter`].
+pub struct RoundModsIter<'a> {
+    batch: &'a [(u32, u8, FlowMod)],
+    at: std::slice::Iter<'a, u32>,
+}
+
+impl<'a> Iterator for RoundModsIter<'a> {
+    type Item = &'a (u32, u8, FlowMod);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.at.next().map(|&i| &self.batch[i as usize])
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.at.size_hint()
+    }
 }
 
 /// What one scheduled round did.
@@ -207,8 +275,10 @@ impl std::error::Error for ScheduleError {}
 ///   delete whose metadata no table-0 entry of the pre-state `before`
 ///   steers is already dark and joins the cutover layer instead.
 ///
-/// Units keep the epoch's wire order within a layer, so concatenating
-/// the rounds replays [`Epoch::mods`] exactly up to
+/// Every round shares [`Epoch::mods`] and lists the positions it
+/// installs; no mod is copied. Units keep the epoch's wire order within a
+/// layer (positions ascend), so concatenating the rounds replays
+/// [`Epoch::mods`] exactly up to
 /// the commuting of distinct-key units — the end state holds exactly the
 /// same entries (only vector order can differ, and epoch entries never
 /// share a (match, priority) key, so lookup behavior is identical; pinned
@@ -233,17 +303,17 @@ pub fn compile_rounds(epoch: &Epoch, before: &TableView) -> Vec<Round> {
     // `fresh_routes` is complete when it is first read.
     const CUTOVER: usize = 2;
     const COLLECT: usize = 3;
+    let mods = &epoch.mods;
+    let round = |phase| {
+        Round { mods: RoundMods { batch: Arc::clone(mods), at: Vec::new() }, phase, units: 0 }
+    };
     let mut layers =
-        [RoundPhase::Make, RoundPhase::Make, RoundPhase::Cutover, RoundPhase::Collect]
-            .map(|phase| Round { mods: Vec::new(), phase, units: 0 });
-    let mut sizes = [0usize; 4];
+        [RoundPhase::Make, RoundPhase::Make, RoundPhase::Cutover, RoundPhase::Collect].map(round);
     // Metadata values gaining new table-1 routes per switch in this epoch.
     // Keyed lookups only, never iterated.
     let mut fresh_routes: HashSet<(u32, u32), FxBuild> = HashSet::default();
     let mut layer = 0;
     let mut deleting = false;
-    let mods = &epoch.mods;
-    let mut layer_of: Vec<u8> = Vec::with_capacity(mods.len());
     for (at, (sw, table, m)) in mods.iter().enumerate() {
         // From the first delete on, an add is a replacement riding its
         // delete's unit; everything else starts a unit of its own.
@@ -273,16 +343,8 @@ pub fn compile_rounds(epoch: &Epoch, before: &TableView) -> Vec<Round> {
             };
             layers[layer].units += 1;
         }
-        sizes[layer] += 1;
-        layer_of.push(layer as u8);
-    }
-    // Then one pass copies every mod into its layer, each allocated once,
-    // at its final size.
-    for (round, size) in layers.iter_mut().zip(sizes) {
-        round.mods.reserve_exact(size);
-    }
-    for (m, l) in mods.iter().zip(layer_of) {
-        layers[usize::from(l)].mods.push(m.clone());
+        // An epoch's mods are bounded by table capacity, far below 2^32.
+        layers[layer].mods.at.push(at as u32);
     }
     layers.into_iter().filter(|r| !r.mods.is_empty()).collect()
 }
@@ -368,7 +430,13 @@ fn prove_with_merge(
         // state the caller already gated — so this terminates.
         match work.pop_front() {
             Some(next) => {
-                round.mods.extend(next.mods);
+                // Positions concatenate: the merged round installs what the
+                // two did, in the same order.
+                assert!(
+                    Arc::ptr_eq(&round.mods.batch, &next.mods.batch),
+                    "only rounds of one epoch merge"
+                );
+                round.mods.at.extend(next.mods.at);
                 round.phase = round.phase.max(next.phase);
                 round.units += next.units;
                 merged_from += 1;
@@ -384,7 +452,8 @@ fn prove_with_merge(
     }
 }
 
-/// Install dependency-ordered `rounds` over `channel`, proving every
+/// Install dependency-ordered `rounds` — [`compile_rounds`]' output for one
+/// epoch — over `channel`, proving every
 /// boundary before its round goes out and computing proof N+1 while
 /// round N is in flight. See the module docs for the full contract.
 /// Returns the verifier of the final proven boundary and the round report.
@@ -597,8 +666,8 @@ mod tests {
             vec![RoundPhase::Make, RoundPhase::Make, RoundPhase::Cutover, RoundPhase::Collect]
         );
         // t1 add strictly before the t0 add that steers to it.
-        assert!(matches!(rounds[0].mods[0], (0, 1, FlowMod::Add(_))));
-        assert!(matches!(rounds[1].mods[0], (0, 0, FlowMod::Add(_))));
+        assert!(matches!(rounds[0].mods.iter().next(), Some((0, 1, FlowMod::Add(_)))));
+        assert!(matches!(rounds[1].mods.iter().next(), Some((0, 0, FlowMod::Add(_)))));
         // Concatenation preserves the mod multiset.
         let total: usize = rounds.iter().map(|r| r.mods.len()).sum();
         assert_eq!(total, e.mods.len());

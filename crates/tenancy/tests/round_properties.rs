@@ -31,8 +31,7 @@ use sdt_openflow::{
 };
 use sdt_tenancy::epoch::synthesis_entries;
 use sdt_tenancy::{
-    compile_rounds, install_scheduled, Epoch, MigrationPlan, Round, RoundPhase, SliceId,
-    SliceManager,
+    compile_rounds, install_scheduled, Epoch, MigrationPlan, RoundPhase, SliceId, SliceManager,
 };
 use std::collections::{BTreeSet, HashSet};
 use sdt_topology::chain::{chain, ring};
@@ -164,7 +163,7 @@ proptest! {
             }
         }
         let mut one_shot = TableView::of_switches(mgr.switches());
-        for (sw, t, m) in &plan.epoch().mods {
+        for (sw, t, m) in plan.epoch().mods.iter() {
             one_shot.apply(*sw, *t, m);
         }
         for sw in 0..by_rounds.num_switches() as u32 {
@@ -404,8 +403,9 @@ fn units_of(mods: &[Mod]) -> Vec<Vec<Mod>> {
 }
 
 /// The reference round compiler: a layer per unit, then one filtering,
-/// cloning pass over every unit per layer.
-fn reference_rounds(mods: &[Mod], before: &TableView) -> Vec<Round> {
+/// cloning pass over every unit per layer. Each round as (phase, units,
+/// mods).
+fn reference_rounds(mods: &[Mod], before: &TableView) -> Vec<(RoundPhase, usize, Vec<Mod>)> {
     let units = units_of(mods);
     let mut fresh_routes: HashSet<(u32, u32)> = HashSet::new();
     for u in &units {
@@ -456,7 +456,7 @@ fn reference_rounds(mods: &[Mod], before: &TableView) -> Vec<Round> {
         x if x == usize::MAX - 1 => add_max + 1,
         x => x,
     };
-    let mut rounds: Vec<Round> = Vec::new();
+    let mut rounds = Vec::new();
     for target in 0..=add_max + 2 {
         let mut mods = Vec::new();
         let mut n_units = 0usize;
@@ -469,7 +469,7 @@ fn reference_rounds(mods: &[Mod], before: &TableView) -> Vec<Round> {
             }
         }
         if !mods.is_empty() {
-            rounds.push(Round { mods, phase, units: n_units });
+            rounds.push((phase, n_units, mods));
         }
     }
     rounds
@@ -554,13 +554,15 @@ proptest! {
         let epoch = Epoch::from_diff(SliceId(0), &old, &new);
         prop_assert_eq!(format!("{:?}", epoch.mods), format!("{want:?}"));
         let before = TableView::of_synthesis(&old);
-        let rounds = |rounds: Vec<Round>| -> Vec<String> {
-            rounds.iter().map(|r| format!("{:?} {} {:?}", r.phase, r.units, r.mods)).collect()
-        };
-        prop_assert_eq!(
-            rounds(compile_rounds(&epoch, &before)),
-            rounds(reference_rounds(&want, &before))
-        );
+        let got: Vec<String> = compile_rounds(&epoch, &before)
+            .iter()
+            .map(|r| format!("{:?} {} {:?}", r.phase, r.units, r.mods))
+            .collect();
+        let want: Vec<String> = reference_rounds(&want, &before)
+            .iter()
+            .map(|(phase, units, mods)| format!("{phase:?} {units} {mods:?}"))
+            .collect();
+        prop_assert_eq!(got, want);
     }
 }
 

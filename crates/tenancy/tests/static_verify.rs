@@ -58,7 +58,8 @@ fn precheck_rejects_blackholing_epoch_and_leaves_tables_untouched() {
         .find_map(|(sw, t)| t.first().map(|e| (sw as u32, *e)))
         .expect("an admitted slice has route entries");
 
-    let epoch = Epoch { slice: a, mods: vec![(sw, 1, FlowMod::Delete(victim.m, victim.priority))] };
+    let epoch =
+        Epoch { slice: a, mods: vec![(sw, 1, FlowMod::Delete(victim.m, victim.priority))].into() };
     // Ownership-wise the epoch is impeccable: it only touches the slice's
     // own metadata space.
     epoch
@@ -92,7 +93,7 @@ fn precheck_accepts_healthy_modify_epoch() {
         .unwrap();
     let epoch = Epoch {
         slice: a,
-        mods: vec![(sw, 1, FlowMod::Delete(e.m, e.priority)), (sw, 1, FlowMod::Add(e))],
+        mods: vec![(sw, 1, FlowMod::Delete(e.m, e.priority)), (sw, 1, FlowMod::Add(e))].into(),
     };
     mgr.precheck_epoch(&epoch).expect("an in-place replacement changes nothing");
 }
@@ -135,7 +136,7 @@ fn precheck_rejects_cross_slice_leak_epoch() {
         priority: 99,
         action: Action::Output(to_port.port),
     };
-    let evil = Epoch { slice: a, mods: vec![(to_port.switch, 1, FlowMod::Add(leak))] };
+    let evil = Epoch { slice: a, mods: vec![(to_port.switch, 1, FlowMod::Add(leak))].into() };
     // The match is inside slice A's own metadata space: ownership checking
     // is blind to where the *action* points.
     evil.verify(&sa.owned_space(), &sb.owned_space()).expect("ownership cannot see the leak");

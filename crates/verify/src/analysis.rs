@@ -628,10 +628,12 @@ impl Verifier {
     /// from `prev` verbatim.
     ///
     /// `prev` is not modified, and no live table is: the batch is replayed
-    /// on a cloned snapshot.
-    pub fn check_delta(
+    /// on a cloned snapshot. The batch is read once, in order, so any
+    /// sequence of `&(switch, table, mod)` will do — a slice, or a
+    /// scheduler round's share of its epoch.
+    pub fn check_delta<'a>(
         prev: &Verifier,
-        batch: &[(u32, u8, FlowMod)],
+        batch: impl IntoIterator<Item = &'a (u32, u8, FlowMod)>,
         intent: Intent,
     ) -> Verifier {
         Self::check_delta_impl(prev, batch, intent, false, CLASS_BLOCK)
@@ -639,9 +641,9 @@ impl Verifier {
 
     /// [`Verifier::check_delta`]. Kept only because `benchmark/` calls it;
     /// a later `benchmark` issue retires it.
-    pub fn check_delta_cached(
+    pub fn check_delta_cached<'a>(
         prev: &Verifier,
-        batch: &[(u32, u8, FlowMod)],
+        batch: impl IntoIterator<Item = &'a (u32, u8, FlowMod)>,
         intent: Intent,
         _threads: usize,
         _cache: &mut WalkCache,
@@ -650,17 +652,17 @@ impl Verifier {
     }
 
     /// The reference incremental check — see [`Verifier::check_plain`].
-    pub fn check_delta_plain(
+    pub fn check_delta_plain<'a>(
         prev: &Verifier,
-        batch: &[(u32, u8, FlowMod)],
+        batch: impl IntoIterator<Item = &'a (u32, u8, FlowMod)>,
         intent: Intent,
     ) -> Verifier {
         Self::check_delta_impl(prev, batch, intent, true, CLASS_BLOCK)
     }
 
-    fn check_delta_impl(
+    fn check_delta_impl<'a>(
         prev: &Verifier,
-        batch: &[(u32, u8, FlowMod)],
+        batch: impl IntoIterator<Item = &'a (u32, u8, FlowMod)>,
         intent: Intent,
         plain: bool,
         block: usize,

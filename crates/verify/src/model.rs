@@ -86,9 +86,14 @@ impl TableView {
     /// Apply one flow-mod with [`EntryStore::apply`] — what
     /// `FlowTable::apply` does, minus capacity, which admission checks
     /// separately. Copy-on-write: only this table is cloned (and only when
-    /// shared with another view or the live switch).
+    /// shared with another view or the live switch); a Clear takes a fresh
+    /// empty store instead and clones nothing.
     pub fn apply(&mut self, switch: u32, table: u8, m: &FlowMod) {
-        Arc::make_mut(&mut self.switches[switch as usize][usize::from(table)]).apply(m);
+        let store = &mut self.switches[switch as usize][usize::from(table)];
+        match m {
+            FlowMod::Clear => *store = Arc::default(),
+            _ => Arc::make_mut(store).apply(m),
+        }
     }
 }
 
@@ -464,6 +469,29 @@ mod tests {
         assert_eq!(tables(&proj.synthesis), synthesized);
         assert_eq!(format!("{:?}", proof.report()), report);
         assert_eq!(format!("{:?}", proof.view()), viewed);
+    }
+
+    /// A Clear on a view empties only the view's table: the store it
+    /// shared with the synthesis stays whole.
+    #[test]
+    fn clear_on_a_view_takes_an_empty_store() {
+        let entries: Vec<FlowEntry> = (0..1000)
+            .map(|i| FlowEntry {
+                m: FlowMatch::to_dst(HostAddr(i)),
+                priority: 1,
+                action: Action::Drop,
+            })
+            .collect();
+        let synthesis = SynthesisOutput {
+            table0: vec![Vec::new().into()],
+            table1: vec![entries.into()],
+            entries_per_switch: vec![1000],
+        };
+        let mut view = TableView::of_synthesis(&synthesis);
+        view.apply(0, 1, &FlowMod::Clear);
+        assert!(view.entries(0, 1).is_empty());
+        assert_eq!(synthesis.table1[0].len(), 1000);
+        assert!(!std::ptr::eq(view.store(0, 1), Arc::as_ptr(&synthesis.table1[0].share())));
     }
 
     #[test]
