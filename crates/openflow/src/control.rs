@@ -368,6 +368,43 @@ mod tests {
         assert!(saw_stale, "some seed in 0..64 must reorder");
     }
 
+    /// A table is its entry set: a lossy, reordering channel followed by
+    /// `reconcile` leaves the bytes a reliable install leaves, although it
+    /// delivered the adds in another order. The target holds overlapping
+    /// equal-priority entries, whose order is what a lookup reads.
+    #[test]
+    fn a_reordered_install_reconciled_is_byte_equal_to_a_reliable_one() {
+        let old: Vec<FlowEntry> = (0..12).map(|i| entry(i, 1)).collect();
+        let mut target: Vec<FlowEntry> = (6..18).map(|i| entry(i, 2)).collect();
+        target.extend((0..6).map(|i| FlowEntry {
+            m: FlowMatch::on_port(PortNo(i)),
+            priority: 1,
+            action: Action::Output(PortNo(i + 3)),
+        }));
+        let install = |ch: &mut ControlChannel| {
+            let mut sw = [switch()];
+            for &e in &old {
+                sw[0].apply(1, FlowMod::Add(e)).unwrap();
+            }
+            for m in diff_tables(&old, &target) {
+                ch.send(0, 1, m);
+            }
+            let reordered = ch.barrier(&mut sw).reordered;
+            let goal = |_: usize, t: u8| if t == 1 { target.as_slice() } else { &[][..] };
+            assert!(reconcile(ch, &mut sw, goal, 1).converged);
+            (sw[0].table(1).entries().to_vec(), reordered)
+        };
+        let (reliable, _) = install(&mut ControlChannel::reliable());
+        let mut swaps = 0;
+        for seed in 0..16 {
+            let cfg = ControlConfig { reorder_prob: 0.5, seed, ..ControlConfig::reliable() };
+            let (got, reordered) = install(&mut ControlChannel::new(cfg));
+            assert_eq!(got, reliable, "seed {seed}");
+            swaps += reordered;
+        }
+        assert!(swaps > 0, "some seed in 0..16 must reorder");
+    }
+
     #[test]
     fn reconcile_retries_with_exponential_backoff_until_the_tables_match() {
         let target: Vec<FlowEntry> = (0..8).map(|i| entry(i, 1)).collect();

@@ -1,10 +1,13 @@
 //! The ordered entry store: a flow table's entries, their order, and the
 //! tuple-space index over them — one type, one `apply`, one lookup.
 //!
-//! Entries are kept in `(priority descending, install sequence ascending)`
-//! order, the order a front-to-back scan resolves first-match-wins in.
-//! [`EntryStore::apply`] is the only code that decides what an Add, a
-//! Delete or a Clear does to that order.
+//! Entries are kept in key order ([`FlowEntry::order_key`]: priority
+//! descending, then the match fields, then the action), the order a
+//! front-to-back scan resolves first-match-wins in. The order is a
+//! function of the entry multiset alone, not of the order the entries
+//! were installed in, so two stores holding the same entries hold the same
+//! bytes. [`EntryStore::apply`] is the only code that decides what an Add,
+//! a Delete or a Clear does to that order.
 //!
 //! The index is built by whoever first looks something up
 //! ([`EntryStore::first_match_where`], which [`EntryStore::lookup`] goes
@@ -24,8 +27,8 @@
 //! 3-bit tier id — and within a tier by the constrained values, hashed
 //! exactly. A lookup probes at most `TIER_COUNT` buckets (one hash each)
 //! instead of scanning every entry, and merges the per-tier winners by
-//! (priority, install order), so the result is bit-for-bit the
-//! first-match-wins answer of the linear scan.
+//! key order, so the result is bit-for-bit the first-match-wins answer of
+//! the linear scan.
 //!
 //! Every holder of flow entries is built on this type: the live
 //! [`crate::FlowTable`] (store + capacity + lookup/miss counters),
@@ -34,8 +37,7 @@
 //! other two share until they write. The store has no counters, so code
 //! that holds only a store cannot move one.
 
-use crate::{FlowEntry, FlowMatch, FlowMod, HostAddr, PacketMeta, PortNo};
-use std::cmp::Reverse;
+use crate::{Action, FlowEntry, FlowMatch, FlowMod, HostAddr, PacketMeta, PortNo};
 use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::OnceLock;
@@ -111,48 +113,37 @@ fn slot_of(m: &FlowMatch) -> (usize, TierKey) {
     (tier, (m.in_port.map_or(0, |p| p.0), m.metadata.unwrap_or(0), m.dst.map_or(0, |d| d.0)))
 }
 
-/// An index candidate: an entry and its install sequence number.
-type Installed = (u64, FlowEntry);
-
-/// Where a candidate stands in scan order; ascends exactly as position in
-/// the entry vector does. Unlike a position it is fixed when the candidate
-/// is indexed, so an Add or a Delete elsewhere in the table never renumbers
-/// a candidate.
-fn rank(&(seq, e): &Installed) -> (Reverse<u16>, u64) {
-    (Reverse(e.priority), seq)
-}
-
-/// The candidates of one bucket, ascending rank. SDT pipelines key every
+/// The candidates of one bucket, in key order. SDT pipelines key every
 /// entry of a table differently, so the bucket of one is held inline: no
 /// allocation to build it, no pointer to chase to probe it.
 #[derive(Clone, Debug)]
 enum Bucket {
-    One(Installed),
-    Many(Vec<Installed>),
+    One(FlowEntry),
+    Many(Vec<FlowEntry>),
 }
 
 impl Bucket {
-    fn insert(&mut self, at: Installed) {
+    fn insert(&mut self, e: FlowEntry) {
         let mut v = match std::mem::replace(self, Bucket::Many(Vec::new())) {
             Bucket::One(first) => vec![first],
             Bucket::Many(v) => v,
         };
-        v.insert(v.partition_point(|x| rank(x) < rank(&at)), at);
+        v.insert(v.partition_point(|x| x.order_key() < e.order_key()), e);
         *self = Bucket::Many(v);
     }
 
     /// Drop the candidates `doomed` names; true when none are left.
     fn remove(&mut self, doomed: impl Fn(&FlowEntry) -> bool) -> bool {
         match self {
-            Bucket::One((_, e)) => doomed(e),
+            Bucket::One(e) => doomed(e),
             Bucket::Many(v) => {
-                v.retain(|(_, e)| !doomed(e));
+                v.retain(|e| !doomed(e));
                 v.is_empty()
             }
         }
     }
 
-    fn as_slice(&self) -> &[Installed] {
+    fn as_slice(&self) -> &[FlowEntry] {
         match self {
             Bucket::One(e) => std::slice::from_ref(e),
             Bucket::Many(v) => v,
@@ -165,26 +156,22 @@ impl Bucket {
 struct Tiers([HashMap<TierKey, Bucket, FxBuild>; TIER_COUNT]);
 
 impl Tiers {
-    /// Index the entries of a store nobody has probed yet, each under its
-    /// position as install sequence number: positions ascend exactly as
-    /// scan order does, and every later Add draws a `next_seq` of at least
-    /// `entries.len()` (one Add per entry ever installed since the last
-    /// Clear), so it ranks behind every equal-priority entry indexed here.
+    /// Index the entries of a store nobody has probed yet.
     fn of(entries: &[FlowEntry]) -> Self {
         let mut tiers = Tiers::default();
-        for (at, e) in entries.iter().enumerate() {
-            tiers.insert((at as u64, *e));
+        for e in entries {
+            tiers.insert(*e);
         }
         tiers
     }
 
-    fn insert(&mut self, at: Installed) {
-        let (tier, key) = slot_of(&at.1.m);
+    fn insert(&mut self, e: FlowEntry) {
+        let (tier, key) = slot_of(&e.m);
         match self.0[tier].entry(key) {
             Entry::Vacant(v) => {
-                v.insert(Bucket::One(at));
+                v.insert(Bucket::One(e));
             }
-            Entry::Occupied(mut o) => o.get_mut().insert(at),
+            Entry::Occupied(mut o) => o.get_mut().insert(e),
         }
     }
 
@@ -199,50 +186,84 @@ impl Tiers {
     }
 }
 
+/// What a persisted state keeps of a flow table instead of its entries:
+/// the entry count and a hash of every entry's fields in key order — a
+/// function of the entry multiset. The hash is FNV-1a over fixed-width
+/// little-endian words, written out here rather than `DefaultHasher`,
+/// whose output may change between Rust releases: a digest one build
+/// writes, the next one reads.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct TableDigest {
+    /// Entries in the table.
+    pub entries: u64,
+    /// FNV-1a over every entry's fields, in key order.
+    pub hash: u64,
+}
+
 /// Flow entries in first-match order with their tier index, mutable only
 /// through [`EntryStore::apply`]. Unbounded and counter-free: capacity and
 /// the lookup/miss tallies belong to [`crate::FlowTable`], which wraps one.
 #[derive(Clone, Debug, Default)]
 pub struct EntryStore {
-    /// Entries sorted by descending priority (stable insertion order within
-    /// a priority level — first match wins, as in OpenFlow).
+    /// Entries in key order ([`FlowEntry::order_key`]) — first match wins.
     entries: Vec<FlowEntry>,
-    /// Monotonic install counter; within one priority level, lower seq ==
-    /// installed earlier == wins first (the OpenFlow first-match rule).
-    next_seq: u64,
     /// Tier index over `entries`: unset until the first probe, from then
     /// on patched in lock-step by `apply`.
     tiers: OnceLock<Tiers>,
 }
 
 impl EntryStore {
-    /// Installed entries, highest priority first.
+    /// Installed entries in key order, highest priority first.
     pub fn entries(&self) -> &[FlowEntry] {
         &self.entries
     }
 
-    /// Apply a flow-mod: Add inserts after every entry of greater *or
-    /// equal* priority, Delete removes every entry with exactly this
+    /// This store's [`TableDigest`].
+    pub fn digest(&self) -> TableDigest {
+        // A present value is stored plus one, so `None` (0) differs from
+        // `Some(0)`.
+        let opt = |v: Option<u32>| v.map_or(0, |v| u64::from(v) + 1);
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for e in &self.entries {
+            let m = e.m;
+            let action = match e.action {
+                Action::Output(p) => 1 << 32 | u64::from(p.0),
+                Action::Drop => 2 << 32,
+                Action::WriteMetadataGoto(md) => 3 << 32 | u64::from(md),
+            };
+            let words = [
+                u64::from(e.priority),
+                opt(m.in_port.map(|p| p.0.into())),
+                opt(m.metadata),
+                opt(m.src.map(|a| a.0)),
+                opt(m.dst.map(|a| a.0)),
+                opt(m.l4_src.map(u32::from)),
+                opt(m.l4_dst.map(u32::from)),
+                action,
+            ];
+            for b in words.iter().flat_map(|w| w.to_le_bytes()) {
+                hash = (hash ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        TableDigest { entries: self.entries.len() as u64, hash }
+    }
+
+    /// Apply a flow-mod: Add inserts at the entry's place in key order
+    /// (a binary search), Delete removes every entry with exactly this
     /// (match, priority), Clear removes everything. A tier index that has
     /// been built is patched in the same step — one bucket insert for Add,
     /// one bucket drain for Delete; Clear drops it.
     pub fn apply(&mut self, m: &FlowMod) {
         match m {
             FlowMod::Add(e) => {
-                let at = (self.next_seq, *e);
-                self.next_seq += 1;
-                // Found from the back: no more steps than the insert below
-                // shifts entries, and none for a table installed in order.
-                let behind = |x: &FlowEntry| x.priority >= e.priority;
-                let pos = self.entries.iter().rposition(behind).map_or(0, |p| p + 1);
+                let pos = self.entries.partition_point(|x| x.order_key() < e.order_key());
                 self.entries.insert(pos, *e);
                 if let Some(tiers) = self.tiers.get_mut() {
-                    tiers.insert(at);
+                    tiers.insert(*e);
                 }
             }
             FlowMod::Clear => {
                 self.entries.clear();
-                self.next_seq = 0;
                 self.tiers.take();
             }
             FlowMod::Delete(fm, priority) => {
@@ -254,15 +275,15 @@ impl EntryStore {
         }
     }
 
-    /// The store one [`EntryStore::apply`] of an Add per entry, in order,
-    /// builds from an empty one, without the per-entry insert: the vector
-    /// itself, stably sorted by descending priority (one pass and no move
-    /// for entries already in scan order, as synthesis emits them).
+    /// The store one [`EntryStore::apply`] of an Add per entry, in any
+    /// order, builds from an empty one, without the per-entry insert: the
+    /// vector itself, sorted into key order (one pass and no move for
+    /// entries already in it, as synthesis emits them).
     pub fn from_ordered(mut entries: Vec<FlowEntry>) -> Self {
-        if !entries.is_sorted_by(|a, b| a.priority >= b.priority) {
-            entries.sort_by_key(|e| Reverse(e.priority));
+        if !entries.is_sorted_by_key(FlowEntry::order_key) {
+            entries.sort_unstable_by_key(FlowEntry::order_key);
         }
-        EntryStore { next_seq: entries.len() as u64, entries, tiers: OnceLock::new() }
+        EntryStore { entries, tiers: OnceLock::new() }
     }
 
     /// The entry a packet fires: the first, in scan order, whose match fits
@@ -294,7 +315,7 @@ impl EntryStore {
         F: FnMut(&FlowEntry) -> bool,
     {
         let tiers = self.tiers.get_or_init(|| Tiers::of(&self.entries));
-        let mut best: Option<&Installed> = None;
+        let mut best: Option<&FlowEntry> = None;
         for (tier, map) in tiers.0.iter().enumerate() {
             if map.is_empty()
                 || (tier & TIER_METADATA != 0 && metadata.is_none())
@@ -312,16 +333,16 @@ impl EntryStore {
             );
             let Some(bucket) = map.get(&key) else { continue };
             for c in bucket.as_slice() {
-                if best.is_some_and(|b| rank(c) >= rank(b)) {
-                    break; // ranks ascend — this tier cannot improve
+                if best.is_some_and(|b| c.order_key() >= b.order_key()) {
+                    break; // keys ascend — this tier cannot improve
                 }
-                if pred(&c.1) {
+                if pred(c) {
                     best = Some(c);
                     break;
                 }
             }
         }
-        best.map(|(_, e)| e)
+        best
     }
 }
 
@@ -416,32 +437,84 @@ mod tests {
         assert_eq!(hit.map(|e| e.action), Some(Action::Drop));
     }
 
-    /// `from_ordered` is one Add per entry on an empty store, in scan order
-    /// or out of it: the same entries in the same order, and a later Add of
-    /// an equal priority lands behind all of them in both.
+    /// A digest is a fixed function of the entry multiset: pinned here, so
+    /// a build that hashes differently fails before it reads a digest
+    /// another build wrote; the same for any install order; and moved by
+    /// any one field, `None` against `Some(0)` included.
     #[test]
-    fn from_ordered_is_one_add_per_entry() {
-        let e = |dst: u32, priority: u16| FlowEntry {
-            m: FlowMatch::to_dst(HostAddr(dst)),
+    fn digest_is_a_fixed_function_of_the_entry_set() {
+        let e = |m: FlowMatch, priority: u16, action: Action| FlowEntry { m, priority, action };
+        let entries = vec![
+            e(FlowMatch::on_port(PortNo(3)), 10, Action::WriteMetadataGoto(7)),
+            e(FlowMatch::to_dst(HostAddr(9)).and_metadata(7), 10, Action::Output(PortNo(2))),
+            e(FlowMatch::any().and_metadata(7), 5, Action::Drop),
+        ];
+        let digest = EntryStore::from_ordered(entries.clone()).digest();
+        assert_eq!(digest, TableDigest { entries: 3, hash: 0x9577_0957_546d_e0ab });
+        assert_eq!(store_of(&[entries[2], entries[0], entries[1]]).digest(), digest);
+        assert_eq!(EntryStore::default().digest().entries, 0);
+        let mut moved = entries.clone();
+        moved[0].m.metadata = Some(0);
+        assert_ne!(EntryStore::from_ordered(moved).digest().hash, digest.hash);
+        let mut moved = entries;
+        moved[2].action = Action::Output(PortNo(0));
+        assert_ne!(EntryStore::from_ordered(moved).digest().hash, digest.hash);
+    }
+
+    /// `from_ordered` of any permutation of some entries is one Add per
+    /// entry in any order, byte for byte: a store is its entry multiset.
+    /// The entries hold overlapping equal-priority pairs in three tiers and
+    /// a duplicate, and a later Add and Delete land the same in every
+    /// store.
+    #[test]
+    fn from_ordered_of_any_permutation_is_one_add_per_entry_in_any_order() {
+        let e = |m: FlowMatch, priority: u16, port: u16| FlowEntry {
+            m,
             priority,
-            action: Action::Output(PortNo(dst as u16)),
+            action: Action::Output(PortNo(port)),
         };
-        for adds in [
-            vec![e(1, 20), e(2, 10), e(3, 10), e(4, 5)],
-            vec![e(1, 10), e(2, 20), e(3, 10), e(4, 20), e(5, 5), e(6, 10)],
-        ] {
-            let (mut built, mut installed) =
-                (EntryStore::from_ordered(adds.clone()), store_of(&adds));
-            assert_eq!(built.entries(), installed.entries());
+        let entries = [
+            e(FlowMatch::to_dst(HostAddr(3)), 10, 1),
+            e(FlowMatch::on_port(PortNo(2)), 10, 2),
+            e(FlowMatch::any().and_metadata(4), 10, 3),
+            e(FlowMatch::to_dst(HostAddr(3)), 10, 1),
+            e(FlowMatch::any(), 5, 4),
+            e(FlowMatch::to_dst(HostAddr(3)).and_port(PortNo(2)), 20, 5),
+        ];
+        let later = e(FlowMatch::to_dst(HostAddr(3)).and_metadata(4), 10, 6);
+        let reference = EntryStore::from_ordered(entries.to_vec());
+        assert!(reference.entries().is_sorted_by_key(FlowEntry::order_key));
+        // Every permutation, by Heap's algorithm.
+        let (mut perm, mut c, mut i, mut seen) = (entries, [0usize; 6], 1, 0);
+        loop {
+            let mut built = EntryStore::from_ordered(perm.to_vec());
+            let mut installed = store_of(&perm);
+            assert_eq!(built.entries(), reference.entries(), "{perm:?}");
+            assert_eq!(installed.entries(), reference.entries(), "{perm:?}");
             for s in [&mut built, &mut installed] {
-                s.apply(&FlowMod::Add(e(7, 10)));
-                s.apply(&FlowMod::Delete(FlowMatch::to_dst(HostAddr(3)), 10));
+                s.apply(&FlowMod::Add(later));
+                s.apply(&FlowMod::Delete(FlowMatch::on_port(PortNo(2)), 10));
             }
-            assert_eq!(built.entries(), installed.entries());
-            for dst in 0..8 {
-                let p = pkt(0, 1, dst);
-                assert_eq!(built.lookup(&p, None), installed.lookup(&p, None), "dst={dst}");
+            assert_eq!(built.entries(), installed.entries(), "{perm:?}");
+            let probes = [(2, 3, Some(4)), (2, 3, None), (1, 3, Some(4)), (2, 7, None)];
+            for (in_port, dst, md) in probes {
+                let p = pkt(in_port, 1, dst);
+                let linear = built.entries().iter().find(|e| e.m.matches(&p, md));
+                assert_eq!(built.lookup(&p, md), linear, "{perm:?}");
+                assert_eq!(installed.lookup(&p, md), linear, "{perm:?}");
             }
+            seen += 1;
+            while i < perm.len() && c[i] >= i {
+                c[i] = 0;
+                i += 1;
+            }
+            if i == perm.len() {
+                break;
+            }
+            perm.swap(if i % 2 == 0 { 0 } else { c[i] }, i);
+            c[i] += 1;
+            i = 1;
         }
+        assert_eq!(seen, 720);
     }
 }

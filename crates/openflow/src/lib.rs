@@ -23,7 +23,6 @@
 pub mod control;
 pub mod index;
 pub mod overlap;
-pub mod snap;
 pub mod switch;
 pub mod table;
 
@@ -31,7 +30,7 @@ pub use control::{
     reconcile, table_divergence, BarrierReport, ControlChannel, ControlConfig, Reconciled,
     MAX_RETRIES, RETRY_BACKOFF_BASE_NS, RETRY_BACKOFF_FACTOR,
 };
-pub use index::{EntryStore, FxBuild, FxHasher};
+pub use index::{EntryStore, FxBuild, FxHasher, TableDigest};
 pub use overlap::{table_warnings_indexed, table_warnings_linear};
 pub use switch::{OpenFlowSwitch, PortStats, SwitchConfig};
 pub use table::{

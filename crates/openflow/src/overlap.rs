@@ -26,11 +26,10 @@
 //! never order-dependent with it, so only the first of them matters. That
 //! is one position per entry, noted while the runs are cut — no search.
 //!
-//! A projection lists its fields in [`FlowEntry::order_key`]'s order, so a
-//! table in scan order is already key-ordered within each priority level
-//! and the sort only checks runs (an SDT table is one `{metadata, dst}`
-//! group at one priority: one run). A table a delta has edited — adds
-//! appended behind their priority level — is merely less sorted.
+//! A projection lists its fields in [`FlowEntry::order_key`]'s order, and
+//! every flow table is kept in that order, so the sort only checks runs
+//! (an SDT table is one `{metadata, dst}` group at one priority: one run).
+//! A list in another priority-descending order is merely less sorted.
 
 use crate::table::{shadowed_entries_in, subtract_witness};
 use crate::{FlowEntry, FlowMatch, MatchUniverse, ShadowedEntry};
@@ -172,9 +171,10 @@ impl Runs {
 /// same order, same `covered_by` lists — plus the equal-priority
 /// nondeterminism pairs the verifier reports, from one sweep.
 ///
-/// `entries` must be in flow-table order (descending priority, stable
-/// insertion order within a level), exactly as the linear reference
-/// requires. Returns the shadowed entries and the nondet pairs as
+/// `entries` must be in descending priority, as a flow table keeps them
+/// (key order within a level; any order within a level is scanned the
+/// same way), exactly as the linear reference requires. Returns the
+/// shadowed entries and the nondet pairs as
 /// `(earlier position, later position)` sorted ascending — the order the
 /// nested reference loops produce.
 pub fn table_warnings_indexed(
@@ -365,9 +365,12 @@ mod tests {
         }
     }
 
-    /// What a delta leaves: a table installed in key order, a third of its
-    /// entries deleted, then as many new ones added — each behind every
-    /// entry of its priority level, so levels are no longer key-ordered.
+    /// What a delta left when tables kept install order: a table
+    /// installed in key order, a third of its entries deleted, then as many
+    /// new ones added — each behind every entry of its priority level, so
+    /// levels are no longer key-ordered. A table keeps key order now
+    /// (`EntryStore::apply`, which this list is held to as a set), but the
+    /// scan takes any priority-descending list, as its reference does.
     #[test]
     fn tables_a_delta_left_out_of_key_order_match_linear_reference() {
         let mut next = xorshift(0xde17a);
@@ -380,18 +383,25 @@ mod tests {
             let mut sorted = random_table(&mut next, n, fields);
             sorted.sort_by_key(FlowEntry::order_key);
             let mut store = EntryStore::from_ordered(sorted.clone());
+            let mut entries = sorted.clone();
             for e in sorted.iter().step_by(3) {
                 store.apply(&FlowMod::Delete(e.m, e.priority));
+                entries.retain(|x| (x.m, x.priority) != (e.m, e.priority));
             }
             for e in random_table(&mut next, n / 3, fields) {
                 store.apply(&FlowMod::Add(e));
+                let behind = entries.iter().rposition(|x| x.priority >= e.priority);
+                entries.insert(behind.map_or(0, |p| p + 1), e);
             }
-            let entries = store.entries();
+            let mut keyed = entries.clone();
+            keyed.sort_by_key(FlowEntry::order_key);
+            assert_eq!(store.entries(), keyed, "round {round}");
             unordered += usize::from(!entries.is_sorted_by_key(FlowEntry::order_key));
-            assert_agrees(entries, &universe, &format!("round {round}"));
-            assert_agrees(entries, &MatchUniverse::unbounded(), &format!("round {round} unb"));
+            assert_agrees(&entries, &universe, &format!("round {round}"));
+            assert_agrees(&entries, &MatchUniverse::unbounded(), &format!("round {round} unb"));
+            assert_agrees(store.entries(), &universe, &format!("round {round} keyed"));
         }
-        assert_eq!(unordered, 4, "every edited table is out of key order");
+        assert_eq!(unordered, 4, "every edited list is out of key order");
     }
 
     /// The same match at several priority levels: each later copy is

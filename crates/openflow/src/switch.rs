@@ -14,7 +14,7 @@
 //! isolation between co-deployed topologies (§VI-B).
 
 use crate::index::EntryStore;
-use crate::table::{Action, FlowEntry, FlowMod, FlowTable, PacketMeta, TableError};
+use crate::table::{Action, FlowMod, FlowTable, PacketMeta, TableError};
 use crate::PortNo;
 use std::sync::Arc;
 
@@ -141,29 +141,6 @@ impl OpenFlowSwitch {
         }
     }
 
-    /// Rebuild the pipeline from a snapshot: wipe both tables, then adopt
-    /// `t0`/`t1` as installed in the given order
-    /// ([`EntryStore::from_ordered`]) — which must be the live first-match
-    /// order the dump was taken in ([`crate::snap::encode_entries`]
-    /// preserves it), so equal-priority insertion-order tie-breaks
-    /// reproduce exactly. Fails with
-    /// [`TableError::TableFull`] — leaving the pipeline cleared — if the
-    /// dump exceeds this switch's capacity, i.e. the snapshot belongs to a
-    /// bigger switch model.
-    pub fn restore_tables(
-        &mut self,
-        t0: &[FlowEntry],
-        t1: &[FlowEntry],
-    ) -> Result<(), TableError> {
-        self.clear_tables();
-        let store = |t: &[FlowEntry]| Arc::new(EntryStore::from_ordered(t.to_vec()));
-        let done = self.adopt(0, store(t0)).and_then(|()| self.adopt(1, store(t1)));
-        if done.is_err() {
-            self.clear_tables();
-        }
-        done
-    }
-
     /// Dataplane forwarding: count the packet in, run the pipeline, count it
     /// out. Returns the egress port, or `None` when dropped (explicit Drop,
     /// or a miss in either table — SDT treats misses as drops to guarantee
@@ -173,9 +150,9 @@ impl OpenFlowSwitch {
             Some(Action::WriteMetadataGoto(md)) => self.t1.lookup_with(meta, Some(md)),
             other => other,
         };
-        // A restored snapshot can name any `u16` port: an ingress this
-        // switch does not have is not counted, and an egress it does not
-        // have is a drop (the verifier's `DropReason::Unwired`).
+        // An entry can name any `u16` port: an ingress this switch does
+        // not have is not counted, and an egress it does not have is a
+        // drop (the verifier's `DropReason::Unwired`).
         if let Some(rx) = self.port_stats.get_mut(meta.in_port.idx()) {
             rx.rx_bytes += bytes;
             rx.rx_packets += 1;
@@ -331,37 +308,14 @@ mod tests {
         assert_eq!(sw.table(1).entries_copied(), 0);
     }
 
-    #[test]
-    fn restore_reproduces_entries() {
-        let mut sw = OpenFlowSwitch::new(0, SwitchConfig::x64_100g());
-        // Two equal-priority entries whose relative order is the tie-break.
-        add(&mut sw, 0, FlowMatch::on_port(PortNo(0)), 5, Action::WriteMetadataGoto(1));
-        add(&mut sw, 1, FlowMatch::to_dst(HostAddr(7)), 3, Action::Output(PortNo(2)));
-        add(&mut sw, 1, FlowMatch::to_dst(HostAddr(8)), 3, Action::Drop);
-        let t0 = sw.table(0).entries().to_vec();
-        let t1 = sw.table(1).entries().to_vec();
-
-        let mut fresh = OpenFlowSwitch::new(0, SwitchConfig::x64_100g());
-        fresh.restore_tables(&t0, &t1).unwrap();
-        assert_eq!(fresh.table(0).entries(), &t0[..]);
-        assert_eq!(fresh.table(1).entries(), &t1[..]);
-
-        // A dump too big for the model fails cleanly.
-        let mut tiny = OpenFlowSwitch::new(
-            0,
-            SwitchConfig { num_ports: 8, port_gbps: 10, table_capacity: 2 },
-        );
-        assert!(tiny.restore_tables(&t0, &t1).is_err());
-        assert_eq!(tiny.total_entries(), 0, "a failed restore leaves the pipeline cleared");
-    }
-
-    /// `snap::decode_entry` accepts any `u16` port, so a restored table can
-    /// hold a rule the switch model has no port for.
+    /// A table can hold a rule the switch model has no port for: an
+    /// adopted store is checked for size, not for ports.
     #[test]
     fn forward_survives_restored_out_of_range_ports() {
         let mut sw = OpenFlowSwitch::new(0, SwitchConfig::x64_100g());
-        let rule = crate::snap::decode_entry("5|*|out:65000").unwrap();
-        sw.restore_tables(&[rule], &[]).unwrap();
+        let rule =
+            FlowEntry { m: FlowMatch::any(), priority: 5, action: Action::Output(PortNo(65000)) };
+        sw.adopt(0, Arc::new(EntryStore::from_ordered(vec![rule]))).unwrap();
         assert_eq!(sw.forward(&pkt(1, 9), 100), None, "no such egress: dropped");
         assert_eq!(sw.port_stats(PortNo(1)).rx_packets, 1);
         assert_eq!(sw.forward(&pkt(40_000, 9), 100), None, "no such ingress either");

@@ -158,9 +158,9 @@ pub struct FlowEntry {
 impl FlowEntry {
     /// The one total order on entries: priority descending (scan order),
     /// then `in_port`, `metadata`, `dst`, `src`, `l4_src`, `l4_dst`, then
-    /// action. Synthesis emits every table in it, a table installed from
-    /// one is kept in it, and the table diff and the epoch's delete/add
-    /// pairing merge along it.
+    /// action. Every table keeps its entries in it, whatever order they
+    /// were installed in ([`EntryStore::apply`]), and the table diff and
+    /// the epoch's delete/add pairing merge along it.
     pub fn order_key(&self) -> impl Ord {
         (self.m.order_key(self.priority), self.action)
     }
@@ -264,8 +264,8 @@ impl Clone for FlowTable {
             // Relaxed: a clone takes a point-in-time sample of each
             // counter independently. Cloning a table that is concurrently
             // being probed may catch `lookups` and `misses` from slightly
-            // different instants, which is fine — snapshots (and the
-            // restore path built on them) carry entries, not tallies.
+            // different instants, which is fine — nothing reads the two
+            // tallies as one consistent pair.
             lookups: AtomicU64::new(self.lookups.load(Ordering::Relaxed)),
             misses: AtomicU64::new(self.misses.load(Ordering::Relaxed)),
         }
@@ -344,14 +344,14 @@ impl FlowTable {
 
     /// Highest-priority matching action, or `None` on a table miss.
     ///
-    /// Within a priority level the table is **first-match-wins in insertion
-    /// order**: [`EntryStore::apply`] inserts each entry after every existing
-    /// entry of greater *or equal* priority, and lookup resolves in that
-    /// order, so the earliest-installed of two equal-priority overlapping
-    /// entries fires. This mirrors OpenFlow, where overlapping same-priority
-    /// rules leave behaviour switch-defined — deterministic here, but
-    /// dependent on install order, which is why the static verifier flags
-    /// such pairs as nondeterminism warnings.
+    /// Within a priority level the table is **first-match-wins in key
+    /// order** ([`FlowEntry::order_key`]): [`EntryStore::apply`] keeps the
+    /// entries in it, and lookup resolves in it, so of two equal-priority
+    /// overlapping entries the one whose match sorts first fires, whatever
+    /// order they were installed in. OpenFlow leaves overlapping
+    /// same-priority rules switch-defined — a function of the entry set
+    /// here, but not one a real switch promises, which is why the static
+    /// verifier flags such pairs as nondeterminism warnings.
     pub fn lookup(&self, meta: &PacketMeta) -> Option<Action> {
         self.lookup_with(meta, None)
     }
@@ -681,7 +681,7 @@ pub(crate) fn each_absent(
     mut visit: impl FnMut(bool, usize) -> bool,
 ) -> usize {
     // One comparison per element on a side already in entry order — every
-    // synthesized and every freshly installed table.
+    // table's entries.
     let in_order = |side: &[FlowEntry]| {
         let mut at: Vec<usize> = (0..side.len()).collect();
         at.sort_unstable_by_key(|&i| side[i].order_key());
@@ -1052,40 +1052,43 @@ mod tests {
         assert_eq!(s.misses % 2, 0);
     }
 
-    /// The index preserves install-order stability within a priority level
-    /// even when the equal-priority entries live in different tiers.
+    /// The index resolves a priority level in key order even when the
+    /// equal-priority entries live in different tiers: installed in either
+    /// order, the dst-tier entry (no `in_port`, which sorts first) wins, and
+    /// once it is deleted the port-tier entry does — each tier wins once.
     #[test]
-    fn indexed_first_match_is_install_order_stable_across_tiers() {
-        let mut t = FlowTable::new(32);
-        // Non-matching higher-priority entries ahead of the pair.
-        for dst in 100..110u32 {
-            t.apply(FlowMod::Add(FlowEntry {
-                m: FlowMatch::to_dst(HostAddr(dst)),
-                priority: 50,
-                action: Action::Drop,
-            }))
-            .unwrap();
-        }
-        // Same priority, overlapping matches, different tiers: the
-        // port-tier entry installed first must win over the dst-tier one.
-        t.apply(FlowMod::Add(FlowEntry {
+    fn indexed_first_match_follows_key_order_across_tiers() {
+        let by_port = FlowEntry {
             m: FlowMatch::on_port(PortNo(1)),
             priority: 5,
             action: Action::Output(PortNo(8)),
-        }))
-        .unwrap();
-        t.apply(FlowMod::Add(FlowEntry {
+        };
+        let by_dst = FlowEntry {
             m: FlowMatch::to_dst(HostAddr(9)),
             priority: 5,
             action: Action::Output(PortNo(9)),
-        }))
-        .unwrap();
-        let p = meta(1, 0, 9);
-        assert_eq!(t.lookup(&p), Some(Action::Output(PortNo(8))));
-        assert_eq!(t.lookup(&p), t.linear_lookup_with(&p, None));
-        // Delete the winner: the dst-tier entry takes over.
-        t.apply(FlowMod::Delete(FlowMatch::on_port(PortNo(1)), 5)).unwrap();
-        assert_eq!(t.lookup(&p), Some(Action::Output(PortNo(9))));
+        };
+        for pair in [[by_port, by_dst], [by_dst, by_port]] {
+            let mut t = FlowTable::new(32);
+            // Non-matching higher-priority entries ahead of the pair.
+            for dst in 100..110u32 {
+                t.apply(FlowMod::Add(FlowEntry {
+                    m: FlowMatch::to_dst(HostAddr(dst)),
+                    priority: 50,
+                    action: Action::Drop,
+                }))
+                .unwrap();
+            }
+            for e in pair {
+                t.apply(FlowMod::Add(e)).unwrap();
+            }
+            let p = meta(1, 0, 9);
+            assert_eq!(t.lookup(&p), Some(Action::Output(PortNo(9))));
+            assert_eq!(t.lookup(&p), t.linear_lookup_with(&p, None));
+            t.apply(FlowMod::Delete(by_dst.m, 5)).unwrap();
+            assert_eq!(t.lookup(&p), Some(Action::Output(PortNo(8))));
+            assert_eq!(t.lookup(&p), t.linear_lookup_with(&p, None));
+        }
     }
 
     #[test]

@@ -107,7 +107,7 @@ impl DaemonState {
     }
 
     /// Recover a killed daemon from its snapshot file: decode, rebuild
-    /// the cluster, re-install the live tables, re-admit the slices.
+    /// the cluster, re-admit the slices, re-derive the tables they install.
     pub fn from_snapshot_file(path: &Path) -> Result<DaemonState, String> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("{}: {e}", path.display()))?;

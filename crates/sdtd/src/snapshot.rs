@@ -2,15 +2,15 @@
 //!
 //! The snapshot is the daemon's crash-recovery story: after every mutating
 //! batch the engine serializes its whole world — cluster spec, tenancy
-//! bookkeeping, every slice's decisions, and the live flow tables — and
-//! replaces the state file with [`write_atomic`] *before* acknowledging
-//! the batch. Once that returns, the new file survives `kill -9` and,
-//! because both the file and its directory entry are fsynced, power loss
-//! too; a crash at any earlier instant leaves the previous file whole. So
-//! while writes succeed, a crash loses at most un-acknowledged work (a
-//! failed write is logged and the batch still acknowledged — see the
-//! daemon's durability contract); restart reloads the file and continues
-//! serving.
+//! bookkeeping, every slice's decisions, and a digest of every live flow
+//! table — and replaces the state file with [`write_atomic`] *before*
+//! acknowledging the batch. Once that returns, the new file survives
+//! `kill -9` and, because both the file and its directory entry are
+//! fsynced, power loss too; a crash at any earlier instant leaves the
+//! previous file whole. So while writes succeed, a crash loses at most
+//! un-acknowledged work (a failed write is logged and the batch still
+//! acknowledged — see the daemon's durability contract); restart reloads
+//! the file and continues serving.
 //!
 //! What is stored, and why — a snapshot stores decisions, not their
 //! consequences:
@@ -37,23 +37,25 @@
 //!   topology. A change to what synthesis or the namespace remap emits
 //!   for a placement therefore changes restored slices, and bumps
 //!   [`SNAPSHOT_VERSION`].
-//! * **live table dumps, verbatim** — the flow tables are the ground
-//!   truth the verifier proves things about, and the one place a flow
-//!   entry is written. They are re-applied entry by entry on restore,
-//!   must hold per switch and table exactly the entries the re-derived
-//!   slices install, and are re-proven once.
+//! * **a digest per switch and table, not the entries** — a table keeps
+//!   its entries in key order, so it is a function of its entry set, and
+//!   the live tables hold exactly the entries the slices install. Restore
+//!   rebuilds each table as the merge of its slices' re-derived entries
+//!   and refuses, by switch and table, one whose digest
+//!   ([`sdt_openflow::TableDigest`]: entry count and a fixed hash) is not
+//!   the stored one; the restored tables are re-proven once.
 //!
-//! Encoding uses [`Json`]'s deterministic emitter and the flow-entry text
-//! codec from [`sdt_openflow::snap`]; map-typed placement fields are
-//! key-sorted. Equal states therefore encode to equal bytes, giving the
-//! tested property: snapshot → restore → re-snapshot is byte-identical.
+//! Encoding uses [`Json`]'s deterministic emitter; map-typed placement
+//! fields are key-sorted. Equal states therefore encode to equal bytes,
+//! giving the tested property: snapshot → restore → re-snapshot is
+//! byte-identical.
 
 use sdt_controller::config::{check_cluster, wire_cluster};
 use sdt_controller::routing::routes;
 use sdt_controller::{model_by_name, model_config_name, Json, TestbedConfig};
 use sdt_core::cluster::{PhysLink, PhysPort, PhysicalCluster};
 use sdt_core::sdt::Placement;
-use sdt_openflow::{snap, FlowEntry, PortNo};
+use sdt_openflow::{PortNo, TableDigest};
 use sdt_tenancy::{ManagerExport, SliceId, SliceManager, SliceRecord};
 use sdt_topology::{HostId, LinkId};
 use std::collections::{BTreeMap, HashMap};
@@ -64,7 +66,7 @@ use std::path::Path;
 /// Current snapshot format version. Bump on any incompatible change —
 /// including a change to what a stored placement realizes to; the decoder
 /// refuses other versions by name instead of misreading them.
-pub const SNAPSHOT_VERSION: u64 = 2;
+pub const SNAPSHOT_VERSION: u64 = 3;
 
 /// Why a snapshot failed to encode, decode, or restore.
 #[derive(Clone, Debug)]
@@ -157,7 +159,7 @@ impl Snapshot {
     /// Rebuild a live manager (and the per-slice config map) from this
     /// snapshot. All-or-nothing: any inconsistency — unknown model,
     /// unparsable config, a placement the cluster or topology does not
-    /// have, table dumps that are not the entries the slices derive —
+    /// have, tables whose re-derived entries miss their digests —
     /// rejects the whole restore with the reason named.
     pub fn restore(&self) -> Result<(SliceManager, BTreeMap<u32, String>), SnapshotError> {
         let cluster = self.cluster.build()?;
@@ -195,13 +197,11 @@ impl Snapshot {
             ("next_addr", Json::u64(st.next_addr.into())),
             ("slices", Json::Arr(st.slices.iter().map(slice_json).collect())),
             (
-                "tables",
+                "digests",
                 Json::Arr(
-                    st.tables
+                    st.digests
                         .iter()
-                        .map(|(t0, t1)| {
-                            Json::obj([("t0", entries_json(t0)), ("t1", entries_json(t1))])
-                        })
+                        .map(|[t0, t1]| Json::Arr(vec![digest_json(t0), digest_json(t1)]))
                         .collect(),
                 ),
             ),
@@ -235,15 +235,15 @@ impl Snapshot {
             .iter()
             .map(slice_from)
             .collect::<Result<Vec<_>, _>>()?;
-        let tables = doc
-            .member("tables")?
-            .want_arr("tables")?
+        let digests = doc
+            .member("digests")?
+            .want_arr("digests")?
             .iter()
-            .map(|t| {
-                Ok((
-                    entries_from(t.member("t0")?, "tables.t0")?,
-                    entries_from(t.member("t1")?, "tables.t1")?,
-                ))
+            .map(|sw| {
+                let [t0, t1] = sw.want_arr("digests")? else {
+                    return Err(bad("digests: expected [table 0, table 1] per switch"));
+                };
+                Ok([digest_from(t0)?, digest_from(t1)?])
             })
             .collect::<Result<Vec<_>, SnapshotError>>()?;
         let state = ManagerExport {
@@ -251,7 +251,7 @@ impl Snapshot {
             next_id: doc.member("next_id")?.want_u32("next_id")?,
             next_metadata: doc.member("next_metadata")?.want_u32("next_metadata")?,
             next_addr: doc.member("next_addr")?.want_u32("next_addr")?,
-            tables,
+            digests,
         };
         Ok(Snapshot { cluster, require_deadlock_free, state })
     }
@@ -295,17 +295,18 @@ fn port_from(j: &Json, what: &str) -> Result<PhysPort, SnapshotError> {
     })
 }
 
-fn entries_json(entries: &[FlowEntry]) -> Json {
-    Json::Arr(snap::encode_entries(entries).into_iter().map(Json::Str).collect())
+fn digest_json(d: &TableDigest) -> Json {
+    Json::Arr(vec![Json::u64(d.entries), Json::u64(d.hash)])
 }
 
-fn entries_from(j: &Json, what: &str) -> Result<Vec<FlowEntry>, SnapshotError> {
-    j.want_arr(what)?
-        .iter()
-        .map(|l| {
-            snap::decode_entry(l.want_str(what)?).map_err(|e| bad(format!("{what}: {e}")))
-        })
-        .collect()
+fn digest_from(j: &Json) -> Result<TableDigest, SnapshotError> {
+    let [entries, hash] = j.want_arr("digest")? else {
+        return Err(bad("digest: expected [entries, hash]"));
+    };
+    Ok(TableDigest {
+        entries: entries.want_u64("digest entries")?,
+        hash: hash.want_u64("digest hash")?,
+    })
 }
 
 fn slice_json(s: &SliceRecord<String>) -> Json {
@@ -429,16 +430,17 @@ mod tests {
     #[test]
     fn version_mismatch_refused_by_name() {
         // A version-1 file (every slice's pipelines stored beside the live
-        // tables) is refused like a future one: there is one reader.
+        // tables) and a version-2 one (the live tables' entries) are
+        // refused like a future one: there is one reader.
         let (spec, ctl, configs) = populated();
         let text = Snapshot::capture(&spec, true, ctl.manager(), &configs).unwrap().encode();
-        for v in [1, 9] {
-            let old = text.replacen("\"version\":2", &format!("\"version\":{v}"), 1);
+        for v in [1, 2, 9] {
+            let old = text.replacen("\"version\":3", &format!("\"version\":{v}"), 1);
             let e = match Snapshot::decode(&old) {
                 Err(e) => e,
                 Ok(_) => panic!("version {v} must be refused"),
             };
-            assert!(e.to_string().contains(&format!("version {v} (this build reads 2)")), "{e}");
+            assert!(e.to_string().contains(&format!("version {v} (this build reads 3)")), "{e}");
         }
     }
 
@@ -514,7 +516,8 @@ mod tests {
         let text = Snapshot::capture(&spec, true, ctl.manager(), &configs).unwrap().encode();
         for port in [5, 7] {
             let e = restore_refusal(&text, "[0,0,[1,15]]", &format!("[0,0,[1,{port}]]"));
-            let why = "slice-0: switch 1 table 0 lacks entries it derives";
+            let why = "switch 1 table 0: the slices' entries do not match the digest \
+                       (slices with entries there: slice-0, slice-1)";
             assert!(e.contains(why), "{port}: {e}");
         }
     }
@@ -531,17 +534,23 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_entry_names_the_record() {
+    fn changed_digest_is_refused_by_switch_and_table() {
+        // The file holds a digest per switch and table, not entries: one
+        // that is not what the slices re-derive is refused by its place.
         let (spec, ctl, configs) = populated();
-        let text = Snapshot::capture(&spec, true, ctl.manager(), &configs)
-            .unwrap()
-            .encode()
-            .replacen("|out:", "|warp:", 1);
-        let e = match Snapshot::decode(&text) {
-            Err(e) => e,
-            Ok(_) => panic!("corrupt record must be refused"),
-        };
-        assert!(e.to_string().contains("warp"), "{e}");
+        let snap = Snapshot::capture(&spec, true, ctl.manager(), &configs).unwrap();
+        let text = snap.encode();
+        let [_, t1] = snap.state.digests[1];
+        let from = format!("[{},{}]]", t1.entries, t1.hash);
+        for to in [
+            format!("[{},{}]]", t1.entries + 1, t1.hash),
+            format!("[{},{}]]", t1.entries, t1.hash ^ 1),
+        ] {
+            let e = restore_refusal(&text, &from, &to);
+            let why = "switch 1 table 1: the slices' entries do not match the digest \
+                       (slices with entries there: slice-0, slice-1)";
+            assert!(e.contains(why), "{to}: {e}");
+        }
     }
 
     #[test]

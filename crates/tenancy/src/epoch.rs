@@ -14,9 +14,11 @@
 //!
 //! 1. **adds, table 1** — new routing entries become matchable before
 //!    any port steers to them;
-//! 2. **adds, table 0** — new classify entries land *behind* the old ones
-//!    (same priority, stable insertion order), so the old pipeline keeps
-//!    winning first-match until step 3;
+//! 2. **adds, table 0** — new classify entries, each on a port no
+//!    surviving entry classifies: a table-0 entry keys on its ingress port
+//!    alone, so a port's reclassification shares its old entry's (match,
+//!    priority) key and rides that entry's delete (below), and the old
+//!    pipeline keeps every port it still classifies until step 3;
 //! 3. **deletes, table 0** — removing an old classify entry is the
 //!    per-port atomic cutover to the already-installed new pipeline;
 //! 4. **deletes, table 1** — only then is the old routing state garbage

@@ -39,12 +39,15 @@ use sdt_core::sdt::{
     FailedResources, Placement, ProjectOptions, ProjectionError, SdtProjection, SdtProjector,
 };
 use sdt_core::synthesis::{SynthesisOutput, Table};
-use sdt_openflow::{Action, FlowEntry, FlowMod, HostAddr, OpenFlowSwitch, SwitchConfig};
+use sdt_openflow::{
+    Action, EntryStore, FlowEntry, FlowMod, HostAddr, OpenFlowSwitch, SwitchConfig, TableDigest,
+};
 use sdt_routing::RouteTable;
 use sdt_topology::{HostId, SwitchId, Topology};
 use sdt_verify::{Intent, TableView, Verifier, VerifyStats};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of an admitted slice. Ids are never reused.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
@@ -184,8 +187,9 @@ pub struct ManagerExport<R = (Topology, RouteTable)> {
     pub next_metadata: u32,
     /// Next free host-address namespace base.
     pub next_addr: u32,
-    /// Per switch: live `(table 0, table 1)` entries in first-match order.
-    pub tables: Vec<(Vec<FlowEntry>, Vec<FlowEntry>)>,
+    /// Per switch: the digests of the live tables 0 and 1. Restore
+    /// re-derives the tables from the slices and holds them to these.
+    pub digests: Vec<[TableDigest; 2]>,
 }
 
 impl<R> ManagerExport<R> {
@@ -204,7 +208,7 @@ impl<R> ManagerExport<R> {
             next_id: self.next_id,
             next_metadata: self.next_metadata,
             next_addr: self.next_addr,
-            tables: self.tables,
+            digests: self.digests,
         })
     }
 }
@@ -992,8 +996,8 @@ impl SliceManager {
     /// separately.
     ///
     /// If the combined proof fails, the segment is rolled back exactly
-    /// (switch banks are cloned up front — sequence numbers included) and
-    /// re-run through [`SliceManager::apply_one`], whose per-operation
+    /// (switch banks are cloned up front) and re-run through
+    /// [`SliceManager::apply_one`], whose per-operation
     /// gate attributes the named [`AdmissionError`] to the culprit(s) and
     /// admits the innocent. The slow path costs more than plain sequential
     /// submission, but only fires when a batch actually contains a
@@ -1060,9 +1064,9 @@ impl SliceManager {
             return fast;
         }
 
-        // Slow path: exact rollback (clones preserve sequence numbers, so
-        // the restored bank is bit-identical), then sequential re-run with
-        // per-operation proofs to name the culprit(s).
+        // Slow path: exact rollback (the restored bank is the clone, bit
+        // for bit), then sequential re-run with per-operation proofs to
+        // name the culprit(s).
         self.switches = saved_switches;
         self.slices = saved_slices;
         (self.next_id, self.next_metadata, self.next_addr) = saved_counters;
@@ -1071,8 +1075,8 @@ impl SliceManager {
     }
 
     /// Dump the manager's mutable state for persistence: what admission
-    /// decided for each slice, namespace counters, and the live per-switch
-    /// tables in first-match order. The physical cluster itself is wiring,
+    /// decided for each slice, namespace counters, and the digests of the
+    /// live per-switch tables. The physical cluster itself is wiring,
     /// not state — the caller persists its build parameters and hands an
     /// identically wired cluster back to [`SliceManager::restore`].
     pub fn export(&self) -> ManagerExport {
@@ -1095,12 +1099,10 @@ impl SliceManager {
             next_id: self.next_id,
             next_metadata: self.next_metadata,
             next_addr: self.next_addr,
-            tables: self
+            digests: self
                 .switches
                 .iter()
-                .map(|sw| {
-                    (sw.table(0).entries().to_vec(), sw.table(1).entries().to_vec())
-                })
+                .map(|sw| [sw.table(0).store().digest(), sw.table(1).store().digest()])
                 .collect(),
         }
     }
@@ -1109,29 +1111,26 @@ impl SliceManager {
     /// cluster. Each slice is rebuilt from its record the way admission
     /// built it ([`SdtProjector::realize`], then [`remap_synthesis`]), once
     /// its placement is checked against the cluster and its topology
-    /// ([`Placement::check`]) and its namespace against the counters. The
-    /// live tables are re-installed entry by entry in dump order
-    /// (reproducing equal-priority tie-breaks exactly) and must hold, per
-    /// switch and table, exactly the entries the slices re-derive. The
-    /// first proof after a restore is a full [`Verifier::check`] pass. The restored
-    /// manager's verifiable behavior — admission decisions, verify
-    /// findings, audit results — is byte-identical to the exporter's.
+    /// ([`Placement::check`]) and its namespace against the counters. Each
+    /// switch's tables are then the merge of its slices' installed tables
+    /// in key order — what the live tables hold, since a table is its
+    /// entry set — and must match the export's digests; a table that does
+    /// not is refused by switch and table, naming the slices with entries
+    /// there. The first proof after a restore is a full
+    /// [`Verifier::check`] pass. The restored manager's verifiable
+    /// behavior — admission decisions, verify findings, audit results — is
+    /// byte-identical to the exporter's.
     pub fn restore(
         cluster: PhysicalCluster,
         export: ManagerExport,
     ) -> Result<SliceManager, RestoreError> {
         let mut mgr = SliceManager::new(cluster);
-        if export.tables.len() != mgr.switches.len() {
+        if export.digests.len() != mgr.switches.len() {
             return Err(RestoreError(format!(
-                "dump has {} switch table(s), cluster has {} switch(es)",
-                export.tables.len(),
+                "dump has {} switch digest(s), cluster has {} switch(es)",
+                export.digests.len(),
                 mgr.switches.len()
             )));
-        }
-        for (sw, (t0, t1)) in export.tables.iter().enumerate() {
-            mgr.switches[sw]
-                .restore_tables(t0, t1)
-                .map_err(|e| RestoreError(format!("switch {sw}: {e}")))?;
         }
         // A namespace covers its topology and lies below the counters that
         // allocated it, as `plan` leaves it: then remapping cannot overflow.
@@ -1154,32 +1153,25 @@ impl SliceManager {
                 .map_err(|e| RestoreError(format!("{id}: {e}")))?;
             slices.insert(id.0, slice);
         }
-        // The live tables are ground truth: per switch and table they hold
-        // exactly the entries the slices re-derive. A slice that realizes
-        // an entry the tables lack is refused by name, any other difference
-        // (an orphan, a doubled entry) by switch and table.
         fn installed(s: &Slice, t: usize, sw: usize) -> &[FlowEntry] {
             &[&s.installed.table0, &s.installed.table1][t][sw]
         }
-        for (sw, (t0, t1)) in export.tables.iter().enumerate() {
-            for (t, live) in [t0, t1].into_iter().enumerate() {
-                let mut live = live.clone();
-                let mut derived: Vec<FlowEntry> =
-                    slices.values().flat_map(|s| installed(s, t, sw).iter().copied()).collect();
-                live.sort_unstable_by_key(FlowEntry::order_key);
-                derived.sort_unstable_by_key(FlowEntry::order_key);
-                if live == derived {
-                    continue;
+        for (sw, digests) in export.digests.iter().enumerate() {
+            for (t, want) in digests.iter().enumerate() {
+                let entries = slices.values().flat_map(|s| installed(s, t, sw).iter().copied());
+                let store = EntryStore::from_ordered(entries.collect());
+                if store.digest() != *want {
+                    let there = slices.values().filter(|s| !installed(s, t, sw).is_empty());
+                    let there: Vec<String> = there.map(|s| s.id.to_string()).collect();
+                    return Err(RestoreError(format!(
+                        "switch {sw} table {t}: the slices' entries do not match the digest \
+                         (slices with entries there: {})",
+                        if there.is_empty() { "none".to_string() } else { there.join(", ") }
+                    )));
                 }
-                let key = FlowEntry::order_key;
-                let lacks = |s: &&Slice| {
-                    let mut es = installed(s, t, sw).iter();
-                    es.any(|e| live.binary_search_by_key(&key(e), key).is_err())
-                };
-                return Err(RestoreError(match slices.values().find(lacks) {
-                    Some(s) => format!("{}: switch {sw} table {t} lacks entries it derives", s.id),
-                    None => format!("switch {sw} table {t}: entries differ from the slices'"),
-                }));
+                mgr.switches[sw]
+                    .adopt(t as u8, Arc::new(store))
+                    .map_err(|e| RestoreError(format!("switch {sw}: {e}")))?;
             }
         }
         mgr.slices = slices;
@@ -1587,14 +1579,36 @@ mod tests {
             .build();
         assert!(SliceManager::restore(one, export.clone()).is_err());
 
-        // Orphan entries: a dump whose tables hold more than the slices own.
+        // Orphan entries: a dump whose tables hold more than the slices own,
+        // refused by switch and table.
         let mut orphaned = export.clone();
         orphaned.slices.clear();
         let err = match SliceManager::restore(small_cluster(), orphaned) {
             Err(e) => e,
             Ok(_) => panic!("orphaned dump must be rejected"),
         };
-        assert!(err.to_string().contains("entries"), "{err}");
+        let why = "switch 0 table 0: the slices' entries do not match the digest \
+                   (slices with entries there: none)";
+        assert!(err.to_string().contains(why), "{err}");
+    }
+
+    /// The export digests the live tables, not what the slices derive: an
+    /// entry written behind the manager's back is refused on restore, by
+    /// switch and table, naming the slice with entries there.
+    #[test]
+    fn restore_refuses_live_tables_the_slices_do_not_derive() {
+        let mut mgr = SliceManager::new(small_cluster());
+        mgr.create("a", &chain(4), default_routes(&chain(4))).unwrap();
+        let e = *mgr.switches()[0].table(1).entries().first().unwrap();
+        let stray = FlowEntry { m: e.m.and_port(sdt_openflow::PortNo(1)), ..e };
+        mgr.switches_mut()[0].apply(1, FlowMod::Add(stray)).unwrap();
+        let err = match SliceManager::restore(small_cluster(), mgr.export()) {
+            Err(e) => e,
+            Ok(_) => panic!("a stray live entry must be refused"),
+        };
+        let why = "switch 0 table 1: the slices' entries do not match the digest \
+                   (slices with entries there: slice-0)";
+        assert!(err.to_string().contains(why), "{err}");
     }
 
     #[test]

@@ -186,10 +186,14 @@ fn observable(mgr: &mut SliceManager) -> String {
             format!("{:?} {:?} {:?}", sw.all_port_stats(), sw.table(0).stats(), sw.table(1).stats())
         })
         .collect();
+    let tables: Vec<String> = mgr
+        .switches()
+        .iter()
+        .map(|sw| format!("{:?} {:?}", sw.table(0).entries(), sw.table(1).entries()))
+        .collect();
     let ex = mgr.export();
     format!(
-        "{:?} {counters:?} {:?} {} {} {} {:?}",
-        ex.tables,
+        "{tables:?} {counters:?} {:?} {} {} {} {:?}",
         ex.slices,
         ex.next_id,
         ex.next_metadata,

@@ -217,19 +217,20 @@ impl std::fmt::Display for ShadowFinding {
     }
 }
 
-/// Two equal-priority rules with overlapping but non-identical matches:
-/// which one fires depends on installation order. Deterministic in this
-/// model (first match wins), but OpenFlow leaves it switch-defined, so the
-/// verifier flags it.
+/// Two equal-priority rules with overlapping but non-identical matches.
+/// Deterministic in this model — first match wins in key order, a
+/// function of the entry set, so a restored table decides it the same way
+/// — but OpenFlow leaves it switch-defined, so the verifier flags it as a
+/// warning.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NondetFinding {
     /// Switch holding the pair.
     pub switch: u32,
     /// Table holding the pair.
     pub table: u8,
-    /// The earlier-installed rule (the one that wins here).
+    /// The rule first in key order (the one that wins here).
     pub first: FlowEntry,
-    /// The later-installed overlapping rule.
+    /// The overlapping rule after it in key order.
     pub second: FlowEntry,
 }
 

@@ -678,7 +678,8 @@ mod tests {
     /// value sets (`spread` addresses per field), so that they overlap at
     /// equal priority all the time: metadata and destination wildcards,
     /// merged defaults, `src` and L4 tests, unsteered metadata, bad gotos.
-    /// Switch 3 routes nothing. Installed in generation order, or reversed.
+    /// Switch 3 routes nothing. Installed in generation order, or reversed
+    /// (the same table either way: a table keeps key order).
     fn random_tables(seed: u64, rules: usize, spread: u32, reversed: bool) -> (PhysicalCluster, TableView) {
         let mut rng = StdRng::seed_from_u64(seed);
         let at = |switch: u32, port: u16| PhysPort { switch, port: PortNo(port) };

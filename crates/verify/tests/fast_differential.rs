@@ -355,34 +355,38 @@ fn rules_testing_src_fast_equals_plain_equals_scratch() {
 }
 
 #[test]
-fn catch_all_and_equal_priority_routes_break_ties_by_install_order() {
+fn catch_all_and_equal_priority_routes_break_ties_by_key_order() {
     // Switch 3 loses its exact route to host 5 and gets two overlapping
-    // rules of the routes' own priority instead — one on the destination
+    // rules of one priority instead, just below the routes' (so the
+    // metadata rule steals no other destination) — one on the destination
     // alone, one on the metadata alone — over a catch-all drop. Whichever
-    // was installed first fires: destination first and host 5 is still
-    // reached; metadata first and its traffic bounces between 2 and 3.
+    // sorts first in key order fires: the destination rule (no metadata)
+    // and host 5 is still reached; once it is replaced by one that also
+    // matches the metadata, and so sorts after the metadata rule, host 5's
+    // traffic bounces between 2 and 3.
     let (cluster, mut view, intent) = wide_chain(6);
     let exact = route(3, 5, 2);
-    let by_dst = FlowEntry { m: FlowMatch::to_dst(HostAddr(5)), ..exact };
+    let below = exact.priority - 1;
+    let by_dst = FlowEntry { m: FlowMatch::to_dst(HostAddr(5)), priority: below, ..exact };
     let by_md = FlowEntry {
         m: FlowMatch::default().and_metadata(3),
+        priority: below,
         action: Action::Output(PortNo(1)),
-        ..exact
     };
+    let by_dst_md = FlowEntry { m: by_dst.m.and_metadata(3), ..by_dst };
     let catch_all = FlowEntry { m: FlowMatch::any(), priority: 1, action: Action::Drop };
     view.apply(3, 1, &FlowMod::Delete(exact.m, exact.priority));
     view.apply(3, 1, &FlowMod::Add(catch_all));
     view.apply(2, 1, &FlowMod::Add(catch_all));
-    let mut dst_first = view.clone();
-    dst_first.apply(3, 1, &FlowMod::Add(by_dst));
-    dst_first.apply(3, 1, &FlowMod::Add(by_md));
-    // The delta re-installs the destination rule behind the metadata rule.
+    view.apply(3, 1, &FlowMod::Add(by_md));
+    view.apply(3, 1, &FlowMod::Add(by_dst));
+    // The delta replaces the destination rule with one behind the
+    // metadata rule in key order.
     let swap = vec![
         (3, 1, FlowMod::Delete(by_dst.m, by_dst.priority)),
-        (3, 1, FlowMod::Add(by_dst)),
+        (3, 1, FlowMod::Add(by_dst_md)),
     ];
-    let (full, delta) =
-        assert_full_and_delta_agree(&cluster, &dst_first, &intent, &swap, "tie-break");
+    let (full, delta) = assert_full_and_delta_agree(&cluster, &view, &intent, &swap, "tie-break");
     assert!(full.holds(), "{}", full.report().summary());
     assert!(!full.report().nondeterminism.is_empty(), "the overlap is still flagged");
     assert_eq!(delta.report().loops.len(), 1, "{}", delta.report().summary());
