@@ -6,19 +6,18 @@
 //! front-to-back scan resolves first-match-wins in. The order is a
 //! function of the entry multiset alone, not of the order the entries
 //! were installed in, so two stores holding the same entries hold the same
-//! bytes. [`EntryStore::apply`] is the only code that decides what an Add,
-//! a Delete or a Clear does to that order.
+//! bytes. [`EntryStore::apply`] is the only code that decides what an Add
+//! or a Delete does to that order.
 //!
 //! The index is built by whoever first looks something up
 //! ([`EntryStore::first_match_where`], which [`EntryStore::lookup`] goes
 //! through): one pass over the entries, behind a [`OnceLock`] so any number
 //! of threads may share a store and probe it first at once. A store that is
 //! only ever installed, walked through [`EntryStore::entries`], diffed and
-//! dropped — a planned view handed to the round compiler, table 1 of a
+//! dropped — a synthesized table only diffed into an epoch, table 1 of a
 //! proof, a switch nobody sends a packet to — never hashes an entry. Once
-//! the index exists, `apply` patches it in the same step as the entries, a
-//! clone copies it, and only a Clear drops it (the next probe of the then
-//! empty store builds an empty one).
+//! the index exists, `apply` patches it in the same step as the entries and
+//! a clone copies it.
 //!
 //! The index: SDT rules key on three fields with exact values — `in_port`
 //! (domain restriction), `metadata` (sub-switch id) and `dst` (routing);
@@ -250,9 +249,9 @@ impl EntryStore {
 
     /// Apply a flow-mod: Add inserts at the entry's place in key order
     /// (a binary search), Delete removes every entry with exactly this
-    /// (match, priority), Clear removes everything. A tier index that has
-    /// been built is patched in the same step — one bucket insert for Add,
-    /// one bucket drain for Delete; Clear drops it.
+    /// (match, priority). A tier index that has been built is patched in
+    /// the same step — one bucket insert for Add, one bucket drain for
+    /// Delete.
     pub fn apply(&mut self, m: &FlowMod) {
         match m {
             FlowMod::Add(e) => {
@@ -261,10 +260,6 @@ impl EntryStore {
                 if let Some(tiers) = self.tiers.get_mut() {
                     tiers.insert(*e);
                 }
-            }
-            FlowMod::Clear => {
-                self.entries.clear();
-                self.tiers.take();
             }
             FlowMod::Delete(fm, priority) => {
                 self.entries.retain(|e| !(e.m == *fm && e.priority == *priority));

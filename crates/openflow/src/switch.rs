@@ -132,15 +132,6 @@ impl OpenFlowSwitch {
         slot.adopt(store)
     }
 
-    /// Remove every entry from both tables.
-    pub fn clear_tables(&mut self) {
-        for t in [&mut self.t0, &mut self.t1] {
-            if let Err(e) = t.apply(FlowMod::Clear) {
-                unreachable!("clear cannot fail: {e}");
-            }
-        }
-    }
-
     /// Dataplane forwarding: count the packet in, run the pipeline, count it
     /// out. Returns the egress port, or `None` when dropped (explicit Drop,
     /// or a miss in either table — SDT treats misses as drops to guarantee
@@ -284,30 +275,6 @@ mod tests {
         assert!(tiny.table(1).is_empty());
     }
 
-    /// A Clear drops the table's share for an empty store: nothing is
-    /// copied, and whoever else holds the store still reads all of it.
-    #[test]
-    fn clear_drops_a_shared_store_without_copying_it() {
-        let entries: Vec<FlowEntry> = (0..1000)
-            .map(|i| FlowEntry {
-                m: FlowMatch::to_dst(HostAddr(i)),
-                priority: 1,
-                action: Action::Drop,
-            })
-            .collect();
-        let store = Arc::new(EntryStore::from_ordered(entries));
-        let mut sw = OpenFlowSwitch::new(0, SwitchConfig::x64_100g());
-        sw.adopt(1, Arc::clone(&store)).unwrap();
-        sw.clear_tables();
-        assert_eq!(sw.total_entries(), 0);
-        assert_eq!(sw.table(1).entries_copied(), 0);
-        assert_eq!(store.entries().len(), 1000, "the other holder keeps its store");
-        // The fresh store behaves as a cleared one: the next Add lands first.
-        add(&mut sw, 1, FlowMatch::to_dst(HostAddr(7)), 1, Action::Drop);
-        assert_eq!(sw.table(1).entries().len(), 1);
-        assert_eq!(sw.table(1).entries_copied(), 0);
-    }
-
     /// A table can hold a rule the switch model has no port for: an
     /// adopted store is checked for size, not for ports.
     #[test]
@@ -320,15 +287,5 @@ mod tests {
         assert_eq!(sw.port_stats(PortNo(1)).rx_packets, 1);
         assert_eq!(sw.forward(&pkt(40_000, 9), 100), None, "no such ingress either");
         assert!(sw.all_port_stats().iter().all(|s| s.tx_packets == 0));
-    }
-
-    #[test]
-    fn clear_tables_keeps_counters() {
-        let mut sw = OpenFlowSwitch::new(0, SwitchConfig::h3c_s6861());
-        add(&mut sw, 0, FlowMatch::any(), 0, Action::Drop);
-        sw.forward(&pkt(0, 1), 42);
-        sw.clear_tables();
-        assert_eq!(sw.port_stats(PortNo(0)).rx_bytes, 42);
-        assert_eq!(sw.total_entries(), 0);
     }
 }

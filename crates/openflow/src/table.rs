@@ -172,8 +172,6 @@ impl FlowEntry {
 pub enum FlowMod {
     /// Install an entry.
     Add(FlowEntry),
-    /// Remove every entry (used at the start of a reconfiguration).
-    Clear,
     /// Remove entries whose (match, priority) equal the given ones exactly.
     Delete(FlowMatch, u16),
 }
@@ -296,16 +294,11 @@ impl FlowTable {
     }
 
     /// Apply a flow-mod: refuse an Add past capacity, else
-    /// [`EntryStore::apply`]. A Clear drops this table's share for a fresh
-    /// empty store, so other holders keep theirs and nothing is copied.
+    /// [`EntryStore::apply`].
     pub fn apply(&mut self, m: FlowMod) -> Result<(), TableError> {
         match m {
             FlowMod::Add(_) if self.len() >= self.capacity => {
                 return Err(TableError::TableFull { capacity: self.capacity });
-            }
-            FlowMod::Clear => {
-                self.store = Arc::default();
-                return Ok(());
             }
             FlowMod::Delete(..) => self.entries_scanned += self.len() as u64,
             FlowMod::Add(_) => {}
@@ -827,7 +820,7 @@ mod tests {
         // Wrong priority deletes nothing.
         t.apply(FlowMod::Delete(m2, 9)).unwrap();
         assert_eq!(t.len(), 1);
-        t.apply(FlowMod::Clear).unwrap();
+        t.apply(FlowMod::Delete(m2, 1)).unwrap();
         assert!(t.is_empty());
     }
 

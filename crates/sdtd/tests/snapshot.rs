@@ -63,7 +63,6 @@ fn assert_same_slice(a: &Slice, b: &Slice) {
     assert_eq!(p.subswitches, q.subswitches, "{}", a.id);
     assert_eq!(p.synthesis, q.synthesis, "{}", a.id);
     assert_eq!(p.inter_switch_links_used, q.inter_switch_links_used, "{}", a.id);
-    assert_eq!(a.installed, b.installed, "{}", a.id);
     assert_eq!(
         (a.metadata_base, a.metadata_reserved, a.addr_base, a.addr_reserved, a.epochs),
         (b.metadata_base, b.metadata_reserved, b.addr_base, b.addr_reserved, b.epochs),

@@ -118,7 +118,7 @@ impl SliceAudit {
         // ---- 1. structural disjointness -------------------------------
         let mut port_owner: HashMap<(u32, PortNo), SliceId> = HashMap::new();
         for s in &slices {
-            for (sw, t0) in s.installed.table0.iter().enumerate() {
+            for (sw, t0) in s.projection.synthesis.table0.iter().enumerate() {
                 for e in t0 {
                     let Some(p) = e.m.in_port else { continue };
                     if let Some(prev) = port_owner.insert((sw as u32, p), s.id) {

@@ -10,36 +10,44 @@
 //! outside every other slice's — so a reconfiguration *cannot* touch a
 //! co-tenant's rules, by construction and by check.
 //!
-//! The wire order implements make-before-break:
+//! The wire order implements make-before-break in four layers, each one
+//! round of a scheduled install ([`crate::schedule::compile_rounds`]):
 //!
-//! 1. **adds, table 1** — new routing entries become matchable before
-//!    any port steers to them;
-//! 2. **adds, table 0** — new classify entries, each on a port no
-//!    surviving entry classifies: a table-0 entry keys on its ingress port
-//!    alone, so a port's reclassification shares its old entry's (match,
-//!    priority) key and rides that entry's delete (below), and the old
-//!    pipeline keeps every port it still classifies until step 3;
-//! 3. **deletes, table 0** — removing an old classify entry is the
-//!    per-port atomic cutover to the already-installed new pipeline;
-//! 4. **deletes, table 1** — only then is the old routing state garbage
-//!    collected.
+//! 1. **make, round 0** — the table-1 adds: new routing entries become
+//!    matchable before any port steers to them; then the table-0 adds
+//!    whose metadata gains no new table-1 route on their switch;
+//! 2. **make, round 1** — the other table-0 adds, each after the routes
+//!    it steers into. Every table-0 add is on a port no surviving entry
+//!    classifies: a table-0 entry keys on its ingress port alone, so a
+//!    port's reclassification shares its old entry's (match, priority) key
+//!    and rides that entry's delete (below), and the old pipeline keeps
+//!    every port it still classifies until the cutover;
+//! 3. **cutover** — the table-0 deletes: removing an old classify entry is
+//!    the per-port atomic cutover to the already-installed new pipeline;
+//!    then the table-1 deletes that adds ride (in-place route repoints,
+//!    whose class stays live throughout);
+//! 4. **collect** — every other table-1 delete: only then is the old
+//!    routing state garbage collected.
 //!
 //! An add that shares a delete's (switch, table, match, priority) key is an
 //! in-place replacement (OpenFlow MODIFY): `FlowMod::Delete` removes by
 //! (match, priority), so adding first would get the replacement wiped by
-//! its own delete. Such an add leaves steps 1–2 and lands right after the
-//! last delete of its key instead; an entry kept under a deleted key (only
-//! a table holding the key twice has one) is sent again there, since the
-//! delete strikes it too. The manager's install, the static
-//! pre-install gate and the round compiler all read this one sequence, so
-//! what the verifier proves is byte-for-byte what the switches receive.
+//! its own delete. Such an add leaves the make layers and lands right after
+//! the last delete of its key instead; an entry kept under a deleted key
+//! (only a table holding the key twice has one) is sent again there, since
+//! the delete strikes it too — and so every delete of that key is sent in
+//! the cutover, before it. [`Epoch::from_diff`] decides the layers along
+//! with the order and records where each ends ([`Epoch::layers`]). The
+//! manager's install, the static pre-install gate and the round compiler
+//! all read this one sequence, so what the verifier proves is
+//! byte-for-byte what the switches receive.
 //!
 //! At no instant does a port classify into a sub-switch whose routing
 //! entries are absent, and at no instant is another slice's state touched.
 
 use crate::SliceId;
 use sdt_core::synthesis::SynthesisOutput;
-use sdt_openflow::{diff_positions, install_time_ns, FlowEntry, FlowMod, PortNo};
+use sdt_openflow::{diff_positions, install_time_ns, Action, FlowEntry, FlowMod, FxBuild, PortNo};
 use std::cmp::Reverse;
 use std::collections::HashSet;
 use std::fmt;
@@ -57,6 +65,20 @@ pub struct Epoch {
     /// rather than an `Arc<[_]>`, so the vector [`Epoch::from_diff`] fills
     /// at its final size is moved in, not copied.
     pub mods: Arc<Vec<(u32, u8, FlowMod)>>,
+    /// The wire order's four layers, in order: make round 0, make round 1,
+    /// cutover, collect (see the module docs). Each starts where the one
+    /// before it ends; the last ends at `mods.len()`.
+    pub layers: [Layer; 4],
+}
+
+/// One layer of an [`Epoch`]'s wire order.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Layer {
+    /// Where the layer ends in [`Epoch::mods`] (exclusive).
+    pub end: usize,
+    /// Atomic units in the layer: a lone add, a lone delete, or a delete
+    /// with the adds that ride it (an in-place MODIFY, never split).
+    pub units: usize,
 }
 
 /// The match-space a slice owns on the shared fabric: its ingress ports
@@ -183,13 +205,14 @@ pub fn synthesis_entries(s: &SynthesisOutput, switch: usize, table: u8) -> &[Flo
 }
 
 /// One switch's table of a diff: the positions `old` loses, in position
-/// order; the positions of `new` to add whose key no delete shares; and
-/// the other adds as (rank in `gone` of the delete each rides, position),
-/// by rank.
+/// order, and per such delete whether adds ride its key (a MODIFY); the
+/// positions of `new` to add whose key no delete shares; and the other
+/// adds as (rank in `gone` of the delete each rides, position), by rank.
 struct TableDiff<'a> {
     old: &'a [FlowEntry],
     new: &'a [FlowEntry],
     gone: Vec<usize>,
+    modify: Vec<bool>,
     alone: Vec<usize>,
     riders: Vec<(usize, usize)>,
 }
@@ -212,11 +235,11 @@ impl<'a> TableDiff<'a> {
         by_key.sort_unstable_by_key(|&j| key(&new[j]));
         // Per entry of `new`: the rank in `gone` of the delete it rides.
         let mut rides = vec![None; new.len()];
-        let mut deletes = deletes.into_iter().peekable();
+        let mut next = deletes.iter().copied().peekable();
         for j in by_key {
             let k = key(&new[j]);
-            while deletes.next_if(|&d| key(&old[gone[d]]) < k).is_some() {}
-            rides[j] = deletes.peek().copied().filter(|&d| key(&old[gone[d]]) == k);
+            while next.next_if(|&d| key(&old[gone[d]]) < k).is_some() {}
+            rides[j] = next.peek().copied().filter(|&d| key(&old[gone[d]]) == k);
         }
         let (mut alone, mut riders) = (Vec::new(), Vec::new());
         let mut fresh = fresh.into_iter().peekable();
@@ -230,7 +253,44 @@ impl<'a> TableDiff<'a> {
         }
         // Stable: the adds riding one delete keep their position order.
         riders.sort_by_key(|&(k, _)| k);
-        TableDiff { old, new, gone, alone, riders }
+        // Every delete of a ridden key is part of its MODIFY: an earlier
+        // one sent after the riders would strike them. Each key's deletes
+        // are adjacent in `deletes`, the ridden one first, so only a delete
+        // right behind a MODIFY's needs its key compared.
+        let mut modify = vec![false; gone.len()];
+        for &(k, _) in &riders {
+            modify[k] = true;
+        }
+        for pair in deletes.windows(2) {
+            if modify[pair[0]] && !modify[pair[1]] {
+                modify[pair[1]] = key(&old[gone[pair[0]]]) == key(&old[gone[pair[1]]]);
+            }
+        }
+        TableDiff { old, new, gone, modify, alone, riders }
+    }
+
+    /// Append the deletes `send` picks by rank, in position order, each
+    /// followed by the adds that ride it; returns how many deletes — units
+    /// — that was.
+    fn send_deletes(
+        &self,
+        sw: u32,
+        table: u8,
+        send: impl Fn(usize) -> bool,
+        mods: &mut Vec<(u32, u8, FlowMod)>,
+    ) -> usize {
+        let mut riders = self.riders.iter().peekable();
+        let mut sent = 0;
+        for (k, &i) in self.gone.iter().enumerate().filter(|&(k, _)| send(k)) {
+            let FlowEntry { m, priority, .. } = self.old[i];
+            mods.push((sw, table, FlowMod::Delete(m, priority)));
+            while riders.next_if(|&&(of, _)| of < k).is_some() {}
+            while let Some(&(_, j)) = riders.next_if(|&&(of, _)| of == k) {
+                mods.push((sw, table, FlowMod::Add(self.new[j])));
+            }
+            sent += 1;
+        }
+        sent
     }
 }
 
@@ -240,9 +300,9 @@ impl Epoch {
     /// untouched, which is what keeps same-family reconfigurations
     /// proportional to the delta.
     ///
-    /// Each section of the wire order runs switch by switch, each switch's
-    /// mods in table position order; an add rides the last delete, in
-    /// `old`'s position order, of its own key.
+    /// Each part of a layer (module docs) runs switch by switch, each
+    /// switch's mods in table position order; an add rides the last
+    /// delete, in `old`'s position order, of its own key.
     pub fn from_diff(slice: SliceId, old: &SynthesisOutput, new: &SynthesisOutput) -> Epoch {
         let num_switches = old.table0.len().max(new.table0.len());
         let diffs: Vec<[TableDiff; 2]> = (0..num_switches)
@@ -252,31 +312,52 @@ impl Epoch {
                 })
             })
             .collect();
-        // The four sections in wire order, each filled once: lone adds of
-        // table 1, then of table 0; deletes of table 0, then of table 1,
-        // each followed by the adds that ride it.
         let size = diffs.iter().flatten().map(|d| d.gone.len() + d.alone.len() + d.riders.len());
         let mut mods = Vec::with_capacity(size.sum());
-        for table in [1u8, 0] {
-            for (sw, d) in diffs.iter().enumerate() {
-                let d = &d[usize::from(table)];
-                mods.extend(d.alone.iter().map(|&j| (sw as u32, table, FlowMod::Add(d.new[j]))));
+        let mut layers = [Layer::default(); 4];
+        // Make: the lone adds of table 1, noting the metadata values that
+        // gain a route on each switch (keyed lookups only, never iterated);
+        // then those of table 0, a round later when they steer into one.
+        let mut fresh: HashSet<(u32, u32), FxBuild> = HashSet::default();
+        for (sw, [_, d]) in diffs.iter().enumerate() {
+            for e in d.alone.iter().map(|&j| d.new[j]) {
+                fresh.extend(e.m.metadata.map(|md| (sw as u32, md)));
+                mods.push((sw as u32, 1, FlowMod::Add(e)));
             }
         }
-        for table in [0u8, 1] {
-            for (sw, d) in diffs.iter().enumerate() {
-                let d = &d[usize::from(table)];
-                let mut riders = d.riders.iter().peekable();
-                for (k, &i) in d.gone.iter().enumerate() {
-                    let FlowEntry { m, priority, .. } = d.old[i];
-                    mods.push((sw as u32, table, FlowMod::Delete(m, priority)));
-                    while let Some(&(_, j)) = riders.next_if(|&&(of, _)| of == k) {
-                        mods.push((sw as u32, table, FlowMod::Add(d.new[j])));
-                    }
+        let mut steering = Vec::new();
+        for (sw, [d, _]) in diffs.iter().enumerate() {
+            for e in d.alone.iter().map(|&j| d.new[j]) {
+                let waits = matches!(e.action,
+                    Action::WriteMetadataGoto(md) if fresh.contains(&(sw as u32, md)));
+                let add = (sw as u32, 0, FlowMod::Add(e));
+                if waits {
+                    steering.push(add);
+                } else {
+                    mods.push(add);
                 }
             }
         }
-        Epoch { slice, mods: Arc::new(mods) }
+        layers[0] = Layer { end: mods.len(), units: mods.len() };
+        layers[1] = Layer { end: mods.len() + steering.len(), units: steering.len() };
+        mods.append(&mut steering);
+        // Cutover: every table-0 delete, then the table-1 deletes of the
+        // MODIFYs; collect: the other table-1 deletes. Each delete is
+        // followed by the adds that ride it.
+        let mut units = 0;
+        for (sw, [d, _]) in diffs.iter().enumerate() {
+            units += d.send_deletes(sw as u32, 0, |_| true, &mut mods);
+        }
+        for (sw, [_, d]) in diffs.iter().enumerate() {
+            units += d.send_deletes(sw as u32, 1, |k| d.modify[k], &mut mods);
+        }
+        layers[2] = Layer { end: mods.len(), units };
+        let mut units = 0;
+        for (sw, [_, d]) in diffs.iter().enumerate() {
+            units += d.send_deletes(sw as u32, 1, |k| !d.modify[k], &mut mods);
+        }
+        layers[3] = Layer { end: mods.len(), units };
+        Epoch { slice, mods: Arc::new(mods), layers }
     }
 
     /// Flow-mods this epoch sends to each switch (adds + deletes).
@@ -309,8 +390,6 @@ impl Epoch {
             let m = match m {
                 FlowMod::Add(e) => &e.m,
                 FlowMod::Delete(m, _) => m,
-                // A clear wipes co-tenants' entries too: it is scoped to none.
-                FlowMod::Clear => return Err(EpochViolation::UnscopedMatch { switch, table }),
             };
             if table == 0 {
                 let Some(port) = m.in_port else {

@@ -33,7 +33,7 @@
 //! into them before installation. Table-0 entries need no rewrite: their
 //! ingress ports are disjoint by the resource model.
 
-use crate::epoch::{Epoch, EpochReport, OwnedSpace};
+use crate::epoch::{synthesis_entries, Epoch, EpochReport, OwnedSpace};
 use sdt_core::cluster::{PhysLink, PhysicalCluster};
 use sdt_core::sdt::{
     FailedResources, Placement, ProjectOptions, ProjectionError, SdtProjection, SdtProjector,
@@ -88,9 +88,11 @@ pub enum AdmissionError {
     StaticViolation(String),
     /// A scheduled migration stopped mid-flight: a round boundary could
     /// not be proven safe, or the control channel diverged and the live
-    /// state failed re-verification. Unlike every other variant, flow-mods
-    /// up to the failing round may already be applied — each state
-    /// actually reached was individually proven safe.
+    /// state failed re-verification. Unlike every other variant, the rounds
+    /// before the failing one are applied, and nothing is left in flight:
+    /// an unprovable boundary leaves the switches on the last proven one
+    /// (none of the failing round sent), a diverged round on what the
+    /// channel delivered of it.
     ScheduleFailed(String),
 }
 
@@ -300,8 +302,9 @@ impl MigrationPlan {
     }
 }
 
-/// An admitted slice: its logical topology, projection, namespace, and the
-/// remapped pipeline actually installed on the shared switches.
+/// An admitted slice: its logical topology, its projection — pipeline
+/// remapped into the slice's namespace, as installed on the shared
+/// switches — and its namespace.
 #[derive(Clone, Debug)]
 pub struct Slice {
     /// Stable identifier.
@@ -312,7 +315,9 @@ pub struct Slice {
     pub topology: Topology,
     /// Routing table behind the slice's pipeline.
     pub routes: RouteTable,
-    /// Projection onto the shared cluster (ports/cables it owns).
+    /// Projection onto the shared cluster (ports/cables it owns); its
+    /// `synthesis` is the namespaced pipeline as installed (synthesis
+    /// remapped into the slice's metadata/address ranges).
     pub projection: SdtProjection,
     /// First metadata value of the slice's table-1 namespace.
     pub metadata_base: u32,
@@ -323,9 +328,6 @@ pub struct Slice {
     pub addr_base: u32,
     /// Reserved host addresses.
     pub addr_reserved: u32,
-    /// The namespaced pipeline as installed (synthesis remapped into the
-    /// slice's metadata/address ranges).
-    pub installed: SynthesisOutput,
     /// Epochs applied to this slice (1 = initial install).
     pub epochs: u32,
 }
@@ -378,8 +380,9 @@ impl SliceRecord {
     /// its pipeline into the slice's namespace.
     fn realize(self, by: &SdtProjector, on: &PhysicalCluster) -> Result<Slice, ProjectionError> {
         let (topology, routes) = self.request;
-        let projection = by.realize(&topology, on, &routes, self.placement)?;
-        let installed = remap_synthesis(&projection.synthesis, self.metadata_base, self.addr_base);
+        let mut projection = by.realize(&topology, on, &routes, self.placement)?;
+        projection.synthesis =
+            remap_synthesis(&projection.synthesis, self.metadata_base, self.addr_base);
         Ok(Slice {
             id: self.id,
             name: self.name,
@@ -390,7 +393,6 @@ impl SliceRecord {
             metadata_reserved: self.metadata_reserved,
             addr_base: self.addr_base,
             addr_reserved: self.addr_reserved,
-            installed,
             epochs: self.epochs,
         })
     }
@@ -399,7 +401,7 @@ impl SliceRecord {
 impl Slice {
     /// Flow-table entries this slice occupies across the cluster.
     pub fn entries(&self) -> usize {
-        self.installed.entries_per_switch.iter().sum()
+        self.projection.synthesis.entries_per_switch.iter().sum()
     }
 
     /// The fabric-wide address of one of the slice's hosts.
@@ -413,7 +415,7 @@ impl Slice {
             metadata: vec![(self.metadata_base, self.metadata_reserved)],
             ..Default::default()
         };
-        for (sw, t0) in self.installed.table0.iter().enumerate() {
+        for (sw, t0) in self.projection.synthesis.table0.iter().enumerate() {
             for e in t0 {
                 if let Some(p) = e.m.in_port {
                     own.ports.insert((sw as u32, p));
@@ -772,8 +774,8 @@ impl SliceManager {
         let empty = empty_synthesis(self.cluster.num_switches() as usize);
         let epoch = Epoch::from_diff(
             id,
-            old.map_or(&empty, |s| &s.installed),
-            after.as_ref().map_or(&empty, |s| &s.installed),
+            old.map_or(&empty, |s| &s.projection.synthesis),
+            after.as_ref().map_or(&empty, |s| &s.projection.synthesis),
         );
         self.headroom_check(&epoch.adds_per_switch(self.switches.len()))?;
         // The epoch may touch the old and the new namespace of this slice.
@@ -898,8 +900,7 @@ impl SliceManager {
         routes: RouteTable,
     ) -> Result<MigrationPlan, AdmissionError> {
         let plan = self.plan(SliceOp::Reconfigure { id, topo: topo.clone(), routes })?;
-        let before = TableView::of_switches(&self.switches);
-        let rounds = crate::schedule::compile_rounds(&plan.epoch, &before);
+        let rounds = crate::schedule::compile_rounds(&plan.epoch, &TableView::default());
         let pre_intent = self.intent();
         let post_intent = self.intent_with(Some(id), plan.after.as_ref());
         Ok(MigrationPlan { plan, rounds, pre_intent, post_intent })
@@ -915,9 +916,10 @@ impl SliceManager {
     /// The whole epoch's end state is gated first, exactly as the one-shot
     /// path does; the per-round proofs come on top. On
     /// [`AdmissionError::ScheduleFailed`] the live switches hold the last
-    /// individually-proven boundary state and the manager's bookkeeping
-    /// still describes the *old* slice; the cached live-state proof is
-    /// dropped either way.
+    /// individually-proven boundary state — or, when the channel diverged,
+    /// the failing round's re-verified live state — with nothing left in
+    /// flight, and the manager's bookkeeping still describes the *old*
+    /// slice; the cached live-state proof is dropped either way.
     pub fn reconfigure_scheduled(
         &mut self,
         id: SliceId,
@@ -1154,7 +1156,7 @@ impl SliceManager {
             slices.insert(id.0, slice);
         }
         fn installed(s: &Slice, t: usize, sw: usize) -> &[FlowEntry] {
-            &[&s.installed.table0, &s.installed.table1][t][sw]
+            synthesis_entries(&s.projection.synthesis, sw, t as u8)
         }
         for (sw, digests) in export.digests.iter().enumerate() {
             for (t, want) in digests.iter().enumerate() {

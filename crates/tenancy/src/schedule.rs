@@ -7,16 +7,18 @@
 //! state live traffic traverses during the batch is unproven. This module
 //! closes that gap, Chameleon-style (SIGCOMM'23):
 //!
-//! 1. **Round compilation** ([`compile_rounds`]) — partition the epoch's
-//!    flow-mods into dependency-ordered rounds. The dependencies are the
-//!    class walks each mod touches: a table-0 classify entry that writes
-//!    metadata `md` steers packets into the table-1 entries matching `md`
-//!    on the same switch, so an add of the former must land in a later
-//!    round than the adds of the latter, and a delete of the latter in a
-//!    later round than the cutover that stops steering `md`. A delete
-//!    immediately followed by adds with the same (switch, table, match,
+//! 1. **Round compilation** ([`compile_rounds`]) — cut the epoch's wire
+//!    order into its layers ([`Epoch::layers`]), one round each. The
+//!    layers follow the class walks each mod touches: a table-0 classify
+//!    entry that writes metadata `md` steers packets into the table-1
+//!    entries matching `md` on the same switch, so an add of the former
+//!    lands in a later round than the adds of the latter, and a delete of
+//!    the latter in a later round than the cutover that stops steering
+//!    `md`. A delete followed by adds with the same (switch, table, match,
 //!    priority) key is an in-place MODIFY and is never split across
-//!    rounds.
+//!    rounds. [`Epoch::from_diff`] decides the layers as it orders the
+//!    mods, so a compiled round is one contiguous run of the wire order and
+//!    the rounds, concatenated, are the wire order.
 //! 2. **Per-round proofs** — [`install_scheduled`] chains a
 //!    [`Verifier::check_delta`] proof across the round boundaries:
 //!    each boundary state is accepted only if it introduces *no finding
@@ -30,12 +32,13 @@
 //!    with its successor and re-proven; in the limit the whole epoch
 //!    collapses back into the one-shot install, whose end state the caller
 //!    gated before scheduling. Progress is therefore guaranteed.
-//! 4. **Proof between send and barrier** — round N+1's proof is computed
-//!    while round N's flow-mods are in flight on the (possibly lossy)
-//!    [`ControlChannel`], between the sends and the barrier. Proof time
-//!    is measured wall clock and install time is modeled (the channel is
-//!    simulated), so the report carries the two totals in separate fields
-//!    and never combines them.
+//! 4. **Prove, send, barrier** — each round is proven, then sent on the
+//!    (possibly lossy) [`ControlChannel`] and closed by a barrier before
+//!    the next round is proven, so a boundary that cannot be proven leaves
+//!    the switches on the last proven one with nothing in flight. Proof
+//!    time is measured wall clock and install time is modeled (the channel
+//!    is simulated), so the report carries the two totals in separate
+//!    fields and never combines them.
 //! 5. **Retry and divergence fallback** — after each barrier
 //!    [`sdt_openflow::reconcile`] reads the live tables back, diffs them
 //!    against the intended boundary state and re-sends stragglers with
@@ -47,13 +50,11 @@
 
 use crate::epoch::Epoch;
 use sdt_core::cluster::PhysicalCluster;
-use sdt_openflow::{
-    install_time_ns, reconcile, same_entries, Action, ControlChannel, FlowMod, FxBuild,
-    OpenFlowSwitch,
-};
+use sdt_openflow::{install_time_ns, reconcile, ControlChannel, FlowMod, OpenFlowSwitch};
 use sdt_verify::{Intent, TableView, Verifier, VerifyReport};
 use std::collections::{HashSet, VecDeque};
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -92,36 +93,30 @@ pub struct Round {
 }
 
 /// The mods one round installs: a share of its epoch's [`Epoch::mods`]
-/// and their positions there, in install order — 4 B a mod, no mod
+/// and the runs of it the round installs, one after another — one run for
+/// a compiled round, one per compiled round for a merged one; no mod
 /// copied. Iterates (and formats) as the `(switch, table, mod)` sequence
 /// it selects.
 #[derive(Clone)]
 pub struct RoundMods {
     batch: Arc<Vec<(u32, u8, FlowMod)>>,
-    at: Vec<u32>,
+    runs: Vec<Range<usize>>,
 }
 
 impl RoundMods {
     /// Flow-mods in the round.
     pub fn len(&self) -> usize {
-        self.at.len()
+        self.runs.iter().map(Range::len).sum()
     }
 
     /// True for a round with no mods.
     pub fn is_empty(&self) -> bool {
-        self.at.is_empty()
+        self.len() == 0
     }
 
     /// The round's mods, in install order.
     pub fn iter(&self) -> RoundModsIter<'_> {
-        RoundModsIter { batch: &self.batch, at: self.at.iter() }
-    }
-
-    /// Positions in [`Epoch::mods`] the round installs, in install order:
-    /// ascending for a compiled round, one run per compiled round for a
-    /// merged one.
-    pub fn positions(&self) -> &[u32] {
-        &self.at
+        RoundModsIter { batch: &self.batch, runs: self.runs.iter(), run: [].iter() }
     }
 }
 
@@ -143,18 +138,25 @@ impl fmt::Debug for RoundMods {
 /// [`RoundMods::iter`].
 pub struct RoundModsIter<'a> {
     batch: &'a [(u32, u8, FlowMod)],
-    at: std::slice::Iter<'a, u32>,
+    runs: std::slice::Iter<'a, Range<usize>>,
+    run: std::slice::Iter<'a, (u32, u8, FlowMod)>,
 }
 
 impl<'a> Iterator for RoundModsIter<'a> {
     type Item = &'a (u32, u8, FlowMod);
 
     fn next(&mut self) -> Option<Self::Item> {
-        self.at.next().map(|&i| &self.batch[i as usize])
+        loop {
+            if let Some(m) = self.run.next() {
+                return Some(m);
+            }
+            self.run = self.batch[self.runs.next()?.clone()].iter();
+        }
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.at.size_hint()
+        let n = self.run.len() + self.runs.clone().map(Range::len).sum::<usize>();
+        (n, Some(n))
     }
 }
 
@@ -207,7 +209,8 @@ pub struct ScheduleReport {
     /// away — always 0 on success (kept explicit so tests and `sdtctl`
     /// can gate on it).
     pub violations: usize,
-    /// Live tables byte-identical to the epoch's end state at the end.
+    /// Live tables hold exactly the epoch's end state at the end: the last
+    /// round's reconcile verdict (`true` when there were no rounds).
     pub converged: bool,
     /// Sum of all boundary-proof wall clocks, ns.
     pub proof_wall_ns_total: u64,
@@ -215,14 +218,18 @@ pub struct ScheduleReport {
     pub install_ns_total: u64,
 }
 
-/// Why a scheduled install stopped. Flow-mods up to the failing round may
-/// already be applied — every state actually reached was proven to add no
-/// new finding over the starting tables.
+/// Why a scheduled install stopped. The rounds before the failing one are
+/// applied and nothing is left in flight: the switches hold the last
+/// proven boundary ([`ScheduleError::UnsafeBoundary`]) or the failing
+/// round's unconverged state ([`ScheduleError::DivergedUnsafe`]). Every
+/// state actually reached before the failure was proven to add no new
+/// finding over the starting tables.
 #[derive(Clone, Debug)]
 pub enum ScheduleError {
     /// A boundary failed its proof even after merging through the final
-    /// round. With the whole epoch gated beforehand this indicates the
-    /// caller skipped that gate (or the base proof was stale).
+    /// round; nothing of the failing round was sent. With the whole epoch
+    /// gated beforehand this indicates the caller skipped that gate (or
+    /// the base proof was stale).
     UnsafeBoundary {
         /// Install-order index of the failing round.
         round: usize,
@@ -254,99 +261,34 @@ impl fmt::Display for ScheduleError {
 
 impl std::error::Error for ScheduleError {}
 
-/// Compile an epoch into dependency-ordered rounds against the pre-epoch
-/// table state `before` (needed to resolve which metadata a deleted
-/// table-0 entry used to steer).
+/// Compile an epoch into dependency-ordered rounds: one per non-empty
+/// layer of its wire order (make, make, cutover, collect: [`Epoch::layers`],
+/// decided by [`Epoch::from_diff`]; see [`crate::epoch`]), each the
+/// contiguous run of [`Epoch::mods`] the layer spans, with the layer's
+/// atomic units — a single add or delete, or a delete and the add(s)
+/// riding it under the same (switch, table, match, priority) key: an
+/// in-place MODIFY, never split across rounds.
 ///
-/// The epoch's wire order is cut into atomic units — a single add or
-/// delete, or a delete and the add(s) that follow it under the same
-/// (switch, table, match, priority) key: an in-place MODIFY that must
-/// never be split across rounds — and each unit is assigned a layer
-/// (longest-path over the per-switch class-walk dependencies):
-///
-/// * table-1 adds — layer 0 (new routing entries, dark until steered to);
-/// * table-0 adds — layer 1 when the metadata they write gains new table-1
-///   entries on the same switch in this epoch (those must exist first),
-///   else layer 0;
-/// * table-0 deletes/modifies and table-1 modifies — the cutover layer,
-///   strictly after every add;
-/// * pure table-1 deletes — the collect layer, strictly after the cutover
-///   (only then does nothing steer into the class being collected). A
-///   delete whose metadata no table-0 entry of the pre-state `before`
-///   steers is already dark and joins the cutover layer instead.
-///
-/// Every round shares [`Epoch::mods`] and lists the positions it
-/// installs; no mod is copied. Units keep the epoch's wire order within a
-/// layer (positions ascend), so concatenating the rounds replays
-/// [`Epoch::mods`] exactly up to
-/// the commuting of distinct-key units — the end state holds exactly the
-/// same entries (only vector order can differ, and epoch entries never
-/// share a (match, priority) key, so lookup behavior is identical; pinned
-/// by `tests/round_properties.rs`). Determinism needs no seed: the
-/// compilation is a pure function of the epoch and `before`.
-pub fn compile_rounds(epoch: &Epoch, before: &TableView) -> Vec<Round> {
-    // Metadata the pre-state's table 0 still steers, per switch: a pure
-    // table-1 delete in a live class must wait for the cutover to go dark;
-    // one in an already-dark class has no walk crossing it and needn't.
-    // Keyed lookups only, never iterated.
-    let mut steered: HashSet<(u32, u32), FxBuild> = HashSet::default();
-    for sw in 0..before.num_switches() as u32 {
-        for e in before.entries(sw, 0) {
-            if let Action::WriteMetadataGoto(md) = e.action {
-                steered.insert((sw, md));
-            }
+/// Every round shares [`Epoch::mods`]; no mod is copied, and the rounds
+/// concatenated are [`Epoch::mods`] itself. Determinism needs no seed:
+/// the compilation is a pure function of the epoch. `before` is not read
+/// — the layers are the epoch's own; the parameter stays only because
+/// `benchmark/` calls this with it, and a later `benchmark` change retires
+/// it.
+pub fn compile_rounds(epoch: &Epoch, _before: &TableView) -> Vec<Round> {
+    const PHASES: [RoundPhase; 4] =
+        [RoundPhase::Make, RoundPhase::Make, RoundPhase::Cutover, RoundPhase::Collect];
+    let mut start = 0;
+    let mut rounds = Vec::new();
+    for (layer, phase) in epoch.layers.iter().zip(PHASES) {
+        let run = start..layer.end;
+        start = layer.end;
+        if !run.is_empty() {
+            let mods = RoundMods { batch: Arc::clone(&epoch.mods), runs: vec![run] };
+            rounds.push(Round { mods, phase, units: layer.units });
         }
     }
-
-    // Every mod's layer, in wire order, decided unit by unit. Wire order
-    // puts all table-1 adds before the first table-0 add, so
-    // `fresh_routes` is complete when it is first read.
-    const CUTOVER: usize = 2;
-    const COLLECT: usize = 3;
-    let mods = &epoch.mods;
-    let round = |phase| {
-        Round { mods: RoundMods { batch: Arc::clone(mods), at: Vec::new() }, phase, units: 0 }
-    };
-    let mut layers =
-        [RoundPhase::Make, RoundPhase::Make, RoundPhase::Cutover, RoundPhase::Collect].map(round);
-    // Metadata values gaining new table-1 routes per switch in this epoch.
-    // Keyed lookups only, never iterated.
-    let mut fresh_routes: HashSet<(u32, u32), FxBuild> = HashSet::default();
-    let mut layer = 0;
-    let mut deleting = false;
-    for (at, (sw, table, m)) in mods.iter().enumerate() {
-        // From the first delete on, an add is a replacement riding its
-        // delete's unit; everything else starts a unit of its own.
-        let delete = matches!(m, FlowMod::Delete(..));
-        deleting |= delete;
-        if delete || !deleting {
-            let modify = matches!(mods.get(at + 1), Some((_, _, FlowMod::Add(_))));
-            layer = match (table, m) {
-                (1, FlowMod::Add(e)) => {
-                    fresh_routes.extend(e.m.metadata.map(|md| (*sw, md)));
-                    0
-                }
-                (0, FlowMod::Add(e)) => match e.action {
-                    Action::WriteMetadataGoto(md) => usize::from(fresh_routes.contains(&(*sw, md))),
-                    _ => 0,
-                },
-                // Pure table-1 delete: collect only after the cutover stops
-                // steering its class — unless the class is already dark.
-                (1, FlowMod::Delete(dm, _))
-                    if !modify && dm.metadata.is_some_and(|md| steered.contains(&(*sw, md))) =>
-                {
-                    COLLECT
-                }
-                // Table-0 deletes and MODIFYs; a table-1 MODIFY is an
-                // in-place route repoint (its class stays live throughout).
-                _ => CUTOVER,
-            };
-            layers[layer].units += 1;
-        }
-        // An epoch's mods are bounded by table capacity, far below 2^32.
-        layers[layer].mods.at.push(at as u32);
-    }
-    layers.into_iter().filter(|r| !r.mods.is_empty()).collect()
+    rounds
 }
 
 /// True when `r` carries no loop/blackhole/leak finding that `base` did
@@ -374,89 +316,11 @@ pub fn no_new_findings(r: &VerifyReport, base: &VerifyReport) -> bool {
         .all(|s| known.contains(&s))
 }
 
-/// A proven next round: its (possibly merged) mods and the verifier of the
-/// boundary state they reach.
-struct Proven {
-    round: Round,
-    verifier: Verifier,
-    proof_wall_ns: u64,
-    merged_from: usize,
-    pairs_walked: usize,
-    /// The intent this boundary was judged against (re-used by the
-    /// divergence fallback).
-    post: bool,
-}
-
-/// Prove the next round's boundary, merging forward on failure. `base` is
-/// the proof of the previous boundary; acceptance is "no new finding over
-/// `base_report`" (the pre-migration live state).
-#[allow(clippy::too_many_arguments)]
-fn prove_with_merge(
-    work: &mut VecDeque<Round>,
-    base: &Verifier,
-    base_report: &VerifyReport,
-    pre_intent: &Intent,
-    post_intent: &Intent,
-    merges: &mut usize,
-    round_index: usize,
-) -> Result<Proven, ScheduleError> {
-    let Some(mut round) = work.pop_front() else {
-        unreachable!("prove_with_merge called with an empty worklist");
-    };
-    let mut merged_from = 1usize;
-    let mut wall = 0u64;
-    loop {
-        // Pre-cutover boundaries still implement the old intent: the new
-        // pipeline is dark until a port steers into it. From the cutover
-        // on — and always for the final boundary — the new intent rules.
-        let post = work.is_empty() || round.phase >= RoundPhase::Cutover;
-        let intent = if post { post_intent } else { pre_intent };
-        let t0 = Instant::now();
-        let v = Verifier::check_delta(base, &round.mods, intent.clone());
-        wall += t0.elapsed().as_nanos() as u64;
-        if no_new_findings(v.report(), base_report) {
-            let pairs_walked = v.report().pairs_walked;
-            return Ok(Proven {
-                round,
-                verifier: v,
-                proof_wall_ns: wall,
-                merged_from,
-                pairs_walked,
-                post,
-            });
-        }
-        // The layering mispredicted: coarsen by merging with the next
-        // round. The fully-merged round is the one-shot epoch, whose end
-        // state the caller already gated — so this terminates.
-        match work.pop_front() {
-            Some(next) => {
-                // Positions concatenate: the merged round installs what the
-                // two did, in the same order.
-                assert!(
-                    Arc::ptr_eq(&round.mods.batch, &next.mods.batch),
-                    "only rounds of one epoch merge"
-                );
-                round.mods.at.extend(next.mods.at);
-                round.phase = round.phase.max(next.phase);
-                round.units += next.units;
-                merged_from += 1;
-                *merges += 1;
-            }
-            None => {
-                return Err(ScheduleError::UnsafeBoundary {
-                    round: round_index,
-                    summary: v.report().summary(),
-                })
-            }
-        }
-    }
-}
-
 /// Install dependency-ordered `rounds` — [`compile_rounds`]' output for one
-/// epoch — over `channel`, proving every
-/// boundary before its round goes out and computing proof N+1 while
-/// round N is in flight. See the module docs for the full contract.
-/// Returns the verifier of the final proven boundary and the round report.
+/// epoch — over `channel`, one round at a time: prove its boundary
+/// (merging on failure), send it, barrier, reconcile. See the module docs
+/// for the full contract. Returns the verifier of the final proven
+/// boundary and the round report.
 ///
 /// `base` must be a proof of the *current* live tables (its intent is the
 /// pre-migration intent); `pre_intent`/`post_intent` bracket the cutover.
@@ -474,46 +338,54 @@ pub fn install_scheduled(
     let base_report = base.report().clone();
     let total_mods: usize = rounds.iter().map(|r| r.mods.len()).sum();
     let mut work: VecDeque<Round> = rounds.into();
-    let mut report = ScheduleReport { total_mods, ..Default::default() };
+    // Nothing to install has converged; otherwise the last round's
+    // reconcile decides (each diffs every table against its boundary, so
+    // it also chases earlier rounds' stragglers).
+    let mut report = ScheduleReport { total_mods, converged: true, ..Default::default() };
     // The intended boundary trajectory is the chain of proofs itself: each
     // round's verifier holds the tables its round is to reach.
     let mut current = base;
 
-    let mut next = if work.is_empty() {
-        None
-    } else {
-        Some(prove_with_merge(
-            &mut work,
-            &current,
-            &base_report,
-            pre_intent,
-            post_intent,
-            &mut report.merges,
-            0,
-        )?)
-    };
+    while let Some(mut round) = work.pop_front() {
+        let index = report.rounds.len();
+        // Prove the boundary; acceptance is "no new finding over the
+        // pre-migration live state".
+        let (mut merged_from, mut proof_wall_ns) = (1, 0);
+        let (verifier, post) = loop {
+            // Pre-cutover boundaries still implement the old intent: the
+            // new pipeline is dark until a port steers into it. From the
+            // cutover on — and always for the final boundary — the new
+            // intent rules.
+            let post = work.is_empty() || round.phase >= RoundPhase::Cutover;
+            let intent = if post { post_intent } else { pre_intent };
+            let t0 = Instant::now();
+            let v = Verifier::check_delta(&current, &round.mods, intent.clone());
+            proof_wall_ns += t0.elapsed().as_nanos() as u64;
+            if no_new_findings(v.report(), &base_report) {
+                break (v, post);
+            }
+            // The layering mispredicted: coarsen by merging with the next
+            // round. The fully-merged round is the one-shot epoch, whose
+            // end state the caller already gated — so this terminates.
+            let Some(next) = work.pop_front() else {
+                let summary = v.report().summary();
+                return Err(ScheduleError::UnsafeBoundary { round: index, summary });
+            };
+            // Runs concatenate: the merged round installs what the two
+            // did, in the same order.
+            assert!(Arc::ptr_eq(&round.mods.batch, &next.mods.batch), "only rounds of one epoch merge");
+            round.mods.runs.extend(next.mods.runs);
+            round.phase = round.phase.max(next.phase);
+            round.units += next.units;
+            merged_from += 1;
+            report.merges += 1;
+        };
 
-    let mut index = 0usize;
-    while let Some(p) = next.take() {
-        let Proven { round, verifier, proof_wall_ns, merged_from, pairs_walked, post } = p;
-
-        // Send the round, then prove the *next* boundary while the mods
-        // are in flight.
+        // Send the proven round and close it with a barrier.
         let mut per_switch = vec![0usize; switches.len()];
         for (sw, t, m) in &round.mods {
             channel.send(*sw as usize, *t, m.clone());
             per_switch[*sw as usize] += 1;
-        }
-        if !work.is_empty() {
-            next = Some(prove_with_merge(
-                &mut work,
-                &verifier,
-                &base_report,
-                pre_intent,
-                post_intent,
-                &mut report.merges,
-                index + 1,
-            )?);
         }
         channel.barrier(switches);
         let busiest = per_switch.iter().copied().max().unwrap_or(0);
@@ -522,6 +394,7 @@ pub fn install_scheduled(
         let intended = verifier.view();
         let rec = reconcile(channel, switches, |sw, t| intended.entries(sw as u32, t), 1);
         let install_ns = install_time_ns(busiest) + 2 * channel.delay_ns() + rec.install_ns;
+        report.converged = rec.converged;
 
         // Divergence fallback: the boundary proof describes the intended
         // state; if the channel never got the switches there, prove what
@@ -548,7 +421,7 @@ pub fn install_scheduled(
             units: round.units,
             merged_from,
             proof_wall_ns,
-            pairs_walked,
+            pairs_walked: verifier.report().pairs_walked,
             install_ns,
             backoff_ns: rec.backoff_ns,
             sends: round.mods.len() as u64 + rec.sends,
@@ -557,15 +430,8 @@ pub fn install_scheduled(
             reverified,
         });
         current = verifier;
-        index += 1;
     }
 
-    // Overall convergence: later rounds chase earlier stragglers (every
-    // retry diff targets its boundary's proven tables), so only the final
-    // divergence matters.
-    report.converged = switches.iter().enumerate().all(|(sw, s)| {
-        (0u8..2).all(|t| same_entries(s.table(t).entries(), current.view().entries(sw as u32, t)))
-    });
     report.proof_wall_ns_total = report.rounds.iter().map(|r| r.proof_wall_ns).sum();
     report.install_ns_total = report.rounds.iter().map(|r| r.install_ns).sum();
     Ok((current, report))
@@ -576,7 +442,7 @@ mod tests {
     use super::*;
     use crate::SliceId;
     use sdt_core::synthesis::SynthesisOutput;
-    use sdt_openflow::{FlowEntry, FlowMatch, HostAddr, PortNo};
+    use sdt_openflow::{Action, FlowEntry, FlowMatch, HostAddr, PortNo};
 
     fn t0(port: u16, md: u32) -> FlowEntry {
         FlowEntry {

@@ -89,7 +89,7 @@ fn assert_tables_are_the_slices_merge(mgr: &SliceManager, label: &str) {
             let merged: Vec<FlowEntry> = mgr
                 .slices()
                 .flat_map(|s| {
-                    let tables = if t == 0 { &s.installed.table0 } else { &s.installed.table1 };
+                    let tables = if t == 0 { &s.projection.synthesis.table0 } else { &s.projection.synthesis.table1 };
                     tables[i].iter().copied()
                 })
                 .collect();

@@ -13,10 +13,11 @@
 //!     equality;
 //! (d) scheduling and installation are deterministic: re-planning gives
 //!     the same rounds, and a fixed channel seed replays the same install;
-//! (e) the wire order [`Epoch::from_diff`] stores, and the rounds compiled
-//!     from it, equal a reference that works the order out of plain add
-//!     and delete lists — random multi-switch pipelines with MODIFYs, keys
-//!     held twice and tables not in entry order;
+//! (e) the rounds compiled from an epoch, and the wire order
+//!     [`Epoch::from_diff`] stores — their concatenation — equal a
+//!     reference that works the make-before-break sections out of plain
+//!     add and delete lists and layers their units — random multi-switch
+//!     pipelines with MODIFYs and keys held twice;
 //! (f) replaying that wire order on the old tables ends exactly on the new
 //!     tables' entries, per switch and table.
 
@@ -132,7 +133,6 @@ proptest! {
                             pure_t0_adds.push((i, *sw, md));
                         }
                     }
-                    FlowMod::Clear => prop_assert!(false, "epochs never emit Clear"),
                 }
             }
         }
@@ -291,11 +291,11 @@ fn plain_lists(old: &SynthesisOutput, new: &SynthesisOutput) -> (Vec<Add>, Vec<D
     (adds, deletes)
 }
 
-/// The reference wire order over plain lists: adds table 1 → table 0, then
-/// deletes table 0 → table 1, each add that shares a delete's (switch,
-/// table, match, priority) key held back to land right after the last
-/// delete of that key (an in-place MODIFY).
-fn ordered(adds: &[Add], deletes: &[Delete]) -> Vec<Mod> {
+/// The make-before-break sections over plain lists: adds table 1 → table
+/// 0, then deletes table 0 → table 1, each add that shares a delete's
+/// (switch, table, match, priority) key held back to land right after the
+/// last delete of that key (an in-place MODIFY).
+fn sections(adds: &[Add], deletes: &[Delete]) -> Vec<Mod> {
     // Adds and deletes by position, each sorted by key. Equal delete keys
     // go last position first, so a merge meets the last delete of a key
     // first: the one an add of the same key rides behind.
@@ -349,7 +349,7 @@ fn ordered(adds: &[Add], deletes: &[Delete]) -> Vec<Mod> {
     mods
 }
 
-/// [`ordered`]'s own reference, from before the pairing was keyed by
+/// [`sections`]' own reference, from before the pairing was keyed by
 /// delete position: a key set, and a heap `Vec` of replacements per key,
 /// sent behind the key's last delete.
 fn ordered_by_key_map(adds: &[Add], deletes: &[Delete]) -> Vec<Mod> {
@@ -402,77 +402,47 @@ fn units_of(mods: &[Mod]) -> Vec<Vec<Mod>> {
     units
 }
 
-/// The reference round compiler: a layer per unit, then one filtering,
-/// cloning pass over every unit per layer. Each round as (phase, units,
-/// mods).
-fn reference_rounds(mods: &[Mod], before: &TableView) -> Vec<(RoundPhase, usize, Vec<Mod>)> {
+/// The reference round compiler: a layer per unit of a wire order, then
+/// one filtering, cloning pass over every unit per layer. Each round as
+/// (phase, units, mods). Every delete of a table-1 key some MODIFY
+/// replaces joins that MODIFY's cutover: sent after its replacement, it
+/// would strike it.
+fn reference_rounds(mods: &[Mod]) -> Vec<(RoundPhase, usize, Vec<Mod>)> {
     let units = units_of(mods);
     let mut fresh_routes: HashSet<(u32, u32)> = HashSet::new();
+    let mut modified: HashSet<(u32, FlowMatch, u16)> = HashSet::new();
     for u in &units {
-        if let [(sw, 1, FlowMod::Add(e))] = u.as_slice() {
-            if let Some(md) = e.m.metadata {
-                fresh_routes.insert((*sw, md));
+        match u.as_slice() {
+            [(sw, 1, FlowMod::Add(e))] => fresh_routes.extend(e.m.metadata.map(|md| (*sw, md))),
+            [(sw, 1, FlowMod::Delete(m, p)), _, ..] => {
+                modified.insert((*sw, *m, *p));
             }
+            _ => {}
         }
     }
-    let mut steered: HashSet<(u32, u32)> = HashSet::new();
-    for sw in 0..before.num_switches() as u32 {
-        for e in before.entries(sw, 0) {
-            if let Action::WriteMetadataGoto(md) = e.action {
-                steered.insert((sw, md));
-            }
-        }
-    }
-    let mut add_max = 0usize;
-    let mut layers: Vec<(usize, RoundPhase)> = Vec::with_capacity(units.len());
-    for u in &units {
-        let layer = match u.as_slice() {
-            [(_, 1, FlowMod::Add(_))] => (0, RoundPhase::Make),
-            [(sw, 0, FlowMod::Add(e))] => {
-                let depends = match e.action {
-                    Action::WriteMetadataGoto(md) => fresh_routes.contains(&(*sw, md)),
-                    _ => false,
-                };
-                (usize::from(depends), RoundPhase::Make)
-            }
-            [(_, 0, FlowMod::Delete(..)), ..] => (usize::MAX - 1, RoundPhase::Cutover),
-            [(_, 1, FlowMod::Delete(..)), _, ..] => (usize::MAX - 1, RoundPhase::Cutover),
-            [(sw, 1, FlowMod::Delete(dm, _))] => {
-                if dm.metadata.is_some_and(|md| steered.contains(&(*sw, md))) {
-                    (usize::MAX, RoundPhase::Collect)
-                } else {
-                    (usize::MAX - 1, RoundPhase::Cutover)
-                }
-            }
-            _ => (usize::MAX - 1, RoundPhase::Cutover),
-        };
-        if layer.1 == RoundPhase::Make {
-            add_max = add_max.max(layer.0);
-        }
-        layers.push(layer);
-    }
-    let resolved = |l: usize| match l {
-        usize::MAX => add_max + 2,
-        x if x == usize::MAX - 1 => add_max + 1,
-        x => x,
+    let layer = |u: &[Mod]| match u {
+        [(_, 1, FlowMod::Add(_))] => 0,
+        [(sw, 0, FlowMod::Add(e))] => usize::from(matches!(e.action,
+            Action::WriteMetadataGoto(md) if fresh_routes.contains(&(*sw, md)))),
+        [(sw, 1, FlowMod::Delete(m, p))] if !modified.contains(&(*sw, *m, *p)) => 3,
+        _ => 2,
     };
+    let phases = [RoundPhase::Make, RoundPhase::Make, RoundPhase::Cutover, RoundPhase::Collect];
     let mut rounds = Vec::new();
-    for target in 0..=add_max + 2 {
-        let mut mods = Vec::new();
-        let mut n_units = 0usize;
-        let mut phase = RoundPhase::Make;
-        for (u, &(l, p)) in units.iter().zip(&layers) {
-            if resolved(l) == target {
-                mods.extend(u.iter().cloned());
-                n_units += 1;
-                phase = phase.max(p);
-            }
-        }
-        if !mods.is_empty() {
-            rounds.push((phase, n_units, mods));
+    for (target, phase) in phases.into_iter().enumerate() {
+        let picked: Vec<&Vec<Mod>> = units.iter().filter(|u| layer(u) == target).collect();
+        if !picked.is_empty() {
+            rounds.push((phase, picked.len(), picked.into_iter().flatten().cloned().collect()));
         }
     }
     rounds
+}
+
+/// The reference wire order over plain lists: [`sections`]' units, layer
+/// by layer — the concatenation of [`reference_rounds`].
+fn ordered(adds: &[Add], deletes: &[Delete]) -> Vec<Mod> {
+    let rounds = reference_rounds(&sections(adds, deletes));
+    rounds.into_iter().flat_map(|(_, _, mods)| mods).collect()
 }
 
 /// Random old and new pipelines over one to three switches each (so one
@@ -539,16 +509,18 @@ proptest! {
     fn epoch_wire_order_and_rounds_equal_the_plain_list_reference(seed in any::<u64>()) {
         let (old, new) = pipelines(seed);
         let (adds, deletes) = plain_lists(&old, &new);
-        let want = ordered(&adds, &deletes);
-        prop_assert_eq!(format!("{want:?}"), format!("{:?}", ordered_by_key_map(&adds, &deletes)));
+        let sections = sections(&adds, &deletes);
+        prop_assert_eq!(
+            format!("{sections:?}"),
+            format!("{:?}", ordered_by_key_map(&adds, &deletes))
+        );
         let epoch = Epoch::from_diff(SliceId(0), &old, &new);
-        prop_assert_eq!(format!("{:?}", epoch.mods), format!("{want:?}"));
-        let before = TableView::of_synthesis(&old);
-        let got: Vec<String> = compile_rounds(&epoch, &before)
+        prop_assert_eq!(format!("{:?}", epoch.mods), format!("{:?}", ordered(&adds, &deletes)));
+        let got: Vec<String> = compile_rounds(&epoch, &TableView::default())
             .iter()
             .map(|r| format!("{:?} {} {:?}", r.phase, r.units, r.mods))
             .collect();
-        let want: Vec<String> = reference_rounds(&want, &before)
+        let want: Vec<String> = reference_rounds(&sections)
             .iter()
             .map(|(phase, units, mods)| format!("{phase:?} {units} {mods:?}"))
             .collect();
@@ -570,7 +542,6 @@ fn replayed(old: &SynthesisOutput, mods: &[Mod]) -> Vec<[BTreeSet<String>; 2]> {
         match *m {
             FlowMod::Add(e) => t.push(e),
             FlowMod::Delete(m, p) => t.retain(|e| (e.m, e.priority) != (m, p)),
-            FlowMod::Clear => t.clear(),
         }
     }
     let set = |t: &Vec<FlowEntry>| t.iter().map(|e| format!("{e:?}")).collect();

@@ -57,10 +57,10 @@ fn check_invariants(mgr: &SliceManager) {
     let mut per_switch = vec![0usize; mgr.cluster().num_switches() as usize];
     let mut seen_ports: HashSet<(u32, sdt_openflow::PortNo)> = HashSet::new();
     for s in mgr.slices() {
-        for (sw, n) in s.installed.entries_per_switch.iter().enumerate() {
+        for (sw, n) in s.projection.synthesis.entries_per_switch.iter().enumerate() {
             per_switch[sw] += n;
         }
-        for (sw, t0) in s.installed.table0.iter().enumerate() {
+        for (sw, t0) in s.projection.synthesis.table0.iter().enumerate() {
             for e in t0 {
                 let p = e.m.in_port.expect("table-0 entries match an ingress port");
                 assert!(

@@ -51,15 +51,18 @@ fn precheck_rejects_blackholing_epoch_and_leaves_tables_untouched() {
     let a = mgr.create("a", &ring(4), default_routes(&ring(4))).unwrap();
     let slice = mgr.slice(a).unwrap().clone();
     let (sw, victim) = slice
-        .installed
+        .projection.synthesis
         .table1
         .iter()
         .enumerate()
         .find_map(|(sw, t)| t.first().map(|e| (sw as u32, *e)))
         .expect("an admitted slice has route entries");
 
-    let epoch =
-        Epoch { slice: a, mods: vec![(sw, 1, FlowMod::Delete(victim.m, victim.priority))].into() };
+    let epoch = Epoch {
+        slice: a,
+        mods: vec![(sw, 1, FlowMod::Delete(victim.m, victim.priority))].into(),
+        ..Default::default()
+    };
     // Ownership-wise the epoch is impeccable: it only touches the slice's
     // own metadata space.
     epoch
@@ -85,7 +88,7 @@ fn precheck_accepts_healthy_modify_epoch() {
     let a = mgr.create("a", &ring(4), default_routes(&ring(4))).unwrap();
     let slice = mgr.slice(a).unwrap().clone();
     let (sw, e) = slice
-        .installed
+        .projection.synthesis
         .table1
         .iter()
         .enumerate()
@@ -94,6 +97,7 @@ fn precheck_accepts_healthy_modify_epoch() {
     let epoch = Epoch {
         slice: a,
         mods: vec![(sw, 1, FlowMod::Delete(e.m, e.priority)), (sw, 1, FlowMod::Add(e))].into(),
+        ..Default::default()
     };
     mgr.precheck_epoch(&epoch).expect("an in-place replacement changes nothing");
 }
@@ -136,7 +140,11 @@ fn precheck_rejects_cross_slice_leak_epoch() {
         priority: 99,
         action: Action::Output(to_port.port),
     };
-    let evil = Epoch { slice: a, mods: vec![(to_port.switch, 1, FlowMod::Add(leak))].into() };
+    let evil = Epoch {
+        slice: a,
+        mods: vec![(to_port.switch, 1, FlowMod::Add(leak))].into(),
+        ..Default::default()
+    };
     // The match is inside slice A's own metadata space: ownership checking
     // is blind to where the *action* points.
     evil.verify(&sa.owned_space(), &sb.owned_space()).expect("ownership cannot see the leak");

@@ -15,16 +15,20 @@
 //! on a switch. The tables are exact: a change that moves a pin re-records
 //! it here and says why.
 //!
-//! The rounds themselves copy no mod: every round reads its epoch's one
-//! buffer (`rounds_read_the_epoch_buffer_and_copy_no_mod`), and a merged
-//! round installs what its rounds did, in their order
-//! (`a_merged_round_installs_its_rounds_in_order`).
+//! The rounds themselves copy no mod: every round is one run of its
+//! epoch's one buffer (`rounds_read_the_epoch_buffer_and_copy_no_mod`), a
+//! merged round installs what its rounds did, in their order
+//! (`a_merged_round_installs_its_rounds_in_order`), and a boundary that
+//! cannot be proven stops the install on the last proven one with nothing
+//! in flight (`an_unprovable_boundary_leaves_the_last_proven_one_and_nothing_in_flight`).
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use sdt_core::cluster::{ClusterBuilder, PhysicalCluster};
 use sdt_core::methods::SwitchModel;
 use sdt_openflow::{ControlChannel, FlowTable};
-use sdt_tenancy::{compile_rounds, install_scheduled, MigrationPlan, SliceManager};
+use sdt_tenancy::{
+    compile_rounds, install_scheduled, Epoch, MigrationPlan, ScheduleError, SliceManager,
+};
 use sdt_topology::fattree::fat_tree;
 use sdt_topology::meshtorus::torus;
 use sdt_topology::Topology;
@@ -184,9 +188,9 @@ fn paper_k4_plan() -> (SliceManager, MigrationPlan) {
 }
 
 /// No round copies a mod: every round a plan holds, and every round
-/// `compile_rounds` returns for the plan's epoch, yields the epoch's own
-/// mods — the same addresses — at ascending positions, and the rounds
-/// together cover each position once.
+/// `compile_rounds` returns for the plan's epoch, is one contiguous run of
+/// the epoch's own mods — the same addresses — and the runs tile the
+/// epoch in order.
 #[test]
 fn rounds_read_the_epoch_buffer_and_copy_no_mod() {
     let (mgr, plan) = paper_k4_plan();
@@ -194,18 +198,16 @@ fn rounds_read_the_epoch_buffer_and_copy_no_mod() {
     let compiled = compile_rounds(epoch, &TableView::of_switches(mgr.switches()));
     for rounds in [plan.rounds(), &compiled[..]] {
         assert_eq!(rounds.len(), 4);
-        let mut covered: Vec<u32> = Vec::new();
+        let mut at = 0;
         for r in rounds {
-            let at = r.mods.positions();
-            assert_eq!(r.mods.len(), at.len());
-            assert!(at.is_sorted(), "a compiled round's positions ascend");
-            for (m, &i) in r.mods.iter().zip(at) {
-                assert!(std::ptr::eq(m, &epoch.mods[i as usize]), "position {i} was copied");
+            let run = &epoch.mods[at..at + r.mods.len()];
+            assert_eq!(r.mods.iter().count(), run.len());
+            for (i, (m, e)) in r.mods.iter().zip(run).enumerate() {
+                assert!(std::ptr::eq(m, e), "position {} was copied or moved", at + i);
             }
-            covered.extend(at);
+            at += run.len();
         }
-        covered.sort_unstable();
-        assert!(covered.into_iter().eq(0..epoch.mods.len() as u32));
+        assert_eq!(at, epoch.mods.len());
     }
 }
 
@@ -242,4 +244,54 @@ fn a_merged_round_installs_its_rounds_in_order() {
             assert_eq!(got.table(t).entries(), want.table(t).entries());
         }
     }
+}
+
+/// A boundary that cannot be proven stops the install with the rounds
+/// before it applied and nothing left in flight. The gate is skipped: the
+/// k=4 migration is installed toward the torus pipeline less one table-1
+/// route, which stays dark through the make rounds, so the cutover's
+/// boundary — merged through the collect round too — is the one that
+/// fails.
+#[test]
+fn an_unprovable_boundary_leaves_the_last_proven_one_and_nothing_in_flight() {
+    let (mgr, plan) = paper_k4_plan();
+    let id = plan.epoch().slice;
+    let to = torus(&[4, 4]);
+    let mut reference = SliceManager::new(paper_cluster());
+    reference.create("m", &fat_tree(4), default_routes(&fat_tree(4))).unwrap();
+    reference.reconfigure(id, &to, default_routes(&to)).unwrap();
+    let mut new = reference.slice(id).unwrap().projection.synthesis.clone();
+    let mut routes = new.table1[0].to_vec();
+    routes.remove(0);
+    new.table1[0] = routes.into();
+    new.entries_per_switch[0] -= 1;
+    let old = &mgr.slice(id).unwrap().projection.synthesis;
+    let rounds = compile_rounds(&Epoch::from_diff(id, old, &new), &TableView::default());
+    let mut want = mgr.switches().to_vec();
+    for (sw, t, m) in rounds[..2].iter().flat_map(|r| &r.mods) {
+        want[*sw as usize].apply(*t, m.clone()).unwrap();
+    }
+
+    let mut switches = mgr.switches().to_vec();
+    let mut channel = ControlChannel::reliable();
+    let base =
+        Verifier::check(mgr.cluster(), TableView::of_switches(&switches), plan.pre_intent().clone());
+    let err = install_scheduled(
+        mgr.cluster(),
+        &mut switches,
+        &mut channel,
+        rounds,
+        base,
+        plan.pre_intent(),
+        plan.post_intent(),
+    )
+    .unwrap_err();
+    assert!(matches!(err, ScheduleError::UnsafeBoundary { round: 2, .. }), "{err}");
+    for (sw, (got, want)) in switches.iter().zip(&want).enumerate() {
+        for t in [0u8, 1] {
+            assert_eq!(got.table(t).entries(), want.table(t).entries(), "switch {sw} table {t}");
+        }
+    }
+    let late = channel.barrier(&mut switches);
+    assert_eq!((late.applied, late.rejected), (0, 0), "a round was left in flight");
 }

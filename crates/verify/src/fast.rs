@@ -678,9 +678,8 @@ mod tests {
     /// value sets (`spread` addresses per field), so that they overlap at
     /// equal priority all the time: metadata and destination wildcards,
     /// merged defaults, `src` and L4 tests, unsteered metadata, bad gotos.
-    /// Switch 3 routes nothing. Installed in generation order, or reversed
-    /// (the same table either way: a table keeps key order).
-    fn random_tables(seed: u64, rules: usize, spread: u32, reversed: bool) -> (PhysicalCluster, TableView) {
+    /// Switch 3 routes nothing.
+    fn random_tables(seed: u64, rules: usize, spread: u32) -> (PhysicalCluster, TableView) {
         let mut rng = StdRng::seed_from_u64(seed);
         let at = |switch: u32, port: u16| PhysPort { switch, port: PortNo(port) };
         let model = SwitchModel { name: "synthetic 8-port", ports: 8, ..SwitchModel::openflow_64x100g() };
@@ -695,7 +694,7 @@ mod tests {
                 view.apply(sw, 0, &FlowMod::Add(classify));
             }
             let mut some = |p: f64, n: u32| rng.random_bool(p).then(|| rng.random_range(0..n));
-            let mut table: Vec<FlowEntry> = (0..if sw == 3 { 0 } else { rules })
+            let table: Vec<FlowEntry> = (0..if sw == 3 { 0 } else { rules })
                 .map(|_| FlowEntry {
                     m: FlowMatch {
                         in_port: None,
@@ -712,9 +711,6 @@ mod tests {
                     },
                 })
                 .collect();
-            if reversed {
-                table.reverse();
-            }
             table.iter().for_each(|&e| view.apply(sw, 1, &FlowMod::Add(e)));
         }
         (cluster, view)
@@ -722,46 +718,55 @@ mod tests {
 
     #[test]
     fn every_cell_is_the_first_match_the_index_probe_finds() {
-        // (seed, rules per table, addresses per field): the last set-up has
-        // 51 × 51 × 3 × 3 classes, so blocks of `CLASS_BLOCK` split it.
+        // (seed, rules per table, addresses per field), two or more seeds a
+        // set-up: the last set-up has 51 × 51 × 3 × 3 classes, so blocks of
+        // `CLASS_BLOCK` split it. Every seed draws a table of its own, so
+        // the floor below counts distinct tables' cells.
+        let set_ups = [
+            (1, 40, 4),
+            (2, 40, 4),
+            (5, 40, 4),
+            (6, 40, 4),
+            (3, 120, 3),
+            (7, 120, 3),
+            (4, 400, 50),
+            (8, 400, 50),
+        ];
         let mut cells_checked = 0;
-        for (seed, rules, spread) in [(1, 40, 4), (2, 40, 4), (3, 120, 3), (4, 400, 50)] {
-            for reversed in [false, true] {
-                let (cluster, view) = random_tables(seed, rules, spread, reversed);
-                let mut outcomes = Outcomes::new();
-                let fates = FateTable::build(&cluster, &view, &mut outcomes);
-                assert!(fates.ok && !fates.states.is_empty());
-                let values = HeaderValues::collect(&view);
-                let classes = values.classes();
-                let sizes = match classes.len() > CLASS_BLOCK {
-                    true => vec![CLASS_BLOCK],
-                    false => vec![1, 7, classes.len()],
-                };
-                for size in sizes {
-                    for (nth, block) in classes.chunks(size).enumerate() {
-                        let lo = nth * size;
-                        let at = (lo, block);
-                        let steps =
-                            StepMatrix::build(&cluster, &view, &fates, &mut outcomes, &values, at);
-                        for (c, class) in block.iter().enumerate() {
-                            for (state, &(sw, md)) in fates.states.iter().enumerate() {
-                                let hit = probe(&view, sw, md, class);
-                                let cabled = hit.and_then(|e| match e.action {
-                                    Action::Output(p) => far_end(&cluster, PhysPort { switch: sw, port: p }),
-                                    _ => None,
-                                });
-                                let want = match cabled {
-                                    Some(to) => Ok((to.switch as usize * fates.ports + to.port.idx()) as u32),
-                                    None => Err(walk_end(&cluster, sw, 1, hit)),
-                                };
-                                let got = decode(steps.class(c)[state], &outcomes);
-                                assert_eq!(
-                                    got, want,
-                                    "seed {seed} reversed {reversed} block {size}@{lo} switch {sw} \
-                                     metadata {md} class {class:?}"
-                                );
-                                cells_checked += 1;
-                            }
+        for (seed, rules, spread) in set_ups {
+            let (cluster, view) = random_tables(seed, rules, spread);
+            let mut outcomes = Outcomes::new();
+            let fates = FateTable::build(&cluster, &view, &mut outcomes);
+            assert!(fates.ok && !fates.states.is_empty());
+            let values = HeaderValues::collect(&view);
+            let classes = values.classes();
+            let sizes = match classes.len() > CLASS_BLOCK {
+                true => vec![CLASS_BLOCK],
+                false => vec![1, 7, classes.len()],
+            };
+            for size in sizes {
+                for (nth, block) in classes.chunks(size).enumerate() {
+                    let lo = nth * size;
+                    let at = (lo, block);
+                    let steps =
+                        StepMatrix::build(&cluster, &view, &fates, &mut outcomes, &values, at);
+                    for (c, class) in block.iter().enumerate() {
+                        for (state, &(sw, md)) in fates.states.iter().enumerate() {
+                            let hit = probe(&view, sw, md, class);
+                            let cabled = hit.and_then(|e| match e.action {
+                                Action::Output(p) => far_end(&cluster, PhysPort { switch: sw, port: p }),
+                                _ => None,
+                            });
+                            let want = match cabled {
+                                Some(to) => Ok((to.switch as usize * fates.ports + to.port.idx()) as u32),
+                                None => Err(walk_end(&cluster, sw, 1, hit)),
+                            };
+                            let got = decode(steps.class(c)[state], &outcomes);
+                            assert_eq!(
+                                got, want,
+                                "seed {seed} block {size}@{lo} switch {sw} metadata {md} class {class:?}"
+                            );
+                            cells_checked += 1;
                         }
                     }
                 }

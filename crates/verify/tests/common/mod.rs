@@ -6,8 +6,8 @@
 //! holds the two walkers to each other and to a probe count along it;
 //! `determinism` proves it twice. Also the hand-written
 //! switch chains the suites edit rules into — one host per switch, or
-//! several that share their switch's row — and a live bank of a view's
-//! tables for probes.
+//! several that share their switch's row — a live bank of a view's
+//! tables for probes, and the batch that empties one of its tables.
 
 #![allow(dead_code)] // each test crate reads its own part of a step
 
@@ -226,6 +226,12 @@ pub fn bank(cluster: &PhysicalCluster, view: &TableView) -> Vec<OpenFlowSwitch> 
             s
         })
         .collect()
+}
+
+/// The batch that empties table `table` of switch `sw` in `view`: one
+/// Delete per entry.
+pub fn emptying(view: &TableView, sw: u32, table: u8) -> Vec<(u32, u8, FlowMod)> {
+    view.entries(sw, table).iter().map(|e| (sw, table, FlowMod::Delete(e.m, e.priority))).collect()
 }
 
 /// Switch `sw`'s route toward host `dst` in [`wide_chain`] and [`bushy_chain`].

@@ -71,7 +71,7 @@ fn paper_presets_prove_the_same_twice() {
 
 #[test]
 fn delta_checks_prove_the_same_twice() {
-    // Corrupt a verified fat-tree deployment with a batch that clears one
+    // Corrupt a verified fat-tree deployment with a batch that empties one
     // switch's routing table — the delta re-walk must report the same
     // blackholes every time.
     let topo = fat_tree(4);
@@ -80,11 +80,11 @@ fn delta_checks_prove_the_same_twice() {
     let intent = || Intent::of_projection(&proj, &topo, topo.name());
     let v1 = Verifier::check(&cluster, view(), intent());
     let v2 = Verifier::check(&cluster, view(), intent());
-    let batch: Vec<(u32, u8, FlowMod)> = vec![(0, 1, FlowMod::Clear)];
+    let batch = common::emptying(&view(), 0, 1);
     let d1 = Verifier::check_delta(&v1, &batch, intent());
     let d2 = Verifier::check_delta(&v2, &batch, intent());
-    assert_identical(&d1, &d2, "fat-tree k=4 + clear delta");
-    assert!(!d1.holds(), "clearing a routing table must break the proof");
+    assert_identical(&d1, &d2, "fat-tree k=4 + emptied-table delta");
+    assert!(!d1.holds(), "emptying a routing table must break the proof");
 
     // Slice churn: every step carries some pairs over a changed intent and
     // the class passes fill in the rest, all into one shared pair index.
@@ -197,9 +197,9 @@ fn benchmark_shims_prove_what_check_proves() {
         let shim = Verifier::check_cached(&cluster, view(), intent(), threads, &mut cache);
         same(&full, &shim, &format!("check_cached(.., {threads})"));
     }
-    let batch: Vec<(u32, u8, FlowMod)> = vec![(0, 1, FlowMod::Clear)];
+    let batch = common::emptying(&view(), 0, 1);
     let delta = Verifier::check_delta(&full, &batch, intent());
-    assert!(!delta.holds(), "clearing a routing table must break the proof");
+    assert!(!delta.holds(), "emptying a routing table must break the proof");
     for threads in [sdt_verify::verify_threads(), 2] {
         let shim = Verifier::check_delta_cached(&full, &batch, intent(), threads, &mut cache);
         same(&delta, &shim, &format!("check_delta_cached(.., {threads})"));

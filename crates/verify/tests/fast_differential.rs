@@ -118,7 +118,7 @@ fn paper_presets_fast_equals_plain() {
 
 #[test]
 fn delta_checks_fast_equals_plain_across_modes() {
-    // Corrupt a verified fat-tree with a batch clearing one routing table:
+    // Corrupt a verified fat-tree with a batch emptying one routing table:
     // plain delta and fast delta must report the same blackholes, and an
     // empty delta must agree too.
     let topo = fat_tree(4);
@@ -128,11 +128,11 @@ fn delta_checks_fast_equals_plain_across_modes() {
     let plain0 = Verifier::check_plain(&cluster, view(), intent());
     let fast0 = Verifier::check(&cluster, view(), intent());
 
-    let batch: Vec<(u32, u8, FlowMod)> = vec![(0, 1, FlowMod::Clear)];
+    let batch = common::emptying(&view(), 0, 1);
     let dp = Verifier::check_delta_plain(&plain0, &batch, intent());
     let df = Verifier::check_delta(&fast0, &batch, intent());
-    assert_identical(&df, &dp, "clear delta fast");
-    assert!(!dp.holds(), "clearing a routing table must break the proof");
+    assert_identical(&df, &dp, "emptied-table delta fast");
+    assert!(!dp.holds(), "emptying a routing table must break the proof");
 
     // Re-verify the unmodified tables: the fast empty delta (whole-proof
     // replay) must agree with the plain empty delta (both report zero
@@ -720,8 +720,7 @@ fn decode_match(r: u32) -> FlowMatch {
 
 fn decode_mod((kind, r, priority, action): (u8, u32, u16, u8)) -> FlowMod {
     match kind % 4 {
-        0 => FlowMod::Clear,
-        1 => FlowMod::Delete(decode_match(r), priority),
+        0 | 1 => FlowMod::Delete(decode_match(r), priority),
         _ => FlowMod::Add(FlowEntry {
             m: decode_match(r),
             priority,

@@ -169,15 +169,15 @@ fn reconfiguring_b_leaves_a_and_c_fabric_state_byte_identical() {
     let mut ctl = SliceController::new(shared_cluster());
     let (a, b, c) = three_slices(&mut ctl);
 
-    let a_installed = ctl.manager().slice(a).unwrap().installed.clone();
-    let c_installed = ctl.manager().slice(c).unwrap().installed.clone();
+    let a_installed = ctl.manager().slice(a).unwrap().projection.synthesis.clone();
+    let c_installed = ctl.manager().slice(c).unwrap().projection.synthesis.clone();
     let live_before = entries_excluding(&ctl, b);
 
     let report = ctl.reconfigure(b, &chain(4), "default").unwrap();
     assert!(report.flow_mods() > 0, "a topology change must emit flow-mods");
 
-    assert_eq!(a_installed, ctl.manager().slice(a).unwrap().installed);
-    assert_eq!(c_installed, ctl.manager().slice(c).unwrap().installed);
+    assert_eq!(a_installed, ctl.manager().slice(a).unwrap().projection.synthesis);
+    assert_eq!(c_installed, ctl.manager().slice(c).unwrap().projection.synthesis);
     assert_eq!(
         live_before,
         entries_excluding(&ctl, b),

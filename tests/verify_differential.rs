@@ -296,7 +296,7 @@ fn static_matches_slice_audit_on_seeded_random_mix() {
 fn victim_entry(mgr: &SliceManager) -> (SliceId, usize, FlowEntry, PhysPort) {
     let slices: Vec<_> = mgr.slices().collect();
     let v = slices[0];
-    for (sw, t1) in v.installed.table1.iter().enumerate() {
+    for (sw, t1) in v.projection.synthesis.table1.iter().enumerate() {
         let foreign = slices[1..]
             .iter()
             .flat_map(|w| w.projection.host_port.values())
