@@ -16,7 +16,7 @@
 //!                                  shared cluster (first config wires it),
 //!                                  print occupancy + the static proof of
 //!                                  the shared tables (no packets injected)
-//! sdtctl reconfigure [--scheduled] [--drop <p>] [--reorder <p>] [--seed <n>]
+//! sdtctl reconfigure [--scheduled [--drop <p>] [--reorder <p>] [--seed <n>]]
 //!                    <from.toml> <to.toml>
 //!                                  admit the first config as a slice, then
 //!                                  migrate it to the second topology. With
@@ -386,8 +386,8 @@ fn cmd_slices(paths: &[String], json: bool) -> Result<(), String> {
     finish(&done.output, done.error)
 }
 
-const RECONFIGURE_USAGE: &str = "reconfigure: usage: sdtctl reconfigure [--scheduled] \
-                                 [--drop <p>] [--reorder <p>] [--seed <n>] <from.toml> <to.toml>";
+const RECONFIGURE_USAGE: &str = "reconfigure: usage: sdtctl reconfigure [--scheduled \
+                                 [--drop <p>] [--reorder <p>] [--seed <n>]] <from.toml> <to.toml>";
 
 struct ReconfigureFlags {
     /// `Some` with `--scheduled`: the loss profile of its control channel
@@ -426,6 +426,11 @@ fn parse_reconfigure_flags(args: &[String]) -> Result<ReconfigureFlags, String> 
             }
             _ => paths.push(a.clone()),
         }
+    }
+    if !scheduled && channel != ControlConfig::reliable() {
+        return Err("reconfigure: --drop, --reorder and --seed set the control channel of \
+                    --scheduled, and need it"
+            .into());
     }
     Ok(ReconfigureFlags { scheduled: scheduled.then_some(channel), paths })
 }

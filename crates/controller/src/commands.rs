@@ -157,14 +157,7 @@ pub fn reconfigure(
     done.installed.push((1, id));
     let holds = ctl.manager_mut().verify_report().holds();
     done.output = if json {
-        output::reconfigure_json(
-            from_name,
-            to_name,
-            scheduled.is_some(),
-            &report,
-            sched.as_ref(),
-            holds,
-        )
+        output::reconfigure_json(from_name, to_name, &report, sched.as_ref(), holds)
     } else {
         output::reconfigure_human(from_name, to_name, &report, sched.as_ref(), holds)
     };

@@ -239,11 +239,10 @@ fn dump_findings<T: std::fmt::Display>(out: &mut String, items: &[T]) {
 }
 
 /// Reconfiguration report, JSON form. `sched` is the `--scheduled` round
-/// breakdown when that path ran.
+/// breakdown when that path ran, and `"scheduled"` says whether it did.
 pub fn reconfigure_json(
     from: &str,
     to: &str,
-    scheduled: bool,
     report: &EpochReport,
     sched: Option<&ScheduleReport>,
     audit_clean: bool,
@@ -252,7 +251,7 @@ pub fn reconfigure_json(
     let mut obj = vec![
         ("from", Json::str(from)),
         ("to", Json::str(to)),
-        ("scheduled", Json::Bool(scheduled)),
+        ("scheduled", Json::Bool(sched.is_some())),
         (
             "epoch",
             Json::obj([

@@ -34,6 +34,9 @@
 //! checked accessors of [`Json`], so a refusal names the method and the
 //! field (`destroy: id: out of u32 range`). Members this table does not
 //! list are ignored, and of a duplicated key the first is read.
+//! `reconfigure`'s `drop`, `reorder` and `seed` are the control channel of
+//! a scheduled install: a non-default one without `scheduled: true` is
+//! refused.
 //!
 //! A line that does not decode is still owed a reply, in order, under the
 //! `id` it carried if that much could be read and `0` otherwise — which is
@@ -227,9 +230,13 @@ fn decode_params(method: &str, p: &Json) -> Result<Option<Request>, String> {
                 seed: p.get("seed").map_or(Ok(0), |v| v.want_u64("seed"))?,
                 ..ControlConfig::reliable()
             };
+            let (json, scheduled) = (flag("json")?, flag("scheduled")?);
+            if !scheduled && channel != ControlConfig::reliable() {
+                return Err("drop, reorder and seed need scheduled: true".into());
+            }
             Request::Reconfigure {
-                json: flag("json")?,
-                scheduled: flag("scheduled")?.then_some(channel),
+                json,
+                scheduled: scheduled.then_some(channel),
                 from_path: text("from_path")?,
                 from_text: text("from_text")?,
                 to_text: text("to_text")?,
@@ -407,7 +414,7 @@ mod tests {
     #[test]
     fn optional_members_default_and_unlisted_ones_are_ignored() {
         let (_, req) = Request::decode(
-            br#"{"id":1,"method":"reconfigure","params":{"from_path":"a","from_text":"b","to_path":"c","to_text":"d","drop":0.5}}"#,
+            br#"{"id":1,"method":"reconfigure","params":{"from_path":"a","from_text":"b","to_path":"c","to_text":"d","drop":0}}"#,
         );
         let want = Request::Reconfigure {
             json: false,

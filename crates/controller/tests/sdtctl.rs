@@ -90,6 +90,34 @@ fn control_channel_probabilities_outside_0_1_are_refused_by_flag() {
     }
 }
 
+/// `--drop`, `--reorder` and `--seed` shape the control channel of a
+/// scheduled install; without `--scheduled` they are refused as a usage
+/// error that names it, instead of running a reliable one-shot install.
+#[test]
+fn a_loss_profile_without_scheduled_is_a_usage_error() {
+    let config = std::env::temp_dir().join(format!("sdtctl-lossy-{}.toml", std::process::id()));
+    std::fs::write(&config, FT4).unwrap();
+    let path = config.to_str().unwrap();
+    let runs: Vec<_> = [("--drop", "0.2"), ("--reorder", "0.3"), ("--seed", "7")]
+        .into_iter()
+        .map(|(flag, value)| {
+            let out = Command::new(env!("CARGO_BIN_EXE_sdtctl"))
+                .args(["reconfigure", flag, value, path, path])
+                .output()
+                .unwrap();
+            (flag, out)
+        })
+        .collect();
+    std::fs::remove_file(&config).unwrap();
+    for (flag, out) in runs {
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{flag}: {stderr}");
+        assert!(stderr.starts_with("sdtctl: reconfigure: "), "{flag}: {stderr}");
+        assert!(stderr.contains("--scheduled"), "{flag}: {stderr}");
+        assert!(out.stdout.is_empty(), "{flag}: nothing ran");
+    }
+}
+
 /// `check` is `deploy` short of programming a switch: over a config that
 /// fits, a cable shortage, a routing the deadlock gate vetoes and an
 /// unknown strategy, both exit alike and refuse for the same reason —

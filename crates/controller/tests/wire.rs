@@ -275,3 +275,29 @@ fn control_channel_probabilities_outside_0_1_are_refused_by_name() {
         assert_eq!((channel.drop_prob, channel.reorder_prob), (drop, reorder));
     }
 }
+
+/// A loss profile describes the control channel of a scheduled install: a
+/// `reconfigure` with a non-default `drop`, `reorder` or `seed` and no
+/// `scheduled: true` is refused by name, not run as a reliable one-shot
+/// install. The defaults the writer emits for an unscheduled request pass.
+#[test]
+fn a_loss_profile_without_scheduled_is_refused() {
+    let line = |members: &str| {
+        format!(
+            "{{\"id\":4,\"method\":\"reconfigure\",\"params\":{{{members}\
+             \"from_path\":\"a\",\"from_text\":\"\",\"to_text\":\"\"}}}}"
+        )
+    };
+    for profile in ["\"drop\":0.2,", "\"reorder\":0.3,", "\"seed\":7,"] {
+        for scheduled in ["", "\"scheduled\":false,"] {
+            let (id, req) = Request::decode(line(&format!("{scheduled}{profile}")).as_bytes());
+            assert_eq!(id, 4);
+            let err = req.unwrap_err();
+            assert!(err.starts_with("reconfigure: ") && err.contains("scheduled"), "{err}");
+        }
+        let (_, req) = Request::decode(line(&format!("\"scheduled\":true,{profile}")).as_bytes());
+        assert!(matches!(req, Ok(Request::Reconfigure { scheduled: Some(_), .. })), "{req:?}");
+    }
+    let (_, req) = Request::decode(line("\"drop\":0,\"reorder\":0,\"seed\":0,").as_bytes());
+    assert!(matches!(req, Ok(Request::Reconfigure { scheduled: None, .. })), "{req:?}");
+}

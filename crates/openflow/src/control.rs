@@ -368,6 +368,25 @@ mod tests {
         assert!(saw_stale, "some seed in 0..64 must reorder");
     }
 
+    /// A MODIFY is a Delete and an Add of one (match, priority) key. When
+    /// the channel loses the Delete and delivers the Add, the Add replaces
+    /// the entry of its key, so the switch is on target already and
+    /// `reconcile` has nothing to send.
+    #[test]
+    fn a_modify_whose_delete_is_lost_still_lands_on_target() {
+        let (old, new) = (entry(7, 1), entry(7, 2));
+        let mut sw = [switch()];
+        sw[0].apply(1, FlowMod::Add(old)).unwrap();
+        let mut ch = ControlChannel::reliable();
+        ch.send(0, 1, FlowMod::Add(new));
+        ch.barrier(&mut sw);
+        assert_eq!(sw[0].table(1).entries(), &[new]);
+        assert_eq!(table_divergence(&sw[0], &[], &[new]), 0);
+        let goal = |_: usize, t: u8| if t == 1 { std::slice::from_ref(&new) } else { &[][..] };
+        let r = reconcile(&mut ch, &mut sw, goal, 1);
+        assert_eq!((r.converged, r.sends, r.retries), (true, 0, 0), "{r:?}");
+    }
+
     /// A table is its entry set: a lossy, reordering channel followed by
     /// `reconcile` leaves the bytes a reliable install leaves, although it
     /// delivered the adds in another order. The target holds overlapping

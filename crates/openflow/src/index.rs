@@ -1,13 +1,15 @@
 //! The ordered entry store: a flow table's entries, their order, and the
 //! tuple-space index over them — one type, one `apply`, one lookup.
 //!
-//! Entries are kept in key order ([`FlowEntry::order_key`]: priority
-//! descending, then the match fields, then the action), the order a
-//! front-to-back scan resolves first-match-wins in. The order is a
-//! function of the entry multiset alone, not of the order the entries
-//! were installed in, so two stores holding the same entries hold the same
+//! A store is a map from a (match, priority) key to the one entry holding
+//! it, as OpenFlow 1.3 defines a flow table: an ADD of a key the table
+//! holds replaces that entry. Entries are kept in key order
+//! ([`FlowEntry::order_key`]: priority descending, then the match fields),
+//! the order a front-to-back scan resolves first-match-wins in. The order
+//! is a function of the entry set alone, not of the order the entries were
+//! installed in, so two stores holding the same entries hold the same
 //! bytes. [`EntryStore::apply`] is the only code that decides what an Add
-//! or a Delete does to that order.
+//! or a Delete does to that map.
 //!
 //! The index is built by whoever first looks something up
 //! ([`EntryStore::first_match_where`], which [`EntryStore::lookup`] goes
@@ -112,8 +114,8 @@ fn slot_of(m: &FlowMatch) -> (usize, TierKey) {
     (tier, (m.in_port.map_or(0, |p| p.0), m.metadata.unwrap_or(0), m.dst.map_or(0, |d| d.0)))
 }
 
-/// The candidates of one bucket, in key order. SDT pipelines key every
-/// entry of a table differently, so the bucket of one is held inline: no
+/// The candidates of one bucket, in key order. Most buckets of an SDT
+/// pipeline hold one entry, so the bucket of one is held inline: no
 /// allocation to build it, no pointer to chase to probe it.
 #[derive(Clone, Debug)]
 enum Bucket {
@@ -174,7 +176,7 @@ impl Tiers {
         }
     }
 
-    /// Drop every candidate with exactly this (match, priority).
+    /// Drop the candidate with exactly this (match, priority).
     fn remove(&mut self, fm: &FlowMatch, priority: u16) {
         let (tier, key) = slot_of(fm);
         if let Entry::Occupied(mut o) = self.0[tier].entry(key) {
@@ -187,7 +189,7 @@ impl Tiers {
 
 /// What a persisted state keeps of a flow table instead of its entries:
 /// the entry count and a hash of every entry's fields in key order — a
-/// function of the entry multiset. The hash is FNV-1a over fixed-width
+/// function of the entry set. The hash is FNV-1a over fixed-width
 /// little-endian words, written out here rather than `DefaultHasher`,
 /// whose output may change between Rust releases: a digest one build
 /// writes, the next one reads.
@@ -247,17 +249,27 @@ impl EntryStore {
         TableDigest { entries: self.entries.len() as u64, hash }
     }
 
-    /// Apply a flow-mod: Add inserts at the entry's place in key order
-    /// (a binary search), Delete removes every entry with exactly this
-    /// (match, priority). A tier index that has been built is patched in
-    /// the same step — one bucket insert for Add, one bucket drain for
-    /// Delete.
+    /// Apply a flow-mod, OpenFlow 1.3's way: an Add of a (match,
+    /// priority) key the store holds replaces that entry, any other Add is
+    /// inserted at its place in key order (a binary search); a Delete
+    /// removes the entry with exactly this (match, priority), if there is
+    /// one (strict). A tier index that has been built is patched in the same
+    /// step — a bucket insert for Add, after a bucket remove when it
+    /// replaces, and a bucket remove for Delete.
     pub fn apply(&mut self, m: &FlowMod) {
         match m {
             FlowMod::Add(e) => {
                 let pos = self.entries.partition_point(|x| x.order_key() < e.order_key());
-                self.entries.insert(pos, *e);
+                let replaces = self.entries.get(pos).is_some_and(|x| x.order_key() == e.order_key());
+                if replaces {
+                    self.entries[pos] = *e;
+                } else {
+                    self.entries.insert(pos, *e);
+                }
                 if let Some(tiers) = self.tiers.get_mut() {
+                    if replaces {
+                        tiers.remove(&e.m, e.priority);
+                    }
                     tiers.insert(*e);
                 }
             }
@@ -270,13 +282,23 @@ impl EntryStore {
         }
     }
 
-    /// The store one [`EntryStore::apply`] of an Add per entry, in any
-    /// order, builds from an empty one, without the per-entry insert: the
-    /// vector itself, sorted into key order (one pass and no move for
-    /// entries already in it, as synthesis emits them).
+    /// The store one [`EntryStore::apply`] of an Add per entry, in the
+    /// given order, builds from an empty one, without the per-entry insert:
+    /// the vector itself, stably sorted into key order, and of a key given
+    /// twice the later entry (one pass and no move for entries already in
+    /// strict key order, as synthesis emits them). Never panics: a hostile
+    /// input just builds the store those Adds would.
     pub fn from_ordered(mut entries: Vec<FlowEntry>) -> Self {
-        if !entries.is_sorted_by_key(FlowEntry::order_key) {
-            entries.sort_unstable_by_key(FlowEntry::order_key);
+        if !entries.is_sorted_by(|a, b| a.order_key() < b.order_key()) {
+            entries.sort_by_key(FlowEntry::order_key);
+            // `dedup_by` keeps the first of a run: move the later one into it.
+            entries.dedup_by(|later, kept| {
+                let same = later.order_key() == kept.order_key();
+                if same {
+                    *kept = *later;
+                }
+                same
+            });
         }
         EntryStore { entries, tiers: OnceLock::new() }
     }
@@ -391,10 +413,11 @@ mod tests {
                 priority: 6,
                 action: Action::Output(PortNo(5)),
             },
-            // Same keys again: buckets of more than one entry.
+            // The same match again, a level lower: a bucket of more than
+            // one entry.
             FlowEntry {
                 m: FlowMatch::to_dst(HostAddr(8)).and_metadata(9),
-                priority: 6,
+                priority: 2,
                 action: Action::Drop,
             },
             FlowEntry {
@@ -432,7 +455,7 @@ mod tests {
         assert_eq!(hit.map(|e| e.action), Some(Action::Drop));
     }
 
-    /// A digest is a fixed function of the entry multiset: pinned here, so
+    /// A digest is a fixed function of the entry set: pinned here, so
     /// a build that hashes differently fails before it reads a digest
     /// another build wrote; the same for any install order; and moved by
     /// any one field, `None` against `Some(0)` included.
@@ -457,9 +480,9 @@ mod tests {
     }
 
     /// `from_ordered` of any permutation of some entries is one Add per
-    /// entry in any order, byte for byte: a store is its entry multiset.
-    /// The entries hold overlapping equal-priority pairs in three tiers and
-    /// a duplicate, and a later Add and Delete land the same in every
+    /// entry in any order, byte for byte: a store is its entry set. The
+    /// entries hold overlapping equal-priority pairs in three tiers and an
+    /// entry given twice, and a later Add and Delete land the same in every
     /// store.
     #[test]
     fn from_ordered_of_any_permutation_is_one_add_per_entry_in_any_order() {
@@ -511,5 +534,32 @@ mod tests {
             i = 1;
         }
         assert_eq!(seen, 720);
+    }
+
+    /// An Add of a key the store holds replaces its entry, in the entries
+    /// and in a built index alike, and `from_ordered` keeps the later entry
+    /// of a key given twice, as one Add per entry in that order would.
+    #[test]
+    fn an_add_replaces_the_entry_of_its_key() {
+        let route = |port: u16| FlowEntry {
+            m: FlowMatch::to_dst(HostAddr(7)),
+            priority: 10,
+            action: Action::Output(PortNo(port)),
+        };
+        let other = FlowEntry { m: FlowMatch::any(), priority: 1, action: Action::Drop };
+        let mut s = store_of(&[route(1), other]);
+        assert_eq!(s.lookup(&pkt(0, 1, 7), None), Some(&route(1)), "index built");
+        s.apply(&FlowMod::Add(route(2)));
+        assert_eq!(s.entries(), [route(2), other]);
+        assert_eq!(s.lookup(&pkt(0, 1, 7), None), Some(&route(2)));
+        let buckets = s.tiers.get().unwrap().0.iter().flat_map(|tier| tier.values());
+        assert_eq!(buckets.map(|b| b.as_slice().len()).sum::<usize>(), 2, "replaced in the index");
+        s.apply(&FlowMod::Delete(route(2).m, 10));
+        assert_eq!(s.lookup(&pkt(0, 1, 7), None), Some(&other), "nothing of the key left");
+        for (given, last) in [([route(1), other, route(2)], 2), ([route(2), route(1), other], 1)] {
+            let built = EntryStore::from_ordered(given.to_vec());
+            assert_eq!(built.entries(), store_of(&given).entries());
+            assert_eq!(built.entries(), [route(last), other]);
+        }
     }
 }

@@ -382,6 +382,7 @@ mod tests {
         {
             let mut sorted = random_table(&mut next, n, fields);
             sorted.sort_by_key(FlowEntry::order_key);
+            sorted.dedup_by_key(|e| (e.m, e.priority));
             let mut store = EntryStore::from_ordered(sorted.clone());
             let mut entries = sorted.clone();
             for e in sorted.iter().step_by(3) {
@@ -390,6 +391,8 @@ mod tests {
             }
             for e in random_table(&mut next, n / 3, fields) {
                 store.apply(&FlowMod::Add(e));
+                // An Add of a key the table holds replaces its entry.
+                entries.retain(|x| (x.m, x.priority) != (e.m, e.priority));
                 let behind = entries.iter().rposition(|x| x.priority >= e.priority);
                 entries.insert(behind.map_or(0, |p| p + 1), e);
             }

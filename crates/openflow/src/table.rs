@@ -131,9 +131,8 @@ pub struct PacketMeta {
     pub l4_dst: u16,
 }
 
-/// Forwarding action of a flow entry. Ordered only to complete
-/// [`FlowEntry::order_key`].
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+/// Forwarding action of a flow entry.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Action {
     /// Emit on a port.
     Output(PortNo),
@@ -156,23 +155,28 @@ pub struct FlowEntry {
 }
 
 impl FlowEntry {
-    /// The one total order on entries: priority descending (scan order),
-    /// then `in_port`, `metadata`, `dst`, `src`, `l4_src`, `l4_dst`, then
-    /// action. Every table keeps its entries in it, whatever order they
-    /// were installed in ([`EntryStore::apply`]), and the table diff and
-    /// the epoch's delete/add pairing merge along it.
+    /// The one order on entries, by their (match, priority) key: priority
+    /// descending (scan order), then `in_port`, `metadata`, `dst`, `src`,
+    /// `l4_src`, `l4_dst`. A table holds one entry per key, so it is a
+    /// total order on any table's entries. Every table keeps its entries in
+    /// it, whatever order they were installed in ([`EntryStore::apply`]),
+    /// and the table diff and the epoch's delete/add pairing merge along
+    /// it.
     pub fn order_key(&self) -> impl Ord {
-        (self.m.order_key(self.priority), self.action)
+        self.m.order_key(self.priority)
     }
 }
 
 /// Flow-table modification messages (the controller→switch protocol subset
-/// SDT uses).
+/// SDT uses), with OpenFlow 1.3's semantics: a table holds one entry per
+/// (match, priority) key.
 #[derive(Clone, Debug)]
 pub enum FlowMod {
-    /// Install an entry.
+    /// Install an entry (OFPFC_ADD): it replaces the entry with identical
+    /// match and priority, if the table holds one.
     Add(FlowEntry),
-    /// Remove entries whose (match, priority) equal the given ones exactly.
+    /// Remove the entry whose (match, priority) equal the given ones
+    /// exactly (OFPFC_DELETE_STRICT); a no-op if there is none.
     Delete(FlowMatch, u16),
 }
 
@@ -294,7 +298,10 @@ impl FlowTable {
     }
 
     /// Apply a flow-mod: refuse an Add past capacity, else
-    /// [`EntryStore::apply`].
+    /// [`EntryStore::apply`]. An Add at capacity is refused even when it
+    /// would replace an entry rather than grow the table: admission's
+    /// headroom check keeps every table below capacity, so no install of
+    /// the controller's meets the case.
     pub fn apply(&mut self, m: FlowMod) -> Result<(), TableError> {
         match m {
             FlowMod::Add(_) if self.len() >= self.capacity => {
@@ -667,7 +674,7 @@ pub fn shadowed_entries_in(entries: &[FlowEntry], universe: &MatchUniverse) -> V
 /// Walk `old` and `new` merged in entry order and hand `visit` every entry
 /// the other side does not hold — `(false, i)` for `old[i]`, `(true, j)` for
 /// `new[j]` — until it returns false; returns how many it was handed.
-/// Sides are sets: an entry held twice is handed over twice or not at all.
+/// Sides are tables: each holds a (match, priority) key at most once.
 pub(crate) fn each_absent(
     old: &[FlowEntry],
     new: &[FlowEntry],
@@ -685,10 +692,10 @@ pub(crate) fn each_absent(
     while i < olds.len() || j < news.len() {
         let (a, b) = (olds.get(i).map(|&a| &old[a]), news.get(j).map(|&b| &new[b]));
         let (in_new, at) = match (a, b) {
-            // Held by both: skip every copy.
+            // Held by both.
             (Some(a), Some(b)) if a == b => {
-                i += olds[i..].iter().take_while(|&&at| old[at] == *a).count();
-                j += news[j..].iter().take_while(|&&at| new[at] == *a).count();
+                i += 1;
+                j += 1;
                 continue;
             }
             (Some(a), b) if b.is_none_or(|b| a.order_key() < b.order_key()) => {
@@ -972,8 +979,10 @@ mod tests {
         assert!(found.is_empty(), "unexpected shadows: {found:?}");
     }
 
+    /// Two Adds of one (match, priority) key: the later replaces the
+    /// earlier, as OpenFlow's ADD does, so the table holds the key once.
     #[test]
-    fn first_match_within_priority_is_stable() {
+    fn a_later_add_of_a_key_replaces_the_earlier() {
         let mut t = FlowTable::new(10);
         t.apply(FlowMod::Add(FlowEntry {
             m: FlowMatch::on_port(PortNo(0)),
@@ -987,7 +996,8 @@ mod tests {
             action: Action::Output(PortNo(2)),
         }))
         .unwrap();
-        assert_eq!(t.lookup(&meta(0, 0, 0)), Some(Action::Output(PortNo(1))));
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.lookup(&meta(0, 0, 0)), Some(Action::Output(PortNo(2))));
     }
 
     /// Pin the tier index against the linear-scan oracle on a mixed-tier

@@ -1,14 +1,14 @@
-//! Differential property test for the table diff: on any two entry lists —
-//! in no particular order, with repeated entries, with entries that share a
-//! (match, priority) key and differ in action, with one side empty —
-//! [`diff_tables`] returns the mods its set definition does, in the same
-//! order, and everything built on the same merge agrees with it:
+//! Differential property test for the table diff: on any two tables —
+//! each holding a (match, priority) key at most once, in no particular
+//! order, the two sharing entries and keys whose actions differ, one side
+//! empty — [`diff_tables`] returns the mods its set definition does, in the
+//! same order, and everything built on the same merge agrees with it:
 //! [`diff_positions`] names the entries behind those mods,
 //! [`table_divergence`] is their number and [`same_entries`] is "none".
 //!
 //! Field domains are tiny (3 ports, 3 metadata values, 4 addresses, 3
-//! priorities, 3 actions) so that the two sides share entries, repeat them
-//! and collide on keys in nearly every case.
+//! priorities, 3 actions) so that the two sides share entries and collide
+//! on keys in nearly every case.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use proptest::prelude::*;
@@ -59,18 +59,11 @@ fn decode(r: u32) -> FlowEntry {
     }
 }
 
-/// One side of a case: decoded entries, then some of them again (and again
-/// under the other action), so repeats and key collisions are certain.
+/// One side of a case: the decoded entries in the order given, the first
+/// of each (match, priority) key kept — a table holds a key once.
 fn side(raw: &[u32]) -> Vec<FlowEntry> {
-    let mut entries: Vec<FlowEntry> = raw.iter().map(|&r| decode(r)).collect();
-    for (i, &r) in raw.iter().enumerate() {
-        match r >> 28 {
-            0 | 1 => entries.push(entries[i]),
-            2 => entries.push(FlowEntry { action: Action::Drop, ..entries[i] }),
-            _ => {}
-        }
-    }
-    entries
+    let mut keys = HashSet::new();
+    raw.iter().map(|&r| decode(r)).filter(|e| keys.insert((e.m, e.priority))).collect()
 }
 
 proptest! {
@@ -83,9 +76,12 @@ proptest! {
         shared in proptest::collection::vec(any::<u32>(), 0..20),
     ) {
         // `shared` lands on both sides, at the front of one and the back of
-        // the other, so neither side is in any order.
+        // the other, so neither side is in any order; on `new` a quarter of
+        // it under another action, so the sides also collide on keys.
+        let moved: Vec<u32> =
+            shared.iter().map(|&r| if r >> 30 == 0 { r ^ 1 << 22 } else { r }).collect();
         let old = side(&[&shared[..], &old[..]].concat());
-        let new = side(&[&new[..], &shared[..]].concat());
+        let new = side(&[&new[..], &moved[..]].concat());
         for (old, new) in [(&old, &new), (&new, &old), (&old, &old), (&old, &Vec::new())] {
             let want = reference_diff(old, new);
             prop_assert_eq!(format!("{:?}", diff_tables(old, new)), format!("{want:?}"));

@@ -33,10 +33,8 @@
 //! in-place replacement (OpenFlow MODIFY): `FlowMod::Delete` removes by
 //! (match, priority), so adding first would get the replacement wiped by
 //! its own delete. Such an add leaves the make layers and lands right after
-//! the last delete of its key instead; an entry kept under a deleted key
-//! (only a table holding the key twice has one) is sent again there, since
-//! the delete strikes it too — and so every delete of that key is sent in
-//! the cutover, before it. [`Epoch::from_diff`] decides the layers along
+//! the delete of its key instead; a table holds each key once, so a delete
+//! has at most one such rider. [`Epoch::from_diff`] decides the layers along
 //! with the order and records where each ends ([`Epoch::layers`]). The
 //! manager's install, the static pre-install gate and the round compiler
 //! all read this one sequence, so what the verifier proves is
@@ -48,7 +46,6 @@
 use crate::SliceId;
 use sdt_core::synthesis::SynthesisOutput;
 use sdt_openflow::{diff_positions, install_time_ns, Action, FlowEntry, FlowMod, FxBuild, PortNo};
-use std::cmp::Reverse;
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
@@ -205,89 +202,51 @@ pub fn synthesis_entries(s: &SynthesisOutput, switch: usize, table: u8) -> &[Flo
 }
 
 /// One switch's table of a diff: the positions `old` loses, in position
-/// order, and per such delete whether adds ride its key (a MODIFY); the
-/// positions of `new` to add whose key no delete shares; and the other
-/// adds as (rank in `gone` of the delete each rides, position), by rank.
+/// order, each with the position of the `new` entry that rides it (a
+/// MODIFY), if `new` replaces its key; and the positions of `new` to add
+/// whose key no delete shares.
 struct TableDiff<'a> {
     old: &'a [FlowEntry],
     new: &'a [FlowEntry],
     gone: Vec<usize>,
-    modify: Vec<bool>,
+    riders: Vec<Option<usize>>,
     alone: Vec<usize>,
-    riders: Vec<(usize, usize)>,
 }
 
 impl<'a> TableDiff<'a> {
     fn new(old: &'a [FlowEntry], new: &'a [FlowEntry]) -> Self {
         let (gone, fresh) = diff_positions(old, new);
-        // Both sides by key: one comparison per element on a table already
-        // in entry order. Equal delete keys go last position first, so the
-        // merge meets the last delete of a key first: the one its adds ride,
-        // which no later delete of the key can strike.
-        let key = |e: &FlowEntry| e.m.order_key(e.priority);
-        let mut deletes: Vec<usize> = (0..gone.len()).collect();
-        deletes.sort_by_key(|&k| (key(&old[gone[k]]), Reverse(k)));
-        // Every entry of `new`, not only the fresh ones, meets the deletes:
-        // a delete strikes every entry of its key, so an entry `new` keeps
-        // under a deleted key is sent again behind it. Only a table that
-        // holds a key twice has one; synthesis never emits such a table.
-        let mut by_key: Vec<usize> = (0..new.len()).collect();
-        by_key.sort_unstable_by_key(|&j| key(&new[j]));
-        // Per entry of `new`: the rank in `gone` of the delete it rides.
-        let mut rides = vec![None; new.len()];
-        let mut next = deletes.iter().copied().peekable();
-        for j in by_key {
-            let k = key(&new[j]);
-            while next.next_if(|&d| key(&old[gone[d]]) < k).is_some() {}
-            rides[j] = next.peek().copied().filter(|&d| key(&old[gone[d]]) == k);
-        }
-        let (mut alone, mut riders) = (Vec::new(), Vec::new());
-        let mut fresh = fresh.into_iter().peekable();
-        for (j, ride) in rides.into_iter().enumerate() {
-            let is_fresh = fresh.next_if_eq(&j).is_some();
-            match ride {
-                Some(k) => riders.push((k, j)),
-                None if is_fresh => alone.push(j),
-                None => {}
+        // Both in key order, as a table is, and each key held once: one
+        // merge pairs a fresh entry with the delete of its key.
+        let mut riders = vec![None; gone.len()];
+        let mut alone = Vec::new();
+        let mut deletes = gone.iter().enumerate().peekable();
+        for j in fresh {
+            let key = new[j].order_key();
+            while deletes.next_if(|&(_, &i)| old[i].order_key() < key).is_some() {}
+            match deletes.peek() {
+                Some(&(k, &i)) if old[i].order_key() == key => riders[k] = Some(j),
+                _ => alone.push(j),
             }
         }
-        // Stable: the adds riding one delete keep their position order.
-        riders.sort_by_key(|&(k, _)| k);
-        // Every delete of a ridden key is part of its MODIFY: an earlier
-        // one sent after the riders would strike them. Each key's deletes
-        // are adjacent in `deletes`, the ridden one first, so only a delete
-        // right behind a MODIFY's needs its key compared.
-        let mut modify = vec![false; gone.len()];
-        for &(k, _) in &riders {
-            modify[k] = true;
-        }
-        for pair in deletes.windows(2) {
-            if modify[pair[0]] && !modify[pair[1]] {
-                modify[pair[1]] = key(&old[gone[pair[0]]]) == key(&old[gone[pair[1]]]);
-            }
-        }
-        TableDiff { old, new, gone, modify, alone, riders }
+        TableDiff { old, new, gone, riders, alone }
     }
 
-    /// Append the deletes `send` picks by rank, in position order, each
-    /// followed by the adds that ride it; returns how many deletes — units
-    /// — that was.
+    /// Append the deletes `send` picks by whether an add rides them, in
+    /// position order, each followed by its rider; returns how many deletes
+    /// — units — that was.
     fn send_deletes(
         &self,
         sw: u32,
         table: u8,
-        send: impl Fn(usize) -> bool,
+        send: impl Fn(bool) -> bool,
         mods: &mut Vec<(u32, u8, FlowMod)>,
     ) -> usize {
-        let mut riders = self.riders.iter().peekable();
         let mut sent = 0;
-        for (k, &i) in self.gone.iter().enumerate().filter(|&(k, _)| send(k)) {
+        for (&i, rider) in self.gone.iter().zip(&self.riders).filter(|(_, r)| send(r.is_some())) {
             let FlowEntry { m, priority, .. } = self.old[i];
             mods.push((sw, table, FlowMod::Delete(m, priority)));
-            while riders.next_if(|&&(of, _)| of < k).is_some() {}
-            while let Some(&(_, j)) = riders.next_if(|&&(of, _)| of == k) {
-                mods.push((sw, table, FlowMod::Add(self.new[j])));
-            }
+            mods.extend(rider.map(|j| (sw, table, FlowMod::Add(self.new[j]))));
             sent += 1;
         }
         sent
@@ -301,8 +260,8 @@ impl Epoch {
     /// proportional to the delta.
     ///
     /// Each part of a layer (module docs) runs switch by switch, each
-    /// switch's mods in table position order; an add rides the last
-    /// delete, in `old`'s position order, of its own key.
+    /// switch's mods in table position order; an add rides the delete of
+    /// its own key.
     pub fn from_diff(slice: SliceId, old: &SynthesisOutput, new: &SynthesisOutput) -> Epoch {
         let num_switches = old.table0.len().max(new.table0.len());
         let diffs: Vec<[TableDiff; 2]> = (0..num_switches)
@@ -312,7 +271,9 @@ impl Epoch {
                 })
             })
             .collect();
-        let size = diffs.iter().flatten().map(|d| d.gone.len() + d.alone.len() + d.riders.len());
+        let size = diffs.iter().flatten().map(|d| {
+            d.gone.len() + d.alone.len() + d.riders.iter().flatten().count()
+        });
         let mut mods = Vec::with_capacity(size.sum());
         let mut layers = [Layer::default(); 4];
         // Make: the lone adds of table 1, noting the metadata values that
@@ -349,12 +310,12 @@ impl Epoch {
             units += d.send_deletes(sw as u32, 0, |_| true, &mut mods);
         }
         for (sw, [_, d]) in diffs.iter().enumerate() {
-            units += d.send_deletes(sw as u32, 1, |k| d.modify[k], &mut mods);
+            units += d.send_deletes(sw as u32, 1, |modify| modify, &mut mods);
         }
         layers[2] = Layer { end: mods.len(), units };
         let mut units = 0;
         for (sw, [_, d]) in diffs.iter().enumerate() {
-            units += d.send_deletes(sw as u32, 1, |k| !d.modify[k], &mut mods);
+            units += d.send_deletes(sw as u32, 1, |modify| !modify, &mut mods);
         }
         layers[3] = Layer { end: mods.len(), units };
         Epoch { slice, mods: Arc::new(mods), layers }

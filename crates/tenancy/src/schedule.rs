@@ -93,38 +93,37 @@ pub struct Round {
 }
 
 /// The mods one round installs: a share of its epoch's [`Epoch::mods`]
-/// and the runs of it the round installs, one after another — one run for
-/// a compiled round, one per compiled round for a merged one; no mod
-/// copied. Iterates (and formats) as the `(switch, table, mod)` sequence
-/// it selects.
+/// and the run of it the round installs — one layer for a compiled round,
+/// adjacent layers for a merged one; no mod copied. Iterates (and formats)
+/// as the `(switch, table, mod)` sequence it selects.
 #[derive(Clone)]
 pub struct RoundMods {
     batch: Arc<Vec<(u32, u8, FlowMod)>>,
-    runs: Vec<Range<usize>>,
+    run: Range<usize>,
 }
 
 impl RoundMods {
     /// Flow-mods in the round.
     pub fn len(&self) -> usize {
-        self.runs.iter().map(Range::len).sum()
+        self.run.len()
     }
 
     /// True for a round with no mods.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.run.is_empty()
     }
 
     /// The round's mods, in install order.
-    pub fn iter(&self) -> RoundModsIter<'_> {
-        RoundModsIter { batch: &self.batch, runs: self.runs.iter(), run: [].iter() }
+    pub fn iter(&self) -> std::slice::Iter<'_, (u32, u8, FlowMod)> {
+        self.batch[self.run.clone()].iter()
     }
 }
 
 impl<'a> IntoIterator for &'a RoundMods {
     type Item = &'a (u32, u8, FlowMod);
-    type IntoIter = RoundModsIter<'a>;
+    type IntoIter = std::slice::Iter<'a, (u32, u8, FlowMod)>;
 
-    fn into_iter(self) -> RoundModsIter<'a> {
+    fn into_iter(self) -> Self::IntoIter {
         self.iter()
     }
 }
@@ -132,31 +131,6 @@ impl<'a> IntoIterator for &'a RoundMods {
 impl fmt::Debug for RoundMods {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list().entries(self).finish()
-    }
-}
-
-/// [`RoundMods::iter`].
-pub struct RoundModsIter<'a> {
-    batch: &'a [(u32, u8, FlowMod)],
-    runs: std::slice::Iter<'a, Range<usize>>,
-    run: std::slice::Iter<'a, (u32, u8, FlowMod)>,
-}
-
-impl<'a> Iterator for RoundModsIter<'a> {
-    type Item = &'a (u32, u8, FlowMod);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(m) = self.run.next() {
-                return Some(m);
-            }
-            self.run = self.batch[self.runs.next()?.clone()].iter();
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.run.len() + self.runs.clone().map(Range::len).sum::<usize>();
-        (n, Some(n))
     }
 }
 
@@ -275,16 +249,27 @@ impl std::error::Error for ScheduleError {}
 /// — the layers are the epoch's own; the parameter stays only because
 /// `benchmark/` calls this with it, and a later `benchmark` change retires
 /// it.
+///
+/// # Panics
+///
+/// If the epoch's layers do not end at the end of its mods — an epoch not
+/// built by [`Epoch::from_diff`], whose rounds would install less than
+/// the epoch holds.
 pub fn compile_rounds(epoch: &Epoch, _before: &TableView) -> Vec<Round> {
     const PHASES: [RoundPhase; 4] =
         [RoundPhase::Make, RoundPhase::Make, RoundPhase::Cutover, RoundPhase::Collect];
+    assert_eq!(
+        epoch.layers[3].end,
+        epoch.mods.len(),
+        "the layers of an epoch tile its mods, as Epoch::from_diff builds them"
+    );
     let mut start = 0;
     let mut rounds = Vec::new();
     for (layer, phase) in epoch.layers.iter().zip(PHASES) {
         let run = start..layer.end;
         start = layer.end;
         if !run.is_empty() {
-            let mods = RoundMods { batch: Arc::clone(&epoch.mods), runs: vec![run] };
+            let mods = RoundMods { batch: Arc::clone(&epoch.mods), run };
             rounds.push(Round { mods, phase, units: layer.units });
         }
     }
@@ -371,10 +356,11 @@ pub fn install_scheduled(
                 let summary = v.report().summary();
                 return Err(ScheduleError::UnsafeBoundary { round: index, summary });
             };
-            // Runs concatenate: the merged round installs what the two
+            // Adjacent runs join: the merged round installs what the two
             // did, in the same order.
             assert!(Arc::ptr_eq(&round.mods.batch, &next.mods.batch), "only rounds of one epoch merge");
-            round.mods.runs.extend(next.mods.runs);
+            assert_eq!(round.mods.run.end, next.mods.run.start, "only adjacent rounds merge");
+            round.mods.run.end = next.mods.run.end;
             round.phase = round.phase.max(next.phase);
             round.units += next.units;
             merged_from += 1;
@@ -476,33 +462,35 @@ mod tests {
     }
 
     #[test]
-    fn an_add_rides_the_last_delete_of_its_key() {
-        // Neither side in key order; route (5, 1) is held twice, deleted
-        // twice and replaced twice, port 3 is re-classified, route (7, 2)
-        // is new.
+    fn an_add_rides_the_delete_of_its_key() {
+        // Neither side given in key order; route (5, 1) is replaced in
+        // place, port 3 is re-classified, route (7, 2) is new and route
+        // (6, 1) is gone.
         let (e, _) = diff(
-            synth(vec![t0(3, 5)], vec![t1(5, 1, 9), t1(5, 1, 1)]),
-            synth(vec![t0(3, 6)], vec![t1(5, 1, 2), t1(7, 2, 4), t1(5, 1, 3)]),
+            synth(vec![t0(3, 5)], vec![t1(6, 1, 4), t1(5, 1, 1)]),
+            synth(vec![t0(3, 6)], vec![t1(5, 1, 2), t1(7, 2, 4)]),
         );
         let wire: Vec<(u32, u8, FlowMod)> = vec![
             (0, 1, FlowMod::Add(t1(7, 2, 4))),
             (0, 0, FlowMod::Delete(t0(3, 5).m, 10)),
             (0, 0, FlowMod::Add(t0(3, 6))),
             (0, 1, FlowMod::Delete(t1(5, 1, 1).m, 10)),
-            (0, 1, FlowMod::Delete(t1(5, 1, 1).m, 10)),
             (0, 1, FlowMod::Add(t1(5, 1, 2))),
-            (0, 1, FlowMod::Add(t1(5, 1, 3))),
+            (0, 1, FlowMod::Delete(t1(6, 1, 4).m, 10)),
         ];
         assert_eq!(format!("{:?}", e.mods), format!("{wire:?}"));
-        // One copy of route (5, 1) kept, the other gone: the delete strikes
-        // both, so the kept copy is sent again behind it.
-        let (e, _) = diff(
-            synth(vec![], vec![t1(5, 1, 9), t1(5, 1, 1)]),
-            synth(vec![], vec![t1(5, 1, 1)]),
-        );
-        let wire: Vec<(u32, u8, FlowMod)> =
-            vec![(0, 1, FlowMod::Delete(t1(5, 1, 1).m, 10)), (0, 1, FlowMod::Add(t1(5, 1, 1)))];
-        assert_eq!(format!("{:?}", e.mods), format!("{wire:?}"));
+        let units: Vec<usize> = e.layers.iter().map(|l| l.units).collect();
+        assert_eq!(units, [1, 0, 2, 1]);
+    }
+
+    /// Layers that do not reach the end of the mods would compile to
+    /// rounds that install less than the epoch: refused, not installed.
+    #[test]
+    #[should_panic(expected = "Epoch::from_diff")]
+    fn an_epoch_whose_layers_miss_its_mods_does_not_compile() {
+        let (e, before) = diff(synth(vec![], vec![]), synth(vec![t0(4, 9)], vec![t1(9, 2, 3)]));
+        let hand_built = Epoch { mods: e.mods, ..Default::default() };
+        compile_rounds(&hand_built, &before);
     }
 
     #[test]

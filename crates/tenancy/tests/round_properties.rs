@@ -17,7 +17,7 @@
 //!     [`Epoch::from_diff`] stores — their concatenation — equal a
 //!     reference that works the make-before-break sections out of plain
 //!     add and delete lists and layers their units — random multi-switch
-//!     pipelines with MODIFYs and keys held twice;
+//!     pipelines with MODIFYs;
 //! (f) replaying that wire order on the old tables ends exactly on the new
 //!     tables' entries, per switch and table.
 
@@ -34,7 +34,7 @@ use sdt_tenancy::epoch::synthesis_entries;
 use sdt_tenancy::{
     compile_rounds, install_scheduled, Epoch, MigrationPlan, RoundPhase, SliceId, SliceManager,
 };
-use std::collections::{BTreeSet, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use sdt_topology::chain::{chain, ring};
 use sdt_topology::meshtorus::mesh;
 use sdt_topology::Topology;
@@ -270,22 +270,16 @@ type Add = (u32, u8, FlowEntry);
 type Delete = (u32, u8, FlowMatch, u16);
 
 /// The mods turning `old` into `new` as two plain lists, switch by switch,
-/// table 0 then table 1, each in position order. A delete strikes every
-/// entry of its (match, priority) key, so the adds are the entries `old`
-/// lacks and those `new` keeps under a deleted key.
+/// table 0 then table 1, each in position order: the entries `new` lacks
+/// and the entries `old` lacks.
 fn plain_lists(old: &SynthesisOutput, new: &SynthesisOutput) -> (Vec<Add>, Vec<Delete>) {
     let (mut adds, mut deletes) = (Vec::new(), Vec::new());
     for sw in 0..old.table0.len().max(new.table0.len()) {
         for table in [0u8, 1u8] {
             let (o, n) = (synthesis_entries(old, sw, table), synthesis_entries(new, sw, table));
             let (gone, fresh) = diff_positions(o, n);
-            let struck: HashSet<_> = gone.iter().map(|&i| (o[i].m, o[i].priority)).collect();
             deletes.extend(gone.iter().map(|&i| (sw as u32, table, o[i].m, o[i].priority)));
-            adds.extend(
-                (0..n.len())
-                    .filter(|j| fresh.contains(j) || struck.contains(&(n[*j].m, n[*j].priority)))
-                    .map(|j| (sw as u32, table, n[j])),
-            );
+            adds.extend(fresh.iter().map(|&j| (sw as u32, table, n[j])));
         }
     }
     (adds, deletes)
@@ -294,11 +288,9 @@ fn plain_lists(old: &SynthesisOutput, new: &SynthesisOutput) -> (Vec<Add>, Vec<D
 /// The make-before-break sections over plain lists: adds table 1 → table
 /// 0, then deletes table 0 → table 1, each add that shares a delete's
 /// (switch, table, match, priority) key held back to land right after the
-/// last delete of that key (an in-place MODIFY).
+/// delete of that key (an in-place MODIFY).
 fn sections(adds: &[Add], deletes: &[Delete]) -> Vec<Mod> {
-    // Adds and deletes by position, each sorted by key. Equal delete keys
-    // go last position first, so a merge meets the last delete of a key
-    // first: the one an add of the same key rides behind.
+    // Adds and deletes by position, each sorted by key.
     let add_key = |&i: &u32| {
         let (switch, table, entry) = &adds[i as usize];
         (*switch, *table, entry.m.order_key(entry.priority))
@@ -310,7 +302,7 @@ fn sections(adds: &[Add], deletes: &[Delete]) -> Vec<Mod> {
     let mut by_key: Vec<u32> = (0..adds.len() as u32).collect();
     by_key.sort_unstable_by_key(add_key);
     let mut sorted_deletes: Vec<u32> = (0..deletes.len() as u32).collect();
-    sorted_deletes.sort_by_key(|d| (delete_key(d), std::cmp::Reverse(*d)));
+    sorted_deletes.sort_unstable_by_key(delete_key);
     // Per add: the position of the delete it rides, if one shares its key.
     const ALONE: u32 = u32::MAX;
     let mut rides = vec![ALONE; adds.len()];
@@ -334,10 +326,10 @@ fn sections(adds: &[Add], deletes: &[Delete]) -> Vec<Mod> {
         }
     }
     for table in [0u8, 1u8] {
-        // Stable: adds sharing a delete keep their order. The deletes of
-        // one table are then met in the order their adds are held.
+        // The deletes of one table are met in the order their adds are
+        // held.
         let held = &mut held[usize::from(table)];
-        held.sort_by_key(|&(at, _)| at);
+        held.sort_unstable_by_key(|&(at, _)| at);
         let mut held = held.iter().peekable();
         for (at, d) in deletes.iter().enumerate().filter(|(_, d)| d.1 == table) {
             mods.push((d.0, d.1, FlowMod::Delete(d.2, d.3)));
@@ -350,30 +342,26 @@ fn sections(adds: &[Add], deletes: &[Delete]) -> Vec<Mod> {
 }
 
 /// [`sections`]' own reference, from before the pairing was keyed by
-/// delete position: a key set, and a heap `Vec` of replacements per key,
-/// sent behind the key's last delete.
+/// delete position: a key set, and the replacement of each key, sent
+/// behind the key's delete.
 fn ordered_by_key_map(adds: &[Add], deletes: &[Delete]) -> Vec<Mod> {
-    use std::collections::HashMap;
     let delete_keys: HashSet<Delete> = deletes.iter().copied().collect();
-    let mut replacements: HashMap<Delete, Vec<FlowEntry>> = HashMap::new();
+    let mut replacements: HashMap<Delete, FlowEntry> = HashMap::new();
     let mut mods = Vec::new();
     for table in [1u8, 0u8] {
         for &(switch, t, entry) in adds.iter().filter(|a| a.1 == table) {
             let key = (switch, t, entry.m, entry.priority);
             if delete_keys.contains(&key) {
-                replacements.entry(key).or_default().push(entry);
+                replacements.insert(key, entry);
             } else {
                 mods.push((switch, t, FlowMod::Add(entry)));
             }
         }
     }
     for table in [0u8, 1u8] {
-        for (at, &d) in deletes.iter().enumerate().filter(|(_, d)| d.1 == table) {
+        for &d in deletes.iter().filter(|d| d.1 == table) {
             mods.push((d.0, d.1, FlowMod::Delete(d.2, d.3)));
-            if deletes[at + 1..].contains(&d) {
-                continue;
-            }
-            for e in replacements.remove(&d).into_iter().flatten() {
+            if let Some(e) = replacements.remove(&d) {
                 mods.push((d.0, d.1, FlowMod::Add(e)));
             }
         }
@@ -404,27 +392,20 @@ fn units_of(mods: &[Mod]) -> Vec<Vec<Mod>> {
 
 /// The reference round compiler: a layer per unit of a wire order, then
 /// one filtering, cloning pass over every unit per layer. Each round as
-/// (phase, units, mods). Every delete of a table-1 key some MODIFY
-/// replaces joins that MODIFY's cutover: sent after its replacement, it
-/// would strike it.
+/// (phase, units, mods).
 fn reference_rounds(mods: &[Mod]) -> Vec<(RoundPhase, usize, Vec<Mod>)> {
     let units = units_of(mods);
     let mut fresh_routes: HashSet<(u32, u32)> = HashSet::new();
-    let mut modified: HashSet<(u32, FlowMatch, u16)> = HashSet::new();
     for u in &units {
-        match u.as_slice() {
-            [(sw, 1, FlowMod::Add(e))] => fresh_routes.extend(e.m.metadata.map(|md| (*sw, md))),
-            [(sw, 1, FlowMod::Delete(m, p)), _, ..] => {
-                modified.insert((*sw, *m, *p));
-            }
-            _ => {}
+        if let [(sw, 1, FlowMod::Add(e))] = u.as_slice() {
+            fresh_routes.extend(e.m.metadata.map(|md| (*sw, md)));
         }
     }
     let layer = |u: &[Mod]| match u {
         [(_, 1, FlowMod::Add(_))] => 0,
         [(sw, 0, FlowMod::Add(e))] => usize::from(matches!(e.action,
             Action::WriteMetadataGoto(md) if fresh_routes.contains(&(*sw, md)))),
-        [(sw, 1, FlowMod::Delete(m, p))] if !modified.contains(&(*sw, *m, *p)) => 3,
+        [(_, 1, FlowMod::Delete(..))] => 3,
         _ => 2,
     };
     let phases = [RoundPhase::Make, RoundPhase::Make, RoundPhase::Cutover, RoundPhase::Collect];
@@ -446,11 +427,11 @@ fn ordered(adds: &[Add], deletes: &[Delete]) -> Vec<Mod> {
 }
 
 /// Random old and new pipelines over one to three switches each (so one
-/// side may lack a switch the other has) and a small key space: tables
-/// hold a (match, priority) key twice and exact copies, the new side
-/// drops entries, re-points some in place (a MODIFY) and adds others. A
-/// [`Table`] keeps its entries in key order, whatever order they are
-/// generated in.
+/// side may lack a switch the other has) and a small key space: the new
+/// side drops entries, re-points some in place (a MODIFY) and adds others.
+/// The lists drawn repeat (match, priority) keys; a [`Table`] built from
+/// one holds what one Add per entry builds — each key once, its last
+/// entry — in key order, whatever order they are generated in.
 fn pipelines(seed: u64) -> (SynthesisOutput, SynthesisOutput) {
     let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
     let mut next = move |n: u64| {
@@ -528,32 +509,32 @@ proptest! {
     }
 }
 
-/// A plain replay of a wire order on `old`'s tables: an add appends, a
-/// delete strikes every entry of its (match, priority) key. Per switch and
-/// table, the entries left as a set.
-fn replayed(old: &SynthesisOutput, mods: &[Mod]) -> Vec<[BTreeSet<String>; 2]> {
-    let mut tables: Vec<[Vec<FlowEntry>; 2]> =
-        old.table0.iter().zip(&old.table1).map(|(t0, t1)| [t0.to_vec(), t1.to_vec()]).collect();
+/// A plain replay of a wire order on `old`'s tables, each a map from a
+/// (match, priority) key to its entry: an add sets its key, a delete
+/// removes it. Per switch and table, the entries left, by key.
+fn replayed(old: &SynthesisOutput, mods: &[Mod]) -> Vec<[BTreeMap<String, FlowEntry>; 2]> {
+    let key = |m: &FlowMatch, p: u16| format!("{m:?}/{p}");
+    let map = |t: &Table| t.iter().map(|e| (key(&e.m, e.priority), *e)).collect();
+    let mut tables: Vec<[BTreeMap<String, FlowEntry>; 2]> =
+        old.table0.iter().zip(&old.table1).map(|(t0, t1)| [map(t0), map(t1)]).collect();
     for (sw, table, m) in mods {
         if tables.len() <= *sw as usize {
             tables.resize(*sw as usize + 1, Default::default());
         }
         let t = &mut tables[*sw as usize][usize::from(*table)];
         match *m {
-            FlowMod::Add(e) => t.push(e),
-            FlowMod::Delete(m, p) => t.retain(|e| (e.m, e.priority) != (m, p)),
-        }
+            FlowMod::Add(e) => t.insert(key(&e.m, e.priority), e),
+            FlowMod::Delete(m, p) => t.remove(&key(&m, p)),
+        };
     }
-    let set = |t: &Vec<FlowEntry>| t.iter().map(|e| format!("{e:?}")).collect();
-    tables.iter().map(|ts| ts.each_ref().map(set)).collect()
+    tables
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(500))]
 
     /// (f) Replaying the wire order on `old` ends exactly on `new`'s
-    /// entries, per switch and table, also where `old` holds a key twice
-    /// and deletes one or both copies.
+    /// entries, per switch and table.
     #[test]
     fn replaying_the_epoch_on_old_ends_on_new(seed in any::<u64>()) {
         let (old, new) = pipelines(seed);
@@ -567,28 +548,21 @@ proptest! {
     }
 }
 
-/// What the generator reaches over 500 seeds: MODIFYs in either table,
-/// several adds behind one delete, and a delete key held twice within one
-/// table; and every table it builds is in key order.
+/// What the generator reaches over 500 seeds: MODIFYs in either table;
+/// and every table it builds is in key order and holds each key once.
 #[test]
 fn the_pipeline_generator_reaches_every_pairing_shape() {
-    let (mut modifies, mut wide_modifies, mut repeated_deletes) = ([0, 0], 0, 0);
+    let mut modifies = [0, 0];
     for seed in 0..500 {
         let (old, new) = pipelines(seed);
         let (adds, deletes) = plain_lists(&old, &new);
         for u in units_of(&ordered(&adds, &deletes)).iter().filter(|u| u.len() > 1) {
+            assert_eq!(u.len(), 2, "seed {seed}: a delete has at most one rider");
             modifies[usize::from(u[0].1)] += 1;
-            wide_modifies += usize::from(u.len() > 2);
         }
-        let keys: HashSet<String> = deletes.iter().map(|d| format!("{d:?}")).collect();
-        repeated_deletes += usize::from(keys.len() < deletes.len());
-        let in_order = |t: &Table| t.is_sorted_by_key(FlowEntry::order_key);
+        let strictly_in_order = |t: &Table| t.is_sorted_by(|a, b| a.order_key() < b.order_key());
         let mut tables = old.table0.iter().chain(&old.table1).chain(&new.table0).chain(&new.table1);
-        assert!(tables.all(in_order), "seed {seed}");
+        assert!(tables.all(strictly_in_order), "seed {seed}");
     }
-    assert!(
-        modifies[0] > 100 && modifies[1] > 100 && wide_modifies > 20,
-        "{modifies:?} {wide_modifies}"
-    );
-    assert!(repeated_deletes > 100, "{repeated_deletes}");
+    assert!(modifies[0] > 100 && modifies[1] > 100, "{modifies:?}");
 }

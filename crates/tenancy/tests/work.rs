@@ -26,9 +26,11 @@
 use sdt_core::cluster::{ClusterBuilder, PhysicalCluster};
 use sdt_core::methods::SwitchModel;
 use sdt_openflow::{ControlChannel, FlowTable};
+use sdt_tenancy::epoch::Layer;
 use sdt_tenancy::{
     compile_rounds, install_scheduled, Epoch, MigrationPlan, ScheduleError, SliceManager,
 };
+use std::sync::Arc;
 use sdt_topology::fattree::fat_tree;
 use sdt_topology::meshtorus::torus;
 use sdt_topology::Topology;
@@ -213,13 +215,20 @@ fn rounds_read_the_epoch_buffer_and_copy_no_mod() {
 
 /// A round whose boundary fails its proof merges with the next: the merged
 /// round installs its rounds' mods one round after the other, the order a
-/// concatenation of copies had. Installing the plan's rounds backwards
-/// makes every boundary before the last fail.
+/// concatenation of copies had. The plan's rounds backwards, as the layers
+/// of one epoch, make every boundary before the last fail.
 #[test]
 fn a_merged_round_installs_its_rounds_in_order() {
     let (mgr, plan) = paper_k4_plan();
-    let mut rounds = plan.rounds().to_vec();
-    rounds.reverse();
+    let mut backwards = Epoch { slice: plan.epoch().slice, ..Default::default() };
+    let mut mods = Vec::new();
+    for (layer, r) in backwards.layers.iter_mut().zip(plan.rounds().iter().rev()) {
+        mods.extend(r.mods.iter().cloned());
+        *layer = Layer { end: mods.len(), units: r.units };
+    }
+    backwards.mods = Arc::new(mods);
+    let rounds = compile_rounds(&backwards, &TableView::default());
+    assert_eq!(rounds.len(), 4);
     let mut want = mgr.switches().to_vec();
     for (sw, t, m) in rounds.iter().flat_map(|r| &r.mods) {
         want[*sw as usize].apply(*t, m.clone()).unwrap();

@@ -134,7 +134,7 @@ fn slices_and_reconfigure_reports_move_no_counter() {
     // `sdtctl reconfigure`: migrate, then render `audit_clean` from the proof.
     let report = ctl.reconfigure(b, &chain(4), "default").unwrap();
     let holds = ctl.manager_mut().verify_report().holds();
-    let text = output::reconfigure_json("b/dragonfly", "chain-4", false, &report, None, holds);
+    let text = output::reconfigure_json("b/dragonfly", "chain-4", &report, None, holds);
     assert!(text.ends_with("\"audit_clean\":true}"), "{text}");
     assert_eq!(before, counters(&ctl), "a reconfigure report moved a counter");
 }
